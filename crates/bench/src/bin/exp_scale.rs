@@ -2,7 +2,7 @@
 //! repo tracks *how* it grows, not just whether it works).
 //!
 //! Sweeps seeded ring-with-chords overlays at N ∈ {64, 256, 1024} (4096
-//! behind `--full`, a multi-minute run; `--smoke` stops at 256 for CI) and
+//! behind `--full`, a ~2-minute run; `--smoke` stops at 256 for CI) and
 //! reports, per N: simulated packets forwarded per wall-clock second,
 //! retained bytes per node broken down by subsystem, and the fleet-wide
 //! `route.rebuild` latency percentiles — what one topology change costs a
@@ -215,20 +215,21 @@ fn main() {
 
     // The sublinearity invariant, asserted in-process on every run (the
     // committed-curve comparison lives in scripts/bench_smoke.sh). Gated on
-    // *state* bytes/node — the fixed-capacity rings would mask growth.
+    // *total* bytes/node: every subsystem grows with what it holds, so none
+    // is left out of the curve.
     let base = &results[0];
     let top = results.last().expect("at least one size");
-    let ratio = top.bytes_per_node_state() / base.bytes_per_node_state().max(1.0);
+    let ratio = top.bytes_per_node_total() / base.bytes_per_node_total().max(1.0);
     let linear = top.n as f64 / base.n as f64;
     println!(
-        "\nstate bytes/node growth n={}→{}: {ratio:.1}x (linear would be {linear:.0}x; budget {:.0}x)",
+        "\ntotal bytes/node growth n={}→{}: {ratio:.1}x (linear would be {linear:.0}x; budget {:.0}x)",
         base.n,
         top.n,
         linear * SUBLINEAR_SLACK
     );
     assert!(
         ratio <= linear * SUBLINEAR_SLACK,
-        "state bytes/node grew superlinearly: {ratio:.1}x over a {linear:.0}x size increase"
+        "total bytes/node grew superlinearly: {ratio:.1}x over a {linear:.0}x size increase"
     );
 
     if let Some(sink) = bench {

@@ -180,7 +180,7 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
             let snaps = sim_telemetry(sim, &overlay, &mut producers, at.as_nanos());
             if let Some(f) = telemetry.as_mut() {
                 for snap in &snaps {
-                    let _ = writeln!(f, "{}", snap.to_row().to_json());
+                    let _ = writeln!(f, "{}", snap.row_json());
                 }
             }
         },
@@ -256,7 +256,7 @@ fn spawn_collector(record_path: PathBuf) -> Result<Collector, String> {
                 Ok((n, _)) => match TelemetrySnapshot::decode(&buf[..n]) {
                     Ok(snap) => {
                         if let Some(f) = record.as_mut() {
-                            let _ = writeln!(f, "{}", snap.to_row().to_json());
+                            let _ = writeln!(f, "{}", snap.row_json());
                         }
                         live.ingest(snap);
                     }

@@ -224,7 +224,7 @@ fn live(args: &Args) -> Result<ClusterState, String> {
                     if let Some(rec) = record.as_mut() {
                         if let Ok(snap) = TelemetrySnapshot::decode(frame) {
                             use std::io::Write as _;
-                            let _ = writeln!(rec, "{}", snap.to_row().to_json());
+                            let _ = writeln!(rec, "{}", snap.row_json());
                         }
                     }
                     cluster.ingest_bytes(frame);

@@ -135,11 +135,8 @@ impl ScaleResult {
         self.footprint.total() as f64 / self.n as f64
     }
 
-    /// Average retained bytes per node excluding the fixed-capacity
-    /// observability rings (`rings`): the state that actually grows with N
-    /// — link-state DB, routing tables, topology — and the quantity the
-    /// sublinearity gate watches. Gating on the total would let the flat
-    /// ~MiB ring preallocation mask an O(N²)-per-node regression.
+    /// Average retained bytes per node excluding observability (`rings`):
+    /// the protocol state — link-state DB, routing tables, topology.
     #[must_use]
     pub fn bytes_per_node_state(&self) -> f64 {
         let rings = self

@@ -723,7 +723,7 @@ mod tests {
         let mut via_rows = ClusterState::new();
         for s in &snaps {
             via_bytes.ingest_bytes(&s.encode().unwrap());
-            via_rows.ingest_line(&s.to_row().to_json());
+            via_rows.ingest_line(&s.row_json());
         }
         assert_eq!(
             via_bytes.rollup(10).to_json(),

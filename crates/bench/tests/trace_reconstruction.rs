@@ -5,11 +5,14 @@
 //! repairs in tens of milliseconds while end-to-end recovery on a 50 ms
 //! path costs 100 ms-plus.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use son_bench::UnicastRun;
 use son_netsim::loss::LossConfig;
 use son_netsim::time::SimDuration;
 use son_obs::trace::{attribute, median_ns, reconstruct, self_check, Terminal, TraceStage};
+use son_obs::DropClass;
 use son_overlay::builder::chain_topology;
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
@@ -117,11 +120,27 @@ fn fig3_recovery_attribution_is_hop_local_vs_end_to_end() {
 }
 
 /// The reconstructed path must match the chain the packets actually walked,
-/// and each recovered timeline must carry its retransmissions at the hop
-/// *before* the recovery.
+/// each recovered timeline must carry its retransmissions at the hop
+/// *before* the recovery, and with every packet sampled the rings hold the
+/// whole per-packet lifecycle: enqueue, transmit, recovery, delivery, and
+/// classified drops.
 #[test]
 fn timelines_record_the_path_and_localize_retransmissions() {
     let out = traced_run(4, 10.0, 0.03, 21, 1_000).run();
+    let stages: BTreeSet<&str> = out.traces.iter().map(|e| e.stage.label()).collect();
+    for stage in ["enqueue", "transmit", "recovered", "deliver"] {
+        assert!(stages.contains(stage), "no {stage} event in {stages:?}");
+    }
+    // A TTL too small for the chain: every packet dies at node 1, on record.
+    let mut starved = traced_run(4, 10.0, 0.0, 22, 20);
+    starved.node_config.ttl = 1;
+    let starved = starved.run();
+    let ttl_drops = starved
+        .traces
+        .iter()
+        .filter(|e| e.node == 1 && e.stage == TraceStage::Drop(DropClass::Ttl));
+    assert_eq!(ttl_drops.count(), 20, "one classified drop per packet");
+
     let timelines = reconstruct(&out.traces);
     assert!(!timelines.is_empty());
     for tl in &timelines {

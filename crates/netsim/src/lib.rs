@@ -48,7 +48,6 @@ pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod underlay;
 
 /// One-stop imports for simulation authors.
@@ -59,7 +58,7 @@ pub mod prelude {
     pub use crate::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
     pub use crate::rng::SimRng;
     pub use crate::sim::{Ctx, ScenarioEvent, Simulation};
-    pub use crate::stats::{Counters, Percentiles, Summary};
+    pub use crate::stats::{Counters, Percentiles};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::underlay::{Attachment, CityId, IspId, Underlay, UnderlayBuilder};
 }

@@ -20,7 +20,7 @@
 //!    mailboxes and meet at a barrier.
 //! 3. **Dissolves**: shard state merges back into the global simulation —
 //!    counters sum, leftover events merge in `(time, key)` order, per-shard
-//!    perf registries and tracers absorb into the global ones.
+//!    perf registries absorb into the global one.
 //!
 //! Determinism: every scheduled event carries a tie-break key recording its
 //! scheduling *lineage* — when it was scheduled, by which handler, and at

@@ -44,7 +44,6 @@ use crate::rng::SimRng;
 use crate::shard::{CrossMsg, Mailboxes, ShardCtx, ShardPlan, ShardStats, ShardWorker};
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceKind, TraceOutcome, Tracer};
 use crate::underlay::{CityId, IspId, UEdgeId, Underlay};
 
 /// A scripted change to the world, scheduled ahead of time.
@@ -107,7 +106,6 @@ pub struct SimCore<M: SimMessage> {
     /// Index of reverse pipes: pipes\[i\] paired with pipes\[rev\[i\]\] if any.
     pub(crate) reverse: Vec<Option<PipeId>>,
     pub(crate) events_processed: u64,
-    pub(crate) tracer: Option<Tracer>,
     /// `Some` while this core runs as one shard of a parallel run.
     pub(crate) shard: Option<ShardCtx<M>>,
 }
@@ -190,7 +188,6 @@ impl<M: SimMessage> Simulation<M> {
                 counters: Counters::new(),
                 reverse: Vec::new(),
                 events_processed: 0,
-                tracer: None,
                 shard: None,
             },
             procs: Vec::new(),
@@ -278,21 +275,6 @@ impl<M: SimMessage> Simulation<M> {
     /// Mutable access to the underlay (for scenario setup).
     pub fn underlay_mut(&mut self) -> Option<&mut Underlay> {
         self.core.underlay.as_mut()
-    }
-
-    /// Enables packet-level tracing into a ring of `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.core.tracer = Some(Tracer::new(capacity));
-    }
-
-    /// The trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Tracer> {
-        self.core.tracer.as_ref()
     }
 
     /// The number of processes added so far (shard plans must cover all).
@@ -602,7 +584,6 @@ impl<M: SimMessage> Simulation<M> {
                         counters: Counters::new(),
                         reverse: self.core.reverse.clone(),
                         events_processed: 0,
-                        tracer: self.core.tracer.as_ref().map(|t| Tracer::new(t.capacity())),
                         shard: Some(ShardCtx {
                             my_shard: idx,
                             owner: owner.clone(),
@@ -736,9 +717,6 @@ impl<M: SimMessage> Simulation<M> {
                 }
             }
         }
-        if let Some(main_tracer) = &mut self.core.tracer {
-            main_tracer.absorb_shards(workers.iter_mut().filter_map(|w| w.core.tracer.take()));
-        }
         self.shard_stats
             .accumulate((ends.len() as u64).saturating_sub(1), lookahead, &loads);
         self.core.now = until;
@@ -846,12 +824,9 @@ fn apply_scenario_on<M: SimMessage>(
         }
         ScenarioEvent::CrashProcess(pid) => {
             // Every shard flips the liveness bit (clones stay consistent);
-            // only the owner touches the process itself or the trace.
+            // only the owner touches the process itself.
             core.proc_up[pid.0] = false;
             if core.owns(pid) {
-                if let Some(t) = &mut core.tracer {
-                    t.record(now, TraceKind::Crash(pid));
-                }
                 if let Some(p) = procs[pid.0].as_mut() {
                     p.on_crash(now);
                 }
@@ -861,9 +836,6 @@ fn apply_scenario_on<M: SimMessage>(
             if !core.proc_up[pid.0] {
                 core.proc_up[pid.0] = true;
                 if core.owns(pid) {
-                    if let Some(t) = &mut core.tracer {
-                        t.record(now, TraceKind::Restart(pid));
-                    }
                     dispatch_start_on(core, procs, pid);
                 }
             }
@@ -983,22 +955,6 @@ impl<M: SimMessage> SimCore<M> {
         assert_eq!(p.src(), pid, "process {pid} does not own pipe {pipe:?}");
         let dst = p.dst();
         let outcome = p.transmit(now, size, &mut self.underlay);
-        if let Some(tracer) = &mut self.tracer {
-            let traced = match outcome {
-                Transmit::Arrives(at) => TraceOutcome::Delivered { arrival: at },
-                Transmit::Dropped(reason) => TraceOutcome::Dropped(reason.class()),
-            };
-            tracer.record(
-                now,
-                TraceKind::PipeSend {
-                    from: pid,
-                    to: dst,
-                    pipe,
-                    bytes: size,
-                    outcome: traced,
-                },
-            );
-        }
         let is_data = matches!(msg.kind(), MessageKind::Data { .. });
         match outcome {
             Transmit::Arrives(at) => {
@@ -1041,16 +997,6 @@ impl<M: SimMessage> SimCore<M> {
         msg: M,
     ) {
         let at = self.now + delay;
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(
-                self.now,
-                TraceKind::DirectSend {
-                    from: pid,
-                    to,
-                    bytes: msg.wire_size(),
-                },
-            );
-        }
         self.schedule_deliver(
             pid,
             at,
@@ -1776,112 +1722,5 @@ mod shard_parity_tests {
         plan.assign(b, 1);
         sim.set_shard_plan(Some(plan));
         sim.run_until(SimTime::from_secs(1));
-    }
-}
-
-#[cfg(test)]
-mod trace_integration_tests {
-    use super::*;
-    use crate::trace::{TraceKind, TraceOutcome};
-
-    struct Sink;
-    impl Process<Vec<u8>> for Sink {
-        fn on_message(
-            &mut self,
-            _: &mut Ctx<'_, Vec<u8>>,
-            _: ProcessId,
-            _: Option<PipeId>,
-            _: Vec<u8>,
-        ) {
-        }
-    }
-    struct Pitcher {
-        out: PipeId,
-        n: u64,
-    }
-    impl Process<Vec<u8>> for Pitcher {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Vec<u8>>) {
-            ctx.set_timer(SimDuration::from_millis(1), 0);
-        }
-        fn on_message(
-            &mut self,
-            _: &mut Ctx<'_, Vec<u8>>,
-            _: ProcessId,
-            _: Option<PipeId>,
-            _: Vec<u8>,
-        ) {
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, _: u64) {
-            if self.n > 0 {
-                self.n -= 1;
-                ctx.send(self.out, vec![0u8; 100]);
-                ctx.set_timer(SimDuration::from_millis(1), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn trace_captures_sends_drops_and_crashes() {
-        let mut sim = Simulation::new(3);
-        sim.enable_tracing(1000);
-        let b = sim.add_process(Sink);
-        let a_pipe_placeholder = PipeId(0);
-        let a = sim.add_process(Pitcher {
-            out: a_pipe_placeholder,
-            n: 50,
-        });
-        let pipe = sim.pipe(
-            a,
-            b,
-            PipeConfig::with_latency(SimDuration::from_millis(5))
-                .loss(crate::loss::LossConfig::Bernoulli { p: 0.3 }),
-        );
-        sim.proc_mut::<Pitcher>(a).unwrap().out = pipe;
-        sim.schedule(SimTime::from_millis(100), ScenarioEvent::CrashProcess(b));
-        sim.schedule(SimTime::from_millis(200), ScenarioEvent::RestartProcess(b));
-        sim.run_until(SimTime::from_secs(1));
-
-        let trace = sim.trace().expect("tracing enabled");
-        let sends = trace
-            .events()
-            .filter(|e| matches!(e.kind, TraceKind::PipeSend { .. }))
-            .count();
-        assert_eq!(sends, 50, "every transmission is traced");
-        let drops = trace.drops().count();
-        let delivered = trace
-            .events()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceKind::PipeSend {
-                        outcome: TraceOutcome::Delivered { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(drops + delivered, 50);
-        assert!(drops > 5, "30% loss must show up: {drops}");
-        assert!(trace.events().any(|e| e.kind == TraceKind::Crash(b)));
-        assert!(trace.events().any(|e| e.kind == TraceKind::Restart(b)));
-        // Drops carry their class from the unified taxonomy.
-        for e in trace.drops() {
-            if let TraceKind::PipeSend {
-                outcome: TraceOutcome::Dropped(class),
-                ..
-            } = e.kind
-            {
-                assert_eq!(class, son_obs::DropClass::Loss);
-                assert_eq!(class.label(), "drop.loss");
-            }
-        }
-    }
-
-    #[test]
-    fn tracing_disabled_records_nothing() {
-        let mut sim: Simulation<Vec<u8>> = Simulation::new(3);
-        let _ = sim.add_process(Sink);
-        sim.run_until_idle();
-        assert!(sim.trace().is_none());
     }
 }

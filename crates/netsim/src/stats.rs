@@ -1,5 +1,4 @@
-//! Metric collection: online summaries, percentile samplers, histograms,
-//! counters, and time series.
+//! Metric collection: percentile samplers, counters, and fairness indices.
 //!
 //! Experiments in `son-bench` print the same rows the paper reports, so the
 //! primitives here focus on the quantities the paper talks about: delivery
@@ -7,99 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
-
-/// Online mean / min / max / standard deviation (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation, or 0 when fewer than two observations.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation, or `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+use crate::time::SimDuration;
 
 /// Exact percentile sampler: stores every observation.
 ///
@@ -221,70 +128,6 @@ impl Extend<f64> for Percentiles {
     }
 }
 
-/// Fixed-bucket histogram over `[0, bound)` with uniform bucket width, plus
-/// an overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` uniform buckets spanning `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `bound <= 0`.
-    #[must_use]
-    pub fn new(bound: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "need at least one bucket");
-        assert!(bound > 0.0, "bound must be positive");
-        Histogram {
-            bucket_width: bound / buckets as f64,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds one observation (negative values clamp to the first bucket).
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < 0.0 {
-            self.buckets[0] += 1;
-            return;
-        }
-        let idx = (x / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations beyond the histogram bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as f64 * self.bucket_width, c))
-    }
-}
-
 /// A monotonically increasing named counter set.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Counters {
@@ -327,42 +170,6 @@ impl Counters {
     }
 }
 
-/// A `(time, value)` series, e.g. per-second goodput of a flow.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point. Points should be appended in time order.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// The recorded points in insertion order.
-    #[must_use]
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Longest gap between consecutive points, or `None` with <2 points.
-    ///
-    /// Useful for measuring outage durations seen by a periodic flow.
-    #[must_use]
-    pub fn longest_gap(&self) -> Option<SimDuration> {
-        self.points
-            .windows(2)
-            .map(|w| w[1].0.saturating_since(w[0].0))
-            .max()
-    }
-}
-
 /// Jain's fairness index over a set of per-entity allocations.
 ///
 /// Returns 1.0 for perfectly equal allocations and approaches `1/n` as one
@@ -383,49 +190,6 @@ pub fn jain_fairness(allocations: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_empty_is_well_behaved() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_merge_matches_single_stream() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut whole = Summary::new();
-        for i in 0..100 {
-            let x = f64::from(i) * 0.7;
-            whole.record(x);
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-    }
 
     #[test]
     fn percentiles_interpolate() {
@@ -463,20 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 10);
-        h.record(0.5);
-        h.record(9.9);
-        h.record(10.0); // overflow
-        h.record(-1.0); // clamps to first bucket
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.overflow(), 1);
-        let buckets: Vec<(f64, u64)> = h.iter().collect();
-        assert_eq!(buckets[0], (0.0, 2));
-        assert_eq!(buckets[9], (9.0, 1));
-    }
-
-    #[test]
     fn counters_accumulate_and_merge() {
         let mut c = Counters::new();
         c.incr("sent");
@@ -491,17 +241,6 @@ mod tests {
         assert_eq!(c.get("sent"), 15);
         let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["lost", "sent"]);
-    }
-
-    #[test]
-    fn time_series_longest_gap() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_millis(0), 1.0);
-        ts.push(SimTime::from_millis(10), 1.0);
-        ts.push(SimTime::from_millis(500), 1.0);
-        ts.push(SimTime::from_millis(510), 1.0);
-        assert_eq!(ts.longest_gap(), Some(SimDuration::from_millis(490)));
-        assert_eq!(TimeSeries::new().longest_gap(), None);
     }
 
     #[test]

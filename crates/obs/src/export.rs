@@ -1,11 +1,9 @@
-//! Experiment export: JSONL and CSV sinks plus a human-readable summary.
+//! Experiment export: the JSONL sink and the registry row schema.
 //!
 //! Experiments write one [`Json`] object per line (JSONL) so downstream
-//! analysis can stream rows without a parser that holds the whole file; CSV
-//! is available for spreadsheet-shaped tables. [`registry_rows`] converts a
-//! [`Registry`] snapshot into export rows with a stable schema (documented
-//! in `EXPERIMENTS.md`), and [`summary`] renders the same snapshot as an
-//! aligned text table for the terminal.
+//! analysis can stream rows without a parser that holds the whole file.
+//! [`registry_rows`] converts a [`Registry`] snapshot into export rows with a
+//! stable schema (documented in `EXPERIMENTS.md`).
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -106,100 +104,6 @@ impl JsonlSink {
     }
 }
 
-/// A buffered CSV file sink with a fixed column count.
-#[derive(Debug)]
-pub struct CsvSink {
-    path: PathBuf,
-    out: BufWriter<File>,
-    columns: usize,
-}
-
-impl CsvSink {
-    /// Creates (truncating) the file at `path` and writes the header row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be created.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `header` is empty.
-    pub fn create(path: impl AsRef<Path>, header: &[&str]) -> io::Result<Self> {
-        assert!(
-            !header.is_empty(),
-            "CSV header must have at least one column"
-        );
-        let path = path.as_ref().to_path_buf();
-        let out = create_buffered(&path)?;
-        let mut sink = CsvSink {
-            path,
-            out,
-            columns: header.len(),
-        };
-        sink.row(header)?;
-        Ok(sink)
-    }
-
-    /// Appends one row; fields are escaped as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the write fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field count differs from the header's.
-    pub fn row<S: AsRef<str>>(&mut self, fields: &[S]) -> io::Result<()> {
-        assert_eq!(fields.len(), self.columns, "CSV row width mismatch");
-        let mut line = String::with_capacity(64);
-        for (i, f) in fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&csv_field(f.as_ref()));
-        }
-        line.push('\n');
-        self.out.write_all(line.as_bytes())
-    }
-
-    /// The sink's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Flushes buffered rows to disk and returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the flush fails.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.out.flush()?;
-        Ok(self.path)
-    }
-}
-
-/// Escapes one CSV field per RFC 4180: quoted when it contains a comma,
-/// quote, or either line-break character (CR was previously missed, which
-/// corrupted rows for label values carrying carriage returns).
-#[must_use]
-pub fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        s.to_owned()
-    }
-}
-
 /// A registry snapshot as export rows.
 ///
 /// Schema (`kind` discriminates):
@@ -260,46 +164,6 @@ pub fn hist_fields(h: &LatencyHistogram) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Renders a registry snapshot as an aligned text table (counters sorted by
-/// key, then gauges, then histogram quantiles).
-#[must_use]
-pub fn summary(reg: &Registry) -> String {
-    let mut counters: Vec<(String, u64)> = reg.counters().map(|(d, v)| (d.key(), v)).collect();
-    counters.sort();
-    let mut gauges: Vec<(String, f64)> = reg.gauges().map(|(d, v)| (d.key(), v)).collect();
-    gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut hists: Vec<(String, &LatencyHistogram)> =
-        reg.histograms().map(|(d, h)| (d.key(), h)).collect();
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let width = counters
-        .iter()
-        .map(|(k, _)| k.len())
-        .chain(gauges.iter().map(|(k, _)| k.len()))
-        .chain(hists.iter().map(|(k, _)| k.len()))
-        .max()
-        .unwrap_or(0);
-
-    let mut out = String::new();
-    for (k, v) in &counters {
-        out.push_str(&format!("{k:<width$}  {v}\n"));
-    }
-    for (k, v) in &gauges {
-        out.push_str(&format!("{k:<width$}  {v:.3}\n"));
-    }
-    for (k, h) in &hists {
-        out.push_str(&format!(
-            "{k:<width$}  n={} p50={:.3}ms p90={:.3}ms p99={:.3}ms max={:.3}ms\n",
-            h.count(),
-            h.p50() as f64 / 1e6,
-            h.p90() as f64 / 1e6,
-            h.p99() as f64 / 1e6,
-            h.max() as f64 / 1e6,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,82 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_escapes_and_checks_width() {
-        let path = tmp("rows.csv");
-        let mut sink = CsvSink::create(&path, &["name", "value"]).unwrap();
-        sink.row(&["plain", "1"]).unwrap();
-        sink.row(&["needs,quote", "say \"hi\""]).unwrap();
-        let written = sink.finish().unwrap();
-        let content = fs::read_to_string(&written).unwrap();
-        assert_eq!(
-            content,
-            "name,value\nplain,1\n\"needs,quote\",\"say \"\"hi\"\"\"\n"
-        );
-        fs::remove_file(written).unwrap();
-    }
-
-    /// A minimal RFC 4180 reader used only to verify the writer round-trips.
-    fn parse_csv(content: &str) -> Vec<Vec<String>> {
-        let mut rows = Vec::new();
-        let mut row = Vec::new();
-        let mut field = String::new();
-        let mut quoted = false;
-        let mut chars = content.chars().peekable();
-        while let Some(c) = chars.next() {
-            if quoted {
-                if c == '"' {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        quoted = false;
-                    }
-                } else {
-                    field.push(c);
-                }
-            } else {
-                match c {
-                    '"' => quoted = true,
-                    ',' => row.push(std::mem::take(&mut field)),
-                    '\n' => {
-                        row.push(std::mem::take(&mut field));
-                        rows.push(std::mem::take(&mut row));
-                    }
-                    _ => field.push(c),
-                }
-            }
-        }
-        if !field.is_empty() || !row.is_empty() {
-            row.push(field);
-            rows.push(row);
-        }
-        rows
-    }
-
-    #[test]
-    fn csv_fields_with_separators_and_breaks_round_trip() {
-        let path = tmp("roundtrip.csv");
-        let tricky = [
-            ["plain", "1"],
-            ["comma,inside", "quote \"inside\""],
-            ["line\nbreak", "carriage\rreturn"],
-            ["crlf\r\npair", "\"all\",of\nit\r"],
-        ];
-        let mut sink = CsvSink::create(&path, &["label", "value"]).unwrap();
-        for row in &tricky {
-            sink.row(row).unwrap();
-        }
-        let written = sink.finish().unwrap();
-        let content = fs::read_to_string(&written).unwrap();
-        let parsed = parse_csv(&content);
-        assert_eq!(parsed[0], vec!["label", "value"]);
-        for (expected, got) in tricky.iter().zip(&parsed[1..]) {
-            assert_eq!(got, expected);
-        }
-        fs::remove_file(written).unwrap();
-    }
-
-    #[test]
     fn registry_rows_cover_all_instruments() {
         let mut reg = Registry::new();
         let c = reg.counter("node.forwarded", &[("node", "1")]);
@@ -418,21 +206,5 @@ mod tests {
         assert!(rendered[2].contains("\"kind\":\"hist\""));
         assert!(rendered[2].contains("\"count\":1"));
         assert!(rendered[2].contains("\"p50_ms\":2"));
-    }
-
-    #[test]
-    fn summary_aligns_and_sorts() {
-        let mut reg = Registry::new();
-        let b = reg.counter("b.second", &[]);
-        reg.add(b, 2);
-        let a = reg.counter("a.first", &[]);
-        reg.add(a, 1);
-        let h = reg.histogram("lat", &[]);
-        reg.observe(h, 1_000_000);
-        let s = summary(&reg);
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[0].starts_with("a.first"));
-        assert!(lines[1].starts_with("b.second"));
-        assert!(lines[2].contains("n=1"));
     }
 }

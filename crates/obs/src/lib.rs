@@ -6,14 +6,15 @@
 //! - a [`registry::Registry`] of typed, labelled instruments — counters,
 //!   gauges, and log₂-bucketed [`hist::LatencyHistogram`]s — addressed by
 //!   copyable index handles so the hot path costs a `Vec` index plus an add;
-//! - packet-lifecycle [`span::SpanRing`]s recording per-hop
-//!   enqueue/dequeue/transmit/deliver/recover/drop events in simulation
-//!   time, bounded per node;
+//! - one bounded [`ring::Ring`] behind every per-node event history —
+//!   sampled cross-node [`trace`] events, [`watch`]dog audit events,
+//!   flight-recorder [`timeseries`] samples — growing with what it records
+//!   and counting what it evicts;
 //! - the unified [`taxonomy::DropClass`] drop-reason taxonomy shared by
 //!   every layer that discards packets, so "packets in = packets delivered +
 //!   packets dropped" is checkable with every drop attributed;
-//! - [`export`] sinks (JSONL, CSV) and a text [`export::summary`] used by
-//!   the experiment binaries.
+//! - the [`export`] JSONL sink and registry row schema used by the
+//!   experiment binaries.
 //!
 //! The crate is dependency-free and knows nothing about the simulator;
 //! durations are plain `u64` nanoseconds (matching `SimTime::as_nanos`).
@@ -29,44 +30,43 @@ pub mod hist;
 pub mod json;
 pub mod perf;
 pub mod registry;
+pub mod ring;
 pub mod snapshot;
-pub mod span;
 pub mod taxonomy;
 pub mod timeseries;
 pub mod trace;
 pub mod watch;
 
-pub use export::{obs_dir, registry_rows, summary, CsvSink, JsonlSink};
+pub use export::{obs_dir, registry_rows, JsonlSink};
 pub use footprint::{FootprintPart, FootprintReport, MemFootprint};
 pub use hist::LatencyHistogram;
 pub use json::Json;
 pub use perf::{perf_rows, PerfRegistry, PerfSpan, PerfStageStats, PerfToken, PERF_SAMPLE_EVERY};
 pub use registry::{CounterId, GaugeId, HistId, InstrumentDesc, Registry};
+pub use ring::Ring;
 pub use snapshot::{
     CounterDelta, HistDigest, LinkHealth, NamedDigest, NodeHealth, SnapshotProducer,
     TelemetryError, TelemetrySnapshot, TELEMETRY_MAGIC, TELEMETRY_VERSION,
 };
-pub use span::{PacketKey, SpanEvent, SpanRing, SpanStage};
 pub use taxonomy::DropClass;
 pub use timeseries::{TimeSeriesRing, TsSample};
 pub use trace::{
-    attribute, median_ns, reconstruct, self_check, HopStat, SelfCheck, Terminal, Timeline,
-    TraceContext, TraceEvent, TraceRing, TraceStage, TRACE_CONTEXT_BYTES,
+    attribute, median_ns, reconstruct, self_check, HopStat, PacketKey, SelfCheck, Terminal,
+    Timeline, TraceContext, TraceEvent, TraceRing, TraceStage, TRACE_CONTEXT_BYTES,
 };
 pub use watch::{WatchEvent, WatchKind, WatchRing};
 
 /// One-stop imports for instrumented components.
 pub mod prelude {
-    pub use crate::export::{obs_dir, registry_rows, summary, CsvSink, JsonlSink};
+    pub use crate::export::{obs_dir, registry_rows, JsonlSink};
     pub use crate::footprint::{FootprintReport, MemFootprint};
     pub use crate::hist::LatencyHistogram;
     pub use crate::json::Json;
     pub use crate::perf::{PerfRegistry, PerfSpan};
     pub use crate::registry::{CounterId, GaugeId, HistId, Registry};
     pub use crate::snapshot::{SnapshotProducer, TelemetrySnapshot};
-    pub use crate::span::{PacketKey, SpanEvent, SpanRing, SpanStage};
     pub use crate::taxonomy::DropClass;
     pub use crate::timeseries::TimeSeriesRing;
-    pub use crate::trace::{TraceContext, TraceEvent, TraceRing, TraceStage};
+    pub use crate::trace::{PacketKey, TraceContext, TraceEvent, TraceRing, TraceStage};
     pub use crate::watch::{WatchEvent, WatchKind, WatchRing};
 }

@@ -12,7 +12,7 @@
 //!   best-effort UDP socket from a real `son-node` daemon — self-describing
 //!   (magic/version header, mirroring `son_overlay::wire`) and seq-numbered
 //!   so the collector can *see* loss instead of guessing;
-//! - **JSONL rows** ([`TelemetrySnapshot::to_row`]/
+//! - **JSONL rows** ([`TelemetrySnapshot::write_row_json`]/
 //!   [`TelemetrySnapshot::from_row`]) from the
 //!   simulator leg via `Simulation::run_with_cadence`, so one schema serves
 //!   both worlds and an aggregator cannot tell (modulo wall-clock fields)
@@ -685,82 +685,13 @@ impl TelemetrySnapshot {
 
     // ------------------------------------------------------------ row form
 
-    /// Renders the snapshot as one JSONL row (`kind:"telemetry"`) — the
-    /// sim leg's dialect of the same schema. `sum` splits into
-    /// `sum_hi`/`sum_lo` because JSON numbers here are `u64`.
-    #[must_use]
-    pub fn to_row(&self) -> Json {
-        let links = self
-            .health
-            .links
-            .iter()
-            .map(|l| {
-                Json::obj(vec![
-                    ("link", Json::U64(u64::from(l.link))),
-                    ("neighbor", Json::U64(u64::from(l.neighbor))),
-                    ("queue_depth", Json::U64(l.queue_depth)),
-                    ("suspended", Json::Bool(l.suspended)),
-                    ("probing", Json::Bool(l.probing)),
-                ])
-            })
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("key", Json::str(&c.key)),
-                    ("total", Json::U64(c.total)),
-                    ("delta", Json::U64(c.delta)),
-                ])
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .map(|h| {
-                let buckets = h
-                    .digest
-                    .buckets
-                    .iter()
-                    .map(|&(i, c)| Json::Arr(vec![Json::U64(u64::from(i)), Json::U64(c)]))
-                    .collect();
-                Json::obj(vec![
-                    ("key", Json::str(&h.key)),
-                    ("count", Json::U64(h.digest.count)),
-                    ("sum_hi", Json::U64((h.digest.sum >> 64) as u64)),
-                    ("sum_lo", Json::U64(h.digest.sum as u64)),
-                    ("min", Json::U64(h.digest.min)),
-                    ("max", Json::U64(h.digest.max)),
-                    ("buckets", Json::Arr(buckets)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("kind", Json::str("telemetry")),
-            ("v", Json::U64(u64::from(TELEMETRY_VERSION))),
-            ("node", Json::U64(u64::from(self.node))),
-            ("seq", Json::U64(self.seq)),
-            ("restarts", Json::U64(self.restarts)),
-            ("at_ns", Json::U64(self.at_ns)),
-            ("wall_ns", Json::U64(self.wall_ns)),
-            ("uptime_ns", Json::U64(self.uptime_ns)),
-            ("queue_depth", Json::U64(self.health.queue_depth)),
-            ("flows", Json::U64(self.health.flows)),
-            ("footprint_bytes", Json::U64(self.health.footprint_bytes)),
-            ("links", Json::Arr(links)),
-            ("counters", Json::Arr(counters)),
-            ("hists", Json::Arr(hists)),
-        ])
-    }
-
-    /// Serializes the snapshot as one JSONL row directly into `out`,
-    /// byte-identical to `self.to_row().to_json()` but in one pass with no
-    /// intermediate [`Json`] tree (the tree costs an allocation per field).
-    /// Per-epoch sim-leg emitters write every node's row every 500 ms while
-    /// the bench clock runs, so this path keeps the telemetry plane inside
-    /// the ≤5% observability overhead budget; `row_fast_path_matches_tree`
-    /// locks the byte equivalence.
+    /// Serializes the snapshot as one JSONL row (`kind:"telemetry"`) into
+    /// `out` — the sim leg's dialect of the same schema. `sum` splits into
+    /// `sum_hi`/`sum_lo` because JSON numbers here are `u64`. One pass with
+    /// no intermediate [`Json`] tree (the tree costs an allocation per
+    /// field): per-epoch sim-leg emitters write every node's row every
+    /// 500 ms while the bench clock runs, so this keeps the telemetry plane
+    /// inside the ≤5% observability overhead budget.
     pub fn write_row_json(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(
@@ -826,7 +757,15 @@ impl TelemetrySnapshot {
         out.push_str("]}");
     }
 
-    /// Parses a row written by [`TelemetrySnapshot::to_row`]. Returns
+    /// [`TelemetrySnapshot::write_row_json`] into a fresh `String`.
+    #[must_use]
+    pub fn row_json(&self) -> String {
+        let mut out = String::new();
+        self.write_row_json(&mut out);
+        out
+    }
+
+    /// Parses a row written by [`TelemetrySnapshot::write_row_json`]. Returns
     /// `None` for rows of other kinds (experiment files interleave kinds);
     /// a row claiming `kind:"telemetry"` but structurally broken is an
     /// error, not a silent skip.
@@ -1021,20 +960,16 @@ mod tests {
 
     #[test]
     fn row_round_trip() {
-        let snap = sample_snapshot();
-        let text = snap.to_row().to_json();
-        let parsed = TelemetrySnapshot::from_row(&Json::parse(&text).unwrap())
-            .unwrap()
-            .expect("is a telemetry row");
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn row_fast_path_matches_tree() {
-        let snap = sample_snapshot();
-        let mut fast = String::new();
-        snap.write_row_json(&mut fast);
-        assert_eq!(fast, snap.to_row().to_json());
+        let mut snap = sample_snapshot();
+        // A key the writer must escape, and a sum that needs `sum_hi`.
+        snap.counters[1].key = "drop.loss{node=3,via=\"a\\b\n\"}".to_owned();
+        snap.hists[0].digest.sum = (3u128 << 64) | 17;
+        let round_trip = |s: &TelemetrySnapshot| {
+            TelemetrySnapshot::from_row(&Json::parse(&s.row_json()).unwrap())
+                .unwrap()
+                .expect("is a telemetry row")
+        };
+        assert_eq!(round_trip(&snap), snap);
 
         // Degenerate shape too: no links, no counters, no hists.
         let empty = TelemetrySnapshot {
@@ -1043,9 +978,7 @@ mod tests {
             hists: vec![],
             ..snap
         };
-        let mut fast = String::new();
-        empty.write_row_json(&mut fast);
-        assert_eq!(fast, empty.to_row().to_json());
+        assert_eq!(round_trip(&empty), empty);
     }
 
     #[test]
@@ -1253,7 +1186,7 @@ mod tests {
             };
             let bytes = snap.encode().unwrap();
             prop_assert_eq!(&TelemetrySnapshot::decode(&bytes).unwrap(), &snap);
-            let row = Json::parse(&snap.to_row().to_json()).unwrap();
+            let row = Json::parse(&snap.row_json()).unwrap();
             let parsed = TelemetrySnapshot::from_row(&row).unwrap().unwrap();
             prop_assert_eq!(&parsed, &snap);
         }

@@ -7,10 +7,10 @@
 //! `Simulation::run_with_cadence`), keeping the last `capacity` samples, and
 //! exports them as `metrics_ts.jsonl` rows alongside the trace export.
 
-use std::collections::VecDeque;
-
+use crate::footprint::{vec_bytes, MemFootprint};
 use crate::json::Json;
 use crate::registry::Registry;
+use crate::ring::Ring;
 
 /// One cadence tick: every tracked series sampled at one instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,17 +24,11 @@ pub struct TsSample {
     pub values: Vec<f64>,
 }
 
-/// A bounded ring of periodic snapshots of named instrument values.
+/// A bounded [`Ring`] of periodic snapshots of named instrument values.
 #[derive(Debug)]
 pub struct TimeSeriesRing {
     tracked: Vec<String>,
-    ring: VecDeque<TsSample>,
-    capacity: usize,
-    recorded: u64,
-    /// Next sample to drain, in recorded-stream coordinates.
-    cursor: u64,
-    /// Samples evicted before any drain saw them.
-    missed: u64,
+    ring: Ring<TsSample>,
 }
 
 impl TimeSeriesRing {
@@ -46,15 +40,10 @@ impl TimeSeriesRing {
     /// Panics if `capacity` is zero or no series are tracked.
     #[must_use]
     pub fn new(capacity: usize, tracked: Vec<String>) -> Self {
-        assert!(capacity > 0, "time-series capacity must be positive");
         assert!(!tracked.is_empty(), "must track at least one series");
         TimeSeriesRing {
             tracked,
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            recorded: 0,
-            cursor: 0,
-            missed: 0,
+            ring: Ring::new(capacity),
         }
     }
 
@@ -74,17 +63,11 @@ impl TimeSeriesRing {
         mut read: impl FnMut(&str) -> f64,
     ) -> bool {
         let values = self.tracked.iter().map(|name| read(name)).collect();
-        let evicting = self.ring.len() == self.capacity;
-        if evicting {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(TsSample {
+        self.ring.record(TsSample {
             at_ns,
             wall_ns,
             values,
-        });
-        self.recorded += 1;
-        evicting
+        })
     }
 
     /// Takes one snapshot of counter totals (summed across label sets) from
@@ -93,47 +76,11 @@ impl TimeSeriesRing {
         self.snapshot_with(at_ns, wall_ns, |name| registry.counter_total(name) as f64)
     }
 
-    /// Retained samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &TsSample> {
-        self.ring.iter()
-    }
-
-    /// Total snapshots ever taken, including evicted ones.
+    /// The retained samples (oldest first), with the recorded and evicted
+    /// counts.
     #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Snapshots evicted by the ring bound.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.recorded - self.ring.len() as u64
-    }
-
-    /// Drains the samples taken at or before `now_ns` that no earlier drain
-    /// has returned, oldest first, advancing the cursor past them — the
-    /// same never-reprocess contract as [`crate::trace::TraceRing::drain_since`].
-    pub fn drain_since(&mut self, now_ns: u64) -> impl Iterator<Item = &TsSample> {
-        let evicted = self.recorded - self.ring.len() as u64;
-        if evicted > self.cursor {
-            self.missed += evicted - self.cursor;
-            self.cursor = evicted;
-        }
-        let start = usize::try_from(self.cursor - evicted).expect("cursor within ring");
-        let fresh = self
-            .ring
-            .iter()
-            .skip(start)
-            .take_while(|s| s.at_ns <= now_ns)
-            .count();
-        self.cursor += fresh as u64;
-        self.ring.iter().skip(start).take(fresh)
-    }
-
-    /// Samples evicted before any [`TimeSeriesRing::drain_since`] saw them.
-    #[must_use]
-    pub fn drain_missed(&self) -> u64 {
-        self.missed
+    pub fn samples(&self) -> &Ring<TsSample> {
+        &self.ring
     }
 
     /// The retained series as `metrics_ts.jsonl` rows, one per
@@ -141,8 +88,8 @@ impl TimeSeriesRing {
     /// `{"kind":"ts","at_ns":…,"wall_ns":…,"name":…,"value":…}`.
     #[must_use]
     pub fn rows(&self) -> Vec<Json> {
-        let mut rows = Vec::with_capacity(self.ring.len() * self.tracked.len());
-        for sample in &self.ring {
+        let mut rows = Vec::new();
+        for sample in self.ring.events() {
             for (name, value) in self.tracked.iter().zip(&sample.values) {
                 rows.push(Json::obj(vec![
                     ("kind", Json::str("ts")),
@@ -157,19 +104,15 @@ impl TimeSeriesRing {
     }
 }
 
-impl crate::footprint::MemFootprint for TimeSeriesRing {
+impl MemFootprint for TimeSeriesRing {
     fn footprint_bytes(&self) -> usize {
         let tracked: usize = self
             .tracked
             .iter()
             .map(|s| s.len() + std::mem::size_of::<String>())
             .sum();
-        let samples: usize = self
-            .ring
-            .iter()
-            .map(|s| crate::footprint::vec_bytes(&s.values))
-            .sum();
-        crate::footprint::vecdeque_bytes(&self.ring) + tracked + samples
+        let samples: usize = self.ring.events().map(|s| vec_bytes(&s.values)).sum();
+        self.ring.footprint_bytes() + tracked + samples
     }
 }
 
@@ -187,36 +130,11 @@ mod tests {
         let mut ts = TimeSeriesRing::new(8, tracked());
         ts.snapshot_with(100, 1_100, |name| if name == "a" { 1.0 } else { 2.0 });
         ts.snapshot_with(200, 2_200, |name| if name == "a" { 3.0 } else { 4.0 });
-        let samples: Vec<&TsSample> = ts.samples().collect();
+        let samples: Vec<&TsSample> = ts.samples().events().collect();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].at_ns, 100);
         assert_eq!(samples[0].values, vec![1.0, 2.0]);
         assert_eq!(samples[1].values, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn ring_bounds_and_reports_eviction() {
-        let mut ts = TimeSeriesRing::new(2, tracked());
-        assert!(!ts.snapshot_with(1, 11, |_| 0.0));
-        assert!(!ts.snapshot_with(2, 22, |_| 0.0));
-        assert!(ts.snapshot_with(3, 33, |_| 0.0));
-        assert_eq!(ts.recorded(), 3);
-        assert_eq!(ts.evicted(), 1);
-        assert_eq!(ts.samples().next().unwrap().at_ns, 2);
-    }
-
-    #[test]
-    fn drain_since_never_reprocesses_an_epoch() {
-        let mut ts = TimeSeriesRing::new(8, tracked());
-        ts.snapshot_with(10, 110, |_| 1.0);
-        ts.snapshot_with(20, 220, |_| 2.0);
-        ts.snapshot_with(30, 330, |_| 3.0);
-        let ats: Vec<u64> = ts.drain_since(20).map(|s| s.at_ns).collect();
-        assert_eq!(ats, vec![10, 20]);
-        assert_eq!(ts.drain_since(20).count(), 0, "double-evaluation no-op");
-        let ats: Vec<u64> = ts.drain_since(40).map(|s| s.at_ns).collect();
-        assert_eq!(ats, vec![30]);
-        assert_eq!(ts.drain_missed(), 0);
     }
 
     #[test]
@@ -228,7 +146,7 @@ mod tests {
         reg.add(c2, 4);
         let mut ts = TimeSeriesRing::new(4, tracked());
         ts.snapshot_registry(7, 70, &reg);
-        let sample = ts.samples().next().unwrap();
+        let sample = ts.samples().events().next().unwrap();
         assert_eq!(sample.values, vec![5.0, 0.0]);
     }
 

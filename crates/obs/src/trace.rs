@@ -17,11 +17,20 @@
 //!
 //! Timestamps are simulation-time nanoseconds (`SimTime::as_nanos`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::span::PacketKey;
+use crate::ring::{Ring, Stamped};
 use crate::taxonomy::DropClass;
+
+/// A packet's identity: flow plus sequence number within the flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PacketKey {
+    /// Flow identifier.
+    pub flow: u64,
+    /// Sequence number within the flow.
+    pub seq: u64,
+}
 
 /// The trace context carried in a sampled packet's header: the globally
 /// unique trace id and the number of overlay links traversed so far.
@@ -233,100 +242,14 @@ impl TraceEvent {
     }
 }
 
-/// A bounded ring of [`TraceEvent`]s (oldest evicted first), one per node.
-///
-/// Besides the export-side [`TraceRing::events`] view, the ring keeps a
-/// drain cursor for in-daemon consumers (the anomaly watchdog): each
-/// [`TraceRing::drain_since`] call yields only the events recorded since the
-/// previous drain, so a long-lived consumer never re-processes — or silently
-/// misses re-processing — events it already acted on.
-#[derive(Debug)]
-pub struct TraceRing {
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    recorded: u64,
-    /// Next event to drain, in recorded-stream coordinates.
-    cursor: u64,
-    /// Events evicted before any drain saw them.
-    missed: u64,
-}
-
-impl TraceRing {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring capacity must be positive");
-        TraceRing {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            recorded: 0,
-            cursor: 0,
-            missed: 0,
-        }
-    }
-
-    /// Records one event; returns `true` if an older event was evicted.
-    pub fn record(&mut self, event: TraceEvent) -> bool {
-        let evicting = self.ring.len() == self.capacity;
-        if evicting {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-        self.recorded += 1;
-        evicting
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted by the ring bound.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.recorded - self.ring.len() as u64
-    }
-
-    /// Drains the events recorded at or before `now_ns` that no earlier
-    /// drain has returned, oldest first, and advances the cursor past them.
-    /// Draining the same epoch twice is a no-op: the second call yields
-    /// nothing. Events stamped later than `now_ns` (recorded in the same
-    /// simulation instant, after the caller snapshotted its clock) stay
-    /// queued for the next drain.
-    pub fn drain_since(&mut self, now_ns: u64) -> impl Iterator<Item = &TraceEvent> {
-        let evicted = self.recorded - self.ring.len() as u64;
-        if evicted > self.cursor {
-            self.missed += evicted - self.cursor;
-            self.cursor = evicted;
-        }
-        let start = usize::try_from(self.cursor - evicted).expect("cursor within ring");
-        let fresh = self
-            .ring
-            .iter()
-            .skip(start)
-            .take_while(|e| e.at_ns <= now_ns)
-            .count();
-        self.cursor += fresh as u64;
-        self.ring.iter().skip(start).take(fresh)
-    }
-
-    /// Events evicted before any [`TraceRing::drain_since`] call saw them —
-    /// nonzero means the consumer's epoch is too long for the ring bound.
-    #[must_use]
-    pub fn drain_missed(&self) -> u64 {
-        self.missed
+impl Stamped for TraceEvent {
+    fn at_ns(&self) -> u64 {
+        self.at_ns
     }
 }
+
+/// The per-node [`Ring`] of [`TraceEvent`]s.
+pub type TraceRing = Ring<TraceEvent>;
 
 /// How a reconstructed timeline ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -637,12 +560,6 @@ pub fn self_check(events: &[TraceEvent]) -> SelfCheck {
     }
 }
 
-impl crate::footprint::MemFootprint for TraceRing {
-    fn footprint_bytes(&self) -> usize {
-        crate::footprint::vecdeque_bytes(&self.ring)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,47 +603,6 @@ mod tests {
         assert!(TraceContext::sample(42, 5, 0).is_none(), "0 = off");
         assert_ne!(trace_id(1, 2), trace_id(1, 3));
         assert_ne!(trace_id(1, 2), trace_id(2, 2));
-    }
-
-    #[test]
-    fn ring_bounds_and_reports_eviction() {
-        let mut r = TraceRing::new(2);
-        assert!(!r.record(ev(0, 1, 0, 0, TraceStage::Transmit)));
-        assert!(!r.record(ev(1, 1, 0, 0, TraceStage::Transmit)));
-        assert!(r.record(ev(2, 1, 0, 0, TraceStage::Transmit)));
-        assert_eq!(r.recorded(), 3);
-        assert_eq!(r.evicted(), 1);
-        assert_eq!(r.events().count(), 2);
-    }
-
-    #[test]
-    fn drain_since_never_reprocesses_an_epoch() {
-        let mut r = TraceRing::new(8);
-        r.record(ev(10, 1, 0, 0, TraceStage::Transmit));
-        r.record(ev(20, 2, 0, 0, TraceStage::Transmit));
-        r.record(ev(30, 3, 0, 0, TraceStage::Transmit));
-        // First evaluation of the epoch ending at t=20 sees two events …
-        let ids: Vec<u64> = r.drain_since(20).map(|e| e.trace_id).collect();
-        assert_eq!(ids, vec![1, 2]);
-        // … and double-evaluation of the same epoch is a no-op.
-        assert_eq!(r.drain_since(20).count(), 0);
-        // The next epoch picks up exactly where the cursor left off.
-        let ids: Vec<u64> = r.drain_since(40).map(|e| e.trace_id).collect();
-        assert_eq!(ids, vec![3]);
-        assert_eq!(r.drain_since(40).count(), 0);
-        assert_eq!(r.drain_missed(), 0);
-    }
-
-    #[test]
-    fn drain_since_reports_events_lost_to_eviction() {
-        let mut r = TraceRing::new(2);
-        for i in 0..5 {
-            r.record(ev(i, i + 1, 0, 0, TraceStage::Transmit));
-        }
-        // Three events were evicted before the consumer ever drained.
-        let ids: Vec<u64> = r.drain_since(100).map(|e| e.trace_id).collect();
-        assert_eq!(ids, vec![4, 5]);
-        assert_eq!(r.drain_missed(), 3);
     }
 
     #[test]

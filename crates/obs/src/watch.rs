@@ -12,9 +12,8 @@
 //!
 //! Timestamps are simulation-time nanoseconds, matching the trace events.
 
-use std::collections::VecDeque;
-
 use crate::json::Json;
+use crate::ring::Ring;
 
 /// What the watchdog observed (detections) or did about it (remediations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,64 +238,8 @@ impl WatchEvent {
     }
 }
 
-/// A bounded ring of [`WatchEvent`]s (oldest evicted first), one per node.
-#[derive(Debug)]
-pub struct WatchRing {
-    ring: VecDeque<WatchEvent>,
-    capacity: usize,
-    recorded: u64,
-}
-
-impl WatchRing {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "watch ring capacity must be positive");
-        WatchRing {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            recorded: 0,
-        }
-    }
-
-    /// Records one event; returns `true` if an older event was evicted.
-    pub fn record(&mut self, event: WatchEvent) -> bool {
-        let evicting = self.ring.len() == self.capacity;
-        if evicting {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-        self.recorded += 1;
-        evicting
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &WatchEvent> {
-        self.ring.iter()
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted by the ring bound.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.recorded - self.ring.len() as u64
-    }
-}
-
-impl crate::footprint::MemFootprint for WatchRing {
-    fn footprint_bytes(&self) -> usize {
-        crate::footprint::vecdeque_bytes(&self.ring)
-    }
-}
+/// The per-node [`Ring`] of [`WatchEvent`]s.
+pub type WatchRing = Ring<WatchEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -348,22 +291,5 @@ mod tests {
         assert_eq!(labels.len(), kinds.len());
         let detections = kinds.iter().filter(|k| !k.is_remediation()).count();
         assert_eq!(detections, 5, "five detection kinds");
-    }
-
-    #[test]
-    fn ring_bounds_and_reports_eviction() {
-        let mut r = WatchRing::new(2);
-        let e = |at_ns| WatchEvent {
-            at_ns,
-            node: 0,
-            link: None,
-            kind: WatchKind::ShedReleased,
-        };
-        assert!(!r.record(e(1)));
-        assert!(!r.record(e(2)));
-        assert!(r.record(e(3)));
-        assert_eq!(r.recorded(), 3);
-        assert_eq!(r.evicted(), 1);
-        assert_eq!(r.events().count(), 2);
     }
 }

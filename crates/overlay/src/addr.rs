@@ -142,7 +142,7 @@ impl FlowKey {
     }
 
     /// A stable 64-bit identity of this flow, used to attribute simulator
-    /// drops and packet-lifecycle spans to flows (FNV-1a over the key's
+    /// drops and trace events to flows (FNV-1a over the key's
     /// components, independent of `Hash` implementation details).
     #[must_use]
     pub fn stable_id(&self) -> u64 {

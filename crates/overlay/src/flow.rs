@@ -268,7 +268,7 @@ mod tests {
     }
 
     fn table_and_obs() -> (FlowTable, NodeObs) {
-        (FlowTable::new(), NodeObs::new(NodeId(0), false))
+        (FlowTable::new(), NodeObs::new(NodeId(0)))
     }
 
     #[test]

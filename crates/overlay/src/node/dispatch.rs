@@ -19,7 +19,6 @@ use son_netsim::sim::Ctx;
 use son_netsim::time::SimDuration;
 use son_obs::trace::TraceStage;
 use son_obs::watch::WatchKind;
-use son_obs::SpanStage;
 
 use crate::addr::Destination;
 use crate::adversary::Behavior;
@@ -308,8 +307,6 @@ impl OverlayNode {
     ) {
         match action {
             LinkAction::Transmit(pkt) => {
-                self.obs
-                    .span(ctx.now(), &pkt, SpanStage::Transmit, Some(link));
                 if let Some(tctx) = pkt.trace {
                     let stage = if std::mem::take(&mut self.pending_retransmit) {
                         TraceStage::Retransmit
@@ -337,10 +334,6 @@ impl OverlayNode {
             }
             LinkAction::Deliver(mut pkt) => {
                 let recovered_after = self.pending_recover.take();
-                if recovered_after.is_some() {
-                    self.obs
-                        .span(ctx.now(), &pkt, SpanStage::Recover, Some(link));
-                }
                 // One more overlay link traversed: bump the trace hop so
                 // every event at this node carries the incremented count,
                 // then attribute the link's recovery latency to the arrival.

@@ -88,9 +88,6 @@ pub struct NodeConfig {
     pub auth_enabled: bool,
     /// Initial TTL stamped on packets at the ingress.
     pub ttl: u8,
-    /// Record per-packet lifecycle spans (counters are always on; this
-    /// additionally fills the node's bounded span ring).
-    pub obs_detail: bool,
     /// Distributed-tracing sampling rate at this ingress: 1-in-`trace_sample`
     /// packets get a [`son_obs::trace::TraceContext`] stamped in the header
     /// (0 disables tracing). Transit nodes honor whatever the ingress
@@ -127,7 +124,6 @@ impl Default for NodeConfig {
             fec: crate::service::FecParams::light(),
             auth_enabled: false,
             ttl: 32,
-            obs_detail: false,
             trace_sample: 0,
             perf: false,
             watch: None,
@@ -254,7 +250,7 @@ impl OverlayNode {
             keys,
             behavior: Behavior::Correct,
             obs: {
-                let mut obs = NodeObs::new(me, config.obs_detail);
+                let mut obs = NodeObs::new(me);
                 obs.set_perf_enabled(config.perf);
                 obs
             },
@@ -351,7 +347,7 @@ impl OverlayNode {
         self.obs.snapshot()
     }
 
-    /// The node's observability state: metrics registry and lifecycle spans.
+    /// The node's observability state: metrics registry and event rings.
     #[must_use]
     pub fn obs(&self) -> &NodeObs {
         &self.obs

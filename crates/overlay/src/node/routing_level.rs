@@ -12,7 +12,7 @@
 use son_netsim::sim::Ctx;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::{TraceContext, TraceStage};
-use son_obs::{DropClass, SpanStage};
+use son_obs::DropClass;
 use son_topo::EdgeId;
 
 use crate::addr::{Destination, FlowKey, VirtualPort};
@@ -122,8 +122,6 @@ impl OverlayNode {
                 .verify(pkt.origin, pkt.flow, pkt.flow_seq, pkt.size, pkt.auth_tag)
         {
             self.obs.drop(DropClass::Auth);
-            self.obs
-                .span(ctx.now(), &pkt, SpanStage::Drop(DropClass::Auth), in_link);
             self.trace_pkt(ctx.now(), &pkt, TraceStage::Drop(DropClass::Auth), in_link);
             self.flow_dropped(&pkt);
             return;
@@ -154,7 +152,6 @@ impl OverlayNode {
             let now = ctx.now();
             self.obs
                 .delivered_local(now.saturating_since(pkt.created_at).as_nanos());
-            self.obs.span(now, &pkt, SpanStage::Deliver, in_link);
             self.trace_pkt(now, &pkt, TraceStage::Deliver, in_link);
             let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
             self.obs.inc(fo.delivered);
@@ -207,12 +204,6 @@ impl OverlayNode {
                 };
             if stranded {
                 self.obs.drop(DropClass::Unroutable);
-                self.obs.span(
-                    ctx.now(),
-                    &pkt,
-                    SpanStage::Drop(DropClass::Unroutable),
-                    None,
-                );
                 self.trace_pkt(
                     ctx.now(),
                     &pkt,
@@ -225,8 +216,6 @@ impl OverlayNode {
         }
         if pkt.ttl == 0 {
             self.obs.drop(DropClass::Ttl);
-            self.obs
-                .span(ctx.now(), &pkt, SpanStage::Drop(DropClass::Ttl), None);
             self.trace_pkt(ctx.now(), &pkt, TraceStage::Drop(DropClass::Ttl), None);
             self.flow_dropped(&pkt);
             return;
@@ -240,8 +229,6 @@ impl OverlayNode {
                 Verdict::Forward => {}
                 Verdict::Drop => {
                     self.obs.drop(DropClass::Adversary);
-                    self.obs
-                        .span(ctx.now(), &pkt, SpanStage::Drop(DropClass::Adversary), None);
                     self.trace_pkt(
                         ctx.now(),
                         &pkt,
@@ -306,7 +293,6 @@ impl OverlayNode {
             };
             self.obs.forwarded();
             self.obs.inc(fo.forwarded);
-            self.obs.span(now, &pkt, SpanStage::Enqueue, Some(link));
             self.trace_pkt(now, &pkt, TraceStage::Enqueue, Some(link));
             let copy = pkt.clone();
             self.run_link_proto(ctx, link, slot, move |p, out| {

@@ -1,17 +1,13 @@
 //! Per-node observability: the daemon's window into `son-obs`.
 //!
-//! [`NodeObs`] bundles the node's metrics [`Registry`] and packet-lifecycle
-//! [`SpanRing`] behind the recording API the daemon actually uses. Two cost
-//! tiers keep the forwarding path as cheap as the plain struct fields it
-//! replaced:
-//!
-//! - **Always on**: counters (one `Vec` index + add, pre-registered
-//!   handles) and the rare-event recovery/delivery histograms. These back
-//!   [`NodeMetrics`] snapshots and the experiment exporters, so they cannot
-//!   be opted out of.
-//! - **Detail** (`NodeConfig::obs_detail`): per-packet lifecycle span
-//!   events. Off by default; when off, [`NodeObs::span`] is a branch and a
-//!   return.
+//! [`NodeObs`] bundles the node's metrics [`Registry`], its trace and watch
+//! [`Ring`](son_obs::Ring)s and its profiler behind the recording API the
+//! daemon actually uses. Counters (one `Vec` index + add, pre-registered
+//! handles) and the rare-event recovery/delivery histograms are always on:
+//! they back [`NodeMetrics`] snapshots and the experiment exporters.
+//! Per-packet lifecycle events are recorded for the packets the ingress
+//! sampled (`NodeConfig::trace_sample`; 1 records every packet), and the
+//! rings grow with what they record, so an unsampled node retains nothing.
 //!
 //! Every instrument carries a `node=<id>` label so per-node registries can
 //! be [`Registry::absorb`]ed into one experiment-wide registry without
@@ -21,18 +17,12 @@ use son_netsim::stats::Counters;
 use son_netsim::time::SimTime;
 use son_obs::trace::{TraceContext, TraceEvent, TraceRing, TraceStage};
 use son_obs::watch::{WatchEvent, WatchKind, WatchRing};
-use son_obs::{
-    CounterId, DropClass, HistId, MemFootprint, PacketKey, PerfRegistry, Registry, SpanEvent,
-    SpanRing, SpanStage,
-};
+use son_obs::{CounterId, DropClass, HistId, MemFootprint, PacketKey, PerfRegistry, Registry};
 use son_topo::NodeId;
 
 use crate::linkproto::LinkEvent;
 use crate::metrics::NodeMetrics;
 use crate::packet::DataPacket;
-
-/// Retained lifecycle events per node when detail is enabled.
-const SPAN_CAPACITY: usize = 4096;
 
 /// Retained distributed-trace events per node. Traces are sampled (1/64-ish
 /// of packets) so this holds minutes of history; overflow is counted in
@@ -63,19 +53,16 @@ pub struct FlowObs {
     pub dropped: CounterId,
 }
 
-/// The daemon's observability state: registry, span ring, and the
+/// The daemon's observability state: registry, event rings, and the
 /// pre-registered handles for every hot-path counter.
 #[derive(Debug)]
 pub struct NodeObs {
     registry: Registry,
-    spans: SpanRing,
     traces: TraceRing,
     watch: WatchRing,
     perf: PerfRegistry,
-    detail: bool,
     node_id: u32,
     node_label: String,
-    span_overflow: CounterId,
     trace_overflow: CounterId,
     forwarded: CounterId,
     delivered_local: CounterId,
@@ -89,14 +76,12 @@ pub struct NodeObs {
 }
 
 impl NodeObs {
-    /// Observability state for node `me`; `detail` additionally enables
-    /// per-packet span recording.
+    /// Observability state for node `me`.
     #[must_use]
-    pub fn new(me: NodeId, detail: bool) -> Self {
+    pub fn new(me: NodeId) -> Self {
         let node_label = me.0.to_string();
         let mut registry = Registry::new();
         let labels: &[(&str, &str)] = &[("node", &node_label)];
-        let span_overflow = registry.counter("obs.span_overflow", labels);
         let trace_overflow = registry.counter("obs.trace_overflow", labels);
         let forwarded = registry.counter("node.forwarded", labels);
         let delivered_local = registry.counter("node.delivered_local", labels);
@@ -109,14 +94,11 @@ impl NodeObs {
         let delivery_latency = registry.histogram("node.delivery_latency_ns", labels);
         NodeObs {
             registry,
-            spans: SpanRing::new(SPAN_CAPACITY),
             traces: TraceRing::new(TRACE_CAPACITY),
             watch: WatchRing::new(WATCH_CAPACITY),
             perf: PerfRegistry::new(false),
-            detail,
             node_id: me.0 as u32,
             node_label,
-            span_overflow,
             trace_overflow,
             forwarded,
             delivered_local,
@@ -128,12 +110,6 @@ impl NodeObs {
             drop_adversary,
             delivery_latency,
         }
-    }
-
-    /// Whether per-packet span recording is enabled.
-    #[must_use]
-    pub fn detail(&self) -> bool {
-        self.detail
     }
 
     /// The node's hot-path wall-clock profiler. Disabled by default; see
@@ -247,26 +223,6 @@ impl NodeObs {
         }
     }
 
-    /// Records a lifecycle span event for `pkt` (no-op unless detail is on).
-    #[inline]
-    pub fn span(&mut self, now: SimTime, pkt: &DataPacket, stage: SpanStage, link: Option<usize>) {
-        if !self.detail {
-            return;
-        }
-        let evicted = self.spans.record(SpanEvent {
-            at_ns: now.as_nanos(),
-            packet: PacketKey {
-                flow: pkt.flow.stable_id(),
-                seq: pkt.flow_seq,
-            },
-            stage,
-            link: link.map(|l| l as u32),
-        });
-        if evicted {
-            self.registry.inc(self.span_overflow);
-        }
-    }
-
     /// Records a distributed-trace event for a sampled packet. Always on:
     /// the ingress made the sampling decision, so transit nodes record
     /// regardless of their own configuration (the Dapper model).
@@ -346,12 +302,6 @@ impl NodeObs {
         &self.registry
     }
 
-    /// Retained lifecycle events (empty unless detail is on).
-    #[must_use]
-    pub fn spans(&self) -> &SpanRing {
-        &self.spans
-    }
-
     /// Retained distributed-trace events (empty unless sampled packets
     /// passed through this node).
     #[must_use]
@@ -387,7 +337,6 @@ impl NodeObs {
 impl MemFootprint for NodeObs {
     fn footprint_bytes(&self) -> usize {
         self.registry.footprint_bytes()
-            + self.spans.footprint_bytes()
             + self.traces.footprint_bytes()
             + self.watch.footprint_bytes()
             + self.perf.footprint_bytes()
@@ -403,7 +352,7 @@ mod tests {
 
     #[test]
     fn snapshot_mirrors_registry() {
-        let mut obs = NodeObs::new(NodeId(3), false);
+        let mut obs = NodeObs::new(NodeId(3));
         obs.forwarded();
         obs.forwarded();
         obs.delivered_local(1_000);
@@ -423,7 +372,7 @@ mod tests {
 
     #[test]
     fn link_events_register_per_proto_instruments() {
-        let mut obs = NodeObs::new(NodeId(0), false);
+        let mut obs = NodeObs::new(NodeId(0));
         obs.link_event("reliable", LinkEvent::Retransmit);
         obs.link_event(
             "reliable",
@@ -452,31 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn span_overflow_is_counted_not_silent() {
-        use crate::linkproto::testutil::pkt;
-        let mut obs = NodeObs::new(NodeId(2), true);
-        let extra = 37u64;
-        let total = SPAN_CAPACITY as u64 + extra;
-        for i in 0..total {
-            let p = pkt(i, 10);
-            obs.span(SimTime::from_millis(i), &p, SpanStage::Transmit, Some(0));
-        }
-        assert_eq!(obs.spans().recorded(), total);
-        assert_eq!(obs.spans().evicted(), extra);
-        assert_eq!(
-            obs.registry()
-                .counter_named("obs.span_overflow", &[("node", "2")]),
-            Some(extra),
-            "overflow counter must match evicted entries"
-        );
-    }
-
-    #[test]
-    fn traces_record_regardless_of_detail_and_count_overflow() {
+    fn traces_record_and_count_overflow() {
         use crate::linkproto::testutil::pkt;
         let p = pkt(7, 100);
         let ctx = TraceContext { id: 42, hop: 3 };
-        let mut obs = NodeObs::new(NodeId(5), false);
+        let mut obs = NodeObs::new(NodeId(5));
         obs.trace(
             SimTime::from_millis(1),
             ctx,
@@ -502,24 +431,5 @@ mod tests {
             Some(11), // the 2 early events were evicted too
         );
         assert_eq!(obs.traces().evicted(), 11);
-    }
-
-    #[test]
-    fn spans_only_record_in_detail_mode() {
-        use crate::linkproto::testutil::pkt;
-        let p = pkt(7, 100);
-        let mut quiet = NodeObs::new(NodeId(1), false);
-        quiet.span(SimTime::from_millis(1), &p, SpanStage::Transmit, Some(0));
-        assert_eq!(quiet.spans().recorded(), 0);
-        let mut loud = NodeObs::new(NodeId(1), true);
-        loud.span(SimTime::from_millis(1), &p, SpanStage::Transmit, Some(0));
-        loud.span(SimTime::from_millis(2), &p, SpanStage::Deliver, None);
-        assert_eq!(loud.spans().recorded(), 2);
-        let key = PacketKey {
-            flow: p.flow.stable_id(),
-            seq: 7,
-        };
-        let stages: Vec<SpanStage> = loud.spans().for_packet(key).map(|e| e.stage).collect();
-        assert_eq!(stages, vec![SpanStage::Transmit, SpanStage::Deliver]);
     }
 }

@@ -155,43 +155,43 @@ BENCH_OUT="$SCALE_SMOKE_OUT" \
 # committed curve. Memory is deterministic (no wall-clock noise), so the
 # bars are tight.
 #
-# 1. The committed BENCH_scale.json curve itself must be sublinear: state
+# 1. The committed BENCH_scale.json curve itself must be sublinear: total
 #    bytes/node at N=1024 within 1.5x-of-linear of N=64 (linear is 16x —
 #    every node holds the fleet's link state; superlinear per node would be
 #    an O(N^3) fleet).
-extract_state_bytes() {
+extract_total_bytes() {
     grep '"bench":"exp_scale"' "$1" | grep "\"n\":$2," \
-        | sed -n 's/.*"bytes_per_node_state":\([0-9.eE+-]*\).*/\1/p' | tail -1
+        | sed -n 's/.*"bytes_per_node_total":\([0-9.eE+-]*\).*/\1/p' | tail -1
 }
-base64=$(extract_state_bytes BENCH_scale.json 64)
-base1024=$(extract_state_bytes BENCH_scale.json 1024)
+base64=$(extract_total_bytes BENCH_scale.json 64)
+base1024=$(extract_total_bytes BENCH_scale.json 1024)
 if [ -z "$base64" ] || [ -z "$base1024" ]; then
-    echo "ERROR: BENCH_scale.json lacks n=64/n=1024 rows with bytes_per_node_state" >&2
+    echo "ERROR: BENCH_scale.json lacks n=64/n=1024 rows with bytes_per_node_total" >&2
     echo "(regenerate: cargo run --release -p son-bench --bin exp_scale)" >&2
     exit 1
 fi
-echo "committed state bytes/node: $base64 (n=64) -> $base1024 (n=1024)"
+echo "committed total bytes/node: $base64 (n=64) -> $base1024 (n=1024)"
 awk -v b64="$base64" -v b1024="$base1024" 'BEGIN {
     cap = b64 * 16 * 1.5;
     if (b1024 > cap) {
-        printf "ERROR: committed state bytes/node at n=1024 (%.0f) exceeds 1.5x-linear of n=64 (cap %.0f)\n", b1024, cap;
+        printf "ERROR: committed total bytes/node at n=1024 (%.0f) exceeds 1.5x-linear of n=64 (cap %.0f)\n", b1024, cap;
         exit 1;
     }
     printf "committed sublinearity guard passed (%.1fx over 16x size, cap 24x)\n", b1024 / b64;
 }'
-# 2. The fresh smoke sweep must not regress per-node memory: state
+# 2. The fresh smoke sweep must not regress per-node memory: total
 #    bytes/node at N=256 within 10% of the committed n=256 row.
-fresh256=$(extract_state_bytes "$SCALE_SMOKE_OUT" 256)
-base256=$(extract_state_bytes BENCH_scale.json 256)
+fresh256=$(extract_total_bytes "$SCALE_SMOKE_OUT" 256)
+base256=$(extract_total_bytes BENCH_scale.json 256)
 if [ -z "$fresh256" ] || [ -z "$base256" ]; then
-    echo "ERROR: missing n=256 bytes_per_node_state row (fresh or committed)" >&2
+    echo "ERROR: missing n=256 bytes_per_node_total row (fresh or committed)" >&2
     exit 1
 fi
-echo "n=256 state bytes/node: $fresh256 (committed $base256)"
+echo "n=256 total bytes/node: $fresh256 (committed $base256)"
 awk -v fresh="$fresh256" -v base="$base256" 'BEGIN {
     cap = base * 1.10;
     if (fresh > cap) {
-        printf "ERROR: n=256 state bytes/node %.0f grew >10%% over the committed %.0f (cap %.0f)\n", fresh, base, cap;
+        printf "ERROR: n=256 total bytes/node %.0f grew >10%% over the committed %.0f (cap %.0f)\n", fresh, base, cap;
         exit 1;
     }
     printf "memory regression guard passed (cap %.0f)\n", cap;

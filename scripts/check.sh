@@ -27,6 +27,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> bench smoke"
 scripts/bench_smoke.sh
 
+echo "==> benchmark crate (outside the workspace: tests + one quick workload)"
+scripts/benchmark_smoke.sh
+
 echo "==> trace self-check (exp_fig3 --smoke + son-trace)"
 cargo run --release -q -p son-bench --bin exp_fig3 -- --smoke
 cargo run --release -q -p son-bench --bin son-trace -- \
