@@ -31,18 +31,20 @@
 //!
 //! # Tombstone compaction
 //!
-//! [`EventQueue::cancel`] leaves a tombstone in the heap; it is normally
-//! reclaimed when it surfaces at the top. Workloads that cancel many
-//! far-future timers (retransmission timers that almost always get acked)
-//! can accumulate tombstones faster than they surface, bloating the heap.
-//! When tombstones outnumber live entries the queue compacts: the heap is
-//! rebuilt retaining only live entries. [`EventQueue::stats`] exposes the
-//! occupancy and compaction counters for the scale observatory.
+//! [`EventQueue::cancel`] drops the payload and leaves a key-sized
+//! tombstone in the heap; it is normally reclaimed when it surfaces at the
+//! top. Workloads that cancel many far-future timers (retransmission timers
+//! that almost always get acked) can accumulate tombstones faster than they
+//! surface, bloating the heap. When tombstones outnumber live entries the
+//! queue compacts: the heap is rebuilt retaining only live entries.
+//! [`EventQueue::stats`] exposes the occupancy and compaction counters for
+//! the scale observatory.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::hash::MintedMap;
 use crate::time::SimTime;
 
 /// An opaque handle to a scheduled event, usable for cancellation.
@@ -162,7 +164,18 @@ impl PartialOrd for TieKey {
     }
 }
 impl Ord for TieKey {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            // Sequential runs key everything ZERO: settle heap ties inline.
+            (None, None) => Ordering::Equal,
+            _ => self.cmp_lineage(other),
+        }
+    }
+}
+
+impl TieKey {
+    fn cmp_lineage(&self, other: &Self) -> Ordering {
         // Lexicographic (sched, parent, oseq), unrolled iteratively so
         // phase-locked lineages (identical sched at every level) cannot
         // overflow the stack. Walk up while scheds tie, then resolve from
@@ -224,26 +237,30 @@ impl QueueStats {
     }
 }
 
-struct Entry<E> {
+/// What the heap sifts: the ordering key `(at, key, seq)` and the slab slot
+/// holding the payload. 32 bytes whatever `E` is, so a sift level copies
+/// one key, never a packet.
+struct HeapKey {
     at: SimTime,
     key: TieKey,
     seq: u64,
-    id: u64,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl Eq for HeapKey {}
+impl PartialOrd for HeapKey {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for HeapKey {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, key, seq)
         // pops first.
@@ -255,10 +272,18 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A live event's identity and payload, parked in the slab while its key
+/// sits in the heap.
+struct Slot<E> {
+    id: u64,
+    payload: E,
+}
+
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
 ///
-/// Cancellation is handled with a tombstone set: [`EventQueue::cancel`] is
-/// O(log n) amortized and cancelled events are skipped on pop. When
+/// The heap orders 32-byte keys; payloads sit in a slab and move twice (in
+/// at `schedule`, out at `pop`). Cancellation drops the payload at once and
+/// leaves a key-sized tombstone that is skipped when it surfaces; when
 /// tombstones outnumber live entries the heap is compacted in place.
 ///
 /// # Examples
@@ -274,9 +299,15 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!((at, what), (SimTime::from_millis(1), "sooner"));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Ids scheduled and neither fired nor cancelled.
-    live: std::collections::HashSet<u64>,
+    heap: BinaryHeap<HeapKey>,
+    /// Payload storage, indexed by [`HeapKey::slot`]. A slot is `Some`
+    /// while its event is live, `None` once cancelled (its key is then a
+    /// tombstone) or free. A slot returns to `free` only when its key
+    /// leaves the heap, so a heap key never points at another event's slot.
+    slab: Vec<Option<Slot<E>>>,
+    free: Vec<u32>,
+    /// Live event id -> slab slot.
+    index: MintedMap<u64, u32>,
     next_seq: u64,
     next_id: u64,
     tombstones_peak: usize,
@@ -289,21 +320,10 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> std::fmt::Debug for Entry<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Entry")
-            .field("at", &self.at)
-            .field("key", &self.key)
-            .field("seq", &self.seq)
-            .field("id", &self.id)
-            .finish()
-    }
-}
-
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live.len())
+            .field("live", &self.index.len())
             .field("heap", &self.heap.len())
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
@@ -320,7 +340,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: Default::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            index: MintedMap::default(),
             next_seq: 0,
             next_id: 0,
             tombstones_peak: 0,
@@ -331,15 +353,20 @@ impl<E> EventQueue<E> {
     fn push(&mut self, at: SimTime, key: TieKey, id: u64, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            key,
-            seq,
-            id,
-            payload,
-        });
-        let fresh = self.live.insert(id);
-        debug_assert!(fresh, "duplicate live event id {id:#x}");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(Slot { id, payload });
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over 2^32 queued events");
+                self.slab.push(Some(Slot { id, payload }));
+                slot
+            }
+        };
+        self.heap.push(HeapKey { at, key, seq, slot });
+        let previous = self.index.insert(id, slot);
+        debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -400,53 +427,82 @@ impl<E> EventQueue<E> {
         (self.next_id >> ID_GENERATION_SHIFT) + u64::from(self.next_id != 0)
     }
 
-    /// Cancels a previously scheduled event.
+    /// Cancels a previously scheduled event, dropping its payload now.
     ///
     /// Returns `true` if the event had not yet fired or been cancelled.
     /// Cancelling an already-fired event is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let cancelled = self.live.remove(&id.0);
-        if cancelled {
-            let tombstones = self.tombstones();
-            self.tombstones_peak = self.tombstones_peak.max(tombstones);
-            if tombstones > self.live.len().max(COMPACT_FLOOR) {
-                self.compact();
-            }
+        let Some(slot) = self.index.remove(&id.0) else {
+            return false;
+        };
+        self.slab[slot as usize] = None;
+        let tombstones = self.tombstones();
+        self.tombstones_peak = self.tombstones_peak.max(tombstones);
+        if tombstones > self.index.len().max(COMPACT_FLOOR) {
+            self.compact();
         }
-        cancelled
+        true
     }
 
     /// Rebuilds the heap retaining only live entries.
     fn compact(&mut self) {
-        let live = &self.live;
-        self.heap.retain(|e| live.contains(&e.id));
+        let (slab, free) = (&self.slab, &mut self.free);
+        self.heap.retain(|k| {
+            let live = slab[k.slot as usize].is_some();
+            if !live {
+                free.push(k.slot);
+            }
+            live
+        });
         self.compactions += 1;
+    }
+
+    /// Drains tombstones off the top; the earliest live key, if any, is
+    /// then at the top of the heap.
+    fn surface_live(&mut self) -> Option<&HeapKey> {
+        while let Some(top) = self.heap.peek() {
+            if self.slab[top.slot as usize].is_some() {
+                break;
+            }
+            self.free.push(top.slot);
+            self.heap.pop();
+        }
+        self.heap.peek()
+    }
+
+    /// Removes and returns the earliest non-cancelled event if `due` accepts
+    /// its time; leaves it queued otherwise. The run loops' single step:
+    /// one heap pop and one id removal per fired event.
+    pub(crate) fn pop_full_if(
+        &mut self,
+        due: impl FnOnce(SimTime) -> bool,
+    ) -> Option<(SimTime, TieKey, EventId, E)> {
+        if !due(self.surface_live()?.at) {
+            return None;
+        }
+        let HeapKey { at, key, slot, .. } = self.heap.pop().expect("surfaced key exists");
+        let Slot { id, payload } = self.slab[slot as usize]
+            .take()
+            .expect("surfaced key is live");
+        self.free.push(slot);
+        self.index.remove(&id);
+        Some((at, key, EventId(id), payload))
     }
 
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.id) {
-                return Some((entry.at, entry.payload));
-            }
-        }
-        None
+        self.pop_full().map(|(at, _, _, payload)| (at, payload))
     }
 
     /// Removes and returns the earliest non-cancelled event along with its
     /// key and identity — the partition/dissolve form of [`EventQueue::pop`].
     pub fn pop_full(&mut self) -> Option<(SimTime, TieKey, EventId, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.id) {
-                return Some((entry.at, entry.key, EventId(entry.id), entry.payload));
-            }
-        }
-        None
+        self.pop_full_if(|_| true)
     }
 
     /// Drains the queue in firing order, preserving identities and keys.
     pub fn drain_ordered(&mut self) -> Vec<(SimTime, TieKey, EventId, E)> {
-        let mut out = Vec::with_capacity(self.live.len());
+        let mut out = Vec::with_capacity(self.index.len());
         while let Some(item) = self.pop_full() {
             out.push(item);
         }
@@ -455,38 +511,32 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event, without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.live.contains(&entry.id) {
-                return Some(entry.at);
-            }
-            self.heap.pop();
-        }
-        None
+        self.surface_live().map(|top| top.at)
     }
 
     /// Number of events scheduled and not yet fired or cancelled.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.index.len()
     }
 
     /// `true` if no live events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.index.is_empty()
     }
 
     /// Cancelled entries still occupying the heap.
     #[must_use]
     pub fn tombstones(&self) -> usize {
-        self.heap.len() - self.live.len()
+        self.heap.len() - self.index.len()
     }
 
     /// Occupancy and maintenance counters.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            live: self.live.len(),
+            live: self.index.len(),
             tombstones: self.tombstones(),
             tombstones_peak: self.tombstones_peak,
             compactions: self.compactions,
@@ -504,6 +554,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -753,5 +804,273 @@ mod tests {
         b.absorb(&a);
         assert_eq!(b.tombstones_peak, 10);
         assert_eq!(b.compactions, 5);
+    }
+
+    /// Every slot is free or referenced by exactly one heap key, and a live
+    /// id maps to the slot holding it.
+    fn assert_slab_consistent<E>(q: &EventQueue<E>) {
+        assert_eq!(q.free.len() + q.heap.len(), q.slab.len());
+        let filled = q.slab.iter().flatten().count();
+        assert_eq!(filled, q.index.len());
+        for (id, &slot) in &q.index {
+            let held = q.slab[slot as usize]
+                .as_ref()
+                .expect("live id has a payload");
+            assert_eq!(held.id, *id);
+        }
+    }
+
+    /// The reference: every entry still in the heap (live or tombstone) in
+    /// a `Vec` re-sorted on each insert.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<ModelEntry>,
+        next_seq: u64,
+        tombstones_peak: usize,
+        compactions: u64,
+    }
+
+    struct ModelEntry {
+        at: SimTime,
+        key: TieKey,
+        seq: u64,
+        id: EventId,
+        payload: u32,
+        live: bool,
+    }
+
+    impl Model {
+        fn insert(&mut self, at: SimTime, key: TieKey, id: EventId, payload: u32) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.entries.push(ModelEntry {
+                at,
+                key,
+                seq,
+                id,
+                payload,
+                live: true,
+            });
+            self.entries
+                .sort_by(|a, b| (a.at, &a.key, a.seq).cmp(&(b.at, &b.key, b.seq)));
+        }
+
+        fn live(&self) -> usize {
+            self.entries.iter().filter(|e| e.live).count()
+        }
+
+        fn stats(&self) -> QueueStats {
+            QueueStats {
+                live: self.live(),
+                tombstones: self.entries.len() - self.live(),
+                tombstones_peak: self.tombstones_peak,
+                compactions: self.compactions,
+            }
+        }
+
+        fn cancel(&mut self, id: EventId) -> bool {
+            let Some(entry) = self.entries.iter_mut().find(|e| e.live && e.id == id) else {
+                return false;
+            };
+            entry.live = false;
+            let tombstones = self.stats().tombstones;
+            self.tombstones_peak = self.tombstones_peak.max(tombstones);
+            if tombstones > self.live().max(COMPACT_FLOOR) {
+                self.compact();
+            }
+            true
+        }
+
+        fn compact(&mut self) {
+            self.entries.retain(|e| e.live);
+            self.compactions += 1;
+        }
+
+        /// Tombstones ahead of the earliest live entry leave the heap
+        /// whenever the queue looks at its top.
+        fn peek(&mut self) -> Option<&ModelEntry> {
+            let dead = self.entries.iter().take_while(|e| !e.live).count();
+            self.entries.drain(..dead);
+            self.entries.first()
+        }
+
+        fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<ModelEntry> {
+            due(self.peek()?.at).then(|| self.entries.remove(0))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        fn queue_matches_sorted_model(
+            ops in proptest::collection::vec((0u8..20, 0u64..40, 0usize..4096), 0..1200),
+        ) {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            // `restore` needs ids from a foreign generation.
+            let mut donor: EventQueue<u32> = EventQueue::new();
+            donor.set_id_generation(9);
+            let mut model = Model::default();
+            let mut handles: Vec<EventId> = Vec::new();
+            let mut payload = 0u32;
+            for (op, step, pick) in ops {
+                let at = SimTime::from_micros(step);
+                let key = match pick % 4 {
+                    0 => TieKey::ZERO,
+                    1 => TieKey::root(SimTime::ZERO, step),
+                    2 => TieKey::root(at, pick as u64 % 3),
+                    _ => TieKey::root(SimTime::ZERO, 1).child(at, step),
+                };
+                payload += 1;
+                match op {
+                    0..=4 => {
+                        let id = q.schedule(at, payload);
+                        model.insert(at, TieKey::ZERO, id, payload);
+                        handles.push(id);
+                    }
+                    5..=6 => {
+                        let id = q.schedule_keyed(at, key.clone(), payload);
+                        model.insert(at, key, id, payload);
+                        handles.push(id);
+                    }
+                    7 => {
+                        donor.schedule_keyed(at, key, payload);
+                        let (at, key, id, payload) = donor.pop_full().expect("just scheduled");
+                        q.restore(at, key.clone(), id, payload);
+                        model.insert(at, key, id, payload);
+                        handles.push(id);
+                    }
+                    // A recent handle: live, fired or already cancelled.
+                    8..=14 if !handles.is_empty() => {
+                        let id = handles[handles.len() - 1 - pick % handles.len().min(96)];
+                        prop_assert_eq!(q.cancel(id), model.cancel(id));
+                    }
+                    15 => {
+                        let want = model.pop_if(|_| true).map(|e| (e.at, e.payload));
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                    16 => {
+                        let want = model.pop_if(|_| true).map(|e| (e.at, e.key, e.id, e.payload));
+                        prop_assert_eq!(q.pop_full(), want);
+                    }
+                    17 => {
+                        let want = model.pop_if(|t| t <= at).map(|e| (e.at, e.key, e.id, e.payload));
+                        prop_assert_eq!(q.pop_full_if(|t| t <= at), want);
+                    }
+                    18 => prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at)),
+                    19 if pick % 16 == 0 => {
+                        // A compaction nobody asked for changes only the
+                        // tombstone and compaction counts.
+                        q.compact();
+                        model.compact();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(q.stats(), model.stats());
+                prop_assert_eq!(q.len(), model.live());
+                assert_slab_consistent(&q);
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| model.pop_if(|_| true))
+                .map(|e| (e.at, e.key, e.id, e.payload))
+                .collect();
+            prop_assert_eq!(q.drain_ordered(), rest);
+            prop_assert_eq!(q.free.len(), q.slab.len());
+        }
+    }
+
+    #[test]
+    fn cancel_releases_the_payload_at_once() {
+        struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(1), Counted(drops.clone()));
+        let doomed = q.schedule(SimTime::from_millis(2), Counted(drops.clone()));
+        assert!(q.cancel(doomed));
+        assert_eq!(drops.get(), 1, "dropped at cancel");
+        assert_eq!(q.tombstones(), 1, "while its key is still queued");
+        drop(q.pop());
+        assert_eq!(drops.get(), 2);
+        assert!(q.pop().is_none());
+        assert_eq!(drops.get(), 2, "the surfacing tombstone drops nothing");
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_of_live_plus_tombstones() {
+        const DEPTH: u64 = 4096;
+        let mut rng = crate::rng::SimRng::seed(3);
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        let mut watch = |q: &EventQueue<u64>| peak = peak.max(q.len() + q.tombstones());
+        let mut pending = std::collections::VecDeque::new();
+        for i in 0..DEPTH {
+            pending.push_back(q.schedule(SimTime::from_nanos(rng.uniform_u64(1, 2_000_000)), i));
+        }
+        for cycle in 0..100_000u64 {
+            let (at, payload) = q.pop().expect("steady depth");
+            let next = at + crate::time::SimDuration::from_nanos(rng.uniform_u64(1, 2_000_000));
+            pending.push_back(q.schedule(next, payload));
+            // Cancel-and-replace (often a fired id: a no-op), so tombstones
+            // surface through both `pop` and `peek_time`.
+            if cycle % 3 == 0 && q.cancel(pending.pop_front().expect("ids outnumber cycles")) {
+                pending.push_back(q.schedule(next, payload));
+                watch(&q);
+            }
+            if cycle % 7 == 0 {
+                q.peek_time();
+            }
+            if cycle % 20_000 == 0 {
+                // A burst of far-future timers, all cancelled: forces a
+                // compaction at full depth.
+                let before = q.stats().compactions;
+                let burst: Vec<_> = (0..2 * DEPTH)
+                    .map(|i| q.schedule(SimTime::from_secs(3600), i))
+                    .collect();
+                watch(&q);
+                burst.into_iter().for_each(|id| assert!(q.cancel(id)));
+                assert!(q.stats().compactions > before);
+            }
+            if cycle % 30_000 == 0 {
+                // A partition/dissolve round trip.
+                for (at, key, id, payload) in q.drain_ordered() {
+                    q.restore(at, key, id, payload);
+                }
+            }
+            watch(&q);
+        }
+        assert_eq!(q.len() as u64, DEPTH);
+        assert_slab_consistent(&q);
+        assert!(
+            q.slab.len() <= peak,
+            "slab holds {} slots, queue peaked at {peak} entries",
+            q.slab.len()
+        );
+    }
+
+    #[test]
+    fn ids_from_before_a_generation_move_cancel_after_restore() {
+        let mut donor = EventQueue::new();
+        let early = donor.schedule(SimTime::from_millis(10), "early");
+        donor.set_id_generation(3);
+        let late = donor.schedule(SimTime::from_millis(20), "late");
+        let kept = donor.schedule(SimTime::from_millis(30), "kept");
+
+        let mut target = EventQueue::new();
+        target.set_id_generation(4);
+        let own = target.schedule(SimTime::from_millis(5), "own");
+        for (at, key, id, payload) in donor.drain_ordered() {
+            target.restore(at, key, id, payload);
+        }
+        assert_slab_consistent(&donor);
+        assert!(target.cancel(early), "generation-0 handle");
+        assert!(target.cancel(late), "generation-3 handle");
+        assert!(!target.cancel(early));
+        assert_slab_consistent(&target);
+        let order: Vec<&str> = std::iter::from_fn(|| target.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["own", "kept"]);
+        assert!(!target.cancel(own) && !target.cancel(kept), "both fired");
     }
 }

@@ -39,6 +39,7 @@
 
 pub mod driver;
 pub mod event;
+pub mod hash;
 pub mod link;
 pub mod loss;
 pub mod process;

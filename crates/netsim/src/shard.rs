@@ -291,12 +291,8 @@ impl<M: SimMessage> ShardWorker<M> {
                 .horizon = w_end;
             // (b) Run this window: strictly before the end for real windows,
             // inclusively at `until` for the flush pass.
-            while let Some(at) = self.core.queue.peek_time() {
-                if at > w_end || (!is_flush && at == w_end) {
-                    break;
-                }
-                let (at, key, _id, event) =
-                    self.core.queue.pop_full().expect("peeked event exists");
+            let due = |at: SimTime| at < w_end || (is_flush && at == w_end);
+            while let Some((at, key, _id, event)) = self.core.queue.pop_full_if(due) {
                 debug_assert!(at >= self.core.now, "time went backwards");
                 self.core.now = at;
                 {

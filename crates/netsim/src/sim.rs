@@ -433,11 +433,7 @@ impl<M: SimMessage> Simulation<M> {
     fn run_until_seq(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut n = 0;
-        while let Some(at) = self.core.queue.peek_time() {
-            if at > until {
-                break;
-            }
-            let (at, event) = self.core.queue.pop().expect("peeked event exists");
+        while let Some((at, _zero, _id, event)) = self.core.queue.pop_full_if(|at| at <= until) {
             debug_assert!(at >= self.core.now, "time went backwards");
             self.core.now = at;
             self.core.events_processed += 1;
@@ -980,7 +976,7 @@ impl<M: SimMessage> SimCore<M> {
                     // Attribute data-plane drops separately so conservation
                     // (sent = delivered + attributed drops) is checkable
                     // without control traffic muddying the ledger.
-                    self.counters.incr(&format!("data.{}", reason.label()));
+                    self.counters.incr(reason.class().data_label());
                 }
             }
         }

@@ -143,7 +143,13 @@ impl Counters {
 
     /// Adds `n` to the counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_owned()).or_insert(0) += n;
+        // `entry` would build a `String` per bump; allocate on first sight only.
+        match self.map.get_mut(name) {
+            Some(value) => *value += n,
+            None => {
+                self.map.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.

@@ -32,6 +32,7 @@ use std::io;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use son_netsim::driver::{Driver, Transport};
+use son_netsim::hash::MintedMap;
 use son_netsim::link::PipeId;
 use son_netsim::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
 use son_netsim::rng::SimRng;
@@ -150,7 +151,7 @@ pub struct RealDriver {
     counters: Counters,
     pipes: Vec<PipeEnd>,
     timers: BinaryHeap<Reverse<(u64, u64)>>,
-    timer_meta: HashMap<u64, (ProcessId, u64)>,
+    timer_meta: MintedMap<u64, (ProcessId, u64)>,
     next_timer_id: u64,
     locals: BinaryHeap<Reverse<At<(ProcessId, ProcessId, Wire)>>>,
     wire_out: BinaryHeap<WireOutEntry>,
@@ -171,7 +172,7 @@ impl RealDriver {
             counters: Counters::new(),
             pipes,
             timers: BinaryHeap::new(),
-            timer_meta: HashMap::new(),
+            timer_meta: MintedMap::default(),
             next_timer_id: 0,
             locals: BinaryHeap::new(),
             wire_out: BinaryHeap::new(),
@@ -193,7 +194,7 @@ impl RealDriver {
     fn drop_frame(&mut self, class: DropClass, is_data: bool) {
         self.counters.incr(class.label());
         if is_data {
-            self.counters.incr(&format!("data.{}", class.label()));
+            self.counters.incr(class.data_label());
         }
     }
 

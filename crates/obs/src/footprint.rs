@@ -46,7 +46,7 @@ pub fn vecdeque_bytes<T>(v: &VecDeque<T>) -> usize {
 /// Estimated heap bytes retained by a `HashMap`'s table: one `(K, V)` slot
 /// plus one control byte per capacity slot.
 #[must_use]
-pub fn hashmap_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+pub fn hashmap_bytes<K, V, S>(m: &HashMap<K, V, S>) -> usize {
     m.capacity() * (size_of::<(K, V)>() + 1)
 }
 

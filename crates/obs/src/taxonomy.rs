@@ -91,6 +91,28 @@ impl DropClass {
         }
     }
 
+    /// `data.drop.<reason>`: the key under which a driver tallies a dropped
+    /// data-plane frame. A literal per class, so a bump formats nothing.
+    #[must_use]
+    pub const fn data_label(self) -> &'static str {
+        match self {
+            DropClass::Loss => "data.drop.loss",
+            DropClass::QueueFull => "data.drop.queue_full",
+            DropClass::Blackholed => "data.drop.blackholed",
+            DropClass::NoRoute => "data.drop.no_route",
+            DropClass::Down => "data.drop.down",
+            DropClass::Ttl => "data.drop.ttl",
+            DropClass::Auth => "data.drop.auth",
+            DropClass::DedupDuplicate => "data.drop.dedup_duplicate",
+            DropClass::Unroutable => "data.drop.unroutable",
+            DropClass::NoProvider => "data.drop.no_provider",
+            DropClass::Adversary => "data.drop.adversary",
+            DropClass::Shed => "data.drop.shed",
+            DropClass::Expired => "data.drop.expired",
+            DropClass::BufferFull => "data.drop.buffer_full",
+        }
+    }
+
     /// `true` for drops that happen inside a pipe (the netsim layer).
     #[must_use]
     pub const fn is_pipe(self) -> bool {
@@ -135,6 +157,13 @@ mod tests {
             assert_eq!(DropClass::from_label(c.label()), Some(c));
         }
         assert_eq!(DropClass::from_label("drop.unknown"), None);
+    }
+
+    #[test]
+    fn data_labels_prefix_the_plain_labels() {
+        for c in DropClass::ALL {
+            assert_eq!(c.data_label(), format!("data.{}", c.label()));
+        }
     }
 
     #[test]

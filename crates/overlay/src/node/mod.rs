@@ -35,6 +35,7 @@ pub use timer::TimerKey;
 
 use std::collections::HashMap;
 
+use son_netsim::hash::MintedMap;
 use son_netsim::link::PipeId;
 use son_netsim::time::SimDuration;
 use son_topo::{EdgeId, Graph, NodeId};
@@ -163,9 +164,9 @@ pub struct OverlayNode {
     config: NodeConfig,
     links: Vec<LinkPort>,
     /// Incoming pipe -> (local link index, provider index).
-    in_pipe_index: HashMap<PipeId, (usize, usize)>,
+    in_pipe_index: MintedMap<PipeId, (usize, usize)>,
     /// Edge id -> local link index.
-    edge_index: HashMap<EdgeId, usize>,
+    edge_index: MintedMap<EdgeId, usize>,
     conn: ConnectivityMonitor,
     groups: GroupTable,
     forwarding: Forwarding,
@@ -195,7 +196,7 @@ pub struct OverlayNode {
     /// retransmits but ships them as control.
     pending_retransmit: bool,
     /// Packets held by a Delay adversary, keyed by timer token payload.
-    delayed: HashMap<u32, (DataPacket, Option<EdgeId>)>,
+    delayed: MintedMap<u32, (DataPacket, Option<EdgeId>)>,
     next_delay_token: u32,
     flood_seq: u64,
     /// The configured overlay topology (kept for re-wiring).
@@ -243,8 +244,8 @@ impl OverlayNode {
             groups: GroupTable::new(me),
             conn,
             links: Vec::new(),
-            in_pipe_index: HashMap::new(),
-            edge_index: HashMap::new(),
+            in_pipe_index: MintedMap::default(),
+            edge_index: MintedMap::default(),
             flows: FlowTable::new(),
             dedup: DedupTable::new(),
             keys,
@@ -259,7 +260,7 @@ impl OverlayNode {
             bufs: ActionBufs::default(),
             pending_recover: None,
             pending_retransmit: false,
-            delayed: HashMap::new(),
+            delayed: MintedMap::default(),
             next_delay_token: 0,
             flood_seq: 0,
             config,
