@@ -13,9 +13,10 @@
 //! - the inline `size_of::<Self>()` of the root value itself — the trait
 //!   measures what the value *points to*; callers add the root if they own
 //!   it behind another allocation;
-//! - shared `Arc` payloads more than once — the roll-up attributes each
-//!   shared structure to exactly one owner (e.g. a topology snapshot shared
-//!   between routing and connectivity is counted under routing);
+//! - shared `Arc` payloads more than once — each holder charges
+//!   `bytes / Arc::strong_count`, so a sum over all holders counts the
+//!   payload once (e.g. the topology shape every co-located daemon shares)
+//!   and a sole holder is charged the whole;
 //! - `HashMap` exactly — hashbrown's real layout is `ceil(cap·8/7)` buckets
 //!   plus control bytes; the helper charges `capacity · (entry + 1 byte)`,
 //!   an estimate that is within the allocator-rounding noise floor.

@@ -225,13 +225,7 @@ impl OverlayNode {
                 ConnAction::Send { link, msg } => {
                     self.send_on_link(ctx, link, reply_provider, Wire::Control(msg));
                 }
-                ConnAction::Flood { except, msg } => {
-                    for i in 0..self.links.len() {
-                        if Some(i) != except {
-                            self.send_on_link(ctx, i, None, Wire::Control(msg.clone()));
-                        }
-                    }
-                }
+                ConnAction::Flood { except, msg } => self.flood_control(ctx, except, msg),
                 ConnAction::SwitchProvider { link, isp_index } => {
                     let count = self.links[link].out_pipes.len();
                     self.links[link].active_provider = isp_index % count.max(1);
@@ -282,16 +276,24 @@ impl OverlayNode {
                 }
             },
             NodeAction::Group(GroupAction::Flood { except, update }) => {
-                for i in 0..self.links.len() {
-                    if Some(i) != except {
-                        self.send_on_link(
-                            ctx,
-                            i,
-                            None,
-                            Wire::Control(Control::GroupUpdate(update.clone())),
-                        );
-                    }
-                }
+                self.flood_control(ctx, except, Control::GroupUpdate(update));
+            }
+        }
+    }
+
+    /// Sends a control message on every link except `except`, in link
+    /// order. The last link gets the message itself; only the others get
+    /// copies.
+    fn flood_control(&mut self, ctx: &mut Ctx<'_, Wire>, except: Option<usize>, msg: Control) {
+        let mut targets = (0..self.links.len())
+            .filter(|&i| Some(i) != except)
+            .peekable();
+        while let Some(i) = targets.next() {
+            if targets.peek().is_some() {
+                self.send_on_link(ctx, i, None, Wire::Control(msg.clone()));
+            } else {
+                self.send_on_link(ctx, i, None, Wire::Control(msg));
+                break;
             }
         }
     }
@@ -707,9 +709,7 @@ impl OverlayNode {
         else {
             return;
         };
-        for i in 0..self.links.len() {
-            self.send_on_link(ctx, i, None, Wire::Control(msg.clone()));
-        }
+        self.flood_control(ctx, None, msg);
         let mut ca = self.bufs.take_conn();
         self.conn.set_withdrawn(true, &mut ca);
         self.dispatch_conn(ctx, ca, None);
@@ -742,13 +742,7 @@ impl OverlayNode {
                         self.send_on_link(ctx, link, None, Wire::Control(msg));
                     }
                 }
-                MemberAction::Flood { except, msg } => {
-                    for i in 0..self.links.len() {
-                        if Some(i) != except {
-                            self.send_on_link(ctx, i, None, Wire::Control(msg.clone()));
-                        }
-                    }
-                }
+                MemberAction::Flood { except, msg } => self.flood_control(ctx, except, msg),
                 MemberAction::Evict(node) => self.evict_member_state(ctx, node),
             }
         }

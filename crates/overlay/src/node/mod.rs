@@ -419,12 +419,12 @@ impl OverlayNode {
     /// attributed per subsystem. The parts (and what they cover):
     ///
     /// * `flows` — the shared [`FlowTable`];
-    /// * `routing` — [`Forwarding`]: the Arc-shared frozen topology view
-    ///   (charged here, once), the dense SPT/next-hop tables, multicast
-    ///   out-edge caches, and Dijkstra scratch;
-    /// * `lsdb` — the connectivity monitor minus its snapshot cache: LSA
-    ///   database, per-link hello state, flap-damping state, and its working
-    ///   copy of the configured topology;
+    /// * `routing` — [`Forwarding`]: its part of the installed topology view,
+    ///   the dense SPT/next-hop tables, multicast out-edge caches, and
+    ///   Dijkstra scratch;
+    /// * `lsdb` — the connectivity monitor: LSA database, per-link hello
+    ///   state, flap-damping state, its part of the cached topology view,
+    ///   and its copy of the configured topology's weights;
     /// * `dedup` — per-flow duplicate-suppression windows;
     /// * `rings` — [`NodeObs`]: metrics registry, span/trace/watch rings,
     ///   and the perf profiler;
@@ -435,8 +435,13 @@ impl OverlayNode {
     /// * `groups` — local and remote group membership;
     /// * `membership` — dynamic-membership liveness records and flood-dedup
     ///   state (zero when membership is disabled);
-    /// * `topo` — the node's own configured-topology copy (kept for
+    /// * `topo` — the node's own configured-topology weights (kept for
     ///   re-wiring) plus the member cache and dispatch scratch buffers.
+    ///
+    /// An allocation with several holders — the topology shape every
+    /// co-located daemon shares, the view `routing` and `lsdb` both point
+    /// at — is charged to each holder in equal parts (`bytes / holders`), so
+    /// a fleet sum counts it once and a lone daemon is charged all of it.
     ///
     /// The total is the sum of the parts by construction.
     #[must_use]
@@ -643,5 +648,48 @@ mod tests {
         assert!(by_label["rings"] > 0);
         assert!(by_label["topo"] > 0);
         assert!(by_label["routing"] > 0);
+    }
+
+    /// Co-located daemons built from clones of one graph are charged for
+    /// its shape once between them; daemons that each own their topology
+    /// are each charged the whole of it.
+    #[test]
+    fn fleet_footprint_counts_a_shared_shape_once() {
+        const N: usize = 16;
+        let ring = || {
+            let mut g = Graph::new(N);
+            for i in 0..N {
+                g.add_edge(NodeId(i), NodeId((i + 1) % N), 10.0);
+            }
+            g
+        };
+        let fleet = |topology_of: &dyn Fn() -> Graph| -> Vec<OverlayNode> {
+            (0..N)
+                .map(|i| {
+                    let keys = KeyRegistry::new(N, 7);
+                    OverlayNode::new(NodeId(i), topology_of(), keys, NodeConfig::default())
+                })
+                .collect()
+        };
+        let total =
+            |nodes: &[OverlayNode]| -> usize { nodes.iter().map(|n| n.footprint().total()).sum() };
+
+        let one = ring();
+        let shared = fleet(&|| one.clone());
+        // The daemons compiled the shape's CSR arrays; from here on they are
+        // its only holders.
+        let shape = one.shape_bytes();
+        drop(one);
+        let owned = fleet(&ring);
+        assert_eq!(owned[0].topology.shape_bytes(), shape);
+
+        let (shared, owned) = (total(&shared), total(&owned));
+        let saved = owned - shared;
+        let expected = (N - 1) * shape;
+        assert!(
+            saved.abs_diff(expected) * 100 <= shape,
+            "sharing saved {saved} B across {N} daemons, expected {expected} B \
+             (all but one copy of a {shape} B shape)"
+        );
     }
 }

@@ -287,17 +287,26 @@ impl OverlayNode {
         let slot = pkt.spec.link.slot();
         let now = ctx.now();
         let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
-        for &edge in outs {
-            let Some(&link) = self.edge_index.get(&edge) else {
+        // The last out-edge takes the packet itself; only a fan-out copies.
+        let mut edges = outs.iter().peekable();
+        while let Some(edge) = edges.next() {
+            let Some(&link) = self.edge_index.get(edge) else {
                 continue;
             };
             self.obs.forwarded();
             self.obs.inc(fo.forwarded);
             self.trace_pkt(now, &pkt, TraceStage::Enqueue, Some(link));
-            let copy = pkt.clone();
-            self.run_link_proto(ctx, link, slot, move |p, out| {
-                p.on_send(now, copy, out);
-            });
+            if edges.peek().is_some() {
+                let copy = pkt.clone();
+                self.run_link_proto(ctx, link, slot, move |p, out| {
+                    p.on_send(now, copy, out);
+                });
+            } else {
+                self.run_link_proto(ctx, link, slot, move |p, out| {
+                    p.on_send(now, pkt, out);
+                });
+                break;
+            }
         }
     }
 

@@ -347,10 +347,9 @@ fn fingerprint(members: &[NodeId]) -> u64 {
 impl son_obs::MemFootprint for Forwarding {
     fn footprint_bytes(&self) -> usize {
         use son_obs::footprint::{hashmap_bytes, vec_bytes};
-        // The Arc-shared snapshot is charged here (once per node), per the
-        // attribution policy in DESIGN.md: routing is the authoritative
-        // holder of the frozen shared view.
-        self.snap.approx_bytes()
+        // The installed view is the `Arc` the connectivity monitor caches:
+        // each of its holders charges an equal part (DESIGN.md §7).
+        self.snap.approx_bytes() / Arc::strong_count(&self.snap)
             + self.my_spt.approx_bytes()
             + hashmap_bytes(&self.spt)
             + self

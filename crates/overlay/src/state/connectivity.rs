@@ -210,6 +210,11 @@ pub struct ConnectivityMonitor {
 /// so restart their seq counter).
 const TOMBSTONE_TTL: SimDuration = SimDuration::from_secs(10);
 
+/// The weight of an edge some endpoint advertises down: finite (the graph
+/// layer requires it) but far above any real path, so shortest-path runs
+/// treat it as absent.
+const DOWN_WEIGHT: f64 = 1e12;
+
 impl ConnectivityMonitor {
     /// Creates a monitor for node `me` with the given incident links.
     ///
@@ -273,9 +278,12 @@ impl ConnectivityMonitor {
     ///
     /// Built from the LSDB at most once per version and shared by `Arc`:
     /// repeated calls (and every consumer on this node) get the same
-    /// snapshot for free until the next real topology change. This is the
-    /// replacement for cloning [`ConnectivityMonitor::current_graph`] into
-    /// every consumer on every LSA.
+    /// snapshot for free until the next real topology change. A rebuild
+    /// tallies the LSDB into one weight per edge and attaches them to the
+    /// configured topology's shared shape — no graph is cloned and nothing
+    /// is recompiled. Weights are bit-identical to
+    /// [`ConnectivityMonitor::current_graph`], which is kept as the
+    /// reference the tests compare this against.
     #[must_use]
     pub fn snapshot(&mut self) -> Arc<TopoSnapshot> {
         if let Some((v, ref snap)) = self.snapshot {
@@ -284,9 +292,58 @@ impl ConnectivityMonitor {
             }
         }
         self.graph_builds += 1;
-        let snap = Arc::new(TopoSnapshot::new(self.current_graph()));
+        let weights = self.tally_weights();
+        let snap = Arc::new(TopoSnapshot::new(self.topology.with_weights(weights)));
         self.snapshot = Some((self.version, Arc::clone(&snap)));
         snap
+    }
+
+    /// One weight per configured edge from the LSDB's advertisements (the
+    /// rule is [`ConnectivityMonitor::current_graph`]'s). An advert naming
+    /// an edge the configured topology does not have is ignored.
+    fn tally_weights(&self) -> Vec<f64> {
+        #[derive(Clone, Copy)]
+        struct Votes {
+            all_up: bool,
+            latency_sum: f64,
+            loss_sum: f64,
+            adverts: u32,
+        }
+        let mut votes = vec![
+            Votes {
+                all_up: true,
+                latency_sum: 0.0,
+                loss_sum: 0.0,
+                adverts: 0,
+            };
+            self.topology.edge_count()
+        ];
+        for lsa in self.lsdb.values() {
+            for ad in &lsa.links {
+                let Some(v) = votes.get_mut(ad.edge.0) else {
+                    continue;
+                };
+                v.all_up &= ad.up;
+                v.latency_sum += ad.latency_ms;
+                v.loss_sum += ad.loss;
+                v.adverts += 1;
+            }
+        }
+        votes
+            .iter()
+            .enumerate()
+            .map(|(e, v)| {
+                if v.adverts == 0 {
+                    self.topology.weight(EdgeId(e))
+                } else if !v.all_up {
+                    DOWN_WEIGHT
+                } else {
+                    let n = f64::from(v.adverts);
+                    let loss = (v.loss_sum / n).clamp(0.0, 0.99);
+                    (v.latency_sum / n / (1.0 - loss)).max(0.01)
+                }
+            })
+            .collect()
     }
 
     /// Times the shared view was actually rebuilt from the LSDB; flat
@@ -644,8 +701,10 @@ impl ConnectivityMonitor {
         }
     }
 
-    /// Builds the current shared topology view: the configured topology with
-    /// per-edge liveness and expected-latency costs from the LSDB.
+    /// Builds the current shared topology view as a plain graph: the
+    /// configured topology with per-edge liveness and expected-latency costs
+    /// from the LSDB. This is the reference statement of the weight rule;
+    /// route rebuilds go through [`ConnectivityMonitor::snapshot`].
     ///
     /// An edge is usable only if **no** endpoint advertises it down (a link
     /// one side cannot hear on is no good to either). The cost is the mean
@@ -671,7 +730,7 @@ impl ConnectivityMonitor {
                 Some(&(up, lat_sum, loss_sum, n)) if n > 0 => {
                     if !up {
                         // Effectively remove the edge from path computation.
-                        g.set_weight(e, f64::INFINITY.min(1e12));
+                        g.set_weight(e, DOWN_WEIGHT);
                     } else {
                         let lat = lat_sum / f64::from(n);
                         let loss = (loss_sum / f64::from(n)).clamp(0.0, 0.99);
@@ -694,10 +753,16 @@ fn ewma(prev: f64, sample: f64, alpha: f64) -> f64 {
 impl son_obs::MemFootprint for ConnectivityMonitor {
     fn footprint_bytes(&self) -> usize {
         use son_obs::footprint::{hashmap_bytes, vec_bytes, vecdeque_bytes};
-        // The cached `snapshot` is deliberately NOT counted here: routing
-        // holds the same Arc and attributes it (the shared view is charged
-        // once, under `routing`).
-        vec_bytes(&self.links)
+        // Shared allocations are charged by share: the cached snapshot is
+        // the same `Arc` routing holds, so each charges its part of it, and
+        // the configured topology charges its part of the fleet-wide shape
+        // (see `Graph::approx_bytes`).
+        let snapshot = self
+            .snapshot
+            .as_ref()
+            .map_or(0, |(_, snap)| snap.approx_bytes() / Arc::strong_count(snap));
+        snapshot
+            + vec_bytes(&self.links)
             + self
                 .links
                 .iter()
@@ -1181,6 +1246,54 @@ mod tests {
         );
         let g = mon.current_graph();
         assert!((g.weight(EdgeId(1)) - 20.0).abs() < 1e-6, "10ms / (1-0.5)");
+    }
+
+    #[test]
+    fn lsa_for_an_edge_outside_the_topology_is_ignored() {
+        let honest = LinkAdvert {
+            edge: EdgeId(1),
+            up: true,
+            latency_ms: 14.0,
+            loss: 0.1,
+        };
+        let forged = |edge| LinkAdvert {
+            edge: EdgeId(edge),
+            up: false,
+            latency_ms: 1.0,
+            loss: 0.0,
+        };
+        let weights_after = |links: Vec<LinkAdvert>| {
+            let mut mon = monitor();
+            let mut out = Vec::new();
+            let lsa = Lsa {
+                origin: NodeId(1),
+                seq: 1,
+                links,
+            };
+            mon.on_lsa(SimTime::ZERO, lsa.clone(), Some(0), &mut out);
+            assert!(
+                out.contains(&ConnAction::Flood {
+                    except: Some(0),
+                    msg: Control::Lsa(lsa),
+                }),
+                "the LSA floods on whatever it names"
+            );
+            let snap = mon.snapshot();
+            let reference = mon.current_graph();
+            topo3()
+                .edges()
+                .map(|e| {
+                    assert_eq!(snap.weight(e).to_bits(), reference.weight(e).to_bits());
+                    snap.weight(e).to_bits()
+                })
+                .collect::<Vec<u64>>()
+        };
+        let clean = weights_after(vec![honest]);
+        let first_absent = topo3().edge_count();
+        assert_eq!(
+            weights_after(vec![forged(first_absent), honest, forged(usize::MAX)]),
+            clean
+        );
     }
 
     #[test]

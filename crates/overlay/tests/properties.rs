@@ -328,7 +328,7 @@ mod routing_props {
     use son_overlay::packet::{LinkAdvert, Lsa};
     use son_overlay::routing::Forwarding;
     use son_overlay::state::connectivity::{ConnAction, ConnectivityConfig, ConnectivityMonitor};
-    use son_topo::{EdgeId, Graph, NodeId};
+    use son_topo::{EdgeId, Graph, NodeId, SptScratch, TopoSnapshot};
 
     /// Square 0-1-2-3 plus a pendant node 4 hanging off node 2: updates to
     /// the pendant edge e4 never move routes among 0..=3.
@@ -377,6 +377,36 @@ mod routing_props {
                 },
             ],
         }
+    }
+
+    /// An 8-node ring with the four diameters as chords: 12 edges, every
+    /// node of degree 3, many equal-cost paths for tie-breaks to bite on.
+    fn ring8() -> Graph {
+        let mut g = Graph::new(8);
+        for i in 0..8 {
+            g.add_edge(NodeId(i), NodeId((i + 1) % 8), 10.0);
+        }
+        for i in 0..4 {
+            g.add_edge(NodeId(i), NodeId(i + 4), 17.0);
+        }
+        g
+    }
+
+    /// The same edges and weights in a graph that shares nothing with `g`.
+    fn rebuilt(g: &Graph) -> Graph {
+        let mut fresh = Graph::new(g.node_count());
+        for e in g.edges() {
+            let (a, b) = g.endpoints(e);
+            fresh.add_edge(a, b, g.weight(e));
+        }
+        fresh
+    }
+
+    fn weight_bits(snap: &TopoSnapshot) -> Vec<u64> {
+        snap.graph()
+            .edges()
+            .map(|e| snap.weight(e).to_bits())
+            .collect()
     }
 
     proptest! {
@@ -488,6 +518,86 @@ mod routing_props {
                 fwd.multicast_out_edges(NodeId(2), &[NodeId(0), NodeId(3)])
             );
             prop_assert_eq!(anycast_before, fwd.anycast_resolve(&[NodeId(1), NodeId(3)]));
+        }
+
+        /// Whatever the LSDB holds — links up and down, loss, adverts from
+        /// one side only, withdrawn and evicted origins, a suspended local
+        /// link, adverts for edges that do not exist — the snapshot's weights
+        /// are bit-identical to the reference graph's, the trees over them
+        /// are the same from every root, every snapshot shares the configured
+        /// shape, and building the next one leaves the last one alone.
+        #[test]
+        fn snapshot_equals_the_reference_view(
+            ops in proptest::collection::vec(
+                (
+                    0u8..8,
+                    1usize..8,
+                    proptest::collection::vec((0u8..4, 0u8..4, 0.5f64..40.0, 0.0f64..0.6), 3),
+                ),
+                1..24,
+            ),
+        ) {
+            let topo = ring8();
+            let incident: Vec<EdgeId> = topo.neighbors(NodeId(0)).map(|(_, e)| e).collect();
+            let mut mon = ConnectivityMonitor::new(
+                NodeId(0),
+                topo.clone(),
+                incident.iter().map(|&e| (e, 1, topo.weight(e))).collect(),
+                ConnectivityConfig::default(),
+            );
+            let mut last = mon.snapshot();
+            let mut scratch = SptScratch::new();
+            for (step, (kind, origin, adverts)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_millis(100 * step as u64);
+                let mut out = Vec::new();
+                match kind {
+                    // A remote origin (re-)advertises some of its links.
+                    0..=4 => {
+                        let mut links: Vec<LinkAdvert> = topo
+                            .neighbors(NodeId(origin))
+                            .zip(&adverts)
+                            .filter(|(_, &(skip, ..))| skip != 0 || kind == 4)
+                            .map(|((_, edge), &(_, down, latency_ms, loss))| LinkAdvert {
+                                edge,
+                                // Kind 4 is a graceful withdrawal: all down.
+                                up: down != 0 && kind != 4,
+                                latency_ms,
+                                loss,
+                            })
+                            .collect();
+                        if kind == 3 {
+                            links.push(LinkAdvert {
+                                edge: EdgeId(topo.edge_count() + origin),
+                                up: false,
+                                latency_ms: 1.0,
+                                loss: 0.0,
+                            });
+                        }
+                        let lsa = Lsa { origin: NodeId(origin), seq: 1 + step as u64, links };
+                        mon.on_lsa(now, lsa, None, &mut out);
+                    }
+                    5 => mon.evict_origin(NodeId(origin), now, &mut out),
+                    6 => mon.suspend_link(origin % incident.len(), &mut out),
+                    _ => mon.release_link(origin % incident.len(), &mut out),
+                }
+
+                let last_bits = weight_bits(&last);
+                let snap = mon.snapshot();
+                let reference = TopoSnapshot::new(rebuilt(&mon.current_graph()));
+                prop_assert_eq!(weight_bits(&snap), weight_bits(&reference), "step {}", step);
+                for root in topo.nodes() {
+                    let got = snap.spt(root, &mut scratch);
+                    let want = reference.spt(root, &mut scratch);
+                    for v in topo.nodes() {
+                        prop_assert_eq!(got.parent(v), want.parent(v), "{} -> {}", root, v);
+                        prop_assert_eq!(got.next_hop(v), want.next_hop(v), "{} -> {}", root, v);
+                    }
+                }
+                prop_assert!(snap.graph().shares_shape_with(&topo));
+                prop_assert!(snap.graph().shares_shape_with(last.graph()));
+                prop_assert_eq!(weight_bits(&last), last_bits, "the previous view moved");
+                last = snap;
+            }
         }
     }
 }

@@ -2,13 +2,16 @@
 //! routing hot path's view of the graph.
 //!
 //! [`Graph`] remains the builder/mutation layer: edges are added and
-//! re-weighted there. [`Graph::freeze`] compiles it into a [`TopoSnapshot`]
-//! whose adjacency lives in three flat arrays (row offsets, neighbor ids,
-//! edge ids), sized `u32`, in the exact neighbor order of the source graph.
-//! A snapshot is immutable and cheap to share (`Arc<TopoSnapshot>`), so a
-//! connectivity-state change costs one freeze fleet-wide view instead of a
-//! full `Graph` clone per consumer, and an *unchanged* link-state
-//! advertisement costs nothing at all.
+//! re-weighted there. [`TopoSnapshot::new`] freezes one into a snapshot whose
+//! adjacency lives in three flat arrays (row offsets, neighbor ids, edge
+//! ids), sized `u32`, in the exact neighbor order of the source graph.
+//!
+//! The arrays describe the graph's *shape*, which a deployment fixes at
+//! configuration time, so they are compiled once and live in the allocation
+//! every clone of that graph shares. What differs between two views of one
+//! deployment is only the weight vector: [`Graph::with_weights`] followed by
+//! `TopoSnapshot::new` over the already-compiled shape costs one `Vec<f64>`,
+//! and an *unchanged* link-state advertisement costs nothing at all.
 //!
 //! [`TopoSnapshot::spt_with`] runs an index-based Dijkstra over the CSR
 //! arrays into an owned [`Spt`] — the same tree [`dijkstra_with`] produces,
@@ -21,64 +24,84 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 use crate::graph::{EdgeId, EdgeMask, Graph, NodeId};
 
 /// Sentinel for "no node / no edge" in the dense `u32` tables.
 const NONE: u32 = u32::MAX;
 
-/// An immutable, flat-array view of a [`Graph`], optimised for repeated
-/// shortest-path computation and per-packet adjacency queries.
-///
-/// The snapshot also retains the frozen [`Graph`] it was built from, so the
-/// source-route algorithms (disjoint paths, dissemination graphs, k-shortest
-/// paths) that operate on `&Graph` run against the same topology without any
-/// per-call clone.
-#[derive(Debug, Clone)]
-pub struct TopoSnapshot {
-    graph: Graph,
-    /// CSR row offsets: node `u`'s incident slots are `row[u]..row[u+1]`.
+/// The flat adjacency arrays of one graph shape (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Csr {
+    /// Row offsets: node `u`'s incident slots are `row[u]..row[u+1]`.
     row: Vec<u32>,
     /// Far endpoint per adjacency slot.
     adj_node: Vec<u32>,
     /// Edge id per adjacency slot.
     adj_edge: Vec<u32>,
-    /// Edge weights, flat by edge id (a copy of the graph's, kept dense for
-    /// cache-friendly cost functions).
-    weights: Vec<f64>,
 }
 
-impl TopoSnapshot {
-    /// Compiles a graph into a snapshot. Neighbor order is preserved
-    /// exactly, so tie-breaking matches [`dijkstra_with`] run on the source
-    /// graph.
-    ///
-    /// [`dijkstra_with`]: crate::dijkstra::dijkstra_with
-    #[must_use]
-    pub fn new(graph: Graph) -> Self {
-        let n = graph.node_count();
-        let mut row = Vec::with_capacity(n + 1);
-        let mut adj_node = Vec::with_capacity(2 * graph.edge_count());
-        let mut adj_edge = Vec::with_capacity(2 * graph.edge_count());
+impl Csr {
+    /// Flattens an adjacency list, preserving neighbor order exactly.
+    pub(crate) fn compile(adj: &[Vec<(NodeId, EdgeId)>]) -> Csr {
+        let slots = adj.iter().map(Vec::len).sum();
+        let mut row = Vec::with_capacity(adj.len() + 1);
+        let mut adj_node = Vec::with_capacity(slots);
+        let mut adj_edge = Vec::with_capacity(slots);
         row.push(0);
-        for u in graph.nodes() {
-            for (v, e) in graph.neighbors(u) {
+        for neighbors in adj {
+            for &(v, e) in neighbors {
                 adj_node.push(v.0 as u32);
                 adj_edge.push(e.0 as u32);
             }
             row.push(adj_node.len() as u32);
         }
-        let weights = graph.edges().map(|e| graph.weight(e)).collect();
-        TopoSnapshot {
-            graph,
+        Csr {
             row,
             adj_node,
             adj_edge,
-            weights,
         }
     }
 
-    /// The frozen builder-layer graph this snapshot was compiled from.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        (self.row.capacity() + self.adj_node.capacity() + self.adj_edge.capacity())
+            * size_of::<u32>()
+    }
+
+    /// The adjacency slots of node `u`.
+    fn slots(&self, u: usize) -> std::ops::Range<usize> {
+        self.row[u] as usize..self.row[u + 1] as usize
+    }
+}
+
+/// An immutable view of a [`Graph`], optimised for repeated shortest-path
+/// computation and per-packet adjacency queries.
+///
+/// A snapshot is a frozen [`Graph`] whose shape has its CSR arrays compiled:
+/// it owns one weight per edge and shares everything else with every other
+/// graph and snapshot of the same shape. The source-route algorithms
+/// (disjoint paths, dissemination graphs, k-shortest paths) that operate on
+/// `&Graph` run against [`TopoSnapshot::graph`] without any per-call clone.
+#[derive(Debug, Clone)]
+pub struct TopoSnapshot {
+    graph: Graph,
+}
+
+impl TopoSnapshot {
+    /// Freezes a graph into a snapshot, compiling the CSR arrays unless an
+    /// earlier snapshot of the same shape already did. Neighbor order is
+    /// preserved exactly, so tie-breaking matches [`dijkstra_with`] run on
+    /// the source graph.
+    ///
+    /// [`dijkstra_with`]: crate::dijkstra::dijkstra_with
+    #[must_use]
+    pub fn new(graph: Graph) -> Self {
+        let _ = graph.csr();
+        TopoSnapshot { graph }
+    }
+
+    /// The frozen builder-layer graph this snapshot views.
     #[must_use]
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -87,24 +110,20 @@ impl TopoSnapshot {
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.row.len() - 1
+        self.graph.node_count()
     }
 
-    /// Estimated retained heap bytes: the frozen graph plus the CSR arrays,
-    /// at allocated capacity (see [`Graph::approx_bytes`] for the policy).
+    /// Estimated retained heap bytes: the weights plus this holder's share
+    /// of the shared shape (see [`Graph::approx_bytes`] for the policy).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.graph.approx_bytes()
-            + (self.row.capacity() + self.adj_node.capacity() + self.adj_edge.capacity())
-                * size_of::<u32>()
-            + self.weights.capacity() * size_of::<f64>()
     }
 
     /// Number of edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.weights.len()
+        self.graph.edge_count()
     }
 
     /// The weight of an edge.
@@ -114,7 +133,7 @@ impl TopoSnapshot {
     /// Panics if the edge id is out of range.
     #[must_use]
     pub fn weight(&self, edge: EdgeId) -> f64 {
-        self.weights[edge.0]
+        self.graph.weight(edge)
     }
 
     /// The `(a, b)` endpoints of an edge.
@@ -134,12 +153,11 @@ impl TopoSnapshot {
     ///
     /// Panics if the node id is out of range.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let lo = self.row[node.0] as usize;
-        let hi = self.row[node.0 + 1] as usize;
-        (lo..hi).map(move |i| {
+        let csr = self.graph.csr();
+        csr.slots(node.0).map(move |i| {
             (
-                NodeId(self.adj_node[i] as usize),
-                EdgeId(self.adj_edge[i] as usize),
+                NodeId(csr.adj_node[i] as usize),
+                EdgeId(csr.adj_edge[i] as usize),
             )
         })
     }
@@ -151,7 +169,7 @@ impl TopoSnapshot {
     /// Panics if the node id is out of range.
     #[must_use]
     pub fn degree(&self, node: NodeId) -> usize {
-        (self.row[node.0 + 1] - self.row[node.0]) as usize
+        self.graph.csr().slots(node.0).len()
     }
 
     /// Runs index-based Dijkstra from `src` using the snapshot weights.
@@ -161,7 +179,7 @@ impl TopoSnapshot {
     /// Panics if `src` is out of range.
     #[must_use]
     pub fn spt(&self, src: NodeId, scratch: &mut SptScratch) -> Spt {
-        self.spt_with(src, |e| self.weights[e.0], scratch)
+        self.spt_with(src, |e| self.graph.weight(e), scratch)
     }
 
     /// Runs index-based Dijkstra from `src` with a custom per-edge cost
@@ -200,6 +218,7 @@ impl TopoSnapshot {
     ) {
         let n = self.node_count();
         assert!(src.0 < n, "source out of range");
+        let csr = self.graph.csr();
         out.src = src;
         out.dist.clear();
         out.dist.resize(n, f64::INFINITY);
@@ -219,16 +238,14 @@ impl TopoSnapshot {
             if d > out.dist[u] {
                 continue;
             }
-            let lo = self.row[u] as usize;
-            let hi = self.row[u + 1] as usize;
-            for i in lo..hi {
-                let e = self.adj_edge[i];
+            for i in csr.slots(u) {
+                let e = csr.adj_edge[i];
                 let w = cost(EdgeId(e as usize));
                 if w == f64::INFINITY {
                     continue;
                 }
                 debug_assert!(w >= 0.0 && !w.is_nan(), "negative or NaN edge cost");
-                let v = self.adj_node[i] as usize;
+                let v = csr.adj_node[i] as usize;
                 let nd = d + w;
                 // Deterministic tie-break: keep the lower-indexed parent
                 // edge (matches `dijkstra_with` on the source graph).
@@ -250,8 +267,8 @@ impl TopoSnapshot {
 }
 
 impl Graph {
-    /// Freezes this graph into an immutable CSR [`TopoSnapshot`] (see the
-    /// [`csr`](crate::csr) module docs).
+    /// Freezes a copy of this graph's weights into a [`TopoSnapshot`] that
+    /// shares its shape (see the [`csr`](crate::csr) module docs).
     #[must_use]
     pub fn freeze(&self) -> TopoSnapshot {
         TopoSnapshot::new(self.clone())
@@ -277,7 +294,6 @@ impl SptScratch {
     /// Estimated retained heap bytes of the warm working memory.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.heap.capacity() * size_of::<HeapEntry>() + self.stack.capacity() * size_of::<u32>()
     }
 }
@@ -319,7 +335,6 @@ impl Spt {
     /// allocated capacity (see [`Graph::approx_bytes`] for the policy).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.dist.capacity() * size_of::<f64>()
             + (self.parent_node.capacity()
                 + self.parent_edge.capacity()
@@ -496,6 +511,41 @@ mod tests {
             assert_eq!(snap.weight(e), graph.weight(e));
             assert_eq!(snap.endpoints(e), graph.endpoints(e));
         }
+    }
+
+    #[test]
+    fn edge_added_after_a_dropped_snapshot_recompiles() {
+        let mut graph = g();
+        drop(graph.freeze());
+        // The graph is the shape's only holder again, so the edge lands in
+        // place — the arrays compiled for the dropped snapshot must not
+        // survive it.
+        let e = graph.add_edge(NodeId(3), NodeId(5), 2.0);
+        let snap = graph.freeze();
+        assert_eq!(snap.degree(NodeId(3)), 2);
+        assert!(snap.neighbors(NodeId(5)).any(|n| n == (NodeId(3), e)));
+        assert_eq!(
+            snap.spt(NodeId(0), &mut SptScratch::new()).dist(NodeId(4)),
+            Some(6.0)
+        );
+    }
+
+    #[test]
+    fn reweighted_view_shares_the_shape_and_leaves_the_source_alone() {
+        let snap = g().freeze();
+        let heavier: Vec<f64> = (0..snap.edge_count()).map(|e| 2.0 + e as f64).collect();
+        let next = TopoSnapshot::new(snap.graph().with_weights(heavier.clone()));
+        assert!(next.graph().shares_shape_with(snap.graph()));
+        for e in snap.graph().edges() {
+            assert_eq!(next.weight(e), heavier[e.0]);
+            assert_eq!(snap.weight(e), g().weight(e));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per edge")]
+    fn with_weights_rejects_a_short_vector() {
+        let _ = g().with_weights(vec![1.0]);
     }
 
     #[test]

@@ -9,8 +9,12 @@
 
 use core::fmt;
 use core::ops::{BitAnd, BitOr, BitOrAssign, Not};
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
+
+use crate::csr::Csr;
 
 /// Identifies an overlay node within a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -185,11 +189,44 @@ impl fmt::Display for EdgeMask {
     }
 }
 
+/// The structure of a topology: which edges exist and who they join.
+///
+/// A deployment's shape is fixed at configuration time while its weights
+/// move with every link-state change, so the shape is one immutable
+/// allocation that every [`Graph`] clone, every co-located daemon, and
+/// every [`TopoSnapshot`](crate::csr::TopoSnapshot) of the deployment
+/// shares.
+#[derive(Debug, Default)]
+struct Shape {
+    edges: Vec<(NodeId, NodeId)>,
+    adj: Vec<Vec<(NodeId, EdgeId)>>,
+    /// The flat adjacency arrays the routing hot path reads, compiled from
+    /// `adj` by the first snapshot of this shape and shared by all later
+    /// ones.
+    csr: OnceLock<Csr>,
+}
+
+impl Clone for Shape {
+    /// Only [`Graph::add_edge`] clones a shape, and it changes the
+    /// adjacency, so the compiled arrays are never carried over.
+    fn clone(&self) -> Self {
+        Shape {
+            edges: self.edges.clone(),
+            adj: self.adj.clone(),
+            csr: OnceLock::new(),
+        }
+    }
+}
+
 /// An undirected, weighted overlay topology.
 ///
 /// Nodes are dense indices `0..n`; edges are numbered in insertion order and
 /// map one-to-one onto [`EdgeMask`] bits. Weights are link costs (typically
 /// one-way latency in milliseconds).
+///
+/// The edge list and adjacency sit behind an `Arc`: `clone` copies only the
+/// weights, and [`Graph::add_edge`] on a clone copies the structure first,
+/// so a clone never changes its source.
 ///
 /// # Examples
 ///
@@ -206,10 +243,8 @@ impl fmt::Display for EdgeMask {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
-    node_count: usize,
-    edges: Vec<(NodeId, NodeId)>,
+    shape: Arc<Shape>,
     weights: Vec<f64>,
-    adj: Vec<Vec<(NodeId, EdgeId)>>,
 }
 
 impl Graph {
@@ -217,10 +252,12 @@ impl Graph {
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         Graph {
-            node_count: nodes,
-            edges: Vec::new(),
+            shape: Arc::new(Shape {
+                edges: Vec::new(),
+                adj: vec![Vec::new(); nodes],
+                csr: OnceLock::new(),
+            }),
             weights: Vec::new(),
-            adj: vec![Vec::new(); nodes],
         }
     }
 
@@ -236,60 +273,97 @@ impl Graph {
     /// Panics if either endpoint is out of range, the endpoints are equal,
     /// or the weight is not finite and positive.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, weight: f64) -> EdgeId {
-        assert!(
-            a.0 < self.node_count && b.0 < self.node_count,
-            "endpoint out of range"
-        );
+        let n = self.node_count();
+        assert!(a.0 < n && b.0 < n, "endpoint out of range");
         assert_ne!(a, b, "self-loops are not allowed");
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be finite and positive"
-        );
-        let id = EdgeId(self.edges.len());
-        self.edges.push((a, b));
+        assert_valid_weight(weight);
+        let shape = Arc::make_mut(&mut self.shape);
+        shape.csr.take();
+        let id = EdgeId(shape.edges.len());
+        shape.edges.push((a, b));
+        shape.adj[a.0].push((b, id));
+        shape.adj[b.0].push((a, id));
         self.weights.push(weight);
-        self.adj[a.0].push((b, id));
-        self.adj[b.0].push((a, id));
         id
     }
 
-    /// Estimated retained heap bytes: edge/weight/adjacency buffers at
-    /// their allocated capacity. Capacity-based (not length-based) so the
-    /// scale observatory sees what the allocator actually holds; allocator
-    /// overhead and the inline struct are not counted.
+    /// A graph of the same shape (shared, not copied) with every weight
+    /// replaced — how a link-state change becomes a new topology view.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one finite, positive weight per edge.
+    #[must_use]
+    pub fn with_weights(&self, weights: Vec<f64>) -> Graph {
+        assert_eq!(weights.len(), self.edge_count(), "one weight per edge");
+        weights.iter().copied().for_each(assert_valid_weight);
+        Graph {
+            shape: Arc::clone(&self.shape),
+            weights,
+        }
+    }
+
+    /// Whether two graphs share one structure allocation (clones do until
+    /// one of them adds an edge).
+    #[must_use]
+    pub fn shares_shape_with(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+    }
+
+    /// The flat adjacency arrays of this shape, compiled on first use.
+    pub(crate) fn csr(&self) -> &Csr {
+        self.shape.csr.get_or_init(|| Csr::compile(&self.shape.adj))
+    }
+
+    /// Estimated retained heap bytes: the weight buffer plus this holder's
+    /// share of the shared structure (edge list, adjacency, and the CSR
+    /// arrays once compiled). Each of the `k` graphs sharing a shape
+    /// charges `1/k` of it, so summing over all holders counts the shape
+    /// once; a graph that shares with nobody charges all of it.
+    ///
+    /// Capacity-based (not length-based) so the scale observatory sees what
+    /// the allocator actually holds; allocator overhead and the inline
+    /// struct are not counted.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.edges.capacity() * size_of::<(NodeId, NodeId)>()
-            + self.weights.capacity() * size_of::<f64>()
-            + self.adj.capacity() * size_of::<Vec<(NodeId, EdgeId)>>()
-            + self
+        self.weights.capacity() * size_of::<f64>()
+            + self.shape_bytes() / Arc::strong_count(&self.shape)
+    }
+
+    /// Estimated retained heap bytes of the whole shared structure.
+    #[must_use]
+    pub fn shape_bytes(&self) -> usize {
+        let shape = &*self.shape;
+        shape.edges.capacity() * size_of::<(NodeId, NodeId)>()
+            + shape.adj.capacity() * size_of::<Vec<(NodeId, EdgeId)>>()
+            + shape
                 .adj
                 .iter()
                 .map(|v| v.capacity() * size_of::<(NodeId, EdgeId)>())
                 .sum::<usize>()
+            + shape.csr.get().map_or(0, Csr::approx_bytes)
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.shape.adj.len()
     }
 
     /// Number of edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.weights.len()
     }
 
     /// All node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.node_count).map(NodeId)
+        (0..self.node_count()).map(NodeId)
     }
 
     /// All edge ids.
     pub fn edges(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
+        (0..self.edge_count()).map(EdgeId)
     }
 
     /// The `(a, b)` endpoints of an edge.
@@ -299,7 +373,7 @@ impl Graph {
     /// Panics if the edge id is out of range.
     #[must_use]
     pub fn endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        self.edges[edge.0]
+        self.shape.edges[edge.0]
     }
 
     /// The weight of an edge.
@@ -318,10 +392,7 @@ impl Graph {
     ///
     /// Panics if the edge id is out of range or the weight is invalid.
     pub fn set_weight(&mut self, edge: EdgeId, weight: f64) {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be finite and positive"
-        );
+        assert_valid_weight(weight);
         self.weights[edge.0] = weight;
     }
 
@@ -332,7 +403,7 @@ impl Graph {
     /// Panics if `node` is not an endpoint of `edge`.
     #[must_use]
     pub fn other_endpoint(&self, edge: EdgeId, node: NodeId) -> NodeId {
-        let (a, b) = self.edges[edge.0];
+        let (a, b) = self.shape.edges[edge.0];
         if node == a {
             b
         } else if node == b {
@@ -348,19 +419,19 @@ impl Graph {
     ///
     /// Panics if the node id is out of range.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        self.adj[node.0].iter().copied()
+        self.shape.adj[node.0].iter().copied()
     }
 
     /// The degree of a node.
     #[must_use]
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adj[node.0].len()
+        self.shape.adj[node.0].len()
     }
 
     /// Finds the edge between two nodes, if any.
     #[must_use]
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adj[a.0]
+        self.shape.adj[a.0]
             .iter()
             .find(|&&(n, _)| n == b)
             .map(|&(_, e)| e)
@@ -391,7 +462,7 @@ impl Graph {
         mask: &EdgeMask,
         blocked: &[NodeId],
     ) -> Vec<NodeId> {
-        let mut seen = vec![false; self.node_count];
+        let mut seen = vec![false; self.node_count()];
         let mut queue = std::collections::VecDeque::new();
         seen[src.0] = true;
         queue.push_back(src);
@@ -406,11 +477,18 @@ impl Graph {
                 }
             }
         }
-        (0..self.node_count)
+        (0..self.node_count())
             .filter(|&i| seen[i])
             .map(NodeId)
             .collect()
     }
+}
+
+fn assert_valid_weight(weight: f64) {
+    assert!(
+        weight.is_finite() && weight > 0.0,
+        "weight must be finite and positive"
+    );
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 //!   mesh cost.
 //! * Dissemination graphs are supersets of the 2-disjoint-path mask and
 //!   subsets of the flooding mask.
+//! * Clones of a graph share one structure allocation until one of them adds
+//!   an edge, and nothing done to a clone is visible in its source.
 
 use proptest::prelude::*;
 use son_topo::dijkstra::{dijkstra, shortest_path};
@@ -180,5 +182,54 @@ proptest! {
         let back: Vec<usize> = mask.iter().map(|e| e.0).collect();
         let expect: Vec<usize> = indices.into_iter().collect();
         prop_assert_eq!(back, expect);
+    }
+
+    #[test]
+    fn mutating_a_clone_never_changes_its_source(
+        g in arb_connected_graph(),
+        picks in proptest::collection::vec((0usize..usize::MAX, 1u32..50), 1..6),
+    ) {
+        use son_topo::graph::EdgeId;
+        use son_topo::{SptScratch, TopoSnapshot};
+        let view = |g: &Graph| -> Vec<_> {
+            g.edges().map(|e| (g.endpoints(e), g.weight(e).to_bits())).collect()
+        };
+        let adjacency = |g: &Graph| -> Vec<Vec<_>> {
+            g.nodes().map(|u| g.neighbors(u).collect()).collect()
+        };
+        let (edges_before, adj_before) = (view(&g), adjacency(&g));
+        // A snapshot taken first, so the source's compiled arrays are what a
+        // structural change to the clone must leave alone.
+        let snap = TopoSnapshot::new(g.clone());
+        let spt_before = snap.spt(NodeId(0), &mut SptScratch::new());
+
+        // Re-weighting touches only the clone's own weights.
+        let mut reweighted = g.clone();
+        prop_assert!(reweighted.shares_shape_with(&g));
+        for &(pick, w) in &picks {
+            reweighted.set_weight(EdgeId(pick % g.edge_count()), f64::from(w) + 0.5);
+        }
+        prop_assert!(reweighted.shares_shape_with(&g), "weights are not structure");
+        prop_assert!(g.with_weights(vec![1.0; g.edge_count()]).shares_shape_with(&g));
+
+        // Adding an edge copies the structure first.
+        let mut grown = g.clone();
+        let (a, b) = (NodeId(0), NodeId(g.node_count() - 1));
+        let added = grown.add_edge(a, b, 7.0);
+        prop_assert!(!grown.shares_shape_with(&g));
+        prop_assert_eq!(added.0, g.edge_count());
+        prop_assert_eq!(grown.edge_count(), g.edge_count() + 1);
+        let grown_snap = TopoSnapshot::new(grown.clone());
+        prop_assert_eq!(grown_snap.degree(a), g.degree(a) + 1);
+        prop_assert!(grown_snap.neighbors(a).any(|(v, e)| v == b && e == added));
+
+        prop_assert_eq!(view(&g), edges_before);
+        prop_assert_eq!(adjacency(&g), adj_before);
+        let spt_after = snap.spt(NodeId(0), &mut SptScratch::new());
+        for v in g.nodes() {
+            prop_assert_eq!(snap.neighbors(v).collect::<Vec<_>>(), g.neighbors(v).collect::<Vec<_>>());
+            prop_assert_eq!(spt_after.parent(v), spt_before.parent(v));
+            prop_assert_eq!(spt_after.dist(v), spt_before.dist(v));
+        }
     }
 }
