@@ -952,6 +952,12 @@ mod tests {
                     rt.me
                 );
             }
+            // Nobody has a group member, so neither the founders' start nor
+            // the completed join flooded a group announcement.
+            assert_eq!(
+                son_obs::MemFootprint::footprint_bytes(rt.node().groups()),
+                0
+            );
         }
         let report = runtimes[3].report();
         assert_eq!(report.get("members").and_then(Json::as_u64), Some(4));

@@ -459,8 +459,9 @@ impl Process<Wire> for OverlayNode {
             self.dispatch_group(ctx, ga);
         } else if let Some(link) = self.join_seed {
             // Bootstrap: ask the seed peer for the membership view before
-            // flooding anything of our own; the LSA originate and group
-            // announce happen when the JoinAck arrives.
+            // flooding anything of our own; the LSA originate (and the
+            // group announce, if there is anything to announce) happen when
+            // the JoinAck arrives.
             let (msg, retry) = {
                 let mem = self.membership.as_ref().expect("join requires membership");
                 (mem.join_request(), mem.config().join_retry)
@@ -717,8 +718,8 @@ impl OverlayNode {
     }
 
     /// Completes the bootstrap join handshake: the seed's view has been
-    /// adopted, so flood our own LSA and group announcement and become a
-    /// full member.
+    /// adopted, so flood our own LSA (and group announcement, if we have or
+    /// ever had a member) and become a full member.
     fn complete_join(&mut self, ctx: &mut Ctx<'_, Wire>) {
         if self.joined {
             return;

@@ -138,8 +138,17 @@ impl GroupTable {
         }
     }
 
-    /// Re-floods the node's own membership (periodic refresh).
+    /// Floods the node's own membership (on a local change, and again at
+    /// every (re)start so peers drop what a crash made stale).
+    ///
+    /// A node that has no local member and never announced one stays
+    /// silent: to every peer, no entry for an origin already means "no
+    /// groups there", so an empty first announcement would cost a
+    /// fleet-wide flood, and an entry in every peer's table, to say nothing.
     pub fn announce(&mut self, out: &mut Vec<GroupAction>) {
+        if self.local.is_empty() && self.own_seq == 0 {
+            return;
+        }
         self.own_seq += 1;
         self.version += 1;
         out.push(GroupAction::Flood {
@@ -391,6 +400,31 @@ mod tests {
         // Absent origin (and self) are no-ops.
         assert!(!t.forget(NodeId(2)));
         assert!(!t.forget(NodeId(0)));
+    }
+
+    #[test]
+    fn never_relevant_node_stays_silent_but_a_once_relevant_one_reannounces() {
+        let mut t = GroupTable::new(NodeId(0));
+        let v0 = t.version();
+        let mut out = Vec::new();
+        t.announce(&mut out);
+        assert!(out.is_empty(), "nothing to say, nothing flooded");
+        assert_eq!(t.version(), v0);
+
+        t.join(G, VirtualPort(1), &mut out);
+        t.leave(G, VirtualPort(1), &mut out);
+        out.clear();
+        // Peers may still hold the membership it once announced: the empty
+        // set is now news.
+        t.announce(&mut out);
+        match &out[..] {
+            [GroupAction::Flood { except, update }] => {
+                assert_eq!(*except, None);
+                assert_eq!((update.origin, update.seq), (NodeId(0), 3));
+                assert!(update.groups.is_empty());
+            }
+            other => panic!("expected one flood, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,0 +1,223 @@
+//! When a daemon floods its group membership, and when it has nothing to
+//! say.
+//!
+//! To every peer, no entry for an origin means "no groups there". A daemon
+//! that has no member and never announced one therefore floods nothing at
+//! (re)start; the first local join announces as always, and a daemon that
+//! ever announced keeps re-announcing at restart, because a peer may hold
+//! membership a crash made stale.
+
+use son_netsim::process::{Process, ProcessId};
+use son_netsim::sim::{Ctx, ScenarioEvent, Simulation};
+use son_netsim::time::{SimDuration, SimTime};
+use son_obs::MemFootprint;
+use son_overlay::builder::{chain_topology, OverlayBuilder};
+use son_overlay::node::CLIENT_IPC_DELAY;
+use son_overlay::state::membership::MembershipConfig;
+use son_overlay::{
+    ClientConfig, ClientFlow, ClientOp, ClientProcess, Destination, FlowSpec, GroupId, NodeConfig,
+    OverlayHandle, OverlayNode, SessionEvent, Wire, Workload,
+};
+use son_topo::{EdgeId, Graph, NodeId};
+
+const G: GroupId = GroupId(9);
+
+fn ring(n: usize) -> Graph {
+    let mut g = Graph::new(n);
+    for i in 0..n {
+        g.add_edge(NodeId(i), NodeId((i + 1) % n), 10.0);
+    }
+    g
+}
+
+fn daemon<'a>(sim: &'a Simulation<Wire>, overlay: &OverlayHandle, node: usize) -> &'a OverlayNode {
+    sim.proc_ref::<OverlayNode>(overlay.daemon(NodeId(node)))
+        .expect("daemon")
+}
+
+/// Bytes the node's group table retains. Zero means no peer's announcement
+/// ever reached it: an accepted update allocates the remote table, and the
+/// table keeps its allocation even once emptied.
+fn group_bytes(sim: &Simulation<Wire>, overlay: &OverlayHandle, node: usize) -> usize {
+    daemon(sim, overlay, node).groups().footprint_bytes()
+}
+
+/// A client that connects on port 70 and then issues session operations at
+/// scripted times, counting what the daemon delivers to it.
+struct ScriptedClient {
+    daemon: ProcessId,
+    script: Vec<(SimTime, ClientOp)>,
+    delivered: u64,
+}
+
+impl ScriptedClient {
+    fn new(daemon: ProcessId, script: Vec<(SimTime, ClientOp)>) -> Self {
+        ScriptedClient {
+            daemon,
+            script,
+            delivered: 0,
+        }
+    }
+}
+
+impl Process<Wire> for ScriptedClient {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
+        let connect = Wire::FromClient(ClientOp::Connect { port: 70 });
+        ctx.send_direct(self.daemon, CLIENT_IPC_DELAY, connect);
+        for (i, &(at, _)) in self.script.iter().enumerate() {
+            ctx.set_timer(at.saturating_since(SimTime::ZERO), i as u64);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, token: u64) {
+        let op = self.script[token as usize].1.clone();
+        ctx.send_direct(self.daemon, CLIENT_IPC_DELAY, Wire::FromClient(op));
+    }
+
+    fn on_message(
+        &mut self,
+        _ctx: &mut Ctx<'_, Wire>,
+        _from: ProcessId,
+        _pipe: Option<son_netsim::link::PipeId>,
+        msg: Wire,
+    ) {
+        if matches!(msg, Wire::ToClient(SessionEvent::Deliver { .. })) {
+            self.delivered += 1;
+        }
+    }
+}
+
+#[test]
+fn fleet_without_members_floods_no_group_announcement() {
+    let mut sim = Simulation::new(16);
+    let overlay = OverlayBuilder::new(ring(16)).build(&mut sim);
+    sim.run_until(SimTime::from_secs(3));
+    for node in 0..16 {
+        assert_eq!(
+            group_bytes(&sim, &overlay, node),
+            0,
+            "node {node} holds group state nobody had reason to send"
+        );
+        assert!(daemon(&sim, &overlay, node)
+            .groups()
+            .members_of(G)
+            .is_empty());
+        // The control plane itself converged: only the group flood is gone.
+        assert_eq!(daemon(&sim, &overlay, node).connectivity().lsdb_len(), 16);
+    }
+}
+
+#[test]
+fn first_join_after_a_silent_start_reaches_every_daemon() {
+    let mut sim = Simulation::new(17);
+    let overlay = OverlayBuilder::new(ring(16)).build(&mut sim);
+    let rx = sim.add_process(ScriptedClient::new(
+        overlay.daemon(NodeId(5)),
+        vec![(SimTime::from_secs(1), ClientOp::Join(G))],
+    ));
+    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
+        daemon: overlay.daemon(NodeId(12)),
+        port: 50,
+        joins: vec![],
+        flows: vec![ClientFlow {
+            local_flow: 1,
+            dst: Destination::Multicast(G),
+            spec: FlowSpec::best_effort(),
+            workload: Workload::Cbr {
+                size: 1000,
+                interval: SimDuration::from_millis(10),
+                count: 50,
+                start: SimTime::from_millis(1500),
+            },
+        }],
+    }));
+    sim.run_until(SimTime::from_millis(900));
+    assert_eq!(group_bytes(&sim, &overlay, 12), 0, "silent until the join");
+    sim.run_until(SimTime::from_secs(3));
+    for node in 0..16 {
+        assert_eq!(
+            daemon(&sim, &overlay, node).groups().members_of(G),
+            vec![NodeId(5)],
+            "node {node} missed the join"
+        );
+    }
+    assert_eq!(sim.proc_ref::<ScriptedClient>(rx).unwrap().delivered, 50);
+}
+
+#[test]
+fn once_relevant_daemon_reannounces_empty_membership_after_restart() {
+    let mut sim = Simulation::new(18);
+    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+    let _client = sim.add_process(ScriptedClient::new(
+        overlay.daemon(NodeId(2)),
+        vec![
+            (SimTime::from_millis(300), ClientOp::Join(G)),
+            (SimTime::from_millis(1200), ClientOp::Leave(G)),
+        ],
+    ));
+    // Node 2 is cut off while its last member leaves, so the (empty)
+    // announcement of that leave reaches nobody; then it crashes.
+    let (to_2, from_2) = overlay.edge_pipes[&EdgeId(1)][0];
+    for (at_ms, event) in [
+        (1000, ScenarioEvent::DisablePipe(to_2)),
+        (1000, ScenarioEvent::DisablePipe(from_2)),
+        (1500, ScenarioEvent::CrashProcess(overlay.daemon(NodeId(2)))),
+        (2000, ScenarioEvent::EnablePipe(to_2)),
+        (2000, ScenarioEvent::EnablePipe(from_2)),
+        (
+            2500,
+            ScenarioEvent::RestartProcess(overlay.daemon(NodeId(2))),
+        ),
+    ] {
+        sim.schedule(SimTime::from_millis(at_ms), event);
+    }
+    sim.run_until(SimTime::from_millis(2400));
+    for node in [0, 1] {
+        assert_eq!(
+            daemon(&sim, &overlay, node).groups().members_of(G),
+            vec![NodeId(2)],
+            "node {node} should still hold the membership the leave never retracted"
+        );
+    }
+    sim.run_until(SimTime::from_secs(4));
+    for node in 0..3 {
+        assert!(
+            daemon(&sim, &overlay, node)
+                .groups()
+                .members_of(G)
+                .is_empty(),
+            "node {node} kept a restarted daemon's stale membership"
+        );
+    }
+}
+
+#[test]
+fn seed_join_without_groups_completes_without_a_group_flood() {
+    let mut sim = Simulation::new(19);
+    let config = NodeConfig {
+        membership: Some(MembershipConfig::default()),
+        ..NodeConfig::default()
+    };
+    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
+        .node_config(config)
+        .build(&mut sim);
+    // Node 3 bootstraps through its only neighbor instead of cold-starting.
+    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(3)))
+        .expect("daemon")
+        .set_join_seed(0);
+    sim.run_until(SimTime::from_secs(3));
+    let joiner = daemon(&sim, &overlay, 3);
+    assert_eq!(
+        joiner
+            .obs()
+            .registry()
+            .counter_named("joins_completed", &[("node", "3")]),
+        Some(1)
+    );
+    for node in 0..4 {
+        let d = daemon(&sim, &overlay, node);
+        assert_eq!(d.membership().expect("enabled").up_count(), 4);
+        assert!(d.reaches(NodeId(3)) && d.reaches(NodeId(0)));
+        assert_eq!(group_bytes(&sim, &overlay, node), 0);
+    }
+}
