@@ -27,10 +27,11 @@ use son_obs::{Json, JsonlSink};
 /// of the 5s LSA refresh, whose fleet-wide flood would swamp the figures.
 const SIM_SECONDS: u64 = 3;
 
-/// Bytes/node is expected O(N) (every node holds the fleet's link state),
-/// so N=1024 vs N=64 should sit near 16×. The gate allows headroom for
-/// constant terms but catches anything superlinear per node.
-const SUBLINEAR_SLACK: f64 = 1.5;
+/// Bytes/node grows with N (every node holds the fleet's link state) but
+/// below linearly, because the topology's shape is held once per fleet: the
+/// committed curve sits at 0.74x / 0.69x / 0.31x of linear for N = 256 /
+/// 1024 / 4096 over N = 64. The gate is the worst of those + 10%.
+const SUBLINEAR_SLACK: f64 = 0.8;
 
 fn bench_row(r: &ScaleResult, mode: &str) -> Json {
     let per_node: Vec<(String, Json)> = r
@@ -52,6 +53,7 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         ("forwarded", Json::U64(r.forwarded)),
         ("delivered", Json::U64(r.delivered)),
         ("reroutes", Json::U64(r.reroutes)),
+        ("pipe_sent", Json::U64(r.pipe_sent)),
         ("sim_pkts_per_wall_s", Json::F64(r.pkts_per_wall_s())),
         ("bytes_per_node", Json::Obj(per_node)),
         ("bytes_per_node_total", Json::F64(r.bytes_per_node_total())),
@@ -143,6 +145,7 @@ fn main() {
         ("n", 6),
         ("wall s", 8),
         ("pkts/wall s", 12),
+        ("frames", 10),
         ("KiB/node", 10),
         ("state KiB", 10),
         ("reroute p50", 12),
@@ -157,6 +160,7 @@ fn main() {
             (n.to_string(), 6),
             (f(r.wall_seconds, 2), 8),
             (f(r.pkts_per_wall_s(), 0), 12),
+            (r.pipe_sent.to_string(), 10),
             (f(r.bytes_per_node_total() / 1024.0, 1), 10),
             (f(r.bytes_per_node_state() / 1024.0, 1), 10),
             (
@@ -222,14 +226,14 @@ fn main() {
     let ratio = top.bytes_per_node_total() / base.bytes_per_node_total().max(1.0);
     let linear = top.n as f64 / base.n as f64;
     println!(
-        "\ntotal bytes/node growth n={}→{}: {ratio:.1}x (linear would be {linear:.0}x; budget {:.0}x)",
+        "\ntotal bytes/node growth n={}→{}: {ratio:.1}x (linear would be {linear:.0}x; budget {:.1}x)",
         base.n,
         top.n,
         linear * SUBLINEAR_SLACK
     );
     assert!(
         ratio <= linear * SUBLINEAR_SLACK,
-        "total bytes/node grew superlinearly: {ratio:.1}x over a {linear:.0}x size increase"
+        "total bytes/node left the committed curve: {ratio:.1}x over a {linear:.0}x size increase"
     );
 
     if let Some(sink) = bench {

@@ -97,6 +97,9 @@ pub struct ScaleResult {
     pub delivered: u64,
     /// Route recomputations, summed over daemons (perf-off).
     pub reroutes: u64,
+    /// Frames handed to overlay links, delivered or dropped (perf-off): the
+    /// control plane's volume, since data is a few thousand packets.
+    pub pipe_sent: u64,
     /// Retained-bytes estimate summed over every daemon, by subsystem
     /// (taken from the perf-off pass so profiler state is not charged).
     pub footprint: FootprintReport,
@@ -164,6 +167,7 @@ struct Pass {
     forwarded: u64,
     delivered: u64,
     reroutes: u64,
+    pipe_sent: u64,
     footprint: FootprintReport,
     perf: PerfRegistry,
     shard_stats: ShardStats,
@@ -275,11 +279,19 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> Pass {
                 .received
         })
         .sum();
+    let counters = sim.counters();
+    let pipe_dropped: u64 = son_obs::DropClass::ALL
+        .iter()
+        .filter(|class| class.is_pipe())
+        .map(|class| counters.get(class.label()))
+        .sum();
+    let pipe_sent = counters.get("pipe.delivered") + pipe_dropped;
     Pass {
         wall_seconds,
         forwarded,
         delivered,
         reroutes,
+        pipe_sent,
         footprint,
         perf: merged,
         shard_stats: sim.shard_stats().clone(),
@@ -316,6 +328,7 @@ pub fn run_scale_sharded(n: usize, sim_seconds: u64, shards: usize) -> ScaleResu
         forwarded: base.forwarded,
         delivered: base.delivered,
         reroutes: base.reroutes,
+        pipe_sent: base.pipe_sent,
         footprint: base.footprint,
         perf: profiled.perf,
     }

@@ -346,10 +346,10 @@ fn fingerprint(members: &[NodeId]) -> u64 {
 
 impl son_obs::MemFootprint for Forwarding {
     fn footprint_bytes(&self) -> usize {
-        use son_obs::footprint::{hashmap_bytes, vec_bytes};
+        use son_obs::footprint::{hashmap_bytes, shared_part, vec_bytes};
         // The installed view is the `Arc` the connectivity monitor caches:
         // each of its holders charges an equal part (DESIGN.md §7).
-        self.snap.approx_bytes() / Arc::strong_count(&self.snap)
+        shared_part(&self.snap, self.snap.approx_bytes())
             + self.my_spt.approx_bytes()
             + hashmap_bytes(&self.spt)
             + self

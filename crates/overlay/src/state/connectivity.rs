@@ -302,28 +302,20 @@ impl ConnectivityMonitor {
     /// rule is [`ConnectivityMonitor::current_graph`]'s). An advert naming
     /// an edge the configured topology does not have is ignored.
     fn tally_weights(&self) -> Vec<f64> {
-        #[derive(Clone, Copy)]
+        #[derive(Clone, Copy, Default)]
         struct Votes {
-            all_up: bool,
+            any_down: bool,
             latency_sum: f64,
             loss_sum: f64,
             adverts: u32,
         }
-        let mut votes = vec![
-            Votes {
-                all_up: true,
-                latency_sum: 0.0,
-                loss_sum: 0.0,
-                adverts: 0,
-            };
-            self.topology.edge_count()
-        ];
+        let mut votes = vec![Votes::default(); self.topology.edge_count()];
         for lsa in self.lsdb.values() {
             for ad in &lsa.links {
                 let Some(v) = votes.get_mut(ad.edge.0) else {
                     continue;
                 };
-                v.all_up &= ad.up;
+                v.any_down |= !ad.up;
                 v.latency_sum += ad.latency_ms;
                 v.loss_sum += ad.loss;
                 v.adverts += 1;
@@ -335,7 +327,7 @@ impl ConnectivityMonitor {
             .map(|(e, v)| {
                 if v.adverts == 0 {
                     self.topology.weight(EdgeId(e))
-                } else if !v.all_up {
+                } else if v.any_down {
                     DOWN_WEIGHT
                 } else {
                     let n = f64::from(v.adverts);
@@ -752,7 +744,7 @@ fn ewma(prev: f64, sample: f64, alpha: f64) -> f64 {
 
 impl son_obs::MemFootprint for ConnectivityMonitor {
     fn footprint_bytes(&self) -> usize {
-        use son_obs::footprint::{hashmap_bytes, vec_bytes, vecdeque_bytes};
+        use son_obs::footprint::{hashmap_bytes, shared_part, vec_bytes, vecdeque_bytes};
         // Shared allocations are charged by share: the cached snapshot is
         // the same `Arc` routing holds, so each charges its part of it, and
         // the configured topology charges its part of the fleet-wide shape
@@ -760,7 +752,7 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
         let snapshot = self
             .snapshot
             .as_ref()
-            .map_or(0, |(_, snap)| snap.approx_bytes() / Arc::strong_count(snap));
+            .map_or(0, |(_, snap)| shared_part(snap, snap.approx_bytes()));
         snapshot
             + vec_bytes(&self.links)
             + self

@@ -155,10 +155,10 @@ BENCH_OUT="$SCALE_SMOKE_OUT" \
 # committed curve. Memory is deterministic (no wall-clock noise), so the
 # bars are tight.
 #
-# 1. The committed BENCH_scale.json curve itself must be sublinear: total
-#    bytes/node at N=1024 within 1.5x-of-linear of N=64 (linear is 16x —
-#    every node holds the fleet's link state; superlinear per node would be
-#    an O(N^3) fleet).
+# 1. The committed BENCH_scale.json curve must stay on the measured curve:
+#    total bytes/node at N=1024 is 11.06x the N=64 row (linear would be
+#    16x — every node holds the fleet's link state, but the topology shape
+#    is held once per fleet); the cap is that ratio + 10%.
 extract_total_bytes() {
     grep '"bench":"exp_scale"' "$1" | grep "\"n\":$2," \
         | sed -n 's/.*"bytes_per_node_total":\([0-9.eE+-]*\).*/\1/p' | tail -1
@@ -172,12 +172,12 @@ if [ -z "$base64" ] || [ -z "$base1024" ]; then
 fi
 echo "committed total bytes/node: $base64 (n=64) -> $base1024 (n=1024)"
 awk -v b64="$base64" -v b1024="$base1024" 'BEGIN {
-    cap = b64 * 16 * 1.5;
+    cap = b64 * 12.2;
     if (b1024 > cap) {
-        printf "ERROR: committed total bytes/node at n=1024 (%.0f) exceeds 1.5x-linear of n=64 (cap %.0f)\n", b1024, cap;
+        printf "ERROR: committed total bytes/node at n=1024 (%.0f) exceeds 12.2x the n=64 row (cap %.0f)\n", b1024, cap;
         exit 1;
     }
-    printf "committed sublinearity guard passed (%.1fx over 16x size, cap 24x)\n", b1024 / b64;
+    printf "committed sublinearity guard passed (%.1fx over 16x size, cap 12.2x)\n", b1024 / b64;
 }'
 # 2. The fresh smoke sweep must not regress per-node memory: total
 #    bytes/node at N=256 within 10% of the committed n=256 row.
