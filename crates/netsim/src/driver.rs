@@ -112,7 +112,7 @@ impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {
     }
 
     fn send_direct(&mut self, pid: ProcessId, to: ProcessId, delay: SimDuration, msg: M) {
-        self.send_direct_from(pid, to, delay, msg);
+        self.schedule_deliver(pid, to, None, self.now + delay, msg);
     }
 
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId {

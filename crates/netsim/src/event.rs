@@ -272,11 +272,14 @@ impl Ord for HeapKey {
     }
 }
 
-/// A live event's identity and payload, parked in the slab while its key
-/// sits in the heap.
+/// One slab cell: a live event's identity and payload, parked here while
+/// its key sits in the heap. The payload is its own field so that filling
+/// and emptying a cell moves exactly the payload, once.
 struct Slot<E> {
     id: u64,
-    payload: E,
+    /// `Some` while the event is live; `None` once cancelled (its key is
+    /// then a tombstone) or free.
+    payload: Option<E>,
 }
 
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
@@ -300,11 +303,10 @@ struct Slot<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapKey>,
-    /// Payload storage, indexed by [`HeapKey::slot`]. A slot is `Some`
-    /// while its event is live, `None` once cancelled (its key is then a
-    /// tombstone) or free. A slot returns to `free` only when its key
-    /// leaves the heap, so a heap key never points at another event's slot.
-    slab: Vec<Option<Slot<E>>>,
+    /// Payload storage, indexed by [`HeapKey::slot`]. A slot returns to
+    /// `free` only when its key leaves the heap, so a heap key never points
+    /// at another event's slot.
+    slab: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Live event id -> slab slot.
     index: MintedMap<u64, u32>,
@@ -350,23 +352,32 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn push(&mut self, at: SimTime, key: TieKey, id: u64, payload: E) {
+    /// Queues the key of a new entry and returns its empty payload cell.
+    /// The caller fills the cell as its next step: everything here that can
+    /// grow a vector has then already happened, so the payload is built
+    /// where it will lie instead of being staged across those calls.
+    #[inline(always)]
+    fn vacant(&mut self, at: SimTime, key: TieKey, id: u64) -> &mut Option<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(Slot { id, payload });
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("over 2^32 queued events");
-                self.slab.push(Some(Slot { id, payload }));
-                slot
-            }
-        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Slot { id, payload: None });
+            u32::try_from(self.slab.len() - 1).expect("over 2^32 queued events")
+        });
         self.heap.push(HeapKey { at, key, seq, slot });
         let previous = self.index.insert(id, slot);
         debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
+        let cell = &mut self.slab[slot as usize];
+        cell.id = id;
+        &mut cell.payload
+    }
+
+    /// [`EventQueue::schedule`] for a payload the caller builds in place:
+    /// `let cell = queue.schedule_cell(at); *cell = Some(payload);`.
+    #[inline(always)]
+    pub(crate) fn schedule_cell(&mut self, at: SimTime) -> &mut Option<E> {
+        let id = self.fresh_id();
+        self.vacant(at, TieKey::ZERO, id)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -377,15 +388,14 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` to fire at `at` and returns a cancellation handle.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let id = self.fresh_id();
-        self.push(at, TieKey::ZERO, id, payload);
-        EventId(id)
+        self.schedule_keyed(at, TieKey::ZERO, payload)
     }
 
     /// Schedules `payload` with an explicit tie-break key (sharded mode).
     pub fn schedule_keyed(&mut self, at: SimTime, key: TieKey, payload: E) -> EventId {
         let id = self.fresh_id();
-        self.push(at, key, id, payload);
+        let cell = self.vacant(at, key, id);
+        *cell = Some(payload);
         EventId(id)
     }
 
@@ -394,7 +404,8 @@ impl<E> EventQueue<E> {
     /// its key. The caller must guarantee `id` cannot collide with ids this
     /// queue will mint — see [`EventQueue::set_id_generation`].
     pub fn restore(&mut self, at: SimTime, key: TieKey, id: EventId, payload: E) {
-        self.push(at, key, id.0, payload);
+        let cell = self.vacant(at, key, id.0);
+        *cell = Some(payload);
     }
 
     /// Moves the id counter to the start of generation `generation`:
@@ -435,7 +446,7 @@ impl<E> EventQueue<E> {
         let Some(slot) = self.index.remove(&id.0) else {
             return false;
         };
-        self.slab[slot as usize] = None;
+        self.slab[slot as usize].payload = None;
         let tombstones = self.tombstones();
         self.tombstones_peak = self.tombstones_peak.max(tombstones);
         if tombstones > self.index.len().max(COMPACT_FLOOR) {
@@ -448,7 +459,7 @@ impl<E> EventQueue<E> {
     fn compact(&mut self) {
         let (slab, free) = (&self.slab, &mut self.free);
         self.heap.retain(|k| {
-            let live = slab[k.slot as usize].is_some();
+            let live = slab[k.slot as usize].payload.is_some();
             if !live {
                 free.push(k.slot);
             }
@@ -461,7 +472,7 @@ impl<E> EventQueue<E> {
     /// then at the top of the heap.
     fn surface_live(&mut self) -> Option<&HeapKey> {
         while let Some(top) = self.heap.peek() {
-            if self.slab[top.slot as usize].is_some() {
+            if self.slab[top.slot as usize].payload.is_some() {
                 break;
             }
             self.free.push(top.slot);
@@ -470,23 +481,36 @@ impl<E> EventQueue<E> {
         self.heap.peek()
     }
 
-    /// Removes and returns the earliest non-cancelled event if `due` accepts
-    /// its time; leaves it queued otherwise. The run loops' single step:
-    /// one heap pop and one id removal per fired event.
-    pub(crate) fn pop_full_if(
+    /// Unqueues the earliest non-cancelled event if `due` accepts its time
+    /// (leaves it queued otherwise) and returns its time, key, identity and
+    /// slab slot. The run loops' single step — one heap pop and one id
+    /// removal per fired event — which [`EventQueue::take_payload`]
+    /// completes.
+    #[inline]
+    pub(crate) fn pop_key_if(
         &mut self,
         due: impl FnOnce(SimTime) -> bool,
-    ) -> Option<(SimTime, TieKey, EventId, E)> {
+    ) -> Option<(SimTime, TieKey, EventId, u32)> {
         if !due(self.surface_live()?.at) {
             return None;
         }
         let HeapKey { at, key, slot, .. } = self.heap.pop().expect("surfaced key exists");
-        let Slot { id, payload } = self.slab[slot as usize]
-            .take()
-            .expect("surfaced key is live");
-        self.free.push(slot);
+        let id = self.slab[slot as usize].id;
         self.index.remove(&id);
-        Some((at, key, EventId(id), payload))
+        Some((at, key, EventId(id), slot))
+    }
+
+    /// Releases the slot [`EventQueue::pop_key_if`] returned and hands out
+    /// its payload. Its own step, ending in a bare move, so that the event
+    /// travels from its cell to whoever consumes the return value without a
+    /// stop in between.
+    #[inline(always)]
+    pub(crate) fn take_payload(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slab[slot as usize]
+            .payload
+            .take()
+            .expect("unqueued key is live")
     }
 
     /// Removes and returns the earliest non-cancelled event.
@@ -497,7 +521,8 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest non-cancelled event along with its
     /// key and identity — the partition/dissolve form of [`EventQueue::pop`].
     pub fn pop_full(&mut self) -> Option<(SimTime, TieKey, EventId, E)> {
-        self.pop_full_if(|_| true)
+        let (at, key, id, slot) = self.pop_key_if(|_| true)?;
+        Some((at, key, id, self.take_payload(slot)))
     }
 
     /// Drains the queue in firing order, preserving identities and keys.
@@ -810,12 +835,11 @@ mod tests {
     /// id maps to the slot holding it.
     fn assert_slab_consistent<E>(q: &EventQueue<E>) {
         assert_eq!(q.free.len() + q.heap.len(), q.slab.len());
-        let filled = q.slab.iter().flatten().count();
+        let filled = q.slab.iter().filter(|s| s.payload.is_some()).count();
         assert_eq!(filled, q.index.len());
         for (id, &slot) in &q.index {
-            let held = q.slab[slot as usize]
-                .as_ref()
-                .expect("live id has a payload");
+            let held = &q.slab[slot as usize];
+            assert!(held.payload.is_some(), "live id has a payload");
             assert_eq!(held.id, *id);
         }
     }
@@ -954,7 +978,10 @@ mod tests {
                     }
                     17 => {
                         let want = model.pop_if(|t| t <= at).map(|e| (e.at, e.key, e.id, e.payload));
-                        prop_assert_eq!(q.pop_full_if(|t| t <= at), want);
+                        let got = q
+                            .pop_key_if(|t| t <= at)
+                            .map(|(at, key, id, slot)| (at, key, id, q.take_payload(slot)));
+                        prop_assert_eq!(got, want);
                     }
                     18 => prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at)),
                     19 if pick % 16 == 0 => {

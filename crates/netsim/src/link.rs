@@ -283,8 +283,8 @@ impl Pipe {
             let Some(ul) = underlay.as_mut() else {
                 return Transmit::Dropped(DropReason::NoRoute);
             };
-            match ul.resolve(now, binding.attachment, binding.from, binding.to) {
-                Ok(path) => path.latency,
+            match ul.latency(now, binding.attachment, binding.from, binding.to) {
+                Ok(latency) => latency,
                 Err(ResolveError::Blackholed) => return Transmit::Dropped(DropReason::Blackholed),
                 Err(ResolveError::NoRoute) => return Transmit::Dropped(DropReason::NoRoute),
             }

@@ -292,7 +292,8 @@ impl<M: SimMessage> ShardWorker<M> {
             // (b) Run this window: strictly before the end for real windows,
             // inclusively at `until` for the flush pass.
             let due = |at: SimTime| at < w_end || (is_flush && at == w_end);
-            while let Some((at, key, _id, event)) = self.core.queue.pop_full_if(due) {
+            while let Some((at, key, _id, slot)) = self.core.queue.pop_key_if(due) {
+                let event = self.core.queue.take_payload(slot);
                 debug_assert!(at >= self.core.now, "time went backwards");
                 self.core.now = at;
                 {

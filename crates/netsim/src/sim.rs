@@ -73,6 +73,13 @@ pub enum ScenarioEvent {
     PokeProcess(ProcessId, u64),
 }
 
+/// The counters the send path bumps for every frame, resolved once per
+/// core (see [`Counters::with_fixed`]).
+const SEND_COUNTERS: &[&str] = &["pipe.delivered", "pipe.bytes", "data.pipe.delivered"];
+const PIPE_DELIVERED: usize = 0;
+const PIPE_BYTES: usize = 1;
+const DATA_PIPE_DELIVERED: usize = 2;
+
 pub(crate) enum Event<M> {
     Deliver {
         to: ProcessId,
@@ -185,7 +192,7 @@ impl<M: SimMessage> Simulation<M> {
                 rng_root: SimRng::seed(seed),
                 proc_rngs: Vec::new(),
                 proc_up: Vec::new(),
-                counters: Counters::new(),
+                counters: Counters::with_fixed(SEND_COUNTERS),
                 reverse: Vec::new(),
                 events_processed: 0,
                 shard: None,
@@ -433,11 +440,12 @@ impl<M: SimMessage> Simulation<M> {
     fn run_until_seq(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut n = 0;
-        while let Some((at, _zero, _id, event)) = self.core.queue.pop_full_if(|at| at <= until) {
+        while let Some((at, _zero, _id, slot)) = self.core.queue.pop_key_if(|at| at <= until) {
             debug_assert!(at >= self.core.now, "time went backwards");
             self.core.now = at;
             self.core.events_processed += 1;
             n += 1;
+            let event = self.core.queue.take_payload(slot);
             dispatch_event(&mut self.core, &mut self.procs, self.perf.as_ref(), event);
         }
         // Advance the clock to the horizon even if the queue drained early.
@@ -577,7 +585,7 @@ impl<M: SimMessage> Simulation<M> {
                         rng_root: self.core.rng_root.clone(),
                         proc_rngs: self.core.proc_rngs.clone(),
                         proc_up: self.core.proc_up.clone(),
-                        counters: Counters::new(),
+                        counters: Counters::with_fixed(SEND_COUNTERS),
                         reverse: self.core.reverse.clone(),
                         events_processed: 0,
                         shard: Some(ShardCtx {
@@ -722,7 +730,9 @@ impl<M: SimMessage> Simulation<M> {
 }
 
 /// Dispatches one event against the world: the common core shared by the
-/// sequential engine and every shard worker.
+/// sequential engine and every shard worker. A delivered message moves
+/// from the event straight into the handler.
+#[inline]
 pub(crate) fn dispatch_event<M: SimMessage>(
     core: &mut SimCore<M>,
     procs: &mut [Option<Box<dyn Process<M>>>],
@@ -737,17 +747,6 @@ pub(crate) fn dispatch_event<M: SimMessage>(
         }),
         None => son_obs::PerfToken::skip(),
     };
-    dispatch_inner(core, procs, event);
-    if let Some(p) = perf {
-        p.exit(token);
-    }
-}
-
-fn dispatch_inner<M: SimMessage>(
-    core: &mut SimCore<M>,
-    procs: &mut [Option<Box<dyn Process<M>>>],
-    event: Event<M>,
-) {
     match event {
         Event::Deliver {
             to,
@@ -757,25 +756,25 @@ fn dispatch_inner<M: SimMessage>(
         } => {
             if !core.proc_up[to.0] {
                 core.counters.incr("drop.process_down");
-                return;
-            }
-            if let Some(mut p) = procs[to.0].take() {
+            } else if let Some(mut p) = procs[to.0].take() {
                 let mut ctx = Ctx::from_driver(core, to);
                 p.on_message(&mut ctx, from, pipe, msg);
                 procs[to.0] = Some(p);
             }
         }
         Event::Timer { proc, token } => {
-            if !core.proc_up[proc.0] {
-                return;
-            }
-            if let Some(mut p) = procs[proc.0].take() {
-                let mut ctx = Ctx::from_driver(core, proc);
-                p.on_timer(&mut ctx, token);
-                procs[proc.0] = Some(p);
+            if core.proc_up[proc.0] {
+                if let Some(mut p) = procs[proc.0].take() {
+                    let mut ctx = Ctx::from_driver(core, proc);
+                    p.on_timer(&mut ctx, token);
+                    procs[proc.0] = Some(p);
+                }
             }
         }
         Event::Scenario(ev) => apply_scenario_on(core, procs, ev),
+    }
+    if let Some(p) = perf {
+        p.exit(token);
     }
 }
 
@@ -889,20 +888,49 @@ impl<M: SimMessage> SimCore<M> {
         key
     }
 
-    /// Schedules a delivery on behalf of `from`: straight into the queue
-    /// sequentially; keyed and routed (local queue or cross-shard outbox)
-    /// in sharded mode.
-    pub(crate) fn schedule_deliver(&mut self, from: ProcessId, at: SimTime, event: Event<M>) {
-        if self.shard.is_none() {
-            self.queue.schedule(at, event);
-            return;
+    /// Schedules the delivery of `msg` to `to`. Sequentially the message is
+    /// wrapped into its event where the queue parks it — one move from the
+    /// sender's hands into the slab; sharded, it is keyed and routed (local
+    /// queue or cross-shard outbox) out of line.
+    #[inline(always)]
+    pub(crate) fn schedule_deliver(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        pipe: Option<PipeId>,
+        at: SimTime,
+        msg: M,
+    ) {
+        if self.shard.is_some() {
+            return self.schedule_deliver_keyed(from, to, pipe, at, msg);
         }
-        let key = self.next_key();
-        let to = match &event {
-            Event::Deliver { to, .. } => *to,
-            _ => unreachable!("schedule_deliver takes Deliver events"),
+        // The cell first, as its own statement: an assignment evaluates its
+        // right-hand side before its place.
+        let cell = self.queue.schedule_cell(at);
+        *cell = Some(Event::Deliver {
+            to,
+            from,
+            pipe,
+            msg,
+        });
+    }
+
+    fn schedule_deliver_keyed(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        pipe: Option<PipeId>,
+        at: SimTime,
+        msg: M,
+    ) {
+        let event = Event::Deliver {
+            to,
+            from,
+            pipe,
+            msg,
         };
-        let shard = self.shard.as_mut().expect("checked above");
+        let key = self.next_key();
+        let shard = self.shard.as_mut().expect("keyed scheduling is sharded");
         let dest = shard.owner[to.0];
         if dest == shard.my_shard {
             self.queue.schedule_keyed(at, key, event);
@@ -942,6 +970,7 @@ impl<M: SimMessage> SimCore<M> {
     /// # Panics
     ///
     /// Panics if `pipe` does not originate at `pid`.
+    #[inline]
     pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: M) {
         let size = msg.wire_size();
         let now = self.now;
@@ -952,24 +981,8 @@ impl<M: SimMessage> SimCore<M> {
         let dst = p.dst();
         let outcome = p.transmit(now, size, &mut self.underlay);
         let is_data = matches!(msg.kind(), MessageKind::Data { .. });
-        match outcome {
-            Transmit::Arrives(at) => {
-                self.counters.incr("pipe.delivered");
-                self.counters.add("pipe.bytes", size as u64);
-                if is_data {
-                    self.counters.incr("data.pipe.delivered");
-                }
-                self.schedule_deliver(
-                    pid,
-                    at,
-                    Event::Deliver {
-                        to: dst,
-                        from: pid,
-                        pipe: Some(pipe),
-                        msg,
-                    },
-                );
-            }
+        let at = match outcome {
+            Transmit::Arrives(at) => at,
             Transmit::Dropped(reason) => {
                 self.counters.incr(reason.label());
                 if is_data {
@@ -978,31 +991,15 @@ impl<M: SimMessage> SimCore<M> {
                     // without control traffic muddying the ledger.
                     self.counters.incr(reason.class().data_label());
                 }
+                return;
             }
+        };
+        self.counters.bump(PIPE_DELIVERED, 1);
+        self.counters.bump(PIPE_BYTES, size as u64);
+        if is_data {
+            self.counters.bump(DATA_PIPE_DELIVERED, 1);
         }
-    }
-
-    /// Sends `msg` from `pid` directly to `to` with a fixed `delay`,
-    /// bypassing any pipe (local IPC between a client and its colocated
-    /// daemon, or measurement harness taps).
-    pub(crate) fn send_direct_from(
-        &mut self,
-        pid: ProcessId,
-        to: ProcessId,
-        delay: SimDuration,
-        msg: M,
-    ) {
-        let at = self.now + delay;
-        self.schedule_deliver(
-            pid,
-            at,
-            Event::Deliver {
-                to,
-                from: pid,
-                pipe: None,
-                msg,
-            },
-        );
+        self.schedule_deliver(pid, dst, Some(pipe), at, msg);
     }
 }
 
@@ -1150,6 +1147,17 @@ mod tests {
         );
         sim.proc_mut::<Sender>(tx).unwrap().pipe = Some(pipe);
         (sim, tx, rx)
+    }
+
+    /// A queued delivery is its message plus the addressing: the slab cell
+    /// an event waits in is written and read once per hop, so what `Event`
+    /// adds around a message stays a fixed four words.
+    #[test]
+    fn an_event_adds_four_words_to_its_message() {
+        use std::mem::size_of;
+        type Frame = [u64; 35]; // the size of an overlay `Wire`
+        assert!(size_of::<Event<Frame>>() <= size_of::<Frame>() + 32);
+        assert!(size_of::<Option<Event<Frame>>>() <= size_of::<Frame>() + 32);
     }
 
     #[test]

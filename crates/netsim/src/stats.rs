@@ -129,9 +129,17 @@ impl Extend<f64> for Percentiles {
 }
 
 /// A monotonically increasing named counter set.
+///
+/// Names are looked up by string; a holder with a few names it bumps on
+/// every event resolves them once with [`Counters::with_fixed`] and bumps
+/// them by index. Readers cannot tell the two apart.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Counters {
     map: std::collections::BTreeMap<String, u64>,
+    /// Names resolved once; `slots[i]` counts `fixed[i]`.
+    fixed: &'static [&'static str],
+    /// `None` until first bumped, so an untouched name stays absent.
+    slots: Vec<Option<u64>>,
 }
 
 impl Counters {
@@ -139,6 +147,27 @@ impl Counters {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty counter set whose `fixed[i]` can be bumped as
+    /// [`Counters::bump`]`(i, _)`.
+    #[must_use]
+    pub fn with_fixed(fixed: &'static [&'static str]) -> Self {
+        Counters {
+            map: std::collections::BTreeMap::new(),
+            fixed,
+            slots: vec![None; fixed.len()],
+        }
+    }
+
+    /// Adds `n` to the `index`-th name given to [`Counters::with_fixed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    #[inline]
+    pub fn bump(&mut self, index: usize, n: u64) {
+        *self.slots[index].get_or_insert(0) += n;
     }
 
     /// Adds `n` to the counter `name`, creating it at zero if absent.
@@ -160,12 +189,20 @@ impl Counters {
     /// Current value of `name` (zero if never touched).
     #[must_use]
     pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
+        let bumped = self.fixed.iter().position(|&f| f == name);
+        self.map.get(name).copied().unwrap_or(0) + bumped.and_then(|i| self.slots[i]).unwrap_or(0)
     }
 
     /// Iterates `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.map.iter().map(|(k, &v)| (k.as_str(), v))
+        let mut all: std::collections::BTreeMap<&str, u64> =
+            self.map.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        for (&name, slot) in self.fixed.iter().zip(&self.slots) {
+            if let Some(v) = slot {
+                *all.entry(name).or_default() += v;
+            }
+        }
+        all.into_iter()
     }
 
     /// Merges another counter set into this one.
@@ -247,6 +284,33 @@ mod tests {
         assert_eq!(c.get("sent"), 15);
         let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["lost", "sent"]);
+    }
+
+    #[test]
+    fn fixed_names_read_like_any_other_counter() {
+        let mut c = Counters::with_fixed(&["pipe.delivered", "pipe.bytes"]);
+        c.incr("drop.loss");
+        c.bump(0, 1);
+        c.bump(0, 1);
+        c.incr("zz");
+        assert_eq!(c.get("pipe.delivered"), 2);
+        assert_eq!(c.get("pipe.bytes"), 0);
+        let pairs: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(
+            pairs,
+            vec![("drop.loss", 1), ("pipe.delivered", 2), ("zz", 1)],
+            "name order; a fixed name nobody bumped is absent, not zero"
+        );
+        // A zero-sized bump still creates the name, as `add(name, 0)` does.
+        c.bump(1, 0);
+        assert!(c.iter().any(|(k, v)| (k, v) == ("pipe.bytes", 0)));
+        // Bumped by index here, by name there: one counter after a merge.
+        let mut total = Counters::new();
+        total.add("pipe.delivered", 5);
+        total.merge(&c);
+        assert_eq!(total.get("pipe.delivered"), 7);
+        c.add("pipe.delivered", 1);
+        assert_eq!(c.get("pipe.delivered"), 3);
     }
 
     #[test]

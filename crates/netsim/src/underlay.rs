@@ -137,13 +137,21 @@ struct UEdge {
 struct Isp {
     #[allow(dead_code)]
     name: String,
-    routers_by_city: HashMap<CityId, RouterId>,
+    /// This ISP's router per city, indexed by [`CityId`] (`None`, or past
+    /// the end, where it has no POP).
+    routers_by_city: Vec<Option<RouterId>>,
     edges: Vec<UEdgeId>,
     /// Shortest-path table computed at the last convergence:
     /// `(from_router, to_router) -> edge list`.
     routes: HashMap<(RouterId, RouterId), Vec<UEdgeId>>,
     /// If set, the table is stale and will be recomputed at this time.
     reconverge_at: Option<SimTime>,
+}
+
+impl Isp {
+    fn router_in(&self, city: CityId) -> Option<RouterId> {
+        self.routers_by_city.get(city.0).copied().flatten()
+    }
 }
 
 /// Builds an [`Underlay`] incrementally.
@@ -180,7 +188,7 @@ impl UnderlayBuilder {
     pub fn isp(&mut self, name: &str) -> IspId {
         self.isps.push(Isp {
             name: name.to_owned(),
-            routers_by_city: HashMap::new(),
+            routers_by_city: Vec::new(),
             edges: Vec::new(),
             routes: HashMap::new(),
             reconverge_at: None,
@@ -195,7 +203,11 @@ impl UnderlayBuilder {
     /// Panics if the ISP already has a router in that city.
     pub fn router(&mut self, isp: IspId, city: CityId) -> RouterId {
         let id = RouterId(self.routers.len());
-        let prev = self.isps[isp.0].routers_by_city.insert(city, id);
+        let slots = &mut self.isps[isp.0].routers_by_city;
+        if slots.len() <= city.0 {
+            slots.resize(city.0 + 1, None);
+        }
+        let prev = slots[city.0].replace(id);
         assert!(prev.is_none(), "ISP already has a router in this city");
         self.routers.push(Router {
             isp,
@@ -229,8 +241,8 @@ impl UnderlayBuilder {
         b: CityId,
         latency: SimDuration,
     ) -> UEdgeId {
-        let ra = self.isps[isp.0].routers_by_city[&a];
-        let rb = self.isps[isp.0].routers_by_city[&b];
+        let ra = self.isps[isp.0].router_in(a).expect("no router in city a");
+        let rb = self.isps[isp.0].router_in(b).expect("no router in city b");
         let id = UEdgeId(self.edges.len());
         self.edges.push(UEdge {
             isp,
@@ -324,7 +336,7 @@ impl Underlay {
     pub fn providers_at(&self, city: CityId) -> Vec<IspId> {
         (0..self.isps.len())
             .map(IspId)
-            .filter(|isp| self.isps[isp.0].routers_by_city.contains_key(&city))
+            .filter(|isp| self.isps[isp.0].router_in(city).is_some())
             .collect()
     }
 
@@ -360,7 +372,7 @@ impl Underlay {
 
     /// Fails every router and edge of `isp` in `city` (e.g. a POP outage).
     pub fn fail_pop(&mut self, isp: IspId, city: CityId, now: SimTime) {
-        if let Some(&router) = self.isps[isp.0].routers_by_city.get(&city) {
+        if let Some(router) = self.isps[isp.0].router_in(city) {
             self.routers[router.0].up = false;
             self.mark_dirty(isp, now);
         }
@@ -368,7 +380,7 @@ impl Underlay {
 
     /// Restores a previously failed POP.
     pub fn repair_pop(&mut self, isp: IspId, city: CityId, now: SimTime) {
-        if let Some(&router) = self.isps[isp.0].routers_by_city.get(&city) {
+        if let Some(router) = self.isps[isp.0].router_in(city) {
             self.routers[router.0].up = true;
             self.mark_dirty(isp, now);
         }
@@ -430,64 +442,104 @@ impl Underlay {
         from: CityId,
         to: CityId,
     ) -> Result<ResolvedPath, ResolveError> {
-        match attachment {
-            Attachment::OnNet(isp) => self.resolve_on_net(now, isp, from, to),
-            Attachment::OffNet { src_isp, dst_isp } => {
-                // Find the best peering city present in both ISPs. Peering
-                // points do not blackhole independently; each ISP segment
-                // carries its own convergence behaviour.
-                let mut best: Option<ResolvedPath> = None;
-                let mut any_blackhole = false;
-                let peer_cities: Vec<CityId> = (0..self.cities.len())
-                    .map(CityId)
-                    .filter(|c| {
-                        self.isps[src_isp.0].routers_by_city.contains_key(c)
-                            && self.isps[dst_isp.0].routers_by_city.contains_key(c)
-                    })
-                    .collect();
-                for peer in peer_cities {
-                    let first = self.resolve_on_net(now, src_isp, from, peer);
-                    let second = self.resolve_on_net(now, dst_isp, peer, to);
-                    match (first, second) {
-                        (Ok(p1), Ok(p2)) => {
-                            let latency = p1.latency + p2.latency + self.peering_latency;
-                            let mut edges = p1.edges;
-                            edges.extend(p2.edges);
-                            let cand = ResolvedPath { latency, edges };
-                            if best.as_ref().is_none_or(|b| cand.latency < b.latency) {
-                                best = Some(cand);
-                            }
-                        }
-                        (Err(ResolveError::Blackholed), _) | (_, Err(ResolveError::Blackholed)) => {
-                            any_blackhole = true;
-                        }
-                        _ => {}
+        let (latency, via) = self.best_route(now, attachment, from, to)?;
+        let (src_isp, dst_isp) = match attachment {
+            Attachment::OnNet(isp) => (isp, isp),
+            Attachment::OffNet { src_isp, dst_isp } => (src_isp, dst_isp),
+        };
+        let mut edges = self.route_edges(src_isp, from, via).to_vec();
+        edges.extend_from_slice(self.route_edges(dst_isp, via, to));
+        Ok(ResolvedPath { latency, edges })
+    }
+
+    /// The propagation latency of [`Underlay::resolve`]'s path, without the
+    /// edge list: what a pipe needs for every frame it carries.
+    ///
+    /// # Errors
+    ///
+    /// As [`Underlay::resolve`].
+    pub fn latency(
+        &mut self,
+        now: SimTime,
+        attachment: Attachment,
+        from: CityId,
+        to: CityId,
+    ) -> Result<SimDuration, ResolveError> {
+        self.best_route(now, attachment, from, to)
+            .map(|(latency, _)| latency)
+    }
+
+    /// The latency of the route in force and the city where it changes
+    /// ISP (`to` itself when it never does).
+    fn best_route(
+        &mut self,
+        now: SimTime,
+        attachment: Attachment,
+        from: CityId,
+        to: CityId,
+    ) -> Result<(SimDuration, CityId), ResolveError> {
+        let (src_isp, dst_isp) = match attachment {
+            Attachment::OnNet(isp) => {
+                return Ok((self.latency_on_net(now, isp, from, to)?, to));
+            }
+            Attachment::OffNet { src_isp, dst_isp } => (src_isp, dst_isp),
+        };
+        // Find the best peering city present in both ISPs. Peering points
+        // do not blackhole independently; each ISP segment carries its own
+        // convergence behaviour.
+        let mut best: Option<(SimDuration, CityId)> = None;
+        let mut any_blackhole = false;
+        for peer in (0..self.cities.len()).map(CityId) {
+            if self.isps[src_isp.0].router_in(peer).is_none()
+                || self.isps[dst_isp.0].router_in(peer).is_none()
+            {
+                continue;
+            }
+            let first = self.latency_on_net(now, src_isp, from, peer);
+            let second = self.latency_on_net(now, dst_isp, peer, to);
+            match (first, second) {
+                (Ok(l1), Ok(l2)) => {
+                    let latency = l1 + l2 + self.peering_latency;
+                    if best.is_none_or(|(b, _)| latency < b) {
+                        best = Some((latency, peer));
                     }
                 }
-                best.ok_or(if any_blackhole {
-                    ResolveError::Blackholed
-                } else {
-                    ResolveError::NoRoute
-                })
+                (Err(ResolveError::Blackholed), _) | (_, Err(ResolveError::Blackholed)) => {
+                    any_blackhole = true;
+                }
+                _ => {}
             }
+        }
+        best.ok_or(if any_blackhole {
+            ResolveError::Blackholed
+        } else {
+            ResolveError::NoRoute
+        })
+    }
+
+    /// The edges of `isp`'s route in force between two of its cities (empty
+    /// within one city, or where it has none).
+    fn route_edges(&self, isp: IspId, from: CityId, to: CityId) -> &[UEdgeId] {
+        let isp = &self.isps[isp.0];
+        match (isp.router_in(from), isp.router_in(to)) {
+            (Some(ra), Some(rb)) => isp.routes.get(&(ra, rb)).map_or(&[], Vec::as_slice),
+            _ => &[],
         }
     }
 
-    fn resolve_on_net(
+    fn latency_on_net(
         &mut self,
         now: SimTime,
         isp: IspId,
         from: CityId,
         to: CityId,
-    ) -> Result<ResolvedPath, ResolveError> {
+    ) -> Result<SimDuration, ResolveError> {
         self.maybe_reconverge(isp, now);
-        let ra = *self.isps[isp.0]
-            .routers_by_city
-            .get(&from)
+        let ra = self.isps[isp.0]
+            .router_in(from)
             .ok_or(ResolveError::NoRoute)?;
-        let rb = *self.isps[isp.0]
-            .routers_by_city
-            .get(&to)
+        let rb = self.isps[isp.0]
+            .router_in(to)
             .ok_or(ResolveError::NoRoute)?;
         if !self.routers[ra.0].up || !self.routers[rb.0].up {
             // An endpoint POP being down is visible immediately (the access
@@ -495,28 +547,21 @@ impl Underlay {
             return Err(ResolveError::Blackholed);
         }
         if ra == rb {
-            return Ok(ResolvedPath {
-                latency: SimDuration::ZERO,
-                edges: Vec::new(),
-            });
+            return Ok(SimDuration::ZERO);
         }
         let path = self.isps[isp.0]
             .routes
             .get(&(ra, rb))
-            .cloned()
             .ok_or(ResolveError::NoRoute)?;
         let mut latency = SimDuration::ZERO;
-        for &eid in &path {
+        for &eid in path {
             let e = &self.edges[eid.0];
             if !e.up || !self.routers[e.a.0].up || !self.routers[e.b.0].up {
                 return Err(ResolveError::Blackholed);
             }
             latency += e.latency;
         }
-        Ok(ResolvedPath {
-            latency,
-            edges: path,
-        })
+        Ok(latency)
     }
 
     fn mark_dirty(&mut self, isp: IspId, now: SimTime) {
@@ -537,7 +582,12 @@ impl Underlay {
 
     /// Recomputes one ISP's shortest-path table over its live components.
     fn recompute_isp(&mut self, isp: IspId) {
-        let routers: Vec<RouterId> = self.isps[isp.0].routers_by_city.values().copied().collect();
+        let routers: Vec<RouterId> = self.isps[isp.0]
+            .routers_by_city
+            .iter()
+            .flatten()
+            .copied()
+            .collect();
         // Adjacency over live routers/edges.
         let mut adj: HashMap<RouterId, Vec<(RouterId, UEdgeId, SimDuration)>> = HashMap::new();
         for &eid in &self.isps[isp.0].edges {

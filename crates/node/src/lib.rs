@@ -967,6 +967,50 @@ mod tests {
         );
     }
 
+    /// One datagram claiming an infinite link latency used to be accepted,
+    /// stored, and to panic this daemon — and every daemon it was flooded
+    /// to — at the next route rebuild. It now dies in the decoder, counted.
+    #[test]
+    fn forged_lsa_datagram_is_counted_and_dropped() {
+        use son_overlay::packet::{Control, LinkAdvert, Lsa};
+        let lsa_dgram = |seq: u64, latency_ms: f64| {
+            let lsa = Lsa {
+                origin: NodeId(0),
+                seq,
+                links: vec![LinkAdvert {
+                    edge: son_topo::EdgeId(0),
+                    up: true,
+                    latency_ms,
+                    loss: 0.0,
+                }],
+            };
+            let mut dgram = vec![0u8]; // provider 0
+            son_overlay::wire::encode_into(&Wire::Control(Control::Lsa(lsa)), &mut dgram)
+                .expect("the encoder does not judge values");
+            dgram
+        };
+        let scenario = loopback_scenario();
+        let net = VnetTransport::mesh(scenario.nodes, &[(0, 1), (1, 2)]).remove(1);
+        let mut rt = NodeRuntime::new(scenario, NodeId(1), net, unix_now_ns());
+
+        let stored = rt.node().connectivity().lsdb_len();
+        rt.deliver_datagram(0, &lsa_dgram(1, 2.0));
+        let stored = stored + 1;
+        assert_eq!(rt.node().connectivity().lsdb_len(), stored, "path is live");
+        let version = rt.node().connectivity().version();
+
+        rt.deliver_datagram(0, &lsa_dgram(2, f64::INFINITY));
+        assert_eq!(rt.decode_errors, 1);
+        assert_eq!(rt.counters().get("wire.decode_error"), 1);
+        assert_eq!(rt.node().connectivity().lsdb_len(), stored);
+        assert_eq!(rt.node().connectivity().version(), version);
+
+        // A later honest change rebuilds routes over a clean LSDB.
+        rt.deliver_datagram(0, &lsa_dgram(3, 7.5));
+        assert!(rt.node().connectivity().version() > version);
+        assert!(rt.node().reaches(NodeId(0)));
+    }
+
     /// Timers fire in deadline order and cancellation sticks.
     #[test]
     fn driver_timers_fire_and_cancel() {

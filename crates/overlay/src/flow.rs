@@ -101,6 +101,41 @@ impl FlowContext {
     pub fn stable_id(&self) -> u64 {
         self.stable_id
     }
+
+    /// Records that this node originated the flow's packets.
+    pub fn mark_ingress(&mut self) {
+        self.role.ingress = true;
+    }
+
+    /// Records that this node delivered the flow's packets locally.
+    pub fn mark_egress(&mut self) {
+        self.role.egress = true;
+    }
+
+    /// Records that this node forwarded the flow's packets in transit.
+    pub fn mark_transit(&mut self) {
+        self.role.transit = true;
+    }
+
+    /// Records `link` as the flow's upstream (where its packets arrive).
+    pub fn set_upstream(&mut self, link: usize) {
+        self.upstream = Some(link);
+    }
+
+    /// The cached source-route stamp, if it was computed against exactly
+    /// this topology `version`.
+    #[must_use]
+    pub fn cached_mask(&self, version: u64) -> Option<EdgeMask> {
+        match self.mask {
+            Some((v, m)) if v == version => Some(m),
+            _ => None,
+        }
+    }
+
+    /// Caches a freshly computed source-route stamp for `version`.
+    pub fn store_mask(&mut self, version: u64, mask: EdgeMask) {
+        self.mask = Some((version, mask));
+    }
 }
 
 /// The per-node flow table: one [`FlowContext`] per flow this node has
@@ -141,55 +176,10 @@ impl FlowTable {
         self.flows.get(key)
     }
 
-    /// Marks `role`-relevant facts on an existing flow.
-    pub fn mark_ingress(&mut self, key: &FlowKey) {
-        if let Some(fc) = self.flows.get_mut(key) {
-            fc.role.ingress = true;
-        }
-    }
-
-    /// Marks the flow as delivered-locally at this node.
-    pub fn mark_egress(&mut self, key: &FlowKey) {
-        if let Some(fc) = self.flows.get_mut(key) {
-            fc.role.egress = true;
-        }
-    }
-
-    /// Marks the flow as forwarded-in-transit at this node.
-    pub fn mark_transit(&mut self, key: &FlowKey) {
-        if let Some(fc) = self.flows.get_mut(key) {
-            fc.role.transit = true;
-        }
-    }
-
-    /// Records `link` as the flow's upstream (where its packets arrive).
-    pub fn set_upstream(&mut self, key: &FlowKey, link: usize) {
-        if let Some(fc) = self.flows.get_mut(key) {
-            fc.upstream = Some(link);
-        }
-    }
-
     /// The flow's upstream link, if known.
     #[must_use]
     pub fn upstream(&self, key: &FlowKey) -> Option<usize> {
         self.flows.get(key).and_then(|fc| fc.upstream)
-    }
-
-    /// The flow's cached source-route stamp, if it was computed against
-    /// exactly this topology `version`.
-    #[must_use]
-    pub fn cached_mask(&self, key: &FlowKey, version: u64) -> Option<EdgeMask> {
-        match self.flows.get(key).and_then(|fc| fc.mask) {
-            Some((v, m)) if v == version => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Caches a freshly computed source-route stamp for `version`.
-    pub fn store_mask(&mut self, key: &FlowKey, version: u64, mask: EdgeMask) {
-        if let Some(fc) = self.flows.get_mut(key) {
-            fc.mask = Some((version, mask));
-        }
     }
 
     /// Pauses the flow. Returns `true` if it was not already paused (the
@@ -295,19 +285,19 @@ mod tests {
     #[test]
     fn mask_cache_is_version_keyed() {
         let (mut t, mut obs) = table_and_obs();
-        t.ensure(key(0), FlowSpec::best_effort(), &mut obs);
-        assert_eq!(t.cached_mask(&key(0), 3), None);
-        t.store_mask(&key(0), 3, EdgeMask::EMPTY);
-        assert!(t.cached_mask(&key(0), 3).is_some());
-        assert_eq!(t.cached_mask(&key(0), 4), None, "stale version misses");
+        let fc = t.ensure(key(0), FlowSpec::best_effort(), &mut obs);
+        assert_eq!(fc.cached_mask(3), None);
+        fc.store_mask(3, EdgeMask::EMPTY);
+        assert!(fc.cached_mask(3).is_some());
+        assert_eq!(fc.cached_mask(4), None, "stale version misses");
     }
 
     #[test]
     fn close_removes_all_residue() {
         let (mut t, mut obs) = table_and_obs();
-        t.ensure(key(0), FlowSpec::reliable(), &mut obs);
-        t.set_upstream(&key(0), 2);
-        t.store_mask(&key(0), 1, EdgeMask::EMPTY);
+        let fc = t.ensure(key(0), FlowSpec::reliable(), &mut obs);
+        fc.set_upstream(2);
+        fc.store_mask(1, EdgeMask::EMPTY);
         assert!(t.pause(&key(0)));
         let closed = t.close(&key(0)).expect("context existed");
         assert_eq!(closed.upstream(), Some(2));
@@ -327,9 +317,9 @@ mod tests {
     #[test]
     fn roles_accumulate() {
         let (mut t, mut obs) = table_and_obs();
-        t.ensure(key(0), FlowSpec::best_effort(), &mut obs);
-        t.mark_ingress(&key(0));
-        t.mark_egress(&key(0));
+        let fc = t.ensure(key(0), FlowSpec::best_effort(), &mut obs);
+        fc.mark_ingress();
+        fc.mark_egress();
         let r = t.get(&key(0)).unwrap().role();
         assert!(r.ingress && r.egress && !r.transit);
     }

@@ -28,7 +28,7 @@ use son_obs::DropClass;
 use crate::addr::{FlowKey, OverlayAddr};
 use crate::packet::{DataPacket, LinkCtl};
 
-use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats, Pacer};
+use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats, Pacer};
 
 /// Timer token used by all schedulers for "serializer free" events.
 const TOKEN_TX_DONE: u32 = 0;
@@ -117,7 +117,7 @@ impl ItPriorityLink {
             pkt.link_seq = self.next_link_seq;
             let busy = self.pacer.start(now, pkt.wire_size());
             *self.forwarded_by_source.entry(source).or_insert(0) += 1;
-            out.push(LinkAction::Transmit(pkt));
+            emit(out, LinkAction::Transmit(pkt));
             if !busy.is_zero() {
                 self.tx_pending = true;
                 out.push(LinkAction::Timer {
@@ -147,7 +147,7 @@ impl LinkProto for ItPriorityLink {
 
     fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.received += 1;
-        out.push(LinkAction::Deliver(pkt));
+        emit(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, _now: SimTime, _ctl: LinkCtl, _out: &mut Vec<LinkAction>) {}
@@ -321,7 +321,7 @@ impl ItReliableLink {
             *self.forwarded_by_flow.entry(flow).or_insert(0) += 1;
             self.arm_rto(pkt.link_seq, out);
             out.push(LinkAction::Consumed(flow));
-            out.push(LinkAction::Transmit(pkt));
+            emit(out, LinkAction::Transmit(pkt));
             if !busy.is_zero() {
                 self.tx_pending = true;
                 out.push(LinkAction::Timer {
@@ -378,7 +378,7 @@ impl LinkProto for ItReliableLink {
             cum: self.recv_cum,
             selective: self.recv_above.iter().copied().take(64).collect(),
         }));
-        out.push(LinkAction::Deliver(pkt));
+        emit(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, now: SimTime, ctl: LinkCtl, out: &mut Vec<LinkAction>) {
@@ -410,7 +410,7 @@ impl LinkProto for ItReliableLink {
         if let Some(pkt) = self.unacked.get(&seq) {
             self.stats.retransmitted += 1;
             out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            out.push(LinkAction::Transmit(pkt.clone()));
+            emit(out, LinkAction::Transmit(pkt.clone()));
             self.arm_rto(seq, out);
         }
     }
@@ -507,7 +507,7 @@ impl FifoLink {
             pkt.link_seq = self.next_link_seq;
             let busy = self.pacer.start(now, pkt.wire_size());
             *self.forwarded_by_source.entry(pkt.flow.src).or_insert(0) += 1;
-            out.push(LinkAction::Transmit(pkt));
+            emit(out, LinkAction::Transmit(pkt));
             if !busy.is_zero() {
                 self.tx_pending = true;
                 out.push(LinkAction::Timer {
@@ -533,7 +533,7 @@ impl LinkProto for FifoLink {
 
     fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.received += 1;
-        out.push(LinkAction::Deliver(pkt));
+        emit(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, _now: SimTime, _ctl: LinkCtl, _out: &mut Vec<LinkAction>) {}

@@ -20,7 +20,7 @@ use son_netsim::time::SimTime;
 use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{FecParams, LinkService};
 
-use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats};
+use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// Receiver-side memory horizon, in blocks.
 const BLOCK_MEMORY: u64 = 64;
@@ -118,7 +118,7 @@ impl FecLink {
                 out.push(LinkAction::Observe(LinkEvent::Recovered {
                     after: since_first,
                 }));
-                out.push(LinkAction::Deliver(pkt));
+                emit(out, LinkAction::Deliver(pkt));
             }
         }
     }
@@ -144,7 +144,7 @@ impl LinkProto for FecLink {
         self.next_seq += 1;
         pkt.link_seq = self.next_seq;
         self.stats.sent += 1;
-        out.push(LinkAction::Transmit(pkt.clone()));
+        emit(out, LinkAction::Transmit(pkt.clone()));
         // Strip the payload bytes for the repair header copy.
         pkt.payload = bytes::Bytes::new();
         self.block.push(pkt);
@@ -176,7 +176,7 @@ impl LinkProto for FecLink {
         state.have.insert(pkt.link_seq);
         state.delivered.insert(pkt.link_seq);
         self.stats.received += 1;
-        out.push(LinkAction::Deliver(pkt));
+        emit(out, LinkAction::Deliver(pkt));
         self.try_recover(now, start, out);
         self.prune();
     }

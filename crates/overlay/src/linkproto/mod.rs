@@ -64,6 +64,15 @@ pub enum LinkAction {
     Observe(LinkEvent),
 }
 
+/// Appends a packet-carrying action to a batch. `Vec::push` stages its
+/// argument in a temporary ahead of the capacity check and copies it into
+/// the buffer afterwards; `extend` writes it in place — one 280-byte move
+/// per packet instead of two, on every pass through every protocol.
+#[inline(always)]
+fn emit(out: &mut Vec<LinkAction>, action: LinkAction) {
+    out.extend(Some(action));
+}
+
 /// What a link protocol observed, reported via [`LinkAction::Observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEvent {

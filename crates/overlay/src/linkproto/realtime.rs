@@ -18,7 +18,7 @@ use son_obs::DropClass;
 use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{LinkService, RealtimeParams};
 
-use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats};
+use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// How long the sender retains history for retransmission, in budgets.
 const HISTORY_BUDGETS: u64 = 2;
@@ -140,7 +140,7 @@ impl LinkProto for RealtimeLink {
         pkt.link_seq = self.next_seq;
         self.history.insert(self.next_seq, (pkt.clone(), now));
         self.stats.sent += 1;
-        out.push(LinkAction::Transmit(pkt));
+        emit(out, LinkAction::Transmit(pkt));
         if self.next_seq.is_multiple_of(64) {
             self.purge_history(now);
         }
@@ -171,7 +171,7 @@ impl LinkProto for RealtimeLink {
             self.high = seq;
             self.stats.received += 1;
             self.note_delivered(seq);
-            out.push(LinkAction::Deliver(pkt));
+            emit(out, LinkAction::Deliver(pkt));
         } else if let Some((_, noticed)) = self.missing.remove(&seq) {
             // A requested packet came back in time: deliver and implicitly
             // cancel remaining strikes (their timers become no-ops).
@@ -181,7 +181,7 @@ impl LinkProto for RealtimeLink {
             out.push(LinkAction::Observe(LinkEvent::Recovered {
                 after: now.saturating_since(noticed),
             }));
-            out.push(LinkAction::Deliver(pkt));
+            emit(out, LinkAction::Deliver(pkt));
         } else if self.delivered.contains(&seq) {
             self.stats.dup_received += 1;
         } else {
@@ -189,7 +189,7 @@ impl LinkProto for RealtimeLink {
             // deadline buffer decides whether it is still useful.
             self.stats.received += 1;
             self.note_delivered(seq);
-            out.push(LinkAction::Deliver(pkt));
+            emit(out, LinkAction::Deliver(pkt));
         }
     }
 
@@ -209,7 +209,7 @@ impl LinkProto for RealtimeLink {
             };
             self.stats.retransmitted += 1;
             out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            out.push(LinkAction::Transmit(pkt.clone()));
+            emit(out, LinkAction::Transmit(pkt.clone()));
             for copy in 1..self.params.m_retransmissions {
                 self.arm(
                     spacing.saturating_mul(u64::from(copy)),
@@ -244,7 +244,7 @@ impl LinkProto for RealtimeLink {
                 if let Some((pkt, _)) = self.history.get(&seq) {
                     self.stats.retransmitted += 1;
                     out.push(LinkAction::Observe(LinkEvent::Retransmit));
-                    out.push(LinkAction::Transmit(pkt.clone()));
+                    emit(out, LinkAction::Transmit(pkt.clone()));
                 }
             }
         }

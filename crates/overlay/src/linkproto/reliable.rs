@@ -16,7 +16,7 @@ use son_netsim::time::{SimDuration, SimTime};
 
 use crate::packet::{DataPacket, LinkCtl};
 
-use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats};
+use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// Cap on how many missing sequence numbers one NACK reports.
 const MAX_NACK: usize = 64;
@@ -105,7 +105,7 @@ impl LinkProto for ReliableLink {
         self.unacked.insert(seq, pkt.clone());
         self.max_unacked = self.max_unacked.max(self.unacked.len());
         self.stats.sent += 1;
-        out.push(LinkAction::Transmit(pkt));
+        emit(out, LinkAction::Transmit(pkt));
         self.arm_rto(seq, out);
     }
 
@@ -148,7 +148,7 @@ impl LinkProto for ReliableLink {
         let cum = self.cum;
         self.gap_noticed.retain(|&s, _| s > cum);
         // Out-of-order forwarding: deliver upward immediately.
-        out.push(LinkAction::Deliver(pkt));
+        emit(out, LinkAction::Deliver(pkt));
         self.ack_now(out);
     }
 
@@ -165,7 +165,7 @@ impl LinkProto for ReliableLink {
                     if let Some(pkt) = self.unacked.get(&seq) {
                         self.stats.retransmitted += 1;
                         out.push(LinkAction::Observe(LinkEvent::Retransmit));
-                        out.push(LinkAction::Transmit(pkt.clone()));
+                        emit(out, LinkAction::Transmit(pkt.clone()));
                     }
                 }
             }
@@ -180,7 +180,7 @@ impl LinkProto for ReliableLink {
         if let Some(pkt) = self.unacked.get(&seq) {
             self.stats.retransmitted += 1;
             out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            out.push(LinkAction::Transmit(pkt.clone()));
+            emit(out, LinkAction::Transmit(pkt.clone()));
             self.arm_rto(seq, out);
         }
     }

@@ -2,12 +2,14 @@
 //!
 //! Every level of the node is a pure state machine that *emits* typed
 //! actions ([`LinkAction`], [`SessionAction`], [`ConnAction`],
-//! [`GroupAction`]) instead of touching the simulator directly. This module
-//! unifies them: each typed batch is wrapped into [`NodeAction`]s and fed
-//! through one dispatch loop, which applies actions depth-first — a nested
-//! batch (e.g. the session events caused by a link-level pause) completes
-//! before the next action of the outer batch runs, exactly as the four
-//! hand-rolled `apply_*_actions` loops used to behave.
+//! [`GroupAction`]) instead of touching the simulator directly. Each batch
+//! is drained here by the loop for its own type, depth-first: whatever an
+//! action triggers — the credit a `Consumed` grants on the upstream link,
+//! the session events behind a delivery — completes before the next action
+//! of the same batch runs. What is constant for a batch (the emitting
+//! `(link, slot)`, the provider a hello reply is pinned to) is an argument
+//! of the loop, not a field of every action, so a packet is moved out of
+//! its batch exactly once.
 //!
 //! Buffers are pooled in [`ActionBufs`] so steady-state dispatch allocates
 //! nothing, and every daemon timer token is the bit-packed encoding of a
@@ -16,7 +18,7 @@
 use son_netsim::link::PipeId;
 use son_netsim::process::{Process, ProcessId};
 use son_netsim::sim::Ctx;
-use son_netsim::time::SimDuration;
+use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceStage;
 use son_obs::watch::WatchKind;
 
@@ -24,7 +26,7 @@ use crate::addr::Destination;
 use crate::adversary::Behavior;
 use crate::linkproto::{LinkAction, LinkEvent, LinkProto};
 use crate::packet::{Control, SessionEvent, Wire};
-use crate::service::{slot_label, LinkService, SERVICE_SLOTS};
+use crate::service::{slot_label, SERVICE_SLOTS};
 use crate::session::SessionAction;
 use crate::state::connectivity::ConnAction;
 use crate::state::groups::GroupAction;
@@ -34,45 +36,11 @@ use son_topo::NodeId;
 
 use super::{OverlayNode, TimerKey, CLIENT_IPC_DELAY};
 
-/// One action emitted by any level of the node, tagged with the context the
-/// dispatch loop needs to apply it.
-///
-/// `Link` dominates the enum's size because it carries a `DataPacket`
-/// inline; boxing it would put a heap allocation on the per-packet
-/// forwarding path, and actions only ever live briefly on the dispatch
-/// stack, so the size imbalance costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum NodeAction {
-    /// A link-protocol action from the protocol instance at `(link, slot)`.
-    Link {
-        /// Local link index the emitting protocol sits on.
-        link: usize,
-        /// The emitting protocol's service slot.
-        slot: usize,
-        /// What it asked for.
-        action: LinkAction,
-    },
-    /// A session-interface action.
-    Session(SessionAction),
-    /// A connectivity-monitor action; `reply_provider` pins provider-probe
-    /// replies to the provider path the probe arrived on.
-    Conn {
-        /// Provider index replies must use (`None` = active provider).
-        reply_provider: Option<usize>,
-        /// What the monitor asked for.
-        action: ConnAction,
-    },
-    /// A group-state action.
-    Group(GroupAction),
-}
-
 /// Pooled action buffers: one free list per action type, so the dispatch
-/// loop and the emitting state machines reuse vectors instead of allocating
-/// per event.
+/// loops and the emitting state machines reuse vectors instead of
+/// allocating per event.
 #[derive(Debug, Default)]
 pub(super) struct ActionBufs {
-    node: Vec<Vec<NodeAction>>,
     link: Vec<Vec<LinkAction>>,
     session: Vec<Vec<SessionAction>>,
     conn: Vec<Vec<ConnAction>>,
@@ -80,135 +48,43 @@ pub(super) struct ActionBufs {
 }
 
 impl ActionBufs {
-    fn take_node(&mut self) -> Vec<NodeAction> {
-        self.node.pop().unwrap_or_default()
-    }
-    fn put_node(&mut self, mut v: Vec<NodeAction>) {
-        v.clear();
-        self.node.push(v);
-    }
     fn take_link(&mut self) -> Vec<LinkAction> {
         self.link.pop().unwrap_or_default()
-    }
-    fn put_link(&mut self, mut v: Vec<LinkAction>) {
-        v.clear();
-        self.link.push(v);
     }
     pub(super) fn take_session(&mut self) -> Vec<SessionAction> {
         self.session.pop().unwrap_or_default()
     }
-    fn put_session(&mut self, mut v: Vec<SessionAction>) {
-        v.clear();
-        self.session.push(v);
-    }
     pub(super) fn take_conn(&mut self) -> Vec<ConnAction> {
         self.conn.pop().unwrap_or_default()
-    }
-    fn put_conn(&mut self, mut v: Vec<ConnAction>) {
-        v.clear();
-        self.conn.push(v);
     }
     pub(super) fn take_group(&mut self) -> Vec<GroupAction> {
         self.group.pop().unwrap_or_default()
     }
-    fn put_group(&mut self, mut v: Vec<GroupAction>) {
-        v.clear();
-        self.group.push(v);
-    }
 }
 
 impl OverlayNode {
-    /// Feeds one link-protocol instance and dispatches what it emitted.
-    /// `pending_recover` is scoped to this batch: nested batches start
-    /// fresh and the outer value is restored afterwards.
-    pub(super) fn run_link_proto(
+    /// Feeds `input` to one link-protocol instance through `feed` (one of
+    /// the [`LinkProto`] entry points) and applies what it emitted.
+    pub(super) fn run_link_proto<T>(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         link: usize,
         slot: usize,
-        feed: impl FnOnce(&mut dyn LinkProto, &mut Vec<LinkAction>),
+        input: T,
+        feed: impl FnOnce(&mut dyn LinkProto, SimTime, T, &mut Vec<LinkAction>),
     ) {
         let token = self.obs.perf().enter("link.proto");
         let mut la = self.bufs.take_link();
-        feed(self.links[link].protos[slot].as_mut(), &mut la);
-        if la.is_empty() {
-            self.bufs.put_link(la);
-            self.obs.perf().exit(token);
-            return;
-        }
-        let mut batch = self.bufs.take_node();
-        batch.extend(
-            la.drain(..)
-                .map(|action| NodeAction::Link { link, slot, action }),
-        );
-        self.bufs.put_link(la);
-        let saved_recover = self.pending_recover.take();
-        let saved_retransmit = std::mem::replace(&mut self.pending_retransmit, false);
-        self.dispatch(ctx, batch);
-        self.pending_recover = saved_recover;
-        self.pending_retransmit = saved_retransmit;
+        let proto = self.links[link].protos[slot].as_mut();
+        feed(proto, ctx.now(), input, &mut la);
+        self.dispatch_link(ctx, link, slot, la);
         self.obs.perf().exit(token);
     }
 
-    /// Dispatches a batch of session actions.
+    /// Applies a batch of session actions.
     pub(super) fn dispatch_session(&mut self, ctx: &mut Ctx<'_, Wire>, mut sa: Vec<SessionAction>) {
-        if sa.is_empty() {
-            self.bufs.put_session(sa);
-            return;
-        }
-        let mut batch = self.bufs.take_node();
-        batch.extend(sa.drain(..).map(NodeAction::Session));
-        self.bufs.put_session(sa);
-        self.dispatch(ctx, batch);
-    }
-
-    /// Dispatches a batch of connectivity actions.
-    pub(super) fn dispatch_conn(
-        &mut self,
-        ctx: &mut Ctx<'_, Wire>,
-        mut ca: Vec<ConnAction>,
-        reply_provider: Option<usize>,
-    ) {
-        if ca.is_empty() {
-            self.bufs.put_conn(ca);
-            return;
-        }
-        let mut batch = self.bufs.take_node();
-        batch.extend(ca.drain(..).map(|action| NodeAction::Conn {
-            reply_provider,
-            action,
-        }));
-        self.bufs.put_conn(ca);
-        self.dispatch(ctx, batch);
-    }
-
-    /// Dispatches a batch of group actions.
-    pub(super) fn dispatch_group(&mut self, ctx: &mut Ctx<'_, Wire>, mut ga: Vec<GroupAction>) {
-        if ga.is_empty() {
-            self.bufs.put_group(ga);
-            return;
-        }
-        let mut batch = self.bufs.take_node();
-        batch.extend(ga.drain(..).map(NodeAction::Group));
-        self.bufs.put_group(ga);
-        self.dispatch(ctx, batch);
-    }
-
-    /// The one dispatch loop: applies each action in order (depth-first —
-    /// anything an action triggers completes before the next action runs)
-    /// and returns the batch vector to the pool.
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, Wire>, mut batch: Vec<NodeAction>) {
-        for action in batch.drain(..) {
-            self.apply(ctx, action);
-        }
-        self.bufs.put_node(batch);
-    }
-
-    /// Applies one action from any level.
-    fn apply(&mut self, ctx: &mut Ctx<'_, Wire>, action: NodeAction) {
-        match action {
-            NodeAction::Link { link, slot, action } => self.apply_link(ctx, link, slot, action),
-            NodeAction::Session(action) => match action {
+        for action in sa.drain(..) {
+            match action {
                 SessionAction::ToClient { port, event } => {
                     if let Some(proc) = self.sessions.client_proc(port) {
                         ctx.send_direct(proc, CLIENT_IPC_DELAY, Wire::ToClient(event));
@@ -217,13 +93,24 @@ impl OverlayNode {
                 SessionAction::Timer { delay, token } => {
                     ctx.set_timer(delay, TimerKey::Session { token }.encode());
                 }
-            },
-            NodeAction::Conn {
-                reply_provider,
-                action,
-            } => match action {
+            }
+        }
+        self.bufs.session.push(sa);
+    }
+
+    /// Applies a batch of connectivity actions; `reply_provider` pins
+    /// provider-probe replies to the provider path the probe arrived on
+    /// (`None` = the active provider).
+    pub(super) fn dispatch_conn(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        mut ca: Vec<ConnAction>,
+        reply_provider: Option<usize>,
+    ) {
+        for action in ca.drain(..) {
+            match action {
                 ConnAction::Send { link, msg } => {
-                    self.send_on_link(ctx, link, reply_provider, Wire::Control(msg));
+                    self.send_on_link(ctx, link, reply_provider, &Wire::Control(msg));
                 }
                 ConnAction::Flood { except, msg } => self.flood_control(ctx, except, msg),
                 ConnAction::SwitchProvider { link, isp_index } => {
@@ -274,32 +161,51 @@ impl OverlayNode {
                         None,
                     );
                 }
-            },
-            NodeAction::Group(GroupAction::Flood { except, update }) => {
-                self.flood_control(ctx, except, Control::GroupUpdate(update));
             }
         }
+        self.bufs.conn.push(ca);
+    }
+
+    /// Applies a batch of group actions.
+    pub(super) fn dispatch_group(&mut self, ctx: &mut Ctx<'_, Wire>, mut ga: Vec<GroupAction>) {
+        for GroupAction::Flood { except, update } in ga.drain(..) {
+            self.flood_control(ctx, except, Control::GroupUpdate(update));
+        }
+        self.bufs.group.push(ga);
     }
 
     /// Sends a control message on every link except `except`, in link
-    /// order. The last link gets the message itself; only the others get
-    /// copies.
+    /// order. Every neighbor gets its own decoding of the one message.
     fn flood_control(&mut self, ctx: &mut Ctx<'_, Wire>, except: Option<usize>, msg: Control) {
-        let mut targets = (0..self.links.len())
-            .filter(|&i| Some(i) != except)
-            .peekable();
-        while let Some(i) = targets.next() {
-            if targets.peek().is_some() {
-                self.send_on_link(ctx, i, None, Wire::Control(msg.clone()));
-            } else {
-                self.send_on_link(ctx, i, None, Wire::Control(msg));
-                break;
-            }
+        let wire = Wire::Control(msg);
+        for i in (0..self.links.len()).filter(|&i| Some(i) != except) {
+            self.send_on_link(ctx, i, None, &wire);
         }
     }
 
-    /// Applies one link-protocol action emitted by the `(link, slot)`
-    /// protocol instance.
+    /// Applies the batch the `(link, slot)` protocol instance emitted.
+    /// `pending_recover`/`pending_retransmit` are scoped to the batch:
+    /// nested batches start fresh and the outer values are restored
+    /// afterwards.
+    fn dispatch_link(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        link: usize,
+        slot: usize,
+        mut la: Vec<LinkAction>,
+    ) {
+        let saved_recover = self.pending_recover.take();
+        let saved_retransmit = std::mem::replace(&mut self.pending_retransmit, false);
+        for action in la.drain(..) {
+            self.apply_link(ctx, link, slot, action);
+        }
+        self.pending_recover = saved_recover;
+        self.pending_retransmit = saved_retransmit;
+        self.bufs.link.push(la);
+    }
+
+    /// Applies one action of a [`OverlayNode::dispatch_link`] batch.
+    #[inline(always)]
     fn apply_link(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
@@ -317,54 +223,22 @@ impl OverlayNode {
                     };
                     self.obs.trace(ctx.now(), tctx, &pkt, stage, Some(link));
                 }
-                self.send_on_link(ctx, link, None, Wire::Data(pkt));
+                self.send_on_link(ctx, link, None, &Wire::Data(pkt));
             }
             LinkAction::TransmitCtl(ctl) => {
                 // FEC reports repair transmissions as retransmits but ships
                 // them as control; do not let the flag leak onto a later
                 // unrelated data transmit.
                 self.pending_retransmit = false;
-                self.send_on_link(
-                    ctx,
-                    link,
-                    None,
-                    Wire::Ctl {
-                        slot: slot as u8,
-                        ctl,
-                    },
-                );
+                let wire = Wire::Ctl {
+                    slot: slot as u8,
+                    ctl,
+                };
+                self.send_on_link(ctx, link, None, &wire);
             }
-            LinkAction::Deliver(mut pkt) => {
+            LinkAction::Deliver(pkt) => {
                 let recovered_after = self.pending_recover.take();
-                // One more overlay link traversed: bump the trace hop so
-                // every event at this node carries the incremented count,
-                // then attribute the link's recovery latency to the arrival.
-                if let Some(tctx) = pkt.trace.as_mut() {
-                    tctx.hop = tctx.hop.saturating_add(1);
-                    let tctx = *tctx;
-                    if let Some(after) = recovered_after {
-                        self.obs.trace(
-                            ctx.now(),
-                            tctx,
-                            &pkt,
-                            TraceStage::Recovered {
-                                after_ns: after.as_nanos(),
-                            },
-                            Some(link),
-                        );
-                    }
-                }
-                let in_edge = self.links[link].edge;
-                // Honest receipt accounting for the watchdog: the packet
-                // surfaced from this link and is presumed to progress; the
-                // adversary check charges the credit back if it swallows it.
-                self.watch_note_received(link);
-                // Remember the upstream of IT-Reliable flows for credits.
-                if matches!(pkt.spec.link, LinkService::ItReliable) {
-                    self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs);
-                    self.flows.set_upstream(&pkt.flow, link);
-                }
-                self.handle_upward(ctx, pkt, Some(in_edge), Some(link));
+                self.handle_upward(ctx, pkt, Some(link), recovered_after);
             }
             LinkAction::Observe(event) => {
                 match event {
@@ -422,12 +296,9 @@ impl OverlayNode {
             LinkAction::Consumed(flow) => {
                 // Grant a credit on the flow's upstream link, if any
                 // (none at the ingress node).
-                let now = ctx.now();
                 if let Some(up) = self.flows.upstream(&flow) {
                     if up != link {
-                        self.run_link_proto(ctx, up, slot, move |p, out| {
-                            p.on_consumed(now, flow, out);
-                        });
+                        self.run_link_proto(ctx, up, slot, flow, <dyn LinkProto>::on_consumed);
                     }
                 }
             }
@@ -466,7 +337,7 @@ impl Process<Wire> for OverlayNode {
                 let mem = self.membership.as_ref().expect("join requires membership");
                 (mem.join_request(), mem.config().join_retry)
             };
-            self.send_on_link(ctx, link, None, Wire::Control(msg));
+            self.send_on_link(ctx, link, None, &Wire::Control(msg));
             ctx.set_timer(retry, TimerKey::JoinRetry.encode());
         }
         if matches!(self.behavior, Behavior::Flood { .. }) {
@@ -515,16 +386,14 @@ impl OverlayNode {
                     return;
                 };
                 let slot = pkt.spec.link.slot();
-                let now = ctx.now();
-                self.run_link_proto(ctx, link, slot, move |p, out| p.on_data(now, pkt, out));
+                self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
             }
             Wire::Ctl { slot, ctl } => {
                 let Some(&(link, _)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p)) else {
                     return;
                 };
                 let slot = (slot as usize).min(SERVICE_SLOTS - 1);
-                let now = ctx.now();
-                self.run_link_proto(ctx, link, slot, move |p, out| p.on_ctl(now, ctl, out));
+                self.run_link_proto(ctx, link, slot, ctl, <dyn LinkProto>::on_ctl);
             }
             Wire::Control(control) => {
                 let Some(&(link, provider)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p))
@@ -620,20 +489,15 @@ impl OverlayNode {
             Some(TimerKey::Link { link, slot, token }) => {
                 let (link, slot) = (link as usize, slot as usize);
                 if link < self.links.len() && slot < SERVICE_SLOTS {
-                    let now = ctx.now();
-                    self.run_link_proto(ctx, link, slot, move |p, out| {
-                        p.on_timer(now, token, out);
-                    });
+                    self.run_link_proto(ctx, link, slot, token, <dyn LinkProto>::on_timer);
                 }
             }
             Some(TimerKey::Session { token }) => {
                 if let Some(flow) = self.sessions.timer_flow(token) {
                     let targets = match flow.dst() {
                         Destination::Unicast(a) if a.node == self.me => vec![a.port],
-                        Destination::Multicast(g) => self.groups.local_members(g),
-                        Destination::Anycast(g) => {
-                            self.groups.local_members(g).into_iter().take(1).collect()
-                        }
+                        Destination::Multicast(g) => self.groups.local_members(g).collect(),
+                        Destination::Anycast(g) => self.groups.local_members(g).take(1).collect(),
                         _ => Vec::new(),
                     };
                     let mut sa = self.bufs.take_session();
@@ -655,7 +519,8 @@ impl OverlayNode {
                     // Behaviour already charged its delay; forward now.
                     let mut outs = std::mem::take(&mut self.out_buf);
                     self.out_edges_into(&pkt, in_edge, &mut outs);
-                    self.transmit_out(ctx, pkt, &outs);
+                    let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
+                    self.transmit_out(ctx, pkt, &outs, fo);
                     self.out_buf = outs;
                 }
             }
@@ -674,7 +539,7 @@ impl OverlayNode {
                         let mem = self.membership.as_ref().expect("join requires membership");
                         (mem.join_request(), mem.config().join_retry)
                     };
-                    self.send_on_link(ctx, link, None, Wire::Control(msg));
+                    self.send_on_link(ctx, link, None, &Wire::Control(msg));
                     ctx.set_timer(retry, TimerKey::JoinRetry.encode());
                 }
             }
@@ -740,7 +605,7 @@ impl OverlayNode {
             match action {
                 MemberAction::Send { link, msg } => {
                     if link < self.links.len() {
-                        self.send_on_link(ctx, link, None, Wire::Control(msg));
+                        self.send_on_link(ctx, link, None, &Wire::Control(msg));
                     }
                 }
                 MemberAction::Flood { except, msg } => self.flood_control(ctx, except, msg),

@@ -9,7 +9,7 @@ use son_netsim::sim::Ctx;
 use son_obs::DropClass;
 
 use crate::addr::FlowKey;
-use crate::linkproto::{FifoLink, ItPriorityLink, LinkProtoStats};
+use crate::linkproto::{FifoLink, ItPriorityLink, LinkProto, LinkProtoStats};
 use crate::packet::Wire;
 use crate::service::LinkService;
 
@@ -25,7 +25,7 @@ impl OverlayNode {
         ctx: &mut Ctx<'_, Wire>,
         link: usize,
         provider: Option<usize>,
-        wire: Wire,
+        wire: &Wire,
     ) {
         let port = &self.links[link];
         if port.out_pipes.is_empty() {
@@ -39,18 +39,16 @@ impl OverlayNode {
         // Every link frame passes through the wire codec, even in the sim:
         // what the neighbor receives is what it would have decoded off a
         // UDP datagram, so sim and real deployments stay byte-compatible.
-        let wire =
-            crate::wire::recode(&wire).expect("link frames round-trip the wire codec losslessly");
-        ctx.send(pipe, wire);
+        match crate::wire::recode(wire) {
+            Ok(frame) => ctx.send(pipe, frame),
+            Err(e) => panic!("link frames round-trip the wire codec losslessly: {e}"),
+        }
     }
 
     /// Grants an IT-Reliable consumption credit to the neighbor on `link`.
     pub(super) fn grant_consumed(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, flow: FlowKey) {
-        let now = ctx.now();
         let slot = LinkService::ItReliable.slot();
-        self.run_link_proto(ctx, link, slot, move |p, out| {
-            p.on_consumed(now, flow, out);
-        });
+        self.run_link_proto(ctx, link, slot, flow, <dyn LinkProto>::on_consumed);
     }
 
     /// Link protocol statistics for `(local link index, service)`.

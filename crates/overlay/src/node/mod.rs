@@ -13,9 +13,9 @@
 //!   adversarial transit behaviour;
 //! - `link_level`: the link level — provider selection and the per-service
 //!   protocol instances on each incident link;
-//! - `dispatch`: the glue — every level emits typed actions which one
-//!   unified [`NodeAction`] loop applies, and every daemon timer is a typed
-//!   [`TimerKey`].
+//! - `dispatch`: the glue — every level emits typed actions, each batch is
+//!   applied depth-first by the loop for its type, and every daemon timer
+//!   is a typed [`TimerKey`].
 //!
 //! The levels coordinate through shared state held here: the connectivity
 //! monitor, the group table, the forwarding tables — and, per flow, one
@@ -30,7 +30,6 @@ mod session_level;
 mod timer;
 mod watch_level;
 
-pub use dispatch::NodeAction;
 pub use timer::TimerKey;
 
 use std::collections::HashMap;
@@ -40,7 +39,7 @@ use son_netsim::link::PipeId;
 use son_netsim::time::SimDuration;
 use son_topo::{EdgeId, Graph, NodeId};
 
-use crate::addr::GroupId;
+use crate::addr::{GroupId, VirtualPort};
 use crate::adversary::Behavior;
 use crate::auth::KeyRegistry;
 use crate::dedup::DedupTable;
@@ -182,6 +181,8 @@ pub struct OverlayNode {
     member_cache: HashMap<GroupId, (u64, Vec<NodeId>)>,
     /// Reusable out-edge buffer for the per-packet forwarding decision.
     out_buf: Vec<EdgeId>,
+    /// Reusable buffer for a packet's local delivery targets.
+    target_buf: Vec<VirtualPort>,
     /// Reusable action buffers for the dispatch loop.
     bufs: ActionBufs,
     /// A protocol reports a recovery immediately before delivering the
@@ -257,6 +258,7 @@ impl OverlayNode {
             },
             member_cache: HashMap::new(),
             out_buf: Vec::new(),
+            target_buf: Vec::new(),
             bufs: ActionBufs::default(),
             pending_recover: None,
             pending_retransmit: false,
@@ -480,6 +482,7 @@ impl OverlayNode {
             self.topology.approx_bytes()
                 + member_cache
                 + son_obs::footprint::vec_bytes(&self.out_buf)
+                + son_obs::footprint::vec_bytes(&self.target_buf)
                 + hashmap_bytes(&self.in_pipe_index)
                 + hashmap_bytes(&self.edge_index)
                 + hashmap_bytes(&self.delayed),

@@ -17,6 +17,8 @@ use son_topo::EdgeId;
 
 use crate::addr::{Destination, FlowKey, VirtualPort};
 use crate::adversary::{Behavior, Verdict};
+use crate::linkproto::LinkProto;
+use crate::obs::FlowObs;
 use crate::packet::{DataPacket, Wire};
 use crate::service::{FlowSpec, LinkService, RoutingService};
 
@@ -38,27 +40,21 @@ impl OverlayNode {
         }
     }
 
-    /// Local delivery targets of a packet, if any.
-    pub(super) fn local_targets(&mut self, pkt: &DataPacket) -> Vec<VirtualPort> {
+    /// Local delivery targets of a packet, if any, into a caller-owned
+    /// buffer (cleared first): a transit packet costs no allocation.
+    fn local_targets_into(&self, pkt: &DataPacket, out: &mut Vec<VirtualPort>) {
+        out.clear();
         match pkt.flow.dst() {
             Destination::Unicast(addr) => {
                 if addr.node == self.me && self.sessions.client_proc(addr.port).is_some() {
-                    vec![addr.port]
-                } else {
-                    Vec::new()
+                    out.push(addr.port);
                 }
             }
-            Destination::Multicast(group) => self.groups.local_members(group),
+            Destination::Multicast(group) => out.extend(self.groups.local_members(group)),
             Destination::Anycast(group) => {
                 if pkt.resolved_dst == Some(self.me) {
                     // Deliver to exactly one local member.
-                    self.groups
-                        .local_members(group)
-                        .into_iter()
-                        .take(1)
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(self.groups.local_members(group).take(1));
                 }
             }
         }
@@ -104,17 +100,62 @@ impl OverlayNode {
         }
     }
 
-    /// Core data-plane handling for a packet that surfaced at this node
-    /// (from a link protocol identified by `in_link`, or freshly built at
-    /// the ingress when both are `None`).
+    /// Core data-plane handling for a packet that surfaced at this node:
+    /// from the link protocol on `in_link` (`recovered_after` being the
+    /// recovery latency that protocol reported just before, if any), or
+    /// freshly built at the ingress (`None`). The packet passes through
+    /// here unread — moved, not copied; the node-owned buffers its routing
+    /// decision goes into are what this wrapper is for.
     pub(super) fn handle_upward(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         pkt: DataPacket,
-        in_edge: Option<EdgeId>,
         in_link: Option<usize>,
+        recovered_after: Option<SimDuration>,
+    ) {
+        let mut targets = std::mem::take(&mut self.target_buf);
+        let mut outs = std::mem::take(&mut self.out_buf);
+        self.route_upward(ctx, pkt, in_link, recovered_after, &mut targets, &mut outs);
+        self.target_buf = targets;
+        self.out_buf = outs;
+    }
+
+    fn route_upward(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        mut pkt: DataPacket,
+        in_link: Option<usize>,
+        recovered_after: Option<SimDuration>,
+        targets: &mut Vec<VirtualPort>,
+        outs: &mut Vec<EdgeId>,
     ) {
         let is_it_reliable = matches!(pkt.spec.link, LinkService::ItReliable);
+        let in_edge = in_link.map(|link| self.links[link].edge);
+        if let Some(link) = in_link {
+            // One more overlay link traversed: bump the trace hop so every
+            // event at this node carries the incremented count, then
+            // attribute the link's recovery latency to the arrival.
+            if let Some(tctx) = pkt.trace.as_mut() {
+                tctx.hop = tctx.hop.saturating_add(1);
+                let tctx = *tctx;
+                if let Some(after) = recovered_after {
+                    let stage = TraceStage::Recovered {
+                        after_ns: after.as_nanos(),
+                    };
+                    self.obs.trace(ctx.now(), tctx, &pkt, stage, in_link);
+                }
+            }
+            // Honest receipt accounting for the watchdog: the packet
+            // surfaced from this link and is presumed to progress; the
+            // adversary check charges the credit back if it swallows it.
+            self.watch_note_received(link);
+            // Remember the upstream of IT-Reliable flows for credits.
+            if is_it_reliable {
+                self.flows
+                    .ensure(pkt.flow, pkt.spec, &mut self.obs)
+                    .set_upstream(link);
+            }
+        }
         // Authentication: drop packets that do not verify (§IV-B).
         if self.config.auth_enabled
             && !self
@@ -146,50 +187,74 @@ impl OverlayNode {
             }
             return;
         }
-        // Local delivery.
-        let targets = self.local_targets(&pkt);
-        if !targets.is_empty() {
+        // Where the packet goes from here, decided once: the local clients
+        // it is for, and the onward links (also what the IT-Reliable credit
+        // check needs).
+        self.local_targets_into(&pkt, targets);
+        self.out_edges_into(&pkt, in_edge, outs);
+        // The one flow-table lookup of the packet's visit. A packet that
+        // dead-ends here (a mask leaf, a group with nobody downstream)
+        // leaves no flow context behind.
+        let fo = if targets.is_empty() && outs.is_empty() {
+            None
+        } else {
+            let fc = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs);
+            if !targets.is_empty() {
+                fc.mark_egress();
+            }
+            if in_link.is_some() && !outs.is_empty() {
+                fc.mark_transit();
+            }
+            Some(fc.obs())
+        };
+        // IT-Reliable credit accounting: a packet that terminates here (no
+        // onward hop) is consumed the moment it arrives, so the neighbor
+        // that sent this copy gets its credit back immediately.
+        let credit = in_link
+            .filter(|_| is_it_reliable && outs.is_empty())
+            .map(|link| (link, pkt.flow));
+        if let Some(fo) = fo.filter(|_| !targets.is_empty()) {
             let now = ctx.now();
             self.obs
                 .delivered_local(now.saturating_since(pkt.created_at).as_nanos());
             self.trace_pkt(now, &pkt, TraceStage::Deliver, in_link);
-            let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
             self.obs.inc(fo.delivered);
-            self.flows.mark_egress(&pkt.flow);
             let mut sa = self.bufs.take_session();
-            self.sessions
-                .deliver(ctx.now(), pkt.clone(), &targets, &mut sa);
+            if outs.is_empty() {
+                // Nothing goes onward: the session table gets the packet
+                // itself, not a copy.
+                self.sessions.deliver(now, pkt, targets, &mut sa);
+                self.dispatch_session(ctx, sa);
+                if let Some((link, flow)) = credit {
+                    self.grant_consumed(ctx, link, flow);
+                }
+                return;
+            }
+            self.sessions.deliver(now, pkt.clone(), targets, &mut sa);
             self.dispatch_session(ctx, sa);
         }
-        // The forwarding decision, made once for both the IT-Reliable
-        // credit check and the onward transmission (the buffer is node
-        // state, reused across packets).
-        let mut outs = std::mem::take(&mut self.out_buf);
-        self.out_edges_into(&pkt, in_edge, &mut outs);
-        if in_link.is_some() && !outs.is_empty() {
-            self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs);
-            self.flows.mark_transit(&pkt.flow);
+        if let Some((link, flow)) = credit {
+            self.grant_consumed(ctx, link, flow);
         }
-        // IT-Reliable credit accounting: a packet that terminates here (no
-        // onward hop) is consumed the moment it arrives, so the neighbor
-        // that sent this copy gets its credit back immediately.
-        if let Some(link) = in_link {
-            if is_it_reliable && outs.is_empty() {
-                self.grant_consumed(ctx, link, pkt.flow);
-            }
+        if let Some(fo) = self.onward_checks(ctx, &mut pkt, in_edge, outs, fo) {
+            self.transmit_out(ctx, pkt, outs, fo);
         }
-        // Onward forwarding.
-        self.forward_onward(ctx, pkt, in_edge, &outs);
-        self.out_buf = outs;
     }
 
-    pub(super) fn forward_onward(
+    /// What stands between a forwarding decision and the wire: the
+    /// stranded-packet and TTL checks and, for transit packets, this node's
+    /// (possibly compromised) behaviour. Returns the flow's counter handles
+    /// when `pkt` should now go out on `outs`, `None` when it ended here.
+    /// Works on the caller's packet in place, so the one who owns it hands
+    /// it to [`OverlayNode::transmit_out`] without a stop in between.
+    pub(super) fn onward_checks(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
-        mut pkt: DataPacket,
+        pkt: &mut DataPacket,
         in_edge: Option<EdgeId>,
         outs: &[EdgeId],
-    ) {
+        fo: Option<FlowObs>,
+    ) -> Option<FlowObs> {
         if outs.is_empty() {
             // A unicast/anycast packet that has not reached its destination
             // and has no usable next hop is an unroutable drop (e.g. the
@@ -206,51 +271,52 @@ impl OverlayNode {
                 self.obs.drop(DropClass::Unroutable);
                 self.trace_pkt(
                     ctx.now(),
-                    &pkt,
+                    pkt,
                     TraceStage::Drop(DropClass::Unroutable),
                     None,
                 );
-                self.flow_dropped(&pkt);
+                self.flow_dropped(pkt);
             }
-            return;
+            return None;
         }
         if pkt.ttl == 0 {
             self.obs.drop(DropClass::Ttl);
-            self.trace_pkt(ctx.now(), &pkt, TraceStage::Drop(DropClass::Ttl), None);
-            self.flow_dropped(&pkt);
-            return;
+            self.trace_pkt(ctx.now(), pkt, TraceStage::Drop(DropClass::Ttl), None);
+            self.flow_dropped(pkt);
+            return None;
         }
         pkt.ttl -= 1;
+        // The caller's flow lookup, if it made one, serves the whole visit.
+        let fo = match fo {
+            Some(fo) => fo,
+            None => self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs(),
+        };
         // Compromised behaviour applies to *transit* packets only: a node
         // always serves its own clients' sends faithfully (an attacker
         // controlling the client side is modelled as a flooding client).
         if in_edge.is_some() {
-            match self.behavior.forward_verdict(&pkt) {
+            match self.behavior.forward_verdict(pkt) {
                 Verdict::Forward => {}
                 Verdict::Drop => {
                     self.obs.drop(DropClass::Adversary);
-                    self.trace_pkt(
-                        ctx.now(),
-                        &pkt,
-                        TraceStage::Drop(DropClass::Adversary),
-                        None,
-                    );
-                    self.flow_dropped(&pkt);
+                    self.trace_pkt(ctx.now(), pkt, TraceStage::Drop(DropClass::Adversary), None);
+                    self.flow_dropped(pkt);
                     // The honest receipt accounting: the packet did not
                     // progress, and the watchdog upstream will see it.
                     self.watch_note_blackholed(in_edge);
-                    return;
+                    return None;
                 }
                 Verdict::Delay(extra) => {
                     let token = self.next_delay_token;
                     self.next_delay_token = self.next_delay_token.wrapping_add(1);
-                    self.delayed.insert(token, (pkt, in_edge));
+                    // Held as a copy; the caller drops the original.
+                    self.delayed.insert(token, (pkt.clone(), in_edge));
                     ctx.set_timer(extra, TimerKey::DelayedForward { token }.encode());
-                    return;
+                    return None;
                 }
                 Verdict::Duplicate(copies) => {
                     for _ in 1..copies {
-                        self.transmit_out(ctx, pkt.clone(), outs);
+                        self.transmit_out(ctx, pkt.clone(), outs, fo);
                     }
                 }
                 Verdict::Misroute => {
@@ -264,18 +330,18 @@ impl OverlayNode {
                     match wrong {
                         Some(e) => {
                             self.obs.named("adversary_misrouted");
-                            self.transmit_out(ctx, pkt, &[e]);
+                            self.transmit_out(ctx, pkt.clone(), &[e], fo);
                         }
                         None => {
                             self.obs.drop(DropClass::Adversary);
-                            self.flow_dropped(&pkt);
+                            self.flow_dropped(pkt);
                         }
                     }
-                    return;
+                    return None;
                 }
             }
         }
-        self.transmit_out(ctx, pkt, outs);
+        Some(fo)
     }
 
     pub(super) fn transmit_out(
@@ -283,10 +349,10 @@ impl OverlayNode {
         ctx: &mut Ctx<'_, Wire>,
         pkt: DataPacket,
         outs: &[EdgeId],
+        fo: FlowObs,
     ) {
         let slot = pkt.spec.link.slot();
         let now = ctx.now();
-        let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
         // The last out-edge takes the packet itself; only a fan-out copies.
         let mut edges = outs.iter().peekable();
         while let Some(edge) = edges.next() {
@@ -297,14 +363,9 @@ impl OverlayNode {
             self.obs.inc(fo.forwarded);
             self.trace_pkt(now, &pkt, TraceStage::Enqueue, Some(link));
             if edges.peek().is_some() {
-                let copy = pkt.clone();
-                self.run_link_proto(ctx, link, slot, move |p, out| {
-                    p.on_send(now, copy, out);
-                });
+                self.run_link_proto(ctx, link, slot, pkt.clone(), <dyn LinkProto>::on_send);
             } else {
-                self.run_link_proto(ctx, link, slot, move |p, out| {
-                    p.on_send(now, pkt, out);
-                });
+                self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_send);
                 break;
             }
         }
@@ -321,9 +382,9 @@ impl OverlayNode {
         payload: bytes::Bytes,
     ) {
         let fc = self.flows.ensure(flow, spec, &mut self.obs);
+        fc.mark_ingress();
         let fo = fc.obs();
         let flow_sid = fc.stable_id();
-        self.flows.mark_ingress(&flow);
         self.obs.inc(fo.sent);
         // Graceful overload shedding: while the watchdog's queue-growth
         // controller is engaged, the lowest-priority flows are shed at the
@@ -343,7 +404,7 @@ impl OverlayNode {
             RoutingService::LinkState => None,
             RoutingService::SourceBased(scheme) => {
                 let version = self.conn.version();
-                match self.flows.cached_mask(&flow, version) {
+                match fc.cached_mask(version) {
                     Some(m) => Some(m),
                     None => {
                         let dst_node = match flow.dst() {
@@ -364,7 +425,7 @@ impl OverlayNode {
                         };
                         match computed {
                             Some(m) => {
-                                self.flows.store_mask(&flow, version, m);
+                                fc.store_mask(version, m);
                                 Some(m)
                             }
                             None => {
@@ -456,7 +517,7 @@ impl OverlayNode {
         } else {
             0
         };
-        let pkt = DataPacket {
+        let mut pkt = DataPacket {
             flow,
             flow_seq: self.flood_seq,
             origin: self.me,
@@ -474,7 +535,9 @@ impl OverlayNode {
         self.obs.adversary_injected();
         let mut outs = std::mem::take(&mut self.out_buf);
         self.out_edges_into(&pkt, None, &mut outs);
-        self.forward_onward(ctx, pkt, None, &outs);
+        if let Some(fo) = self.onward_checks(ctx, &mut pkt, None, &outs, None) {
+            self.transmit_out(ctx, pkt, &outs, fo);
+        }
         self.out_buf = outs;
         let delay = SimDuration::from_secs_f64(1.0 / rate_pps.max(1) as f64);
         ctx.set_timer(delay, TimerKey::Flood.encode());

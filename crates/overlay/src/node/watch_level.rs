@@ -210,7 +210,7 @@ impl OverlayNode {
                     ctx,
                     l,
                     None,
-                    Wire::Control(Control::WatchReceipt {
+                    &Wire::Control(Control::WatchReceipt {
                         received,
                         progressed,
                     }),

@@ -166,6 +166,23 @@ pub struct LinkAdvert {
     pub loss: f64,
 }
 
+impl LinkAdvert {
+    /// The largest latency an advertisement may claim, in milliseconds.
+    /// Route weights are sums and means of advertised latencies, so the
+    /// bound keeps any number of adverts for one edge finite.
+    pub const MAX_LATENCY_MS: f64 = 1e9;
+
+    /// Whether the measurements are ones a correct node can have made: a
+    /// finite latency in `[0, MAX_LATENCY_MS]` (zero is what a link faster
+    /// than the 0.25 ms advertising quantum rounds to) and a loss rate in
+    /// `[0, 1]`. Anything else — `inf`, NaN, a negative — is forged or
+    /// corrupt, and would poison every weight computed from it.
+    #[must_use]
+    pub fn is_well_formed(&self) -> bool {
+        (0.0..=Self::MAX_LATENCY_MS).contains(&self.latency_ms) && (0.0..=1.0).contains(&self.loss)
+    }
+}
+
 /// A link-state advertisement flooded by every node about its own links
 /// (the Connectivity Graph Maintenance shared state, §II-B).
 #[derive(Debug, Clone, PartialEq)]
@@ -414,6 +431,7 @@ pub enum Wire {
 }
 
 impl SimMessage for Wire {
+    #[inline]
     fn wire_size(&self) -> usize {
         match self {
             Wire::Data(d) => d.wire_size(),
@@ -429,6 +447,7 @@ impl SimMessage for Wire {
         }
     }
 
+    #[inline]
     fn kind(&self) -> MessageKind {
         match self {
             // Only overlay data packets are data-plane traffic; everything
@@ -448,6 +467,28 @@ mod tests {
     use super::*;
     use crate::addr::DestKey;
     use son_netsim::time::SimDuration;
+
+    /// Every hand-off of a frame — into the event slab, out to a handler,
+    /// in and out of a link protocol's batch — moves one of these by value,
+    /// so a field added to any of them is paid on every hop of every
+    /// packet. The ceilings are today's sizes: raising one is a decision
+    /// (measure `cpu_us_per_delivered_pkt` first), not a side effect.
+    #[test]
+    fn hand_off_types_do_not_grow_unnoticed() {
+        use crate::linkproto::LinkAction;
+        use std::mem::size_of;
+        assert!(
+            size_of::<DataPacket>() <= 280,
+            "{}",
+            size_of::<DataPacket>()
+        );
+        assert!(size_of::<Wire>() <= 280, "{}", size_of::<Wire>());
+        assert!(
+            size_of::<LinkAction>() <= 288,
+            "{}",
+            size_of::<LinkAction>()
+        );
+    }
 
     fn packet(mask: Option<EdgeMask>, size: usize) -> DataPacket {
         DataPacket {

@@ -576,6 +576,9 @@ impl ConnectivityMonitor {
         if lsa.origin == self.me {
             return; // our own advertisement echoed back
         }
+        if !lsa.links.iter().all(LinkAdvert::is_well_formed) {
+            return; // forged or corrupt: never stored, never flooded on
+        }
         if let Some(&(seq, at)) = self.tombstones.get(&lsa.origin) {
             if lsa.seq <= seq && now.saturating_since(at) < TOMBSTONE_TTL {
                 return; // stale flood of an evicted origin
@@ -1080,6 +1083,34 @@ mod tests {
                 loss: 0.0,
             }],
         }
+    }
+
+    /// The monitor is also fed by the sim leg, where no byte decoder stands
+    /// in front of it: a forged measurement is dropped here too, before it
+    /// can reach a route weight (`+inf` used to panic the next rebuild).
+    #[test]
+    fn forged_lsa_measurements_never_reach_the_lsdb() {
+        let mut mon = held_monitor(0);
+        let mut out = Vec::new();
+        mon.on_lsa(SimTime::ZERO, changed_lsa(1, 1, 12.0), None, &mut out);
+        let (stored, version) = (mon.lsdb_len(), mon.version());
+        let before = mon.snapshot();
+        for (seq, latency_ms) in [(2, f64::INFINITY), (3, f64::NAN), (4, -3.0), (5, 1e300)] {
+            out.clear();
+            mon.on_lsa(
+                SimTime::ZERO,
+                changed_lsa(1, seq, latency_ms),
+                None,
+                &mut out,
+            );
+            assert!(out.is_empty(), "latency {latency_ms} was flooded on");
+        }
+        let mut lossy = changed_lsa(2, 1, 10.0);
+        lossy.links[0].loss = 7.0;
+        mon.on_lsa(SimTime::ZERO, lossy, None, &mut out);
+        assert!(out.is_empty());
+        assert_eq!((mon.lsdb_len(), mon.version()), (stored, version));
+        assert!(Arc::ptr_eq(&before, &mon.snapshot()), "no rebuild either");
     }
 
     fn held_monitor(hold_ms: u64) -> ConnectivityMonitor {

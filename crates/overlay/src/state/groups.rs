@@ -178,13 +178,9 @@ impl GroupTable {
         nodes
     }
 
-    /// Local client ports subscribed to `group`.
-    #[must_use]
-    pub fn local_members(&self, group: GroupId) -> Vec<VirtualPort> {
-        self.local
-            .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+    /// Local client ports subscribed to `group`, ascending.
+    pub fn local_members(&self, group: GroupId) -> impl Iterator<Item = VirtualPort> + '_ {
+        self.local.get(&group).into_iter().flatten().copied()
     }
 
     /// `true` if this node has any local client in `group`.
@@ -244,7 +240,7 @@ mod tests {
         let mut out = Vec::new();
         t.join(G, VirtualPort(2), &mut out);
         assert!(out.is_empty());
-        assert_eq!(t.local_members(G), vec![VirtualPort(1), VirtualPort(2)]);
+        assert!(t.local_members(G).eq([VirtualPort(1), VirtualPort(2)]));
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub enum WireError {
     /// The value is local IPC (`FromClient`/`ToClient`/`Raw`) and never
     /// crosses an overlay link.
     LocalOnly(&'static str),
+    /// A field decoded to a value no correct sender produces (a non-finite
+    /// or negative latency, a loss rate outside `[0, 1]`).
+    BadValue(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -165,6 +168,7 @@ impl std::fmt::Display for WireError {
             WireError::LocalOnly(what) => {
                 write!(f, "{what} is local IPC and never crosses a link")
             }
+            WireError::BadValue(what) => write!(f, "{what} carries an impossible value"),
         }
     }
 }
@@ -235,6 +239,7 @@ pub fn encode(wire: &Wire) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns a [`WireError`] on bad magic/version, unknown tags, truncation,
 /// or trailing bytes.
+#[inline]
 pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
     let mut r = Reader::new(frame);
     let magic = r.u8()?;
@@ -256,22 +261,28 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
         });
     }
     let wire = match kind {
-        KIND_DATA => Wire::Data(get_data(&mut r, flags)?),
-        KIND_CTL => Wire::Ctl {
-            slot: flags,
-            ctl: get_ctl(&mut r)?,
-        },
-        KIND_CONTROL => Wire::Control(get_control(&mut r, flags)?),
-        tag => return Err(WireError::BadTag { what: "kind", tag }),
+        KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
+        KIND_CTL => get_ctl(&mut r).map(|ctl| Wire::Ctl { slot: flags, ctl }),
+        KIND_CONTROL => get_control(&mut r, flags).map(Wire::Control),
+        tag => Err(WireError::BadTag { what: "kind", tag }),
     };
-    if r.remaining() != 0 {
-        return Err(WireError::Trailing);
+    match wire {
+        Ok(_) if r.remaining() != 0 => Err(WireError::Trailing),
+        checked => checked,
     }
-    Ok(wire)
 }
 
 thread_local! {
     static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The per-thread scratch buffer, checked out; goes back when dropped.
+struct Scratch(Vec<u8>);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        drop(SCRATCH.replace(std::mem::take(&mut self.0)));
+    }
 }
 
 /// Round-trips a link frame through the codec (encode, then decode the
@@ -284,13 +295,16 @@ thread_local! {
 ///
 /// Propagates any [`WireError`]; link traffic round-trips losslessly, so an
 /// error here means a local-only wire reached the link path.
+#[inline]
 pub fn recode(wire: &Wire) -> Result<Wire, WireError> {
-    SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.clear();
-        encode_into(wire, &mut buf)?;
-        decode(&buf)
-    })
+    // The buffer is checked out, not borrowed through a closure, and
+    // `decode` is the tail call: the decoded frame is built where the
+    // caller wants it instead of being handed back through each wrapper
+    // around it, one 280-byte move apiece.
+    let mut buf = Scratch(SCRATCH.take());
+    buf.0.clear();
+    encode_into(wire, &mut buf.0)?;
+    decode(&buf.0)
 }
 
 // ---------------------------------------------------------------- writers
@@ -736,6 +750,7 @@ fn get_spec(r: &mut Reader<'_>) -> Result<FlowSpec, WireError> {
     })
 }
 
+#[inline(always)]
 fn get_data(r: &mut Reader<'_>, flags: u8) -> Result<DataPacket, WireError> {
     let flow = get_flow_key(r)?;
     let flow_seq = r.u64()?;
@@ -857,14 +872,16 @@ fn get_control(r: &mut Reader<'_>, sub: u8) -> Result<Control, WireError> {
             for _ in 0..n {
                 let edge = EdgeId(r.u32()? as usize);
                 let up = r.bool("link up")?;
-                let latency_ms = r.f64()?;
-                let loss = r.f64()?;
-                links.push(LinkAdvert {
+                let advert = LinkAdvert {
                     edge,
                     up,
-                    latency_ms,
-                    loss,
-                });
+                    latency_ms: r.f64()?,
+                    loss: r.f64()?,
+                };
+                if !advert.is_well_formed() {
+                    return Err(WireError::BadValue("link advert"));
+                }
+                links.push(advert);
             }
             Control::Lsa(Lsa { origin, seq, links })
         }
@@ -974,6 +991,47 @@ mod tests {
         bytes[0] = FRAME_MAGIC;
         bytes[1] = 99;
         assert!(matches!(decode(&bytes), Err(WireError::BadVersion(99))));
+    }
+
+    fn lsa_frame(latency_ms: f64, loss: f64) -> Vec<u8> {
+        encode(&Wire::Control(Control::Lsa(Lsa {
+            origin: NodeId(3),
+            seq: 7,
+            links: vec![LinkAdvert {
+                edge: EdgeId(1),
+                up: true,
+                latency_ms,
+                loss,
+            }],
+        })))
+        .unwrap()
+    }
+
+    /// A forged measurement would reach every route weight computed from
+    /// the LSDB (`+inf` trips the graph's finite-weight assertion at the
+    /// next rebuild); the decoder is where outside bytes enter.
+    #[test]
+    fn rejects_link_adverts_no_correct_node_sends() {
+        for (latency_ms, loss) in [
+            (f64::INFINITY, 0.0),
+            (f64::NAN, 0.0),
+            (-1.0, 0.0),
+            (f64::MAX, 0.0),
+            (10.0, f64::NAN),
+            (10.0, -0.02),
+            (10.0, 1.5),
+        ] {
+            assert_eq!(
+                decode(&lsa_frame(latency_ms, loss)),
+                Err(WireError::BadValue("link advert")),
+                "latency {latency_ms} loss {loss}"
+            );
+        }
+        // What `build_own_lsa` emits — quantized, so a link faster than the
+        // 0.25 ms quantum advertises exactly zero — still decodes.
+        for (latency_ms, loss) in [(0.0, 0.0), (12.25, 0.02), (0.25, 1.0)] {
+            assert!(decode(&lsa_frame(latency_ms, loss)).is_ok());
+        }
     }
 
     #[test]

@@ -1,0 +1,210 @@
+//! Pins the order in which a daemon applies the actions its levels emit.
+//!
+//! Link protocols, the session table and the control plane hand the daemon
+//! batches of typed actions; the daemon applies each batch depth-first (a
+//! nested batch — the credit a `Consumed` grants upstream, the client
+//! notification behind a `PauseFlow` — completes before the next action of
+//! the outer batch) and threads two one-shot flags through it
+//! (`Observe(Recovered)` → next `Deliver`, `Observe(Retransmit)` → next
+//! `Transmit`, cleared by FEC's `TransmitCtl`). Every one of those rules
+//! shows up in the per-packet trace, so the trace of a run that uses every
+//! link service and every routing service under loss is the golden record.
+//!
+//! The constants were recorded on the commit before the per-type dispatch
+//! loops replaced the unified action enum; a refactor of the dispatch path
+//! must leave them untouched. A deliberate protocol change re-records them
+//! (`cargo test -p son-overlay --test dispatch_order -- --nocapture` prints
+//! the observed values on failure).
+
+use std::collections::BTreeMap;
+
+use son_netsim::loss::LossConfig;
+use son_netsim::rng::{fnv1a, splitmix};
+use son_netsim::sim::Simulation;
+use son_netsim::time::{SimDuration, SimTime};
+use son_obs::trace::TraceStage;
+use son_overlay::builder::OverlayBuilder;
+use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::node::{NodeConfig, OverlayNode};
+use son_overlay::service::{FecParams, RealtimeParams};
+use son_overlay::{
+    Destination, FlowSpec, LinkService, OverlayAddr, RoutingService, SourceRoute, Wire,
+};
+use son_topo::{Graph, NodeId};
+
+const NODES: usize = 5;
+const PACKETS: u64 = 300;
+
+/// A 5-ring with one chord: two node-disjoint 0→3 paths exist, link-state
+/// routes 0→2 over a transit node, and flooding reaches every node twice.
+fn topology() -> Graph {
+    let mut g = Graph::new(NODES);
+    g.add_edge(NodeId(0), NodeId(1), 10.0);
+    g.add_edge(NodeId(1), NodeId(2), 10.0);
+    g.add_edge(NodeId(2), NodeId(3), 10.0);
+    g.add_edge(NodeId(3), NodeId(4), 10.0);
+    g.add_edge(NodeId(4), NodeId(0), 12.0);
+    g.add_edge(NodeId(1), NodeId(3), 15.0);
+    g
+}
+
+/// One flow per link service over link-state routing, then one per
+/// source-based routing service.
+fn specs() -> Vec<FlowSpec> {
+    let source = |scheme| RoutingService::SourceBased(scheme);
+    vec![
+        FlowSpec::best_effort(),
+        FlowSpec::reliable(),
+        FlowSpec::live_video(SimDuration::from_millis(200))
+            .with_link(LinkService::Realtime(RealtimeParams::live_tv())),
+        FlowSpec::best_effort().with_link(LinkService::ItPriority),
+        FlowSpec::reliable().with_link(LinkService::ItReliable),
+        FlowSpec::best_effort().with_link(LinkService::Fifo),
+        FlowSpec::best_effort().with_link(LinkService::Fec(FecParams::light())),
+        FlowSpec::reliable()
+            .with_link(LinkService::ItReliable)
+            .with_routing(source(SourceRoute::DisjointPaths(2))),
+        FlowSpec::best_effort().with_routing(source(SourceRoute::DisseminationGraph)),
+        FlowSpec::best_effort()
+            .with_link(LinkService::ItPriority)
+            .with_routing(source(SourceRoute::ConstrainedFlooding)),
+    ]
+}
+
+fn stage_words(stage: TraceStage) -> (u64, u64) {
+    match stage {
+        TraceStage::Ingress { masked } => (0, u64::from(masked)),
+        TraceStage::Enqueue => (1, 0),
+        TraceStage::Transmit => (2, 0),
+        TraceStage::Retransmit => (3, 0),
+        TraceStage::LossDetected => (4, 0),
+        TraceStage::Recovered { after_ns } => (5, after_ns),
+        TraceStage::Deliver => (6, 0),
+        TraceStage::Reroute => (7, 0),
+        TraceStage::Drop(class) => (8, fnv1a(class.label().as_bytes())),
+    }
+}
+
+/// Runs the mix and returns `(digest over every node's trace ring in
+/// recorded order, events per stage label, packets received per flow)`.
+fn run() -> (u64, BTreeMap<&'static str, u64>, Vec<u64>) {
+    let mut sim: Simulation<Wire> = Simulation::new(16);
+    let config = NodeConfig {
+        trace_sample: 1,
+        ..NodeConfig::default()
+    };
+    let overlay = OverlayBuilder::new(topology())
+        .node_config(config)
+        .default_loss(LossConfig::Bernoulli { p: 0.02 })
+        .build(&mut sim);
+    let (mut receivers, mut senders) = (Vec::new(), Vec::new());
+    for (i, spec) in specs().into_iter().enumerate() {
+        let i = i as u16;
+        // Link-state flows end two hops away; source-routed ones at the
+        // node with two disjoint paths from the source.
+        let to = if matches!(spec.routing, RoutingService::LinkState) {
+            NodeId(2)
+        } else {
+            NodeId(3)
+        };
+        receivers.push(sim.add_process(ClientProcess::new(ClientConfig {
+            daemon: overlay.daemon(to),
+            port: 100 + i,
+            joins: vec![],
+            flows: vec![],
+        })));
+        senders.push(sim.add_process(ClientProcess::new(ClientConfig {
+            daemon: overlay.daemon(NodeId(0)),
+            port: 200 + i,
+            joins: vec![],
+            flows: vec![ClientFlow {
+                local_flow: 1,
+                dst: Destination::Unicast(OverlayAddr::new(to, 100 + i)),
+                spec,
+                workload: Workload::Cbr {
+                    size: 400,
+                    // Faster than an IT-Reliable window drains over a 20 ms
+                    // round trip, so `PauseFlow`/`ResumeFlow` fire too.
+                    interval: SimDuration::from_millis(1),
+                    count: PACKETS,
+                    start: SimTime::from_millis(500 + u64::from(i)),
+                },
+            }],
+        })));
+    }
+    sim.run_until(SimTime::from_secs(4));
+
+    let pauses: u64 = senders
+        .iter()
+        .map(|&tx| {
+            sim.proc_ref::<ClientProcess>(tx)
+                .expect("sender")
+                .pause_events
+        })
+        .sum();
+    assert!(pauses > 0, "the mix must exercise backpressure");
+
+    let mut digest = 0u64;
+    let mut per_stage: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for n in 0..NODES {
+        let node = sim
+            .proc_ref::<OverlayNode>(overlay.daemon(NodeId(n)))
+            .expect("daemon exists");
+        let ring = node.obs().traces();
+        assert_eq!(ring.evicted(), 0, "the ring must hold the whole run");
+        for e in ring.events() {
+            let (tag, arg) = stage_words(e.stage);
+            for word in [
+                u64::from(e.node),
+                e.at_ns,
+                e.trace_id,
+                u64::from(e.hop),
+                e.packet.flow,
+                e.packet.seq,
+                tag,
+                arg,
+                e.link.map_or(u64::MAX, u64::from),
+            ] {
+                digest = splitmix(digest ^ word);
+            }
+            *per_stage.entry(e.stage.label()).or_default() += 1;
+        }
+    }
+    let received = receivers
+        .iter()
+        .map(|&rx| {
+            let client = sim.proc_ref::<ClientProcess>(rx).expect("receiver exists");
+            client.recv.values().map(|r| r.received).sum()
+        })
+        .collect();
+    (digest, per_stage, received)
+}
+
+#[test]
+fn per_packet_stage_sequence_matches_the_recorded_golden() {
+    let (digest, per_stage, received) = run();
+    let stages: Vec<(&str, u64)> = per_stage.into_iter().collect();
+    println!("digest = {digest:#018x}\nstages = {stages:?}\nreceived = {received:?}");
+    assert_eq!(stages, GOLDEN_STAGES, "events per stage moved");
+    assert_eq!(received, GOLDEN_RECEIVED, "deliveries per flow moved");
+    assert_eq!(
+        digest, GOLDEN_DIGEST,
+        "same counts, different order or attribution: a nested batch no \
+         longer completes before its outer batch continues, or a one-shot \
+         recover/retransmit flag landed on the wrong action"
+    );
+}
+
+const GOLDEN_DIGEST: u64 = 0xf175_1dd4_1aca_8189;
+const GOLDEN_STAGES: &[(&str, u64)] = &[
+    ("deliver", 2635),
+    ("drop", 2398),
+    ("enqueue", 9073),
+    ("ingress", 2674),
+    ("loss_detected", 34),
+    ("recovered", 39),
+    ("reroute", 20),
+    ("retransmit", 71),
+    ("transmit", 9049),
+];
+const GOLDEN_RECEIVED: &[u64] = &[293, 300, 300, 291, 219, 288, 297, 47, 300, 300];

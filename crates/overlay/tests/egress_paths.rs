@@ -1,0 +1,180 @@
+//! The three ways a packet can end (or not end) at a node that has a local
+//! client for it. A node hands the packet itself to the session table only
+//! when nothing goes onward; these pin the cases where that decision must
+//! not change what is delivered, forwarded, or credited.
+
+use std::collections::BTreeMap;
+
+use son_netsim::link::PipeId;
+use son_netsim::process::{Process, ProcessId};
+use son_netsim::sim::{Ctx, Simulation};
+use son_netsim::time::{SimDuration, SimTime};
+use son_overlay::builder::{chain_topology, OverlayBuilder};
+use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::node::{OverlayNode, CLIENT_IPC_DELAY};
+use son_overlay::{
+    ClientOp, Destination, FlowSpec, GroupId, LinkService, OverlayAddr, SessionEvent, Wire,
+};
+use son_topo::NodeId;
+
+const RX_PORT: u16 = 70;
+const TX_PORT: u16 = 50;
+
+fn receiver(daemon: ProcessId, joins: Vec<GroupId>) -> ClientProcess {
+    ClientProcess::new(ClientConfig {
+        daemon,
+        port: RX_PORT,
+        joins,
+        flows: vec![],
+    })
+}
+
+fn sender(daemon: ProcessId, dst: Destination, spec: FlowSpec, count: u64) -> ClientProcess {
+    ClientProcess::new(ClientConfig {
+        daemon,
+        port: TX_PORT,
+        joins: vec![],
+        flows: vec![ClientFlow {
+            local_flow: 1,
+            dst,
+            spec,
+            workload: Workload::Cbr {
+                size: 500,
+                interval: SimDuration::from_millis(1),
+                count,
+                start: SimTime::from_millis(500),
+            },
+        }],
+    })
+}
+
+/// Chain 0-1-2 with multicast members on 1 and 2: node 1 delivers locally
+/// *and* forwards, so it must keep a copy for the onward hop.
+#[test]
+fn multicast_member_that_is_also_transit_still_forwards() {
+    let mut sim = Simulation::new(31);
+    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+    let group = GroupId(4);
+    let mid = sim.add_process(receiver(overlay.daemon(NodeId(1)), vec![group]));
+    let end = sim.add_process(receiver(overlay.daemon(NodeId(2)), vec![group]));
+    sim.add_process(sender(
+        overlay.daemon(NodeId(0)),
+        Destination::Multicast(group),
+        FlowSpec::best_effort(),
+        100,
+    ));
+    sim.run_until(SimTime::from_secs(2));
+    for (who, rx) in [("transit member", mid), ("leaf member", end)] {
+        let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+        assert_eq!(r.received, 100, "{who} missed traffic");
+        assert_eq!(r.app_duplicates, 0);
+    }
+    let relay = sim
+        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
+        .unwrap();
+    assert_eq!(relay.metrics().forwarded, 100);
+    assert_eq!(relay.metrics().delivered_local, 100);
+}
+
+/// A client that joins a group some time after it connects, and counts the
+/// deliveries it gets per sequence number.
+struct LateJoiner {
+    daemon: ProcessId,
+    group: GroupId,
+    join_at: SimDuration,
+    deliveries: BTreeMap<u64, u32>,
+}
+
+impl Process<Wire> for LateJoiner {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
+        let connect = Wire::FromClient(ClientOp::Connect { port: RX_PORT });
+        ctx.send_direct(self.daemon, CLIENT_IPC_DELAY, connect);
+        ctx.set_timer(self.join_at, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, _token: u64) {
+        let join = Wire::FromClient(ClientOp::Join(self.group));
+        ctx.send_direct(self.daemon, CLIENT_IPC_DELAY, join);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, Wire>, _: ProcessId, _: Option<PipeId>, msg: Wire) {
+        if let Wire::ToClient(SessionEvent::Deliver { seq, .. }) = msg {
+            *self.deliveries.entry(seq).or_default() += 1;
+        }
+    }
+}
+
+/// Chain 0-1-2-3, anycast member on 3 from the start; a second member
+/// appears on transit node 1 mid-stream. Until the ingress hears of it,
+/// packets resolved to node 3 cross a node that has a local member: they
+/// must pass through untouched, or they are delivered twice.
+#[test]
+fn anycast_member_that_was_not_resolved_does_not_deliver() {
+    const COUNT: u64 = 400;
+    let mut sim = Simulation::new(32);
+    let overlay = OverlayBuilder::new(chain_topology(4, 10.0)).build(&mut sim);
+    let group = GroupId(5);
+    let far = sim.add_process(receiver(overlay.daemon(NodeId(3)), vec![group]));
+    let near = sim.add_process(LateJoiner {
+        daemon: overlay.daemon(NodeId(1)),
+        group,
+        join_at: SimDuration::from_millis(700),
+        deliveries: BTreeMap::new(),
+    });
+    sim.add_process(sender(
+        overlay.daemon(NodeId(0)),
+        Destination::Anycast(group),
+        FlowSpec::best_effort(),
+        COUNT,
+    ));
+    sim.run_until(SimTime::from_secs(2));
+    let far = sim.proc_ref::<ClientProcess>(far).unwrap().sole_recv();
+    let near = &sim.proc_ref::<LateJoiner>(near).unwrap().deliveries;
+    assert!(
+        far.received > 150,
+        "node 3 serves the stream until the join"
+    );
+    assert!(near.len() > 150, "node 1 serves it once the ingress knows");
+    assert!(near.values().all(|&n| n == 1));
+    assert_eq!(
+        far.received + near.len() as u64,
+        COUNT,
+        "every packet is delivered at exactly one member"
+    );
+    let overlap = far
+        .arrivals
+        .iter()
+        .filter(|(_, seq)| near.contains_key(seq));
+    assert_eq!(
+        overlap.count(),
+        0,
+        "a packet resolved to node 3 stopped at 1"
+    );
+}
+
+/// Two nodes, IT-Reliable: every packet terminates at node 1 with no
+/// onward hop. More packets than the 32-packet hard cap only arrive if each
+/// terminal packet hands its credit back over the link it came in on.
+#[test]
+fn it_reliable_terminal_packet_still_grants_its_credit() {
+    const COUNT: u64 = 200;
+    let mut sim = Simulation::new(33);
+    let overlay = OverlayBuilder::new(chain_topology(2, 10.0)).build(&mut sim);
+    let rx = sim.add_process(receiver(overlay.daemon(NodeId(1)), vec![]));
+    let tx = sim.add_process(sender(
+        overlay.daemon(NodeId(0)),
+        Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT)),
+        FlowSpec::reliable().with_link(LinkService::ItReliable),
+        COUNT,
+    ));
+    sim.run_until(SimTime::from_secs(10));
+    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
+    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    // A paused client skips its send slots, so fewer than COUNT go out; a
+    // sender that never got a credit back would stop at the cap for good.
+    assert!(sent > 100, "the sender stayed paused after {sent} packets");
+    assert_eq!(r.received, sent);
+    let terminal = sim
+        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
+        .unwrap();
+    let credits = terminal.link_stats(0, LinkService::ItReliable).ctl_sent;
+    assert!(credits >= sent, "one credit per consumed packet: {credits}");
+}

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # benchmark/ is its own workspace, so no workspace build, test or lint
 # compiles it and an API change under crates/ can break it silently. Run its
-# tests, then two quick workloads that must exit 0 with no failed operation:
-# the data-plane one, and the 512-node cold start that leans on the son-topo
-# and connectivity types the benchmark crate compiles against.
+# tests, then three quick workloads that must exit 0 with no failed operation:
+# the best-effort data plane, the same data plane under loss (every other
+# link protocol and routing service, so a change to how protocol actions are
+# dispatched shows here), and the 512-node cold start that leans on the
+# son-topo and connectivity types the benchmark crate compiles against.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # The last line is the driver's JSON object; everything is echoed to stderr.
-for workload in sim_fwd_churn sim_scale_512; do
+for workload in sim_fwd_churn sim_recovery_mix sim_scale_512; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seconds 2 --quick \
         | tee /dev/stderr | tail -n 1 | grep -q '"failed":0[,}]' || {
