@@ -2,15 +2,15 @@
 //! event processing rate (how much virtual traffic a host can push).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use son_bench::Fleet;
 use son_netsim::event::EventQueue;
 use son_netsim::link::PipeId;
 use son_netsim::process::ProcessId;
 use son_netsim::rng::SimRng;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::addr::FlowKey;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::client::Workload;
 use son_overlay::packet::DataPacket;
 use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
 use son_topo::NodeId;
@@ -62,32 +62,20 @@ fn bench_simulator(c: &mut Criterion) {
 
     c.bench_function("overlay_5hop_reliable_1s_stream", |b| {
         b.iter(|| {
-            let mut sim: Simulation<Wire> = Simulation::new(1);
-            let overlay = OverlayBuilder::new(chain_topology(6, 10.0)).build(&mut sim);
-            let _rx = sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(5)),
-                port: 70,
-                joins: vec![],
-                flows: vec![],
-            }));
-            let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(0)),
-                port: 50,
-                joins: vec![],
-                flows: vec![ClientFlow {
-                    local_flow: 1,
-                    dst: Destination::Unicast(OverlayAddr::new(NodeId(5), 70)),
-                    spec: FlowSpec::reliable(),
-                    workload: Workload::Cbr {
-                        size: 1316,
-                        interval: SimDuration::from_millis(10),
-                        count: 100,
-                        start: SimTime::from_millis(100),
-                    },
-                }],
-            }));
-            sim.run_until(SimTime::from_secs(2));
-            std::hint::black_box(sim.events_processed())
+            let mut fleet = Fleet::new(1, None, OverlayBuilder::new(chain_topology(6, 10.0)));
+            fleet.flow(
+                NodeId(0),
+                NodeId(5),
+                FlowSpec::reliable(),
+                Workload::Cbr {
+                    size: 1316,
+                    interval: SimDuration::from_millis(10),
+                    count: 100,
+                    start: SimTime::from_millis(100),
+                },
+            );
+            fleet.run(SimTime::from_secs(2));
+            std::hint::black_box(fleet.sim.events_processed())
         })
     });
 }

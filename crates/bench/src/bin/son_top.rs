@@ -25,7 +25,7 @@ use std::io::Read as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use son_bench::telemetry::{ClusterState, Gate};
+use son_bench::{ClusterState, Gate};
 use son_obs::snapshot::TelemetrySnapshot;
 use son_obs::Json;
 

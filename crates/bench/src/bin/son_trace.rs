@@ -441,7 +441,6 @@ fn run_scale_report(args: &Args) -> Result<bool, String> {
         ("state KiB", 10),
         ("reroute p50", 12),
         ("reroute p99", 12),
-        ("perf ovh", 9),
     ]);
     for p in &points {
         row(&[
@@ -451,7 +450,6 @@ fn run_scale_report(args: &Args) -> Result<bool, String> {
             (f(num(p, "bytes_per_node_state") / 1024.0, 1), 10),
             (format!("{:.0}us", num(p, "reroute_p50_ns") / 1e3), 12),
             (format!("{:.0}us", num(p, "reroute_p99_ns") / 1e3), 12),
-            (format!("{:+.1}%", num(p, "perf_overhead_pct")), 9),
         ]);
     }
     // Event-engine occupancy and sharding columns (added with the PDES

@@ -14,7 +14,7 @@
 //!   memory footprint over time, so the leak tests can assert that departed
 //!   members are actually evicted instead of accumulating forever.
 //!
-//! Used by `exp_churn`, the smoke gate in `scripts/check.sh`, and the
+//! Used by `son-exp churn`, the smoke gate in `scripts/check.sh`, and the
 //! regression tests, so all three agree on what a churn campaign is.
 //!
 //! Route convergence is judged on each node's *belief* (its shortest-path
@@ -28,13 +28,13 @@ use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::Registry;
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::client::Workload;
 use son_overlay::node::{OverlayNode, TimerKey};
 use son_overlay::state::membership::MembershipConfig;
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, Wire};
+use son_overlay::{FlowSpec, NodeConfig, Wire};
 use son_topo::NodeId;
 
-use crate::{gather_registry, ring_with_chords, RX_PORT, TX_PORT};
+use crate::{ring_with_chords, Fleet};
 
 /// The timer token a campaign poke delivers to trigger a graceful leave.
 /// The simulator stays ignorant of overlay timer encodings; the harness is
@@ -195,13 +195,6 @@ impl ChurnRun {
         self
     }
 
-    /// Overrides the overlay size.
-    #[must_use]
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
     /// Runs the campaign on the sharded event engine.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -213,17 +206,18 @@ impl ChurnRun {
     /// churn so the delivery ratio judges the network, not dead senders.
     #[must_use]
     pub fn protected(&self) -> Vec<usize> {
-        let n = self.nodes;
-        let mut out = Vec::new();
-        for k in 0..self.flows {
-            let a = k * n / self.flows;
-            let b = (a + n / 2 + 3) % n;
-            out.push(a);
-            out.push(b);
-        }
+        let mut out: Vec<usize> = self.endpoints().flat_map(|(a, b)| [a, b]).collect();
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// `(sender, receiver)` ordinals of each measured flow: evenly spaced
+    /// sources, each sending just past its antipode.
+    fn endpoints(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.nodes;
+        let sources = (0..self.flows).map(move |k| k * n / self.flows);
+        sources.map(move |a| (a, (a + n / 2 + 3) % n))
     }
 
     /// Builds the campaign for this run against the built overlay.
@@ -278,22 +272,24 @@ impl ChurnRun {
     #[must_use]
     pub fn run(self) -> ChurnOutcome {
         let topo = ring_with_chords(self.nodes, 5.0, self.chord_every);
-        let mut sim: Simulation<Wire> = Simulation::new(self.seed);
-        let overlay = OverlayBuilder::new(topo)
-            .node_config(NodeConfig {
+        let mut fleet = Fleet::new(
+            self.seed,
+            None,
+            OverlayBuilder::new(topo).node_config(NodeConfig {
                 membership: self.membership,
                 ..NodeConfig::default()
-            })
-            .build(&mut sim);
+            }),
+        );
 
-        let campaign = self.build_campaign(&overlay);
-        campaign.schedule_into(&mut sim);
+        let campaign = self.build_campaign(&fleet.overlay);
+        fleet.campaign(&campaign);
 
         // The expected-up timeline, derived from the schedule itself. A
         // graceful poke moves the node out of the expected set at the poke
         // (survivors should mark it Left as the announcement floods); a
         // crash does the same at the crash; a restart moves it back in.
-        let ordinal_of: HashMap<usize, usize> = overlay
+        let ordinal_of: HashMap<usize, usize> = fleet
+            .overlay
             .daemons
             .iter()
             .enumerate()
@@ -314,47 +310,20 @@ impl ChurnRun {
 
         // Measured flows between protected endpoints.
         let n = self.nodes;
-        let mut rxs = Vec::new();
-        let mut txs = Vec::new();
-        let mut clients = Vec::new();
-        for k in 0..self.flows {
-            let a = k * n / self.flows;
-            let b = (a + n / 2 + 3) % n;
-            let rx = sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(b)),
-                port: RX_PORT + k as u16,
-                joins: vec![],
-                flows: vec![],
-            }));
-            let tx = sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(a)),
-                port: TX_PORT + k as u16,
-                joins: vec![],
-                flows: vec![ClientFlow {
-                    local_flow: 1,
-                    dst: Destination::Unicast(OverlayAddr::new(NodeId(b), RX_PORT + k as u16)),
-                    spec: FlowSpec::best_effort(),
-                    workload: Workload::Cbr {
-                        size: 1000,
-                        interval: self.interval,
-                        count: self.count,
-                        start: SimTime::from_millis(500),
-                    },
-                }],
-            }));
-            rxs.push(rx);
-            txs.push(tx);
-            clients.push((rx, NodeId(b)));
-            clients.push((tx, NodeId(a)));
+        for (a, b) in self.endpoints() {
+            fleet.flow(
+                NodeId(a),
+                NodeId(b),
+                FlowSpec::best_effort(),
+                Workload::Cbr {
+                    size: 1000,
+                    interval: self.interval,
+                    count: self.count,
+                    start: SimTime::from_millis(500),
+                },
+            );
         }
-
-        if self.shards > 1 {
-            let mut plan = overlay.shard_plan(self.shards, sim.process_count());
-            for &(client, node) in &clients {
-                overlay.colocate(&mut plan, client, node);
-            }
-            sim.set_shard_plan(Some(plan));
-        }
+        fleet.shards(self.shards);
 
         let probe = NodeId(self.protected()[0]);
         let membership_on = self.membership.is_some();
@@ -366,7 +335,8 @@ impl ChurnRun {
         let mut lsdb_series: Vec<(SimTime, usize)> = Vec::new();
 
         let until = SimTime::ZERO + self.run_for;
-        sim.run_with_cadence(until, SimDuration::from_millis(100), |sim, at, _wall| {
+        let tick = SimDuration::from_millis(100);
+        fleet.run_with_cadence(until, tick, |sim, overlay, at, _wall| {
             while next_transition < transitions.len() && transitions[next_transition].0 <= at {
                 let (t, node, up) = transitions[next_transition];
                 if expected_up[node] != up {
@@ -380,7 +350,7 @@ impl ChurnRun {
                 next_transition += 1;
             }
             let live: Vec<NodeId> = (0..n).filter(|&i| expected_up[i]).map(NodeId).collect();
-            let converged = fleet_converged(sim, &overlay, &live, membership_on);
+            let converged = fleet_converged(sim, overlay, &live, membership_on);
             if !converged {
                 if let Some(t0) = last_event {
                     let lag = at - t0;
@@ -400,7 +370,7 @@ impl ChurnRun {
         if std::env::var("CHURN_DEBUG").is_ok() {
             let live: Vec<NodeId> = (0..n).filter(|&i| expected_up[i]).map(NodeId).collect();
             for &a in &live {
-                let node = sim.proc_ref::<OverlayNode>(overlay.daemon(a)).unwrap();
+                let node = fleet.node(a);
                 for &b in &live {
                     if a != b && !node.reaches(b) {
                         eprintln!("DEBUG: {a:?} does not reach {b:?}");
@@ -417,21 +387,10 @@ impl ChurnRun {
                 }
             }
         }
-        let mut sent = 0u64;
-        let mut received = 0u64;
-        for &tx in &txs {
-            sent += sim.proc_ref::<ClientProcess>(tx).expect("sender").sent(1);
-        }
-        for &rx in &rxs {
-            let recv = sim.proc_ref::<ClientProcess>(rx).expect("receiver");
-            received += recv.recv.values().map(|f| f.received).sum::<u64>();
-        }
-        let registry = gather_registry(&sim, &overlay);
+        let registry = fleet.registry();
         ChurnOutcome {
-            label: self.label,
-            membership_enabled: membership_on,
-            sent,
-            received,
+            sent: (0..self.flows).map(|k| fleet.sent(k)).sum(),
+            received: fleet.delivered(),
             events: event_count,
             max_lag,
             evictions: registry.counter_total("member_evictions"),
@@ -439,7 +398,7 @@ impl ChurnRun {
             footprint_series,
             lsdb_series,
             registry,
-            fingerprint: sim.fingerprint(),
+            fingerprint: fleet.sim.fingerprint(),
         }
     }
 }
@@ -476,10 +435,6 @@ fn fleet_converged(
 /// The result of one churn run.
 #[derive(Debug)]
 pub struct ChurnOutcome {
-    /// The run's tag.
-    pub label: String,
-    /// Whether membership maintenance was on.
-    pub membership_enabled: bool,
     /// CBR packets the senders emitted.
     pub sent: u64,
     /// Packets delivered across all flows.

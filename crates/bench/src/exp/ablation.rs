@@ -11,17 +11,16 @@
 //! 3. **RTO factor** — the Reliable Data Link's timeout multiplier trades
 //!    recovery latency against spurious retransmissions.
 
-use son_bench::{banner, f, row, table_header, UnicastRun, RX_PORT, TX_PORT};
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
-use son_overlay::{
-    Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr, RealtimeParams, Wire,
-};
+use son_overlay::{FlowSpec, LinkService, NodeConfig, RealtimeParams};
 use son_topo::{Graph, NodeId};
+
+use super::Opts;
+use crate::{f, longest_gap, row, table_header, Fleet, UnicastRun};
 
 fn failover_run(hello_ms: u64, down_misses: u32) -> (f64, f64) {
     // Square topology, fail the primary path's first link.
@@ -38,48 +37,22 @@ fn failover_run(hello_ms: u64, down_misses: u32) -> (f64, f64) {
         },
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(81);
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(config)
-        .build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(3)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(3), RX_PORT)),
-            spec: FlowSpec::best_effort(),
-            workload: Workload::Cbr {
-                size: 500,
-                interval: SimDuration::from_millis(5),
-                count: u64::MAX,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
-    for &(ab, ba) in &overlay.edge_pipes[&e01] {
-        sim.schedule(SimTime::from_secs(3), ScenarioEvent::DisablePipe(ab));
-        sim.schedule(SimTime::from_secs(3), ScenarioEvent::DisablePipe(ba));
-    }
-    sim.run_until(SimTime::from_secs(10));
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
-    let outage = recv
-        .arrivals
-        .windows(2)
-        .filter(|w| w[1].0 > SimTime::from_secs(3))
-        .map(|w| w[1].0.saturating_since(w[0].0).as_millis_f64())
-        .fold(0.0f64, f64::max);
+    let mut fleet = Fleet::new(81, None, OverlayBuilder::new(topo).node_config(config));
+    fleet.flow(
+        NodeId(0),
+        NodeId(3),
+        FlowSpec::best_effort(),
+        Workload::Cbr {
+            size: 500,
+            interval: SimDuration::from_millis(5),
+            count: u64::MAX,
+            start: SimTime::from_millis(500),
+        },
+    );
+    fleet.edge_outage(e01, SimTime::from_secs(3), SimDuration::MAX);
+    fleet.run(SimTime::from_secs(10));
+    let outage = longest_gap(fleet.recv(0), SimTime::from_secs(3));
+    let outage = outage.map_or(0.0, SimDuration::as_millis_f64);
     // Control overhead: hello+ack messages per second per link direction.
     let ctl_per_sec = 2.0 * 1000.0 / hello_ms as f64;
     (outage, ctl_per_sec)
@@ -134,12 +107,7 @@ fn rto_run(factor: f64) -> (f64, f64) {
     )
 }
 
-fn main() {
-    banner(
-        "E13 / ablations",
-        "the design choices behind sub-second rerouting and burst recovery",
-    );
-
+pub fn run(_: &Opts) {
     println!("-- hello cadence vs failover (link cut at t=3s) --");
     table_header(&[
         ("hello", 8),

@@ -25,24 +25,19 @@
 //! delivery floor, the strict on-vs-off ordering, or the convergence bound
 //! fails — the CI gate.
 
-use son_bench::churn::{campaign_matrix, ChurnRun};
-use son_bench::{banner, export_registry, f, finish_export, obs_sink, row, table_header};
 use son_netsim::time::SimDuration;
+
+use super::Opts;
+use crate::churn::{campaign_matrix, ChurnRun};
+use crate::{export_registry, f, finish_export, obs_sink, row, table_header};
 
 /// Convergence bound the gate enforces: 8 maintenance epochs (500 ms each).
 const LAG_BOUND: SimDuration = SimDuration::from_secs(4);
 /// Delivery floor for surviving-member flows under sustained churn.
 const DELIVERY_FLOOR: f64 = 0.90;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(
-        "E20 (membership churn)",
-        "join/leave with self-stabilizing maintenance: converge within bounded \
-         epochs after every membership event, keep surviving flows above the \
-         delivery floor, and evict departed state",
-    );
-
+pub fn run(opts: &Opts) {
+    let smoke = opts.smoke;
     let mut sink = obs_sink("exp_churn");
 
     table_header(&[
@@ -56,15 +51,9 @@ fn main() {
         ("leaves", 7),
     ]);
 
-    let matrix = campaign_matrix();
-    let matrix: Vec<_> = if smoke {
-        matrix
-            .into_iter()
-            .filter(|(name, _)| matches!(*name, "sustained-graceful" | "leave-permanent"))
-            .collect()
-    } else {
-        matrix
-    };
+    let mut matrix = campaign_matrix();
+    let in_smoke = |name| matches!(name, "sustained-graceful" | "leave-permanent");
+    matrix.retain(|(name, _)| !smoke || in_smoke(*name));
 
     let mut results: Vec<(String, bool, f64, SimDuration)> = Vec::new();
     for (name, pattern) in matrix {
@@ -160,7 +149,7 @@ fn main() {
     );
 
     if smoke && !(floor_ok && strict_ok && bound_ok) {
-        eprintln!("exp_churn --smoke: gate FAILED");
+        eprintln!("son-exp churn --smoke: gate FAILED");
         std::process::exit(1);
     }
 }

@@ -8,26 +8,27 @@
 
 use son_apps::transcode::{TranscoderConfig, TranscoderProcess, OUTPUT_GROUP, TRANSCODE_GROUP};
 use son_apps::video::VideoProfile;
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess};
-use son_overlay::{Destination, FlowSpec, Wire};
+use son_overlay::client::ClientFlow;
+use son_overlay::{Destination, FlowSpec};
 use son_topo::NodeId;
+
+use super::Opts;
+use crate::{f, longest_gap, row, table_header, Fleet, RX_PORT, TX_PORT};
 
 const STADIUM: NodeId = NodeId(4); // MIA: the live event
 const FACILITY_A: NodeId = NodeId(3); // ATL cloud region (nearest)
 const FACILITY_B: NodeId = NodeId(5); // CHI cloud region (backup)
 const CDNS: [NodeId; 3] = [NodeId(0), NodeId(9), NodeId(11)]; // NYC, SEA, LA
 
-fn run(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
+fn run_case(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(91);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
+    let mut fleet = Fleet::new(91, None, OverlayBuilder::new(topo));
 
+    let overlay = &fleet.overlay;
     let mk = |node: NodeId, fail_at: Option<SimTime>| TranscoderConfig {
         daemon: overlay.daemon(node),
         port: 150,
@@ -38,41 +39,32 @@ fn run(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
         output_spec: FlowSpec::reliable(),
         fail_at,
     };
-    let fac_a = sim.add_process(TranscoderProcess::new(mk(
+    let fac_a = fleet.sim.add_process(TranscoderProcess::new(mk(
         FACILITY_A,
         fail_primary.then(|| SimTime::from_secs(10)),
     )));
-    let fac_b = sim.add_process(TranscoderProcess::new(mk(FACILITY_B, None)));
+    let fac_b = fleet
+        .sim
+        .add_process(TranscoderProcess::new(mk(FACILITY_B, None)));
 
     let cdns: Vec<_> = CDNS
         .iter()
-        .map(|&n| {
-            sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(n),
-                port: RX_PORT,
-                joins: vec![OUTPUT_GROUP],
-                flows: vec![],
-            }))
-        })
+        .map(|&n| fleet.client(n, RX_PORT, vec![OUTPUT_GROUP], vec![]))
         .collect();
 
     let profile = VideoProfile::broadcast_sd();
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(STADIUM),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Anycast(TRANSCODE_GROUP),
-            spec: FlowSpec::reliable(),
-            workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(30));
+    let feed = ClientFlow {
+        local_flow: 1,
+        dst: Destination::Anycast(TRANSCODE_GROUP),
+        spec: FlowSpec::reliable(),
+        workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
+    };
+    let tx = fleet.client(STADIUM, TX_PORT, vec![], vec![feed]);
+    fleet.run(SimTime::from_secs(30));
 
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let a = sim.proc_ref::<TranscoderProcess>(fac_a).unwrap();
-    let b = sim.proc_ref::<TranscoderProcess>(fac_b).unwrap();
+    let sent = fleet.client_ref(tx).sent(1);
+    let a = fleet.sim.proc_ref::<TranscoderProcess>(fac_a).unwrap();
+    let b = fleet.sim.proc_ref::<TranscoderProcess>(fac_b).unwrap();
     let stage1_latency = a
         .input_latency_ms
         .mean()
@@ -80,34 +72,18 @@ fn run(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
         .unwrap_or(f64::NAN);
     let per_cdn: Vec<u64> = cdns
         .iter()
-        .map(|&c| {
-            sim.proc_ref::<ClientProcess>(c)
-                .unwrap()
-                .recv
-                .values()
-                .map(|r| r.received)
-                .sum()
-        })
+        .map(|&c| fleet.client_ref(c).recv.values().map(|r| r.received).sum())
         .collect();
     // Failover gap: longest delivery gap at the first CDN after the failure.
-    let gap = sim
-        .proc_ref::<ClientProcess>(cdns[0])
-        .unwrap()
-        .recv
-        .values()
-        .flat_map(|r| r.arrivals.windows(2))
-        .filter(|w| w[1].0 > SimTime::from_secs(10))
-        .map(|w| w[1].0.saturating_since(w[0].0).as_millis_f64())
-        .fold(0.0f64, f64::max);
+    let logs = fleet.client_ref(cdns[0]).recv.values();
+    let gap = logs
+        .filter_map(|r| longest_gap(r, SimTime::from_secs(10)))
+        .max();
+    let gap = gap.map_or(0.0, SimDuration::as_millis_f64);
     (sent, a.processed, b.processed, per_cdn, stage1_latency, gap)
 }
 
-fn main() {
-    banner(
-        "E9 / Section V-C (compound flows: transcode in the overlay)",
-        "stadium -> anycast transcoding facility -> multicast to CDNs, with facility failover",
-    );
-
+pub fn run(_: &Opts) {
     table_header(&[
         ("scenario", 18),
         ("sent", 6),
@@ -118,7 +94,7 @@ fn main() {
         ("failover gap", 12),
     ]);
     for fail in [false, true] {
-        let (sent, a, b, per_cdn, stage1, gap) = run(fail);
+        let (sent, a, b, per_cdn, stage1, gap) = run_case(fail);
         row(&[
             (
                 if fail {

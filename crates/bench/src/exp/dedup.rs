@@ -1,0 +1,92 @@
+//! E10 — §II-B/§III-A: redundant dissemination with in-network
+//! de-duplication.
+//!
+//! Redundant schemes intentionally put multiple copies of every packet on
+//! the wire; the overlay's flow-scoped duplicate suppression must ensure
+//! the application sees each payload exactly once, while the wire cost
+//! reflects the scheme. A hostile duplicating relay is also thrown in to
+//! show dedup handles amplification, not just planned redundancy.
+
+use son_netsim::time::{SimDuration, SimTime};
+use son_overlay::adversary::Behavior;
+use son_overlay::builder::{chain_topology, OverlayBuilder};
+use son_overlay::client::Workload;
+use son_overlay::{FlowSpec, RoutingService, SourceRoute};
+use son_topo::{Graph, NodeId};
+
+use super::Opts;
+use crate::{f, row, table_header, Fleet, UnicastRun};
+
+/// Diamond: two node-disjoint 2-hop routes 0-1-3 and 0-2-3.
+fn diamond() -> Graph {
+    let mut g = Graph::new(4);
+    g.add_edge(NodeId(0), NodeId(1), 10.0);
+    g.add_edge(NodeId(1), NodeId(3), 10.0);
+    g.add_edge(NodeId(0), NodeId(2), 10.0);
+    g.add_edge(NodeId(2), NodeId(3), 10.0);
+    g
+}
+
+pub fn run(_: &Opts) {
+    table_header(&[
+        ("scheme", 16),
+        ("delivered", 9),
+        ("app dups", 8),
+        ("wire tx/pkt", 11),
+        ("dedup kills/pkt", 15),
+    ]);
+
+    let via = |route| FlowSpec::best_effort().with_routing(RoutingService::SourceBased(route));
+    let schemes: Vec<(&str, FlowSpec)> = vec![
+        ("single path", FlowSpec::best_effort()),
+        ("2 disjoint", via(SourceRoute::DisjointPaths(2))),
+        ("flooding", via(SourceRoute::ConstrainedFlooding)),
+    ];
+    let count = 500u64;
+    for (name, spec) in schemes {
+        let mut run = UnicastRun::new(diamond(), spec, NodeId(0), NodeId(3));
+        run.count = count;
+        run.interval = SimDuration::from_millis(10);
+        let out = run.run();
+        row(&[
+            (name.to_string(), 16),
+            (format!("{}/{}", out.recv.received, out.sent), 9),
+            (out.recv.app_duplicates.to_string(), 8),
+            (f(out.forwarded as f64 / count as f64, 2), 11),
+            (f(out.dedup_suppressed as f64 / count as f64, 2), 15),
+        ]);
+    }
+
+    // Amplification attack: a compromised relay triples every packet.
+    let mut fleet = Fleet::new(13, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    fleet
+        .node_mut(NodeId(1))
+        .set_behavior(Behavior::Duplicate { copies: 3 });
+    let mask = son_topo::EdgeMask::from_edges([son_topo::EdgeId(0), son_topo::EdgeId(1)]);
+    fleet.flow(
+        NodeId(0),
+        NodeId(2),
+        via(SourceRoute::Static(mask)),
+        Workload::Cbr {
+            size: 1000,
+            interval: SimDuration::from_millis(10),
+            count,
+            start: SimTime::from_millis(500),
+        },
+    );
+    fleet.run(SimTime::from_secs(10));
+    let recv = fleet.recv(0);
+    let kills = fleet.node(NodeId(2)).metrics().dedup_suppressed;
+    row(&[
+        ("3x amplifier".to_string(), 16),
+        (format!("{}/{count}", recv.received), 9),
+        (recv.app_duplicates.to_string(), 8),
+        ("-".to_string(), 11),
+        (f(kills as f64 / count as f64, 2), 15),
+    ]);
+
+    println!();
+    println!("Shape check (paper): wire transmissions scale with the scheme's redundancy");
+    println!("(2x+ for disjoint paths, the whole topology for flooding, 3x under the");
+    println!("amplifier), while application-level duplicates stay at exactly zero.");
+}

@@ -8,14 +8,15 @@
 //! send rate we sweep from 1x to 100x; the FIFO baseline, IT-Priority, and
 //! IT-Reliable carry the same offered load through the same paced egress.
 
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
-use son_netsim::sim::Simulation;
 use son_netsim::stats::jain_fairness;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::{Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr, Wire};
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::{Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr};
 use son_topo::{Graph, NodeId};
+
+use super::Opts;
+use crate::{f, row, table_header, Fleet, RX_PORT, TX_PORT};
 
 /// Correct sources send 25 packets/s each.
 const CORRECT_INTERVAL: SimDuration = SimDuration::from_millis(40);
@@ -34,7 +35,7 @@ fn topology() -> Graph {
 
 /// Runs one (service, attacker-rate) cell; returns
 /// (mean correct goodput fraction, attacker share of sink traffic, jain).
-fn run(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
+fn run_cell(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
     // 2 Mbit/s egress ≈ 238 pkt/s of 1048-B wire packets: fair share of 5
     // sources ≈ 47/s > the 25/s each correct source offers.
     let config = NodeConfig {
@@ -43,43 +44,34 @@ fn run(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
         fifo_cap: 64,
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(61 + attack_multiplier);
-    let overlay = OverlayBuilder::new(topology())
-        .node_config(config)
-        .build(&mut sim);
-    let sink = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(6)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
+    let mut fleet = Fleet::new(
+        61 + attack_multiplier,
+        None,
+        OverlayBuilder::new(topology()).node_config(config),
+    );
+    let sink = fleet.client(NodeId(6), RX_PORT, vec![], vec![]);
     let spec = FlowSpec::best_effort().with_link(service);
-    let mut senders = Vec::new();
     for i in 0..5usize {
         let interval = if i == 4 {
             SimDuration::from_nanos(CORRECT_INTERVAL.as_nanos() / attack_multiplier.max(1))
         } else {
             CORRECT_INTERVAL
         };
-        senders.push(sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(i)),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(6), RX_PORT)),
-                spec,
-                workload: Workload::Cbr {
-                    size: 1000,
-                    interval,
-                    count: u64::MAX,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        })));
+        let flow = ClientFlow {
+            local_flow: 1,
+            dst: Destination::Unicast(OverlayAddr::new(NodeId(6), RX_PORT)),
+            spec,
+            workload: Workload::Cbr {
+                size: 1000,
+                interval,
+                count: u64::MAX,
+                start: SimTime::from_millis(500),
+            },
+        };
+        fleet.client(NodeId(i), TX_PORT, vec![], vec![flow]);
     }
-    sim.run_until(RUN_FOR);
-    let sink_client = sim.proc_ref::<ClientProcess>(sink).unwrap();
+    fleet.run(RUN_FOR);
+    let sink_client = fleet.client_ref(sink);
     // Steady-state accounting: deliveries after MEASURE_FROM.
     let delivered_after = |i: usize| -> u64 {
         sink_client
@@ -92,14 +84,10 @@ fn run(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
     };
     let window = RUN_FOR.saturating_since(MEASURE_FROM).as_secs_f64();
     let offered_correct = window / CORRECT_INTERVAL.as_secs_f64();
-    let correct_fracs: Vec<f64> = (0..4)
-        .map(|i| delivered_after(i) as f64 / offered_correct)
-        .collect();
-    let attacker = delivered_after(4) as f64;
-    let total: f64 = (0..5).map(|i| delivered_after(i) as f64).sum();
-    let mean_correct = correct_fracs.iter().sum::<f64>() / 4.0;
-    let mut shares: Vec<f64> = (0..4).map(|i| delivered_after(i) as f64).collect();
-    shares.push(attacker);
+    let shares: Vec<f64> = (0..5).map(|i| delivered_after(i) as f64).collect();
+    let (attacker, total) = (shares[4], shares.iter().sum::<f64>());
+    let correct_fracs = shares[..4].iter().map(|d| d / offered_correct);
+    let mean_correct = correct_fracs.sum::<f64>() / 4.0;
     (
         mean_correct,
         if total > 0.0 { attacker / total } else { 0.0 },
@@ -107,12 +95,7 @@ fn run(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
     )
 }
 
-fn main() {
-    banner(
-        "E7 / Section IV-B (fair scheduling under flooding attack)",
-        "round-robin fair schedulers protect correct sources; FIFO collapses",
-    );
-
+pub fn run(_: &Opts) {
     table_header(&[
         ("attacker rate", 13),
         ("protocol", 12),
@@ -127,7 +110,7 @@ fn main() {
             ("it-priority", LinkService::ItPriority),
             ("it-reliable", LinkService::ItReliable),
         ] {
-            let (correct, attacker_share, jain) = run(service, mult);
+            let (correct, attacker_share, jain) = run_cell(service, mult);
             row(&[
                 (format!("{mult}x"), 13),
                 (name.to_string(), 12),

@@ -19,8 +19,9 @@
 //! exactly where each recovery happened. `--smoke` runs a single reduced
 //! loss point for CI.
 
-use son_bench::{
-    banner, export_registry, export_timeseries, export_traces, f, finish_export, obs_sink, row,
+use super::Opts;
+use crate::{
+    export_registry, export_timeseries, export_traces, f, finish_export, obs_sink, row,
     table_header, UnicastRun,
 };
 use son_netsim::loss::LossConfig;
@@ -29,13 +30,8 @@ use son_overlay::builder::chain_topology;
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(
-        "E1 / Figure 3",
-        "50ms end-to-end ARQ recovers at >=150ms; five 10ms hop-by-hop links recover at ~70ms",
-    );
-
+pub fn run(opts: &Opts) {
+    let smoke = opts.smoke;
     table_header(&[
         ("topology", 18),
         ("loss/link", 9),
@@ -98,7 +94,7 @@ fn main() {
             // everything held behind them by in-order delivery, i.e. the
             // full user-visible cost of each loss episode.
             let base = lat.quantile(0.05).unwrap_or(0.0);
-            let recovered: son_netsim::stats::Percentiles = out
+            let mut recovered: son_netsim::stats::Percentiles = out
                 .recv
                 .latency_ms
                 .samples()
@@ -106,7 +102,6 @@ fn main() {
                 .copied()
                 .filter(|&l| l > base + 5.0)
                 .collect();
-            let mut recovered = recovered;
             let (rec_p50, rec_max) = if recovered.count() > 0 {
                 (recovered.median().unwrap(), recovered.max().unwrap())
             } else {

@@ -11,22 +11,18 @@
 //! under bursty loss with NM-Strikes — to show the paper's live-TV service
 //! works at planetary scale.
 
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
 use son_netsim::loss::LossConfig;
 use son_netsim::scenario::{global_20, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{global_overlay, OverlayBuilder, HOP_PROCESSING};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::client::Workload;
+use son_overlay::FlowSpec;
 use son_topo::{dijkstra, NodeId};
 
-fn main() {
-    banner(
-        "E11 / Section II-A (global coverage)",
-        "a few tens of overlay nodes reach nearly any point on the globe within ~150ms",
-    );
+use super::Opts;
+use crate::{f, row, table_header, Fleet};
 
+pub fn run(_: &Opts) {
     let sc = global_20(DEFAULT_CONVERGENCE);
     let (topo, cities) = global_overlay(&sc);
     let hop_ms = HOP_PROCESSING.as_millis_f64();
@@ -63,45 +59,27 @@ fn main() {
     // Live video NYC -> SYD with NM-Strikes under 1% bursty loss.
     let nyc = NodeId(cities.iter().position(|&c| c == sc.city("NYC")).unwrap());
     let syd = NodeId(cities.iter().position(|&c| c == sc.city("SYD")).unwrap());
-    let mut sim: Simulation<Wire> = Simulation::new(111);
-    let overlay = OverlayBuilder::new(topo)
-        .default_loss(LossConfig::bursts(
+    let mut fleet = Fleet::new(
+        111,
+        None,
+        OverlayBuilder::new(topo).default_loss(LossConfig::bursts(
             SimDuration::from_millis(990),
             SimDuration::from_millis(10),
-        ))
-        .build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(syd),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(nyc),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(syd, RX_PORT)),
-            spec: FlowSpec::live_video(SimDuration::from_millis(200)),
-            workload: Workload::Cbr {
-                size: 1316,
-                interval: SimDuration::from_millis(2),
-                count: 10_000,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(30));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .recv
-        .values()
-        .next()
-        .cloned()
-        .unwrap_or_default();
+        )),
+    );
+    fleet.flow(
+        nyc,
+        syd,
+        FlowSpec::live_video(SimDuration::from_millis(200)),
+        Workload::Cbr {
+            size: 1316,
+            interval: SimDuration::from_millis(2),
+            count: 10_000,
+            start: SimTime::from_secs(1),
+        },
+    );
+    fleet.run(SimTime::from_secs(30));
+    let (sent, recv) = (fleet.sent(0), fleet.recv(0));
     let mut l = recv.latency_ms.clone();
     println!("\nlive video NYC -> SYD (200ms bound, 1% bursty loss/link):");
     println!(

@@ -11,52 +11,31 @@
 //! placed adversarially (on the best path first) and randomly — across the
 //! routing schemes, reporting delivery rate and wire cost.
 
-use son_bench::{
-    banner, export_registry, f, finish_export, gather_registry, obs_sink, row, table_header,
-    RX_PORT, TX_PORT,
-};
 use son_netsim::rng::SimRng;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::JsonlSink;
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, OverlayAddr, RoutingService, SourceRoute, Wire};
+use son_overlay::client::Workload;
+use son_overlay::{FlowSpec, RoutingService, SourceRoute};
 use son_topo::{Graph, NodeId};
+
+use super::Opts;
+use crate::{export_registry, f, finish_export, obs_sink, row, table_header, Fleet};
 
 const COUNT: u64 = 300;
 
 fn schemes() -> Vec<(&'static str, FlowSpec)> {
     let base = FlowSpec::best_effort();
+    let via = |route| base.with_routing(RoutingService::SourceBased(route));
     vec![
         ("single path", base),
-        (
-            "2 disjoint",
-            base.with_routing(RoutingService::SourceBased(SourceRoute::DisjointPaths(2))),
-        ),
-        (
-            "3 disjoint",
-            base.with_routing(RoutingService::SourceBased(SourceRoute::DisjointPaths(3))),
-        ),
-        (
-            "2 overlapping",
-            base.with_routing(RoutingService::SourceBased(SourceRoute::OverlappingPaths(
-                2,
-            ))),
-        ),
-        (
-            "dissem. graph",
-            base.with_routing(RoutingService::SourceBased(SourceRoute::DisseminationGraph)),
-        ),
-        (
-            "flooding",
-            base.with_routing(RoutingService::SourceBased(
-                SourceRoute::ConstrainedFlooding,
-            )),
-        ),
+        ("2 disjoint", via(SourceRoute::DisjointPaths(2))),
+        ("3 disjoint", via(SourceRoute::DisjointPaths(3))),
+        ("2 overlapping", via(SourceRoute::OverlappingPaths(2))),
+        ("dissem. graph", via(SourceRoute::DisseminationGraph)),
+        ("flooding", via(SourceRoute::ConstrainedFlooding)),
     ]
 }
 
@@ -110,68 +89,34 @@ fn run_once(
     seed: u64,
     sink: &mut Option<JsonlSink>,
     tag: &str,
-) -> (f64, f64, u64) {
+) -> (f64, f64) {
     let (src, dst) = (NodeId(0), NodeId(11)); // NYC -> LA
-    let mut sim: Simulation<Wire> = Simulation::new(seed);
-    let overlay = OverlayBuilder::new(topo.clone()).build(&mut sim);
+    let mut fleet = Fleet::new(seed, None, OverlayBuilder::new(topo.clone()));
     for &bad in compromised {
-        sim.proc_mut::<OverlayNode>(overlay.daemon(bad))
-            .unwrap()
-            .set_behavior(Behavior::Blackhole);
+        fleet.node_mut(bad).set_behavior(Behavior::Blackhole);
     }
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(dst),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(src),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(dst, RX_PORT)),
-            spec,
-            workload: Workload::Cbr {
-                size: 500,
-                interval: SimDuration::from_millis(20),
-                count: COUNT,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(12));
+    fleet.flow(
+        src,
+        dst,
+        spec,
+        Workload::Cbr {
+            size: 500,
+            interval: SimDuration::from_millis(20),
+            count: COUNT,
+            start: SimTime::from_secs(1),
+        },
+    );
+    fleet.run(SimTime::from_secs(12));
     if let Some(sink) = sink {
-        let _ = export_registry(sink, tag, &gather_registry(&sim, &overlay));
-    }
-    let received = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .recv
-        .values()
-        .map(|r| r.received)
-        .sum::<u64>();
-    let mut forwarded = 0;
-    let mut dups = 0;
-    for &d in &overlay.daemons {
-        let m = sim.proc_ref::<OverlayNode>(d).unwrap().metrics();
-        forwarded += m.forwarded;
-        dups += m.dedup_suppressed;
+        let _ = export_registry(sink, tag, &fleet.registry());
     }
     (
-        received as f64 / COUNT as f64,
-        forwarded as f64 / COUNT as f64,
-        dups,
+        fleet.recv(0).received as f64 / COUNT as f64,
+        fleet.forwarded() as f64 / COUNT as f64,
     )
 }
 
-fn main() {
-    banner(
-        "E6 / Section IV-B (intrusion-tolerant dissemination)",
-        "k disjoint paths survive k-1 compromises; flooding survives anything short of a cut",
-    );
-
+pub fn run(_: &Opts) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
     let mut rng = SimRng::seed(0xbad);
@@ -205,7 +150,7 @@ fn main() {
                         pick_compromised(&topo, NodeId(0), NodeId(11), k, adversarial, &mut rng);
                     let placement = if adversarial { "adversarial" } else { "random" };
                     let tag = format!("{name}/k={k}/{placement}/t={t}");
-                    let (frac, tx, _) = run_once(
+                    let (frac, tx) = run_once(
                         &topo,
                         spec,
                         &bad,

@@ -15,21 +15,20 @@
 //! fraction of commands delivered within 65 ms, plus wire cost.
 
 use son_apps::manipulation::{self, HapticProfile};
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
 use son_netsim::loss::LossConfig;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess};
-use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::FlowSpec;
 use son_topo::NodeId;
+
+use super::Opts;
+use crate::{f, row, table_header, Fleet};
 
 const SRC: NodeId = NodeId(0); // NYC
 const DST: NodeId = NodeId(11); // LA
 
-fn run(spec: FlowSpec, loss_rate: f64, seed: u64) -> (f64, f64, f64, f64) {
+fn run_cell(spec: FlowSpec, loss_rate: f64, seed: u64) -> (f64, f64, f64, f64) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
     // Bursty loss concentrated around the source's area: every link whose
@@ -49,44 +48,21 @@ fn run(spec: FlowSpec, loss_rate: f64, seed: u64) -> (f64, f64, f64, f64) {
             builder = builder.edge_loss(e, LossConfig::bursts(good, burst));
         }
     }
-    let mut sim: Simulation<Wire> = Simulation::new(seed);
-    let overlay = builder.build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(DST),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
+    let mut fleet = Fleet::new(seed, None, builder);
     let profile = HapticProfile {
         packet_size: 64,
         rate_hz: 1000,
     };
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(SRC),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(DST, RX_PORT)),
-            spec,
-            workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(25));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .recv
-        .values()
-        .next()
-        .cloned()
-        .unwrap_or_default();
-    let report = manipulation::score(&recv, sent);
-    let mut forwarded = 0;
-    for &d in &overlay.daemons {
-        forwarded += sim.proc_ref::<OverlayNode>(d).unwrap().metrics().forwarded;
-    }
+    fleet.flow(
+        SRC,
+        DST,
+        spec,
+        profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
+    );
+    fleet.run(SimTime::from_secs(25));
+    let sent = fleet.sent(0);
+    let report = manipulation::score(fleet.recv(0), sent);
+    let forwarded = fleet.forwarded();
     (
         report.on_time_frac,
         report.mean_latency_ms,
@@ -95,12 +71,7 @@ fn run(spec: FlowSpec, loss_rate: f64, seed: u64) -> (f64, f64, f64, f64) {
     )
 }
 
-fn main() {
-    banner(
-        "E8 / Section V-A (remote manipulation, 65ms one-way)",
-        "single-strike recovery + dissemination graphs beat single path and uniform redundancy",
-    );
-
+pub fn run(_: &Opts) {
     // ~12ms of slack per recovery hop out of the 20-25ms of flexibility.
     let budget = SimDuration::from_millis(12);
     let schemes: Vec<(&str, FlowSpec)> = vec![
@@ -125,7 +96,7 @@ fn main() {
             ("tx/pkt", 7),
         ]);
         for (name, spec) in &schemes {
-            let (on_time, mean, max, cost) = run(*spec, loss, 71);
+            let (on_time, mean, max, cost) = run_cell(*spec, loss, 71);
             row(&[
                 (name.to_string(), 14),
                 (f(on_time * 100.0, 2) + "%", 12),

@@ -9,15 +9,15 @@
 //! (a) one multicast flow over the shared tree versus (b) one unicast flow
 //! per receiver, and verify every receiver got the full stream either way.
 
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, GroupId, OverlayAddr, Wire};
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::{Destination, FlowSpec, GroupId, OverlayAddr};
 use son_topo::NodeId;
+
+use super::Opts;
+use crate::{f, row, table_header, Fleet, RX_PORT, TX_PORT};
 
 const COUNT: u64 = 500;
 const GROUP: GroupId = GroupId(42);
@@ -32,23 +32,16 @@ fn workload() -> Workload {
 }
 
 /// Runs one configuration; returns (total link transmissions, min received).
-fn run(receivers: &[NodeId], multicast: bool) -> (u64, u64) {
+fn run_case(receivers: &[NodeId], multicast: bool) -> (u64, u64) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(51);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
+    let mut fleet = Fleet::new(51, None, OverlayBuilder::new(topo));
     let src = NodeId(0); // NYC
 
+    let joins = if multicast { vec![GROUP] } else { vec![] };
     let rx: Vec<_> = receivers
         .iter()
-        .map(|&n| {
-            sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(n),
-                port: RX_PORT,
-                joins: if multicast { vec![GROUP] } else { vec![] },
-                flows: vec![],
-            }))
-        })
+        .map(|&n| fleet.client(n, RX_PORT, joins.clone(), vec![]))
         .collect();
 
     let flows: Vec<ClientFlow> = if multicast {
@@ -70,22 +63,14 @@ fn run(receivers: &[NodeId], multicast: bool) -> (u64, u64) {
             })
             .collect()
     };
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(src),
-        port: TX_PORT,
-        joins: vec![],
-        flows,
-    }));
-    sim.run_until(SimTime::from_secs(15));
+    fleet.client(src, TX_PORT, vec![], flows);
+    fleet.run(SimTime::from_secs(15));
 
-    let mut transmissions = 0;
-    for &d in &overlay.daemons {
-        transmissions += sim.proc_ref::<OverlayNode>(d).unwrap().metrics().forwarded;
-    }
+    let transmissions = fleet.forwarded();
     let min_received = rx
         .iter()
         .map(|&r| {
-            let c = sim.proc_ref::<ClientProcess>(r).unwrap();
+            let c = fleet.client_ref(r);
             c.recv.values().map(|fr| fr.received).sum::<u64>()
         })
         .min()
@@ -93,12 +78,7 @@ fn run(receivers: &[NodeId], multicast: bool) -> (u64, u64) {
     (transmissions, min_received)
 }
 
-fn main() {
-    banner(
-        "E5 / Section III-B (overlay multicast)",
-        "one stream into a shared tree vs one unicast stream per receiver",
-    );
-
+pub fn run(_: &Opts) {
     table_header(&[
         ("receivers", 9),
         ("tree tx/pkt", 11),
@@ -111,8 +91,8 @@ fn main() {
     let all: Vec<NodeId> = (1..12).map(NodeId).collect();
     for n in [2usize, 4, 6, 8, 11] {
         let receivers = &all[..n];
-        let (tree_tx, tree_min) = run(receivers, true);
-        let (uni_tx, uni_min) = run(receivers, false);
+        let (tree_tx, tree_min) = run_case(receivers, true);
+        let (uni_tx, uni_min) = run_case(receivers, false);
         let tree_per = tree_tx as f64 / COUNT as f64;
         let uni_per = uni_tx as f64 / COUNT as f64;
         row(&[

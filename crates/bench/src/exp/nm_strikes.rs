@@ -11,9 +11,8 @@
 //! by the paper's metric: fraction of packets delivered within the 200 ms
 //! bound, and wire overhead versus the 1 + M·p prediction.
 
-use son_bench::{
-    banner, export_registry, f, finish_export, obs_sink, row, table_header, UnicastRun,
-};
+use super::Opts;
+use crate::{export_registry, f, finish_export, obs_sink, row, table_header, UnicastRun};
 use son_netsim::loss::LossConfig;
 use son_netsim::time::SimDuration;
 use son_obs::JsonlSink;
@@ -54,12 +53,7 @@ fn run_one(
     (within, p999, out.wire.overhead_ratio(), out.sent)
 }
 
-fn main() {
-    banner(
-        "E2 / Figure 4 (NM-Strikes)",
-        "complete timeliness within 200ms on a continental path under bursty loss; cost -> 1 + M*p",
-    );
-
+pub fn run(_: &Opts) {
     let bursts = [
         (
             "1% loss, 5ms bursts",
@@ -94,14 +88,16 @@ fn main() {
 
     let mut sink = obs_sink("exp_nm_strikes");
     for (burst_label, loss, p) in &bursts {
+        // Every real-time candidate is judged the same way: in order,
+        // within the 200 ms bound.
+        let timely = |link| {
+            FlowSpec::best_effort()
+                .with_link(link)
+                .with_ordered(true)
+                .with_deadline(SimDuration::from_millis(200))
+        };
         let mut protos: Vec<(String, FlowSpec, Option<f64>)> = vec![
-            (
-                "best effort".into(),
-                FlowSpec::best_effort()
-                    .with_ordered(true)
-                    .with_deadline(SimDuration::from_millis(200)),
-                None,
-            ),
+            ("best effort".into(), timely(LinkService::BestEffort), None),
             ("reliable (hbh)".into(), FlowSpec::reliable(), None),
         ];
         for (n, m) in [(1u8, 1u8), (2, 2), (3, 2), (3, 3)] {
@@ -112,20 +108,14 @@ fn main() {
             };
             protos.push((
                 format!("NM-Strikes {n}x{m}"),
-                FlowSpec::best_effort()
-                    .with_link(LinkService::Realtime(params))
-                    .with_ordered(true)
-                    .with_deadline(SimDuration::from_millis(200)),
+                timely(LinkService::Realtime(params)),
                 Some(1.0 + f64::from(m) * p),
             ));
         }
         for fec in [FecParams::light(), FecParams::strong()] {
             protos.push((
                 format!("FEC {}+{}", fec.k, fec.r),
-                FlowSpec::best_effort()
-                    .with_link(LinkService::Fec(fec))
-                    .with_ordered(true)
-                    .with_deadline(SimDuration::from_millis(200)),
+                timely(LinkService::Fec(fec)),
                 Some(fec.overhead()),
             ));
         }

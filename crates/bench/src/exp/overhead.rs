@@ -14,19 +14,15 @@
 //! by `cargo bench` (`forwarding` micro-benchmarks) — on modern hardware the
 //! per-packet daemon work is microseconds.
 
-use son_bench::{banner, f, row, table_header};
+use super::Opts;
+use crate::{f, row, table_header};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::SimTime;
 use son_netsim::underlay::Attachment;
 use son_overlay::builder::{continental_overlay, HOP_PROCESSING};
 use son_topo::{dijkstra, NodeId};
 
-fn main() {
-    banner(
-        "E4 / Section II-D (overlay latency overhead)",
-        "multi-hop overlay path vs direct Internet path: small stretch; <1ms processing per hop",
-    );
-
+pub fn run(_: &Opts) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, cities) = continental_overlay(&sc);
     let mut ul = sc.underlay.clone();

@@ -13,19 +13,21 @@
 //! * **Overlay, a whole link dies** — every provider pipe of one overlay
 //!   link is cut; link-state flooding reroutes around it.
 
-use son_bench::{
-    banner, default_tracked, export_registry, export_timeseries, export_traces, f, finish_export,
-    gather_registry, gather_traces, obs_sink, row, table_header, RX_PORT, TX_PORT,
-};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::{ScenarioEvent, Simulation};
+use son_netsim::sim::ScenarioEvent;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::TimeSeriesRing;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::client::Workload;
+use son_overlay::FlowSpec;
 use son_topo::NodeId;
+
+use super::Opts;
+use crate::fleet::edge_pipes;
+use crate::{
+    default_tracked, export_registry, export_timeseries, export_traces, f, finish_export,
+    gather_registry, longest_gap, obs_sink, row, table_header, Fleet,
+};
 
 const FAIL_AT: SimTime = SimTime::from_secs(5);
 const RUN_FOR: SimTime = SimTime::from_secs(60);
@@ -33,13 +35,7 @@ const RUN_FOR: SimTime = SimTime::from_secs(60);
 /// The outage the application saw: the longest inter-arrival gap after the
 /// failure instant, and whether traffic was flowing at the end.
 fn outage(recv: &son_overlay::client::FlowRecv) -> (SimDuration, bool) {
-    let gap = recv
-        .arrivals
-        .windows(2)
-        .filter(|w| w[1].0 > FAIL_AT)
-        .map(|w| w[1].0.saturating_since(w[0].0))
-        .max()
-        .unwrap_or(SimDuration::MAX);
+    let gap = longest_gap(recv, FAIL_AT).unwrap_or(SimDuration::MAX);
     let flowing = recv
         .arrivals
         .last()
@@ -56,12 +52,7 @@ fn cbr_forever() -> Workload {
     }
 }
 
-fn main() {
-    banner(
-        "E3 / Figure 1 (resilient architecture)",
-        "overlay reroutes sub-second; multihoming dodges single-ISP faults; BGP needs ~40s",
-    );
-
+pub fn run(_: &Opts) {
     table_header(&[
         ("configuration", 34),
         ("failure", 26),
@@ -76,39 +67,19 @@ fn main() {
     // ---- Internet baseline: one "overlay" link NYC->LA on one ISP. -------
     {
         let sc = continental_us(DEFAULT_CONVERGENCE);
-        let mut sim: Simulation<Wire> = Simulation::new(31);
-        sim.set_underlay(sc.underlay.clone());
         let mut topo = son_topo::Graph::new(2);
-        topo.add_edge(NodeId(0), NodeId(1), 40.0);
+        let link = topo.add_edge(NodeId(0), NodeId(1), 40.0);
         // Pin the endpoints to NYC and LA; the builder binds one pipe pair
         // per shared provider, but we disable all but the first so the flow
         // rides exactly one provider, like a normal Internet path.
-        let overlay = OverlayBuilder::new(topo)
-            .place_in_cities(vec![sc.city("NYC"), sc.city("LA")])
-            .build(&mut sim);
-        for pairs in overlay.edge_pipes.values() {
-            for &(ab, ba) in &pairs[1..] {
-                sim.schedule(SimTime::ZERO, ScenarioEvent::DisablePipe(ab));
-                sim.schedule(SimTime::ZERO, ScenarioEvent::DisablePipe(ba));
-            }
-        }
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(1)),
-            port: RX_PORT,
-            joins: vec![],
-            flows: vec![],
-        }));
-        let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(0)),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT)),
-                spec: FlowSpec::best_effort(),
-                workload: cbr_forever(),
-            }],
-        }));
+        let mut fleet = Fleet::new(
+            31,
+            Some(sc.underlay.clone()),
+            OverlayBuilder::new(topo).place_in_cities(vec![sc.city("NYC"), sc.city("LA")]),
+        );
+        let pipes = edge_pipes(&fleet.overlay, link);
+        fleet.pipe_outage(&pipes[2..], SimTime::ZERO, SimDuration::MAX);
+        fleet.flow(NodeId(0), NodeId(1), FlowSpec::best_effort(), cbr_forever());
         // Fail every fiber on the first ISP's current NYC->LA route.
         let isp = sc.isps[0];
         let route = {
@@ -123,12 +94,14 @@ fn main() {
             .edges
         };
         // Cutting one edge of the route is enough to blackhole it.
-        sim.schedule(FAIL_AT, ScenarioEvent::FailUnderlayEdge(route[0]));
-        sim.run_until(RUN_FOR);
+        fleet
+            .sim
+            .schedule(FAIL_AT, ScenarioEvent::FailUnderlayEdge(route[0]));
+        fleet.run(RUN_FOR);
         if let Some(sink) = &mut sink {
-            let _ = export_registry(sink, "internet_baseline", &gather_registry(&sim, &overlay));
+            let _ = export_registry(sink, "internet_baseline", &fleet.registry());
         }
-        let (gap, flowing) = outage(sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv());
+        let (gap, flowing) = outage(fleet.recv(0));
         row(&[
             ("Internet path (1 ISP, no overlay)".into(), 34),
             ("fiber cut on the route".into(), 26),
@@ -149,73 +122,49 @@ fn main() {
         let (topo, cities) = continental_overlay(&sc);
         let nyc = NodeId(cities.iter().position(|&c| c == sc.city("NYC")).unwrap());
         let la = NodeId(cities.iter().position(|&c| c == sc.city("LA")).unwrap());
-        let mut sim: Simulation<Wire> = Simulation::new(32);
-        sim.set_underlay(sc.underlay.clone());
         // Sample 1-in-16 packets for tracing so the exported trace records
         // the reroute markers and the rerouted packets' new paths.
         let node_config = son_overlay::NodeConfig {
             trace_sample: 16,
             ..son_overlay::NodeConfig::default()
         };
-        let overlay = OverlayBuilder::new(topo.clone())
-            .place_in_cities(cities.clone())
-            .node_config(node_config)
-            .build(&mut sim);
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(la),
-            port: RX_PORT,
-            joins: vec![],
-            flows: vec![],
-        }));
-        let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(nyc),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(la, RX_PORT)),
-                spec: FlowSpec::best_effort(),
-                workload: cbr_forever(),
-            }],
-        }));
+        let mut fleet = Fleet::new(
+            32,
+            Some(sc.underlay.clone()),
+            OverlayBuilder::new(topo.clone())
+                .place_in_cities(cities.clone())
+                .node_config(node_config),
+        );
+        fleet.flow(nyc, la, FlowSpec::best_effort(), cbr_forever());
         // Cut the first-hop overlay link of the NYC->LA route: one
         // provider's pipe pair, or all of them.
         let edge = son_topo::shortest_path(&topo, nyc, la)
             .expect("route")
             .edges[0];
-        let pairs = &overlay.edge_pipes[&edge];
-        let victims: Vec<_> = if kill_all {
-            pairs.clone()
-        } else {
-            vec![pairs[0]]
-        };
-        for (ab, ba) in victims {
-            sim.schedule(FAIL_AT, ScenarioEvent::DisablePipe(ab));
-            sim.schedule(FAIL_AT, ScenarioEvent::DisablePipe(ba));
-        }
+        let pipes = edge_pipes(&fleet.overlay, edge);
+        let victims = if kill_all { &pipes[..] } else { &pipes[..2] };
+        fleet.pipe_outage(victims, FAIL_AT, SimDuration::MAX);
         let mut recorder = TimeSeriesRing::new(256, default_tracked());
-        sim.run_with_cadence(RUN_FOR, SimDuration::from_secs(1), |sim, at, wall| {
-            recorder.snapshot_registry(at.as_nanos(), wall, &gather_registry(sim, &overlay));
-        });
+        fleet.run_with_cadence(
+            RUN_FOR,
+            SimDuration::from_secs(1),
+            |sim, overlay, at, wall| {
+                recorder.snapshot_registry(at.as_nanos(), wall, &gather_registry(sim, overlay));
+            },
+        );
         if let Some(sink) = &mut sink {
-            let _ = export_registry(sink, what, &gather_registry(&sim, &overlay));
+            let _ = export_registry(sink, what, &fleet.registry());
         }
         if let Some(sink) = &mut trace_sink {
-            let _ = export_traces(sink, what, &gather_traces(&sim, &overlay));
+            let _ = export_traces(sink, what, &fleet.traces());
         }
         if let Some(sink) = &mut ts_sink {
             let _ = export_timeseries(sink, what, &recorder.rows());
         }
-        let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
-        let (gap, flowing) = outage(client.sole_recv());
+        let (gap, flowing) = outage(fleet.recv(0));
         // Count provider switches / reroutes across daemons for the record.
-        let mut switches = 0;
-        let mut reroutes = 0;
-        for &d in &overlay.daemons {
-            let m = sim.proc_ref::<OverlayNode>(d).unwrap().metrics();
-            switches += m.counters.get("provider_switches");
-            reroutes += m.counters.get("reroutes");
-        }
+        let switches = fleet.counter("provider_switches");
+        let reroutes = fleet.reroutes();
         row(&[
             (
                 format!("{what} [{switches} switches, {reroutes} reroutes]"),

@@ -16,7 +16,6 @@
 //! 100–200 ms budget.
 
 use son_apps::scada::{agreement_spec, Device, FieldUnit, Replica, ReplicaConfig, ReplicaFault};
-use son_bench::{banner, f, row, table_header};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
@@ -24,13 +23,16 @@ use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::{NodeConfig, Wire};
 use son_topo::NodeId;
 
+use super::Opts;
+use crate::{f, row, table_header};
+
 const FIELD: usize = 4; // MIA
 const SUBSTATION: usize = 11; // LA
 /// Cities hosting control-center replicas, in placement order.
 const REPLICA_SITES: [usize; 10] = [0, 5, 3, 8, 2, 6, 7, 10, 1, 9];
 const EVENTS: u64 = 50;
 
-fn run(n: u16, silent: u16, equivocating: u16) -> (usize, f64, f64, f64) {
+fn run_case(n: u16, silent: u16, equivocating: u16) -> (usize, f64, f64, f64) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
     let config = NodeConfig {
@@ -80,12 +82,7 @@ fn run(n: u16, silent: u16, equivocating: u16) -> (usize, f64, f64, f64) {
     )
 }
 
-fn main() {
-    banner(
-        "E12 / Section V-B (SCADA with intrusion-tolerant agreement)",
-        "event -> 3-round agreement -> actuation within the 100-200ms budget, despite f faults",
-    );
-
+pub fn run(_: &Opts) {
     table_header(&[
         ("replicas", 8),
         ("faults", 22),
@@ -106,7 +103,7 @@ fn main() {
         (4, 2, 0, "2 silent (f exceeded)"),
     ];
     for (n, silent, equiv, label) in cases {
-        let (actuated, p50, p99, max) = run(n, silent, equiv);
+        let (actuated, p50, p99, max) = run_case(n, silent, equiv);
         row(&[
             (format!("n={n}"), 8),
             (label.to_string(), 22),

@@ -10,17 +10,19 @@
 //!
 //! Results land in two places:
 //!
-//! - `BENCH_scale.json` (override with `BENCH_OUT`): one locked row per N,
+//! - `BENCH_scale.json` (override with `--out`): one locked row per N,
 //!   gated by `scripts/bench_smoke.sh` — bytes/node must stay sublinear in
-//!   N relative to the committed curve, and the profiler-on pass must stay
-//!   within the overhead budget.
+//!   N relative to the committed curve, and the cold-start rebuild count
+//!   must stay near O(N).
 //! - `<obs dir>/scale.jsonl`: the same rows plus the absorbed profiler's
 //!   per-stage rows for each N (`run` = `n64`, `n256`, …), the input to
 //!   `son-trace --scale-report`.
 
-use son_bench::scale::{run_scale_sharded, ScaleResult, SCALE_FLOWS, SCALE_SEED};
-use son_bench::{banner, export_perf, export_rows, f, finish_export, obs_sink, row, table_header};
-use son_obs::{Json, JsonlSink};
+use son_obs::Json;
+
+use super::Opts;
+use crate::scale::{run_scale_sharded, ScaleResult, SCALE_FLOWS, SCALE_SEED};
+use crate::{export_perf, export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
 
 /// Virtual-time horizon per run: long enough for convergence, the mid-run
 /// link cut at 1.5s, recovery at 2.2s, and steady state after — and short
@@ -33,13 +35,23 @@ const SIM_SECONDS: u64 = 3;
 /// 1024 / 4096 over N = 64. The gate is the worst of those + 10%.
 const SUBLINEAR_SLACK: f64 = 0.8;
 
+/// `(p50, p99)` of one route rebuild, ns (zeros if none was profiled).
+fn reroute_ns(r: &ScaleResult) -> (f64, f64) {
+    let stage = r.reroute_stage();
+    stage.map_or((0.0, 0.0), |s| (s.total_p50_ns, s.total_p99_ns))
+}
+
 fn bench_row(r: &ScaleResult, mode: &str) -> Json {
     let per_node: Vec<(String, Json)> = r
         .bytes_per_node()
         .into_iter()
         .map(|(label, b)| (label.to_owned(), Json::F64(b)))
         .collect();
-    let stage = r.reroute_stage();
+    let (reroute_p50_ns, reroute_p99_ns) = reroute_ns(r);
+    let loads = &r.shard_stats.loads;
+    let per_shard = |count: fn(&son_netsim::shard::ShardLoad) -> u64| {
+        Json::Arr(loads.iter().map(|l| Json::U64(count(l))).collect())
+    };
     Json::obj(vec![
         ("bench", Json::str("exp_scale")),
         ("mode", Json::str(mode)),
@@ -49,7 +61,6 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         ("sim_seconds", Json::F64(r.sim_seconds)),
         ("wall_seconds", Json::F64(r.wall_seconds)),
         ("perf_wall_seconds", Json::F64(r.perf_wall_seconds)),
-        ("perf_overhead_pct", Json::F64(r.perf_overhead() * 100.0)),
         ("forwarded", Json::U64(r.forwarded)),
         ("delivered", Json::U64(r.delivered)),
         ("reroutes", Json::U64(r.reroutes)),
@@ -58,45 +69,14 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         ("bytes_per_node", Json::Obj(per_node)),
         ("bytes_per_node_total", Json::F64(r.bytes_per_node_total())),
         ("bytes_per_node_state", Json::F64(r.bytes_per_node_state())),
-        (
-            "reroute_p50_ns",
-            Json::F64(stage.as_ref().map_or(0.0, |s| s.total_p50_ns)),
-        ),
-        (
-            "reroute_p99_ns",
-            Json::F64(stage.as_ref().map_or(0.0, |s| s.total_p99_ns)),
-        ),
+        ("reroute_p50_ns", Json::F64(reroute_p50_ns)),
+        ("reroute_p99_ns", Json::F64(reroute_p99_ns)),
         ("shards", Json::U64(r.shards as u64)),
-        (
-            "shard_events",
-            Json::Arr(
-                r.shard_stats
-                    .loads
-                    .iter()
-                    .map(|l| Json::U64(l.events))
-                    .collect(),
-            ),
-        ),
-        (
-            "shard_cross_sends",
-            Json::Arr(
-                r.shard_stats
-                    .loads
-                    .iter()
-                    .map(|l| Json::U64(l.sent_cross))
-                    .collect(),
-            ),
-        ),
+        ("shard_events", per_shard(|l| l.events)),
+        ("shard_cross_sends", per_shard(|l| l.sent_cross)),
         (
             "merge_stall_ms",
-            Json::F64(
-                r.shard_stats
-                    .loads
-                    .iter()
-                    .map(|l| l.stall_ns as f64)
-                    .sum::<f64>()
-                    / 1e6,
-            ),
+            Json::F64(loads.iter().map(|l| l.stall_ns as f64).sum::<f64>() / 1e6),
         ),
         ("queue_live", Json::U64(r.queue_stats.live as u64)),
         (
@@ -107,20 +87,9 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
     ])
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let full = std::env::args().any(|a| a == "--full");
-    let args: Vec<String> = std::env::args().collect();
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    banner(
-        "E16 (scale observatory)",
-        "throughput, bytes/node by subsystem, and reroute latency as the overlay grows",
-    );
+pub fn run(opts: &Opts) {
+    let (smoke, full) = (opts.smoke, opts.full);
+    let shards = opts.shards.unwrap_or(1);
     if shards > 1 {
         println!("event engine: {shards} shards (bit-identical to sequential)");
     }
@@ -134,11 +103,7 @@ fn main() {
     };
     let mode = if smoke { "smoke" } else { "full" };
 
-    let bench_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_owned());
-    let mut bench = JsonlSink::create(&bench_path).ok();
-    if bench.is_none() {
-        eprintln!("bench: cannot write {bench_path}; results print only");
-    }
+    let mut bench = Vec::new();
     let mut obs = obs_sink("scale");
 
     table_header(&[
@@ -150,12 +115,11 @@ fn main() {
         ("state KiB", 10),
         ("reroute p50", 12),
         ("reroute p99", 12),
-        ("perf ovh", 9),
     ]);
     let mut results: Vec<ScaleResult> = Vec::new();
     for &n in sizes {
         let r = run_scale_sharded(n, SIM_SECONDS, shards);
-        let stage = r.reroute_stage();
+        let (reroute_p50_ns, reroute_p99_ns) = reroute_ns(&r);
         row(&[
             (n.to_string(), 6),
             (f(r.wall_seconds, 2), 8),
@@ -163,31 +127,16 @@ fn main() {
             (r.pipe_sent.to_string(), 10),
             (f(r.bytes_per_node_total() / 1024.0, 1), 10),
             (f(r.bytes_per_node_state() / 1024.0, 1), 10),
-            (
-                format!(
-                    "{:.0}us",
-                    stage.as_ref().map_or(0.0, |s| s.total_p50_ns) / 1e3
-                ),
-                12,
-            ),
-            (
-                format!(
-                    "{:.0}us",
-                    stage.as_ref().map_or(0.0, |s| s.total_p99_ns) / 1e3
-                ),
-                12,
-            ),
-            (format!("{:+.1}%", r.perf_overhead() * 100.0), 9),
+            (format!("{:.0}us", reroute_p50_ns / 1e3), 12),
+            (format!("{:.0}us", reroute_p99_ns / 1e3), 12),
         ]);
         let row = bench_row(&r, mode);
-        if let Some(sink) = &mut bench {
-            let _ = sink.write(&row);
-        }
         if let Some(sink) = &mut obs {
             let run = format!("n{n}");
-            let _ = export_rows(sink, &run, std::iter::once(row));
+            let _ = export_rows(sink, &run, std::iter::once(row.clone()));
             let _ = export_perf(sink, &run, &r.perf);
         }
+        bench.push(row);
         results.push(r);
     }
 
@@ -236,13 +185,7 @@ fn main() {
         "total bytes/node left the committed curve: {ratio:.1}x over a {linear:.0}x size increase"
     );
 
-    if let Some(sink) = bench {
-        let rows = sink.rows();
-        match sink.finish() {
-            Ok(path) => println!("\nbench: wrote {rows} rows to {}", path.display()),
-            Err(e) => eprintln!("bench: export failed ({e})"),
-        }
-    }
+    write_bench(opts.out.as_deref().unwrap_or("BENCH_scale.json"), &bench);
     if let Some(sink) = obs {
         finish_export(sink);
     }

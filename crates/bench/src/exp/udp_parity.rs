@@ -18,9 +18,9 @@
 //! under per-link loss) and, in full mode, **E3** (a ring with a mid-run
 //! link blackout; both worlds must reroute rather than wait it out).
 //! `--smoke` runs E1 only over 4 processes in a few wall-seconds — the CI
-//! `udp_loopback_smoke` job. Results append to `BENCH_forwarding.json`
-//! (override with `BENCH_OUT`) as `"mode":"udp"` rows, replacing any
-//! previous `udp_parity` rows.
+//! `udp_loopback_smoke` job. Results go to `BENCH_forwarding.json`
+//! (override with `--out`) as `"mode":"udp"` rows, replacing any previous
+//! `udp_parity` rows.
 
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -28,21 +28,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use son_bench::telemetry::{sim_telemetry, ClusterState, EPOCH_NS};
-use son_bench::{banner, f, row, table_header, RX_PORT, TX_PORT};
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_node::{unix_now_ns, Scenario, TopoKind};
 use son_obs::snapshot::{SnapshotProducer, TelemetrySnapshot};
 use son_obs::Json;
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::{Destination, NodeConfig, OverlayAddr, Wire};
+use son_overlay::client::Workload;
+use son_overlay::NodeConfig;
 use son_topo::NodeId;
 
+use super::Opts;
+use crate::telemetry::{sim_telemetry, ClusterState, EPOCH_NS};
+use crate::{f, longest_gap, row, table_header, write_bench, Fleet};
+
 /// One leg's outcome, sim or UDP.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Leg {
     sent: u64,
     received: u64,
@@ -88,27 +89,19 @@ fn e3_scenario() -> Scenario {
         name: "udp_e3".to_owned(),
         topo: TopoKind::Ring,
         nodes: 6,
-        hop_ms: 10.0,
         loss: 0.0,
         spec: "best_effort".to_owned(),
-        deadline_ms: None,
-        from: 0,
         to: 3,
         count: 2_400,
-        size: 200,
-        interval_us: 5_000,
-        start_ms: 1_000,
-        run_for_ms: 16_000,
         seed: 2_000,
-        trace_sample: 8,
         watch: true,
-        membership: false,
         outage: Some(son_node::Outage {
             a: 1,
             b: 2,
             from_ms: 4_000,
             to_ms: 8_000,
         }),
+        ..e1_scenario(false)
     }
 }
 
@@ -117,7 +110,6 @@ fn e3_scenario() -> Scenario {
 /// `<dir>/<name>.sim.telemetry.jsonl` — so one schema serves both legs.
 fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     let topo = s.topology();
-    let mut sim: Simulation<Wire> = Simulation::new(s.seed);
     let config = NodeConfig {
         trace_sample: s.trace_sample,
         watch: s.watch.then(son_overlay::watch::WatchConfig::default),
@@ -128,44 +120,33 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     } else {
         LossConfig::Perfect
     };
-    let overlay = OverlayBuilder::new(topo.clone())
-        .node_config(config)
-        .default_loss(loss)
-        .build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(s.to as usize)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(s.from as usize)),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(s.to as usize), RX_PORT)),
-            spec: s.flow_spec().expect("scenario spec is valid"),
-            workload: Workload::Cbr {
-                size: s.size,
-                interval: s.interval(),
-                count: s.count,
-                start: SimTime::from_millis(s.start_ms),
-            },
-        }],
-    }));
+    let mut fleet = Fleet::new(
+        s.seed,
+        None,
+        OverlayBuilder::new(topo.clone())
+            .node_config(config)
+            .default_loss(loss),
+    );
+    fleet.flow(
+        NodeId(s.from as usize),
+        NodeId(s.to as usize),
+        s.flow_spec().expect("scenario spec is valid"),
+        Workload::Cbr {
+            size: s.size,
+            interval: s.interval(),
+            count: s.count,
+            start: SimTime::from_millis(s.start_ms),
+        },
+    );
     if let Some(o) = s.outage {
         let edge = topo
             .edge_between(NodeId(o.a as usize), NodeId(o.b as usize))
             .expect("outage edge exists");
-        let down = SimTime::from_millis(o.from_ms);
-        let up = SimTime::from_millis(o.to_ms);
-        for &(ab, ba) in &overlay.edge_pipes[&edge] {
-            sim.schedule(down, ScenarioEvent::DisablePipe(ab));
-            sim.schedule(down, ScenarioEvent::DisablePipe(ba));
-            sim.schedule(up, ScenarioEvent::EnablePipe(ab));
-            sim.schedule(up, ScenarioEvent::EnablePipe(ba));
-        }
+        fleet.edge_outage(
+            edge,
+            SimTime::from_millis(o.from_ms),
+            SimDuration::from_millis(o.to_ms - o.from_ms),
+        );
     }
     let _ = std::fs::create_dir_all(dir);
     let telemetry_path = dir.join(format!("{}.sim.telemetry.jsonl", s.name));
@@ -173,11 +154,11 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     let mut producers: Vec<SnapshotProducer> = (0..s.nodes)
         .map(|i| SnapshotProducer::new(i as u32))
         .collect();
-    sim.run_with_cadence(
+    fleet.run_with_cadence(
         SimTime::from_millis(s.run_for_ms),
         SimDuration::from_nanos(EPOCH_NS),
-        |sim, at, _wall| {
-            let snaps = sim_telemetry(sim, &overlay, &mut producers, at.as_nanos());
+        |sim, overlay, at, _wall| {
+            let snaps = sim_telemetry(sim, overlay, &mut producers, at.as_nanos());
             if let Some(f) = telemetry.as_mut() {
                 for snap in &snaps {
                     let _ = writeln!(f, "{}", snap.row_json());
@@ -186,31 +167,19 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
         },
     );
 
-    let sent = sim.proc_ref::<ClientProcess>(tx).expect("sender").sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .expect("receiver")
-        .sole_recv();
+    let recv = fleet.recv(0);
     let mut lat = recv.latency_ms.clone();
     Leg {
-        sent,
+        sent: fleet.sent(0),
         received: recv.received,
         p50_ms: lat.quantile(0.5).unwrap_or(0.0),
         p90_ms: lat.quantile(0.9).unwrap_or(0.0),
-        max_gap_ms: max_gap_ms(&recv.arrivals),
-        decode_errors: 0,
-        unknown_pipe: 0,
+        max_gap_ms: longest_gap(recv, SimTime::ZERO).map_or(0.0, SimDuration::as_millis_f64),
+        ..Leg::default()
     }
 }
 
-fn max_gap_ms(arrivals: &[(SimTime, u64)]) -> f64 {
-    arrivals
-        .windows(2)
-        .map(|w| (w[1].0 - w[0].0).as_millis_f64())
-        .fold(0.0_f64, f64::max)
-}
-
-/// Locates the `son-node` binary next to this experiment binary.
+/// Locates the `son-node` binary next to the `son-exp` binary.
 fn son_node_bin() -> Result<PathBuf, String> {
     let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let dir = me.parent().ok_or("current_exe has no parent")?;
@@ -385,15 +354,7 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
         nodes: live.node_count() as u64,
     };
 
-    let mut leg = Leg {
-        sent: 0,
-        received: 0,
-        p50_ms: 0.0,
-        p90_ms: 0.0,
-        max_gap_ms: 0.0,
-        decode_errors: 0,
-        unknown_pipe: 0,
-    };
+    let mut leg = Leg::default();
     for (i, _, out) in &children {
         let text = std::fs::read_to_string(out)
             .map_err(|e| format!("node {i} wrote no result ({}: {e})", out.display()))?;
@@ -419,25 +380,6 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
         }
     }
     Ok((leg, telemetry))
-}
-
-/// Appends fresh `udp_parity` rows to the bench file, dropping any rows a
-/// previous run wrote (the other benches' rows are preserved verbatim).
-fn update_bench(path: &str, rows: &[Json]) -> std::io::Result<()> {
-    let mut kept = String::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            if !line.contains("\"bench\":\"udp_parity\"") && !line.trim().is_empty() {
-                kept.push_str(line);
-                kept.push('\n');
-            }
-        }
-    }
-    for r in rows {
-        kept.push_str(&r.to_json());
-        kept.push('\n');
-    }
-    std::fs::write(path, kept)
 }
 
 struct Comparison {
@@ -562,20 +504,9 @@ impl Comparison {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let base_port: u16 = args
-        .iter()
-        .position(|a| a == "--base-port")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(47_600);
-    banner(
-        "E18 (sim-vs-real parity)",
-        "one scenario file, one protocol implementation, two drivers: \
-         virtual-time pipes and wall-clock UDP must agree on outcomes",
-    );
+pub fn run(opts: &Opts) {
+    let smoke = opts.smoke;
+    let base_port = 47_600;
     let dir = PathBuf::from(
         std::env::var("UDP_PARITY_DIR").unwrap_or_else(|_| "target/obs/udp_parity".to_owned()),
     );
@@ -588,16 +519,11 @@ fn main() {
         c.check();
     }
 
-    let bench_path =
-        std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_forwarding.json".to_owned());
     let rows: Vec<Json> = comparisons.iter().map(|c| c.bench_row(smoke)).collect();
-    match update_bench(&bench_path, &rows) {
-        Ok(()) => println!(
-            "\nbench: wrote {} udp_parity rows to {bench_path}",
-            rows.len()
-        ),
-        Err(e) => eprintln!("bench: cannot update {bench_path}: {e}"),
-    }
+    write_bench(
+        opts.out.as_deref().unwrap_or("BENCH_forwarding.json"),
+        &rows,
+    );
     println!(
         "cluster artifacts (per-process results, trace exports): {}",
         dir.display()

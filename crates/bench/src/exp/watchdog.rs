@@ -18,22 +18,16 @@
 //! Audit events are exported as `watch.jsonl` rows and cross-checked by
 //! `son-trace --watch-audit`.
 
-use son_bench::watchdog::{campaign_matrix, WatchdogRun};
-use son_bench::{
-    banner, export_registry, export_watch, f, finish_export, obs_sink, row, table_header,
-};
 use son_netsim::time::SimDuration;
 use son_obs::watch::WatchKind;
 use son_overlay::watch::WatchConfig;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(
-        "E-watchdog (online anomaly watchdog)",
-        "detect pathologies online, remediate, and audit every action; \
-         watchdog-on must beat watchdog-off under faults and stay silent when healthy",
-    );
+use super::Opts;
+use crate::watchdog::{campaign_matrix, WatchdogRun};
+use crate::{export_registry, export_watch, f, finish_export, obs_sink, row, table_header};
 
+pub fn run(opts: &Opts) {
+    let smoke = opts.smoke;
     let mut sink = obs_sink("exp_watchdog");
     let mut watch_sink = obs_sink("watch");
 
@@ -49,15 +43,8 @@ fn main() {
         ("shed", 5),
     ]);
 
-    let matrix = campaign_matrix();
-    let matrix: Vec<_> = if smoke {
-        matrix
-            .into_iter()
-            .filter(|(name, _)| matches!(*name, "control" | "flaps" | "blackhole"))
-            .collect()
-    } else {
-        matrix
-    };
+    let mut matrix = campaign_matrix();
+    matrix.retain(|(name, _)| !smoke || matches!(*name, "control" | "flaps" | "blackhole"));
 
     let mut fractions: Vec<(String, bool, f64, u64)> = Vec::new();
     for (name, build) in matrix {
@@ -105,16 +92,14 @@ fn main() {
     }
 
     println!();
-    let frac = |name: &str, on: bool| {
-        fractions
-            .iter()
-            .find(|(n, w, ..)| n == name && *w == on)
-            .map_or(0.0, |&(_, _, f, _)| f)
+    let cell = |name: &str, on: bool| {
+        let hit = fractions.iter().find(|(n, w, ..)| n == name && *w == on);
+        hit.map_or((0.0, 0), |&(.., fraction, suspensions)| {
+            (fraction, suspensions)
+        })
     };
-    let control_susp = fractions
-        .iter()
-        .find(|(n, w, ..)| n == "control" && *w)
-        .map_or(0, |&(.., s)| s);
+    let frac = |name, on| cell(name, on).0;
+    let control_susp = cell("control", true).1;
     println!("Shape check (paper, NM-Strikes / cost-benefit framing): a compromised");
     println!("or degraded element must be detected and routed around by the overlay");
     println!("itself, without tearing down the service. Watchdog-on vs off within-");

@@ -2,7 +2,8 @@
 //!
 //! Every experiment writes the same way: open a sink per artifact under the
 //! obs dir, tag each row with a `run` label so several runs share one file,
-//! and finish with the "wrote N rows" banner. The per-artifact exporters
+//! and finish with the "wrote N rows" banner; the committed `BENCH_*.json`
+//! files have one writer, [`write_bench`]. The per-artifact exporters
 //! ([`export_traces`], [`export_timeseries`], [`export_watch`],
 //! [`export_registry`]) are all one call to [`export_rows`] with a
 //! different row source — the row-tagging loop lives here exactly once.
@@ -103,6 +104,35 @@ pub fn export_perf(
     export_rows(sink, run, son_obs::perf_rows(perf))
 }
 
+/// The one writer of `BENCH_*.json`: replaces, in the file at `path`, the
+/// rows `rows` supersedes — those with the same `bench`, `mode` and `n` as
+/// one of them — and keeps every other line byte for byte, so the benches
+/// sharing a file (and the history rows nobody regenerates) survive each
+/// other's runs. Prints the standard banner.
+pub fn write_bench(path: &str, rows: &[Json]) {
+    let key = |row: &Json| {
+        let field = |name| row.get(name).map(Json::to_json);
+        (field("bench"), field("mode"), field("n"))
+    };
+    let superseded: Vec<_> = rows.iter().map(key).collect();
+    let mut text = String::new();
+    for line in std::fs::read_to_string(path).unwrap_or_default().lines() {
+        let stale = Json::parse(line).is_ok_and(|row| superseded.contains(&key(&row)));
+        if !stale && !line.trim().is_empty() {
+            text.push_str(line);
+            text.push('\n');
+        }
+    }
+    for row in rows {
+        row.render(&mut text);
+        text.push('\n');
+    }
+    match std::fs::write(path, text) {
+        Ok(()) => println!("\nbench: wrote {} rows to {path}", rows.len()),
+        Err(e) => eprintln!("bench: cannot write {path} ({e}); results print only"),
+    }
+}
+
 /// Creates the JSONL sink for `experiment` under the obs dir, or explains
 /// why export is off (an unwritable directory disables export, it does not
 /// fail the experiment).
@@ -140,6 +170,26 @@ mod tests {
             "run key must lead: {text}"
         );
         assert_eq!(tagged.get("value").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn write_bench_keeps_every_other_bench_byte_for_byte() {
+        let path = std::env::temp_dir().join(format!("son_bench_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let others = "{\"bench\":\"udp_parity\",\"mode\":\"udp\",\"udp_p50_ms\":74.082044}\n\
+                      {\"bench\":\"route_recompute\",\"nodes\":64,\"speedup\":9.64106342057745}\n";
+        let smoke = "{\"bench\":\"exp_throughput\",\"mode\":\"smoke\",\"forwarded\":8729}\n";
+        let old = "{\"bench\":\"exp_throughput\",\"mode\":\"full\",\"forwarded\":1}\n";
+        std::fs::write(path, format!("{others}{old}{smoke}")).unwrap();
+        let fresh = Json::obj(vec![
+            ("bench", Json::str("exp_throughput")),
+            ("mode", Json::str("full")),
+            ("forwarded", Json::U64(246_910)),
+        ]);
+        write_bench(path, std::slice::from_ref(&fresh));
+        let after = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(after, format!("{others}{smoke}{}\n", fresh.to_json()));
     }
 
     #[test]

@@ -1,21 +1,29 @@
 //! # son-bench — the experiment harness
 //!
-//! One binary per experiment; each regenerates a figure or quantitative
-//! claim of the paper (see `DESIGN.md` §3 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured results). This library holds the
-//! shared runners and table-printing helpers.
+//! Every experiment regenerates a figure or quantitative claim of the
+//! paper (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
+//! paper-vs-measured results). Each is a module under [`exp`], listed in
+//! [`exp::EXPERIMENTS`] and run by the one `son-exp` binary; all of them
+//! build their deployment through [`Fleet`], write `BENCH_*.json` through
+//! [`write_bench`] and are gated by [`gate`]. This library also holds the
+//! shared campaign runners and table-printing helpers.
 
 pub mod churn;
+pub mod exp;
 pub mod export;
+pub mod fleet;
+pub mod gate;
 pub mod scale;
 pub mod telemetry;
 pub mod watchdog;
 
 pub use export::{
     export_perf, export_registry, export_rows, export_timeseries, export_traces, export_watch,
-    finish_export, obs_sink, tag_run,
+    finish_export, obs_sink, tag_run, write_bench,
 };
-pub use telemetry::{sim_telemetry, ClusterState, Gate, NodeState};
+pub use fleet::Fleet;
+pub use gate::Gate;
+pub use telemetry::{sim_telemetry, ClusterState, NodeState};
 
 use son_netsim::loss::LossConfig;
 use son_netsim::sim::Simulation;
@@ -23,11 +31,9 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceEvent;
 use son_obs::{Json, Registry, TimeSeriesRing};
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, FlowRecv, Workload};
+use son_overlay::client::{FlowRecv, Workload};
 use son_overlay::node::OverlayNode;
-use son_overlay::{
-    Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr, OverlayHandle, Wire,
-};
+use son_overlay::{FlowSpec, NodeConfig, OverlayHandle, Wire};
 use son_topo::{Graph, NodeId};
 
 /// Receiver port used by harness runs.
@@ -85,6 +91,8 @@ pub struct UnicastOutcome {
     /// rows — ready for [`export_timeseries`]. Empty when `ts_cadence` is
     /// `None`.
     pub timeseries: Vec<Json>,
+    /// The simulator fingerprint (same seed ⇒ identical).
+    pub fingerprint: u64,
 }
 
 /// Configuration of one unicast harness run.
@@ -140,83 +148,50 @@ impl UnicastRun {
     /// Executes the run.
     #[must_use]
     pub fn run(self) -> UnicastOutcome {
-        let mut sim: Simulation<Wire> = Simulation::new(self.seed);
-        let overlay = OverlayBuilder::new(self.topology)
-            .node_config(self.node_config.clone())
-            .default_loss(self.loss.clone())
-            .build(&mut sim);
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(self.to),
-            port: RX_PORT,
-            joins: vec![],
-            flows: vec![],
-        }));
-        let tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(self.from),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(self.to, RX_PORT)),
-                spec: self.spec,
-                workload: Workload::Cbr {
-                    size: self.size,
-                    interval: self.interval,
-                    count: self.count,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
+        let mut fleet = Fleet::new(
+            self.seed,
+            None,
+            OverlayBuilder::new(self.topology)
+                .node_config(self.node_config)
+                .default_loss(self.loss),
+        );
+        fleet.flow(
+            self.from,
+            self.to,
+            self.spec,
+            Workload::Cbr {
+                size: self.size,
+                interval: self.interval,
+                count: self.count,
+                start: SimTime::from_millis(500),
+            },
+        );
         let until = SimTime::ZERO + self.run_for;
         let timeseries = match self.ts_cadence {
             None => {
-                sim.run_until(until);
+                fleet.run(until);
                 Vec::new()
             }
             Some(cadence) => {
                 let mut recorder = TimeSeriesRing::new(4096, default_tracked());
-                sim.run_with_cadence(until, cadence, |sim, at, wall| {
-                    let reg = gather_registry(sim, &overlay);
+                fleet.run_with_cadence(until, cadence, |sim, overlay, at, wall| {
+                    let reg = gather_registry(sim, overlay);
                     recorder.snapshot_registry(at.as_nanos(), wall, &reg);
                 });
                 recorder.rows()
             }
         };
-        harvest(&sim, &overlay, tx, rx, self.spec.link, timeseries)
-    }
-}
-
-/// Pulls the outcome out of a finished simulation.
-#[must_use]
-pub fn harvest(
-    sim: &Simulation<Wire>,
-    overlay: &OverlayHandle,
-    tx: son_netsim::process::ProcessId,
-    rx: son_netsim::process::ProcessId,
-    service: LinkService,
-    timeseries: Vec<Json>,
-) -> UnicastOutcome {
-    let sent = sim.proc_ref::<ClientProcess>(tx).expect("sender").sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .expect("receiver")
-        .recv
-        .values()
-        .next()
-        .cloned()
-        .unwrap_or_default();
-    let (wire, dedup_suppressed, forwarded) = wire_stats(sim, overlay, service);
-    let registry = gather_registry(sim, overlay);
-    let traces = gather_traces(sim, overlay);
-    UnicastOutcome {
-        sent,
-        recv,
-        wire,
-        dedup_suppressed,
-        forwarded,
-        registry,
-        traces,
-        timeseries,
+        UnicastOutcome {
+            sent: fleet.sent(0),
+            recv: fleet.recv(0).clone(),
+            wire: fleet.wire_stats(self.spec.link),
+            dedup_suppressed: fleet.nodes().map(|n| n.metrics().dedup_suppressed).sum(),
+            forwarded: fleet.forwarded(),
+            registry: fleet.registry(),
+            traces: fleet.traces(),
+            timeseries,
+            fingerprint: fleet.sim.fingerprint(),
+        }
     }
 }
 
@@ -238,37 +213,6 @@ pub fn default_tracked() -> Vec<String> {
     .collect()
 }
 
-/// Merges every daemon's trace ring into one time-sorted event stream.
-/// Sorting is by `(at_ns, trace_id, hop, node)` so equal-time events from
-/// different daemons land in a deterministic order.
-#[must_use]
-pub fn gather_traces(sim: &Simulation<Wire>, overlay: &OverlayHandle) -> Vec<TraceEvent> {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    for &d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-        events.extend(node.obs().traces().events().copied());
-    }
-    events.sort_by_key(|e| (e.at_ns, e.trace_id, e.hop, e.node));
-    events
-}
-
-/// Merges every daemon's watchdog audit ring into one time-sorted stream.
-/// Sorting is by `(at_ns, node, link)` so equal-time events from different
-/// daemons land in a deterministic order.
-#[must_use]
-pub fn gather_watch(
-    sim: &Simulation<Wire>,
-    overlay: &OverlayHandle,
-) -> Vec<son_obs::watch::WatchEvent> {
-    let mut events: Vec<son_obs::watch::WatchEvent> = Vec::new();
-    for &d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-        events.extend(node.obs().watch_events().events().copied());
-    }
-    events.sort_by_key(|e| (e.at_ns, e.node, e.link));
-    events
-}
-
 /// Absorbs every daemon's metrics registry into one experiment-wide
 /// registry, and folds in the simulator's pipe-level counters (labelled
 /// `layer=pipe`) so cross-layer accounting lives in one place.
@@ -286,34 +230,19 @@ pub fn gather_registry(sim: &Simulation<Wire>, overlay: &OverlayHandle) -> Regis
     reg
 }
 
-/// Aggregates link-protocol and node statistics across all daemons.
+/// The outage a flow saw: the longest gap between consecutive arrivals
+/// that ends after `after` (`None` if nothing arrived after it).
 #[must_use]
-pub fn wire_stats(
-    sim: &Simulation<Wire>,
-    overlay: &OverlayHandle,
-    service: LinkService,
-) -> (WireStats, u64, u64) {
-    let mut wire = WireStats::default();
-    let mut dedup = 0;
-    let mut forwarded = 0;
-    for &d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-        let s = node.service_stats(service);
-        wire.sent += s.sent;
-        wire.retransmitted += s.retransmitted;
-        wire.ctl += s.ctl_sent;
-        wire.dropped += s.dropped;
-        dedup += node.metrics().dedup_suppressed;
-        forwarded += node.metrics().forwarded;
-    }
-    (wire, dedup, forwarded)
+pub fn longest_gap(recv: &FlowRecv, after: SimTime) -> Option<SimDuration> {
+    let gaps = recv.arrivals.windows(2).filter(|w| w[1].0 > after);
+    gaps.map(|w| w[1].0.saturating_since(w[0].0)).max()
 }
 
-/// A ring of `n` nodes (`hop_ms` per link) plus a long chord every
-/// `chord_every` positions on the first half of the ring (`0` = plain
-/// ring). Scales the route-recompute benchmarks from 16 to 256 nodes while
-/// staying within the 256-edge source-route mask: at 256 nodes the ring
-/// alone uses every mask bit, so it carries no chords.
+/// A ring of `n` nodes (`hop_ms` per link) plus a long chord from `i` to
+/// `i + n/2` every `chord_every` positions on the first half of the ring
+/// (`0` = plain ring). Source-route masks hold 256 edges: a caller that
+/// builds them keeps the edge count under `son_topo::graph::MAX_EDGES` (at
+/// 256 nodes the ring alone uses every mask bit, so it carries no chords).
 #[must_use]
 pub fn ring_with_chords(n: usize, hop_ms: f64, chord_every: usize) -> Graph {
     let mut g = Graph::new(n);
@@ -321,10 +250,8 @@ pub fn ring_with_chords(n: usize, hop_ms: f64, chord_every: usize) -> Graph {
         g.add_edge(NodeId(i), NodeId((i + 1) % n), hop_ms);
     }
     if chord_every > 0 {
-        let mut i = 0;
-        while i < n / 2 && g.edge_count() < son_topo::graph::MAX_EDGES {
+        for i in (0..n / 2).step_by(chord_every) {
             g.add_edge(NodeId(i), NodeId(i + n / 2), hop_ms * 1.5);
-            i += chord_every;
         }
     }
     g
@@ -401,5 +328,12 @@ mod tests {
         assert_eq!(out.recv.received, 200);
         assert!(out.wire.retransmitted > 0);
         assert!(out.wire.overhead_ratio() > 1.0);
+        // Recorded at f6b3f84, before `Fleet` built this run: the same
+        // processes in the same order leave the same fingerprint.
+        assert_eq!(
+            (out.fingerprint, out.forwarded, out.recv.received),
+            (0x4fd4_5858_376b_59be, 400, 200)
+        );
+        assert_eq!(out.registry.counter_total("reroutes"), 48);
     }
 }

@@ -15,26 +15,22 @@
 //!    rebuild plus Dijkstra, as N grows.
 //!
 //! Each N runs twice on the same seed: once with the profiler off (the
-//! clean throughput figure) and once with it on (profiler stages and the
-//! perf-overhead figure). The sim is deterministic, so both passes execute
-//! the identical event sequence and the wall-clock delta prices the
-//! profiler alone.
+//! clean throughput figure) and once with it on (profiler stages). The sim
+//! is deterministic, so both passes execute the identical event sequence.
 
 use std::time::Instant;
 
 use son_netsim::event::QueueStats;
 use son_netsim::shard::ShardStats;
-use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::{FootprintReport, PerfRegistry, PerfStageStats};
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, Wire};
+use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
 
-use crate::{RX_PORT, TX_PORT};
+use crate::{ring_with_chords, Fleet};
 
 /// Master seed for every scale run: the sweep must be reproducible so the
 /// committed `BENCH_scale.json` curve is comparable across machines.
@@ -51,27 +47,16 @@ pub const SCALE_FLOWS: usize = 8;
 /// daemon, so fleet-wide rebuilds stay O(N).
 pub const SCALE_HOLD_DOWN: SimDuration = SimDuration::from_millis(250);
 
-/// A ring of `n` nodes (`hop_ms` per link) plus a chord from `i` to
-/// `i + n/2` every 16 positions on the first half. Unlike
-/// [`crate::ring_with_chords`] this does *not* stop at the 256-edge
-/// source-route mask: link-state unicast routing never builds edge masks,
-/// and the scale sweep needs topologies far past 256 edges.
+/// [`ring_with_chords`] with a chord every 16 positions: link-state unicast
+/// routing never builds edge masks, so the sweep's topologies run far past
+/// the 256-edge source-route mask.
 #[must_use]
 pub fn scale_topology(n: usize, hop_ms: f64) -> Graph {
     assert!(
         n >= 16 && n.is_multiple_of(2),
         "scale topology needs an even n >= 16"
     );
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        g.add_edge(NodeId(i), NodeId((i + 1) % n), hop_ms);
-    }
-    let mut i = 0;
-    while i < n / 2 {
-        g.add_edge(NodeId(i), NodeId(i + n / 2), hop_ms * 1.5);
-        i += 16;
-    }
-    g
+    ring_with_chords(n, hop_ms, 16)
 }
 
 /// One measured point of the sweep.
@@ -106,6 +91,9 @@ pub struct ScaleResult {
     /// Every daemon's profiler plus the event loop's, absorbed into one
     /// fleet-wide view (from the perf-on pass).
     pub perf: PerfRegistry,
+    /// The simulator fingerprint (identical for both passes and for every
+    /// shard count).
+    pub fingerprint: u64,
 }
 
 impl ScaleResult {
@@ -113,13 +101,6 @@ impl ScaleResult {
     #[must_use]
     pub fn pkts_per_wall_s(&self) -> f64 {
         self.forwarded as f64 / self.wall_seconds.max(1e-9)
-    }
-
-    /// Profiler overhead as a fraction of the perf-off wall time (may be
-    /// slightly negative from scheduler noise on short runs).
-    #[must_use]
-    pub fn perf_overhead(&self) -> f64 {
-        self.perf_wall_seconds / self.wall_seconds.max(1e-9) - 1.0
     }
 
     /// Average retained bytes per node, by subsystem label.
@@ -162,140 +143,85 @@ impl ScaleResult {
     }
 }
 
-struct Pass {
-    wall_seconds: f64,
-    forwarded: u64,
-    delivered: u64,
-    reroutes: u64,
-    pipe_sent: u64,
-    footprint: FootprintReport,
-    perf: PerfRegistry,
-    shard_stats: ShardStats,
-    queue_stats: QueueStats,
-}
-
 /// One deterministic run at size `n`: CBR flows crossing the overlay, one
 /// ring link cut at 1.5s and restored at 2.2s (forcing a fleet-wide
 /// reroute wave), horizon `sim_seconds`. With `shards > 1` the event
 /// engine runs the conservative parallel core — bit-identical to
-/// sequential, so every figure except wall time matches `shards = 1`.
-fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> Pass {
-    let topo = scale_topology(n, 10.0);
-    let mut sim: Simulation<Wire> = Simulation::new(SCALE_SEED);
-    if perf {
-        sim.enable_perf();
-    }
+/// sequential, so every figure except wall time matches `shards = 1`. A
+/// single pass reports its own wall time in both wall-clock fields.
+fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResult {
     let connectivity = ConnectivityConfig {
         rebuild_hold_down: SCALE_HOLD_DOWN,
         ..ConnectivityConfig::default()
     };
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(NodeConfig {
+    let mut fleet = Fleet::new(
+        SCALE_SEED,
+        None,
+        OverlayBuilder::new(scale_topology(n, 10.0)).node_config(NodeConfig {
             perf,
             connectivity,
             ..NodeConfig::default()
-        })
-        .build(&mut sim);
+        }),
+    );
+    if perf {
+        fleet.sim.enable_perf();
+    }
 
     // Flows from evenly spaced sources to (almost) the antipode: the +5
     // offset keeps each path off a single chord so forwarding does real
     // multi-hop work.
-    let mut rxs = Vec::new();
-    let mut clients = Vec::new();
     for k in 0..SCALE_FLOWS {
         let a = k * n / SCALE_FLOWS;
-        let b = (a + n / 2 + 5) % n;
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(b)),
-            port: RX_PORT + k as u16,
-            joins: vec![],
-            flows: vec![],
-        }));
-        rxs.push(rx);
-        clients.push((rx, NodeId(b)));
-        let tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(a)),
-            port: TX_PORT + k as u16,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(b), RX_PORT + k as u16)),
-                spec: FlowSpec::best_effort(),
-                workload: Workload::Cbr {
-                    size: 1000,
-                    interval: SimDuration::from_millis(2),
-                    count: u64::MAX,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
-        clients.push((tx, NodeId(a)));
+        fleet.flow(
+            NodeId(a),
+            NodeId((a + n / 2 + 5) % n),
+            FlowSpec::best_effort(),
+            Workload::Cbr {
+                size: 1000,
+                interval: SimDuration::from_millis(2),
+                count: u64::MAX,
+                start: SimTime::from_millis(500),
+            },
+        );
     }
-    if shards > 1 {
-        // Contiguous daemon blocks; clients ride their daemon's shard
-        // (client<->daemon IPC is zero-latency and must not cross shards).
-        let mut plan = overlay.shard_plan(shards, sim.process_count());
-        for &(client, node) in &clients {
-            overlay.colocate(&mut plan, client, node);
-        }
-        sim.set_shard_plan(Some(plan));
-    }
+    fleet.shards(shards);
 
     // Cut one ring link mid-run and bring it back: every daemon sees the
     // failure LSA, rebuilds, then rebuilds again on recovery.
-    let victim = EdgeId(1);
-    for &(ab, ba) in &overlay.edge_pipes[&victim] {
-        sim.schedule(SimTime::from_millis(1500), ScenarioEvent::DisablePipe(ab));
-        sim.schedule(SimTime::from_millis(1500), ScenarioEvent::DisablePipe(ba));
-        sim.schedule(SimTime::from_millis(2200), ScenarioEvent::EnablePipe(ab));
-        sim.schedule(SimTime::from_millis(2200), ScenarioEvent::EnablePipe(ba));
-    }
+    fleet.edge_outage(
+        EdgeId(1),
+        SimTime::from_millis(1500),
+        SimDuration::from_millis(700),
+    );
 
     let wall = Instant::now();
-    sim.run_until(SimTime::from_secs(sim_seconds));
+    fleet.run(SimTime::from_secs(sim_seconds));
     let wall_seconds = wall.elapsed().as_secs_f64();
 
-    let mut forwarded = 0;
-    let mut reroutes = 0;
     let mut footprint = FootprintReport::new();
     let merged = PerfRegistry::new(false);
-    for &d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-        let m = node.metrics();
-        forwarded += m.forwarded;
-        reroutes += m.counters.get("reroutes");
+    for node in fleet.nodes() {
         footprint.merge(&node.footprint());
         merged.absorb(node.obs().perf());
     }
-    if let Some(p) = sim.perf() {
+    if let Some(p) = fleet.sim.perf() {
         merged.absorb(p);
     }
-    let delivered = rxs
-        .iter()
-        .map(|&rx| {
-            sim.proc_ref::<ClientProcess>(rx)
-                .expect("receiver")
-                .sole_recv()
-                .received
-        })
-        .sum();
-    let counters = sim.counters();
-    let pipe_dropped: u64 = son_obs::DropClass::ALL
-        .iter()
-        .filter(|class| class.is_pipe())
-        .map(|class| counters.get(class.label()))
-        .sum();
-    let pipe_sent = counters.get("pipe.delivered") + pipe_dropped;
-    Pass {
+    ScaleResult {
+        n,
+        shards: shards.max(1),
+        shard_stats: fleet.sim.shard_stats().clone(),
+        queue_stats: fleet.sim.queue_stats(),
+        sim_seconds: sim_seconds as f64,
         wall_seconds,
-        forwarded,
-        delivered,
-        reroutes,
-        pipe_sent,
+        perf_wall_seconds: wall_seconds,
+        forwarded: fleet.forwarded(),
+        delivered: fleet.delivered(),
+        reroutes: fleet.reroutes(),
+        pipe_sent: fleet.pipe_sent(),
         footprint,
         perf: merged,
-        shard_stats: sim.shard_stats().clone(),
-        queue_stats: sim.queue_stats(),
+        fingerprint: fleet.sim.fingerprint(),
     }
 }
 
@@ -314,23 +240,13 @@ pub fn run_scale_sharded(n: usize, sim_seconds: u64, shards: usize) -> ScaleResu
     let base = run_pass(n, sim_seconds, false, shards);
     let profiled = run_pass(n, sim_seconds, true, shards);
     debug_assert_eq!(
-        base.forwarded, profiled.forwarded,
+        base.fingerprint, profiled.fingerprint,
         "profiler must not perturb the simulation"
     );
     ScaleResult {
-        n,
-        shards: shards.max(1),
-        shard_stats: base.shard_stats,
-        queue_stats: base.queue_stats,
-        sim_seconds: sim_seconds as f64,
-        wall_seconds: base.wall_seconds,
         perf_wall_seconds: profiled.wall_seconds,
-        forwarded: base.forwarded,
-        delivered: base.delivered,
-        reroutes: base.reroutes,
-        pipe_sent: base.pipe_sent,
-        footprint: base.footprint,
         perf: profiled.perf,
+        ..base
     }
 }
 
@@ -364,6 +280,15 @@ mod tests {
         assert!(stage.total_p50_ns > 0.0);
         // The profiled pass must replay the identical event sequence.
         assert_eq!(r.forwarded, run_pass(16, 3, true, 1).forwarded);
+    }
+
+    #[test]
+    fn fleet_built_scale_point_matches_the_parent_commit() {
+        // Recorded at f6b3f84, before `Fleet` built this run (the same
+        // counts as the committed n=64 row of `BENCH_scale.json`).
+        let r = run_scale(64, 3);
+        assert_eq!(r.fingerprint, 0x2d5e_8219_8801_e592);
+        assert_eq!((r.forwarded, r.delivered, r.reroutes), (88_848, 9_366, 132));
     }
 
     #[test]

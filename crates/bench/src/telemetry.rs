@@ -8,11 +8,12 @@
 //! view `son-top` displays and CI gates on; it deliberately contains no
 //! wall-clock-derived field, so the same snapshots produce byte-identical
 //! roll-ups whether they arrived live or from a recording
-//! (`live_ingest_matches_jsonl_replay` in `exp_udp_parity` locks this).
+//! (`live_ingest_matches_jsonl_replay` in `son-exp udp_parity` locks this).
 //!
-//! [`Gate`] implements the SLO grammar (`delivery>=0.95,stale<=2`): each
-//! clause names a numeric roll-up field, and a breach makes `son-top` exit
-//! non-zero so scripts can use it as a cluster health check.
+//! `son-top --gate` evaluates a [`crate::Gate`] (`delivery>=0.95,stale<=2`)
+//! against the roll-up: each clause names one of its numeric fields, and a
+//! breach makes `son-top` exit non-zero so scripts can use it as a cluster
+//! health check.
 
 use std::collections::BTreeMap;
 
@@ -367,128 +368,6 @@ pub fn key_label<'a>(key: &'a str, label: &str) -> Option<&'a str> {
     })
 }
 
-// -------------------------------------------------------------------- gate
-
-/// Comparison operator of one gate clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOp {
-    /// `>=`
-    Ge,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `<`
-    Lt,
-    /// `=`
-    Eq,
-}
-
-impl GateOp {
-    fn holds(self, value: f64, bound: f64) -> bool {
-        match self {
-            GateOp::Ge => value >= bound,
-            GateOp::Le => value <= bound,
-            GateOp::Gt => value > bound,
-            GateOp::Lt => value < bound,
-            GateOp::Eq => (value - bound).abs() < f64::EPSILON,
-        }
-    }
-
-    fn symbol(self) -> &'static str {
-        match self {
-            GateOp::Ge => ">=",
-            GateOp::Le => "<=",
-            GateOp::Gt => ">",
-            GateOp::Lt => "<",
-            GateOp::Eq => "=",
-        }
-    }
-}
-
-/// One SLO clause: a numeric roll-up field compared against a bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateClause {
-    /// Roll-up field name (`delivery`, `stale`, `lost`, ...).
-    pub metric: String,
-    /// Comparison.
-    pub op: GateOp,
-    /// Bound.
-    pub bound: f64,
-}
-
-/// A parsed `--gate` spec: all clauses must hold.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Gate {
-    /// The clauses, spec order.
-    pub clauses: Vec<GateClause>,
-}
-
-impl Gate {
-    /// Parses `metric OP value` clauses separated by commas, e.g.
-    /// `delivery>=0.95,stale<=2`. Metrics name numeric top-level fields of
-    /// [`ClusterState::rollup`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed clause.
-    pub fn parse(spec: &str) -> Result<Gate, String> {
-        let mut clauses = Vec::new();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let clause = clause.trim();
-            let (op_at, op, op_len) = clause
-                .find(">=")
-                .map(|i| (i, GateOp::Ge, 2))
-                .or_else(|| clause.find("<=").map(|i| (i, GateOp::Le, 2)))
-                .or_else(|| clause.find('>').map(|i| (i, GateOp::Gt, 1)))
-                .or_else(|| clause.find('<').map(|i| (i, GateOp::Lt, 1)))
-                .or_else(|| clause.find('=').map(|i| (i, GateOp::Eq, 1)))
-                .ok_or_else(|| format!("gate clause {clause:?}: no operator (>=, <=, >, <, =)"))?;
-            let metric = clause[..op_at].trim();
-            if metric.is_empty() {
-                return Err(format!("gate clause {clause:?}: empty metric name"));
-            }
-            let bound = clause[op_at + op_len..]
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| format!("gate clause {clause:?}: bad bound: {e}"))?;
-            clauses.push(GateClause {
-                metric: metric.to_owned(),
-                op,
-                bound,
-            });
-        }
-        Ok(Gate { clauses })
-    }
-
-    /// Evaluates every clause against a roll-up; returns the breaches
-    /// (empty = healthy). Unknown or non-numeric metrics are breaches —
-    /// a typo must not silently pass a health check.
-    #[must_use]
-    pub fn breaches(&self, rollup: &Json) -> Vec<String> {
-        let mut out = Vec::new();
-        for c in &self.clauses {
-            let value = rollup.get(&c.metric).and_then(|v| match v {
-                Json::U64(u) => Some(*u as f64),
-                Json::F64(f) => Some(*f),
-                _ => None,
-            });
-            match value {
-                None => out.push(format!("{}: no such roll-up metric", c.metric)),
-                Some(v) if !c.op.holds(v, c.bound) => out.push(format!(
-                    "{} = {v} violates {} {} {}",
-                    c.metric,
-                    c.metric,
-                    c.op.symbol(),
-                    c.bound
-                )),
-                Some(_) => {}
-            }
-        }
-        out
-    }
-}
-
 // ----------------------------------------------------------- sim-leg hook
 
 use son_netsim::sim::Simulation;
@@ -522,6 +401,7 @@ pub fn sim_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Gate;
     use son_obs::snapshot::{CounterDelta, LinkHealth, NodeHealth};
 
     fn snap(node: u32, seq: u64, sent: u64, delivered: u64) -> TelemetrySnapshot {
@@ -673,35 +553,6 @@ mod tests {
         let breaches = Gate::parse("members>=3").unwrap().breaches(&r);
         assert_eq!(breaches.len(), 1, "a shrunken fleet breaches the gate");
         assert!(breaches[0].contains("members"));
-    }
-
-    #[test]
-    fn gate_grammar_round_trips_and_evaluates() {
-        let gate = Gate::parse("delivery>=0.95, stale<=2,lost<10").unwrap();
-        assert_eq!(gate.clauses.len(), 3);
-        let healthy = Json::obj(vec![
-            ("delivery", Json::F64(0.99)),
-            ("stale", Json::U64(1)),
-            ("lost", Json::U64(0)),
-        ]);
-        assert!(gate.breaches(&healthy).is_empty());
-        let sick = Json::obj(vec![
-            ("delivery", Json::F64(0.5)),
-            ("stale", Json::U64(9)),
-            ("lost", Json::U64(0)),
-        ]);
-        let breaches = gate.breaches(&sick);
-        assert_eq!(breaches.len(), 2);
-        assert!(breaches[0].contains("delivery"));
-    }
-
-    #[test]
-    fn gate_rejects_garbage_and_unknown_metrics_breach() {
-        assert!(Gate::parse("delivery").is_err());
-        assert!(Gate::parse("delivery>=banana").is_err());
-        assert!(Gate::parse(">=2").is_err());
-        let gate = Gate::parse("no_such_metric>=1").unwrap();
-        assert_eq!(gate.breaches(&Json::obj(vec![])).len(), 1);
     }
 
     #[test]

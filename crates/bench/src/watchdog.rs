@@ -4,25 +4,24 @@
 //! deterministic [`Campaign`] of faults over it, applies the campaign's
 //! compromised-node windows at the overlay level, drives a CBR flow across
 //! the country, and reports the fraction of packets delivered within a
-//! one-way deadline — the metric `exp_watchdog` compares watchdog-on vs
+//! one-way deadline — the metric `son-exp watchdog` compares watchdog-on vs
 //! watchdog-off. Used by the experiment binary, the smoke gate in
 //! `scripts/check.sh`, and the regression tests, so all three agree on what
 //! a campaign is.
 
 use son_netsim::scenario::{continental_us, Campaign, Scenario, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::watch::{WatchEvent, WatchKind};
 use son_obs::Registry;
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::client::Workload;
 use son_overlay::node::OverlayNode;
 use son_overlay::watch::WatchConfig;
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, OverlayHandle, Wire};
+use son_overlay::{FlowSpec, NodeConfig, OverlayHandle};
 use son_topo::NodeId;
 
-use crate::{gather_registry, gather_watch, RX_PORT, TX_PORT};
+use crate::fleet::{edge_pipes, Fleet};
 
 /// How a campaign is built, once the deployment it will torment exists.
 /// Receives the underlay scenario, the built overlay, and the per-node city
@@ -113,50 +112,34 @@ impl WatchdogRun {
             route_edges: path.edges,
         };
 
-        let mut sim: Simulation<Wire> = Simulation::new(self.seed);
-        sim.set_underlay(sc.underlay.clone());
         let node_config = NodeConfig {
             trace_sample: 16,
             watch: self.watch.clone(),
             ..NodeConfig::default()
         };
-        let overlay = OverlayBuilder::new(topo)
-            .place_in_cities(cities)
-            .node_config(node_config)
-            .build(&mut sim);
+        let mut fleet = Fleet::new(
+            self.seed,
+            Some(sc.underlay.clone()),
+            OverlayBuilder::new(topo)
+                .place_in_cities(cities)
+                .node_config(node_config),
+        );
 
-        let campaign = (self.build)(&sc, &overlay, &geometry);
-        campaign.schedule_into(&mut sim);
+        let campaign = (self.build)(&sc, &fleet.overlay, &geometry);
+        fleet.campaign(&campaign);
 
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(dst),
-            port: RX_PORT,
-            joins: vec![],
-            flows: vec![],
-        }));
-        let tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(src),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(dst, RX_PORT)),
-                spec: FlowSpec::reliable(),
-                workload: Workload::Cbr {
-                    size: 1000,
-                    interval: self.interval,
-                    count: self.count,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
-
-        if self.shards > 1 {
-            let mut plan = overlay.shard_plan(self.shards, sim.process_count());
-            overlay.colocate(&mut plan, rx, dst);
-            overlay.colocate(&mut plan, tx, src);
-            sim.set_shard_plan(Some(plan));
-        }
+        fleet.flow(
+            src,
+            dst,
+            FlowSpec::reliable(),
+            Workload::Cbr {
+                size: 1000,
+                interval: self.interval,
+                count: self.count,
+                start: SimTime::from_millis(500),
+            },
+        );
+        fleet.shards(self.shards);
 
         // Apply the campaign's compromise windows on a fine cadence: the
         // simulator has no notion of overlay adversaries, so the harness
@@ -164,7 +147,8 @@ impl WatchdogRun {
         let windows = campaign.blackhole_windows.clone();
         let mut applied = vec![false; windows.len()];
         let until = SimTime::ZERO + self.run_for;
-        sim.run_with_cadence(until, SimDuration::from_millis(100), |sim, at, _wall| {
+        let tick = SimDuration::from_millis(100);
+        fleet.run_with_cadence(until, tick, |sim, overlay, at, _wall| {
             for (i, w) in windows.iter().enumerate() {
                 let inside = at >= w.start && at < w.end;
                 if inside != applied[i] {
@@ -181,18 +165,7 @@ impl WatchdogRun {
             }
         });
 
-        let sent = sim.proc_ref::<ClientProcess>(tx).expect("sender").sent(1);
-        let recv = sim
-            .proc_ref::<ClientProcess>(rx)
-            .expect("receiver")
-            .recv
-            .values()
-            .next()
-            .cloned()
-            .unwrap_or_default();
-        let within_deadline = recv.within_deadline(self.deadline);
-        let watch_events = gather_watch(&sim, &overlay);
-        let registry = gather_registry(&sim, &overlay);
+        let recv = fleet.recv(0);
         let deliveries = recv
             .arrivals
             .iter()
@@ -201,14 +174,13 @@ impl WatchdogRun {
             .collect();
         WatchdogOutcome {
             label: self.label,
-            watch_enabled: self.watch.is_some(),
-            sent,
+            sent: fleet.sent(0),
             received: recv.received,
-            within_deadline,
+            within_deadline: recv.within_deadline(self.deadline),
             deliveries,
-            watch_events,
-            registry,
-            fingerprint: sim.fingerprint(),
+            watch_events: fleet.watch_events(),
+            registry: fleet.registry(),
+            fingerprint: fleet.sim.fingerprint(),
         }
     }
 }
@@ -218,8 +190,6 @@ impl WatchdogRun {
 pub struct WatchdogOutcome {
     /// The run's tag.
     pub label: String,
-    /// Whether the watchdog was on.
-    pub watch_enabled: bool,
     /// CBR packets the sender emitted.
     pub sent: u64,
     /// Packets delivered.
@@ -268,13 +238,6 @@ impl WatchdogOutcome {
     }
 }
 
-/// The window inside which every campaign schedules its faults: after
-/// routing has settled, well before the horizon so recovery is measurable.
-#[must_use]
-pub fn fault_window() -> (SimTime, SimTime) {
-    (SimTime::from_secs(4), SimTime::from_secs(20))
-}
-
 /// The all-healthy control campaign: no faults at all. The watchdog must
 /// stay silent — any suspension here is a false positive.
 #[must_use]
@@ -290,15 +253,13 @@ pub fn control_campaign(_sc: &Scenario, _ov: &OverlayHandle, _g: &RunGeometry) -
 #[must_use]
 pub fn flap_campaign(_sc: &Scenario, ov: &OverlayHandle, g: &RunGeometry) -> Campaign {
     let mut c = Campaign::new("flaps", 0xF1);
-    if let Some(pairs) = ov.edge_pipes.get(&g.route_edges[0]) {
-        let pipes: Vec<_> = pairs.iter().flat_map(|&(ab, ba)| [ab, ba]).collect();
-        for k in 0..7u64 {
-            c.pipe_outage_at(
-                &pipes,
-                SimTime::from_secs(4) + SimDuration::from_secs(2 * k),
-                SimDuration::from_millis(1000),
-            );
-        }
+    let pipes = edge_pipes(ov, g.route_edges[0]);
+    for k in 0..7u64 {
+        c.pipe_outage_at(
+            &pipes,
+            SimTime::from_secs(4) + SimDuration::from_secs(2 * k),
+            SimDuration::from_millis(1000),
+        );
     }
     c
 }
@@ -315,15 +276,8 @@ pub fn flap_campaign(_sc: &Scenario, ov: &OverlayHandle, g: &RunGeometry) -> Cam
 #[must_use]
 pub fn burst_loss_campaign(_sc: &Scenario, ov: &OverlayHandle, g: &RunGeometry) -> Campaign {
     let mut c = Campaign::new("burst_loss", 0xB2);
-    let mut pipes = Vec::new();
-    for edge in g.route_edges.iter().take(2) {
-        if let Some(pairs) = ov.edge_pipes.get(edge) {
-            for &(ab, ba) in pairs {
-                pipes.push(ab);
-                pipes.push(ba);
-            }
-        }
-    }
+    let route = g.route_edges.iter().take(2);
+    let pipes: Vec<_> = route.flat_map(|&edge| edge_pipes(ov, edge)).collect();
     let loss = son_netsim::loss::LossConfig::Bernoulli { p: 0.75 };
     let restore = son_netsim::loss::LossConfig::Perfect;
     for start_ms in [5_000, 9_500] {

@@ -1,4 +1,4 @@
-//! Regression locks for the `exp_churn` acceptance invariants, at a
+//! Regression locks for the `son-exp churn` acceptance invariants, at a
 //! debug-friendly scale of the same campaign machinery:
 //!
 //! 1. after any *single* membership event at N = 64 — a crash, a
@@ -13,7 +13,7 @@
 //!    comes back down off its peak,
 //! 4. a churn run is a pure function of its seed.
 //!
-//! The full-scale numbers live in `exp_churn` (and its `--smoke` run in
+//! The full-scale numbers live in `son-exp churn` (and its `--smoke` run in
 //! CI); these tests keep the *shape* of the result from regressing in
 //! plain `cargo test`.
 

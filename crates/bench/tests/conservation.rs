@@ -17,14 +17,13 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use son_bench::{gather_registry, UnicastRun};
+use son_bench::{Fleet, UnicastRun};
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::Registry;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, Wire};
+use son_overlay::client::Workload;
+use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::NodeId;
 
 /// Sums the ledger: (delivered to clients, data drops inside pipes, drops
@@ -148,42 +147,27 @@ fn flow_ledger(reg: &Registry) -> HashMap<String, (u64, u64, u64)> {
 /// 6-node chain (flow `i` targets `NodeId(dsts[i])` on its own port) and
 /// returns the experiment-wide registry.
 fn multi_flow_registry(seed: u64, ttl: u8, dsts: &[usize]) -> Registry {
-    let nodes = 6;
-    let mut sim: Simulation<Wire> = Simulation::new(seed);
     let config = NodeConfig {
         ttl,
         ..NodeConfig::default()
     };
-    let overlay = OverlayBuilder::new(chain_topology(nodes, 5.0))
-        .node_config(config)
-        .build(&mut sim);
-    for (i, &dst) in dsts.iter().enumerate() {
-        let rx_port = 70 + i as u16;
-        sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(dst)),
-            port: rx_port,
-            joins: vec![],
-            flows: vec![],
-        }));
-        sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(0)),
-            port: 50 + i as u16,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(dst), rx_port)),
-                spec: FlowSpec::best_effort(),
-                workload: Workload::Cbr {
-                    size: 600,
-                    interval: SimDuration::from_millis(5),
-                    count: PER_FLOW_COUNT,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
+    let builder = OverlayBuilder::new(chain_topology(6, 5.0)).node_config(config);
+    let mut fleet = Fleet::new(seed, None, builder);
+    for &dst in dsts {
+        fleet.flow(
+            NodeId(0),
+            NodeId(dst),
+            FlowSpec::best_effort(),
+            Workload::Cbr {
+                size: 600,
+                interval: SimDuration::from_millis(5),
+                count: PER_FLOW_COUNT,
+                start: SimTime::from_millis(500),
+            },
+        );
     }
-    sim.run_until(SimTime::from_secs(5));
-    gather_registry(&sim, &overlay)
+    fleet.run(SimTime::from_secs(5));
+    fleet.registry()
 }
 
 proptest! {

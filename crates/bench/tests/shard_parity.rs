@@ -15,16 +15,14 @@
 use son_bench::churn::{ChurnPattern, ChurnRun};
 use son_bench::scale::{scale_topology, SCALE_HOLD_DOWN};
 use son_bench::watchdog::{router_failure_campaign, WatchdogRun};
-use son_bench::{ring_with_chords, RX_PORT, TX_PORT};
+use son_bench::{ring_with_chords, Fleet};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
 use son_overlay::watch::WatchConfig;
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, Wire};
+use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
 
 /// What a run leaves behind; equality means the runs were identical.
@@ -41,7 +39,6 @@ struct Observed {
 /// With `placed` the overlay is bound to the continental-US underlay.
 fn observe(topo: &Graph, placed: bool, seed: u64, shards: usize) -> Observed {
     let n = topo.node_count();
-    let mut sim: Simulation<Wire> = Simulation::new(seed);
     let config = NodeConfig {
         connectivity: ConnectivityConfig {
             rebuild_hold_down: SCALE_HOLD_DOWN,
@@ -49,95 +46,46 @@ fn observe(topo: &Graph, placed: bool, seed: u64, shards: usize) -> Observed {
         },
         ..NodeConfig::default()
     };
-    let builder = OverlayBuilder::new(topo.clone()).node_config(config);
-    let (overlay, cut_edge) = if placed {
+    let mut fleet = if placed {
         let sc = continental_us(DEFAULT_CONVERGENCE);
         let (placed_topo, cities) = continental_overlay(&sc);
         assert_eq!(placed_topo.node_count(), n, "caller passes the placed topo");
-        sim.set_underlay(sc.underlay);
-        let overlay = OverlayBuilder::new(placed_topo)
-            .node_config(NodeConfig {
-                connectivity: ConnectivityConfig {
-                    rebuild_hold_down: SCALE_HOLD_DOWN,
-                    ..ConnectivityConfig::default()
-                },
-                ..NodeConfig::default()
-            })
-            .place_in_cities(cities)
-            .build(&mut sim);
-        (overlay, EdgeId(1))
+        let builder = OverlayBuilder::new(placed_topo)
+            .node_config(config)
+            .place_in_cities(cities);
+        Fleet::new(seed, Some(sc.underlay), builder)
     } else {
-        (builder.build(&mut sim), EdgeId(1))
+        let builder = OverlayBuilder::new(topo.clone()).node_config(config);
+        Fleet::new(seed, None, builder)
     };
 
-    let mut rxs = Vec::new();
-    let mut clients = Vec::new();
     for k in 0..4usize {
         let a = k * n / 4;
-        let b = (a + n / 2 + 1) % n;
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(b)),
-            port: RX_PORT + k as u16,
-            joins: vec![],
-            flows: vec![],
-        }));
-        rxs.push(rx);
-        clients.push((rx, NodeId(b)));
-        let tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(a)),
-            port: TX_PORT + k as u16,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(b), RX_PORT + k as u16)),
-                spec: FlowSpec::best_effort(),
-                workload: Workload::Cbr {
-                    size: 1000,
-                    interval: SimDuration::from_millis(2),
-                    count: u64::MAX,
-                    start: SimTime::from_millis(400),
-                },
-            }],
-        }));
-        clients.push((tx, NodeId(a)));
+        fleet.flow(
+            NodeId(a),
+            NodeId((a + n / 2 + 1) % n),
+            FlowSpec::best_effort(),
+            Workload::Cbr {
+                size: 1000,
+                interval: SimDuration::from_millis(2),
+                count: u64::MAX,
+                start: SimTime::from_millis(400),
+            },
+        );
     }
-    for &(ab, ba) in &overlay.edge_pipes[&cut_edge] {
-        sim.schedule(SimTime::from_millis(800), ScenarioEvent::DisablePipe(ab));
-        sim.schedule(SimTime::from_millis(800), ScenarioEvent::DisablePipe(ba));
-        sim.schedule(SimTime::from_millis(1400), ScenarioEvent::EnablePipe(ab));
-        sim.schedule(SimTime::from_millis(1400), ScenarioEvent::EnablePipe(ba));
-    }
-    if shards > 1 {
-        let mut plan = overlay.shard_plan(shards, sim.process_count());
-        for &(client, node) in &clients {
-            overlay.colocate(&mut plan, client, node);
-        }
-        sim.set_shard_plan(Some(plan));
-    }
+    fleet.edge_outage(
+        EdgeId(1),
+        SimTime::from_millis(800),
+        SimDuration::from_millis(600),
+    );
+    fleet.shards(shards);
+    fleet.run(SimTime::from_secs(2));
 
-    sim.run_until(SimTime::from_secs(2));
-
-    let mut forwarded = 0;
-    let mut reroutes = 0;
-    for &d in &overlay.daemons {
-        let m = sim.proc_ref::<OverlayNode>(d).expect("daemon").metrics();
-        forwarded += m.forwarded;
-        reroutes += m.counters.get("reroutes");
-    }
-    let delivered = rxs
-        .iter()
-        .map(|&rx| {
-            sim.proc_ref::<ClientProcess>(rx)
-                .expect("receiver")
-                .sole_recv()
-                .received
-        })
-        .sum();
     Observed {
-        fingerprint: sim.fingerprint(),
-        forwarded,
-        delivered,
-        reroutes,
+        fingerprint: fleet.sim.fingerprint(),
+        forwarded: fleet.forwarded(),
+        delivered: fleet.delivered(),
+        reroutes: fleet.reroutes(),
     }
 }
 

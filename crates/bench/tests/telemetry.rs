@@ -12,16 +12,15 @@
 use std::collections::HashMap;
 
 use son_bench::telemetry::{sim_telemetry, ClusterState, EPOCH_NS};
-use son_bench::{ring_with_chords, RX_PORT, TX_PORT};
+use son_bench::{ring_with_chords, Fleet};
 use son_netsim::scenario::Campaign;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::snapshot::SnapshotProducer;
 use son_obs::Registry;
-use son_overlay::builder::{OverlayBuilder, OverlayHandle};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::builder::OverlayBuilder;
+use son_overlay::client::Workload;
 use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::FlowSpec;
 use son_topo::NodeId;
 
 const SEED: u64 = 4_242;
@@ -30,60 +29,51 @@ const RUN_FOR: SimTime = SimTime::from_secs(8);
 /// A 6-node ring overlay with one CBR flow terminating at node 1: the
 /// receiving daemon's `node.delivered_local` counter grows steadily, so
 /// every telemetry epoch of uptime observes nonzero counter movement.
-fn build_overlay(sim: &mut Simulation<Wire>) -> OverlayHandle {
-    let overlay = OverlayBuilder::new(ring_with_chords(6, 10.0, 0)).build(sim);
-    sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(1)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(4)),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT)),
-            spec: FlowSpec::best_effort(),
-            workload: Workload::Cbr {
-                size: 200,
-                interval: SimDuration::from_millis(2),
-                count: u64::MAX,
-                start: SimTime::from_millis(100),
-            },
-        }],
-    }));
-    overlay
+fn build_fleet() -> Fleet {
+    let mut fleet = Fleet::new(
+        SEED,
+        None,
+        OverlayBuilder::new(ring_with_chords(6, 10.0, 0)),
+    );
+    fleet.flow(
+        NodeId(4),
+        NodeId(1),
+        FlowSpec::best_effort(),
+        Workload::Cbr {
+            size: 200,
+            interval: SimDuration::from_millis(2),
+            count: u64::MAX,
+            start: SimTime::from_millis(100),
+        },
+    );
+    fleet
 }
 
 /// The fingerprint must not move when telemetry is observed every epoch:
 /// snapshot production reads node state, it never schedules into the sim.
 #[test]
 fn telemetry_emission_does_not_perturb_the_simulation() {
-    let mut plain: Simulation<Wire> = Simulation::new(SEED);
-    build_overlay(&mut plain);
-    plain.run_until(RUN_FOR);
+    let mut plain = build_fleet();
+    plain.run(RUN_FOR);
 
-    let mut observed: Simulation<Wire> = Simulation::new(SEED);
-    let overlay = build_overlay(&mut observed);
-    let mut producers: Vec<SnapshotProducer> = (0..overlay.daemons.len())
+    let mut observed = build_fleet();
+    let mut producers: Vec<SnapshotProducer> = (0..observed.overlay.daemons.len())
         .map(|i| SnapshotProducer::new(i as u32))
         .collect();
     let mut cluster = ClusterState::new();
     observed.run_with_cadence(
         RUN_FOR,
         SimDuration::from_nanos(EPOCH_NS),
-        |sim, at, _wall| {
-            for snap in sim_telemetry(sim, &overlay, &mut producers, at.as_nanos()) {
+        |sim, overlay, at, _wall| {
+            for snap in sim_telemetry(sim, overlay, &mut producers, at.as_nanos()) {
                 cluster.ingest(snap);
             }
         },
     );
 
     assert_eq!(
-        plain.fingerprint(),
-        observed.fingerprint(),
+        plain.sim.fingerprint(),
+        observed.sim.fingerprint(),
         "per-epoch telemetry emission changed the simulation"
     );
     assert_eq!(cluster.node_count(), 6);
@@ -126,12 +116,11 @@ fn process_flap_restarts_rebaseline_deltas_instead_of_wrapping() {
     let down = SimDuration::from_millis(400);
     let up = SimDuration::from_millis(600);
 
-    let mut sim: Simulation<Wire> = Simulation::new(SEED);
-    let overlay = build_overlay(&mut sim);
-    let victim = overlay.daemon(NodeId(1));
+    let mut fleet = build_fleet();
+    let victim = fleet.overlay.daemon(NodeId(1));
     let mut campaign = Campaign::new("telemetry_flaps", 0xF1);
     campaign.process_flaps(&[victim], start, cycles, down, up);
-    campaign.schedule_into(&mut sim);
+    fleet.campaign(&campaign);
 
     let restart_times: Vec<SimTime> = (0..cycles)
         .map(|k| start + (down + up) * (k as u64) + down)
@@ -141,10 +130,10 @@ fn process_flap_restarts_rebaseline_deltas_instead_of_wrapping() {
     let mut base: HashMap<String, u64> = HashMap::new();
     let mut reboots_seen = 0usize;
     let mut snaps = Vec::new();
-    sim.run_with_cadence(
+    fleet.run_with_cadence(
         RUN_FOR,
         SimDuration::from_nanos(EPOCH_NS),
-        |sim, at, _wall| {
+        |sim, _overlay, at, _wall| {
             let node = sim.proc_ref::<OverlayNode>(victim).expect("victim daemon");
             let reboots_by_now = restart_times.iter().filter(|&&t| t <= at).count();
             if reboots_by_now > reboots_seen {

@@ -1,4 +1,4 @@
-//! Regression locks for the `exp_watchdog` acceptance invariants, at a
+//! Regression locks for the `son-exp watchdog` acceptance invariants, at a
 //! debug-friendly scale of the same campaign matrix:
 //!
 //! 1. the all-healthy control campaign triggers *zero* remediations (the
@@ -9,7 +9,7 @@
 //! 3. a campaign run is a pure function of its seed — two identical runs
 //!    produce identical `Simulation::fingerprint()`s and watch histories.
 //!
-//! The full-scale numbers live in `exp_watchdog` (and its `--smoke` run in
+//! The full-scale numbers live in `son-exp watchdog` (and its `--smoke` run in
 //! CI); these tests keep the *shape* of the result from regressing in plain
 //! `cargo test`.
 

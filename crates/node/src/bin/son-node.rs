@@ -23,7 +23,7 @@
 //! only once the JoinAck admits it (requires `"membership": true` in the
 //! scenario).
 //!
-//! The cluster harness around this binary is `exp_udp_parity` in
+//! The cluster harness around this binary is `son-exp udp_parity` in
 //! `son-bench`, which runs the same scenario file through the simulator and
 //! compares outcomes.
 

@@ -16,7 +16,7 @@
 //! reaches the socket, from the same seed the simulator uses. What is NOT
 //! emulated is scheduling: handler execution time, OS jitter, and socket
 //! batching are real. That is the point — the parity experiment
-//! (`exp_udp_parity`) checks that protocol outcomes survive the move from
+//! (`son-exp udp_parity`) checks that protocol outcomes survive the move from
 //! idealized to real execution, within stated tolerances.
 
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! One JSON file describes a complete experiment — topology, link
 //! characteristics, the flow under test, and an optional mid-run link
-//! blackout — and both worlds consume it: `exp_udp_parity` runs it in-sim
+//! blackout — and both worlds consume it: `son-exp udp_parity` runs it in-sim
 //! through the usual [`son_netsim`] pipes, and each `son-node` process
 //! builds its local slice of the same overlay from the same file. Keeping
 //! the description in one place is what makes "the sim is a peer of the
@@ -158,14 +158,66 @@ impl Scenario {
                 .unwrap_or(false),
             outage,
         };
-        if scenario.nodes < 2 {
-            return Err("scenario: need at least two nodes".to_owned());
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Everything [`Scenario::topology`], [`Scenario::flow_spec`],
+    /// [`Scenario::interval`] and the two harnesses assume about the
+    /// fields, checked once so a bad file is an `Err` here rather than a
+    /// panic there.
+    fn validate(&self) -> Result<(), String> {
+        // Every link needs its own bit of a source-route mask.
+        let max_nodes = match self.topo {
+            TopoKind::Chain => son_topo::graph::MAX_EDGES + 1,
+            TopoKind::Ring => son_topo::graph::MAX_EDGES,
+        };
+        if !(2..=max_nodes).contains(&self.nodes) {
+            return Err(format!(
+                "scenario: a {:?} needs 2..={max_nodes} nodes, not {}",
+                self.topo, self.nodes
+            ));
         }
-        if scenario.from as usize >= scenario.nodes || scenario.to as usize >= scenario.nodes {
+        if self.from as usize >= self.nodes || self.to as usize >= self.nodes {
             return Err("scenario: from/to out of range".to_owned());
         }
-        scenario.flow_spec()?;
-        Ok(scenario)
+        if !(self.hop_ms.is_finite() && self.hop_ms > 0.0) {
+            return Err("scenario: hop_ms must be finite and positive".to_owned());
+        }
+        if !(0.0..=1.0).contains(&self.loss) {
+            return Err("scenario: loss must be within [0, 1]".to_owned());
+        }
+        if self
+            .deadline_ms
+            .is_some_and(|d| !(d.is_finite() && d >= 0.0))
+        {
+            return Err("scenario: deadline_ms must be finite and non-negative".to_owned());
+        }
+        if !(1..=u64::MAX / 1_000).contains(&self.interval_us) {
+            return Err("scenario: interval_us out of range".to_owned());
+        }
+        let outage = self.outage.map_or([0; 2], |o| [o.from_ms, o.to_ms]);
+        if [self.start_ms, self.run_for_ms, outage[0], outage[1]]
+            .iter()
+            .any(|&ms| ms > u64::MAX / 1_000_000)
+        {
+            return Err("scenario: a millisecond field overflows the clock".to_owned());
+        }
+        if let Some(o) = self.outage {
+            // Chain and ring links join consecutive nodes (and a ring's last
+            // to its first).
+            let (lo, hi) = (o.a.min(o.b) as usize, o.a.max(o.b) as usize);
+            let adjacent = hi < self.nodes
+                && (hi - lo == 1
+                    || (self.topo == TopoKind::Ring && lo == 0 && hi == self.nodes - 1));
+            if !adjacent {
+                return Err(format!("scenario: no link {}-{} to black out", o.a, o.b));
+            }
+            if o.from_ms > o.to_ms {
+                return Err("scenario: outage ends before it starts".to_owned());
+            }
+        }
+        self.flow_spec().map(|_| ())
     }
 
     /// Renders the scenario back to its JSON document form.
@@ -298,6 +350,86 @@ mod tests {
         let mut chain = s;
         chain.topo = TopoKind::Chain;
         assert_eq!(chain.topology().edge_count(), 4);
+    }
+
+    #[test]
+    fn rejects_what_would_panic_later() {
+        let reject = |edit: &dyn Fn(&mut Scenario)| {
+            let mut s = sample();
+            edit(&mut s);
+            assert!(Scenario::parse(&s.to_json()).is_err(), "accepted {s:?}");
+        };
+        reject(&|s| s.deadline_ms = Some(-1.0));
+        reject(&|s| s.hop_ms = 0.0);
+        reject(&|s| s.hop_ms = -2.5);
+        reject(&|s| s.loss = 1.5);
+        reject(&|s| s.interval_us = 0);
+        reject(&|s| s.interval_us = u64::MAX / 1_000 + 1);
+        reject(&|s| s.run_for_ms = u64::MAX / 1_000_000 + 1);
+        reject(&|s| s.nodes = 257);
+        reject(&|s| s.outage.as_mut().unwrap().b = 3);
+        reject(&|s| s.outage.as_mut().unwrap().b = 9);
+        reject(&|s| s.outage.as_mut().unwrap().to_ms = 999);
+        let mut chain = sample();
+        (chain.topo, chain.nodes, chain.outage) = (TopoKind::Chain, 257, None);
+        assert!(Scenario::parse(&chain.to_json()).is_ok(), "256 links fit");
+        let mut ring = sample();
+        let closing = ring.outage.as_mut().unwrap();
+        (closing.a, closing.b, closing.to_ms) = (4, 0, closing.from_ms);
+        assert!(Scenario::parse(&ring.to_json()).is_ok(), "the closing link");
+    }
+
+    /// What every consumer does with a scenario it was handed.
+    fn survives(s: &Scenario) {
+        let g = s.topology();
+        if let Some(o) = s.outage {
+            assert!(g
+                .edge_between(NodeId(o.a as usize), NodeId(o.b as usize))
+                .is_some());
+        }
+        s.flow_spec().expect("validated");
+        assert!(s.interval() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn parse_never_panics_and_what_it_accepts_is_usable() {
+        let mut rng = son_netsim::rng::SimRng::seed(0x5ce0);
+        let valid = sample().to_json();
+        let values: Vec<&str> = "0 1 2 -1 -0.5 0.5 1e300 -1e300 1e-300 256 257 4294967296 \
+            18446744073709551 18446744073709552 18446744073709551615 99999999999999999999 \
+            null true \"x\" [] {}"
+            .split(' ')
+            .collect();
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..4000 {
+            // Mutated-valid: replace the values of one to three fields.
+            let mut doc = valid.clone();
+            for _ in 0..rng.uniform_u64(1, 4) {
+                let colons: Vec<usize> = doc.match_indices(':').map(|(i, _)| i + 1).collect();
+                let at = *rng.choose(&colons).unwrap();
+                let end = doc[at..].find([',', '}']).map_or(doc.len(), |len| at + len);
+                doc.replace_range(at..end, rng.choose(&values).unwrap());
+            }
+            // Arbitrary: every so often, cut the (ASCII) document short or
+            // splice in a stray byte.
+            let at = rng.uniform_u64(0, doc.len() as u64) as usize;
+            if round % 5 == 0 {
+                doc.truncate(at);
+            } else if round % 7 == 0 {
+                doc.insert(at, *rng.choose(&['{', '"', '-', '9', ',', '\\']).unwrap());
+            }
+            match Scenario::parse(&doc) {
+                Ok(s) => {
+                    survives(&s);
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 100 && rejected > 100,
+            "{accepted} ok, {rejected} err"
+        );
     }
 
     #[test]

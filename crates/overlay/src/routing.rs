@@ -93,10 +93,11 @@ impl Forwarding {
         self.rebuild_my_spt();
     }
 
-    /// Installs a fresh topology view built from a plain graph. Legacy
-    /// entry point (and the pre-snapshot comparison path for benchmarks):
-    /// always freezes and recomputes, like every LSA arrival used to.
-    pub fn set_graph(&mut self, graph: Graph) {
+    /// Installs a fresh topology view built from a plain graph: always
+    /// freezes and recomputes. The unit tests' shorthand for
+    /// [`Forwarding::install`].
+    #[cfg(test)]
+    fn set_graph(&mut self, graph: Graph) {
         let next = self.version.wrapping_add(1);
         self.install(Arc::new(TopoSnapshot::new(graph)), next);
     }

@@ -204,7 +204,7 @@ fn watchdog_strikes_blackhole_and_traffic_converges_on_disjoint_path() {
 fn healthy_deployment_emits_no_watch_events() {
     // The exact same deployment and workload, nobody misbehaving: the
     // watchdog must stay silent (the no-false-positive invariant, at the
-    // integration level; `exp_watchdog` asserts it campaign-wide).
+    // integration level; `son-exp watchdog` asserts it campaign-wide).
     let mut sim = Simulation::new(22);
     let overlay = OverlayBuilder::new(diamond())
         .node_config(watched_config())

@@ -9,11 +9,8 @@ cargo build --release
 echo "==> cargo test -q (tier 1)"
 cargo test -q
 
-echo "==> cargo test --workspace -q"
+echo "==> cargo test --workspace -q (incl. the shard_parity determinism suite)"
 cargo test --workspace -q
-
-echo "==> shard determinism parity suite (sequential vs --shards {2,4,8})"
-cargo test -q -p son-bench --test shard_parity
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -30,25 +27,26 @@ scripts/bench_smoke.sh
 echo "==> benchmark crate (outside the workspace: tests + one quick workload)"
 scripts/benchmark_smoke.sh
 
-echo "==> trace self-check (exp_fig3 --smoke + son-trace)"
-cargo run --release -q -p son-bench --bin exp_fig3 -- --smoke
+son_exp() { cargo run --release -q -p son-bench --bin son-exp -- "$@"; }
+
+echo "==> trace self-check (son-exp fig3 --smoke + son-trace)"
+son_exp fig3 --smoke
 cargo run --release -q -p son-bench --bin son-trace -- \
     --self-check --limit 1 target/obs/exp_fig3.trace.jsonl
 
-echo "==> watchdog smoke campaign (exp_watchdog --smoke + son-trace --watch-audit)"
-cargo run --release -q -p son-bench --bin exp_watchdog -- --smoke
+echo "==> watchdog smoke campaign (son-exp watchdog --smoke + son-trace --watch-audit)"
+son_exp watchdog --smoke
 cargo run --release -q -p son-bench --bin son-trace -- \
     --watch-audit target/obs/watch.jsonl
 
-echo "==> churn smoke campaign (exp_churn --smoke: convergence bound + delivery floor)"
-cargo run --release -q -p son-bench --bin exp_churn -- --smoke
+echo "==> churn smoke campaign (son-exp churn --smoke: convergence bound + delivery floor)"
+son_exp churn --smoke
 
 echo "==> membership join smoke (son-node x5 over 127.0.0.1, joiner via --seed-peer)"
 scripts/join_smoke.sh
 
 echo "==> udp loopback smoke (son-node x4 over 127.0.0.1, sim-vs-real parity)"
-BENCH_OUT=target/obs/BENCH_udp_smoke.json \
-    cargo run --release -q -p son-bench --bin exp_udp_parity -- --smoke
+son_exp udp_parity --smoke --out target/obs/BENCH_udp_smoke.json
 cat target/obs/udp_parity/udp_e1_smoke.result.*.json \
     target/obs/udp_parity/udp_e1_smoke.udp.telemetry.jsonl \
     > target/obs/udp_parity/udp_e1_smoke.merged.jsonl

@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates every experiment of EXPERIMENTS.md (deterministic seeds).
+# Regenerates every experiment of EXPERIMENTS.md (deterministic seeds; the
+# index is `son-exp --list`). `throughput`, `scale` and `udp_parity` refresh
+# their own rows of the committed BENCH_*.json files; the JSONL exports land
+# under target/obs (analyze traces with: son-trace target/obs/<exp>.trace.jsonl).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-experiments=(fig3 nm_strikes rerouting overhead multicast intrusion fairness \
-             manipulation compound dedup global scada ablation)
-for e in "${experiments[@]}"; do
-  echo "==================================================================="
-  cargo run --release -q -p son-bench --bin "exp_$e"
-done
-echo "==================================================================="
-echo "JSONL exports under target/obs (CI uploads these as the experiment"
-echo "artifact; analyze traces with: son-trace target/obs/<exp>.trace.jsonl):"
-ls -l target/obs/*.jsonl 2>/dev/null || echo "  (none written)"
+cargo build --release -p son-node
+cargo run --release -q -p son-bench --bin son-exp -- all
+ls -l target/obs/*.jsonl
