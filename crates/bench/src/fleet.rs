@@ -18,7 +18,7 @@ use son_obs::watch::WatchEvent;
 use son_obs::Registry;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, FlowRecv, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::node::{CtlFrames, OverlayNode};
 use son_overlay::{Destination, FlowSpec, GroupId, LinkService, OverlayAddr, OverlayHandle, Wire};
 use son_topo::{EdgeId, NodeId};
 
@@ -197,6 +197,19 @@ impl Fleet {
     #[must_use]
     pub fn reroutes(&self) -> u64 {
         self.counter("reroutes")
+    }
+
+    /// Control frames produced, by kind, summed over daemons.
+    #[must_use]
+    pub fn ctl_frames(&self) -> CtlFrames {
+        let mut total = CtlFrames::default();
+        for sent in self.nodes().map(OverlayNode::ctl_frames) {
+            total.lsa += sent.lsa;
+            total.hello += sent.hello;
+            total.hello_ack += sent.hello_ack;
+            total.other += sent.other;
+        }
+        total
     }
 
     /// Packets flow `k`'s sender emitted.

@@ -26,6 +26,7 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_obs::{FootprintReport, PerfRegistry, PerfStageStats};
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
+use son_overlay::node::{CtlFrames, OverlayNode};
 use son_overlay::state::connectivity::ConnectivityConfig;
 use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
@@ -85,6 +86,11 @@ pub struct ScaleResult {
     /// Frames handed to overlay links, delivered or dropped (perf-off): the
     /// control plane's volume, since data is a few thousand packets.
     pub pipe_sent: u64,
+    /// The control frames among them, by kind, summed over daemons.
+    pub ctl_frames: CtlFrames,
+    /// Share of daemons whose LSDB holds all `n` origins at the horizon:
+    /// whether the run converged.
+    pub lsdb_complete_frac: f64,
     /// Retained-bytes estimate summed over every daemon, by subsystem
     /// (taken from the perf-off pass so profiler state is not charged).
     pub footprint: FootprintReport,
@@ -204,6 +210,7 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
         footprint.merge(&node.footprint());
         merged.absorb(node.obs().perf());
     }
+    let converged = |node: &&OverlayNode| node.connectivity().lsdb_len() == n;
     if let Some(p) = fleet.sim.perf() {
         merged.absorb(p);
     }
@@ -219,6 +226,8 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
         delivered: fleet.delivered(),
         reroutes: fleet.reroutes(),
         pipe_sent: fleet.pipe_sent(),
+        ctl_frames: fleet.ctl_frames(),
+        lsdb_complete_frac: fleet.nodes().filter(converged).count() as f64 / n as f64,
         footprint,
         perf: merged,
         fingerprint: fleet.sim.fingerprint(),
@@ -252,6 +261,8 @@ pub fn run_scale_sharded(n: usize, sim_seconds: u64, shards: usize) -> ScaleResu
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -318,5 +329,34 @@ mod tests {
             "cold-start rebuild storm is back: {} reroutes at n=32",
             r.reroutes
         );
+    }
+
+    /// A flood leaves one copy of each LSA in the process: after cold-start
+    /// convergence every daemon's entry for an origin is the origin's own
+    /// allocation, on one event-engine thread or several.
+    #[test]
+    fn fleet_shares_one_allocation_per_lsa() {
+        const N: usize = 64;
+        for shards in [1, 2] {
+            let mut fleet = Fleet::new(
+                SCALE_SEED,
+                None,
+                OverlayBuilder::new(scale_topology(N, 10.0)),
+            );
+            fleet.shards(shards);
+            fleet.run(SimTime::from_secs(2));
+            for origin in (0..N).map(NodeId) {
+                let own = fleet.node(origin).connectivity().adverts_of(origin);
+                let own = own.expect("a daemon always holds its own adverts");
+                for node in fleet.nodes() {
+                    let held = node.connectivity().adverts_of(origin);
+                    assert!(
+                        held.is_some_and(|held| Arc::ptr_eq(held, own)),
+                        "a daemon holds its own copy of {origin}'s LSA ({shards} shards)"
+                    );
+                }
+                assert_eq!(Arc::strong_count(own), N, "and nobody else does");
+            }
+        }
     }
 }

@@ -172,13 +172,13 @@ fn each_gate_fails_by_name_just_past_its_bound() {
     fails(base_fwd, sharded, &drop_gate, &[base_fwd, "\"gate\""]);
     fails(fwd, sharded, &enforced(1.79), &["speedup_vs_seq = 1.79"]);
     // Fresh n=256 memory 11% over the committed row, and reroutes one past
-    // 10 per node; the committed n=1024 past 12.2x the n=64 row, and past
+    // 10 per node; the committed n=1024 past 8.03x the n=64 row, and past
     // the rebuild-storm cap.
     let mem = |bytes: f64| set(MEM, Json::F64(bytes));
     let reroutes = |count: u64| set("reroutes", Json::U64(count));
     fails(scale, n256, &mem(mem256 * 1.11), &["n=256", MEM]);
     fails(scale, n256, &reroutes(2_561), &["n=256", "reroutes = 2561"]);
-    fails(base_scale, n1024, &mem(mem64 * 12.3), &["n=1024", MEM]);
+    fails(base_scale, n1024, &mem(mem64 * 8.04), &["n=1024", MEM]);
     fails(
         base_scale,
         n1024,

@@ -977,12 +977,13 @@ mod tests {
             let lsa = Lsa {
                 origin: NodeId(0),
                 seq,
-                links: vec![LinkAdvert {
+                links: [LinkAdvert {
                     edge: son_topo::EdgeId(0),
                     up: true,
                     latency_ms,
                     loss: 0.0,
-                }],
+                }]
+                .into(),
             };
             let mut dgram = vec![0u8]; // provider 0
             son_overlay::wire::encode_into(&Wire::Control(Control::Lsa(lsa)), &mut dgram)

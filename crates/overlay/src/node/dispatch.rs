@@ -110,7 +110,7 @@ impl OverlayNode {
         for action in ca.drain(..) {
             match action {
                 ConnAction::Send { link, msg } => {
-                    self.send_on_link(ctx, link, reply_provider, &Wire::Control(msg));
+                    self.send_control(ctx, link, reply_provider, msg);
                 }
                 ConnAction::Flood { except, msg } => self.flood_control(ctx, except, msg),
                 ConnAction::SwitchProvider { link, isp_index } => {
@@ -177,10 +177,35 @@ impl OverlayNode {
     /// Sends a control message on every link except `except`, in link
     /// order. Every neighbor gets its own decoding of the one message.
     fn flood_control(&mut self, ctx: &mut Ctx<'_, Wire>, except: Option<usize>, msg: Control) {
+        let targets = (0..self.links.len()).filter(|&i| Some(i) != except);
+        self.count_control(&msg, targets.clone().count() as u64);
         let wire = Wire::Control(msg);
-        for i in (0..self.links.len()).filter(|&i| Some(i) != except) {
+        for i in targets {
             self.send_on_link(ctx, i, None, &wire);
         }
+    }
+
+    /// Sends one control message on `link` (see
+    /// [`OverlayNode::send_on_link`] for `provider`).
+    pub(super) fn send_control(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        link: usize,
+        provider: Option<usize>,
+        msg: Control,
+    ) {
+        self.count_control(&msg, 1);
+        self.send_on_link(ctx, link, provider, &Wire::Control(msg));
+    }
+
+    fn count_control(&mut self, msg: &Control, frames: u64) {
+        let sent = &mut self.ctl_frames;
+        *match msg {
+            Control::Lsa(_) => &mut sent.lsa,
+            Control::Hello { .. } => &mut sent.hello,
+            Control::HelloAck { .. } => &mut sent.hello_ack,
+            _ => &mut sent.other,
+        } += frames;
     }
 
     /// Applies the batch the `(link, slot)` protocol instance emitted.
@@ -337,7 +362,7 @@ impl Process<Wire> for OverlayNode {
                 let mem = self.membership.as_ref().expect("join requires membership");
                 (mem.join_request(), mem.config().join_retry)
             };
-            self.send_on_link(ctx, link, None, &Wire::Control(msg));
+            self.send_control(ctx, link, None, msg);
             ctx.set_timer(retry, TimerKey::JoinRetry.encode());
         }
         if matches!(self.behavior, Behavior::Flood { .. }) {
@@ -539,7 +564,7 @@ impl OverlayNode {
                         let mem = self.membership.as_ref().expect("join requires membership");
                         (mem.join_request(), mem.config().join_retry)
                     };
-                    self.send_on_link(ctx, link, None, &Wire::Control(msg));
+                    self.send_control(ctx, link, None, msg);
                     ctx.set_timer(retry, TimerKey::JoinRetry.encode());
                 }
             }
@@ -605,7 +630,7 @@ impl OverlayNode {
             match action {
                 MemberAction::Send { link, msg } => {
                     if link < self.links.len() {
-                        self.send_on_link(ctx, link, None, &Wire::Control(msg));
+                        self.send_control(ctx, link, None, msg);
                     }
                 }
                 MemberAction::Flood { except, msg } => self.flood_control(ctx, except, msg),

@@ -132,6 +132,22 @@ impl Default for NodeConfig {
     }
 }
 
+/// Control-plane frames a daemon has produced for its links, by kind: the
+/// mix behind the `pipe.sent` total (the rest is data and link-protocol
+/// acknowledgments). Counted where control messages are sent and flooded,
+/// so the data path does not pay for it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CtlFrames {
+    /// Link-state advertisements, one per neighbor a flood reached.
+    pub lsa: u64,
+    /// Hello probes.
+    pub hello: u64,
+    /// Hello acknowledgments.
+    pub hello_ack: u64,
+    /// Everything else: group and membership updates, joins, receipts.
+    pub other: u64,
+}
+
 /// One incident overlay link as seen by the daemon: the neighbor, one pipe
 /// pair per provider, and the per-service protocol instances.
 struct LinkPort {
@@ -176,6 +192,7 @@ pub struct OverlayNode {
     keys: KeyRegistry,
     behavior: Behavior,
     obs: NodeObs,
+    ctl_frames: CtlFrames,
     /// Group member sets cached per group, keyed by the group-state version
     /// (so the multicast fast path does not rebuild the `Vec` per packet).
     member_cache: HashMap<GroupId, (u64, Vec<NodeId>)>,
@@ -256,6 +273,7 @@ impl OverlayNode {
                 obs.set_perf_enabled(config.perf);
                 obs
             },
+            ctl_frames: CtlFrames::default(),
             member_cache: HashMap::new(),
             out_buf: Vec::new(),
             target_buf: Vec::new(),
@@ -354,6 +372,12 @@ impl OverlayNode {
     #[must_use]
     pub fn obs(&self) -> &NodeObs {
         &self.obs
+    }
+
+    /// Control frames produced so far, by kind.
+    #[must_use]
+    pub fn ctl_frames(&self) -> CtlFrames {
+        self.ctl_frames
     }
 
     /// The session table (delivery stats, connected clients).
@@ -693,6 +717,64 @@ mod tests {
             saved.abs_diff(expected) * 100 <= shape,
             "sharing saved {saved} B across {N} daemons, expected {expected} B \
              (all but one copy of a {shape} B shape)"
+        );
+    }
+
+    /// An LSA every daemon accepted as the same allocation is charged once
+    /// between them; daemons that each decoded their own copy are each
+    /// charged the whole of it.
+    #[test]
+    fn fleet_footprint_counts_a_shared_lsa_once() {
+        use crate::packet::{LinkAdvert, Lsa};
+        use son_netsim::time::SimTime;
+        const N: usize = 16;
+        let mut ring = Graph::new(N);
+        for i in 0..N {
+            ring.add_edge(NodeId(i), NodeId((i + 1) % N), 10.0);
+        }
+        let flooded = |origin: usize| Lsa {
+            origin: NodeId(origin),
+            seq: 1,
+            links: ring
+                .neighbors(NodeId(origin))
+                .map(|(_, edge)| LinkAdvert {
+                    edge,
+                    up: true,
+                    latency_ms: 12.0,
+                    loss: 0.0,
+                })
+                .collect(),
+        };
+        let fleet_total = |shared: bool| -> usize {
+            let mut nodes: Vec<OverlayNode> = (0..N)
+                .map(|i| {
+                    let keys = KeyRegistry::new(N, 7);
+                    OverlayNode::new(NodeId(i), ring.clone(), keys, NodeConfig::default())
+                })
+                .collect();
+            for origin in 0..N {
+                let lsa = flooded(origin);
+                for node in &mut nodes {
+                    let mut heard = lsa.clone();
+                    if !shared {
+                        heard.links = lsa.links.iter().copied().collect();
+                    }
+                    node.conn
+                        .on_lsa(SimTime::ZERO, heard, None, &mut Vec::new());
+                }
+            }
+            nodes.iter().map(|n| n.footprint().total()).sum()
+        };
+
+        let saved = fleet_total(false) - fleet_total(true);
+        // Each origin's LSA is held by the N - 1 other daemons: N - 2 copies
+        // fewer when they share.
+        let lsa_bytes = 16 + 2 * size_of::<LinkAdvert>();
+        let expected = N * (N - 2) * lsa_bytes;
+        assert!(
+            saved.abs_diff(expected) * 100 <= expected,
+            "sharing saved {saved} B across {N} daemons, expected {expected} B \
+             (all but one copy of {N} LSAs of {lsa_bytes} B)"
         );
     }
 }

@@ -206,15 +206,11 @@ impl OverlayNode {
             let received = std::mem::take(&mut w.links[l].recv_window);
             let progressed = std::mem::take(&mut w.links[l].progressed_window);
             if received > 0 {
-                self.send_on_link(
-                    ctx,
-                    l,
-                    None,
-                    &Wire::Control(Control::WatchReceipt {
-                        received,
-                        progressed,
-                    }),
-                );
+                let receipt = Control::WatchReceipt {
+                    received,
+                    progressed,
+                };
+                self.send_control(ctx, l, None, receipt);
             }
         }
 

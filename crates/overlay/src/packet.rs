@@ -5,6 +5,8 @@
 //! a [`Wire`] value. Sizes reported to the simulator approximate a compact
 //! binary encoding so bandwidth and overhead accounting are meaningful.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use son_netsim::process::{MessageKind, SimMessage};
 use son_netsim::time::SimTime;
@@ -191,8 +193,10 @@ pub struct Lsa {
     pub origin: NodeId,
     /// Monotonic per-origin sequence number; higher replaces lower.
     pub seq: u64,
-    /// State of every link incident to `origin`.
-    pub links: Vec<LinkAdvert>,
+    /// State of every link incident to `origin`: one immutable allocation
+    /// per LSA version, shared by every copy of the LSA and by every
+    /// link-state database in the process that accepted it.
+    pub links: Arc<[LinkAdvert]>,
 }
 
 /// A group-membership advertisement flooded by every node about its own
@@ -579,12 +583,12 @@ mod tests {
         let lsa = Control::Lsa(Lsa {
             origin: NodeId(0),
             seq: 1,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(0),
                 up: true,
                 latency_ms: 10.0,
                 loss: 0.0,
-            }],
+            }]),
         });
         assert_eq!(lsa.wire_size(), 29);
         let gu = Control::GroupUpdate(GroupUpdate {

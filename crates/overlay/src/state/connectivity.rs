@@ -162,14 +162,34 @@ struct LinkMonitor {
     nominal_latency_ms: f64,
 }
 
+/// One remote origin's entry in the link-state table: the newest sequence
+/// number accepted from it and the adverts that LSA carried — the flooded
+/// allocation itself, shared with every co-located daemon that accepted the
+/// same LSA. `links: None` means nothing is stored for the origin.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    seq: u64,
+    links: Option<Arc<[LinkAdvert]>>,
+}
+
+// The table is N slots in each of N daemons: a slot is the per-node cost of
+// one more overlay member.
+const _: () = assert!(size_of::<Slot>() <= 24);
+
 /// The per-node connectivity monitor and link-state database.
 #[derive(Debug)]
 pub struct ConnectivityMonitor {
     me: NodeId,
     config: ConnectivityConfig,
     links: Vec<LinkMonitor>,
-    /// Latest LSA accepted per origin (including our own).
-    lsdb: HashMap<NodeId, Lsa>,
+    /// Our own latest advertisement.
+    own: Arc<[LinkAdvert]>,
+    /// Latest LSA accepted per remote origin, indexed by origin: empty
+    /// until the first one is accepted, then one slot per node of the
+    /// configured topology (our own stays vacant).
+    lsdb: Vec<Slot>,
+    /// Sequence number of `own`: 1 for what `new` builds, one more for
+    /// every origination.
     own_seq: u64,
     last_refresh: SimTime,
     /// Bumped whenever the shared view changes; routing caches key off it.
@@ -227,7 +247,7 @@ impl ConnectivityMonitor {
         links: Vec<(EdgeId, usize, f64)>,
         config: ConnectivityConfig,
     ) -> Self {
-        let links = links
+        let links: Vec<LinkMonitor> = links
             .into_iter()
             .map(|(edge, providers, nominal)| LinkMonitor {
                 edge,
@@ -244,12 +264,13 @@ impl ConnectivityMonitor {
                 nominal_latency_ms: nominal,
             })
             .collect();
-        let mut mon = ConnectivityMonitor {
+        ConnectivityMonitor {
             me,
             config,
+            own: own_adverts(&links, false),
             links,
-            lsdb: HashMap::new(),
-            own_seq: 0,
+            lsdb: Vec::new(),
+            own_seq: 1,
             last_refresh: SimTime::ZERO,
             version: 1,
             topology,
@@ -262,10 +283,13 @@ impl ConnectivityMonitor {
             last_pending: SimTime::ZERO,
             tombstones: HashMap::new(),
             withdrawn: false,
-        };
-        let own = mon.build_own_lsa();
-        mon.lsdb.insert(me, own);
-        mon
+        }
+    }
+
+    /// Every stored advertisement list: our own, then each remote origin's.
+    fn adverts(&self) -> impl Iterator<Item = &Arc<[LinkAdvert]>> {
+        let remote = self.lsdb.iter().filter_map(|slot| slot.links.as_ref());
+        std::iter::once(&self.own).chain(remote)
     }
 
     /// The shared-view version; consumers recompute caches when it changes.
@@ -310,8 +334,8 @@ impl ConnectivityMonitor {
             adverts: u32,
         }
         let mut votes = vec![Votes::default(); self.topology.edge_count()];
-        for lsa in self.lsdb.values() {
-            for ad in &lsa.links {
+        for links in self.adverts() {
+            for ad in links.iter() {
                 let Some(v) = votes.get_mut(ad.edge.0) else {
                     continue;
                 };
@@ -375,7 +399,17 @@ impl ConnectivityMonitor {
     /// Number of origins currently in the LSDB (including our own entry).
     #[must_use]
     pub fn lsdb_len(&self) -> usize {
-        self.lsdb.len()
+        self.adverts().count()
+    }
+
+    /// The adverts stored for `origin` (our own included), if any: the
+    /// shared allocation itself, so a harness can tell a copy from a share.
+    #[must_use]
+    pub fn adverts_of(&self, origin: NodeId) -> Option<&Arc<[LinkAdvert]>> {
+        if origin == self.me {
+            return Some(&self.own);
+        }
+        self.lsdb.get(origin.0)?.links.as_ref()
     }
 
     /// Sets graceful-shutdown withdrawal: while set, the own LSA advertises
@@ -398,8 +432,11 @@ impl ConnectivityMonitor {
         if origin == self.me {
             return;
         }
-        if let Some(lsa) = self.lsdb.remove(&origin) {
-            self.tombstones.insert(origin, (lsa.seq, now));
+        let Some(slot) = self.lsdb.get_mut(origin.0) else {
+            return;
+        };
+        if slot.links.take().is_some() {
+            self.tombstones.insert(origin, (slot.seq, now));
             self.flap.remove(&origin);
             self.bump_version(out);
         }
@@ -576,28 +613,39 @@ impl ConnectivityMonitor {
         if lsa.origin == self.me {
             return; // our own advertisement echoed back
         }
+        let origin = lsa.origin;
+        if origin.0 >= self.topology.node_count() {
+            // Node ids are 32 bits on the wire; the table is bounded by the
+            // configured topology, so a forged origin is never stored and
+            // never flooded on.
+            return;
+        }
         if !lsa.links.iter().all(LinkAdvert::is_well_formed) {
             return; // forged or corrupt: never stored, never flooded on
         }
-        if let Some(&(seq, at)) = self.tombstones.get(&lsa.origin) {
+        // (An empty map answers without hashing the key.)
+        if let Some(&(seq, at)) = self.tombstones.get(&origin) {
             if lsa.seq <= seq && now.saturating_since(at) < TOMBSTONE_TTL {
                 return; // stale flood of an evicted origin
             }
-            self.tombstones.remove(&lsa.origin);
+            self.tombstones.remove(&origin);
         }
-        let newer = self
-            .lsdb
-            .get(&lsa.origin)
-            .is_none_or(|prev| lsa.seq > prev.seq);
-        if !newer {
-            return;
+        if self.lsdb.is_empty() {
+            // Sized by the first LSA heard, not at construction: a fleet
+            // builder does not pay for N tables of N slots up front.
+            self.lsdb
+                .resize(self.topology.node_count(), Slot::default());
         }
-        let changed = self
-            .lsdb
-            .get(&lsa.origin)
-            .is_none_or(|prev| prev.links != lsa.links);
-        let origin = lsa.origin;
-        self.lsdb.insert(origin, lsa.clone());
+        let slot = &mut self.lsdb[origin.0];
+        let changed = match &slot.links {
+            Some(_) if lsa.seq <= slot.seq => return, // not newer
+            Some(prev) => !Arc::ptr_eq(prev, &lsa.links) && **prev != *lsa.links,
+            None => true,
+        };
+        slot.seq = lsa.seq;
+        if changed {
+            slot.links = Some(Arc::clone(&lsa.links));
+        }
         // Flood onward regardless (peers may have missed it).
         out.push(ConnAction::Flood {
             except: arrived_on,
@@ -653,46 +701,23 @@ impl ConnectivityMonitor {
     /// the advertised link state actually changed — a no-op refresh must
     /// not trigger fleet-wide route recomputation.
     pub fn originate(&mut self, arrived_on: Option<usize>, out: &mut Vec<ConnAction>) {
-        let lsa = self.build_own_lsa();
-        let changed = self
-            .lsdb
-            .get(&self.me)
-            .is_none_or(|prev| prev.links != lsa.links);
-        self.lsdb.insert(self.me, lsa.clone());
+        // A refresh floods the allocation the fleet already holds.
+        let links = own_adverts(&self.links, self.withdrawn);
+        let changed = *self.own != *links;
+        if changed {
+            self.own = links;
+        }
+        self.own_seq += 1;
         out.push(ConnAction::Flood {
             except: arrived_on,
-            msg: Control::Lsa(lsa),
+            msg: Control::Lsa(Lsa {
+                origin: self.me,
+                seq: self.own_seq,
+                links: Arc::clone(&self.own),
+            }),
         });
         if changed {
             self.bump_version(out);
-        }
-    }
-
-    fn build_own_lsa(&mut self) -> Lsa {
-        self.own_seq += 1;
-        Lsa {
-            origin: self.me,
-            seq: self.own_seq,
-            links: self
-                .links
-                .iter()
-                .map(|l| {
-                    let latency = if l.latency_ms > 0.0 {
-                        l.latency_ms
-                    } else {
-                        l.nominal_latency_ms
-                    };
-                    LinkAdvert {
-                        edge: l.edge,
-                        up: l.up && !l.suspended && !self.withdrawn,
-                        // Quantize so measurement noise does not make every
-                        // periodic refresh look like a topology change (and
-                        // trigger fleet-wide recomputation).
-                        latency_ms: (latency * 4.0).round() / 4.0,
-                        loss: (l.loss * 50.0).round() / 50.0,
-                    }
-                })
-                .collect(),
         }
     }
 
@@ -711,8 +736,8 @@ impl ConnectivityMonitor {
         let mut g = self.topology.clone();
         // Collect advertisements per edge.
         let mut up_votes: HashMap<EdgeId, (bool, f64, f64, u32)> = HashMap::new();
-        for lsa in self.lsdb.values() {
-            for ad in &lsa.links {
+        for links in self.adverts() {
+            for ad in links.iter() {
                 let entry = up_votes.entry(ad.edge).or_insert((true, 0.0, 0.0, 0));
                 entry.0 &= ad.up;
                 entry.1 += ad.latency_ms;
@@ -745,13 +770,37 @@ fn ewma(prev: f64, sample: f64, alpha: f64) -> f64 {
     prev * (1.0 - alpha) + sample * alpha
 }
 
+/// What a node with these link monitors advertises about its links.
+fn own_adverts(links: &[LinkMonitor], withdrawn: bool) -> Arc<[LinkAdvert]> {
+    let advert = |l: &LinkMonitor| {
+        let latency = if l.latency_ms > 0.0 {
+            l.latency_ms
+        } else {
+            l.nominal_latency_ms
+        };
+        LinkAdvert {
+            edge: l.edge,
+            up: l.up && !l.suspended && !withdrawn,
+            // Quantize so measurement noise does not make every periodic
+            // refresh look like a topology change (and trigger fleet-wide
+            // recomputation).
+            latency_ms: (latency * 4.0).round() / 4.0,
+            loss: (l.loss * 50.0).round() / 50.0,
+        }
+    };
+    links.iter().map(advert).collect()
+}
+
 impl son_obs::MemFootprint for ConnectivityMonitor {
     fn footprint_bytes(&self) -> usize {
         use son_obs::footprint::{hashmap_bytes, shared_part, vec_bytes, vecdeque_bytes};
         // Shared allocations are charged by share: the cached snapshot is
-        // the same `Arc` routing holds, so each charges its part of it, and
-        // the configured topology charges its part of the fleet-wide shape
-        // (see `Graph::approx_bytes`).
+        // the same `Arc` routing holds, so each charges its part of it, the
+        // configured topology charges its part of the fleet-wide shape (see
+        // `Graph::approx_bytes`), and every advert list — strong and weak
+        // count, then the adverts — is split among the daemons (and frames
+        // in flight) that hold it.
+        const ARC_HEADER_BYTES: usize = 2 * size_of::<usize>();
         let snapshot = self
             .snapshot
             .as_ref()
@@ -763,11 +812,10 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
                 .iter()
                 .map(|l| hashmap_bytes(&l.outstanding))
                 .sum::<usize>()
-            + hashmap_bytes(&self.lsdb)
+            + vec_bytes(&self.lsdb)
             + self
-                .lsdb
-                .values()
-                .map(|lsa| vec_bytes(&lsa.links))
+                .adverts()
+                .map(|links| shared_part(links, ARC_HEADER_BYTES + size_of_val(&**links)))
                 .sum::<usize>()
             + self.topology.approx_bytes()
             + hashmap_bytes(&self.tombstones)
@@ -783,6 +831,7 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn topo3() -> Graph {
         // Triangle 0-1-2 with 10ms links.
@@ -943,12 +992,12 @@ mod tests {
         let lsa1 = Lsa {
             origin: NodeId(1),
             seq: 1,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms: 10.0,
                 loss: 0.0,
-            }],
+            }]),
         };
         let mut out = Vec::new();
         mon.on_lsa(SimTime::ZERO, lsa1.clone(), Some(0), &mut out);
@@ -967,12 +1016,12 @@ mod tests {
         let lsa2 = Lsa {
             origin: NodeId(1),
             seq: 2,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms: 10.0,
                 loss: 0.0,
-            }],
+            }]),
         };
         let v1 = mon.version();
         let mut out = Vec::new();
@@ -1076,12 +1125,12 @@ mod tests {
         Lsa {
             origin: NodeId(origin),
             seq,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms,
                 loss: 0.0,
-            }],
+            }]),
         }
     }
 
@@ -1106,7 +1155,11 @@ mod tests {
             assert!(out.is_empty(), "latency {latency_ms} was flooded on");
         }
         let mut lossy = changed_lsa(2, 1, 10.0);
-        lossy.links[0].loss = 7.0;
+        lossy.links = lossy
+            .links
+            .iter()
+            .map(|&ad| LinkAdvert { loss: 7.0, ..ad })
+            .collect();
         mon.on_lsa(SimTime::ZERO, lossy, None, &mut out);
         assert!(out.is_empty());
         assert_eq!((mon.lsdb_len(), mon.version()), (stored, version));
@@ -1223,7 +1276,7 @@ mod tests {
             Lsa {
                 origin: NodeId(1),
                 seq: 1,
-                links: vec![
+                links: Arc::new([
                     LinkAdvert {
                         edge: EdgeId(0),
                         up: false,
@@ -1236,7 +1289,7 @@ mod tests {
                         latency_ms: 10.0,
                         loss: 0.0,
                     },
-                ],
+                ]),
             },
             None,
             &mut out,
@@ -1257,12 +1310,12 @@ mod tests {
             Lsa {
                 origin: NodeId(1),
                 seq: 1,
-                links: vec![LinkAdvert {
+                links: Arc::new([LinkAdvert {
                     edge: EdgeId(1),
                     up: true,
                     latency_ms: 10.0,
                     loss: 0.5,
-                }],
+                }]),
             },
             None,
             &mut out,
@@ -1291,7 +1344,7 @@ mod tests {
             let lsa = Lsa {
                 origin: NodeId(1),
                 seq: 1,
-                links,
+                links: links.into(),
             };
             mon.on_lsa(SimTime::ZERO, lsa.clone(), Some(0), &mut out);
             assert!(
@@ -1319,13 +1372,46 @@ mod tests {
         );
     }
 
+    /// Node ids are 32 bits on the wire; the LSDB is as large as the
+    /// configured topology and no larger, whatever origins a peer invents.
+    #[test]
+    fn lsa_from_an_origin_outside_the_topology_is_ignored() {
+        let forged = [3, 4, u32::MAX as usize];
+        // Before the table exists and after: never stored, never flooded.
+        let mut mon = monitor();
+        let mut out = Vec::new();
+        for learned in [false, true] {
+            if learned {
+                mon.on_lsa(SimTime::ZERO, changed_lsa(1, 1, 12.0), Some(0), &mut out);
+                assert_eq!(mon.lsdb_len(), 2);
+            }
+            let (stored, version) = (mon.lsdb_len(), mon.version());
+            for origin in forged {
+                out.clear();
+                mon.on_lsa(
+                    SimTime::ZERO,
+                    changed_lsa(origin, 9, 1.0),
+                    Some(0),
+                    &mut out,
+                );
+                mon.evict_origin(NodeId(origin), SimTime::ZERO, &mut out);
+                assert!(out.is_empty(), "origin {origin} was acted on");
+            }
+            assert_eq!((mon.lsdb_len(), mon.version()), (stored, version));
+        }
+        // The highest configured origin is inside the bound.
+        out.clear();
+        mon.on_lsa(SimTime::ZERO, changed_lsa(2, 1, 12.0), Some(0), &mut out);
+        assert_eq!(mon.lsdb_len(), 3);
+    }
+
     #[test]
     fn own_lsa_echo_is_ignored() {
         let mut mon = monitor();
         let own = Lsa {
             origin: NodeId(0),
             seq: 99,
-            links: vec![],
+            links: Arc::new([]),
         };
         let mut out = Vec::new();
         mon.on_lsa(SimTime::ZERO, own, Some(0), &mut out);
@@ -1378,12 +1464,12 @@ mod tests {
         Lsa {
             origin: NodeId(1),
             seq,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(1),
                 up,
                 latency_ms: 10.0,
                 loss: 0.0,
-            }],
+            }]),
         }
     }
 
@@ -1490,5 +1576,240 @@ mod tests {
             })
             .count();
         assert!(own_floods >= 1);
+    }
+
+    /// The link-state database as a plain map, with the acceptance rules
+    /// written out longhand: what the dense table is checked against.
+    struct Model {
+        me: NodeId,
+        nodes: usize,
+        hold: SimDuration,
+        lsdb: HashMap<NodeId, (u64, Vec<LinkAdvert>)>,
+        tombstones: HashMap<NodeId, (u64, SimTime)>,
+        /// `(first, last)` arrival of the changes waiting out the hold-down.
+        pending: Option<(SimTime, SimTime)>,
+        topology: Graph,
+        /// The weights as of the last rebuild: what a snapshot shows.
+        view: Vec<u64>,
+    }
+
+    impl Model {
+        fn changed(&mut self, now: SimTime, want: &mut Vec<ConnAction>) {
+            if self.hold == SimDuration::ZERO {
+                self.rebuild(want);
+            } else {
+                self.pending = Some((self.pending.map_or(now, |(first, _)| first), now));
+            }
+        }
+
+        fn rebuild(&mut self, want: &mut Vec<ConnAction>) {
+            self.pending = None;
+            self.view = self.weight_bits();
+            want.push(ConnAction::TopologyChanged);
+        }
+
+        fn on_lsa(
+            &mut self,
+            now: SimTime,
+            lsa: &Lsa,
+            except: Option<usize>,
+            want: &mut Vec<ConnAction>,
+        ) {
+            if lsa.origin == self.me
+                || lsa.origin.0 >= self.nodes
+                || !lsa.links.iter().all(LinkAdvert::is_well_formed)
+            {
+                return;
+            }
+            if let Some(&(seq, at)) = self.tombstones.get(&lsa.origin) {
+                if lsa.seq <= seq && now.saturating_since(at) < TOMBSTONE_TTL {
+                    return;
+                }
+                self.tombstones.remove(&lsa.origin);
+            }
+            let prev = self.lsdb.get(&lsa.origin);
+            if prev.is_some_and(|&(seq, _)| lsa.seq <= seq) {
+                return;
+            }
+            let changed = prev.is_none_or(|(_, links)| links[..] != lsa.links[..]);
+            self.lsdb.insert(lsa.origin, (lsa.seq, lsa.links.to_vec()));
+            want.push(ConnAction::Flood {
+                except,
+                msg: Control::Lsa(lsa.clone()),
+            });
+            if changed {
+                self.changed(now, want);
+            }
+        }
+
+        fn evict(&mut self, origin: NodeId, now: SimTime, want: &mut Vec<ConnAction>) {
+            if origin == self.me {
+                return;
+            }
+            if let Some((seq, _)) = self.lsdb.remove(&origin) {
+                self.tombstones.insert(origin, (seq, now));
+                self.rebuild(want);
+            }
+        }
+
+        /// Our own LSA is an input here (the link monitors that produce it
+        /// are not modelled): the next sequence number, a rebuild iff the
+        /// adverts moved.
+        fn own_flood(&mut self, lsa: &Lsa, want: &mut Vec<ConnAction>) {
+            let (seq, links) = &self.lsdb[&self.me];
+            assert_eq!(lsa.seq, seq + 1);
+            let changed = links[..] != lsa.links[..];
+            self.lsdb.insert(self.me, (lsa.seq, lsa.links.to_vec()));
+            want.push(ConnAction::Flood {
+                except: None,
+                msg: Control::Lsa(lsa.clone()),
+            });
+            if changed {
+                self.rebuild(want);
+            }
+        }
+
+        fn tick_flush(&mut self, now: SimTime, want: &mut Vec<ConnAction>) {
+            if let Some((first, last)) = self.pending {
+                if now.saturating_since(last) >= self.hold
+                    || now.saturating_since(first) >= self.hold * 4
+                {
+                    self.rebuild(want);
+                }
+            }
+        }
+
+        fn weight_bits(&self) -> Vec<u64> {
+            let topology = &self.topology;
+            // Three or more adverts for one edge (only forgers manage that)
+            // sum to the last bit in the order they are added: ours, then
+            // by origin.
+            let mut origins: Vec<&NodeId> = self.lsdb.keys().collect();
+            origins.sort_by_key(|&&origin| (origin != self.me, origin));
+            topology
+                .edges()
+                .map(|e| {
+                    let ads: Vec<&LinkAdvert> = origins
+                        .iter()
+                        .flat_map(|origin| &self.lsdb[origin].1)
+                        .filter(|ad| ad.edge == e)
+                        .collect();
+                    let n = ads.len() as f64;
+                    let weight = if ads.is_empty() {
+                        topology.weight(e)
+                    } else if ads.iter().any(|ad| !ad.up) {
+                        DOWN_WEIGHT
+                    } else {
+                        let latency = ads.iter().map(|ad| ad.latency_ms).sum::<f64>() / n;
+                        let loss = ads.iter().map(|ad| ad.loss).sum::<f64>() / n;
+                        (latency / (1.0 - loss.clamp(0.0, 0.99))).max(0.01)
+                    };
+                    weight.to_bits()
+                })
+                .collect()
+        }
+    }
+
+    /// What `out` says about the LSDB: everything but the hello probes and
+    /// provider switches of the (unmodelled) link monitors.
+    fn lsdb_actions(out: Vec<ConnAction>) -> Vec<ConnAction> {
+        out.into_iter()
+            .filter(|a| {
+                !matches!(
+                    a,
+                    ConnAction::Send { .. } | ConnAction::SwitchProvider { .. }
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Any interleaving of remote LSAs (fresh, stale, repeated, forged
+        /// in origin or in value), own originations, evictions and ticks
+        /// (hello timeouts take our links down; tombstones expire) leaves
+        /// the dense table holding what the map model holds, having asked
+        /// for the same floods and rebuilds in the same order, with a
+        /// reference graph that is bit for bit the model's weights and a
+        /// snapshot that is bit for bit the model's at its last rebuild.
+        /// (`proptest!` supplies the `#[test]`.)
+        fn dense_lsdb_equals_the_map_model(
+            held in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..6, 1u64..6, 0u64..4000, (0u8..5, 0u8..3, 0u8..4)),
+                1..60,
+            ),
+        ) {
+            let topo = topo3();
+            let hold_ms = if held { 250 } else { 0 };
+            let mut mon = held_monitor(hold_ms);
+            let mut model = Model {
+                me: NodeId(0),
+                nodes: topo.node_count(),
+                hold: SimDuration::from_millis(hold_ms),
+                lsdb: HashMap::from([(NodeId(0), (mon.own_seq, mon.own.to_vec()))]),
+                tombstones: HashMap::new(),
+                pending: None,
+                topology: topo.clone(),
+                view: Vec::new(),
+            };
+            // A snapshot is built when first asked for: ask now, as a daemon
+            // does when it installs its first routes.
+            model.view = model.weight_bits();
+            drop(mon.snapshot());
+            let mut now = SimTime::ZERO;
+            for (kind, origin, seq, advance_ms, (latency, loss, shape)) in ops {
+                now += SimDuration::from_millis(advance_ms);
+                let (mut out, mut want) = (Vec::new(), Vec::new());
+                match kind {
+                    0..=5 => {
+                        let advert = |edge| LinkAdvert {
+                            edge: EdgeId(edge),
+                            up: shape != 3,
+                            // One value in five is one no correct node sends.
+                            latency_ms: [5.0, 7.25, 12.0, 30.0, f64::INFINITY][latency as usize],
+                            loss: [0.0, 0.02, 0.5][loss as usize],
+                        };
+                        let lsa = Lsa {
+                            origin: NodeId(origin),
+                            seq,
+                            links: (0..shape as usize % 3).map(|k| advert(origin + k)).collect(),
+                        };
+                        let except = Some(origin % 2);
+                        model.on_lsa(now, &lsa, except, &mut want);
+                        mon.on_lsa(now, lsa, except, &mut out);
+                    }
+                    6 => {
+                        model.evict(NodeId(origin), now, &mut want);
+                        mon.evict_origin(NodeId(origin), now, &mut out);
+                    }
+                    7 => {
+                        mon.originate(None, &mut out);
+                        out = lsdb_actions(out);
+                        let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
+                        else {
+                            panic!("originate floods first: {out:?}");
+                        };
+                        model.own_flood(own, &mut want);
+                    }
+                    _ => {
+                        mon.on_tick(now, &mut out);
+                        out = lsdb_actions(out);
+                        if let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
+                        {
+                            model.own_flood(own, &mut want);
+                        }
+                        model.tick_flush(now, &mut want);
+                    }
+                }
+                prop_assert_eq!(&out, &want, "kind {} at {:?}", kind, now);
+                prop_assert_eq!(mon.lsdb_len(), model.lsdb.len());
+                let (snap, reference) = (mon.snapshot(), mon.current_graph());
+                let bits = |weight: &dyn Fn(EdgeId) -> f64| -> Vec<u64> {
+                    topo.edges().map(|e| weight(e).to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&|e| reference.weight(e)), model.weight_bits(), "live");
+                prop_assert_eq!(bits(&|e| snap.weight(e)), model.view.clone(), "snapshot");
+            }
+        }
     }
 }

@@ -36,6 +36,7 @@
 //! an overlay link, and the codec rejects them.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use son_netsim::time::{SimDuration, SimTime};
@@ -106,6 +107,9 @@ const LINK_FEC: u8 = 6;
 
 /// Bytes of an encoded [`EdgeMask`]: 256 bits as four LE `u64` words.
 const MASK_WORDS: usize = 4;
+
+/// Bytes of an encoded [`LinkAdvert`]: edge `u32`, up `u8`, two `f64`s.
+const ADVERT_BYTES: usize = 21;
 
 /// Data-frame flag bit: the source-route mask segment is present.
 const DATA_FLAG_MASK: u8 = 1 << 0;
@@ -241,6 +245,21 @@ pub fn encode(wire: &Wire) -> Result<Vec<u8>, WireError> {
 /// or trailing bytes.
 #[inline]
 pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
+    decode_reusing(frame, None)
+}
+
+/// [`decode`] with an allocation hint: when the frame is an LSA whose
+/// adverts decode to exactly `sender` (same length, every field bit for
+/// bit), the result holds a clone of `sender` instead of a fresh
+/// allocation. The hint is never a value: the frame is parsed and checked
+/// in full either way, and the result equals what [`decode`] returns on the
+/// same bytes, errors included.
+///
+/// # Errors
+///
+/// See [`decode`].
+#[inline]
+pub fn decode_reusing(frame: &[u8], sender: Option<&Arc<[LinkAdvert]>>) -> Result<Wire, WireError> {
     let mut r = Reader::new(frame);
     let magic = r.u8()?;
     if magic != FRAME_MAGIC {
@@ -263,7 +282,7 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
     let wire = match kind {
         KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
         KIND_CTL => get_ctl(&mut r).map(|ctl| Wire::Ctl { slot: flags, ctl }),
-        KIND_CONTROL => get_control(&mut r, flags).map(Wire::Control),
+        KIND_CONTROL => get_control(&mut r, flags, sender).map(Wire::Control),
         tag => Err(WireError::BadTag { what: "kind", tag }),
     };
     match wire {
@@ -289,7 +308,10 @@ impl Drop for Scratch {
 /// bytes), using a per-thread scratch buffer. The simulator's send path
 /// calls this for every frame it puts on a pipe, so the value a simulated
 /// neighbor receives is exactly what a real neighbor would have decoded
-/// off a UDP datagram.
+/// off a UDP datagram. An LSA's adverts are immutable and shared, so once
+/// the bytes have decoded to what the sender holds, the neighbor is handed
+/// the sender's allocation ([`decode_reusing`]): a flood leaves one copy of
+/// each LSA version in the process, not one per daemon.
 ///
 /// # Errors
 ///
@@ -304,7 +326,11 @@ pub fn recode(wire: &Wire) -> Result<Wire, WireError> {
     let mut buf = Scratch(SCRATCH.take());
     buf.0.clear();
     encode_into(wire, &mut buf.0)?;
-    decode(&buf.0)
+    let sender = match wire {
+        Wire::Control(Control::Lsa(lsa)) => Some(&lsa.links),
+        _ => None,
+    };
+    decode_reusing(&buf.0, sender)
 }
 
 // ---------------------------------------------------------------- writers
@@ -527,7 +553,7 @@ fn put_control(buf: &mut Vec<u8>, c: &Control) -> Result<(), WireError> {
                 buf,
                 u16::try_from(lsa.links.len()).map_err(|_| WireError::TooLarge("LSA links"))?,
             );
-            for l in &lsa.links {
+            for l in lsa.links.iter() {
                 put_u32(
                     buf,
                     u32::try_from(l.edge.0).map_err(|_| WireError::TooLarge("edge id"))?,
@@ -854,7 +880,59 @@ fn get_ctl(r: &mut Reader<'_>) -> Result<LinkCtl, WireError> {
     })
 }
 
-fn get_control(r: &mut Reader<'_>, sub: u8) -> Result<Control, WireError> {
+/// One advert from its [`ADVERT_BYTES`] bytes.
+fn get_advert(bytes: &[u8]) -> Result<LinkAdvert, WireError> {
+    let mut r = Reader::new(bytes);
+    let advert = LinkAdvert {
+        edge: EdgeId(r.u32()? as usize),
+        up: r.bool("link up")?,
+        latency_ms: r.f64()?,
+        loss: r.f64()?,
+    };
+    if !advert.is_well_formed() {
+        return Err(WireError::BadValue("link advert"));
+    }
+    Ok(advert)
+}
+
+/// An LSA's counted advert list. Every advert is parsed and checked before
+/// anything is allocated; then the result is `sender`'s allocation if the
+/// adverts are bit for bit what it holds, and one exact-size allocation
+/// otherwise.
+fn get_adverts(
+    r: &mut Reader<'_>,
+    sender: Option<&Arc<[LinkAdvert]>>,
+) -> Result<Arc<[LinkAdvert]>, WireError> {
+    fn same_bits(a: &LinkAdvert, b: &LinkAdvert) -> bool {
+        a.edge == b.edge
+            && a.up == b.up
+            && a.latency_ms.to_bits() == b.latency_ms.to_bits()
+            && a.loss.to_bits() == b.loss.to_bits()
+    }
+    let n = r.u16()? as usize;
+    let body = r.take(n * ADVERT_BYTES)?;
+    let adverts = || body.chunks_exact(ADVERT_BYTES).map(get_advert);
+    let mut same = sender.filter(|s| s.len() == n);
+    for (i, advert) in adverts().enumerate() {
+        let advert = advert?;
+        if same.is_some_and(|s| !same_bits(&s[i], &advert)) {
+            same = None;
+        }
+    }
+    Ok(match same {
+        Some(s) => Arc::clone(s),
+        // An exact-size iterator: the slice is allocated once, in place.
+        None => adverts()
+            .map(|advert| advert.expect("checked above"))
+            .collect(),
+    })
+}
+
+fn get_control(
+    r: &mut Reader<'_>,
+    sub: u8,
+    sender: Option<&Arc<[LinkAdvert]>>,
+) -> Result<Control, WireError> {
     Ok(match sub {
         CONTROL_HELLO => Control::Hello {
             seq: r.u64()?,
@@ -867,22 +945,7 @@ fn get_control(r: &mut Reader<'_>, sub: u8) -> Result<Control, WireError> {
         CONTROL_LSA => {
             let origin = get_node(r)?;
             let seq = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut links = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                let edge = EdgeId(r.u32()? as usize);
-                let up = r.bool("link up")?;
-                let advert = LinkAdvert {
-                    edge,
-                    up,
-                    latency_ms: r.f64()?,
-                    loss: r.f64()?,
-                };
-                if !advert.is_well_formed() {
-                    return Err(WireError::BadValue("link advert"));
-                }
-                links.push(advert);
-            }
+            let links = get_adverts(r, sender)?;
             Control::Lsa(Lsa { origin, seq, links })
         }
         CONTROL_GROUP_UPDATE => {
@@ -997,12 +1060,12 @@ mod tests {
         encode(&Wire::Control(Control::Lsa(Lsa {
             origin: NodeId(3),
             seq: 7,
-            links: vec![LinkAdvert {
+            links: Arc::new([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms,
                 loss,
-            }],
+            }]),
         })))
         .unwrap()
     }

@@ -1,0 +1,74 @@
+//! Allocation counts on the LSA path: a fresh decode allocates the advert
+//! slice once, at its exact size, and a decode that can reuse the sender's
+//! slice allocates nothing. (Its own test binary: the counting allocator is
+//! process-wide, the count is per thread.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use son_overlay::packet::{Control, LinkAdvert, Lsa, Wire};
+use son_overlay::wire::{decode, encode, recode};
+use son_topo::{EdgeId, NodeId};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// thread-local `Cell` with a const initializer, so touching it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
+    let lsa = Wire::Control(Control::Lsa(Lsa {
+        origin: NodeId(3),
+        seq: 9,
+        links: (0..5)
+            .map(|e| LinkAdvert {
+                edge: EdgeId(e),
+                up: true,
+                latency_ms: 10.25,
+                loss: 0.02,
+            })
+            .collect(),
+    }));
+    let frame = encode(&lsa).unwrap();
+    let (fresh, decoded) = allocations_in(|| decode(&frame).unwrap());
+    assert_eq!(decoded, lsa);
+    assert_eq!(fresh, 1, "a datagram's adverts are one allocation");
+
+    // Warm this thread's scratch buffer, then a hop through the codec
+    // allocates nothing: the neighbor is handed the sender's slice.
+    drop(recode(&lsa).unwrap());
+    let (per_hop, hopped) = allocations_in(|| recode(&lsa).unwrap());
+    assert_eq!(per_hop, 0);
+    match (&hopped, &lsa) {
+        (Wire::Control(Control::Lsa(got)), Wire::Control(Control::Lsa(sent))) => {
+            assert!(Arc::ptr_eq(&got.links, &sent.links));
+        }
+        _ => unreachable!("an LSA recodes to an LSA"),
+    }
+}

@@ -356,7 +356,7 @@ mod routing_props {
         Lsa {
             origin: NodeId(2),
             seq,
-            links: vec![
+            links: Arc::new([
                 LinkAdvert {
                     edge: EdgeId(1),
                     up: true,
@@ -375,7 +375,7 @@ mod routing_props {
                     latency_ms: pendant_lat,
                     loss,
                 },
-            ],
+            ]),
         }
     }
 
@@ -573,7 +573,11 @@ mod routing_props {
                                 loss: 0.0,
                             });
                         }
-                        let lsa = Lsa { origin: NodeId(origin), seq: 1 + step as u64, links };
+                        let lsa = Lsa {
+                            origin: NodeId(origin),
+                            seq: 1 + step as u64,
+                            links: links.into(),
+                        };
                         mon.on_lsa(now, lsa, None, &mut out);
                     }
                     5 => mon.evict_origin(NodeId(origin), now, &mut out),

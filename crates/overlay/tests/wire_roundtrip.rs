@@ -4,6 +4,8 @@
 //! a concrete figure (24-byte hello/receipt frames, 10-byte trace context,
 //! 32-byte source-route mask, the FEC repair formula).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -18,7 +20,7 @@ use son_overlay::packet::{
 use son_overlay::service::{
     FecParams, FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute,
 };
-use son_overlay::wire::{decode, encode, FRAME_HEADER_BYTES};
+use son_overlay::wire::{decode, decode_reusing, encode, WireError, FRAME_HEADER_BYTES};
 use son_topo::{EdgeId, EdgeMask, NodeId};
 
 fn gen_addr(rng: &mut TestRng) -> OverlayAddr {
@@ -172,6 +174,18 @@ fn gen_members(rng: &mut TestRng) -> Vec<MemberInfo> {
         .collect()
 }
 
+fn gen_adverts(rng: &mut TestRng) -> Vec<LinkAdvert> {
+    let n = rng.gen_range(0usize..10);
+    (0..n)
+        .map(|_| LinkAdvert {
+            edge: EdgeId(rng.gen_range(0usize..256)),
+            up: rng.gen_range(0u8..2) == 1,
+            latency_ms: rng.gen_range(0.0f64..500.0),
+            loss: rng.gen_range(0.0f64..1.0),
+        })
+        .collect()
+}
+
 fn gen_control(rng: &mut TestRng) -> Control {
     match rng.gen_range(0u8..9) {
         0 => Control::Hello {
@@ -182,21 +196,11 @@ fn gen_control(rng: &mut TestRng) -> Control {
             seq: rng.gen_range(0u64..u64::MAX),
             echo_sent_at: SimTime::from_nanos(rng.gen_range(0u64..u64::MAX / 2)),
         },
-        2 => {
-            let n = rng.gen_range(0usize..10);
-            Control::Lsa(Lsa {
-                origin: NodeId(rng.gen_range(0usize..5000)),
-                seq: rng.gen_range(0u64..u64::MAX),
-                links: (0..n)
-                    .map(|_| LinkAdvert {
-                        edge: EdgeId(rng.gen_range(0usize..256)),
-                        up: rng.gen_range(0u8..2) == 1,
-                        latency_ms: rng.gen_range(0.0f64..500.0),
-                        loss: rng.gen_range(0.0f64..1.0),
-                    })
-                    .collect(),
-            })
-        }
+        2 => Control::Lsa(Lsa {
+            origin: NodeId(rng.gen_range(0usize..5000)),
+            seq: rng.gen_range(0u64..u64::MAX),
+            links: gen_adverts(rng).into(),
+        }),
         3 => {
             let n = rng.gen_range(0usize..10);
             Control::GroupUpdate(GroupUpdate {
@@ -228,6 +232,54 @@ fn gen_control(rng: &mut TestRng) -> Control {
     }
 }
 
+/// What the sender of an LSA might hold when the frame is decoded: the
+/// adverts themselves, or something that differs in length, in one field of
+/// one advert, or in everything.
+fn gen_sender(rng: &mut TestRng, sent: &[LinkAdvert]) -> Arc<[LinkAdvert]> {
+    let mut held = sent.to_vec();
+    match rng.gen_range(0u8..6) {
+        0 | 1 => {}
+        2 => {
+            held.pop();
+        }
+        3 => held.extend(gen_adverts(rng).first().copied()),
+        4 => {
+            if !held.is_empty() {
+                let ad = &mut held[rng.gen_range(0..sent.len())];
+                match rng.gen_range(0u8..4) {
+                    0 => ad.edge = EdgeId(ad.edge.0 + 1),
+                    1 => ad.up = !ad.up,
+                    2 => ad.latency_ms += 0.25,
+                    _ => ad.loss = (ad.loss + 0.02) % 1.0,
+                }
+            }
+        }
+        _ => held = gen_adverts(rng),
+    }
+    held.into()
+}
+
+fn advert_bits(links: &[LinkAdvert]) -> Vec<(usize, bool, u64, u64)> {
+    links
+        .iter()
+        .map(|ad| (ad.edge.0, ad.up, ad.latency_ms.to_bits(), ad.loss.to_bits()))
+        .collect()
+}
+
+fn lsa_links(w: &Wire) -> &Arc<[LinkAdvert]> {
+    match w {
+        Wire::Control(Control::Lsa(lsa)) => &lsa.links,
+        other => panic!("not an LSA: {other:?}"),
+    }
+}
+
+/// Byte offset of advert `i`'s latency in an encoded LSA frame: frame
+/// header, origin, seq and count, then 21 bytes per advert (edge, up,
+/// latency, loss).
+fn latency_at(i: usize) -> usize {
+    FRAME_HEADER_BYTES + 4 + 8 + 2 + 21 * i + 5
+}
+
 fn round_trips(w: &Wire) -> bool {
     let bytes = encode(w).expect("link frame must encode");
     decode(&bytes).expect("encoded frame must decode") == *w
@@ -250,6 +302,79 @@ proptest! {
     fn control_frames_round_trip(w in any::<u64>().prop_perturb(|_, mut rng| Wire::Control(gen_control(&mut rng)))) {
         prop_assert!(round_trips(&w));
     }
+
+    /// The sender's allocation is a hint about where the result may live,
+    /// never about what it is: whatever the sender holds, the reusing decode
+    /// returns what `decode` returns on the same bytes — a forged advert is
+    /// still refused — and shares the sender's allocation exactly when the
+    /// decoded adverts are bit for bit what the sender holds.
+    fn reuse_hint_is_an_allocation_hint_never_a_value(
+        case in any::<u64>().prop_perturb(|_, mut rng| {
+            let sent = gen_adverts(&mut rng);
+            let sender = gen_sender(&mut rng, &sent);
+            let forged = (rng.gen_range(0..sent.len().max(1)), rng.gen_range(0u8..3));
+            (sent, sender, forged, gen_control(&mut rng))
+        }),
+    ) {
+        let (sent, sender, (forged_at, forgery), other) = case;
+        let frame = encode(&Wire::Control(Control::Lsa(Lsa {
+            origin: NodeId(7),
+            seq: 3,
+            links: sent.iter().copied().collect(),
+        })))
+        .unwrap();
+        let plain = decode(&frame).unwrap();
+        let reused = decode_reusing(&frame, Some(&sender)).unwrap();
+        prop_assert_eq!(&reused, &plain);
+        prop_assert_eq!(advert_bits(lsa_links(&reused)), advert_bits(&sent));
+        prop_assert_eq!(
+            Arc::ptr_eq(lsa_links(&reused), &sender),
+            advert_bits(&sender) == advert_bits(&sent)
+        );
+
+        if !sent.is_empty() {
+            let mut bad = frame;
+            let latency = [f64::NAN, f64::INFINITY, -1.0][forgery as usize];
+            bad[latency_at(forged_at)..][..8].copy_from_slice(&latency.to_bits().to_le_bytes());
+            prop_assert_eq!(decode(&bad), Err(WireError::BadValue("link advert")));
+            prop_assert_eq!(
+                decode_reusing(&bad, Some(&sender)),
+                Err(WireError::BadValue("link advert"))
+            );
+        }
+
+        // Any other frame decodes as if no hint had been given.
+        let frame = encode(&Wire::Control(other)).unwrap();
+        prop_assert_eq!(decode_reusing(&frame, Some(&sender)), decode(&frame));
+    }
+}
+
+/// `-0.0 == 0.0`, but they are different bytes on the wire: a sender holding
+/// one is not handed back for a frame carrying the other.
+#[test]
+fn reuse_compares_bits_not_values() {
+    let advert = |latency_ms| LinkAdvert {
+        edge: EdgeId(2),
+        up: true,
+        latency_ms,
+        loss: 0.0,
+    };
+    let lsa = |latency_ms| {
+        Wire::Control(Control::Lsa(Lsa {
+            origin: NodeId(1),
+            seq: 1,
+            links: Arc::new([advert(latency_ms)]),
+        }))
+    };
+    let sender: Arc<[LinkAdvert]> = Arc::new([advert(-0.0)]);
+    let decoded = decode_reusing(&encode(&lsa(0.0)).unwrap(), Some(&sender)).unwrap();
+    assert!(!Arc::ptr_eq(lsa_links(&decoded), &sender));
+    assert_eq!(
+        lsa_links(&decoded)[0].latency_ms.to_bits(),
+        0.0f64.to_bits()
+    );
+    let decoded = decode_reusing(&encode(&lsa(-0.0)).unwrap(), Some(&sender)).unwrap();
+    assert!(Arc::ptr_eq(lsa_links(&decoded), &sender));
 }
 
 fn base_packet() -> DataPacket {

@@ -70,10 +70,12 @@ def e2e(run, name):
     m = run["metrics"].get(name)
     return m["value"] if isinstance(m, dict) else m
 parent, change = load("parent"), load("change")
-# Tracing off: the end-to-end metrics. Tracing on: the node probes, and the
-# counts that repeat exactly for one seed.
+# Tracing off: the end-to-end metrics. Tracing on: the node probes, what a
+# node retains and what a route rebuild costs, and the counts that repeat
+# exactly for one seed.
 names = ["cpu_us_per_delivered_pkt", "setup_s", "peak_rss_mb", "overlay.node.ingress_ns",
-         "overlay.node.transit_ns", "overlay.node.egress_ns", "netsim.events",
+         "overlay.node.transit_ns", "overlay.node.egress_ns", "mem.bytes_per_node.lsdb",
+         "mem.bytes_per_node.total", "trace.route.rebuild.p50_ns", "netsim.events",
          "netsim.pipe.sent", "overlay.forwarded", "overlay.reroutes", "overlay.drops_total"]
 for name in names:
     p = [e2e(r, name) for r in parent]
