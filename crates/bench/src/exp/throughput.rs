@@ -7,9 +7,7 @@
 //! as simulated packets forwarded per wall-clock second, then re-run with
 //! tracing + telemetry, with the profiler, and on the sharded engine. The
 //! rows go to `BENCH_forwarding.json` (`--out` overrides the path) so the
-//! perf trajectory is tracked in-repo; that file's `route_recompute` rows
-//! are history (the live measurement is `cargo bench --bench
-//! route_recompute`).
+//! perf trajectory is tracked in-repo.
 //!
 //! `--smoke` shrinks the run to a few seconds for CI.
 

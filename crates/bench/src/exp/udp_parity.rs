@@ -52,6 +52,8 @@ struct Leg {
     max_gap_ms: f64,
     decode_errors: u64,
     unknown_pipe: u64,
+    /// Blocking waits the daemons' run loops made (`loop.wait`; UDP only).
+    waits: u64,
 }
 
 impl Leg {
@@ -369,6 +371,11 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
         leg.received += get_u64("received");
         leg.decode_errors += get_u64("decode_errors");
         leg.unknown_pipe += get_u64("unknown_pipe");
+        let counters = summary.get("counters");
+        leg.waits += counters
+            .and_then(|c| c.get("loop.wait"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
         if let Some(p) = get_f64("p50_ms") {
             leg.p50_ms = p;
         }
@@ -429,6 +436,22 @@ fn compare(s: Scenario, delivery_band: f64, base_port: u16, dir: &Path) -> Compa
 }
 
 impl Comparison {
+    /// What one overlay hop costs on the socket path over its emulated
+    /// latency, µs at the median: the UDP leg's p50 minus the simulator's
+    /// (which charges the links and nothing else), per link crossed. The
+    /// paper's §II-D puts it under a millisecond.
+    fn added_per_hop_p50_us(&self) -> f64 {
+        let s = &self.scenario;
+        // Every link weighs the same, so the shortest path is the fewest
+        // links — and a ring's two ways round the outage are equally long.
+        let direct = s.from.abs_diff(s.to) as usize;
+        let hops = match s.topo {
+            TopoKind::Chain => direct,
+            TopoKind::Ring => direct.min(s.nodes - direct),
+        };
+        (self.udp.p50_ms - self.sim.p50_ms) * 1000.0 / hops as f64
+    }
+
     /// The E18 parity assertions; panics name the violated band.
     fn check(&self) {
         let name = &self.scenario.name;
@@ -471,12 +494,19 @@ impl Comparison {
             );
         }
         println!(
-            "parity ok: delivery Δ {:.1} pp (band {:.0}), p50 Δ {:.2} ms (band {:.2})",
+            "parity ok: delivery Δ {:.1} pp (band {:.0}), p50 Δ {:.2} ms (band {:.2}); \
+             {:.0} µs added per hop, {:.1} loop waits per delivered packet",
             dd * 100.0,
             self.delivery_band * 100.0,
             (self.udp.p50_ms - self.sim.p50_ms).abs(),
-            p50_band
+            p50_band,
+            self.added_per_hop_p50_us(),
+            self.waits_per_delivered_pkt()
         );
+    }
+
+    fn waits_per_delivered_pkt(&self) -> f64 {
+        self.udp.waits as f64 / (self.udp.received as f64).max(1.0)
     }
 
     fn bench_row(&self, smoke: bool) -> Json {
@@ -500,6 +530,14 @@ impl Comparison {
                 Json::F64(self.udp.delivery() - self.sim.delivery()),
             ),
             ("udp_decode_errors", Json::U64(self.udp.decode_errors)),
+            (
+                "added_per_hop_p50_us",
+                Json::F64(self.added_per_hop_p50_us()),
+            ),
+            (
+                "waits_per_delivered_pkt",
+                Json::F64(self.waits_per_delivered_pkt()),
+            ),
         ])
     }
 }

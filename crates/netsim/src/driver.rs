@@ -96,6 +96,17 @@ pub trait Transport {
     ///
     /// Returns the underlying I/O error, e.g. when the socket is gone.
     fn recv_from(&mut self) -> std::io::Result<Option<(usize, Vec<u8>)>>;
+
+    /// Blocks until [`recv_from`](Self::recv_from) has something to return
+    /// or `timeout` has passed, whichever comes first; `Ok(true)` means a
+    /// datagram (or a pending socket error) is ready. May return `Ok(false)`
+    /// early — on a signal, say — so callers re-read their clock instead of
+    /// assuming the timeout elapsed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error, e.g. when the socket is gone.
+    fn wait_readable(&mut self, timeout: std::time::Duration) -> std::io::Result<bool>;
 }
 
 impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {

@@ -47,6 +47,9 @@ scripts/join_smoke.sh
 
 echo "==> udp loopback smoke (son-node x4 over 127.0.0.1, sim-vs-real parity)"
 son_exp udp_parity --smoke --out target/obs/BENCH_udp_smoke.json
+# The paper's §II-D claim as a gate: an overlay hop adds under a millisecond
+# over its link's latency on the socket path (this host reads ≈ 180 µs).
+son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity 'added_per_hop_p50_us<=1000'
 cat target/obs/udp_parity/udp_e1_smoke.result.*.json \
     target/obs/udp_parity/udp_e1_smoke.udp.telemetry.jsonl \
     > target/obs/udp_parity/udp_e1_smoke.merged.jsonl
