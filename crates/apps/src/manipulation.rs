@@ -8,7 +8,6 @@
 //! of lost packets." The flow spec combines the single-strike predecessor
 //! protocol \[6,7\] with dissemination-graph source routing \[2\].
 
-use serde::{Deserialize, Serialize};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::client::{FlowRecv, Workload};
 use son_overlay::{FlowSpec, LinkService, RealtimeParams, RoutingService, SourceRoute};
@@ -17,7 +16,7 @@ use son_overlay::{FlowSpec, LinkService, RealtimeParams, RoutingService, SourceR
 pub const ONE_WAY_DEADLINE: SimDuration = SimDuration::from_millis(65);
 
 /// A haptic/command stream's shape: small packets at high rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HapticProfile {
     /// Command/feedback payload bytes.
     pub packet_size: usize,
@@ -99,7 +98,7 @@ pub fn flooding_spec(hop_budget: SimDuration) -> FlowSpec {
 }
 
 /// How the manipulation session felt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManipulationReport {
     /// Fraction of commands delivered within the one-way deadline,
     /// counting losses as misses — the paper's headline metric.
@@ -120,7 +119,7 @@ pub struct ManipulationReport {
 #[must_use]
 pub fn score(recv: &FlowRecv, sent: u64) -> ManipulationReport {
     assert!(sent > 0, "no commands sent");
-    let latency = recv.latency_ms.clone();
+    let latency = recv.latency_ms();
     let within = latency
         .fraction_within(ONE_WAY_DEADLINE.as_millis_f64())
         .unwrap_or(0.0);
@@ -185,7 +184,7 @@ mod tests {
     fn score_counts_losses_as_misses() {
         let mut r = FlowRecv::default();
         for lat in [10.0, 20.0, 70.0] {
-            r.latency_ms.record(lat);
+            r.latencies_ms.push(lat);
             r.received += 1;
         }
         // 4 sent, 3 delivered, 2 of them on time => 50% on-time.

@@ -8,7 +8,6 @@
 //! destinations..., each endpoint simply connects to the overlay, joining or
 //! sending to the relevant multicast groups."
 
-use serde::{Deserialize, Serialize};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::client::{ClientConfig, ClientFlow, FlowRecv, Workload};
 use son_overlay::{Destination, FlowSpec, GroupId, LinkService, OverlayHandle, Priority};
@@ -131,7 +130,7 @@ pub fn device(overlay: &OverlayHandle, at: NodeId) -> ClientConfig {
 }
 
 /// How a monitoring destination experienced one telemetry stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitoringReport {
     /// Readings delivered / readings sent.
     pub completeness: f64,
@@ -151,7 +150,7 @@ pub struct MonitoringReport {
 #[must_use]
 pub fn score_telemetry(recv: &FlowRecv, sent: u64) -> MonitoringReport {
     assert!(sent > 0, "no readings were sent");
-    let mut latency = recv.latency_ms.clone();
+    let mut latency = recv.latency_ms();
     let blindness = recv
         .arrivals
         .windows(2)
@@ -291,7 +290,7 @@ mod tests {
         let mut r = FlowRecv::default();
         for (ms, seq) in [(100u64, 1u64), (200, 2), (900, 3)] {
             r.arrivals.push((SimTime::from_millis(ms), seq));
-            r.latency_ms.record(10.0);
+            r.latencies_ms.push(10.0);
             r.received += 1;
         }
         let report = score_telemetry(&r, 4);

@@ -6,13 +6,11 @@
 //! the client workload and [`score`] turns a client's receive log into a
 //! [`VideoQualityReport`].
 
-use serde::{Deserialize, Serialize};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::client::{FlowRecv, Workload};
-use son_overlay::{FlowSpec, RealtimeParams};
 
 /// A video stream's transport-level shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VideoProfile {
     /// Stream bitrate in bits per second.
     pub bitrate_bps: u64,
@@ -72,20 +70,6 @@ impl VideoProfile {
             start,
         }
     }
-
-    /// The flow spec for stored/broadcast-quality transport: fully reliable,
-    /// in order, hop-by-hop recovery (§III-A).
-    #[must_use]
-    pub fn broadcast_spec(&self) -> FlowSpec {
-        FlowSpec::reliable()
-    }
-
-    /// The flow spec for *live* transport under a one-way deadline:
-    /// NM-Strikes with ordered, deadline-bound delivery (§IV-A).
-    #[must_use]
-    pub fn live_spec(&self, deadline: SimDuration, params: RealtimeParams) -> FlowSpec {
-        FlowSpec::live_video(deadline).with_link(son_overlay::LinkService::Realtime(params))
-    }
 }
 
 /// A GOP (group-of-pictures) structure for variable-bitrate video: large I
@@ -93,7 +77,7 @@ impl VideoProfile {
 /// transport-size packets. VBR streams stress schedulers and recovery
 /// differently from CBR: loss of an I-frame burst hurts more, and the
 /// instantaneous rate swings by the I/P ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GopProfile {
     /// Frames per second.
     pub fps: u32,
@@ -166,7 +150,7 @@ impl GopProfile {
 }
 
 /// What a decoder would say about a received stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoQualityReport {
     /// Packets delivered / packets sent.
     pub delivered_frac: f64,
@@ -207,7 +191,7 @@ pub fn score(
     deadline: Option<SimDuration>,
 ) -> VideoQualityReport {
     assert!(sent > 0, "cannot score an empty stream");
-    let mut latency = recv.latency_ms.clone();
+    let mut latency = recv.latency_ms();
     let freeze_threshold = profile.packet_interval().as_millis_f64() * FREEZE_INTERVALS;
     let mut freezes = 0;
     let mut longest: f64 = 0.0;
@@ -229,7 +213,7 @@ pub fn score(
         mean_latency_ms: latency.mean().unwrap_or(0.0),
         p99_latency_ms: latency.quantile(0.99).unwrap_or(0.0),
         max_latency_ms: latency.max().unwrap_or(0.0),
-        mean_jitter_ms: recv.jitter_ms.mean().unwrap_or(0.0),
+        mean_jitter_ms: recv.jitter_ms().mean().unwrap_or(0.0),
         freezes,
         longest_freeze_ms: longest,
         within_deadline_frac: within,
@@ -272,7 +256,7 @@ mod tests {
         for (i, (&gap, &lat)) in arrival_gaps_ms.iter().zip(latencies_ms).enumerate() {
             t += SimDuration::from_millis_f64(gap);
             r.arrivals.push((t, i as u64 + 1));
-            r.latency_ms.record(lat);
+            r.latencies_ms.push(lat);
             r.received += 1;
         }
         r

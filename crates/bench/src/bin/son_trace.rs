@@ -27,11 +27,6 @@
 //! and readmissions by a preceding suspension, damping by the origin's
 //! recorded churn, shedding by queue growth. Exits non-zero on any
 //! unexplained action (or an empty export).
-//!
-//! `--scale-report` switches to rendering `scale.jsonl` exports (E16): the
-//! per-N scaling curve — throughput, retained bytes per node, reroute
-//! latency — and the profiler's top stages at the largest N. Exits non-zero
-//! on an empty export.
 
 use std::process::ExitCode;
 
@@ -43,19 +38,16 @@ use son_obs::{Json, TraceEvent, TraceStage};
 struct Args {
     self_check: bool,
     watch_audit: bool,
-    scale_report: bool,
     limit: usize,
     files: Vec<String>,
 }
 
-const USAGE: &str =
-    "usage: son-trace [--self-check] [--watch-audit] [--scale-report] [--limit N] FILE...";
+const USAGE: &str = "usage: son-trace [--self-check] [--watch-audit] [--limit N] FILE...";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         self_check: false,
         watch_audit: false,
-        scale_report: false,
         limit: 3,
         files: Vec::new(),
     };
@@ -64,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--self-check" => args.self_check = true,
             "--watch-audit" => args.watch_audit = true,
-            "--scale-report" => args.scale_report = true,
             "--limit" => {
                 let v = it.next().ok_or("--limit needs a value")?;
                 args.limit = v.parse().map_err(|_| format!("bad --limit value {v:?}"))?;
@@ -398,152 +389,10 @@ fn run_watch_audit(args: &Args) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Renders the E16 scaling curve and the largest-N profiler table from
-/// `scale.jsonl` rows (one `bench:"exp_scale"` row plus `kind:"perf"` rows
-/// per N, tagged `run:"n<N>"`).
-fn run_scale_report(args: &Args) -> Result<bool, String> {
-    let mut points: Vec<Json> = Vec::new();
-    let mut perf_rows: std::collections::BTreeMap<String, Vec<Json>> =
-        std::collections::BTreeMap::new();
-    for file in &args.files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let json = Json::parse(line).map_err(|e| format!("{file}:{}: {e}", i + 1))?;
-            if json.get("bench").and_then(Json::as_str) == Some("exp_scale") {
-                points.push(json);
-            } else if json.get("kind").and_then(Json::as_str) == Some("perf") {
-                let run = json
-                    .get("run")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned();
-                perf_rows.entry(run).or_default().push(json);
-            }
-        }
-    }
-    banner(
-        "son-trace --scale-report",
-        "E16: throughput, bytes/node, and reroute latency as the overlay grows",
-    );
-    if points.is_empty() {
-        println!("scale-report: FAIL (no exp_scale rows in the export)");
-        return Ok(false);
-    }
-    points.sort_by_key(|p| p.get("n").and_then(Json::as_u64).unwrap_or(0));
-    let num = |p: &Json, key: &str| p.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    table_header(&[
-        ("n", 6),
-        ("pkts/wall s", 12),
-        ("KiB/node", 10),
-        ("state KiB", 10),
-        ("reroute p50", 12),
-        ("reroute p99", 12),
-    ]);
-    for p in &points {
-        row(&[
-            (num(p, "n").to_string(), 6),
-            (f(num(p, "sim_pkts_per_wall_s"), 0), 12),
-            (f(num(p, "bytes_per_node_total") / 1024.0, 1), 10),
-            (f(num(p, "bytes_per_node_state") / 1024.0, 1), 10),
-            (format!("{:.0}us", num(p, "reroute_p50_ns") / 1e3), 12),
-            (format!("{:.0}us", num(p, "reroute_p99_ns") / 1e3), 12),
-        ]);
-    }
-    // Event-engine occupancy and sharding columns (added with the PDES
-    // core): queue bloat and per-shard balance at each point.
-    println!("\nevent engine per point:");
-    table_header(&[
-        ("n", 6),
-        ("shards", 7),
-        ("events min..max", 16),
-        ("cross sends", 12),
-        ("stall ms", 9),
-        ("q live", 8),
-        ("tomb peak", 10),
-        ("compact", 8),
-    ]);
-    for p in &points {
-        let events: Vec<u64> = p
-            .get("shard_events")
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_u64).collect())
-            .unwrap_or_default();
-        let cross: u64 = p
-            .get("shard_cross_sends")
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_u64).sum())
-            .unwrap_or(0);
-        let span = match (events.iter().min(), events.iter().max()) {
-            (Some(lo), Some(hi)) => format!("{lo}..{hi}"),
-            _ => "-".to_owned(),
-        };
-        row(&[
-            (num(p, "n").to_string(), 6),
-            (format!("{}", num(p, "shards").max(1.0) as u64), 7),
-            (span, 16),
-            (cross.to_string(), 12),
-            (f(num(p, "merge_stall_ms"), 1), 9),
-            (format!("{}", num(p, "queue_live") as u64), 8),
-            (format!("{}", num(p, "queue_tombstones_peak") as u64), 10),
-            (format!("{}", num(p, "queue_compactions") as u64), 8),
-        ]);
-    }
-    let last = points.last().expect("non-empty");
-    let last_n = last.get("n").and_then(Json::as_u64).unwrap_or(0);
-    if let Some(stages) = perf_rows.get(&format!("n{last_n}")) {
-        let mut stages: Vec<&Json> = stages.iter().collect();
-        stages.sort_by(|a, b| num(b, "self_ns").total_cmp(&num(a, "self_ns")));
-        println!("\ntop profiler stages at n={last_n} (by self time):");
-        table_header(&[
-            ("stage", 16),
-            ("count", 12),
-            ("self ms", 10),
-            ("total ms", 10),
-            ("total p99", 10),
-        ]);
-        for s in stages.iter().take(args.limit.max(10)) {
-            row(&[
-                (
-                    s.get("stage")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned(),
-                    16,
-                ),
-                (format!("{}", num(s, "count") as u64), 12),
-                (f(num(s, "self_ns") / 1e6, 1), 10),
-                (f(num(s, "total_ns") / 1e6, 1), 10),
-                (format!("{:.0}us", num(s, "total_p99_ns") / 1e3), 10),
-            ]);
-        }
-    }
-    let base = points.first().expect("non-empty");
-    let (bn, tn) = (num(base, "n"), num(last, "n"));
-    if tn > bn {
-        let ratio = num(last, "bytes_per_node_state") / num(base, "bytes_per_node_state").max(1.0);
-        println!(
-            "\nstate bytes/node growth n={bn:.0}→{tn:.0}: {ratio:.1}x (linear would be {:.0}x)",
-            tn / bn
-        );
-    }
-    println!(
-        "\nscale-report: ok ({} points, {} profiler stage rows)",
-        points.len(),
-        perf_rows.values().map(Vec::len).sum::<usize>()
-    );
-    Ok(true)
-}
-
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
     if args.watch_audit {
         return run_watch_audit(&args);
-    }
-    if args.scale_report {
-        return run_scale_report(&args);
     }
     let mut by_run: std::collections::BTreeMap<String, Vec<TraceEvent>> =
         std::collections::BTreeMap::new();

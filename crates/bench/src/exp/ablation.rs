@@ -76,7 +76,7 @@ fn spacing_run(budget_ms: u64) -> (f64, f64) {
     run.run_for = SimDuration::from_secs(90);
     run.seed = 82;
     let out = run.run();
-    let within = out.recv.latency_ms.fraction_within(200.0).unwrap_or(0.0)
+    let within = out.recv.latency_ms().fraction_within(200.0).unwrap_or(0.0)
         * out.recv.received as f64
         / out.sent as f64;
     (within, params.spacing().as_millis_f64())
@@ -100,7 +100,7 @@ fn rto_run(factor: f64) -> (f64, f64) {
     run.run_for = SimDuration::from_secs(90);
     run.seed = 83;
     let out = run.run();
-    let mut lat = out.recv.latency_ms.clone();
+    let mut lat = out.recv.latency_ms();
     (
         lat.quantile(0.999).unwrap_or(f64::NAN),
         out.wire.overhead_ratio(),

@@ -88,7 +88,7 @@ pub fn run(opts: &Opts) {
                 let _ = export_timeseries(sink, &tag, &out.timeseries);
             }
 
-            let mut lat = out.recv.latency_ms.clone();
+            let mut lat = out.recv.latency_ms();
             // "Late" deliveries are those well above the no-loss baseline
             // (propagation + processing + IPC): the recovered packets plus
             // everything held behind them by in-order delivery, i.e. the
@@ -96,8 +96,7 @@ pub fn run(opts: &Opts) {
             let base = lat.quantile(0.05).unwrap_or(0.0);
             let mut recovered: son_netsim::stats::Percentiles = out
                 .recv
-                .latency_ms
-                .samples()
+                .latencies_ms
                 .iter()
                 .copied()
                 .filter(|&l| l > base + 5.0)
@@ -115,7 +114,7 @@ pub fn run(opts: &Opts) {
                 (f(rec_p50, 1), 13),
                 (f(rec_max, 1), 13),
                 (f(lat.quantile(0.99).unwrap(), 1), 8),
-                (f(out.recv.jitter_ms.mean().unwrap_or(0.0), 2), 9),
+                (f(out.recv.jitter_ms().mean().unwrap_or(0.0), 2), 9),
             ]);
         }
     }

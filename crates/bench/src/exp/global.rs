@@ -80,7 +80,7 @@ pub fn run(_: &Opts) {
     );
     fleet.run(SimTime::from_secs(30));
     let (sent, recv) = (fleet.sent(0), fleet.recv(0));
-    let mut l = recv.latency_ms.clone();
+    let mut l = recv.latency_ms();
     println!("\nlive video NYC -> SYD (200ms bound, 1% bursty loss/link):");
     println!(
         "  delivered within bound: {:.2}%  (p50 {:.1}ms, max {:.1}ms)",

@@ -41,14 +41,9 @@ fn run_one(
     if let Some(sink) = sink {
         let _ = export_registry(sink, tag, &out.registry);
     }
-    let within = out
-        .recv
-        .latency_ms
-        .fraction_within(DEADLINE_MS)
-        .unwrap_or(0.0)
-        * out.recv.received as f64
+    let mut lat = out.recv.latency_ms();
+    let within = lat.fraction_within(DEADLINE_MS).unwrap_or(0.0) * out.recv.received as f64
         / out.sent as f64;
-    let mut lat = out.recv.latency_ms.clone();
     let p999 = lat.quantile(0.999).unwrap_or(f64::NAN);
     (within, p999, out.wire.overhead_ratio(), out.sent)
 }

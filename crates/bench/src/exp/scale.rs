@@ -15,8 +15,7 @@
 //!   N relative to the committed curve, and the cold-start rebuild count
 //!   must stay near O(N).
 //! - `<obs dir>/scale.jsonl`: the same rows plus the absorbed profiler's
-//!   per-stage rows for each N (`run` = `n64`, `n256`, …), the input to
-//!   `son-trace --scale-report`.
+//!   per-stage rows for each N (`run` = `n64`, `n256`, …).
 
 use son_obs::Json;
 

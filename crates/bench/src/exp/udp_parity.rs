@@ -170,7 +170,7 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     );
 
     let recv = fleet.recv(0);
-    let mut lat = recv.latency_ms.clone();
+    let mut lat = recv.latency_ms();
     Leg {
         sent: fleet.sent(0),
         received: recv.received,

@@ -9,7 +9,6 @@
 //!
 //! Overlay links are built from two pipes, one per direction.
 
-use serde::{Deserialize, Serialize};
 use son_obs::DropClass;
 
 use crate::loss::{LossConfig, LossProcess};
@@ -19,11 +18,11 @@ use crate::time::{SimDuration, SimTime};
 use crate::underlay::{Attachment, CityId, ResolveError, UEdgeId, Underlay};
 
 /// Identifies a pipe within a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PipeId(pub usize);
 
 /// Static configuration of one pipe direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipeConfig {
     /// Base propagation latency (ignored when an underlay binding resolves).
     pub latency: SimDuration,
@@ -43,7 +42,7 @@ pub struct PipeConfig {
 
 /// Binds a pipe onto the underlay: packets follow the current route of the
 /// given attachment between two cities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipeBinding {
     /// Which provider(s) carry the traffic.
     pub attachment: Attachment,

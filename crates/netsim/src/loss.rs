@@ -6,13 +6,11 @@
 //! loss this module provides a Gilbert–Elliott two-state model whose bad
 //! state produces correlated loss bursts, plus scheduled hard outages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Configuration for a link's loss process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LossConfig {
     /// No loss at all.
     Perfect,

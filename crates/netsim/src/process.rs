@@ -3,13 +3,11 @@
 
 use std::any::Any;
 
-use serde::{Deserialize, Serialize};
-
 use crate::link::PipeId;
 use crate::sim::Ctx;
 
 /// Identifies a process within a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub usize);
 
 impl std::fmt::Display for ProcessId {

@@ -64,12 +64,6 @@ impl SimRng {
         SimRng::seed(child)
     }
 
-    /// The seed this stream was created from.
-    #[must_use]
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
     /// Draws a boolean that is `true` with probability `p`.
     ///
     /// # Panics
@@ -83,15 +77,6 @@ impl SimRng {
             true
         } else {
             self.inner.gen::<f64>() < p
-        }
-    }
-
-    /// Draws a uniform value in `[lo, hi)`. Returns `lo` when the range is empty.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            lo
-        } else {
-            self.inner.gen_range(lo..hi)
         }
     }
 

@@ -455,54 +455,6 @@ mod tests {
     }
 }
 
-/// A dumbbell: `left` cities fanning into one aggregation city, a single
-/// bottleneck hop, then one distribution city fanning out to `right`
-/// cities — the classic congestion/fairness topology.
-///
-/// Returns the scenario; cities are ordered `[left..., agg, dist, right...]`.
-#[must_use]
-pub fn dumbbell(
-    left: usize,
-    right: usize,
-    edge_latency: SimDuration,
-    bottleneck_latency: SimDuration,
-    convergence: SimDuration,
-) -> Scenario {
-    assert!(left > 0 && right > 0, "both sides need cities");
-    let mut b = UnderlayBuilder::new();
-    let mut cities = Vec::new();
-    let names: Vec<&'static str> = std::iter::repeat_n("dumbbell", left + right + 2).collect();
-    for i in 0..left {
-        cities.push(b.city(&format!("L{i}"), 0.0, i as f64 * 100.0));
-    }
-    let agg = b.city("AGG", 1000.0, 0.0);
-    let dist = b.city("DIST", 3000.0, 0.0);
-    cities.push(agg);
-    cities.push(dist);
-    for i in 0..right {
-        cities.push(b.city(&format!("R{i}"), 4000.0, i as f64 * 100.0));
-    }
-    let isp = b.isp("DumbbellNet");
-    for &c in &cities {
-        b.router(isp, c);
-    }
-    let mut edges = Vec::new();
-    for &c in &cities[..left] {
-        edges.push(b.fiber_with_latency(isp, c, agg, edge_latency));
-    }
-    edges.push(b.fiber_with_latency(isp, agg, dist, bottleneck_latency));
-    for &c in &cities[left + 2..] {
-        edges.push(b.fiber_with_latency(isp, dist, c, edge_latency));
-    }
-    Scenario {
-        underlay: b.build(convergence),
-        cities,
-        city_names: names,
-        isps: vec![isp],
-        edges_by_isp: vec![edges],
-    }
-}
-
 /// A ring of `n` cities, each hop `hop_latency`: every pair has exactly two
 /// node-disjoint paths, the minimal 2-connected design.
 #[must_use]
@@ -538,30 +490,6 @@ mod shape_tests {
     use super::*;
     use crate::time::SimTime;
     use crate::underlay::Attachment;
-
-    #[test]
-    fn dumbbell_routes_through_the_bottleneck() {
-        let sc = dumbbell(
-            3,
-            2,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(20),
-            DEFAULT_CONVERGENCE,
-        );
-        assert_eq!(sc.cities.len(), 7);
-        let mut ul = sc.underlay.clone();
-        // L0 (index 0) to R1 (index 6): 2 + 20 + 2 ms.
-        let p = ul
-            .resolve(
-                SimTime::ZERO,
-                Attachment::OnNet(sc.isps[0]),
-                sc.cities[0],
-                sc.cities[6],
-            )
-            .unwrap();
-        assert_eq!(p.latency, SimDuration::from_millis(24));
-        assert_eq!(p.edges.len(), 3);
-    }
 
     #[test]
     fn ring_goes_the_short_way_round() {
@@ -686,28 +614,6 @@ impl Campaign {
         SimTime::from_nanos(rng.uniform_u64(lo, hi))
     }
 
-    /// Composes link-flap episodes: each edge fails `flaps_per_edge` times at
-    /// random instants inside `window`, each outage lasting `downtime`.
-    pub fn link_flaps(
-        &mut self,
-        edges: &[UEdgeId],
-        window: (SimTime, SimTime),
-        flaps_per_edge: usize,
-        downtime: SimDuration,
-    ) -> &mut Self {
-        let mut rng = self.episode_rng("campaign:link_flaps");
-        for &edge in edges {
-            for _ in 0..flaps_per_edge {
-                let at = Self::draw_at(&mut rng, window, downtime);
-                self.events
-                    .push((at, ScenarioEvent::FailUnderlayEdge(edge)));
-                self.events
-                    .push((at + downtime, ScenarioEvent::RepairUnderlayEdge(edge)));
-            }
-        }
-        self
-    }
-
     /// Composes burst-loss episodes: each pipe switches to `loss` for `burst`
     /// at `episodes` random instants inside `window`, then back to `restore`.
     #[allow(clippy::too_many_arguments)]
@@ -731,62 +637,6 @@ impl Campaign {
                     ScenarioEvent::SetPipeLoss(pipe, restore.clone()),
                 ));
             }
-        }
-        self
-    }
-
-    /// Composes router (POP) failures: each listed POP fails once at a random
-    /// instant inside `window` and is repaired after `downtime`.
-    pub fn pop_failures(
-        &mut self,
-        pops: &[(IspId, CityId)],
-        window: (SimTime, SimTime),
-        downtime: SimDuration,
-    ) -> &mut Self {
-        let mut rng = self.episode_rng("campaign:pop_failures");
-        for &(isp, city) in pops {
-            let at = Self::draw_at(&mut rng, window, downtime);
-            self.events.push((at, ScenarioEvent::FailPop(isp, city)));
-            self.events
-                .push((at + downtime, ScenarioEvent::RepairPop(isp, city)));
-        }
-        self
-    }
-
-    /// Composes process crashes: each process crashes once at a random
-    /// instant inside `window` and restarts after `downtime`.
-    pub fn process_crashes(
-        &mut self,
-        procs: &[ProcessId],
-        window: (SimTime, SimTime),
-        downtime: SimDuration,
-    ) -> &mut Self {
-        let mut rng = self.episode_rng("campaign:process_crashes");
-        for &pid in procs {
-            let at = Self::draw_at(&mut rng, window, downtime);
-            self.events.push((at, ScenarioEvent::CrashProcess(pid)));
-            self.events
-                .push((at + downtime, ScenarioEvent::RestartProcess(pid)));
-        }
-        self
-    }
-
-    /// Composes BGP-blackhole-style windows: each pipe is administratively
-    /// disabled for `blackout` starting at a random instant inside `window` —
-    /// traffic vanishes with no link-down signal, as when a route is
-    /// withdrawn or hijacked upstream.
-    pub fn pipe_blackouts(
-        &mut self,
-        pipes: &[PipeId],
-        window: (SimTime, SimTime),
-        blackout: SimDuration,
-    ) -> &mut Self {
-        let mut rng = self.episode_rng("campaign:pipe_blackouts");
-        for &pipe in pipes {
-            let at = Self::draw_at(&mut rng, window, blackout);
-            self.events.push((at, ScenarioEvent::DisablePipe(pipe)));
-            self.events
-                .push((at + blackout, ScenarioEvent::EnablePipe(pipe)));
         }
         self
     }
@@ -835,8 +685,7 @@ impl Campaign {
 
     /// Composes deterministic crash/restart cycles: each listed process
     /// crashes at `start + k * (down + up)` and restarts `down` later, for
-    /// `cycles` cycles. Unlike [`Campaign::process_crashes`] (one random
-    /// crash per process) this models a flapping daemon — the repeated
+    /// `cycles` cycles. This models a flapping daemon — the repeated
     /// up/down oscillation that LSA flap damping exists to absorb.
     pub fn process_flaps(
         &mut self,
@@ -1010,15 +859,8 @@ mod campaign_tests {
     }
 
     fn full_campaign(seed: u64) -> Campaign {
-        let sc = ring(5, SimDuration::from_millis(5), DEFAULT_CONVERGENCE);
         let mut c = Campaign::new("everything", seed);
-        c.link_flaps(
-            &sc.edges_by_isp[0][..2],
-            window(),
-            3,
-            SimDuration::from_millis(400),
-        )
-        .burst_loss(
+        c.burst_loss(
             &[PipeId(0), PipeId(1)],
             window(),
             2,
@@ -1026,13 +868,13 @@ mod campaign_tests {
             SimDuration::from_millis(250),
             LossConfig::Perfect,
         )
-        .pop_failures(
-            &[(sc.isps[0], sc.cities[2])],
-            window(),
+        .process_flaps(
+            &[ProcessId(3)],
+            SimTime::from_secs(2),
+            2,
+            SimDuration::from_secs(1),
             SimDuration::from_secs(1),
         )
-        .process_crashes(&[ProcessId(3)], window(), SimDuration::from_secs(1))
-        .pipe_blackouts(&[PipeId(2)], window(), SimDuration::from_secs(2))
         .compromise(&[1, 3], window());
         c
     }
@@ -1053,21 +895,20 @@ mod campaign_tests {
 
     #[test]
     fn repeated_episode_calls_draw_distinct_streams() {
-        let sc = ring(4, SimDuration::from_millis(5), DEFAULT_CONVERGENCE);
         let mut c = Campaign::new("twice", 11);
-        c.link_flaps(
-            &sc.edges_by_isp[0][..1],
-            window(),
-            1,
-            SimDuration::from_millis(100),
-        );
+        let burst = |c: &mut Campaign| {
+            c.burst_loss(
+                &[PipeId(0)],
+                window(),
+                1,
+                LossConfig::Bernoulli { p: 0.4 },
+                SimDuration::from_millis(100),
+                LossConfig::Perfect,
+            );
+        };
+        burst(&mut c);
         let first = format!("{:?}", c.events());
-        c.link_flaps(
-            &sc.edges_by_isp[0][..1],
-            window(),
-            1,
-            SimDuration::from_millis(100),
-        );
+        burst(&mut c);
         let second = format!("{:?}", &c.events()[2..]);
         assert_ne!(first, second, "call index must vary the fork");
     }
@@ -1184,22 +1025,38 @@ mod campaign_tests {
 
     #[test]
     fn scheduled_runs_produce_identical_fingerprints() {
+        struct Idle;
+        impl crate::process::Process<String> for Idle {
+            fn on_message(
+                &mut self,
+                _: &mut crate::sim::Ctx<'_, String>,
+                _: ProcessId,
+                _: Option<PipeId>,
+                _: String,
+            ) {
+            }
+        }
         let run = || {
-            let sc = ring(5, SimDuration::from_millis(5), SimDuration::from_secs(2));
+            let mut sim: Simulation<String> = Simulation::new(13);
+            let (a, b) = (sim.add_process(Idle), sim.add_process(Idle));
+            let config = crate::link::PipeConfig::with_latency(SimDuration::from_millis(5));
+            let (ab, ba) = sim.connect(a, b, config);
             let mut c = Campaign::new("fp", 13);
-            c.link_flaps(
-                &sc.edges_by_isp[0],
+            c.burst_loss(
+                &[ab, ba],
                 window(),
                 2,
+                LossConfig::Bernoulli { p: 0.4 },
                 SimDuration::from_millis(300),
+                LossConfig::Perfect,
             )
-            .pop_failures(
-                &[(sc.isps[0], sc.cities[0])],
-                window(),
+            .process_flaps(
+                &[b],
+                SimTime::from_secs(2),
+                2,
+                SimDuration::from_secs(1),
                 SimDuration::from_secs(1),
             );
-            let mut sim: Simulation<String> = Simulation::new(c.seed());
-            sim.set_underlay(sc.underlay.clone());
             c.schedule_into(&mut sim);
             sim.run_until(SimTime::from_secs(20));
             sim.fingerprint()

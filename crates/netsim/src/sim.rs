@@ -279,11 +279,6 @@ impl<M: SimMessage> Simulation<M> {
         self.core.underlay.as_ref()
     }
 
-    /// Mutable access to the underlay (for scenario setup).
-    pub fn underlay_mut(&mut self) -> Option<&mut Underlay> {
-        self.core.underlay.as_mut()
-    }
-
     /// The number of processes added so far (shard plans must cover all).
     #[must_use]
     pub fn process_count(&self) -> usize {
@@ -388,15 +383,6 @@ impl<M: SimMessage> Simulation<M> {
             mix(value);
         }
         h
-    }
-
-    /// `(offered, delivered, dropped)` stats of a pipe.
-    #[must_use]
-    pub fn pipe_stats(&self, pipe: PipeId) -> (u64, u64, u64) {
-        self.core.pipes[pipe.0]
-            .as_ref()
-            .expect("pipe checked out to a shard")
-            .stats()
     }
 
     /// Downcasts a process to its concrete type (read-only).

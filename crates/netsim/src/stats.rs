@@ -4,16 +4,12 @@
 //! primitives here focus on the quantities the paper talks about: delivery
 //! latency percentiles, jitter, loss/overhead ratios, and fairness indices.
 
-use serde::{Deserialize, Serialize};
-
-use crate::time::SimDuration;
-
 /// Exact percentile sampler: stores every observation.
 ///
 /// Simulations in this workspace record at most a few million samples per
 /// flow, so exact storage is affordable and avoids sketch error in the
 /// reported percentiles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Percentiles {
     samples: Vec<f64>,
     sorted: bool,
@@ -33,11 +29,6 @@ impl Percentiles {
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
         self.sorted = false;
-    }
-
-    /// Adds a duration observation in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
     }
 
     /// Number of observations.
@@ -133,7 +124,7 @@ impl Extend<f64> for Percentiles {
 /// Names are looked up by string; a holder with a few names it bumps on
 /// every event resolves them once with [`Counters::with_fixed`] and bumps
 /// them by index. Readers cannot tell the two apart.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counters {
     map: std::collections::BTreeMap<String, u64>,
     /// Names resolved once; `slots[i]` counts `fixed[i]`.

@@ -38,24 +38,22 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a city (a point of presence where routers/data centers live).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CityId(pub usize);
 
 /// Identifies an ISP backbone network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IspId(pub usize);
 
 /// Identifies a router (one ISP's presence in one city).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub usize);
 
 /// Identifies a fiber link between two routers of the same ISP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UEdgeId(pub usize);
 
 /// Speed of light in fiber, roughly 200 km per millisecond.
@@ -64,7 +62,7 @@ pub const FIBER_KM_PER_MS: f64 = 200.0;
 pub const FIBER_ROUTE_FACTOR: f64 = 1.2;
 
 /// How an overlay link maps onto the underlay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attachment {
     /// Both endpoints use the same provider; traffic stays on one backbone.
     OnNet(IspId),
@@ -300,18 +298,6 @@ pub struct Underlay {
 }
 
 impl Underlay {
-    /// Number of cities.
-    #[must_use]
-    pub fn city_count(&self) -> usize {
-        self.cities.len()
-    }
-
-    /// Number of ISPs.
-    #[must_use]
-    pub fn isp_count(&self) -> usize {
-        self.isps.len()
-    }
-
     /// Name of a city.
     ///
     /// # Panics
@@ -338,12 +324,6 @@ impl Underlay {
             .map(IspId)
             .filter(|isp| self.isps[isp.0].router_in(city).is_some())
             .collect()
-    }
-
-    /// All fiber edges of one ISP.
-    #[must_use]
-    pub fn isp_edges(&self, isp: IspId) -> &[UEdgeId] {
-        &self.isps[isp.0].edges
     }
 
     /// The `(city, city)` endpoints of a fiber edge.
@@ -394,12 +374,6 @@ impl Underlay {
     #[must_use]
     pub fn min_link_latency(&self) -> Option<SimDuration> {
         self.edges.iter().map(|e| e.latency).min()
-    }
-
-    /// Whether an edge is currently operational.
-    #[must_use]
-    pub fn edge_up(&self, edge: UEdgeId) -> bool {
-        self.edges[edge.0].up
     }
 
     /// The fiber edges (across all ISPs) with at least one endpoint within

@@ -780,7 +780,7 @@ impl<T: Transport> NodeRuntime<T> {
             if let Some(recv) = c.recv.values().next() {
                 received += recv.received;
                 duplicates += recv.app_duplicates;
-                let mut lat = recv.latency_ms.clone();
+                let mut lat = recv.latency_ms();
                 if let Some(q) = lat.quantile(0.5) {
                     p50_ms = Json::F64(q);
                 }
@@ -999,7 +999,7 @@ mod tests {
         // median (the 200 µs poll this loop replaced added 1.0 ms).
         let path_ms = 2.0 * (scenario.hop_ms + HOP_PROCESSING.as_millis_f64());
         let recv = runtimes[2].clients()[0].recv.values().next().unwrap();
-        let p50_ms = recv.latency_ms.clone().quantile(0.5).unwrap();
+        let p50_ms = recv.latency_ms().quantile(0.5).unwrap();
         assert!(
             p50_ms >= path_ms && p50_ms <= path_ms + 0.6,
             "one-way p50 {p50_ms:.3} ms over an emulated path of {path_ms:.3} ms"

@@ -6,16 +6,15 @@
 //! addressing scheme of the Internet. Anycast and multicast are implemented
 //! similarly as part of the IP space, just like in IP" (§II-B).
 
-use serde::{Deserialize, Serialize};
 use son_topo::NodeId;
 
 /// A virtual port on an overlay node, scoping one client connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualPort(pub u16);
 
 /// A unicast overlay address: the overlay node a client is connected to plus
 /// its virtual port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OverlayAddr {
     /// The overlay node serving the client.
     pub node: NodeId,
@@ -41,7 +40,7 @@ impl std::fmt::Display for OverlayAddr {
 }
 
 /// A multicast/anycast group identifier, part of the overlay address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl std::fmt::Display for GroupId {
@@ -51,7 +50,7 @@ impl std::fmt::Display for GroupId {
 }
 
 /// Where a flow's packets are headed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Destination {
     /// Exactly one client at one overlay node.
     Unicast(OverlayAddr),
@@ -86,7 +85,7 @@ impl std::fmt::Display for Destination {
 /// address and the destination. Flow-based processing keys its state on this
 /// ([§II-C]: "a flow consists of a source, one or more destinations, and the
 /// overlay services selected for that flow").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     /// The source client's overlay address.
     pub src: OverlayAddr,
@@ -95,7 +94,7 @@ pub struct FlowKey {
 }
 
 /// `Destination` flattened into an `Ord`-friendly key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DestKey {
     /// See [`Destination::Unicast`].
     Unicast(OverlayAddr),

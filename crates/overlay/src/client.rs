@@ -84,10 +84,6 @@ pub struct ClientConfig {
 /// Receive-side metrics of one incoming flow at this client.
 #[derive(Debug, Default, Clone)]
 pub struct FlowRecv {
-    /// One-way delivery latencies, in milliseconds.
-    pub latency_ms: Percentiles,
-    /// Per-packet delay variation (|Δ latency|), in milliseconds.
-    pub jitter_ms: Percentiles,
     /// Packets delivered.
     pub received: u64,
     /// Application-level duplicates (same seq delivered twice) — must stay
@@ -100,14 +96,27 @@ pub struct FlowRecv {
     /// Arrival times of deliveries (for gap/outage analysis).
     pub arrivals: Vec<(SimTime, u64)>,
     /// Per-delivery one-way latencies in milliseconds, parallel to
-    /// `arrivals` (for delivered-within-deadline analysis).
+    /// `arrivals`.
     pub latencies_ms: Vec<f64>,
     seen: std::collections::HashSet<u64>,
-    last_latency_ms: Option<f64>,
     last_seq: u64,
 }
 
 impl FlowRecv {
+    /// One-way delivery latencies, in milliseconds.
+    #[must_use]
+    pub fn latency_ms(&self) -> Percentiles {
+        self.latencies_ms.iter().copied().collect()
+    }
+
+    /// Per-packet delay variation (|Δ latency| between successive
+    /// deliveries), in milliseconds.
+    #[must_use]
+    pub fn jitter_ms(&self) -> Percentiles {
+        let successive = self.latencies_ms.windows(2);
+        successive.map(|w| (w[1] - w[0]).abs()).collect()
+    }
+
     /// Deliveries whose one-way latency was within `deadline`.
     #[must_use]
     pub fn within_deadline(&self, deadline: SimDuration) -> u64 {
@@ -286,11 +295,6 @@ impl ClientProcess {
             return;
         }
         let latency = now.saturating_since(created_at).as_millis_f64();
-        r.latency_ms.record(latency);
-        if let Some(prev) = r.last_latency_ms {
-            r.jitter_ms.record((latency - prev).abs());
-        }
-        r.last_latency_ms = Some(latency);
         if seq < r.last_seq {
             r.out_of_order += 1;
         }
@@ -418,8 +422,8 @@ mod tests {
         assert_eq!(r.received, 2);
         assert_eq!(r.app_duplicates, 1);
         assert_eq!(r.max_seq, 2);
-        assert_eq!(r.latency_ms.samples(), &[10.0, 12.0]);
-        assert_eq!(r.jitter_ms.samples(), &[2.0]);
+        assert_eq!(r.latency_ms().samples(), &[10.0, 12.0]);
+        assert_eq!(r.jitter_ms().samples(), &[2.0]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use son_netsim::sim::Ctx;
 use son_obs::DropClass;
 
 use crate::addr::FlowKey;
-use crate::linkproto::{FifoLink, ItPriorityLink, LinkProto, LinkProtoStats};
+use crate::linkproto::{LinkProto, LinkProtoStats};
 use crate::packet::Wire;
 use crate::service::LinkService;
 
@@ -71,36 +71,6 @@ impl OverlayNode {
             total.dropped += s.dropped;
         }
         total
-    }
-
-    /// Per-source forwarded counts of a link's IT-Priority scheduler
-    /// (downcast helper for fairness experiments).
-    #[must_use]
-    pub fn it_priority_forwarded(
-        &self,
-        link: usize,
-    ) -> Option<Vec<(crate::addr::OverlayAddr, u64)>> {
-        let proto = self.links.get(link)?.protos[LinkService::ItPriority.slot()].as_ref();
-        let any: &dyn std::any::Any = proto as &dyn std::any::Any;
-        any.downcast_ref::<ItPriorityLink>().map(|p| {
-            p.forwarded_by_source()
-                .iter()
-                .map(|(&a, &c)| (a, c))
-                .collect()
-        })
-    }
-
-    /// Per-source forwarded counts of a link's FIFO baseline.
-    #[must_use]
-    pub fn fifo_forwarded(&self, link: usize) -> Option<Vec<(crate::addr::OverlayAddr, u64)>> {
-        let proto = self.links.get(link)?.protos[LinkService::Fifo.slot()].as_ref();
-        let any: &dyn std::any::Any = proto as &dyn std::any::Any;
-        any.downcast_ref::<FifoLink>().map(|p| {
-            p.forwarded_by_source()
-                .iter()
-                .map(|(&a, &c)| (a, c))
-                .collect()
-        })
     }
 }
 

@@ -514,17 +514,6 @@ impl OverlayNode {
         report
     }
 
-    /// Total frames queued across every protocol instance of every incident
-    /// link — the node-wide backlog a telemetry snapshot reports.
-    #[must_use]
-    pub fn queue_depth_total(&self) -> u64 {
-        self.links
-            .iter()
-            .flat_map(|port| port.protos.iter())
-            .map(|proto| proto.queue_depth() as u64)
-            .sum()
-    }
-
     /// Per-link health in local link order: queue backlog plus the
     /// watchdog's verdict (suspended / probing), `false` on both when the
     /// watchdog is disabled.

@@ -6,12 +6,11 @@
 //! routing and link protocols that best supports their particular demands"
 //! (§II-B).
 
-use serde::{Deserialize, Serialize};
 use son_netsim::time::SimDuration;
 use son_topo::EdgeMask;
 
 /// The routing-level service of a flow (Fig. 2, Routing level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingService {
     /// Hop-by-hop forwarding on the current shortest path, recomputed from
     /// shared connectivity state (sub-second rerouting).
@@ -22,7 +21,7 @@ pub enum RoutingService {
 }
 
 /// How the ingress computes the source-route stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceRoute {
     /// `k` minimum-latency node-disjoint paths; survives any `k-1`
     /// compromised nodes (§IV-B).
@@ -41,7 +40,7 @@ pub enum SourceRoute {
 }
 
 /// The link-level service of a flow (Fig. 2, Link level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkService {
     /// Stateless per-hop forwarding; no recovery.
     BestEffort,
@@ -72,7 +71,7 @@ pub enum LinkService {
 }
 
 /// Parameters of the FEC link protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FecParams {
     /// Data packets per block.
     pub k: u8,
@@ -165,7 +164,7 @@ pub(crate) fn slot_label(slot: usize) -> &'static str {
 }
 
 /// Parameters of the NM-Strikes real-time link protocol (Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RealtimeParams {
     /// Number of retransmission requests the receiver schedules per missing
     /// packet ("N strikes").
@@ -233,7 +232,7 @@ impl RealtimeParams {
 
 /// Message priority for Intrusion-Tolerant Priority messaging: higher values
 /// are kept longer when a source's buffer fills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -253,7 +252,7 @@ impl Default for Priority {
 
 /// Everything a client selects for one flow: routing service, link service,
 /// delivery semantics, and an optional end-to-end deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Routing-level protocol.
     pub routing: RoutingService,

@@ -149,13 +149,9 @@ fn delay_adversary_destroys_timeliness_not_delivery() {
     );
     sim.run_until(SimTime::from_secs(5));
     let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let mut recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let recv = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
     assert_eq!(recv.received, sent, "delay adversary loses nothing");
-    let min = recv.latency_ms.quantile(0.0).unwrap();
+    let min = recv.latency_ms().quantile(0.0).unwrap();
     assert!(
         min > 170.0,
         "every packet carries the 150ms penalty: {min}ms"
@@ -543,14 +539,10 @@ fn misrouting_node_is_corrected_by_downstream_routing() {
     );
     sim.run_until(SimTime::from_secs(5));
     let sent = sim.proc_ref::<ClientProcess>(t1).unwrap().sent(1);
-    let mut recv = sim
-        .proc_ref::<ClientProcess>(r1)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let recv = sim.proc_ref::<ClientProcess>(r1).unwrap().sole_recv();
     assert_eq!(recv.received, sent, "downstream nodes correct the misroute");
     // The detour 0-1-2-3 costs 27ms+ vs the intended 20ms path.
-    let p50 = recv.latency_ms.median().unwrap();
+    let p50 = recv.latency_ms().median().unwrap();
     assert!(p50 > 26.0, "latency {p50}ms must show the detour");
     let misrouted: u64 = overlay
         .daemons
@@ -646,14 +638,10 @@ fn off_net_placement_crosses_peering_points() {
     );
     sim.run_until(SimTime::from_secs(5));
     let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let mut recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let recv = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
     assert_eq!(recv.received, sent);
     // 2 x 1000km at 1.2/200 + 1ms peering + processing + IPC ~= 13.3ms.
-    let p50 = recv.latency_ms.median().unwrap();
+    let p50 = recv.latency_ms().median().unwrap();
     assert!((13.0..14.5).contains(&p50), "off-net latency {p50}ms");
 }
 

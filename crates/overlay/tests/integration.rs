@@ -78,7 +78,7 @@ fn best_effort_unicast_delivers_over_chain() {
     assert_eq!(r.received, 100);
     assert_eq!(r.app_duplicates, 0);
     // Two 10ms hops + processing + IPC: ~20.5ms one way.
-    let mean = r.latency_ms.mean().unwrap();
+    let mean = r.latency_ms().mean().unwrap();
     assert!((20.0..22.0).contains(&mean), "mean latency {mean}ms");
 }
 
@@ -171,7 +171,7 @@ fn realtime_flow_meets_deadline_under_bursty_loss() {
         "NM-Strikes should recover bursts: {delivered_frac}"
     );
     assert_eq!(r.app_duplicates, 0);
-    let max = r.latency_ms.max().unwrap();
+    let max = r.latency_ms().max().unwrap();
     assert!(
         max <= 200.0 + 0.2,
         "every delivery within the bound: {max}ms"
@@ -622,7 +622,7 @@ fn deterministic_end_to_end() {
         );
         sim.run_until(SimTime::from_secs(10));
         let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
-        (r.received, r.latency_ms.samples().to_vec())
+        (r.received, r.latencies_ms.clone())
     };
     assert_eq!(run(42), run(42), "same seed, same trace");
     let (a, _) = run(42);
@@ -706,7 +706,7 @@ fn routing_avoids_lossy_links_once_quality_is_learned() {
         sent
     );
     // And the detour's latency (~20ms + overheads) confirms the path taken.
-    let p50 = r.latency_ms.clone().median().unwrap();
+    let p50 = r.latency_ms().median().unwrap();
     assert!(
         p50 > 19.5,
         "p50 {p50}ms indicates the detour, not the 18ms direct link"

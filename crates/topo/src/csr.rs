@@ -13,12 +13,14 @@
 //! `TopoSnapshot::new` over the already-compiled shape costs one `Vec<f64>`,
 //! and an *unchanged* link-state advertisement costs nothing at all.
 //!
-//! [`TopoSnapshot::spt_with`] runs an index-based Dijkstra over the CSR
-//! arrays into an owned [`Spt`] — the same tree [`dijkstra_with`] produces,
-//! plus a dense per-destination first-hop table so a forwarding lookup is
-//! O(1) instead of a parent-chain walk. A [`SptScratch`] carries the
-//! binary heap and work stack across runs so steady-state route
-//! recomputation performs no per-call heap allocation beyond the result.
+//! This module holds the crate's one shortest-path engine: an index-based
+//! Dijkstra over the CSR arrays into an owned [`Spt`] — distances, tree
+//! parents and a dense per-destination first-hop table, so a forwarding
+//! lookup is O(1) instead of a parent-chain walk. [`TopoSnapshot::spt_with`]
+//! runs it with a [`SptScratch`] that carries the binary heap and work stack
+//! across runs, so steady-state route recomputation performs no per-call
+//! heap allocation beyond the result; [`dijkstra_with`] runs it on a plain
+//! `&Graph` for the one-shot source-route algorithms.
 //!
 //! [`dijkstra_with`]: crate::dijkstra::dijkstra_with
 
@@ -26,6 +28,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
+use crate::dijkstra::Path;
 use crate::graph::{EdgeId, EdgeMask, Graph, NodeId};
 
 /// Sentinel for "no node / no edge" in the dense `u32` tables.
@@ -91,10 +94,8 @@ pub struct TopoSnapshot {
 impl TopoSnapshot {
     /// Freezes a graph into a snapshot, compiling the CSR arrays unless an
     /// earlier snapshot of the same shape already did. Neighbor order is
-    /// preserved exactly, so tie-breaking matches [`dijkstra_with`] run on
-    /// the source graph.
-    ///
-    /// [`dijkstra_with`]: crate::dijkstra::dijkstra_with
+    /// preserved exactly, so equal-cost ties break the way the source
+    /// graph's edge order says.
     #[must_use]
     pub fn new(graph: Graph) -> Self {
         let _ = graph.csr();
@@ -188,7 +189,7 @@ impl TopoSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range.
+    /// Panics if `src` is out of range or a cost is negative/NaN.
     #[must_use]
     pub fn spt_with<F: Fn(EdgeId) -> f64>(
         &self,
@@ -207,8 +208,7 @@ impl TopoSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range or a cost is negative/NaN (debug
-    /// builds).
+    /// Panics if `src` is out of range or a cost is negative/NaN.
     pub fn spt_with_into<F: Fn(EdgeId) -> f64>(
         &self,
         src: NodeId,
@@ -216,54 +216,65 @@ impl TopoSnapshot {
         scratch: &mut SptScratch,
         out: &mut Spt,
     ) {
-        let n = self.node_count();
-        assert!(src.0 < n, "source out of range");
-        let csr = self.graph.csr();
-        out.src = src;
-        out.dist.clear();
-        out.dist.resize(n, f64::INFINITY);
-        out.parent_node.clear();
-        out.parent_node.resize(n, NONE);
-        out.parent_edge.clear();
-        out.parent_edge.resize(n, NONE);
-        scratch.heap.clear();
+        spt_with_into(&self.graph, src, cost, scratch, out);
+    }
+}
 
-        out.dist[src.0] = 0.0;
-        scratch.heap.push(HeapEntry {
-            dist: 0.0,
-            node: src.0 as u32,
-        });
-        while let Some(HeapEntry { dist: d, node: u }) = scratch.heap.pop() {
-            let u = u as usize;
-            if d > out.dist[u] {
+/// The shortest-path engine: index-based Dijkstra from `src` over the
+/// compiled CSR arrays of `graph`'s shape, into `out`.
+pub(crate) fn spt_with_into<F: Fn(EdgeId) -> f64>(
+    graph: &Graph,
+    src: NodeId,
+    cost: F,
+    scratch: &mut SptScratch,
+    out: &mut Spt,
+) {
+    let n = graph.node_count();
+    assert!(src.0 < n, "source out of range");
+    let csr = graph.csr();
+    out.src = src;
+    out.dist.clear();
+    out.dist.resize(n, f64::INFINITY);
+    out.parent_node.clear();
+    out.parent_node.resize(n, NONE);
+    out.parent_edge.clear();
+    out.parent_edge.resize(n, NONE);
+    scratch.heap.clear();
+
+    out.dist[src.0] = 0.0;
+    scratch.heap.push(HeapEntry {
+        dist: 0.0,
+        node: src.0 as u32,
+    });
+    while let Some(HeapEntry { dist: d, node: u }) = scratch.heap.pop() {
+        let u = u as usize;
+        if d > out.dist[u] {
+            continue;
+        }
+        for i in csr.slots(u) {
+            let e = csr.adj_edge[i];
+            let w = cost(EdgeId(e as usize));
+            if w == f64::INFINITY {
                 continue;
             }
-            for i in csr.slots(u) {
-                let e = csr.adj_edge[i];
-                let w = cost(EdgeId(e as usize));
-                if w == f64::INFINITY {
-                    continue;
-                }
-                debug_assert!(w >= 0.0 && !w.is_nan(), "negative or NaN edge cost");
-                let v = csr.adj_node[i] as usize;
-                let nd = d + w;
-                // Deterministic tie-break: keep the lower-indexed parent
-                // edge (matches `dijkstra_with` on the source graph).
-                if nd < out.dist[v]
-                    || (nd == out.dist[v] && out.parent_edge[v] != NONE && e < out.parent_edge[v])
-                {
-                    out.dist[v] = nd;
-                    out.parent_node[v] = u as u32;
-                    out.parent_edge[v] = e;
-                    scratch.heap.push(HeapEntry {
-                        dist: nd,
-                        node: v as u32,
-                    });
-                }
+            assert!(w >= 0.0, "negative or NaN edge cost");
+            let v = csr.adj_node[i] as usize;
+            let nd = d + w;
+            // Deterministic tie-break: keep the lower-indexed parent edge.
+            if nd < out.dist[v]
+                || (nd == out.dist[v] && out.parent_edge[v] != NONE && e < out.parent_edge[v])
+            {
+                out.dist[v] = nd;
+                out.parent_node[v] = u as u32;
+                out.parent_edge[v] = e;
+                scratch.heap.push(HeapEntry {
+                    dist: nd,
+                    node: v as u32,
+                });
             }
         }
-        out.fill_first_hops(&mut scratch.stack);
     }
+    out.fill_first_hops(&mut scratch.stack);
 }
 
 impl Graph {
@@ -382,6 +393,30 @@ impl Spt {
         })
     }
 
+    /// Reconstructs the full path to `dst`, or `None` if unreachable.
+    #[must_use]
+    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
+        if !self.reaches(dst) {
+            return None;
+        }
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        while cur != self.src {
+            let (p, e) = self.parent(cur)?;
+            nodes.push(p);
+            edges.push(e);
+            cur = p;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path {
+            nodes,
+            edges,
+            cost: self.dist[dst.0],
+        })
+    }
+
     /// The union of tree edges reaching every node in `targets` — a
     /// source-rooted multicast tree restricted to the interested members.
     #[must_use]
@@ -481,7 +516,6 @@ impl std::fmt::Debug for HeapEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra_with;
 
     /// A 6-node graph: a cheap long chain 0-1-2-5 (cost 3) and an expensive
     /// direct edge 0-5 (cost 10), plus a pendant 3-4 component.
@@ -548,22 +582,103 @@ mod tests {
         let _ = g().with_weights(vec![1.0]);
     }
 
+    /// The pointer-graph Dijkstra the CSR engine replaced, kept as the
+    /// reference it must match bit for bit: `(dist, parent)` per node.
+    fn reference_dijkstra<F: Fn(EdgeId) -> f64>(
+        graph: &Graph,
+        src: NodeId,
+        cost: F,
+    ) -> (Vec<f64>, Vec<Option<(NodeId, EdgeId)>>) {
+        #[derive(PartialEq)]
+        struct Entry(f64, NodeId);
+        impl Eq for Entry {}
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                let by_dist = other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal);
+                by_dist.then_with(|| other.1.cmp(&self.1))
+            }
+        }
+        let n = graph.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.0] = 0.0;
+        heap.push(Entry(0.0, src));
+        while let Some(Entry(d, u)) = heap.pop() {
+            if d > dist[u.0] {
+                continue;
+            }
+            for (v, e) in graph.neighbors(u) {
+                let w = cost(e);
+                if w == f64::INFINITY {
+                    continue;
+                }
+                let nd = d + w;
+                if nd < dist[v.0]
+                    || (nd == dist[v.0] && parent[v.0].is_some_and(|(_, pe)| e.0 < pe.0))
+                {
+                    dist[v.0] = nd;
+                    parent[v.0] = Some((u, e));
+                    heap.push(Entry(nd, v));
+                }
+            }
+        }
+        (dist, parent)
+    }
+
+    /// A 24-node unit ring with weight-2 chords over every other pair of
+    /// ring edges: each chord ties with the two edges it spans, so the
+    /// lower-edge-id tie-break decides parents from every root.
+    fn ring_with_ties() -> Graph {
+        let n = 24;
+        let mut g = Graph::new(n);
+        for i in 0..n {
+            g.add_edge(NodeId(i), NodeId((i + 1) % n), 1.0);
+        }
+        for i in (0..n).step_by(2) {
+            g.add_edge(NodeId(i), NodeId((i + 2) % n), 2.0);
+        }
+        g
+    }
+
     #[test]
     fn spt_matches_graph_dijkstra() {
-        let graph = g();
-        let snap = graph.freeze();
-        let mut scratch = SptScratch::new();
-        for src in graph.nodes() {
-            let reference = dijkstra_with(&graph, src, |e| graph.weight(e));
-            let spt = snap.spt(src, &mut scratch);
-            for v in graph.nodes() {
-                assert_eq!(spt.dist(v), reference.dist(v), "dist {src}->{v}");
-                assert_eq!(spt.parent(v), reference.parent(v), "parent {src}->{v}");
-                assert_eq!(
-                    spt.next_hop(v),
-                    reference.next_hop(v),
-                    "next_hop {src}->{v}"
-                );
+        for graph in [g(), ring_with_ties()] {
+            let snap = graph.freeze();
+            let mut scratch = SptScratch::new();
+            // Plain weights, then the way `kshortest`/`dissemination` call
+            // it: a third of the edges masked out with an infinite cost.
+            for masked in [false, true] {
+                let cost = |e: EdgeId| {
+                    if masked && e.0 % 3 == 1 {
+                        f64::INFINITY
+                    } else {
+                        graph.weight(e)
+                    }
+                };
+                for src in graph.nodes() {
+                    let (dist, parent) = reference_dijkstra(&graph, src, cost);
+                    let spt = snap.spt_with(src, cost, &mut scratch);
+                    for v in graph.nodes() {
+                        let d = dist[v.0];
+                        assert_eq!(spt.dist(v), d.is_finite().then_some(d), "dist {src}->{v}");
+                        assert_eq!(spt.parent(v), parent[v.0], "parent {src}->{v}");
+                        // The first hop is the last node before the source
+                        // on the reference's parent chain.
+                        let mut hop = None;
+                        let mut cur = v;
+                        while let Some((p, e)) = parent[cur.0] {
+                            hop = Some((cur, e));
+                            cur = p;
+                        }
+                        assert_eq!(spt.next_hop(v), hop, "next_hop {src}->{v}");
+                    }
+                }
             }
         }
     }
@@ -601,17 +716,6 @@ mod tests {
         }
         assert_eq!(spt.next_hop(NodeId(0)), None, "no hop to self");
         assert_eq!(spt.next_hop(NodeId(4)), None, "no hop to unreachable");
-    }
-
-    #[test]
-    fn tree_mask_matches_graph_version() {
-        let graph = g();
-        let snap = graph.freeze();
-        let mut scratch = SptScratch::new();
-        let spt = snap.spt(NodeId(0), &mut scratch);
-        let reference = dijkstra_with(&graph, NodeId(0), |e| graph.weight(e));
-        let targets = [NodeId(2), NodeId(5)];
-        assert_eq!(spt.tree_mask(&targets), reference.tree_mask(&targets));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Shortest paths over the overlay topology (the basis of link-state
-//! routing, multicast trees, and anycast target selection).
+//! routing, multicast trees, and anycast target selection): the [`Path`]
+//! type and the `&Graph` entry points to the one engine in
+//! [`csr`](crate::csr).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
+use crate::csr::{spt_with_into, Spt, SptScratch};
 use crate::graph::{EdgeId, EdgeMask, Graph, NodeId};
 
 /// A single path through the overlay: the nodes visited and the edges taken.
@@ -51,138 +51,13 @@ impl Path {
     }
 }
 
-/// The shortest-path tree from one source, as produced by [`dijkstra`].
-#[derive(Debug, Clone)]
-pub struct ShortestPaths {
-    src: NodeId,
-    dist: Vec<f64>,
-    /// For each node, the (parent node, edge to parent) on the tree.
-    parent: Vec<Option<(NodeId, EdgeId)>>,
-}
-
-impl ShortestPaths {
-    /// The source this tree was computed from.
-    #[must_use]
-    pub fn src(&self) -> NodeId {
-        self.src
-    }
-
-    /// Distance to `node`, or `None` if unreachable.
-    #[must_use]
-    pub fn dist(&self, node: NodeId) -> Option<f64> {
-        let d = self.dist[node.0];
-        d.is_finite().then_some(d)
-    }
-
-    /// Whether `node` is reachable from the source.
-    #[must_use]
-    pub fn reaches(&self, node: NodeId) -> bool {
-        self.dist[node.0].is_finite()
-    }
-
-    /// The tree parent of `node`: the previous node on its shortest path and
-    /// the edge connecting them. `None` for the source and unreachable nodes.
-    #[must_use]
-    pub fn parent(&self, node: NodeId) -> Option<(NodeId, EdgeId)> {
-        self.parent[node.0]
-    }
-
-    /// The first hop (neighbor of the source) on the way to `dst`, or `None`
-    /// if unreachable or `dst` is the source. This is what a link-state
-    /// forwarding table stores.
-    #[must_use]
-    pub fn next_hop(&self, dst: NodeId) -> Option<(NodeId, EdgeId)> {
-        if dst == self.src || !self.reaches(dst) {
-            return None;
-        }
-        let mut cur = dst;
-        let mut hop = self.parent[cur.0]?;
-        while hop.0 != self.src {
-            cur = hop.0;
-            hop = self.parent[cur.0]?;
-        }
-        // `hop` is (src, edge src->cur); report the neighbor, i.e. `cur`.
-        Some((cur, hop.1))
-    }
-
-    /// Reconstructs the full path to `dst`, or `None` if unreachable.
-    #[must_use]
-    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
-        if !self.reaches(dst) {
-            return None;
-        }
-        let mut nodes = vec![dst];
-        let mut edges = Vec::new();
-        let mut cur = dst;
-        while cur != self.src {
-            let (p, e) = self.parent[cur.0]?;
-            nodes.push(p);
-            edges.push(e);
-            cur = p;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path {
-            nodes,
-            edges,
-            cost: self.dist[dst.0],
-        })
-    }
-
-    /// The union of tree edges reaching every node in `targets` — a
-    /// source-rooted multicast tree restricted to the interested members.
-    #[must_use]
-    pub fn tree_mask(&self, targets: &[NodeId]) -> EdgeMask {
-        let mut mask = EdgeMask::EMPTY;
-        for &t in targets {
-            if !self.reaches(t) {
-                continue;
-            }
-            let mut cur = t;
-            while cur != self.src {
-                let Some((p, e)) = self.parent[cur.0] else {
-                    break;
-                };
-                if mask.contains(e) {
-                    break; // the rest of the branch is already in the tree
-                }
-                mask.insert(e);
-                cur = p;
-            }
-        }
-        mask
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance, tie-broken by node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
 /// Runs Dijkstra's algorithm from `src` using the graph's edge weights.
 ///
 /// # Panics
 ///
 /// Panics if `src` is out of range.
 #[must_use]
-pub fn dijkstra(graph: &Graph, src: NodeId) -> ShortestPaths {
+pub fn dijkstra(graph: &Graph, src: NodeId) -> Spt {
     dijkstra_with(graph, src, |e| graph.weight(e))
 }
 
@@ -190,42 +65,17 @@ pub fn dijkstra(graph: &Graph, src: NodeId) -> ShortestPaths {
 /// `f64::INFINITY` are treated as absent (e.g. links currently down), as are
 /// edges outside any mask the caller encodes into the cost function.
 ///
+/// One-shot form of [`TopoSnapshot::spt_with`](crate::csr::TopoSnapshot::spt_with)
+/// for callers that hold a plain `&Graph` and no scratch space.
+///
 /// # Panics
 ///
 /// Panics if `src` is out of range or a cost is negative/NaN.
 #[must_use]
-pub fn dijkstra_with<F: Fn(EdgeId) -> f64>(graph: &Graph, src: NodeId, cost: F) -> ShortestPaths {
-    assert!(src.0 < graph.node_count(), "source out of range");
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.0] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if d > dist[u.0] {
-            continue;
-        }
-        for (v, e) in graph.neighbors(u) {
-            let w = cost(e);
-            if w == f64::INFINITY {
-                continue;
-            }
-            assert!(w >= 0.0 && !w.is_nan(), "negative or NaN edge cost");
-            let nd = d + w;
-            // Deterministic tie-break: keep the lower-indexed parent edge.
-            if nd < dist[v.0] || (nd == dist[v.0] && parent[v.0].is_some_and(|(_, pe)| e.0 < pe.0))
-            {
-                dist[v.0] = nd;
-                parent[v.0] = Some((u, e));
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
-    }
-    ShortestPaths { src, dist, parent }
+pub fn dijkstra_with<F: Fn(EdgeId) -> f64>(graph: &Graph, src: NodeId, cost: F) -> Spt {
+    let mut out = Spt::empty();
+    spt_with_into(graph, src, cost, &mut SptScratch::new(), &mut out);
+    out
 }
 
 /// Shortest path between two nodes, or `None` if disconnected.
@@ -297,6 +147,18 @@ mod tests {
         let p = sp.path_to(NodeId(5)).unwrap();
         assert_eq!(p.edges, vec![EdgeId(3)]);
         assert_eq!(p.cost, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN edge cost")]
+    fn negative_cost_is_rejected() {
+        let _ = dijkstra_with(&g(), NodeId(0), |_| -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN edge cost")]
+    fn nan_cost_is_rejected() {
+        let _ = dijkstra_with(&g(), NodeId(0), |_| f64::NAN);
     }
 
     #[test]

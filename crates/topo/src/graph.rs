@@ -12,17 +12,15 @@ use core::ops::{BitAnd, BitOr, BitOrAssign, Not};
 use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 
 /// Identifies an overlay node within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifies an undirected overlay link within a [`Graph`]; doubles as the
 /// bit index in an [`EdgeMask`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -47,7 +45,7 @@ const WORDS: usize = MAX_EDGES / 64;
 
 /// A fixed-size bitmask over overlay links: bit *i* set means the packet
 /// should traverse edge *i* (the paper's unified source-route stamp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EdgeMask {
     words: [u64; WORDS],
 }
@@ -241,7 +239,7 @@ impl Clone for Shape {
 /// assert_eq!(g.neighbors(NodeId(1)).count(), 2);
 /// # let _ = bc;
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     shape: Arc<Shape>,
     weights: Vec<f64>,

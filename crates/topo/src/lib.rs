@@ -6,8 +6,10 @@
 //!
 //! * [`graph`] — the overlay [`Graph`] and the unified source-route
 //!   [`EdgeMask`] (one bit per overlay link, §II-B).
-//! * [`mod@dijkstra`] — shortest paths / shortest-path trees (link-state
-//!   routing, multicast trees).
+//! * [`csr`] — the frozen [`TopoSnapshot`] and the crate's one
+//!   shortest-path engine; every tree anywhere in the crate is an [`Spt`].
+//! * [`mod@dijkstra`] — [`Path`] and the `&Graph` entry points to that
+//!   engine (link-state routing, multicast trees).
 //! * [`disjoint`] — minimum-cost k node-disjoint paths (intrusion-tolerant
 //!   redundant dissemination, §IV-B).
 //! * [`dissemination`] — dissemination graphs with targeted redundancy at
@@ -50,7 +52,7 @@ pub mod multicast;
 pub mod spanner;
 
 pub use csr::{Spt, SptScratch, TopoSnapshot};
-pub use dijkstra::{dijkstra, dijkstra_with, shortest_path, Path, ShortestPaths};
+pub use dijkstra::{dijkstra, dijkstra_with, shortest_path, Path};
 pub use disjoint::{are_node_disjoint, k_node_disjoint_paths, DisjointPaths};
 pub use dissemination::{
     constrained_flooding, destination_problematic_graph, robust_dissemination_graph,

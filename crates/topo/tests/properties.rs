@@ -1,8 +1,9 @@
 //! Property-based tests over randomly generated overlay topologies.
 //!
 //! Invariants checked:
-//! * Dijkstra's distances satisfy the triangle inequality along returned
-//!   paths, and path costs equal the sum of their edge weights.
+//! * From every root, `Spt::path_to` agrees with `dist` (bit for bit) and
+//!   with walking `parent`, path costs equal the sum of their edge weights,
+//!   and distances satisfy the triangle inequality.
 //! * `k_node_disjoint_paths` returns genuinely node-disjoint valid paths,
 //!   with the first equal in cost to the plain shortest path.
 //! * With k disjoint paths, removing any k-1 interior nodes leaves the
@@ -15,7 +16,7 @@
 //!   an edge, and nothing done to a clone is visible in its source.
 
 use proptest::prelude::*;
-use son_topo::dijkstra::{dijkstra, shortest_path};
+use son_topo::dijkstra::{dijkstra, shortest_path, Path};
 use son_topo::disjoint::{are_node_disjoint, k_node_disjoint_paths};
 use son_topo::dissemination::{connects, robust_dissemination_graph};
 use son_topo::graph::{Graph, NodeId};
@@ -49,15 +50,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn dijkstra_path_cost_equals_edge_sum(g in arb_connected_graph()) {
-        let sp = dijkstra(&g, NodeId(0));
-        for v in g.nodes() {
-            let path = sp.path_to(v).expect("connected graph");
-            let edge_sum: f64 = path.edges.iter().map(|&e| g.weight(e)).sum();
-            prop_assert!((path.cost - edge_sum).abs() < 1e-9);
-            prop_assert_eq!(path.nodes.len(), path.edges.len() + 1);
-            prop_assert_eq!(*path.nodes.first().unwrap(), NodeId(0));
-            prop_assert_eq!(path.dst(), v);
+    fn spt_path_to_matches_dist_and_parents(g in arb_connected_graph()) {
+        // The same graph plus one isolated node, so "unreachable" occurs.
+        let island = NodeId(g.node_count());
+        let mut with_island = Graph::new(g.node_count() + 1);
+        for e in g.edges() {
+            let (a, b) = g.endpoints(e);
+            with_island.add_edge(a, b, g.weight(e));
+        }
+        for src in g.nodes() {
+            let sp = dijkstra(&with_island, src);
+            prop_assert_eq!(sp.path_to(island), None);
+            prop_assert_eq!(sp.path_to(src), Some(Path::trivial(src)));
+            for v in g.nodes() {
+                let path = sp.path_to(v).expect("connected graph");
+                prop_assert_eq!(path.nodes[0], src);
+                prop_assert_eq!(path.dst(), v);
+                prop_assert_eq!(path.edges.len(), path.nodes.len() - 1);
+                prop_assert_eq!(path.cost.to_bits(), sp.dist(v).unwrap().to_bits());
+                let edge_sum: f64 = path.edges.iter().map(|&e| g.weight(e)).sum();
+                prop_assert!((path.cost - edge_sum).abs() < 1e-9);
+                // Walking `parent()` back from `v` retraces the path.
+                let mut cur = v;
+                for (&node, &edge) in path.nodes.iter().zip(&path.edges).rev() {
+                    prop_assert_eq!(sp.parent(cur), Some((node, edge)));
+                    cur = node;
+                }
+                prop_assert_eq!(cur, src);
+                prop_assert_eq!(sp.parent(cur), None);
+            }
         }
     }
 

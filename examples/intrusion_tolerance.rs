@@ -119,7 +119,7 @@ fn main() {
     let commands_sent = center_client.sent(1);
     let sub_client = sim.proc_ref::<ClientProcess>(substation).unwrap();
     let commands = sub_client.recv.values().next().cloned().unwrap_or_default();
-    let mut telemetry_lat = telemetry.latency_ms.clone();
+    let mut telemetry_lat = telemetry.latency_ms();
 
     println!(
         "attack: {} blackhole nodes + 1 flooder (2000 pps at the control center)\n",

@@ -65,7 +65,7 @@ fn main() {
         .unwrap()
         .sole_recv()
         .clone();
-    let mut lat = recv.latency_ms.clone();
+    let mut lat = recv.latency_ms();
     println!("sent             : {sent}");
     println!(
         "delivered        : {} ({}%)",

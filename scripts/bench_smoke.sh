@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
-# Smoke-runs the data-plane benchmark suite: every criterion group in quick
-# mode plus the throughput and scale macro-benchmarks in --smoke mode. The
-# smoke runs write their rows to scratch files, so the committed
-# BENCH_forwarding.json / BENCH_scale.json (full-run results) are left
-# untouched, and `son-exp gate` holds the fresh rows against the committed
-# ones: each gate line below is one check, and a missing row or field fails
-# it by name.
+# Smoke-runs the throughput and scale macro-benchmarks in --smoke mode (the
+# per-layer micro-measurements are the repo benchmark's probes, see
+# BENCHMARK.json). The smoke runs write their rows to scratch files, so the
+# committed BENCH_forwarding.json / BENCH_scale.json (full-run results) are
+# left untouched, and `son-exp gate` holds the fresh rows against the
+# committed ones: each gate line below is one check, and a missing row or
+# field fails it by name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 son_exp() { cargo run --release -q -p son-bench --bin son-exp -- "$@"; }
-
-echo "==> cargo bench --workspace (smoke: --test)"
-cargo bench --workspace -- --test
 
 echo "==> son-exp throughput --smoke"
 FWD=target/obs/BENCH_forwarding.smoke.json

@@ -26,6 +26,13 @@ scripts/bench_smoke.sh
 
 echo "==> benchmark crate (outside the workspace: tests + one quick workload)"
 scripts/benchmark_smoke.sh
+# benchmark/ and BENCHMARK.json change only in a [benchmark] PR of their own.
+# (Cargo.lock is left out: cargo rewrites it when a workspace crate's
+# dependencies change.)
+git diff --quiet -- BENCHMARK.json benchmark/src benchmark/Cargo.toml || {
+    echo "ERROR: BENCHMARK.json or benchmark/ differs from HEAD" >&2
+    exit 1
+}
 
 son_exp() { cargo run --release -q -p son-bench --bin son-exp -- "$@"; }
 

@@ -261,7 +261,7 @@ fn main() -> ExitCode {
         .next()
         .cloned()
         .unwrap_or_default();
-    let mut lat = recv.latency_ms.clone();
+    let mut lat = recv.latency_ms();
     println!(
         "deployment : {label}, service={} routing={}",
         args.service, args.routing
