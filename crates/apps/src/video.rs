@@ -29,15 +29,6 @@ impl VideoProfile {
         }
     }
 
-    /// High-definition feed: 20 Mbit/s.
-    #[must_use]
-    pub fn broadcast_hd() -> Self {
-        VideoProfile {
-            bitrate_bps: 20_000_000,
-            packet_size: 1316,
-        }
-    }
-
     /// A lighter proxy/preview stream.
     #[must_use]
     pub fn proxy() -> Self {
@@ -102,14 +93,6 @@ impl GopProfile {
             p_frame_bytes: 18_000,
             packet_size: 1316,
         }
-    }
-
-    /// Average bitrate in bits per second.
-    #[must_use]
-    pub fn mean_bitrate_bps(&self) -> u64 {
-        let per_gop = self.i_frame_bytes + self.p_frame_bytes * (self.gop_len as usize - 1);
-        let gops_per_sec = f64::from(self.fps) / f64::from(self.gop_len);
-        (per_gop as f64 * 8.0 * gops_per_sec) as u64
     }
 
     /// Builds the packet schedule for `duration` of stream starting at
@@ -231,8 +214,6 @@ mod tests {
         // 1316 B * 8 / 8e6 = 1.316 ms per packet.
         assert!((p.packet_interval().as_millis_f64() - 1.316).abs() < 1e-9);
         assert_eq!(p.packets_in(SimDuration::from_secs(1)), 759);
-        let hd = VideoProfile::broadcast_hd();
-        assert!(hd.packet_interval() < p.packet_interval());
     }
 
     #[test]
@@ -307,14 +288,6 @@ mod tests {
         assert!(sched.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(sched.first().unwrap().0 >= SimTime::from_secs(1));
         assert!(sched.last().unwrap().0 < SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn gop_mean_bitrate() {
-        let g = GopProfile::standard();
-        let bps = g.mean_bitrate_bps();
-        // (90000 + 14*18000) * 8 * 2 = 5.47 Mbit/s.
-        assert!((5_400_000..5_600_000).contains(&bps), "{bps}");
     }
 
     #[test]

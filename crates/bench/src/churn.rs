@@ -365,25 +365,28 @@ impl ChurnRun {
             }
         });
 
-        // With CHURN_DEBUG set, explain a non-converged horizon: which
-        // survivor cannot route where, and whose membership view disagrees.
-        if std::env::var("CHURN_DEBUG").is_ok() {
-            let live: Vec<NodeId> = (0..n).filter(|&i| expected_up[i]).map(NodeId).collect();
-            for &a in &live {
-                let node = fleet.node(a);
-                for &b in &live {
-                    if a != b && !node.reaches(b) {
-                        eprintln!("DEBUG: {a:?} does not reach {b:?}");
-                    }
+        // A horizon that ends unconverged explains itself: which survivor
+        // cannot route where, and whose membership view disagrees.
+        let live: Vec<NodeId> = (0..n).filter(|&i| expected_up[i]).map(NodeId).collect();
+        for &a in &live {
+            let node = fleet.node(a);
+            for &b in &live {
+                if a != b && !node.reaches(b) {
+                    eprintln!(
+                        "churn {}: at the horizon {a:?} does not reach {b:?}",
+                        self.label
+                    );
                 }
-                if membership_on {
-                    let mem = node.membership().unwrap();
-                    if mem.up_members() != live {
-                        let up = mem.up_members();
-                        let missing: Vec<_> = live.iter().filter(|x| !up.contains(x)).collect();
-                        let extra: Vec<_> = up.iter().filter(|x| !live.contains(x)).collect();
-                        eprintln!("DEBUG: {a:?} view wrong: missing {missing:?} extra {extra:?}");
-                    }
+            }
+            if let Some(mem) = node.membership() {
+                let up = mem.up_members();
+                if up != live {
+                    let missing: Vec<_> = live.iter().filter(|x| !up.contains(x)).collect();
+                    let extra: Vec<_> = up.iter().filter(|x| !live.contains(x)).collect();
+                    eprintln!(
+                        "churn {}: at the horizon {a:?} misses {missing:?} and still lists {extra:?}",
+                        self.label
+                    );
                 }
             }
         }

@@ -545,9 +545,9 @@ impl Comparison {
 pub fn run(opts: &Opts) {
     let smoke = opts.smoke;
     let base_port = 47_600;
-    let dir = PathBuf::from(
-        std::env::var("UDP_PARITY_DIR").unwrap_or_else(|_| "target/obs/udp_parity".to_owned()),
-    );
+    let dir = son_obs::obs_dir()
+        .expect("the cluster's scenario and result files need the export directory")
+        .join("udp_parity");
 
     let mut comparisons = vec![compare(e1_scenario(smoke), 0.05, base_port, &dir)];
     if !smoke {

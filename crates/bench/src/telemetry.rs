@@ -17,12 +17,11 @@
 
 use std::collections::BTreeMap;
 
-use son_obs::snapshot::{HistDigest, TelemetrySnapshot};
-use son_obs::Json;
+use son_obs::snapshot::TelemetrySnapshot;
+use son_obs::{Json, LatencyHistogram};
 
-/// Telemetry epoch assumed for staleness accounting, ns. Matches the
-/// emitter's default (`son_node::TELEMETRY_EPOCH_NS`).
-pub const EPOCH_NS: u64 = 500_000_000;
+/// Telemetry epoch assumed for staleness accounting, ns: the emitter's.
+pub use son_node::TELEMETRY_EPOCH_NS as EPOCH_NS;
 
 /// Epochs of silence after which a node is considered departed (left or
 /// crashed) rather than stale: it is excluded from the `stale` roll-up —
@@ -95,7 +94,7 @@ impl ClusterState {
                     // Straggler from a previous incarnation.
                     ns.dup += 1;
                 } else if snap.seq > ns.max_seq {
-                    ns.lost += snap.seq - ns.max_seq - 1;
+                    ns.lost = ns.lost.saturating_add(snap.seq - ns.max_seq - 1);
                     ns.max_seq = snap.seq;
                     ns.latest = snap;
                 } else {
@@ -148,12 +147,12 @@ impl ClusterState {
     /// Sums the `total` of every counter whose key starts with `prefix`
     /// across each node's latest snapshot.
     fn sum_totals(&self, prefix: &str) -> u64 {
-        self.nodes
+        sum(self
+            .nodes
             .values()
             .flat_map(|n| n.latest.counters.iter())
             .filter(|c| key_name(&c.key) == prefix || c.key.starts_with(prefix))
-            .map(|c| c.total)
-            .sum()
+            .map(|c| c.total))
     }
 
     /// The cluster roll-up `son-top` renders and gates on. `top_n` bounds
@@ -190,9 +189,9 @@ impl ClusterState {
             .filter(|&epochs| epochs < DEPART_EPOCHS)
             .max()
             .unwrap_or(0);
-        let lost: u64 = self.nodes.values().map(|n| n.lost).sum();
-        let dup: u64 = self.nodes.values().map(|n| n.dup).sum();
-        let restarts: u64 = self.nodes.values().map(|n| n.latest.restarts).sum();
+        let lost = sum(self.nodes.values().map(|n| n.lost));
+        let dup = sum(self.nodes.values().map(|n| n.dup));
+        let restarts = sum(self.nodes.values().map(|n| n.latest.restarts));
 
         let sent = self.sum_totals("flow.sent");
         let delivered = self.sum_totals("node.delivered_local");
@@ -208,11 +207,12 @@ impl ClusterState {
             for c in &n.latest.counters {
                 let name = key_name(&c.key);
                 if name.starts_with("drop.") {
-                    *drops.entry(name).or_insert(0) += c.total;
+                    let drops = drops.entry(name).or_insert(0);
+                    *drops = drops.saturating_add(c.total);
                 }
             }
         }
-        let drops_total: u64 = drops.values().sum();
+        let drops_total = sum(drops.values().copied());
 
         let reroutes = self.sum_totals("reroutes");
         let span_s = latest_at.saturating_sub(first_at) as f64 / 1e9;
@@ -222,28 +222,20 @@ impl ClusterState {
             0.0
         };
 
-        let mut suspended = 0u64;
-        let mut probing = 0u64;
-        let mut queue_depth = 0u64;
-        let mut flows = 0u64;
-        let mut footprint = 0u64;
-        for n in self.nodes.values() {
-            suspended += n.latest.health.links.iter().filter(|l| l.suspended).count() as u64;
-            probing += n.latest.health.links.iter().filter(|l| l.probing).count() as u64;
-            queue_depth += n.latest.health.queue_depth;
-            flows += n.latest.health.flows;
-            footprint += n.latest.health.footprint_bytes;
-        }
+        let health = || self.nodes.values().map(|n| &n.latest.health);
+        let all_links = || health().flat_map(|h| h.links.iter());
+        let suspended = all_links().filter(|l| l.suspended).count() as u64;
+        let probing = all_links().filter(|l| l.probing).count() as u64;
+        let queue_depth = sum(health().map(|h| h.queue_depth));
+        let flows = sum(health().map(|h| h.flows));
+        let footprint = sum(health().map(|h| h.footprint_bytes));
 
-        // Cluster delivery latency: merge every node's latest digest.
-        let mut latency = HistDigest {
-            min: u64::MAX,
-            ..HistDigest::default()
-        };
+        // Cluster delivery latency: merge every node's latest histogram.
+        let mut latency = LatencyHistogram::new();
         for n in self.nodes.values() {
             for h in &n.latest.hists {
                 if key_name(&h.key) == "node.delivery_latency_ns" {
-                    latency.merge(&h.digest);
+                    latency.merge(&h.hist);
                 }
             }
         }
@@ -287,8 +279,8 @@ impl ClusterState {
                 if key_name(&c.key).starts_with("flow.") {
                     if let Some(flow) = key_label(&c.key, "flow") {
                         let e = flow_heat.entry(flow.to_owned()).or_insert((0, 0));
-                        e.0 += c.delta;
-                        e.1 += c.total;
+                        e.0 = e.0.saturating_add(c.delta);
+                        e.1 = e.1.saturating_add(c.total);
                     }
                 }
             }
@@ -352,6 +344,11 @@ impl ClusterState {
     }
 }
 
+/// A total of values that remote senders chose: it saturates.
+fn sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
+}
+
 /// The counter name of a registry key: everything before the label block.
 #[must_use]
 pub fn key_name(key: &str) -> &str {
@@ -402,9 +399,15 @@ pub fn sim_telemetry(
 mod tests {
     use super::*;
     use crate::Gate;
-    use son_obs::snapshot::{CounterDelta, LinkHealth, NodeHealth};
+    use proptest::prelude::*;
+    use son_obs::snapshot::{CounterDelta, LinkHealth, NamedDigest, NodeHealth};
+    use son_obs::{TELEMETRY_MAGIC, TELEMETRY_VERSION};
 
     fn snap(node: u32, seq: u64, sent: u64, delivered: u64) -> TelemetrySnapshot {
+        let mut hist = LatencyHistogram::new();
+        for v in [90, 1_000, 2_500, 2_500_000] {
+            hist.record(v);
+        }
         TelemetrySnapshot {
             node,
             seq,
@@ -441,7 +444,10 @@ mod tests {
                     delta: 0,
                 },
             ],
-            hists: vec![],
+            hists: vec![NamedDigest {
+                key: format!("node.delivery_latency_ns{{node={node}}}"),
+                hist,
+            }],
         }
     }
 
@@ -581,5 +587,92 @@ mod tests {
             via_rows.rollup(10).to_json(),
             "one schema, two transports, same roll-up"
         );
+    }
+
+    /// Every number a well-formed frame can carry is one a remote sender
+    /// chose: two nodes claiming the largest of each still roll up.
+    #[test]
+    fn well_formed_extremes_do_not_overflow_the_rollup() {
+        let mut c = ClusterState::new();
+        for node in 0..2 {
+            for seq in [0, u64::MAX] {
+                let mut s = snap(node, 0, 0, 0);
+                (s.seq, s.at_ns, s.uptime_ns) = (seq, seq, seq);
+                s.restarts = u64::MAX;
+                s.health.queue_depth = u64::MAX;
+                s.health.flows = u64::MAX;
+                s.health.footprint_bytes = u64::MAX;
+                for counter in &mut s.counters {
+                    (counter.total, counter.delta) = (u64::MAX, u64::MAX);
+                }
+                s.hists[0].hist = LatencyHistogram::from_sparse(
+                    u64::MAX,
+                    u128::MAX,
+                    0,
+                    u64::MAX,
+                    [(64, u64::MAX)],
+                )
+                .unwrap();
+                c.ingest_bytes(&s.encode().unwrap());
+            }
+        }
+        assert_eq!(c.decode_errors, 0);
+        let r = c.rollup(5);
+        assert_eq!(r.get("sent").and_then(Json::as_u64), Some(u64::MAX));
+        assert_eq!(r.get("lost").and_then(Json::as_u64), Some(u64::MAX));
+        assert!(Json::parse(&r.to_json()).is_ok());
+    }
+
+    /// Every single-byte change of a valid frame is either refused by the
+    /// decoder or rolls up next to an intact neighbor.
+    #[test]
+    fn single_byte_mutations_never_panic_the_collector() {
+        let frame = snap(1, 3, 100, 90).encode().unwrap();
+        let (mut refused, mut accepted) = (0, 0);
+        for at in 0..frame.len() {
+            for byte in [0x00, 0xff, frame[at] ^ 0x80, frame[at].wrapping_add(1)] {
+                let mut c = ClusterState::new();
+                c.ingest(snap(0, 3, 100, 90));
+                let mut bad = frame.clone();
+                bad[at] = byte;
+                c.ingest_bytes(&bad);
+                refused += c.decode_errors;
+                accepted += 1 - c.decode_errors;
+                let _ = c.rollup(5).to_json();
+            }
+        }
+        assert!(
+            refused > 0 && accepted > 0,
+            "{refused} refused, {accepted} accepted"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever lands on the collector's socket — noise, noise behind a
+        /// valid header, a valid frame with a few bytes rewritten — goes
+        /// through decode, ingest and roll-up without a panic.
+        fn no_datagram_panics_the_collector(
+            noise in proptest::collection::vec(any::<u8>(), 0..400),
+            edits in proptest::collection::vec((0usize..4096, any::<u8>()), 1..5),
+        ) {
+            let mut c = ClusterState::new();
+            c.ingest_bytes(&noise);
+            let mut framed = vec![TELEMETRY_MAGIC, TELEMETRY_VERSION, 1, 0];
+            framed.extend_from_slice(&(noise.len() as u32).to_le_bytes());
+            framed.extend_from_slice(&noise);
+            c.ingest_bytes(&framed);
+            for node in 0..3 {
+                let mut frame = snap(node, 3, 100, 90).encode().unwrap();
+                for &(at, byte) in &edits {
+                    let at = (at + node as usize) % frame.len();
+                    frame[at] = byte;
+                }
+                c.ingest_bytes(&frame);
+            }
+            prop_assert!(c.snapshots() + c.decode_errors == 5);
+            prop_assert!(Json::parse(&c.rollup(5).to_json()).is_ok());
+        }
     }
 }

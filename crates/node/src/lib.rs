@@ -26,13 +26,12 @@ pub mod scenario;
 pub mod transport;
 
 use std::any::Any;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::HashMap;
 use std::io;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use son_netsim::driver::{Driver, Transport};
-use son_netsim::hash::MintedHasher;
+use son_netsim::event::{EventId, EventQueue};
 use son_netsim::link::PipeId;
 use son_netsim::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
 use son_netsim::rng::SimRng;
@@ -74,7 +73,6 @@ pub const TELEMETRY_EPOCH_NS: u64 = 500_000_000;
 struct TelemetryEmitter {
     socket: std::net::UdpSocket,
     producer: SnapshotProducer,
-    every_ns: u64,
     next_ns: u64,
 }
 
@@ -87,14 +85,10 @@ pub fn unix_now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Timer ids are minted from one counter, like the simulator's event ids.
-type TimerSet = HashSet<u64, BuildHasherDefault<MintedHasher>>;
-
-/// What the run loop does with a heap entry once it is due.
+/// What the run loop does with a queue entry once it is due.
 #[derive(Debug)]
 enum Due {
-    /// Fire `pid`'s timer, unless it was cancelled meanwhile. The entry's
-    /// `seq` is the timer's id.
+    /// Fire `pid`'s timer. The entry's [`EventId`] is the timer's id.
     Timer { pid: ProcessId, token: u64 },
     /// Hand a local IPC message to a colocated process (boxed: a [`Wire`]
     /// is ten times the size of the other variants).
@@ -111,45 +105,6 @@ enum Due {
         bytes: Vec<u8>,
     },
 }
-
-/// A [`Due`] scheduled for an absolute instant. Ordered so that the
-/// max-heap pops the smallest `(due_ns, seq)` first: earliest deadline, and
-/// scheduling order among equal deadlines.
-#[derive(Debug)]
-struct At {
-    due_ns: u64,
-    seq: u64,
-    due: Due,
-}
-
-impl At {
-    /// Whether this is the leftover entry of a cancelled timer.
-    fn is_cancelled(&self, live_timers: &TimerSet) -> bool {
-        matches!(self.due, Due::Timer { .. }) && !live_timers.contains(&self.seq)
-    }
-}
-
-impl PartialEq for At {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due_ns, self.seq) == (other.due_ns, other.seq)
-    }
-}
-impl Eq for At {}
-impl PartialOrd for At {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for At {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due_ns, other.seq).cmp(&(self.due_ns, self.seq))
-    }
-}
-
-/// Cancelled timers must outnumber both the live heap entries and this
-/// floor before the heap is rebuilt without them (the rule
-/// `son_netsim::event::EventQueue` uses for its tombstones).
-const COMPACT_FLOOR: usize = 64;
 
 /// One direction of one emulated overlay link.
 #[derive(Debug, Clone)]
@@ -169,10 +124,10 @@ struct PipeEnd {
     outage: Option<(u64, u64)>,
 }
 
-/// The wall-clock [`Driver`]: epoch-anchored time, one deadline heap
-/// against the system clock for timers, local IPC and frames serving their
-/// emulated link latency, and sends that encode through the wire codec
-/// after sender-side link emulation.
+/// The wall-clock [`Driver`]: epoch-anchored time, the simulator's
+/// [`EventQueue`] read against the system clock for timers, local IPC and
+/// frames serving their emulated link latency, and sends that encode through
+/// the wire codec after sender-side link emulation.
 ///
 /// Time is frozen for the duration of one handler dispatch (the runtime
 /// refreshes it between dispatches), preserving the simulator's discipline
@@ -185,12 +140,9 @@ pub struct RealDriver {
     link_rng: SimRng,
     counters: Counters,
     pipes: Vec<PipeEnd>,
-    due: BinaryHeap<At>,
-    /// Ids of the timers in `due` that have not been cancelled.
-    live_timers: TimerSet,
-    /// Cancelled timers whose entry is still in `due`.
-    dead_timers: usize,
-    next_seq: u64,
+    /// Deadlines in nanoseconds since the epoch, earliest first and in
+    /// scheduling order among equals.
+    due: EventQueue<Due>,
     daemon: ProcessId,
 }
 
@@ -206,10 +158,7 @@ impl RealDriver {
             link_rng: root.fork("links"),
             counters: Counters::new(),
             pipes,
-            due: BinaryHeap::new(),
-            live_timers: TimerSet::default(),
-            dead_timers: 0,
-            next_seq: 0,
+            due: EventQueue::new(),
             daemon: ProcessId(0),
         }
     }
@@ -231,42 +180,23 @@ impl RealDriver {
         }
     }
 
-    /// Schedules `due` for `delay` after the frozen `now` and returns the
-    /// entry's sequence number.
-    fn schedule(&mut self, delay: SimDuration, due: Due) -> u64 {
-        self.next_seq += 1;
-        self.due.push(At {
-            due_ns: self.now.as_nanos() + delay.as_nanos(),
-            seq: self.next_seq,
-            due,
-        });
-        self.next_seq
+    /// Schedules `due` for `delay` after the frozen `now`.
+    fn schedule(&mut self, delay: SimDuration, due: Due) -> EventId {
+        self.due.schedule(self.now + delay, due)
     }
 
-    /// The earliest entry due at or before `now_ns`, cancelled timers
-    /// dropped on the way.
+    /// The earliest entry due at or before `now_ns`.
     fn pop_due(&mut self, now_ns: u64) -> Option<Due> {
         if self.next_deadline_ns()? > now_ns {
             return None;
         }
-        let at = self.due.pop().expect("a live head was just peeked");
-        if matches!(at.due, Due::Timer { .. }) {
-            self.live_timers.remove(&at.seq);
-        }
-        Some(at.due)
+        self.due.pop().map(|(_, due)| due)
     }
 
-    /// When the earliest live entry is due, if there is one. Cancelled
-    /// timers at the head are popped, not slept toward.
+    /// When the earliest entry is due, if there is one (a cancelled timer
+    /// is never slept toward: the queue drops it on the way).
     fn next_deadline_ns(&mut self) -> Option<u64> {
-        loop {
-            let head = self.due.peek()?;
-            if !head.is_cancelled(&self.live_timers) {
-                return Some(head.due_ns);
-            }
-            self.due.pop();
-            self.dead_timers -= 1;
-        }
+        self.due.peek_time().map(SimTime::as_nanos)
     }
 
     /// The driver's counter set (deliveries, drops by class, bytes).
@@ -328,22 +258,12 @@ impl Driver<Wire> for RealDriver {
 
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId {
         let id = self.schedule(delay, Due::Timer { pid, token });
-        self.live_timers.insert(id);
-        TimerId::from_raw(id)
+        TimerId::from_raw(id.as_raw())
     }
 
     fn cancel_timer(&mut self, _pid: ProcessId, timer: TimerId) -> bool {
-        if !self.live_timers.remove(&timer.as_raw()) {
-            return false;
-        }
-        self.dead_timers += 1;
-        let live = self.due.len() - self.dead_timers;
-        if self.dead_timers > live.max(COMPACT_FLOOR) {
-            let live_timers = &self.live_timers;
-            self.due.retain(|at| !at.is_cancelled(live_timers));
-            self.dead_timers = 0;
-        }
-        true
+        // Handles come only from `set_timer` above, so an id names a timer.
+        self.due.cancel(EventId::from_raw(timer.as_raw()))
     }
 
     fn reverse_pipe(&self, pipe: PipeId) -> Option<PipeId> {
@@ -429,22 +349,20 @@ impl<T: Transport> NodeRuntime<T> {
         }
         let mut node = OverlayNode::new(me, topo.clone(), keys, config);
 
-        // Mirror the builder's phase-3 wiring: neighbors in topology order,
-        // one provider pipe pair per edge, out at 2k and in at 2k+1.
+        // One provider pipe pair per edge, out at 2k and in at 2k+1; the
+        // scenario's link emulation rides on the outbound end.
         let mut pipes = Vec::new();
-        let mut links = Vec::new();
-        let mut in_regs = Vec::new();
         let mut in_pipes = HashMap::new();
-        for (neighbor, e) in topo.neighbors(me) {
-            let weight = topo.weight(e);
-            let latency = SimDuration::from_millis_f64(weight) + HOP_PROCESSING;
+        node.wire_topology(|e, neighbor| {
+            let peer = neighbor.0 as u32;
+            let latency = SimDuration::from_millis_f64(topo.weight(e)) + HOP_PROCESSING;
             let victim = scenario.outage.filter(|o| {
-                let (a, b) = (me.0 as u32, neighbor.0 as u32);
-                (o.a, o.b) == (a, b) || (o.a, o.b) == (b, a)
+                let me = me.0 as u32;
+                (o.a, o.b) == (me, peer) || (o.a, o.b) == (peer, me)
             });
             let out_pipe = PipeId(pipes.len());
             pipes.push(PipeEnd {
-                peer: neighbor.0 as u32,
+                peer,
                 provider: 0,
                 outbound: true,
                 latency,
@@ -453,21 +371,16 @@ impl<T: Transport> NodeRuntime<T> {
             });
             let in_pipe = PipeId(pipes.len());
             pipes.push(PipeEnd {
-                peer: neighbor.0 as u32,
+                peer,
                 provider: 0,
                 outbound: false,
                 latency,
                 loss: 0.0,
                 outage: None,
             });
-            in_regs.push((in_pipe, links.len(), 0));
-            in_pipes.insert((neighbor.0 as u32, 0u8), in_pipe);
-            links.push((e, neighbor, vec![out_pipe], weight));
-        }
-        node.wire_links(links);
-        for (pipe, link, prov) in in_regs {
-            node.register_in_pipe(pipe, link, prov);
-        }
+            in_pipes.insert((peer, 0u8), in_pipe);
+            vec![(out_pipe, in_pipe)]
+        });
 
         let mut procs: Vec<Option<Box<dyn Process<Wire>>>> = vec![Some(Box::new(node))];
         if me.0 == scenario.to as usize {
@@ -530,7 +443,6 @@ impl<T: Transport> NodeRuntime<T> {
         self.telemetry = Some(TelemetryEmitter {
             socket,
             producer: SnapshotProducer::new(self.me.0 as u32),
-            every_ns: TELEMETRY_EPOCH_NS,
             next_ns: 0,
         });
         Ok(())
@@ -543,7 +455,7 @@ impl<T: Transport> NodeRuntime<T> {
         };
         if now_ns >= tel.next_ns {
             while tel.next_ns <= now_ns {
-                tel.next_ns += tel.every_ns;
+                tel.next_ns += TELEMETRY_EPOCH_NS;
             }
             let node = self.node();
             let health = node.telemetry_health();
@@ -836,46 +748,33 @@ impl<T: Transport> NodeRuntime<T> {
         ])
     }
 
-    /// This daemon's trace-ring rows, each with a `wall_ns` key appended:
-    /// the absolute wall-clock instant (`epoch + at_ns`), so rows exported
-    /// by different processes of a cluster merge onto one clock.
+    /// `row` with a `wall_ns` key appended: the absolute wall-clock instant
+    /// (`epoch + at_ns`), so rows exported by different processes of a
+    /// cluster merge onto one clock.
+    fn on_wall_clock(&self, mut row: Json, at_ns: u64) -> Json {
+        if let Json::Obj(ref mut pairs) = row {
+            let wall_ns = self.driver.epoch_ns.saturating_add(at_ns);
+            pairs.push(("wall_ns".to_owned(), Json::U64(wall_ns)));
+        }
+        row
+    }
+
+    /// This daemon's trace-ring rows, each with its `wall_ns`.
     #[must_use]
     pub fn trace_rows(&self) -> Vec<Json> {
-        self.node()
-            .obs()
-            .traces()
-            .events()
-            .map(|ev| {
-                let mut row = ev.row();
-                if let Json::Obj(ref mut pairs) = row {
-                    pairs.push((
-                        "wall_ns".to_owned(),
-                        Json::U64(self.driver.epoch_ns.saturating_add(ev.at_ns)),
-                    ));
-                }
-                row
-            })
+        let events = self.node().obs().traces().events();
+        events
+            .map(|ev| self.on_wall_clock(ev.row(), ev.at_ns))
             .collect()
     }
 
     /// This daemon's watchdog audit rows (empty when the watchdog is off),
-    /// with the same `wall_ns` key as the trace rows.
+    /// each with its `wall_ns`.
     #[must_use]
     pub fn watch_rows(&self) -> Vec<Json> {
-        self.node()
-            .obs()
-            .watch_events()
-            .events()
-            .map(|ev| {
-                let mut row = ev.row();
-                if let Json::Obj(ref mut pairs) = row {
-                    pairs.push((
-                        "wall_ns".to_owned(),
-                        Json::U64(self.driver.epoch_ns.saturating_add(ev.at_ns)),
-                    ));
-                }
-                row
-            })
+        let events = self.node().obs().watch_events().events();
+        events
+            .map(|ev| self.on_wall_clock(ev.row(), ev.at_ns))
             .collect()
     }
 }
@@ -1136,6 +1035,8 @@ mod tests {
             !d.cancel_timer(ProcessId(0), kill),
             "second cancel is a no-op"
         );
+        let stats = d.due.stats();
+        assert_eq!((stats.live, stats.tombstones), (1, 1));
         let now = d.now.as_nanos() + 1;
         assert!(matches!(
             d.pop_due(now),
@@ -1146,5 +1047,58 @@ mod tests {
         ));
         assert!(d.pop_due(now).is_none(), "cancelled timer never fires");
         assert!(!d.cancel_timer(ProcessId(0), keep), "it already fired");
+        let stats = d.due.stats();
+        assert_eq!((stats.live, stats.tombstones), (0, 0));
+    }
+
+    /// A timer, a local message and a frame due at the same instant leave
+    /// the queue in the order they entered it, and a fired timer's handle
+    /// stays dead once later entries occupy its slot.
+    #[test]
+    fn same_instant_entries_pop_in_scheduling_order() {
+        let delay = SimDuration::from_micros(50);
+        let out = PipeEnd {
+            peer: 1,
+            provider: 0,
+            outbound: true,
+            latency: delay,
+            loss: 0.0,
+            outage: None,
+        };
+        let mut d = RealDriver::new(unix_now_ns(), 1, NodeId(0), 2, vec![out]);
+        d.refresh_now();
+        let hello = || {
+            Wire::Control(son_overlay::packet::Control::Hello {
+                seq: 1,
+                sent_at: SimTime::ZERO,
+            })
+        };
+        let fired = d.set_timer(ProcessId(0), delay, 7);
+        d.send_direct(ProcessId(1), ProcessId(0), delay, hello());
+        d.send(ProcessId(0), PipeId(0), hello());
+
+        let due_ns = (d.now + delay).as_nanos();
+        assert_eq!(d.next_deadline_ns(), Some(due_ns));
+        assert!(d.pop_due(due_ns - 1).is_none(), "nothing is early");
+        assert!(matches!(
+            d.pop_due(due_ns),
+            Some(Due::Timer { token: 7, .. })
+        ));
+        assert!(matches!(d.pop_due(due_ns), Some(Due::Local { .. })));
+        assert!(matches!(
+            d.pop_due(due_ns),
+            Some(Due::Frame { peer: 1, .. })
+        ));
+        assert!(d.pop_due(due_ns).is_none());
+
+        // Three later timers take the three freed slots.
+        let later: Vec<_> = (0..3)
+            .map(|token| d.set_timer(ProcessId(0), delay, token))
+            .collect();
+        assert!(!d.cancel_timer(ProcessId(0), fired), "it already fired");
+        assert_eq!(d.due.stats().live, 3, "and took no later timer with it");
+        for timer in later {
+            assert!(d.cancel_timer(ProcessId(0), timer));
+        }
     }
 }

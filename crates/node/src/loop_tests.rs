@@ -224,9 +224,10 @@ fn datagram_arriving_mid_wait_is_dispatched_before_the_armed_deadline() {
     assert!(rt.counters().get("loop.wake_readable") >= 3);
 }
 
-/// Cancelling never leaves the heap more than half dead, and the loop does
-/// not sleep toward a cancelled timer: after 100 k set + cancel pairs the
-/// heap is bounded and the next deadline is the one live timer's.
+/// Cancelling never leaves the queue more than half dead (above its floor
+/// of 64 tombstones), and the loop does not sleep toward a cancelled timer:
+/// after 100 k set + cancel pairs the heap is bounded and the next deadline
+/// is the one live timer's.
 #[test]
 fn cancelled_timers_neither_pile_up_nor_set_the_deadline() {
     let mut d = RealDriver::new(unix_now_ns(), 1, NodeId(0), 1, vec![]);
@@ -237,11 +238,13 @@ fn cancelled_timers_neither_pile_up_nor_set_the_deadline() {
     for _ in 0..100_000 {
         let soon = d.set_timer(ProcessId(0), SimDuration::from_millis(1), 2);
         assert!(d.cancel_timer(ProcessId(0), soon));
-        assert!(d.due.len() <= 2 * COMPACT_FLOOR + 2, "{}", d.due.len());
+        let stats = d.due.stats();
+        assert!(stats.live + stats.tombstones <= 2 * 64 + 2, "{stats:?}");
     }
     assert_eq!(d.next_deadline_ns(), Some(now_ns + far.as_nanos()));
+    let stats = d.due.stats();
     assert_eq!(
-        (d.due.len(), d.dead_timers),
+        (stats.live, stats.tombstones),
         (1, 0),
         "dead heads were popped"
     );

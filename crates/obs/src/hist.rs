@@ -13,7 +13,7 @@
 const BUCKETS: usize = 65;
 
 /// A fixed-size log₂-bucketed histogram of durations in nanoseconds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Box<[u64; BUCKETS]>,
     count: u64,
@@ -30,7 +30,7 @@ impl Default for LatencyHistogram {
 
 /// Bucket index for a value: bucket 0 covers `[0, 1]`, bucket `i` (≥ 1)
 /// covers `(2^(i-1), 2^i]`.
-pub(crate) fn bucket_of(v: u64) -> usize {
+fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -39,7 +39,7 @@ pub(crate) fn bucket_of(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` in nanoseconds.
-pub(crate) fn bucket_hi(i: usize) -> u64 {
+fn bucket_hi(i: usize) -> u64 {
     if i == 0 {
         1
     } else if i >= 64 {
@@ -51,7 +51,7 @@ pub(crate) fn bucket_hi(i: usize) -> u64 {
 
 /// Exclusive lower bound of bucket `i` in nanoseconds (inclusive 0 for the
 /// zero bucket).
-pub(crate) fn bucket_lo(i: usize) -> u64 {
+fn bucket_lo(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -70,6 +70,56 @@ impl LatencyHistogram {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Rebuilds a histogram from its sparse form — what
+    /// [`bucket_counts`](Self::bucket_counts), [`count`](Self::count),
+    /// [`sum`](Self::sum), [`min`](Self::min) and [`max`](Self::max) read
+    /// off one — as it arrives in a telemetry frame or row. The parts come
+    /// from outside the program, so everything a later
+    /// [`quantile`](Self::quantile) relies on is checked here.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violation: a bucket index above 64, indices not
+    /// strictly ascending, a zero bucket count, bucket counts that do not
+    /// add up to `count`, or `min > max` on a non-empty histogram.
+    pub fn from_sparse(
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+        buckets: impl IntoIterator<Item = (usize, u64)>,
+    ) -> Result<LatencyHistogram, &'static str> {
+        let mut h = LatencyHistogram::new();
+        let mut next = 0;
+        let mut total = 0u64;
+        for (i, c) in buckets {
+            if i >= BUCKETS {
+                return Err("bucket index above 64");
+            }
+            if i < next {
+                return Err("bucket indices not strictly ascending");
+            }
+            if c == 0 {
+                return Err("empty bucket listed");
+            }
+            total = total
+                .checked_add(c)
+                .ok_or("bucket counts overflow the count")?;
+            h.counts[i] = c;
+            next = i + 1;
+        }
+        if total != count {
+            return Err("bucket counts do not add up to the count");
+        }
+        if count > 0 {
+            if min > max {
+                return Err("min above max");
+            }
+            (h.count, h.sum, h.min, h.max) = (count, sum, min, max);
+        }
+        Ok(h)
     }
 
     /// Records one duration in nanoseconds.
@@ -177,12 +227,14 @@ impl LatencyHistogram {
 
     /// Folds another histogram into this one. Merging is exact: the result
     /// is identical to having recorded every value into one histogram.
+    /// (Counts saturate instead of wrapping: a collector merges histograms
+    /// whose counts remote senders chose.)
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -194,23 +246,15 @@ impl LatencyHistogram {
         self.sum
     }
 
-    /// Non-empty buckets as `(bucket index, count)` — the raw sparse form
-    /// a [`snapshot::HistDigest`](crate::snapshot::HistDigest) serializes.
+    /// Non-empty buckets as `(bucket index, count)`, index-ascending — the
+    /// sparse form a [`TelemetrySnapshot`](crate::TelemetrySnapshot)
+    /// serializes and [`from_sparse`](Self::from_sparse) reads back.
     pub fn bucket_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-
-    /// Non-empty buckets as `(lo_exclusive_ns, hi_inclusive_ns, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
     }
 }
 
@@ -297,6 +341,46 @@ mod tests {
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile(q), combined.quantile(q), "q={q}");
         }
+    }
+
+    /// (`snapshot`'s decoder tests break each rule once more, through a
+    /// frame and a row.)
+    #[test]
+    fn from_sparse_rebuilds_what_the_accessors_read_and_rejects_the_rest() {
+        let mut h = LatencyHistogram::new();
+        for v in [0u64, 1, 2, 3, 90, 2_500_000, u64::MAX] {
+            h.record(v);
+        }
+        let rebuilt =
+            LatencyHistogram::from_sparse(h.count(), h.sum(), h.min(), h.max(), h.bucket_counts());
+        assert_eq!(rebuilt, Ok(h));
+        // Whatever min and max an empty one claims, it is the empty one.
+        assert_eq!(
+            LatencyHistogram::from_sparse(0, 9, 7, 3, []),
+            Ok(LatencyHistogram::new())
+        );
+        let rejected = |count, min, max, buckets: &[(usize, u64)]| {
+            LatencyHistogram::from_sparse(count, 0, min, max, buckets.iter().copied()).unwrap_err()
+        };
+        assert_eq!(rejected(1, 0, 0, &[(65, 1)]), "bucket index above 64");
+        let order = "bucket indices not strictly ascending";
+        assert_eq!(rejected(2, 0, 9, &[(3, 1), (2, 1)]), order);
+        assert_eq!(rejected(2, 0, 9, &[(3, 1), (3, 1)]), order);
+        assert_eq!(rejected(1, 0, 9, &[(3, 1), (4, 0)]), "empty bucket listed");
+        let short = "bucket counts do not add up to the count";
+        assert_eq!(rejected(3, 0, 9, &[(3, 1), (4, 1)]), short);
+        assert_eq!(
+            rejected(u64::MAX, 0, 9, &[(3, u64::MAX), (4, 1)]),
+            "bucket counts overflow the count"
+        );
+        assert_eq!(rejected(1, 10, 9, &[(3, 1)]), "min above max");
+
+        // Two as full as the encoding allows merge without wrapping.
+        let full = LatencyHistogram::from_sparse(u64::MAX, u128::MAX, 5, 8, [(3, u64::MAX)]);
+        let mut twice = full.clone().unwrap();
+        twice.merge(&full.unwrap());
+        assert_eq!((twice.count(), twice.sum()), (u64::MAX, u128::MAX));
+        assert_eq!(twice.quantile(0.5), 6);
     }
 
     proptest! {

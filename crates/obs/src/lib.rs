@@ -45,8 +45,8 @@ pub use perf::{perf_rows, PerfRegistry, PerfSpan, PerfStageStats, PerfToken, PER
 pub use registry::{CounterId, GaugeId, HistId, InstrumentDesc, Registry};
 pub use ring::Ring;
 pub use snapshot::{
-    CounterDelta, HistDigest, LinkHealth, NamedDigest, NodeHealth, SnapshotProducer,
-    TelemetryError, TelemetrySnapshot, TELEMETRY_MAGIC, TELEMETRY_VERSION,
+    CounterDelta, LinkHealth, NamedDigest, NodeHealth, SnapshotProducer, TelemetryError,
+    TelemetrySnapshot, TELEMETRY_MAGIC, TELEMETRY_VERSION,
 };
 pub use taxonomy::DropClass;
 pub use timeseries::{TimeSeriesRing, TsSample};

@@ -375,12 +375,6 @@ impl PerfRegistry {
         elapsed_ns / elapsed_ticks
     }
 
-    /// Number of distinct stage labels recorded so far (0 while disabled).
-    #[must_use]
-    pub fn stage_count(&self) -> usize {
-        self.inner.borrow().stages.len()
-    }
-
     /// Total closed-span count across all stages.
     #[must_use]
     pub fn total_count(&self) -> u64 {
@@ -569,7 +563,7 @@ mod tests {
             spin(&reg, "also_never", 1_000);
             reg.exit(t);
         }
-        assert_eq!(reg.stage_count(), 0, "disabled profiler interned a label");
+        assert_eq!(reg.stats().len(), 0, "disabled profiler interned a label");
         assert_eq!(reg.total_count(), 0);
         assert!(reg.stats().is_empty());
         assert!(perf_rows(&reg).is_empty());
@@ -607,7 +601,7 @@ mod tests {
             reg.exit(u);
             reg.exit(t);
         }
-        assert_eq!(reg.stage_count(), 1, "unsampled trees must intern nothing");
+        assert_eq!(reg.stats().len(), 1, "unsampled trees must intern nothing");
         assert_eq!(reg.total_count(), 1);
     }
 
@@ -621,11 +615,11 @@ mod tests {
         reg.exit(skipped);
         // ...but the outstanding token still closes its frame.
         reg.exit(t);
-        assert_eq!(reg.stage_count(), 1);
+        assert_eq!(reg.stats().len(), 1);
         assert_eq!(reg.total_count(), 1);
         reg.set_enabled(true);
         spin(&reg, "later", 100);
-        assert_eq!(reg.stage_count(), 2);
+        assert_eq!(reg.stats().len(), 2);
     }
 
     #[test]

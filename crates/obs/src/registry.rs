@@ -212,12 +212,6 @@ impl Registry {
         self.counters[id.0]
     }
 
-    /// Current value of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0]
-    }
-
     /// Read access to a histogram.
     #[must_use]
     pub fn hist(&self, id: HistId) -> &LatencyHistogram {
@@ -390,7 +384,7 @@ mod tests {
         let mut r = Registry::new();
         let g = r.gauge("link.window", &[]);
         r.set(g, 12.5);
-        assert_eq!(r.gauge_value(g), 12.5);
+        assert_eq!(r.gauges().next().map(|(_, v)| v), Some(12.5));
         let h = r.histogram("link.recovery_ns", &[("proto", "reliable")]);
         r.observe(h, 1_000);
         r.observe(h, 3_000);

@@ -31,8 +31,6 @@ pub struct Ring<T> {
     recorded: u64,
     /// Next item to drain, in recorded-stream coordinates.
     cursor: u64,
-    /// Items evicted before any drain saw them.
-    missed: u64,
 }
 
 impl<T> Ring<T> {
@@ -49,7 +47,6 @@ impl<T> Ring<T> {
             bound,
             recorded: 0,
             cursor: 0,
-            missed: 0,
         }
     }
 
@@ -87,13 +84,6 @@ impl<T> Ring<T> {
     pub fn evicted(&self) -> u64 {
         self.recorded - self.ring.len() as u64
     }
-
-    /// Items evicted before any [`Ring::drain_since`] call saw them —
-    /// nonzero means the consumer's epoch is too long for the ring bound.
-    #[must_use]
-    pub fn drain_missed(&self) -> u64 {
-        self.missed
-    }
 }
 
 impl<T: Stamped> Ring<T> {
@@ -105,10 +95,7 @@ impl<T: Stamped> Ring<T> {
     /// queued for the next drain.
     pub fn drain_since(&mut self, now_ns: u64) -> impl Iterator<Item = &T> {
         let evicted = self.evicted();
-        if evicted > self.cursor {
-            self.missed += evicted - self.cursor;
-            self.cursor = evicted;
-        }
+        self.cursor = self.cursor.max(evicted);
         let start = usize::try_from(self.cursor - evicted).expect("cursor within ring");
         let fresh = self
             .ring
@@ -148,7 +135,6 @@ mod tests {
         history: Vec<Item>,
         bound: usize,
         cursor: usize,
-        missed: u64,
     }
 
     impl Model {
@@ -158,10 +144,7 @@ mod tests {
 
         fn drain_since(&mut self, now_ns: u64) -> Vec<Item> {
             let evicted = self.evicted();
-            if evicted > self.cursor {
-                self.missed += (evicted - self.cursor) as u64;
-                self.cursor = evicted;
-            }
+            self.cursor = self.cursor.max(evicted);
             let drained: Vec<Item> = self.history[self.cursor..]
                 .iter()
                 .take_while(|i| i.0 <= now_ns)
@@ -180,7 +163,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0u64..6), 0..200),
         ) {
             let mut ring = Ring::new(bound);
-            let mut model = Model { history: Vec::new(), bound, cursor: 0, missed: 0 };
+            let mut model = Model { history: Vec::new(), bound, cursor: 0 };
             let mut clock = 0u64;
             for (op, step) in ops {
                 if op == 0 {
@@ -200,7 +183,6 @@ mod tests {
                 prop_assert_eq!(&retained[..], &model.history[model.evicted()..]);
                 prop_assert_eq!(ring.recorded(), model.history.len() as u64);
                 prop_assert_eq!(ring.evicted(), model.evicted() as u64);
-                prop_assert_eq!(ring.drain_missed(), model.missed);
             }
         }
     }

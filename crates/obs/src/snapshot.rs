@@ -18,7 +18,7 @@
 //!   both worlds and an aggregator cannot tell (modulo wall-clock fields)
 //!   which leg fed it.
 //!
-//! ## Counters travel as deltas, histograms as digests
+//! ## Counters travel as deltas, histograms whole
 //!
 //! Counter rows carry the cumulative total *and* the delta since the last
 //! emission. Deltas come from a producer-side baseline map and **never
@@ -26,14 +26,16 @@
 //! process restarted between emissions — the E3 reboot-loop campaign does
 //! exactly this), the producer re-baselines (delta = current value) and
 //! bumps the snapshot's visible `restarts` count rather than emitting a
-//! wrapped 2^64-ish delta. Histograms travel as exact sparse digests
-//! ([`HistDigest`]): per-bucket counts plus count/sum/min/max, so merging
-//! digests in the aggregator equals the digest of the merged histogram —
-//! the same exactness guarantee `LatencyHistogram::merge` gives in-process.
+//! wrapped 2^64-ish delta. A snapshot carries each [`LatencyHistogram`]
+//! itself; count/sum/min/max plus the sparse list of non-empty buckets is
+//! only its *encoding*, so the aggregator merges with
+//! [`LatencyHistogram::merge`] and is exact for the same reason in-process
+//! merging is. Both decoders rebuild through
+//! [`LatencyHistogram::from_sparse`], which rejects a bucket list no
+//! histogram could have produced ([`TelemetryError::BadHist`]).
 
 use std::collections::HashMap;
 
-use crate::hist::{bucket_hi, bucket_lo};
 use crate::json::Json;
 use crate::registry::Registry;
 use crate::LatencyHistogram;
@@ -56,7 +58,8 @@ pub const TELEMETRY_HEADER_BYTES: usize = 8;
 pub enum TelemetryError {
     /// The frame ended before a field was complete.
     Truncated,
-    /// Bytes remained after the declared body.
+    /// Bytes remained after the declared body, or inside it after the
+    /// last section.
     Trailing,
     /// The first byte was not [`TELEMETRY_MAGIC`].
     BadMagic(u8),
@@ -68,6 +71,9 @@ pub enum TelemetryError {
     BadUtf8(&'static str),
     /// A value exceeded its wire-field range.
     TooLarge(&'static str),
+    /// A histogram's bucket list broke the named rule of
+    /// [`LatencyHistogram::from_sparse`].
+    BadHist(&'static str),
 }
 
 impl std::fmt::Display for TelemetryError {
@@ -80,142 +86,12 @@ impl std::fmt::Display for TelemetryError {
             TelemetryError::BadKind(k) => write!(f, "unknown telemetry kind {k}"),
             TelemetryError::BadUtf8(what) => write!(f, "{what} is not valid UTF-8"),
             TelemetryError::TooLarge(what) => write!(f, "{what} exceeds wire field range"),
+            TelemetryError::BadHist(rule) => write!(f, "malformed histogram: {rule}"),
         }
     }
 }
 
 impl std::error::Error for TelemetryError {}
-
-/// An exact, sparse digest of one [`LatencyHistogram`]: per-bucket counts
-/// plus count/sum/min/max. Reconstruction is lossless at bucket resolution
-/// — merging digests equals digesting the merged histogram, bucket for
-/// bucket (`merge_of_digests_equals_digest_of_union` locks this).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistDigest {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Exact sum of recorded values, ns.
-    pub sum: u128,
-    /// Smallest recorded value, ns (`u64::MAX` when empty, as in the
-    /// histogram's internal representation).
-    pub min: u64,
-    /// Largest recorded value, ns.
-    pub max: u64,
-    /// Non-empty buckets as `(bucket index, count)`, index-ascending.
-    /// Bucket 0 covers `[0, 1]` ns, bucket *i* covers `(2^(i-1), 2^i]`.
-    pub buckets: Vec<(u8, u64)>,
-}
-
-impl HistDigest {
-    /// Digests a histogram. Exact: no information beyond the histogram's
-    /// own bucket resolution is lost.
-    #[must_use]
-    pub fn from_hist(h: &LatencyHistogram) -> HistDigest {
-        HistDigest {
-            count: h.count(),
-            sum: h.sum(),
-            min: if h.is_empty() { u64::MAX } else { h.min() },
-            max: h.max(),
-            buckets: h
-                .bucket_counts()
-                .map(|(i, c)| (u8::try_from(i).expect("65 buckets fit u8"), c))
-                .collect(),
-        }
-    }
-
-    /// `true` when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Folds another digest into this one; exact, like
-    /// [`LatencyHistogram::merge`].
-    pub fn merge(&mut self, other: &HistDigest) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        let mut merged: Vec<(u8, u64)> = Vec::with_capacity(self.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        while let (Some(&&(ia, ca)), Some(&&(ib, cb))) = (a.peek(), b.peek()) {
-            match ia.cmp(&ib) {
-                std::cmp::Ordering::Less => {
-                    merged.push((ia, ca));
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((ib, cb));
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((ia, ca + cb));
-                    a.next();
-                    b.next();
-                }
-            }
-        }
-        merged.extend(a.copied());
-        merged.extend(b.copied());
-        self.buckets = merged;
-    }
-
-    /// Exact mean in nanoseconds, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile in nanoseconds — the same rank-and-interpolate
-    /// algorithm as [`LatencyHistogram::quantile`], so a digest answers
-    /// exactly what its source histogram would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `0.0..=1.0`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0, 1], got {q}"
-        );
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for &(i, c) in &self.buckets {
-            if seen + c >= rank {
-                let into = (rank - seen) as f64 / c as f64;
-                let lo = bucket_lo(i as usize) as f64;
-                let hi = bucket_hi(i as usize) as f64;
-                let v = lo + (hi - lo) * into;
-                return (v as u64).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-
-    /// Shorthand for the 50th percentile in nanoseconds.
-    #[must_use]
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// Shorthand for the 99th percentile in nanoseconds.
-    #[must_use]
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
 
 /// One incident link's health as exported into a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,14 +136,23 @@ pub struct CounterDelta {
     pub delta: u64,
 }
 
-/// One histogram's reading: the registry key and its exact digest
-/// (cumulative — the aggregator keeps the latest digest per key per node).
+/// One histogram's reading: the registry key and the histogram
+/// (cumulative — the aggregator keeps the latest one per key per node).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NamedDigest {
     /// Registry key (`name{label=value,...}`).
     pub key: String,
-    /// Exact sparse digest.
-    pub digest: HistDigest,
+    /// The histogram as the registry held it at snapshot time.
+    pub hist: LatencyHistogram,
+}
+
+/// `min` as frames and rows carry it: an empty histogram's is `u64::MAX`.
+fn wire_min(h: &LatencyHistogram) -> u64 {
+    if h.is_empty() {
+        u64::MAX
+    } else {
+        h.min()
+    }
 }
 
 /// One node's health snapshot for one telemetry epoch.
@@ -291,7 +176,7 @@ pub struct TelemetrySnapshot {
     pub health: NodeHealth,
     /// Counter readings (registration order).
     pub counters: Vec<CounterDelta>,
-    /// Histogram digests (registration order), non-empty ones only.
+    /// Histograms (registration order), non-empty ones only.
     pub hists: Vec<NamedDigest>,
 }
 
@@ -329,12 +214,6 @@ impl SnapshotProducer {
             started_at_ns: None,
             baseline: Vec::new(),
         }
-    }
-
-    /// Emissions so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.seq
     }
 
     /// Renders the next snapshot. Counter deltas are `current - baseline`,
@@ -417,7 +296,7 @@ impl SnapshotProducer {
             .filter(|(_, h)| !h.is_empty())
             .map(|(desc, h)| NamedDigest {
                 key: desc.key(),
-                digest: HistDigest::from_hist(h),
+                hist: h.clone(),
             })
             .collect();
         let snap = TelemetrySnapshot {
@@ -560,15 +439,13 @@ impl TelemetrySnapshot {
         w.u16(hists);
         for h in &self.hists {
             w.str(&h.key)?;
-            w.u64(h.digest.count);
-            w.u128(h.digest.sum);
-            w.u64(h.digest.min);
-            w.u64(h.digest.max);
-            let buckets = u8::try_from(h.digest.buckets.len())
-                .map_err(|_| TelemetryError::TooLarge("buckets"))?;
-            w.u8(buckets);
-            for &(i, c) in &h.digest.buckets {
-                w.u8(i);
+            w.u64(h.hist.count());
+            w.u128(h.hist.sum());
+            w.u64(wire_min(&h.hist));
+            w.u64(h.hist.max());
+            w.u8(h.hist.bucket_counts().count() as u8);
+            for (i, c) in h.hist.bucket_counts() {
+                w.u8(i as u8); // 65 buckets
                 w.u64(c);
             }
         }
@@ -583,7 +460,8 @@ impl TelemetrySnapshot {
     /// # Errors
     ///
     /// Returns the first structural violation: bad magic/version/kind,
-    /// truncation, or trailing bytes.
+    /// truncation, trailing bytes, or a histogram whose bucket list no
+    /// histogram could have produced.
     pub fn decode(frame: &[u8]) -> Result<TelemetrySnapshot, TelemetryError> {
         let mut r = Reader { buf: frame };
         let magic = r.u8()?;
@@ -651,20 +529,16 @@ impl TelemetrySnapshot {
             for _ in 0..n_buckets {
                 let i = r.u8()?;
                 let c = r.u64()?;
-                buckets.push((i, c));
+                buckets.push((usize::from(i), c));
             }
-            hists.push(NamedDigest {
-                key,
-                digest: HistDigest {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    buckets,
-                },
-            });
+            let hist = LatencyHistogram::from_sparse(count, sum, min, max, buckets)
+                .map_err(TelemetryError::BadHist)?;
+            hists.push(NamedDigest { key, hist });
         }
-        debug_assert!(r.buf.is_empty(), "reader consumed exactly the body");
+        if !r.buf.is_empty() {
+            // The body is longer than its own counts account for.
+            return Err(TelemetryError::Trailing);
+        }
         Ok(TelemetrySnapshot {
             node,
             seq,
@@ -740,13 +614,13 @@ impl TelemetrySnapshot {
             let _ = write!(
                 out,
                 ",\"count\":{},\"sum_hi\":{},\"sum_lo\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                h.digest.count,
-                (h.digest.sum >> 64) as u64,
-                h.digest.sum as u64,
-                h.digest.min,
-                h.digest.max
+                h.hist.count(),
+                (h.hist.sum() >> 64) as u64,
+                h.hist.sum() as u64,
+                wire_min(&h.hist),
+                h.hist.max()
             );
-            for (j, &(bi, bc)) in h.digest.buckets.iter().enumerate() {
+            for (j, (bi, bc)) in h.hist.bucket_counts().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -772,105 +646,56 @@ impl TelemetrySnapshot {
     ///
     /// # Errors
     ///
-    /// Names the first missing or ill-typed field.
+    /// Names the first missing or ill-typed field, or the rule a
+    /// histogram's bucket list broke.
     pub fn from_row(row: &Json) -> Result<Option<TelemetrySnapshot>, String> {
         if row.get("kind").and_then(Json::as_str) != Some("telemetry") {
             return Ok(None);
         }
-        let u = |key: &str| -> Result<u64, String> {
-            row.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("telemetry row: missing integer field {key:?}"))
-        };
+        let u = |key| num(row, key);
         let v = u("v")?;
         if v != u64::from(TELEMETRY_VERSION) {
             return Err(format!("telemetry row: unsupported version {v}"));
         }
         let mut links = Vec::new();
-        for l in row
-            .get("links")
-            .and_then(Json::as_arr)
-            .ok_or("telemetry row: missing links")?
-        {
-            let lu = |key: &str| -> Result<u64, String> {
-                l.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("telemetry link: missing field {key:?}"))
-            };
+        for l in list(row, "links")? {
             links.push(LinkHealth {
-                link: u32::try_from(lu("link")?).map_err(|_| "link index")?,
-                neighbor: u32::try_from(lu("neighbor")?).map_err(|_| "neighbor id")?,
-                queue_depth: lu("queue_depth")?,
+                link: u32::try_from(num(l, "link")?).map_err(|_| "link index")?,
+                neighbor: u32::try_from(num(l, "neighbor")?).map_err(|_| "neighbor id")?,
+                queue_depth: num(l, "queue_depth")?,
                 suspended: l.get("suspended").and_then(Json::as_bool).unwrap_or(false),
                 probing: l.get("probing").and_then(Json::as_bool).unwrap_or(false),
             });
         }
         let mut counters = Vec::new();
-        for c in row
-            .get("counters")
-            .and_then(Json::as_arr)
-            .ok_or("telemetry row: missing counters")?
-        {
+        for c in list(row, "counters")? {
             counters.push(CounterDelta {
-                key: c
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .ok_or("telemetry counter: missing key")?
-                    .to_owned(),
-                total: c
-                    .get("total")
-                    .and_then(Json::as_u64)
-                    .ok_or("telemetry counter: missing total")?,
-                delta: c
-                    .get("delta")
-                    .and_then(Json::as_u64)
-                    .ok_or("telemetry counter: missing delta")?,
+                key: text(c, "key")?,
+                total: num(c, "total")?,
+                delta: num(c, "delta")?,
             });
         }
         let mut hists = Vec::new();
-        for h in row
-            .get("hists")
-            .and_then(Json::as_arr)
-            .ok_or("telemetry row: missing hists")?
-        {
-            let hu = |key: &str| -> Result<u64, String> {
-                h.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("telemetry hist: missing field {key:?}"))
-            };
+        for h in list(row, "hists")? {
             let mut buckets = Vec::new();
-            for b in h
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or("telemetry hist: missing buckets")?
-            {
-                let pair = b.as_arr().ok_or("telemetry hist: bucket is not a pair")?;
-                let idx = pair
-                    .first()
-                    .and_then(Json::as_u64)
-                    .ok_or("telemetry hist: bucket index")?;
-                let cnt = pair
-                    .get(1)
-                    .and_then(Json::as_u64)
-                    .ok_or("telemetry hist: bucket count")?;
-                buckets.push((
-                    u8::try_from(idx).map_err(|_| "telemetry hist: bucket index range")?,
-                    cnt,
-                ));
+            for b in list(h, "buckets")? {
+                let pair = |i| {
+                    b.as_arr()
+                        .and_then(|pair| pair.get(i))
+                        .and_then(Json::as_u64)
+                };
+                let (Some(idx), Some(cnt)) = (pair(0), pair(1)) else {
+                    return Err("telemetry row: a bucket is not an [index, count] pair".to_owned());
+                };
+                // An index past `usize` is past 64 too.
+                buckets.push((usize::try_from(idx).unwrap_or(usize::MAX), cnt));
             }
+            let sum = (u128::from(num(h, "sum_hi")?) << 64) | u128::from(num(h, "sum_lo")?);
+            let (count, min, max) = (num(h, "count")?, num(h, "min")?, num(h, "max")?);
             hists.push(NamedDigest {
-                key: h
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .ok_or("telemetry hist: missing key")?
-                    .to_owned(),
-                digest: HistDigest {
-                    count: hu("count")?,
-                    sum: (u128::from(hu("sum_hi")?) << 64) | u128::from(hu("sum_lo")?),
-                    min: hu("min")?,
-                    max: hu("max")?,
-                    buckets,
-                },
+                key: text(h, "key")?,
+                hist: LatencyHistogram::from_sparse(count, sum, min, max, buckets)
+                    .map_err(|rule| format!("telemetry hist: {rule}"))?,
             });
         }
         Ok(Some(TelemetrySnapshot {
@@ -892,10 +717,32 @@ impl TelemetrySnapshot {
     }
 }
 
+/// Field `key` of a row object, which must be an unsigned integer.
+fn num(obj: &Json, key: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("telemetry row: missing integer field {key:?}"))
+}
+
+/// Field `key` of a row object, which must be a string.
+fn text(obj: &Json, key: &str) -> Result<String, String> {
+    let s = obj.get(key).and_then(Json::as_str);
+    Ok(
+        s.ok_or_else(|| format!("telemetry row: missing string field {key:?}"))?
+            .to_owned(),
+    )
+}
+
+/// Field `key` of a row object, which must be an array.
+fn list<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    obj.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("telemetry row: missing array field {key:?}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::bucket_of;
     use proptest::prelude::*;
 
     fn sample_snapshot() -> TelemetrySnapshot {
@@ -945,10 +792,33 @@ mod tests {
             ],
             hists: vec![NamedDigest {
                 key: "node.delivery_latency_ns{node=3}".to_owned(),
-                digest: HistDigest::from_hist(&h),
+                hist: h,
             }],
         }
     }
+
+    /// [`sample_snapshot`] as the last build with a separate digest type
+    /// encoded it: version 1 frames and rows did not change with the type.
+    const GOLDEN_FRAME_HEX: &str = "\
+        a7010100260100000300000011000000000000000100000000000000008d380c01000000\
+        00002a36fe9c971700286bee000000000700000000000000030000000000000040ac2700\
+        00000000020000000000020000000500000000000000010100000004000000020000000000\
+        000002020016006e6f64652e666f727761726465647b6e6f64653d337de02e0000000000\
+        005401000000000000110064726f702e6c6f73737b6e6f64653d337d0c00000000000000\
+        0c00000000000000010020006e6f64652e64656c69766572795f6c6174656e63795f6e73\
+        7b6e6f64653d337d0400000000000000a63326000000000000000000000000005a000000\
+        00000000a025260000000000040701000000000000000a01000000000000000c01000000\
+        00000000160100000000000000";
+    const GOLDEN_ROW: &str = concat!(
+        r#"{"kind":"telemetry","v":1,"node":3,"seq":17,"restarts":1,"at_ns":4500000000,"#,
+        r#""wall_ns":1700000000000000000,"uptime_ns":4000000000,"queue_depth":7,"flows":3,"#,
+        r#""footprint_bytes":2600000,"links":[{"link":0,"neighbor":2,"queue_depth":5,"#,
+        r#""suspended":true,"probing":false},{"link":1,"neighbor":4,"queue_depth":2,"#,
+        r#""suspended":false,"probing":true}],"counters":[{"key":"node.forwarded{node=3}","#,
+        r#""total":12000,"delta":340},{"key":"drop.loss{node=3}","total":12,"delta":12}],"#,
+        r#""hists":[{"key":"node.delivery_latency_ns{node=3}","count":4,"sum_hi":0,"#,
+        r#""sum_lo":2503590,"min":90,"max":2500000,"buckets":[[7,1],[10,1],[12,1],[22,1]]}]}"#,
+    );
 
     #[test]
     fn bytes_round_trip() {
@@ -956,14 +826,20 @@ mod tests {
         let frame = snap.encode().unwrap();
         assert_eq!(frame[0], TELEMETRY_MAGIC);
         assert_eq!(TelemetrySnapshot::decode(&frame).unwrap(), snap);
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_FRAME_HEX);
     }
 
     #[test]
     fn row_round_trip() {
         let mut snap = sample_snapshot();
+        assert_eq!(snap.row_json(), GOLDEN_ROW);
         // A key the writer must escape, and a sum that needs `sum_hi`.
         snap.counters[1].key = "drop.loss{node=3,via=\"a\\b\n\"}".to_owned();
-        snap.hists[0].digest.sum = (3u128 << 64) | 17;
+        for _ in 0..3 {
+            snap.hists[0].hist.record(u64::MAX);
+        }
+        assert!(snap.hists[0].hist.sum() > u128::from(u64::MAX));
         let round_trip = |s: &TelemetrySnapshot| {
             TelemetrySnapshot::from_row(&Json::parse(&s.row_json()).unwrap())
                 .unwrap()
@@ -1006,6 +882,16 @@ mod tests {
         assert_eq!(
             TelemetrySnapshot::decode(&frame[..frame.len() - 3]),
             Err(TelemetryError::Truncated)
+        );
+        // A section count that leaves the rest of the body unread: the one
+        // histogram (34-byte key field, 41 bytes of scalars, 4 buckets).
+        let mut bad = frame.clone();
+        let n_hists = frame.len() - (34 + 41 + 4 * 9) - 2;
+        assert_eq!(bad[n_hists], 1);
+        bad[n_hists] = 0;
+        assert_eq!(
+            TelemetrySnapshot::decode(&bad),
+            Err(TelemetryError::Trailing)
         );
         let mut long = frame;
         long.push(0);
@@ -1080,69 +966,78 @@ mod tests {
         assert_eq!(flow.delta, 3, "stale baseline was dropped");
     }
 
+    /// Each rule of `from_sparse`, broken by one byte of a valid frame (which
+    /// ends with its one histogram: count, sum, min, max, the bucket count,
+    /// then four `(index u8, count u64)` buckets) and named by both decoders.
     #[test]
-    fn digest_quantiles_match_histogram() {
-        let mut h = LatencyHistogram::new();
-        for v in [100u64, 200, 400, 800, 1_600, 3_200, 1_000_000] {
-            h.record(v);
+    fn decoders_name_the_rule_a_histogram_breaks() {
+        let snap = sample_snapshot();
+        let frame = snap.encode().unwrap();
+        let buckets = frame.len() - 4 * 9;
+        let (count, min) = (buckets - 1 - 8 - 8 - 16 - 8, buckets - 1 - 8 - 8);
+        for (at, byte, rule) in [
+            (buckets, 65, "bucket index above 64"),
+            (buckets + 9, 7, "bucket indices not strictly ascending"),
+            (buckets + 1, 0, "empty bucket listed"),
+            (count, 5, "bucket counts do not add up to the count"),
+            (min + 7, 1, "min above max"),
+        ] {
+            let mut bad = frame.clone();
+            bad[at] = byte;
+            assert_eq!(
+                TelemetrySnapshot::decode(&bad),
+                Err(TelemetryError::BadHist(rule))
+            );
         }
-        let d = HistDigest::from_hist(&h);
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(d.quantile(q), h.quantile(q), "q={q}");
+        for (from, to, rule) in [
+            ("[7,1]", "[65,1]", "bucket index above 64"),
+            ("[10,1]", "[7,1]", "bucket indices not strictly ascending"),
+            ("[7,1]", "[7,0]", "empty bucket listed"),
+            ("\"count\":4", "\"count\":5", "do not add up to the count"),
+            ("\"min\":90", "\"min\":2500001", "min above max"),
+        ] {
+            let row = Json::parse(&snap.row_json().replace(from, to)).unwrap();
+            let err = TelemetrySnapshot::from_row(&row).unwrap_err();
+            assert!(err.contains(rule), "{err}");
         }
-        assert_eq!(d.mean(), h.mean());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Satellite: merging per-node digests in the aggregator equals the
-        /// digest of the union histogram — exactly, bucket for bucket, and
-        /// therefore within bucket resolution for every derived quantile.
-        fn merge_of_digests_equals_digest_of_union(
-            parts in proptest::collection::vec(
-                proptest::collection::vec(0u64..10_000_000_000, 0..120),
-                1..5,
-            ),
-        ) {
-            let mut union = LatencyHistogram::new();
-            let mut merged = HistDigest {
-                min: u64::MAX,
-                ..HistDigest::default()
-            };
-            for values in &parts {
-                let mut h = LatencyHistogram::new();
-                for &v in values {
-                    h.record(v);
-                    union.record(v);
-                }
-                merged.merge(&HistDigest::from_hist(&h));
-            }
-            let expect = HistDigest::from_hist(&union);
-            prop_assert_eq!(&merged.buckets, &expect.buckets);
-            prop_assert_eq!(merged.count, expect.count);
-            prop_assert_eq!(merged.sum, expect.sum);
-            prop_assert_eq!(merged.min, expect.min);
-            prop_assert_eq!(merged.max, expect.max);
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                prop_assert_eq!(merged.quantile(q), union.quantile(q));
-            }
-        }
-
+        /// Any snapshot survives both encodings, and merging the histograms
+        /// an aggregator decoded from either equals the histogram of
+        /// everything they recorded.
         fn arbitrary_snapshot_round_trips(
             node in 0u32..1024,
             seq in 0u64..1_000_000,
-            values in proptest::collection::vec(0u64..100_000_000, 0..60),
+            parts in proptest::collection::vec(
+                proptest::collection::vec(0u64..10_000_000_000, 0..60),
+                0..4,
+            ),
             totals in proptest::collection::vec(0u64..1_000_000, 0..20),
             links in proptest::collection::vec(
                 (0u64..64, any::<bool>(), any::<bool>()),
                 0..8,
             ),
         ) {
-            let mut h = LatencyHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
+            let mut union = LatencyHistogram::new();
+            let hists = parts
+                .iter()
+                .enumerate()
+                .filter(|(_, values)| !values.is_empty())
+                .map(|(i, values)| {
+                    let mut hist = LatencyHistogram::new();
+                    for &v in values {
+                        hist.record(v);
+                        union.record(v);
+                    }
+                    NamedDigest {
+                        key: format!("h{i}{{node={node}}}"),
+                        hist,
+                    }
+                })
+                .collect();
             let snap = TelemetrySnapshot {
                 node,
                 seq,
@@ -1175,34 +1070,20 @@ mod tests {
                         delta: t / 2,
                     })
                     .collect(),
-                hists: if h.is_empty() {
-                    vec![]
-                } else {
-                    vec![NamedDigest {
-                        key: format!("h{{node={node}}}"),
-                        digest: HistDigest::from_hist(&h),
-                    }]
-                },
+                hists,
             };
-            let bytes = snap.encode().unwrap();
-            prop_assert_eq!(&TelemetrySnapshot::decode(&bytes).unwrap(), &snap);
+            let decoded = TelemetrySnapshot::decode(&snap.encode().unwrap()).unwrap();
+            prop_assert_eq!(&decoded, &snap);
             let row = Json::parse(&snap.row_json()).unwrap();
             let parsed = TelemetrySnapshot::from_row(&row).unwrap().unwrap();
             prop_assert_eq!(&parsed, &snap);
+            for got in [decoded, parsed] {
+                let mut merged = LatencyHistogram::new();
+                for h in &got.hists {
+                    merged.merge(&h.hist);
+                }
+                prop_assert_eq!(&merged, &union);
+            }
         }
-    }
-
-    #[test]
-    fn digest_bucket_indices_match_histogram_buckets() {
-        let mut h = LatencyHistogram::new();
-        for v in [0u64, 1, 2, 3, u64::MAX] {
-            h.record(v);
-        }
-        let d = HistDigest::from_hist(&h);
-        for &(i, _) in &d.buckets {
-            assert!(usize::from(i) <= 64);
-        }
-        // bucket_of stays consistent with the digest's sparse form.
-        assert_eq!(d.buckets.first().unwrap().0 as usize, bucket_of(0));
     }
 }

@@ -54,12 +54,6 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// `true` for [`Behavior::Correct`].
-    #[must_use]
-    pub fn is_correct(&self) -> bool {
-        matches!(self, Behavior::Correct)
-    }
-
     /// The forwarding verdict this behaviour gives for a transit packet.
     #[must_use]
     pub fn forward_verdict(&self, pkt: &DataPacket) -> Verdict {
@@ -158,7 +152,5 @@ mod tests {
             Verdict::Forward,
             "flooders still forward"
         );
-        assert!(Behavior::Correct.is_correct());
-        assert!(!flood.is_correct());
     }
 }

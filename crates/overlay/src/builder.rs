@@ -258,27 +258,16 @@ impl OverlayBuilder {
             edge_pipes.insert(e, pairs);
         }
 
-        // Phase 3: wire each daemon's link table.
+        // Phase 3: wire each daemon's link table, each pipe pair seen from
+        // its own end.
         for (i, &daemon) in daemons.iter().enumerate() {
             let me = NodeId(i);
-            let mut links = Vec::new();
-            let mut in_regs: Vec<(PipeId, usize, usize)> = Vec::new();
-            for (neighbor, e) in self.topology.neighbors(me) {
-                let pairs = &edge_pipes[&e];
-                let (a, _) = self.topology.endpoints(e);
-                let mut out_pipes = Vec::new();
-                for (prov, &(ab, ba)) in pairs.iter().enumerate() {
-                    let (out_pipe, in_pipe) = if a == me { (ab, ba) } else { (ba, ab) };
-                    out_pipes.push(out_pipe);
-                    in_regs.push((in_pipe, links.len(), prov));
-                }
-                links.push((e, neighbor, out_pipes, self.topology.weight(e)));
-            }
             let node = sim.proc_mut::<OverlayNode>(daemon).expect("daemon exists");
-            node.wire_links(links);
-            for (pipe, link, prov) in in_regs {
-                node.register_in_pipe(pipe, link, prov);
-            }
+            node.wire_topology(|e, _| {
+                let (a, _) = self.topology.endpoints(e);
+                let outward = |&(ab, ba)| if a == me { (ab, ba) } else { (ba, ab) };
+                edge_pipes[&e].iter().map(outward).collect()
+            });
         }
 
         OverlayHandle {

@@ -39,8 +39,6 @@ pub struct ReliableLink {
     /// per-hop recovery-latency observation.
     gap_noticed: HashMap<u64, SimTime>,
     stats: LinkProtoStats,
-    /// High-water mark of the retransmission buffer, for memory accounting.
-    max_unacked: usize,
 }
 
 impl ReliableLink {
@@ -61,7 +59,6 @@ impl ReliableLink {
             above: BTreeSet::new(),
             gap_noticed: HashMap::new(),
             stats: LinkProtoStats::default(),
-            max_unacked: 0,
         }
     }
 
@@ -69,12 +66,6 @@ impl ReliableLink {
     #[must_use]
     pub fn unacked_len(&self) -> usize {
         self.unacked.len()
-    }
-
-    /// High-water mark of the retransmission buffer.
-    #[must_use]
-    pub fn max_unacked(&self) -> usize {
-        self.max_unacked
     }
 
     fn arm_rto(&mut self, seq: u64, out: &mut Vec<LinkAction>) {
@@ -103,7 +94,6 @@ impl LinkProto for ReliableLink {
         let seq = self.next_seq;
         pkt.link_seq = seq;
         self.unacked.insert(seq, pkt.clone());
-        self.max_unacked = self.max_unacked.max(self.unacked.len());
         self.stats.sent += 1;
         emit(out, LinkAction::Transmit(pkt));
         self.arm_rto(seq, out);
@@ -314,7 +304,6 @@ mod tests {
             &mut out,
         );
         assert_eq!(s.unacked_len(), 2, "3 and 5 remain");
-        assert_eq!(s.max_unacked(), 5);
     }
 
     #[test]
@@ -472,24 +461,5 @@ mod cap_tests {
             })
             .expect("ack emitted");
         assert!(sack_len <= MAX_SACK);
-    }
-
-    #[test]
-    fn buffer_high_water_is_tracked() {
-        let mut s = ReliableLink::new(SimDuration::from_millis(40));
-        let mut out = Vec::new();
-        for i in 0..10 {
-            s.on_send(SimTime::ZERO, pkt(i, 10), &mut out);
-        }
-        s.on_ctl(
-            SimTime::ZERO,
-            LinkCtl::ReliableAck {
-                cum: 10,
-                selective: vec![],
-            },
-            &mut out,
-        );
-        assert_eq!(s.unacked_len(), 0);
-        assert_eq!(s.max_unacked(), 10, "high-water survives the drain");
     }
 }

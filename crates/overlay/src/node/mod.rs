@@ -238,9 +238,9 @@ pub struct OverlayNode {
 
 impl OverlayNode {
     /// Creates an unwired daemon for node `me` over the configured
-    /// `topology`. The builder wires its links with
-    /// [`OverlayNode::wire_links`] once pipes exist (a daemon must exist in
-    /// the simulator before pipes to it can be created).
+    /// `topology`. Its links are wired with
+    /// [`OverlayNode::wire_topology`] once pipes exist (a daemon must exist
+    /// in the simulator before pipes to it can be created).
     #[must_use]
     pub fn new(me: NodeId, topology: Graph, keys: KeyRegistry, config: NodeConfig) -> Self {
         let mut conn =
@@ -345,8 +345,33 @@ impl OverlayNode {
             .collect();
     }
 
+    /// Wires this node's whole link table from its topology: the neighbors
+    /// in topology order become local links 0.., and `pipes(edge, neighbor)`
+    /// names each link's `(out, in)` pipe pair per provider, provider order.
+    /// Both worlds wire through here — the simulator's builder and the
+    /// socket daemon differ only in where their pipe ids come from.
+    pub fn wire_topology(
+        &mut self,
+        mut pipes: impl FnMut(EdgeId, NodeId) -> Vec<(PipeId, PipeId)>,
+    ) {
+        let mut links = Vec::new();
+        let mut in_regs = Vec::new();
+        for (neighbor, e) in self.topology.neighbors(self.me) {
+            let pairs = pipes(e, neighbor);
+            for (prov, &(_, in_pipe)) in pairs.iter().enumerate() {
+                in_regs.push((in_pipe, links.len(), prov));
+            }
+            let out_pipes = pairs.iter().map(|&(out_pipe, _)| out_pipe).collect();
+            links.push((e, neighbor, out_pipes, self.topology.weight(e)));
+        }
+        self.wire_links(links);
+        for (pipe, link, prov) in in_regs {
+            self.register_in_pipe(pipe, link, prov);
+        }
+    }
+
     /// Registers the incoming pipe of `(link, provider)` so arrivals can be
-    /// attributed. Called by the builder.
+    /// attributed. Called by [`OverlayNode::wire_topology`].
     pub fn register_in_pipe(&mut self, pipe: PipeId, link: usize, provider: usize) {
         self.in_pipe_index.insert(pipe, (link, provider));
     }

@@ -74,13 +74,6 @@ impl DataPacket {
             }
             + self.size
     }
-
-    /// The unique end-to-end identity of the payload, used for duplicate
-    /// suppression under redundant dissemination.
-    #[must_use]
-    pub fn payload_id(&self) -> (FlowKey, u64) {
-        (self.flow, self.flow_seq)
-    }
 }
 
 /// Link-level control traffic, scoped to the pipe it arrives on and the
@@ -532,15 +525,6 @@ mod tests {
             p.wire_size(),
             DATA_HEADER_BYTES + TRACE_CONTEXT_BYTES + 1000
         );
-    }
-
-    #[test]
-    fn payload_id_distinguishes_flows_and_seqs() {
-        let a = packet(None, 10);
-        let mut b = packet(None, 10);
-        assert_eq!(a.payload_id(), b.payload_id());
-        b.flow_seq = 8;
-        assert_ne!(a.payload_id(), b.payload_id());
     }
 
     #[test]

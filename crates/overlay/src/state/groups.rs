@@ -183,12 +183,6 @@ impl GroupTable {
         self.local.get(&group).into_iter().flatten().copied()
     }
 
-    /// `true` if this node has any local client in `group`.
-    #[must_use]
-    pub fn locally_relevant(&self, group: GroupId) -> bool {
-        self.local.contains_key(&group)
-    }
-
     /// Forgets a departed peer's node-level membership (membership-layer
     /// eviction). Returns `true` if anything was removed; the version bump
     /// invalidates member caches keyed off it.
@@ -254,7 +248,7 @@ mod tests {
         assert!(out.is_empty(), "still one member left");
         t.leave(G, VirtualPort(2), &mut out);
         assert_eq!(out.len(), 1);
-        assert!(!t.locally_relevant(G));
+        assert_eq!(t.local_members(G).count(), 0);
     }
 
     #[test]
@@ -342,8 +336,8 @@ mod tests {
         t.join(GroupId(2), VirtualPort(6), &mut out);
         out.clear();
         t.drop_client(VirtualPort(5), &mut out);
-        assert!(!t.locally_relevant(GroupId(1)));
-        assert!(t.locally_relevant(GroupId(2)), "port 6 remains");
+        assert_eq!(t.local_members(GroupId(1)).count(), 0);
+        assert_eq!(t.local_members(GroupId(2)).count(), 1, "port 6 remains");
         assert_eq!(out.len(), 1, "one re-announce covers all changes");
     }
 

@@ -43,12 +43,6 @@ impl DisjointPaths {
         }
         m
     }
-
-    /// Total cost across all paths.
-    #[must_use]
-    pub fn total_cost(&self) -> f64 {
-        self.paths.iter().map(|p| p.cost).sum()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -258,9 +252,8 @@ mod tests {
         let dp = k_node_disjoint_paths(&g, NodeId(0), NodeId(3), 3);
         assert_eq!(dp.len(), 3);
         assert!(are_node_disjoint(&dp.paths));
-        assert_eq!(dp.total_cost(), 2.0 + 4.0 + 5.0);
-        // Cheapest first.
-        assert!(dp.paths.windows(2).all(|w| w[0].cost <= w[1].cost));
+        let costs: Vec<f64> = dp.paths.iter().map(|p| p.cost).collect();
+        assert_eq!(costs, [2.0, 4.0, 5.0], "cheapest first");
     }
 
     #[test]
@@ -277,7 +270,6 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         let dp = k_node_disjoint_paths(&g, NodeId(0), NodeId(3), 2);
         assert!(dp.is_empty());
-        assert_eq!(dp.total_cost(), 0.0);
     }
 
     #[test]
@@ -305,7 +297,8 @@ mod tests {
             "flow formulation must not be blocked by greedy choice"
         );
         assert!(are_node_disjoint(&dp.paths));
-        assert_eq!(dp.total_cost(), 2.0 + 5.0); // 0-3-4 and 0-1-4
+        let costs: Vec<f64> = dp.paths.iter().map(|p| p.cost).collect();
+        assert_eq!(costs, [2.0, 5.0]); // 0-3-4 and 0-1-4
     }
 
     #[test]

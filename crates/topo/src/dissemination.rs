@@ -10,7 +10,7 @@
 //! fans out around both endpoints and stays narrow in the middle buys nearly
 //! all of constrained flooding's reliability at a fraction of its cost.
 
-use crate::dijkstra::{dijkstra, dijkstra_with};
+use crate::dijkstra::dijkstra_with;
 use crate::disjoint::k_node_disjoint_paths;
 use crate::graph::{EdgeMask, Graph, NodeId};
 
@@ -110,34 +110,6 @@ pub fn connects(
     graph.reachable_through(src, mask, blocked).contains(&dst)
 }
 
-/// Utility: the latency of the best path from `src` to `dst` restricted to
-/// `mask`, excluding `blocked` intermediate nodes; `None` if disconnected.
-#[must_use]
-pub fn best_latency_within(
-    graph: &Graph,
-    mask: &EdgeMask,
-    src: NodeId,
-    dst: NodeId,
-    blocked: &[NodeId],
-) -> Option<f64> {
-    let sp = dijkstra_with(graph, src, |e| {
-        let (a, b) = graph.endpoints(e);
-        let interior_blocked = |v: NodeId| v != src && v != dst && blocked.contains(&v);
-        if !mask.contains(e) || interior_blocked(a) || interior_blocked(b) {
-            f64::INFINITY
-        } else {
-            graph.weight(e)
-        }
-    });
-    sp.dist(dst)
-}
-
-/// Utility: shortest-path latency ignoring masks (for cost/stretch ratios).
-#[must_use]
-pub fn direct_latency(graph: &Graph, src: NodeId, dst: NodeId) -> Option<f64> {
-    dijkstra(graph, src).dist(dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,42 +204,6 @@ mod tests {
             NodeId(8),
             &[NodeId(2), NodeId(4), NodeId(6)] // full anti-diagonal cut
         ));
-    }
-
-    #[test]
-    fn best_latency_within_respects_mask_and_blocks() {
-        let g = grid();
-        let full = constrained_flooding(&g);
-        assert_eq!(
-            best_latency_within(&g, &full, NodeId(0), NodeId(8), &[]),
-            Some(4.0)
-        );
-        // Block the center: still 4 hops around the edge.
-        assert_eq!(
-            best_latency_within(&g, &full, NodeId(0), NodeId(8), &[NodeId(4)]),
-            Some(4.0)
-        );
-        // Restrict to a single path mask and block a node on it.
-        let one = k_node_disjoint_paths(&g, NodeId(0), NodeId(8), 1).mask();
-        let on_path: Vec<NodeId> = one
-            .iter()
-            .flat_map(|e| {
-                let (a, b) = g.endpoints(e);
-                [a, b]
-            })
-            .filter(|&v| v != NodeId(0) && v != NodeId(8))
-            .collect();
-        assert_eq!(
-            best_latency_within(&g, &one, NodeId(0), NodeId(8), &on_path[..1]),
-            None
-        );
-    }
-
-    #[test]
-    fn direct_latency_matches_grid_distance() {
-        let g = grid();
-        assert_eq!(direct_latency(&g, NodeId(0), NodeId(8)), Some(4.0));
-        assert_eq!(direct_latency(&g, NodeId(0), NodeId(0)), Some(0.0));
     }
 
     #[test]

@@ -394,23 +394,6 @@ impl Graph {
         self.weights[edge.0] = weight;
     }
 
-    /// Given one endpoint of an edge, returns the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not an endpoint of `edge`.
-    #[must_use]
-    pub fn other_endpoint(&self, edge: EdgeId, node: NodeId) -> NodeId {
-        let (a, b) = self.shape.edges[edge.0];
-        if node == a {
-            b
-        } else if node == b {
-            a
-        } else {
-            panic!("{node} is not an endpoint of {edge}");
-        }
-    }
-
     /// Iterates `(neighbor, edge)` pairs of a node.
     ///
     /// # Panics
@@ -561,8 +544,6 @@ mod tests {
         assert_eq!(g.degree(NodeId(1)), 2);
         assert_eq!(g.endpoints(EdgeId(1)), (NodeId(1), NodeId(2)));
         assert_eq!(g.weight(EdgeId(2)), 3.0);
-        assert_eq!(g.other_endpoint(EdgeId(0), NodeId(0)), NodeId(1));
-        assert_eq!(g.other_endpoint(EdgeId(0), NodeId(1)), NodeId(0));
         assert_eq!(g.edge_between(NodeId(0), NodeId(2)), Some(EdgeId(2)));
         assert_eq!(g.edge_between(NodeId(0), NodeId(0)), None);
     }
