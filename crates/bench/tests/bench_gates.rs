@@ -1,7 +1,8 @@
 //! The gate lines of `scripts/bench_smoke.sh`, run through the gate runner
 //! the script calls (`son-exp gate` = [`son_bench::gate::check`]): every
 //! check holds on the committed `BENCH_*.json`, and each fails — naming the
-//! row — on a copy doctored just past its bound.
+//! row — on a copy doctored just past its bound. The same for the UDP smoke
+//! row's gates in `scripts/check.sh`.
 
 use std::path::{Path, PathBuf};
 
@@ -200,4 +201,51 @@ fn each_gate_fails_by_name_just_past_its_bound() {
     let dir = healthy("fails");
     doctor(&dir, "fwd.json", &[TP, ("mode", "sharded")], enforced(1.8));
     assert!(run_script_gates(&dir).iter().all(Result::is_ok));
+}
+
+/// A UDP smoke row as `son-exp udp_parity --smoke` wrote it in PR 25.
+const UDP_SMOKE_ROW: &str = r#"{"bench":"udp_parity","mode":"udp","scenario":"udp_e1_smoke","smoke":true,"nodes":4,"count":300,"sim_delivery":1,"udp_delivery":1,"sim_p50_ms":15.65,"udp_p50_ms":15.884290499999999,"sim_p90_ms":15.65,"udp_p90_ms":20.7918063,"sim_max_gap_ms":20,"udp_max_gap_ms":20.147109,"delivery_delta":0,"udp_decode_errors":0,"added_per_hop_p50_us":78.09683333333281,"waits_per_delivered_pkt":13.156666666666666}"#;
+
+/// Runs the `son_exp gate` lines of `scripts/check.sh` — the ones on the
+/// UDP smoke cluster's row — against a file holding `row`.
+fn run_udp_gates(test: &str, row: &Json) -> Vec<Result<String, String>> {
+    let file = std::env::temp_dir().join(format!("son_gates_{}_{test}.json", std::process::id()));
+    std::fs::write(&file, row.to_json() + "\n").unwrap();
+    let file = file.to_str().unwrap();
+    read(format!("{ROOT}/scripts/check.sh"))
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("son_exp gate "))
+        .map(|args| {
+            let args: Vec<String> = args
+                .split_whitespace()
+                .map(|word| word.trim_matches(['"', '\'']))
+                .map(|word| if word.ends_with(".json") { file } else { word }.to_owned())
+                .collect();
+            gate::check(&args)
+        })
+        .collect()
+}
+
+/// The UDP smoke gates hold on a row this loop wrote, and the waits gate
+/// fails by name on the parent's 17.27 waits per packet: bringing back a
+/// wake-up on every datagram's arrival fails CI.
+#[test]
+fn udp_smoke_gates_hold_and_catch_a_wake_per_arrival() {
+    let row = Json::parse(UDP_SMOKE_ROW).unwrap();
+    let results = run_udp_gates("udp_holds", &row);
+    assert_eq!(results.len(), 2, "the per-hop gate and the waits gate");
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+
+    let Json::Obj(mut fields) = row else {
+        panic!("rows are objects")
+    };
+    set("waits_per_delivered_pkt", Json::F64(17.27))(&mut fields);
+    let results = run_udp_gates("udp_parent", &Json::Obj(fields));
+    let failures: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+    assert_eq!(failures.len(), 1, "{failures:#?}");
+    assert!(
+        failures[0].contains("waits_per_delivered_pkt"),
+        "{}",
+        failures[0]
+    );
 }

@@ -11,13 +11,17 @@
 //! ## What the driver emulates, and what it doesn't
 //!
 //! On loopback UDP the physical network contributes microseconds, so the
-//! scenario's link characteristics — per-link latency, independent loss,
-//! blackout windows — are applied by the *sender's* driver before a frame
-//! reaches the socket, from the same seed the simulator uses. What is NOT
-//! emulated is scheduling: handler execution time, OS jitter, and socket
-//! batching are real. That is the point — the parity experiment
-//! (`son-exp udp_parity`) checks that protocol outcomes survive the move from
-//! idealized to real execution, within stated tolerances.
+//! scenario's link characteristics are emulated by the drivers at the two
+//! ends of each link, from the same seed the simulator uses. The *sender's*
+//! driver decides independent loss and blackout windows, stamps the frame
+//! with its `now` and puts it on the socket at once. The *receiver's* driver
+//! holds the frame until that stamp plus the link's latency. A stamp later
+//! than the receiver's clock counts as its `now`, so no frame is held longer
+//! than one latency. What is NOT emulated is scheduling: handler execution
+//! time, OS jitter, and socket batching are real. That is the point — the
+//! parity experiment (`son-exp udp_parity`) checks that protocol outcomes
+//! survive the move from idealized to real execution, within stated
+//! tolerances.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,7 +32,7 @@ pub mod transport;
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use son_netsim::driver::{Driver, Transport};
 use son_netsim::event::{EventId, EventQueue};
@@ -85,29 +89,30 @@ pub fn unix_now_ns() -> u64 {
         .unwrap_or(0)
 }
 
+/// What the driver puts in front of every wire frame on the transport: the
+/// provider index (`u8`), then the sender's `now` in nanoseconds since the
+/// epoch (`u64`, little-endian).
+const FRAMING_BYTES: usize = 9;
+
 /// What the run loop does with a queue entry once it is due.
 #[derive(Debug)]
 enum Due {
     /// Fire `pid`'s timer. The entry's [`EventId`] is the timer's id.
     Timer { pid: ProcessId, token: u64 },
-    /// Hand a local IPC message to a colocated process (boxed: a [`Wire`]
-    /// is ten times the size of the other variants).
-    Local {
+    /// Hand `msg` to process `to`: a local IPC message (`pipe` is `None`)
+    /// or a frame off the wire that has served its link latency (`pipe` is
+    /// the in-pipe it arrived on) — the simulator's `Event::Deliver`.
+    /// Boxed: a [`Wire`] is ten times the size of a timer.
+    Deliver {
         from: ProcessId,
         to: ProcessId,
+        pipe: Option<PipeId>,
         msg: Box<Wire>,
-    },
-    /// Put an encoded frame on the transport: its emulated link latency
-    /// has passed.
-    Frame {
-        peer: u32,
-        is_data: bool,
-        bytes: Vec<u8>,
     },
 }
 
 /// One direction of one emulated overlay link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PipeEnd {
     /// Overlay node id of the far end (= transport peer index).
     peer: u32,
@@ -116,7 +121,8 @@ struct PipeEnd {
     provider: u8,
     /// Whether the local daemon sends on this end.
     outbound: bool,
-    /// Emulated one-way latency (scenario weight + hop processing).
+    /// Emulated one-way latency (scenario weight + hop processing), served
+    /// by the receiving end.
     latency: SimDuration,
     /// Independent per-frame loss probability on sends.
     loss: f64,
@@ -124,17 +130,22 @@ struct PipeEnd {
     outage: Option<(u64, u64)>,
 }
 
-/// The wall-clock [`Driver`]: epoch-anchored time, the simulator's
-/// [`EventQueue`] read against the system clock for timers, local IPC and
-/// frames serving their emulated link latency, and sends that encode through
-/// the wire codec after sender-side link emulation.
+/// The wall-clock [`Driver`]: epoch-anchored monotonic time, the
+/// simulator's [`EventQueue`] read against that clock for timers, local IPC
+/// and arrived frames serving their link latency, and sends that apply
+/// sender-side loss and outages, then encode through the wire codec
+/// straight onto the transport.
 ///
 /// Time is frozen for the duration of one handler dispatch (the runtime
 /// refreshes it between dispatches), preserving the simulator's discipline
 /// that a handler observes a single consistent `now`.
 #[derive(Debug)]
-pub struct RealDriver {
+pub struct RealDriver<T: Transport> {
     epoch_ns: u64,
+    /// One reading of the system clock and of the monotonic clock, taken
+    /// together at construction: the driver's clock is the first advanced
+    /// by the second, so a later step of the system clock moves nothing.
+    anchor: (Instant, u64),
     now: SimTime,
     rngs: Vec<SimRng>,
     link_rng: SimRng,
@@ -144,13 +155,24 @@ pub struct RealDriver {
     /// scheduling order among equals.
     due: EventQueue<Due>,
     daemon: ProcessId,
+    transport: T,
+    /// The outgoing datagram, reused by every send.
+    frame: Vec<u8>,
 }
 
-impl RealDriver {
-    fn new(epoch_ns: u64, seed: u64, me: NodeId, n_procs: usize, pipes: Vec<PipeEnd>) -> Self {
+impl<T: Transport> RealDriver<T> {
+    fn new(
+        transport: T,
+        epoch_ns: u64,
+        seed: u64,
+        me: NodeId,
+        n_procs: usize,
+        pipes: Vec<PipeEnd>,
+    ) -> Self {
         let root = SimRng::seed(seed).fork_idx("node", me.0 as u64);
         RealDriver {
             epoch_ns,
+            anchor: (Instant::now(), unix_now_ns()),
             now: SimTime::ZERO,
             rngs: (0..n_procs as u64)
                 .map(|p| root.fork_idx("proc", p))
@@ -160,12 +182,21 @@ impl RealDriver {
             pipes,
             due: EventQueue::new(),
             daemon: ProcessId(0),
+            transport,
+            frame: Vec::new(),
         }
+    }
+
+    /// Nanoseconds since the Unix epoch on the driver's clock.
+    fn unix_ns(&self) -> u64 {
+        let (at, unix_ns) = self.anchor;
+        let elapsed = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        unix_ns.saturating_add(elapsed)
     }
 
     /// Nanoseconds since the shared epoch (zero before it).
     fn wall_ns(&self) -> u64 {
-        unix_now_ns().saturating_sub(self.epoch_ns)
+        self.unix_ns().saturating_sub(self.epoch_ns)
     }
 
     /// Advances `now` to the wall clock; called between dispatches.
@@ -206,7 +237,7 @@ impl RealDriver {
     }
 }
 
-impl Driver<Wire> for RealDriver {
+impl<T: Transport> Driver<Wire> for RealDriver<T> {
     fn now(&self) -> SimTime {
         self.now
     }
@@ -217,9 +248,8 @@ impl Driver<Wire> for RealDriver {
 
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: Wire) {
         debug_assert_eq!(pid, self.daemon, "only the daemon owns link pipes");
-        let end = self.pipes[pipe.0].clone();
+        let end = self.pipes[pipe.0];
         debug_assert!(end.outbound, "process {pid} sent on an inbound pipe");
-        let size = msg.wire_size();
         let is_data = matches!(msg.kind(), MessageKind::Data { .. });
         let now_ns = self.now.as_nanos();
         if let Some((from, to)) = end.outage {
@@ -232,28 +262,36 @@ impl Driver<Wire> for RealDriver {
             self.drop_frame(DropClass::Loss, is_data);
             return;
         }
-        let mut frame = Vec::with_capacity(size + 16);
-        frame.push(end.provider);
-        son_overlay::wire::encode_into(&msg, &mut frame)
+        self.frame.clear();
+        self.frame.push(end.provider);
+        self.frame.extend_from_slice(&now_ns.to_le_bytes());
+        son_overlay::wire::encode_into(&msg, &mut self.frame)
             .expect("link frames round-trip the wire codec losslessly");
         self.counters.incr("pipe.sent");
-        self.counters.add("pipe.bytes", size as u64);
+        self.counters.add("pipe.bytes", msg.wire_size() as u64);
         if is_data {
             self.counters.incr("data.pipe.sent");
         }
-        self.schedule(
-            end.latency,
-            Due::Frame {
-                peer: end.peer,
-                is_data,
-                bytes: frame,
-            },
-        );
+        // One undeliverable datagram is that datagram's loss; the daemon
+        // carries on.
+        if self
+            .transport
+            .send_to(end.peer as usize, &self.frame)
+            .is_err()
+        {
+            self.counters.incr("transport.send_error");
+            self.drop_frame(DropClass::NoRoute, is_data);
+        }
     }
 
     fn send_direct(&mut self, pid: ProcessId, to: ProcessId, delay: SimDuration, msg: Wire) {
-        let msg = Box::new(msg);
-        self.schedule(delay, Due::Local { from: pid, to, msg });
+        let due = Due::Deliver {
+            from: pid,
+            to,
+            pipe: None,
+            msg: Box::new(msg),
+        };
+        self.schedule(delay, due);
     }
 
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId {
@@ -299,10 +337,12 @@ impl Driver<Wire> for RealDriver {
 /// over any [`Transport`]. This is the whole `son-node` process in library
 /// form — the binary adds only argument parsing and a UDP socket.
 pub struct NodeRuntime<T: Transport> {
-    driver: RealDriver,
-    transport: T,
+    driver: RealDriver<T>,
     procs: Vec<Option<Box<dyn Process<Wire>>>>,
     in_pipes: HashMap<(u32, u8), PipeId>,
+    /// The shortest latency of any in-pipe: no datagram stamped at or after
+    /// a pass's `now` can be due sooner after it.
+    min_hold: SimDuration,
     me: NodeId,
     scenario: Scenario,
     telemetry: Option<TelemetryEmitter>,
@@ -318,7 +358,7 @@ impl<T: Transport + std::fmt::Debug> std::fmt::Debug for NodeRuntime<T> {
         f.debug_struct("NodeRuntime")
             .field("me", &self.me)
             .field("scenario", &self.scenario.name)
-            .field("transport", &self.transport)
+            .field("transport", &self.driver.transport)
             .field("procs", &self.procs.len())
             .finish_non_exhaustive()
     }
@@ -349,8 +389,8 @@ impl<T: Transport> NodeRuntime<T> {
         }
         let mut node = OverlayNode::new(me, topo.clone(), keys, config);
 
-        // One provider pipe pair per edge, out at 2k and in at 2k+1; the
-        // scenario's link emulation rides on the outbound end.
+        // One provider pipe pair per edge, out at 2k and in at 2k+1: loss
+        // and outages ride on the outbound end, latency on the inbound one.
         let mut pipes = Vec::new();
         let mut in_pipes = HashMap::new();
         node.wire_topology(|e, neighbor| {
@@ -413,12 +453,18 @@ impl<T: Transport> NodeRuntime<T> {
             }))));
         }
 
-        let driver = RealDriver::new(epoch_ns, scenario.seed, me, procs.len(), pipes);
+        let min_hold = pipes
+            .iter()
+            .filter(|end| !end.outbound)
+            .map(|end| end.latency)
+            .min()
+            .unwrap_or(SimDuration::ZERO);
+        let driver = RealDriver::new(transport, epoch_ns, scenario.seed, me, procs.len(), pipes);
         NodeRuntime {
             driver,
-            transport,
             procs,
             in_pipes,
+            min_hold,
             me,
             scenario,
             telemetry: None,
@@ -459,9 +505,12 @@ impl<T: Transport> NodeRuntime<T> {
             }
             let node = self.node();
             let health = node.telemetry_health();
-            let snap = tel
-                .producer
-                .produce(now_ns, unix_now_ns(), node.obs().registry(), &health);
+            let snap = tel.producer.produce(
+                now_ns,
+                self.driver.unix_ns(),
+                node.obs().registry(),
+                &health,
+            );
             match snap.encode() {
                 Ok(frame) => match tel.socket.send(&frame) {
                     Ok(_) => self.driver.counters.incr("telemetry.sent"),
@@ -505,8 +554,13 @@ impl<T: Transport> NodeRuntime<T> {
         self.procs[to.0] = Some(p);
     }
 
+    /// Handles one datagram from `peer`: checks its framing, its frame and
+    /// its in-pipe, then holds the frame until the sender's stamp plus the
+    /// link's latency. The stamp is clamped to the clock now, so a
+    /// forged or skewed future stamp is held one latency and no longer.
     fn deliver_datagram(&mut self, peer: usize, dgram: &[u8]) {
-        let Some((&provider, frame)) = dgram.split_first() else {
+        let Some(([provider, stamp @ ..], frame)) = dgram.split_first_chunk::<FRAMING_BYTES>()
+        else {
             self.decode_errors += 1;
             return;
         };
@@ -519,15 +573,55 @@ impl<T: Transport> NodeRuntime<T> {
             }
         };
         let peer32 = u32::try_from(peer).unwrap_or(u32::MAX);
-        let Some(&pipe) = self.in_pipes.get(&(peer32, provider)) else {
+        let Some(&pipe) = self.in_pipes.get(&(peer32, *provider)) else {
             self.unknown_pipe += 1;
             return;
         };
-        self.driver.counters.incr("pipe.delivered");
-        if matches!(wire.kind(), MessageKind::Data { .. }) {
-            self.driver.counters.incr("data.pipe.delivered");
+        let sent_ns = u64::from_le_bytes(*stamp).min(self.driver.wall_ns());
+        let due = SimTime::from_nanos(sent_ns) + self.driver.pipes[pipe.0].latency;
+        let deliver = Due::Deliver {
+            from: REMOTE_SENDER,
+            to: self.driver.daemon,
+            pipe: Some(pipe),
+            msg: Box::new(wire),
+        };
+        self.driver.due.schedule(due, deliver);
+    }
+
+    /// One pass of work at the frozen `now_ns`: take up to 64 datagrams off
+    /// the transport, then dispatch every timer, local message and arrived
+    /// frame due by `now_ns`. Returns whether the transport ran empty.
+    fn pass(&mut self, now_ns: u64) -> io::Result<bool> {
+        let mut emptied = false;
+        for _ in 0..64 {
+            match self.driver.transport.recv_from()? {
+                Some((peer, dgram)) => self.deliver_datagram(peer, &dgram),
+                None => {
+                    emptied = true;
+                    break;
+                }
+            }
         }
-        self.dispatch_message(ProcessId(0), REMOTE_SENDER, Some(pipe), wire);
+        while let Some(due) = self.driver.pop_due(now_ns) {
+            match due {
+                Due::Timer { pid, token } => self.dispatch_timer(pid, token),
+                Due::Deliver {
+                    from,
+                    to,
+                    pipe,
+                    msg,
+                } => {
+                    if pipe.is_some() {
+                        self.driver.counters.incr("pipe.delivered");
+                        if matches!(msg.kind(), MessageKind::Data { .. }) {
+                            self.driver.counters.incr("data.pipe.delivered");
+                        }
+                    }
+                    self.dispatch_message(to, from, pipe, *msg);
+                }
+            }
+        }
+        Ok(emptied)
     }
 
     /// The next instant the loop has work even if no datagram arrives: the
@@ -541,12 +635,17 @@ impl<T: Transport> NodeRuntime<T> {
     }
 
     /// Runs the daemon: waits for the shared epoch, starts every process,
-    /// then alternates one pass of work — drain up to 64 datagrams, then
-    /// dispatch every timer, local message and out-frame due at the pass's
-    /// frozen `now` — with one blocking wait until the next deadline or a
-    /// readable transport (which returns at once while either is already
-    /// there), until the scenario's horizon. Nothing fires before its due
-    /// time: the wait may end early, and the next pass re-reads the clock.
+    /// then alternates one pass of work at a frozen `now` — take up to 64
+    /// datagrams off the transport, dispatch everything due — with one wait
+    /// until the next deadline, until the scenario's horizon.
+    ///
+    /// The wait watches the transport too (and returns at once while a
+    /// datagram is queued) unless the pass emptied it and the next deadline
+    /// is within the shortest in-pipe latency of `now`: a datagram stamped
+    /// at or after `now` is due that latency later at the earliest, so
+    /// reading it at the deadline is never late, and a plain sleep saves the
+    /// wake-up on its arrival. Nothing fires before its due time: a wait may
+    /// end early, and the next pass re-reads the clock.
     ///
     /// # Errors
     ///
@@ -554,9 +653,12 @@ impl<T: Transport> NodeRuntime<T> {
     /// socket). Emulated loss, remote noise and failed sends are counted
     /// loss, not errors.
     pub fn run(&mut self) -> io::Result<()> {
-        while unix_now_ns() < self.driver.epoch_ns {
-            let left = self.driver.epoch_ns - unix_now_ns();
-            std::thread::sleep(Duration::from_nanos(left.min(1_000_000)));
+        loop {
+            let left = self.driver.epoch_ns.saturating_sub(self.driver.unix_ns());
+            if left == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_nanos(left));
         }
         self.driver.refresh_now();
         for pid in 0..self.procs.len() {
@@ -569,42 +671,22 @@ impl<T: Transport> NodeRuntime<T> {
             if now_ns >= horizon_ns {
                 return Ok(());
             }
-            for _ in 0..64 {
-                match self.transport.recv_from()? {
-                    Some((peer, dgram)) => self.deliver_datagram(peer, &dgram),
-                    None => break,
-                }
-            }
-            while let Some(due) = self.driver.pop_due(now_ns) {
-                match due {
-                    Due::Timer { pid, token } => self.dispatch_timer(pid, token),
-                    Due::Local { from, to, msg } => self.dispatch_message(to, from, None, *msg),
-                    Due::Frame {
-                        peer,
-                        is_data,
-                        bytes,
-                    } => {
-                        // One undeliverable datagram is that datagram's
-                        // loss; the daemon carries on.
-                        if self.transport.send_to(peer as usize, &bytes).is_err() {
-                            self.driver.counters.incr("transport.send_error");
-                            self.driver.drop_frame(DropClass::NoRoute, is_data);
-                        }
-                    }
-                }
-            }
+            let emptied = self.pass(now_ns)?;
             self.pump_telemetry(now_ns);
-            let left_ns = self
-                .next_deadline_ns(horizon_ns)
-                .saturating_sub(self.driver.wall_ns());
+            let next_ns = self.next_deadline_ns(horizon_ns);
+            let left_ns = next_ns.saturating_sub(self.driver.wall_ns());
             if left_ns == 0 {
                 continue;
             }
             self.driver.counters.incr("loop.wait");
-            let woke = if self
-                .transport
-                .wait_readable(Duration::from_nanos(left_ns))?
-            {
+            let left = Duration::from_nanos(left_ns);
+            let readable = if emptied && next_ns <= now_ns + self.min_hold.as_nanos() {
+                std::thread::sleep(left);
+                false
+            } else {
+                self.driver.transport.wait_readable(left)?
+            };
+            let woke = if readable {
                 "loop.wake_readable"
             } else {
                 "loop.wake_deadline"
@@ -811,13 +893,44 @@ mod tests {
         }
     }
 
-    /// `wire` as a neighbour would put it on the transport: the provider
-    /// index (0), then the codec's bytes.
-    pub(crate) fn dgram(wire: &Wire) -> Vec<u8> {
+    /// `wire` as a neighbour sending it at `sent_ns` would put it on the
+    /// transport: the provider index (0), the stamp, then the codec's bytes.
+    fn dgram_at(wire: &Wire, sent_ns: u64) -> Vec<u8> {
         let mut dgram = vec![0u8];
+        dgram.extend_from_slice(&sent_ns.to_le_bytes());
         son_overlay::wire::encode_into(wire, &mut dgram)
             .expect("the encoder does not judge values");
         dgram
+    }
+
+    /// `wire` as sent the moment it is read: a stamp ahead of every clock,
+    /// which the receiver clamps to its `now`.
+    pub(crate) fn dgram(wire: &Wire) -> Vec<u8> {
+        dgram_at(wire, u64::MAX)
+    }
+
+    /// Node 1 of the loopback chain over its vnet endpoint, its processes
+    /// not started, its epoch now.
+    fn middle_node() -> NodeRuntime<VnetTransport> {
+        let scenario = loopback_scenario();
+        let net = chain_mesh(scenario.nodes).swap_remove(1);
+        NodeRuntime::new(scenario, NodeId(1), net, unix_now_ns())
+    }
+
+    /// Sleeps until the earliest held entry is due, then runs the pass
+    /// that dispatches it.
+    fn dispatch_held<T: Transport>(rt: &mut NodeRuntime<T>) {
+        let due_ns = rt.driver.next_deadline_ns().expect("an entry is held");
+        let left_ns = due_ns.saturating_sub(rt.driver.wall_ns());
+        std::thread::sleep(Duration::from_nanos(left_ns));
+        rt.driver.refresh_now();
+        rt.pass(rt.driver.now.as_nanos()).expect("vnet never fails");
+    }
+
+    /// A one-process driver with no links, its epoch now.
+    pub(crate) fn lone_driver() -> RealDriver<VnetTransport> {
+        let net = VnetTransport::mesh(1, &[]).remove(0);
+        RealDriver::new(net, unix_now_ns(), 1, NodeId(0), 1, vec![])
     }
 
     /// The vnet endpoints of a `nodes`-long chain.
@@ -1001,12 +1114,11 @@ mod tests {
             };
             dgram(&Wire::Control(Control::Lsa(lsa)))
         };
-        let scenario = loopback_scenario();
-        let net = VnetTransport::mesh(scenario.nodes, &[(0, 1), (1, 2)]).remove(1);
-        let mut rt = NodeRuntime::new(scenario, NodeId(1), net, unix_now_ns());
+        let mut rt = middle_node();
 
         let stored = rt.node().connectivity().lsdb_len();
         rt.deliver_datagram(0, &lsa_dgram(1, 2.0));
+        dispatch_held(&mut rt);
         let stored = stored + 1;
         assert_eq!(rt.node().connectivity().lsdb_len(), stored, "path is live");
         let version = rt.node().connectivity().version();
@@ -1019,14 +1131,279 @@ mod tests {
 
         // A later honest change rebuilds routes over a clean LSDB.
         rt.deliver_datagram(0, &lsa_dgram(3, 7.5));
+        dispatch_held(&mut rt);
         assert!(rt.node().connectivity().version() > version);
         assert!(rt.node().reaches(NodeId(0)));
+    }
+
+    /// One valid datagram of each shape the receive path handles most, as
+    /// node 0 sends them to node 1: a traced, masked data packet with a
+    /// payload, an LSA, a hello, a reliable ack and an FEC repair.
+    fn valid_dgrams() -> Vec<Vec<u8>> {
+        use son_obs::trace::TraceContext;
+        use son_overlay::addr::{DestKey, FlowKey};
+        use son_overlay::packet::{Control, DataPacket, LinkAdvert, LinkCtl, Lsa};
+        use son_topo::{EdgeId, EdgeMask};
+        let packet = DataPacket {
+            flow: FlowKey {
+                src: OverlayAddr::new(NodeId(0), TX_PORT),
+                dst: DestKey::Unicast(OverlayAddr::new(NodeId(2), RX_PORT)),
+            },
+            flow_seq: 7,
+            origin: NodeId(0),
+            spec: son_overlay::service::FlowSpec::reliable(),
+            mask: Some(EdgeMask::from_edges([EdgeId(0), EdgeId(1)])),
+            resolved_dst: None,
+            link_seq: 3,
+            created_at: SimTime::from_millis(5),
+            size: 16,
+            payload: (0..16).collect(),
+            ttl: 32,
+            auth_tag: 9,
+            trace: Some(TraceContext { id: 42, hop: 1 }),
+        };
+        let mut stripped = packet.clone();
+        stripped.payload = Default::default();
+        let lsa = Lsa {
+            origin: NodeId(0),
+            seq: 4,
+            links: [LinkAdvert {
+                edge: EdgeId(0),
+                up: true,
+                latency_ms: 2.0,
+                loss: 0.0,
+            }]
+            .into(),
+        };
+        let ack = LinkCtl::ReliableAck {
+            cum: 5,
+            selective: vec![7, 9],
+        };
+        let repair = LinkCtl::FecRepair {
+            block_start: 0,
+            index: 0,
+            covered: vec![stripped.clone(), stripped],
+        };
+        let hello = Control::Hello {
+            seq: 1,
+            sent_at: SimTime::from_millis(3),
+        };
+        [
+            Wire::Data(packet),
+            Wire::Control(Control::Lsa(lsa)),
+            Wire::Control(hello),
+            Wire::Ctl { slot: 1, ctl: ack },
+            Wire::Ctl {
+                slot: 6,
+                ctl: repair,
+            },
+        ]
+        .iter()
+        .map(|w| dgram_at(w, 1_000))
+        .collect()
+    }
+
+    /// Where one datagram ended up.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Landed {
+        DecodeError,
+        UnknownPipe,
+        Held,
+    }
+
+    /// Hands `dgram` from `peer` to an idle node 1 and says where it went:
+    /// counted as undecodable, counted as from an unknown pipe, or held for
+    /// dispatch no later than one link latency from now — exactly one. A
+    /// held frame is then dispatched to the daemon, and whatever that
+    /// schedules is dropped.
+    fn land(rt: &mut NodeRuntime<VnetTransport>, peer: usize, dgram: &[u8]) -> Landed {
+        let before = (rt.decode_errors, rt.unknown_pipe);
+        rt.deliver_datagram(peer, dgram);
+        let latest_ns = rt.driver.wall_ns() + rt.min_hold.as_nanos();
+        let held = rt.driver.due.pop();
+        let landed = [
+            (rt.decode_errors > before.0, Landed::DecodeError),
+            (rt.unknown_pipe > before.1, Landed::UnknownPipe),
+            (held.is_some(), Landed::Held),
+        ];
+        let mut places = landed.iter().filter(|(hit, _)| *hit);
+        let (Some(&(_, place)), None) = (places.next(), places.next()) else {
+            panic!("{dgram:?} from {peer} landed in {landed:?}");
+        };
+        if let Some((due, entry)) = held {
+            assert!(due.as_nanos() <= latest_ns, "{dgram:?} held past a latency");
+            assert!(rt.driver.due.pop().is_none(), "one datagram, one entry");
+            let Due::Deliver {
+                from,
+                to,
+                pipe: Some(pipe),
+                msg,
+            } = entry
+            else {
+                panic!("{entry:?} is not a frame off the wire");
+            };
+            rt.dispatch_message(to, from, Some(pipe), *msg);
+            while rt.driver.due.pop().is_some() {}
+        }
+        place
+    }
+
+    /// Every truncation of a valid datagram is refused by the framing or
+    /// the decoder, and every single-byte change of one lands in exactly one
+    /// place — and each place is reached. Nothing on the receive path
+    /// panics.
+    #[test]
+    fn truncated_and_mutated_datagrams_land_in_exactly_one_place() {
+        let mut rt = middle_node();
+        let mut seen = Vec::new();
+        for dgram in valid_dgrams() {
+            assert_eq!(land(&mut rt, 0, &dgram), Landed::Held);
+            for len in 0..dgram.len() {
+                assert_eq!(land(&mut rt, 0, &dgram[..len]), Landed::DecodeError);
+            }
+            for at in 0..dgram.len() {
+                for byte in [0x00, 0xff, dgram[at] ^ 0x80, dgram[at].wrapping_add(1)] {
+                    let mut bad = dgram.clone();
+                    bad[at] = byte;
+                    seen.push(land(&mut rt, 0, &bad));
+                }
+            }
+        }
+        for place in [Landed::DecodeError, Landed::UnknownPipe, Landed::Held] {
+            assert!(seen.contains(&place), "no mutation landed in {place:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever a socket hands the daemon — noise, noise behind valid
+        /// framing and a valid frame header of any kind, a valid datagram
+        /// with a few bytes rewritten — from any peer lands in exactly one
+        /// place without a panic.
+        fn no_datagram_panics_the_receive_path(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            kind in proptest::prelude::any::<u8>(),
+            edits in proptest::collection::vec((0usize..4096, proptest::prelude::any::<u8>()), 1..5),
+            peer in 0usize..4,
+        ) {
+            let mut rt = middle_node();
+            land(&mut rt, peer, &noise);
+            for valid in valid_dgrams() {
+                let header = FRAMING_BYTES + son_overlay::wire::FRAME_HEADER_BYTES;
+                let mut framed = valid[..header].to_vec();
+                framed[FRAMING_BYTES + 2] = kind;
+                let len = u32::try_from(noise.len()).unwrap();
+                framed[header - 4..].copy_from_slice(&len.to_le_bytes());
+                framed.extend_from_slice(&noise);
+                land(&mut rt, peer, &framed);
+                let mut edited = valid;
+                for &(at, byte) in &edits {
+                    let at = at % edited.len();
+                    edited[at] = byte;
+                }
+                land(&mut rt, peer, &edited);
+            }
+        }
+    }
+
+    /// The receiver trusts a sender's stamp only as far as its own clock: a
+    /// stamp 10 s in the future is held one link latency from now, and a
+    /// stamp of 0 — a frame sent long ago — is due at once and dispatched by
+    /// the pass that reads it.
+    #[test]
+    fn stamps_are_clamped_to_the_receivers_clock() {
+        let scenario = loopback_scenario();
+        let [mut peer, net, _] = <[VnetTransport; 3]>::try_from(chain_mesh(3)).unwrap();
+        let mut rt = NodeRuntime::new(scenario, NodeId(1), net, unix_now_ns() - 1_000_000_000);
+        let hello = Wire::Control(son_overlay::packet::Control::Hello {
+            seq: 1,
+            sent_at: SimTime::ZERO,
+        });
+        let latency_ns = rt.min_hold.as_nanos();
+
+        peer.send_to(1, &dgram_at(&hello, 0)).unwrap();
+        rt.driver.refresh_now();
+        rt.pass(rt.driver.now.as_nanos()).unwrap();
+        assert_eq!(rt.counters().get("pipe.delivered"), 1, "dispatched at once");
+        assert_eq!(rt.driver.next_deadline_ns(), None);
+
+        let before_ns = rt.driver.wall_ns();
+        let future_ns = before_ns + 10_000_000_000;
+        peer.send_to(1, &dgram_at(&hello, future_ns)).unwrap();
+        rt.driver.refresh_now();
+        rt.pass(rt.driver.now.as_nanos()).unwrap();
+        let after_ns = rt.driver.wall_ns();
+        assert_eq!(rt.counters().get("pipe.delivered"), 1, "held");
+        let due_ns = rt.driver.next_deadline_ns().expect("held");
+        assert!(
+            (before_ns + latency_ns..=after_ns + latency_ns).contains(&due_ns),
+            "held until {due_ns}, read between {before_ns} and {after_ns}"
+        );
+        dispatch_held(&mut rt);
+        assert_eq!(rt.counters().get("pipe.delivered"), 2);
+    }
+
+    /// The driver's clock is the system clock read once and advanced by the
+    /// monotonic clock: it starts where `unix_now_ns` is and never goes back.
+    #[test]
+    fn the_wall_clock_starts_at_the_system_clock_and_never_goes_back() {
+        let mut d = lone_driver();
+        d.epoch_ns -= 5_000_000_000;
+        let first = d.wall_ns();
+        let system = unix_now_ns() - d.epoch_ns;
+        assert!(first.abs_diff(system) < 1_000_000, "{first} vs {system}");
+        let mut last = first;
+        for _ in 0..100_000 {
+            let wall = d.wall_ns();
+            assert!(wall >= last, "{wall} after {last}");
+            last = wall;
+        }
+    }
+
+    /// A step of the system clock after start-up moves no deadline. A
+    /// driver whose anchor is older than its system-clock reading sees what
+    /// a daemon sees after the system clock was stepped back by the
+    /// difference: a 1 ms timer set on its clock fires on the first pass
+    /// after 1 ms, not 1 s late, and a run ends at its horizon on the
+    /// driver's clock.
+    #[test]
+    fn a_system_clock_step_moves_no_deadline() {
+        let stepped_back = |anchor: (Instant, u64), by: Duration| {
+            let at = anchor.0.checked_sub(by).expect("the host has been up");
+            (at, anchor.1)
+        };
+        let mut d = lone_driver();
+        d.anchor = stepped_back(d.anchor, Duration::from_secs(1));
+        d.refresh_now();
+        assert!(d.now.as_nanos() >= 1_000_000_000);
+        let set = Instant::now();
+        d.set_timer(ProcessId(0), SimDuration::from_millis(1), 7);
+        let left_ns = d.next_deadline_ns().unwrap().saturating_sub(d.wall_ns());
+        std::thread::sleep(Duration::from_nanos(left_ns));
+        d.refresh_now();
+        assert!(
+            matches!(
+                d.pop_due(d.now.as_nanos()),
+                Some(Due::Timer { token: 7, .. })
+            ),
+            "the first pass fires it"
+        );
+        assert!(set.elapsed() < Duration::from_millis(500));
+
+        // The whole loop reads the same clock: 1.6 s of a 1.7 s run have
+        // passed on it already.
+        let mut rt = middle_node();
+        rt.driver.anchor = stepped_back(rt.driver.anchor, Duration::from_millis(1_600));
+        let started = Instant::now();
+        rt.run().expect("vnet never fails");
+        assert!(started.elapsed() < Duration::from_millis(900));
     }
 
     /// Timers fire in deadline order and cancellation sticks.
     #[test]
     fn driver_timers_fire_and_cancel() {
-        let mut d = RealDriver::new(unix_now_ns(), 1, NodeId(0), 1, vec![]);
+        let mut d = lone_driver();
         d.refresh_now();
         let keep = d.set_timer(ProcessId(0), SimDuration::from_nanos(0), 7);
         let kill = d.set_timer(ProcessId(0), SimDuration::from_nanos(0), 8);
@@ -1051,43 +1428,46 @@ mod tests {
         assert_eq!((stats.live, stats.tombstones), (0, 0));
     }
 
-    /// A timer, a local message and a frame due at the same instant leave
-    /// the queue in the order they entered it, and a fired timer's handle
-    /// stays dead once later entries occupy its slot.
+    /// A timer, a local message and a frame off the wire due at the same
+    /// instant leave the queue in the order they entered it, and a fired
+    /// timer's handle stays dead once later entries occupy its slot.
     #[test]
     fn same_instant_entries_pop_in_scheduling_order() {
-        let delay = SimDuration::from_micros(50);
-        let out = PipeEnd {
-            peer: 1,
-            provider: 0,
-            outbound: true,
-            latency: delay,
-            loss: 0.0,
-            outage: None,
-        };
-        let mut d = RealDriver::new(unix_now_ns(), 1, NodeId(0), 2, vec![out]);
-        d.refresh_now();
+        let mut rt = middle_node();
+        rt.driver.refresh_now();
         let hello = || {
             Wire::Control(son_overlay::packet::Control::Hello {
                 seq: 1,
                 sent_at: SimTime::ZERO,
             })
         };
-        let fired = d.set_timer(ProcessId(0), delay, 7);
-        d.send_direct(ProcessId(1), ProcessId(0), delay, hello());
-        d.send(ProcessId(0), PipeId(0), hello());
+        // The in-pipe's latency, so the frame sent now is due with the rest.
+        let delay = rt.min_hold;
+        let sent_ns = rt.driver.now.as_nanos();
+        let fired = rt.driver.set_timer(ProcessId(0), delay, 7);
+        rt.driver
+            .send_direct(ProcessId(0), ProcessId(0), delay, hello());
+        rt.deliver_datagram(0, &dgram_at(&hello(), sent_ns));
 
-        let due_ns = (d.now + delay).as_nanos();
+        let d = &mut rt.driver;
+        let due_ns = sent_ns + delay.as_nanos();
         assert_eq!(d.next_deadline_ns(), Some(due_ns));
         assert!(d.pop_due(due_ns - 1).is_none(), "nothing is early");
         assert!(matches!(
             d.pop_due(due_ns),
             Some(Due::Timer { token: 7, .. })
         ));
-        assert!(matches!(d.pop_due(due_ns), Some(Due::Local { .. })));
         assert!(matches!(
             d.pop_due(due_ns),
-            Some(Due::Frame { peer: 1, .. })
+            Some(Due::Deliver { pipe: None, .. })
+        ));
+        assert!(matches!(
+            d.pop_due(due_ns),
+            Some(Due::Deliver {
+                from: REMOTE_SENDER,
+                pipe: Some(_),
+                ..
+            })
         ));
         assert!(d.pop_due(due_ns).is_none());
 

@@ -349,6 +349,68 @@ proptest! {
     }
 }
 
+/// Any link frame the generators make: data, link control (acks, FEC
+/// repairs, …) or control (LSAs, hellos, membership, …).
+fn gen_wire(rng: &mut TestRng) -> Wire {
+    match rng.gen_range(0u8..3) {
+        0 => Wire::Data(gen_data(rng, false)),
+        1 => Wire::Ctl {
+            slot: rng.gen_range(0u8..7),
+            ctl: gen_ctl(rng),
+        },
+        _ => Wire::Control(gen_control(rng)),
+    }
+}
+
+/// What `decode` accepted is a frame it can be handed again: it encodes,
+/// and the encoding decodes to the same value.
+fn accepted_is_stable(bytes: &[u8]) -> Result<(), String> {
+    match decode(bytes) {
+        Err(_) => Ok(()),
+        Ok(w) => match encode(&w).map(|again| decode(&again)) {
+            Ok(Ok(back)) if back == w => Ok(()),
+            other => Err(format!(
+                "{bytes:?} decoded to {w:?}, re-encoded to {other:?}"
+            )),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `decode` answers whatever it is handed without a panic: noise, noise
+    /// behind a valid header of any kind, every strict prefix of a valid
+    /// frame (always refused) and every single-byte change of one (× 4
+    /// values). The daemon's receive path runs the same inputs behind its
+    /// datagram framing (`son-node`'s `no_datagram_panics_the_receive_path`).
+    fn decode_never_panics_on_noise_truncation_or_mutation(
+        frame in any::<u64>().prop_perturb(|_, mut rng| encode(&gen_wire(&mut rng)).unwrap()),
+        noise in collection::vec(any::<u8>(), 0..300),
+        kind in any::<u8>(),
+    ) {
+        prop_assert!(accepted_is_stable(&noise).is_ok());
+        let mut framed = frame[..FRAME_HEADER_BYTES].to_vec();
+        framed[2] = kind;
+        framed[4..].copy_from_slice(&u32::try_from(noise.len()).unwrap().to_le_bytes());
+        framed.extend_from_slice(&noise);
+        let stable = accepted_is_stable(&framed);
+        prop_assert!(stable.is_ok(), "{stable:?}");
+
+        for len in 0..frame.len() {
+            prop_assert!(decode(&frame[..len]).is_err(), "a {len}-byte prefix decoded");
+        }
+        for at in 0..frame.len() {
+            for byte in [0x00, 0xff, frame[at] ^ 0x80, frame[at].wrapping_add(1)] {
+                let mut bad = frame.clone();
+                bad[at] = byte;
+                let stable = accepted_is_stable(&bad);
+                prop_assert!(stable.is_ok(), "{stable:?}");
+            }
+        }
+    }
+}
+
 /// `-0.0 == 0.0`, but they are different bytes on the wire: a sender holding
 /// one is not handed back for a frame carrying the other.
 #[test]

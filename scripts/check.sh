@@ -70,6 +70,11 @@ stage_udp() {
     # millisecond over its link's latency on the socket path (this host
     # reads ≈ 180 µs).
     son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity 'added_per_hop_p50_us<=1000'
+    # A steady flow sleeps to its deadlines without watching the socket
+    # (DESIGN.md §13, the run loop): the smoke cluster reads 13.1 waits per
+    # delivered packet, and 17.3 with a wake-up on every datagram's arrival.
+    # The bound is the measured value + 20 %.
+    son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity 'waits_per_delivered_pkt<=15.8'
     # The merged per-process exports are causally consistent: wall-clock
     # anchored timelines reconstruct across pids.
     cat target/obs/udp_parity/udp_e1_smoke.result.*.json \
