@@ -13,11 +13,14 @@
 //! `--self-check` verifies every reconstructed timeline's causal
 //! consistency (monotone time, contiguous hops, exactly one terminal) and
 //! exits non-zero on a violation or an empty export — CI runs this against
-//! the smoke experiment. Any `kind:"telemetry"` rows in the inputs are
-//! validated too: per-node seq numbers must be monotone in export order
-//! with no duplicate `(node, seq)`, and seq gaps (snapshots lost in
-//! flight) are counted and reported rather than silently ignored — gaps
-//! are legal for a best-effort stream, silence about them is not.
+//! the smoke experiment. Any `kind:"telemetry"` rows in the inputs go,
+//! per run, through the collector's own seq accounting
+//! (`ClusterState::ingest`, what `son-top` runs): a duplicate `(node,
+//! incarnation, seq)`, a seq or incarnation regress, or a row that does not
+//! decode fails the self-check, and seq gaps (snapshots lost in flight) are
+//! reported rather than silently ignored — gaps are legal for a
+//! best-effort stream, silence about them is not. A node's first sighting
+//! and a restart's fresh numbering are not gaps.
 //! `--limit N` caps the example timelines printed (default 3).
 //!
 //! `--watch-audit` switches to auditing `watch.jsonl` exports instead: it
@@ -28,12 +31,13 @@
 //! recorded churn, shedding by queue growth. Exits non-zero on any
 //! unexplained action (or an empty export).
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use son_bench::{banner, f, row, table_header};
+use son_bench::{banner, f, row, table_header, ClusterState};
 use son_obs::trace::{attribute, median_ns, reconstruct, self_check, Terminal, Timeline};
 use son_obs::watch::{WatchEvent, WatchKind};
-use son_obs::{Json, TraceEvent, TraceStage};
+use son_obs::{Json, TelemetrySnapshot, TraceEvent, TraceStage};
 
 struct Args {
     self_check: bool,
@@ -71,29 +75,56 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Reads one JSONL export, keeping the trace rows (tagged with their run
-/// configuration) and ignoring the other kinds (counter / ts rows share
-/// experiment files). Trace ids are only unique within one run — sweeps
-/// replay the same flow and sequence range per configuration — so every
-/// event keeps its `run` tag and analysis groups by (run, trace id).
-fn load(path: &str) -> Result<Vec<(String, TraceEvent)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let json = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        if let Some(ev) = TraceEvent::from_row(&json) {
-            let run = json
-                .get("run")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned();
-            events.push((run, ev));
+/// Every row of one export set that `son-trace` reads, grouped by the
+/// row's `run` tag: trace ids are only unique within one run (sweeps replay
+/// the same flow and sequence range per configuration), each run's watch
+/// stream is audited on its own, and each run numbers its telemetry afresh.
+#[derive(Default)]
+struct Export {
+    traces: BTreeMap<String, Vec<TraceEvent>>,
+    watch: BTreeMap<String, Vec<WatchEvent>>,
+    /// Telemetry rows through the collector's seq accounting.
+    telemetry: BTreeMap<String, ClusterState>,
+    /// `kind:"telemetry"` rows that did not decode, as `file:line: why`.
+    broken_telemetry: Vec<String>,
+}
+
+/// Reads each file once and parses each line once, routing rows by `kind`;
+/// the other kinds sharing experiment files (counters, histograms, the
+/// daemons' summary rows) are skipped.
+fn load(files: &[String]) -> Result<Export, String> {
+    let mut export = Export::default();
+    for path in files {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let row = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+            let run = String::from(row.get("run").and_then(Json::as_str).unwrap_or_default());
+            match row.get("kind").and_then(Json::as_str) {
+                Some("trace") => {
+                    if let Some(ev) = TraceEvent::from_row(&row) {
+                        export.traces.entry(run).or_default().push(ev);
+                    }
+                }
+                Some("watch") => {
+                    if let Some(ev) = WatchEvent::from_row(&row) {
+                        export.watch.entry(run).or_default().push(ev);
+                    }
+                }
+                Some("telemetry") => match TelemetrySnapshot::from_row(&row) {
+                    Ok(Some(snap)) => export.telemetry.entry(run).or_default().ingest(snap),
+                    Ok(None) => {}
+                    Err(e) => export
+                        .broken_telemetry
+                        .push(format!("{path}:{}: {e}", i + 1)),
+                },
+                _ => {}
+            }
         }
     }
-    Ok(events)
+    Ok(export)
 }
 
 fn ms(ns: u64) -> f64 {
@@ -135,113 +166,6 @@ fn print_timeline(tl: &Timeline) {
             detail
         );
     }
-}
-
-/// Seq accounting over the telemetry rows of one export set.
-#[derive(Debug, Default)]
-struct TelemetryCheck {
-    rows: u64,
-    nodes: std::collections::BTreeSet<u32>,
-    gaps: u64,
-    violations: Vec<String>,
-}
-
-/// Validates every `kind:"telemetry"` row in the given files: monotone seq
-/// per node incarnation in export order, no duplicate `(node, restarts,
-/// seq)`, gaps counted. Membership churn is a normal condition, not a
-/// violation: a node's first sighting charges no gap (it may have joined
-/// mid-run), and a seq reset accompanied by a higher `restarts` is a
-/// rejoin, not a monotonicity breach.
-fn check_telemetry(files: &[String]) -> Result<TelemetryCheck, String> {
-    use son_obs::snapshot::TelemetrySnapshot;
-    let mut check = TelemetryCheck::default();
-    // Per node: (incarnation, highest seq in that incarnation).
-    let mut last_seq: std::collections::BTreeMap<u32, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    let mut seen: std::collections::HashSet<(u32, u64, u64)> = std::collections::HashSet::new();
-    for path in files {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let json = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-            let snap = match TelemetrySnapshot::from_row(&json) {
-                Ok(Some(snap)) => snap,
-                Ok(None) => continue,
-                Err(e) => {
-                    check
-                        .violations
-                        .push(format!("{path}:{}: broken telemetry row: {e}", i + 1));
-                    continue;
-                }
-            };
-            check.rows += 1;
-            check.nodes.insert(snap.node);
-            if !seen.insert((snap.node, snap.restarts, snap.seq)) {
-                check.violations.push(format!(
-                    "{path}:{}: duplicate (node {}, incarnation {}, seq {})",
-                    i + 1,
-                    snap.node,
-                    snap.restarts,
-                    snap.seq
-                ));
-                continue;
-            }
-            match last_seq.get(&snap.node) {
-                Some(&(inc, _)) if snap.restarts > inc => {
-                    // Rejoin: a new incarnation restarts the numbering.
-                    last_seq.insert(snap.node, (snap.restarts, snap.seq));
-                }
-                Some(&(inc, _)) if snap.restarts < inc => check.violations.push(format!(
-                    "{path}:{}: node {} incarnation {} after incarnation {} (not monotone)",
-                    i + 1,
-                    snap.node,
-                    snap.restarts,
-                    inc
-                )),
-                Some(&(inc, prev)) if snap.seq < prev => check.violations.push(format!(
-                    "{path}:{}: node {} seq {} after seq {} (incarnation {}, not monotone)",
-                    i + 1,
-                    snap.node,
-                    snap.seq,
-                    prev,
-                    inc
-                )),
-                Some(&(inc, prev)) => {
-                    check.gaps += snap.seq - prev - 1;
-                    last_seq.insert(snap.node, (inc, snap.seq));
-                }
-                // First sighting: the node may have joined mid-run; its
-                // earlier seqs are history, not export loss.
-                None => {
-                    last_seq.insert(snap.node, (snap.restarts, snap.seq));
-                }
-            }
-        }
-    }
-    Ok(check)
-}
-
-/// Reads one JSONL export, keeping the watch rows with their `run` tags.
-fn load_watch(path: &str) -> Result<Vec<(String, WatchEvent)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let json = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        if let Some(ev) = WatchEvent::from_row(&json) {
-            let run = json
-                .get("run")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned();
-            events.push((run, ev));
-        }
-    }
-    Ok(events)
 }
 
 /// Replays one run's audit stream in order and verifies that every
@@ -339,14 +263,7 @@ fn audit_run(run: &str, events: &[WatchEvent], violations: &mut Vec<String>) {
     }
 }
 
-fn run_watch_audit(args: &Args) -> Result<bool, String> {
-    let mut by_run: std::collections::BTreeMap<String, Vec<WatchEvent>> =
-        std::collections::BTreeMap::new();
-    for file in &args.files {
-        for (run, ev) in load_watch(file)? {
-            by_run.entry(run).or_default().push(ev);
-        }
-    }
+fn run_watch_audit(by_run: &BTreeMap<String, Vec<WatchEvent>>) -> bool {
     banner(
         "son-trace --watch-audit",
         "Every watchdog remediation must be explained by a preceding detection",
@@ -360,7 +277,7 @@ fn run_watch_audit(args: &Args) -> Result<bool, String> {
         ("violations", 11),
     ]);
     let mut events_total = 0;
-    for (tag, events) in &by_run {
+    for (tag, events) in by_run {
         let before = violations.len();
         audit_run(tag, events, &mut violations);
         let remediations = events.iter().filter(|e| e.kind.is_remediation()).count();
@@ -379,27 +296,21 @@ fn run_watch_audit(args: &Args) -> Result<bool, String> {
             println!("  {v}");
         }
         println!("\nwatch-audit: FAIL ({} violations)", violations.len());
-        return Ok(false);
+        return false;
     }
     if events_total == 0 {
         println!("\nwatch-audit: FAIL (no watch events in the export)");
-        return Ok(false);
+        return false;
     }
     println!("\nwatch-audit: ok ({events_total} events, every remediation explained)");
-    Ok(true)
+    true
 }
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
+    let mut export = load(&args.files)?;
     if args.watch_audit {
-        return run_watch_audit(&args);
-    }
-    let mut by_run: std::collections::BTreeMap<String, Vec<TraceEvent>> =
-        std::collections::BTreeMap::new();
-    for file in &args.files {
-        for (run, ev) in load(file)? {
-            by_run.entry(run).or_default().push(ev);
-        }
+        return Ok(run_watch_audit(&export.watch));
     }
 
     // Reconstruct and self-check per run (trace ids collide across runs);
@@ -408,7 +319,7 @@ fn run() -> Result<bool, String> {
     let mut events_total = 0;
     let mut markers_total = 0;
     let mut violations = Vec::new();
-    for (run, events) in &mut by_run {
+    for (run, events) in &mut export.traces {
         events.sort_by_key(|e| (e.at_ns, e.trace_id, e.hop, e.stage.rank()));
         let report = self_check(events);
         events_total += report.events;
@@ -431,7 +342,7 @@ fn run() -> Result<bool, String> {
         events_total,
         markers_total,
         timelines.len(),
-        by_run.len()
+        export.traces.len()
     );
     let delivered: Vec<&Timeline> = timelines
         .iter()
@@ -500,16 +411,30 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    // Telemetry rows, when the inputs carry any: seq sanity plus explicit
-    // gap accounting (lost snapshots are visible, never silent).
-    let telemetry = check_telemetry(&args.files)?;
-    if telemetry.rows > 0 {
+    // Telemetry rows, when the inputs carry any: the collector's seq
+    // accounting per run. Gaps are reported (lost snapshots are visible,
+    // never silent); duplicates and regressions are violations.
+    let mut telemetry_violations = export.broken_telemetry;
+    let (mut snapshots, mut nodes, mut gaps) = (0, 0, 0u64);
+    for (run, state) in &export.telemetry {
+        snapshots += state.snapshots();
+        nodes += state.node_count();
+        for (node, n) in state.nodes() {
+            gaps = gaps.saturating_add(n.lost);
+            if n.dup > 0 {
+                telemetry_violations.push(format!(
+                    "[{run}] node {node}: {} duplicate, regressed or stale-incarnation snapshots",
+                    n.dup
+                ));
+            }
+        }
+    }
+    if snapshots > 0 || !telemetry_violations.is_empty() {
         println!(
-            "\ntelemetry: {} rows over {} nodes, {} seq gaps (snapshots lost in flight), {} violations",
-            telemetry.rows,
-            telemetry.nodes.len(),
-            telemetry.gaps,
-            telemetry.violations.len()
+            "\ntelemetry: {snapshots} rows from {nodes} nodes over {} runs, {gaps} seq gaps \
+             (snapshots lost in flight), {} violations",
+            export.telemetry.len(),
+            telemetry_violations.len()
         );
     }
 
@@ -519,9 +444,9 @@ fn run() -> Result<bool, String> {
             println!("  {v}");
         }
     }
-    if !telemetry.violations.is_empty() {
+    if !telemetry_violations.is_empty() {
         println!("\ntelemetry violations:");
-        for v in &telemetry.violations {
+        for v in &telemetry_violations {
             println!("  {v}");
         }
     }
@@ -538,11 +463,10 @@ fn run() -> Result<bool, String> {
             );
             return Ok(false);
         }
-        if !telemetry.violations.is_empty() {
+        if !telemetry_violations.is_empty() {
             println!(
-                "\nself-check: FAIL ({} telemetry violations over {} rows)",
-                telemetry.violations.len(),
-                telemetry.rows
+                "\nself-check: FAIL ({} telemetry violations over {snapshots} rows)",
+                telemetry_violations.len()
             );
             return Ok(false);
         }
@@ -550,11 +474,8 @@ fn run() -> Result<bool, String> {
             "\nself-check: ok ({} timelines, {} events causally consistent{})",
             timelines.len(),
             events_total,
-            if telemetry.rows > 0 {
-                format!(
-                    ", {} telemetry rows seq-consistent ({} gaps accounted)",
-                    telemetry.rows, telemetry.gaps
-                )
+            if snapshots > 0 {
+                format!(", {snapshots} telemetry rows seq-consistent ({gaps} gaps accounted)")
             } else {
                 String::new()
             }

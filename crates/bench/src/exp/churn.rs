@@ -26,10 +26,11 @@
 //! fails — the CI gate.
 
 use son_netsim::time::SimDuration;
+use son_obs::registry_rows;
 
 use super::Opts;
 use crate::churn::{campaign_matrix, ChurnRun};
-use crate::{export_registry, f, finish_export, obs_sink, row, table_header};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header};
 
 /// Convergence bound the gate enforces: 8 maintenance epochs (500 ms each).
 const LAG_BOUND: SimDuration = SimDuration::from_secs(4);
@@ -80,7 +81,7 @@ pub fn run(opts: &Opts) {
             ]);
             let tag = format!("{name}.{}", if membership_on { "on" } else { "off" });
             if let Some(s) = &mut sink {
-                let _ = export_registry(s, &tag, &out.registry);
+                let _ = export_rows(s, &tag, registry_rows(&out.registry));
             }
             results.push((
                 name.to_string(),

@@ -13,19 +13,18 @@
 //! loss rate and report delivery latency for the packets that needed
 //! recovery, plus overall smoothness (jitter).
 //!
-//! Every run samples 1-in-16 packets for distributed tracing and snapshots
-//! the flight recorder once per simulated second; `son-trace` reconstructs
+//! Every run samples 1-in-16 packets for distributed tracing and records
+//! every daemon's telemetry snapshot each epoch; `son-trace` reconstructs
 //! the exported `exp_fig3.trace.jsonl` into per-packet timelines showing
-//! exactly where each recovery happened. `--smoke` runs a single reduced
-//! loss point for CI.
+//! exactly where each recovery happened, and audits the seq numbering of
+//! `exp_fig3.telemetry.jsonl`. `--smoke` runs a single reduced loss point
+//! for CI.
 
 use super::Opts;
-use crate::{
-    export_registry, export_timeseries, export_traces, f, finish_export, obs_sink, row,
-    table_header, UnicastRun,
-};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, UnicastRun};
 use son_netsim::loss::LossConfig;
 use son_netsim::time::SimDuration;
+use son_obs::{registry_rows, TelemetrySnapshot, TraceEvent};
 use son_overlay::builder::chain_topology;
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
@@ -45,7 +44,7 @@ pub fn run(opts: &Opts) {
 
     let mut sink = obs_sink("exp_fig3");
     let mut trace_sink = obs_sink("exp_fig3.trace");
-    let mut ts_sink = obs_sink("exp_fig3.metrics_ts");
+    let mut telemetry_sink = obs_sink("exp_fig3.telemetry");
 
     // The end-to-end loss probability is matched: one 50ms link at loss p_e
     // vs five 10ms links each at p such that 1-(1-p)^5 = p_e.
@@ -75,17 +74,17 @@ pub fn run(opts: &Opts) {
             run.run_for = SimDuration::from_secs(if smoke { 40 } else { 150 });
             run.seed = 1_000 + (e2e_loss * 1e4) as u64;
             run.node_config.trace_sample = 16;
-            run.ts_cadence = Some(SimDuration::from_secs(1));
             let out = run.run();
             let tag = format!("{label}@{:.2}%", loss * 100.0);
             if let Some(sink) = &mut sink {
-                let _ = export_registry(sink, &tag, &out.registry);
+                let _ = export_rows(sink, &tag, registry_rows(&out.registry));
             }
             if let Some(sink) = &mut trace_sink {
-                let _ = export_traces(sink, &tag, &out.traces);
+                let _ = export_rows(sink, &tag, out.traces.iter().map(TraceEvent::row));
             }
-            if let Some(sink) = &mut ts_sink {
-                let _ = export_timeseries(sink, &tag, &out.timeseries);
+            if let Some(sink) = &mut telemetry_sink {
+                let rows = out.telemetry.iter().map(TelemetrySnapshot::row);
+                let _ = export_rows(sink, &tag, rows);
             }
 
             let mut lat = out.recv.latency_ms();
@@ -119,7 +118,7 @@ pub fn run(opts: &Opts) {
         }
     }
 
-    for s in [sink, trace_sink, ts_sink].into_iter().flatten() {
+    for s in [sink, trace_sink, telemetry_sink].into_iter().flatten() {
         finish_export(s);
     }
     println!();

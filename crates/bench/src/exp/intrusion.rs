@@ -14,7 +14,7 @@
 use son_netsim::rng::SimRng;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
-use son_obs::JsonlSink;
+use son_obs::{registry_rows, JsonlSink};
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
@@ -22,7 +22,7 @@ use son_overlay::{FlowSpec, RoutingService, SourceRoute};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{export_registry, f, finish_export, obs_sink, row, table_header, Fleet};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, Fleet};
 
 const COUNT: u64 = 300;
 
@@ -108,7 +108,7 @@ fn run_once(
     );
     fleet.run(SimTime::from_secs(12));
     if let Some(sink) = sink {
-        let _ = export_registry(sink, tag, &fleet.registry());
+        let _ = export_rows(sink, tag, registry_rows(&fleet.registry()));
     }
     (
         fleet.recv(0).received as f64 / COUNT as f64,

@@ -12,10 +12,10 @@
 //! bound, and wire overhead versus the 1 + M·p prediction.
 
 use super::Opts;
-use crate::{export_registry, f, finish_export, obs_sink, row, table_header, UnicastRun};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, UnicastRun};
 use son_netsim::loss::LossConfig;
 use son_netsim::time::SimDuration;
-use son_obs::JsonlSink;
+use son_obs::{registry_rows, JsonlSink};
 use son_overlay::builder::chain_topology;
 use son_overlay::service::FecParams;
 use son_overlay::{FlowSpec, LinkService, RealtimeParams};
@@ -39,7 +39,7 @@ fn run_one(
     run.seed = seed;
     let out = run.run();
     if let Some(sink) = sink {
-        let _ = export_registry(sink, tag, &out.registry);
+        let _ = export_rows(sink, tag, registry_rows(&out.registry));
     }
     let mut lat = out.recv.latency_ms();
     let within = lat.fraction_within(DEADLINE_MS).unwrap_or(0.0) * out.recv.received as f64

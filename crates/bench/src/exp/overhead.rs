@@ -10,9 +10,8 @@
 //! For every ordered city pair on the continental-US scenario we compare the
 //! best *direct* single-provider underlay latency against the multi-hop
 //! overlay path (short links + per-hop processing) and report the stretch
-//! distribution. The CPU-side claim (<1 ms per hop) is measured separately
-//! by `cargo bench` (`forwarding` micro-benchmarks) — on modern hardware the
-//! per-packet daemon work is microseconds.
+//! distribution. The per-hop claim (<1 ms per hop) is measured on the socket
+//! path by `son-exp udp_parity`'s `added_per_hop_p50_us`.
 
 use super::Opts;
 use crate::{f, row, table_header};

@@ -16,7 +16,7 @@
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::sim::ScenarioEvent;
 use son_netsim::time::{SimDuration, SimTime};
-use son_obs::TimeSeriesRing;
+use son_obs::{registry_rows, TelemetrySnapshot, TraceEvent};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::FlowSpec;
@@ -24,10 +24,7 @@ use son_topo::NodeId;
 
 use super::Opts;
 use crate::fleet::edge_pipes;
-use crate::{
-    default_tracked, export_registry, export_timeseries, export_traces, f, finish_export,
-    gather_registry, longest_gap, obs_sink, row, table_header, Fleet,
-};
+use crate::{export_rows, f, finish_export, longest_gap, obs_sink, row, table_header, Fleet};
 
 const FAIL_AT: SimTime = SimTime::from_secs(5);
 const RUN_FOR: SimTime = SimTime::from_secs(60);
@@ -62,7 +59,7 @@ pub fn run(_: &Opts) {
 
     let mut sink = obs_sink("exp_rerouting");
     let mut trace_sink = obs_sink("exp_rerouting.trace");
-    let mut ts_sink = obs_sink("exp_rerouting.metrics_ts");
+    let mut telemetry_sink = obs_sink("exp_rerouting.telemetry");
 
     // ---- Internet baseline: one "overlay" link NYC->LA on one ISP. -------
     {
@@ -99,7 +96,8 @@ pub fn run(_: &Opts) {
             .schedule(FAIL_AT, ScenarioEvent::FailUnderlayEdge(route[0]));
         fleet.run(RUN_FOR);
         if let Some(sink) = &mut sink {
-            let _ = export_registry(sink, "internet_baseline", &fleet.registry());
+            let rows = registry_rows(&fleet.registry());
+            let _ = export_rows(sink, "internet_baseline", rows);
         }
         let (gap, flowing) = outage(fleet.recv(0));
         row(&[
@@ -144,22 +142,16 @@ pub fn run(_: &Opts) {
         let pipes = edge_pipes(&fleet.overlay, edge);
         let victims = if kill_all { &pipes[..] } else { &pipes[..2] };
         fleet.pipe_outage(victims, FAIL_AT, SimDuration::MAX);
-        let mut recorder = TimeSeriesRing::new(256, default_tracked());
-        fleet.run_with_cadence(
-            RUN_FOR,
-            SimDuration::from_secs(1),
-            |sim, overlay, at, wall| {
-                recorder.snapshot_registry(at.as_nanos(), wall, &gather_registry(sim, overlay));
-            },
-        );
+        let mut telemetry = Vec::new();
+        fleet.run_with_telemetry(RUN_FOR, |snap| telemetry.push(snap));
         if let Some(sink) = &mut sink {
-            let _ = export_registry(sink, what, &fleet.registry());
+            let _ = export_rows(sink, what, registry_rows(&fleet.registry()));
         }
         if let Some(sink) = &mut trace_sink {
-            let _ = export_traces(sink, what, &fleet.traces());
+            let _ = export_rows(sink, what, fleet.traces().iter().map(TraceEvent::row));
         }
-        if let Some(sink) = &mut ts_sink {
-            let _ = export_timeseries(sink, what, &recorder.rows());
+        if let Some(sink) = &mut telemetry_sink {
+            let _ = export_rows(sink, what, telemetry.iter().map(TelemetrySnapshot::row));
         }
         let (gap, flowing) = outage(fleet.recv(0));
         // Count provider switches / reroutes across daemons for the record.
@@ -176,7 +168,7 @@ pub fn run(_: &Opts) {
         ]);
     }
 
-    for s in [sink, trace_sink, ts_sink].into_iter().flatten() {
+    for s in [sink, trace_sink, telemetry_sink].into_iter().flatten() {
         finish_export(s);
     }
     println!();

@@ -17,11 +17,11 @@
 //! - `<obs dir>/scale.jsonl`: the same rows plus the absorbed profiler's
 //!   per-stage rows for each N (`run` = `n64`, `n256`, …).
 
-use son_obs::Json;
+use son_obs::{perf_rows, Json};
 
 use super::Opts;
 use crate::scale::{run_scale_sharded, ScaleResult, SCALE_FLOWS, SCALE_SEED};
-use crate::{export_perf, export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
 
 /// Virtual-time horizon per run: long enough for convergence, the mid-run
 /// link cut at 1.5s, recovery at 2.2s, and steady state after — and short
@@ -151,7 +151,7 @@ pub fn run(opts: &Opts) {
         if let Some(sink) = &mut obs {
             let run = format!("n{n}");
             let _ = export_rows(sink, &run, std::iter::once(row.clone()));
-            let _ = export_perf(sink, &run, &r.perf);
+            let _ = export_rows(sink, &run, perf_rows(&r.perf));
         }
         bench.push(row);
         results.push(r);

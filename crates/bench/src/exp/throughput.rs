@@ -15,16 +15,14 @@ use std::time::Instant;
 
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
-use son_obs::snapshot::SnapshotProducer;
-use son_obs::Json;
+use son_obs::{registry_rows, Json};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::FlowSpec;
 use son_topo::{EdgeId, NodeId};
 
 use super::Opts;
-use crate::telemetry::{sim_telemetry, EPOCH_NS};
-use crate::{export_registry, f, finish_export, obs_sink, row, table_header, write_bench, Fleet};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench, Fleet};
 
 struct ThroughputResult {
     sim_seconds: f64,
@@ -49,8 +47,9 @@ impl ThroughputResult {
 /// span profiler (daemons and event loop) so the profiled rerun prices the
 /// always-on profiler the same way; `telemetry` streams per-epoch
 /// [`son_obs::TelemetrySnapshot`] rows to
-/// `target/obs/exp_throughput.telemetry.jsonl` through `run_with_cadence`,
-/// so the traced row also prices the telemetry plane.
+/// `target/obs/exp_throughput.telemetry.jsonl` through
+/// [`Fleet::run_with_telemetry`], rendering every row inside the timed
+/// window, so the traced row also prices the telemetry plane.
 fn throughput_under_churn(
     smoke: bool,
     trace_sample: u32,
@@ -111,20 +110,11 @@ fn throughput_under_churn(
     let wall = Instant::now();
     let mut telemetry_rows = String::new();
     if telemetry {
-        let mut producers: Vec<SnapshotProducer> = (0..fleet.overlay.daemons.len())
-            .map(|i| SnapshotProducer::new(i as u32))
-            .collect();
         telemetry_rows.reserve(64 * 1024);
-        fleet.run_with_cadence(
-            run_for,
-            SimDuration::from_nanos(EPOCH_NS),
-            |sim, overlay, at, _wall| {
-                for snap in sim_telemetry(sim, overlay, &mut producers, at.as_nanos()) {
-                    snap.write_row_json(&mut telemetry_rows);
-                    telemetry_rows.push('\n');
-                }
-            },
-        );
+        fleet.run_with_telemetry(run_for, |snap| {
+            snap.write_row_json(&mut telemetry_rows);
+            telemetry_rows.push('\n');
+        });
     } else {
         fleet.run(run_for);
     }
@@ -268,7 +258,7 @@ pub fn run(opts: &Opts) {
     // Registry rows (per-node counters, pipe stats) go to the obs dir like
     // every other experiment.
     if let Some(mut sink) = obs_sink("exp_throughput") {
-        let _ = export_registry(&mut sink, "churn_throughput", &registry);
+        let _ = export_rows(&mut sink, "churn_throughput", registry_rows(&registry));
         finish_export(sink);
     }
 }

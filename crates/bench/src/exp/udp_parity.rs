@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};
 use son_node::{unix_now_ns, Scenario, TopoKind};
-use son_obs::snapshot::{SnapshotProducer, TelemetrySnapshot};
+use son_obs::snapshot::TelemetrySnapshot;
 use son_obs::Json;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
@@ -39,7 +39,7 @@ use son_overlay::NodeConfig;
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::telemetry::{sim_telemetry, ClusterState, EPOCH_NS};
+use crate::telemetry::ClusterState;
 use crate::{f, longest_gap, row, table_header, write_bench, Fleet};
 
 /// One leg's outcome, sim or UDP.
@@ -108,7 +108,7 @@ fn e3_scenario() -> Scenario {
 }
 
 /// Runs the scenario inside the deterministic simulator, emitting the same
-/// telemetry rows the UDP leg streams — through `run_with_cadence`, into
+/// telemetry rows the UDP leg streams — through [`Fleet::run_with_telemetry`], into
 /// `<dir>/<name>.sim.telemetry.jsonl` — so one schema serves both legs.
 fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     let topo = s.topology();
@@ -153,21 +153,11 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     let _ = std::fs::create_dir_all(dir);
     let telemetry_path = dir.join(format!("{}.sim.telemetry.jsonl", s.name));
     let mut telemetry = std::fs::File::create(&telemetry_path).ok();
-    let mut producers: Vec<SnapshotProducer> = (0..s.nodes)
-        .map(|i| SnapshotProducer::new(i as u32))
-        .collect();
-    fleet.run_with_cadence(
-        SimTime::from_millis(s.run_for_ms),
-        SimDuration::from_nanos(EPOCH_NS),
-        |sim, overlay, at, _wall| {
-            let snaps = sim_telemetry(sim, overlay, &mut producers, at.as_nanos());
-            if let Some(f) = telemetry.as_mut() {
-                for snap in &snaps {
-                    let _ = writeln!(f, "{}", snap.row_json());
-                }
-            }
-        },
-    );
+    fleet.run_with_telemetry(SimTime::from_millis(s.run_for_ms), |snap| {
+        if let Some(f) = telemetry.as_mut() {
+            let _ = writeln!(f, "{}", snap.row_json());
+        }
+    });
 
     let recv = fleet.recv(0);
     let mut lat = recv.latency_ms();

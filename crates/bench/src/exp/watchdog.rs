@@ -19,12 +19,13 @@
 //! `son-trace --watch-audit`.
 
 use son_netsim::time::SimDuration;
-use son_obs::watch::WatchKind;
+use son_obs::registry_rows;
+use son_obs::watch::{WatchEvent, WatchKind};
 use son_overlay::watch::WatchConfig;
 
 use super::Opts;
 use crate::watchdog::{campaign_matrix, WatchdogRun};
-use crate::{export_registry, export_watch, f, finish_export, obs_sink, row, table_header};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header};
 
 pub fn run(opts: &Opts) {
     let smoke = opts.smoke;
@@ -73,10 +74,10 @@ pub fn run(opts: &Opts) {
             ]);
             let tag = format!("{name}.{}", if watch_on { "on" } else { "off" });
             if let Some(s) = &mut watch_sink {
-                let _ = export_watch(s, &tag, &out.watch_events);
+                let _ = export_rows(s, &tag, out.watch_events.iter().map(WatchEvent::row));
             }
             if let Some(s) = &mut sink {
-                let _ = export_registry(s, &tag, &out.registry);
+                let _ = export_rows(s, &tag, registry_rows(&out.registry));
             }
             fractions.push((
                 name.to_string(),

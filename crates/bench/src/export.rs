@@ -3,13 +3,12 @@
 //! Every experiment writes the same way: open a sink per artifact under the
 //! obs dir, tag each row with a `run` label so several runs share one file,
 //! and finish with the "wrote N rows" banner; the committed `BENCH_*.json`
-//! files have one writer, [`write_bench`]. The per-artifact exporters
-//! ([`export_traces`], [`export_timeseries`], [`export_watch`],
-//! [`export_registry`]) are all one call to [`export_rows`] with a
-//! different row source — the row-tagging loop lives here exactly once.
+//! files have one writer, [`write_bench`]. Every JSONL artifact is one call
+//! to [`export_rows`] with its own row source (`TraceEvent::row`,
+//! `WatchEvent::row`, `TelemetrySnapshot::row`, `registry_rows`,
+//! `perf_rows`) — the row-tagging loop lives here exactly once.
 
-use son_obs::trace::TraceEvent;
-use son_obs::{registry_rows, Json, JsonlSink, Registry};
+use son_obs::{Json, JsonlSink};
 
 /// Tags `row` with `run` as its first key (no-op on non-object rows).
 #[must_use]
@@ -20,8 +19,8 @@ pub fn tag_run(mut row: Json, run: &str) -> Json {
     row
 }
 
-/// Writes each row of `rows` into `sink`, tagged with `run`. Every
-/// per-artifact exporter funnels through here.
+/// Writes each row of `rows` into `sink`, tagged with `run` so several runs
+/// share one file. Row schemas are documented in `EXPERIMENTS.md`.
 ///
 /// # Errors
 ///
@@ -35,73 +34,6 @@ pub fn export_rows(
         sink.write(&tag_run(row, run))?;
     }
     Ok(())
-}
-
-/// Writes one JSONL row per trace event into `sink`, tagging each row with
-/// `run`. Schema is documented in `EXPERIMENTS.md`.
-///
-/// # Errors
-///
-/// Propagates the I/O error if a write fails.
-pub fn export_traces(
-    sink: &mut JsonlSink,
-    run: &str,
-    events: &[TraceEvent],
-) -> std::io::Result<()> {
-    export_rows(sink, run, events.iter().map(TraceEvent::row))
-}
-
-/// Writes the flight recorder's samples into `sink`, tagging each row with
-/// `run`. Schema is documented in `EXPERIMENTS.md`.
-///
-/// # Errors
-///
-/// Propagates the I/O error if a write fails.
-pub fn export_timeseries(sink: &mut JsonlSink, run: &str, rows: &[Json]) -> std::io::Result<()> {
-    export_rows(sink, run, rows.iter().cloned())
-}
-
-/// Writes one `watch.jsonl` row per watchdog audit event into `sink`,
-/// tagging each row with `run`. Schema is documented in `EXPERIMENTS.md`.
-///
-/// # Errors
-///
-/// Propagates the I/O error if a write fails.
-pub fn export_watch(
-    sink: &mut JsonlSink,
-    run: &str,
-    events: &[son_obs::watch::WatchEvent],
-) -> std::io::Result<()> {
-    export_rows(
-        sink,
-        run,
-        events.iter().map(son_obs::watch::WatchEvent::row),
-    )
-}
-
-/// Writes one JSONL row per instrument of `reg` into `sink`, tagging each
-/// row with `run` so several runs can share one experiment file. Schema is
-/// documented in `EXPERIMENTS.md`.
-///
-/// # Errors
-///
-/// Propagates the I/O error if a write fails.
-pub fn export_registry(sink: &mut JsonlSink, run: &str, reg: &Registry) -> std::io::Result<()> {
-    export_rows(sink, run, registry_rows(reg))
-}
-
-/// Writes the profiler's per-stage rows into `sink`, tagged with `run`
-/// (`{"run":…,"kind":"perf","stage":…}`; see `EXPERIMENTS.md` E16).
-///
-/// # Errors
-///
-/// Propagates the I/O error if a write fails.
-pub fn export_perf(
-    sink: &mut JsonlSink,
-    run: &str,
-    perf: &son_obs::PerfRegistry,
-) -> std::io::Result<()> {
-    export_rows(sink, run, son_obs::perf_rows(perf))
 }
 
 /// The one writer of `BENCH_*.json`: replaces, in the file at `path`, the

@@ -13,15 +13,17 @@ use son_netsim::scenario::Campaign;
 use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_netsim::underlay::Underlay;
+use son_obs::snapshot::SnapshotProducer;
 use son_obs::trace::TraceEvent;
 use son_obs::watch::WatchEvent;
-use son_obs::Registry;
+use son_obs::{Registry, TelemetrySnapshot};
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, FlowRecv, Workload};
 use son_overlay::node::{CtlFrames, OverlayNode};
 use son_overlay::{Destination, FlowSpec, GroupId, LinkService, OverlayAddr, OverlayHandle, Wire};
 use son_topo::{EdgeId, NodeId};
 
+use crate::telemetry::EPOCH_NS;
 use crate::{gather_registry, WireStats, RX_PORT, TX_PORT};
 
 /// Both directions of every provider pipe pair of one overlay link, in
@@ -151,6 +153,30 @@ impl Fleet {
         let overlay = &self.overlay;
         self.sim.run_with_cadence(until, cadence, |sim, at, wall| {
             on_tick(sim, overlay, at, wall);
+        });
+    }
+
+    /// Runs to `until` with the telemetry plane on: every [`EPOCH_NS`] of
+    /// virtual time, each daemon renders one snapshot exactly as a
+    /// `son-node` daemon's emitter would, stamped with the host clock at the
+    /// pause ([`Simulation::wall_ns`]), and `on_snapshot` takes it (daemon
+    /// order within an epoch). Observation only: the fingerprint equals a
+    /// plain [`Fleet::run`]'s.
+    pub fn run_with_telemetry(
+        &mut self,
+        until: SimTime,
+        mut on_snapshot: impl FnMut(TelemetrySnapshot),
+    ) {
+        let mut producers: Vec<SnapshotProducer> = (0..self.overlay.daemons.len())
+            .map(|i| SnapshotProducer::new(i as u32))
+            .collect();
+        let epoch = SimDuration::from_nanos(EPOCH_NS);
+        self.run_with_cadence(until, epoch, |sim, overlay, at, wall| {
+            for (&d, producer) in overlay.daemons.iter().zip(&mut producers) {
+                let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
+                let health = node.telemetry_health();
+                on_snapshot(producer.produce(at.as_nanos(), wall, node.obs().registry(), &health));
+            }
         });
     }
 

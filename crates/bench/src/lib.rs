@@ -17,19 +17,16 @@ pub mod scale;
 pub mod telemetry;
 pub mod watchdog;
 
-pub use export::{
-    export_perf, export_registry, export_rows, export_timeseries, export_traces, export_watch,
-    finish_export, obs_sink, tag_run, write_bench,
-};
+pub use export::{export_rows, finish_export, obs_sink, tag_run, write_bench};
 pub use fleet::Fleet;
 pub use gate::Gate;
-pub use telemetry::{sim_telemetry, ClusterState, NodeState};
+pub use telemetry::{ClusterState, NodeState};
 
 use son_netsim::loss::LossConfig;
 use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceEvent;
-use son_obs::{Json, Registry, TimeSeriesRing};
+use son_obs::{Registry, TelemetrySnapshot};
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::{FlowRecv, Workload};
 use son_overlay::node::OverlayNode;
@@ -80,17 +77,14 @@ pub struct UnicastOutcome {
     /// Total daemon-level forwards (transmission count onto links).
     pub forwarded: u64,
     /// Every daemon's metrics registry absorbed into one experiment-wide
-    /// view, plus the simulator's pipe-level counters — ready for
-    /// [`export_registry`].
+    /// view, plus the simulator's pipe-level counters.
     pub registry: Registry,
-    /// Every daemon's trace events, merged and time-sorted — ready for
-    /// [`export_traces`]. Empty unless the run's `node_config` enables
-    /// sampling (`trace_sample > 0`).
+    /// Every daemon's trace events, merged and time-sorted. Empty unless
+    /// the run's `node_config` enables sampling (`trace_sample > 0`).
     pub traces: Vec<TraceEvent>,
-    /// Flight-recorder samples taken on the run's `ts_cadence`, as JSONL
-    /// rows — ready for [`export_timeseries`]. Empty when `ts_cadence` is
-    /// `None`.
-    pub timeseries: Vec<Json>,
+    /// Every daemon's telemetry snapshot of every epoch
+    /// ([`Fleet::run_with_telemetry`]), in emission order.
+    pub telemetry: Vec<TelemetrySnapshot>,
     /// The simulator fingerprint (same seed ⇒ identical).
     pub fingerprint: u64,
 }
@@ -120,9 +114,6 @@ pub struct UnicastRun {
     pub seed: u64,
     /// Virtual time horizon.
     pub run_for: SimDuration,
-    /// When set, the flight recorder snapshots the experiment-wide
-    /// counters ([`default_tracked`]) at this sim-clock cadence.
-    pub ts_cadence: Option<SimDuration>,
 }
 
 impl UnicastRun {
@@ -141,7 +132,6 @@ impl UnicastRun {
             interval: SimDuration::from_millis(10),
             seed: 42,
             run_for: SimDuration::from_secs(30),
-            ts_cadence: None,
         }
     }
 
@@ -166,21 +156,8 @@ impl UnicastRun {
                 start: SimTime::from_millis(500),
             },
         );
-        let until = SimTime::ZERO + self.run_for;
-        let timeseries = match self.ts_cadence {
-            None => {
-                fleet.run(until);
-                Vec::new()
-            }
-            Some(cadence) => {
-                let mut recorder = TimeSeriesRing::new(4096, default_tracked());
-                fleet.run_with_cadence(until, cadence, |sim, overlay, at, wall| {
-                    let reg = gather_registry(sim, overlay);
-                    recorder.snapshot_registry(at.as_nanos(), wall, &reg);
-                });
-                recorder.rows()
-            }
-        };
+        let mut telemetry = Vec::new();
+        fleet.run_with_telemetry(SimTime::ZERO + self.run_for, |snap| telemetry.push(snap));
         UnicastOutcome {
             sent: fleet.sent(0),
             recv: fleet.recv(0).clone(),
@@ -189,28 +166,10 @@ impl UnicastRun {
             forwarded: fleet.forwarded(),
             registry: fleet.registry(),
             traces: fleet.traces(),
-            timeseries,
+            telemetry,
             fingerprint: fleet.sim.fingerprint(),
         }
     }
-}
-
-/// The counters the flight recorder tracks by default: the cross-layer
-/// signals a post-mortem reads first (work done, recovery churn, routing
-/// churn).
-#[must_use]
-pub fn default_tracked() -> Vec<String> {
-    [
-        "node.forwarded",
-        "node.delivered_local",
-        "link.retransmit",
-        "link.loss_detected",
-        "reroutes",
-        "provider_switches",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect()
 }
 
 /// Absorbs every daemon's metrics registry into one experiment-wide
@@ -312,6 +271,13 @@ mod tests {
             "no loss, no retransmissions"
         );
         assert!(out.forwarded >= 100, "two hops per packet");
+        let epochs = out.telemetry.iter().filter(|s| s.node == 0).count();
+        assert_eq!(
+            out.telemetry.len(),
+            3 * epochs,
+            "one snapshot per daemon per epoch"
+        );
+        assert_eq!(epochs as u64, 30_000_000_000 / telemetry::EPOCH_NS);
     }
 
     #[test]

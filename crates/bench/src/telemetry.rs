@@ -4,7 +4,9 @@
 //! sources — decoded UDP frames off the collector socket, or replayed
 //! `kind:"telemetry"` JSONL rows — and maintains per-node liveness
 //! (received / lost / duplicate accounting off the seq numbers) plus the
-//! latest snapshot per node. [`ClusterState::rollup`] renders the cluster
+//! latest snapshot per node. [`ClusterState::ingest`] is the one place the
+//! seq rules live: `son-top` rolls up through it and `son-trace
+//! --self-check` audits exports through it. [`ClusterState::rollup`] renders the cluster
 //! view `son-top` displays and CI gates on; it deliberately contains no
 //! wall-clock-derived field, so the same snapshots produce byte-identical
 //! roll-ups whether they arrived live or from a recording
@@ -365,36 +367,6 @@ pub fn key_label<'a>(key: &'a str, label: &str) -> Option<&'a str> {
     })
 }
 
-// ----------------------------------------------------------- sim-leg hook
-
-use son_netsim::sim::Simulation;
-use son_obs::snapshot::SnapshotProducer;
-use son_overlay::node::OverlayNode;
-use son_overlay::{OverlayHandle, Wire};
-
-/// One sim-leg telemetry tick: renders a snapshot per daemon, exactly as
-/// the UDP leg's emitter would (wall_ns is 0 in-sim). `producers` must be
-/// one per daemon, `overlay.daemons` order. Observation only — the
-/// simulation's fingerprint is unchanged by emitting telemetry
-/// (`telemetry_does_not_perturb_fingerprint` locks this).
-#[must_use]
-pub fn sim_telemetry(
-    sim: &Simulation<Wire>,
-    overlay: &OverlayHandle,
-    producers: &mut [SnapshotProducer],
-    at_ns: u64,
-) -> Vec<TelemetrySnapshot> {
-    overlay
-        .daemons
-        .iter()
-        .zip(producers.iter_mut())
-        .map(|(&d, producer)| {
-            let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-            producer.produce(at_ns, 0, node.obs().registry(), &node.telemetry_health())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,6 +644,41 @@ mod tests {
                 c.ingest_bytes(&frame);
             }
             prop_assert!(c.snapshots() + c.decode_errors == 5);
+            prop_assert!(Json::parse(&c.rollup(5).to_json()).is_ok());
+        }
+
+        /// Whatever a replayed export line holds — noise, or a valid
+        /// telemetry, trace or watch row with a few bytes rewritten — goes
+        /// through `Json::parse`, the row decoders and `ingest_line` without
+        /// a panic.
+        fn no_line_panics_the_row_readers(
+            noise in proptest::collection::vec(any::<u8>(), 0..400),
+            edits in proptest::collection::vec((0usize..4096, any::<u8>()), 1..5),
+        ) {
+            let rows = [
+                snap(1, 3, 100, 90).row_json(),
+                r#"{"run":"r","kind":"trace","at_ns":91206,"trace":7157,"node":1,"hop":1,"stage":"recovered","after_ns":204,"link":0,"flow":1324,"seq":1717}"#.to_owned(),
+                r#"{"run":"r","kind":"watch","at_ns":5500,"node":0,"what":"link_suspended","link":2,"strikes":3}"#.to_owned(),
+            ];
+            let mut lines = vec![noise];
+            for row in rows {
+                let mut bytes = row.into_bytes();
+                for &(at, byte) in &edits {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                lines.push(bytes);
+            }
+            let mut c = ClusterState::new();
+            for line in &lines {
+                let line = String::from_utf8_lossy(line);
+                if let Ok(row) = Json::parse(&line) {
+                    let _ = son_obs::TraceEvent::from_row(&row);
+                    let _ = son_obs::WatchEvent::from_row(&row);
+                }
+                c.ingest_line(&line);
+            }
+            prop_assert!(c.snapshots() + c.decode_errors <= 4);
             prop_assert!(Json::parse(&c.rollup(5).to_json()).is_ok());
         }
     }

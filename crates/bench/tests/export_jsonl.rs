@@ -4,10 +4,10 @@
 
 use std::fs;
 
-use son_bench::{export_registry, UnicastRun};
+use son_bench::{export_rows, UnicastRun};
 use son_netsim::loss::LossConfig;
 use son_netsim::time::SimDuration;
-use son_obs::JsonlSink;
+use son_obs::{registry_rows, JsonlSink};
 use son_overlay::builder::chain_topology;
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
@@ -79,7 +79,7 @@ fn lossy_reliable_run_exports_recovery_histograms() {
     let mut path = std::env::temp_dir();
     path.push(format!("son_bench_export_{}.jsonl", std::process::id()));
     let mut sink = JsonlSink::create(&path).unwrap();
-    export_registry(&mut sink, "lossy_reliable", &out.registry).unwrap();
+    export_rows(&mut sink, "lossy_reliable", registry_rows(&out.registry)).unwrap();
     let rows = sink.rows();
     let written = sink.finish().unwrap();
     let content = fs::read_to_string(&written).unwrap();

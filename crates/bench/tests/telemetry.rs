@@ -1,7 +1,7 @@
 //! Regression locks for the telemetry plane:
 //!
-//! 1. emitting per-epoch snapshots through `run_with_cadence` must not
-//!    perturb the simulation — the fingerprint with telemetry enabled is
+//! 1. emitting per-epoch snapshots through `Fleet::run_with_telemetry` must
+//!    not perturb the simulation — the fingerprint with telemetry enabled is
 //!    byte-identical to a plain `run_until` of the same seed,
 //! 2. a reboot-looping daemon ([`Campaign::process_flaps`]) must never make
 //!    counter deltas wrap: the producer re-baselines on the restarted
@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use son_bench::telemetry::{sim_telemetry, ClusterState, EPOCH_NS};
+use son_bench::telemetry::{ClusterState, EPOCH_NS};
 use son_bench::{ring_with_chords, Fleet};
 use son_netsim::scenario::Campaign;
 use son_netsim::time::{SimDuration, SimTime};
@@ -57,19 +57,8 @@ fn telemetry_emission_does_not_perturb_the_simulation() {
     plain.run(RUN_FOR);
 
     let mut observed = build_fleet();
-    let mut producers: Vec<SnapshotProducer> = (0..observed.overlay.daemons.len())
-        .map(|i| SnapshotProducer::new(i as u32))
-        .collect();
     let mut cluster = ClusterState::new();
-    observed.run_with_cadence(
-        RUN_FOR,
-        SimDuration::from_nanos(EPOCH_NS),
-        |sim, overlay, at, _wall| {
-            for snap in sim_telemetry(sim, overlay, &mut producers, at.as_nanos()) {
-                cluster.ingest(snap);
-            }
-        },
-    );
+    observed.run_with_telemetry(RUN_FOR, |snap| cluster.ingest(snap));
 
     assert_eq!(
         plain.sim.fingerprint(),

@@ -247,7 +247,7 @@ impl<M: SimMessage> Simulation<M> {
     }
 
     /// Wall-clock nanoseconds since this simulation was created — the wall
-    /// time axis flight-recorder samples carry alongside simulated time.
+    /// time axis sim-leg telemetry snapshots carry alongside simulated time.
     #[must_use]
     pub fn wall_ns(&self) -> u64 {
         u64::try_from(self.wall_epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -447,8 +447,8 @@ impl<M: SimMessage> Simulation<M> {
 
     /// Runs until `until` like [`Simulation::run_until`], but pauses every
     /// `cadence` of virtual time and calls `on_tick(self, now, wall_ns)` —
-    /// the clock-driven snapshot hook the flight recorder uses to sample
-    /// counters into a time series mid-run. `wall_ns` is
+    /// the clock-driven snapshot hook the telemetry plane uses to sample
+    /// every daemon into a time series mid-run. `wall_ns` is
     /// [`Simulation::wall_ns`] at the pause, so every sample carries both
     /// clocks. The hook also fires at `until` itself, so the final sample
     /// always lands on the horizon.

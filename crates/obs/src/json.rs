@@ -164,11 +164,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns a byte offset + message for malformed input, including
-    /// trailing garbage after the document.
+    /// trailing garbage after the document and arrays or objects nested
+    /// more than 128 deep (the parser recurses once per level, so an
+    /// unbounded `[[[[…` line would overflow the stack).
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -180,9 +183,15 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every row the
+/// stack writes is at most five levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,11 +221,19 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -469,6 +486,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_refuses_nesting_deeper_than_the_bound() {
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting too deep"), "{err}");
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let over = format!("[{at_bound}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!   gauges, and log₂-bucketed [`hist::LatencyHistogram`]s — addressed by
 //!   copyable index handles so the hot path costs a `Vec` index plus an add;
 //! - one bounded [`ring::Ring`] behind every per-node event history —
-//!   sampled cross-node [`trace`] events, [`watch`]dog audit events,
-//!   flight-recorder [`timeseries`] samples — growing with what it records
-//!   and counting what it evicts;
+//!   sampled cross-node [`trace`] events and [`watch`]dog audit events —
+//!   growing with what it records and counting what it evicts;
+//! - the [`snapshot`] telemetry plane, the one periodic sampler: a
+//!   seq-numbered per-node health snapshot per epoch, as UDP frames from a
+//!   daemon or JSONL rows from the simulator;
 //! - the unified [`taxonomy::DropClass`] drop-reason taxonomy shared by
 //!   every layer that discards packets, so "packets in = packets delivered +
 //!   packets dropped" is checkable with every drop attributed;
@@ -33,7 +35,6 @@ pub mod registry;
 pub mod ring;
 pub mod snapshot;
 pub mod taxonomy;
-pub mod timeseries;
 pub mod trace;
 pub mod watch;
 
@@ -49,7 +50,6 @@ pub use snapshot::{
     TelemetrySnapshot, TELEMETRY_MAGIC, TELEMETRY_VERSION,
 };
 pub use taxonomy::DropClass;
-pub use timeseries::{TimeSeriesRing, TsSample};
 pub use trace::{
     attribute, median_ns, reconstruct, self_check, HopStat, PacketKey, SelfCheck, Terminal,
     Timeline, TraceContext, TraceEvent, TraceRing, TraceStage, TRACE_CONTEXT_BYTES,
@@ -66,7 +66,6 @@ pub mod prelude {
     pub use crate::registry::{CounterId, GaugeId, HistId, Registry};
     pub use crate::snapshot::{SnapshotProducer, TelemetrySnapshot};
     pub use crate::taxonomy::DropClass;
-    pub use crate::timeseries::TimeSeriesRing;
     pub use crate::trace::{PacketKey, TraceContext, TraceEvent, TraceRing, TraceStage};
     pub use crate::watch::{WatchEvent, WatchKind, WatchRing};
 }

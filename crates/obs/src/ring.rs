@@ -1,7 +1,7 @@
 //! The one bounded event store.
 //!
-//! Every per-node event history in the stack — distributed-trace events,
-//! watchdog audit events, flight-recorder samples — is a [`Ring`]: the last
+//! Every per-node event history in the stack — distributed-trace events and
+//! watchdog audit events — is a [`Ring`]: the last
 //! `bound` items recorded, oldest evicted first, with evictions counted
 //! rather than lost silently. The ring starts empty and grows with what it
 //! records, so an idle node pays nothing for a generous bound and

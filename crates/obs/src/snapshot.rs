@@ -14,7 +14,7 @@
 //!   so the collector can *see* loss instead of guessing;
 //! - **JSONL rows** ([`TelemetrySnapshot::write_row_json`]/
 //!   [`TelemetrySnapshot::from_row`]) from the
-//!   simulator leg via `Simulation::run_with_cadence`, so one schema serves
+//!   simulator leg via `Fleet::run_with_telemetry`, so one schema serves
 //!   both worlds and an aggregator cannot tell (modulo wall-clock fields)
 //!   which leg fed it.
 //!
@@ -168,7 +168,9 @@ pub struct TelemetrySnapshot {
     pub restarts: u64,
     /// Driver time of the snapshot, ns since the run epoch.
     pub at_ns: u64,
-    /// Absolute wall-clock ns (epoch-anchored) on the real leg; 0 in-sim.
+    /// Host wall clock, ns: since the Unix epoch on the real leg, since the
+    /// simulation was built on the sim leg (a tick whose `wall_ns` jumps
+    /// while `at_ns` advances by one epoch is a host stall).
     pub wall_ns: u64,
     /// Time since this producer first emitted, ns.
     pub uptime_ns: u64,
@@ -637,6 +639,13 @@ impl TelemetrySnapshot {
         let mut out = String::new();
         self.write_row_json(&mut out);
         out
+    }
+
+    /// The same row as a [`Json`] tree, for writers that tag rows (the
+    /// experiment exports' `run` key) before rendering them.
+    #[must_use]
+    pub fn row(&self) -> Json {
+        Json::parse(&self.row_json()).expect("a rendered row parses")
     }
 
     /// Parses a row written by [`TelemetrySnapshot::write_row_json`]. Returns

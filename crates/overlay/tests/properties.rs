@@ -520,6 +520,25 @@ mod routing_props {
             prop_assert_eq!(anycast_before, fwd.anycast_resolve(&[NodeId(1), NodeId(3)]));
         }
 
+        /// Anycast resolves to a member at the least path cost from the
+        /// ingress node, whatever the weights, members and ingress.
+        #[test]
+        fn anycast_target_is_a_nearest_member(
+            weights in proptest::collection::vec(1u32..50, 12),
+            member_seed in proptest::collection::vec(any::<bool>(), 8),
+            me in 0usize..8,
+        ) {
+            let g = ring8().with_weights(weights.into_iter().map(f64::from).collect());
+            let members: Vec<NodeId> =
+                g.nodes().filter(|v| member_seed[v.0]).collect();
+            prop_assume!(!members.is_empty());
+            let target = Forwarding::new(NodeId(me), g.clone()).anycast_resolve(&members).unwrap();
+            prop_assert!(members.contains(&target));
+            let sp = son_topo::dijkstra(&g, NodeId(me));
+            let best = members.iter().map(|&m| sp.dist(m).unwrap()).fold(f64::INFINITY, f64::min);
+            prop_assert!((sp.dist(target).unwrap() - best).abs() < 1e-9);
+        }
+
         /// Whatever the LSDB holds — links up and down, loss, adverts from
         /// one side only, withdrawn and evicted origins, a suspended local
         /// link, adverts for edges that do not exist — the snapshot's weights

@@ -9,15 +9,12 @@
 //! * [`csr`] — the frozen [`TopoSnapshot`] and the crate's one
 //!   shortest-path engine; every tree anywhere in the crate is an [`Spt`].
 //! * [`mod@dijkstra`] — [`Path`] and the `&Graph` entry points to that
-//!   engine (link-state routing, multicast trees).
+//!   engine (link-state routing; a source-rooted multicast tree over the
+//!   group's members is `dijkstra(g, source).tree_mask(members)`, §II-B).
 //! * [`disjoint`] — minimum-cost k node-disjoint paths (intrusion-tolerant
 //!   redundant dissemination, §IV-B).
 //! * [`dissemination`] — dissemination graphs with targeted redundancy at
 //!   the problematic ends (§V-A), and constrained flooding.
-//! * [`multicast`] — source-rooted multicast trees over group members and
-//!   anycast target selection (§II-B, §III-B).
-//! * [`spanner`] — the overlay topology designer: short links, sparse,
-//!   k-vertex-connected (§II-A).
 //! * [`kshortest`] — Yen's k loopless shortest paths, for "sets of
 //!   potentially overlapping paths" \[13\] (related work).
 //!
@@ -48,8 +45,6 @@ pub mod disjoint;
 pub mod dissemination;
 pub mod graph;
 pub mod kshortest;
-pub mod multicast;
-pub mod spanner;
 
 pub use csr::{Spt, SptScratch, TopoSnapshot};
 pub use dijkstra::{dijkstra, dijkstra_with, shortest_path, Path};
@@ -60,5 +55,3 @@ pub use dissemination::{
 };
 pub use graph::{EdgeId, EdgeMask, Graph, NodeId};
 pub use kshortest::{k_shortest_paths, overlapping_paths_mask};
-pub use multicast::{anycast_target, multicast_tree, unicast_mesh_cost};
-pub use spanner::{candidates_from_coordinates, design_overlay, CandidateLink, DesignError};

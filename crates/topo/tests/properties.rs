@@ -8,8 +8,8 @@
 //!   with the first equal in cost to the plain shortest path.
 //! * With k disjoint paths, removing any k-1 interior nodes leaves the
 //!   destination reachable (the paper's §IV-B guarantee).
-//! * Multicast trees reach every reachable member at no more than unicast
-//!   mesh cost.
+//! * Multicast trees (`Spt::tree_mask`) reach every member at no more than
+//!   unicast mesh cost.
 //! * Dissemination graphs are supersets of the 2-disjoint-path mask and
 //!   subsets of the flooding mask.
 //! * Clones of a graph share one structure allocation until one of them adds
@@ -20,7 +20,6 @@ use son_topo::dijkstra::{dijkstra, shortest_path, Path};
 use son_topo::disjoint::{are_node_disjoint, k_node_disjoint_paths};
 use son_topo::dissemination::{connects, robust_dissemination_graph};
 use son_topo::graph::{Graph, NodeId};
-use son_topo::multicast::{anycast_target, multicast_tree, unicast_mesh_cost};
 
 /// Strategy: a connected random graph of 4..=12 nodes. We first build a
 /// random spanning tree (guaranteeing connectivity), then sprinkle extra
@@ -158,29 +157,14 @@ proptest! {
             .skip(1)
             .filter(|v| member_seed[v.0 % member_seed.len()])
             .collect();
-        let tree = multicast_tree(&g, NodeId(0), &members);
+        let sp = dijkstra(&g, NodeId(0));
+        let tree = sp.tree_mask(&members);
         for &m in &members {
             prop_assert!(connects(&g, &tree, NodeId(0), m, &[]));
         }
         let tree_cost = g.mask_weight(&tree);
-        let mesh_cost = unicast_mesh_cost(&g, NodeId(0), &members);
+        let mesh_cost: f64 = members.iter().filter_map(|&m| sp.dist(m)).sum();
         prop_assert!(tree_cost <= mesh_cost + 1e-9);
-    }
-
-    #[test]
-    fn anycast_target_is_a_nearest_member(
-        g in arb_connected_graph(),
-        member_seed in proptest::collection::vec(any::<bool>(), 12),
-    ) {
-        let members: Vec<NodeId> = g
-            .nodes()
-            .filter(|v| member_seed[v.0 % member_seed.len()])
-            .collect();
-        prop_assume!(!members.is_empty());
-        let target = anycast_target(&g, NodeId(0), &members).unwrap();
-        let sp = dijkstra(&g, NodeId(0));
-        let best = members.iter().map(|&m| sp.dist(m).unwrap()).fold(f64::INFINITY, f64::min);
-        prop_assert!((sp.dist(target).unwrap() - best).abs() < 1e-9);
     }
 
     #[test]

@@ -45,9 +45,10 @@ stage_bench() {
 }
 
 stage_smoke() {
-    echo "==> trace self-check (son-exp fig3 --smoke + son-trace)"
+    echo "==> trace + telemetry self-check (son-exp fig3 --smoke + son-trace)"
     son_exp fig3 --smoke
-    son_trace --self-check --limit 1 target/obs/exp_fig3.trace.jsonl
+    son_trace --self-check --limit 1 target/obs/exp_fig3.trace.jsonl \
+        target/obs/exp_fig3.telemetry.jsonl
     echo "==> watchdog smoke campaign (son-exp watchdog --smoke + son-trace --watch-audit)"
     son_exp watchdog --smoke
     son_trace --watch-audit target/obs/watch.jsonl
