@@ -8,9 +8,10 @@
 //! destinations..., each endpoint simply connects to the overlay, joining or
 //! sending to the relevant multicast groups."
 
+use son_netsim::process::ProcessId;
 use son_netsim::time::{SimDuration, SimTime};
-use son_overlay::client::{ClientConfig, ClientFlow, FlowRecv, Workload};
-use son_overlay::{Destination, FlowSpec, GroupId, LinkService, OverlayHandle, Priority};
+use son_overlay::client::{ClientFlow, FlowRecv, Workload};
+use son_overlay::{Destination, Fleet, FlowSpec, GroupId, LinkService, Priority};
 use son_topo::NodeId;
 
 /// The multicast group telemetry flows into.
@@ -48,85 +49,60 @@ pub fn control_spec(intrusion_tolerant: bool) -> FlowSpec {
     }
 }
 
-/// A sensor client: periodically multicasts telemetry readings.
-#[must_use]
+/// Adds a sensor client on `at`: it periodically multicasts telemetry
+/// readings.
 pub fn sensor(
-    overlay: &OverlayHandle,
+    fleet: &mut Fleet,
     at: NodeId,
     reading_size: usize,
     interval: SimDuration,
     duration: SimDuration,
     intrusion_tolerant: bool,
-) -> ClientConfig {
-    ClientConfig {
-        daemon: overlay.daemon(at),
-        port: SENSOR_PORT,
-        joins: vec![], // senders need not join
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Multicast(TELEMETRY_GROUP),
-            spec: telemetry_spec(intrusion_tolerant),
-            workload: Workload::Cbr {
-                size: reading_size,
-                interval,
-                count: (duration.as_secs_f64() / interval.as_secs_f64()) as u64,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }
+) -> ProcessId {
+    let count = (duration.as_secs_f64() / interval.as_secs_f64()) as u64;
+    let workload = Workload::cbr(reading_size, count, interval);
+    let spec = telemetry_spec(intrusion_tolerant);
+    let flow = ClientFlow::new(Destination::Multicast(TELEMETRY_GROUP), spec, workload);
+    // Senders need not join.
+    fleet.client(at, SENSOR_PORT, vec![], vec![flow])
 }
 
-/// An operator console / logger / analysis engine: joins the telemetry
-/// group to receive every reading, and the control group to observe
-/// commands.
-#[must_use]
-pub fn operator(overlay: &OverlayHandle, at: NodeId) -> ClientConfig {
-    ClientConfig {
-        daemon: overlay.daemon(at),
-        port: OPERATOR_PORT,
-        joins: vec![TELEMETRY_GROUP, CONTROL_GROUP],
-        flows: vec![],
-    }
+/// Adds an operator console / logger / analysis engine on `at`: it joins
+/// the telemetry group to receive every reading, and the control group to
+/// observe commands.
+pub fn operator(fleet: &mut Fleet, at: NodeId) -> ProcessId {
+    let joins = vec![TELEMETRY_GROUP, CONTROL_GROUP];
+    fleet.client(at, OPERATOR_PORT, joins, vec![])
 }
 
-/// A controller: multicasts control commands that devices must receive
-/// reliably.
-#[must_use]
+/// Adds a controller on `at`: it multicasts control commands that devices
+/// must receive reliably.
 pub fn controller(
-    overlay: &OverlayHandle,
+    fleet: &mut Fleet,
     at: NodeId,
     command_size: usize,
     interval: SimDuration,
     count: u64,
     intrusion_tolerant: bool,
-) -> ClientConfig {
-    ClientConfig {
-        daemon: overlay.daemon(at),
-        port: CONTROLLER_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 2,
-            dst: Destination::Multicast(CONTROL_GROUP),
-            spec: control_spec(intrusion_tolerant),
-            workload: Workload::Cbr {
-                size: command_size,
-                interval,
-                count,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }
+) -> ProcessId {
+    let flow = ClientFlow {
+        local_flow: 2,
+        dst: Destination::Multicast(CONTROL_GROUP),
+        spec: control_spec(intrusion_tolerant),
+        workload: Workload::Cbr {
+            size: command_size,
+            interval,
+            count,
+            start: SimTime::from_secs(1),
+        },
+    };
+    fleet.client(at, CONTROLLER_PORT, vec![], vec![flow])
 }
 
-/// A field device: joins the control group to receive commands.
-#[must_use]
-pub fn device(overlay: &OverlayHandle, at: NodeId) -> ClientConfig {
-    ClientConfig {
-        daemon: overlay.daemon(at),
-        port: DEVICE_PORT,
-        joins: vec![CONTROL_GROUP],
-        flows: vec![],
-    }
+/// Adds a field device on `at`: it joins the control group to receive
+/// commands.
+pub fn device(fleet: &mut Fleet, at: NodeId) -> ProcessId {
+    fleet.client(at, DEVICE_PORT, vec![CONTROL_GROUP], vec![])
 }
 
 /// How a monitoring destination experienced one telemetry stream.
@@ -167,10 +143,7 @@ pub fn score_telemetry(recv: &FlowRecv, sent: u64) -> MonitoringReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use son_netsim::sim::Simulation;
     use son_overlay::builder::{chain_topology, OverlayBuilder};
-    use son_overlay::client::ClientProcess;
-    use son_overlay::Wire;
 
     #[test]
     fn specs_select_the_right_protocols() {
@@ -185,45 +158,20 @@ mod tests {
     fn deployment_end_to_end() {
         // Sensors at both ends of a chain, operator in the middle,
         // controller at one end, device at the other.
-        let mut sim: Simulation<Wire> = Simulation::new(21);
-        let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-        let s1 = sensor(
-            &overlay,
-            NodeId(0),
-            200,
-            SimDuration::from_millis(100),
-            SimDuration::from_secs(5),
-            false,
-        );
-        let s2 = sensor(
-            &overlay,
-            NodeId(2),
-            200,
-            SimDuration::from_millis(100),
-            SimDuration::from_secs(5),
-            false,
-        );
-        let op = operator(&overlay, NodeId(1));
-        let ctl = controller(
-            &overlay,
-            NodeId(0),
-            100,
-            SimDuration::from_millis(500),
-            8,
-            false,
-        );
-        let dev = device(&overlay, NodeId(2));
-        let s1 = sim.add_process(ClientProcess::new(s1));
-        let _s2 = sim.add_process(ClientProcess::new(s2));
-        let op = sim.add_process(ClientProcess::new(op));
-        let _ctl = sim.add_process(ClientProcess::new(ctl));
-        let dev = sim.add_process(ClientProcess::new(dev));
-        sim.run_until(SimTime::from_secs(8));
+        let mut fleet = Fleet::new(21, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+        let (every, lasting) = (SimDuration::from_millis(100), SimDuration::from_secs(5));
+        let s1 = sensor(&mut fleet, NodeId(0), 200, every, lasting, false);
+        sensor(&mut fleet, NodeId(2), 200, every, lasting, false);
+        let op = operator(&mut fleet, NodeId(1));
+        let command_every = SimDuration::from_millis(500);
+        controller(&mut fleet, NodeId(0), 100, command_every, 8, false);
+        let dev = device(&mut fleet, NodeId(2));
+        fleet.run(SimTime::from_secs(8));
 
         // The operator hears both sensors (two flows) and the controller.
-        let op_client = sim.proc_ref::<ClientProcess>(op).unwrap();
+        let op_client = fleet.client_ref(op);
         assert_eq!(op_client.recv.len(), 3, "two telemetry flows + control");
-        let sent = sim.proc_ref::<ClientProcess>(s1).unwrap().sent(1);
+        let sent = fleet.client_ref(s1).sent(1);
         let s1_flow = op_client
             .recv
             .iter()
@@ -237,14 +185,13 @@ mod tests {
         assert!(report.mean_freshness_ms < 15.0);
 
         // The device received every command.
-        let dev_client = sim.proc_ref::<ClientProcess>(dev).unwrap();
+        let dev_client = fleet.client_ref(dev);
         assert_eq!(dev_client.sole_recv().received, 8);
     }
 
     #[test]
     fn intrusion_tolerant_variant_survives_a_blackhole() {
         use son_overlay::adversary::Behavior;
-        use son_overlay::node::OverlayNode;
         use son_overlay::{RoutingService, SourceRoute};
 
         // Diamond overlay; the relay on the cheap path blackholes data.
@@ -253,30 +200,21 @@ mod tests {
         topo.add_edge(NodeId(1), NodeId(3), 10.0);
         topo.add_edge(NodeId(0), NodeId(2), 12.0);
         topo.add_edge(NodeId(2), NodeId(3), 12.0);
-        let mut sim: Simulation<Wire> = Simulation::new(22);
-        let overlay = OverlayBuilder::new(topo).build(&mut sim);
-        sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-            .unwrap()
-            .set_behavior(Behavior::Blackhole);
+        let mut fleet = Fleet::new(22, None, OverlayBuilder::new(topo));
+        fleet.node_mut(NodeId(1)).set_behavior(Behavior::Blackhole);
 
         // Sensor at 0, operator at 3, intrusion-tolerant telemetry over
         // constrained flooding.
-        let mut cfg = sensor(
-            &overlay,
-            NodeId(0),
-            128,
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(5),
-            true,
-        );
-        cfg.flows[0].spec = cfg.flows[0].spec.with_routing(RoutingService::SourceBased(
+        let spec = telemetry_spec(true).with_routing(RoutingService::SourceBased(
             SourceRoute::ConstrainedFlooding,
         ));
-        let s = sim.add_process(ClientProcess::new(cfg));
-        let op = sim.add_process(ClientProcess::new(operator(&overlay, NodeId(3))));
-        sim.run_until(SimTime::from_secs(8));
-        let sent = sim.proc_ref::<ClientProcess>(s).unwrap().sent(1);
-        let op_client = sim.proc_ref::<ClientProcess>(op).unwrap();
+        let readings = Workload::cbr(128, 100, SimDuration::from_millis(50));
+        let flow = ClientFlow::new(Destination::Multicast(TELEMETRY_GROUP), spec, readings);
+        let s = fleet.client(NodeId(0), SENSOR_PORT, vec![], vec![flow]);
+        let op = operator(&mut fleet, NodeId(3));
+        fleet.run(SimTime::from_secs(8));
+        let sent = fleet.client_ref(s).sent(1);
+        let op_client = fleet.client_ref(op);
         let flow = op_client.recv.values().next().cloned().unwrap_or_default();
         let report = score_telemetry(&flow, sent);
         assert_eq!(

@@ -165,16 +165,14 @@ impl Process<Wire> for TranscoderProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use son_netsim::sim::Simulation;
     use son_overlay::builder::{chain_topology, OverlayBuilder};
-    use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-    use son_overlay::LinkService;
+    use son_overlay::client::{ClientFlow, Workload};
+    use son_overlay::{Fleet, LinkService};
     use son_topo::NodeId;
 
     /// Stadium at node 0, facilities at nodes 1 and 2, CDN at node 3.
-    fn compound_sim(fail_primary: bool) -> (Simulation<Wire>, ProcessId, ProcessId, ProcessId) {
-        let mut sim: Simulation<Wire> = Simulation::new(33);
-        let overlay = OverlayBuilder::new(chain_topology(4, 10.0)).build(&mut sim);
+    fn compound_sim(fail_primary: bool) -> (Fleet, ProcessId, ProcessId, ProcessId) {
+        let mut fleet = Fleet::new(33, None, OverlayBuilder::new(chain_topology(4, 10.0)));
         let mk = |daemon, port, fail_at| TranscoderConfig {
             daemon,
             port,
@@ -185,65 +183,48 @@ mod tests {
             output_spec: FlowSpec::reliable(),
             fail_at,
         };
-        let primary = sim.add_process(TranscoderProcess::new(mk(
-            overlay.daemon(NodeId(1)),
-            150,
-            fail_primary.then(|| SimTime::from_secs(4)),
-        )));
-        let backup = sim.add_process(TranscoderProcess::new(mk(
-            overlay.daemon(NodeId(2)),
-            150,
-            None,
-        )));
-        let cdn = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(3)),
-            port: 160,
-            joins: vec![OUTPUT_GROUP],
-            flows: vec![],
-        }));
-        let _stadium = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(0)),
-            port: 140,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Anycast(TRANSCODE_GROUP),
-                spec: FlowSpec::reliable().with_link(LinkService::Reliable),
-                workload: Workload::Cbr {
-                    size: 1316,
-                    interval: SimDuration::from_millis(10),
-                    count: 700,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
-        (sim, primary, backup, cdn)
+        let fail_at = fail_primary.then(|| SimTime::from_secs(4));
+        let primary_cfg = mk(fleet.overlay.daemon(NodeId(1)), 150, fail_at);
+        let primary = fleet.sim.add_process(TranscoderProcess::new(primary_cfg));
+        let backup_cfg = mk(fleet.overlay.daemon(NodeId(2)), 150, None);
+        let backup = fleet.sim.add_process(TranscoderProcess::new(backup_cfg));
+        let cdn = fleet.client(NodeId(3), 160, vec![OUTPUT_GROUP], vec![]);
+        let feed = Workload::Cbr {
+            size: 1316,
+            interval: SimDuration::from_millis(10),
+            count: 700,
+            start: SimTime::from_millis(500),
+        };
+        let spec = FlowSpec::reliable().with_link(LinkService::Reliable);
+        let flow = ClientFlow::new(Destination::Anycast(TRANSCODE_GROUP), spec, feed);
+        fleet.client(NodeId(0), 140, vec![], vec![flow]);
+        (fleet, primary, backup, cdn)
     }
 
     #[test]
     fn compound_flow_transcodes_end_to_end() {
-        let (mut sim, primary, backup, cdn) = compound_sim(false);
-        sim.run_until(SimTime::from_secs(12));
-        let p = sim.proc_ref::<TranscoderProcess>(primary).unwrap();
+        let (mut fleet, primary, backup, cdn) = compound_sim(false);
+        fleet.run(SimTime::from_secs(12));
+        let p = fleet.sim.proc_ref::<TranscoderProcess>(primary).unwrap();
         assert_eq!(p.processed, 700, "anycast picked the nearest facility");
         assert_eq!(p.emitted, 700);
         assert!(p.input_latency_ms.mean().unwrap() < 15.0);
-        let b = sim.proc_ref::<TranscoderProcess>(backup).unwrap();
+        let b = fleet.sim.proc_ref::<TranscoderProcess>(backup).unwrap();
         assert_eq!(b.processed, 0, "anycast goes to exactly one facility");
-        let out = sim.proc_ref::<ClientProcess>(cdn).unwrap().sole_recv();
+        let out = fleet.client_ref(cdn).sole_recv();
         assert_eq!(out.received, 700, "full transcoded stream reached the CDN");
     }
 
     #[test]
     fn facility_failure_fails_over_to_backup() {
-        let (mut sim, primary, backup, cdn) = compound_sim(true);
-        sim.run_until(SimTime::from_secs(12));
-        let p = sim.proc_ref::<TranscoderProcess>(primary).unwrap();
-        let b = sim.proc_ref::<TranscoderProcess>(backup).unwrap();
+        let (mut fleet, primary, backup, cdn) = compound_sim(true);
+        fleet.run(SimTime::from_secs(12));
+        let p = fleet.sim.proc_ref::<TranscoderProcess>(primary).unwrap();
+        let b = fleet.sim.proc_ref::<TranscoderProcess>(backup).unwrap();
         assert!(!p.active);
         assert!(p.processed > 0, "primary served before failing");
         assert!(b.processed > 0, "backup took over after the failure");
-        let out = sim.proc_ref::<ClientProcess>(cdn).unwrap();
+        let out = fleet.client_ref(cdn);
         let total: u64 = out.recv.values().map(|r| r.received).sum();
         // The stream continues through the failover; a handful of packets
         // in flight during the switch may be lost (in-flight to the dead
@@ -253,10 +234,10 @@ mod tests {
 
     #[test]
     fn output_is_downscaled() {
-        let (mut sim, _primary, _backup, _cdn) = compound_sim(false);
-        sim.run_until(SimTime::from_secs(12));
+        let (mut fleet, _primary, _backup, _cdn) = compound_sim(false);
+        fleet.run(SimTime::from_secs(12));
         // 1316 * 0.25 = 329.
-        let counters = sim.counters();
+        let counters = fleet.sim.counters();
         let _ = counters; // sizes are validated implicitly by pipe byte counters
                           // A focused check: the transform math.
         let out = ((1316f64 * 0.25).round() as usize).max(1);

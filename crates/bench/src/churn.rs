@@ -31,10 +31,10 @@ use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
 use son_overlay::node::{OverlayNode, TimerKey};
 use son_overlay::state::membership::MembershipConfig;
-use son_overlay::{FlowSpec, NodeConfig, Wire};
+use son_overlay::{Fleet, FlowSpec, NodeConfig, Wire};
 use son_topo::NodeId;
 
-use crate::{ring_with_chords, Fleet};
+use crate::ring_with_chords;
 
 /// The timer token a campaign poke delivers to trigger a graceful leave.
 /// The simulator stays ignorant of overlay timer encodings; the harness is

@@ -16,11 +16,11 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
-use son_overlay::{FlowSpec, LinkService, NodeConfig, RealtimeParams};
+use son_overlay::{Fleet, FlowSpec, LinkService, NodeConfig, RealtimeParams};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{f, longest_gap, row, table_header, Fleet, UnicastRun};
+use crate::{f, longest_gap, row, table_header, UnicastRun};
 
 fn failover_run(hello_ms: u64, down_misses: u32) -> (f64, f64) {
     // Square topology, fail the primary path's first link.

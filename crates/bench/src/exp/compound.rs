@@ -12,11 +12,12 @@ use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::ClientFlow;
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::{Destination, FlowSpec};
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::{f, longest_gap, row, table_header, Fleet, RX_PORT, TX_PORT};
+use crate::{f, longest_gap, row, table_header};
 
 const STADIUM: NodeId = NodeId(4); // MIA: the live event
 const FACILITY_A: NodeId = NodeId(3); // ATL cloud region (nearest)
@@ -53,12 +54,11 @@ fn run_case(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
         .collect();
 
     let profile = VideoProfile::broadcast_sd();
-    let feed = ClientFlow {
-        local_flow: 1,
-        dst: Destination::Anycast(TRANSCODE_GROUP),
-        spec: FlowSpec::reliable(),
-        workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
-    };
+    let feed = ClientFlow::new(
+        Destination::Anycast(TRANSCODE_GROUP),
+        FlowSpec::reliable(),
+        profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
+    );
     let tx = fleet.client(STADIUM, TX_PORT, vec![], vec![feed]);
     fleet.run(SimTime::from_secs(30));
 

@@ -11,11 +11,11 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::Workload;
-use son_overlay::{FlowSpec, RoutingService, SourceRoute};
+use son_overlay::{Fleet, FlowSpec, RoutingService, SourceRoute};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{f, row, table_header, Fleet, UnicastRun};
+use crate::{f, row, table_header, UnicastRun};
 
 /// Diamond: two node-disjoint 2-hop routes 0-1-3 and 0-2-3.
 fn diamond() -> Graph {

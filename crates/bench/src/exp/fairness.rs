@@ -12,11 +12,12 @@ use son_netsim::stats::jain_fairness;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::{Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{f, row, table_header, Fleet, RX_PORT, TX_PORT};
+use crate::{f, row, table_header};
 
 /// Correct sources send 25 packets/s each.
 const CORRECT_INTERVAL: SimDuration = SimDuration::from_millis(40);
@@ -57,17 +58,8 @@ fn run_cell(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
         } else {
             CORRECT_INTERVAL
         };
-        let flow = ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(6), RX_PORT)),
-            spec,
-            workload: Workload::Cbr {
-                size: 1000,
-                interval,
-                count: u64::MAX,
-                start: SimTime::from_millis(500),
-            },
-        };
+        let dst = Destination::Unicast(OverlayAddr::new(NodeId(6), RX_PORT));
+        let flow = ClientFlow::new(dst, spec, Workload::cbr(1000, u64::MAX, interval));
         fleet.client(NodeId(i), TX_PORT, vec![], vec![flow]);
     }
     fleet.run(RUN_FOR);

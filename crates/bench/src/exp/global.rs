@@ -16,11 +16,11 @@ use son_netsim::scenario::{global_20, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{global_overlay, OverlayBuilder, HOP_PROCESSING};
 use son_overlay::client::Workload;
-use son_overlay::FlowSpec;
+use son_overlay::{Fleet, FlowSpec};
 use son_topo::{dijkstra, NodeId};
 
 use super::Opts;
-use crate::{f, row, table_header, Fleet};
+use crate::{f, row, table_header};
 
 pub fn run(_: &Opts) {
     let sc = global_20(DEFAULT_CONVERGENCE);

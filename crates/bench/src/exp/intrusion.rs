@@ -18,11 +18,11 @@ use son_obs::{registry_rows, JsonlSink};
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
-use son_overlay::{FlowSpec, RoutingService, SourceRoute};
+use son_overlay::{Fleet, FlowSpec, RoutingService, SourceRoute};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{export_rows, f, finish_export, obs_sink, row, table_header, Fleet};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header};
 
 const COUNT: u64 = 300;
 

@@ -19,11 +19,11 @@ use son_netsim::loss::LossConfig;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::FlowSpec;
+use son_overlay::{Fleet, FlowSpec};
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::{f, row, table_header, Fleet};
+use crate::{f, row, table_header};
 
 const SRC: NodeId = NodeId(0); // NYC
 const DST: NodeId = NodeId(11); // LA

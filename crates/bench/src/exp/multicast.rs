@@ -13,11 +13,12 @@ use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::{Destination, FlowSpec, GroupId, OverlayAddr};
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::{f, row, table_header, Fleet, RX_PORT, TX_PORT};
+use crate::{f, row, table_header};
 
 const COUNT: u64 = 500;
 const GROUP: GroupId = GroupId(42);

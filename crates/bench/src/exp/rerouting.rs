@@ -19,12 +19,12 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_obs::{registry_rows, TelemetrySnapshot, TraceEvent};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
+use son_overlay::fleet::{edge_pipes, Fleet};
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::fleet::edge_pipes;
-use crate::{export_rows, f, finish_export, longest_gap, obs_sink, row, table_header, Fleet};
+use crate::{export_rows, f, finish_export, longest_gap, obs_sink, row, table_header};
 
 const FAIL_AT: SimTime = SimTime::from_secs(5);
 const RUN_FOR: SimTime = SimTime::from_secs(60);
@@ -41,12 +41,7 @@ fn outage(recv: &son_overlay::client::FlowRecv) -> (SimDuration, bool) {
 }
 
 fn cbr_forever() -> Workload {
-    Workload::Cbr {
-        size: 1000,
-        interval: SimDuration::from_millis(10),
-        count: u64::MAX,
-        start: SimTime::from_millis(500),
-    }
+    Workload::cbr(1000, u64::MAX, SimDuration::from_millis(10))
 }
 
 pub fn run(_: &Opts) {

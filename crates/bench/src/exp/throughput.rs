@@ -18,11 +18,11 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_obs::{registry_rows, Json};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
-use son_overlay::FlowSpec;
+use son_overlay::{Fleet, FlowSpec};
 use son_topo::{EdgeId, NodeId};
 
 use super::Opts;
-use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench, Fleet};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
 
 struct ThroughputResult {
     sim_seconds: f64,

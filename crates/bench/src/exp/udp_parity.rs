@@ -35,12 +35,12 @@ use son_obs::snapshot::TelemetrySnapshot;
 use son_obs::Json;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
-use son_overlay::NodeConfig;
+use son_overlay::{Fleet, NodeConfig};
 use son_topo::NodeId;
 
 use super::Opts;
 use crate::telemetry::ClusterState;
-use crate::{f, longest_gap, row, table_header, write_bench, Fleet};
+use crate::{f, longest_gap, row, table_header, write_bench};
 
 /// One leg's outcome, sim or UDP.
 #[derive(Debug, Clone, Copy, Default)]

@@ -4,64 +4,31 @@
 //! paper (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
 //! paper-vs-measured results). Each is a module under [`exp`], listed in
 //! [`exp::EXPERIMENTS`] and run by the one `son-exp` binary; all of them
-//! build their deployment through [`Fleet`], write `BENCH_*.json` through
+//! build their deployment through [`son_overlay::Fleet`], write `BENCH_*.json` through
 //! [`write_bench`] and are gated by [`gate`]. This library also holds the
 //! shared campaign runners and table-printing helpers.
 
 pub mod churn;
 pub mod exp;
 pub mod export;
-pub mod fleet;
 pub mod gate;
 pub mod scale;
 pub mod telemetry;
 pub mod watchdog;
 
 pub use export::{export_rows, finish_export, obs_sink, tag_run, write_bench};
-pub use fleet::Fleet;
 pub use gate::Gate;
 pub use telemetry::{ClusterState, NodeState};
 
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceEvent;
 use son_obs::{Registry, TelemetrySnapshot};
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::{FlowRecv, Workload};
-use son_overlay::node::OverlayNode;
-use son_overlay::{FlowSpec, NodeConfig, OverlayHandle, Wire};
+use son_overlay::linkproto::LinkProtoStats;
+use son_overlay::{Fleet, FlowSpec, NodeConfig};
 use son_topo::{Graph, NodeId};
-
-/// Receiver port used by harness runs.
-pub const RX_PORT: u16 = 70;
-/// Sender port used by harness runs.
-pub const TX_PORT: u16 = 50;
-
-/// Wire-level accounting aggregated over all daemons for one service.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WireStats {
-    /// Original data transmissions.
-    pub sent: u64,
-    /// Retransmissions (recovery overhead).
-    pub retransmitted: u64,
-    /// Control messages.
-    pub ctl: u64,
-    /// Protocol-level drops.
-    pub dropped: u64,
-}
-
-impl WireStats {
-    /// Transmissions per original packet.
-    #[must_use]
-    pub fn overhead_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            (self.sent + self.retransmitted) as f64 / self.sent as f64
-        }
-    }
-}
 
 /// The result of one unicast harness run.
 #[derive(Debug)]
@@ -71,7 +38,7 @@ pub struct UnicastOutcome {
     /// The receiver's log.
     pub recv: FlowRecv,
     /// Wire accounting for the flow's link service.
-    pub wire: WireStats,
+    pub wire: LinkProtoStats,
     /// Total de-duplication suppressions across nodes.
     pub dedup_suppressed: u64,
     /// Total daemon-level forwards (transmission count onto links).
@@ -172,23 +139,6 @@ impl UnicastRun {
     }
 }
 
-/// Absorbs every daemon's metrics registry into one experiment-wide
-/// registry, and folds in the simulator's pipe-level counters (labelled
-/// `layer=pipe`) so cross-layer accounting lives in one place.
-#[must_use]
-pub fn gather_registry(sim: &Simulation<Wire>, overlay: &OverlayHandle) -> Registry {
-    let mut reg = Registry::new();
-    for &d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(d).expect("daemon");
-        reg.absorb(node.obs().registry());
-    }
-    for (name, value) in sim.counters().iter() {
-        let id = reg.counter(name, &[("layer", "pipe")]);
-        reg.add(id, value);
-    }
-    reg
-}
-
 /// The outage a flow saw: the longest gap between consecutive arrivals
 /// that ends after `after` (`None` if nothing arrived after it).
 #[must_use]
@@ -277,7 +227,7 @@ mod tests {
             3 * epochs,
             "one snapshot per daemon per epoch"
         );
-        assert_eq!(epochs as u64, 30_000_000_000 / telemetry::EPOCH_NS);
+        assert_eq!(epochs as u64, 30_000_000_000 / son_obs::snapshot::EPOCH_NS);
     }
 
     #[test]

@@ -28,10 +28,10 @@ use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
 use son_overlay::node::{CtlFrames, OverlayNode};
 use son_overlay::state::connectivity::ConnectivityConfig;
-use son_overlay::{FlowSpec, NodeConfig};
+use son_overlay::{Fleet, FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
 
-use crate::{ring_with_chords, Fleet};
+use crate::ring_with_chords;
 
 /// Master seed for every scale run: the sweep must be reproducible so the
 /// committed `BENCH_scale.json` curve is comparable across machines.

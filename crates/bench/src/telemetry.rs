@@ -19,11 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use son_obs::snapshot::TelemetrySnapshot;
+use son_obs::snapshot::{TelemetrySnapshot, EPOCH_NS};
 use son_obs::{Json, LatencyHistogram};
-
-/// Telemetry epoch assumed for staleness accounting, ns: the emitter's.
-pub use son_node::TELEMETRY_EPOCH_NS as EPOCH_NS;
 
 /// Epochs of silence after which a node is considered departed (left or
 /// crashed) rather than stale: it is excluded from the `stale` roll-up —

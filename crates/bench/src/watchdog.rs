@@ -21,7 +21,7 @@ use son_overlay::watch::WatchConfig;
 use son_overlay::{FlowSpec, NodeConfig, OverlayHandle};
 use son_topo::NodeId;
 
-use crate::fleet::{edge_pipes, Fleet};
+use son_overlay::fleet::{edge_pipes, Fleet};
 
 /// How a campaign is built, once the deployment it will torment exists.
 /// Receives the underlay scenario, the built overlay, and the per-node city

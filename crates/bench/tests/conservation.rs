@@ -17,12 +17,13 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use son_bench::{Fleet, UnicastRun};
+use son_bench::UnicastRun;
 use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::Registry;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::Workload;
+use son_overlay::Fleet;
 use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::NodeId;
 

@@ -13,15 +13,16 @@
 //! fault-injection campaign (crash/restart flaps plus remediation).
 
 use son_bench::churn::{ChurnPattern, ChurnRun};
+use son_bench::ring_with_chords;
 use son_bench::scale::{scale_topology, SCALE_HOLD_DOWN};
 use son_bench::watchdog::{router_failure_campaign, WatchdogRun};
-use son_bench::{ring_with_chords, Fleet};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
 use son_overlay::watch::WatchConfig;
+use son_overlay::Fleet;
 use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
 

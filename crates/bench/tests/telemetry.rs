@@ -11,15 +11,17 @@
 
 use std::collections::HashMap;
 
-use son_bench::telemetry::{ClusterState, EPOCH_NS};
-use son_bench::{ring_with_chords, Fleet};
+use son_bench::ring_with_chords;
+use son_bench::telemetry::ClusterState;
 use son_netsim::scenario::Campaign;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::snapshot::SnapshotProducer;
+use son_obs::snapshot::EPOCH_NS;
 use son_obs::Registry;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
 use son_overlay::node::OverlayNode;
+use son_overlay::Fleet;
 use son_overlay::FlowSpec;
 use son_topo::NodeId;
 

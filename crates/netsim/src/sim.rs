@@ -44,7 +44,7 @@ use crate::rng::SimRng;
 use crate::shard::{CrossMsg, Mailboxes, ShardCtx, ShardPlan, ShardStats, ShardWorker};
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
-use crate::underlay::{CityId, IspId, UEdgeId, Underlay};
+use crate::underlay::{UEdgeId, Underlay};
 
 /// A scripted change to the world, scheduled ahead of time.
 #[derive(Debug, Clone)]
@@ -53,10 +53,6 @@ pub enum ScenarioEvent {
     FailUnderlayEdge(UEdgeId),
     /// Repair an underlay fiber link.
     RepairUnderlayEdge(UEdgeId),
-    /// Fail one ISP's POP in a city.
-    FailPop(IspId, CityId),
-    /// Repair one ISP's POP in a city.
-    RepairPop(IspId, CityId),
     /// Crash a process: it stops receiving messages and timers.
     CrashProcess(ProcessId),
     /// Restart a crashed process (state is retained; `on_start` is re-run).
@@ -791,16 +787,6 @@ fn apply_scenario_on<M: SimMessage>(
         ScenarioEvent::RepairUnderlayEdge(e) => {
             if let Some(ul) = core.underlay.as_mut() {
                 ul.repair_edge(e, now);
-            }
-        }
-        ScenarioEvent::FailPop(isp, city) => {
-            if let Some(ul) = core.underlay.as_mut() {
-                ul.fail_pop(isp, city, now);
-            }
-        }
-        ScenarioEvent::RepairPop(isp, city) => {
-            if let Some(ul) = core.underlay.as_mut() {
-                ul.repair_pop(isp, city, now);
             }
         }
         ScenarioEvent::CrashProcess(pid) => {

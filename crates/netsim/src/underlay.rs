@@ -119,7 +119,6 @@ struct Router {
     #[allow(dead_code)]
     isp: IspId,
     city: CityId,
-    up: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -207,11 +206,7 @@ impl UnderlayBuilder {
         }
         let prev = slots[city.0].replace(id);
         assert!(prev.is_none(), "ISP already has a router in this city");
-        self.routers.push(Router {
-            isp,
-            city,
-            up: true,
-        });
+        self.routers.push(Router { isp, city });
         id
     }
 
@@ -347,22 +342,6 @@ impl Underlay {
         if !self.edges[edge.0].up {
             self.edges[edge.0].up = true;
             self.mark_dirty(self.edges[edge.0].isp, now);
-        }
-    }
-
-    /// Fails every router and edge of `isp` in `city` (e.g. a POP outage).
-    pub fn fail_pop(&mut self, isp: IspId, city: CityId, now: SimTime) {
-        if let Some(router) = self.isps[isp.0].router_in(city) {
-            self.routers[router.0].up = false;
-            self.mark_dirty(isp, now);
-        }
-    }
-
-    /// Restores a previously failed POP.
-    pub fn repair_pop(&mut self, isp: IspId, city: CityId, now: SimTime) {
-        if let Some(router) = self.isps[isp.0].router_in(city) {
-            self.routers[router.0].up = true;
-            self.mark_dirty(isp, now);
         }
     }
 
@@ -515,11 +494,6 @@ impl Underlay {
         let rb = self.isps[isp.0]
             .router_in(to)
             .ok_or(ResolveError::NoRoute)?;
-        if !self.routers[ra.0].up || !self.routers[rb.0].up {
-            // An endpoint POP being down is visible immediately (the access
-            // link is dead), not a stale-routing artifact.
-            return Err(ResolveError::Blackholed);
-        }
         if ra == rb {
             return Ok(SimDuration::ZERO);
         }
@@ -530,7 +504,7 @@ impl Underlay {
         let mut latency = SimDuration::ZERO;
         for &eid in path {
             let e = &self.edges[eid.0];
-            if !e.up || !self.routers[e.a.0].up || !self.routers[e.b.0].up {
+            if !e.up {
                 return Err(ResolveError::Blackholed);
             }
             latency += e.latency;
@@ -562,20 +536,17 @@ impl Underlay {
             .flatten()
             .copied()
             .collect();
-        // Adjacency over live routers/edges.
+        // Adjacency over live edges.
         let mut adj: HashMap<RouterId, Vec<(RouterId, UEdgeId, SimDuration)>> = HashMap::new();
         for &eid in &self.isps[isp.0].edges {
             let e = &self.edges[eid.0];
-            if e.up && self.routers[e.a.0].up && self.routers[e.b.0].up {
+            if e.up {
                 adj.entry(e.a).or_default().push((e.b, eid, e.latency));
                 adj.entry(e.b).or_default().push((e.a, eid, e.latency));
             }
         }
         let mut routes = HashMap::new();
         for &src in &routers {
-            if !self.routers[src.0].up {
-                continue;
-            }
             // Dijkstra from src.
             let mut dist: HashMap<RouterId, SimDuration> = HashMap::new();
             let mut prev: HashMap<RouterId, (RouterId, UEdgeId)> = HashMap::new();
@@ -739,20 +710,6 @@ mod tests {
         // Other destinations are unaffected once converged.
         assert!(ul
             .resolve(SimTime::from_secs(60), Attachment::OnNet(isp), nyc, den)
-            .is_ok());
-    }
-
-    #[test]
-    fn pop_failure_blackholes_endpoint() {
-        let (mut ul, [nyc, chi, ..], isp, _) = line_underlay();
-        ul.fail_pop(isp, chi, SimTime::ZERO);
-        assert_eq!(
-            ul.resolve(SimTime::from_millis(1), Attachment::OnNet(isp), nyc, chi),
-            Err(ResolveError::Blackholed)
-        );
-        ul.repair_pop(isp, chi, SimTime::from_secs(100));
-        assert!(ul
-            .resolve(SimTime::from_secs(141), Attachment::OnNet(isp), nyc, chi)
             .is_ok());
     }
 

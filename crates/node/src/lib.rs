@@ -43,21 +43,18 @@ use son_netsim::sim::Ctx;
 use son_netsim::stats::Counters;
 use son_netsim::time::{SimDuration, SimTime};
 use son_netsim::underlay::{Attachment, UEdgeId};
-use son_obs::snapshot::SnapshotProducer;
+use son_obs::snapshot::{SnapshotProducer, EPOCH_NS};
 use son_obs::{DropClass, Json};
 use son_overlay::auth::KeyRegistry;
 use son_overlay::builder::HOP_PROCESSING;
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::fleet::{RX_PORT, TX_PORT};
 use son_overlay::{Destination, NodeConfig, OverlayAddr, OverlayNode, Wire};
 use son_topo::NodeId;
 
 pub use scenario::{Outage, Scenario, TopoKind};
 pub use transport::{UdpTransport, VnetTransport};
 
-/// Receiver client port — matches the simulator harness (`son-bench`).
-pub const RX_PORT: u16 = 70;
-/// Sender client port — matches the simulator harness (`son-bench`).
-pub const TX_PORT: u16 = 50;
 /// Deployment master secret — matches `OverlayBuilder`'s, so sim and real
 /// daemons derive identical per-node authentication keys.
 pub const MASTER_SECRET: u64 = 0x5eed;
@@ -65,9 +62,6 @@ pub const MASTER_SECRET: u64 = 0x5eed;
 /// The `from` pid handed to handlers for frames that arrived off the wire:
 /// the remote daemon has no local process id.
 const REMOTE_SENDER: ProcessId = ProcessId(usize::MAX);
-
-/// Default telemetry epoch: one snapshot every 500 ms.
-pub const TELEMETRY_EPOCH_NS: u64 = 500_000_000;
 
 /// Streams one [`son_obs::TelemetrySnapshot`] per telemetry epoch over its
 /// own best-effort UDP socket toward a collector (`son-top`). Loss is
@@ -474,7 +468,7 @@ impl<T: Transport> NodeRuntime<T> {
     }
 
     /// Enables snapshot streaming toward `collector` (a `host:port`), one
-    /// snapshot every [`TELEMETRY_EPOCH_NS`]. The socket is connected and
+    /// snapshot every [`EPOCH_NS`]. The socket is connected and
     /// non-blocking: a full buffer or unreachable collector drops the
     /// snapshot instead of stalling the daemon.
     ///
@@ -501,7 +495,7 @@ impl<T: Transport> NodeRuntime<T> {
         };
         if now_ns >= tel.next_ns {
             while tel.next_ns <= now_ns {
-                tel.next_ns += TELEMETRY_EPOCH_NS;
+                tel.next_ns += EPOCH_NS;
             }
             let node = self.node();
             let health = node.telemetry_health();

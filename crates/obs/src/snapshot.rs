@@ -53,6 +53,10 @@ const KIND_SNAPSHOT: u8 = 1;
 /// Size of the fixed frame header: magic, version, kind, flags, body length.
 pub const TELEMETRY_HEADER_BYTES: usize = 8;
 
+/// The telemetry epoch, ns: a daemon renders one snapshot every 500 ms, on
+/// both legs, and a collector counts staleness in these epochs.
+pub const EPOCH_NS: u64 = 500_000_000;
+
 /// What can go wrong decoding a telemetry frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryError {

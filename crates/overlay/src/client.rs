@@ -55,6 +55,21 @@ pub enum Workload {
     },
 }
 
+impl Workload {
+    /// The common constant-bit-rate source: `count` packets of `size`
+    /// bytes every `interval`, the first at 500 ms (after the overlay
+    /// converges).
+    #[must_use]
+    pub fn cbr(size: usize, count: u64, interval: SimDuration) -> Workload {
+        Workload::Cbr {
+            size,
+            interval,
+            count,
+            start: SimTime::from_millis(500),
+        }
+    }
+}
+
 /// One flow a client opens: destination, services, and workload.
 #[derive(Debug, Clone)]
 pub struct ClientFlow {
@@ -66,6 +81,19 @@ pub struct ClientFlow {
     pub spec: FlowSpec,
     /// Send schedule.
     pub workload: Workload,
+}
+
+impl ClientFlow {
+    /// A client's first flow (local flow 1).
+    #[must_use]
+    pub fn new(dst: Destination, spec: FlowSpec, workload: Workload) -> ClientFlow {
+        ClientFlow {
+            local_flow: 1,
+            dst,
+            spec,
+            workload,
+        }
+    }
 }
 
 /// Configuration of a scripted client.

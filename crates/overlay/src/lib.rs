@@ -16,39 +16,21 @@
 //! ## Quick tour
 //!
 //! ```
-//! use son_netsim::sim::Simulation;
 //! use son_netsim::time::{SimDuration, SimTime};
 //! use son_overlay::builder::{chain_topology, OverlayBuilder};
-//! use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-//! use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+//! use son_overlay::{Fleet, FlowSpec, Workload};
 //! use son_topo::NodeId;
 //!
-//! // A 3-node overlay chain with 10 ms links.
-//! let mut sim: Simulation<Wire> = Simulation::new(7);
-//! let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+//! // A 3-node overlay chain with 10 ms links, in a simulation seeded with 7.
+//! let mut fleet = Fleet::new(7, None, OverlayBuilder::new(chain_topology(3, 10.0)));
 //!
-//! // A receiver client on the last node, a sender on the first.
-//! let rx = sim.add_process(ClientProcess::new(ClientConfig {
-//!     daemon: overlay.daemon(NodeId(2)), port: 7, joins: vec![], flows: vec![],
-//! }));
-//! let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-//!     daemon: overlay.daemon(NodeId(0)), port: 5, joins: vec![],
-//!     flows: vec![ClientFlow {
-//!         local_flow: 1,
-//!         dst: Destination::Unicast(OverlayAddr::new(NodeId(2), 7)),
-//!         spec: FlowSpec::reliable(),
-//!         workload: Workload::Cbr {
-//!             size: 1200,
-//!             interval: SimDuration::from_millis(10),
-//!             count: 50,
-//!             start: SimTime::from_millis(500),
-//!         },
-//!     }],
-//! }));
+//! // A receiver client on the last node, then a sender on the first
+//! // streaming 50 packets every 10 ms.
+//! let cbr = Workload::cbr(1000, 50, SimDuration::from_millis(10));
+//! let flow = fleet.flow(NodeId(0), NodeId(2), FlowSpec::reliable(), cbr);
 //!
-//! sim.run_until(SimTime::from_secs(3));
-//! let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
-//! assert_eq!(client.sole_recv().received, 50);
+//! fleet.run(SimTime::from_secs(3));
+//! assert_eq!(fleet.recv(flow).received, 50);
 //! ```
 
 #![warn(missing_docs)]
@@ -60,6 +42,7 @@ pub mod auth;
 pub mod builder;
 pub mod client;
 pub mod dedup;
+pub mod fleet;
 pub mod flow;
 pub mod intercept;
 pub mod linkproto;
@@ -77,6 +60,7 @@ pub mod wire;
 pub use addr::{Destination, FlowKey, GroupId, OverlayAddr, VirtualPort};
 pub use builder::{OverlayBuilder, OverlayHandle};
 pub use client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+pub use fleet::Fleet;
 pub use flow::{FlowContext, FlowRole, FlowTable};
 pub use node::{NodeConfig, OverlayNode, TimerKey};
 pub use obs::{FlowObs, NodeObs};

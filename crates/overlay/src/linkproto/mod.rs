@@ -128,6 +128,20 @@ impl LinkProtoStats {
     }
 }
 
+impl std::iter::Sum for LinkProtoStats {
+    /// Field-by-field totals: one service over many links or many daemons.
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |t, s| LinkProtoStats {
+            sent: t.sent + s.sent,
+            retransmitted: t.retransmitted + s.retransmitted,
+            ctl_sent: t.ctl_sent + s.ctl_sent,
+            received: t.received + s.received,
+            dup_received: t.dup_received + s.dup_received,
+            dropped: t.dropped + s.dropped,
+        })
+    }
+}
+
 /// A link-level protocol instance (one service slot on one overlay link).
 ///
 /// Implementations are bidirectional: they hold sender state for the local

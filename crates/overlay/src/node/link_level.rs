@@ -60,17 +60,8 @@ impl OverlayNode {
     /// Aggregated protocol statistics for a service across all links.
     #[must_use]
     pub fn service_stats(&self, service: LinkService) -> LinkProtoStats {
-        let mut total = LinkProtoStats::default();
-        for l in &self.links {
-            let s = l.protos[service.slot()].stats();
-            total.sent += s.sent;
-            total.retransmitted += s.retransmitted;
-            total.ctl_sent += s.ctl_sent;
-            total.received += s.received;
-            total.dup_received += s.dup_received;
-            total.dropped += s.dropped;
-        }
-        total
+        let slot = service.slot();
+        self.links.iter().map(|l| l.protos[slot].stats()).sum()
     }
 }
 

@@ -1,89 +1,38 @@
 //! Daemon-level behaviour tests: authentication enforcement, loop guards,
 //! adversarial forwarding behaviours, and multihomed provider switching.
 
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::{
     Destination, FlowSpec, NodeConfig, OverlayAddr, RoutingService, SourceRoute, Wire,
 };
 use son_topo::{Graph, NodeId};
 
-const RX: u16 = 70;
-const TX: u16 = 50;
-
-fn pair(
-    sim: &mut Simulation<Wire>,
-    overlay: &son_overlay::OverlayHandle,
-    from: NodeId,
-    to: NodeId,
-    spec: FlowSpec,
-    count: u64,
-) -> (
-    son_netsim::process::ProcessId,
-    son_netsim::process::ProcessId,
-) {
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(to),
-        port: RX,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(from),
-        port: TX,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(to, RX)),
-            spec,
-            workload: Workload::Cbr {
-                size: 500,
-                interval: SimDuration::from_millis(10),
-                count,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
-    (tx, rx)
-}
-
+/// The load every flow here offers: `count` 500-byte packets every 10 ms
+/// from 500 ms.
 #[test]
 fn auth_enabled_traffic_flows_and_tags_verify() {
     let config = NodeConfig {
         auth_enabled: true,
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(91);
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
-        .node_config(config)
-        .build(&mut sim);
-    let (tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    let builder = OverlayBuilder::new(chain_topology(4, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(91, None, builder);
+    fleet.flow(
         NodeId(0),
         NodeId(3),
         FlowSpec::reliable(),
-        100,
+        Workload::cbr(500, 100, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    assert_eq!(
-        sim.proc_ref::<ClientProcess>(rx)
-            .unwrap()
-            .sole_recv()
-            .received,
-        sent
-    );
-    for &d in &overlay.daemons {
+    fleet.run(SimTime::from_secs(5));
+    let sent = fleet.sent(0);
+    assert_eq!(fleet.recv(0).received, sent);
+    for node in fleet.nodes() {
         assert_eq!(
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .auth_failures,
+            node.metrics().auth_failures,
             0,
             "correct traffic must verify"
         );
@@ -98,58 +47,38 @@ fn flood_attacker_junk_verifies_as_its_own_but_cannot_forge() {
         auth_enabled: true,
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(92);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0))
-        .node_config(config)
-        .build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .set_behavior(Behavior::Flood {
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(2), RX)),
-            rate_pps: 500,
-            size: 200,
-        });
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(2)),
-        port: RX,
-        joins: vec![],
-        flows: vec![],
-    }));
-    sim.run_until(SimTime::from_secs(3));
-    let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
+    let builder = OverlayBuilder::new(chain_topology(3, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(92, None, builder);
+    fleet.node_mut(NodeId(1)).set_behavior(Behavior::Flood {
+        dst: Destination::Unicast(OverlayAddr::new(NodeId(2), RX_PORT)),
+        rate_pps: 500,
+        size: 200,
+    });
+    let rx = fleet.client(NodeId(2), RX_PORT, vec![], vec![]);
+    fleet.run(SimTime::from_secs(3));
+    let client = fleet.client_ref(rx);
     let junk: u64 = client.recv.values().map(|r| r.received).sum();
     assert!(junk > 1000, "authenticated junk is delivered: {junk}");
-    for &d in &overlay.daemons {
-        assert_eq!(
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .auth_failures,
-            0
-        );
+    for node in fleet.nodes() {
+        assert_eq!(node.metrics().auth_failures, 0);
     }
 }
 
 #[test]
 fn delay_adversary_destroys_timeliness_not_delivery() {
-    let mut sim: Simulation<Wire> = Simulation::new(93);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .set_behavior(Behavior::Delay {
-            extra: SimDuration::from_millis(150),
-        });
-    let (tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    let mut fleet = Fleet::new(93, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    fleet.node_mut(NodeId(1)).set_behavior(Behavior::Delay {
+        extra: SimDuration::from_millis(150),
+    });
+    fleet.flow(
         NodeId(0),
         NodeId(2),
         FlowSpec::best_effort(),
-        100,
+        Workload::cbr(500, 100, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    fleet.run(SimTime::from_secs(5));
+    let sent = fleet.sent(0);
+    let recv = fleet.recv(0);
     assert_eq!(recv.received, sent, "delay adversary loses nothing");
     let min = recv.latency_ms().quantile(0.0).unwrap();
     assert!(
@@ -171,32 +100,21 @@ fn ttl_guard_kills_looping_static_masks() {
         ttl: 2,
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(94);
-    let overlay = OverlayBuilder::new(chain_topology(5, 10.0))
-        .node_config(config)
-        .build(&mut sim);
-    let (_tx, rx) = pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(4),
+    let builder = OverlayBuilder::new(chain_topology(5, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(94, None, builder);
+    let rx = fleet.client(NodeId(4), RX_PORT, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(4), RX_PORT));
+    let flow = ClientFlow::new(
+        dst,
         FlowSpec::best_effort(),
-        50,
+        Workload::cbr(500, 50, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(5));
     // 4 hops needed but TTL=2: nothing arrives, drops counted.
-    let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
+    let client = fleet.client_ref(rx);
     assert!(client.recv.is_empty(), "TTL must stop the packets short");
-    let ttl_drops: u64 = overlay
-        .daemons
-        .iter()
-        .map(|&d| {
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .dropped_ttl
-        })
-        .sum();
+    let ttl_drops: u64 = fleet.nodes().map(|n| n.metrics().dropped_ttl).sum();
     assert_eq!(ttl_drops, 50);
 }
 
@@ -204,64 +122,31 @@ fn ttl_guard_kills_looping_static_masks() {
 fn misdelivery_does_not_happen_across_ports() {
     // Two receivers on different ports of the same node: each flow reaches
     // exactly its own port.
-    let mut sim: Simulation<Wire> = Simulation::new(95);
-    let overlay = OverlayBuilder::new(chain_topology(2, 10.0)).build(&mut sim);
-    let rx_a = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(1)),
-        port: 70,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let rx_b = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(1)),
-        port: 71,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: TX,
-        joins: vec![],
-        flows: vec![
+    let mut fleet = Fleet::new(95, None, OverlayBuilder::new(chain_topology(2, 10.0)));
+    let rx_a = fleet.client(NodeId(1), 70, vec![], vec![]);
+    let rx_b = fleet.client(NodeId(1), 71, vec![], vec![]);
+    fleet.client(
+        NodeId(0),
+        TX_PORT,
+        vec![],
+        vec![
             ClientFlow {
                 local_flow: 1,
                 dst: Destination::Unicast(OverlayAddr::new(NodeId(1), 70)),
                 spec: FlowSpec::best_effort(),
-                workload: Workload::Cbr {
-                    size: 100,
-                    interval: SimDuration::from_millis(10),
-                    count: 30,
-                    start: SimTime::from_millis(500),
-                },
+                workload: Workload::cbr(100, 30, SimDuration::from_millis(10)),
             },
             ClientFlow {
                 local_flow: 2,
                 dst: Destination::Unicast(OverlayAddr::new(NodeId(1), 71)),
                 spec: FlowSpec::best_effort(),
-                workload: Workload::Cbr {
-                    size: 100,
-                    interval: SimDuration::from_millis(10),
-                    count: 40,
-                    start: SimTime::from_millis(500),
-                },
+                workload: Workload::cbr(100, 40, SimDuration::from_millis(10)),
             },
         ],
-    }));
-    sim.run_until(SimTime::from_secs(3));
-    let a: u64 = sim
-        .proc_ref::<ClientProcess>(rx_a)
-        .unwrap()
-        .recv
-        .values()
-        .map(|r| r.received)
-        .sum();
-    let b: u64 = sim
-        .proc_ref::<ClientProcess>(rx_b)
-        .unwrap()
-        .recv
-        .values()
-        .map(|r| r.received)
-        .sum();
+    );
+    fleet.run(SimTime::from_secs(3));
+    let received = |rx| -> u64 { fleet.client_ref(rx).recv.values().map(|r| r.received).sum() };
+    let (a, b) = (received(rx_a), received(rx_b));
     assert_eq!((a, b), (30, 40));
 }
 
@@ -311,31 +196,21 @@ fn group_leave_stops_delivery_promptly() {
         }
     }
 
-    let mut sim: Simulation<Wire> = Simulation::new(96);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    let leaver = sim.add_process(LeavingClient {
-        daemon: overlay.daemon(NodeId(2)),
+    let mut fleet = Fleet::new(96, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    let leaver = fleet.sim.add_process(LeavingClient {
+        daemon: fleet.overlay.daemon(NodeId(2)),
         leave_at: SimTime::from_secs(2),
         got: Vec::new(),
     });
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: TX,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Multicast(GroupId(5)),
-            spec: FlowSpec::best_effort(),
-            workload: Workload::Cbr {
-                size: 100,
-                interval: SimDuration::from_millis(20),
-                count: u64::MAX,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(4));
-    let got = &sim.proc_ref::<LeavingClient>(leaver).unwrap().got;
+    let workload = Workload::cbr(100, u64::MAX, SimDuration::from_millis(20));
+    let flow = ClientFlow::new(
+        Destination::Multicast(GroupId(5)),
+        FlowSpec::best_effort(),
+        workload,
+    );
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(4));
+    let got = &fleet.sim.proc_ref::<LeavingClient>(leaver).unwrap().got;
     assert!(!got.is_empty(), "received before leaving");
     let last = *got.last().unwrap();
     assert!(
@@ -363,36 +238,27 @@ fn multihomed_link_keeps_flowing_when_active_pipe_dies() {
 
     let mut topo = Graph::new(2);
     topo.add_edge(NodeId(0), NodeId(1), 9.0);
-    let mut sim: Simulation<Wire> = Simulation::new(97);
-    sim.set_underlay(underlay);
-    let overlay = OverlayBuilder::new(topo)
-        .place_in_cities(vec![c0, c1])
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(topo).place_in_cities(vec![c0, c1]);
+    let mut fleet = Fleet::new(97, Some(underlay), builder);
     assert_eq!(
-        overlay.edge_pipes[&son_topo::EdgeId(0)].len(),
+        fleet.overlay.edge_pipes[&son_topo::EdgeId(0)].len(),
         2,
         "dual-homed"
     );
 
-    let (_tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    fleet.flow(
         NodeId(0),
         NodeId(1),
         FlowSpec::best_effort(),
-        u64::MAX,
+        Workload::cbr(500, u64::MAX, SimDuration::from_millis(10)),
     );
     // Fail ISP One's fiber at t=3s: the first provider pipe blackholes.
-    sim.schedule(
+    fleet.sim.schedule(
         SimTime::from_secs(3),
         son_netsim::sim::ScenarioEvent::FailUnderlayEdge(son_netsim::underlay::UEdgeId(0)),
     );
-    sim.run_until(SimTime::from_secs(8));
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    fleet.run(SimTime::from_secs(8));
+    let recv = fleet.recv(0);
     let gap = recv
         .arrivals
         .windows(2)
@@ -404,17 +270,7 @@ fn multihomed_link_keeps_flowing_when_active_pipe_dies() {
         gap < SimDuration::from_millis(1000),
         "provider switch should mask the fiber cut, gap {gap}"
     );
-    let switches: u64 = overlay
-        .daemons
-        .iter()
-        .map(|&d| {
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .counters
-                .get("provider_switches")
-        })
-        .sum();
+    let switches: u64 = fleet.counter("provider_switches");
     assert!(switches >= 1);
 }
 
@@ -425,35 +281,31 @@ fn unroutable_source_based_flow_is_counted_not_wedged() {
     let mut topo = Graph::new(4);
     topo.add_edge(NodeId(0), NodeId(1), 10.0);
     topo.add_edge(NodeId(2), NodeId(3), 10.0);
-    let mut sim: Simulation<Wire> = Simulation::new(98);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
+    let mut fleet = Fleet::new(98, None, OverlayBuilder::new(topo));
     let spec = FlowSpec::best_effort()
         .with_routing(RoutingService::SourceBased(SourceRoute::DisjointPaths(2)));
-    let (_tx1, _rx1) = pair(&mut sim, &overlay, NodeId(0), NodeId(3), spec, 20);
-    sim.run_until(SimTime::from_secs(3));
-    let ingress = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(0)))
-        .unwrap();
+    fleet.flow(
+        NodeId(0),
+        NodeId(3),
+        spec,
+        Workload::cbr(500, 20, SimDuration::from_millis(10)),
+    );
+    fleet.run(SimTime::from_secs(3));
+    let ingress = fleet.node(NodeId(0));
     assert_eq!(ingress.metrics().unroutable, 20);
 }
 
 #[test]
 fn status_report_reflects_state() {
-    let mut sim: Simulation<Wire> = Simulation::new(99);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    let (_tx, _rx) = pair(
-        &mut sim,
-        &overlay,
+    let mut fleet = Fleet::new(99, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    fleet.flow(
         NodeId(0),
         NodeId(2),
         FlowSpec::reliable(),
-        50,
+        Workload::cbr(500, 50, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(3));
-    let report = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .status_report();
+    fleet.run(SimTime::from_secs(3));
+    let report = fleet.node(NodeId(1)).status_report();
     assert!(report.contains("node n1"), "{report}");
     assert!(report.contains("link[0]"), "{report}");
     assert!(report.contains("up"), "{report}");
@@ -470,33 +322,26 @@ fn flapping_link_converges_to_final_state() {
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
     topo.add_edge(NodeId(0), NodeId(2), 15.0);
     topo.add_edge(NodeId(2), NodeId(3), 15.0);
-    let mut sim: Simulation<Wire> = Simulation::new(100);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    let (tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    let mut fleet = Fleet::new(100, None, OverlayBuilder::new(topo));
+    fleet.flow(
         NodeId(0),
         NodeId(3),
         FlowSpec::reliable(),
-        1500,
+        Workload::cbr(500, 1500, SimDuration::from_millis(10)),
     );
     for cycle in 0..4u64 {
         let down_at = SimTime::from_secs(2 + cycle * 3);
         let up_at = down_at + SimDuration::from_secs(1);
-        for &(ab, ba) in &overlay.edge_pipes[&e01] {
-            sim.schedule(down_at, ScenarioEvent::DisablePipe(ab));
-            sim.schedule(down_at, ScenarioEvent::DisablePipe(ba));
-            sim.schedule(up_at, ScenarioEvent::EnablePipe(ab));
-            sim.schedule(up_at, ScenarioEvent::EnablePipe(ba));
+        for &(ab, ba) in &fleet.overlay.edge_pipes[&e01] {
+            fleet.sim.schedule(down_at, ScenarioEvent::DisablePipe(ab));
+            fleet.sim.schedule(down_at, ScenarioEvent::DisablePipe(ba));
+            fleet.sim.schedule(up_at, ScenarioEvent::EnablePipe(ab));
+            fleet.sim.schedule(up_at, ScenarioEvent::EnablePipe(ba));
         }
     }
-    sim.run_until(SimTime::from_secs(30));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    fleet.run(SimTime::from_secs(30));
+    let sent = fleet.sent(0);
+    let recv = fleet.recv(0);
     // Reliable + rerouting across four flaps: some packets may be skipped by
     // the 1s ordered-hold during blackout windows, but the stream keeps
     // flowing and ends healthy.
@@ -505,9 +350,7 @@ fn flapping_link_converges_to_final_state() {
         "{}/{sent} through four flaps",
         recv.received
     );
-    let node0 = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(0)))
-        .unwrap();
+    let node0 = fleet.node(NodeId(0));
     assert!(node0.connectivity().link_up(0), "final state is up");
 }
 
@@ -524,37 +367,22 @@ fn misrouting_node_is_corrected_by_downstream_routing() {
     topo.add_edge(NodeId(0), NodeId(2), 12.0);
     topo.add_edge(NodeId(2), NodeId(3), 12.0);
     topo.add_edge(NodeId(1), NodeId(2), 5.0);
-    let mut sim: Simulation<Wire> = Simulation::new(101);
-    let overlay = OverlayBuilder::new(topo.clone()).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .set_behavior(Behavior::Misroute);
-    let (t1, r1) = pair(
-        &mut sim,
-        &overlay,
+    let mut fleet = Fleet::new(101, None, OverlayBuilder::new(topo));
+    fleet.node_mut(NodeId(1)).set_behavior(Behavior::Misroute);
+    fleet.flow(
         NodeId(0),
         NodeId(3),
         FlowSpec::best_effort(),
-        50,
+        Workload::cbr(500, 50, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
-    let sent = sim.proc_ref::<ClientProcess>(t1).unwrap().sent(1);
-    let recv = sim.proc_ref::<ClientProcess>(r1).unwrap().sole_recv();
+    fleet.run(SimTime::from_secs(5));
+    let sent = fleet.sent(0);
+    let recv = fleet.recv(0);
     assert_eq!(recv.received, sent, "downstream nodes correct the misroute");
     // The detour 0-1-2-3 costs 27ms+ vs the intended 20ms path.
     let p50 = recv.latency_ms().median().unwrap();
     assert!(p50 > 26.0, "latency {p50}ms must show the detour");
-    let misrouted: u64 = overlay
-        .daemons
-        .iter()
-        .map(|&d| {
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .counters
-                .get("adversary_misrouted")
-        })
-        .sum();
+    let misrouted: u64 = fleet.counter("adversary_misrouted");
     assert_eq!(misrouted, 50);
 }
 
@@ -567,33 +395,20 @@ fn misrouting_node_with_no_spare_link_degenerates_to_blackhole() {
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
     topo.add_edge(NodeId(0), NodeId(2), 12.0);
     topo.add_edge(NodeId(2), NodeId(3), 12.0);
-    let mut sim: Simulation<Wire> = Simulation::new(102);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .set_behavior(Behavior::Misroute);
-    let (_t1, r1) = pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(3),
+    let mut fleet = Fleet::new(102, None, OverlayBuilder::new(topo));
+    fleet.node_mut(NodeId(1)).set_behavior(Behavior::Misroute);
+    let r1 = fleet.client(NodeId(3), RX_PORT, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(3), RX_PORT));
+    let flow = ClientFlow::new(
+        dst,
         FlowSpec::best_effort(),
-        50,
+        Workload::cbr(500, 50, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
-    let got: u64 = sim
-        .proc_ref::<ClientProcess>(r1)
-        .unwrap()
-        .recv
-        .values()
-        .map(|r| r.received)
-        .sum();
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(5));
+    let got: u64 = fleet.client_ref(r1).recv.values().map(|r| r.received).sum();
     assert_eq!(got, 0);
-    let dropped = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .metrics()
-        .adversary_dropped;
+    let dropped = fleet.node(NodeId(1)).metrics().adversary_dropped;
     assert_eq!(dropped, 50);
 }
 
@@ -618,27 +433,22 @@ fn off_net_placement_crosses_peering_points() {
 
     let mut topo = Graph::new(2);
     topo.add_edge(NodeId(0), NodeId(1), 13.0);
-    let mut sim: Simulation<Wire> = Simulation::new(103);
-    sim.set_underlay(underlay);
-    let overlay = OverlayBuilder::new(topo)
-        .place_in_cities(vec![west, east])
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(topo).place_in_cities(vec![west, east]);
+    let mut fleet = Fleet::new(103, Some(underlay), builder);
     assert_eq!(
-        overlay.edge_pipes[&son_topo::EdgeId(0)].len(),
+        fleet.overlay.edge_pipes[&son_topo::EdgeId(0)].len(),
         1,
         "one off-net (WestNet x EastNet) binding"
     );
-    let (tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    fleet.flow(
         NodeId(0),
         NodeId(1),
         FlowSpec::best_effort(),
-        50,
+        Workload::cbr(500, 50, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(5));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    fleet.run(SimTime::from_secs(5));
+    let sent = fleet.sent(0);
+    let recv = fleet.recv(0);
     assert_eq!(recv.received, sent);
     // 2 x 1000km at 1.2/200 + 1ms peering + processing + IPC ~= 13.3ms.
     let p50 = recv.latency_ms().median().unwrap();
@@ -656,30 +466,23 @@ fn crashed_daemon_recovers_and_traffic_resumes() {
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
     topo.add_edge(NodeId(0), NodeId(2), 15.0);
     topo.add_edge(NodeId(2), NodeId(3), 15.0);
-    let mut sim: Simulation<Wire> = Simulation::new(104);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    let (_tx, rx) = pair(
-        &mut sim,
-        &overlay,
+    let mut fleet = Fleet::new(104, None, OverlayBuilder::new(topo));
+    fleet.flow(
         NodeId(0),
         NodeId(3),
         FlowSpec::best_effort(),
-        u64::MAX,
+        Workload::cbr(500, u64::MAX, SimDuration::from_millis(10)),
     );
-    sim.schedule(
-        SimTime::from_secs(3),
-        ScenarioEvent::CrashProcess(overlay.daemon(NodeId(1))),
-    );
-    sim.schedule(
-        SimTime::from_secs(6),
-        ScenarioEvent::RestartProcess(overlay.daemon(NodeId(1))),
-    );
-    sim.run_until(SimTime::from_secs(12));
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let relay = fleet.overlay.daemon(NodeId(1));
+    let (crash, restart) = (SimTime::from_secs(3), SimTime::from_secs(6));
+    fleet
+        .sim
+        .schedule(crash, ScenarioEvent::CrashProcess(relay));
+    fleet
+        .sim
+        .schedule(restart, ScenarioEvent::RestartProcess(relay));
+    fleet.run(SimTime::from_secs(12));
+    let recv = fleet.recv(0);
     // Outage while neighbors detect the crash is bounded (sub-second),
     // and traffic flows at the end.
     let gap = recv

@@ -20,16 +20,14 @@ use std::collections::BTreeMap;
 
 use son_netsim::loss::LossConfig;
 use son_netsim::rng::{fnv1a, splitmix};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceStage;
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::{NodeConfig, OverlayNode};
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::fleet::Fleet;
+use son_overlay::node::NodeConfig;
 use son_overlay::service::{FecParams, RealtimeParams};
-use son_overlay::{
-    Destination, FlowSpec, LinkService, OverlayAddr, RoutingService, SourceRoute, Wire,
-};
+use son_overlay::{Destination, FlowSpec, LinkService, OverlayAddr, RoutingService, SourceRoute};
 use son_topo::{Graph, NodeId};
 
 const NODES: usize = 5;
@@ -88,15 +86,14 @@ fn stage_words(stage: TraceStage) -> (u64, u64) {
 /// Runs the mix and returns `(digest over every node's trace ring in
 /// recorded order, events per stage label, packets received per flow)`.
 fn run() -> (u64, BTreeMap<&'static str, u64>, Vec<u64>) {
-    let mut sim: Simulation<Wire> = Simulation::new(16);
     let config = NodeConfig {
         trace_sample: 1,
         ..NodeConfig::default()
     };
-    let overlay = OverlayBuilder::new(topology())
+    let builder = OverlayBuilder::new(topology())
         .node_config(config)
-        .default_loss(LossConfig::Bernoulli { p: 0.02 })
-        .build(&mut sim);
+        .default_loss(LossConfig::Bernoulli { p: 0.02 });
+    let mut fleet = Fleet::new(16, None, builder);
     let (mut receivers, mut senders) = (Vec::new(), Vec::new());
     for (i, spec) in specs().into_iter().enumerate() {
         let i = i as u16;
@@ -107,49 +104,31 @@ fn run() -> (u64, BTreeMap<&'static str, u64>, Vec<u64>) {
         } else {
             NodeId(3)
         };
-        receivers.push(sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(to),
-            port: 100 + i,
-            joins: vec![],
-            flows: vec![],
-        })));
-        senders.push(sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(0)),
-            port: 200 + i,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(to, 100 + i)),
-                spec,
-                workload: Workload::Cbr {
-                    size: 400,
-                    // Faster than an IT-Reliable window drains over a 20 ms
-                    // round trip, so `PauseFlow`/`ResumeFlow` fire too.
-                    interval: SimDuration::from_millis(1),
-                    count: PACKETS,
-                    start: SimTime::from_millis(500 + u64::from(i)),
-                },
-            }],
-        })));
+        receivers.push(fleet.client(to, 100 + i, vec![], vec![]));
+        let workload = Workload::Cbr {
+            size: 400,
+            // Faster than an IT-Reliable window drains over a 20 ms round
+            // trip, so `PauseFlow`/`ResumeFlow` fire too.
+            interval: SimDuration::from_millis(1),
+            count: PACKETS,
+            start: SimTime::from_millis(500 + u64::from(i)),
+        };
+        let dst = Destination::Unicast(OverlayAddr::new(to, 100 + i));
+        let flow = ClientFlow::new(dst, spec, workload);
+        senders.push(fleet.client(NodeId(0), 200 + i, vec![], vec![flow]));
     }
-    sim.run_until(SimTime::from_secs(4));
+    fleet.run(SimTime::from_secs(4));
 
     let pauses: u64 = senders
         .iter()
-        .map(|&tx| {
-            sim.proc_ref::<ClientProcess>(tx)
-                .expect("sender")
-                .pause_events
-        })
+        .map(|&tx| fleet.client_ref(tx).pause_events)
         .sum();
     assert!(pauses > 0, "the mix must exercise backpressure");
 
     let mut digest = 0u64;
     let mut per_stage: BTreeMap<&'static str, u64> = BTreeMap::new();
     for n in 0..NODES {
-        let node = sim
-            .proc_ref::<OverlayNode>(overlay.daemon(NodeId(n)))
-            .expect("daemon exists");
+        let node = fleet.node(NodeId(n));
         let ring = node.obs().traces();
         assert_eq!(ring.evicted(), 0, "the ring must hold the whole run");
         for e in ring.events() {
@@ -173,7 +152,7 @@ fn run() -> (u64, BTreeMap<&'static str, u64>, Vec<u64>) {
     let received = receivers
         .iter()
         .map(|&rx| {
-            let client = sim.proc_ref::<ClientProcess>(rx).expect("receiver exists");
+            let client = fleet.client_ref(rx);
             client.recv.values().map(|r| r.received).sum()
         })
         .collect();

@@ -7,71 +7,39 @@ use std::collections::BTreeMap;
 
 use son_netsim::link::PipeId;
 use son_netsim::process::{Process, ProcessId};
-use son_netsim::sim::{Ctx, Simulation};
+use son_netsim::sim::Ctx;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::{OverlayNode, CLIENT_IPC_DELAY};
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
+use son_overlay::node::CLIENT_IPC_DELAY;
 use son_overlay::{
     ClientOp, Destination, FlowSpec, GroupId, LinkService, OverlayAddr, SessionEvent, Wire,
 };
 use son_topo::NodeId;
 
-const RX_PORT: u16 = 70;
-const TX_PORT: u16 = 50;
-
-fn receiver(daemon: ProcessId, joins: Vec<GroupId>) -> ClientProcess {
-    ClientProcess::new(ClientConfig {
-        daemon,
-        port: RX_PORT,
-        joins,
-        flows: vec![],
-    })
-}
-
-fn sender(daemon: ProcessId, dst: Destination, spec: FlowSpec, count: u64) -> ClientProcess {
-    ClientProcess::new(ClientConfig {
-        daemon,
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst,
-            spec,
-            workload: Workload::Cbr {
-                size: 500,
-                interval: SimDuration::from_millis(1),
-                count,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    })
-}
-
 /// Chain 0-1-2 with multicast members on 1 and 2: node 1 delivers locally
 /// *and* forwards, so it must keep a copy for the onward hop.
 #[test]
 fn multicast_member_that_is_also_transit_still_forwards() {
-    let mut sim = Simulation::new(31);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+    let mut fleet = Fleet::new(31, None, OverlayBuilder::new(chain_topology(3, 10.0)));
     let group = GroupId(4);
-    let mid = sim.add_process(receiver(overlay.daemon(NodeId(1)), vec![group]));
-    let end = sim.add_process(receiver(overlay.daemon(NodeId(2)), vec![group]));
-    sim.add_process(sender(
-        overlay.daemon(NodeId(0)),
+    let mid = fleet.client(NodeId(1), RX_PORT, vec![group], vec![]);
+    let end = fleet.client(NodeId(2), RX_PORT, vec![group], vec![]);
+    let stream = Workload::cbr(500, 100, SimDuration::from_millis(1));
+    let flow = ClientFlow::new(
         Destination::Multicast(group),
         FlowSpec::best_effort(),
-        100,
-    ));
-    sim.run_until(SimTime::from_secs(2));
+        stream,
+    );
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(2));
     for (who, rx) in [("transit member", mid), ("leaf member", end)] {
-        let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+        let r = fleet.client_ref(rx).sole_recv();
         assert_eq!(r.received, 100, "{who} missed traffic");
         assert_eq!(r.app_duplicates, 0);
     }
-    let relay = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap();
+    let relay = fleet.node(NodeId(1));
     assert_eq!(relay.metrics().forwarded, 100);
     assert_eq!(relay.metrics().delivered_local, 100);
 }
@@ -109,25 +77,21 @@ impl Process<Wire> for LateJoiner {
 #[test]
 fn anycast_member_that_was_not_resolved_does_not_deliver() {
     const COUNT: u64 = 400;
-    let mut sim = Simulation::new(32);
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0)).build(&mut sim);
+    let mut fleet = Fleet::new(32, None, OverlayBuilder::new(chain_topology(4, 10.0)));
     let group = GroupId(5);
-    let far = sim.add_process(receiver(overlay.daemon(NodeId(3)), vec![group]));
-    let near = sim.add_process(LateJoiner {
-        daemon: overlay.daemon(NodeId(1)),
+    let far = fleet.client(NodeId(3), RX_PORT, vec![group], vec![]);
+    let near = fleet.sim.add_process(LateJoiner {
+        daemon: fleet.overlay.daemon(NodeId(1)),
         group,
         join_at: SimDuration::from_millis(700),
         deliveries: BTreeMap::new(),
     });
-    sim.add_process(sender(
-        overlay.daemon(NodeId(0)),
-        Destination::Anycast(group),
-        FlowSpec::best_effort(),
-        COUNT,
-    ));
-    sim.run_until(SimTime::from_secs(2));
-    let far = sim.proc_ref::<ClientProcess>(far).unwrap().sole_recv();
-    let near = &sim.proc_ref::<LateJoiner>(near).unwrap().deliveries;
+    let stream = Workload::cbr(500, COUNT, SimDuration::from_millis(1));
+    let flow = ClientFlow::new(Destination::Anycast(group), FlowSpec::best_effort(), stream);
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(2));
+    let far = fleet.client_ref(far).sole_recv();
+    let near = &fleet.sim.proc_ref::<LateJoiner>(near).unwrap().deliveries;
     assert!(
         far.received > 150,
         "node 3 serves the stream until the join"
@@ -156,25 +120,25 @@ fn anycast_member_that_was_not_resolved_does_not_deliver() {
 #[test]
 fn it_reliable_terminal_packet_still_grants_its_credit() {
     const COUNT: u64 = 200;
-    let mut sim = Simulation::new(33);
-    let overlay = OverlayBuilder::new(chain_topology(2, 10.0)).build(&mut sim);
-    let rx = sim.add_process(receiver(overlay.daemon(NodeId(1)), vec![]));
-    let tx = sim.add_process(sender(
-        overlay.daemon(NodeId(0)),
-        Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT)),
-        FlowSpec::reliable().with_link(LinkService::ItReliable),
-        COUNT,
-    ));
-    sim.run_until(SimTime::from_secs(10));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let mut fleet = Fleet::new(33, None, OverlayBuilder::new(chain_topology(2, 10.0)));
+    let rx = fleet.client(NodeId(1), RX_PORT, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT));
+    let stream = Workload::cbr(500, COUNT, SimDuration::from_millis(1));
+    let spec = FlowSpec::reliable().with_link(LinkService::ItReliable);
+    let tx = fleet.client(
+        NodeId(0),
+        TX_PORT,
+        vec![],
+        vec![ClientFlow::new(dst, spec, stream)],
+    );
+    fleet.run(SimTime::from_secs(10));
+    let sent = fleet.client_ref(tx).sent(1);
+    let r = fleet.client_ref(rx).sole_recv();
     // A paused client skips its send slots, so fewer than COUNT go out; a
     // sender that never got a credit back would stop at the cap for good.
     assert!(sent > 100, "the sender stayed paused after {sent} packets");
     assert_eq!(r.received, sent);
-    let terminal = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap();
+    let terminal = fleet.node(NodeId(1));
     let credits = terminal.link_stats(0, LinkService::ItReliable).ctl_sent;
     assert!(credits >= sent, "one credit per consumed packet: {credits}");
 }

@@ -10,17 +10,14 @@
 use bytes::Bytes;
 use son_netsim::link::PipeId;
 use son_netsim::process::{Process, ProcessId};
-use son_netsim::sim::{Ctx, Simulation};
+use son_netsim::sim::Ctx;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientProcess};
-use son_overlay::node::OverlayNode;
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::service::SourceRoute;
 use son_overlay::{ClientOp, Destination, FlowKey, FlowSpec, OverlayAddr, RoutingService, Wire};
 use son_topo::NodeId;
 
-const RX_PORT: u16 = 70;
-const TX_PORT: u16 = 50;
 const SENDS: u64 = 20;
 
 /// Timer tokens of the scripted lifecycle.
@@ -107,17 +104,11 @@ fn flood_spec() -> FlowSpec {
 
 #[test]
 fn closing_a_flow_removes_all_flow_table_residue() {
-    let mut sim = Simulation::new(23);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+    let mut fleet = Fleet::new(23, None, OverlayBuilder::new(chain_topology(3, 10.0)));
     let dst = OverlayAddr::new(NodeId(2), RX_PORT);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(2)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(LifecycleClient {
-        daemon: overlay.daemon(NodeId(0)),
+    let rx = fleet.client(NodeId(2), RX_PORT, vec![], vec![]);
+    let tx = fleet.sim.add_process(LifecycleClient {
+        daemon: fleet.overlay.daemon(NodeId(0)),
         dst,
         sent: 0,
     });
@@ -128,11 +119,9 @@ fn closing_a_flow_removes_all_flow_table_residue() {
 
     // Mid-stream: the ingress holds a flow context (ingress role, cached
     // stamp) and a dedup window for the flow.
-    sim.run_until(SimTime::from_millis(600));
+    fleet.run(SimTime::from_millis(600));
     {
-        let ingress = sim
-            .proc_ref::<OverlayNode>(overlay.daemon(NodeId(0)))
-            .unwrap();
+        let ingress = fleet.node(NodeId(0));
         let fc = ingress
             .flows()
             .get(&flow)
@@ -145,16 +134,14 @@ fn closing_a_flow_removes_all_flow_table_residue() {
     }
 
     // After close + disconnect: every trace is gone.
-    sim.run_until(SimTime::from_secs(5));
-    let sender = sim.proc_ref::<LifecycleClient>(tx).unwrap();
+    fleet.run(SimTime::from_secs(5));
+    let sender = fleet.sim.proc_ref::<LifecycleClient>(tx).unwrap();
     assert_eq!(sender.sent, SENDS);
-    let delivered = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let delivered = fleet.client_ref(rx).sole_recv();
     assert_eq!(delivered.received, SENDS, "all packets delivered pre-close");
     assert_eq!(delivered.app_duplicates, 0, "flood copies deduplicated");
 
-    let ingress = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(0)))
-        .unwrap();
+    let ingress = fleet.node(NodeId(0));
     assert!(
         ingress.flows().get(&flow).is_none(),
         "CloseFlow removed the FlowTable context (no leaked upstream, \

@@ -8,15 +8,15 @@
 //! membership a crash made stale.
 
 use son_netsim::process::{Process, ProcessId};
-use son_netsim::sim::{Ctx, ScenarioEvent, Simulation};
+use son_netsim::sim::{Ctx, ScenarioEvent};
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::MemFootprint;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
+use son_overlay::fleet::{Fleet, TX_PORT};
 use son_overlay::node::CLIENT_IPC_DELAY;
 use son_overlay::state::membership::MembershipConfig;
 use son_overlay::{
-    ClientConfig, ClientFlow, ClientOp, ClientProcess, Destination, FlowSpec, GroupId, NodeConfig,
-    OverlayHandle, OverlayNode, SessionEvent, Wire, Workload,
+    ClientFlow, ClientOp, Destination, FlowSpec, GroupId, NodeConfig, SessionEvent, Wire, Workload,
 };
 use son_topo::{EdgeId, Graph, NodeId};
 
@@ -30,16 +30,11 @@ fn ring(n: usize) -> Graph {
     g
 }
 
-fn daemon<'a>(sim: &'a Simulation<Wire>, overlay: &OverlayHandle, node: usize) -> &'a OverlayNode {
-    sim.proc_ref::<OverlayNode>(overlay.daemon(NodeId(node)))
-        .expect("daemon")
-}
-
 /// Bytes the node's group table retains. Zero means no peer's announcement
 /// ever reached it: an accepted update allocates the remote table, and the
 /// table keeps its allocation even once emptied.
-fn group_bytes(sim: &Simulation<Wire>, overlay: &OverlayHandle, node: usize) -> usize {
-    daemon(sim, overlay, node).groups().footprint_bytes()
+fn group_bytes(fleet: &Fleet, node: usize) -> usize {
+    fleet.node(NodeId(node)).groups().footprint_bytes()
 }
 
 /// A client that connects on port 70 and then issues session operations at
@@ -89,67 +84,56 @@ impl Process<Wire> for ScriptedClient {
 
 #[test]
 fn fleet_without_members_floods_no_group_announcement() {
-    let mut sim = Simulation::new(16);
-    let overlay = OverlayBuilder::new(ring(16)).build(&mut sim);
-    sim.run_until(SimTime::from_secs(3));
+    let mut fleet = Fleet::new(16, None, OverlayBuilder::new(ring(16)));
+    fleet.run(SimTime::from_secs(3));
     for node in 0..16 {
         assert_eq!(
-            group_bytes(&sim, &overlay, node),
+            group_bytes(&fleet, node),
             0,
             "node {node} holds group state nobody had reason to send"
         );
-        assert!(daemon(&sim, &overlay, node)
-            .groups()
-            .members_of(G)
-            .is_empty());
+        assert!(fleet.node(NodeId(node)).groups().members_of(G).is_empty());
         // The control plane itself converged: only the group flood is gone.
-        assert_eq!(daemon(&sim, &overlay, node).connectivity().lsdb_len(), 16);
+        assert_eq!(fleet.node(NodeId(node)).connectivity().lsdb_len(), 16);
     }
 }
 
 #[test]
 fn first_join_after_a_silent_start_reaches_every_daemon() {
-    let mut sim = Simulation::new(17);
-    let overlay = OverlayBuilder::new(ring(16)).build(&mut sim);
-    let rx = sim.add_process(ScriptedClient::new(
-        overlay.daemon(NodeId(5)),
+    let mut fleet = Fleet::new(17, None, OverlayBuilder::new(ring(16)));
+    let rx = fleet.sim.add_process(ScriptedClient::new(
+        fleet.overlay.daemon(NodeId(5)),
         vec![(SimTime::from_secs(1), ClientOp::Join(G))],
     ));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(12)),
-        port: 50,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Multicast(G),
-            spec: FlowSpec::best_effort(),
-            workload: Workload::Cbr {
-                size: 1000,
-                interval: SimDuration::from_millis(10),
-                count: 50,
-                start: SimTime::from_millis(1500),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_millis(900));
-    assert_eq!(group_bytes(&sim, &overlay, 12), 0, "silent until the join");
-    sim.run_until(SimTime::from_secs(3));
+    let workload = Workload::Cbr {
+        size: 1000,
+        interval: SimDuration::from_millis(10),
+        count: 50,
+        start: SimTime::from_millis(1500),
+    };
+    let flow = ClientFlow::new(Destination::Multicast(G), FlowSpec::best_effort(), workload);
+    fleet.client(NodeId(12), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_millis(900));
+    assert_eq!(group_bytes(&fleet, 12), 0, "silent until the join");
+    fleet.run(SimTime::from_secs(3));
     for node in 0..16 {
         assert_eq!(
-            daemon(&sim, &overlay, node).groups().members_of(G),
+            fleet.node(NodeId(node)).groups().members_of(G),
             vec![NodeId(5)],
             "node {node} missed the join"
         );
     }
-    assert_eq!(sim.proc_ref::<ScriptedClient>(rx).unwrap().delivered, 50);
+    assert_eq!(
+        fleet.sim.proc_ref::<ScriptedClient>(rx).unwrap().delivered,
+        50
+    );
 }
 
 #[test]
 fn once_relevant_daemon_reannounces_empty_membership_after_restart() {
-    let mut sim = Simulation::new(18);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    let _client = sim.add_process(ScriptedClient::new(
-        overlay.daemon(NodeId(2)),
+    let mut fleet = Fleet::new(18, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    let _client = fleet.sim.add_process(ScriptedClient::new(
+        fleet.overlay.daemon(NodeId(2)),
         vec![
             (SimTime::from_millis(300), ClientOp::Join(G)),
             (SimTime::from_millis(1200), ClientOp::Leave(G)),
@@ -157,35 +141,30 @@ fn once_relevant_daemon_reannounces_empty_membership_after_restart() {
     ));
     // Node 2 is cut off while its last member leaves, so the (empty)
     // announcement of that leave reaches nobody; then it crashes.
-    let (to_2, from_2) = overlay.edge_pipes[&EdgeId(1)][0];
+    let (to_2, from_2) = fleet.overlay.edge_pipes[&EdgeId(1)][0];
+    let node_2 = fleet.overlay.daemon(NodeId(2));
     for (at_ms, event) in [
         (1000, ScenarioEvent::DisablePipe(to_2)),
         (1000, ScenarioEvent::DisablePipe(from_2)),
-        (1500, ScenarioEvent::CrashProcess(overlay.daemon(NodeId(2)))),
+        (1500, ScenarioEvent::CrashProcess(node_2)),
         (2000, ScenarioEvent::EnablePipe(to_2)),
         (2000, ScenarioEvent::EnablePipe(from_2)),
-        (
-            2500,
-            ScenarioEvent::RestartProcess(overlay.daemon(NodeId(2))),
-        ),
+        (2500, ScenarioEvent::RestartProcess(node_2)),
     ] {
-        sim.schedule(SimTime::from_millis(at_ms), event);
+        fleet.sim.schedule(SimTime::from_millis(at_ms), event);
     }
-    sim.run_until(SimTime::from_millis(2400));
+    fleet.run(SimTime::from_millis(2400));
     for node in [0, 1] {
         assert_eq!(
-            daemon(&sim, &overlay, node).groups().members_of(G),
+            fleet.node(NodeId(node)).groups().members_of(G),
             vec![NodeId(2)],
             "node {node} should still hold the membership the leave never retracted"
         );
     }
-    sim.run_until(SimTime::from_secs(4));
+    fleet.run(SimTime::from_secs(4));
     for node in 0..3 {
         assert!(
-            daemon(&sim, &overlay, node)
-                .groups()
-                .members_of(G)
-                .is_empty(),
+            fleet.node(NodeId(node)).groups().members_of(G).is_empty(),
             "node {node} kept a restarted daemon's stale membership"
         );
     }
@@ -193,20 +172,16 @@ fn once_relevant_daemon_reannounces_empty_membership_after_restart() {
 
 #[test]
 fn seed_join_without_groups_completes_without_a_group_flood() {
-    let mut sim = Simulation::new(19);
     let config = NodeConfig {
         membership: Some(MembershipConfig::default()),
         ..NodeConfig::default()
     };
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
-        .node_config(config)
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(chain_topology(4, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(19, None, builder);
     // Node 3 bootstraps through its only neighbor instead of cold-starting.
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(3)))
-        .expect("daemon")
-        .set_join_seed(0);
-    sim.run_until(SimTime::from_secs(3));
-    let joiner = daemon(&sim, &overlay, 3);
+    fleet.node_mut(NodeId(3)).set_join_seed(0);
+    fleet.run(SimTime::from_secs(3));
+    let joiner = fleet.node(NodeId(3));
     assert_eq!(
         joiner
             .obs()
@@ -215,9 +190,9 @@ fn seed_join_without_groups_completes_without_a_group_flood() {
         Some(1)
     );
     for node in 0..4 {
-        let d = daemon(&sim, &overlay, node);
+        let d = fleet.node(NodeId(node));
         assert_eq!(d.membership().expect("enabled").up_count(), 4);
         assert!(d.reaches(NodeId(3)) && d.reaches(NodeId(0)));
-        assert_eq!(group_bytes(&sim, &overlay, node), 0);
+        assert_eq!(group_bytes(&fleet, node), 0);
     }
 }

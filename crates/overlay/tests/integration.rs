@@ -10,71 +10,20 @@ use son_netsim::sim::{ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::node::OverlayNode;
 use son_overlay::{
     Destination, FlowSpec, GroupId, LinkService, OverlayAddr, RoutingService, SourceRoute, Wire,
 };
 use son_topo::{EdgeId, Graph, NodeId};
 
-const RX_PORT: u16 = 70;
-const TX_PORT: u16 = 50;
-
-fn cbr(count: u64, interval_ms: u64) -> Workload {
-    Workload::Cbr {
-        size: 1000,
-        interval: SimDuration::from_millis(interval_ms),
-        count,
-        start: SimTime::from_millis(500),
-    }
-}
-
-/// Builds sender (node `from`) -> receiver (node `to`) clients for a flow.
-fn attach_pair(
-    sim: &mut Simulation<Wire>,
-    overlay: &son_overlay::OverlayHandle,
-    from: NodeId,
-    to: NodeId,
-    spec: FlowSpec,
-    workload: Workload,
-) -> (
-    son_netsim::process::ProcessId,
-    son_netsim::process::ProcessId,
-) {
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(to),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(from),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(to, RX_PORT)),
-            spec,
-            workload,
-        }],
-    }));
-    (tx, rx)
-}
-
 #[test]
 fn best_effort_unicast_delivers_over_chain() {
-    let mut sim = Simulation::new(1);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(2),
-        FlowSpec::best_effort(),
-        cbr(100, 10),
-    );
-    sim.run_until(SimTime::from_secs(3));
-    let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
-    let r = client.sole_recv();
+    let mut fleet = Fleet::new(1, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(2), FlowSpec::best_effort(), cbr);
+    fleet.run(SimTime::from_secs(3));
+    let r = fleet.recv(0);
     assert_eq!(r.received, 100);
     assert_eq!(r.app_duplicates, 0);
     // Two 10ms hops + processing + IPC: ~20.5ms one way.
@@ -84,22 +33,14 @@ fn best_effort_unicast_delivers_over_chain() {
 
 #[test]
 fn reliable_flow_recovers_all_losses_in_order() {
-    let mut sim = Simulation::new(2);
-    let overlay = OverlayBuilder::new(chain_topology(6, 10.0))
-        .default_loss(LossConfig::Bernoulli { p: 0.02 })
-        .build(&mut sim);
-    let (tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(5),
-        FlowSpec::reliable(),
-        cbr(500, 10),
-    );
-    sim.run_until(SimTime::from_secs(20));
-    let sender = sim.proc_ref::<ClientProcess>(tx).unwrap();
-    assert_eq!(sender.sent(1), 500);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let lossy = LossConfig::Bernoulli { p: 0.02 };
+    let builder = OverlayBuilder::new(chain_topology(6, 10.0)).default_loss(lossy);
+    let mut fleet = Fleet::new(2, None, builder);
+    let cbr = Workload::cbr(1000, 500, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(5), FlowSpec::reliable(), cbr);
+    fleet.run(SimTime::from_secs(20));
+    assert_eq!(fleet.sent(0), 500);
+    let r = fleet.recv(0);
     assert_eq!(r.received, 500, "hop-by-hop ARQ recovers everything");
     assert_eq!(
         r.out_of_order, 0,
@@ -107,33 +48,19 @@ fn reliable_flow_recovers_all_losses_in_order() {
     );
     assert_eq!(r.app_duplicates, 0);
     // Losses actually happened and were repaired at the link level.
-    let mut retransmissions = 0;
-    for d in &overlay.daemons {
-        retransmissions += sim
-            .proc_ref::<OverlayNode>(*d)
-            .unwrap()
-            .service_stats(LinkService::Reliable)
-            .retransmitted;
-    }
+    let retransmissions = fleet.wire_stats(LinkService::Reliable).retransmitted;
     assert!(retransmissions > 0, "the loss model must have bitten");
 }
 
 #[test]
 fn best_effort_loses_what_reliable_recovers() {
-    let mut sim = Simulation::new(3);
-    let overlay = OverlayBuilder::new(chain_topology(6, 10.0))
-        .default_loss(LossConfig::Bernoulli { p: 0.02 })
-        .build(&mut sim);
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(5),
-        FlowSpec::best_effort(),
-        cbr(500, 10),
-    );
-    sim.run_until(SimTime::from_secs(20));
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let lossy = LossConfig::Bernoulli { p: 0.02 };
+    let builder = OverlayBuilder::new(chain_topology(6, 10.0)).default_loss(lossy);
+    let mut fleet = Fleet::new(3, None, builder);
+    let cbr = Workload::cbr(1000, 500, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(5), FlowSpec::best_effort(), cbr);
+    fleet.run(SimTime::from_secs(20));
+    let r = fleet.recv(0);
     // ~1 - 0.98^5 ≈ 9.6% loss end to end.
     assert!(
         r.received < 490,
@@ -145,26 +72,16 @@ fn best_effort_loses_what_reliable_recovers() {
 
 #[test]
 fn realtime_flow_meets_deadline_under_bursty_loss() {
-    let mut sim = Simulation::new(4);
     // Continental 4-hop path (4 x 10ms), bursty loss on every link.
-    let overlay = OverlayBuilder::new(chain_topology(5, 10.0))
-        .default_loss(LossConfig::bursts(
-            SimDuration::from_millis(980),
-            SimDuration::from_millis(20),
-        ))
-        .build(&mut sim);
+    let bursts = LossConfig::bursts(SimDuration::from_millis(980), SimDuration::from_millis(20));
+    let builder = OverlayBuilder::new(chain_topology(5, 10.0)).default_loss(bursts);
+    let mut fleet = Fleet::new(4, None, builder);
     let deadline = SimDuration::from_millis(200);
-    let (tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(4),
-        FlowSpec::live_video(deadline),
-        cbr(2000, 5),
-    );
-    sim.run_until(SimTime::from_secs(30));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let cbr = Workload::cbr(1000, 2000, SimDuration::from_millis(5));
+    fleet.flow(NodeId(0), NodeId(4), FlowSpec::live_video(deadline), cbr);
+    fleet.run(SimTime::from_secs(30));
+    let sent = fleet.sent(0);
+    let r = fleet.recv(0);
     let delivered_frac = r.received as f64 / sent as f64;
     assert!(
         delivered_frac > 0.99,
@@ -185,51 +102,30 @@ fn multicast_reaches_all_members_efficiently() {
     for i in 1..5 {
         topo.add_edge(NodeId(0), NodeId(i), 10.0);
     }
-    let mut sim = Simulation::new(5);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
+    let mut fleet = Fleet::new(5, None, OverlayBuilder::new(topo));
     let group = GroupId(9);
     let receivers: Vec<_> = (1..4)
-        .map(|i| {
-            sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(i)),
-                port: RX_PORT,
-                joins: vec![group],
-                flows: vec![],
-            }))
-        })
+        .map(|i| fleet.client(NodeId(i), RX_PORT, vec![group], vec![]))
         .collect();
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(4)),
-        port: TX_PORT,
-        joins: vec![], // senders need not join
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Multicast(group),
-            spec: FlowSpec::best_effort(),
-            workload: cbr(100, 10),
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(4));
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    let flow = ClientFlow::new(Destination::Multicast(group), FlowSpec::best_effort(), cbr);
+    // Senders need not join.
+    fleet.client(NodeId(4), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(4));
     for rx in receivers {
-        let r = sim.proc_ref::<ClientProcess>(rx).unwrap();
+        let r = fleet.client_ref(rx);
         assert_eq!(r.sole_recv().received, 100, "member missed traffic");
     }
     // Node 4's daemon forwarded each packet ONCE (into the tree), and the
     // center fanned out to exactly 3 members: 4 transmissions per packet,
     // not 3 unicast paths x 2 hops = 6.
-    let center = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(0)))
-        .unwrap();
-    let center_fwd = center.metrics().forwarded;
+    let center_fwd = fleet.node(NodeId(0)).metrics().forwarded;
     assert_eq!(
         center_fwd, 300,
         "center fans out once per member: {center_fwd}"
     );
-    let ingress = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(4)))
-        .unwrap();
     assert_eq!(
-        ingress.metrics().forwarded,
+        fleet.node(NodeId(4)).metrics().forwarded,
         100,
         "ingress sends one copy into the tree"
     );
@@ -238,43 +134,21 @@ fn multicast_reaches_all_members_efficiently() {
 #[test]
 fn anycast_delivers_to_nearest_member_only() {
     // Chain 0-1-2-3; members at 1 and 3; sender at 0 -> nearest is 1.
-    let mut sim = Simulation::new(6);
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0)).build(&mut sim);
+    let mut fleet = Fleet::new(6, None, OverlayBuilder::new(chain_topology(4, 10.0)));
     let group = GroupId(3);
-    let near = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(1)),
-        port: RX_PORT,
-        joins: vec![group],
-        flows: vec![],
-    }));
-    let far = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(3)),
-        port: RX_PORT,
-        joins: vec![group],
-        flows: vec![],
-    }));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Anycast(group),
-            spec: FlowSpec::best_effort(),
-            workload: cbr(50, 10),
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(3));
+    let near = fleet.client(NodeId(1), RX_PORT, vec![group], vec![]);
+    let far = fleet.client(NodeId(3), RX_PORT, vec![group], vec![]);
+    let cbr = Workload::cbr(1000, 50, SimDuration::from_millis(10));
+    let flow = ClientFlow::new(Destination::Anycast(group), FlowSpec::best_effort(), cbr);
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(3));
     assert_eq!(
-        sim.proc_ref::<ClientProcess>(near)
-            .unwrap()
-            .sole_recv()
-            .received,
+        fleet.client_ref(near).sole_recv().received,
         50,
         "anycast goes to the nearest member"
     );
     assert!(
-        sim.proc_ref::<ClientProcess>(far).unwrap().recv.is_empty(),
+        fleet.client_ref(far).recv.is_empty(),
         "exactly one member receives"
     );
 }
@@ -287,23 +161,17 @@ fn link_state_reroutes_around_failed_link_sub_second() {
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
     topo.add_edge(NodeId(0), NodeId(2), 15.0);
     topo.add_edge(NodeId(2), NodeId(3), 15.0);
-    let mut sim = Simulation::new(7);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(3),
-        FlowSpec::best_effort(),
-        cbr(u64::MAX, 10),
-    );
+    let mut fleet = Fleet::new(7, None, OverlayBuilder::new(topo));
+    let cbr = Workload::cbr(1000, u64::MAX, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(3), FlowSpec::best_effort(), cbr);
     // At t=2s, the 0-1 pipes die silently (both directions).
-    for &(ab, ba) in &overlay.edge_pipes[&e01] {
-        sim.schedule(SimTime::from_secs(2), ScenarioEvent::DisablePipe(ab));
-        sim.schedule(SimTime::from_secs(2), ScenarioEvent::DisablePipe(ba));
+    for &(ab, ba) in &fleet.overlay.edge_pipes[&e01] {
+        let at = SimTime::from_secs(2);
+        fleet.sim.schedule(at, ScenarioEvent::DisablePipe(ab));
+        fleet.sim.schedule(at, ScenarioEvent::DisablePipe(ba));
     }
-    sim.run_until(SimTime::from_secs(6));
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    fleet.run(SimTime::from_secs(6));
+    let r = fleet.recv(0);
     // Find the longest delivery gap after the failure.
     let gap = r
         .arrivals
@@ -321,33 +189,37 @@ fn link_state_reroutes_around_failed_link_sub_second() {
     assert!(last > SimTime::from_millis(5900));
 }
 
-#[test]
-fn disjoint_paths_survive_one_blackhole_node() {
-    // Diamond: 0-1-3 and 0-2-3; node 1 is compromised (blackhole).
+/// Diamond: 0-1-3 (cost 20) and 0-2-3 (cost 24), with node 1 compromised
+/// (a blackhole).
+fn blackholed_diamond(seed: u64) -> Fleet {
     let mut topo = Graph::new(4);
     topo.add_edge(NodeId(0), NodeId(1), 10.0);
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
     topo.add_edge(NodeId(0), NodeId(2), 12.0);
     topo.add_edge(NodeId(2), NodeId(3), 12.0);
-    let mut sim = Simulation::new(8);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
+    let mut fleet = Fleet::new(seed, None, OverlayBuilder::new(topo));
+    fleet
+        .node_mut(NodeId(1))
         .set_behavior(son_overlay::adversary::Behavior::Blackhole);
+    fleet
+}
+
+#[test]
+fn disjoint_paths_survive_one_blackhole_node() {
+    let mut fleet = blackholed_diamond(8);
     let spec = FlowSpec::best_effort()
         .with_routing(RoutingService::SourceBased(SourceRoute::DisjointPaths(2)));
-    let (tx, rx) = attach_pair(&mut sim, &overlay, NodeId(0), NodeId(3), spec, cbr(100, 10));
-    sim.run_until(SimTime::from_secs(4));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(3), spec, cbr);
+    fleet.run(SimTime::from_secs(4));
+    let sent = fleet.sent(0);
+    let r = fleet.recv(0);
     assert_eq!(r.received, sent, "second disjoint path carries everything");
     assert_eq!(
         r.app_duplicates, 0,
         "de-duplication suppresses the redundant copies"
     );
-    let bad = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap();
+    let bad = fleet.node(NodeId(1));
     assert!(
         bad.metrics().adversary_dropped > 0,
         "the attacker really dropped"
@@ -356,27 +228,15 @@ fn disjoint_paths_survive_one_blackhole_node() {
 
 #[test]
 fn single_path_flow_dies_at_blackhole() {
-    let mut topo = Graph::new(4);
-    topo.add_edge(NodeId(0), NodeId(1), 10.0);
-    topo.add_edge(NodeId(1), NodeId(3), 10.0);
-    topo.add_edge(NodeId(0), NodeId(2), 12.0);
-    topo.add_edge(NodeId(2), NodeId(3), 12.0);
-    let mut sim = Simulation::new(9);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
-        .set_behavior(son_overlay::adversary::Behavior::Blackhole);
+    let mut fleet = blackholed_diamond(9);
     // Link-state routing picks the cheaper 0-1-3 path; node 1 eats it all.
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(3),
-        FlowSpec::best_effort(),
-        cbr(100, 10),
-    );
-    sim.run_until(SimTime::from_secs(4));
-    let client = sim.proc_ref::<ClientProcess>(rx).unwrap();
+    let rx = fleet.client(NodeId(3), RX_PORT, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(3), RX_PORT));
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    let flow = ClientFlow::new(dst, FlowSpec::best_effort(), cbr);
+    fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(4));
+    let client = fleet.client_ref(rx);
     assert!(
         client.recv.is_empty(),
         "a data-plane blackhole on the only path blocks everything (control stays up)"
@@ -398,20 +258,20 @@ fn constrained_flooding_survives_while_any_correct_path_exists() {
             }
         }
     }
-    let mut sim = Simulation::new(10);
-    let overlay = OverlayBuilder::new(topo).build(&mut sim);
+    let mut fleet = Fleet::new(10, None, OverlayBuilder::new(topo));
     for bad in [1usize, 4, 5] {
-        sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(bad)))
-            .unwrap()
+        fleet
+            .node_mut(NodeId(bad))
             .set_behavior(son_overlay::adversary::Behavior::Blackhole);
     }
     let spec = FlowSpec::best_effort().with_routing(RoutingService::SourceBased(
         SourceRoute::ConstrainedFlooding,
     ));
-    let (tx, rx) = attach_pair(&mut sim, &overlay, NodeId(0), NodeId(8), spec, cbr(100, 10));
-    sim.run_until(SimTime::from_secs(4));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(8), spec, cbr);
+    fleet.run(SimTime::from_secs(4));
+    let sent = fleet.sent(0);
+    let r = fleet.recv(0);
     assert_eq!(
         r.received, sent,
         "path 0-3-6-7-8 is clean; flooding finds it"
@@ -427,15 +287,21 @@ fn it_reliable_backpressure_reaches_the_source() {
         it_rate_bps: Some(64_000),
         ..Default::default()
     };
-    let mut sim = Simulation::new(11);
-    let overlay = OverlayBuilder::new(chain_topology(2, 10.0))
-        .node_config(config)
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(chain_topology(2, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(11, None, builder);
     let spec = FlowSpec::reliable().with_link(LinkService::ItReliable);
     // 200 packets at 1 kB / 2 ms: offered ~4 Mbit/s >> 64 kbit/s egress.
-    let (tx, rx) = attach_pair(&mut sim, &overlay, NodeId(0), NodeId(1), spec, cbr(200, 2));
-    sim.run_until(SimTime::from_secs(120));
-    let sender = sim.proc_ref::<ClientProcess>(tx).unwrap();
+    let rx = fleet.client(NodeId(1), RX_PORT, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(1), RX_PORT));
+    let cbr = Workload::cbr(1000, 200, SimDuration::from_millis(2));
+    let tx = fleet.client(
+        NodeId(0),
+        TX_PORT,
+        vec![],
+        vec![ClientFlow::new(dst, spec, cbr)],
+    );
+    fleet.run(SimTime::from_secs(120));
+    let sender = fleet.client_ref(tx);
     assert!(
         sender.pause_events > 0,
         "backpressure must pause the client"
@@ -445,7 +311,7 @@ fn it_reliable_backpressure_reaches_the_source() {
         "and release it as the queue drains"
     );
     assert!(sender.withheld(1) > 0, "client honored the pause");
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let r = fleet.client_ref(rx).sole_recv();
     assert_eq!(
         r.received,
         sender.sent(1),
@@ -454,14 +320,41 @@ fn it_reliable_backpressure_reaches_the_source() {
     assert_eq!(r.app_duplicates, 0);
 }
 
-#[test]
-fn it_priority_fairness_under_flooding_attacker() {
-    // Dumbbell: sources 0,1,2 -> relay 3 -> sink 4. Node 1's client floods.
+/// Dumbbell: sources 0, 1, 2 -> relay 3 -> sink 4, with one sink client
+/// and a sender per source (node 1's floods at 1 ms, the others send every
+/// 20 ms). Returns the sink and the senders.
+fn dumbbell_attack(
+    seed: u64,
+    config: son_overlay::NodeConfig,
+    link: LinkService,
+) -> (
+    Fleet,
+    son_netsim::process::ProcessId,
+    Vec<son_netsim::process::ProcessId>,
+) {
     let mut topo = Graph::new(5);
     for i in 0..3 {
         topo.add_edge(NodeId(i), NodeId(3), 10.0);
     }
     topo.add_edge(NodeId(3), NodeId(4), 10.0);
+    let mut fleet = Fleet::new(seed, None, OverlayBuilder::new(topo).node_config(config));
+    let sink = fleet.client(NodeId(4), RX_PORT, vec![], vec![]);
+    let spec = FlowSpec::best_effort().with_link(link);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(4), RX_PORT));
+    let senders = [(0usize, 20u64), (1, 1), (2, 20)]
+        .into_iter()
+        .map(|(i, rate_ms)| {
+            let cbr = Workload::cbr(1000, u64::MAX, SimDuration::from_millis(rate_ms));
+            let flow = ClientFlow::new(dst, spec, cbr);
+            fleet.client(NodeId(i), TX_PORT, vec![], vec![flow])
+        })
+        .collect();
+    fleet.run(SimTime::from_secs(20));
+    (fleet, sink, senders)
+}
+
+#[test]
+fn it_priority_fairness_under_flooding_attacker() {
     // Egress 1.6 Mbit/s ≈ 190 pkts/s of 1048B wire packets: the fair share
     // of each of the 3 active sources (~63/s) exceeds what the correct
     // sources offer (50/s each), while the attacker offers 1000/s.
@@ -470,34 +363,8 @@ fn it_priority_fairness_under_flooding_attacker() {
         it_source_cap: 16,
         ..Default::default()
     };
-    let mut sim = Simulation::new(12);
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(config)
-        .build(&mut sim);
-
-    let sink = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(4)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let spec = FlowSpec::best_effort().with_link(LinkService::ItPriority);
-    let mut senders = Vec::new();
-    for (i, rate_ms) in [(0usize, 20u64), (1, 1), (2, 20)] {
-        senders.push(sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(i)),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(4), RX_PORT)),
-                spec,
-                workload: cbr(u64::MAX, rate_ms),
-            }],
-        })));
-    }
-    sim.run_until(SimTime::from_secs(20));
-    let sink_client = sim.proc_ref::<ClientProcess>(sink).unwrap();
+    let (fleet, sink, senders) = dumbbell_attack(12, config, LinkService::ItPriority);
+    let sink_client = fleet.client_ref(sink);
     let per_source: Vec<u64> = (0..3)
         .map(|i| {
             sink_client
@@ -510,7 +377,7 @@ fn it_priority_fairness_under_flooding_attacker() {
         .collect();
     // Correct sources (~50 pkt/s offered) should get nearly all their
     // traffic through; the attacker is capped near the fair share.
-    let correct_sent = sim.proc_ref::<ClientProcess>(senders[0]).unwrap().sent(1);
+    let correct_sent = fleet.client_ref(senders[0]).sent(1);
     assert!(
         per_source[0] as f64 > 0.9 * correct_sent as f64,
         "correct source starved: {}/{correct_sent}",
@@ -525,42 +392,13 @@ fn it_priority_fairness_under_flooding_attacker() {
 
 #[test]
 fn fifo_baseline_collapses_under_the_same_attack() {
-    let mut topo = Graph::new(5);
-    for i in 0..3 {
-        topo.add_edge(NodeId(i), NodeId(3), 10.0);
-    }
-    topo.add_edge(NodeId(3), NodeId(4), 10.0);
     let config = son_overlay::NodeConfig {
         it_rate_bps: Some(800_000),
         fifo_cap: 32,
         ..Default::default()
     };
-    let mut sim = Simulation::new(13);
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(config)
-        .build(&mut sim);
-    let sink = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(4)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let spec = FlowSpec::best_effort().with_link(LinkService::Fifo);
-    for (i, rate_ms) in [(0usize, 20u64), (1, 1), (2, 20)] {
-        sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(i)),
-            port: TX_PORT,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(4), RX_PORT)),
-                spec,
-                workload: cbr(u64::MAX, rate_ms),
-            }],
-        }));
-    }
-    sim.run_until(SimTime::from_secs(20));
-    let sink_client = sim.proc_ref::<ClientProcess>(sink).unwrap();
+    let (fleet, sink, _) = dumbbell_attack(13, config, LinkService::Fifo);
+    let sink_client = fleet.client_ref(sink);
     let correct: u64 = sink_client
         .recv
         .iter()
@@ -582,25 +420,22 @@ fn fifo_baseline_collapses_under_the_same_attack() {
 #[test]
 fn dedup_suppresses_wire_duplicates_from_duplicating_node() {
     // Chain with a duplicating (compromised) middle node.
-    let mut sim = Simulation::new(14);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
+    let mut fleet = Fleet::new(14, None, OverlayBuilder::new(chain_topology(3, 10.0)));
+    fleet
+        .node_mut(NodeId(1))
         .set_behavior(son_overlay::adversary::Behavior::Duplicate { copies: 3 });
     // Use a source-based single static path so dedup engages.
     let mask = son_topo::EdgeMask::from_edges([EdgeId(0), EdgeId(1)]);
     let spec = FlowSpec::best_effort()
         .with_routing(RoutingService::SourceBased(SourceRoute::Static(mask)));
-    let (_tx, rx) = attach_pair(&mut sim, &overlay, NodeId(0), NodeId(2), spec, cbr(100, 10));
-    sim.run_until(SimTime::from_secs(4));
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let cbr = Workload::cbr(1000, 100, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(2), spec, cbr);
+    fleet.run(SimTime::from_secs(4));
+    let r = fleet.recv(0);
     assert_eq!(r.received, 100);
     assert_eq!(r.app_duplicates, 0, "client never sees duplicates");
-    let dst = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(2)))
-        .unwrap();
     assert!(
-        dst.metrics().dedup_suppressed >= 100,
+        fleet.node(NodeId(2)).metrics().dedup_suppressed >= 100,
         "the extra copies died at the edge"
     );
 }
@@ -608,20 +443,13 @@ fn dedup_suppresses_wire_duplicates_from_duplicating_node() {
 #[test]
 fn deterministic_end_to_end() {
     let run = |seed: u64| {
-        let mut sim = Simulation::new(seed);
-        let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
-            .default_loss(LossConfig::Bernoulli { p: 0.05 })
-            .build(&mut sim);
-        let (_tx, rx) = attach_pair(
-            &mut sim,
-            &overlay,
-            NodeId(0),
-            NodeId(3),
-            FlowSpec::reliable(),
-            cbr(200, 7),
-        );
-        sim.run_until(SimTime::from_secs(10));
-        let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+        let lossy = LossConfig::Bernoulli { p: 0.05 };
+        let builder = OverlayBuilder::new(chain_topology(4, 10.0)).default_loss(lossy);
+        let mut fleet = Fleet::new(seed, None, builder);
+        let cbr = Workload::cbr(1000, 200, SimDuration::from_millis(7));
+        fleet.flow(NodeId(0), NodeId(3), FlowSpec::reliable(), cbr);
+        fleet.run(SimTime::from_secs(10));
+        let r = fleet.recv(0);
         (r.received, r.latencies_ms.clone())
     };
     assert_eq!(run(42), run(42), "same seed, same trace");
@@ -629,20 +457,120 @@ fn deterministic_end_to_end() {
     assert_eq!(a, 200);
 }
 
+/// The hand-wired reference for `fleet_flow_matches_hand_wiring`: the
+/// recipe every test spelled out before `Fleet` — a receiver client per
+/// flow on `rx_port`, then its sender on `tx_port` — and what it harvested.
+fn hand_wired(flows: &[(u16, u16)], seed: u64) -> (u64, Vec<u64>, Vec<u64>, u64) {
+    let mut sim: Simulation<Wire> = Simulation::new(seed);
+    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
+        .default_loss(LossConfig::Bernoulli { p: 0.02 })
+        .build(&mut sim);
+    let mut pids = Vec::new();
+    for &(tx_port, rx_port) in flows {
+        let rx = sim.add_process(ClientProcess::new(ClientConfig {
+            daemon: overlay.daemon(NodeId(3)),
+            port: rx_port,
+            joins: vec![],
+            flows: vec![],
+        }));
+        let tx = sim.add_process(ClientProcess::new(ClientConfig {
+            daemon: overlay.daemon(NodeId(0)),
+            port: tx_port,
+            joins: vec![],
+            flows: vec![ClientFlow {
+                local_flow: 1,
+                dst: Destination::Unicast(OverlayAddr::new(NodeId(3), rx_port)),
+                spec: FlowSpec::reliable(),
+                workload: Workload::Cbr {
+                    size: 1000,
+                    interval: SimDuration::from_millis(10),
+                    count: 300,
+                    start: SimTime::from_millis(500),
+                },
+            }],
+        }));
+        pids.push((tx, rx));
+    }
+    sim.run_until(SimTime::from_secs(10));
+    let client = |pid| sim.proc_ref::<ClientProcess>(pid).unwrap();
+    let sent = pids.iter().map(|&(tx, _)| client(tx).sent(1)).collect();
+    let received = pids
+        .iter()
+        .map(|&(_, rx)| client(rx).sole_recv().received)
+        .collect();
+    let mut retransmitted = 0;
+    for d in &overlay.daemons {
+        retransmitted += sim
+            .proc_ref::<OverlayNode>(*d)
+            .unwrap()
+            .service_stats(LinkService::Reliable)
+            .retransmitted;
+    }
+    (sim.fingerprint(), sent, received, retransmitted)
+}
+
+#[test]
+fn fleet_flow_matches_hand_wiring() {
+    let lossy = || {
+        OverlayBuilder::new(chain_topology(4, 10.0)).default_loss(LossConfig::Bernoulli { p: 0.02 })
+    };
+    let cbr = || Workload::cbr(1000, 300, SimDuration::from_millis(10));
+    let harvest = |fleet: &Fleet, flows: usize| {
+        let sent = (0..flows).map(|k| fleet.sent(k)).collect();
+        let received = (0..flows).map(|k| fleet.recv(k).received).collect();
+        let retransmitted = fleet.wire_stats(LinkService::Reliable).retransmitted;
+        (fleet.sim.fingerprint(), sent, received, retransmitted)
+    };
+
+    // One flow through `Fleet::flow`, on `RX_PORT`/`TX_PORT`.
+    let mut fleet = Fleet::new(31, None, lossy());
+    fleet.flow(NodeId(0), NodeId(3), FlowSpec::reliable(), cbr());
+    fleet.run(SimTime::from_secs(10));
+    let reference = hand_wired(&[(TX_PORT, RX_PORT)], 31);
+    assert!(reference.3 > 0, "2 % loss must cost retransmissions");
+    assert_eq!(harvest(&fleet, 1), reference);
+
+    // Two flows through `Fleet::client` on fixed ports, in the same
+    // rx-then-tx order.
+    let ports = [(5, 7), (6, 8)];
+    let mut fleet = Fleet::new(32, None, lossy());
+    let mut pids = Vec::new();
+    for &(tx_port, rx_port) in &ports {
+        let rx = fleet.client(NodeId(3), rx_port, vec![], vec![]);
+        let dst = Destination::Unicast(OverlayAddr::new(NodeId(3), rx_port));
+        let flow = ClientFlow::new(dst, FlowSpec::reliable(), cbr());
+        pids.push((fleet.client(NodeId(0), tx_port, vec![], vec![flow]), rx));
+    }
+    fleet.run(SimTime::from_secs(10));
+    let sent = pids
+        .iter()
+        .map(|&(tx, _)| fleet.client_ref(tx).sent(1))
+        .collect();
+    let received = pids
+        .iter()
+        .map(|&(_, rx)| fleet.client_ref(rx).sole_recv().received)
+        .collect();
+    let retransmitted = fleet.wire_stats(LinkService::Reliable).retransmitted;
+    assert_eq!(
+        (fleet.sim.fingerprint(), sent, received, retransmitted),
+        hand_wired(&ports, 32)
+    );
+}
+
 #[test]
 fn fec_recovers_isolated_losses_without_feedback() {
     use son_overlay::service::FecParams;
-    let mut sim = Simulation::new(15);
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
-        .default_loss(LossConfig::Bernoulli { p: 0.01 })
-        .build(&mut sim);
+    let lossy = LossConfig::Bernoulli { p: 0.01 };
+    let builder = OverlayBuilder::new(chain_topology(4, 10.0)).default_loss(lossy);
+    let mut fleet = Fleet::new(15, None, builder);
     let spec = FlowSpec::best_effort()
         .with_link(LinkService::Fec(FecParams::strong()))
         .with_ordered(true);
-    let (tx, rx) = attach_pair(&mut sim, &overlay, NodeId(0), NodeId(3), spec, cbr(2000, 5));
-    sim.run_until(SimTime::from_secs(30));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let cbr = Workload::cbr(1000, 2000, SimDuration::from_millis(5));
+    fleet.flow(NodeId(0), NodeId(3), spec, cbr);
+    fleet.run(SimTime::from_secs(30));
+    let sent = fleet.sent(0);
+    let r = fleet.recv(0);
     // 1% random loss per link with a 10+3 code: block losses of >3 within
     // 10 packets are vanishingly rare, so nearly everything arrives.
     assert!(
@@ -653,8 +581,7 @@ fn fec_recovers_isolated_losses_without_feedback() {
     assert_eq!(r.app_duplicates, 0);
     // The overhead is the code's fixed (k+r)/k ratio — proactive repairs,
     // no reactive feedback: loss rate does not change what goes on the wire.
-    for d in &overlay.daemons {
-        let node = sim.proc_ref::<OverlayNode>(*d).unwrap();
+    for node in fleet.nodes() {
         let s = node.service_stats(LinkService::Fec(FecParams::strong()));
         if s.sent > 0 {
             let ratio = s.overhead_ratio();
@@ -676,27 +603,19 @@ fn routing_avoids_lossy_links_once_quality_is_learned() {
     let direct = topo.add_edge(NodeId(0), NodeId(3), 18.0);
     topo.add_edge(NodeId(0), NodeId(1), 10.0);
     topo.add_edge(NodeId(1), NodeId(3), 10.0);
-    let mut sim = Simulation::new(16);
-    let overlay = OverlayBuilder::new(topo)
-        .edge_loss(direct, LossConfig::Bernoulli { p: 0.4 })
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(topo).edge_loss(direct, LossConfig::Bernoulli { p: 0.4 });
+    let mut fleet = Fleet::new(16, None, builder);
     // Long warmup so hello-based loss estimation converges, then the flow.
-    let (tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(3),
-        FlowSpec::best_effort(),
-        Workload::Cbr {
-            size: 500,
-            interval: SimDuration::from_millis(10),
-            count: 500,
-            start: SimTime::from_secs(20),
-        },
-    );
-    sim.run_until(SimTime::from_secs(30));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let workload = Workload::Cbr {
+        size: 500,
+        interval: SimDuration::from_millis(10),
+        count: 500,
+        start: SimTime::from_secs(20),
+    };
+    fleet.flow(NodeId(0), NodeId(3), FlowSpec::best_effort(), workload);
+    fleet.run(SimTime::from_secs(30));
+    let sent = fleet.sent(0);
+    let r = fleet.recv(0);
     // Via the clean detour, a best-effort flow loses (almost) nothing; had
     // it used the direct link it would lose ~40%.
     assert!(

@@ -8,53 +8,29 @@
 //! hard cap of 32 outstanding packets, so a stream much longer than the cap
 //! only completes if credits keep coming back across the relay.
 
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::Workload;
+use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::{Destination, FlowKey, FlowSpec, LinkService, OverlayAddr};
 use son_topo::NodeId;
 
-const RX_PORT: u16 = 70;
-const TX_PORT: u16 = 50;
 /// Far above the IT-Reliable hard cap of 32 outstanding packets.
 const COUNT: u64 = 120;
 
 #[test]
 fn it_reliable_credits_cross_the_relay() {
-    let mut sim = Simulation::new(17);
-    let overlay = OverlayBuilder::new(chain_topology(3, 10.0)).build(&mut sim);
+    let mut fleet = Fleet::new(17, None, OverlayBuilder::new(chain_topology(3, 10.0)));
     let dst = OverlayAddr::new(NodeId(2), RX_PORT);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(2)),
-        port: RX_PORT,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: TX_PORT,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(dst),
-            spec: FlowSpec::reliable().with_link(LinkService::ItReliable),
-            // 2 ms spacing over 10 ms hops: in-flight builds up well past
-            // the 16-packet window, so progress requires credit returns.
-            workload: Workload::Cbr {
-                size: 1000,
-                interval: SimDuration::from_millis(2),
-                count: COUNT,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(30));
+    let spec = FlowSpec::reliable().with_link(LinkService::ItReliable);
+    // 2 ms spacing over 10 ms hops: in-flight builds up well past the
+    // 16-packet window, so progress requires credit returns.
+    let cbr = Workload::cbr(1000, COUNT, SimDuration::from_millis(2));
+    fleet.flow(NodeId(0), NodeId(2), spec, cbr);
+    fleet.run(SimTime::from_secs(30));
 
-    let sender = sim.proc_ref::<ClientProcess>(tx).unwrap();
-    assert_eq!(sender.sent(1), COUNT, "sender must not stall permanently");
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    assert_eq!(fleet.sent(0), COUNT, "sender must not stall permanently");
+    let r = fleet.recv(0);
     assert_eq!(
         r.received, COUNT,
         "a stream far past the 32-packet hard cap only completes if the \
@@ -68,9 +44,7 @@ fn it_reliable_credits_cross_the_relay() {
         OverlayAddr::new(NodeId(0), TX_PORT),
         Destination::Unicast(dst),
     );
-    let relay = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap();
+    let relay = fleet.node(NodeId(1));
     let fc = relay
         .flows()
         .get(&flow)

@@ -11,27 +11,14 @@
 
 use std::collections::HashMap;
 
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::watch::{WatchEvent, WatchKind};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::Workload;
+use son_overlay::fleet::Fleet;
 use son_overlay::watch::WatchConfig;
-use son_overlay::{Destination, FlowSpec, NodeConfig, OverlayAddr, Priority, Wire};
+use son_overlay::{FlowSpec, NodeConfig, Priority};
 use son_topo::{Graph, NodeId};
-
-const RX_PORT: u16 = 70;
-const TX_PORT: u16 = 50;
-
-fn cbr(count: u64, interval_ms: u64) -> Workload {
-    Workload::Cbr {
-        size: 1000,
-        interval: SimDuration::from_millis(interval_ms),
-        count,
-        start: SimTime::from_millis(500),
-    }
-}
 
 /// The diamond from `integration.rs`: link-state routing prefers 0-1-3
 /// (cost 20) over the node-disjoint 0-2-3 (cost 24).
@@ -52,90 +39,32 @@ fn watched_config() -> NodeConfig {
     }
 }
 
-/// Builds sender (node `from`) -> receiver (node `to`) clients for a flow.
-fn attach_pair(
-    sim: &mut Simulation<Wire>,
-    overlay: &son_overlay::OverlayHandle,
-    from: NodeId,
-    to: NodeId,
-    spec: FlowSpec,
-    workload: Workload,
-    ports: (u16, u16),
-) -> (
-    son_netsim::process::ProcessId,
-    son_netsim::process::ProcessId,
-) {
-    let (tx_port, rx_port) = ports;
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(to),
-        port: rx_port,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(from),
-        port: tx_port,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(to, rx_port)),
-            spec,
-            workload,
-        }],
-    }));
-    (tx, rx)
+fn watch_events(fleet: &Fleet, node: usize) -> Vec<WatchEvent> {
+    let ring = fleet.node(NodeId(node)).obs().watch_events();
+    ring.events().copied().collect()
 }
 
-fn watch_events(
-    sim: &Simulation<Wire>,
-    overlay: &son_overlay::OverlayHandle,
-    node: usize,
-) -> Vec<WatchEvent> {
-    sim.proc_ref::<OverlayNode>(overlay.daemon(NodeId(node)))
-        .unwrap()
-        .obs()
-        .watch_events()
-        .events()
-        .copied()
-        .collect()
-}
-
-/// Runs the diamond with node 1 blackholed and the watchdog on everywhere;
-/// returns the simulation and overlay for inspection.
-fn blackholed_diamond(
-    seed: u64,
-) -> (
-    Simulation<Wire>,
-    son_overlay::OverlayHandle,
-    son_netsim::process::ProcessId,
-) {
-    let mut sim = Simulation::new(seed);
-    let overlay = OverlayBuilder::new(diamond())
-        .node_config(watched_config())
-        .build(&mut sim);
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(1)))
-        .unwrap()
+/// Runs the diamond with node 1 blackholed and the watchdog on everywhere,
+/// one flow from node 0 to node 3.
+fn blackholed_diamond(seed: u64) -> Fleet {
+    let builder = OverlayBuilder::new(diamond()).node_config(watched_config());
+    let mut fleet = Fleet::new(seed, None, builder);
+    fleet
+        .node_mut(NodeId(1))
         .set_behavior(son_overlay::adversary::Behavior::Blackhole);
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
-        NodeId(0),
-        NodeId(3),
-        FlowSpec::best_effort(),
-        cbr(u64::MAX, 10),
-        (TX_PORT, RX_PORT),
-    );
-    sim.run_until(SimTime::from_secs(10));
-    (sim, overlay, rx)
+    let cbr = Workload::cbr(1000, u64::MAX, SimDuration::from_millis(10));
+    fleet.flow(NodeId(0), NodeId(3), FlowSpec::best_effort(), cbr);
+    fleet.run(SimTime::from_secs(10));
+    fleet
 }
 
 #[test]
 fn watchdog_strikes_blackhole_and_traffic_converges_on_disjoint_path() {
-    let (sim, overlay, rx) = blackholed_diamond(21);
+    let fleet = blackholed_diamond(21);
 
     // Node 0 convicted its neighbor from the forwarding receipts and
     // suspended the link — both sides of the action are in the audit trail.
-    let events = watch_events(&sim, &overlay, 0);
+    let events = watch_events(&fleet, 0);
     let conviction = events
         .iter()
         .find(|e| matches!(e.kind, WatchKind::SilentBlackhole { .. }));
@@ -168,21 +97,11 @@ fn watchdog_strikes_blackhole_and_traffic_converges_on_disjoint_path() {
         .find(|p| !p.nodes.contains(&NodeId(1)))
         .expect("the diamond admits a path avoiding node 1");
     assert_eq!(alternate.nodes, vec![NodeId(0), NodeId(2), NodeId(3)]);
-    let via = sim
-        .proc_ref::<OverlayNode>(overlay.daemon(NodeId(2)))
-        .unwrap()
-        .metrics();
+    let via = fleet.node(NodeId(2)).metrics();
     assert!(via.forwarded > 0, "the disjoint path carries the flow");
 
     // Deliveries resumed and were still flowing at the end of the run.
-    let r = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .recv
-        .values()
-        .next()
-        .cloned()
-        .unwrap_or_default();
+    let r = fleet.recv(0);
     assert!(r.received > 0, "deliveries must resume after the strike");
     let last = r.arrivals.last().unwrap().0;
     assert!(
@@ -205,22 +124,17 @@ fn healthy_deployment_emits_no_watch_events() {
     // The exact same deployment and workload, nobody misbehaving: the
     // watchdog must stay silent (the no-false-positive invariant, at the
     // integration level; `son-exp watchdog` asserts it campaign-wide).
-    let mut sim = Simulation::new(22);
-    let overlay = OverlayBuilder::new(diamond())
-        .node_config(watched_config())
-        .build(&mut sim);
-    let (_tx, rx) = attach_pair(
-        &mut sim,
-        &overlay,
+    let builder = OverlayBuilder::new(diamond()).node_config(watched_config());
+    let mut fleet = Fleet::new(22, None, builder);
+    fleet.flow(
         NodeId(0),
         NodeId(3),
         FlowSpec::best_effort(),
-        cbr(400, 10),
-        (TX_PORT, RX_PORT),
+        Workload::cbr(1000, 400, SimDuration::from_millis(10)),
     );
-    sim.run_until(SimTime::from_secs(6));
+    fleet.run(SimTime::from_secs(6));
     for node in 0..4 {
-        let events = watch_events(&sim, &overlay, node);
+        let events = watch_events(&fleet, node);
         assert!(
             events.is_empty(),
             "healthy node {node} raised {} watch events: first {:?}",
@@ -228,7 +142,7 @@ fn healthy_deployment_emits_no_watch_events() {
             events.first()
         );
     }
-    let r = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+    let r = fleet.recv(0);
     assert_eq!(r.received, 400, "and the flow is untouched");
 }
 
@@ -236,13 +150,13 @@ fn healthy_deployment_emits_no_watch_events() {
 fn watchdog_runs_are_deterministic() {
     // Same seed, same adversary, same watchdog: bit-identical simulations,
     // including the remediation sequence.
-    let (a_sim, a_ov, _) = blackholed_diamond(23);
-    let (b_sim, b_ov, _) = blackholed_diamond(23);
-    assert_eq!(a_sim.fingerprint(), b_sim.fingerprint());
+    let a = blackholed_diamond(23);
+    let b = blackholed_diamond(23);
+    assert_eq!(a.sim.fingerprint(), b.sim.fingerprint());
     for node in 0..4 {
         assert_eq!(
-            watch_events(&a_sim, &a_ov, node),
-            watch_events(&b_sim, &b_ov, node),
+            watch_events(&a, node),
+            watch_events(&b, node),
             "node {node} watch history must replay exactly"
         );
     }
@@ -263,34 +177,26 @@ fn shedding_preserves_per_flow_conservation() {
         }),
         ..NodeConfig::default()
     };
-    let mut sim = Simulation::new(24);
-    let overlay = OverlayBuilder::new(chain_topology(2, 5.0))
-        .node_config(config)
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(chain_topology(2, 5.0)).node_config(config);
+    let mut fleet = Fleet::new(24, None, builder);
     let low = FlowSpec::reliable().with_priority(Priority::LOW);
     let high = FlowSpec::reliable().with_priority(Priority::HIGH);
-    attach_pair(
-        &mut sim,
-        &overlay,
+    fleet.flow(
         NodeId(0),
         NodeId(1),
         low,
-        cbr(600, 1),
-        (TX_PORT, RX_PORT),
+        Workload::cbr(1000, 600, SimDuration::from_millis(1)),
     );
-    attach_pair(
-        &mut sim,
-        &overlay,
+    fleet.flow(
         NodeId(0),
         NodeId(1),
         high,
-        cbr(600, 1),
-        (TX_PORT + 1, RX_PORT + 1),
+        Workload::cbr(1000, 600, SimDuration::from_millis(1)),
     );
     // Senders finish by ~1.1s; the tail drains long before 5s.
-    sim.run_until(SimTime::from_secs(5));
+    fleet.run(SimTime::from_secs(5));
 
-    let events = watch_events(&sim, &overlay, 0);
+    let events = watch_events(&fleet, 0);
     assert!(
         events
             .iter()
@@ -301,10 +207,7 @@ fn shedding_preserves_per_flow_conservation() {
     // Per-FlowKey ledger summed over both daemons.
     let mut per_flow: HashMap<String, (u64, u64, u64)> = HashMap::new();
     let mut shed_total = 0;
-    for node in 0..2 {
-        let daemon = sim
-            .proc_ref::<OverlayNode>(overlay.daemon(NodeId(node)))
-            .unwrap();
+    for daemon in fleet.nodes() {
         for (desc, v) in daemon.obs().registry().counters() {
             if desc.name == "drop.shed" {
                 shed_total += v;

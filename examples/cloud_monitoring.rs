@@ -12,11 +12,10 @@
 
 use son_apps::monitoring::{self, score_telemetry};
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::{ScenarioEvent, Simulation};
+use son_netsim::sim::ScenarioEvent;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::ClientProcess;
-use son_overlay::Wire;
+use son_overlay::Fleet;
 use son_topo::NodeId;
 
 const SENSOR_CITIES: [usize; 6] = [1, 3, 4, 7, 8, 10]; // BOS ATL MIA HOU DEN SF
@@ -27,59 +26,50 @@ const CONTROLLER: usize = 0; // NYC
 fn main() {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(404);
-    let overlay = OverlayBuilder::new(topo.clone()).build(&mut sim);
+    let mut fleet = Fleet::new(404, None, OverlayBuilder::new(topo.clone()));
 
+    let (every, lasting) = (SimDuration::from_millis(100), SimDuration::from_secs(20));
     let sensors: Vec<_> = SENSOR_CITIES
         .iter()
-        .map(|&n| {
-            sim.add_process(ClientProcess::new(monitoring::sensor(
-                &overlay,
-                NodeId(n),
-                256,
-                SimDuration::from_millis(100),
-                SimDuration::from_secs(20),
-                false,
-            )))
-        })
+        .map(|&n| monitoring::sensor(&mut fleet, NodeId(n), 256, every, lasting, false))
         .collect();
     let operators: Vec<_> = OPERATORS
         .iter()
-        .map(|&n| {
-            sim.add_process(ClientProcess::new(monitoring::operator(
-                &overlay,
-                NodeId(n),
-            )))
-        })
+        .map(|&n| monitoring::operator(&mut fleet, NodeId(n)))
         .collect();
     let devices: Vec<_> = DEVICES
         .iter()
-        .map(|&n| sim.add_process(ClientProcess::new(monitoring::device(&overlay, NodeId(n)))))
+        .map(|&n| monitoring::device(&mut fleet, NodeId(n)))
         .collect();
-    let _controller = sim.add_process(ClientProcess::new(monitoring::controller(
-        &overlay,
+    let command_every = SimDuration::from_millis(500);
+    monitoring::controller(
+        &mut fleet,
         NodeId(CONTROLLER),
         128,
-        SimDuration::from_millis(500),
+        command_every,
         30,
         false,
-    )));
+    );
 
     // Fail an overlay link mid-run: the overlay routes around it.
     let victim = son_topo::shortest_path(&topo, NodeId(4), NodeId(0))
         .unwrap()
         .edges[0];
-    for &(ab, ba) in &overlay.edge_pipes[&victim] {
-        sim.schedule(SimTime::from_secs(10), ScenarioEvent::DisablePipe(ab));
-        sim.schedule(SimTime::from_secs(10), ScenarioEvent::DisablePipe(ba));
+    for &(ab, ba) in &fleet.overlay.edge_pipes[&victim] {
+        fleet
+            .sim
+            .schedule(SimTime::from_secs(10), ScenarioEvent::DisablePipe(ab));
+        fleet
+            .sim
+            .schedule(SimTime::from_secs(10), ScenarioEvent::DisablePipe(ba));
     }
 
-    sim.run_until(SimTime::from_secs(25));
+    fleet.run(SimTime::from_secs(25));
 
     println!("six sensors -> overlay multicast -> two operator consoles");
     println!("(an overlay link on the MIA->NYC route fails at t=10s)\n");
     for (op_idx, &op) in operators.iter().enumerate() {
-        let client = sim.proc_ref::<ClientProcess>(op).unwrap();
+        let client = fleet.client_ref(op);
         println!(
             "operator at {}:",
             sc.underlay.city_name(sc.cities[OPERATORS[op_idx]])
@@ -89,7 +79,7 @@ fn main() {
             "sensor", "completeness", "freshness ms", "max blindness ms"
         );
         for (i, &s) in sensors.iter().enumerate() {
-            let sent = sim.proc_ref::<ClientProcess>(s).unwrap().sent(1);
+            let sent = fleet.client_ref(s).sent(1);
             let flow = client
                 .recv
                 .iter()
@@ -108,7 +98,7 @@ fn main() {
         println!();
     }
     for (i, &d) in devices.iter().enumerate() {
-        let client = sim.proc_ref::<ClientProcess>(d).unwrap();
+        let client = fleet.client_ref(d);
         let got: u64 = client.recv.values().map(|r| r.received).sum();
         println!(
             "device at {:>3}: received {got}/30 control commands (reliable, in order)",

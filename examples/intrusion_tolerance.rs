@@ -12,14 +12,12 @@
 //! IT-Reliable with backpressure.
 
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::{ClientFlow, Workload};
 use son_overlay::{
-    Destination, FlowSpec, LinkService, NodeConfig, OverlayAddr, RoutingService, SourceRoute, Wire,
+    Destination, Fleet, FlowSpec, LinkService, NodeConfig, OverlayAddr, RoutingService, SourceRoute,
 };
 use son_topo::NodeId;
 
@@ -40,18 +38,15 @@ fn main() {
     };
     // §IV-B: per-node keys, per-packet tags
     config.it_rate_bps = Some(4_000_000);
-    let mut sim: Simulation<Wire> = Simulation::new(1337);
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(config)
-        .build(&mut sim);
+    let mut fleet = Fleet::new(1337, None, OverlayBuilder::new(topo).node_config(config));
 
     for &bad in &BLACKHOLES {
-        sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(bad)))
-            .unwrap()
+        fleet
+            .node_mut(NodeId(bad))
             .set_behavior(Behavior::Blackhole);
     }
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(FLOODER)))
-        .unwrap()
+    fleet
+        .node_mut(NodeId(FLOODER))
         .set_behavior(Behavior::Flood {
             dst: Destination::Unicast(OverlayAddr::new(CONTROL_CENTER, 70)),
             rate_pps: 2000,
@@ -74,42 +69,28 @@ fn main() {
             SourceRoute::ConstrainedFlooding,
         ));
 
-    let center = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(CONTROL_CENTER),
-        port: 70,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(SUBSTATION, 71)),
-            spec: control_spec,
-            workload: Workload::Cbr {
-                size: 256,
-                interval: SimDuration::from_millis(100),
-                count: 200,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }));
-    let substation = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(SUBSTATION),
-        port: 71,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(CONTROL_CENTER, 70)),
-            spec: telemetry_spec,
-            workload: Workload::Cbr {
-                size: 512,
-                interval: SimDuration::from_millis(20),
-                count: 1000,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(30));
+    let commands = Workload::Cbr {
+        size: 256,
+        interval: SimDuration::from_millis(100),
+        count: 200,
+        start: SimTime::from_secs(1),
+    };
+    let to_substation = Destination::Unicast(OverlayAddr::new(SUBSTATION, 71));
+    let flow = ClientFlow::new(to_substation, control_spec, commands);
+    let center = fleet.client(CONTROL_CENTER, 70, vec![], vec![flow]);
+    let readings = Workload::Cbr {
+        size: 512,
+        interval: SimDuration::from_millis(20),
+        count: 1000,
+        start: SimTime::from_secs(1),
+    };
+    let to_center = Destination::Unicast(OverlayAddr::new(CONTROL_CENTER, 70));
+    let flow = ClientFlow::new(to_center, telemetry_spec, readings);
+    let substation = fleet.client(SUBSTATION, 71, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(30));
 
-    let telemetry_sent = sim.proc_ref::<ClientProcess>(substation).unwrap().sent(1);
-    let center_client = sim.proc_ref::<ClientProcess>(center).unwrap();
+    let telemetry_sent = fleet.client_ref(substation).sent(1);
+    let center_client = fleet.client_ref(center);
     let telemetry = center_client
         .recv
         .iter()
@@ -117,7 +98,7 @@ fn main() {
         .map(|(_, r)| r.clone())
         .unwrap_or_default();
     let commands_sent = center_client.sent(1);
-    let sub_client = sim.proc_ref::<ClientProcess>(substation).unwrap();
+    let sub_client = fleet.client_ref(substation);
     let commands = sub_client.recv.values().next().cloned().unwrap_or_default();
     let mut telemetry_lat = telemetry.latency_ms();
 
@@ -136,21 +117,11 @@ fn main() {
         "control  (IT-Reliable)            : {}/{} delivered in order ({} ooo)",
         commands.received, commands_sent, commands.out_of_order,
     );
-    let mut junk_dropped = 0;
-    let mut adversary_dropped = 0;
-    for &d in &overlay.daemons {
-        let m = sim.proc_ref::<OverlayNode>(d).unwrap().metrics();
-        junk_dropped += m.counters.get("unused");
-        adversary_dropped += m.adversary_dropped;
-    }
-    let _ = junk_dropped;
+    let adversary_dropped: u64 = fleet.nodes().map(|n| n.metrics().adversary_dropped).sum();
     println!("\npackets eaten by the blackholes   : {adversary_dropped}");
     println!(
         "flooder junk injected             : {}",
-        sim.proc_ref::<OverlayNode>(overlay.daemon(NodeId(FLOODER)))
-            .unwrap()
-            .metrics()
-            .adversary_injected
+        fleet.node(NodeId(FLOODER)).metrics().adversary_injected
     );
     println!("\nDespite compromised overlay nodes with valid credentials, every");
     println!("telemetry reading and every control command made it through.");

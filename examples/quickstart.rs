@@ -10,61 +10,36 @@
 //! delivers in order.
 
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, LinkService, OverlayAddr, Wire};
+use son_overlay::client::{ClientFlow, Workload};
+use son_overlay::{Destination, Fleet, FlowSpec, LinkService, OverlayAddr};
 use son_topo::NodeId;
 
 fn main() {
-    // 1. A deterministic simulated Internet (seed 7) with 2% loss per link.
-    let mut sim: Simulation<Wire> = Simulation::new(7);
-
-    // 2. Three overlay nodes in a chain of 10 ms links.
+    // 1. Three overlay nodes in a chain of 10 ms links with 2% loss per
+    //    link, in a deterministic simulated Internet (seed 7).
     let overlay = OverlayBuilder::new(chain_topology(3, 10.0))
-        .default_loss(LossConfig::Bernoulli { p: 0.02 })
-        .build(&mut sim);
+        .default_loss(LossConfig::Bernoulli { p: 0.02 });
+    let mut fleet = Fleet::new(7, None, overlay);
 
-    // 3. A receiver client on node 2 (virtual port 80)...
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(2)),
-        port: 80,
-        joins: vec![],
-        flows: vec![],
-    }));
+    // 2. A receiver client on node 2 (virtual port 80)...
+    let rx = fleet.client(NodeId(2), 80, vec![], vec![]);
 
-    // 4. ...and a sender on node 0 streaming 1000 packets of 1 kB at 100/s
+    // 3. ...and a sender on node 0 streaming 1000 packets of 1 kB at 100/s
     //    with the Reliable Data Link service (hop-by-hop recovery, in-order
     //    delivery at the destination).
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(2), 80)),
-            spec: FlowSpec::reliable(),
-            workload: Workload::Cbr {
-                size: 1000,
-                interval: SimDuration::from_millis(10),
-                count: 1000,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(2), 80));
+    let stream = Workload::cbr(1000, 1000, SimDuration::from_millis(10));
+    let flow = ClientFlow::new(dst, FlowSpec::reliable(), stream);
+    let tx = fleet.client(NodeId(0), 81, vec![], vec![flow]);
 
-    // 5. Run 15 simulated seconds.
-    sim.run_until(SimTime::from_secs(15));
+    // 4. Run 15 simulated seconds.
+    fleet.run(SimTime::from_secs(15));
 
-    // 6. Harvest.
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    // 5. Harvest.
+    let sent = fleet.client_ref(tx).sent(1);
+    let recv = fleet.client_ref(rx).sole_recv();
     let mut lat = recv.latency_ms();
     println!("sent             : {sent}");
     println!(
@@ -80,14 +55,7 @@ fn main() {
     println!("latency p50      : {:.2} ms", lat.median().unwrap());
     println!("latency p99      : {:.2} ms", lat.quantile(0.99).unwrap());
 
-    let mut retransmissions = 0;
-    for &d in &overlay.daemons {
-        retransmissions += sim
-            .proc_ref::<OverlayNode>(d)
-            .unwrap()
-            .service_stats(LinkService::Reliable)
-            .retransmitted;
-    }
+    let retransmissions = fleet.wire_stats(LinkService::Reliable).retransmitted;
     println!("link-level repair: {retransmissions} retransmissions (invisible to the app)");
     assert_eq!(recv.received, sent, "reliable service recovered everything");
 }

@@ -14,11 +14,10 @@
 use son_apps::manipulation::{self, HapticProfile, ONE_WAY_DEADLINE};
 use son_netsim::loss::LossConfig;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess};
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::client::ClientFlow;
+use son_overlay::{Destination, Fleet, FlowSpec, OverlayAddr};
 use son_topo::NodeId;
 
 const SURGEON: NodeId = NodeId(0); // NYC
@@ -43,30 +42,22 @@ fn run(
             );
         }
     }
-    let mut sim: Simulation<Wire> = Simulation::new(2026);
-    let overlay = builder.build(&mut sim);
+    let mut fleet = Fleet::new(2026, None, builder);
 
     let profile = HapticProfile::standard();
-    let mk = |at: NodeId, to: NodeId, port, peer_port| ClientConfig {
-        daemon: overlay.daemon(at),
-        port,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(to, peer_port)),
-            spec,
-            workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
-        }],
+    let mut attach = |at: NodeId, to: NodeId, port, peer_port| {
+        let dst = Destination::Unicast(OverlayAddr::new(to, peer_port));
+        let workload = profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20));
+        fleet.client(at, port, vec![], vec![ClientFlow::new(dst, spec, workload)])
     };
-    let surgeon = sim.add_process(ClientProcess::new(mk(SURGEON, ROBOT, 10, 11)));
-    let robot = sim.add_process(ClientProcess::new(mk(ROBOT, SURGEON, 11, 10)));
-    sim.run_until(SimTime::from_secs(25));
+    let surgeon = attach(SURGEON, ROBOT, 10, 11);
+    let robot = attach(ROBOT, SURGEON, 11, 10);
+    fleet.run(SimTime::from_secs(25));
 
     let score_of = |pid, sent_by| {
-        let sent = sim.proc_ref::<ClientProcess>(sent_by).unwrap().sent(1);
-        let recv = sim
-            .proc_ref::<ClientProcess>(pid)
-            .unwrap()
+        let sent = fleet.client_ref(sent_by).sent(1);
+        let recv = fleet
+            .client_ref(pid)
             .recv
             .values()
             .next()

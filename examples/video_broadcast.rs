@@ -12,11 +12,10 @@
 use son_apps::video::{score, VideoProfile};
 use son_netsim::loss::LossConfig;
 use son_netsim::scenario::{continental_us, DEFAULT_CONVERGENCE};
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess};
-use son_overlay::{Destination, FlowSpec, GroupId, Wire};
+use son_overlay::client::ClientFlow;
+use son_overlay::{Destination, Fleet, FlowSpec, GroupId};
 use son_topo::NodeId;
 
 const STATIONS: [(&str, usize); 4] = [("NYC", 0), ("CHI", 5), ("SEA", 9), ("LA", 11)];
@@ -26,46 +25,26 @@ const GROUP: GroupId = GroupId(7);
 fn run(spec: FlowSpec) -> Vec<(String, f64, f64, f64)> {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, _) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(99);
-    let overlay = OverlayBuilder::new(topo)
-        .default_loss(LossConfig::bursts(
-            SimDuration::from_millis(990),
-            SimDuration::from_millis(10),
-        ))
-        .build(&mut sim);
+    let bursts = LossConfig::bursts(SimDuration::from_millis(990), SimDuration::from_millis(10));
+    let mut fleet = Fleet::new(99, None, OverlayBuilder::new(topo).default_loss(bursts));
 
     let stations: Vec<_> = STATIONS
         .iter()
-        .map(|&(_, n)| {
-            sim.add_process(ClientProcess::new(ClientConfig {
-                daemon: overlay.daemon(NodeId(n)),
-                port: 80,
-                joins: vec![GROUP],
-                flows: vec![],
-            }))
-        })
+        .map(|&(_, n)| fleet.client(NodeId(n), 80, vec![GROUP], vec![]))
         .collect();
 
     let profile = VideoProfile::broadcast_sd();
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(STADIUM)),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Multicast(GROUP),
-            spec,
-            workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(30)),
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(40));
+    let feed = profile.workload(SimTime::from_secs(1), SimDuration::from_secs(30));
+    let flow = ClientFlow::new(Destination::Multicast(GROUP), spec, feed);
+    let tx = fleet.client(NodeId(STADIUM), 81, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(40));
 
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
+    let sent = fleet.client_ref(tx).sent(1);
     stations
         .iter()
         .zip(STATIONS.iter())
         .map(|(&p, &(name, _))| {
-            let client = sim.proc_ref::<ClientProcess>(p).unwrap();
+            let client = fleet.client_ref(p);
             let recv = client.recv.values().next().cloned().unwrap_or_default();
             let report = score(&recv, sent, &profile, None);
             (

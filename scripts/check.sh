@@ -54,6 +54,16 @@ stage_smoke() {
     son_trace --watch-audit target/obs/watch.jsonl
     echo "==> churn smoke campaign (son-exp churn --smoke: convergence bound + delivery floor)"
     son_exp churn --smoke
+    # `cargo test` compiles the examples and son-run but never runs them,
+    # and each asserts its own result.
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        echo "==> example $example"
+        cargo run --release -q --example "$example"
+    done
+    echo "==> son-run (defaults, then continental + fec)"
+    cargo run --release -q --bin son-run
+    cargo run --release -q --bin son-run -- --topology=continental --service=fec
 }
 
 # The daemon path: the E1 scenario the sim runs, executed by 4 son-node

@@ -15,16 +15,11 @@ use std::process::ExitCode;
 
 use son_netsim::loss::LossConfig;
 use son_netsim::scenario::DEFAULT_CONVERGENCE;
-use son_netsim::sim::Simulation;
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, continental_overlay, global_overlay, OverlayBuilder};
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::node::OverlayNode;
+use son_overlay::client::Workload;
 use son_overlay::service::FecParams;
-use son_overlay::{
-    Destination, FlowSpec, LinkService, OverlayAddr, RealtimeParams, RoutingService, SourceRoute,
-    Wire,
-};
+use son_overlay::{Fleet, FlowSpec, LinkService, RealtimeParams, RoutingService, SourceRoute};
 use son_topo::NodeId;
 
 #[derive(Debug)]
@@ -225,42 +220,23 @@ fn main() -> ExitCode {
     };
 
     // Build and run.
-    let mut sim: Simulation<Wire> = Simulation::new(args.seed);
-    let overlay = OverlayBuilder::new(topo).default_loss(loss).build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(to),
-        port: 70,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(from),
-        port: 50,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(to, 70)),
-            spec,
-            workload: Workload::Cbr {
-                size: args.size,
-                interval: SimDuration::from_millis_f64(args.interval_ms),
-                count: args.count,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(args.duration_s));
+    let mut fleet = Fleet::new(
+        args.seed,
+        None,
+        OverlayBuilder::new(topo).default_loss(loss),
+    );
+    let workload = Workload::Cbr {
+        size: args.size,
+        interval: SimDuration::from_millis_f64(args.interval_ms),
+        count: args.count,
+        start: SimTime::from_millis(500),
+    };
+    fleet.flow(from, to, spec, workload);
+    fleet.run(SimTime::from_secs(args.duration_s));
 
     // Report.
-    let sent = sim.proc_ref::<ClientProcess>(tx).expect("sender").sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .expect("receiver")
-        .recv
-        .values()
-        .next()
-        .cloned()
-        .unwrap_or_default();
+    let sent = fleet.sent(0);
+    let recv = fleet.recv(0);
     let mut lat = recv.latency_ms();
     println!(
         "deployment : {label}, service={} routing={}",
@@ -292,34 +268,20 @@ fn main() -> ExitCode {
             );
         }
     }
-    let mut wire_sent = 0;
-    let mut wire_re = 0;
-    for &d in &overlay.daemons {
-        let s = sim
-            .proc_ref::<OverlayNode>(d)
-            .expect("daemon")
-            .service_stats(link);
-        wire_sent += s.sent;
-        wire_re += s.retransmitted;
-    }
-    if wire_sent > 0 {
+    let wire = fleet.wire_stats(link);
+    if wire.sent > 0 {
         println!(
             "wire       : {} tx + {} recovery ({:.3}x overhead)",
-            wire_sent,
-            wire_re,
-            (wire_sent + wire_re) as f64 / wire_sent as f64
+            wire.sent,
+            wire.retransmitted,
+            wire.overhead_ratio()
         );
     }
-    println!("events     : {}", sim.events_processed());
+    println!("events     : {}", fleet.sim.events_processed());
     if args.inspect {
         println!("\n--- daemon status ---");
-        for &d in &overlay.daemons {
-            print!(
-                "{}",
-                sim.proc_ref::<OverlayNode>(d)
-                    .expect("daemon")
-                    .status_report()
-            );
+        for node in fleet.nodes() {
+            print!("{}", node.status_report());
         }
     }
     ExitCode::SUCCESS

@@ -9,7 +9,7 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, global_overlay, OverlayBuilder};
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess};
 use son_overlay::node::OverlayNode;
-use son_overlay::{Destination, FlowSpec, OverlayAddr, Wire};
+use son_overlay::{Destination, Fleet, FlowSpec, OverlayAddr, Wire};
 use son_topo::NodeId;
 
 /// Broadcast video across the real (simulated) multi-ISP underlay, with a
@@ -19,32 +19,17 @@ use son_topo::NodeId;
 fn video_survives_fiber_cut_via_provider_switch() {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, cities) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(71);
-    sim.set_underlay(sc.underlay.clone());
-    let overlay = OverlayBuilder::new(topo)
-        .place_in_cities(cities.clone())
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(topo).place_in_cities(cities.clone());
+    let mut fleet = Fleet::new(71, Some(sc.underlay.clone()), builder);
 
     let nyc = NodeId(cities.iter().position(|&c| c == sc.city("NYC")).unwrap());
     let chi = NodeId(cities.iter().position(|&c| c == sc.city("CHI")).unwrap());
     let profile = VideoProfile::proxy();
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(chi),
-        port: 80,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(nyc),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(chi, 80)),
-            spec: FlowSpec::reliable(),
-            workload: profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20)),
-        }],
-    }));
+    let rx = fleet.client(chi, 80, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(chi, 80));
+    let workload = profile.workload(SimTime::from_secs(1), SimDuration::from_secs(20));
+    let flow = ClientFlow::new(dst, FlowSpec::reliable(), workload);
+    let tx = fleet.client(nyc, 81, vec![], vec![flow]);
 
     // Cut the first ISP's NYC-CHI fiber at t=5s. BGP won't reconverge for
     // 40s, but the overlay link is triple-homed.
@@ -60,20 +45,16 @@ fn video_survives_fiber_cut_via_provider_switch() {
         .unwrap()
         .edges;
     for e in route {
-        sim.schedule(
+        fleet.sim.schedule(
             SimTime::from_secs(5),
             son_netsim::sim::ScenarioEvent::FailUnderlayEdge(e),
         );
     }
-    sim.run_until(SimTime::from_secs(25));
+    fleet.run(SimTime::from_secs(25));
 
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
-    let report = score(&recv, sent, &profile, None);
+    let sent = fleet.client_ref(tx).sent(1);
+    let recv = fleet.client_ref(rx).sole_recv();
+    let report = score(recv, sent, &profile, None);
     assert_eq!(
         report.delivered_frac, 1.0,
         "provider switch must be lossless to the app"
@@ -85,17 +66,7 @@ fn video_survives_fiber_cut_via_provider_switch() {
     );
 
     // At least one daemon actually switched providers.
-    let switches: u64 = overlay
-        .daemons
-        .iter()
-        .map(|&d| {
-            sim.proc_ref::<OverlayNode>(d)
-                .unwrap()
-                .metrics()
-                .counters
-                .get("provider_switches")
-        })
-        .sum();
+    let switches: u64 = fleet.counter("provider_switches");
     assert!(switches > 0, "the cut must have forced a provider switch");
 }
 
@@ -105,44 +76,26 @@ fn video_survives_fiber_cut_via_provider_switch() {
 fn global_live_video_meets_200ms_bound() {
     let sc = global_20(DEFAULT_CONVERGENCE);
     let (topo, cities) = global_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(72);
-    let overlay = OverlayBuilder::new(topo)
-        .default_loss(son_netsim::loss::LossConfig::bursts(
-            SimDuration::from_millis(990),
-            SimDuration::from_millis(10),
-        ))
-        .build(&mut sim);
+    let bursts = son_netsim::loss::LossConfig::bursts(
+        SimDuration::from_millis(990),
+        SimDuration::from_millis(10),
+    );
+    let mut fleet = Fleet::new(72, None, OverlayBuilder::new(topo).default_loss(bursts));
     let lon = NodeId(cities.iter().position(|&c| c == sc.city("LON")).unwrap());
     let hkg = NodeId(cities.iter().position(|&c| c == sc.city("HKG")).unwrap());
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(hkg),
-        port: 80,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(lon),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(hkg, 80)),
-            spec: FlowSpec::live_video(SimDuration::from_millis(200)),
-            workload: son_overlay::Workload::Cbr {
-                size: 1316,
-                interval: SimDuration::from_millis(3),
-                count: 5000,
-                start: SimTime::from_secs(1),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(25));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let rx = fleet.client(hkg, 80, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(hkg, 80));
+    let workload = son_overlay::Workload::Cbr {
+        size: 1316,
+        interval: SimDuration::from_millis(3),
+        count: 5000,
+        start: SimTime::from_secs(1),
+    };
+    let spec = FlowSpec::live_video(SimDuration::from_millis(200));
+    let tx = fleet.client(lon, 81, vec![], vec![ClientFlow::new(dst, spec, workload)]);
+    fleet.run(SimTime::from_secs(25));
+    let sent = fleet.client_ref(tx).sent(1);
+    let recv = fleet.client_ref(rx).sole_recv();
     assert!(
         recv.received as f64 > 0.98 * sent as f64,
         "{}/{sent} delivered",
@@ -166,20 +119,17 @@ fn scada_agreement_survives_compromised_overlay_node() {
         auth_enabled: true,
         ..Default::default()
     };
-    let mut sim: Simulation<Wire> = Simulation::new(73);
-    let overlay = OverlayBuilder::new(topo)
-        .node_config(config)
-        .build(&mut sim);
+    let mut fleet = Fleet::new(73, None, OverlayBuilder::new(topo).node_config(config));
 
     // DAL's overlay node is compromised and blackholes transit data.
-    sim.proc_mut::<OverlayNode>(overlay.daemon(NodeId(6)))
-        .unwrap()
+    fleet
+        .node_mut(NodeId(6))
         .set_behavior(son_overlay::adversary::Behavior::Blackhole);
 
     let sites = [0usize, 5, 3, 8]; // NYC CHI ATL DEN
     for (i, &site) in sites.iter().enumerate() {
-        sim.add_process(Replica::new(ReplicaConfig {
-            daemon: overlay.daemon(NodeId(site)),
+        fleet.sim.add_process(Replica::new(ReplicaConfig {
+            daemon: fleet.overlay.daemon(NodeId(site)),
             port: 300 + i as u16,
             index: i as u16,
             n: 4,
@@ -187,16 +137,18 @@ fn scada_agreement_survives_compromised_overlay_node() {
             spec: agreement_spec(),
         }));
     }
-    let device = sim.add_process(Device::new(overlay.daemon(NodeId(11)), 400));
-    let _unit = sim.add_process(FieldUnit::new(
-        overlay.daemon(NodeId(4)),
+    let device = fleet
+        .sim
+        .add_process(Device::new(fleet.overlay.daemon(NodeId(11)), 400));
+    let _unit = fleet.sim.add_process(FieldUnit::new(
+        fleet.overlay.daemon(NodeId(4)),
         401,
         SimDuration::from_millis(100),
         30,
         agreement_spec(),
     ));
-    sim.run_until(SimTime::from_secs(10));
-    let dev = sim.proc_ref::<Device>(device).unwrap();
+    fleet.run(SimTime::from_secs(10));
+    let dev = fleet.sim.proc_ref::<Device>(device).unwrap();
     assert_eq!(
         dev.commands.len(),
         30,
@@ -213,40 +165,26 @@ fn full_deployment_is_deterministic() {
     let run = || {
         let sc = continental_us(DEFAULT_CONVERGENCE);
         let (topo, cities) = continental_overlay(&sc);
-        let mut sim: Simulation<Wire> = Simulation::new(1234);
-        sim.set_underlay(sc.underlay);
-        let overlay = OverlayBuilder::new(topo)
+        let builder = OverlayBuilder::new(topo)
             .place_in_cities(cities)
-            .default_loss(son_netsim::loss::LossConfig::Bernoulli { p: 0.01 })
-            .build(&mut sim);
-        let rx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(11)),
-            port: 80,
-            joins: vec![],
-            flows: vec![],
-        }));
-        let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: overlay.daemon(NodeId(0)),
-            port: 81,
-            joins: vec![],
-            flows: vec![ClientFlow {
-                local_flow: 1,
-                dst: Destination::Unicast(OverlayAddr::new(NodeId(11), 80)),
-                spec: FlowSpec::reliable(),
-                workload: son_overlay::Workload::Cbr {
-                    size: 700,
-                    interval: SimDuration::from_millis(10),
-                    count: 500,
-                    start: SimTime::from_millis(500),
-                },
-            }],
-        }));
-        sim.run_until(SimTime::from_secs(15));
-        let recv = sim.proc_ref::<ClientProcess>(rx).unwrap().sole_recv();
+            .default_loss(son_netsim::loss::LossConfig::Bernoulli { p: 0.01 });
+        let mut fleet = Fleet::new(1234, Some(sc.underlay), builder);
+        let rx = fleet.client(NodeId(11), 80, vec![], vec![]);
+        let dst = Destination::Unicast(OverlayAddr::new(NodeId(11), 80));
+        let workload = son_overlay::Workload::Cbr {
+            size: 700,
+            interval: SimDuration::from_millis(10),
+            count: 500,
+            start: SimTime::from_millis(500),
+        };
+        let flow = ClientFlow::new(dst, FlowSpec::reliable(), workload);
+        fleet.client(NodeId(0), 81, vec![], vec![flow]);
+        fleet.run(SimTime::from_secs(15));
+        let recv = fleet.client_ref(rx).sole_recv();
         (
             recv.received,
             recv.latencies_ms.clone(),
-            sim.events_processed(),
+            fleet.sim.events_processed(),
         )
     };
     let a = run();
@@ -332,55 +270,36 @@ fn parallel_overlays_share_the_load() {
 fn regional_failure_is_routed_around() {
     let sc = continental_us(DEFAULT_CONVERGENCE);
     let (topo, cities) = continental_overlay(&sc);
-    let mut sim: Simulation<Wire> = Simulation::new(75);
-    sim.set_underlay(sc.underlay.clone());
-    let overlay = OverlayBuilder::new(topo)
-        .place_in_cities(cities.clone())
-        .build(&mut sim);
+    let builder = OverlayBuilder::new(topo).place_in_cities(cities.clone());
+    let mut fleet = Fleet::new(75, Some(sc.underlay.clone()), builder);
     let nyc = NodeId(cities.iter().position(|&c| c == sc.city("NYC")).unwrap());
     let sf = NodeId(cities.iter().position(|&c| c == sc.city("SF")).unwrap());
 
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(sf),
-        port: 80,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let _tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(nyc),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(sf, 80)),
-            spec: FlowSpec::best_effort(),
-            workload: son_overlay::Workload::Cbr {
-                size: 500,
-                interval: SimDuration::from_millis(10),
-                count: u64::MAX,
-                start: SimTime::from_millis(500),
-            },
-        }],
-    }));
+    let rx = fleet.client(sf, 80, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(sf, 80));
+    let workload = son_overlay::Workload::Cbr {
+        size: 500,
+        interval: SimDuration::from_millis(10),
+        count: u64::MAX,
+        start: SimTime::from_millis(500),
+    };
+    let flow = ClientFlow::new(dst, FlowSpec::best_effort(), workload);
+    fleet.client(nyc, 81, vec![], vec![flow]);
     // Blast everything within 700km of Denver at t=5s.
     let den = sc.city("DEN");
-    let victims = sim.underlay().unwrap().edges_near(den, 700.0);
+    let victims = fleet.sim.underlay().unwrap().edges_near(den, 700.0);
     assert!(
         victims.len() >= 4,
         "the blast zone must cover several fibers"
     );
     for e in victims {
-        sim.schedule(
+        fleet.sim.schedule(
             SimTime::from_secs(5),
             son_netsim::sim::ScenarioEvent::FailUnderlayEdge(e),
         );
     }
-    sim.run_until(SimTime::from_secs(15));
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    fleet.run(SimTime::from_secs(15));
+    let recv = fleet.client_ref(rx).sole_recv();
     let gap = recv
         .arrivals
         .windows(2)
@@ -410,43 +329,26 @@ fn vbr_video_stream_over_lossy_overlay() {
     let profile = GopProfile::standard();
     let schedule = profile.schedule(SimTime::from_secs(1), SimDuration::from_secs(10));
     let expected_packets = schedule.len() as u64;
-    let mut sim: Simulation<Wire> = Simulation::new(76);
-    let overlay = OverlayBuilder::new(chain_topology(4, 10.0))
-        .default_loss(son_netsim::loss::LossConfig::bursts(
-            SimDuration::from_millis(990),
-            SimDuration::from_millis(10),
-        ))
-        .build(&mut sim);
-    let rx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(3)),
-        port: 80,
-        joins: vec![],
-        flows: vec![],
-    }));
-    let tx = sim.add_process(ClientProcess::new(ClientConfig {
-        daemon: overlay.daemon(NodeId(0)),
-        port: 81,
-        joins: vec![],
-        flows: vec![ClientFlow {
-            local_flow: 1,
-            dst: Destination::Unicast(OverlayAddr::new(NodeId(3), 80)),
-            spec: FlowSpec::reliable(),
-            workload: son_overlay::Workload::Trace {
-                schedule: std::sync::Arc::new(schedule),
-            },
-        }],
-    }));
-    sim.run_until(SimTime::from_secs(20));
-    let sent = sim.proc_ref::<ClientProcess>(tx).unwrap().sent(1);
+    let bursts = son_netsim::loss::LossConfig::bursts(
+        SimDuration::from_millis(990),
+        SimDuration::from_millis(10),
+    );
+    let builder = OverlayBuilder::new(chain_topology(4, 10.0)).default_loss(bursts);
+    let mut fleet = Fleet::new(76, None, builder);
+    let rx = fleet.client(NodeId(3), 80, vec![], vec![]);
+    let dst = Destination::Unicast(OverlayAddr::new(NodeId(3), 80));
+    let workload = son_overlay::Workload::Trace {
+        schedule: std::sync::Arc::new(schedule),
+    };
+    let flow = ClientFlow::new(dst, FlowSpec::reliable(), workload);
+    let tx = fleet.client(NodeId(0), 81, vec![], vec![flow]);
+    fleet.run(SimTime::from_secs(20));
+    let sent = fleet.client_ref(tx).sent(1);
     assert_eq!(
         sent, expected_packets,
         "the trace drives exactly its schedule"
     );
-    let recv = sim
-        .proc_ref::<ClientProcess>(rx)
-        .unwrap()
-        .sole_recv()
-        .clone();
+    let recv = fleet.client_ref(rx).sole_recv();
     assert_eq!(
         recv.received, sent,
         "hop-by-hop recovery absorbs the bursts"
