@@ -3,7 +3,10 @@
 //! [`EventQueue`] is a priority queue ordered by event time, with a strictly
 //! increasing sequence number breaking ties so that events scheduled for the
 //! same instant fire in insertion order (FIFO). Determinism of the whole
-//! simulator rests on this tie-break.
+//! simulator rests on this tie-break. Its keys live in a monotone radix heap
+//! (`RadixKeys`): simulated time only moves forward, so a key is filed by how
+//! far it lies from the earliest time queued and re-filed a few times on its
+//! way to the front, never sifted.
 //!
 //! # Sharded operation
 //!
@@ -32,16 +35,16 @@
 //! # Tombstone compaction
 //!
 //! [`EventQueue::cancel`] drops the payload and leaves a key-sized
-//! tombstone in the heap; it is normally reclaimed when it surfaces at the
-//! top. Workloads that cancel many far-future timers (retransmission timers
+//! tombstone in the queue; it is normally reclaimed when it surfaces at the
+//! front. Workloads that cancel many far-future timers (retransmission timers
 //! that almost always get acked) can accumulate tombstones faster than they
-//! surface, bloating the heap. When tombstones outnumber live entries the
-//! queue compacts: the heap is rebuilt retaining only live entries.
+//! surface, bloating the queue. When tombstones outnumber live entries the
+//! queue compacts: every tombstone is dropped, the live keys keep their order.
 //! [`EventQueue::stats`] exposes the occupancy and compaction counters for
 //! the scale observatory.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use crate::hash::MintedMap;
@@ -167,7 +170,7 @@ impl Ord for TieKey {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (&self.0, &other.0) {
-            // Sequential runs key everything ZERO: settle heap ties inline.
+            // Sequential runs key everything ZERO: settle key ties inline.
             (None, None) => Ordering::Equal,
             _ => self.cmp_lineage(other),
         }
@@ -220,11 +223,11 @@ impl TieKey {
 pub struct QueueStats {
     /// Events scheduled and neither fired nor cancelled.
     pub live: usize,
-    /// Cancelled entries still occupying the heap.
+    /// Cancelled entries whose keys are still queued.
     pub tombstones: usize,
     /// High-water mark of `tombstones` over the queue's lifetime.
     pub tombstones_peak: usize,
-    /// Times the heap was rebuilt to evict tombstones.
+    /// Times the queue was compacted to evict tombstones.
     pub compactions: u64,
 }
 
@@ -237,9 +240,9 @@ impl QueueStats {
     }
 }
 
-/// What the heap sifts: the ordering key `(at, key, seq)` and the slab slot
-/// holding the payload. 32 bytes whatever `E` is, so a sift level copies
-/// one key, never a packet.
+/// What the queue orders: the ordering key `(at, key, seq)` and the slab
+/// slot holding the payload. 32 bytes whatever `E` is, so moving a key
+/// between buckets copies one key, never a packet.
 struct HeapKey {
     at: SimTime,
     key: TieKey,
@@ -260,20 +263,193 @@ impl PartialOrd for HeapKey {
     }
 }
 impl Ord for HeapKey {
+    /// Firing order: the earliest `(time, key, seq)` is the least.
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key, seq)
-        // pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.at
+            .cmp(&other.at)
+            .then_with(|| self.key.cmp(&other.key))
+            .then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+/// A buffer that empties with room for more keys than this is freed, so the
+/// room the buckets keep follows what is queued now, not what each bucket
+/// once held.
+const KEEP_KEYS: usize = 64;
+
+/// The bucket of a key at `at` after the settled minimum `last`: the highest
+/// bit in which the two differ.
+#[inline(always)]
+fn bucket_of(at: u64, last: u64) -> usize {
+    debug_assert!(at > last);
+    63 - (at ^ last).leading_zeros() as usize
+}
+
+/// The ordered key store: a monotone radix heap on `at`.
+///
+/// Every key at or after `last`, the minimum settled most recently, sits
+/// either in `now` (exactly at `last`) or in the bucket named by the highest
+/// bit in which its time differs from `last`. Settling empties the lowest
+/// occupied bucket: its earliest time becomes `last`, and its keys move to
+/// `now` or to strictly lower buckets, so a key is moved a few times on its
+/// way to the front instead of sifted through `log n` heap levels on every
+/// pop. Keys enter a bucket in `seq` order and keep it, so `now` needs a
+/// sort only when it holds lineage-keyed (sharded) entries.
+///
+/// A look at the front that does not pop (`peek_time`, a refused
+/// `pop_key_if`) settles `last` ahead of the caller's clock. A key scheduled
+/// before `last` after that (a wall-clock driver's timer armed after its
+/// peek, an entry `restore`d on shard dissolve) cannot join the radix
+/// order; it waits in `behind`, a binary heap compared with `now` at the
+/// front.
+struct RadixKeys {
+    /// The settled minimum, in nanoseconds.
+    last: u64,
+    /// Keys at exactly `last`, in `(key, seq)` order.
+    now: VecDeque<HeapKey>,
+    /// `bits[b]`: keys after `last` whose highest bit differing from it is `b`.
+    bits: [Vec<HeapKey>; 64],
+    /// Bit `b` is set when `bits[b]` holds a key.
+    occupied: u64,
+    /// Keys before `last`.
+    behind: BinaryHeap<Reverse<HeapKey>>,
+    len: usize,
+}
+
+impl RadixKeys {
+    fn new() -> Self {
+        RadixKeys {
+            last: 0,
+            now: VecDeque::new(),
+            bits: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            behind: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, key: HeapKey) {
+        let at = key.at.as_nanos();
+        if at > self.last {
+            let b = bucket_of(at, self.last);
+            self.occupied |= 1 << b;
+            self.bits[b].push(key);
+        } else if at == self.last {
+            self.push_now(key);
+        } else {
+            self.behind.push(Reverse(key));
+        }
+        self.len += 1;
+    }
+
+    fn push_now(&mut self, key: HeapKey) {
+        if self.now.back().is_none_or(|back| *back < key) {
+            self.now.push_back(key);
+        } else {
+            let at = self.now.partition_point(|k| *k < key);
+            self.now.insert(at, key);
+        }
+    }
+
+    /// Refills an empty `now` from the lowest occupied bucket.
+    #[inline]
+    fn settle(&mut self) {
+        if !self.now.is_empty() || self.occupied == 0 {
+            return;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        let mut drained = std::mem::take(&mut self.bits[b]);
+        let last = drained
+            .iter()
+            .map(|k| k.at.as_nanos())
+            .min()
+            .expect("an occupied bucket holds a key");
+        self.last = last;
+        if self.now.capacity() > KEEP_KEYS {
+            self.now = VecDeque::new();
+        }
+        let mut keyed = false;
+        for key in drained.drain(..) {
+            let at = key.at.as_nanos();
+            if at == last {
+                keyed |= key.key.0.is_some();
+                self.now.push_back(key);
+            } else {
+                let to = bucket_of(at, last);
+                self.occupied |= 1 << to;
+                self.bits[to].push(key);
+            }
+        }
+        if drained.capacity() <= KEEP_KEYS {
+            self.bits[b] = drained;
+        }
+        if keyed {
+            self.now.make_contiguous().sort_unstable();
+        }
+    }
+
+    /// Whether the least key waits in `behind` rather than at the front of
+    /// a settled `now`.
+    #[inline]
+    fn behind_first(&self) -> bool {
+        match (self.now.front(), self.behind.peek()) {
+            (Some(now), Some(Reverse(behind))) => behind < now,
+            (now, _) => now.is_none(),
+        }
+    }
+
+    /// The least key, settling first.
+    #[inline]
+    fn front(&mut self) -> Option<&HeapKey> {
+        self.settle();
+        if self.behind_first() {
+            self.behind.peek().map(|Reverse(k)| k)
+        } else {
+            self.now.front()
+        }
+    }
+
+    /// Removes the least key, settling first.
+    #[inline]
+    fn pop(&mut self) -> Option<HeapKey> {
+        self.settle();
+        let key = if self.behind_first() {
+            self.behind.pop().map(|Reverse(k)| k)
+        } else {
+            self.now.pop_front()
+        };
+        self.len -= usize::from(key.is_some());
+        key
+    }
+
+    /// Keeps only the keys `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&HeapKey) -> bool) {
+        self.now.retain(|k| keep(k));
+        self.behind.retain(|Reverse(k)| keep(k));
+        self.len = self.now.len() + self.behind.len();
+        for (b, bucket) in self.bits.iter_mut().enumerate() {
+            bucket.retain(|k| keep(k));
+            self.len += bucket.len();
+            if bucket.is_empty() {
+                self.occupied &= !(1 << b);
+                if bucket.capacity() > KEEP_KEYS {
+                    *bucket = Vec::new();
+                }
+            }
+        }
+    }
+
+    /// Keys held, tombstones included.
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
 /// One slab cell: a live event's identity and payload, parked here while
-/// its key sits in the heap. The payload is its own field so that filling
+/// its key sits in the queue. The payload is its own field so that filling
 /// and emptying a cell moves exactly the payload, once.
 struct Slot<E> {
     id: u64,
@@ -284,10 +460,10 @@ struct Slot<E> {
 
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
 ///
-/// The heap orders 32-byte keys; payloads sit in a slab and move twice (in
-/// at `schedule`, out at `pop`). Cancellation drops the payload at once and
-/// leaves a key-sized tombstone that is skipped when it surfaces; when
-/// tombstones outnumber live entries the heap is compacted in place.
+/// A radix heap orders 32-byte keys; payloads sit in a slab and move twice
+/// (in at `schedule`, out at `pop`). Cancellation drops the payload at once
+/// and leaves a key-sized tombstone that is skipped when it surfaces; when
+/// tombstones outnumber live entries the keys are compacted in place.
 ///
 /// # Examples
 ///
@@ -302,10 +478,10 @@ struct Slot<E> {
 /// assert_eq!((at, what), (SimTime::from_millis(1), "sooner"));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapKey>,
+    keys: RadixKeys,
     /// Payload storage, indexed by [`HeapKey::slot`]. A slot returns to
-    /// `free` only when its key leaves the heap, so a heap key never points
-    /// at another event's slot.
+    /// `free` only when its key leaves the queue, so a key never points at
+    /// another event's slot.
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Live event id -> slab slot.
@@ -326,7 +502,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("live", &self.index.len())
-            .field("heap", &self.heap.len())
+            .field("keys", &self.keys.len())
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
     }
@@ -341,7 +517,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            keys: RadixKeys::new(),
             slab: Vec::new(),
             free: Vec::new(),
             index: MintedMap::default(),
@@ -364,7 +540,7 @@ impl<E> EventQueue<E> {
             self.slab.push(Slot { id, payload: None });
             u32::try_from(self.slab.len() - 1).expect("over 2^32 queued events")
         });
-        self.heap.push(HeapKey { at, key, seq, slot });
+        self.keys.push(HeapKey { at, key, seq, slot });
         let previous = self.index.insert(id, slot);
         debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
         let cell = &mut self.slab[slot as usize];
@@ -455,10 +631,10 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Rebuilds the heap retaining only live entries.
+    /// Drops every tombstone, keeping the live keys in order.
     fn compact(&mut self) {
         let (slab, free) = (&self.slab, &mut self.free);
-        self.heap.retain(|k| {
+        self.keys.retain(|k| {
             let live = slab[k.slot as usize].payload.is_some();
             if !live {
                 free.push(k.slot);
@@ -468,22 +644,22 @@ impl<E> EventQueue<E> {
         self.compactions += 1;
     }
 
-    /// Drains tombstones off the top; the earliest live key, if any, is
-    /// then at the top of the heap.
-    fn surface_live(&mut self) -> Option<&HeapKey> {
-        while let Some(top) = self.heap.peek() {
-            if self.slab[top.slot as usize].payload.is_some() {
-                break;
+    /// Drains tombstones off the front and returns the time of the earliest
+    /// live key, which is then at the front.
+    fn surface_live(&mut self) -> Option<SimTime> {
+        loop {
+            let front = self.keys.front()?;
+            if self.slab[front.slot as usize].payload.is_some() {
+                return Some(front.at);
             }
-            self.free.push(top.slot);
-            self.heap.pop();
+            let dead = self.keys.pop().expect("front key exists");
+            self.free.push(dead.slot);
         }
-        self.heap.peek()
     }
 
     /// Unqueues the earliest non-cancelled event if `due` accepts its time
     /// (leaves it queued otherwise) and returns its time, key, identity and
-    /// slab slot. The run loops' single step — one heap pop and one id
+    /// slab slot. The run loops' single step — one key pop and one id
     /// removal per fired event — which [`EventQueue::take_payload`]
     /// completes.
     #[inline]
@@ -491,10 +667,10 @@ impl<E> EventQueue<E> {
         &mut self,
         due: impl FnOnce(SimTime) -> bool,
     ) -> Option<(SimTime, TieKey, EventId, u32)> {
-        if !due(self.surface_live()?.at) {
+        if !due(self.surface_live()?) {
             return None;
         }
-        let HeapKey { at, key, slot, .. } = self.heap.pop().expect("surfaced key exists");
+        let HeapKey { at, key, slot, .. } = self.keys.pop().expect("surfaced key exists");
         let id = self.slab[slot as usize].id;
         self.index.remove(&id);
         Some((at, key, EventId(id), slot))
@@ -536,7 +712,7 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event, without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.surface_live().map(|top| top.at)
+        self.surface_live()
     }
 
     /// Number of events scheduled and not yet fired or cancelled.
@@ -551,10 +727,10 @@ impl<E> EventQueue<E> {
         self.index.is_empty()
     }
 
-    /// Cancelled entries still occupying the heap.
+    /// Cancelled entries whose keys are still queued.
     #[must_use]
     pub fn tombstones(&self) -> usize {
-        self.heap.len() - self.index.len()
+        self.keys.len() - self.index.len()
     }
 
     /// Occupancy and maintenance counters.
@@ -831,10 +1007,16 @@ mod tests {
         assert_eq!(b.compactions, 5);
     }
 
-    /// Every slot is free or referenced by exactly one heap key, and a live
-    /// id maps to the slot holding it.
+    /// Every slot is free or referenced by exactly one queued key, and a
+    /// live id maps to the slot holding it.
     fn assert_slab_consistent<E>(q: &EventQueue<E>) {
-        assert_eq!(q.free.len() + q.heap.len(), q.slab.len());
+        let k = &q.keys;
+        let filed: usize = k.bits.iter().map(Vec::len).sum();
+        assert_eq!(k.len(), k.now.len() + k.behind.len() + filed);
+        for (b, bucket) in k.bits.iter().enumerate() {
+            assert_eq!(k.occupied >> b & 1 == 1, !bucket.is_empty(), "bucket {b}");
+        }
+        assert_eq!(q.free.len() + k.len(), q.slab.len());
         let filled = q.slab.iter().filter(|s| s.payload.is_some()).count();
         assert_eq!(filled, q.index.len());
         for (id, &slot) in &q.index {
@@ -844,7 +1026,7 @@ mod tests {
         }
     }
 
-    /// The reference: every entry still in the heap (live or tombstone) in
+    /// The reference: every entry still queued (live or tombstone) in
     /// a `Vec` re-sorted on each insert.
     #[derive(Default)]
     struct Model {
@@ -910,7 +1092,7 @@ mod tests {
             self.compactions += 1;
         }
 
-        /// Tombstones ahead of the earliest live entry leave the heap
+        /// Tombstones ahead of the earliest live entry leave the queue
         /// whenever the queue looks at its top.
         fn peek(&mut self) -> Option<&ModelEntry> {
             let dead = self.entries.iter().take_while(|e| !e.live).count();
@@ -927,7 +1109,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         fn queue_matches_sorted_model(
-            ops in proptest::collection::vec((0u8..20, 0u64..40, 0usize..4096), 0..1200),
+            ops in proptest::collection::vec(
+                (0u8..22, 0u32..36, any::<u64>(), 0usize..4096),
+                0..1200,
+            ),
         ) {
             let mut q: EventQueue<u32> = EventQueue::new();
             // `restore` needs ids from a foreign generation.
@@ -936,61 +1121,90 @@ mod tests {
             let mut model = Model::default();
             let mut handles: Vec<EventId> = Vec::new();
             let mut payload = 0u32;
-            for (op, step, pick) in ops {
-                let at = SimTime::from_micros(step);
+            // The latest time popped: where a simulation's clock would be.
+            let mut clock = 0u64;
+            for (op, bits, draw, pick) in ops {
+                // A distance of `bits` bits, from 0 ns to 34 s, so keys land
+                // in every bucket a run uses. One draw in three is rounded up
+                // to a coarse grid, so keys share times with their neighbours.
+                let span = if bits == 0 { 0 } else { draw >> (64 - bits) };
+                let grid = if pick % 3 == 0 { 1u64 << bits.saturating_sub(3) } else { 1 };
+                let ahead = SimTime::from_nanos((clock + span).div_ceil(grid) * grid);
+                // Behind the clock: a wall-clock driver's late timer, or an
+                // entry restored from a shard.
+                let behind = SimTime::from_nanos(clock.saturating_sub(span.max(1)));
+                let at = if op >= 19 { behind } else { ahead };
+                let tie = (pick / 4) as u64 % 8;
                 let key = match pick % 4 {
                     0 => TieKey::ZERO,
-                    1 => TieKey::root(SimTime::ZERO, step),
-                    2 => TieKey::root(at, pick as u64 % 3),
-                    _ => TieKey::root(SimTime::ZERO, 1).child(at, step),
+                    1 => TieKey::root(SimTime::ZERO, tie),
+                    2 => TieKey::root(at, tie % 3),
+                    _ => TieKey::root(SimTime::ZERO, 1).child(at, tie),
                 };
                 payload += 1;
-                match op {
-                    0..=4 => {
+                let popped = match op {
+                    0..=4 | 19 => {
                         let id = q.schedule(at, payload);
                         model.insert(at, TieKey::ZERO, id, payload);
                         handles.push(id);
+                        None
                     }
-                    5..=6 => {
+                    5..=6 | 20 => {
                         let id = q.schedule_keyed(at, key.clone(), payload);
                         model.insert(at, key, id, payload);
                         handles.push(id);
+                        None
                     }
-                    7 => {
+                    7 | 21 => {
                         donor.schedule_keyed(at, key, payload);
                         let (at, key, id, payload) = donor.pop_full().expect("just scheduled");
                         q.restore(at, key.clone(), id, payload);
                         model.insert(at, key, id, payload);
                         handles.push(id);
+                        None
                     }
                     // A recent handle: live, fired or already cancelled.
-                    8..=14 if !handles.is_empty() => {
+                    8..=13 if !handles.is_empty() => {
                         let id = handles[handles.len() - 1 - pick % handles.len().min(96)];
                         prop_assert_eq!(q.cancel(id), model.cancel(id));
+                        None
                     }
-                    15 => {
+                    14 => {
                         let want = model.pop_if(|_| true).map(|e| (e.at, e.payload));
                         prop_assert_eq!(q.pop(), want);
+                        want.map(|(at, _)| at)
+                    }
+                    15 => {
+                        let want = model.pop_if(|_| true).map(|e| (e.at, e.key, e.id, e.payload));
+                        let at = want.as_ref().map(|w| w.0);
+                        prop_assert_eq!(q.pop_full(), want);
+                        at
                     }
                     16 => {
-                        let want = model.pop_if(|_| true).map(|e| (e.at, e.key, e.id, e.payload));
-                        prop_assert_eq!(q.pop_full(), want);
-                    }
-                    17 => {
+                        // A bound short of the front settles it unpopped.
                         let want = model.pop_if(|t| t <= at).map(|e| (e.at, e.key, e.id, e.payload));
                         let got = q
                             .pop_key_if(|t| t <= at)
                             .map(|(at, key, id, slot)| (at, key, id, q.take_payload(slot)));
+                        let at = want.as_ref().map(|w| w.0);
                         prop_assert_eq!(got, want);
+                        at
                     }
-                    18 => prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at)),
-                    19 if pick % 16 == 0 => {
+                    17 => {
+                        prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at));
+                        None
+                    }
+                    18 if pick % 16 == 0 => {
                         // A compaction nobody asked for changes only the
                         // tombstone and compaction counts.
                         q.compact();
                         model.compact();
+                        None
                     }
-                    _ => {}
+                    _ => None,
+                };
+                if let Some(at) = popped {
+                    clock = clock.max(at.as_nanos());
                 }
                 prop_assert_eq!(q.stats(), model.stats());
                 prop_assert_eq!(q.len(), model.live());
@@ -1074,6 +1288,53 @@ mod tests {
             q.slab.len() <= peak,
             "slab holds {} slots, queue peaked at {peak} entries",
             q.slab.len()
+        );
+    }
+
+    #[test]
+    fn key_storage_stays_proportional_to_the_peak() {
+        const DEPTH: usize = 4096;
+        let key_capacity = |q: &EventQueue<u64>| {
+            let k = &q.keys;
+            k.now.capacity() + k.behind.capacity() + k.bits.iter().map(Vec::capacity).sum::<usize>()
+        };
+        let mut rng = crate::rng::SimRng::seed(5);
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        let mut clock = SimTime::ZERO;
+        // Hold the queue at DEPTH over distances from a microsecond to
+        // seventeen seconds: each files the keys into buckets of its own.
+        for span_bits in [10, 16, 22, 28, 34] {
+            let ahead = |rng: &mut crate::rng::SimRng, from: SimTime| {
+                from + crate::time::SimDuration::from_nanos(rng.uniform_u64(1, 1 << span_bits))
+            };
+            while q.len() < DEPTH {
+                q.schedule(ahead(&mut rng, clock), 0);
+            }
+            for _ in 0..4 * DEPTH {
+                let (at, payload) = q.pop().expect("steady depth");
+                clock = at;
+                q.schedule(ahead(&mut rng, clock), payload);
+            }
+            if span_bits == 22 {
+                // A burst of far-future timers, all cancelled.
+                let burst: Vec<_> = (0..DEPTH as u64)
+                    .map(|i| q.schedule(clock + crate::time::SimDuration::from_secs(3600), i))
+                    .collect();
+                peak = peak.max(q.len() + q.tombstones());
+                burst.into_iter().for_each(|id| assert!(q.cancel(id)));
+            }
+            peak = peak.max(q.len() + q.tombstones());
+        }
+        // Back to a shallow queue.
+        while q.len() > 64 {
+            q.pop();
+        }
+        assert_slab_consistent(&q);
+        assert!(
+            key_capacity(&q) <= 2 * peak,
+            "room for {} keys kept, queue peaked at {peak} entries",
+            key_capacity(&q)
         );
     }
 

@@ -34,7 +34,7 @@ impl OverlayNode {
                 dst,
                 spec,
             } => {
-                if let Some(port) = self.port_of(from) {
+                if let Some(port) = self.sessions.port_of(from) {
                     let _ = self.sessions.open_flow(port, local_flow, dst, spec);
                 }
             }
@@ -43,7 +43,7 @@ impl OverlayNode {
                 size,
                 payload,
             } => {
-                let Some(port) = self.port_of(from) else {
+                let Some(port) = self.sessions.port_of(from) else {
                     return;
                 };
                 let Ok((flow, spec, seq)) = self.sessions.next_send(port, local_flow) else {
@@ -53,28 +53,28 @@ impl OverlayNode {
                 self.ingress_send(ctx, flow, spec, seq, size, payload);
             }
             ClientOp::CloseFlow { local_flow } => {
-                if let Some(port) = self.port_of(from) {
+                if let Some(port) = self.sessions.port_of(from) {
                     if let Some(flow) = self.sessions.close_flow(port, local_flow) {
                         self.retire_flow(flow);
                     }
                 }
             }
             ClientOp::Join(group) => {
-                if let Some(port) = self.port_of(from) {
+                if let Some(port) = self.sessions.port_of(from) {
                     let mut ga = self.bufs.take_group();
                     self.groups.join(group, port, &mut ga);
                     self.dispatch_group(ctx, ga);
                 }
             }
             ClientOp::Leave(group) => {
-                if let Some(port) = self.port_of(from) {
+                if let Some(port) = self.sessions.port_of(from) {
                     let mut ga = self.bufs.take_group();
                     self.groups.leave(group, port, &mut ga);
                     self.dispatch_group(ctx, ga);
                 }
             }
             ClientOp::Disconnect => {
-                if let Some(port) = self.port_of(from) {
+                if let Some(port) = self.sessions.port_of(from) {
                     for flow in self.sessions.disconnect(port) {
                         self.retire_flow(flow);
                     }
@@ -92,12 +92,5 @@ impl OverlayNode {
     fn retire_flow(&mut self, flow: crate::addr::FlowKey) {
         self.flows.close(&flow);
         self.dedup.forget(&flow);
-    }
-
-    pub(super) fn port_of(&self, proc: ProcessId) -> Option<VirtualPort> {
-        self.sessions
-            .ports()
-            .into_iter()
-            .find(|&p| self.sessions.client_proc(p) == Some(proc))
     }
 }

@@ -175,6 +175,18 @@ impl SessionTable {
         self.clients.get(&port).copied()
     }
 
+    /// The lowest port the client process `proc` is connected on: a scan of
+    /// the connected clients that allocates nothing, made once per client
+    /// operation.
+    #[must_use]
+    pub fn port_of(&self, proc: ProcessId) -> Option<VirtualPort> {
+        self.clients
+            .iter()
+            .filter(|&(_, &p)| p == proc)
+            .map(|(&port, _)| port)
+            .min()
+    }
+
     /// Connected ports, ascending.
     #[must_use]
     pub fn ports(&self) -> Vec<VirtualPort> {
@@ -474,6 +486,20 @@ mod tests {
             Err(SessionError::PortInUse(VirtualPort(7)))
         );
         assert_eq!(t.client_proc(VirtualPort(7)), Some(ProcessId(1)));
+    }
+
+    #[test]
+    fn port_of_answers_a_clients_lowest_port() {
+        let mut t = table();
+        let mut out = Vec::new();
+        // Client 9 holds P (2) and 1; client 10 holds 5.
+        t.connect(VirtualPort(5), ProcessId(10), &mut out).unwrap();
+        t.connect(VirtualPort(1), ProcessId(9), &mut out).unwrap();
+        assert_eq!(t.port_of(ProcessId(9)), Some(VirtualPort(1)));
+        assert_eq!(t.port_of(ProcessId(10)), Some(VirtualPort(5)));
+        assert_eq!(t.port_of(ProcessId(11)), None);
+        t.disconnect(VirtualPort(1));
+        assert_eq!(t.port_of(ProcessId(9)), Some(P));
     }
 
     #[test]

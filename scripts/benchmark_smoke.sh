@@ -6,8 +6,19 @@
 # link protocol and routing service, so a change to how protocol actions are
 # dispatched shows here), and the 512-node cold start that leans on the
 # son-topo and connectivity types the benchmark crate compiles against.
+# Each must also reproduce its seed-1 fingerprint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The default seed's fingerprints, which a --quick run prints as a full run
+# does. A change that is not meant to alter what the simulated protocols do
+# must leave them alone; a deliberate protocol change updates them, in a
+# commit of its own that says so.
+declare -A fingerprint=(
+    [sim_fwd_churn]=0xb0474f369e0e8593
+    [sim_recovery_mix]=0xea9c457dc83f6026
+    [sim_scale_512]=0xc210f500b5102dc1
+)
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
@@ -19,4 +30,12 @@ for workload in sim_fwd_churn sim_recovery_mix sim_scale_512; do
         echo "ERROR: benchmark $workload --quick failed a check or an operation" >&2
         exit 1
     }
+    # The run just appended its record to benchmark/out/runs.jsonl.
+    got=$(tail -n 1 benchmark/out/runs.jsonl | python3 -c \
+        'import json, sys; r = json.load(sys.stdin); print(r["workload"], r.get("fingerprint"))')
+    want="$workload ${fingerprint[$workload]}"
+    if [ "$got" != "$want" ]; then
+        echo "ERROR: benchmark fingerprint is '$got', expected '$want'" >&2
+        exit 1
+    fi
 done
