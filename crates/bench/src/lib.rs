@@ -244,12 +244,12 @@ mod tests {
         assert_eq!(out.recv.received, 200);
         assert!(out.wire.retransmitted > 0);
         assert!(out.wire.overhead_ratio() > 1.0);
-        // Recorded at f6b3f84, before `Fleet` built this run: the same
-        // processes in the same order leave the same fingerprint.
+        // Re-recorded when the ARQ core replaced one RTO timer per packet
+        // with one per link: fewer timer events, the same deliveries.
         assert_eq!(
             (out.fingerprint, out.forwarded, out.recv.received),
-            (0x4fd4_5858_376b_59be, 400, 200)
+            (0x7baf_b267_7854_c886, 400, 200)
         );
-        assert_eq!(out.registry.counter_total("reroutes"), 48);
+        assert_eq!(out.registry.counter_total("reroutes"), 49);
     }
 }

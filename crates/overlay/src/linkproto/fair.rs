@@ -20,7 +20,7 @@
 //! transmission capacity — without contention there is nothing to be fair
 //! about.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::DropClass;
@@ -28,12 +28,10 @@ use son_obs::DropClass;
 use crate::addr::{FlowKey, OverlayAddr};
 use crate::packet::{DataPacket, LinkCtl};
 
+use super::arq::{ArqReceiver, ArqSender};
 use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats, Pacer};
 
-/// Timer token used by all schedulers for "serializer free" events.
-const TOKEN_TX_DONE: u32 = 0;
-/// First token available for other purposes (IT-Reliable RTOs).
-const TOKEN_BASE: u32 = 1;
+use super::TOKEN_TX_DONE;
 
 // ---------------------------------------------------------------------------
 // Intrusion-Tolerant Priority
@@ -46,7 +44,6 @@ pub struct ItPriorityLink {
     queues: BTreeMap<OverlayAddr, VecDeque<DataPacket>>,
     rr: VecDeque<OverlayAddr>,
     pacer: Pacer,
-    tx_pending: bool,
     next_link_seq: u64,
     stats: LinkProtoStats,
 }
@@ -64,7 +61,6 @@ impl ItPriorityLink {
             queues: BTreeMap::new(),
             rr: VecDeque::new(),
             pacer: Pacer::new(rate_bits_per_sec),
-            tx_pending: false,
             next_link_seq: 0,
             stats: LinkProtoStats::default(),
         }
@@ -86,7 +82,7 @@ impl ItPriorityLink {
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<LinkAction>) {
-        while !self.tx_pending && self.pacer.idle(now) {
+        while self.pacer.idle(now) {
             let Some(source) = self.rr.pop_front() else {
                 return;
             };
@@ -112,15 +108,9 @@ impl ItPriorityLink {
     fn transmit(&mut self, now: SimTime, mut pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.next_link_seq += 1;
         pkt.link_seq = self.next_link_seq;
-        let busy = self.pacer.start(now, pkt.wire_size());
+        let bytes = pkt.wire_size();
         emit(out, LinkAction::Transmit(pkt));
-        if !busy.is_zero() {
-            self.tx_pending = true;
-            out.push(LinkAction::Timer {
-                delay: busy,
-                token: TOKEN_TX_DONE,
-            });
-        }
+        self.pacer.start(now, bytes, out);
     }
 }
 
@@ -128,7 +118,7 @@ impl LinkProto for ItPriorityLink {
     fn on_send(&mut self, now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         let source = pkt.flow.src;
         self.stats.sent += 1;
-        if self.rr.is_empty() && !self.tx_pending && self.pacer.idle(now) {
+        if self.rr.is_empty() && self.pacer.idle(now) {
             // Nobody waits and the wire is free: there is nothing to be
             // fair about, and no queue to enter and leave.
             return self.transmit(now, pkt, out);
@@ -154,7 +144,6 @@ impl LinkProto for ItPriorityLink {
 
     fn on_timer(&mut self, now: SimTime, token: u32, out: &mut Vec<LinkAction>) {
         if token == TOKEN_TX_DONE {
-            self.tx_pending = false;
             self.pump(now, out);
         }
     }
@@ -192,41 +181,48 @@ const RESUME_AT: usize = IT_RELIABLE_WINDOW as usize / 2;
 /// Hard cap beyond which even ingress packets are dropped (a client that
 /// ignores backpressure).
 const HARD_CAP: usize = 2 * IT_RELIABLE_WINDOW as usize;
+/// The persist probe's back-off stops doubling at this many RTOs.
+const MAX_PROBE_BACKOFF: u64 = 64;
 
-#[derive(Debug)]
+/// One flow on one link: the sending side's queue and grant, and the
+/// receiving side's count of what it moved on.
+#[derive(Debug, Default)]
 struct ItFlowState {
     queue: VecDeque<DataPacket>,
-    credits: u32,
+    /// The downstream's latest grant: we may have sent this many in all
+    /// (the window, before any grant).
+    granted_upto: u64,
+    sent: u64,
+    /// The link seq of this flow's latest transmission.
+    last_seq: u64,
+    consumed: u64,
     paused: bool,
 }
 
-impl Default for ItFlowState {
-    fn default() -> Self {
-        ItFlowState {
-            queue: VecDeque::new(),
-            credits: IT_RELIABLE_WINDOW,
-            paused: false,
-        }
+impl ItFlowState {
+    fn credits(&self) -> u32 {
+        let window = u64::from(IT_RELIABLE_WINDOW);
+        let granted_upto = self.granted_upto.max(window);
+        granted_upto.saturating_sub(self.sent).min(window) as u32
     }
 }
 
-/// Per-flow fair scheduler with hop-by-hop credits, acknowledgments, and
-/// retransmission.
+/// Per-flow fair scheduler with hop-by-hop credits over the ARQ core.
+///
+/// Grants are cumulative (`Credit { granted_upto }`), so each one repairs
+/// any lost before it. A grant lost after the sender has stalled is
+/// repaired by a persist probe (RFC 1122 §4.2.2.17): `granted_upto: 0`,
+/// which no real grant is, asks the downstream to repeat its grant.
 #[derive(Debug)]
 pub struct ItReliableLink {
-    rto: SimDuration,
     flows: BTreeMap<FlowKey, ItFlowState>,
     rr: VecDeque<FlowKey>,
     pacer: Pacer,
-    tx_pending: bool,
-    // ARQ sender state.
-    next_link_seq: u64,
-    unacked: BTreeMap<u64, DataPacket>,
-    rto_purpose: HashMap<u32, u64>,
-    next_token: u32,
-    // ARQ receiver state.
-    recv_cum: u64,
-    recv_above: std::collections::BTreeSet<u64>,
+    tx: ArqSender,
+    rx: ArqReceiver,
+    /// When the next persist probe is due, while a flow is stalled.
+    probe_at: Option<SimTime>,
+    probe_backoff: SimDuration,
     stats: LinkProtoStats,
 }
 
@@ -236,17 +232,13 @@ impl ItReliableLink {
     #[must_use]
     pub fn new(rto: SimDuration, rate_bits_per_sec: Option<u64>) -> Self {
         ItReliableLink {
-            rto,
             flows: BTreeMap::new(),
             rr: VecDeque::new(),
             pacer: Pacer::new(rate_bits_per_sec),
-            tx_pending: false,
-            next_link_seq: 0,
-            unacked: BTreeMap::new(),
-            rto_purpose: HashMap::new(),
-            next_token: TOKEN_BASE,
-            recv_cum: 0,
-            recv_above: Default::default(),
+            tx: ArqSender::new(rto),
+            rx: ArqReceiver::default(),
+            probe_at: None,
+            probe_backoff: rto,
             stats: LinkProtoStats::default(),
         }
     }
@@ -256,21 +248,11 @@ impl ItReliableLink {
     pub fn credits(&self, flow: FlowKey) -> u32 {
         self.flows
             .get(&flow)
-            .map_or(IT_RELIABLE_WINDOW, |f| f.credits)
-    }
-
-    fn arm_rto(&mut self, seq: u64, out: &mut Vec<LinkAction>) {
-        let token = self.next_token;
-        self.next_token = self.next_token.wrapping_add(1).max(TOKEN_BASE);
-        self.rto_purpose.insert(token, seq);
-        out.push(LinkAction::Timer {
-            delay: self.rto,
-            token,
-        });
+            .map_or(IT_RELIABLE_WINDOW, ItFlowState::credits)
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<LinkAction>) {
-        while !self.tx_pending && self.pacer.idle(now) {
+        while self.pacer.idle(now) {
             // Round-robin across flows that have both data and credits.
             let mut chosen = None;
             for _ in 0..self.rr.len() {
@@ -278,7 +260,7 @@ impl ItReliableLink {
                     break;
                 };
                 let st = self.flows.get(&flow).expect("rr entries have state");
-                if !st.queue.is_empty() && st.credits > 0 {
+                if !st.queue.is_empty() && st.credits() > 0 {
                     chosen = Some(flow);
                     break;
                 }
@@ -289,8 +271,8 @@ impl ItReliableLink {
             }
             let Some(flow) = chosen else { return };
             let st = self.flows.get_mut(&flow).expect("chosen flow has state");
-            let mut pkt = st.queue.pop_front().expect("chosen flow has data");
-            st.credits -= 1;
+            let pkt = st.queue.pop_front().expect("chosen flow has data");
+            st.sent += 1;
             if !st.queue.is_empty() {
                 self.rr.push_back(flow);
             }
@@ -299,28 +281,64 @@ impl ItReliableLink {
                 st.paused = false;
                 out.push(LinkAction::ResumeFlow(flow));
             }
-            self.next_link_seq += 1;
-            pkt.link_seq = self.next_link_seq;
-            self.unacked.insert(pkt.link_seq, pkt.clone());
-            let busy = self.pacer.start(now, pkt.wire_size());
-            self.arm_rto(pkt.link_seq, out);
+            let bytes = pkt.wire_size();
             out.push(LinkAction::Consumed(flow));
-            emit(out, LinkAction::Transmit(pkt));
-            if !busy.is_zero() {
-                self.tx_pending = true;
-                out.push(LinkAction::Timer {
-                    delay: busy,
-                    token: TOKEN_TX_DONE,
-                });
+            st.last_seq = self.tx.send(now, pkt, out);
+            self.pacer.start(now, bytes, out);
+        }
+    }
+
+    /// Keeps the link's one ARQ timer armed while anything needs it: an
+    /// unacked packet, or queued data that may be stalled on a lost grant,
+    /// which wakes it at least once an RTO for the persist probe's clock.
+    fn arm(&mut self, now: SimTime, out: &mut Vec<LinkAction>) {
+        let wake = now + self.tx.rto;
+        let persist = (!self.rr.is_empty()).then(|| self.probe_at.map_or(wake, |at| at.min(wake)));
+        self.tx.arm(now, persist, out);
+    }
+
+    /// Probes for the grant of every flow that only a lost grant can hold
+    /// (queued data, no credits, nothing unacked) once one has stayed so
+    /// for the back-off, which doubles while any stays stalled.
+    fn persist(&mut self, now: SimTime, out: &mut Vec<LinkAction>) {
+        let due = now >= *self.probe_at.get_or_insert(now + self.probe_backoff);
+        let mut stalled = 0;
+        for flow in &self.rr {
+            let st = &self.flows[flow];
+            if st.queue.is_empty() || st.credits() > 0 || st.last_seq >= self.tx.base {
+                continue;
+            }
+            stalled += 1;
+            if due {
+                self.stats.ctl_sent += 1;
+                let probe = LinkCtl::Credit {
+                    flow: *flow,
+                    granted_upto: 0,
+                };
+                out.push(LinkAction::TransmitCtl(probe));
             }
         }
+        if stalled == 0 {
+            (self.probe_at, self.probe_backoff) = (None, self.tx.rto);
+        } else if due {
+            self.probe_backoff = (self.probe_backoff * 2).min(self.tx.rto * MAX_PROBE_BACKOFF);
+            self.probe_at = Some(now + self.probe_backoff);
+        }
+    }
+
+    /// Sends a grant upstream.
+    fn credit(&mut self, flow: FlowKey, granted_upto: u64, out: &mut Vec<LinkAction>) {
+        self.stats.ctl_sent += 1;
+        out.push(LinkAction::TransmitCtl(LinkCtl::Credit {
+            flow,
+            granted_upto,
+        }));
     }
 }
 
 impl LinkProto for ItReliableLink {
     fn on_send(&mut self, now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         let flow = pkt.flow;
-        self.stats.sent += 1;
         let st = self.flows.entry(flow).or_default();
         if st.queue.len() >= HARD_CAP {
             // The source ignored backpressure; refusing is all that is left.
@@ -338,88 +356,64 @@ impl LinkProto for ItReliableLink {
             self.rr.push_back(flow);
         }
         self.pump(now, out);
+        self.arm(now, out);
     }
 
-    fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
-        let seq = pkt.link_seq;
-        let dup = seq <= self.recv_cum || self.recv_above.contains(&seq);
-        // Always ack so the sender's buffer drains even under ack loss.
-        self.stats.ctl_sent += 1;
-        if dup {
-            self.stats.dup_received += 1;
-            out.push(LinkAction::TransmitCtl(LinkCtl::ReliableAck {
-                cum: self.recv_cum,
-                selective: self.recv_above.iter().copied().take(64).collect(),
-            }));
-            return;
-        }
-        self.stats.received += 1;
-        self.recv_above.insert(seq);
-        while self.recv_above.remove(&(self.recv_cum + 1)) {
-            self.recv_cum += 1;
-        }
-        out.push(LinkAction::TransmitCtl(LinkCtl::ReliableAck {
-            cum: self.recv_cum,
-            selective: self.recv_above.iter().copied().take(64).collect(),
-        }));
-        emit(out, LinkAction::Deliver(pkt));
+    fn on_data(&mut self, now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
+        self.rx.on_data(now, pkt, out);
+        self.arm(now, out);
     }
 
     fn on_ctl(&mut self, now: SimTime, ctl: LinkCtl, out: &mut Vec<LinkAction>) {
-        match ctl {
-            LinkCtl::ReliableAck { cum, selective } => {
-                self.unacked = self.unacked.split_off(&(cum + 1));
-                for seq in selective {
-                    self.unacked.remove(&seq);
-                }
+        match self.tx.on_ctl(ctl, out) {
+            // A persist probe: repeat this flow's grant.
+            Some(LinkCtl::Credit {
+                flow,
+                granted_upto: 0,
+            }) => {
+                let consumed = self.flows.get(&flow).map_or(0, |st| st.consumed);
+                self.credit(flow, consumed + u64::from(IT_RELIABLE_WINDOW), out);
             }
-            LinkCtl::Credit { flow, credits } => {
-                let st = self.flows.entry(flow).or_default();
-                st.credits = (st.credits + credits).min(IT_RELIABLE_WINDOW);
+            Some(LinkCtl::Credit { flow, granted_upto }) => {
+                if let Some(st) = self.flows.get_mut(&flow) {
+                    st.granted_upto = st.granted_upto.max(granted_upto);
+                }
                 self.pump(now, out);
             }
             _ => {}
         }
+        self.arm(now, out);
     }
 
     fn on_timer(&mut self, now: SimTime, token: u32, out: &mut Vec<LinkAction>) {
         if token == TOKEN_TX_DONE {
-            self.tx_pending = false;
             self.pump(now, out);
-            return;
+        } else if self.tx.on_timer(now, token, out) {
+            self.persist(now, out);
         }
-        let Some(seq) = self.rto_purpose.remove(&token) else {
-            return;
-        };
-        if let Some(pkt) = self.unacked.get(&seq) {
-            self.stats.retransmitted += 1;
-            out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            emit(out, LinkAction::Transmit(pkt.clone()));
-            self.arm_rto(seq, out);
-        }
+        self.arm(now, out);
     }
 
     fn on_consumed(&mut self, _now: SimTime, flow: FlowKey, out: &mut Vec<LinkAction>) {
-        // The node consumed a packet we delivered earlier: grant the upstream
-        // sender one more credit for this flow.
-        self.stats.ctl_sent += 1;
-        out.push(LinkAction::TransmitCtl(LinkCtl::Credit {
-            flow,
-            credits: 1,
-        }));
+        // The node moved on a packet we delivered: the upstream sender may
+        // have one more in flight.
+        let st = self.flows.entry(flow).or_default();
+        st.consumed += 1;
+        let granted_upto = st.consumed + u64::from(IT_RELIABLE_WINDOW);
+        self.credit(flow, granted_upto, out);
     }
 
     fn stats(&self) -> LinkProtoStats {
-        self.stats
+        [self.stats, self.tx.stats, self.rx.stats].into_iter().sum()
     }
 
     fn queue_depth(&self) -> usize {
         let queued: usize = self.flows.values().map(|f| f.queue.len()).sum();
-        queued + self.unacked.len()
+        queued + self.tx.held
     }
 
     fn queue_bytes(&self) -> usize {
-        use son_obs::footprint::{btreemap_bytes, btreeset_bytes, hashmap_bytes, vecdeque_bytes};
+        use son_obs::footprint::{btreemap_bytes, vecdeque_bytes};
         btreemap_bytes(&self.flows)
             + self
                 .flows
@@ -430,14 +424,8 @@ impl LinkProto for ItReliableLink {
                 })
                 .sum::<usize>()
             + vecdeque_bytes(&self.rr)
-            + btreemap_bytes(&self.unacked)
-            + self
-                .unacked
-                .values()
-                .map(|p| p.payload.len())
-                .sum::<usize>()
-            + hashmap_bytes(&self.rto_purpose)
-            + btreeset_bytes(&self.recv_above)
+            + self.tx.bytes()
+            + self.rx.bytes()
     }
 }
 
@@ -452,7 +440,6 @@ pub struct FifoLink {
     cap: usize,
     queue: VecDeque<DataPacket>,
     pacer: Pacer,
-    tx_pending: bool,
     next_link_seq: u64,
     stats: LinkProtoStats,
 }
@@ -467,28 +454,21 @@ impl FifoLink {
             cap,
             queue: VecDeque::new(),
             pacer: Pacer::new(rate_bits_per_sec),
-            tx_pending: false,
             next_link_seq: 0,
             stats: LinkProtoStats::default(),
         }
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<LinkAction>) {
-        while !self.tx_pending && self.pacer.idle(now) {
+        while self.pacer.idle(now) {
             let Some(mut pkt) = self.queue.pop_front() else {
                 return;
             };
             self.next_link_seq += 1;
             pkt.link_seq = self.next_link_seq;
-            let busy = self.pacer.start(now, pkt.wire_size());
+            let bytes = pkt.wire_size();
             emit(out, LinkAction::Transmit(pkt));
-            if !busy.is_zero() {
-                self.tx_pending = true;
-                out.push(LinkAction::Timer {
-                    delay: busy,
-                    token: TOKEN_TX_DONE,
-                });
-            }
+            self.pacer.start(now, bytes, out);
         }
     }
 }
@@ -514,7 +494,6 @@ impl LinkProto for FifoLink {
 
     fn on_timer(&mut self, now: SimTime, token: u32, out: &mut Vec<LinkAction>) {
         if token == TOKEN_TX_DONE {
-            self.tx_pending = false;
             self.pump(now, out);
         }
     }
@@ -661,28 +640,36 @@ mod tests {
         assert!(link.stats().dropped > 900);
     }
 
+    /// A grant for `flow` up to `granted_upto` packets in all.
+    fn grant(flow: FlowKey, granted_upto: u64) -> LinkCtl {
+        LinkCtl::Credit { flow, granted_upto }
+    }
+
     #[test]
-    fn it_reliable_credits_bound_in_flight() {
+    fn it_reliable_credits_bound_in_flight_and_repair_lost_grants() {
         let mut link = ItReliableLink::new(SimDuration::from_millis(50), None);
         let mut out = Vec::new();
         let flow = pkt_from(1, 0, 100).flow;
         for i in 0..40 {
             link.on_send(SimTime::ZERO, pkt_from(1, i, 100), &mut out);
         }
-        let sent = transmitted(&out).len();
+        let window = u64::from(IT_RELIABLE_WINDOW);
         assert_eq!(
-            sent as u32, IT_RELIABLE_WINDOW,
-            "window caps unacked transmissions"
+            transmitted(&out).len() as u64,
+            window,
+            "window caps in-flight"
         );
         assert_eq!(link.credits(flow), 0);
-        // A credit grant releases exactly one more.
+        // One packet consumed downstream releases exactly one more.
         out.clear();
-        link.on_ctl(
-            SimTime::ZERO,
-            LinkCtl::Credit { flow, credits: 1 },
-            &mut out,
-        );
+        link.on_ctl(SimTime::ZERO, grant(flow, window + 1), &mut out);
         assert_eq!(transmitted(&out).len(), 1);
+        // The grant for the second consumption is lost; the third one's
+        // covers it, and a stale grant changes nothing.
+        out.clear();
+        link.on_ctl(SimTime::ZERO, grant(flow, window + 3), &mut out);
+        link.on_ctl(SimTime::ZERO, grant(flow, window + 2), &mut out);
+        assert_eq!(transmitted(&out).len(), 2);
     }
 
     #[test]
@@ -704,85 +691,33 @@ mod tests {
         assert!(paused, "backpressure must reach the source");
         out.clear();
         // Granting plenty of credits drains the queue and resumes the flow.
-        link.on_ctl(
-            SimTime::ZERO,
-            LinkCtl::Credit {
-                flow,
-                credits: IT_RELIABLE_WINDOW,
-            },
-            &mut out,
-        );
+        let plenty = 2 * u64::from(IT_RELIABLE_WINDOW);
+        link.on_ctl(SimTime::ZERO, grant(flow, plenty), &mut out);
         assert!(out
             .iter()
             .any(|a| matches!(a, LinkAction::ResumeFlow(f) if *f == flow)));
     }
 
     #[test]
-    fn it_reliable_acks_release_and_rto_retransmits() {
-        let mut link = ItReliableLink::new(SimDuration::from_millis(50), None);
-        let mut out = Vec::new();
-        link.on_send(SimTime::ZERO, pkt_from(1, 0, 100), &mut out);
-        let rto_token = out
-            .iter()
-            .find_map(|a| match a {
-                LinkAction::Timer { token, .. } if *token != TOKEN_TX_DONE => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        out.clear();
-        // No ack: RTO fires and retransmits.
-        link.on_timer(SimTime::from_millis(50), rto_token, &mut out);
-        assert_eq!(transmitted(&out).len(), 1);
-        assert_eq!(link.stats().retransmitted, 1);
-        // Ack: subsequent RTO is a no-op.
-        let rto2 = out
-            .iter()
-            .find_map(|a| match a {
-                LinkAction::Timer { token, .. } if *token != TOKEN_TX_DONE => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        out.clear();
-        link.on_ctl(
-            SimTime::from_millis(51),
-            LinkCtl::ReliableAck {
-                cum: 1,
-                selective: vec![],
-            },
-            &mut out,
-        );
-        link.on_timer(SimTime::from_millis(100), rto2, &mut out);
-        assert!(transmitted(&out).is_empty());
-    }
-
-    #[test]
-    fn it_reliable_receiver_acks_dedups_and_delivers() {
-        let mut link = ItReliableLink::new(SimDuration::from_millis(50), None);
-        let mut out = Vec::new();
-        let mut p = pkt_from(1, 0, 100);
-        p.link_seq = 1;
-        link.on_data(SimTime::ZERO, p.clone(), &mut out);
-        assert!(out.iter().any(|a| matches!(a, LinkAction::Deliver(_))));
-        assert!(out.iter().any(|a| matches!(
-            a,
-            LinkAction::TransmitCtl(LinkCtl::ReliableAck { cum: 1, .. })
-        )));
-        out.clear();
-        link.on_data(SimTime::ZERO, p, &mut out);
-        assert!(out.iter().all(|a| !matches!(a, LinkAction::Deliver(_))));
-        assert_eq!(link.stats().dup_received, 1);
-    }
-
-    #[test]
-    fn it_reliable_consumed_grants_credit_upstream() {
+    fn it_reliable_grants_are_cumulative_and_repeated_on_a_probe() {
         let mut link = ItReliableLink::new(SimDuration::from_millis(50), None);
         let mut out = Vec::new();
         let flow = pkt_from(1, 0, 100).flow;
         link.on_consumed(SimTime::ZERO, flow, &mut out);
-        assert!(out.iter().any(|a| matches!(
-            a,
-            LinkAction::TransmitCtl(LinkCtl::Credit { flow: f, credits: 1 }) if *f == flow
-        )));
+        link.on_consumed(SimTime::ZERO, flow, &mut out);
+        link.on_ctl(SimTime::ZERO, grant(flow, 0), &mut out);
+        let grants: Vec<u64> = out
+            .iter()
+            .filter_map(|a| match a {
+                LinkAction::TransmitCtl(LinkCtl::Credit {
+                    flow: f,
+                    granted_upto,
+                }) if *f == flow => Some(*granted_upto),
+                _ => None,
+            })
+            .collect();
+        let window = u64::from(IT_RELIABLE_WINDOW);
+        assert_eq!(grants, vec![window + 1, window + 2, window + 2]);
     }
 
     #[test]

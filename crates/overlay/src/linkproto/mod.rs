@@ -10,11 +10,17 @@
 //! The daemon owns all interaction with the simulator, which keeps the
 //! protocols directly unit-testable.
 //!
-//! Timer discipline: protocols never cancel timers; instead a firing timer
-//! re-checks protocol state and becomes a no-op when stale. This keeps the
-//! state machines simple and makes their behaviour independent of timer
-//! cancellation semantics.
+//! Timer discipline: protocols never cancel timers. Both ARQ users keep at
+//! most **one** retransmission timer pending per link: the ARQ core
+//! (`arq.rs`) gives every unacked packet its own deadline and arms the one
+//! timer at the earliest; on expiry it resends what is due and re-arms at
+//! the next deadline. Every deadline is at most one RTO away when set, so
+//! nothing set later comes before a pending timer, and an idle link has
+//! none. An overdue timer was lost with a crash and is replaced at the
+//! link's next event. NM-Strikes arms a timer per strike instead; one that
+//! fires stale re-checks protocol state and is a no-op.
 
+pub(crate) mod arq;
 pub mod best_effort;
 pub mod fair;
 pub mod fec;
@@ -188,12 +194,16 @@ pub trait LinkProto: std::fmt::Debug + std::any::Any + Send {
     }
 }
 
+/// The timer token of a [`Pacer`]'s "serializer free" event (the ARQ timer
+/// is `arq::ARQ_TOKEN`).
+pub(crate) const TOKEN_TX_DONE: u32 = 0;
+
 /// Egress pacing shared by the fair schedulers: models the node's per-link
 /// transmission capacity so that contention (and therefore fairness) exists
 /// even over infinite-bandwidth pipes.
 #[derive(Debug, Clone)]
 pub struct Pacer {
-    /// Egress rate in bytes per second; `None` disables pacing.
+    /// Egress rate in bits per second; `None` disables pacing.
     rate_bps: Option<u64>,
     busy_until: SimTime,
 }
@@ -214,15 +224,17 @@ impl Pacer {
         now >= self.busy_until
     }
 
-    /// Starts a transmission of `bytes` at `now`; returns how long the
-    /// serializer stays busy (zero when pacing is disabled).
-    pub fn start(&mut self, now: SimTime, bytes: usize) -> SimDuration {
-        match self.rate_bps {
-            None => SimDuration::ZERO,
-            Some(bps) => {
-                let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / bps as f64);
-                self.busy_until = now + tx;
-                tx
+    /// Starts a transmission of `bytes` at `now`. While the serializer is
+    /// busy, a `TOKEN_TX_DONE` timer is armed for the moment it frees.
+    pub fn start(&mut self, now: SimTime, bytes: usize, out: &mut Vec<LinkAction>) {
+        if let Some(bps) = self.rate_bps {
+            let delay = SimDuration::from_secs_f64(bytes as f64 * 8.0 / bps as f64);
+            self.busy_until = now + delay;
+            if !delay.is_zero() {
+                out.push(LinkAction::Timer {
+                    delay,
+                    token: TOKEN_TX_DONE,
+                });
             }
         }
     }
@@ -307,7 +319,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{delivered, pkt, traced, transmitted};
+    use super::testutil::{delivered, pkt, timers, traced, transmitted};
     use super::*;
     use crate::service::RealtimeParams;
 
@@ -346,37 +358,6 @@ mod tests {
         }
     }
 
-    /// Gap detection must be observable: both recovery protocols report
-    /// `LossDetected` the moment the receiver notices a sequence gap.
-    #[test]
-    fn receivers_report_loss_detected_on_gap() {
-        let now = SimTime::from_millis(1);
-        let loss_events = |out: &[LinkAction]| {
-            out.iter()
-                .filter(|a| matches!(a, LinkAction::Observe(LinkEvent::LossDetected)))
-                .count()
-        };
-
-        let mut rel = ReliableLink::new(SimDuration::from_millis(40));
-        let mut out = Vec::new();
-        let mut p1 = pkt(1, 100);
-        p1.link_seq = 1;
-        rel.on_data(now, p1, &mut out);
-        assert_eq!(loss_events(&out), 0, "in-order arrival is not a gap");
-        out.clear();
-        let mut p4 = pkt(4, 100);
-        p4.link_seq = 4;
-        rel.on_data(now, p4, &mut out);
-        assert_eq!(loss_events(&out), 2, "seqs 2 and 3 are missing");
-
-        let mut rt = RealtimeLink::new(RealtimeParams::live_tv());
-        let mut out = Vec::new();
-        let mut p2 = pkt(2, 100);
-        p2.link_seq = 2;
-        rt.on_data(now, p2, &mut out);
-        assert_eq!(loss_events(&out), 1, "seq 1 is missing");
-    }
-
     #[test]
     fn overhead_ratio_counts_retransmissions() {
         let s = LinkProtoStats {
@@ -393,8 +374,12 @@ mod tests {
         // 8 Mbit/s -> 1000 bytes take 1 ms.
         let mut p = Pacer::new(Some(8_000_000));
         assert!(p.idle(SimTime::ZERO));
-        let tx = p.start(SimTime::ZERO, 1000);
-        assert_eq!(tx, SimDuration::from_millis(1));
+        let mut out = Vec::new();
+        p.start(SimTime::ZERO, 1000, &mut out);
+        assert_eq!(
+            timers(&out),
+            vec![(SimDuration::from_millis(1), TOKEN_TX_DONE)]
+        );
         assert!(!p.idle(SimTime::from_micros(500)));
         assert!(p.idle(SimTime::from_millis(1)));
     }
@@ -402,7 +387,9 @@ mod tests {
     #[test]
     fn pacer_disabled_is_always_idle() {
         let mut p = Pacer::new(None);
-        assert_eq!(p.start(SimTime::ZERO, 1_000_000), SimDuration::ZERO);
+        let mut out = Vec::new();
+        p.start(SimTime::ZERO, 1_000_000, &mut out);
+        assert!(out.is_empty());
         assert!(p.idle(SimTime::ZERO));
     }
 }

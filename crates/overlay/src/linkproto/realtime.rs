@@ -18,11 +18,12 @@ use son_obs::DropClass;
 use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{LinkService, RealtimeParams};
 
+use super::arq::{SeqWindow, MAX_NACK};
 use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// How long the sender retains history for retransmission, in budgets.
 const HISTORY_BUDGETS: u64 = 2;
-/// Receiver-side dedup memory, in sequence numbers below the high mark.
+/// Receiver-side dedup memory, in sequence numbers up to the high mark.
 const DELIVERED_MEMORY: u64 = 8192;
 
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +49,7 @@ pub struct RealtimeLink {
     /// Missing sequence numbers: strike count so far and when the gap was
     /// first noticed (for recovery-latency observation).
     missing: HashMap<u64, (u8, SimTime)>,
-    delivered: BTreeSet<u64>,
+    delivered: SeqWindow<DELIVERED_MEMORY>,
     // --- timers ---
     purposes: HashMap<u32, Purpose>,
     next_token: u32,
@@ -78,7 +79,7 @@ impl RealtimeLink {
             requested: BTreeSet::new(),
             high: 0,
             missing: HashMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: SeqWindow::default(),
             purposes: HashMap::new(),
             next_token: 0,
             stats: LinkProtoStats::default(),
@@ -115,9 +116,11 @@ impl RealtimeLink {
     }
 
     fn note_delivered(&mut self, seq: u64) {
-        self.delivered.insert(seq);
-        let keep_from = self.high.saturating_sub(DELIVERED_MEMORY);
-        self.delivered = self.delivered.split_off(&keep_from);
+        let keep_from = self.high.saturating_sub(DELIVERED_MEMORY - 1);
+        self.delivered.advance_to(keep_from);
+        if self.delivered.covers(seq) {
+            self.delivered.insert(seq);
+        }
     }
 
     fn request_now(&mut self, seqs: Vec<u64>, strike: u8, out: &mut Vec<LinkAction>) {
@@ -150,10 +153,11 @@ impl LinkProto for RealtimeLink {
         let seq = pkt.link_seq;
         if seq > self.high {
             // Gap: schedule N request strikes per missing packet, spread over
-            // the budget, plus a give-up deadline.
+            // the budget, plus a give-up deadline. Only the newest MAX_NACK
+            // are worth it (and a forged seq costs no more than that).
             let spacing = self.params.spacing();
             let mut immediate = Vec::new();
-            for g in self.high + 1..seq {
+            for g in seq.saturating_sub(MAX_NACK).max(self.high + 1)..seq {
                 self.missing.insert(g, (1, now));
                 out.push(LinkAction::Observe(LinkEvent::LossDetected));
                 immediate.push(g);
@@ -182,7 +186,7 @@ impl LinkProto for RealtimeLink {
                 after: now.saturating_since(noticed),
             }));
             emit(out, LinkAction::Deliver(pkt));
-        } else if self.delivered.contains(&seq) {
+        } else if self.delivered.contains(seq) {
             self.stats.dup_received += 1;
         } else {
             // Arrived after give-up: forward anyway — the destination's
@@ -264,7 +268,7 @@ impl LinkProto for RealtimeLink {
                 .sum::<usize>()
             + btreeset_bytes(&self.requested)
             + hashmap_bytes(&self.missing)
-            + btreeset_bytes(&self.delivered)
+            + self.delivered.bytes()
             + hashmap_bytes(&self.purposes)
     }
 }

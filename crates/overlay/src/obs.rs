@@ -73,6 +73,10 @@ pub struct NodeObs {
     drop_unroutable: CounterId,
     drop_adversary: CounterId,
     delivery_latency: HistId,
+    /// Link-event instruments by protocol (and name), registered on first
+    /// use: an event is a handle lookup, not a formatted key.
+    link_counters: Vec<(&'static str, &'static str, CounterId)>,
+    link_recovery: Vec<(&'static str, HistId)>,
 }
 
 impl NodeObs {
@@ -109,6 +113,8 @@ impl NodeObs {
             drop_unroutable,
             drop_adversary,
             delivery_latency,
+            link_counters: Vec::new(),
+            link_recovery: Vec::new(),
         }
     }
 
@@ -201,26 +207,36 @@ impl NodeObs {
     /// protocol drops become counters, recoveries feed the per-proto
     /// `link.recovery_ns` histogram.
     pub fn link_event(&mut self, proto: &'static str, event: LinkEvent) {
-        let label = self.node_label.clone();
-        let labels: &[(&str, &str)] = &[("node", &label), ("proto", proto)];
-        match event {
-            LinkEvent::Retransmit => {
-                let id = self.registry.counter("link.retransmit", labels);
-                self.registry.inc(id);
-            }
-            LinkEvent::LossDetected => {
-                let id = self.registry.counter("link.loss_detected", labels);
-                self.registry.inc(id);
-            }
+        let labels: &[(&str, &str)] = &[("node", &self.node_label), ("proto", proto)];
+        let name = match event {
+            LinkEvent::Retransmit => "link.retransmit",
+            LinkEvent::LossDetected => "link.loss_detected",
+            LinkEvent::Drop(class) => class.label(),
             LinkEvent::Recovered { after } => {
-                let id = self.registry.histogram("link.recovery_ns", labels);
-                self.registry.observe(id, after.as_nanos());
+                let id = match self.link_recovery.iter().find(|(p, _)| *p == proto) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let id = self.registry.histogram("link.recovery_ns", labels);
+                        self.link_recovery.push((proto, id));
+                        id
+                    }
+                };
+                return self.registry.observe(id, after.as_nanos());
             }
-            LinkEvent::Drop(class) => {
-                let id = self.registry.counter(class.label(), labels);
-                self.registry.inc(id);
+        };
+        let id = match self
+            .link_counters
+            .iter()
+            .find(|(p, n, _)| (*p, *n) == (proto, name))
+        {
+            Some(&(.., id)) => id,
+            None => {
+                let id = self.registry.counter(name, labels);
+                self.link_counters.push((proto, name, id));
+                id
             }
-        }
+        };
+        self.registry.inc(id);
     }
 
     /// Records a distributed-trace event for a sampled packet. Always on:
@@ -341,6 +357,8 @@ impl MemFootprint for NodeObs {
             + self.watch.footprint_bytes()
             + self.perf.footprint_bytes()
             + son_obs::footprint::string_bytes(&self.node_label)
+            + son_obs::footprint::vec_bytes(&self.link_counters)
+            + son_obs::footprint::vec_bytes(&self.link_recovery)
     }
 }
 

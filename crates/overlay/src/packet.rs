@@ -100,13 +100,14 @@ pub enum LinkCtl {
         /// Which of the N strikes this is (diagnostics only).
         strike: u8,
     },
-    /// Intrusion-Tolerant Reliable backpressure: grant the upstream sender
-    /// additional credits for one flow.
+    /// Intrusion-Tolerant Reliable backpressure, cumulative: the upstream
+    /// sender may have sent this many packets of one flow in all. `0`, which
+    /// no real grant is, is the sender's persist probe asking for a repeat.
     Credit {
         /// The flow being granted credit.
         flow: FlowKey,
-        /// Number of additional packets the upstream may send.
-        credits: u32,
+        /// Packets of the flow consumed downstream, plus the window.
+        granted_upto: u64,
     },
     /// A FEC repair packet covering one block of data packets. Carries the
     /// headers of the covered packets (what a Reed–Solomon decode would
@@ -132,7 +133,7 @@ impl LinkCtl {
             LinkCtl::ReliableAck { selective, .. } => 24 + 8 * selective.len(),
             LinkCtl::ReliableNack { missing } => 16 + 8 * missing.len(),
             LinkCtl::RtRequest { seqs, .. } => 17 + 8 * seqs.len(),
-            LinkCtl::Credit { .. } => 32,
+            LinkCtl::Credit { .. } => 36,
             // A repair symbol is as large as the largest covered packet,
             // plus one header per covered packet so the decoder knows what
             // it is reconstructing.
@@ -541,10 +542,10 @@ mod tests {
         assert_eq!(
             LinkCtl::Credit {
                 flow: packet(None, 0).flow,
-                credits: 4
+                granted_upto: 4
             }
             .wire_size(),
-            32
+            36
         );
         assert_eq!(
             LinkCtl::RtRequest {

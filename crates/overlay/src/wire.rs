@@ -510,10 +510,10 @@ fn put_ctl(buf: &mut Vec<u8>, ctl: &LinkCtl) -> Result<(), WireError> {
             buf.push(*strike);
             put_seqs(buf, seqs)?;
         }
-        LinkCtl::Credit { flow, credits } => {
+        LinkCtl::Credit { flow, granted_upto } => {
             buf.push(CTL_CREDIT);
             put_flow_key(buf, flow)?;
-            put_u32(buf, *credits);
+            put_u64(buf, *granted_upto);
         }
         LinkCtl::FecRepair {
             block_start,
@@ -853,8 +853,8 @@ fn get_ctl(r: &mut Reader<'_>) -> Result<LinkCtl, WireError> {
         }
         CTL_CREDIT => {
             let flow = get_flow_key(r)?;
-            let credits = r.u32()?;
-            LinkCtl::Credit { flow, credits }
+            let granted_upto = r.u64()?;
+            LinkCtl::Credit { flow, granted_upto }
         }
         CTL_FEC_REPAIR => {
             let block_start = r.u64()?;

@@ -2,15 +2,17 @@
 //! allocates the advert slice once, at its exact size, and a decode that
 //! can reuse the sender's slice allocates nothing; a data packet whose
 //! payload is virtual (the simulator's clients send sizes, not bytes)
-//! crosses a hop without allocating. (Its own test binary: the counting
-//! allocator is process-wide, the count is per thread.)
+//! crosses a hop without allocating, and so does a warm reliable link's
+//! loss-free send/ack cycle. (Its own test binary: the counting allocator
+//! is process-wide, the count is per thread.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use son_netsim::time::SimTime;
+use son_netsim::time::{SimDuration, SimTime};
+use son_overlay::linkproto::{ItReliableLink, LinkAction, LinkProto, ReliableLink};
 use son_overlay::packet::{Control, DataPacket, LinkAdvert, Lsa, Wire};
 use son_overlay::wire::{decode, encode, recode};
 use son_overlay::{Destination, FlowKey, FlowSpec, OverlayAddr};
@@ -78,16 +80,15 @@ fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
     }
 }
 
-#[test]
-fn a_data_packet_with_a_virtual_payload_crosses_a_hop_without_allocating() {
-    let data = Wire::Data(DataPacket {
+fn data_packet(spec: FlowSpec, flow_seq: u64) -> DataPacket {
+    DataPacket {
         flow: FlowKey::new(
             OverlayAddr::new(NodeId(0), 50),
             Destination::Unicast(OverlayAddr::new(NodeId(2), 70)),
         ),
-        flow_seq: 4,
+        flow_seq,
         origin: NodeId(0),
-        spec: FlowSpec::best_effort(),
+        spec,
         mask: None,
         resolved_dst: None,
         link_seq: 9,
@@ -97,9 +98,58 @@ fn a_data_packet_with_a_virtual_payload_crosses_a_hop_without_allocating() {
         ttl: 32,
         auth_tag: 0,
         trace: None,
-    });
+    }
+}
+
+#[test]
+fn a_data_packet_with_a_virtual_payload_crosses_a_hop_without_allocating() {
+    let data = Wire::Data(data_packet(FlowSpec::best_effort(), 4));
     drop(recode(&data).unwrap());
     let (per_hop, hopped) = allocations_in(|| recode(&data).unwrap());
     assert_eq!(hopped, data);
     assert_eq!(per_hop, 0, "an empty payload owns no allocation");
+}
+
+/// A warm link pair's loss-free cycle: `on_send`, the peer's `on_data`, the
+/// ack back and, for IT-Reliable, the consumption and the grant back. The
+/// ARQ core reuses its buffers, so the cycle allocates nothing.
+#[test]
+fn a_warm_reliable_link_cycle_allocates_nothing() {
+    let rto = SimDuration::from_millis(30);
+    for name in ["reliable", "it_reliable"] {
+        let make = || -> Box<dyn LinkProto> {
+            match name {
+                "reliable" => Box::new(ReliableLink::new(rto)),
+                _ => Box::new(ItReliableLink::new(rto, None)),
+            }
+        };
+        let (mut tx, mut rx) = (make(), make());
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        let mut cycle = |seq: u64| {
+            let now = SimTime::from_millis(seq);
+            tx.on_send(now, data_packet(FlowSpec::reliable(), seq), &mut a);
+            for action in a.drain(..) {
+                if let LinkAction::Transmit(p) = action {
+                    rx.on_data(now, p, &mut b);
+                }
+            }
+            for action in b.drain(..) {
+                match action {
+                    LinkAction::TransmitCtl(ctl) => tx.on_ctl(now, ctl, &mut c),
+                    LinkAction::Deliver(p) => rx.on_consumed(now, p.flow, &mut c),
+                    _ => {}
+                }
+            }
+            for action in c.drain(..) {
+                if let LinkAction::TransmitCtl(ctl) = action {
+                    tx.on_ctl(now, ctl, &mut a);
+                }
+            }
+            a.clear();
+        };
+        (0..64).for_each(&mut cycle);
+        let (allocations, ()) = allocations_in(|| (64..1064).for_each(&mut cycle));
+        assert_eq!(allocations, 0, "{name}");
+        assert_eq!(tx.queue_depth(), 0, "{name}: everything acked");
+    }
 }

@@ -512,3 +512,67 @@ fn crashed_daemon_recovers_and_traffic_resumes() {
         .collect();
     assert!(tail.len() == 20);
 }
+
+/// The relay of a lossy chain crashes while its links hold unacked packets
+/// and a pending retransmission timer, which the crash takes with it. Once
+/// it is back, both reliable services must repair losses again: every
+/// packet sent after the restart has settled arrives, and the relay
+/// retransmits.
+#[test]
+fn reliable_links_retransmit_again_after_a_relay_restarts() {
+    use son_netsim::loss::LossConfig;
+    use son_netsim::sim::ScenarioEvent;
+    use son_overlay::LinkService;
+    let lossy = OverlayBuilder::new(chain_topology(3, 10.0))
+        .default_loss(LossConfig::Bernoulli { p: 0.05 });
+    let mut fleet = Fleet::new(105, None, lossy);
+    let specs = [
+        FlowSpec::reliable(),
+        FlowSpec::reliable().with_link(LinkService::ItReliable),
+    ];
+    for spec in specs {
+        let stream = Workload::cbr(500, 1_000, SimDuration::from_millis(5));
+        fleet.flow(NodeId(0), NodeId(2), spec, stream);
+    }
+    let relay = fleet.overlay.daemon(NodeId(1));
+    let (crash, restart) = (SimTime::from_millis(1_500), SimTime::from_millis(2_000));
+    fleet
+        .sim
+        .schedule(crash, ScenarioEvent::CrashProcess(relay));
+    fleet
+        .sim
+        .schedule(restart, ScenarioEvent::RestartProcess(relay));
+    fleet.run(SimTime::from_secs(3));
+    let at_settle: Vec<u64> = specs
+        .iter()
+        .map(|s| fleet.node(NodeId(1)).service_stats(s.link).retransmitted)
+        .collect();
+    fleet.run(SimTime::from_secs(15));
+    for (k, spec) in specs.iter().enumerate() {
+        let name = spec.link.label();
+        let resent = fleet.node(NodeId(1)).service_stats(spec.link).retransmitted;
+        assert!(
+            resent > at_settle[k],
+            "{name}: the relay never resent again"
+        );
+        // The first packet created after the restart settled, and every
+        // one after it, arrives.
+        let recv = fleet.recv(k);
+        let created = |i: usize| recv.arrivals[i].0.as_millis_f64() - recv.latencies_ms[i];
+        let late = (0..recv.arrivals.len()).filter(|&i| created(i) >= 3_000.0);
+        let from = late.map(|i| recv.arrivals[i].1).min().unwrap();
+        let got: std::collections::BTreeSet<u64> =
+            recv.arrivals.iter().map(|&(_, seq)| seq).collect();
+        let missing = (from..=recv.max_seq).filter(|s| !got.contains(s)).count();
+        assert_eq!(missing, 0, "{name}: lost for good after the restart");
+        // A paused IT-Reliable source skips its send slots; one that the
+        // relay wedged would skip nearly all of those after the crash.
+        let sent = fleet.sent(k);
+        assert!(sent >= 800, "{name}: the source sent only {sent}");
+        assert!(
+            recv.received + 100 >= sent,
+            "{name}: {} of {sent} arrived",
+            recv.received
+        );
+    }
+}

@@ -174,16 +174,19 @@ fn per_packet_stage_sequence_matches_the_recorded_golden() {
     );
 }
 
-const GOLDEN_DIGEST: u64 = 0xf175_1dd4_1aca_8189;
+const GOLDEN_DIGEST: u64 = 0x7ed9_83e2_ef6a_77c6;
 const GOLDEN_STAGES: &[(&str, u64)] = &[
-    ("deliver", 2635),
-    ("drop", 2398),
-    ("enqueue", 9073),
-    ("ingress", 2674),
-    ("loss_detected", 34),
-    ("recovered", 39),
+    ("deliver", 2707),
+    ("drop", 2437),
+    ("enqueue", 9332),
+    ("ingress", 2739),
+    ("loss_detected", 37),
+    ("recovered", 44),
     ("reroute", 20),
-    ("retransmit", 71),
-    ("transmit", 9049),
+    ("retransmit", 75),
+    ("transmit", 9280),
 ];
-const GOLDEN_RECEIVED: &[u64] = &[293, 300, 300, 291, 219, 288, 297, 47, 300, 300];
+/// The two IT-Reliable flows (4 and 7) deliver everything they send: as
+/// many as a loss-free run of this mix sends (247 and 91), short of 300
+/// only because backpressure pauses their clients.
+const GOLDEN_RECEIVED: &[u64] = &[289, 300, 300, 295, 248, 288, 296, 91, 300, 300];

@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 
 use son_netsim::link::PipeId;
+use son_netsim::loss::LossConfig;
 use son_netsim::process::{Process, ProcessId};
 use son_netsim::sim::Ctx;
 use son_netsim::time::{SimDuration, SimTime};
@@ -141,4 +142,33 @@ fn it_reliable_terminal_packet_still_grants_its_credit() {
     let terminal = fleet.node(NodeId(1));
     let credits = terminal.link_stats(0, LinkService::ItReliable).ctl_sent;
     assert!(credits >= sent, "one credit per consumed packet: {credits}");
+}
+
+/// IT-Reliable over a lossy chain: a lost data packet, ack or grant must not
+/// stall the flow. Grants are cumulative, so the next one repairs a lost
+/// one, and a persist probe repairs the last.
+#[test]
+fn it_reliable_stream_arrives_over_lossy_links() {
+    const COUNT: u64 = 400;
+    for p in [0.02, 0.05] {
+        let lossy =
+            OverlayBuilder::new(chain_topology(3, 10.0)).default_loss(LossConfig::Bernoulli { p });
+        let mut fleet = Fleet::new(34, None, lossy);
+        let rx = fleet.client(NodeId(2), RX_PORT, vec![], vec![]);
+        let dst = Destination::Unicast(OverlayAddr::new(NodeId(2), RX_PORT));
+        let stream = Workload::cbr(500, COUNT, SimDuration::from_millis(5));
+        let spec = FlowSpec::reliable().with_link(LinkService::ItReliable);
+        let flow = ClientFlow::new(dst, spec, stream);
+        let tx = fleet.client(NodeId(0), TX_PORT, vec![], vec![flow]);
+        fleet.run(SimTime::from_secs(10));
+        let sent = fleet.client_ref(tx).sent(1);
+        let r = fleet.client_ref(rx).sole_recv();
+        assert!(
+            r.received * 100 >= COUNT * 99,
+            "loss {p}: {} of {COUNT} arrived ({sent} sent)",
+            r.received
+        );
+        assert_eq!(r.received, sent, "loss {p}");
+        assert_eq!(r.app_duplicates, 0);
+    }
 }

@@ -146,7 +146,7 @@ fn gen_ctl(rng: &mut TestRng) -> LinkCtl {
         },
         3 => LinkCtl::Credit {
             flow: gen_flow_key(rng),
-            credits: rng.gen_range(0u32..u32::MAX),
+            granted_upto: rng.gen_range(0u64..u64::MAX),
         },
         _ => {
             let n = rng.gen_range(0usize..6);

@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 # commit of its own that says so.
 declare -A fingerprint=(
     [sim_fwd_churn]=0xb0474f369e0e8593
-    [sim_recovery_mix]=0xea9c457dc83f6026
+    [sim_recovery_mix]=0xf3b66784daf56c03
     [sim_scale_512]=0xc210f500b5102dc1
 )
 
