@@ -38,6 +38,7 @@
 
 use std::collections::HashMap;
 
+use crate::hash::MintedMap;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a city (a point of presence where routers/data centers live).
@@ -139,8 +140,10 @@ struct Isp {
     routers_by_city: Vec<Option<RouterId>>,
     edges: Vec<UEdgeId>,
     /// Shortest-path table computed at the last convergence:
-    /// `(from_router, to_router) -> edge list`.
-    routes: HashMap<(RouterId, RouterId), Vec<UEdgeId>>,
+    /// `(from_router, to_router) -> edge list`. Read for every frame on a
+    /// bound pipe, and keyed by ids this process mints, so it skips SipHash
+    /// (DESIGN.md §5).
+    routes: MintedMap<(RouterId, RouterId), Vec<UEdgeId>>,
     /// If set, the table is stale and will be recomputed at this time.
     reconverge_at: Option<SimTime>,
 }
@@ -187,7 +190,7 @@ impl UnderlayBuilder {
             name: name.to_owned(),
             routers_by_city: Vec::new(),
             edges: Vec::new(),
-            routes: HashMap::new(),
+            routes: MintedMap::default(),
             reconverge_at: None,
         });
         IspId(self.isps.len() - 1)
@@ -545,7 +548,7 @@ impl Underlay {
                 adj.entry(e.b).or_default().push((e.a, eid, e.latency));
             }
         }
-        let mut routes = HashMap::new();
+        let mut routes = MintedMap::default();
         for &src in &routers {
             // Dijkstra from src.
             let mut dist: HashMap<RouterId, SimDuration> = HashMap::new();

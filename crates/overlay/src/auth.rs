@@ -16,14 +16,19 @@
 //! compromised node holds only its *own* key, so it can originate authentic
 //! junk but cannot forge packets that verify as another node's.
 
+use std::sync::Arc;
+
 use son_topo::NodeId;
 
 use crate::addr::FlowKey;
 
 /// Per-node secret keys plus the shared registry of valid node identities.
+///
+/// The table never changes after it is dealt, so it sits behind an `Arc`:
+/// `clone` copies no key, and every daemon of a deployment reads one table.
 #[derive(Debug, Clone)]
 pub struct KeyRegistry {
-    keys: Vec<u64>,
+    keys: Arc<[u64]>,
 }
 
 impl KeyRegistry {

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use son_netsim::time::SimTime;
+use son_obs::DropClass;
 
 use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{FecParams, LinkService};
@@ -55,6 +56,10 @@ pub struct FecLink {
     block: Vec<DataPacket>,
     // --- receiver state ---
     blocks: BTreeMap<u64, BlockState>,
+    /// The highest data `link_seq` received: the receiver's memory is the
+    /// `BLOCK_MEMORY` blocks behind it, and a repair may run at most that
+    /// far ahead of it.
+    newest: u64,
     stats: LinkProtoStats,
     recovered: u64,
 }
@@ -76,6 +81,7 @@ impl FecLink {
             next_seq: 0,
             block: Vec::new(),
             blocks: BTreeMap::new(),
+            newest: 0,
             stats: LinkProtoStats::default(),
             recovered: 0,
         }
@@ -87,9 +93,43 @@ impl FecLink {
         self.recovered
     }
 
+    /// The first seq of the block holding `seq` (link seqs start at 1).
     fn block_start(&self, seq: u64) -> u64 {
         let k = u64::from(self.params.k);
-        ((seq - 1) / k) * k + 1
+        (seq.saturating_sub(1) / k) * k + 1
+    }
+
+    /// Whether a repair can belong to a block this receiver would keep: its
+    /// start is a block boundary at most `BLOCK_MEMORY` blocks past the
+    /// newest data seen, it covers at most `k` packets, all inside the
+    /// block, and the block holds fewer than `k` repairs (more can never
+    /// help). Anything else is a forgery or garbage: it would otherwise
+    /// become the newest block and prune every real one, or grow a block
+    /// without bound.
+    fn repair_fits(&self, block_start: u64, covered: &[DataPacket]) -> bool {
+        let k = u64::from(self.params.k);
+        let ceiling = self
+            .block_start(self.newest)
+            .saturating_add(BLOCK_MEMORY * k);
+        let end = block_start.saturating_add(k);
+        block_start != 0
+            && (block_start - 1).is_multiple_of(k)
+            && block_start <= ceiling
+            && covered.len() as u64 <= k
+            && covered
+                .iter()
+                .all(|p| (block_start..end).contains(&p.link_seq))
+            && self
+                .blocks
+                .get(&block_start)
+                .map_or(0, |b| b.repairs.len() as u64)
+                < k
+    }
+
+    /// Counts a refused frame.
+    fn refuse(&mut self, out: &mut Vec<LinkAction>) {
+        self.stats.dropped += 1;
+        out.push(LinkAction::Observe(LinkEvent::Drop(DropClass::BufferFull)));
     }
 
     /// Attempts reconstruction: with `have + repairs >= k`, every missing
@@ -123,14 +163,15 @@ impl FecLink {
         }
     }
 
+    /// Forgets the blocks more than `BLOCK_MEMORY` blocks behind the newest
+    /// data. Anchored on data, not on the newest block key, so a repair
+    /// that runs ahead cannot move the horizon.
     fn prune(&mut self) {
         let k = u64::from(self.params.k);
-        let horizon = self.next_block_floor().saturating_sub(BLOCK_MEMORY * k);
+        let horizon = self
+            .block_start(self.newest)
+            .saturating_sub(BLOCK_MEMORY * k);
         self.blocks = self.blocks.split_off(&horizon);
-    }
-
-    fn next_block_floor(&self) -> u64 {
-        self.blocks.keys().next_back().copied().unwrap_or(0)
     }
 }
 
@@ -166,6 +207,12 @@ impl LinkProto for FecLink {
     }
 
     fn on_data(&mut self, now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
+        if pkt.link_seq == 0 {
+            // The sender numbers from 1: seq 0 is no block's.
+            self.refuse(out);
+            return;
+        }
+        self.newest = self.newest.max(pkt.link_seq);
         let start = self.block_start(pkt.link_seq);
         let state = self.blocks.entry(start).or_default();
         state.note_seen(now);
@@ -190,6 +237,10 @@ impl LinkProto for FecLink {
         else {
             return;
         };
+        if !self.repair_fits(block_start, &covered) {
+            self.refuse(out);
+            return;
+        }
         let state = self.blocks.entry(block_start).or_default();
         state.note_seen(now);
         state.repairs.push(covered);
@@ -383,6 +434,68 @@ mod tests {
         r.on_data(SimTime::ZERO, data[1].clone(), &mut rout);
         assert!(delivered(&rout).is_empty());
         assert_eq!(r.stats().dup_received, 1);
+    }
+
+    /// Refused frames are counted as drops, not delivered.
+    fn drops(actions: &[LinkAction]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, LinkAction::Observe(LinkEvent::Drop(_))))
+            .count()
+    }
+
+    #[test]
+    fn extreme_link_seqs_neither_panic_nor_stop_recovery() {
+        let mut r = FecLink::new(params());
+        let mut rout = Vec::new();
+        r.on_data(SimTime::ZERO, pkt(0, 100), &mut rout);
+        assert!(delivered(&rout).is_empty(), "seq 0 is no block's");
+        assert_eq!((drops(&rout), r.stats().dropped), (1, 1));
+
+        let mut last = pkt(1, 100);
+        last.link_seq = u64::MAX;
+        r.on_data(SimTime::ZERO, last, &mut rout);
+        assert_eq!(delivered(&rout).len(), 1, "a real seq is delivered");
+    }
+
+    #[test]
+    fn forged_repairs_are_refused_and_recovery_survives_them() {
+        let mut s = FecLink::new(params());
+        let out = send_n(&mut s, 4);
+        let data: Vec<DataPacket> = transmitted(&out).into_iter().cloned().collect();
+        let (bs, covered) = repairs(&out).remove(0);
+
+        let mut r = FecLink::new(params());
+        let mut rout = Vec::new();
+        let forged = |block_start: u64, covered: Vec<DataPacket>| LinkCtl::FecRepair {
+            block_start,
+            index: 0,
+            covered,
+        };
+        let mut far = pkt(1, 100);
+        far.link_seq = u64::MAX;
+        for ctl in [
+            forged(u64::MAX, Vec::new()),
+            forged(0, Vec::new()),
+            forged(2, Vec::new()),
+            forged(1 + (BLOCK_MEMORY + 1) * 4, Vec::new()),
+            forged(5, covered.clone()),
+            forged(1, vec![far]),
+            forged(1, [covered.clone(), covered.clone()].concat()),
+        ] {
+            r.on_ctl(SimTime::ZERO, ctl, &mut rout);
+        }
+        assert_eq!(drops(&rout), 7, "every forgery is refused");
+        assert_eq!(r.stats().dropped, 7);
+
+        // The honest block with one loss still recovers.
+        for p in [&data[0], &data[2], &data[3]] {
+            r.on_data(SimTime::ZERO, (*p).clone(), &mut rout);
+        }
+        r.on_ctl(SimTime::ZERO, forged(bs, covered), &mut rout);
+        let seqs: Vec<u64> = delivered(&rout).iter().map(|p| p.link_seq).collect();
+        assert_eq!(seqs, vec![1, 3, 4, 2]);
+        assert_eq!(r.recovered(), 1);
     }
 
     #[test]

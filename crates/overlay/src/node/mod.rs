@@ -692,8 +692,8 @@ mod tests {
     }
 
     /// Co-located daemons built from clones of one graph are charged for
-    /// its shape once between them; daemons that each own their topology
-    /// are each charged the whole of it.
+    /// its shape and its configured weights once between them; daemons
+    /// that each own their topology are each charged the whole of both.
     #[test]
     fn fleet_footprint_counts_a_shared_shape_once() {
         const N: usize = 16;
@@ -715,6 +715,11 @@ mod tests {
         let total =
             |nodes: &[OverlayNode]| -> usize { nodes.iter().map(|n| n.footprint().total()).sum() };
 
+        // A graph that shares nothing charges its whole weight buffer.
+        let weights = {
+            let alone = ring();
+            alone.approx_bytes() - alone.shape_bytes()
+        };
         let one = ring();
         let shared = fleet(&|| one.clone());
         // The daemons compiled the shape's CSR arrays; from here on they are
@@ -726,11 +731,11 @@ mod tests {
 
         let (shared, owned) = (total(&shared), total(&owned));
         let saved = owned - shared;
-        let expected = (N - 1) * shape;
+        let expected = (N - 1) * (shape + weights);
         assert!(
             saved.abs_diff(expected) * 100 <= shape,
             "sharing saved {saved} B across {N} daemons, expected {expected} B \
-             (all but one copy of a {shape} B shape)"
+             (all but one copy of a {shape} B shape and {weights} B of weights)"
         );
     }
 

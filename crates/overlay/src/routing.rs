@@ -16,7 +16,15 @@
 //! SPT pass and drops the version-scoped caches. Per-packet lookups are
 //! O(1) table reads and the multicast path returns a borrowed slice — no
 //! allocation on the data plane.
+//!
+//! The table is all a daemon keeps of its own tree: one 4-byte edge id per
+//! destination. The rebuild runs Dijkstra into a tree and working memory
+//! that belong to the thread, not the daemon, and copies the first-hop
+//! column out; the lookups that need the whole tree (anycast distances,
+//! multicast from this node) read the version-scoped tree cache, like every
+//! other root.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -32,6 +40,16 @@ use crate::service::SourceRoute;
 /// advertised at 1e12 by the connectivity monitor).
 const UNUSABLE: f64 = 1e9;
 
+/// A next-hop table entry with no edge: the node itself, or unreachable.
+const NO_HOP: u32 = u32::MAX;
+
+thread_local! {
+    /// The tree and working memory every rebuild of the daemons on this
+    /// thread runs Dijkstra into; only the first-hop column is kept.
+    static DIJKSTRA: RefCell<(Spt, SptScratch)> =
+        RefCell::new((Spt::empty(), SptScratch::new()));
+}
+
 /// The per-node forwarding engine.
 #[derive(Debug)]
 pub struct Forwarding {
@@ -39,15 +57,16 @@ pub struct Forwarding {
     snap: Arc<TopoSnapshot>,
     /// Connectivity version the snapshot and caches correspond to.
     version: u64,
-    /// Dense per-destination next-hop table: the usable-cost SPT rooted at
-    /// `me`, rebuilt once per topology change.
-    my_spt: Spt,
-    /// Shortest-path trees by root (multicast origins), computed on demand.
+    /// Dense per-destination next-hop table: entry `d` is the id of the
+    /// edge the usable-cost SPT rooted at `me` leaves on toward `d`
+    /// ([`NO_HOP`] for `me` and unreachable nodes), rebuilt once per
+    /// topology change.
+    next_hop: Vec<u32>,
+    /// Shortest-path trees by root (multicast origins and, for anycast,
+    /// `me`), computed on demand.
     spt: HashMap<NodeId, Spt>,
     /// Multicast out-edge sets by (origin, member-set fingerprint).
     mcast: HashMap<(NodeId, u64), Vec<EdgeId>>,
-    /// Reusable Dijkstra working memory.
-    scratch: SptScratch,
     /// Total SPT computations performed (observability / regression tests).
     spt_builds: u64,
     /// Times a new topology view was actually installed.
@@ -63,14 +82,13 @@ impl Forwarding {
             me,
             snap: Arc::new(TopoSnapshot::new(graph)),
             version: 0,
-            my_spt: Spt::empty(),
+            next_hop: Vec::new(),
             spt: HashMap::new(),
             mcast: HashMap::new(),
-            scratch: SptScratch::new(),
             spt_builds: 0,
             installs: 0,
         };
-        f.rebuild_my_spt();
+        f.rebuild_next_hops();
         f
     }
 
@@ -90,7 +108,7 @@ impl Forwarding {
         self.spt.clear();
         self.mcast.clear();
         self.installs += 1;
-        self.rebuild_my_spt();
+        self.rebuild_next_hops();
     }
 
     /// Installs a fresh topology view built from a plain graph: always
@@ -133,7 +151,8 @@ impl Forwarding {
     /// dense-table read.
     #[must_use]
     pub fn unicast_next_hop(&self, dst: NodeId) -> Option<EdgeId> {
-        self.my_spt.next_hop(dst).map(|(_, e)| e)
+        let e = self.next_hop[dst.0];
+        (e != NO_HOP).then_some(EdgeId(e as usize))
     }
 
     /// Whether this node currently has a usable route to `dst` (trivially
@@ -141,7 +160,7 @@ impl Forwarding {
     /// per-epoch liveness evidence.
     #[must_use]
     pub fn reaches(&self, dst: NodeId) -> bool {
-        dst == self.me || self.my_spt.next_hop(dst).is_some()
+        dst == self.me || self.next_hop[dst.0] != NO_HOP
     }
 
     /// Link-state multicast: the edges this node forwards a packet from
@@ -156,17 +175,11 @@ impl Forwarding {
             let Forwarding {
                 me,
                 ref snap,
-                ref my_spt,
                 ref mut spt,
-                ref mut scratch,
                 ref mut spt_builds,
                 ..
             } = *self;
-            let spt = if origin == me {
-                my_spt
-            } else {
-                spt_entry(snap, spt, scratch, spt_builds, origin)
-            };
+            let spt = spt_entry(snap, spt, spt_builds, origin);
             let mut out = Vec::new();
             if snap.edge_count() <= son_topo::graph::MAX_EDGES {
                 // The edge set of the origin-rooted tree spanning the
@@ -209,16 +222,18 @@ impl Forwarding {
         self.mcast.get(&key).map_or(&[], Vec::as_slice)
     }
 
-    /// Anycast: resolve the best member node from this (ingress) node.
-    #[must_use]
-    pub fn anycast_resolve(&self, members: &[NodeId]) -> Option<NodeId> {
+    /// Anycast: resolve the best member node from this (ingress) node. The
+    /// distances come from the tree rooted here, built on the first lookup
+    /// of a topology version and cached with it.
+    pub fn anycast_resolve(&mut self, members: &[NodeId]) -> Option<NodeId> {
         let me = self.me;
         if members.contains(&me) {
             return Some(me);
         }
+        let tree = spt_entry(&self.snap, &mut self.spt, &mut self.spt_builds, me);
         members
             .iter()
-            .filter_map(|&m| self.my_spt.dist(m).map(|d| (d, m)))
+            .filter_map(|&m| tree.dist(m).map(|d| (d, m)))
             .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)))
             .map(|(_, m)| m)
     }
@@ -295,19 +310,17 @@ impl Forwarding {
         );
     }
 
-    /// Rebuilds the dense next-hop table rooted at `me`, reusing its
-    /// allocations.
-    fn rebuild_my_spt(&mut self) {
-        let Forwarding {
-            me,
-            ref snap,
-            ref mut my_spt,
-            ref mut scratch,
-            ref mut spt_builds,
-            ..
-        } = *self;
-        snap.spt_with_into(me, |e| usable_cost(snap, e), scratch, my_spt);
-        *spt_builds += 1;
+    /// Rebuilds the dense next-hop table rooted at `me` from this thread's
+    /// tree, reusing the table's allocation.
+    fn rebuild_next_hops(&mut self) {
+        let weights = self.snap.graph().weights();
+        DIJKSTRA.with_borrow_mut(|(tree, scratch)| {
+            self.snap
+                .spt_with_into(self.me, |e| usable_cost(weights[e.0]), scratch, tree);
+            self.next_hop.clear();
+            self.next_hop.extend_from_slice(tree.first_hop_edges());
+        });
+        self.spt_builds += 1;
     }
 }
 
@@ -316,19 +329,20 @@ impl Forwarding {
 fn spt_entry<'a>(
     snap: &TopoSnapshot,
     cache: &'a mut HashMap<NodeId, Spt>,
-    scratch: &mut SptScratch,
     builds: &mut u64,
     root: NodeId,
 ) -> &'a Spt {
     cache.entry(root).or_insert_with(|| {
         *builds += 1;
-        snap.spt_with(root, |e| usable_cost(snap, e), scratch)
+        let weights = snap.graph().weights();
+        DIJKSTRA.with_borrow_mut(|(_, scratch)| {
+            snap.spt_with(root, |e| usable_cost(weights[e.0]), scratch)
+        })
     })
 }
 
 /// Edge cost that refuses to traverse unusable (down) edges.
-fn usable_cost(snap: &TopoSnapshot, e: EdgeId) -> f64 {
-    let w = snap.weight(e);
+fn usable_cost(w: f64) -> f64 {
     if w >= UNUSABLE {
         f64::INFINITY
     } else {
@@ -351,7 +365,7 @@ impl son_obs::MemFootprint for Forwarding {
         // The installed view is the `Arc` the connectivity monitor caches:
         // each of its holders charges an equal part (DESIGN.md §7).
         shared_part(&self.snap, self.snap.approx_bytes())
-            + self.my_spt.approx_bytes()
+            + vec_bytes(&self.next_hop)
             + hashmap_bytes(&self.spt)
             + self
                 .spt
@@ -360,7 +374,6 @@ impl son_obs::MemFootprint for Forwarding {
                 .sum::<usize>()
             + hashmap_bytes(&self.mcast)
             + self.mcast.values().map(vec_bytes).sum::<usize>()
-            + self.scratch.approx_bytes()
     }
 }
 
@@ -466,7 +479,7 @@ mod tests {
 
     #[test]
     fn anycast_prefers_self_then_nearest() {
-        let f = Forwarding::new(NodeId(0), square());
+        let mut f = Forwarding::new(NodeId(0), square());
         assert_eq!(f.anycast_resolve(&[NodeId(0), NodeId(3)]), Some(NodeId(0)));
         // dist(2) = 2 via e2 and dist(3) = 2 via 0-1-3: tie breaks to the
         // lower node id.
@@ -532,7 +545,7 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(0), NodeId(2), 1.0);
-        let f = Forwarding::new(NodeId(0), g);
+        let mut f = Forwarding::new(NodeId(0), g);
         assert_eq!(f.anycast_resolve(&[NodeId(2), NodeId(1)]), Some(NodeId(1)));
     }
 }

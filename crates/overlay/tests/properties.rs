@@ -464,6 +464,69 @@ mod routing_props {
             prop_assert!((sp.dist(target).unwrap() - best).abs() < 1e-9);
         }
 
+        /// The forwarding engine keeps only a first-hop edge per
+        /// destination, yet answers exactly what a full tree does: from
+        /// every root, with every edge up and with a third of them down, the
+        /// next hop is the full tree's, and anycast and multicast from the
+        /// root itself, which read the tree cache, match the tree too.
+        #[test]
+        fn next_hop_row_answers_what_a_full_tree_does(
+            weights in proptest::collection::vec(1u32..50, 12),
+            down_keys in proptest::collection::vec(any::<u32>(), 12),
+            member_seed in proptest::collection::vec(any::<bool>(), 8),
+        ) {
+            let plain = ring8().with_weights(weights.iter().copied().map(f64::from).collect());
+            // The third of the edges with the smallest keys go down (the
+            // connectivity monitor advertises a down link at 1e12).
+            let mut by_key: Vec<usize> = (0..12).collect();
+            by_key.sort_by_key(|&e| (down_keys[e], e));
+            let mut degraded = plain.clone();
+            for &e in &by_key[..4] {
+                degraded.set_weight(EdgeId(e), 1e12);
+            }
+            let members: Vec<NodeId> = plain.nodes().filter(|v| member_seed[v.0]).collect();
+            for g in [plain, degraded] {
+                for me in g.nodes() {
+                    let mut fwd = Forwarding::new(me, g.clone());
+                    let full = son_topo::dijkstra_with(&g, me, |e| {
+                        let w = g.weight(e);
+                        if w >= 1e9 { f64::INFINITY } else { w }
+                    });
+                    for dst in g.nodes() {
+                        let hop = full.next_hop(dst).map(|(_, e)| e);
+                        prop_assert_eq!(fwd.unicast_next_hop(dst), hop, "{} -> {}", me, dst);
+                        prop_assert_eq!(fwd.reaches(dst), dst == me || hop.is_some());
+                    }
+
+                    let nearest = if members.contains(&me) {
+                        Some(me)
+                    } else {
+                        members
+                            .iter()
+                            .filter_map(|&m| full.dist(m).map(|d| (d, m)))
+                            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                            .map(|(_, m)| m)
+                    };
+                    prop_assert_eq!(fwd.anycast_resolve(&members), nearest, "anycast from {}", me);
+
+                    let downstream: Vec<EdgeId> = full
+                        .tree_mask(&members)
+                        .iter()
+                        .filter(|&e| {
+                            let (a, b) = g.endpoints(e);
+                            let far = if a == me { b } else { a };
+                            (a == me || b == me) && full.parent(far) == Some((me, e))
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        fwd.multicast_out_edges(me, &members),
+                        downstream.as_slice(),
+                        "multicast from {}", me
+                    );
+                }
+            }
+        }
+
         /// Whatever the LSDB holds — links up and down, loss, adverts from
         /// one side only, withdrawn and evicted origins, a suspended local
         /// link, adverts for edges that do not exist — the snapshot's weights

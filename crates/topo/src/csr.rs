@@ -82,10 +82,12 @@ impl Csr {
 /// computation and per-packet adjacency queries.
 ///
 /// A snapshot is a frozen [`Graph`] whose shape has its CSR arrays compiled:
-/// it owns one weight per edge and shares everything else with every other
-/// graph and snapshot of the same shape. The source-route algorithms
-/// (disjoint paths, dissemination graphs, k-shortest paths) that operate on
-/// `&Graph` run against [`TopoSnapshot::graph`] without any per-call clone.
+/// it holds one weight per edge — its own after a link-state change, the
+/// configured ones shared with the graph it froze before any — and shares
+/// the shape with every other graph and snapshot of the deployment. The
+/// source-route algorithms (disjoint paths, dissemination graphs,
+/// k-shortest paths) that operate on `&Graph` run against
+/// [`TopoSnapshot::graph`] without any per-call clone.
 #[derive(Debug, Clone)]
 pub struct TopoSnapshot {
     graph: Graph,
@@ -180,7 +182,8 @@ impl TopoSnapshot {
     /// Panics if `src` is out of range.
     #[must_use]
     pub fn spt(&self, src: NodeId, scratch: &mut SptScratch) -> Spt {
-        self.spt_with(src, |e| self.graph.weight(e), scratch)
+        let weights = self.graph.weights();
+        self.spt_with(src, |e| weights[e.0], scratch)
     }
 
     /// Runs index-based Dijkstra from `src` with a custom per-edge cost
@@ -278,8 +281,8 @@ pub(crate) fn spt_with_into<F: Fn(EdgeId) -> f64>(
 }
 
 impl Graph {
-    /// Freezes a copy of this graph's weights into a [`TopoSnapshot`] that
-    /// shares its shape (see the [`csr`](crate::csr) module docs).
+    /// Freezes this graph into a [`TopoSnapshot`] that shares its shape and
+    /// its weights (see the [`csr`](crate::csr) module docs).
     #[must_use]
     pub fn freeze(&self) -> TopoSnapshot {
         TopoSnapshot::new(self.clone())
@@ -287,8 +290,8 @@ impl Graph {
 }
 
 /// Reusable working memory for [`TopoSnapshot`] shortest-path runs: the
-/// priority queue and the first-hop resolution stack. Keep one per routing
-/// engine and recomputation allocates nothing once warm.
+/// priority queue and the first-hop resolution stack. Keep one per thread
+/// (the routing engine does) and recomputation allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct SptScratch {
     heap: BinaryHeap<HeapEntry>,
@@ -300,12 +303,6 @@ impl SptScratch {
     #[must_use]
     pub fn new() -> Self {
         SptScratch::default()
-    }
-
-    /// Estimated retained heap bytes of the warm working memory.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.heap.capacity() * size_of::<HeapEntry>() + self.stack.capacity() * size_of::<u32>()
     }
 }
 
@@ -391,6 +388,15 @@ impl Spt {
                 EdgeId(self.first_hop_edge[dst.0] as usize),
             )
         })
+    }
+
+    /// The dense first-hop column [`Spt::next_hop`] reads: entry `d` is the
+    /// id of the edge leaving the source toward `d`, or `u32::MAX` for the
+    /// source itself and for unreachable nodes. A forwarding table that
+    /// needs only the edge copies this out and drops the tree.
+    #[must_use]
+    pub fn first_hop_edges(&self) -> &[u32] {
+        &self.first_hop_edge
     }
 
     /// Reconstructs the full path to `dst`, or `None` if unreachable.

@@ -58,7 +58,8 @@ impl Path {
 /// Panics if `src` is out of range.
 #[must_use]
 pub fn dijkstra(graph: &Graph, src: NodeId) -> Spt {
-    dijkstra_with(graph, src, |e| graph.weight(e))
+    let weights = graph.weights();
+    dijkstra_with(graph, src, |e| weights[e.0])
 }
 
 /// Runs Dijkstra's algorithm with a custom per-edge cost. Edges whose cost is

@@ -222,9 +222,12 @@ impl Clone for Shape {
 /// map one-to-one onto [`EdgeMask`] bits. Weights are link costs (typically
 /// one-way latency in milliseconds).
 ///
-/// The edge list and adjacency sit behind an `Arc`: `clone` copies only the
-/// weights, and [`Graph::add_edge`] on a clone copies the structure first,
-/// so a clone never changes its source.
+/// The edge list and adjacency sit behind one `Arc` and the weights behind
+/// another, so `clone` copies no buffer at all: every daemon of a deployment
+/// shares the configured topology. Both are copy-on-write —
+/// [`Graph::add_edge`] on a shared graph copies the structure and the
+/// weights first, [`Graph::set_weight`] the weights — so a clone never
+/// changes its source.
 ///
 /// # Examples
 ///
@@ -242,7 +245,7 @@ impl Clone for Shape {
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     shape: Arc<Shape>,
-    weights: Vec<f64>,
+    weights: Arc<Vec<f64>>,
 }
 
 impl Graph {
@@ -255,7 +258,7 @@ impl Graph {
                 adj: vec![Vec::new(); nodes],
                 csr: OnceLock::new(),
             }),
-            weights: Vec::new(),
+            weights: Arc::default(),
         }
     }
 
@@ -281,12 +284,13 @@ impl Graph {
         shape.edges.push((a, b));
         shape.adj[a.0].push((b, id));
         shape.adj[b.0].push((a, id));
-        self.weights.push(weight);
+        Arc::make_mut(&mut self.weights).push(weight);
         id
     }
 
     /// A graph of the same shape (shared, not copied) with every weight
-    /// replaced — how a link-state change becomes a new topology view.
+    /// replaced — how a link-state change becomes a new topology view. The
+    /// vector becomes the new graph's weight buffer as it is.
     ///
     /// # Panics
     ///
@@ -297,7 +301,7 @@ impl Graph {
         weights.iter().copied().for_each(assert_valid_weight);
         Graph {
             shape: Arc::clone(&self.shape),
-            weights,
+            weights: Arc::new(weights),
         }
     }
 
@@ -313,18 +317,18 @@ impl Graph {
         self.shape.csr.get_or_init(|| Csr::compile(&self.shape.adj))
     }
 
-    /// Estimated retained heap bytes: the weight buffer plus this holder's
-    /// share of the shared structure (edge list, adjacency, and the CSR
-    /// arrays once compiled). Each of the `k` graphs sharing a shape
-    /// charges `1/k` of it, so summing over all holders counts the shape
-    /// once; a graph that shares with nobody charges all of it.
+    /// Estimated retained heap bytes: this holder's share of the weight
+    /// buffer plus its share of the structure (edge list, adjacency, and
+    /// the CSR arrays once compiled). Each of the `k` graphs sharing an
+    /// allocation charges `1/k` of it, so summing over all holders counts
+    /// it once; a graph that shares with nobody charges all of it.
     ///
     /// Capacity-based (not length-based) so the scale observatory sees what
     /// the allocator actually holds; allocator overhead and the inline
     /// struct are not counted.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.weights.capacity() * size_of::<f64>()
+        self.weights.capacity() * size_of::<f64>() / Arc::strong_count(&self.weights)
             + self.shape_bytes() / Arc::strong_count(&self.shape)
     }
 
@@ -384,14 +388,22 @@ impl Graph {
         self.weights[edge.0]
     }
 
-    /// Updates the weight of an edge (link-quality changes).
+    /// Every edge's weight, indexed by edge id: what a shortest-path run
+    /// reads once instead of calling [`Graph::weight`] per edge.
+    #[must_use]
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Updates the weight of an edge (link-quality changes). A graph that
+    /// shares its weights copies them first.
     ///
     /// # Panics
     ///
     /// Panics if the edge id is out of range or the weight is invalid.
     pub fn set_weight(&mut self, edge: EdgeId, weight: f64) {
         assert_valid_weight(weight);
-        self.weights[edge.0] = weight;
+        Arc::make_mut(&mut self.weights)[edge.0] = weight;
     }
 
     /// Iterates `(neighbor, edge)` pairs of a node.
@@ -553,6 +565,30 @@ mod tests {
         let mut g = triangle();
         g.set_weight(EdgeId(0), 9.0);
         assert_eq!(g.weight(EdgeId(0)), 9.0);
+    }
+
+    #[test]
+    fn clones_share_weights_until_one_writes() {
+        let source = triangle();
+        let mut copy = source.clone();
+        assert!(Arc::ptr_eq(&copy.weights, &source.weights));
+        assert!(copy.shares_shape_with(&source));
+        copy.set_weight(EdgeId(1), 7.0);
+        assert!(!Arc::ptr_eq(&copy.weights, &source.weights));
+        assert!(
+            copy.shares_shape_with(&source),
+            "a weight write keeps the shape shared"
+        );
+        assert_eq!(
+            (source.weight(EdgeId(1)), copy.weight(EdgeId(1))),
+            (2.0, 7.0)
+        );
+
+        let mut grown = source.clone();
+        grown.add_edge(NodeId(0), NodeId(1), 4.0);
+        assert!(!Arc::ptr_eq(&grown.weights, &source.weights));
+        assert!(!grown.shares_shape_with(&source));
+        assert_eq!((source.edge_count(), grown.edge_count()), (3, 4));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 # link protocol and routing service, so a change to how protocol actions are
 # dispatched shows here), and the 512-node cold start that leans on the
 # son-topo and connectivity types the benchmark crate compiles against.
-# Each must also reproduce its seed-1 fingerprint.
+# Each must also reproduce its seed-1 fingerprint, and the cold start must
+# peak below a resident-memory ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +20,12 @@ declare -A fingerprint=(
     [sim_recovery_mix]=0xf3b66784daf56c03
     [sim_scale_512]=0xc210f500b5102dc1
 )
+
+# Peak resident MB of the quick 512-node cold start. A daemon shares the
+# configured topology and the key table with its deployment and keeps a
+# 4-byte next hop per destination: it reads ~23 MB, where a private copy of
+# each read 35 MB.
+rss_ceiling_mb=28
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
@@ -37,5 +44,16 @@ for workload in sim_fwd_churn sim_recovery_mix sim_scale_512; do
     if [ "$got" != "$want" ]; then
         echo "ERROR: benchmark fingerprint is '$got', expected '$want'" >&2
         exit 1
+    fi
+    if [ "$workload" = sim_scale_512 ]; then
+        tail -n 1 benchmark/out/runs.jsonl | python3 -c '
+import json, sys
+ceiling = float(sys.argv[1])
+rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]
+rss = rss["value"] if isinstance(rss, dict) else rss
+if rss > ceiling:
+    sys.exit(f"ERROR: sim_scale_512 --quick peaked at {rss:.1f} MB, above {ceiling:g} MB")
+print(f"sim_scale_512 --quick peak_rss_mb {rss:.1f} <= {ceiling:g}", file=sys.stderr)
+' "$rss_ceiling_mb"
     fi
 done
