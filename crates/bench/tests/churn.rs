@@ -11,7 +11,9 @@
 //! 3. a 50%-churned deployment does not leak departed-member state: the
 //!    survivor LSDB shrinks to the survivor count and the memory footprint
 //!    comes back down off its peak,
-//! 4. a churn run is a pure function of its seed.
+//! 4. a churn run is a pure function of its seed, and the seed's sustained
+//!    graceful fingerprint is pinned, so a change that alters what
+//!    membership maintenance does shows across commits.
 //!
 //! The full-scale numbers live in `son-exp churn` (and its `--smoke` run in
 //! CI); these tests keep the *shape* of the result from regressing in
@@ -212,6 +214,10 @@ fn churn_runs_are_a_pure_function_of_the_seed() {
     let a = build().run();
     let b = build().run();
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same simulation");
+    assert_eq!(
+        a.fingerprint, 0xe294_968a_b71a_758d,
+        "the seed's sustained graceful churn campaign moved"
+    );
     assert_eq!(a.received, b.received);
     assert_eq!(a.max_lag, b.max_lag);
     assert_eq!(a.evictions, b.evictions);
