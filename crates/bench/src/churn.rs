@@ -30,7 +30,6 @@ use son_obs::Registry;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
 use son_overlay::node::{OverlayNode, TimerKey};
-use son_overlay::state::membership::MembershipConfig;
 use son_overlay::{Fleet, FlowSpec, NodeConfig, Wire};
 use son_topo::NodeId;
 
@@ -99,10 +98,10 @@ pub struct ChurnRun {
     pub seed: u64,
     /// Overlay size (chorded ring).
     pub nodes: usize,
-    /// Membership maintenance configuration; `None` runs the control
-    /// (no join/leave protocol, no eviction — crashes are only ever seen
-    /// as link loss).
-    pub membership: Option<MembershipConfig>,
+    /// Whether membership maintenance runs; off is the control (no
+    /// join/leave protocol, no eviction — crashes are only ever seen as
+    /// link loss).
+    pub membership: bool,
     /// The churn shape.
     pub pattern: ChurnPattern,
     /// Virtual-time horizon.
@@ -177,7 +176,7 @@ impl ChurnRun {
             label: label.into(),
             seed,
             nodes: 64,
-            membership: Some(MembershipConfig::default()),
+            membership: true,
             pattern,
             run_for: SimDuration::from_secs(30),
             count: 2400,
@@ -191,7 +190,7 @@ impl ChurnRun {
     /// Disables membership maintenance (the control row).
     #[must_use]
     pub fn without_membership(mut self) -> Self {
-        self.membership = None;
+        self.membership = false;
         self
     }
 
@@ -326,7 +325,6 @@ impl ChurnRun {
         fleet.shards(self.shards);
 
         let probe = NodeId(self.protected()[0]);
-        let membership_on = self.membership.is_some();
         let mut expected_up = vec![true; n];
         let mut next_transition = 0usize;
         let mut last_event: Option<SimTime> = None;
@@ -350,7 +348,7 @@ impl ChurnRun {
                 next_transition += 1;
             }
             let live: Vec<NodeId> = (0..n).filter(|&i| expected_up[i]).map(NodeId).collect();
-            let converged = fleet_converged(sim, overlay, &live, membership_on);
+            let converged = fleet_converged(sim, overlay, &live, self.membership);
             if !converged {
                 if let Some(t0) = last_event {
                     let lag = at - t0;

@@ -42,7 +42,6 @@ fn run_cell(service: LinkService, attack_multiplier: u64) -> (f64, f64, f64) {
     let config = NodeConfig {
         it_rate_bps: Some(2_000_000),
         it_source_cap: 16,
-        fifo_cap: 64,
         ..Default::default()
     };
     let mut fleet = Fleet::new(

@@ -65,7 +65,7 @@ fn throughput_under_churn(
     let node_config = son_overlay::NodeConfig {
         trace_sample,
         perf,
-        watch: (trace_sample > 0).then(son_overlay::watch::WatchConfig::default),
+        watch: trace_sample > 0,
         ..son_overlay::NodeConfig::default()
     };
     let mut fleet = Fleet::new(

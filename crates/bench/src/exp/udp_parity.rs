@@ -114,7 +114,7 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
     let topo = s.topology();
     let config = NodeConfig {
         trace_sample: s.trace_sample,
-        watch: s.watch.then(son_overlay::watch::WatchConfig::default),
+        watch: s.watch,
         ..NodeConfig::default()
     };
     let loss = if s.loss > 0.0 {

@@ -21,7 +21,6 @@
 use son_netsim::time::SimDuration;
 use son_obs::registry_rows;
 use son_obs::watch::{WatchEvent, WatchKind};
-use son_overlay::watch::WatchConfig;
 
 use super::Opts;
 use crate::watchdog::{campaign_matrix, WatchdogRun};
@@ -55,9 +54,7 @@ pub fn run(opts: &Opts) {
                 run.run_for = SimDuration::from_secs(22);
                 run.count = 1800;
             }
-            if watch_on {
-                run = run.with_watch(WatchConfig::default());
-            }
+            run.watch = watch_on;
             let out = run.run();
             let damped = out.count_events(|k| matches!(k, WatchKind::FlapDamped { .. }));
             let shed = out.count_events(|k| matches!(k, WatchKind::ShedEngaged { .. }));

@@ -17,7 +17,6 @@ use son_overlay::adversary::Behavior;
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::node::OverlayNode;
-use son_overlay::watch::WatchConfig;
 use son_overlay::{FlowSpec, NodeConfig, OverlayHandle};
 use son_topo::NodeId;
 
@@ -49,8 +48,8 @@ pub struct WatchdogRun {
     pub label: String,
     /// Master seed (drives the simulator; the campaign carries its own).
     pub seed: u64,
-    /// Watchdog configuration; `None` runs the control (watchdog off).
-    pub watch: Option<WatchConfig>,
+    /// Whether the watchdog runs; off is the control.
+    pub watch: bool,
     /// Builds the fault schedule for this run.
     pub build: CampaignBuilder,
     /// Virtual-time horizon.
@@ -73,7 +72,7 @@ impl WatchdogRun {
         WatchdogRun {
             label: label.into(),
             seed,
-            watch: None,
+            watch: false,
             build,
             run_for: SimDuration::from_secs(30),
             deadline: SimDuration::from_millis(250),
@@ -83,10 +82,10 @@ impl WatchdogRun {
         }
     }
 
-    /// Enables the watchdog with `config`.
+    /// Enables the watchdog.
     #[must_use]
-    pub fn with_watch(mut self, config: WatchConfig) -> Self {
-        self.watch = Some(config);
+    pub fn with_watch(mut self) -> Self {
+        self.watch = true;
         self
     }
 
@@ -114,7 +113,7 @@ impl WatchdogRun {
 
         let node_config = NodeConfig {
             trace_sample: 16,
-            watch: self.watch.clone(),
+            watch: self.watch,
             ..NodeConfig::default()
         };
         let mut fleet = Fleet::new(

@@ -21,7 +21,6 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{continental_overlay, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::state::connectivity::ConnectivityConfig;
-use son_overlay::watch::WatchConfig;
 use son_overlay::Fleet;
 use son_overlay::{FlowSpec, NodeConfig};
 use son_topo::{EdgeId, Graph, NodeId};
@@ -138,7 +137,7 @@ fn watchdog_campaign_parity_including_watch_history() {
     // complete watchdog audit history must all match.
     let run = |shards: usize| {
         let mut r = WatchdogRun::new("parity", 71, router_failure_campaign)
-            .with_watch(WatchConfig::default())
+            .with_watch()
             .with_shards(shards);
         r.run_for = SimDuration::from_secs(12);
         r.count = 800;

@@ -371,15 +371,13 @@ impl<T: Transport> NodeRuntime<T> {
     pub fn new(scenario: Scenario, me: NodeId, transport: T, epoch_ns: u64) -> NodeRuntime<T> {
         let topo = scenario.topology();
         let keys = KeyRegistry::new(scenario.nodes, MASTER_SECRET);
-        let mut config = NodeConfig::default();
+        let mut config = NodeConfig {
+            watch: scenario.watch,
+            membership: scenario.membership,
+            ..NodeConfig::default()
+        };
         if me.0 == scenario.from as usize {
             config.trace_sample = scenario.trace_sample;
-        }
-        if scenario.watch {
-            config.watch = Some(son_overlay::watch::WatchConfig::default());
-        }
-        if scenario.membership {
-            config.membership = Some(son_overlay::state::membership::MembershipConfig::default());
         }
         let mut node = OverlayNode::new(me, topo.clone(), keys, config);
 

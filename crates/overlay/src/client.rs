@@ -161,6 +161,12 @@ struct FlowSend {
     paused: bool,
     /// Sends suppressed while paused (backpressure honored).
     withheld: u64,
+    /// When the pending send is due. The next one is paced from here, not
+    /// from the instant the timer fired, so on the wall clock a wake-up
+    /// that is late by less than a gap does not slow the flow down; a
+    /// longer stall moves the schedule instead of releasing a burst. In the
+    /// simulator a timer fires when it is due, so nothing changes there.
+    due: SimTime,
 }
 
 /// A scripted overlay client.
@@ -192,6 +198,7 @@ impl ClientProcess {
                 sent: 0,
                 paused: false,
                 withheld: 0,
+                due: SimTime::ZERO,
             })
             .collect();
         ClientProcess {
@@ -237,50 +244,35 @@ impl ClientProcess {
     }
 
     fn schedule_next(&mut self, ctx: &mut Ctx<'_, Wire>, idx: usize, first: bool) {
-        let (delay, done) = {
-            let s = &self.sends[idx];
-            match &s.flow.workload {
-                Workload::None => return,
-                Workload::Cbr {
-                    interval,
-                    count,
-                    start,
-                    ..
-                } => {
-                    if s.sent + s.withheld >= *count {
-                        (SimDuration::ZERO, true)
-                    } else if first {
-                        (start.saturating_since(ctx.now()), false)
-                    } else {
-                        (*interval, false)
-                    }
+        let s = &mut self.sends[idx];
+        let issued = s.sent + s.withheld;
+        let next = match &s.flow.workload {
+            Workload::None => None,
+            Workload::Cbr {
+                interval,
+                count,
+                start,
+                ..
+            } => (issued < *count).then(|| if first { *start } else { s.due + *interval }),
+            Workload::Poisson {
+                mean_interval,
+                count,
+                start,
+                ..
+            } => (issued < *count).then(|| {
+                if first {
+                    *start
+                } else {
+                    let gap = ctx.rng().exponential(mean_interval.as_secs_f64());
+                    s.due + SimDuration::from_secs_f64(gap)
                 }
-                Workload::Poisson {
-                    mean_interval,
-                    count,
-                    start,
-                    ..
-                } => {
-                    if s.sent + s.withheld >= *count {
-                        (SimDuration::ZERO, true)
-                    } else if first {
-                        (start.saturating_since(ctx.now()), false)
-                    } else {
-                        let gap = ctx.rng().exponential(mean_interval.as_secs_f64());
-                        (SimDuration::from_secs_f64(gap), false)
-                    }
-                }
-                Workload::Trace { schedule } => {
-                    let next = (s.sent + s.withheld) as usize;
-                    match schedule.get(next) {
-                        Some(&(at, _)) => (at.saturating_since(ctx.now()), false),
-                        None => (SimDuration::ZERO, true),
-                    }
-                }
-            }
+            }),
+            Workload::Trace { schedule } => schedule.get(issued as usize).map(|&(at, _)| at),
         };
-        if !done {
-            ctx.set_timer(delay, idx as u64);
+        if let Some(next) = next {
+            let now = ctx.now();
+            s.due = next.max(now);
+            ctx.set_timer(s.due.saturating_since(now), idx as u64);
         }
     }
 

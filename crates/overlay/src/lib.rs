@@ -66,4 +66,4 @@ pub use node::{NodeConfig, OverlayNode, TimerKey};
 pub use obs::{FlowObs, NodeObs};
 pub use packet::{ClientOp, DataPacket, SessionEvent, Wire};
 pub use service::{FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute};
-pub use watch::{AdaptiveSampler, WatchConfig, WatchState};
+pub use watch::{AdaptiveSampler, WatchState};

@@ -30,7 +30,8 @@ use crate::service::{slot_label, SERVICE_SLOTS};
 use crate::session::SessionAction;
 use crate::state::connectivity::ConnAction;
 use crate::state::groups::GroupAction;
-use crate::state::membership::MemberAction;
+use crate::state::membership::{self, MemberAction, JOIN_RETRY};
+use crate::watch;
 
 use son_topo::NodeId;
 
@@ -358,21 +359,19 @@ impl Process<Wire> for OverlayNode {
             // flooding anything of our own; the LSA originate (and the
             // group announce, if there is anything to announce) happen when
             // the JoinAck arrives.
-            let (msg, retry) = {
-                let mem = self.membership.as_ref().expect("join requires membership");
-                (mem.join_request(), mem.config().join_retry)
-            };
+            let mem = self.membership.as_ref().expect("join requires membership");
+            let msg = mem.join_request();
             self.send_control(ctx, link, None, msg);
-            ctx.set_timer(retry, TimerKey::JoinRetry.encode());
+            ctx.set_timer(JOIN_RETRY, TimerKey::JoinRetry.encode());
         }
         if matches!(self.behavior, Behavior::Flood { .. }) {
             ctx.set_timer(SimDuration::from_millis(1), TimerKey::Flood.encode());
         }
-        if let Some(w) = &self.watch {
-            ctx.set_timer(w.config.epoch, TimerKey::WatchTick.encode());
+        if self.watch.is_some() {
+            ctx.set_timer(watch::EPOCH, TimerKey::WatchTick.encode());
         }
-        if let Some(mem) = &self.membership {
-            ctx.set_timer(mem.config().epoch, TimerKey::MembershipTick.encode());
+        if self.membership.is_some() {
+            ctx.set_timer(membership::EPOCH, TimerKey::MembershipTick.encode());
         }
     }
 
@@ -535,8 +534,8 @@ impl OverlayNode {
                 let span = self.obs.perf().enter("watch.epoch");
                 self.watch_tick(ctx);
                 self.obs.perf().exit(span);
-                if let Some(w) = &self.watch {
-                    ctx.set_timer(w.config.epoch, TimerKey::WatchTick.encode());
+                if self.watch.is_some() {
+                    ctx.set_timer(watch::EPOCH, TimerKey::WatchTick.encode());
                 }
             }
             Some(TimerKey::DelayedForward { token }) => {
@@ -553,19 +552,17 @@ impl OverlayNode {
                 let span = self.obs.perf().enter("membership.epoch");
                 self.membership_tick(ctx);
                 self.obs.perf().exit(span);
-                if let Some(mem) = &self.membership {
-                    ctx.set_timer(mem.config().epoch, TimerKey::MembershipTick.encode());
+                if self.membership.is_some() {
+                    ctx.set_timer(membership::EPOCH, TimerKey::MembershipTick.encode());
                 }
             }
             Some(TimerKey::GracefulLeave) => self.graceful_leave(ctx),
             Some(TimerKey::JoinRetry) => {
                 if let (false, Some(link)) = (self.joined, self.join_seed) {
-                    let (msg, retry) = {
-                        let mem = self.membership.as_ref().expect("join requires membership");
-                        (mem.join_request(), mem.config().join_retry)
-                    };
+                    let mem = self.membership.as_ref().expect("join requires membership");
+                    let msg = mem.join_request();
                     self.send_control(ctx, link, None, msg);
-                    ctx.set_timer(retry, TimerKey::JoinRetry.encode());
+                    ctx.set_timer(JOIN_RETRY, TimerKey::JoinRetry.encode());
                 }
             }
             None => {}

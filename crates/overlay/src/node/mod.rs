@@ -52,17 +52,23 @@ use crate::metrics::NodeMetrics;
 use crate::obs::NodeObs;
 use crate::packet::DataPacket;
 use crate::routing::Forwarding;
-use crate::service::RealtimeParams;
+use crate::service::{FecParams, RealtimeParams};
 use crate::session::SessionTable;
 use crate::state::connectivity::{ConnectivityConfig, ConnectivityMonitor};
 use crate::state::groups::GroupTable;
-use crate::state::membership::{MembershipConfig, MembershipTable};
-use crate::watch::{LinkWatch, WatchConfig, WatchState};
+use crate::state::membership::MembershipTable;
+use crate::watch::{LinkWatch, WatchState};
 
 use dispatch::ActionBufs;
 
 /// Local IPC latency between a client and its colocated daemon.
 pub const CLIENT_IPC_DELAY: SimDuration = SimDuration::from_micros(50);
+
+/// Lower bound on the Reliable Data Link RTO.
+const RTO_MIN: SimDuration = SimDuration::from_millis(2);
+
+/// Shared buffer bound for the FIFO baseline, in packets.
+const FIFO_CAP: usize = 64;
 
 /// Static configuration of an overlay node daemon.
 #[derive(Debug, Clone)]
@@ -71,19 +77,11 @@ pub struct NodeConfig {
     pub connectivity: ConnectivityConfig,
     /// Reliable Data Link RTO as a multiple of the link's nominal latency.
     pub rto_factor: f64,
-    /// Lower bound on the Reliable Data Link RTO.
-    pub rto_min: SimDuration,
-    /// Default NM-Strikes parameters (overridden per flow).
-    pub realtime: RealtimeParams,
     /// Egress pacing rate for the fair schedulers, bits/second
     /// (`None` disables pacing — fine when fairness is not under test).
     pub it_rate_bps: Option<u64>,
     /// Per-source buffer bound for IT-Priority, in packets.
     pub it_source_cap: usize,
-    /// Shared buffer bound for the FIFO baseline, in packets.
-    pub fifo_cap: usize,
-    /// Default FEC code (overridden per flow).
-    pub fec: crate::service::FecParams,
     /// Verify per-packet authentication tags and drop failures.
     pub auth_enabled: bool,
     /// Initial TTL stamped on packets at the ingress.
@@ -102,13 +100,14 @@ pub struct NodeConfig {
     /// The anomaly watchdog (`son-watch`): online detection of recovery
     /// overruns, retransmit storms, reroute flaps, silent blackholes, and
     /// queue growth, remediated by link suspension, LSA flap damping, and
-    /// low-priority shedding. `None` (the default) disables it entirely.
-    pub watch: Option<WatchConfig>,
+    /// low-priority shedding, with the thresholds in [`crate::watch`].
+    /// Off (the default) disables it entirely.
+    pub watch: bool,
     /// Dynamic membership: the join/leave protocol plus the self-stabilizing
     /// 500 ms maintenance epoch (liveness derivation, departed-state
-    /// eviction). `None` (the default) keeps membership static — existing
+    /// eviction). Off (the default) keeps membership static — existing
     /// deployments and their seeded event streams are untouched.
-    pub membership: Option<MembershipConfig>,
+    pub membership: bool,
 }
 
 impl Default for NodeConfig {
@@ -116,18 +115,14 @@ impl Default for NodeConfig {
         NodeConfig {
             connectivity: ConnectivityConfig::default(),
             rto_factor: 3.0,
-            rto_min: SimDuration::from_millis(2),
-            realtime: RealtimeParams::live_tv(),
             it_rate_bps: None,
             it_source_cap: 64,
-            fifo_cap: 64,
-            fec: crate::service::FecParams::light(),
             auth_enabled: false,
             ttl: 32,
             trace_sample: 0,
             perf: false,
-            watch: None,
-            membership: None,
+            watch: false,
+            membership: false,
         }
     }
 }
@@ -245,16 +240,11 @@ impl OverlayNode {
     pub fn new(me: NodeId, topology: Graph, keys: KeyRegistry, config: NodeConfig) -> Self {
         let mut conn =
             ConnectivityMonitor::new(me, topology.clone(), Vec::new(), config.connectivity);
-        let watch = config
-            .watch
-            .clone()
-            .map(|wc| WatchState::new(wc, config.trace_sample));
-        if let Some(w) = &watch {
-            conn.set_flap_damping(Some(w.config.damping));
-        }
+        conn.set_flap_damping(config.watch);
+        let watch = config.watch.then(|| WatchState::new(config.trace_sample));
         let membership = config
             .membership
-            .map(|mc| MembershipTable::new(me, topology.nodes(), mc));
+            .then(|| MembershipTable::new(me, topology.nodes()));
         OverlayNode {
             me,
             forwarding: Forwarding::new(me, topology.clone()),
@@ -308,8 +298,8 @@ impl OverlayNode {
             conn_links,
             self.config.connectivity,
         );
+        self.conn.set_flap_damping(self.config.watch);
         if let Some(w) = &mut self.watch {
-            self.conn.set_flap_damping(Some(w.config.damping));
             let nominals: Vec<f64> = links.iter().map(|(_, _, _, lat)| *lat).collect();
             w.wire(&nominals);
         }
@@ -319,19 +309,21 @@ impl OverlayNode {
             .enumerate()
             .map(|(i, (edge, neighbor, out_pipes, nominal))| {
                 self.edge_index.insert(edge, i);
-                let rto = SimDuration::from_millis_f64(nominal * self.config.rto_factor)
-                    .max(self.config.rto_min);
+                let rto =
+                    SimDuration::from_millis_f64(nominal * self.config.rto_factor).max(RTO_MIN);
                 let protos: Vec<Box<dyn LinkProto>> = vec![
                     Box::new(BestEffortLink::new()),
                     Box::new(ReliableLink::new(rto)),
-                    Box::new(RealtimeLink::new(self.config.realtime)),
+                    // A flow's own realtime and FEC parameters replace these
+                    // defaults on its first packet.
+                    Box::new(RealtimeLink::new(RealtimeParams::live_tv())),
                     Box::new(ItPriorityLink::new(
                         self.config.it_source_cap,
                         self.config.it_rate_bps,
                     )),
                     Box::new(ItReliableLink::new(rto, self.config.it_rate_bps)),
-                    Box::new(FifoLink::new(self.config.fifo_cap, self.config.it_rate_bps)),
-                    Box::new(FecLink::new(self.config.fec)),
+                    Box::new(FifoLink::new(FIFO_CAP, self.config.it_rate_bps)),
+                    Box::new(FecLink::new(FecParams::light())),
                 ];
                 LinkPort {
                     edge,

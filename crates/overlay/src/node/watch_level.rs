@@ -14,7 +14,10 @@ use son_obs::trace::TraceStage;
 use son_obs::watch::WatchKind;
 
 use crate::packet::{Control, Wire};
-use crate::watch::{LinkDecision, ShedDecision};
+use crate::watch::{
+    LinkDecision, ShedDecision, BLACKHOLE_EPOCHS, BLACKHOLE_MIN_PACKETS, FLAP_REROUTES,
+    STORM_RETRANSMITS, STRIKE_THRESHOLD,
+};
 
 use super::OverlayNode;
 
@@ -83,7 +86,7 @@ impl OverlayNode {
         let retransmits = self.obs.registry().counter_total("link.retransmit");
         let retrans_delta = retransmits - w.prev_retransmits;
         w.prev_retransmits = retransmits;
-        if warmed_up && retrans_delta >= w.config.storm_retransmits {
+        if warmed_up && retrans_delta >= STORM_RETRANSMITS {
             self.obs.watch_event(
                 now,
                 WatchKind::RetransmitStorm {
@@ -95,7 +98,7 @@ impl OverlayNode {
         let reroutes = self.obs.registry().counter_total("reroutes");
         let reroute_delta = reroutes - w.prev_reroutes;
         w.prev_reroutes = reroutes;
-        if warmed_up && reroute_delta >= w.config.flap_reroutes {
+        if warmed_up && reroute_delta >= FLAP_REROUTES {
             self.obs.watch_event(
                 now,
                 WatchKind::RerouteFlap {
@@ -112,12 +115,12 @@ impl OverlayNode {
             let suspicious = matches!(
                 receipt,
                 Some((received, progressed))
-                    if received >= w.config.blackhole_min_packets
+                    if received >= BLACKHOLE_MIN_PACKETS
                         && progressed * 10 < received
             ) && self.conn.link_up(l);
             if suspicious {
                 w.links[l].blackhole_epochs += 1;
-                if w.links[l].blackhole_epochs >= w.config.blackhole_epochs {
+                if w.links[l].blackhole_epochs >= BLACKHOLE_EPOCHS {
                     w.links[l].blackhole_epochs = 0;
                     let (received, progressed) = receipt.unwrap_or((0, 0));
                     self.obs.watch_event(
@@ -129,8 +132,7 @@ impl OverlayNode {
                         Some(l),
                     );
                     // A definitive signature: worth a full offense at once.
-                    let threshold = w.config.strike_threshold;
-                    w.links[l].strike(threshold);
+                    w.links[l].strike(STRIKE_THRESHOLD);
                 }
             } else {
                 w.links[l].blackhole_epochs = 0;
@@ -150,7 +152,7 @@ impl OverlayNode {
             })
             .sum();
         let mut shed_out = Vec::new();
-        w.shed.on_epoch(&w.config, depth, &mut shed_out);
+        w.shed.on_epoch(depth, &mut shed_out);
         for d in shed_out {
             let kind = match d {
                 ShedDecision::Growth { depth } => WatchKind::QueueGrowth { depth },
@@ -164,13 +166,12 @@ impl OverlayNode {
 
         // Advance the per-link suspension state machines and apply their
         // decisions through the connectivity monitor.
-        let epoch_ms = (w.config.epoch.as_nanos() / 1_000_000).max(1);
         let mut decisions = Vec::new();
         for l in 0..w.links.len() {
             let (_, loss) = self.conn.link_quality(l);
             let probe_healthy = self.conn.link_up(l) && loss < 0.25;
             decisions.clear();
-            w.links[l].on_epoch(&w.config, epoch_ms, probe_healthy, &mut decisions);
+            w.links[l].on_epoch(probe_healthy, &mut decisions);
             for &decision in &decisions {
                 let link = l;
                 match decision {

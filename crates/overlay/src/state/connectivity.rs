@@ -26,16 +26,10 @@ use crate::packet::{Control, LinkAdvert, Lsa};
 pub struct ConnectivityConfig {
     /// How often hellos are sent on every link.
     pub hello_interval: SimDuration,
-    /// Consecutive hello misses on one provider before switching providers.
-    pub isp_switch_misses: u32,
     /// Consecutive hello misses (across providers) before the link is
     /// declared down. With 100 ms hellos and 3 misses this yields the
     /// paper's sub-second reaction.
     pub down_misses: u32,
-    /// How often the node re-floods its own LSA even without changes.
-    pub refresh_interval: SimDuration,
-    /// EWMA gain for loss/latency estimates.
-    pub ewma_alpha: f64,
     /// Hold-down for remote-LSA route recomputation: a changed LSA marks
     /// the rebuild pending instead of firing it, and the rebuild runs on
     /// the next tick after LSAs quiesce for this long (or after `4x` this
@@ -50,41 +44,31 @@ impl Default for ConnectivityConfig {
     fn default() -> Self {
         ConnectivityConfig {
             hello_interval: SimDuration::from_millis(100),
-            isp_switch_misses: 2,
             down_misses: 5,
-            refresh_interval: SimDuration::from_secs(5),
-            ewma_alpha: 0.2,
             rebuild_hold_down: SimDuration::ZERO,
         }
     }
 }
 
-/// LSA flap-damping parameters (enabled by the anomaly watchdog).
-///
-/// An origin whose advertised link state changes `threshold` or more times
-/// within `window` is *damped*: its later updates still enter the LSDB and
-/// are flooded onward (peers keep their own counsel), but they stop
-/// triggering local route recomputation until the origin stays stable for
-/// `dwell`.
-#[derive(Debug, Clone, Copy)]
-pub struct FlapDamping {
-    /// Content changes within `window` that trigger damping.
-    pub threshold: u32,
-    /// The sliding window over which changes are counted.
-    pub window: SimDuration,
-    /// How long an origin must stay stable before it is released.
-    pub dwell: SimDuration,
-}
+/// Consecutive hello misses on one provider before switching providers.
+const ISP_SWITCH_MISSES: u32 = 2;
+/// How often the node re-floods its own LSA even without changes.
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// EWMA gain for loss/latency estimates.
+const EWMA_ALPHA: f64 = 0.2;
 
-impl Default for FlapDamping {
-    fn default() -> Self {
-        FlapDamping {
-            threshold: 4,
-            window: SimDuration::from_secs(10),
-            dwell: SimDuration::from_secs(3),
-        }
-    }
-}
+// LSA flap damping (enabled by the anomaly watchdog). An origin whose
+// advertised link state changes `FLAP_THRESHOLD` or more times within
+// `FLAP_WINDOW` is *damped*: its later updates still enter the LSDB and are
+// flooded onward (peers keep their own counsel), but they stop triggering
+// local route recomputation until the origin stays stable for `FLAP_DWELL`.
+
+/// Content changes within [`FLAP_WINDOW`] that trigger damping.
+const FLAP_THRESHOLD: u32 = 4;
+/// The sliding window over which changes are counted.
+const FLAP_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// How long an origin must stay stable before it is released.
+const FLAP_DWELL: SimDuration = SimDuration::from_secs(3);
 
 /// Per-origin flap-damping bookkeeping.
 #[derive(Debug, Default)]
@@ -202,8 +186,8 @@ pub struct ConnectivityMonitor {
     snapshot: Option<(u64, Arc<TopoSnapshot>)>,
     /// Times the shared view was actually (re)built from the LSDB.
     graph_builds: u64,
-    /// LSA flap damping, when the watchdog enables it.
-    damping: Option<FlapDamping>,
+    /// Whether LSA flap damping is on (the watchdog enables it).
+    damping: bool,
     /// Per-origin damping state (only populated while damping is enabled).
     flap: HashMap<NodeId, FlapState>,
     /// A remote-LSA change is waiting out the rebuild hold-down.
@@ -276,7 +260,7 @@ impl ConnectivityMonitor {
             topology,
             snapshot: None,
             graph_builds: 0,
-            damping: None,
+            damping: false,
             flap: HashMap::new(),
             pending_topology: false,
             first_pending: SimTime::ZERO,
@@ -383,9 +367,9 @@ impl ConnectivityMonitor {
     }
 
     /// Enables (or disables) LSA flap damping; the watchdog turns this on.
-    pub fn set_flap_damping(&mut self, damping: Option<FlapDamping>) {
+    pub fn set_flap_damping(&mut self, damping: bool) {
         self.damping = damping;
-        if self.damping.is_none() {
+        if !damping {
             self.flap.clear();
         }
     }
@@ -494,15 +478,13 @@ impl ConnectivityMonitor {
                 link.outstanding.remove(&seq);
             }
             if missed {
-                link.loss = ewma(link.loss, 1.0, self.config.ewma_alpha);
+                link.loss = ewma(link.loss, 1.0);
                 link.misses_on_provider += 1;
                 link.total_misses += 1;
                 if link.up && link.total_misses >= self.config.down_misses {
                     link.up = false;
                     reoriginate = true;
-                } else if link.providers > 1
-                    && link.misses_on_provider >= self.config.isp_switch_misses
-                {
+                } else if link.providers > 1 && link.misses_on_provider >= ISP_SWITCH_MISSES {
                     link.active_provider = (link.active_provider + 1) % link.providers;
                     link.misses_on_provider = 0;
                     out.push(ConnAction::SwitchProvider {
@@ -522,16 +504,16 @@ impl ConnectivityMonitor {
         }
         if reoriginate {
             self.originate(None, out);
-        } else if now.saturating_since(self.last_refresh) >= self.config.refresh_interval {
+        } else if now.saturating_since(self.last_refresh) >= REFRESH_INTERVAL {
             self.last_refresh = now;
             self.originate(None, out);
         }
         // Release damped origins that stayed stable for the dwell period,
         // applying any update that was deferred while they were damped.
-        if let Some(damping) = self.damping {
+        if self.damping {
             let mut released = Vec::new();
             for (&origin, st) in &mut self.flap {
-                if st.suppressed && now.saturating_since(st.last_change) >= damping.dwell {
+                if st.suppressed && now.saturating_since(st.last_change) >= FLAP_DWELL {
                     st.suppressed = false;
                     st.changes.clear();
                     released.push((origin, std::mem::take(&mut st.pending)));
@@ -580,14 +562,13 @@ impl ConnectivityMonitor {
         echo_sent_at: SimTime,
         out: &mut Vec<ConnAction>,
     ) {
-        let alpha = self.config.ewma_alpha;
         let l = &mut self.links[link];
         if l.outstanding.remove(&seq).is_none() {
             return; // stale or duplicate ack
         }
         let rtt_ms = now.saturating_since(echo_sent_at).as_millis_f64();
-        l.latency_ms = ewma(l.latency_ms, (rtt_ms / 2.0).max(0.01), alpha);
-        l.loss = ewma(l.loss, 0.0, alpha);
+        l.latency_ms = ewma(l.latency_ms, (rtt_ms / 2.0).max(0.01));
+        l.loss = ewma(l.loss, 0.0);
         l.misses_on_provider = 0;
         l.total_misses = 0;
         if !l.up {
@@ -655,21 +636,21 @@ impl ConnectivityMonitor {
             return;
         }
         let mut deferred = false;
-        if let Some(damping) = self.damping {
+        if self.damping {
             let st = self.flap.entry(origin).or_default();
             st.last_change = now;
             st.changes.push_back(now);
             while st
                 .changes
                 .front()
-                .is_some_and(|&t| now.saturating_since(t) > damping.window)
+                .is_some_and(|&t| now.saturating_since(t) > FLAP_WINDOW)
             {
                 st.changes.pop_front();
             }
             if st.suppressed {
                 st.pending = true;
                 deferred = true;
-            } else if st.changes.len() as u32 >= damping.threshold {
+            } else if st.changes.len() as u32 >= FLAP_THRESHOLD {
                 st.suppressed = true;
                 st.pending = true;
                 deferred = true;
@@ -766,8 +747,8 @@ impl ConnectivityMonitor {
     }
 }
 
-fn ewma(prev: f64, sample: f64, alpha: f64) -> f64 {
-    prev * (1.0 - alpha) + sample * alpha
+fn ewma(prev: f64, sample: f64) -> f64 {
+    prev * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
 }
 
 /// What a node with these link monitors advertises about its links.
@@ -1476,11 +1457,7 @@ mod tests {
     #[test]
     fn oscillating_origin_is_damped_and_released_after_dwell() {
         let mut mon = monitor();
-        mon.set_flap_damping(Some(FlapDamping {
-            threshold: 4,
-            window: SimDuration::from_secs(10),
-            dwell: SimDuration::from_secs(3),
-        }));
+        mon.set_flap_damping(true);
         // Four content changes within the window: damped on the fourth.
         let mut reroutes = 0u32;
         let mut damped_at = None;

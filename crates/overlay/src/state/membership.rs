@@ -4,8 +4,8 @@
 //! The paper's overlay assumes a provisioned node set; this module makes
 //! membership *within* that provisioned universe dynamic. Each node keeps a
 //! liveness record per provisioned member and runs a maintenance epoch
-//! every [`MembershipConfig::epoch`] (500 ms): a member unreachable in the
-//! shared topology view for [`MembershipConfig::down_epochs`] consecutive
+//! every [`EPOCH`] (500 ms): a member unreachable in the
+//! shared topology view for [`DOWN_EPOCHS`] consecutive
 //! epochs is declared `Down`; once a departed member (crash-`Down` past the
 //! hold-down, or gracefully `Left`) is confirmed gone, its shared state —
 //! LSDB entry, remote group membership, dedup windows — is evicted so a
@@ -29,33 +29,18 @@ use son_topo::NodeId;
 
 use crate::packet::{Control, MemberInfo, MemberStatus};
 
-/// Configuration of the membership maintenance loop.
-#[derive(Debug, Clone, Copy)]
-pub struct MembershipConfig {
-    /// Maintenance epoch: how often liveness is re-derived from the shared
-    /// topology view.
-    pub epoch: SimDuration,
-    /// Consecutive epochs a member must be unreachable before it is
-    /// declared `Down`. With the default 500 ms epoch and hello-driven link
-    /// detection (~500 ms), detection completes within ~2 s of a crash.
-    pub down_epochs: u32,
-    /// How long a `Down` member's state is retained before eviction; the
-    /// hold-down absorbs crash-recover cycles without churning the LSDB.
-    pub hold_down: SimDuration,
-    /// How often an unanswered join request is retried.
-    pub join_retry: SimDuration,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        MembershipConfig {
-            epoch: SimDuration::from_millis(500),
-            down_epochs: 3,
-            hold_down: SimDuration::from_secs(2),
-            join_retry: SimDuration::from_millis(500),
-        }
-    }
-}
+/// Maintenance epoch: how often liveness is re-derived from the shared
+/// topology view.
+pub const EPOCH: SimDuration = SimDuration::from_millis(500);
+/// Consecutive epochs a member must be unreachable before it is declared
+/// `Down`. With the 500 ms epoch and hello-driven link detection
+/// (~500 ms), detection completes within ~2 s of a crash.
+pub const DOWN_EPOCHS: u32 = 3;
+/// How long a `Down` member's state is retained before eviction; the
+/// hold-down absorbs crash-recover cycles without churning the LSDB.
+pub const HOLD_DOWN: SimDuration = SimDuration::from_secs(2);
+/// How often an unanswered join request is retried.
+pub const JOIN_RETRY: SimDuration = SimDuration::from_millis(500);
 
 /// What the membership table asks the node to do.
 #[derive(Debug, PartialEq)]
@@ -99,7 +84,6 @@ struct MemberRecord {
 #[derive(Debug)]
 pub struct MembershipTable {
     me: NodeId,
-    config: MembershipConfig,
     /// Liveness record per provisioned member. Bounded by the provisioned
     /// universe, so the table itself cannot leak under churn; the leak this
     /// module guards against is the per-member *shared* state (LSDB, dedup,
@@ -119,11 +103,7 @@ impl MembershipTable {
     /// Creates a table for node `me` over the provisioned `universe`; every
     /// member starts `Up` at incarnation 0.
     #[must_use]
-    pub fn new(
-        me: NodeId,
-        universe: impl IntoIterator<Item = NodeId>,
-        config: MembershipConfig,
-    ) -> Self {
+    pub fn new(me: NodeId, universe: impl IntoIterator<Item = NodeId>) -> Self {
         let members = universe
             .into_iter()
             .map(|n| {
@@ -141,19 +121,12 @@ impl MembershipTable {
             .collect();
         MembershipTable {
             me,
-            config,
             members,
             remote_seq: HashMap::new(),
             own_incarnation: 0,
             own_seq: 0,
             version: 1,
         }
-    }
-
-    /// The configuration the table runs with.
-    #[must_use]
-    pub fn config(&self) -> MembershipConfig {
-        self.config
     }
 
     /// The membership-view version; bumped on every liveness change.
@@ -218,7 +191,7 @@ impl MembershipTable {
                         rec.unreachable_epochs = 0;
                     } else {
                         rec.unreachable_epochs += 1;
-                        if rec.unreachable_epochs >= self.config.down_epochs {
+                        if rec.unreachable_epochs >= DOWN_EPOCHS {
                             rec.status = MemberStatus::Down;
                             rec.since = now;
                             changed = true;
@@ -243,9 +216,7 @@ impl MembershipTable {
                             incarnation: rec.incarnation,
                             status: MemberStatus::Up,
                         });
-                    } else if !rec.evicted
-                        && now.saturating_since(rec.since) >= self.config.hold_down
-                    {
+                    } else if !rec.evicted && now.saturating_since(rec.since) >= HOLD_DOWN {
                         rec.evicted = true;
                         out.push(MemberAction::Evict(node));
                     }
@@ -529,7 +500,7 @@ mod tests {
     use super::*;
 
     fn table() -> MembershipTable {
-        MembershipTable::new(NodeId(0), (0..4).map(NodeId), MembershipConfig::default())
+        MembershipTable::new(NodeId(0), (0..4).map(NodeId))
     }
 
     fn epoch_at(t: &mut MembershipTable, ms: u64, down: &[NodeId], out: &mut Vec<MemberAction>) {

@@ -1,7 +1,7 @@
 //! `son-watch`: the in-daemon anomaly watchdog (detection + remediation
 //! policy).
 //!
-//! This module holds the watchdog's *pure* state machines — configuration,
+//! This module holds the watchdog's *pure* state machines — thresholds,
 //! per-link NM-Strikes-style suspension with exponential-backoff probing,
 //! overload shedding, and the adaptive trace sampler. The glue that feeds
 //! them from the daemon's observability state each evaluation epoch (and
@@ -28,78 +28,49 @@ use std::collections::HashMap;
 
 use son_netsim::time::SimDuration;
 
-use crate::state::connectivity::FlapDamping;
+// The watchdog's thresholds and cadences, tabulated in `DESIGN.md` §10 and
+// exercised by the `son-netsim` fault campaigns.
 
-/// Watchdog thresholds and cadences. Defaults are tabulated in
-/// `DESIGN.md` §10 and exercised by the `son-netsim` fault campaigns.
-#[derive(Debug, Clone)]
-pub struct WatchConfig {
-    /// Evaluation-epoch cadence; every signal below is per-epoch.
-    pub epoch: SimDuration,
-    /// Per-hop recovery budget as a multiple of the link's nominal one-way
-    /// latency.
-    pub recovery_budget_factor: f64,
-    /// Floor on the recovery budget (short links get slack for timers).
-    pub recovery_budget_min: SimDuration,
-    /// Node-level retransmissions within one epoch that count as a storm.
-    pub storm_retransmits: u64,
-    /// Route recomputations within one epoch that count as a flap. Set
-    /// above the deployment size: a convergence wave recomputes once per
-    /// changed remote origin, so a full-topology refresh is not a flap —
-    /// per-origin oscillation is caught by `damping` instead.
-    pub flap_reroutes: u64,
-    /// Strikes against one link before it is suspended.
-    pub strike_threshold: u32,
-    /// Minimum data packets a neighbor must report receiving in an epoch
-    /// before the progressed/received ratio is meaningful.
-    pub blackhole_min_packets: u64,
-    /// Consecutive suspicious epochs before the blackhole detection fires.
-    pub blackhole_epochs: u32,
-    /// Initial suspension length, in epochs (doubles per repeat offense).
-    pub probe_backoff_epochs: u64,
-    /// Cap on the suspension length, in epochs.
-    pub probe_backoff_max_epochs: u64,
-    /// Consecutive healthy probe epochs before a suspended link readmits.
-    pub hold_down_epochs: u32,
-    /// Summed link-protocol queue depth above which an epoch counts as hot.
-    pub queue_depth_limit: usize,
-    /// Consecutive hot epochs before shedding escalates (and cool epochs
-    /// before it decays).
-    pub queue_epochs: u32,
-    /// Shedding never rises to this priority: flows at or above it are
-    /// always admitted ([`crate::service::Priority::NORMAL`] by default).
-    pub shed_max_priority: u8,
-    /// Adaptive sampling: hot flows are traced `boost`× as densely.
-    pub sample_boost: u32,
-    /// Epochs a flow stays hot after its last loss/recovery/reroute event.
-    pub sample_hot_epochs: u32,
-    /// LSA flap-damping parameters installed into the connectivity monitor.
-    pub damping: FlapDamping,
-}
-
-impl Default for WatchConfig {
-    fn default() -> Self {
-        WatchConfig {
-            epoch: SimDuration::from_millis(500),
-            recovery_budget_factor: 6.0,
-            recovery_budget_min: SimDuration::from_millis(5),
-            storm_retransmits: 48,
-            flap_reroutes: 16,
-            strike_threshold: 3,
-            blackhole_min_packets: 10,
-            blackhole_epochs: 2,
-            probe_backoff_epochs: 4,
-            probe_backoff_max_epochs: 64,
-            hold_down_epochs: 3,
-            queue_depth_limit: 96,
-            queue_epochs: 2,
-            shed_max_priority: 4,
-            sample_boost: 8,
-            sample_hot_epochs: 4,
-            damping: FlapDamping::default(),
-        }
-    }
-}
+/// Evaluation-epoch cadence; every signal below is per-epoch.
+pub const EPOCH: SimDuration = SimDuration::from_millis(500);
+/// Per-hop recovery budget as a multiple of the link's nominal one-way
+/// latency.
+pub const RECOVERY_BUDGET_FACTOR: f64 = 6.0;
+/// Floor on the recovery budget (short links get slack for timers).
+pub const RECOVERY_BUDGET_MIN: SimDuration = SimDuration::from_millis(5);
+/// Node-level retransmissions within one epoch that count as a storm.
+pub const STORM_RETRANSMITS: u64 = 48;
+/// Route recomputations within one epoch that count as a flap. Set above
+/// the deployment size: a convergence wave recomputes once per changed
+/// remote origin, so a full-topology refresh is not a flap — per-origin
+/// oscillation is caught by the connectivity monitor's flap damping
+/// instead.
+pub const FLAP_REROUTES: u64 = 16;
+/// Strikes against one link before it is suspended.
+pub const STRIKE_THRESHOLD: u32 = 3;
+/// Minimum data packets a neighbor must report receiving in an epoch
+/// before the progressed/received ratio is meaningful.
+pub const BLACKHOLE_MIN_PACKETS: u64 = 10;
+/// Consecutive suspicious epochs before the blackhole detection fires.
+pub const BLACKHOLE_EPOCHS: u32 = 2;
+/// Initial suspension length, in epochs (doubles per repeat offense).
+pub const PROBE_BACKOFF_EPOCHS: u64 = 4;
+/// Cap on the suspension length, in epochs.
+pub const PROBE_BACKOFF_MAX_EPOCHS: u64 = 64;
+/// Consecutive healthy probe epochs before a suspended link readmits.
+pub const HOLD_DOWN_EPOCHS: u32 = 3;
+/// Summed link-protocol queue depth above which an epoch counts as hot.
+pub const QUEUE_DEPTH_LIMIT: usize = 96;
+/// Consecutive hot epochs before shedding escalates (and cool epochs before
+/// it decays).
+pub const QUEUE_EPOCHS: u32 = 2;
+/// Shedding never rises to this priority: flows at or above it are always
+/// admitted ([`crate::service::Priority::NORMAL`]).
+pub const SHED_MAX_PRIORITY: u8 = 4;
+/// Adaptive sampling: hot flows are traced `SAMPLE_BOOST`× as densely.
+pub const SAMPLE_BOOST: u32 = 8;
+/// Epochs a flow stays hot after its last loss/recovery/reroute event.
+pub const SAMPLE_HOT_EPOCHS: u32 = 4;
 
 /// What the per-link state machine asks the node to do this epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,12 +123,12 @@ pub struct LinkWatch {
 }
 
 impl LinkWatch {
-    fn new(budget_ns: u64, initial_backoff_epochs: u64) -> Self {
+    fn new(budget_ns: u64) -> Self {
         LinkWatch {
             budget_ns,
             state: LinkState::Healthy,
             strikes: 0,
-            backoff_epochs: initial_backoff_epochs.max(1),
+            backoff_epochs: PROBE_BACKOFF_EPOCHS,
             serving_epochs: 0,
             blackhole_epochs: 0,
             last_receipt: None,
@@ -193,16 +164,10 @@ impl LinkWatch {
 
     /// Advances the state machine one epoch. `probe_healthy` is the
     /// hello-derived verdict (link up, loss low) used during probing.
-    pub fn on_epoch(
-        &mut self,
-        cfg: &WatchConfig,
-        epoch_ms: u64,
-        probe_healthy: bool,
-        out: &mut Vec<LinkDecision>,
-    ) {
+    pub fn on_epoch(&mut self, probe_healthy: bool, out: &mut Vec<LinkDecision>) {
         match self.state {
             LinkState::Healthy => {
-                if self.strikes >= cfg.strike_threshold {
+                if self.strikes >= STRIKE_THRESHOLD {
                     self.serving_epochs = self.backoff_epochs;
                     self.state = LinkState::Suspended {
                         remaining_epochs: self.serving_epochs,
@@ -211,15 +176,14 @@ impl LinkWatch {
                         strikes: u64::from(self.strikes),
                     });
                     self.strikes = 0;
-                    self.backoff_epochs =
-                        (self.backoff_epochs * 2).min(cfg.probe_backoff_max_epochs.max(1));
+                    self.backoff_epochs = (self.backoff_epochs * 2).min(PROBE_BACKOFF_MAX_EPOCHS);
                 }
             }
             LinkState::Suspended { remaining_epochs } => {
                 if remaining_epochs <= 1 {
                     self.state = LinkState::Probing { healthy_epochs: 0 };
                     out.push(LinkDecision::Probe {
-                        backoff_ms: self.serving_epochs * epoch_ms,
+                        backoff_ms: self.serving_epochs * (EPOCH.as_nanos() / 1_000_000),
                     });
                 } else {
                     self.state = LinkState::Suspended {
@@ -236,7 +200,7 @@ impl LinkWatch {
                     self.state = LinkState::Probing { healthy_epochs: 0 };
                 } else {
                     let h = healthy_epochs + 1;
-                    if h >= cfg.hold_down_epochs {
+                    if h >= HOLD_DOWN_EPOCHS {
                         self.state = LinkState::Healthy;
                         out.push(LinkDecision::Readmit);
                     } else {
@@ -267,7 +231,7 @@ pub enum ShedDecision {
 
 /// Graceful-overload controller: sustained queue growth raises a shedding
 /// floor one priority at a time (lowest-priority flows shed first, never
-/// reaching `shed_max_priority`); sustained calm lowers it again.
+/// reaching [`SHED_MAX_PRIORITY`]); sustained calm lowers it again.
 #[derive(Debug, Default)]
 pub struct ShedState {
     /// Ingress packets of flows with priority strictly below this are shed.
@@ -278,16 +242,16 @@ pub struct ShedState {
 
 impl ShedState {
     /// Feeds one epoch's summed queue depth through the controller.
-    pub fn on_epoch(&mut self, cfg: &WatchConfig, depth: usize, out: &mut Vec<ShedDecision>) {
-        if depth > cfg.queue_depth_limit {
+    pub fn on_epoch(&mut self, depth: usize, out: &mut Vec<ShedDecision>) {
+        if depth > QUEUE_DEPTH_LIMIT {
             self.hot_epochs += 1;
             self.cool_epochs = 0;
-            if self.hot_epochs >= cfg.queue_epochs {
+            if self.hot_epochs >= QUEUE_EPOCHS {
                 self.hot_epochs = 0;
                 out.push(ShedDecision::Growth {
                     depth: depth as u64,
                 });
-                if self.below < cfg.shed_max_priority {
+                if self.below < SHED_MAX_PRIORITY {
                     self.below += 1;
                     out.push(ShedDecision::Engage { below: self.below });
                 }
@@ -296,7 +260,7 @@ impl ShedState {
             self.hot_epochs = 0;
             if self.below > 0 {
                 self.cool_epochs += 1;
-                if self.cool_epochs >= cfg.queue_epochs {
+                if self.cool_epochs >= QUEUE_EPOCHS {
                     self.cool_epochs = 0;
                     self.below -= 1;
                     if self.below == 0 {
@@ -311,14 +275,13 @@ impl ShedState {
 }
 
 /// Adaptive trace sampling: flows with recent loss/recovery/reroute events
-/// are traced `boost`× as densely as the configured base rate; heat decays
-/// after `hot_epochs` quiet epochs. With tracing disabled (base 0) the
-/// sampler stays inert, preserving the zero-overhead default.
+/// are traced [`SAMPLE_BOOST`]× as densely as the configured base rate;
+/// heat decays after [`SAMPLE_HOT_EPOCHS`] quiet epochs. With tracing
+/// disabled (base 0) the sampler stays inert, preserving the zero-overhead
+/// default.
 #[derive(Debug)]
 pub struct AdaptiveSampler {
     base: u32,
-    boost: u32,
-    hot_epochs: u32,
     /// Flow stable id → epochs of heat remaining.
     hot: HashMap<u64, u32>,
 }
@@ -326,19 +289,18 @@ pub struct AdaptiveSampler {
 impl AdaptiveSampler {
     /// Creates a sampler over the ingress base rate (1-in-`base`; 0 = off).
     #[must_use]
-    pub fn new(base: u32, boost: u32, hot_epochs: u32) -> Self {
+    pub fn new(base: u32) -> Self {
         AdaptiveSampler {
             base,
-            boost: boost.max(1),
-            hot_epochs: hot_epochs.max(1),
             hot: HashMap::new(),
         }
     }
 
-    /// Marks `flow` anomalous: it samples densely for `hot_epochs` epochs.
+    /// Marks `flow` anomalous: it samples densely for
+    /// [`SAMPLE_HOT_EPOCHS`] epochs.
     pub fn note_anomaly(&mut self, flow: u64) {
         if self.base > 0 {
-            self.hot.insert(flow, self.hot_epochs);
+            self.hot.insert(flow, SAMPLE_HOT_EPOCHS);
         }
     }
 
@@ -348,7 +310,7 @@ impl AdaptiveSampler {
         if self.base == 0 {
             0
         } else if self.hot.contains_key(&flow) {
-            (self.base / self.boost).max(1)
+            (self.base / SAMPLE_BOOST).max(1)
         } else {
             self.base
         }
@@ -370,11 +332,9 @@ impl AdaptiveSampler {
 }
 
 /// The watchdog's full runtime state, owned by the daemon and advanced once
-/// per [`WatchConfig::epoch`] from the node timer level.
+/// per [`EPOCH`] from the node timer level.
 #[derive(Debug)]
 pub struct WatchState {
-    /// The thresholds this watchdog runs with.
-    pub config: WatchConfig,
     /// Evaluation epochs completed.
     pub epoch_index: u64,
     /// Per-link state, in local link order (empty until links are wired).
@@ -393,14 +353,11 @@ impl WatchState {
     /// Creates watchdog state; `trace_sample` is the ingress base sampling
     /// rate the adaptive sampler modulates.
     #[must_use]
-    pub fn new(config: WatchConfig, trace_sample: u32) -> Self {
-        let sampler =
-            AdaptiveSampler::new(trace_sample, config.sample_boost, config.sample_hot_epochs);
+    pub fn new(trace_sample: u32) -> Self {
         WatchState {
-            config,
             epoch_index: 0,
             links: Vec::new(),
-            sampler,
+            sampler: AdaptiveSampler::new(trace_sample),
             shed: ShedState::default(),
             prev_retransmits: 0,
             prev_reroutes: 0,
@@ -410,13 +367,12 @@ impl WatchState {
     /// (Re)builds per-link state for links with the given nominal one-way
     /// latencies (milliseconds), in local link order.
     pub fn wire(&mut self, nominal_latencies_ms: &[f64]) {
-        let min_ns = self.config.recovery_budget_min.as_nanos();
         self.links = nominal_latencies_ms
             .iter()
             .map(|&ms| {
-                let budget_ns =
-                    ((ms * self.config.recovery_budget_factor * 1e6) as u64).max(min_ns);
-                LinkWatch::new(budget_ns, self.config.probe_backoff_epochs)
+                let budget_ns = ((ms * RECOVERY_BUDGET_FACTOR * 1e6) as u64)
+                    .max(RECOVERY_BUDGET_MIN.as_nanos());
+                LinkWatch::new(budget_ns)
             })
             .collect();
     }
@@ -426,25 +382,25 @@ impl WatchState {
 mod tests {
     use super::*;
 
-    fn cfg() -> WatchConfig {
-        WatchConfig::default()
-    }
-
     #[test]
     fn sampler_boosts_on_anomaly_and_decays() {
-        let mut s = AdaptiveSampler::new(64, 8, 2);
+        let mut s = AdaptiveSampler::new(64);
         assert_eq!(s.rate_for(7), 64, "healthy flows sample at the base rate");
         s.note_anomaly(7);
         assert_eq!(s.rate_for(7), 8, "hot flows sample densely");
         assert_eq!(s.rate_for(8), 64, "heat is per flow");
-        s.on_epoch();
-        assert_eq!(s.rate_for(7), 8, "still hot within the window");
+        for _ in 1..SAMPLE_HOT_EPOCHS {
+            s.on_epoch();
+            assert_eq!(s.rate_for(7), 8, "still hot within the window");
+        }
         s.on_epoch();
         assert_eq!(s.rate_for(7), 64, "decayed back to base");
         assert_eq!(s.hot_flows(), 0);
         // Re-noting refreshes the window.
         s.note_anomaly(7);
-        s.on_epoch();
+        for _ in 1..SAMPLE_HOT_EPOCHS {
+            s.on_epoch();
+        }
         s.note_anomaly(7);
         s.on_epoch();
         assert_eq!(s.rate_for(7), 8);
@@ -452,7 +408,7 @@ mod tests {
 
     #[test]
     fn sampler_stays_inert_when_tracing_is_off() {
-        let mut s = AdaptiveSampler::new(0, 8, 2);
+        let mut s = AdaptiveSampler::new(0);
         s.note_anomaly(7);
         assert_eq!(s.rate_for(7), 0, "base 0 means tracing stays off");
         assert_eq!(s.hot_flows(), 0, "no heat is accumulated");
@@ -460,26 +416,25 @@ mod tests {
 
     #[test]
     fn sampler_boost_never_rounds_to_zero() {
-        let mut s = AdaptiveSampler::new(4, 8, 2);
+        let mut s = AdaptiveSampler::new(4);
         s.note_anomaly(1);
         assert_eq!(s.rate_for(1), 1, "boost saturates at trace-everything");
     }
 
-    fn run_epoch(lw: &mut LinkWatch, c: &WatchConfig, healthy: bool) -> Vec<LinkDecision> {
+    fn run_epoch(lw: &mut LinkWatch, healthy: bool) -> Vec<LinkDecision> {
         let mut out = Vec::new();
-        lw.on_epoch(c, 500, healthy, &mut out);
+        lw.on_epoch(healthy, &mut out);
         out
     }
 
     #[test]
     fn strikes_suspend_then_probe_then_readmit() {
-        let c = cfg();
-        let mut lw = LinkWatch::new(1_000_000, c.probe_backoff_epochs);
+        let mut lw = LinkWatch::new(1_000_000);
         lw.strike(2);
-        assert!(run_epoch(&mut lw, &c, true).is_empty(), "below threshold");
+        assert!(run_epoch(&mut lw, true).is_empty(), "below threshold");
         lw.strike(1);
         assert_eq!(
-            run_epoch(&mut lw, &c, true),
+            run_epoch(&mut lw, true),
             vec![LinkDecision::Suspend { strikes: 3 }]
         );
         assert!(lw.is_suspended());
@@ -487,33 +442,32 @@ mod tests {
         lw.strike(5);
         // Serve the 4-epoch suspension, then probe.
         for _ in 0..3 {
-            assert!(run_epoch(&mut lw, &c, true).is_empty());
+            assert!(run_epoch(&mut lw, true).is_empty());
         }
         assert_eq!(
-            run_epoch(&mut lw, &c, true),
+            run_epoch(&mut lw, true),
             vec![LinkDecision::Probe { backoff_ms: 2000 }]
         );
         assert!(lw.is_suspended(), "probing still advertises down");
         // Hold-down: 3 healthy epochs readmit.
-        assert!(run_epoch(&mut lw, &c, true).is_empty());
-        assert!(run_epoch(&mut lw, &c, true).is_empty());
-        assert_eq!(run_epoch(&mut lw, &c, true), vec![LinkDecision::Readmit]);
+        assert!(run_epoch(&mut lw, true).is_empty());
+        assert!(run_epoch(&mut lw, true).is_empty());
+        assert_eq!(run_epoch(&mut lw, true), vec![LinkDecision::Readmit]);
         assert!(!lw.is_suspended());
     }
 
     #[test]
     fn repeat_offender_serves_doubled_backoff() {
-        let c = cfg();
-        let mut lw = LinkWatch::new(1_000_000, c.probe_backoff_epochs);
-        lw.strike(c.strike_threshold);
+        let mut lw = LinkWatch::new(1_000_000);
+        lw.strike(STRIKE_THRESHOLD);
         assert!(matches!(
-            run_epoch(&mut lw, &c, true)[..],
+            run_epoch(&mut lw, true)[..],
             [LinkDecision::Suspend { .. }]
         ));
         // 4-epoch sentence, probe, 3 healthy epochs to readmit.
         let mut probes = 0;
         for _ in 0..16 {
-            for d in run_epoch(&mut lw, &c, true) {
+            for d in run_epoch(&mut lw, true) {
                 if matches!(d, LinkDecision::Probe { .. }) {
                     probes += 1;
                 }
@@ -524,52 +478,50 @@ mod tests {
         }
         assert_eq!(probes, 1);
         // Re-offend: the sentence doubles to 8 epochs.
-        lw.strike(c.strike_threshold);
+        lw.strike(STRIKE_THRESHOLD);
         assert!(matches!(
-            run_epoch(&mut lw, &c, true)[..],
+            run_epoch(&mut lw, true)[..],
             [LinkDecision::Suspend { .. }]
         ));
         for _ in 0..7 {
-            assert!(run_epoch(&mut lw, &c, true).is_empty());
+            assert!(run_epoch(&mut lw, true).is_empty());
         }
         assert_eq!(
-            run_epoch(&mut lw, &c, true),
+            run_epoch(&mut lw, true),
             vec![LinkDecision::Probe { backoff_ms: 4000 }]
         );
     }
 
     #[test]
     fn unhealthy_probe_restarts_the_hold_down() {
-        let c = cfg();
-        let mut lw = LinkWatch::new(1_000_000, c.probe_backoff_epochs);
-        lw.strike(c.strike_threshold);
-        run_epoch(&mut lw, &c, true);
+        let mut lw = LinkWatch::new(1_000_000);
+        lw.strike(STRIKE_THRESHOLD);
+        run_epoch(&mut lw, true);
         for _ in 0..4 {
-            run_epoch(&mut lw, &c, true);
+            run_epoch(&mut lw, true);
         }
         // Probing now; two healthy epochs, then a bad one.
-        assert!(run_epoch(&mut lw, &c, true).is_empty());
-        assert!(run_epoch(&mut lw, &c, false).is_empty());
+        assert!(run_epoch(&mut lw, true).is_empty());
+        assert!(run_epoch(&mut lw, false).is_empty());
         // The hold-down restarted: three more healthy epochs needed.
-        assert!(run_epoch(&mut lw, &c, true).is_empty());
-        assert!(run_epoch(&mut lw, &c, true).is_empty());
-        assert_eq!(run_epoch(&mut lw, &c, true), vec![LinkDecision::Readmit]);
+        assert!(run_epoch(&mut lw, true).is_empty());
+        assert!(run_epoch(&mut lw, true).is_empty());
+        assert_eq!(run_epoch(&mut lw, true), vec![LinkDecision::Readmit]);
     }
 
     #[test]
     fn shedding_escalates_under_sustained_growth_and_decays() {
-        let c = cfg();
         let mut shed = ShedState::default();
         let mut out = Vec::new();
         // One hot epoch: nothing yet (needs queue_epochs = 2).
-        shed.on_epoch(&c, c.queue_depth_limit + 1, &mut out);
+        shed.on_epoch(QUEUE_DEPTH_LIMIT + 1, &mut out);
         assert!(out.is_empty());
-        shed.on_epoch(&c, c.queue_depth_limit + 1, &mut out);
+        shed.on_epoch(QUEUE_DEPTH_LIMIT + 1, &mut out);
         assert_eq!(
             out,
             vec![
                 ShedDecision::Growth {
-                    depth: c.queue_depth_limit as u64 + 1
+                    depth: QUEUE_DEPTH_LIMIT as u64 + 1
                 },
                 ShedDecision::Engage { below: 1 },
             ]
@@ -577,34 +529,33 @@ mod tests {
         assert_eq!(shed.below, 1);
         // A calm epoch in between resets the hot streak.
         out.clear();
-        shed.on_epoch(&c, 0, &mut out);
-        shed.on_epoch(&c, c.queue_depth_limit + 1, &mut out);
-        shed.on_epoch(&c, 0, &mut out);
+        shed.on_epoch(0, &mut out);
+        shed.on_epoch(QUEUE_DEPTH_LIMIT + 1, &mut out);
+        shed.on_epoch(0, &mut out);
         assert!(out.is_empty(), "no escalation without a sustained streak");
         // Sustained calm decays the floor back to zero.
         out.clear();
-        shed.on_epoch(&c, 0, &mut out);
+        shed.on_epoch(0, &mut out);
         assert_eq!(out, vec![ShedDecision::Release]);
         assert_eq!(shed.below, 0);
     }
 
     #[test]
     fn shedding_never_reaches_the_priority_ceiling() {
-        let c = cfg();
         let mut shed = ShedState::default();
         let mut out = Vec::new();
         for _ in 0..40 {
-            shed.on_epoch(&c, c.queue_depth_limit + 1, &mut out);
+            shed.on_epoch(QUEUE_DEPTH_LIMIT + 1, &mut out);
         }
-        assert_eq!(shed.below, c.shed_max_priority);
+        assert_eq!(shed.below, SHED_MAX_PRIORITY);
         assert!(out
             .iter()
-            .all(|d| !matches!(d, ShedDecision::Engage { below } if *below > c.shed_max_priority)));
+            .all(|d| !matches!(d, ShedDecision::Engage { below } if *below > SHED_MAX_PRIORITY)));
     }
 
     #[test]
     fn wire_computes_per_link_budgets_with_floor() {
-        let mut w = WatchState::new(WatchConfig::default(), 64);
+        let mut w = WatchState::new(64);
         w.wire(&[10.0, 0.1]);
         assert_eq!(w.links.len(), 2);
         assert_eq!(w.links[0].budget_ns, 60_000_000, "10ms x factor 6");

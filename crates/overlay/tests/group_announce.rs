@@ -14,7 +14,6 @@ use son_obs::MemFootprint;
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::fleet::{Fleet, TX_PORT};
 use son_overlay::node::CLIENT_IPC_DELAY;
-use son_overlay::state::membership::MembershipConfig;
 use son_overlay::{
     ClientFlow, ClientOp, Destination, FlowSpec, GroupId, NodeConfig, SessionEvent, Wire, Workload,
 };
@@ -173,7 +172,7 @@ fn once_relevant_daemon_reannounces_empty_membership_after_restart() {
 #[test]
 fn seed_join_without_groups_completes_without_a_group_flood() {
     let config = NodeConfig {
-        membership: Some(MembershipConfig::default()),
+        membership: true,
         ..NodeConfig::default()
     };
     let builder = OverlayBuilder::new(chain_topology(4, 10.0)).node_config(config);

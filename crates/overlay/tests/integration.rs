@@ -394,7 +394,6 @@ fn it_priority_fairness_under_flooding_attacker() {
 fn fifo_baseline_collapses_under_the_same_attack() {
     let config = son_overlay::NodeConfig {
         it_rate_bps: Some(800_000),
-        fifo_cap: 32,
         ..Default::default()
     };
     let (fleet, sink, _) = dumbbell_attack(13, config, LinkService::Fifo);

@@ -16,7 +16,6 @@ use son_obs::watch::{WatchEvent, WatchKind};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::Workload;
 use son_overlay::fleet::Fleet;
-use son_overlay::watch::WatchConfig;
 use son_overlay::{FlowSpec, NodeConfig, Priority};
 use son_topo::{Graph, NodeId};
 
@@ -33,7 +32,7 @@ fn diamond() -> Graph {
 
 fn watched_config() -> NodeConfig {
     NodeConfig {
-        watch: Some(WatchConfig::default()),
+        watch: true,
         trace_sample: 16,
         ..NodeConfig::default()
     }
@@ -164,20 +163,18 @@ fn watchdog_runs_are_deterministic() {
 
 #[test]
 fn shedding_preserves_per_flow_conservation() {
-    // Two reliable flows share one hop; hop-by-hop ARQ keeps ~10 packets
-    // in flight, so a queue limit of 2 trips the growth controller and the
-    // watchdog sheds the low-priority flow at the ingress. Every shed
-    // packet must land in the shed flow's own ledger: per FlowKey,
-    // sent = delivered + dropped, with the drops under `drop.shed`.
+    // Two reliable flows share one 100 ms hop at 1 kpps each; hop-by-hop
+    // ARQ keeps a round trip of packets unacknowledged, well above the
+    // watchdog's queue-depth limit for two epochs running, so the growth
+    // controller trips and the watchdog sheds the low-priority flow at the
+    // ingress. Every shed packet must land in the shed flow's own ledger:
+    // per FlowKey, sent = delivered + dropped, with the drops under
+    // `drop.shed`.
     let config = NodeConfig {
-        watch: Some(WatchConfig {
-            queue_depth_limit: 2,
-            queue_epochs: 1,
-            ..WatchConfig::default()
-        }),
+        watch: true,
         ..NodeConfig::default()
     };
-    let builder = OverlayBuilder::new(chain_topology(2, 5.0)).node_config(config);
+    let builder = OverlayBuilder::new(chain_topology(2, 100.0)).node_config(config);
     let mut fleet = Fleet::new(24, None, builder);
     let low = FlowSpec::reliable().with_priority(Priority::LOW);
     let high = FlowSpec::reliable().with_priority(Priority::HIGH);
@@ -185,15 +182,15 @@ fn shedding_preserves_per_flow_conservation() {
         NodeId(0),
         NodeId(1),
         low,
-        Workload::cbr(1000, 600, SimDuration::from_millis(1)),
+        Workload::cbr(1000, 2000, SimDuration::from_millis(1)),
     );
     fleet.flow(
         NodeId(0),
         NodeId(1),
         high,
-        Workload::cbr(1000, 600, SimDuration::from_millis(1)),
+        Workload::cbr(1000, 2000, SimDuration::from_millis(1)),
     );
-    // Senders finish by ~1.1s; the tail drains long before 5s.
+    // Senders finish by ~2.5s; the tail drains long before 5s.
     fleet.run(SimTime::from_secs(5));
 
     let events = watch_events(&fleet, 0);
@@ -234,7 +231,7 @@ fn shedding_preserves_per_flow_conservation() {
             delivered + dropped,
             "sent {sent} != delivered {delivered} + dropped {dropped}"
         );
-        assert_eq!(sent, 600);
+        assert_eq!(sent, 2000);
     }
     let (_, _, high_dropped) = outcomes[0];
     let (_, _, low_dropped) = outcomes[1];
