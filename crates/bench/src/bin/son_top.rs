@@ -8,10 +8,11 @@
 //! Two input modes, one aggregator:
 //!
 //! - **Live**: `--listen ADDR` binds the collector UDP socket `son-node
-//!   --telemetry` daemons stream binary snapshots to, and refreshes a
-//!   terminal view every `--interval` (default 1000 ms). `--record FILE`
-//!   additionally appends every received snapshot as a `kind:"telemetry"`
-//!   JSONL row — the recording replays to the identical roll-up.
+//!   --telemetry` daemons send their snapshot rows to, one
+//!   `kind:"telemetry"` JSONL row per datagram, and refreshes a terminal
+//!   view every `--interval` (default 1000 ms). `--record FILE`
+//!   additionally appends every datagram accepted as a snapshot, verbatim,
+//!   one per line — the recording replays to the identical roll-up.
 //! - **Replay**: positional JSONL files (sim-leg `*.telemetry.jsonl` or a
 //!   live recording) are ingested in order and rendered once.
 //!
@@ -21,12 +22,11 @@
 //! `son-top --json --gate ... --once` as a cluster health check. `--for MS`
 //! bounds a live session (it implies an exit even without `--once`).
 
-use std::io::Read as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use son_bench::{ClusterState, Gate};
-use son_obs::snapshot::TelemetrySnapshot;
+use son_bench::{ClusterState, Collector, Gate};
 use son_obs::Json;
 
 const USAGE: &str = "usage: son-top [--listen ADDR | FILE...] [--json] [--once] [--gate SPEC] [--interval MS] [--for MS] [--record FILE] [--top N]";
@@ -189,65 +189,33 @@ fn emit(cluster: &ClusterState, args: &Args, live: bool) {
 fn replay(args: &Args) -> Result<ClusterState, String> {
     let mut cluster = ClusterState::new();
     for path in &args.files {
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| format!("read {path}: {e}"))?;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            cluster.ingest_line(line);
-        }
+        cluster.ingest_file(Path::new(path))?;
     }
     Ok(cluster)
 }
 
 fn live(args: &Args) -> Result<ClusterState, String> {
     let addr = args.listen.as_deref().expect("live mode has --listen");
-    let socket = std::net::UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    socket
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking: {e}"))?;
-    let mut record = match &args.record {
-        Some(path) => Some(std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?),
-        None => None,
-    };
-    let mut cluster = ClusterState::new();
-    let started = Instant::now();
-    let mut next_render = Instant::now() + Duration::from_millis(args.interval_ms);
-    let mut buf = vec![0u8; 65_536];
+    let mut collector = Collector::bind(addr, args.record.as_deref().map(Path::new))?;
+    let interval = Duration::from_millis(args.interval_ms);
+    let end = args
+        .for_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let mut next_render = Instant::now() + interval;
     loop {
-        let mut idle = true;
-        for _ in 0..256 {
-            match socket.recv_from(&mut buf) {
-                Ok((n, _)) => {
-                    idle = false;
-                    let frame = &buf[..n];
-                    if let Some(rec) = record.as_mut() {
-                        if let Ok(snap) = TelemetrySnapshot::decode(frame) {
-                            use std::io::Write as _;
-                            let _ = writeln!(rec, "{}", snap.row_json());
-                        }
-                    }
-                    cluster.ingest_bytes(frame);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(format!("recv: {e}")),
-            }
-        }
-        let done = args
-            .for_ms
-            .is_some_and(|ms| started.elapsed() >= Duration::from_millis(ms));
-        if done {
-            return Ok(cluster);
+        let until = end.map_or(next_render, |end| end.min(next_render));
+        collector
+            .receive_until(until)
+            .map_err(|e| format!("recv: {e}"))?;
+        if end.is_some_and(|end| Instant::now() >= end) {
+            return Ok(collector.cluster);
         }
         if Instant::now() >= next_render {
             if args.once && args.for_ms.is_none() {
-                return Ok(cluster);
+                return Ok(collector.cluster);
             }
-            emit(&cluster, args, true);
-            next_render += Duration::from_millis(args.interval_ms);
-        }
-        if idle {
-            std::thread::sleep(Duration::from_millis(5));
+            emit(&collector.cluster, args, true);
+            next_render += interval;
         }
     }
 }

@@ -24,14 +24,11 @@
 
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};
 use son_node::{unix_now_ns, Scenario, TopoKind};
-use son_obs::snapshot::TelemetrySnapshot;
 use son_obs::Json;
 use son_overlay::builder::OverlayBuilder;
 use son_overlay::client::Workload;
@@ -39,7 +36,7 @@ use son_overlay::{Fleet, NodeConfig};
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::telemetry::ClusterState;
+use crate::telemetry::{ClusterState, Collector};
 use crate::{f, longest_gap, row, table_header, write_bench};
 
 /// One leg's outcome, sim or UDP.
@@ -186,74 +183,20 @@ fn son_node_bin() -> Result<PathBuf, String> {
     }
 }
 
-/// The in-process telemetry collector: binds the socket the daemons stream
-/// to, ingests every frame live into a [`ClusterState`], and records each
-/// snapshot as a JSONL row in arrival order — so replaying the recording
-/// must reproduce the live roll-up exactly.
-struct Collector {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<(ClusterState, u64)>,
-}
-
-fn spawn_collector(record_path: PathBuf) -> Result<Collector, String> {
-    let socket =
-        std::net::UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("collector bind: {e}"))?;
-    let addr = socket
-        .local_addr()
-        .map_err(|e| format!("collector addr: {e}"))?;
-    socket
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|e| format!("collector timeout: {e}"))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        let mut live = ClusterState::new();
-        let mut bad_frames = 0u64;
-        let mut record = std::fs::File::create(&record_path).ok();
-        let mut buf = vec![0u8; 65_536];
-        loop {
-            match socket.recv_from(&mut buf) {
-                Ok((n, _)) => match TelemetrySnapshot::decode(&buf[..n]) {
-                    Ok(snap) => {
-                        if let Some(f) = record.as_mut() {
-                            let _ = writeln!(f, "{}", snap.row_json());
-                        }
-                        live.ingest(snap);
-                    }
-                    Err(_) => bad_frames += 1,
-                },
-                // Timeout / interrupt: check the stop flag and keep draining.
-                Err(_) if !thread_stop.load(Ordering::Relaxed) => {}
-                Err(_) => break,
-            }
-        }
-        (live, bad_frames)
-    });
-    Ok(Collector { addr, stop, handle })
-}
-
-/// What the telemetry plane saw over one UDP cluster run.
-#[derive(Debug, Clone, Copy, Default)]
-struct TelemetryOutcome {
-    snapshots: u64,
-    lost: u64,
-    nodes: u64,
-}
-
 /// Runs the scenario as a multi-process UDP loopback cluster and
 /// aggregates the per-process result files. Each daemon streams telemetry
-/// to an in-process collector; after the run, the live roll-up is asserted
-/// byte-identical to replaying the collector's own JSONL recording
-/// (acceptance: one schema, live and replay agree).
-fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, TelemetryOutcome), String> {
+/// to a [`Collector`], which this thread runs between polls of the
+/// daemons; after the run, the live roll-up is asserted byte-identical to
+/// replaying the collector's own JSONL recording (acceptance: one schema,
+/// live and replay agree).
+fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, ClusterState), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let scenario_path = dir.join(format!("{}.scenario.json", s.name));
     std::fs::write(&scenario_path, s.to_json())
         .map_err(|e| format!("write {}: {e}", scenario_path.display()))?;
     let bin = son_node_bin()?;
     let record_path = dir.join(format!("{}.udp.telemetry.jsonl", s.name));
-    let collector = spawn_collector(record_path.clone())?;
+    let mut collector = Collector::bind("127.0.0.1:0", Some(&record_path))?;
 
     // Every daemon waits for this shared instant before starting its clock;
     // the lead time covers process spawn and socket binding.
@@ -284,6 +227,11 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
     // Grace = epoch lead + scenario horizon + generous slack for a loaded
     // host; a daemon past that is hung and gets killed.
     let deadline = Instant::now() + Duration::from_millis(800 + s.run_for_ms + 15_000);
+    let mut collect_for = |ms| {
+        collector
+            .receive_until(Instant::now() + Duration::from_millis(ms))
+            .map_err(|e| format!("collector: {e}"))
+    };
     let mut failures = Vec::new();
     for (i, child, _) in &mut children {
         loop {
@@ -303,7 +251,7 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
                     failures.push(format!("node {i} hung past the deadline; killed"));
                     break;
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(50)),
+                Ok(None) => collect_for(50)?,
                 Err(e) => {
                     failures.push(format!("node {i} wait: {e}"));
                     break;
@@ -312,27 +260,16 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
         }
     }
     // Every daemon has exited; give the last in-flight datagrams a beat,
-    // then stop the collector and compare live vs replay.
-    std::thread::sleep(Duration::from_millis(200));
-    collector.stop.store(true, Ordering::Relaxed);
-    let (live, bad_frames) = collector
-        .handle
-        .join()
-        .map_err(|_| "collector thread panicked".to_owned())?;
+    // then compare live vs replay.
+    collect_for(200)?;
+    let live = collector.cluster;
     if !failures.is_empty() {
         return Err(failures.join("; "));
     }
-    if bad_frames > 0 {
-        return Err(format!(
-            "collector received {bad_frames} undecodable telemetry frames"
-        ));
-    }
+    // The recording holds only what was accepted: a bad datagram shows as
+    // `decode_errors` in the live roll-up alone.
     let mut replay = ClusterState::new();
-    let recorded =
-        std::fs::read_to_string(&record_path).map_err(|e| format!("telemetry recording: {e}"))?;
-    for line in recorded.lines().filter(|l| !l.trim().is_empty()) {
-        replay.ingest_line(line);
-    }
+    replay.ingest_file(&record_path)?;
     let live_rollup = live.rollup(5).to_json();
     let replay_rollup = replay.rollup(5).to_json();
     if live_rollup != replay_rollup {
@@ -340,12 +277,6 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
             "telemetry roll-up diverged between live ingest and JSONL replay:\nlive:   {live_rollup}\nreplay: {replay_rollup}"
         ));
     }
-    let telemetry = TelemetryOutcome {
-        snapshots: live.snapshots(),
-        lost: live.nodes().map(|(_, n)| n.lost).sum(),
-        nodes: live.node_count() as u64,
-    };
-
     let mut leg = Leg::default();
     for (i, _, out) in &children {
         let text = std::fs::read_to_string(out)
@@ -376,7 +307,7 @@ fn run_on_udp(s: &Scenario, base_port: u16, dir: &Path) -> Result<(Leg, Telemetr
             leg.max_gap_ms = g;
         }
     }
-    Ok((leg, telemetry))
+    Ok((leg, live))
 }
 
 struct Comparison {
@@ -389,13 +320,17 @@ struct Comparison {
 fn compare(s: Scenario, delivery_band: f64, base_port: u16, dir: &Path) -> Comparison {
     println!("\nscenario {}: {} nodes, spec {}", s.name, s.nodes, s.spec);
     let sim = run_in_sim(&s, dir);
-    let (udp, telemetry) = match run_on_udp(&s, base_port, dir) {
+    let (udp, live) = match run_on_udp(&s, base_port, dir) {
         Ok(outcome) => outcome,
         Err(e) => panic!("UDP cluster failed for {}: {e}", s.name),
     };
     println!(
-        "telemetry: {} snapshots from {} nodes ({} lost in flight); live == replay roll-up",
-        telemetry.snapshots, telemetry.nodes, telemetry.lost
+        "telemetry: {} snapshots from {} nodes ({} lost in flight, {} bad datagrams); \
+         live == replay roll-up",
+        live.snapshots(),
+        live.node_count(),
+        live.nodes().map(|(_, n)| n.lost).sum::<u64>(),
+        live.decode_errors
     );
     table_header(&[
         ("leg", 5),

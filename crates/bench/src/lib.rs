@@ -18,7 +18,7 @@ pub mod watchdog;
 
 pub use export::{export_rows, finish_export, obs_sink, tag_run, write_bench};
 pub use gate::Gate;
-pub use telemetry::{ClusterState, NodeState};
+pub use telemetry::{ClusterState, Collector, NodeState};
 
 use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};

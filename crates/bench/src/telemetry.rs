@@ -1,16 +1,16 @@
 //! Cluster-side telemetry aggregation: the collector state behind `son-top`.
 //!
-//! A [`ClusterState`] ingests [`TelemetrySnapshot`]s from any mix of
-//! sources — decoded UDP frames off the collector socket, or replayed
-//! `kind:"telemetry"` JSONL rows — and maintains per-node liveness
-//! (received / lost / duplicate accounting off the seq numbers) plus the
-//! latest snapshot per node. [`ClusterState::ingest`] is the one place the
-//! seq rules live: `son-top` rolls up through it and `son-trace
-//! --self-check` audits exports through it. [`ClusterState::rollup`] renders the cluster
-//! view `son-top` displays and CI gates on; it deliberately contains no
+//! A [`ClusterState`] ingests [`TelemetrySnapshot`]s through one
+//! [`ClusterState::ingest_line`], a datagram off the collector socket and a
+//! line of a JSONL recording alike, and keeps per-node liveness (received /
+//! lost / duplicate accounting off the seq numbers) plus the latest
+//! snapshot per node. [`ClusterState::ingest`] is the one place the seq
+//! rules live; `son-trace --self-check` audits exports through it.
+//! [`Collector`] is the one receive loop, under `son-top --listen` and
+//! `son-exp udp_parity`. [`ClusterState::rollup`] renders the cluster view
+//! `son-top` displays and CI gates on; it deliberately contains no
 //! wall-clock-derived field, so the same snapshots produce byte-identical
-//! roll-ups whether they arrived live or from a recording
-//! (`live_ingest_matches_jsonl_replay` in `son-exp udp_parity` locks this).
+//! roll-ups whether they arrived live or from a recording.
 //!
 //! `son-top --gate` evaluates a [`crate::Gate`] (`delivery>=0.95,stale<=2`)
 //! against the roll-up: each clause names one of its numeric fields, and a
@@ -18,6 +18,11 @@
 //! health check.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, ErrorKind, Write as _};
+use std::net::{SocketAddr, UdpSocket};
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 use son_obs::snapshot::{TelemetrySnapshot, EPOCH_NS};
 use son_obs::{Json, LatencyHistogram};
@@ -103,27 +108,36 @@ impl ClusterState {
         }
     }
 
-    /// Ingests one UDP datagram; codec failures are counted, not fatal.
-    pub fn ingest_bytes(&mut self, frame: &[u8]) {
-        match TelemetrySnapshot::decode(frame) {
-            Ok(snap) => self.ingest(snap),
-            Err(_) => self.decode_errors += 1,
+    /// Ingests one datagram or recorded line (the same bytes) and returns
+    /// whether it was a snapshot. What [`TelemetrySnapshot::decode`] refuses,
+    /// a row of another kind included, counts in `decode_errors`, and so
+    /// does a datagram with a newline, which a recording would split in two.
+    pub fn ingest_line(&mut self, line: &[u8]) -> bool {
+        match TelemetrySnapshot::decode(line) {
+            Ok(snap) if !line.contains(&b'\n') => {
+                self.ingest(snap);
+                true
+            }
+            _ => {
+                self.decode_errors += 1;
+                false
+            }
         }
     }
 
-    /// Ingests one JSONL line if it is a `kind:"telemetry"` row; other
-    /// kinds are ignored (experiment files interleave kinds), broken
-    /// telemetry rows are counted as decode errors.
-    pub fn ingest_line(&mut self, line: &str) {
-        let Ok(row) = Json::parse(line) else {
-            self.decode_errors += 1;
-            return;
-        };
-        match TelemetrySnapshot::from_row(&row) {
-            Ok(Some(snap)) => self.ingest(snap),
-            Ok(None) => {}
-            Err(_) => self.decode_errors += 1,
+    /// Replays a recording or a sim-leg export: each non-blank line goes
+    /// through [`ClusterState::ingest_line`].
+    ///
+    /// # Errors
+    ///
+    /// Names the file that could not be read.
+    pub fn ingest_file(&mut self, path: &Path) -> Result<(), String> {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            self.ingest_line(line.as_bytes());
         }
+        Ok(())
     }
 
     /// Nodes heard from.
@@ -343,6 +357,81 @@ impl ClusterState {
     }
 }
 
+/// The live end of the telemetry plane, shared by `son-top --listen` and
+/// `son-exp udp_parity`: the socket daemons send snapshots to, the
+/// [`ClusterState`] they roll up into, and an optional recording.
+#[derive(Debug)]
+pub struct Collector {
+    socket: UdpSocket,
+    /// The address daemons send to.
+    pub addr: SocketAddr,
+    /// Everything received so far, rolled up.
+    pub cluster: ClusterState,
+    record: Option<File>,
+}
+
+impl Collector {
+    /// Binds the collector socket at `addr`, and creates the recording at
+    /// `record` if one is asked for.
+    ///
+    /// # Errors
+    ///
+    /// Names the bind or the file creation that failed.
+    pub fn bind(addr: &str, record: Option<&Path>) -> Result<Collector, String> {
+        let socket = UdpSocket::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+        let addr = socket
+            .local_addr()
+            .map_err(|e| format!("bind {addr}: {e}"))?;
+        let record = record
+            .map(|path| File::create(path).map_err(|e| format!("create {}: {e}", path.display())))
+            .transpose()?;
+        Ok(Collector {
+            socket,
+            addr,
+            cluster: ClusterState::new(),
+            record,
+        })
+    }
+
+    /// Blocks on the socket until `deadline`, ingesting each datagram
+    /// through [`ClusterState::ingest_line`] and appending the ones it
+    /// accepts verbatim, one per line, to the recording: a replay of the
+    /// recording then rolls up to what was ingested live. A deadline
+    /// already past still takes one datagram if one is queued.
+    ///
+    /// # Errors
+    ///
+    /// A receive error other than a timeout, or a failed write to the
+    /// recording.
+    pub fn receive_until(&mut self, deadline: Instant) -> io::Result<()> {
+        let mut buf = [0; 65_536];
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            // `None` would block forever; the socket rounds up to 1 µs.
+            let wait = left.max(Duration::from_nanos(1));
+            self.socket.set_read_timeout(Some(wait))?;
+            match self.socket.recv(&mut buf) {
+                Ok(n) => {
+                    let datagram = &buf[..n];
+                    if self.cluster.ingest_line(datagram) {
+                        if let Some(record) = self.record.as_mut() {
+                            record.write_all(&[datagram, b"\n"].concat())?;
+                        }
+                    }
+                }
+                Err(e) => match e.kind() {
+                    ErrorKind::Interrupted => {}
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => return Ok(()),
+                    _ => return Err(e),
+                },
+            }
+            if left.is_zero() {
+                return Ok(());
+            }
+        }
+    }
+}
+
 /// A total of values that remote senders chose: it saturates.
 fn sum(values: impl Iterator<Item = u64>) -> u64 {
     values.fold(0, u64::saturating_add)
@@ -370,7 +459,6 @@ mod tests {
     use crate::Gate;
     use proptest::prelude::*;
     use son_obs::snapshot::{CounterDelta, LinkHealth, NamedDigest, NodeHealth};
-    use son_obs::{TELEMETRY_MAGIC, TELEMETRY_VERSION};
 
     fn snap(node: u32, seq: u64, sent: u64, delivered: u64) -> TelemetrySnapshot {
         let mut hist = LatencyHistogram::new();
@@ -540,25 +628,7 @@ mod tests {
         assert_eq!(key_label("reroutes", "node"), None);
     }
 
-    #[test]
-    fn bytes_and_rows_produce_identical_state() {
-        let snaps: Vec<TelemetrySnapshot> = (0u64..4)
-            .map(|s| snap(u32::from(s % 2 == 0), s, 10, 5))
-            .collect();
-        let mut via_bytes = ClusterState::new();
-        let mut via_rows = ClusterState::new();
-        for s in &snaps {
-            via_bytes.ingest_bytes(&s.encode().unwrap());
-            via_rows.ingest_line(&s.row_json());
-        }
-        assert_eq!(
-            via_bytes.rollup(10).to_json(),
-            via_rows.rollup(10).to_json(),
-            "one schema, two transports, same roll-up"
-        );
-    }
-
-    /// Every number a well-formed frame can carry is one a remote sender
+    /// Every number a well-formed row can carry is one a remote sender
     /// chose: two nodes claiming the largest of each still roll up.
     #[test]
     fn well_formed_extremes_do_not_overflow_the_rollup() {
@@ -582,7 +652,7 @@ mod tests {
                     [(64, u64::MAX)],
                 )
                 .unwrap();
-                c.ingest_bytes(&s.encode().unwrap());
+                assert!(c.ingest_line(&s.encode().unwrap()));
             }
         }
         assert_eq!(c.decode_errors, 0);
@@ -592,55 +662,128 @@ mod tests {
         assert!(Json::parse(&r.to_json()).is_ok());
     }
 
-    /// Every single-byte change of a valid frame is either refused by the
-    /// decoder or rolls up next to an intact neighbor.
+    /// Datagrams from two daemons, a stray non-telemetry row, noise, and a
+    /// row split by a newline reach a real collector socket: it ingests the
+    /// snapshots, counts the rest, and records exactly the datagrams it
+    /// accepted, so the recording replays to the live roll-up.
+    #[test]
+    fn collector_records_what_it_ingests_verbatim() {
+        let path = std::env::temp_dir().join(format!("son-collector-{}.jsonl", std::process::id()));
+        let mut collector = Collector::bind("127.0.0.1:0", Some(&path)).unwrap();
+        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sender.connect(collector.addr).unwrap();
+        let good: Vec<Vec<u8>> = [snap(0, 0, 10, 0), snap(1, 0, 0, 9), snap(0, 2, 20, 0)]
+            .iter()
+            .map(|s| s.encode().unwrap())
+            .collect();
+        let split = snap(1, 1, 0, 9)
+            .row_json()
+            .replace(",\"seq\"", "\n,\"seq\"");
+        let bad = [
+            &br#"{"kind":"trace","at_ns":5}"#[..],
+            &[0xff, 0x00],
+            split.as_bytes(),
+        ];
+        for datagram in good.iter().map(Vec::as_slice).chain(bad) {
+            sender.send(datagram).unwrap();
+        }
+        // Loopback queues each datagram before `send` returns.
+        let until = Instant::now() + Duration::from_millis(200);
+        collector.receive_until(until).unwrap();
+        let recording = std::fs::read(&path).unwrap();
+        assert_eq!(recording, [&good.join(&b'\n')[..], b"\n"].concat());
+        assert_eq!(collector.cluster.snapshots(), 3);
+        assert_eq!(collector.cluster.decode_errors, 3);
+        let mut replay = ClusterState::new();
+        replay.ingest_file(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        // The recording holds what was accepted, and nothing of the rest.
+        let mut live = collector.cluster;
+        live.decode_errors = 0;
+        assert_eq!(replay.rollup(5).to_json(), live.rollup(5).to_json());
+    }
+
+    /// One datagram at a collector that already holds an intact neighbour:
+    /// it is either ingested or counted as a decode error, and an accepted
+    /// one replays from its recorded line to the same roll-up. Returns
+    /// whether it was accepted.
+    fn collect(datagram: &[u8]) -> bool {
+        let mut live = ClusterState::new();
+        live.ingest(snap(0, 3, 100, 90));
+        let accepted = live.ingest_line(datagram);
+        assert_eq!(live.snapshots() + live.decode_errors, 2);
+        if accepted {
+            let mut replay = ClusterState::new();
+            replay.ingest(snap(0, 3, 100, 90));
+            let recorded = String::from_utf8([datagram, b"\n"].concat()).unwrap();
+            assert!(recorded
+                .lines()
+                .all(|line| replay.ingest_line(line.as_bytes())));
+            assert_eq!(live.rollup(5).to_json(), replay.rollup(5).to_json());
+        }
+        assert!(Json::parse(&live.rollup(5).to_json()).is_ok());
+        accepted
+    }
+
+    /// Every single-byte change of a row datagram (four values per byte,
+    /// two of which always break its UTF-8) and every truncation of it is
+    /// either refused by the decoder or rolls up next to an intact
+    /// neighbour.
     #[test]
     fn single_byte_mutations_never_panic_the_collector() {
-        let frame = snap(1, 3, 100, 90).encode().unwrap();
+        let datagram = snap(1, 3, 100, 90).encode().unwrap();
         let (mut refused, mut accepted) = (0, 0);
-        for at in 0..frame.len() {
-            for byte in [0x00, 0xff, frame[at] ^ 0x80, frame[at].wrapping_add(1)] {
-                let mut c = ClusterState::new();
-                c.ingest(snap(0, 3, 100, 90));
-                let mut bad = frame.clone();
+        for (at, &b) in datagram.iter().enumerate() {
+            for byte in [0x00, 0xff, b ^ 0x80, b.wrapping_add(1)] {
+                let mut bad = datagram.clone();
                 bad[at] = byte;
-                c.ingest_bytes(&bad);
-                refused += c.decode_errors;
-                accepted += 1 - c.decode_errors;
-                let _ = c.rollup(5).to_json();
+                if collect(&bad) {
+                    accepted += 1;
+                } else {
+                    refused += 1;
+                }
             }
         }
         assert!(
             refused > 0 && accepted > 0,
             "{refused} refused, {accepted} accepted"
         );
+        for len in 0..datagram.len() {
+            assert!(!collect(&datagram[..len]), "accepted the first {len} B");
+        }
+        assert!(collect(&datagram));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Whatever lands on the collector's socket — noise, noise behind a
-        /// valid header, a valid frame with a few bytes rewritten — goes
-        /// through decode, ingest and roll-up without a panic.
+        /// Whatever lands on the collector's socket — noise, a row with
+        /// noise for a counter key, a valid row with a few bytes rewritten
+        /// or cut short — goes through decode, ingest and roll-up without a
+        /// panic, and is either ingested or counted.
         fn no_datagram_panics_the_collector(
             noise in proptest::collection::vec(any::<u8>(), 0..400),
             edits in proptest::collection::vec((0usize..4096, any::<u8>()), 1..5),
+            cut in 0usize..4096,
         ) {
             let mut c = ClusterState::new();
-            c.ingest_bytes(&noise);
-            let mut framed = vec![TELEMETRY_MAGIC, TELEMETRY_VERSION, 1, 0];
-            framed.extend_from_slice(&(noise.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&noise);
-            c.ingest_bytes(&framed);
+            c.ingest_line(&noise);
+            collect(&noise);
+            let mut keyed = snap(3, 3, 100, 90);
+            keyed.counters[0].key = String::from_utf8_lossy(&noise).into_owned();
+            prop_assert!(c.ingest_line(&keyed.encode().unwrap()), "any key is escaped");
             for node in 0..3 {
-                let mut frame = snap(node, 3, 100, 90).encode().unwrap();
+                let mut datagram = snap(node, 3, 100, 90).encode().unwrap();
                 for &(at, byte) in &edits {
-                    let at = (at + node as usize) % frame.len();
-                    frame[at] = byte;
+                    let at = (at + node as usize) % datagram.len();
+                    datagram[at] = byte;
                 }
-                c.ingest_bytes(&frame);
+                c.ingest_line(&datagram);
+                collect(&datagram);
             }
-            prop_assert!(c.snapshots() + c.decode_errors == 5);
+            let intact = snap(4, 3, 100, 90).encode().unwrap();
+            prop_assert!(!c.ingest_line(&intact[..cut % intact.len()]));
+            prop_assert!(c.snapshots() + c.decode_errors == 6);
             prop_assert!(Json::parse(&c.rollup(5).to_json()).is_ok());
         }
 
@@ -673,9 +816,9 @@ mod tests {
                     let _ = son_obs::TraceEvent::from_row(&row);
                     let _ = son_obs::WatchEvent::from_row(&row);
                 }
-                c.ingest_line(&line);
+                c.ingest_line(line.as_bytes());
             }
-            prop_assert!(c.snapshots() + c.decode_errors <= 4);
+            prop_assert!(c.snapshots() + c.decode_errors == 4);
             prop_assert!(Json::parse(&c.rollup(5).to_json()).is_ok());
         }
     }

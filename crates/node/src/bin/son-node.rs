@@ -12,10 +12,12 @@
 //! file: one `kind:"udp-node"` summary row, then this daemon's trace rows
 //! (with `wall_ns`, so `son-trace` exports from different processes merge).
 //!
-//! With `--telemetry ADDR`, the daemon additionally streams one binary
+//! With `--telemetry ADDR`, the daemon additionally sends one
 //! [`son_obs::TelemetrySnapshot`] every telemetry epoch to the collector at
 //! `ADDR` (normally a `son-top` listener) over a separate best-effort UDP
-//! socket — seq-numbered, so the collector sees loss instead of guessing.
+//! socket: one datagram holding the snapshot's `kind:"telemetry"` JSONL
+//! row, the same row the simulator writes — seq-numbered, so the collector
+//! sees loss instead of guessing.
 //!
 //! With `--seed-peer N`, the daemon joins the already-running cluster
 //! through topology neighbor `N` instead of cold-starting as a founding

@@ -63,10 +63,11 @@ pub const MASTER_SECRET: u64 = 0x5eed;
 /// the remote daemon has no local process id.
 const REMOTE_SENDER: ProcessId = ProcessId(usize::MAX);
 
-/// Streams one [`son_obs::TelemetrySnapshot`] per telemetry epoch over its
-/// own best-effort UDP socket toward a collector (`son-top`). Loss is
-/// acceptable by design — snapshots are seq-numbered so the collector can
-/// account for gaps — and a full send buffer must never stall the daemon.
+/// Streams one [`son_obs::TelemetrySnapshot`] per telemetry epoch, one JSONL
+/// row per datagram, over its own best-effort UDP socket toward a collector
+/// (`son-top`). Loss is acceptable by design — snapshots are seq-numbered so
+/// the collector can account for gaps — and a full send buffer must never
+/// stall the daemon.
 #[derive(Debug)]
 struct TelemetryEmitter {
     socket: std::net::UdpSocket,
@@ -504,7 +505,7 @@ impl<T: Transport> NodeRuntime<T> {
                 &health,
             );
             match snap.encode() {
-                Ok(frame) => match tel.socket.send(&frame) {
+                Ok(datagram) => match tel.socket.send(&datagram) {
                     Ok(_) => self.driver.counters.incr("telemetry.sent"),
                     // Best-effort: the collector being gone or the buffer
                     // being full costs one snapshot, never the daemon.
@@ -944,26 +945,31 @@ mod tests {
     }
 
     /// Runs node `i` of the scenario over `nets[i]` to the horizon, each on
-    /// its own thread like the real processes they stand in for.
-    pub(crate) fn run_cluster<T: Transport + Send + 'static>(
+    /// its own thread like the real processes they stand in for, after
+    /// `setup` has seen its runtime.
+    pub(crate) fn run_cluster<T: Transport + Send>(
         scenario: &Scenario,
         nets: Vec<T>,
+        setup: impl Fn(&mut NodeRuntime<T>) + Sync,
     ) -> Vec<NodeRuntime<T>> {
         let _alone = exclusive();
         let epoch = unix_now_ns() + 50_000_000;
-        let handles: Vec<_> = nets
-            .into_iter()
-            .enumerate()
-            .map(|(i, net)| {
-                let s = scenario.clone();
-                std::thread::spawn(move || {
-                    let mut rt = NodeRuntime::new(s, NodeId(i), net, epoch);
-                    rt.run().expect("no receive-side failure");
-                    rt
+        std::thread::scope(|threads| {
+            let handles: Vec<_> = nets
+                .into_iter()
+                .enumerate()
+                .map(|(i, net)| {
+                    let (s, setup) = (scenario.clone(), &setup);
+                    threads.spawn(move || {
+                        let mut rt = NodeRuntime::new(s, NodeId(i), net, epoch);
+                        setup(&mut rt);
+                        rt.run().expect("no receive-side failure");
+                        rt
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     /// `(sent, received)` summed over every client of the cluster.
@@ -985,7 +991,7 @@ mod tests {
         let mut scenario = loopback_scenario();
         // A packet per millisecond, the benchmark's pace.
         (scenario.interval_us, scenario.count) = (1_000, 400);
-        let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes));
+        let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes), |_| {});
 
         let (sent, received) = totals(&runtimes);
         assert_eq!(sent, scenario.count, "sender finished its workload");
@@ -1016,6 +1022,36 @@ mod tests {
         for row in &rows {
             assert!(row.get("wall_ns").is_some());
             assert!(TraceEvent::from_row(row).is_some(), "row round-trips");
+        }
+    }
+
+    /// The daemon's telemetry emitter end to end: every datagram a vnet
+    /// cluster sends to a loopback collector is a snapshot row, each node's
+    /// seqs run 0, 1, 2, … with no gap, and `telemetry.sent` counts exactly
+    /// the datagrams that arrived.
+    #[test]
+    fn telemetry_datagrams_are_rows_in_seq_order() {
+        let scenario = loopback_scenario();
+        let collector = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = collector.local_addr().unwrap().to_string();
+        let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes), |rt| {
+            rt.enable_telemetry(&addr).expect("loopback collector");
+        });
+        // Every send happened before its daemon returned; the datagrams wait
+        // in the socket's buffer.
+        collector.set_nonblocking(true).unwrap();
+        let mut seqs = vec![Vec::new(); scenario.nodes];
+        let mut buf = vec![0u8; 65_536];
+        while let Ok(n) = collector.recv(&mut buf) {
+            let snap = son_obs::TelemetrySnapshot::decode(&buf[..n]).expect("a snapshot row");
+            seqs[snap.node as usize].push(snap.seq);
+        }
+        for (rt, seqs) in runtimes.iter().zip(&seqs) {
+            // An epoch is 500 ms: snapshots at 0, 500, 1000 and 1500 ms, one
+            // fewer if the host stalls the daemon past an epoch.
+            let gapless = seqs.iter().copied().eq(0..seqs.len() as u64);
+            assert!(seqs.len() >= 3 && gapless, "node {}: {seqs:?}", rt.me);
+            assert_eq!(rt.counters().get("telemetry.sent"), seqs.len() as u64);
         }
     }
 

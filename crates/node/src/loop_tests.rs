@@ -65,7 +65,7 @@ impl Transport for Tap {
 fn idle_chain_waits_per_timer_not_per_poll_interval() {
     let mut scenario = loopback_scenario();
     scenario.run_for_ms = 500; // ends before the flow starts
-    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes));
+    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes), |_| {});
     for rt in &runtimes {
         let c = rt.counters();
         let waits = c.get("loop.wait");
@@ -93,7 +93,7 @@ fn idle_chain_waits_per_timer_not_per_poll_interval() {
 fn nothing_fires_before_its_due_time() {
     let mut scenario = loopback_scenario();
     scenario.trace_sample = 1;
-    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes));
+    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes), |_| {});
     let (_, received) = totals(&runtimes);
     assert_eq!(received, scenario.count);
 
@@ -145,7 +145,7 @@ fn steady_flow_sleeps_without_readable_wakes() {
     (scenario.interval_us, scenario.count) = (1_000, 400);
     // Ends soon after the flow, so idle hello ticks weigh little.
     scenario.run_for_ms = scenario.start_ms + 450;
-    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes));
+    let runtimes = run_cluster(&scenario, chain_mesh(scenario.nodes), |_| {});
     let (_, received) = totals(&runtimes);
     assert_eq!(received, scenario.count);
 
@@ -168,7 +168,7 @@ fn steady_flow_sleeps_without_readable_wakes() {
 #[test]
 fn failed_sends_are_counted_loss_not_a_dead_daemon() {
     let scenario = loopback_scenario();
-    let runtimes = run_cluster(&scenario, Tap::chain(scenario.nodes, 2));
+    let runtimes = run_cluster(&scenario, Tap::chain(scenario.nodes, 2), |_| {});
     let (sent, received) = totals(&runtimes);
     assert_eq!(sent, scenario.count);
     assert!(

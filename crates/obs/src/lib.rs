@@ -10,8 +10,8 @@
 //!   sampled cross-node [`trace`] events and [`watch`]dog audit events —
 //!   growing with what it records and counting what it evicts;
 //! - the [`snapshot`] telemetry plane, the one periodic sampler: a
-//!   seq-numbered per-node health snapshot per epoch, as UDP frames from a
-//!   daemon or JSONL rows from the simulator;
+//!   seq-numbered per-node health snapshot per epoch, one JSONL row that a
+//!   daemon sends as a UDP datagram and the simulator writes to a file;
 //! - the unified [`taxonomy::DropClass`] drop-reason taxonomy shared by
 //!   every layer that discards packets, so "packets in = packets delivered +
 //!   packets dropped" is checkable with every drop attributed;
@@ -47,7 +47,7 @@ pub use registry::{CounterId, GaugeId, HistId, InstrumentDesc, Registry};
 pub use ring::Ring;
 pub use snapshot::{
     CounterDelta, LinkHealth, NamedDigest, NodeHealth, SnapshotProducer, TelemetryError,
-    TelemetrySnapshot, TELEMETRY_MAGIC, TELEMETRY_VERSION,
+    TelemetrySnapshot, TELEMETRY_VERSION,
 };
 pub use taxonomy::DropClass;
 pub use trace::{

@@ -5,18 +5,17 @@
 //! versioned [`TelemetrySnapshot`] per telemetry epoch from a node's
 //! metrics [`Registry`] plus its [`NodeHealth`] block
 //! (queue depths, per-link watch state, flow occupancy, footprint).
-//! The same snapshot travels two ways:
 //!
-//! - **bytes** ([`TelemetrySnapshot::encode`]/[`TelemetrySnapshot::decode`])
-//!   over a separate
-//!   best-effort UDP socket from a real `son-node` daemon — self-describing
-//!   (magic/version header, mirroring `son_overlay::wire`) and seq-numbered
-//!   so the collector can *see* loss instead of guessing;
-//! - **JSONL rows** ([`TelemetrySnapshot::write_row_json`]/
-//!   [`TelemetrySnapshot::from_row`]) from the
-//!   simulator leg via `Fleet::run_with_telemetry`, so one schema serves
-//!   both worlds and an aggregator cannot tell (modulo wall-clock fields)
-//!   which leg fed it.
+//! A snapshot has one encoding, the JSONL row of
+//! [`TelemetrySnapshot::write_row_json`]. The simulator leg writes it
+//! through `Fleet::run_with_telemetry`; a real `son-node` daemon sends
+//! exactly those bytes, one row per best-effort UDP datagram
+//! ([`TelemetrySnapshot::encode`]); and a collector reads a datagram and a
+//! recorded line through the same [`TelemetrySnapshot::decode`], which is
+//! [`TelemetrySnapshot::from_row`] behind a UTF-8 check and [`Json::parse`].
+//! So an aggregator cannot tell (modulo wall-clock fields) which leg fed
+//! it, and rows are seq-numbered so the collector can *see* loss instead of
+//! guessing.
 //!
 //! ## Counters travel as deltas, histograms whole
 //!
@@ -30,9 +29,9 @@
 //! itself; count/sum/min/max plus the sparse list of non-empty buckets is
 //! only its *encoding*, so the aggregator merges with
 //! [`LatencyHistogram::merge`] and is exact for the same reason in-process
-//! merging is. Both decoders rebuild through
+//! merging is. The decoder rebuilds through
 //! [`LatencyHistogram::from_sparse`], which rejects a bucket list no
-//! histogram could have produced ([`TelemetryError::BadHist`]).
+//! histogram could have produced, and names the rule it broke.
 
 use std::collections::HashMap;
 
@@ -40,57 +39,35 @@ use crate::json::Json;
 use crate::registry::Registry;
 use crate::LatencyHistogram;
 
-/// Current telemetry codec version; bumped on any layout change.
+/// Telemetry row version (`v`); bumped on any schema change.
 pub const TELEMETRY_VERSION: u8 = 1;
 
-/// First byte of every telemetry frame (distinct from the overlay link
-/// codec's `0xA5`, so a misrouted datagram fails fast).
-pub const TELEMETRY_MAGIC: u8 = 0xA7;
-
-/// Frame kind byte: one health snapshot.
-const KIND_SNAPSHOT: u8 = 1;
-
-/// Size of the fixed frame header: magic, version, kind, flags, body length.
-pub const TELEMETRY_HEADER_BYTES: usize = 8;
+/// The largest payload one UDP/IPv4 datagram carries: the longest row a
+/// daemon can send as one snapshot.
+pub const MAX_DATAGRAM_BYTES: usize = 65_507;
 
 /// The telemetry epoch, ns: a daemon renders one snapshot every 500 ms, on
 /// both legs, and a collector counts staleness in these epochs.
 pub const EPOCH_NS: u64 = 500_000_000;
 
-/// What can go wrong decoding a telemetry frame.
+/// What can go wrong encoding or decoding a telemetry datagram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryError {
-    /// The frame ended before a field was complete.
-    Truncated,
-    /// Bytes remained after the declared body, or inside it after the
-    /// last section.
-    Trailing,
-    /// The first byte was not [`TELEMETRY_MAGIC`].
-    BadMagic(u8),
-    /// The version byte was not [`TELEMETRY_VERSION`].
-    BadVersion(u8),
-    /// The kind byte had no defined meaning.
-    BadKind(u8),
-    /// A string field was not valid UTF-8.
-    BadUtf8(&'static str),
-    /// A value exceeded its wire-field range.
-    TooLarge(&'static str),
-    /// A histogram's bucket list broke the named rule of
-    /// [`LatencyHistogram::from_sparse`].
-    BadHist(&'static str),
+    /// The row is this many bytes, more than [`MAX_DATAGRAM_BYTES`].
+    TooLarge(usize),
+    /// The datagram is not valid UTF-8.
+    BadUtf8,
+    /// The text is not a telemetry row: the message names the parse error,
+    /// the missing or ill-typed field, or the rule a histogram broke.
+    BadRow(String),
 }
 
 impl std::fmt::Display for TelemetryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TelemetryError::Truncated => write!(f, "telemetry frame truncated"),
-            TelemetryError::Trailing => write!(f, "trailing bytes after telemetry body"),
-            TelemetryError::BadMagic(b) => write!(f, "bad telemetry magic 0x{b:02x}"),
-            TelemetryError::BadVersion(v) => write!(f, "unsupported telemetry version {v}"),
-            TelemetryError::BadKind(k) => write!(f, "unknown telemetry kind {k}"),
-            TelemetryError::BadUtf8(what) => write!(f, "{what} is not valid UTF-8"),
-            TelemetryError::TooLarge(what) => write!(f, "{what} exceeds wire field range"),
-            TelemetryError::BadHist(rule) => write!(f, "malformed histogram: {rule}"),
+            TelemetryError::TooLarge(n) => write!(f, "a {n} B telemetry row exceeds one datagram"),
+            TelemetryError::BadUtf8 => write!(f, "telemetry datagram is not valid UTF-8"),
+            TelemetryError::BadRow(why) => write!(f, "{why}"),
         }
     }
 }
@@ -150,7 +127,7 @@ pub struct NamedDigest {
     pub hist: LatencyHistogram,
 }
 
-/// `min` as frames and rows carry it: an empty histogram's is `u64::MAX`.
+/// `min` as a row carries it: an empty histogram's is `u64::MAX`.
 fn wire_min(h: &LatencyHistogram) -> u64 {
     if h.is_empty() {
         u64::MAX
@@ -321,252 +298,40 @@ impl SnapshotProducer {
     }
 }
 
-// ------------------------------------------------------------- byte codec
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) -> Result<(), TelemetryError> {
-        let len = u16::try_from(s.len()).map_err(|_| TelemetryError::TooLarge("string"))?;
-        self.u16(len);
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TelemetryError> {
-        if self.buf.len() < n {
-            return Err(TelemetryError::Truncated);
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-    fn u8(&mut self) -> Result<u8, TelemetryError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, TelemetryError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-    fn u32(&mut self) -> Result<u32, TelemetryError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64, TelemetryError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn u128(&mut self) -> Result<u128, TelemetryError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
-    }
-    fn str(&mut self, what: &'static str) -> Result<String, TelemetryError> {
-        let len = self.u16()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map(str::to_owned)
-            .map_err(|_| TelemetryError::BadUtf8(what))
-    }
-}
-
-const LINK_FLAG_SUSPENDED: u8 = 1 << 0;
-const LINK_FLAG_PROBING: u8 = 1 << 1;
-
 impl TelemetrySnapshot {
-    /// Encodes this snapshot as one self-describing frame.
+    /// The snapshot as one datagram: exactly the bytes of
+    /// [`TelemetrySnapshot::write_row_json`], so a collector records what it
+    /// received verbatim and a replay of the recording reads the same rows.
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::TooLarge`] when a collection or string
-    /// exceeds its wire-field range (more than 2^16 counters would mean a
-    /// runaway registry, not a bigger length field).
+    /// Returns [`TelemetryError::TooLarge`] when the row is longer than
+    /// [`MAX_DATAGRAM_BYTES`]: no single datagram could carry it.
     pub fn encode(&self) -> Result<Vec<u8>, TelemetryError> {
-        let mut w = Writer {
-            buf: Vec::with_capacity(256),
-        };
-        w.u8(TELEMETRY_MAGIC);
-        w.u8(TELEMETRY_VERSION);
-        w.u8(KIND_SNAPSHOT);
-        w.u8(0); // flags, reserved
-        w.u32(0); // body length, patched below
-        w.u32(self.node);
-        w.u64(self.seq);
-        w.u64(self.restarts);
-        w.u64(self.at_ns);
-        w.u64(self.wall_ns);
-        w.u64(self.uptime_ns);
-        w.u64(self.health.queue_depth);
-        w.u64(self.health.flows);
-        w.u64(self.health.footprint_bytes);
-        let links = u16::try_from(self.health.links.len())
-            .map_err(|_| TelemetryError::TooLarge("links"))?;
-        w.u16(links);
-        for l in &self.health.links {
-            w.u32(l.link);
-            w.u32(l.neighbor);
-            w.u64(l.queue_depth);
-            let mut flags = 0u8;
-            if l.suspended {
-                flags |= LINK_FLAG_SUSPENDED;
-            }
-            if l.probing {
-                flags |= LINK_FLAG_PROBING;
-            }
-            w.u8(flags);
+        let row = self.row_json();
+        if row.len() > MAX_DATAGRAM_BYTES {
+            return Err(TelemetryError::TooLarge(row.len()));
         }
-        let counters =
-            u16::try_from(self.counters.len()).map_err(|_| TelemetryError::TooLarge("counters"))?;
-        w.u16(counters);
-        for c in &self.counters {
-            w.str(&c.key)?;
-            w.u64(c.total);
-            w.u64(c.delta);
-        }
-        let hists =
-            u16::try_from(self.hists.len()).map_err(|_| TelemetryError::TooLarge("hists"))?;
-        w.u16(hists);
-        for h in &self.hists {
-            w.str(&h.key)?;
-            w.u64(h.hist.count());
-            w.u128(h.hist.sum());
-            w.u64(wire_min(&h.hist));
-            w.u64(h.hist.max());
-            w.u8(h.hist.bucket_counts().count() as u8);
-            for (i, c) in h.hist.bucket_counts() {
-                w.u8(i as u8); // 65 buckets
-                w.u64(c);
-            }
-        }
-        let body = u32::try_from(w.buf.len() - TELEMETRY_HEADER_BYTES)
-            .map_err(|_| TelemetryError::TooLarge("body"))?;
-        w.buf[4..8].copy_from_slice(&body.to_le_bytes());
-        Ok(w.buf)
+        Ok(row.into_bytes())
     }
 
-    /// Decodes one frame produced by [`TelemetrySnapshot::encode`].
+    /// Decodes one datagram or recorded line (the same bytes): UTF-8, then
+    /// [`Json::parse`], then [`TelemetrySnapshot::from_row`].
     ///
     /// # Errors
     ///
-    /// Returns the first structural violation: bad magic/version/kind,
-    /// truncation, trailing bytes, or a histogram whose bucket list no
-    /// histogram could have produced.
-    pub fn decode(frame: &[u8]) -> Result<TelemetrySnapshot, TelemetryError> {
-        let mut r = Reader { buf: frame };
-        let magic = r.u8()?;
-        if magic != TELEMETRY_MAGIC {
-            return Err(TelemetryError::BadMagic(magic));
-        }
-        let version = r.u8()?;
-        if version != TELEMETRY_VERSION {
-            return Err(TelemetryError::BadVersion(version));
-        }
-        let kind = r.u8()?;
-        if kind != KIND_SNAPSHOT {
-            return Err(TelemetryError::BadKind(kind));
-        }
-        let _flags = r.u8()?;
-        let body_len = r.u32()? as usize;
-        if r.buf.len() < body_len {
-            return Err(TelemetryError::Truncated);
-        }
-        if r.buf.len() > body_len {
-            return Err(TelemetryError::Trailing);
-        }
-        let node = r.u32()?;
-        let seq = r.u64()?;
-        let restarts = r.u64()?;
-        let at_ns = r.u64()?;
-        let wall_ns = r.u64()?;
-        let uptime_ns = r.u64()?;
-        let queue_depth = r.u64()?;
-        let flows = r.u64()?;
-        let footprint_bytes = r.u64()?;
-        let n_links = r.u16()?;
-        let mut links = Vec::with_capacity(n_links as usize);
-        for _ in 0..n_links {
-            let link = r.u32()?;
-            let neighbor = r.u32()?;
-            let queue_depth = r.u64()?;
-            let flags = r.u8()?;
-            links.push(LinkHealth {
-                link,
-                neighbor,
-                queue_depth,
-                suspended: flags & LINK_FLAG_SUSPENDED != 0,
-                probing: flags & LINK_FLAG_PROBING != 0,
-            });
-        }
-        let n_counters = r.u16()?;
-        let mut counters = Vec::with_capacity(n_counters as usize);
-        for _ in 0..n_counters {
-            let key = r.str("counter key")?;
-            let total = r.u64()?;
-            let delta = r.u64()?;
-            counters.push(CounterDelta { key, total, delta });
-        }
-        let n_hists = r.u16()?;
-        let mut hists = Vec::with_capacity(n_hists as usize);
-        for _ in 0..n_hists {
-            let key = r.str("hist key")?;
-            let count = r.u64()?;
-            let sum = r.u128()?;
-            let min = r.u64()?;
-            let max = r.u64()?;
-            let n_buckets = r.u8()?;
-            let mut buckets = Vec::with_capacity(n_buckets as usize);
-            for _ in 0..n_buckets {
-                let i = r.u8()?;
-                let c = r.u64()?;
-                buckets.push((usize::from(i), c));
-            }
-            let hist = LatencyHistogram::from_sparse(count, sum, min, max, buckets)
-                .map_err(TelemetryError::BadHist)?;
-            hists.push(NamedDigest { key, hist });
-        }
-        if !r.buf.is_empty() {
-            // The body is longer than its own counts account for.
-            return Err(TelemetryError::Trailing);
-        }
-        Ok(TelemetrySnapshot {
-            node,
-            seq,
-            restarts,
-            at_ns,
-            wall_ns,
-            uptime_ns,
-            health: NodeHealth {
-                queue_depth,
-                links,
-                flows,
-                footprint_bytes,
-            },
-            counters,
-            hists,
-        })
+    /// [`TelemetryError::BadUtf8`], or [`TelemetryError::BadRow`] naming why
+    /// the text is not a telemetry row (a row of another kind included).
+    pub fn decode(datagram: &[u8]) -> Result<TelemetrySnapshot, TelemetryError> {
+        let text = std::str::from_utf8(datagram).map_err(|_| TelemetryError::BadUtf8)?;
+        let row = Json::parse(text).map_err(TelemetryError::BadRow)?;
+        TelemetrySnapshot::from_row(&row)
+            .map_err(TelemetryError::BadRow)?
+            .ok_or_else(|| TelemetryError::BadRow("not a telemetry row".to_owned()))
     }
-
-    // ------------------------------------------------------------ row form
 
     /// Serializes the snapshot as one JSONL row (`kind:"telemetry"`) into
-    /// `out` — the sim leg's dialect of the same schema. `sum` splits into
+    /// `out` — a snapshot's one encoding, on both legs. `sum` splits into
     /// `sum_hi`/`sum_lo` because JSON numbers here are `u64`. One pass with
     /// no intermediate [`Json`] tree (the tree costs an allocation per
     /// field): per-epoch sim-leg emitters write every node's row every
@@ -739,11 +504,10 @@ fn num(obj: &Json, key: &str) -> Result<u64, String> {
 
 /// Field `key` of a row object, which must be a string.
 fn text(obj: &Json, key: &str) -> Result<String, String> {
-    let s = obj.get(key).and_then(Json::as_str);
-    Ok(
-        s.ok_or_else(|| format!("telemetry row: missing string field {key:?}"))?
-            .to_owned(),
-    )
+    obj.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("telemetry row: missing string field {key:?}"))
 }
 
 /// Field `key` of a row object, which must be an array.
@@ -810,18 +574,6 @@ mod tests {
         }
     }
 
-    /// [`sample_snapshot`] as the last build with a separate digest type
-    /// encoded it: version 1 frames and rows did not change with the type.
-    const GOLDEN_FRAME_HEX: &str = "\
-        a7010100260100000300000011000000000000000100000000000000008d380c01000000\
-        00002a36fe9c971700286bee000000000700000000000000030000000000000040ac2700\
-        00000000020000000000020000000500000000000000010100000004000000020000000000\
-        000002020016006e6f64652e666f727761726465647b6e6f64653d337de02e0000000000\
-        005401000000000000110064726f702e6c6f73737b6e6f64653d337d0c00000000000000\
-        0c00000000000000010020006e6f64652e64656c69766572795f6c6174656e63795f6e73\
-        7b6e6f64653d337d0400000000000000a63326000000000000000000000000005a000000\
-        00000000a025260000000000040701000000000000000a01000000000000000c01000000\
-        00000000160100000000000000";
     const GOLDEN_ROW: &str = concat!(
         r#"{"kind":"telemetry","v":1,"node":3,"seq":17,"restarts":1,"at_ns":4500000000,"#,
         r#""wall_ns":1700000000000000000,"uptime_ns":4000000000,"queue_depth":7,"flows":3,"#,
@@ -834,13 +586,10 @@ mod tests {
     );
 
     #[test]
-    fn bytes_round_trip() {
-        let snap = sample_snapshot();
-        let frame = snap.encode().unwrap();
-        assert_eq!(frame[0], TELEMETRY_MAGIC);
-        assert_eq!(TelemetrySnapshot::decode(&frame).unwrap(), snap);
-        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, GOLDEN_FRAME_HEX);
+    fn datagram_is_the_row() {
+        let datagram = sample_snapshot().encode().unwrap();
+        assert_eq!(datagram, GOLDEN_ROW.as_bytes());
+        assert_eq!(TelemetrySnapshot::decode(&datagram), Ok(sample_snapshot()));
     }
 
     #[test]
@@ -876,42 +625,19 @@ mod tests {
         assert_eq!(TelemetrySnapshot::from_row(&row), Ok(None));
     }
 
+    /// A registry too large for one datagram fails to encode, so a daemon
+    /// counts it as an encode error instead of a failed send.
     #[test]
-    fn decode_rejects_structural_damage() {
-        let snap = sample_snapshot();
-        let frame = snap.encode().unwrap();
-        let mut bad = frame.clone();
-        bad[0] = 0xA5;
-        assert_eq!(
-            TelemetrySnapshot::decode(&bad),
-            Err(TelemetryError::BadMagic(0xA5))
-        );
-        let mut bad = frame.clone();
-        bad[1] = 99;
-        assert_eq!(
-            TelemetrySnapshot::decode(&bad),
-            Err(TelemetryError::BadVersion(99))
-        );
-        assert_eq!(
-            TelemetrySnapshot::decode(&frame[..frame.len() - 3]),
-            Err(TelemetryError::Truncated)
-        );
-        // A section count that leaves the rest of the body unread: the one
-        // histogram (34-byte key field, 41 bytes of scalars, 4 buckets).
-        let mut bad = frame.clone();
-        let n_hists = frame.len() - (34 + 41 + 4 * 9) - 2;
-        assert_eq!(bad[n_hists], 1);
-        bad[n_hists] = 0;
-        assert_eq!(
-            TelemetrySnapshot::decode(&bad),
-            Err(TelemetryError::Trailing)
-        );
-        let mut long = frame;
-        long.push(0);
-        assert_eq!(
-            TelemetrySnapshot::decode(&long),
-            Err(TelemetryError::Trailing)
-        );
+    fn a_row_longer_than_a_datagram_does_not_encode() {
+        let mut registry = Registry::new();
+        for i in 0..1_600 {
+            let c = registry.counter("node.forwarded", &[("flow", &i.to_string())]);
+            registry.add(c, 1);
+        }
+        let snap = SnapshotProducer::new(0).produce(0, 0, &registry, &NodeHealth::default());
+        let len = snap.row_json().len();
+        assert!(len > MAX_DATAGRAM_BYTES, "{len} B");
+        assert_eq!(snap.encode(), Err(TelemetryError::TooLarge(len)));
     }
 
     #[test]
@@ -979,48 +705,43 @@ mod tests {
         assert_eq!(flow.delta, 3, "stale baseline was dropped");
     }
 
-    /// Each rule of `from_sparse`, broken by one byte of a valid frame (which
-    /// ends with its one histogram: count, sum, min, max, the bucket count,
-    /// then four `(index u8, count u64)` buckets) and named by both decoders.
+    /// Whatever keeps a datagram from being a telemetry row is refused and
+    /// named: bad UTF-8, a parse error, a row of another kind, a missing
+    /// field, and each rule of `from_sparse`.
     #[test]
-    fn decoders_name_the_rule_a_histogram_breaks() {
-        let snap = sample_snapshot();
-        let frame = snap.encode().unwrap();
-        let buckets = frame.len() - 4 * 9;
-        let (count, min) = (buckets - 1 - 8 - 8 - 16 - 8, buckets - 1 - 8 - 8);
-        for (at, byte, rule) in [
-            (buckets, 65, "bucket index above 64"),
-            (buckets + 9, 7, "bucket indices not strictly ascending"),
-            (buckets + 1, 0, "empty bucket listed"),
-            (count, 5, "bucket counts do not add up to the count"),
-            (min + 7, 1, "min above max"),
-        ] {
-            let mut bad = frame.clone();
-            bad[at] = byte;
-            assert_eq!(
-                TelemetrySnapshot::decode(&bad),
-                Err(TelemetryError::BadHist(rule))
-            );
-        }
-        for (from, to, rule) in [
+    fn decode_names_what_a_datagram_gets_wrong() {
+        let mut bad = GOLDEN_ROW.as_bytes().to_vec();
+        bad[20] = 0xff;
+        let refused = TelemetrySnapshot::decode(&bad);
+        assert_eq!(refused, Err(TelemetryError::BadUtf8));
+        for (from, to, why) in [
+            ("]}]}", "]}]", "expected"),
+            ("]}]}", "]}]}}", "trailing data"),
+            (
+                GOLDEN_ROW,
+                r#"{"kind":"trace","at_ns":5}"#,
+                "not a telemetry row",
+            ),
+            (r#""v":1,"#, "", r#"missing integer field "v""#),
             ("[7,1]", "[65,1]", "bucket index above 64"),
             ("[10,1]", "[7,1]", "bucket indices not strictly ascending"),
             ("[7,1]", "[7,0]", "empty bucket listed"),
             ("\"count\":4", "\"count\":5", "do not add up to the count"),
             ("\"min\":90", "\"min\":2500001", "min above max"),
         ] {
-            let row = Json::parse(&snap.row_json().replace(from, to)).unwrap();
-            let err = TelemetrySnapshot::from_row(&row).unwrap_err();
-            assert!(err.contains(rule), "{err}");
+            match TelemetrySnapshot::decode(GOLDEN_ROW.replace(from, to).as_bytes()) {
+                Err(TelemetryError::BadRow(e)) => assert!(e.contains(why), "{e}"),
+                other => panic!("{why}: {other:?}"),
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any snapshot survives both encodings, and merging the histograms
-        /// an aggregator decoded from either equals the histogram of
-        /// everything they recorded.
+        /// Any snapshot survives its datagram, and merging the histograms
+        /// an aggregator decoded equals the histogram of everything they
+        /// recorded.
         fn arbitrary_snapshot_round_trips(
             node in 0u32..1024,
             seq in 0u64..1_000_000,
@@ -1087,16 +808,11 @@ mod tests {
             };
             let decoded = TelemetrySnapshot::decode(&snap.encode().unwrap()).unwrap();
             prop_assert_eq!(&decoded, &snap);
-            let row = Json::parse(&snap.row_json()).unwrap();
-            let parsed = TelemetrySnapshot::from_row(&row).unwrap().unwrap();
-            prop_assert_eq!(&parsed, &snap);
-            for got in [decoded, parsed] {
-                let mut merged = LatencyHistogram::new();
-                for h in &got.hists {
-                    merged.merge(&h.hist);
-                }
-                prop_assert_eq!(&merged, &union);
+            let mut merged = LatencyHistogram::new();
+            for h in &decoded.hists {
+                merged.merge(&h.hist);
             }
+            prop_assert_eq!(&merged, &union);
         }
     }
 }

@@ -260,7 +260,7 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
 /// See [`decode`].
 #[inline]
 pub fn decode_reusing(frame: &[u8], sender: Option<&Arc<[LinkAdvert]>>) -> Result<Wire, WireError> {
-    let mut r = Reader::new(frame);
+    let mut r = FrameReader::new(frame);
     let magic = r.u8()?;
     if magic != FRAME_MAGIC {
         return Err(WireError::BadMagic(magic));
@@ -620,14 +620,14 @@ fn put_members(buf: &mut Vec<u8>, members: &[MemberInfo]) -> Result<(), WireErro
 
 // ---------------------------------------------------------------- readers
 
-struct Reader<'a> {
+struct FrameReader<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> FrameReader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
+        FrameReader { buf, at: 0 }
     }
 
     fn remaining(&self) -> usize {
@@ -672,11 +672,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn get_node(r: &mut Reader<'_>) -> Result<NodeId, WireError> {
+fn get_node(r: &mut FrameReader<'_>) -> Result<NodeId, WireError> {
     Ok(NodeId(r.u32()? as usize))
 }
 
-fn get_addr(r: &mut Reader<'_>) -> Result<OverlayAddr, WireError> {
+fn get_addr(r: &mut FrameReader<'_>) -> Result<OverlayAddr, WireError> {
     let node = get_node(r)?;
     let port = r.u16()?;
     Ok(OverlayAddr {
@@ -685,7 +685,7 @@ fn get_addr(r: &mut Reader<'_>) -> Result<OverlayAddr, WireError> {
     })
 }
 
-fn get_flow_key(r: &mut Reader<'_>) -> Result<FlowKey, WireError> {
+fn get_flow_key(r: &mut FrameReader<'_>) -> Result<FlowKey, WireError> {
     let src = get_addr(r)?;
     let dst = match r.u8()? {
         DEST_UNICAST => DestKey::Unicast(get_addr(r)?),
@@ -696,7 +696,7 @@ fn get_flow_key(r: &mut Reader<'_>) -> Result<FlowKey, WireError> {
     Ok(FlowKey { src, dst })
 }
 
-fn get_mask(r: &mut Reader<'_>) -> Result<EdgeMask, WireError> {
+fn get_mask(r: &mut FrameReader<'_>) -> Result<EdgeMask, WireError> {
     let mut mask = EdgeMask::EMPTY;
     for wi in 0..MASK_WORDS {
         let mut word = r.u64()?;
@@ -709,7 +709,7 @@ fn get_mask(r: &mut Reader<'_>) -> Result<EdgeMask, WireError> {
     Ok(mask)
 }
 
-fn get_spec(r: &mut Reader<'_>) -> Result<FlowSpec, WireError> {
+fn get_spec(r: &mut FrameReader<'_>) -> Result<FlowSpec, WireError> {
     let routing = match r.u8()? {
         ROUTING_LINK_STATE => RoutingService::LinkState,
         ROUTING_SOURCE_BASED => RoutingService::SourceBased(match r.u8()? {
@@ -777,7 +777,7 @@ fn get_spec(r: &mut Reader<'_>) -> Result<FlowSpec, WireError> {
 }
 
 #[inline(always)]
-fn get_data(r: &mut Reader<'_>, flags: u8) -> Result<DataPacket, WireError> {
+fn get_data(r: &mut FrameReader<'_>, flags: u8) -> Result<DataPacket, WireError> {
     let flow = get_flow_key(r)?;
     let flow_seq = r.u64()?;
     let origin = get_node(r)?;
@@ -823,7 +823,7 @@ fn get_data(r: &mut Reader<'_>, flags: u8) -> Result<DataPacket, WireError> {
     })
 }
 
-fn get_seqs(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+fn get_seqs(r: &mut FrameReader<'_>) -> Result<Vec<u64>, WireError> {
     let n = r.u32()? as usize;
     // Guard against a hostile length prefix before allocating.
     if n * 8 > r.remaining() {
@@ -836,7 +836,7 @@ fn get_seqs(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
     Ok(seqs)
 }
 
-fn get_ctl(r: &mut Reader<'_>) -> Result<LinkCtl, WireError> {
+fn get_ctl(r: &mut FrameReader<'_>) -> Result<LinkCtl, WireError> {
     Ok(match r.u8()? {
         CTL_RELIABLE_ACK => {
             let cum = r.u64()?;
@@ -882,7 +882,7 @@ fn get_ctl(r: &mut Reader<'_>) -> Result<LinkCtl, WireError> {
 
 /// One advert from its [`ADVERT_BYTES`] bytes.
 fn get_advert(bytes: &[u8]) -> Result<LinkAdvert, WireError> {
-    let mut r = Reader::new(bytes);
+    let mut r = FrameReader::new(bytes);
     let advert = LinkAdvert {
         edge: EdgeId(r.u32()? as usize),
         up: r.bool("link up")?,
@@ -900,7 +900,7 @@ fn get_advert(bytes: &[u8]) -> Result<LinkAdvert, WireError> {
 /// adverts are bit for bit what it holds, and one exact-size allocation
 /// otherwise.
 fn get_adverts(
-    r: &mut Reader<'_>,
+    r: &mut FrameReader<'_>,
     sender: Option<&Arc<[LinkAdvert]>>,
 ) -> Result<Arc<[LinkAdvert]>, WireError> {
     fn same_bits(a: &LinkAdvert, b: &LinkAdvert) -> bool {
@@ -929,7 +929,7 @@ fn get_adverts(
 }
 
 fn get_control(
-    r: &mut Reader<'_>,
+    r: &mut FrameReader<'_>,
     sub: u8,
     sender: Option<&Arc<[LinkAdvert]>>,
 ) -> Result<Control, WireError> {
@@ -996,7 +996,7 @@ fn get_control(
     })
 }
 
-fn get_members(r: &mut Reader<'_>) -> Result<Vec<MemberInfo>, WireError> {
+fn get_members(r: &mut FrameReader<'_>) -> Result<Vec<MemberInfo>, WireError> {
     let n = r.u16()? as usize;
     let mut members = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
