@@ -52,7 +52,7 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
     let per_shard = |count: fn(&son_netsim::shard::ShardLoad) -> u64| {
         Json::Arr(loads.iter().map(|l| Json::U64(count(l))).collect())
     };
-    Json::obj(vec![
+    let mut fields = vec![
         ("bench", Json::str("exp_scale")),
         ("mode", Json::str(mode)),
         ("n", Json::U64(r.n as u64)),
@@ -89,7 +89,13 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
             Json::U64(r.queue_stats.tombstones_peak as u64),
         ),
         ("queue_compactions", Json::U64(r.queue_stats.compactions)),
-    ])
+    ];
+    // Shard workers allocate on threads of their own, uncounted.
+    if r.shards == 1 {
+        let allocs = r.allocs as f64 / r.delivered.max(1) as f64;
+        fields.push(("allocs_per_delivered_pkt", Json::F64(allocs)));
+    }
+    Json::obj(fields)
 }
 
 pub fn run(opts: &Opts) {

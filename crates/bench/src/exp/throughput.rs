@@ -31,11 +31,17 @@ struct ThroughputResult {
     delivered: u64,
     reroutes: u64,
     fingerprint: u64,
+    /// Heap allocations on this thread during the run.
+    allocs: u64,
 }
 
 impl ThroughputResult {
     fn pkts_per_wall_s(&self) -> f64 {
         self.forwarded as f64 / self.wall_seconds.max(1e-9)
+    }
+
+    fn allocs_per_delivered_pkt(&self) -> f64 {
+        self.allocs as f64 / self.delivered.max(1) as f64
     }
 }
 
@@ -107,6 +113,7 @@ fn throughput_under_churn(
     }
 
     let run_for = SimTime::from_secs(run_secs);
+    let allocs = son_obs::alloc::thread_allocations();
     let wall = Instant::now();
     let mut telemetry_rows = String::new();
     if telemetry {
@@ -119,6 +126,7 @@ fn throughput_under_churn(
         fleet.run(run_for);
     }
     let wall_seconds = wall.elapsed().as_secs_f64();
+    let allocs = son_obs::alloc::thread_allocations() - allocs;
     if telemetry {
         // Producing and serializing every epoch is priced inside the timed
         // window above; the file itself lands afterwards, like every other
@@ -134,6 +142,7 @@ fn throughput_under_churn(
         delivered: fleet.delivered(),
         reroutes: fleet.reroutes(),
         fingerprint: fleet.sim.fingerprint(),
+        allocs,
     };
     (result, fleet.registry())
 }
@@ -224,6 +233,11 @@ pub fn run(opts: &Opts) {
                 Json::F64(r.pkts_per_wall_s() / t.pkts_per_wall_s().max(1e-9)),
             ),
         ];
+        // Shard workers allocate on threads of their own, uncounted.
+        if shards == 1 {
+            let allocs = Json::F64(r.allocs_per_delivered_pkt());
+            fields.push(("allocs_per_delivered_pkt", allocs));
+        }
         if mode == "sharded" {
             // The 1.8x-at-4-shards speedup gate is only meaningful on
             // hosts that can actually run 4 shards in parallel; record
@@ -283,5 +297,20 @@ mod tests {
             assert_eq!(r.fingerprint, fingerprint);
             assert_eq!((r.forwarded, r.delivered, r.reroutes), (8_729, 3_719, 180));
         }
+    }
+
+    #[test]
+    fn forwarding_under_churn_allocates_under_half_a_block_per_delivered_packet() {
+        // The full run's eight flows are the shape of the benchmark's
+        // `sim_fwd_churn`. It read 0.33 before receivers kept their seqs in
+        // bitmaps and drained event-queue buckets lent their buffers on.
+        let (r, _) = throughput_under_churn(false, 0, false, 1, false);
+        let per_pkt = r.allocs_per_delivered_pkt();
+        assert!(
+            per_pkt <= 0.5,
+            "{} allocations, {} delivered",
+            r.allocs,
+            r.delivered
+        );
     }
 }

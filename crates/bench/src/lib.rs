@@ -20,6 +20,11 @@ pub use export::{export_rows, finish_export, obs_sink, tag_run, write_bench};
 pub use gate::Gate;
 pub use telemetry::{ClusterState, Collector, NodeState};
 
+/// The unit tests count allocations as `son-exp` does.
+#[cfg(test)]
+#[global_allocator]
+static ALLOCATOR: son_obs::alloc::CountingAlloc = son_obs::alloc::CountingAlloc;
+
 use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::TraceEvent;

@@ -100,6 +100,8 @@ pub struct ScaleResult {
     /// The simulator fingerprint (identical for both passes and for every
     /// shard count).
     pub fingerprint: u64,
+    /// Heap allocations on this thread during the perf-off run.
+    pub allocs: u64,
 }
 
 impl ScaleResult {
@@ -200,9 +202,11 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
         SimDuration::from_millis(700),
     );
 
+    let allocs = son_obs::alloc::thread_allocations();
     let wall = Instant::now();
     fleet.run(SimTime::from_secs(sim_seconds));
     let wall_seconds = wall.elapsed().as_secs_f64();
+    let allocs = son_obs::alloc::thread_allocations() - allocs;
 
     let mut footprint = FootprintReport::new();
     let merged = PerfRegistry::new(false);
@@ -231,6 +235,7 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
         footprint,
         perf: merged,
         fingerprint: fleet.sim.fingerprint(),
+        allocs,
     }
 }
 

@@ -273,9 +273,10 @@ impl Ord for HeapKey {
     }
 }
 
-/// A buffer that empties with room for more keys than this is freed, so the
-/// room the buckets keep follows what is queued now, not what each bucket
-/// once held.
+/// An empty `now` keeps room for this many keys or for as many as are
+/// queued, and the spare bucket buffers for at most 64 times this many
+/// beyond the keys queued; more is freed, so the room kept follows what is
+/// queued now, not what each bucket once held.
 const KEEP_KEYS: usize = 64;
 
 /// The bucket of a key at `at` after the settled minimum `last`: the highest
@@ -315,6 +316,12 @@ struct RadixKeys {
     /// Keys before `last`.
     behind: BinaryHeap<Reverse<HeapKey>>,
     len: usize,
+    /// Buffers of emptied buckets, for the next buckets that fill: a settle
+    /// moves keys to lower buckets, and their room moves with them. An
+    /// empty bucket owns no buffer.
+    spare: Vec<Vec<HeapKey>>,
+    /// The room of `spare`, in keys.
+    spare_room: usize,
 }
 
 impl RadixKeys {
@@ -326,6 +333,8 @@ impl RadixKeys {
             occupied: 0,
             behind: BinaryHeap::new(),
             len: 0,
+            spare: Vec::new(),
+            spare_room: 0,
         }
     }
 
@@ -333,15 +342,35 @@ impl RadixKeys {
     fn push(&mut self, key: HeapKey) {
         let at = key.at.as_nanos();
         if at > self.last {
-            let b = bucket_of(at, self.last);
-            self.occupied |= 1 << b;
-            self.bits[b].push(key);
+            self.file(bucket_of(at, self.last), key);
         } else if at == self.last {
             self.push_now(key);
         } else {
             self.behind.push(Reverse(key));
         }
         self.len += 1;
+    }
+
+    /// Files `key` in bucket `b`, which takes a spare buffer if it had none.
+    #[inline(always)]
+    fn file(&mut self, b: usize, key: HeapKey) {
+        if self.occupied & 1 << b == 0 {
+            self.occupied |= 1 << b;
+            if let Some(buffer) = self.spare.pop() {
+                self.spare_room -= buffer.capacity();
+                self.bits[b] = buffer;
+            }
+        }
+        self.bits[b].push(key);
+    }
+
+    /// Keeps an emptied buffer for reuse if [`KEEP_KEYS`] allows.
+    fn idle(&mut self, buffer: Vec<HeapKey>) {
+        let room = buffer.capacity();
+        if room > 0 && self.spare_room + room <= self.len + 64 * KEEP_KEYS {
+            self.spare_room += room;
+            self.spare.push(buffer);
+        }
     }
 
     fn push_now(&mut self, key: HeapKey) {
@@ -368,7 +397,7 @@ impl RadixKeys {
             .min()
             .expect("an occupied bucket holds a key");
         self.last = last;
-        if self.now.capacity() > KEEP_KEYS {
+        if self.now.capacity() > KEEP_KEYS.max(self.len) {
             self.now = VecDeque::new();
         }
         let mut keyed = false;
@@ -378,14 +407,10 @@ impl RadixKeys {
                 keyed |= key.key.0.is_some();
                 self.now.push_back(key);
             } else {
-                let to = bucket_of(at, last);
-                self.occupied |= 1 << to;
-                self.bits[to].push(key);
+                self.file(bucket_of(at, last), key);
             }
         }
-        if drained.capacity() <= KEEP_KEYS {
-            self.bits[b] = drained;
-        }
+        self.idle(drained);
         if keyed {
             self.now.make_contiguous().sort_unstable();
         }
@@ -430,14 +455,15 @@ impl RadixKeys {
         self.now.retain(|k| keep(k));
         self.behind.retain(|Reverse(k)| keep(k));
         self.len = self.now.len() + self.behind.len();
-        for (b, bucket) in self.bits.iter_mut().enumerate() {
+        for bucket in &mut self.bits {
             bucket.retain(|k| keep(k));
             self.len += bucket.len();
-            if bucket.is_empty() {
+        }
+        for b in 0..64 {
+            if self.occupied >> b & 1 == 1 && self.bits[b].is_empty() {
                 self.occupied &= !(1 << b);
-                if bucket.capacity() > KEEP_KEYS {
-                    *bucket = Vec::new();
-                }
+                let emptied = std::mem::take(&mut self.bits[b]);
+                self.idle(emptied);
             }
         }
     }
@@ -453,6 +479,9 @@ impl RadixKeys {
 /// and emptying a cell moves exactly the payload, once.
 struct Slot<E> {
     id: u64,
+    /// Whether `id` is in the cancellation index: not for a delivery
+    /// [`EventQueue::schedule_cell`] queued, whose handle never escapes.
+    indexed: bool,
     /// `Some` while the event is live; `None` once cancelled (its key is
     /// then a tombstone) or free.
     payload: Option<E>,
@@ -484,8 +513,10 @@ pub struct EventQueue<E> {
     /// another event's slot.
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Live event id -> slab slot.
+    /// Live event id -> slab slot, for the entries a handle can cancel.
     index: MintedMap<u64, u32>,
+    /// Events scheduled and neither fired nor cancelled.
+    live: usize,
     next_seq: u64,
     next_id: u64,
     tombstones_peak: usize,
@@ -501,7 +532,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.index.len())
+            .field("live", &self.live)
             .field("keys", &self.keys.len())
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
@@ -521,6 +552,7 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             index: MintedMap::default(),
+            live: 0,
             next_seq: 0,
             next_id: 0,
             tombstones_peak: 0,
@@ -533,27 +565,36 @@ impl<E> EventQueue<E> {
     /// grow a vector has then already happened, so the payload is built
     /// where it will lie instead of being staged across those calls.
     #[inline(always)]
-    fn vacant(&mut self, at: SimTime, key: TieKey, id: u64) -> &mut Option<E> {
+    fn vacant(&mut self, at: SimTime, key: TieKey, id: u64, indexed: bool) -> &mut Option<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Slot { id, payload: None });
+            self.slab.push(Slot {
+                id,
+                indexed,
+                payload: None,
+            });
             u32::try_from(self.slab.len() - 1).expect("over 2^32 queued events")
         });
         self.keys.push(HeapKey { at, key, seq, slot });
-        let previous = self.index.insert(id, slot);
-        debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
+        if indexed {
+            let previous = self.index.insert(id, slot);
+            debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
+        }
+        self.live += 1;
         let cell = &mut self.slab[slot as usize];
-        cell.id = id;
+        (cell.id, cell.indexed) = (id, indexed);
         &mut cell.payload
     }
 
     /// [`EventQueue::schedule`] for a payload the caller builds in place:
-    /// `let cell = queue.schedule_cell(at); *cell = Some(payload);`.
+    /// `let cell = queue.schedule_cell(at); *cell = Some(payload);`. No
+    /// handle is returned, so the entry skips the cancellation index; its
+    /// id is still minted and kept, for `pop_full` and `restore`.
     #[inline(always)]
     pub(crate) fn schedule_cell(&mut self, at: SimTime) -> &mut Option<E> {
         let id = self.fresh_id();
-        self.vacant(at, TieKey::ZERO, id)
+        self.vacant(at, TieKey::ZERO, id, false)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -570,7 +611,7 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` with an explicit tie-break key (sharded mode).
     pub fn schedule_keyed(&mut self, at: SimTime, key: TieKey, payload: E) -> EventId {
         let id = self.fresh_id();
-        let cell = self.vacant(at, key, id);
+        let cell = self.vacant(at, key, id, true);
         *cell = Some(payload);
         EventId(id)
     }
@@ -580,7 +621,7 @@ impl<E> EventQueue<E> {
     /// its key. The caller must guarantee `id` cannot collide with ids this
     /// queue will mint — see [`EventQueue::set_id_generation`].
     pub fn restore(&mut self, at: SimTime, key: TieKey, id: EventId, payload: E) {
-        let cell = self.vacant(at, key, id.0);
+        let cell = self.vacant(at, key, id.0, true);
         *cell = Some(payload);
     }
 
@@ -623,9 +664,10 @@ impl<E> EventQueue<E> {
             return false;
         };
         self.slab[slot as usize].payload = None;
+        self.live -= 1;
         let tombstones = self.tombstones();
         self.tombstones_peak = self.tombstones_peak.max(tombstones);
-        if tombstones > self.index.len().max(COMPACT_FLOOR) {
+        if tombstones > self.live.max(COMPACT_FLOOR) {
             self.compact();
         }
         true
@@ -659,8 +701,8 @@ impl<E> EventQueue<E> {
 
     /// Unqueues the earliest non-cancelled event if `due` accepts its time
     /// (leaves it queued otherwise) and returns its time, key, identity and
-    /// slab slot. The run loops' single step — one key pop and one id
-    /// removal per fired event — which [`EventQueue::take_payload`]
+    /// slab slot. The run loops' single step — one key pop, and an id
+    /// removal for an indexed event — which [`EventQueue::take_payload`]
     /// completes.
     #[inline]
     pub(crate) fn pop_key_if(
@@ -671,8 +713,11 @@ impl<E> EventQueue<E> {
             return None;
         }
         let HeapKey { at, key, slot, .. } = self.keys.pop().expect("surfaced key exists");
-        let id = self.slab[slot as usize].id;
-        self.index.remove(&id);
+        let Slot { id, indexed, .. } = self.slab[slot as usize];
+        if indexed {
+            self.index.remove(&id);
+        }
+        self.live -= 1;
         Some((at, key, EventId(id), slot))
     }
 
@@ -703,7 +748,7 @@ impl<E> EventQueue<E> {
 
     /// Drains the queue in firing order, preserving identities and keys.
     pub fn drain_ordered(&mut self) -> Vec<(SimTime, TieKey, EventId, E)> {
-        let mut out = Vec::with_capacity(self.index.len());
+        let mut out = Vec::with_capacity(self.live);
         while let Some(item) = self.pop_full() {
             out.push(item);
         }
@@ -718,26 +763,26 @@ impl<E> EventQueue<E> {
     /// Number of events scheduled and not yet fired or cancelled.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// `true` if no live events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 
     /// Cancelled entries whose keys are still queued.
     #[must_use]
     pub fn tombstones(&self) -> usize {
-        self.keys.len() - self.index.len()
+        self.keys.len() - self.live
     }
 
     /// Occupancy and maintenance counters.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            live: self.index.len(),
+            live: self.live,
             tombstones: self.tombstones(),
             tombstones_peak: self.tombstones_peak,
             compactions: self.compactions,
@@ -1007,8 +1052,8 @@ mod tests {
         assert_eq!(b.compactions, 5);
     }
 
-    /// Every slot is free or referenced by exactly one queued key, and a
-    /// live id maps to the slot holding it.
+    /// Every slot is free or referenced by exactly one queued key, and an
+    /// indexed live id maps to the slot holding it.
     fn assert_slab_consistent<E>(q: &EventQueue<E>) {
         let k = &q.keys;
         let filed: usize = k.bits.iter().map(Vec::len).sum();
@@ -1016,12 +1061,20 @@ mod tests {
         for (b, bucket) in k.bits.iter().enumerate() {
             assert_eq!(k.occupied >> b & 1 == 1, !bucket.is_empty(), "bucket {b}");
         }
+        assert!(k.bits.iter().all(|b| !b.is_empty() || b.capacity() == 0));
+        assert_eq!(
+            k.spare_room,
+            k.spare.iter().map(Vec::capacity).sum::<usize>()
+        );
         assert_eq!(q.free.len() + k.len(), q.slab.len());
         let filled = q.slab.iter().filter(|s| s.payload.is_some()).count();
-        assert_eq!(filled, q.index.len());
+        assert_eq!(filled, q.live);
+        let indexed = q.slab.iter().filter(|s| s.payload.is_some() && s.indexed);
+        assert_eq!(indexed.count(), q.index.len());
         for (id, &slot) in &q.index {
             let held = &q.slab[slot as usize];
             assert!(held.payload.is_some(), "live id has a payload");
+            assert!(held.indexed);
             assert_eq!(held.id, *id);
         }
     }
@@ -1043,10 +1096,12 @@ mod tests {
         id: EventId,
         payload: u32,
         live: bool,
+        /// A handle cancels it (everything but a `schedule_cell` entry).
+        indexed: bool,
     }
 
     impl Model {
-        fn insert(&mut self, at: SimTime, key: TieKey, id: EventId, payload: u32) {
+        fn insert(&mut self, at: SimTime, key: TieKey, id: EventId, payload: u32, indexed: bool) {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.entries.push(ModelEntry {
@@ -1056,6 +1111,7 @@ mod tests {
                 id,
                 payload,
                 live: true,
+                indexed,
             });
             self.entries
                 .sort_by(|a, b| (a.at, &a.key, a.seq).cmp(&(b.at, &b.key, b.seq)));
@@ -1075,7 +1131,11 @@ mod tests {
         }
 
         fn cancel(&mut self, id: EventId) -> bool {
-            let Some(entry) = self.entries.iter_mut().find(|e| e.live && e.id == id) else {
+            let found = self
+                .entries
+                .iter_mut()
+                .find(|e| e.live && e.indexed && e.id == id);
+            let Some(entry) = found else {
                 return false;
             };
             entry.live = false;
@@ -1110,7 +1170,7 @@ mod tests {
 
         fn queue_matches_sorted_model(
             ops in proptest::collection::vec(
-                (0u8..22, 0u32..36, any::<u64>(), 0usize..4096),
+                (0u8..25, 0u32..36, any::<u64>(), 0usize..4096),
                 0..1200,
             ),
         ) {
@@ -1133,7 +1193,7 @@ mod tests {
                 // Behind the clock: a wall-clock driver's late timer, or an
                 // entry restored from a shard.
                 let behind = SimTime::from_nanos(clock.saturating_sub(span.max(1)));
-                let at = if op >= 19 { behind } else { ahead };
+                let at = if matches!(op, 19..=21 | 24) { behind } else { ahead };
                 let tie = (pick / 4) as u64 % 8;
                 let key = match pick % 4 {
                     0 => TieKey::ZERO,
@@ -1145,21 +1205,26 @@ mod tests {
                 let popped = match op {
                     0..=4 | 19 => {
                         let id = q.schedule(at, payload);
-                        model.insert(at, TieKey::ZERO, id, payload);
+                        model.insert(at, TieKey::ZERO, id, payload, true);
                         handles.push(id);
                         None
                     }
                     5..=6 | 20 => {
                         let id = q.schedule_keyed(at, key.clone(), payload);
-                        model.insert(at, key, id, payload);
+                        model.insert(at, key, id, payload, true);
                         handles.push(id);
                         None
                     }
                     7 | 21 => {
-                        donor.schedule_keyed(at, key, payload);
+                        // A donor's delivery cell comes home indexed.
+                        if pick % 5 == 0 {
+                            *donor.schedule_cell(at) = Some(payload);
+                        } else {
+                            donor.schedule_keyed(at, key, payload);
+                        }
                         let (at, key, id, payload) = donor.pop_full().expect("just scheduled");
                         q.restore(at, key.clone(), id, payload);
-                        model.insert(at, key, id, payload);
+                        model.insert(at, key, id, payload, true);
                         handles.push(id);
                         None
                     }
@@ -1192,6 +1257,15 @@ mod tests {
                     }
                     17 => {
                         prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at));
+                        None
+                    }
+                    // A delivery: no handle escapes, so cancelling its id
+                    // (pushed as a handle) must fail.
+                    22..=24 => {
+                        let id = EventId(q.next_id);
+                        *q.schedule_cell(at) = Some(payload);
+                        model.insert(at, TieKey::ZERO, id, payload, false);
+                        handles.push(id);
                         None
                     }
                     18 if pick % 16 == 0 => {
@@ -1296,7 +1370,13 @@ mod tests {
         const DEPTH: usize = 4096;
         let key_capacity = |q: &EventQueue<u64>| {
             let k = &q.keys;
-            k.now.capacity() + k.behind.capacity() + k.bits.iter().map(Vec::capacity).sum::<usize>()
+            let filed = k
+                .bits
+                .iter()
+                .chain(&k.spare)
+                .map(Vec::capacity)
+                .sum::<usize>();
+            k.now.capacity() + k.behind.capacity() + filed
         };
         let mut rng = crate::rng::SimRng::seed(5);
         let mut q = EventQueue::new();

@@ -16,7 +16,8 @@
 //!   every layer that discards packets, so "packets in = packets delivered +
 //!   packets dropped" is checkable with every drop attributed;
 //! - the [`export`] JSONL sink and registry row schema used by the
-//!   experiment binaries.
+//!   experiment binaries, and the [`alloc`] counting allocator they and the
+//!   allocation tests install.
 //!
 //! The crate is dependency-free and knows nothing about the simulator;
 //! durations are plain `u64` nanoseconds (matching `SimTime::as_nanos`).
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod alloc;
 pub mod export;
 pub mod footprint;
 pub mod hist;

@@ -5,9 +5,10 @@
 //! [`Workload`], recording per-flow delivery metrics (latency, jitter,
 //! sequence coverage, duplicates) that the experiments harvest after a run.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use bytes::Bytes;
+use son_netsim::hash::MintedMap;
 use son_netsim::link::PipeId;
 use son_netsim::process::{Process, ProcessId};
 use son_netsim::sim::Ctx;
@@ -126,8 +127,43 @@ pub struct FlowRecv {
     /// Per-delivery one-way latencies in milliseconds, parallel to
     /// `arrivals`.
     pub latencies_ms: Vec<f64>,
-    seen: std::collections::HashSet<u64>,
+    seen: SeqSet,
     last_seq: u64,
+}
+
+/// How far past the bitmap a seq may land and still widen it.
+const SEQ_SLACK: u64 = 1 << 16;
+
+/// The seqs a receiver has seen, exactly: a bitmap up to the highest seq
+/// seen, widened by at most [`SEQ_SLACK`] at a time, and a spill for any
+/// seq beyond that, so a forged `u64::MAX` costs one entry, not a bitmap
+/// reaching it. Spilled seqs move into the bitmap once it covers them.
+#[derive(Debug, Default, Clone)]
+struct SeqSet {
+    bits: Vec<u64>,
+    spill: BTreeSet<u64>,
+}
+
+impl SeqSet {
+    /// Adds `seq`; `false` if it was already there.
+    fn insert(&mut self, seq: u64) -> bool {
+        let covered = self.bits.len() as u64 * 64;
+        if seq >= covered {
+            if seq - covered >= SEQ_SLACK {
+                return self.spill.insert(seq);
+            }
+            self.bits.resize(seq as usize / 64 + 1, 0);
+            let covered = self.bits.len() as u64 * 64;
+            while let Some(s) = self.spill.first().copied().filter(|&s| s < covered) {
+                self.spill.pop_first();
+                self.bits[s as usize / 64] |= 1 << (s % 64);
+            }
+        }
+        let (word, bit) = (&mut self.bits[seq as usize / 64], 1 << (seq % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
 }
 
 impl FlowRecv {
@@ -179,7 +215,7 @@ pub struct ClientProcess {
     pub recv: HashMap<FlowKey, FlowRecv>,
     sends: Vec<FlowSend>,
     /// Total packets sent per local flow index.
-    pub sent_counts: HashMap<u32, u64>,
+    pub sent_counts: MintedMap<u32, u64>,
     /// Pause/resume events observed, for backpressure assertions.
     pub pause_events: u64,
     /// Resume events observed.
@@ -206,7 +242,7 @@ impl ClientProcess {
             addr: None,
             recv: HashMap::new(),
             sends,
-            sent_counts: HashMap::new(),
+            sent_counts: MintedMap::default(),
             pause_events: 0,
             resume_events: 0,
         }
@@ -404,6 +440,7 @@ impl Process<Wire> for ClientProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn flow_key() -> FlowKey {
         FlowKey::new(
@@ -470,5 +507,67 @@ mod tests {
             flows: vec![],
         });
         let _ = c.sole_recv();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Against a `HashSet`: seqs in and out of order, late copies of old
+        /// seqs, jumps just short of and past the slack, and forged seqs up
+        /// to `u64::MAX`. The receiver's duplicate count stays exact and the
+        /// set's room follows the highest seq its bitmap holds.
+        fn seq_set_matches_a_hash_set(
+            ops in proptest::collection::vec((0u8..10, any::<u64>()), 0..600),
+        ) {
+            let mut c = ClientProcess::new(ClientConfig {
+                daemon: ProcessId(0),
+                port: 1,
+                joins: vec![],
+                flows: vec![],
+            });
+            let mut set = SeqSet::default();
+            let mut model = std::collections::HashSet::new();
+            let (mut history, mut next, mut dups) = (Vec::new(), 1u64, 0u64);
+            for (kind, draw) in ops {
+                let seq = match kind {
+                    0..=3 => {
+                        next += draw % 4;
+                        next
+                    }
+                    4..=5 if !history.is_empty() => history[draw as usize % history.len()],
+                    6 => next + SEQ_SLACK - 64 + draw % 128,
+                    7 => next + draw % (4 * SEQ_SLACK),
+                    8 => u64::MAX - draw % 3,
+                    _ => draw,
+                };
+                history.push(seq);
+                let fresh = model.insert(seq);
+                dups += u64::from(!fresh);
+                prop_assert_eq!(set.insert(seq), fresh, "seq {}", seq);
+                c.record_delivery(SimTime::ZERO, flow_key(), seq, SimTime::ZERO);
+                let covered = set.bits.len() as u64 * 64;
+                let dense_max = model.iter().copied().filter(|&s| s < covered).max();
+                prop_assert!(covered <= dense_max.map_or(0, |m| m + 64));
+                prop_assert!(set.bits.capacity() <= (2 * set.bits.len()).max(4));
+                prop_assert!(set.spill.iter().all(|&s| s >= covered));
+                prop_assert_eq!(set.spill.len() + set.bits.iter().map(|w| w.count_ones() as usize).sum::<usize>(), model.len());
+            }
+            let r = c.recv.get(&flow_key());
+            prop_assert_eq!(r.map_or(0, |r| r.app_duplicates), dups);
+            prop_assert_eq!(r.map_or(0, |r| r.received), model.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_forged_seq_costs_one_entry() {
+        let mut set = SeqSet::default();
+        for seq in 1..=10_000 {
+            assert!(set.insert(seq));
+        }
+        let room = set.bits.capacity();
+        assert!(set.insert(u64::MAX) && !set.insert(u64::MAX));
+        assert!(!set.insert(5_000), "a late copy of an old seq");
+        assert_eq!((set.bits.capacity(), set.spill.len()), (room, 1));
+        assert!(room * 8 <= 4 * 1024, "{room} words for 10 k seqs");
     }
 }

@@ -171,7 +171,13 @@ impl FecLink {
         let horizon = self
             .block_start(self.newest)
             .saturating_sub(BLOCK_MEMORY * k);
-        self.blocks = self.blocks.split_off(&horizon);
+        while self
+            .blocks
+            .first_key_value()
+            .is_some_and(|(&b, _)| b < horizon)
+        {
+            self.blocks.pop_first();
+        }
     }
 }
 

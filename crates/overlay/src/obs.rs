@@ -77,6 +77,8 @@ pub struct NodeObs {
     /// use: an event is a handle lookup, not a formatted key.
     link_counters: Vec<(&'static str, &'static str, CounterId)>,
     link_recovery: Vec<(&'static str, HistId)>,
+    /// Node-labelled counters by name, registered on first use.
+    named: Vec<(&'static str, CounterId)>,
 }
 
 impl NodeObs {
@@ -115,6 +117,7 @@ impl NodeObs {
             delivery_latency,
             link_counters: Vec::new(),
             link_recovery: Vec::new(),
+            named: Vec::new(),
         }
     }
 
@@ -165,20 +168,25 @@ impl NodeObs {
             DropClass::DedupDuplicate => self.drop_dedup,
             DropClass::Unroutable => self.drop_unroutable,
             DropClass::Adversary => self.drop_adversary,
-            other => {
-                let label = self.node_label.clone();
-                self.registry.counter(other.label(), &[("node", &label)])
-            }
+            other => self.named_id(other.label()),
         };
         self.registry.inc(id);
     }
 
     /// Bumps the ad-hoc counter `name` (kept dot-free so snapshots can route
     /// it into [`NodeMetrics::counters`] under its historical name).
-    pub fn named(&mut self, name: &str) {
-        let label = self.node_label.clone();
-        let id = self.registry.counter(name, &[("node", &label)]);
+    pub fn named(&mut self, name: &'static str) {
+        let id = self.named_id(name);
         self.registry.inc(id);
+    }
+
+    fn named_id(&mut self, name: &'static str) -> CounterId {
+        if let Some(&(_, id)) = self.named.iter().find(|(n, _)| *n == name) {
+            return id;
+        }
+        let id = self.registry.counter(name, &[("node", &self.node_label)]);
+        self.named.push((name, id));
+        id
     }
 
     /// Registers (or re-resolves) the per-flow counter handles for `flow`.
@@ -359,6 +367,7 @@ impl MemFootprint for NodeObs {
             + son_obs::footprint::string_bytes(&self.node_label)
             + son_obs::footprint::vec_bytes(&self.link_counters)
             + son_obs::footprint::vec_bytes(&self.link_recovery)
+            + son_obs::footprint::vec_bytes(&self.named)
     }
 }
 

@@ -13,6 +13,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use son_netsim::hash::MintedMap;
 use son_netsim::process::ProcessId;
 use son_netsim::time::{SimDuration, SimTime};
 use son_topo::NodeId;
@@ -98,12 +99,12 @@ struct InFlow {
 #[derive(Debug)]
 pub struct SessionTable {
     me: NodeId,
-    clients: HashMap<VirtualPort, ProcessId>,
-    out_flows: HashMap<(VirtualPort, u32), OutFlow>,
+    clients: MintedMap<VirtualPort, ProcessId>,
+    out_flows: MintedMap<(VirtualPort, u32), OutFlow>,
     /// Reverse index for backpressure: flow -> (port, local id).
     by_key: HashMap<FlowKey, (VirtualPort, u32)>,
     in_flows: HashMap<FlowKey, InFlow>,
-    timer_purpose: HashMap<u32, (FlowKey, u64)>,
+    timer_purpose: MintedMap<u32, (FlowKey, u64)>,
     next_token: u32,
 }
 
@@ -113,11 +114,11 @@ impl SessionTable {
     pub fn new(me: NodeId) -> Self {
         SessionTable {
             me,
-            clients: HashMap::new(),
-            out_flows: HashMap::new(),
+            clients: MintedMap::default(),
+            out_flows: MintedMap::default(),
             by_key: HashMap::new(),
             in_flows: HashMap::new(),
-            timer_purpose: HashMap::new(),
+            timer_purpose: MintedMap::default(),
             next_token: 0,
         }
     }

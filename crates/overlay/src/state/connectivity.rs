@@ -467,17 +467,9 @@ impl ConnectivityMonitor {
                 .hello_interval
                 .max(SimDuration::from_millis_f64(link.nominal_latency_ms * 3.0));
             let horizon = now - ack_timeout;
-            let overdue: Vec<u64> = link
-                .outstanding
-                .iter()
-                .filter(|&(_, &sent)| sent <= horizon)
-                .map(|(&seq, _)| seq)
-                .collect();
-            let missed = !overdue.is_empty();
-            for seq in overdue {
-                link.outstanding.remove(&seq);
-            }
-            if missed {
+            let outstanding = link.outstanding.len();
+            link.outstanding.retain(|_, &mut sent| sent > horizon);
+            if link.outstanding.len() < outstanding {
                 link.loss = ewma(link.loss, 1.0);
                 link.misses_on_provider += 1;
                 link.total_misses += 1;

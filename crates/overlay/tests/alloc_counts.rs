@@ -6,46 +6,24 @@
 //! loss-free send/ack cycle. (Its own test binary: the counting allocator
 //! is process-wide, the count is per thread.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use son_netsim::time::{SimDuration, SimTime};
+use son_obs::alloc::{thread_allocations, CountingAlloc};
 use son_overlay::linkproto::{ItReliableLink, LinkAction, LinkProto, ReliableLink};
 use son_overlay::packet::{Control, DataPacket, LinkAdvert, Lsa, Wire};
 use son_overlay::wire::{decode, encode, recode};
 use son_overlay::{Destination, FlowKey, FlowSpec, OverlayAddr};
 use son_topo::{EdgeId, NodeId};
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// thread-local `Cell` with a const initializer, so touching it never
-// allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract is `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = thread_allocations();
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    (thread_allocations() - before, out)
 }
 
 #[test]

@@ -8,7 +8,8 @@
 # son-topo and connectivity types the benchmark crate compiles against, and
 # the three UDP daemons built by `son_node::NodeRuntime::new`. Each
 # simulated workload must also reproduce its seed-1 fingerprint, and the
-# cold start must peak below a resident-memory ceiling.
+# cold start and the churning data plane must peak below a resident-memory
+# ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,11 +24,15 @@ declare -A fingerprint=(
     [sim_scale_512]=0xc210f500b5102dc1
 )
 
-# Peak resident MB of the quick 512-node cold start. A daemon shares the
-# configured topology and the key table with its deployment and keeps a
-# 4-byte next hop per destination: it reads ~23 MB, where a private copy of
-# each read 35 MB.
-rss_ceiling_mb=28
+# Peak resident MB of a quick run. The 512-node cold start: a daemon shares
+# the configured topology and the key table with its deployment and keeps a
+# 4-byte next hop per destination, so it reads ~23 MB, where a private copy
+# of each read 35 MB. The churning data plane: a receiver keeps its seqs in
+# a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB.
+declare -A rss_ceiling_mb=(
+    [sim_scale_512]=28
+    [sim_fwd_churn]=10
+)
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
@@ -48,15 +53,15 @@ for workload in sim_fwd_churn sim_recovery_mix sim_scale_512 udp_chain3; do
         echo "ERROR: benchmark fingerprint is '$got', expected '$want'" >&2
         exit 1
     fi
-    if [ "$workload" = sim_scale_512 ]; then
+    if [ -n "${rss_ceiling_mb[$workload]:-}" ]; then
         tail -n 1 benchmark/out/runs.jsonl | python3 -c '
 import json, sys
-ceiling = float(sys.argv[1])
+workload, ceiling = sys.argv[1], float(sys.argv[2])
 rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]
 rss = rss["value"] if isinstance(rss, dict) else rss
 if rss > ceiling:
-    sys.exit(f"ERROR: sim_scale_512 --quick peaked at {rss:.1f} MB, above {ceiling:g} MB")
-print(f"sim_scale_512 --quick peak_rss_mb {rss:.1f} <= {ceiling:g}", file=sys.stderr)
-' "$rss_ceiling_mb"
+    sys.exit(f"ERROR: {workload} --quick peaked at {rss:.1f} MB, above {ceiling:g} MB")
+print(f"{workload} --quick peak_rss_mb {rss:.1f} <= {ceiling:g}", file=sys.stderr)
+' "$workload" "${rss_ceiling_mb[$workload]}"
     fi
 done
