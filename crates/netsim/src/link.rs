@@ -223,11 +223,6 @@ impl Pipe {
         self.loss = LossProcess::new(loss);
     }
 
-    /// Adds a hard outage window to the loss process.
-    pub fn add_outage(&mut self, from: SimTime, until: SimTime) {
-        self.loss.add_outage(from, until);
-    }
-
     /// Re-binds the pipe to a different underlay attachment (the overlay's
     /// "choose a different combination of ISPs" capability).
     pub fn rebind(&mut self, attachment: Attachment) {

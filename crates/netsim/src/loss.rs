@@ -4,7 +4,7 @@
 //! loss ("the challenge is to bypass the window of correlation for loss
 //! within the allotted time", §IV-A), so in addition to independent Bernoulli
 //! loss this module provides a Gilbert–Elliott two-state model whose bad
-//! state produces correlated loss bursts, plus scheduled hard outages.
+//! state produces correlated loss bursts.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -115,8 +115,6 @@ pub struct LossProcess {
     in_bad: bool,
     /// When the current GE state expires.
     state_until: SimTime,
-    /// Scheduled hard outages (sorted, non-overlapping).
-    outages: Vec<(SimTime, SimTime)>,
 }
 
 impl LossProcess {
@@ -136,15 +134,7 @@ impl LossProcess {
             config,
             in_bad: true,
             state_until: SimTime::ZERO,
-            outages: Vec::new(),
         }
-    }
-
-    /// Adds a hard outage window `[from, until)`: every packet offered during
-    /// the window is dropped, regardless of the stochastic model.
-    pub fn add_outage(&mut self, from: SimTime, until: SimTime) {
-        self.outages.push((from, until));
-        self.outages.sort_unstable();
     }
 
     /// The configuration this process was built from.
@@ -155,13 +145,6 @@ impl LossProcess {
 
     /// Decides whether a packet offered at `now` is dropped.
     pub fn drops(&mut self, now: SimTime, rng: &mut SimRng) -> bool {
-        if self
-            .outages
-            .iter()
-            .any(|&(from, until)| now >= from && now < until)
-        {
-            return true;
-        }
         match self.config {
             LossConfig::Perfect => false,
             LossConfig::Bernoulli { p } => rng.chance(p),
@@ -275,17 +258,6 @@ mod tests {
         ));
         let bern = run_lengths(LossConfig::Bernoulli { p: 0.01 });
         assert!(ge > 3.0 * bern, "ge mean run {ge} vs bernoulli {bern}");
-    }
-
-    #[test]
-    fn outage_drops_everything_inside_window() {
-        let mut proc = LossProcess::new(LossConfig::Perfect);
-        proc.add_outage(SimTime::from_millis(10), SimTime::from_millis(20));
-        let mut rng = SimRng::seed(5);
-        assert!(!proc.drops(SimTime::from_millis(9), &mut rng));
-        assert!(proc.drops(SimTime::from_millis(10), &mut rng));
-        assert!(proc.drops(SimTime::from_millis(19), &mut rng));
-        assert!(!proc.drops(SimTime::from_millis(20), &mut rng));
     }
 
     #[test]

@@ -278,33 +278,6 @@ pub fn global_20(convergence: SimDuration) -> Scenario {
     }
 }
 
-/// A linear chain of `n` cities spaced so each hop is exactly `hop_latency`
-/// on a single ISP — the Fig. 3 setting ("five 10 ms overlay links").
-#[must_use]
-pub fn chain(n: usize, hop_latency: SimDuration, convergence: SimDuration) -> Scenario {
-    assert!(n >= 2, "a chain needs at least two cities");
-    let mut b = UnderlayBuilder::new();
-    let names: Vec<&'static str> = (0..n).map(|_| "hop").collect();
-    let cities: Vec<CityId> = (0..n)
-        .map(|i| b.city(&format!("H{i}"), i as f64 * 1000.0, 0.0))
-        .collect();
-    let isp = b.isp("ChainNet");
-    for &c in &cities {
-        b.router(isp, c);
-    }
-    let mut edges = Vec::new();
-    for w in cities.windows(2) {
-        edges.push(b.fiber_with_latency(isp, w[0], w[1], hop_latency));
-    }
-    Scenario {
-        underlay: b.build(convergence),
-        cities,
-        city_names: names,
-        isps: vec![isp],
-        edges_by_isp: vec![edges],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,22 +336,6 @@ mod tests {
                 assert!(seen.insert(e), "edge shared between ISPs");
             }
         }
-    }
-
-    #[test]
-    fn chain_hops_have_exact_latency() {
-        let sc = chain(6, SimDuration::from_millis(10), DEFAULT_CONVERGENCE);
-        let mut ul = sc.underlay.clone();
-        let p = ul
-            .resolve(
-                SimTime::ZERO,
-                Attachment::OnNet(sc.isps[0]),
-                sc.cities[0],
-                sc.cities[5],
-            )
-            .unwrap();
-        assert_eq!(p.latency, SimDuration::from_millis(50));
-        assert_eq!(p.edges.len(), 5);
     }
 
     #[test]
@@ -452,86 +409,6 @@ mod tests {
     fn unknown_city_panics() {
         let sc = continental_us(DEFAULT_CONVERGENCE);
         let _ = sc.city("XYZ");
-    }
-}
-
-/// A ring of `n` cities, each hop `hop_latency`: every pair has exactly two
-/// node-disjoint paths, the minimal 2-connected design.
-#[must_use]
-pub fn ring(n: usize, hop_latency: SimDuration, convergence: SimDuration) -> Scenario {
-    assert!(n >= 3, "a ring needs at least three cities");
-    let mut b = UnderlayBuilder::new();
-    let names: Vec<&'static str> = std::iter::repeat_n("ring", n).collect();
-    let cities: Vec<CityId> = (0..n)
-        .map(|i| {
-            let a = i as f64 * std::f64::consts::TAU / n as f64;
-            b.city(&format!("R{i}"), 2000.0 * a.cos(), 2000.0 * a.sin())
-        })
-        .collect();
-    let isp = b.isp("RingNet");
-    for &c in &cities {
-        b.router(isp, c);
-    }
-    let mut edges = Vec::new();
-    for i in 0..n {
-        edges.push(b.fiber_with_latency(isp, cities[i], cities[(i + 1) % n], hop_latency));
-    }
-    Scenario {
-        underlay: b.build(convergence),
-        cities,
-        city_names: names,
-        isps: vec![isp],
-        edges_by_isp: vec![edges],
-    }
-}
-
-#[cfg(test)]
-mod shape_tests {
-    use super::*;
-    use crate::time::SimTime;
-    use crate::underlay::Attachment;
-
-    #[test]
-    fn ring_goes_the_short_way_round() {
-        let sc = ring(6, SimDuration::from_millis(5), DEFAULT_CONVERGENCE);
-        let mut ul = sc.underlay.clone();
-        // Opposite nodes: 3 hops either way.
-        let p = ul
-            .resolve(
-                SimTime::ZERO,
-                Attachment::OnNet(sc.isps[0]),
-                sc.cities[0],
-                sc.cities[3],
-            )
-            .unwrap();
-        assert_eq!(p.latency, SimDuration::from_millis(15));
-        // Adjacent: one hop.
-        let p = ul
-            .resolve(
-                SimTime::ZERO,
-                Attachment::OnNet(sc.isps[0]),
-                sc.cities[0],
-                sc.cities[1],
-            )
-            .unwrap();
-        assert_eq!(p.edges.len(), 1);
-    }
-
-    #[test]
-    fn ring_survives_one_cut_after_convergence() {
-        let sc = ring(5, SimDuration::from_millis(5), SimDuration::from_secs(40));
-        let mut ul = sc.underlay.clone();
-        ul.fail_edge(sc.edges_by_isp[0][0], SimTime::ZERO);
-        // After convergence the long way round still connects 0 and 1.
-        let p = ul
-            .resolve(
-                SimTime::from_secs(60),
-                Attachment::OnNet(sc.isps[0]),
-                sc.cities[0],
-                sc.cities[1],
-            )
-            .unwrap();
-        assert_eq!(p.edges.len(), 4, "the long way around the ring");
     }
 }
 
@@ -614,33 +491,6 @@ impl Campaign {
         SimTime::from_nanos(rng.uniform_u64(lo, hi))
     }
 
-    /// Composes burst-loss episodes: each pipe switches to `loss` for `burst`
-    /// at `episodes` random instants inside `window`, then back to `restore`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn burst_loss(
-        &mut self,
-        pipes: &[PipeId],
-        window: (SimTime, SimTime),
-        episodes: usize,
-        loss: LossConfig,
-        burst: SimDuration,
-        restore: LossConfig,
-    ) -> &mut Self {
-        let mut rng = self.episode_rng("campaign:burst_loss");
-        for &pipe in pipes {
-            for _ in 0..episodes {
-                let at = Self::draw_at(&mut rng, window, burst);
-                self.events
-                    .push((at, ScenarioEvent::SetPipeLoss(pipe, loss.clone())));
-                self.events.push((
-                    at + burst,
-                    ScenarioEvent::SetPipeLoss(pipe, restore.clone()),
-                ));
-            }
-        }
-        self
-    }
-
     /// Composes one deterministic pipe outage: every listed pipe is disabled
     /// at exactly `at` and re-enabled at `at + outage`. Unlike the seeded
     /// episode generators this draws no randomness — it is the building
@@ -660,10 +510,9 @@ impl Campaign {
     }
 
     /// Composes one deterministic loss episode: every listed pipe switches
-    /// to `loss` at exactly `at` and back to `restore` at `at + burst`.
-    /// The deterministic sibling of [`Campaign::burst_loss`], for regimes
-    /// where episode timing must line up across pipes (both directions of a
-    /// link degrading together).
+    /// to `loss` at exactly `at` and back to `restore` at `at + burst`, so
+    /// episodes line up across pipes (both directions of a link degrading
+    /// together).
     pub fn pipe_loss_at(
         &mut self,
         pipes: &[PipeId],
@@ -860,13 +709,13 @@ mod campaign_tests {
 
     fn full_campaign(seed: u64) -> Campaign {
         let mut c = Campaign::new("everything", seed);
-        c.burst_loss(
-            &[PipeId(0), PipeId(1)],
+        c.sustained_churn(
+            &[ProcessId(0), ProcessId(1), ProcessId(2)],
             window(),
             2,
-            LossConfig::Bernoulli { p: 0.4 },
+            SimDuration::from_secs(1),
             SimDuration::from_millis(250),
-            LossConfig::Perfect,
+            Some(42),
         )
         .process_flaps(
             &[ProcessId(3)],
@@ -896,19 +745,19 @@ mod campaign_tests {
     #[test]
     fn repeated_episode_calls_draw_distinct_streams() {
         let mut c = Campaign::new("twice", 11);
-        let burst = |c: &mut Campaign| {
-            c.burst_loss(
-                &[PipeId(0)],
+        let churn = |c: &mut Campaign| {
+            c.sustained_churn(
+                &[ProcessId(0)],
                 window(),
                 1,
-                LossConfig::Bernoulli { p: 0.4 },
                 SimDuration::from_millis(100),
-                LossConfig::Perfect,
+                SimDuration::ZERO,
+                None,
             );
         };
-        burst(&mut c);
+        churn(&mut c);
         let first = format!("{:?}", c.events());
-        burst(&mut c);
+        churn(&mut c);
         let second = format!("{:?}", &c.events()[2..]);
         assert_ne!(first, second, "call index must vary the fork");
     }
@@ -1042,12 +891,11 @@ mod campaign_tests {
             let config = crate::link::PipeConfig::with_latency(SimDuration::from_millis(5));
             let (ab, ba) = sim.connect(a, b, config);
             let mut c = Campaign::new("fp", 13);
-            c.burst_loss(
+            c.pipe_loss_at(
                 &[ab, ba],
-                window(),
-                2,
-                LossConfig::Bernoulli { p: 0.4 },
+                SimTime::from_secs(1),
                 SimDuration::from_millis(300),
+                LossConfig::Bernoulli { p: 0.4 },
                 LossConfig::Perfect,
             )
             .process_flaps(

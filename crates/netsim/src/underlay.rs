@@ -61,6 +61,8 @@ pub struct UEdgeId(pub usize);
 pub const FIBER_KM_PER_MS: f64 = 200.0;
 /// Fiber rarely follows the geodesic; real routes are ~20% longer.
 pub const FIBER_ROUTE_FACTOR: f64 = 1.2;
+/// The extra latency charged where a path crosses an ISP boundary.
+pub const PEERING_LATENCY: SimDuration = SimDuration::from_millis(1);
 
 /// How an overlay link maps onto the underlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,17 +163,13 @@ pub struct UnderlayBuilder {
     isps: Vec<Isp>,
     routers: Vec<Router>,
     edges: Vec<UEdge>,
-    peering_latency: SimDuration,
 }
 
 impl UnderlayBuilder {
-    /// Creates an empty builder with a default 1 ms peering-hop latency.
+    /// Creates an empty builder.
     #[must_use]
     pub fn new() -> Self {
-        UnderlayBuilder {
-            peering_latency: SimDuration::from_millis(1),
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Adds a city at plane coordinates given in kilometres.
@@ -251,12 +249,6 @@ impl UnderlayBuilder {
         id
     }
 
-    /// Sets the extra latency charged when a packet crosses an ISP boundary.
-    pub fn peering_latency(&mut self, latency: SimDuration) -> &mut Self {
-        self.peering_latency = latency;
-        self
-    }
-
     /// Euclidean distance between two cities in kilometres.
     #[must_use]
     pub fn distance_km(&self, a: CityId, b: CityId) -> f64 {
@@ -275,7 +267,6 @@ impl UnderlayBuilder {
             routers: self.routers,
             edges: self.edges,
             convergence_delay,
-            peering_latency: self.peering_latency,
         };
         for i in 0..ul.isps.len() {
             ul.recompute_isp(IspId(i));
@@ -292,7 +283,6 @@ pub struct Underlay {
     routers: Vec<Router>,
     edges: Vec<UEdge>,
     convergence_delay: SimDuration,
-    peering_latency: SimDuration,
 }
 
 impl Underlay {
@@ -373,16 +363,6 @@ impl Underlay {
             .collect()
     }
 
-    /// Fails every fiber edge in the `radius_km` blast zone around `center`
-    /// at `now`. Returns the edges failed (for later repair).
-    pub fn fail_region(&mut self, center: CityId, radius_km: f64, now: SimTime) -> Vec<UEdgeId> {
-        let victims = self.edges_near(center, radius_km);
-        for &e in &victims {
-            self.fail_edge(e, now);
-        }
-        victims
-    }
-
     /// Resolves the underlay path a packet sent at `now` between two cities
     /// would take, charging the stale-route blackhole behaviour of BGP.
     ///
@@ -455,7 +435,7 @@ impl Underlay {
             let second = self.latency_on_net(now, dst_isp, peer, to);
             match (first, second) {
                 (Ok(l1), Ok(l2)) => {
-                    let latency = l1 + l2 + self.peering_latency;
+                    let latency = l1 + l2 + PEERING_LATENCY;
                     if best.is_none_or(|(b, _)| latency < b) {
                         best = Some((latency, peer));
                     }
@@ -818,38 +798,5 @@ mod region_tests {
         // A bigger radius reaches M and therefore both edges.
         let blast = ul.edges_near(a, 600.0);
         assert_eq!(blast, vec![near_edge, far_edge]);
-    }
-
-    #[test]
-    fn fail_region_blackholes_through_the_zone() {
-        let mut b = UnderlayBuilder::new();
-        let a = b.city("A", 0.0, 0.0);
-        let mid = b.city("M", 500.0, 0.0);
-        let far = b.city("F", 1000.0, 0.0);
-        let isp = b.isp("One");
-        for c in [a, mid, far] {
-            b.router(isp, c);
-        }
-        b.fiber(isp, a, mid);
-        b.fiber(isp, mid, far);
-        let mut ul = b.build(SimDuration::from_secs(40));
-        let victims = ul.fail_region(mid, 100.0, SimTime::from_secs(1));
-        assert_eq!(victims.len(), 2, "both edges touch M");
-        assert_eq!(
-            ul.resolve(SimTime::from_secs(2), Attachment::OnNet(isp), a, far),
-            Err(ResolveError::Blackholed)
-        );
-        // After convergence the partition is visible as NoRoute.
-        assert_eq!(
-            ul.resolve(SimTime::from_secs(60), Attachment::OnNet(isp), a, far),
-            Err(ResolveError::NoRoute)
-        );
-        // Repair and reconverge.
-        for e in victims {
-            ul.repair_edge(e, SimTime::from_secs(60));
-        }
-        assert!(ul
-            .resolve(SimTime::from_secs(101), Attachment::OnNet(isp), a, far)
-            .is_ok());
     }
 }

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 
 use crate::addr::FlowKey;
+use crate::linkproto::arq::SeqWindow;
 
 /// Width of the per-flow sliding window, in sequence numbers.
 ///
@@ -21,72 +22,11 @@ use crate::addr::FlowKey;
 /// flight).
 pub const WINDOW: u64 = 4096;
 
-#[derive(Debug, Clone)]
-struct FlowWindow {
-    /// The highest sequence number observed.
-    high: u64,
-    /// Ring of bits covering `[high.saturating_sub(WINDOW-1), high]`.
-    bits: Vec<u64>,
-    /// Whether any packet has been observed at all.
-    any: bool,
-}
-
-impl FlowWindow {
-    fn new() -> Self {
-        FlowWindow {
-            high: 0,
-            bits: vec![0; (WINDOW as usize).div_ceil(64)],
-            any: false,
-        }
-    }
-
-    fn bit(&mut self, seq: u64) -> (usize, u64) {
-        let slot = (seq % WINDOW) as usize;
-        (slot / 64, 1 << (slot % 64))
-    }
-
-    fn test_and_set(&mut self, seq: u64) -> bool {
-        if !self.any {
-            self.any = true;
-            self.high = seq;
-            let (w, m) = self.bit(seq);
-            self.bits[w] |= m;
-            return false;
-        }
-        if seq > self.high {
-            // Clear the bits for the newly uncovered range.
-            let start = self.high + 1;
-            let clear_from = start.max(seq.saturating_sub(WINDOW - 1));
-            if seq - clear_from >= WINDOW {
-                for w in self.bits.iter_mut() {
-                    *w = 0;
-                }
-            } else {
-                for s in clear_from..=seq {
-                    let (w, m) = self.bit(s);
-                    self.bits[w] &= !m;
-                }
-            }
-            self.high = seq;
-            let (w, m) = self.bit(seq);
-            self.bits[w] |= m;
-            return false;
-        }
-        if self.high - seq >= WINDOW {
-            // Too old to track: conservatively call it a duplicate.
-            return true;
-        }
-        let (w, m) = self.bit(seq);
-        let seen = self.bits[w] & m != 0;
-        self.bits[w] |= m;
-        seen
-    }
-}
-
 /// Per-node duplicate suppression table, keyed by flow.
 #[derive(Debug, Clone, Default)]
 pub struct DedupTable {
-    flows: HashMap<FlowKey, FlowWindow>,
+    /// Per flow, the seqs seen in `[max - (WINDOW - 1), max]`.
+    flows: HashMap<FlowKey, SeqWindow<WINDOW>>,
     duplicates: u64,
     accepted: u64,
 }
@@ -101,19 +41,19 @@ impl DedupTable {
     /// Records the arrival of `(flow, seq)`.
     ///
     /// Returns `true` if this is the **first** copy (process it), `false`
-    /// if it is a duplicate (drop it).
+    /// if it is a duplicate (drop it) or older than the window behind the
+    /// flow's highest seq.
     pub fn first_sighting(&mut self, flow: FlowKey, seq: u64) -> bool {
-        let dup = self
-            .flows
-            .entry(flow)
-            .or_insert_with(FlowWindow::new)
-            .test_and_set(seq);
-        if dup {
-            self.duplicates += 1;
-        } else {
+        let window = self.flows.entry(flow).or_default();
+        window.advance_to(seq.saturating_sub(WINDOW - 1));
+        let fresh = window.covers(seq) && !window.contains(seq);
+        if fresh {
+            window.insert(seq);
             self.accepted += 1;
+        } else {
+            self.duplicates += 1;
         }
-        !dup
+        fresh
     }
 
     /// Total duplicates suppressed.
@@ -153,13 +93,8 @@ impl DedupTable {
 
 impl son_obs::MemFootprint for DedupTable {
     fn footprint_bytes(&self) -> usize {
-        use son_obs::footprint::{hashmap_bytes, vec_bytes};
-        hashmap_bytes(&self.flows)
-            + self
-                .flows
-                .values()
-                .map(|w| vec_bytes(&w.bits))
-                .sum::<usize>()
+        use son_obs::footprint::hashmap_bytes;
+        hashmap_bytes(&self.flows) + self.flows.values().map(SeqWindow::bytes).sum::<usize>()
     }
 }
 
@@ -167,6 +102,7 @@ impl son_obs::MemFootprint for DedupTable {
 mod tests {
     use super::*;
     use crate::addr::{Destination, GroupId, OverlayAddr};
+    use proptest::prelude::*;
     use son_topo::NodeId;
 
     fn flow(n: usize) -> FlowKey {
@@ -281,5 +217,38 @@ mod tests {
         assert_eq!(t.flow_count(), 0);
         // After forgetting, the same seq is new again.
         assert!(t.first_sighting(flow(0), 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Against an exact seen-set, where a seq more than `WINDOW - 1`
+        /// below the highest one so far is a duplicate: in-order runs with
+        /// gaps, late copies inside the window and at its edge, re-sightings,
+        /// far-future jumps, and the rare leap near `u64::MAX` or anywhere.
+        fn matches_a_seen_set_model(
+            ops in proptest::collection::vec((0u8..200, any::<u64>()), 0..600),
+        ) {
+            let mut t = DedupTable::new();
+            let mut seen = std::collections::HashSet::new();
+            let (mut history, mut max) = (Vec::new(), 0u64);
+            for (kind, draw) in ops {
+                let seq = match kind {
+                    0..=99 => max.saturating_add(draw % 4),
+                    100..=129 => max.saturating_sub(draw % WINDOW),
+                    130..=149 => max.saturating_sub(WINDOW - 2 + draw % 4),
+                    150..=179 if !history.is_empty() => history[draw as usize % history.len()],
+                    180..=197 => max.saturating_add(draw % (4 * WINDOW)),
+                    198 => u64::MAX - draw % (2 * WINDOW),
+                    _ => draw,
+                };
+                history.push(seq);
+                max = max.max(seq);
+                let fresh = seq >= max.saturating_sub(WINDOW - 1) && seen.insert(seq);
+                prop_assert_eq!(t.first_sighting(flow(0), seq), fresh, "seq {}", seq);
+            }
+            let firsts = seen.len() as u64;
+            prop_assert_eq!((t.accepted(), t.duplicates()), (firsts, history.len() as u64 - firsts));
+        }
     }
 }

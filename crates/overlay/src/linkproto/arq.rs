@@ -29,7 +29,7 @@ pub(crate) const RX_WINDOW: u64 = 4096;
 /// The marked sequence numbers in `[lo, lo + BITS)`, in a ring of words:
 /// sliding the window clears what falls out and moves nothing. The words
 /// are allocated on the first mark, so an idle link pays nothing.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SeqWindow<const BITS: u64> {
     lo: u64,
     words: Vec<u64>,

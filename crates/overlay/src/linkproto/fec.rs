@@ -28,12 +28,11 @@ const BLOCK_MEMORY: u64 = 64;
 
 #[derive(Debug, Default)]
 struct BlockState {
-    /// Data sequence numbers received (or recovered) in this block.
+    /// Data sequence numbers received (or recovered) in this block: each
+    /// was delivered upward once.
     have: BTreeSet<u64>,
     /// Repair packets received, with the covered headers.
     repairs: Vec<Vec<DataPacket>>,
-    /// Sequence numbers already delivered upward.
-    delivered: BTreeSet<u64>,
     /// When the first transmission of this block arrived, bounding the
     /// observed recovery latency by the block duration.
     first_seen: Option<SimTime>,
@@ -150,9 +149,7 @@ impl FecLink {
         let since_first = now.saturating_since(state.first_seen.unwrap_or(now));
         let covered = state.repairs[0].clone();
         for pkt in covered {
-            if !state.have.contains(&pkt.link_seq) {
-                state.have.insert(pkt.link_seq);
-                state.delivered.insert(pkt.link_seq);
+            if state.have.insert(pkt.link_seq) {
                 self.recovered += 1;
                 self.stats.received += 1;
                 out.push(LinkAction::Observe(LinkEvent::Recovered {
@@ -222,12 +219,10 @@ impl LinkProto for FecLink {
         let start = self.block_start(pkt.link_seq);
         let state = self.blocks.entry(start).or_default();
         state.note_seen(now);
-        if state.delivered.contains(&pkt.link_seq) {
+        if !state.have.insert(pkt.link_seq) {
             self.stats.dup_received += 1;
             return;
         }
-        state.have.insert(pkt.link_seq);
-        state.delivered.insert(pkt.link_seq);
         self.stats.received += 1;
         emit(out, LinkAction::Deliver(pkt));
         self.try_recover(now, start, out);
@@ -270,7 +265,6 @@ impl LinkProto for FecLink {
                 .values()
                 .map(|b| {
                     btreeset_bytes(&b.have)
-                        + btreeset_bytes(&b.delivered)
                         + vec_bytes(&b.repairs)
                         + b.repairs.iter().map(vec_bytes).sum::<usize>()
                 })

@@ -101,8 +101,6 @@ pub struct SessionTable {
     me: NodeId,
     clients: MintedMap<VirtualPort, ProcessId>,
     out_flows: MintedMap<(VirtualPort, u32), OutFlow>,
-    /// Reverse index for backpressure: flow -> (port, local id).
-    by_key: HashMap<FlowKey, (VirtualPort, u32)>,
     in_flows: HashMap<FlowKey, InFlow>,
     timer_purpose: MintedMap<u32, (FlowKey, u64)>,
     next_token: u32,
@@ -116,7 +114,6 @@ impl SessionTable {
             me,
             clients: MintedMap::default(),
             out_flows: MintedMap::default(),
-            by_key: HashMap::new(),
             in_flows: HashMap::new(),
             timer_purpose: MintedMap::default(),
             next_token: 0,
@@ -163,7 +160,6 @@ impl SessionTable {
         let mut keys = Vec::with_capacity(gone.len());
         for k in gone {
             if let Some(f) = self.out_flows.remove(&k) {
-                self.by_key.remove(&f.key);
                 keys.push(f.key);
             }
         }
@@ -226,16 +222,13 @@ impl SessionTable {
                 next_seq: 0,
             },
         );
-        self.by_key.insert(key, (port, local_flow));
         Ok(key)
     }
 
     /// Closes one outgoing flow, returning its key so the node can retire
     /// the flow's shared state. `None` if the client never opened it.
     pub fn close_flow(&mut self, port: VirtualPort, local_flow: u32) -> Option<FlowKey> {
-        let f = self.out_flows.remove(&(port, local_flow))?;
-        self.by_key.remove(&f.key);
-        Some(f.key)
+        self.out_flows.remove(&(port, local_flow)).map(|f| f.key)
     }
 
     /// Prepares the next send on a flow: returns `(key, spec, seq)` the node
@@ -260,10 +253,16 @@ impl SessionTable {
     /// The local client binding of an outgoing flow — `(port, local id)` —
     /// if this node originated it. Backpressure state itself lives in the
     /// shared [`FlowTable`](crate::flow::FlowTable); the node uses this
-    /// binding to route pause/resume events to the owning client.
+    /// binding to route pause/resume events to the owning client. A scan of
+    /// the open flows, made only on a pause or resume edge; when several
+    /// local flows share the key, the lowest binding answers.
     #[must_use]
     pub fn local_binding(&self, flow: &FlowKey) -> Option<(VirtualPort, u32)> {
-        self.by_key.get(flow).copied()
+        self.out_flows
+            .iter()
+            .filter(|(_, f)| f.key == *flow)
+            .map(|(&binding, _)| binding)
+            .min()
     }
 
     /// Delivery statistics for an incoming flow.
@@ -414,7 +413,6 @@ impl son_obs::MemFootprint for SessionTable {
             .sum();
         hashmap_bytes(&self.clients)
             + hashmap_bytes(&self.out_flows)
-            + hashmap_bytes(&self.by_key)
             + hashmap_bytes(&self.in_flows)
             + hashmap_bytes(&self.timer_purpose)
             + held

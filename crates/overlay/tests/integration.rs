@@ -5,15 +5,18 @@
 //! interface → routing level → link level → pipes), and asserts the
 //! behaviour the paper claims for that configuration.
 
+use son_netsim::link::PipeId;
 use son_netsim::loss::LossConfig;
-use son_netsim::sim::{ScenarioEvent, Simulation};
+use son_netsim::process::{Process, ProcessId};
+use son_netsim::sim::{Ctx, ScenarioEvent, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_overlay::builder::{chain_topology, OverlayBuilder};
 use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
 use son_overlay::fleet::{Fleet, RX_PORT, TX_PORT};
 use son_overlay::node::OverlayNode;
 use son_overlay::{
-    Destination, FlowSpec, GroupId, LinkService, OverlayAddr, RoutingService, SourceRoute, Wire,
+    Destination, FlowSpec, GroupId, LinkService, OverlayAddr, RoutingService, SessionEvent,
+    SourceRoute, Wire,
 };
 use son_topo::{EdgeId, Graph, NodeId};
 
@@ -318,6 +321,79 @@ fn it_reliable_backpressure_reaches_the_source() {
         "everything accepted was delivered"
     );
     assert_eq!(r.app_duplicates, 0);
+}
+
+/// A scripted client that also logs the local flow named by every pause
+/// and resume its daemon sends.
+struct BackpressureLog {
+    client: ClientProcess,
+    named: Vec<u32>,
+}
+
+impl Process<Wire> for BackpressureLog {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
+        self.client.on_start(ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        from: ProcessId,
+        pipe: Option<PipeId>,
+        msg: Wire,
+    ) {
+        use SessionEvent::{FlowPaused, FlowResumed};
+        if let Wire::ToClient(FlowPaused { local_flow } | FlowResumed { local_flow }) = &msg {
+            self.named.push(*local_flow);
+        }
+        self.client.on_message(ctx, from, pipe, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, token: u64) {
+        self.client.on_timer(ctx, token);
+    }
+}
+
+#[test]
+fn pause_and_resume_name_the_backpressured_flow() {
+    // One client port, two IT-Reliable flows over a 64 kbit/s egress:
+    // local flow 2 offers 1 kB every 20 ms (6x the egress) and is paused;
+    // local flow 1 offers 100 B every 250 ms and never is. Every pause
+    // and resume must carry flow 2's handle, not the port's first flow's.
+    let config = son_overlay::NodeConfig {
+        it_rate_bps: Some(64_000),
+        ..Default::default()
+    };
+    let builder = OverlayBuilder::new(chain_topology(2, 10.0)).node_config(config);
+    let mut fleet = Fleet::new(12, None, builder);
+    let spec = FlowSpec::reliable().with_link(LinkService::ItReliable);
+    let mut flows = Vec::new();
+    for (local_flow, size, count, gap_ms) in [(1, 100, 24, 250), (2, 1000, 300, 20)] {
+        let rx_port = RX_PORT + local_flow as u16;
+        fleet.client(NodeId(1), rx_port, vec![], vec![]);
+        let dst = Destination::Unicast(OverlayAddr::new(NodeId(1), rx_port));
+        let workload = Workload::cbr(size, count, SimDuration::from_millis(gap_ms));
+        flows.push(ClientFlow {
+            local_flow,
+            ..ClientFlow::new(dst, spec, workload)
+        });
+    }
+    let tx = fleet.sim.add_process(BackpressureLog {
+        client: ClientProcess::new(ClientConfig {
+            daemon: fleet.overlay.daemon(NodeId(0)),
+            port: TX_PORT,
+            joins: vec![],
+            flows,
+        }),
+        named: Vec::new(),
+    });
+    fleet.run(SimTime::from_secs(120));
+    let log: &BackpressureLog = fleet.sim.proc_ref(tx).expect("client");
+    let c = &log.client;
+    assert!(c.pause_events > 0 && c.resume_events > 0, "{:?}", log.named);
+    assert!(log.named.iter().all(|&f| f == 2), "{:?}", log.named);
+    assert!(c.withheld(2) > 0, "the heavy flow honored its pause");
+    assert_eq!(c.withheld(1), 0, "the light flow never paused");
 }
 
 /// Dumbbell: sources 0, 1, 2 -> relay 3 -> sink 4, with one sink client

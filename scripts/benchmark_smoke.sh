@@ -7,9 +7,8 @@
 # dispatched shows here), the 512-node cold start that leans on the
 # son-topo and connectivity types the benchmark crate compiles against, and
 # the three UDP daemons built by `son_node::NodeRuntime::new`. Each
-# simulated workload must also reproduce its seed-1 fingerprint, and the
-# cold start and the churning data plane must peak below a resident-memory
-# ceiling.
+# simulated workload must also reproduce its seed-1 fingerprint and peak
+# below a resident-memory ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,10 +27,12 @@ declare -A fingerprint=(
 # the configured topology and the key table with its deployment and keeps a
 # 4-byte next hop per destination, so it reads ~23 MB, where a private copy
 # of each read 35 MB. The churning data plane: a receiver keeps its seqs in
-# a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB.
+# a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB. The
+# lossy data plane, where the dedup, FEC and ARQ windows live: ~8.3-8.6 MB.
 declare -A rss_ceiling_mb=(
     [sim_scale_512]=28
     [sim_fwd_churn]=10
+    [sim_recovery_mix]=10
 )
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
