@@ -4,9 +4,10 @@
 //! Sweeps seeded ring-with-chords overlays at N ∈ {64, 256, 1024} (4096
 //! behind `--full`, a ~2-minute run; `--smoke` stops at 256 for CI) and
 //! reports, per N: simulated packets forwarded per wall-clock second,
-//! retained bytes per node broken down by subsystem, and the fleet-wide
-//! `route.rebuild` latency percentiles — what one topology change costs a
-//! daemon as the link-state view grows.
+//! retained bytes per node broken down by subsystem, the fleet-wide
+//! `route.rebuild` latency percentiles — what installing one topology
+//! change costs a daemon as the link-state view grows — and how many SPTs
+//! the daemons ran (`spt_builds`: one per version a daemon read).
 //!
 //! Results land in two places:
 //!
@@ -64,6 +65,7 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         ("forwarded", Json::U64(r.forwarded)),
         ("delivered", Json::U64(r.delivered)),
         ("reroutes", Json::U64(r.reroutes)),
+        ("spt_builds", Json::U64(r.spt_builds)),
         ("pipe_sent", Json::U64(r.pipe_sent)),
         ("frames_lsa", Json::U64(r.ctl_frames.lsa)),
         ("frames_hello", Json::U64(r.ctl_frames.hello)),

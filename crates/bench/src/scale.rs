@@ -11,8 +11,10 @@
 //!    `BENCH_scale.json` curve gates against anything worse (O(N²) per
 //!    node would mean O(N³) fleet-wide — a design regression).
 //! 3. **Reroute latency** — the `route.rebuild` profiler stage's total-time
-//!    percentiles: what one topology change costs a daemon, snapshot
-//!    rebuild plus Dijkstra, as N grows.
+//!    percentiles: what installing one topology change costs a daemon (the
+//!    snapshot rebuild and the swap), as N grows. The Dijkstra runs happen
+//!    later, at the first lookup of a version, as `route.spt` spans; the
+//!    `spt_builds` count says how many there were.
 //!
 //! Each N runs twice on the same seed: once with the profiler off (the
 //! clean throughput figure) and once with it on (profiler stages). The sim
@@ -81,8 +83,11 @@ pub struct ScaleResult {
     pub forwarded: u64,
     /// Packets the flow receivers logged (perf-off).
     pub delivered: u64,
-    /// Route recomputations, summed over daemons (perf-off).
+    /// Topology versions installed, summed over daemons (perf-off).
     pub reroutes: u64,
+    /// Shortest-path trees computed, summed over daemons (perf-off): one
+    /// per installed version a daemon read, plus multicast/anycast roots.
+    pub spt_builds: u64,
     /// Frames handed to overlay links, delivered or dropped (perf-off): the
     /// control plane's volume, since data is a few thousand packets.
     pub pipe_sent: u64,
@@ -141,7 +146,7 @@ impl ScaleResult {
     }
 
     /// The fleet-wide `route.rebuild` stage, if the perf pass recorded it:
-    /// what one topology change costs a daemon (snapshot + Dijkstra).
+    /// what installing one topology change costs a daemon (snapshot + swap).
     #[must_use]
     pub fn reroute_stage(&self) -> Option<PerfStageStats> {
         self.perf
@@ -229,6 +234,7 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
         forwarded: fleet.forwarded(),
         delivered: fleet.delivered(),
         reroutes: fleet.reroutes(),
+        spt_builds: fleet.nodes().map(OverlayNode::spt_builds).sum(),
         pipe_sent: fleet.pipe_sent(),
         ctl_frames: fleet.ctl_frames(),
         lsdb_complete_frac: fleet.nodes().filter(converged).count() as f64 / n as f64,

@@ -1302,6 +1302,56 @@ mod tests {
         }
     }
 
+    /// A data packet naming a node outside the 3-node chain where
+    /// forwarding looks it up — a unicast destination, a resolved anycast
+    /// member, a multicast origin — used to index past the routing tables
+    /// and panic the daemon. Each is now an unroutable drop, and the next
+    /// valid packet is still forwarded.
+    #[test]
+    fn forged_node_ids_are_unroutable_drops() {
+        use son_overlay::addr::{DestKey, FlowKey, GroupId};
+        use son_overlay::packet::DataPacket;
+        let data = |dst: DestKey, origin: usize, resolved_dst: Option<usize>| {
+            let packet = DataPacket {
+                flow: FlowKey {
+                    src: OverlayAddr::new(NodeId(origin), TX_PORT),
+                    dst,
+                },
+                flow_seq: 1,
+                origin: NodeId(origin),
+                spec: son_overlay::service::FlowSpec::best_effort(),
+                mask: None,
+                resolved_dst: resolved_dst.map(NodeId),
+                link_seq: 1,
+                created_at: SimTime::ZERO,
+                size: 16,
+                payload: Default::default(),
+                ttl: 32,
+                auth_tag: 0,
+                trace: None,
+            };
+            dgram(&Wire::Data(packet))
+        };
+        let unicast = |node| DestKey::Unicast(OverlayAddr::new(NodeId(node), RX_PORT));
+        let mut rt = middle_node();
+        let unroutable = |rt: &NodeRuntime<VnetTransport>| {
+            let registry = rt.node().obs().registry();
+            registry.counter_named("drop.unroutable", &[("node", "1")])
+        };
+        for forged in [
+            data(unicast(7), 0, None),
+            data(DestKey::Anycast(GroupId(1)), 0, Some(9)),
+            data(DestKey::Multicast(GroupId(1)), 5, None),
+        ] {
+            assert_eq!(land(&mut rt, 0, &forged), Landed::Held);
+        }
+        assert_eq!(unroutable(&rt), Some(3));
+        assert_eq!(rt.node().metrics().forwarded, 0);
+        assert_eq!(land(&mut rt, 0, &data(unicast(2), 0, None)), Landed::Held);
+        assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
+        assert_eq!(unroutable(&rt), Some(3));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 

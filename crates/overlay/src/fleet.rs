@@ -240,7 +240,7 @@ impl Fleet {
         self.nodes().map(|n| n.metrics().counters.get(name)).sum()
     }
 
-    /// Route recomputations, summed over daemons.
+    /// Topology versions installed, summed over daemons.
     #[must_use]
     pub fn reroutes(&self) -> u64 {
         self.counter("reroutes")

@@ -35,7 +35,7 @@ use crate::watch;
 
 use son_topo::NodeId;
 
-use super::{OverlayNode, TimerKey, CLIENT_IPC_DELAY};
+use super::{make_proto, OverlayNode, TimerKey, CLIENT_IPC_DELAY};
 
 /// Pooled action buffers: one free list per action type, so the dispatch
 /// loops and the emitting state machines reuse vectors instead of
@@ -65,7 +65,8 @@ impl ActionBufs {
 
 impl OverlayNode {
     /// Feeds `input` to one link-protocol instance through `feed` (one of
-    /// the [`LinkProto`] entry points) and applies what it emitted.
+    /// the [`LinkProto`] entry points), building the instance on its slot's
+    /// first use, and applies what it emitted.
     pub(super) fn run_link_proto<T>(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
@@ -76,8 +77,10 @@ impl OverlayNode {
     ) {
         let token = self.obs.perf().enter("link.proto");
         let mut la = self.bufs.take_link();
-        let proto = self.links[link].protos[slot].as_mut();
-        feed(proto, ctx.now(), input, &mut la);
+        let port = &mut self.links[link];
+        let rto = port.rto;
+        let proto = port.protos[slot].get_or_insert_with(|| make_proto(slot, rto, &self.config));
+        feed(proto.as_mut(), ctx.now(), input, &mut la);
         self.dispatch_link(ctx, link, slot, la);
         self.obs.perf().exit(token);
     }
@@ -125,7 +128,8 @@ impl OverlayNode {
                     // clone). Per-flow source-route stamps are keyed by the
                     // version inside the FlowTable, so they go stale on
                     // their own — no sweep needed. The span covers the lazy
-                    // snapshot (re)build and the Dijkstra recompute.
+                    // snapshot (re)build and the swap; the Dijkstra runs at
+                    // the version's first lookup, as `route.spt`.
                     let token = self.obs.perf().enter("route.rebuild");
                     let snap = self.conn.snapshot();
                     self.forwarding.install(snap, self.conn.version());
@@ -582,6 +586,7 @@ impl OverlayNode {
         };
         let mut out = Vec::new();
         let forwarding = &self.forwarding;
+        forwarding.warm(self.obs.perf());
         mem.on_epoch(ctx.now(), &mut |n| forwarding.reaches(n), &mut out);
         self.apply_member_actions(ctx, out);
     }

@@ -51,17 +51,21 @@ impl OverlayNode {
         self.run_link_proto(ctx, link, slot, flow, <dyn LinkProto>::on_consumed);
     }
 
-    /// Link protocol statistics for `(local link index, service)`.
+    /// Link protocol statistics for `(local link index, service)`; zeros
+    /// while the slot is unbuilt, as a fresh instance would report.
     #[must_use]
     pub fn link_stats(&self, link: usize, service: LinkService) -> LinkProtoStats {
-        self.links[link].protos[service.slot()].stats()
+        self.links[link].protos[service.slot()]
+            .as_ref()
+            .map_or_else(LinkProtoStats::default, |p| p.stats())
     }
 
     /// Aggregated protocol statistics for a service across all links.
     #[must_use]
     pub fn service_stats(&self, service: LinkService) -> LinkProtoStats {
-        let slot = service.slot();
-        self.links.iter().map(|l| l.protos[slot].stats()).sum()
+        (0..self.links.len())
+            .map(|link| self.link_stats(link, service))
+            .sum()
     }
 }
 

@@ -52,7 +52,7 @@ use crate::metrics::NodeMetrics;
 use crate::obs::NodeObs;
 use crate::packet::DataPacket;
 use crate::routing::Forwarding;
-use crate::service::{FecParams, RealtimeParams};
+use crate::service::{FecParams, RealtimeParams, SERVICE_SLOTS};
 use crate::session::SessionTable;
 use crate::state::connectivity::{ConnectivityConfig, ConnectivityMonitor};
 use crate::state::groups::GroupTable;
@@ -151,10 +151,38 @@ struct LinkPort {
     /// Outgoing pipes, one per provider binding.
     out_pipes: Vec<PipeId>,
     active_provider: usize,
-    protos: Vec<Box<dyn LinkProto>>,
-    /// Nominal one-way latency, for diagnostics.
-    #[allow(dead_code)]
-    nominal_latency_ms: f64,
+    /// One protocol instance per service slot, built by [`make_proto`] the
+    /// first time the slot sends, receives or fires a timer: most links of
+    /// a large overlay carry one service or none.
+    protos: [Option<Box<dyn LinkProto>>; SERVICE_SLOTS],
+    /// Retransmission timeout of the ARQ protocols on this link.
+    rto: SimDuration,
+}
+
+impl LinkPort {
+    /// The protocol instances built so far.
+    fn built(&self) -> impl Iterator<Item = &dyn LinkProto> {
+        self.protos.iter().flatten().map(AsRef::as_ref)
+    }
+}
+
+/// A fresh protocol instance for service `slot` on a link with
+/// retransmission timeout `rto`.
+fn make_proto(slot: usize, rto: SimDuration, config: &NodeConfig) -> Box<dyn LinkProto> {
+    match slot {
+        0 => Box::new(BestEffortLink::new()),
+        1 => Box::new(ReliableLink::new(rto)),
+        // A flow's own realtime and FEC parameters replace these defaults on
+        // its first packet.
+        2 => Box::new(RealtimeLink::new(RealtimeParams::live_tv())),
+        3 => Box::new(ItPriorityLink::new(
+            config.it_source_cap,
+            config.it_rate_bps,
+        )),
+        4 => Box::new(ItReliableLink::new(rto, config.it_rate_bps)),
+        5 => Box::new(FifoLink::new(FIFO_CAP, config.it_rate_bps)),
+        _ => Box::new(FecLink::new(FecParams::light())),
+    }
 }
 
 impl std::fmt::Debug for LinkPort {
@@ -309,29 +337,14 @@ impl OverlayNode {
             .enumerate()
             .map(|(i, (edge, neighbor, out_pipes, nominal))| {
                 self.edge_index.insert(edge, i);
-                let rto =
-                    SimDuration::from_millis_f64(nominal * self.config.rto_factor).max(RTO_MIN);
-                let protos: Vec<Box<dyn LinkProto>> = vec![
-                    Box::new(BestEffortLink::new()),
-                    Box::new(ReliableLink::new(rto)),
-                    // A flow's own realtime and FEC parameters replace these
-                    // defaults on its first packet.
-                    Box::new(RealtimeLink::new(RealtimeParams::live_tv())),
-                    Box::new(ItPriorityLink::new(
-                        self.config.it_source_cap,
-                        self.config.it_rate_bps,
-                    )),
-                    Box::new(ItReliableLink::new(rto, self.config.it_rate_bps)),
-                    Box::new(FifoLink::new(FIFO_CAP, self.config.it_rate_bps)),
-                    Box::new(FecLink::new(FecParams::light())),
-                ];
                 LinkPort {
                     edge,
                     neighbor,
                     out_pipes,
                     active_provider: 0,
-                    protos,
-                    nominal_latency_ms: nominal,
+                    protos: Default::default(),
+                    rto: SimDuration::from_millis_f64(nominal * self.config.rto_factor)
+                        .max(RTO_MIN),
                 }
             })
             .collect();
@@ -439,10 +452,17 @@ impl OverlayNode {
         self.membership.as_ref()
     }
 
+    /// Shortest-path trees this daemon's forwarding engine has computed.
+    #[must_use]
+    pub fn spt_builds(&self) -> u64 {
+        self.forwarding.spt_builds()
+    }
+
     /// Whether the current forwarding view reaches `dst` — the local
     /// evidence the membership maintenance epoch stabilizes on.
     #[must_use]
     pub fn reaches(&self, dst: NodeId) -> bool {
+        self.forwarding.warm(self.obs.perf());
         self.forwarding.reaches(dst)
     }
 
@@ -463,8 +483,8 @@ impl OverlayNode {
     ///
     /// * `flows` — the shared [`FlowTable`];
     /// * `routing` — [`Forwarding`]: its part of the installed topology view,
-    ///   the dense SPT/next-hop tables, multicast out-edge caches, and
-    ///   Dijkstra scratch;
+    ///   the next-hop table once a lookup has built it, cached per-root
+    ///   trees, and multicast out-edge caches;
     /// * `lsdb` — the connectivity monitor: LSA database, per-link hello
     ///   state, flap-damping state, its part of the cached topology view,
     ///   and its copy of the configured topology's weights;
@@ -500,8 +520,8 @@ impl OverlayNode {
         let linkq: usize = self
             .links
             .iter()
-            .flat_map(|port| port.protos.iter())
-            .map(|proto| proto.queue_bytes())
+            .flat_map(LinkPort::built)
+            .map(LinkProto::queue_bytes)
             .sum();
         report.add("linkq", linkq);
         report.add("sessions", self.sessions.footprint_bytes());
@@ -544,11 +564,7 @@ impl OverlayNode {
                 son_obs::snapshot::LinkHealth {
                     link: i as u32,
                     neighbor: port.neighbor.0 as u32,
-                    queue_depth: port
-                        .protos
-                        .iter()
-                        .map(|proto| proto.queue_depth() as u64)
-                        .sum(),
+                    queue_depth: port.built().map(|p| p.queue_depth() as u64).sum(),
                     suspended: lw.is_some_and(LinkWatch::is_suspended),
                     probing: lw.is_some_and(LinkWatch::is_probing),
                 }
@@ -681,6 +697,73 @@ mod tests {
         assert!(by_label["rings"] > 0);
         assert!(by_label["topo"] > 0);
         assert!(by_label["routing"] > 0);
+    }
+
+    /// On a 64-node ring with chords carrying one best-effort flow, only
+    /// the daemons the flow crosses build routing and link state: the
+    /// ingress and transit daemons one next-hop table per version they
+    /// forward on, and each of them slot 0 on the links the flow uses.
+    /// Everyone else ends the run with no SPT and no protocol instance.
+    #[test]
+    fn daemons_build_only_the_routing_and_link_state_they_use() {
+        use crate::builder::OverlayBuilder;
+        use crate::client::Workload;
+        use crate::linkproto::LinkProtoStats;
+        use crate::service::{FlowSpec, LinkService};
+        use crate::Fleet;
+        use son_netsim::time::SimTime;
+        const N: usize = 64;
+        let mut g = Graph::new(N);
+        for i in 0..N {
+            g.add_edge(NodeId(i), NodeId((i + 1) % N), 10.0);
+        }
+        for i in (0..N / 2).step_by(16) {
+            g.add_edge(NodeId(i), NodeId(i + N / 2), 15.0);
+        }
+        let (src, dst) = (NodeId(3), NodeId(40));
+        let path = son_topo::dijkstra::shortest_path(&g, src, dst).expect("connected");
+        let mut fleet = Fleet::new(1, None, OverlayBuilder::new(g));
+        let workload = Workload::Cbr {
+            size: 200,
+            interval: SimDuration::from_millis(10),
+            count: u64::MAX,
+            start: SimTime::from_millis(500),
+        };
+        fleet.flow(src, dst, FlowSpec::best_effort(), workload);
+        fleet.run(SimTime::from_secs(2));
+        assert!(fleet.recv(0).received > 100, "the flow is delivered");
+
+        let services = [
+            LinkService::BestEffort,
+            LinkService::Reliable,
+            LinkService::Realtime(RealtimeParams::live_tv()),
+            LinkService::ItPriority,
+            LinkService::ItReliable,
+            LinkService::Fifo,
+            LinkService::Fec(FecParams::light()),
+        ];
+        for node in fleet.nodes() {
+            let on_path = path.nodes.contains(&node.id());
+            let forwards = on_path && node.id() != dst;
+            assert_eq!(node.spt_builds() > 0, forwards, "node {}", node.id());
+            for (l, port) in node.links.iter().enumerate() {
+                let crossed = on_path && path.edges.contains(&port.edge);
+                for (slot, service) in services.iter().enumerate() {
+                    assert_eq!(service.slot(), slot);
+                    let built = port.protos[slot].is_some();
+                    assert_eq!(built, crossed && slot == 0, "node {} link {l}", node.id());
+                    if !built {
+                        let fresh = make_proto(slot, port.rto, &node.config).stats();
+                        assert_eq!(node.link_stats(l, *service), fresh);
+                    }
+                }
+            }
+            if !on_path {
+                for service in &services {
+                    assert_eq!(node.service_stats(*service), LinkProtoStats::default());
+                }
+            }
+        }
     }
 
     /// Co-located daemons built from clones of one graph are charged for

@@ -63,7 +63,9 @@ impl OverlayNode {
     /// Computes the next-hop out-edges for forwarding a packet from this
     /// node into a caller-owned buffer (cleared first). Every consulted
     /// source — the dense next-hop table, the multicast cache, the member
-    /// cache — is version-keyed, so a warm call allocates nothing.
+    /// cache — is version-keyed, so a warm call allocates nothing. The
+    /// first unicast lookup of a topology version builds the next-hop
+    /// table, profiled as `route.spt`.
     pub(super) fn out_edges_into(
         &mut self,
         pkt: &DataPacket,
@@ -75,12 +77,8 @@ impl OverlayNode {
             self.forwarding.mask_out_edges_into(mask, in_edge, out);
             return;
         }
-        match pkt.flow.dst() {
-            Destination::Unicast(addr) => {
-                if addr.node != self.me {
-                    out.extend(self.forwarding.unicast_next_hop(addr.node));
-                }
-            }
+        let dst = match pkt.flow.dst() {
+            Destination::Unicast(addr) => addr.node,
             Destination::Multicast(group) => {
                 let gv = self.groups.version();
                 if self.member_cache.get(&group).is_none_or(|&(v, _)| v != gv) {
@@ -89,14 +87,16 @@ impl OverlayNode {
                 }
                 let members = &self.member_cache[&group].1;
                 out.extend_from_slice(self.forwarding.multicast_out_edges(pkt.origin, members));
+                return;
             }
-            Destination::Anycast(_) => {
-                if let Some(dst) = pkt.resolved_dst {
-                    if dst != self.me {
-                        out.extend(self.forwarding.unicast_next_hop(dst));
-                    }
-                }
-            }
+            Destination::Anycast(_) => match pkt.resolved_dst {
+                Some(dst) => dst,
+                None => return,
+            },
+        };
+        if dst != self.me {
+            self.forwarding.warm(self.obs.perf());
+            out.extend(self.forwarding.unicast_next_hop(dst));
         }
     }
 
@@ -164,6 +164,22 @@ impl OverlayNode {
         {
             self.obs.drop(DropClass::Auth);
             self.trace_pkt(ctx.now(), &pkt, TraceStage::Drop(DropClass::Auth), in_link);
+            self.flow_dropped(&pkt);
+            return;
+        }
+        // A node id is any u32 on the wire. One outside the topology where
+        // forwarding would look it up — the unicast destination, the
+        // resolved anycast member, the multicast tree's root — is forged
+        // and names no route: it stops here, before any lookup.
+        let named = match pkt.flow.dst() {
+            Destination::Unicast(addr) => Some(addr.node),
+            Destination::Anycast(_) => pkt.resolved_dst,
+            Destination::Multicast(_) => Some(pkt.origin),
+        };
+        if named.is_some_and(|n| n.0 >= self.topology.node_count()) {
+            self.obs.drop(DropClass::Unroutable);
+            let stage = TraceStage::Drop(DropClass::Unroutable);
+            self.trace_pkt(ctx.now(), &pkt, stage, in_link);
             self.flow_dropped(&pkt);
             return;
         }

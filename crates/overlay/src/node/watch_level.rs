@@ -144,12 +144,8 @@ impl OverlayNode {
         let depth: usize = self
             .links
             .iter()
-            .map(|p| {
-                p.protos
-                    .iter()
-                    .map(|proto| proto.queue_depth())
-                    .sum::<usize>()
-            })
+            .flat_map(super::LinkPort::built)
+            .map(|p| p.queue_depth())
             .sum();
         let mut shed_out = Vec::new();
         w.shed.on_epoch(depth, &mut shed_out);

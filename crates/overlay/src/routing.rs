@@ -12,19 +12,22 @@
 //! [`TopoSnapshot`] shared by `Arc` with the connectivity monitor, tagged
 //! with the connectivity version: [`Forwarding::install`] with an unchanged
 //! version is a no-op (nothing recomputed, nothing invalidated), while a
-//! real change rebuilds the dense per-destination next-hop table in a single
-//! SPT pass and drops the version-scoped caches. Per-packet lookups are
-//! O(1) table reads and the multicast path returns a borrowed slice — no
-//! allocation on the data plane.
+//! real change swaps the snapshot in and drops the version-scoped caches.
+//! The dense per-destination next-hop table is built in a single SPT pass
+//! by the first lookup of a version, so a daemon that routes nothing runs no
+//! Dijkstra, and one that does runs one per version it reads, however many
+//! versions went by unread. Per-packet lookups are O(1) table reads and the
+//! multicast path returns a borrowed slice — no allocation on the data
+//! plane.
 //!
 //! The table is all a daemon keeps of its own tree: one 4-byte edge id per
-//! destination. The rebuild runs Dijkstra into a tree and working memory
+//! destination. The build runs Dijkstra into a tree and working memory
 //! that belong to the thread, not the daemon, and copies the first-hop
 //! column out; the lookups that need the whole tree (anycast distances,
 //! multicast from this node) read the version-scoped tree cache, like every
 //! other root.
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,16 +62,17 @@ pub struct Forwarding {
     version: u64,
     /// Dense per-destination next-hop table: entry `d` is the id of the
     /// edge the usable-cost SPT rooted at `me` leaves on toward `d`
-    /// ([`NO_HOP`] for `me` and unreachable nodes), rebuilt once per
-    /// topology change.
-    next_hop: Vec<u32>,
+    /// ([`NO_HOP`] for `me` and unreachable nodes), built by the first
+    /// lookup of the installed version.
+    next_hop: OnceCell<Box<[u32]>>,
     /// Shortest-path trees by root (multicast origins and, for anycast,
     /// `me`), computed on demand.
     spt: HashMap<NodeId, Spt>,
     /// Multicast out-edge sets by (origin, member-set fingerprint).
     mcast: HashMap<(NodeId, u64), Vec<EdgeId>>,
-    /// Total SPT computations performed (observability / regression tests).
-    spt_builds: u64,
+    /// Total SPT computations performed (observability / regression tests);
+    /// a `Cell` because a `&self` lookup may build the next-hop table.
+    spt_builds: Cell<u64>,
     /// Times a new topology view was actually installed.
     installs: u64,
 }
@@ -78,37 +82,34 @@ impl Forwarding {
     /// view (installed as version 0).
     #[must_use]
     pub fn new(me: NodeId, graph: Graph) -> Self {
-        let mut f = Forwarding {
+        Forwarding {
             me,
             snap: Arc::new(TopoSnapshot::new(graph)),
             version: 0,
-            next_hop: Vec::new(),
+            next_hop: OnceCell::new(),
             spt: HashMap::new(),
             mcast: HashMap::new(),
-            spt_builds: 0,
+            spt_builds: Cell::new(0),
             installs: 0,
-        };
-        f.rebuild_next_hops();
-        f
+        }
     }
 
     /// Installs the shared topology view for connectivity `version`.
     ///
     /// If `version` matches the installed one this is a no-op: the snapshot
-    /// is unchanged by construction, so nothing is invalidated and nothing
-    /// is recomputed. On a real change the per-destination next-hop table
-    /// is rebuilt in one SPT pass (reusing the previous table's memory) and
-    /// the version-scoped caches are dropped.
+    /// is unchanged by construction, so nothing is invalidated. On a real
+    /// change the next-hop table and the version-scoped caches are dropped;
+    /// nothing is recomputed until a lookup reads the new version.
     pub fn install(&mut self, snap: Arc<TopoSnapshot>, version: u64) {
         if version == self.version {
             return;
         }
         self.snap = snap;
         self.version = version;
+        self.next_hop = OnceCell::new();
         self.spt.clear();
         self.mcast.clear();
         self.installs += 1;
-        self.rebuild_next_hops();
     }
 
     /// Installs a fresh topology view built from a plain graph: always
@@ -136,7 +137,7 @@ impl Forwarding {
     /// no graph work, so this stays flat across repeated lookups.
     #[must_use]
     pub fn spt_builds(&self) -> u64 {
-        self.spt_builds
+        self.spt_builds.get()
     }
 
     /// Times a new topology view was installed (caches invalidated).
@@ -147,11 +148,12 @@ impl Forwarding {
     }
 
     /// Link-state unicast: the edge to forward on from this node toward
-    /// `dst`, or `None` if `dst` is unreachable or is this node. O(1): one
-    /// dense-table read.
+    /// `dst`, or `None` if `dst` is unreachable, outside the topology, or
+    /// this node. O(1): one dense-table read (the first lookup of a
+    /// topology version builds the table).
     #[must_use]
     pub fn unicast_next_hop(&self, dst: NodeId) -> Option<EdgeId> {
-        let e = self.next_hop[dst.0];
+        let e = self.table().get(dst.0).copied().unwrap_or(NO_HOP);
         (e != NO_HOP).then_some(EdgeId(e as usize))
     }
 
@@ -160,7 +162,17 @@ impl Forwarding {
     /// per-epoch liveness evidence.
     #[must_use]
     pub fn reaches(&self, dst: NodeId) -> bool {
-        dst == self.me || self.next_hop[dst.0] != NO_HOP
+        dst == self.me || self.unicast_next_hop(dst).is_some()
+    }
+
+    /// Builds the installed version's next-hop table now, if no lookup has
+    /// yet, inside a `route.spt` span of `perf`: the daemon's way to have
+    /// its Dijkstra runs profiled where they happen.
+    pub(crate) fn warm(&self, perf: &son_obs::PerfRegistry) {
+        if self.next_hop.get().is_none() {
+            let _span = perf.span("route.spt");
+            self.table();
+        }
     }
 
     /// Link-state multicast: the edges this node forwards a packet from
@@ -176,7 +188,7 @@ impl Forwarding {
                 me,
                 ref snap,
                 ref mut spt,
-                ref mut spt_builds,
+                ref spt_builds,
                 ..
             } = *self;
             let spt = spt_entry(snap, spt, spt_builds, origin);
@@ -230,7 +242,7 @@ impl Forwarding {
         if members.contains(&me) {
             return Some(me);
         }
-        let tree = spt_entry(&self.snap, &mut self.spt, &mut self.spt_builds, me);
+        let tree = spt_entry(&self.snap, &mut self.spt, &self.spt_builds, me);
         members
             .iter()
             .filter_map(|&m| tree.dist(m).map(|d| (d, m)))
@@ -310,17 +322,18 @@ impl Forwarding {
         );
     }
 
-    /// Rebuilds the dense next-hop table rooted at `me` from this thread's
-    /// tree, reusing the table's allocation.
-    fn rebuild_next_hops(&mut self) {
-        let weights = self.snap.graph().weights();
-        DIJKSTRA.with_borrow_mut(|(tree, scratch)| {
-            self.snap
-                .spt_with_into(self.me, |e| usable_cost(weights[e.0]), scratch, tree);
-            self.next_hop.clear();
-            self.next_hop.extend_from_slice(tree.first_hop_edges());
-        });
-        self.spt_builds += 1;
+    /// The installed version's next-hop table, built on first use from
+    /// this thread's tree.
+    fn table(&self) -> &[u32] {
+        self.next_hop.get_or_init(|| {
+            self.spt_builds.set(self.spt_builds.get() + 1);
+            let weights = self.snap.graph().weights();
+            DIJKSTRA.with_borrow_mut(|(tree, scratch)| {
+                self.snap
+                    .spt_with_into(self.me, |e| usable_cost(weights[e.0]), scratch, tree);
+                tree.first_hop_edges().into()
+            })
+        })
     }
 }
 
@@ -329,11 +342,11 @@ impl Forwarding {
 fn spt_entry<'a>(
     snap: &TopoSnapshot,
     cache: &'a mut HashMap<NodeId, Spt>,
-    builds: &mut u64,
+    builds: &Cell<u64>,
     root: NodeId,
 ) -> &'a Spt {
     cache.entry(root).or_insert_with(|| {
-        *builds += 1;
+        builds.set(builds.get() + 1);
         let weights = snap.graph().weights();
         DIJKSTRA.with_borrow_mut(|(_, scratch)| {
             snap.spt_with(root, |e| usable_cost(weights[e.0]), scratch)
@@ -365,7 +378,7 @@ impl son_obs::MemFootprint for Forwarding {
         // The installed view is the `Arc` the connectivity monitor caches:
         // each of its holders charges an equal part (DESIGN.md §7).
         shared_part(&self.snap, self.snap.approx_bytes())
-            + vec_bytes(&self.next_hop)
+            + self.next_hop.get().map_or(0, |t| size_of_val(&**t))
             + hashmap_bytes(&self.spt)
             + self
                 .spt
@@ -537,6 +550,75 @@ mod tests {
         let mut buf = Vec::with_capacity(4);
         f.mask_out_edges_into(&mask, Some(EdgeId(0)), &mut buf);
         assert_eq!(buf, vec![EdgeId(1)]);
+    }
+
+    #[test]
+    fn out_of_range_destination_has_no_route() {
+        let f = Forwarding::new(NodeId(0), square());
+        assert_eq!(f.unicast_next_hop(NodeId(4)), None);
+        assert_eq!(f.unicast_next_hop(NodeId(u32::MAX as usize)), None);
+        assert!(!f.reaches(NodeId(4)));
+    }
+
+    /// The next hops an eager rebuild of `snap` gives, by destination.
+    fn eager_next_hops(snap: &TopoSnapshot, me: NodeId) -> Vec<Option<EdgeId>> {
+        let weights = snap.graph().weights();
+        let tree = snap.spt_with(me, |e| usable_cost(weights[e.0]), &mut SptScratch::new());
+        let hop = |e: &u32| (*e != NO_HOP).then_some(EdgeId(*e as usize));
+        tree.first_hop_edges().iter().map(hop).collect()
+    }
+
+    proptest::proptest! {
+        /// Whatever the interleaving of installs and lookups, every lookup
+        /// answers what an eager rebuild of the installed view would, and
+        /// the engine has run one SPT per installed version something read.
+        #[test]
+        fn lazy_next_hops_match_an_eager_rebuild(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..20), 1..25),
+            ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..25, 1u32..21), 1..40),
+        ) {
+            let mut g = Graph::new(n);
+            for &(a, b, w) in &edges {
+                if a % n != b % n {
+                    g.add_edge(NodeId(a % n), NodeId(b % n), f64::from(w));
+                }
+            }
+            let me = NodeId(0);
+            let mut f = Forwarding::new(me, g.clone());
+            let mut read = std::collections::BTreeSet::new();
+            for &(op, node, edge, w) in &ops {
+                match op {
+                    // A real change: one edge's weight moves (w = 20 takes
+                    // it down).
+                    0 => {
+                        if g.edge_count() > 0 {
+                            let w = if w == 20 { 1e12 } else { f64::from(w) };
+                            g.set_weight(EdgeId(edge % g.edge_count()), w);
+                        }
+                        f.set_graph(g.clone());
+                    }
+                    // A refresh of the installed version: a no-op.
+                    1 => f.install(Arc::clone(&f.snap), f.version()),
+                    // A lookup; `node` may lie outside the topology.
+                    _ => {
+                        let oracle = eager_next_hops(&f.snap, me);
+                        let dst = NodeId(node);
+                        let want = oracle.get(node).copied().flatten();
+                        if op == 2 {
+                            proptest::prop_assert_eq!(f.unicast_next_hop(dst), want);
+                        } else {
+                            proptest::prop_assert_eq!(f.reaches(dst), dst == me || want.is_some());
+                        }
+                        read.insert(f.version());
+                        for (d, &hop) in oracle.iter().enumerate() {
+                            proptest::prop_assert_eq!(f.unicast_next_hop(NodeId(d)), hop);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(f.spt_builds(), read.len() as u64);
+            }
+        }
     }
 
     #[test]
