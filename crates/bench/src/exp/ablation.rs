@@ -20,7 +20,7 @@ use son_overlay::{Fleet, FlowSpec, LinkService, NodeConfig, RealtimeParams};
 use son_topo::{Graph, NodeId};
 
 use super::Opts;
-use crate::{f, longest_gap, row, table_header, UnicastRun};
+use crate::{f, row, table_header, UnicastRun};
 
 fn failover_run(hello_ms: u64, down_misses: u32) -> (f64, f64) {
     // Square topology, fail the primary path's first link.
@@ -51,7 +51,7 @@ fn failover_run(hello_ms: u64, down_misses: u32) -> (f64, f64) {
     );
     fleet.edge_outage(e01, SimTime::from_secs(3), SimDuration::MAX);
     fleet.run(SimTime::from_secs(10));
-    let outage = longest_gap(fleet.recv(0), SimTime::from_secs(3));
+    let outage = fleet.recv(0).longest_gap(SimTime::from_secs(3));
     let outage = outage.map_or(0.0, SimDuration::as_millis_f64);
     // Control overhead: hello+ack messages per second per link direction.
     let ctl_per_sec = 2.0 * 1000.0 / hello_ms as f64;

@@ -17,7 +17,7 @@ use son_overlay::{Destination, FlowSpec};
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::{f, longest_gap, row, table_header};
+use crate::{f, row, table_header};
 
 const STADIUM: NodeId = NodeId(4); // MIA: the live event
 const FACILITY_A: NodeId = NodeId(3); // ATL cloud region (nearest)
@@ -77,7 +77,7 @@ fn run_case(fail_primary: bool) -> (u64, u64, u64, Vec<u64>, f64, f64) {
     // Failover gap: longest delivery gap at the first CDN after the failure.
     let logs = fleet.client_ref(cdns[0]).recv.values();
     let gap = logs
-        .filter_map(|r| longest_gap(r, SimTime::from_secs(10)))
+        .filter_map(|r| r.longest_gap(SimTime::from_secs(10)))
         .max();
     let gap = gap.map_or(0.0, SimDuration::as_millis_f64);
     (sent, a.processed, b.processed, per_cdn, stage1_latency, gap)

@@ -24,7 +24,7 @@ use son_overlay::FlowSpec;
 use son_topo::NodeId;
 
 use super::Opts;
-use crate::{export_rows, f, finish_export, longest_gap, obs_sink, row, table_header};
+use crate::{export_rows, f, finish_export, obs_sink, row, table_header};
 
 const FAIL_AT: SimTime = SimTime::from_secs(5);
 const RUN_FOR: SimTime = SimTime::from_secs(60);
@@ -32,7 +32,7 @@ const RUN_FOR: SimTime = SimTime::from_secs(60);
 /// The outage the application saw: the longest inter-arrival gap after the
 /// failure instant, and whether traffic was flowing at the end.
 fn outage(recv: &son_overlay::client::FlowRecv) -> (SimDuration, bool) {
-    let gap = longest_gap(recv, FAIL_AT).unwrap_or(SimDuration::MAX);
+    let gap = recv.longest_gap(FAIL_AT).unwrap_or(SimDuration::MAX);
     let flowing = recv
         .arrivals
         .last()

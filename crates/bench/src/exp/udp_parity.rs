@@ -15,10 +15,13 @@
 //! * zero codec decode errors and zero misattributed frames on the wire.
 //!
 //! Two scenario shapes: **E1** (the Fig. 3 chain, hop-by-hop recovery
-//! under per-link loss) and, in full mode, **E3** (a ring with a mid-run
-//! link blackout; both worlds must reroute rather than wait it out).
-//! `--smoke` runs E1 only over 4 processes in a few wall-seconds — the CI
-//! `udp_loopback_smoke` job. Results go to `BENCH_forwarding.json`
+//! under per-link loss) and **E3** (a ring with a mid-run link blackout
+//! and the watchdog on; both worlds must reroute rather than wait it out).
+//! `--smoke` runs both reduced, over 4 and 5 processes, in a few
+//! wall-seconds each — the CI `udp_loopback_smoke` job. Both legs lower the
+//! scenario through the same [`Scenario::overlay`], [`Scenario::flow`] and
+//! [`Scenario::blackout`]; the sim leg is their [`Scenario::fleet`].
+//! Results go to `BENCH_forwarding.json`
 //! (override with `--out`) as `"mode":"udp"` rows, replacing any previous
 //! `udp_parity` rows.
 
@@ -26,18 +29,13 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use son_netsim::loss::LossConfig;
 use son_netsim::time::{SimDuration, SimTime};
 use son_node::{unix_now_ns, Scenario, TopoKind};
 use son_obs::Json;
-use son_overlay::builder::OverlayBuilder;
-use son_overlay::client::Workload;
-use son_overlay::{Fleet, NodeConfig};
-use son_topo::NodeId;
 
 use super::Opts;
 use crate::telemetry::{ClusterState, Collector};
-use crate::{f, longest_gap, row, table_header, write_bench};
+use crate::{f, row, table_header, write_bench};
 
 /// One leg's outcome, sim or UDP.
 #[derive(Debug, Clone, Copy, Default)]
@@ -83,8 +81,11 @@ fn e1_scenario(smoke: bool) -> Scenario {
     }
 }
 
-fn e3_scenario() -> Scenario {
-    Scenario {
+/// The E3 ring: a blackout on a link of the flow's path, the watchdog on.
+/// The smoke ring's flow has one shortest path, 0-1-2, and loses 1-2 for
+/// 1.5 s, three times what rerouting around it takes.
+fn e3_scenario(smoke: bool) -> Scenario {
+    let full = Scenario {
         name: "udp_e3".to_owned(),
         topo: TopoKind::Ring,
         nodes: 6,
@@ -101,52 +102,34 @@ fn e3_scenario() -> Scenario {
             to_ms: 8_000,
         }),
         ..e1_scenario(false)
+    };
+    if !smoke {
+        return full;
+    }
+    Scenario {
+        name: "udp_e3_smoke".to_owned(),
+        nodes: 5,
+        hop_ms: 5.0,
+        to: 2,
+        count: 600,
+        start_ms: 800,
+        run_for_ms: 4_000,
+        outage: Some(son_node::Outage {
+            a: 1,
+            b: 2,
+            from_ms: 1_500,
+            to_ms: 3_000,
+        }),
+        ..full
     }
 }
 
-/// Runs the scenario inside the deterministic simulator, emitting the same
-/// telemetry rows the UDP leg streams — through [`Fleet::run_with_telemetry`], into
+/// Runs the scenario's [`Scenario::fleet`] inside the deterministic
+/// simulator, emitting the same telemetry rows the UDP leg streams —
+/// through `Fleet::run_with_telemetry`, into
 /// `<dir>/<name>.sim.telemetry.jsonl` — so one schema serves both legs.
 fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
-    let topo = s.topology();
-    let config = NodeConfig {
-        trace_sample: s.trace_sample,
-        watch: s.watch,
-        ..NodeConfig::default()
-    };
-    let loss = if s.loss > 0.0 {
-        LossConfig::Bernoulli { p: s.loss }
-    } else {
-        LossConfig::Perfect
-    };
-    let mut fleet = Fleet::new(
-        s.seed,
-        None,
-        OverlayBuilder::new(topo.clone())
-            .node_config(config)
-            .default_loss(loss),
-    );
-    fleet.flow(
-        NodeId(s.from as usize),
-        NodeId(s.to as usize),
-        s.flow_spec().expect("scenario spec is valid"),
-        Workload::Cbr {
-            size: s.size,
-            interval: s.interval(),
-            count: s.count,
-            start: SimTime::from_millis(s.start_ms),
-        },
-    );
-    if let Some(o) = s.outage {
-        let edge = topo
-            .edge_between(NodeId(o.a as usize), NodeId(o.b as usize))
-            .expect("outage edge exists");
-        fleet.edge_outage(
-            edge,
-            SimTime::from_millis(o.from_ms),
-            SimDuration::from_millis(o.to_ms - o.from_ms),
-        );
-    }
+    let mut fleet = s.fleet();
     let _ = std::fs::create_dir_all(dir);
     let telemetry_path = dir.join(format!("{}.sim.telemetry.jsonl", s.name));
     let mut telemetry = std::fs::File::create(&telemetry_path).ok();
@@ -163,7 +146,9 @@ fn run_in_sim(s: &Scenario, dir: &Path) -> Leg {
         received: recv.received,
         p50_ms: lat.quantile(0.5).unwrap_or(0.0),
         p90_ms: lat.quantile(0.9).unwrap_or(0.0),
-        max_gap_ms: longest_gap(recv, SimTime::ZERO).map_or(0.0, SimDuration::as_millis_f64),
+        max_gap_ms: recv
+            .longest_gap(SimTime::ZERO)
+            .map_or(0.0, SimDuration::as_millis_f64),
         ..Leg::default()
     }
 }
@@ -366,14 +351,9 @@ impl Comparison {
     /// (which charges the links and nothing else), per link crossed. The
     /// paper's §II-D puts it under a millisecond.
     fn added_per_hop_p50_us(&self) -> f64 {
-        let s = &self.scenario;
-        // Every link weighs the same, so the shortest path is the fewest
-        // links — and a ring's two ways round the outage are equally long.
-        let direct = s.from.abs_diff(s.to) as usize;
-        let hops = match s.topo {
-            TopoKind::Chain => direct,
-            TopoKind::Ring => direct.min(s.nodes - direct),
-        };
+        let ((from, to), _, _) = self.scenario.flow();
+        let path = son_topo::shortest_path(&self.scenario.topology(), from, to);
+        let hops = path.expect("scenario topologies are connected").edges.len();
         (self.udp.p50_ms - self.sim.p50_ms) * 1000.0 / hops as f64
     }
 
@@ -474,10 +454,10 @@ pub fn run(opts: &Opts) {
         .expect("the cluster's scenario and result files need the export directory")
         .join("udp_parity");
 
-    let mut comparisons = vec![compare(e1_scenario(smoke), 0.05, base_port, &dir)];
-    if !smoke {
-        comparisons.push(compare(e3_scenario(), 0.10, base_port + 100, &dir));
-    }
+    let comparisons = [
+        compare(e1_scenario(smoke), 0.05, base_port, &dir),
+        compare(e3_scenario(smoke), 0.10, base_port + 100, &dir),
+    ];
     for c in &comparisons {
         c.check();
     }

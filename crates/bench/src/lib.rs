@@ -144,14 +144,6 @@ impl UnicastRun {
     }
 }
 
-/// The outage a flow saw: the longest gap between consecutive arrivals
-/// that ends after `after` (`None` if nothing arrived after it).
-#[must_use]
-pub fn longest_gap(recv: &FlowRecv, after: SimTime) -> Option<SimDuration> {
-    let gaps = recv.arrivals.windows(2).filter(|w| w[1].0 > after);
-    gaps.map(|w| w[1].0.saturating_since(w[0].0)).max()
-}
-
 /// A ring of `n` nodes (`hop_ms` per link) plus a long chord from `i` to
 /// `i + n/2` every `chord_every` positions on the first half of the ring
 /// (`0` = plain ring). Source-route masks hold 256 edges: a caller that

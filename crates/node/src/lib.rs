@@ -37,6 +37,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use son_netsim::driver::{Driver, Transport};
 use son_netsim::event::{EventId, EventQueue};
 use son_netsim::link::PipeId;
+use son_netsim::loss::LossProcess;
 use son_netsim::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
 use son_netsim::rng::SimRng;
 use son_netsim::sim::Ctx;
@@ -45,19 +46,13 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_netsim::underlay::{Attachment, UEdgeId};
 use son_obs::snapshot::{SnapshotProducer, EPOCH_NS};
 use son_obs::{DropClass, Json};
-use son_overlay::auth::KeyRegistry;
-use son_overlay::builder::HOP_PROCESSING;
-use son_overlay::client::{ClientConfig, ClientFlow, ClientProcess, Workload};
-use son_overlay::fleet::{RX_PORT, TX_PORT};
-use son_overlay::{Destination, NodeConfig, OverlayAddr, OverlayNode, Wire};
+use son_overlay::client::ClientProcess;
+use son_overlay::fleet::flow_clients;
+use son_overlay::{OverlayNode, Wire};
 use son_topo::NodeId;
 
 pub use scenario::{Outage, Scenario, TopoKind};
 pub use transport::{UdpTransport, VnetTransport};
-
-/// Deployment master secret — matches `OverlayBuilder`'s, so sim and real
-/// daemons derive identical per-node authentication keys.
-pub const MASTER_SECRET: u64 = 0x5eed;
 
 /// The `from` pid handed to handlers for frames that arrived off the wire:
 /// the remote daemon has no local process id.
@@ -106,23 +101,22 @@ enum Due {
     },
 }
 
-/// One direction of one emulated overlay link.
-#[derive(Debug, Clone, Copy)]
-struct PipeEnd {
+/// One emulated overlay link: link `k`'s pipe ends are `PipeId(2k)`, the
+/// daemon's sends, and `PipeId(2k + 1)`, its arrivals.
+#[derive(Debug)]
+struct LinkEnd {
     /// Overlay node id of the far end (= transport peer index).
     peer: u32,
     /// Provider index, stamped on every datagram so the receiver can
     /// attribute it to the right registered in-pipe.
     provider: u8,
-    /// Whether the local daemon sends on this end.
-    outbound: bool,
-    /// Emulated one-way latency (scenario weight + hop processing), served
-    /// by the receiving end.
+    /// Emulated one-way latency (link weight + hop processing), served by
+    /// the receiving end.
     latency: SimDuration,
-    /// Independent per-frame loss probability on sends.
-    loss: f64,
-    /// Blackout window `[from_ns, to_ns)`, if this link is the victim.
-    outage: Option<(u64, u64)>,
+    /// The link's loss model, drawn on sends.
+    loss: LossProcess,
+    /// Blackout window `[from, to)` of sends, if this link is the victim.
+    outage: Option<(SimTime, SimTime)>,
 }
 
 /// The wall-clock [`Driver`]: epoch-anchored monotonic time, the
@@ -145,7 +139,7 @@ pub struct RealDriver<T: Transport> {
     rngs: Vec<SimRng>,
     link_rng: SimRng,
     counters: Counters,
-    pipes: Vec<PipeEnd>,
+    links: Vec<LinkEnd>,
     /// Deadlines in nanoseconds since the epoch, earliest first and in
     /// scheduling order among equals.
     due: EventQueue<Due>,
@@ -162,7 +156,7 @@ impl<T: Transport> RealDriver<T> {
         seed: u64,
         me: NodeId,
         n_procs: usize,
-        pipes: Vec<PipeEnd>,
+        links: Vec<LinkEnd>,
     ) -> Self {
         let root = SimRng::seed(seed).fork_idx("node", me.0 as u64);
         RealDriver {
@@ -174,7 +168,7 @@ impl<T: Transport> RealDriver<T> {
                 .collect(),
             link_rng: root.fork("links"),
             counters: Counters::new(),
-            pipes,
+            links,
             due: EventQueue::new(),
             daemon: ProcessId(0),
             transport,
@@ -243,23 +237,25 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
 
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: Wire) {
         debug_assert_eq!(pid, self.daemon, "only the daemon owns link pipes");
-        let end = self.pipes[pipe.0];
-        debug_assert!(end.outbound, "process {pid} sent on an inbound pipe");
+        debug_assert_eq!(pipe.0 % 2, 0, "process {pid} sent on an inbound pipe");
+        let end = &mut self.links[pipe.0 / 2];
         let is_data = matches!(msg.kind(), MessageKind::Data { .. });
-        let now_ns = self.now.as_nanos();
-        if let Some((from, to)) = end.outage {
-            if now_ns >= from && now_ns < to {
-                self.drop_frame(DropClass::Down, is_data);
-                return;
-            }
-        }
-        if end.loss > 0.0 && self.link_rng.chance(end.loss) {
-            self.drop_frame(DropClass::Loss, is_data);
+        let now = self.now;
+        let dropped = if end.outage.is_some_and(|(from, to)| now >= from && now < to) {
+            Some(DropClass::Down)
+        } else if end.loss.drops(now, &mut self.link_rng) {
+            Some(DropClass::Loss)
+        } else {
+            None
+        };
+        let (peer, provider) = (end.peer, end.provider);
+        if let Some(class) = dropped {
+            self.drop_frame(class, is_data);
             return;
         }
         self.frame.clear();
-        self.frame.push(end.provider);
-        self.frame.extend_from_slice(&now_ns.to_le_bytes());
+        self.frame.push(provider);
+        self.frame.extend_from_slice(&now.as_nanos().to_le_bytes());
         son_overlay::wire::encode_into(&msg, &mut self.frame)
             .expect("link frames round-trip the wire codec losslessly");
         self.counters.incr("pipe.sent");
@@ -269,11 +265,7 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         }
         // One undeliverable datagram is that datagram's loss; the daemon
         // carries on.
-        if self
-            .transport
-            .send_to(end.peer as usize, &self.frame)
-            .is_err()
-        {
+        if self.transport.send_to(peer as usize, &self.frame).is_err() {
             self.counters.incr("transport.send_error");
             self.drop_frame(DropClass::NoRoute, is_data);
         }
@@ -301,7 +293,7 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
 
     fn reverse_pipe(&self, pipe: PipeId) -> Option<PipeId> {
         // Pipe ends come in (out, in) pairs at 2k / 2k+1.
-        (pipe.0 < self.pipes.len()).then_some(PipeId(pipe.0 ^ 1))
+        (pipe.0 < 2 * self.links.len()).then_some(PipeId(pipe.0 ^ 1))
     }
 
     fn pipe_dst(&self, pipe: PipeId) -> ProcessId {
@@ -370,89 +362,41 @@ impl<T: Transport> NodeRuntime<T> {
     /// scenario first, which validates it).
     #[must_use]
     pub fn new(scenario: Scenario, me: NodeId, transport: T, epoch_ns: u64) -> NodeRuntime<T> {
-        let topo = scenario.topology();
-        let keys = KeyRegistry::new(scenario.nodes, MASTER_SECRET);
-        let mut config = NodeConfig {
-            watch: scenario.watch,
-            membership: scenario.membership,
-            ..NodeConfig::default()
-        };
-        if me.0 == scenario.from as usize {
-            config.trace_sample = scenario.trace_sample;
-        }
-        let mut node = OverlayNode::new(me, topo.clone(), keys, config);
+        let overlay = scenario.overlay();
+        let mut node = overlay.daemon(me, overlay.keys());
+        let blackout = scenario.blackout();
 
         // One provider pipe pair per edge, out at 2k and in at 2k+1: loss
-        // and outages ride on the outbound end, latency on the inbound one.
-        let mut pipes = Vec::new();
+        // and outages ride on the sends, latency on the arrivals.
+        let mut links = Vec::new();
         let mut in_pipes = HashMap::new();
         node.wire_topology(|e, neighbor| {
             let peer = neighbor.0 as u32;
-            let latency = SimDuration::from_millis_f64(topo.weight(e)) + HOP_PROCESSING;
-            let victim = scenario.outage.filter(|o| {
-                let me = me.0 as u32;
-                (o.a, o.b) == (me, peer) || (o.a, o.b) == (peer, me)
-            });
-            let out_pipe = PipeId(pipes.len());
-            pipes.push(PipeEnd {
+            let (out_pipe, in_pipe) = (PipeId(2 * links.len()), PipeId(2 * links.len() + 1));
+            links.push(LinkEnd {
                 peer,
                 provider: 0,
-                outbound: true,
-                latency,
-                loss: scenario.loss,
-                outage: victim.map(|o| (o.from_ms * 1_000_000, o.to_ms * 1_000_000)),
-            });
-            let in_pipe = PipeId(pipes.len());
-            pipes.push(PipeEnd {
-                peer,
-                provider: 0,
-                outbound: false,
-                latency,
-                loss: 0.0,
-                outage: None,
+                latency: overlay.link_latency(e),
+                loss: LossProcess::new(overlay.link_loss(e).clone()),
+                outage: blackout
+                    .filter(|b| b.0 == e)
+                    .map(|(_, from, to)| (from, to)),
             });
             in_pipes.insert((peer, 0u8), in_pipe);
             vec![(out_pipe, in_pipe)]
         });
 
         let mut procs: Vec<Option<Box<dyn Process<Wire>>>> = vec![Some(Box::new(node))];
-        if me.0 == scenario.to as usize {
-            procs.push(Some(Box::new(ClientProcess::new(ClientConfig {
-                daemon: ProcessId(0),
-                port: RX_PORT,
-                joins: vec![],
-                flows: vec![],
-            }))));
-        }
-        if me.0 == scenario.from as usize {
-            procs.push(Some(Box::new(ClientProcess::new(ClientConfig {
-                daemon: ProcessId(0),
-                port: TX_PORT,
-                joins: vec![],
-                flows: vec![ClientFlow {
-                    local_flow: 1,
-                    dst: Destination::Unicast(OverlayAddr::new(
-                        NodeId(scenario.to as usize),
-                        RX_PORT,
-                    )),
-                    spec: scenario.flow_spec().expect("scenario validated at parse"),
-                    workload: Workload::Cbr {
-                        size: scenario.size,
-                        interval: scenario.interval(),
-                        count: scenario.count,
-                        start: SimTime::from_millis(scenario.start_ms),
-                    },
-                }],
-            }))));
+        let (ends, spec, workload) = scenario.flow();
+        for (node, config) in flow_clients(0, ends, spec, workload, |_| ProcessId(0)) {
+            if node == me {
+                procs.push(Some(Box::new(ClientProcess::new(config))));
+            }
         }
 
-        let min_hold = pipes
-            .iter()
-            .filter(|end| !end.outbound)
-            .map(|end| end.latency)
-            .min()
-            .unwrap_or(SimDuration::ZERO);
-        let driver = RealDriver::new(transport, epoch_ns, scenario.seed, me, procs.len(), pipes);
+        let min_hold = links.iter().map(|l| l.latency).min();
+        let min_hold = min_hold.unwrap_or(SimDuration::ZERO);
+        let driver = RealDriver::new(transport, epoch_ns, scenario.seed, me, procs.len(), links);
         NodeRuntime {
             driver,
             procs,
@@ -571,7 +515,7 @@ impl<T: Transport> NodeRuntime<T> {
             return;
         };
         let sent_ns = u64::from_le_bytes(*stamp).min(self.driver.wall_ns());
-        let due = SimTime::from_nanos(sent_ns) + self.driver.pipes[pipe.0].latency;
+        let due = SimTime::from_nanos(sent_ns) + self.driver.links[pipe.0 / 2].latency;
         let deliver = Due::Deliver {
             from: REMOTE_SENDER,
             to: self.driver.daemon,
@@ -774,13 +718,8 @@ impl<T: Transport> NodeRuntime<T> {
                 if let Some(q) = lat.quantile(0.9) {
                     p90_ms = Json::F64(q);
                 }
-                let gap = recv
-                    .arrivals
-                    .windows(2)
-                    .map(|w| (w[1].0 - w[0].0).as_millis_f64())
-                    .fold(0.0_f64, f64::max);
-                if recv.arrivals.len() >= 2 {
-                    max_gap_ms = Json::F64(gap);
+                if let Some(gap) = recv.longest_gap(SimTime::ZERO) {
+                    max_gap_ms = Json::F64(gap.as_millis_f64());
                 }
                 if let Some(d) = self.scenario.deadline_ms {
                     let n = recv.within_deadline(SimDuration::from_millis_f64(d));
@@ -861,6 +800,11 @@ mod loop_tests;
 mod tests {
     use super::*;
     use son_obs::trace::TraceEvent;
+    use son_overlay::addr::{DestKey, FlowKey, GroupId};
+    use son_overlay::builder::HOP_PROCESSING;
+    use son_overlay::fleet::{RX_PORT, TX_PORT};
+    use son_overlay::packet::{Control, DataPacket, GroupUpdate};
+    use son_overlay::OverlayAddr;
 
     pub(crate) fn loopback_scenario() -> Scenario {
         Scenario {
@@ -1122,6 +1066,86 @@ mod tests {
         );
     }
 
+    /// A ring whose flow 0 → 2 runs over 1-2 until that link blacks out
+    /// for a second.
+    fn blackout_ring() -> Scenario {
+        let mut scenario = loopback_scenario();
+        scenario.name = "vnet_blackout".to_owned();
+        (scenario.topo, scenario.nodes) = (TopoKind::Ring, 5);
+        (scenario.interval_us, scenario.count) = (5_000, 400);
+        scenario.run_for_ms = 2_800;
+        scenario.outage = Some(Outage {
+            a: 1,
+            b: 2,
+            from_ms: 1_000,
+            to_ms: 2_000,
+        });
+        scenario
+    }
+
+    /// The same blackout on both legs, the one lowering under each: over
+    /// the vnet the drivers' outage windows cut the link, in the simulator
+    /// the fleet's scheduled pipe outage does. Both reroute around it, so
+    /// neither waits the blackout out, and they deliver within E18's
+    /// ±10 pp of each other.
+    #[test]
+    fn a_blackout_is_routed_around_on_both_legs() {
+        let scenario = blackout_ring();
+        let links: Vec<(usize, usize)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
+        let runtimes = run_cluster(&scenario, VnetTransport::mesh(5, &links), |_| {});
+        let mut fleet = scenario.fleet();
+        fleet.run(SimTime::from_millis(scenario.run_for_ms));
+
+        let blackout = SimDuration::from_millis(1_000);
+        let down = |rt: &NodeRuntime<VnetTransport>| rt.counters().get(DropClass::Down.label());
+        assert!(
+            down(&runtimes[1]) + down(&runtimes[2]) > 0,
+            "the link went dark"
+        );
+        let vnet_recv = runtimes[2].clients()[0].recv.values().next();
+        let legs = [
+            ("vnet", totals(&runtimes), vnet_recv.expect("arrivals")),
+            (
+                "sim",
+                (fleet.sent(0), fleet.recv(0).received),
+                fleet.recv(0),
+            ),
+        ];
+        let delivery = legs.map(|(leg, (sent, received), recv)| {
+            assert_eq!(sent, scenario.count, "{leg}: the sender finished");
+            let gap = recv.longest_gap(SimTime::ZERO).expect("arrivals");
+            assert!(gap < blackout, "{leg} waited the blackout out: {gap:?}");
+            received as f64 / sent as f64
+        });
+        let [vnet, sim] = delivery;
+        assert!(sim < 1.0, "the blackout cost the sim leg packets");
+        assert!(
+            (vnet - sim).abs() <= 0.10,
+            "delivery: vnet {vnet:.3}, sim {sim:.3}"
+        );
+    }
+
+    /// Both lowerings give every daemon the scenario's one configuration:
+    /// the sender's, the receiver's and every transit daemon's.
+    #[test]
+    fn both_legs_give_every_daemon_the_same_config() {
+        let mut scenario = loopback_scenario();
+        (scenario.watch, scenario.membership) = (true, true);
+        let fleet = scenario.fleet();
+        let expected = fleet.node(NodeId(0)).config();
+        assert_eq!(expected.trace_sample, scenario.trace_sample);
+        assert!(expected.watch && expected.membership);
+        for (i, net) in chain_mesh(scenario.nodes).into_iter().enumerate() {
+            let rt = NodeRuntime::new(scenario.clone(), NodeId(i), net, unix_now_ns());
+            assert_eq!(rt.node().config(), expected, "node {i} over the vnet");
+            assert_eq!(
+                fleet.node(NodeId(i)).config(),
+                expected,
+                "node {i} in the sim"
+            );
+        }
+    }
+
     /// One datagram claiming an infinite link latency used to be accepted,
     /// stored, and to panic this daemon — and every daemon it was flooded
     /// to — at the next route rebuild. It now dies in the decoder, counted.
@@ -1302,6 +1326,30 @@ mod tests {
         }
     }
 
+    /// A best-effort data datagram of flow `origin` → `dst`, seq 1, as a
+    /// neighbour sends it.
+    fn data_dgram(dst: DestKey, origin: usize, resolved_dst: Option<usize>) -> Vec<u8> {
+        let packet = DataPacket {
+            flow: FlowKey {
+                src: OverlayAddr::new(NodeId(origin), TX_PORT),
+                dst,
+            },
+            flow_seq: 1,
+            origin: NodeId(origin),
+            spec: son_overlay::service::FlowSpec::best_effort(),
+            mask: None,
+            resolved_dst: resolved_dst.map(NodeId),
+            link_seq: 1,
+            created_at: SimTime::ZERO,
+            size: 16,
+            payload: Default::default(),
+            ttl: 32,
+            auth_tag: 0,
+            trace: None,
+        };
+        dgram(&Wire::Data(packet))
+    }
+
     /// A data packet naming a node outside the 3-node chain where
     /// forwarding looks it up — a unicast destination, a resolved anycast
     /// member, a multicast origin — used to index past the routing tables
@@ -1309,29 +1357,7 @@ mod tests {
     /// valid packet is still forwarded.
     #[test]
     fn forged_node_ids_are_unroutable_drops() {
-        use son_overlay::addr::{DestKey, FlowKey, GroupId};
-        use son_overlay::packet::DataPacket;
-        let data = |dst: DestKey, origin: usize, resolved_dst: Option<usize>| {
-            let packet = DataPacket {
-                flow: FlowKey {
-                    src: OverlayAddr::new(NodeId(origin), TX_PORT),
-                    dst,
-                },
-                flow_seq: 1,
-                origin: NodeId(origin),
-                spec: son_overlay::service::FlowSpec::best_effort(),
-                mask: None,
-                resolved_dst: resolved_dst.map(NodeId),
-                link_seq: 1,
-                created_at: SimTime::ZERO,
-                size: 16,
-                payload: Default::default(),
-                ttl: 32,
-                auth_tag: 0,
-                trace: None,
-            };
-            dgram(&Wire::Data(packet))
-        };
+        let data = data_dgram;
         let unicast = |node| DestKey::Unicast(OverlayAddr::new(NodeId(node), RX_PORT));
         let mut rt = middle_node();
         let unroutable = |rt: &NodeRuntime<VnetTransport>| {
@@ -1350,6 +1376,41 @@ mod tests {
         assert_eq!(land(&mut rt, 0, &data(unicast(2), 0, None)), Landed::Held);
         assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
         assert_eq!(unroutable(&rt), Some(3));
+    }
+
+    /// A group update claiming an origin outside the chain used to be
+    /// stored and flooded on, and the next multicast packet to the group
+    /// panicked this daemon (and every daemon the update reached) in the
+    /// multicast tree lookup. It is now refused at ingress and counted,
+    /// and the group still works for its real members.
+    #[test]
+    fn a_forged_group_origin_is_refused_and_counted() {
+        let update = |origin| {
+            let groups = vec![GroupId(1)];
+            let update = GroupUpdate {
+                origin: NodeId(origin),
+                seq: 1,
+                groups,
+            };
+            dgram(&Wire::Control(Control::GroupUpdate(update)))
+        };
+        let multicast = || data_dgram(DestKey::Multicast(GroupId(1)), 0, None);
+        let mut rt = middle_node();
+        let forged = |rt: &NodeRuntime<VnetTransport>| {
+            let registry = rt.node().obs().registry();
+            registry.counter_named("forged_origin", &[("node", "1")])
+        };
+
+        assert_eq!(land(&mut rt, 0, &update(9)), Landed::Held);
+        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Held);
+        assert_eq!(forged(&rt), Some(1));
+        assert!(rt.node().groups().members_of(GroupId(1)).is_empty());
+        assert_eq!(rt.node().metrics().forwarded, 0);
+
+        assert_eq!(land(&mut rt, 0, &update(2)), Landed::Held);
+        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Held);
+        assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
+        assert_eq!(forged(&rt), Some(1));
     }
 
     proptest::proptest! {

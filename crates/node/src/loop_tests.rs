@@ -3,6 +3,7 @@
 //! fails sends.
 
 use son_obs::trace::TraceStage;
+use son_overlay::builder::HOP_PROCESSING;
 use son_overlay::node::CLIENT_IPC_DELAY;
 use son_overlay::packet::Control;
 

@@ -2,16 +2,20 @@
 //!
 //! One JSON file describes a complete experiment — topology, link
 //! characteristics, the flow under test, and an optional mid-run link
-//! blackout — and both worlds consume it: `son-exp udp_parity` runs it in-sim
-//! through the usual [`son_netsim`] pipes, and each `son-node` process
-//! builds its local slice of the same overlay from the same file. Keeping
-//! the description in one place is what makes "the sim is a peer of the
-//! real transport" checkable rather than aspirational.
+//! blackout — and both worlds interpret it through one lowering
+//! ([`Scenario::overlay`], [`Scenario::flow`], [`Scenario::blackout`]):
+//! [`Scenario::fleet`] is the simulator leg, and each `son-node` process
+//! builds its local slice of the same overlay. One description, read in one
+//! place, is what makes "the sim is a peer of the real transport" checkable
+//! rather than aspirational.
 
-use son_netsim::time::SimDuration;
+use son_netsim::loss::LossConfig;
+use son_netsim::time::{SimDuration, SimTime};
 use son_obs::Json;
-use son_overlay::FlowSpec;
-use son_topo::{Graph, NodeId};
+use son_overlay::builder::{chain_topology, OverlayBuilder};
+use son_overlay::client::Workload;
+use son_overlay::{Fleet, FlowSpec, NodeConfig};
+use son_topo::{EdgeId, Graph, NodeId};
 
 /// Overlay topology shape. The parity experiments only need the paper's
 /// two canonical shapes: the Fig. 3 chain (E1) and a ring, which gives
@@ -162,10 +166,9 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Everything [`Scenario::topology`], [`Scenario::flow_spec`],
-    /// [`Scenario::interval`] and the two harnesses assume about the
-    /// fields, checked once so a bad file is an `Err` here rather than a
-    /// panic there.
+    /// Everything the lowering ([`Scenario::overlay`], [`Scenario::flow`],
+    /// [`Scenario::blackout`]) assumes about the fields, checked once so a
+    /// bad file is an `Err` here rather than a panic there.
     fn validate(&self) -> Result<(), String> {
         // Every link needs its own bit of a source-route mask.
         let max_nodes = match self.topo {
@@ -204,13 +207,8 @@ impl Scenario {
             return Err("scenario: a millisecond field overflows the clock".to_owned());
         }
         if let Some(o) = self.outage {
-            // Chain and ring links join consecutive nodes (and a ring's last
-            // to its first).
-            let (lo, hi) = (o.a.min(o.b) as usize, o.a.max(o.b) as usize);
-            let adjacent = hi < self.nodes
-                && (hi - lo == 1
-                    || (self.topo == TopoKind::Ring && lo == 0 && hi == self.nodes - 1));
-            if !adjacent {
+            let (a, b) = (NodeId(o.a as usize), NodeId(o.b as usize));
+            if a.0 >= self.nodes || self.topology().edge_between(a, b).is_none() {
                 return Err(format!("scenario: no link {}-{} to black out", o.a, o.b));
             }
             if o.from_ms > o.to_ms {
@@ -270,22 +268,16 @@ impl Scenario {
     /// Builds the overlay graph this scenario describes.
     #[must_use]
     pub fn topology(&self) -> Graph {
-        let mut g = Graph::new(self.nodes);
-        for i in 0..self.nodes - 1 {
-            g.add_edge(NodeId(i), NodeId(i + 1), self.hop_ms);
-        }
+        let mut g = chain_topology(self.nodes, self.hop_ms);
         if self.topo == TopoKind::Ring {
             g.add_edge(NodeId(self.nodes - 1), NodeId(0), self.hop_ms);
         }
         g
     }
 
-    /// The flow spec of the flow under test.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown `spec` string.
-    pub fn flow_spec(&self) -> Result<FlowSpec, String> {
+    /// The flow spec of the flow under test, or an error for an unknown
+    /// `spec` string.
+    fn flow_spec(&self) -> Result<FlowSpec, String> {
         let base = match self.spec.as_str() {
             "best_effort" => FlowSpec::best_effort(),
             "reliable" => FlowSpec::reliable(),
@@ -297,10 +289,68 @@ impl Scenario {
         })
     }
 
-    /// Packet interval as a duration.
+    /// The deployment recipe both legs build from: the topology, one
+    /// [`NodeConfig`] for every daemon, and the loss on every link.
     #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        SimDuration::from_nanos(self.interval_us * 1_000)
+    pub fn overlay(&self) -> OverlayBuilder {
+        let config = NodeConfig {
+            trace_sample: self.trace_sample,
+            watch: self.watch,
+            membership: self.membership,
+            ..NodeConfig::default()
+        };
+        let loss = if self.loss > 0.0 {
+            LossConfig::Bernoulli { p: self.loss }
+        } else {
+            LossConfig::Perfect
+        };
+        OverlayBuilder::new(self.topology())
+            .node_config(config)
+            .default_loss(loss)
+    }
+
+    /// The flow under test: its `(from, to)` nodes, spec and CBR workload
+    /// (panics on an unknown `spec`, which a parsed scenario has not).
+    #[must_use]
+    pub fn flow(&self) -> ((NodeId, NodeId), FlowSpec, Workload) {
+        let ends = (NodeId(self.from as usize), NodeId(self.to as usize));
+        let spec = self.flow_spec().expect("validated at parse");
+        let (size, count) = (self.size, self.count);
+        let interval = SimDuration::from_nanos(self.interval_us * 1_000);
+        let start = SimTime::from_millis(self.start_ms);
+        let workload = Workload::Cbr {
+            size,
+            interval,
+            count,
+            start,
+        };
+        (ends, spec, workload)
+    }
+
+    /// The blacked-out link and its window `[from, to)`, if any.
+    #[must_use]
+    pub fn blackout(&self) -> Option<(EdgeId, SimTime, SimTime)> {
+        let o = self.outage?;
+        let (a, b) = (NodeId(o.a as usize), NodeId(o.b as usize));
+        let edge = self
+            .topology()
+            .edge_between(a, b)
+            .expect("validated at parse");
+        let at = SimTime::from_millis;
+        Some((edge, at(o.from_ms), at(o.to_ms)))
+    }
+
+    /// The simulator leg: the deployment, the flow's clients and the
+    /// blackout, in a simulation seeded with the scenario's seed.
+    #[must_use]
+    pub fn fleet(&self) -> Fleet {
+        let mut fleet = Fleet::new(self.seed, None, self.overlay());
+        let ((from, to), spec, workload) = self.flow();
+        fleet.flow(from, to, spec, workload);
+        if let Some((edge, from, to)) = self.blackout() {
+            fleet.edge_outage(edge, from, to.saturating_since(from));
+        }
+        fleet
     }
 }
 
@@ -379,16 +429,11 @@ mod tests {
         assert!(Scenario::parse(&ring.to_json()).is_ok(), "the closing link");
     }
 
-    /// What every consumer does with a scenario it was handed.
+    /// What every consumer does with a scenario it was handed: lower it.
     fn survives(s: &Scenario) {
-        let g = s.topology();
-        if let Some(o) = s.outage {
-            assert!(g
-                .edge_between(NodeId(o.a as usize), NodeId(o.b as usize))
-                .is_some());
-        }
-        s.flow_spec().expect("validated");
-        assert!(s.interval() > SimDuration::ZERO);
+        let _ = (s.overlay(), s.blackout());
+        let (_, _, workload) = s.flow();
+        assert!(matches!(workload, Workload::Cbr { interval, .. } if interval > SimDuration::ZERO));
     }
 
     #[test]

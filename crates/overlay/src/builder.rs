@@ -6,7 +6,7 @@
 //!
 //! * **Abstract links** — each overlay link becomes a pipe pair with a fixed
 //!   latency taken from the topology's edge weight (plus the per-hop
-//!   processing delay), optional jitter, and a loss model. Used by the
+//!   processing delay) and a loss model. Used by the
 //!   protocol-focused experiments (Fig. 3, Fig. 4, fairness, intrusion).
 //! * **Underlay placement** — overlay nodes are placed in cities of a
 //!   [`Scenario`](son_netsim::scenario::Scenario) underlay, and each overlay
@@ -36,6 +36,10 @@ use crate::packet::Wire;
 /// additional latency per intermediate overlay node"; we charge 200 µs.
 pub const HOP_PROCESSING: SimDuration = SimDuration::from_micros(200);
 
+/// The deployment master secret every daemon's authentication key derives
+/// from, in the simulator and in `son-node` alike.
+pub const MASTER_SECRET: u64 = 0x5eed;
+
 /// Builds an overlay deployment inside a simulation.
 #[derive(Debug)]
 pub struct OverlayBuilder {
@@ -44,7 +48,6 @@ pub struct OverlayBuilder {
     master_secret: u64,
     default_loss: LossConfig,
     per_edge_loss: HashMap<EdgeId, LossConfig>,
-    jitter: SimDuration,
     /// Overlay node -> city, for underlay-bound deployments.
     placement: Option<Vec<CityId>>,
 }
@@ -58,8 +61,6 @@ pub struct OverlayHandle {
     pub edge_pipes: HashMap<EdgeId, Vec<(PipeId, PipeId)>>,
     /// The overlay topology the deployment realizes.
     pub topology: Graph,
-    /// The key registry (for tests that need to forge or verify tags).
-    pub keys: KeyRegistry,
 }
 
 impl OverlayHandle {
@@ -112,10 +113,9 @@ impl OverlayBuilder {
         OverlayBuilder {
             topology,
             config: NodeConfig::default(),
-            master_secret: 0x5eed,
+            master_secret: MASTER_SECRET,
             default_loss: LossConfig::Perfect,
             per_edge_loss: HashMap::new(),
-            jitter: SimDuration::ZERO,
             placement: None,
         }
     }
@@ -148,13 +148,6 @@ impl OverlayBuilder {
         self
     }
 
-    /// Adds uniform per-packet jitter to every link.
-    #[must_use]
-    pub fn jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Places overlay node `i` in `cities[i]` of the simulation's underlay;
     /// links then bind to real multi-provider routes. The underlay must be
     /// installed on the simulation before [`OverlayBuilder::build`].
@@ -166,6 +159,32 @@ impl OverlayBuilder {
     pub fn place_in_cities(mut self, cities: Vec<CityId>) -> Self {
         self.placement = Some(cities);
         self
+    }
+
+    /// The key registry every daemon of the deployment shares.
+    #[must_use]
+    pub fn keys(&self) -> KeyRegistry {
+        KeyRegistry::new(self.topology.node_count(), self.master_secret)
+    }
+
+    /// Node `me`'s daemon over `keys` (from [`OverlayBuilder::keys`]), its
+    /// links not wired yet: what [`OverlayBuilder::build`] adds for each
+    /// node, and what `son-node` runs.
+    #[must_use]
+    pub fn daemon(&self, me: NodeId, keys: KeyRegistry) -> OverlayNode {
+        OverlayNode::new(me, self.topology.clone(), keys, self.config.clone())
+    }
+
+    /// The latency of abstract link `e`: its weight plus [`HOP_PROCESSING`].
+    #[must_use]
+    pub fn link_latency(&self, e: EdgeId) -> SimDuration {
+        SimDuration::from_millis_f64(self.topology.weight(e)) + HOP_PROCESSING
+    }
+
+    /// The loss model of link `e`, each direction.
+    #[must_use]
+    pub fn link_loss(&self, e: EdgeId) -> &LossConfig {
+        self.per_edge_loss.get(&e).unwrap_or(&self.default_loss)
     }
 
     /// Builds daemons and pipes into `sim` and returns the handles.
@@ -180,37 +199,22 @@ impl OverlayBuilder {
         if let Some(p) = &self.placement {
             assert_eq!(p.len(), n, "placement must cover every overlay node");
         }
-        let keys = KeyRegistry::new(n, self.master_secret);
+        let keys = self.keys();
 
         // Phase 1: daemons (so pipes have endpoints).
         let daemons: Vec<ProcessId> = (0..n)
-            .map(|i| {
-                sim.add_process(OverlayNode::new(
-                    NodeId(i),
-                    self.topology.clone(),
-                    keys.clone(),
-                    self.config.clone(),
-                ))
-            })
+            .map(|i| sim.add_process(self.daemon(NodeId(i), keys.clone())))
             .collect();
 
         // Phase 2: pipes per edge (one pair per provider).
         let mut edge_pipes: HashMap<EdgeId, Vec<(PipeId, PipeId)>> = HashMap::new();
         for e in self.topology.edges() {
             let (a, b) = self.topology.endpoints(e);
-            let loss = self
-                .per_edge_loss
-                .get(&e)
-                .unwrap_or(&self.default_loss)
-                .clone();
+            let loss = self.link_loss(e).clone();
             let mut pairs = Vec::new();
             match &self.placement {
                 None => {
-                    let latency =
-                        SimDuration::from_millis_f64(self.topology.weight(e)) + HOP_PROCESSING;
-                    let config = PipeConfig::with_latency(latency)
-                        .jitter(self.jitter)
-                        .loss(loss);
+                    let config = PipeConfig::with_latency(self.link_latency(e)).loss(loss);
                     pairs.push(sim.connect(daemons[a.0], daemons[b.0], config));
                 }
                 Some(cities) => {
@@ -244,7 +248,6 @@ impl OverlayBuilder {
                     };
                     for attachment in attachments {
                         let config = PipeConfig::with_latency(HOP_PROCESSING)
-                            .jitter(self.jitter)
                             .loss(loss.clone())
                             .bound(PipeBinding {
                                 attachment,
@@ -274,7 +277,6 @@ impl OverlayBuilder {
             daemons,
             edge_pipes,
             topology: self.topology,
-            keys,
         }
     }
 }
@@ -302,41 +304,7 @@ pub const MAX_OVERLAY_LINK_MS: f64 = 14.0;
 /// routes.
 #[must_use]
 pub fn continental_overlay(scenario: &son_netsim::scenario::Scenario) -> (Graph, Vec<CityId>) {
-    let cities = scenario.cities.clone();
-    let mut g = Graph::new(cities.len());
-    let mut ul = scenario.underlay.clone();
-    let mut added = std::collections::HashSet::new();
-    // Create an overlay link wherever *any* provider has a direct fiber and
-    // the hop is short: such city pairs are "about 10ms apart" and routing
-    // between them is predictable (§II-A).
-    for (isp_idx, &isp) in scenario.isps.iter().enumerate() {
-        for &e in &scenario.edges_by_isp[isp_idx] {
-            let (ca, cb) = ul.edge_cities(e);
-            let (a, b) = (
-                NodeId(cities.iter().position(|&c| c == ca).expect("city")),
-                NodeId(cities.iter().position(|&c| c == cb).expect("city")),
-            );
-            let key = (a.0.min(b.0), a.0.max(b.0));
-            if added.contains(&key) {
-                continue;
-            }
-            let latency = ul
-                .resolve(
-                    son_netsim::time::SimTime::ZERO,
-                    Attachment::OnNet(isp),
-                    ca,
-                    cb,
-                )
-                .map(|p| p.latency.as_millis_f64())
-                .unwrap_or(10.0);
-            if latency > MAX_OVERLAY_LINK_MS {
-                continue;
-            }
-            added.insert(key);
-            g.add_edge(a, b, latency.max(0.1));
-        }
-    }
-    (g, cities)
+    city_overlay(scenario, MAX_OVERLAY_LINK_MS)
 }
 
 /// Longest overlay link the global designer accepts: transoceanic cable
@@ -348,6 +316,17 @@ pub const MAX_GLOBAL_LINK_MS: f64 = 45.0;
 /// node per city, links along cable-adjacent city pairs.
 #[must_use]
 pub fn global_overlay(scenario: &son_netsim::scenario::Scenario) -> (Graph, Vec<CityId>) {
+    city_overlay(scenario, MAX_GLOBAL_LINK_MS)
+}
+
+/// One overlay node per city of `scenario`, and an overlay link wherever
+/// *any* provider has a direct fiber between two cities and the hop is no
+/// longer than `max_link_ms`: such city pairs are close, and routing
+/// between them is predictable (§II-A).
+fn city_overlay(
+    scenario: &son_netsim::scenario::Scenario,
+    max_link_ms: f64,
+) -> (Graph, Vec<CityId>) {
     let cities = scenario.cities.clone();
     let mut g = Graph::new(cities.len());
     let mut ul = scenario.underlay.clone();
@@ -372,7 +351,7 @@ pub fn global_overlay(scenario: &son_netsim::scenario::Scenario) -> (Graph, Vec<
                 )
                 .map(|p| p.latency.as_millis_f64())
                 .unwrap_or(10.0);
-            if latency > MAX_GLOBAL_LINK_MS {
+            if latency > max_link_ms {
                 continue;
             }
             added.insert(key);
@@ -529,7 +508,7 @@ impl ShardedOverlay {
             .map(|i| {
                 OverlayBuilder::new(topology.clone())
                     .node_config(config.clone())
-                    .master_secret(0x5eed ^ (i as u64) << 32)
+                    .master_secret(MASTER_SECRET ^ (i as u64) << 32)
                     .build(sim)
             })
             .collect();

@@ -181,6 +181,15 @@ impl FlowRecv {
         successive.map(|w| (w[1] - w[0]).abs()).collect()
     }
 
+    /// The outage the flow saw: the longest gap between consecutive
+    /// arrivals that ends after `after` (`None` if nothing arrived after
+    /// it).
+    #[must_use]
+    pub fn longest_gap(&self, after: SimTime) -> Option<SimDuration> {
+        let gaps = self.arrivals.windows(2).filter(|w| w[1].0 > after);
+        gaps.map(|w| w[1].0.saturating_since(w[0].0)).max()
+    }
+
     /// Deliveries whose one-way latency was within `deadline`.
     #[must_use]
     pub fn within_deadline(&self, deadline: SimDuration) -> u64 {

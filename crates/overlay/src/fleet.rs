@@ -55,6 +55,32 @@ pub fn edge_pipes(overlay: &OverlayHandle, edge: EdgeId) -> Vec<PipeId> {
     pairs.flat_map(|&(ab, ba)| [ab, ba]).collect()
 }
 
+/// Flow `k`'s two clients, in the order a deployment adds them: the
+/// receiver on `to` at port `RX_PORT + k`, then the sender on `from` at
+/// `TX_PORT + k` driving `workload` at it as local flow 1, each attached to
+/// its node's `daemon`.
+pub fn flow_clients(
+    k: usize,
+    (from, to): (NodeId, NodeId),
+    spec: FlowSpec,
+    workload: Workload,
+    daemon: impl Fn(NodeId) -> ProcessId,
+) -> [(NodeId, ClientConfig); 2] {
+    let (rx_port, tx_port) = (RX_PORT + k as u16, TX_PORT + k as u16);
+    let dst = Destination::Unicast(OverlayAddr::new(to, rx_port));
+    let flows = vec![ClientFlow::new(dst, spec, workload)];
+    [(to, rx_port, vec![]), (from, tx_port, flows)].map(|(node, port, flows)| {
+        let (daemon, joins) = (daemon(node), vec![]);
+        let config = ClientConfig {
+            daemon,
+            port,
+            joins,
+            flows,
+        };
+        (node, config)
+    })
+}
+
 /// A built deployment plus the clients driving it.
 #[derive(Debug)]
 pub struct Fleet {
@@ -98,29 +124,31 @@ impl Fleet {
         joins: Vec<GroupId>,
         flows: Vec<ClientFlow>,
     ) -> ProcessId {
-        let client = self.sim.add_process(ClientProcess::new(ClientConfig {
-            daemon: self.overlay.daemon(node),
-            port,
-            joins,
-            flows,
-        }));
+        let daemon = self.overlay.daemon(node);
+        self.add_client(
+            node,
+            ClientConfig {
+                daemon,
+                port,
+                joins,
+                flows,
+            },
+        )
+    }
+
+    fn add_client(&mut self, node: NodeId, config: ClientConfig) -> ProcessId {
+        let client = self.sim.add_process(ClientProcess::new(config));
         self.clients.push((client, node));
         client
     }
 
-    /// Adds flow `k` (its return value, counting from 0): a receiver on
-    /// `to` at port `RX_PORT + k`, then a sender on `from` at `TX_PORT + k`
-    /// driving `workload` at it as local flow 1.
+    /// Adds flow `k` (its return value, counting from 0): its
+    /// [`flow_clients`], receiver then sender.
     pub fn flow(&mut self, from: NodeId, to: NodeId, spec: FlowSpec, workload: Workload) -> usize {
         let k = self.flows.len();
-        let (rx_port, tx_port) = (RX_PORT + k as u16, TX_PORT + k as u16);
-        let rx = self.client(to, rx_port, vec![], vec![]);
-        let flow = ClientFlow::new(
-            Destination::Unicast(OverlayAddr::new(to, rx_port)),
-            spec,
-            workload,
-        );
-        let tx = self.client(from, tx_port, vec![], vec![flow]);
+        let overlay = &self.overlay;
+        let [rx, tx] = flow_clients(k, (from, to), spec, workload, |n| overlay.daemon(n));
+        let [rx, tx] = [rx, tx].map(|(node, config)| self.add_client(node, config));
         self.flows.push((tx, rx));
         k
     }

@@ -449,7 +449,9 @@ impl OverlayNode {
                     }
                     Control::GroupUpdate(update) => {
                         let mut ga = self.bufs.take_group();
-                        self.groups.on_update(update, Some(link), &mut ga);
+                        if !self.groups.on_update(update, Some(link), &mut ga) {
+                            self.obs.named("forged_origin");
+                        }
                         self.dispatch_group(ctx, ga);
                     }
                     Control::WatchReceipt {
@@ -486,8 +488,10 @@ impl OverlayNode {
                         members,
                     } => {
                         if let Some(mem) = self.membership.as_mut() {
-                            let mut out = Vec::new();
-                            mem.on_update(ctx.now(), origin, seq, &members, Some(link), &mut out);
+                            let (now, mut out) = (ctx.now(), Vec::new());
+                            if !mem.on_update(now, origin, seq, &members, Some(link), &mut out) {
+                                self.obs.named("forged_origin");
+                            }
                             self.apply_member_actions(ctx, out);
                         }
                     }

@@ -71,7 +71,7 @@ const RTO_MIN: SimDuration = SimDuration::from_millis(2);
 const FIFO_CAP: usize = 64;
 
 /// Static configuration of an overlay node daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
     /// Connectivity-monitor settings (hello cadence, down thresholds).
     pub connectivity: ConnectivityConfig,
@@ -277,7 +277,7 @@ impl OverlayNode {
             me,
             forwarding: Forwarding::new(me, topology.clone()),
             sessions: SessionTable::new(me),
-            groups: GroupTable::new(me),
+            groups: GroupTable::new(me, topology.node_count()),
             conn,
             links: Vec::new(),
             in_pipe_index: MintedMap::default(),
@@ -444,6 +444,12 @@ impl OverlayNode {
     #[must_use]
     pub fn watch(&self) -> Option<&WatchState> {
         self.watch.as_ref()
+    }
+
+    /// The configuration this daemon runs with.
+    #[must_use]
+    pub fn config(&self) -> &NodeConfig {
+        &self.config
     }
 
     /// The dynamic-membership table, when enabled.

@@ -118,15 +118,7 @@ impl LinkService {
     /// A compact label for metrics and experiment tables.
     #[must_use]
     pub fn label(&self) -> &'static str {
-        match self {
-            LinkService::BestEffort => "best_effort",
-            LinkService::Reliable => "reliable",
-            LinkService::Realtime(_) => "realtime",
-            LinkService::ItPriority => "it_priority",
-            LinkService::ItReliable => "it_reliable",
-            LinkService::Fifo => "fifo",
-            LinkService::Fec(_) => "fec",
-        }
+        SLOT_LABELS[self.slot()]
     }
 
     /// The slot index multiplexing per-link protocol instances.
@@ -147,20 +139,23 @@ impl LinkService {
 /// Number of distinct link-protocol slots a link multiplexes.
 pub(crate) const SERVICE_SLOTS: usize = 7;
 
-/// The metrics label of a protocol slot (the inverse of
-/// [`LinkService::slot`], for observability events that arrive tagged with a
-/// slot index rather than a service value).
+/// The metrics label of each protocol slot, by [`LinkService::slot`].
+const SLOT_LABELS: [&str; SERVICE_SLOTS] = [
+    "best_effort",
+    "reliable",
+    "realtime",
+    "it_priority",
+    "it_reliable",
+    "fifo",
+    "fec",
+];
+
+/// The metrics label of a protocol slot (for observability events that
+/// arrive tagged with a slot index rather than a service value); a slot
+/// past the last reads as the last.
 #[must_use]
 pub(crate) fn slot_label(slot: usize) -> &'static str {
-    match slot {
-        0 => "best_effort",
-        1 => "reliable",
-        2 => "realtime",
-        3 => "it_priority",
-        4 => "it_reliable",
-        5 => "fifo",
-        _ => "fec",
-    }
+    SLOT_LABELS[slot.min(SERVICE_SLOTS - 1)]
 }
 
 /// Parameters of the NM-Strikes real-time link protocol (Fig. 4).

@@ -22,7 +22,7 @@ use son_topo::{EdgeId, Graph, NodeId, TopoSnapshot};
 use crate::packet::{Control, LinkAdvert, Lsa};
 
 /// Configuration of the connectivity monitor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectivityConfig {
     /// How often hellos are sent on every link.
     pub hello_interval: SimDuration,

@@ -31,6 +31,9 @@ pub enum GroupAction {
 #[derive(Debug)]
 pub struct GroupTable {
     me: NodeId,
+    /// Node ids below this are in the topology; updates from any other
+    /// origin are refused.
+    nodes: usize,
     /// Local clients per group.
     local: BTreeMap<GroupId, BTreeSet<VirtualPort>>,
     /// Node-level membership learned from peers: origin -> (seq, groups).
@@ -41,11 +44,12 @@ pub struct GroupTable {
 }
 
 impl GroupTable {
-    /// Creates an empty table for node `me`.
+    /// Creates an empty table for node `me` of a `nodes`-node topology.
     #[must_use]
-    pub fn new(me: NodeId) -> Self {
+    pub fn new(me: NodeId, nodes: usize) -> Self {
         GroupTable {
             me,
+            nodes,
             local: BTreeMap::new(),
             remote: HashMap::new(),
             own_seq: 0,
@@ -107,21 +111,27 @@ impl GroupTable {
     }
 
     /// Handles a flooded membership update arriving on `arrived_on`.
+    /// Returns `false`, and neither stores nor floods it, when its origin
+    /// is outside the topology: node ids are 32 bits on the wire, and
+    /// forwarding indexes its tables by member.
     pub fn on_update(
         &mut self,
         update: GroupUpdate,
         arrived_on: Option<usize>,
         out: &mut Vec<GroupAction>,
-    ) {
+    ) -> bool {
+        if update.origin.0 >= self.nodes {
+            return false;
+        }
         if update.origin == self.me {
-            return;
+            return true;
         }
         let newer = self
             .remote
             .get(&update.origin)
             .is_none_or(|(seq, _)| update.seq > *seq);
         if !newer {
-            return;
+            return true;
         }
         let groups: BTreeSet<GroupId> = update.groups.iter().copied().collect();
         let changed = self
@@ -136,6 +146,7 @@ impl GroupTable {
         if changed {
             self.version += 1;
         }
+        true
     }
 
     /// Floods the node's own membership (on a local change, and again at
@@ -220,7 +231,7 @@ mod tests {
 
     #[test]
     fn first_join_floods_membership() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.join(G, VirtualPort(1), &mut out);
         assert_eq!(out.len(), 1);
@@ -239,7 +250,7 @@ mod tests {
 
     #[test]
     fn last_leave_floods_membership() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.join(G, VirtualPort(1), &mut out);
         t.join(G, VirtualPort(2), &mut out);
@@ -253,7 +264,7 @@ mod tests {
 
     #[test]
     fn remote_updates_tracked_by_seq() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.on_update(
             GroupUpdate {
@@ -303,7 +314,7 @@ mod tests {
 
     #[test]
     fn members_include_self_and_are_sorted() {
-        let mut t = GroupTable::new(NodeId(1));
+        let mut t = GroupTable::new(NodeId(1), 4);
         let mut out = Vec::new();
         t.on_update(
             GroupUpdate {
@@ -329,7 +340,7 @@ mod tests {
 
     #[test]
     fn drop_client_cleans_all_memberships() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.join(GroupId(1), VirtualPort(5), &mut out);
         t.join(GroupId(2), VirtualPort(5), &mut out);
@@ -343,7 +354,7 @@ mod tests {
 
     #[test]
     fn version_bumps_only_on_change() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let v0 = t.version();
         let mut out = Vec::new();
         t.on_update(
@@ -372,7 +383,7 @@ mod tests {
 
     #[test]
     fn forget_evicts_remote_membership_and_bumps_version() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.on_update(
             GroupUpdate {
@@ -394,7 +405,7 @@ mod tests {
 
     #[test]
     fn never_relevant_node_stays_silent_but_a_once_relevant_one_reannounces() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let v0 = t.version();
         let mut out = Vec::new();
         t.announce(&mut out);
@@ -419,7 +430,7 @@ mod tests {
 
     #[test]
     fn own_update_echo_ignored() {
-        let mut t = GroupTable::new(NodeId(0));
+        let mut t = GroupTable::new(NodeId(0), 4);
         let mut out = Vec::new();
         t.on_update(
             GroupUpdate {
@@ -432,5 +443,28 @@ mod tests {
         );
         assert!(out.is_empty());
         assert!(t.members_of(G).is_empty());
+    }
+
+    /// A forged origin beyond the topology is refused: not stored, not
+    /// flooded, and the next valid update still lands.
+    #[test]
+    fn an_origin_outside_the_topology_is_refused() {
+        let mut t = GroupTable::new(NodeId(0), 4);
+        let v = t.version();
+        let mut out = Vec::new();
+        let update = |origin| GroupUpdate {
+            origin: NodeId(origin),
+            seq: 1,
+            groups: vec![G],
+        };
+        assert!(!t.on_update(update(4), Some(1), &mut out));
+        assert!(!t.on_update(update(9), Some(1), &mut out));
+        assert!(out.is_empty(), "never flooded on");
+        assert!(t.members_of(G).is_empty(), "never stored");
+        assert_eq!(t.version(), v);
+        assert_eq!(son_obs::MemFootprint::footprint_bytes(&t), 0);
+        assert!(t.on_update(update(3), Some(1), &mut out));
+        assert_eq!(t.members_of(G), vec![NodeId(3)]);
+        assert_eq!(out.len(), 1);
     }
 }

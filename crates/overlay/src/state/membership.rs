@@ -347,6 +347,9 @@ impl MembershipTable {
     /// Handles a flooded membership update: seq-gated per origin, re-flooded
     /// onward when new, merged under incarnation precedence. A claim that
     /// *we* are dead is refuted SWIM-style with a higher incarnation.
+    /// Returns `false`, and neither records nor floods it, when its origin
+    /// is outside the provisioned universe (a forged origin would otherwise
+    /// grow the per-origin seq map without bound).
     pub fn on_update(
         &mut self,
         now: SimTime,
@@ -355,13 +358,16 @@ impl MembershipTable {
         members: &[MemberInfo],
         arrived_on: Option<usize>,
         out: &mut Vec<MemberAction>,
-    ) {
+    ) -> bool {
+        if !self.members.contains_key(&origin) {
+            return false;
+        }
         if origin == self.me {
-            return;
+            return true;
         }
         let newer = self.remote_seq.get(&origin).is_none_or(|&prev| seq > prev);
         if !newer {
-            return;
+            return true;
         }
         self.remote_seq.insert(origin, seq);
         out.push(MemberAction::Flood {
@@ -392,6 +398,7 @@ impl MembershipTable {
         if refute {
             out.push(self.announce_self());
         }
+        true
     }
 
     /// Our graceful-departure announcement (flooded before going dark).
@@ -766,5 +773,27 @@ mod tests {
         assert!(!t.is_up(NodeId(2)));
         assert!(t.version() > v0);
         assert_eq!(t.up_members(), vec![NodeId(0), NodeId(1), NodeId(3)]);
+    }
+
+    /// An update from an origin outside the provisioned universe is
+    /// refused: no seq recorded, nothing flooded, however many arrive.
+    #[test]
+    fn an_origin_outside_the_universe_is_refused() {
+        let mut t = table();
+        let empty = son_obs::MemFootprint::footprint_bytes(&t);
+        let mut out = Vec::new();
+        let info = [MemberInfo {
+            node: NodeId(2),
+            incarnation: 3,
+            status: MemberStatus::Down,
+        }];
+        for forged in 4..1_004 {
+            assert!(!t.on_update(SimTime::ZERO, NodeId(forged), 1, &info, Some(0), &mut out));
+        }
+        assert!(out.is_empty(), "never flooded on");
+        assert_eq!(son_obs::MemFootprint::footprint_bytes(&t), empty);
+        assert!(t.is_up(NodeId(2)), "its claims are not merged");
+        assert!(t.on_update(SimTime::ZERO, NodeId(3), 1, &info, Some(0), &mut out));
+        assert_eq!(out.len(), 1, "a member's update still floods");
     }
 }

@@ -66,7 +66,8 @@ stage_smoke() {
     cargo run --release -q --bin son-run -- --topology=continental --service=fec
 }
 
-# The daemon path: the E1 scenario the sim runs, executed by 4 son-node
+# The daemon path: the E1 chain and the E3 ring (a blackout on the flow's
+# path, the watchdog on) the sim runs, executed by 4 and 5 son-node
 # processes over real UDP loopback sockets. `son-exp udp_parity` enforces
 # the delivery floor and latency band against the sim leg and fails on any
 # decode error or unknown-pipe frame.
@@ -75,17 +76,17 @@ stage_udp() {
     cargo build --release -p son-node -p son-bench --bins
     echo "==> membership join smoke (son-node x5 over 127.0.0.1, joiner via --seed-peer)"
     scripts/join_smoke.sh
-    echo "==> udp loopback smoke (son-node x4 over 127.0.0.1, sim-vs-real parity)"
+    echo "==> udp loopback smoke (son-node x4 and x5 over 127.0.0.1, sim-vs-real parity)"
     son_exp udp_parity --smoke --out target/obs/BENCH_udp_smoke.json
     # The paper's §II-D claim as a gate: an overlay hop adds under a
     # millisecond over its link's latency on the socket path (this host
     # reads ≈ 180 µs).
-    son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity 'added_per_hop_p50_us<=1000'
+    son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity,scenario=udp_e1_smoke 'added_per_hop_p50_us<=1000'
     # A steady flow sleeps to its deadlines without watching the socket
     # (DESIGN.md §13, the run loop): the smoke cluster reads 13.1 waits per
     # delivered packet, and 17.3 with a wake-up on every datagram's arrival.
     # The bound is the measured value + 20 %.
-    son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity 'waits_per_delivered_pkt<=15.8'
+    son_exp gate target/obs/BENCH_udp_smoke.json bench=udp_parity,scenario=udp_e1_smoke 'waits_per_delivered_pkt<=15.8'
     # The merged per-process exports are causally consistent: wall-clock
     # anchored timelines reconstruct across pids.
     cat target/obs/udp_parity/udp_e1_smoke.result.*.json \
