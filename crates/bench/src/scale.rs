@@ -272,7 +272,7 @@ pub fn run_scale_sharded(n: usize, sim_seconds: u64, shards: usize) -> ScaleResu
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use son_overlay::packet::Adverts;
 
     use super::*;
 
@@ -362,11 +362,11 @@ mod tests {
                 for node in fleet.nodes() {
                     let held = node.connectivity().adverts_of(origin);
                     assert!(
-                        held.is_some_and(|held| Arc::ptr_eq(held, own)),
+                        held.is_some_and(|held| Adverts::ptr_eq(held, own)),
                         "a daemon holds its own copy of {origin}'s LSA ({shards} shards)"
                     );
                 }
-                assert_eq!(Arc::strong_count(own), N, "and nobody else does");
+                assert_eq!(own.holders(), N, "and nobody else does");
             }
         }
     }

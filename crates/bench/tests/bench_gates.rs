@@ -122,7 +122,7 @@ fn assert_sole_failure(dir: &Path, names: &[&str]) {
 #[test]
 fn every_gate_of_the_script_holds_on_the_committed_files() {
     let results = run_script_gates(&healthy("holds"));
-    assert_eq!(results.len(), 9, "one gate line per check");
+    assert_eq!(results.len(), 10, "one gate line per check");
     for r in &results {
         assert!(r.is_ok(), "{r:?}");
     }
@@ -174,7 +174,7 @@ fn each_gate_fails_by_name_just_past_its_bound() {
     fails(fwd, sharded, &enforced(1.79), &["speedup_vs_seq = 1.79"]);
     // Fresh n=256 memory 11% over the committed row, and reroutes one past
     // 10 per node; the committed n=1024 past 8.03x the n=64 row, and past
-    // the rebuild-storm cap.
+    // the rebuild-storm cap; the committed n=4096 one byte over budget.
     let mem = |bytes: f64| set(MEM, Json::F64(bytes));
     let reroutes = |count: u64| set("reroutes", Json::U64(count));
     fails(scale, n256, &mem(mem256 * 1.11), &["n=256", MEM]);
@@ -186,6 +186,7 @@ fn each_gate_fails_by_name_just_past_its_bound() {
         &reroutes(10_488),
         &["n=1024", "reroutes = 10488"],
     );
+    fails(base_scale, ("n", "4096"), &mem(100_001.0), &["n=4096", MEM]);
 
     // No smoke-mode baseline row in the committed file.
     let dir = healthy("fails");

@@ -90,12 +90,22 @@ pub trait Transport {
     fn send_to(&mut self, peer: usize, frame: &[u8]) -> std::io::Result<()>;
 
     /// Receives the next pending datagram, without blocking: `Ok(None)`
-    /// when nothing is queued.
+    /// when nothing is queued, or when the transport stopped reading early
+    /// (see [`backlogged`](Self::backlogged)).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error, e.g. when the socket is gone.
     fn recv_from(&mut self) -> std::io::Result<Option<(usize, Vec<u8>)>>;
+
+    /// Whether the last [`recv_from`](Self::recv_from) answered `Ok(None)`
+    /// with datagrams still queued: a transport may stop reading past
+    /// noise (datagrams from unknown sources) so that its caller's timers
+    /// get their turn, and the caller must not take that `None` for
+    /// "empty". The default suits a transport whose `None` always is.
+    fn backlogged(&self) -> bool {
+        false
+    }
 
     /// Blocks until [`recv_from`](Self::recv_from) has something to return
     /// or `timeout` has passed, whichever comes first; `Ok(true)` means a

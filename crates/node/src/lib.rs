@@ -527,14 +527,15 @@ impl<T: Transport> NodeRuntime<T> {
 
     /// One pass of work at the frozen `now_ns`: take up to 64 datagrams off
     /// the transport, then dispatch every timer, local message and arrived
-    /// frame due by `now_ns`. Returns whether the transport ran empty.
+    /// frame due by `now_ns`. Returns whether the transport ran empty (not
+    /// just out of patience with noise: see [`Transport::backlogged`]).
     fn pass(&mut self, now_ns: u64) -> io::Result<bool> {
         let mut emptied = false;
         for _ in 0..64 {
             match self.driver.transport.recv_from()? {
                 Some((peer, dgram)) => self.deliver_datagram(peer, &dgram),
                 None => {
-                    emptied = true;
+                    emptied = !self.driver.transport.backlogged();
                     break;
                 }
             }

@@ -276,6 +276,47 @@ fn cancelled_timers_neither_pile_up_nor_set_the_deadline() {
     assert_eq!(d.next_deadline_ns(), None);
 }
 
+/// A receive that stops at its skip budget is not an empty socket: the pass
+/// says the transport did not run empty (so the run loop waits on the
+/// socket, which returns at once, instead of sleeping to its next deadline
+/// with a peer's frame queued behind the noise), and the passes after it
+/// read the frame.
+#[test]
+fn a_skip_budget_spent_on_noise_is_not_an_empty_socket() {
+    use std::net::UdpSocket;
+
+    let peer0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let peers = vec![Some(peer0.local_addr().unwrap()), None, None];
+    let transport = UdpTransport::bind("127.0.0.1:0".parse().unwrap(), peers).unwrap();
+    let to = transport.local_addr().unwrap();
+    let outsider = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for _ in 0..40 {
+        outsider.send_to(&[0xAB; 64], to).unwrap();
+    }
+    let hello = Wire::Control(Control::Hello {
+        seq: 1,
+        sent_at: SimTime::ZERO,
+    });
+    peer0.send_to(&dgram(&hello), to).unwrap();
+
+    let mut rt = NodeRuntime::new(loopback_scenario(), NodeId(1), transport, unix_now_ns());
+    rt.driver.refresh_now();
+    let now_ns = rt.driver.now.as_nanos();
+    assert!(!rt.pass(now_ns).unwrap(), "16 of 40 noise datagrams read");
+    assert_eq!(rt.driver.transport.unknown_src, 16);
+    assert!(rt.driver.transport.wait_readable(Duration::ZERO).unwrap());
+    let mut passes = 1;
+    loop {
+        passes += 1;
+        if rt.pass(now_ns).unwrap() {
+            break;
+        }
+    }
+    assert_eq!((passes, rt.driver.transport.unknown_src), (3, 40));
+    assert_eq!((rt.decode_errors, rt.unknown_pipe), (0, 0));
+    assert!(rt.driver.next_deadline_ns().is_some(), "the hello is held");
+}
+
 /// An outsider spraying the daemon's socket does not starve its timers:
 /// the hello ticks still fire on time and the run still ends at its
 /// horizon, with the spray counted and never decoded.

@@ -61,13 +61,16 @@ const MAX_SKIPS_PER_RECV: usize = 16;
 /// are attributed to a peer by their source address. Datagrams from unknown
 /// addresses are dropped and counted — on an open socket that is ordinary
 /// background noise, not an error — a bounded number per receive, after
-/// which `recv_from` answers `None` with the rest still queued.
+/// which `recv_from` answers `None` with the rest still queued and
+/// [`backlogged`](Transport::backlogged) says so.
 #[derive(Debug)]
 pub struct UdpTransport {
     socket: UdpSocket,
     peers: Vec<Option<SocketAddr>>,
     by_addr: HashMap<SocketAddr, usize>,
     buf: Vec<u8>,
+    /// The last receive stopped at its skip budget, not at an empty socket.
+    backlogged: bool,
     /// Datagrams dropped because their source address is not a known peer.
     pub unknown_src: u64,
 }
@@ -92,6 +95,7 @@ impl UdpTransport {
             peers,
             by_addr,
             buf: vec![0u8; 64 * 1024],
+            backlogged: false,
             unknown_src: 0,
         })
     }
@@ -124,6 +128,7 @@ impl Transport for UdpTransport {
     }
 
     fn recv_from(&mut self) -> io::Result<Option<(usize, Vec<u8>)>> {
+        self.backlogged = false;
         for _ in 0..MAX_SKIPS_PER_RECV {
             match self.socket.recv_from(&mut self.buf) {
                 Ok((n, src)) => match self.by_addr.get(&src) {
@@ -138,9 +143,14 @@ impl Transport for UdpTransport {
                 Err(e) => return Err(e),
             }
         }
-        // Still readable: the caller's next wait returns at once, after its
-        // timers have had their turn.
+        // Still readable: the caller's timers get their turn before it
+        // reads on.
+        self.backlogged = true;
         Ok(None)
+    }
+
+    fn backlogged(&self) -> bool {
+        self.backlogged
     }
 
     fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {

@@ -13,8 +13,8 @@
 //! - the inline `size_of::<Self>()` of the root value itself — the trait
 //!   measures what the value *points to*; callers add the root if they own
 //!   it behind another allocation;
-//! - shared `Arc` payloads more than once — each holder charges its
-//!   [`shared_part`], so a sum over all holders counts the
+//! - shared payloads (`Arc`s, advert lists) more than once — each holder
+//!   charges its [`shared_part`], so a sum over all holders counts the
 //!   payload once (e.g. the topology shape every co-located daemon shares)
 //!   and a sole holder is charged the whole;
 //! - `HashMap` exactly — hashbrown's real layout is `ceil(cap·8/7)` buckets
@@ -23,7 +23,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::mem::size_of;
-use std::sync::Arc;
 
 /// Deep retained-heap-bytes estimate. See the [module docs](self) for what
 /// is and is not counted.
@@ -68,12 +67,13 @@ pub fn btreeset_bytes<T>(s: &BTreeSet<T>) -> usize {
     s.len() * per_entry + s.len() * per_entry / 6
 }
 
-/// One holder's part of `bytes` retained behind a shared `Arc`: an equal
-/// split among the current holders, so a sum over all of them counts the
-/// payload once and a sole holder is charged the whole.
+/// One holder's part of `bytes` retained behind a shared allocation with
+/// `holders` current holders (an `Arc`'s strong count, say): an equal
+/// split, so a sum over all of them counts the payload once and a sole
+/// holder is charged the whole.
 #[must_use]
-pub fn shared_part<T: ?Sized>(holder: &Arc<T>, bytes: usize) -> usize {
-    bytes / Arc::strong_count(holder)
+pub fn shared_part(holders: usize, bytes: usize) -> usize {
+    bytes / holders
 }
 
 /// Heap bytes retained by a `String`'s buffer.

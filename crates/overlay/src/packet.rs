@@ -5,8 +5,6 @@
 //! a [`Wire`] value. Sizes reported to the simulator approximate a compact
 //! binary encoding so bandwidth and overhead accounting are meaningful.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use son_netsim::process::{MessageKind, SimMessage};
 use son_netsim::time::SimTime;
@@ -15,6 +13,9 @@ use son_topo::{EdgeId, EdgeMask, NodeId};
 
 use crate::addr::{Destination, FlowKey, GroupId, OverlayAddr};
 use crate::service::FlowSpec;
+
+mod adverts;
+pub use adverts::Adverts;
 
 /// Approximate size of the fixed data-packet header on the wire.
 pub const DATA_HEADER_BYTES: usize = 48;
@@ -190,7 +191,7 @@ pub struct Lsa {
     /// State of every link incident to `origin`: one immutable allocation
     /// per LSA version, shared by every copy of the LSA and by every
     /// link-state database in the process that accepted it.
-    pub links: Arc<[LinkAdvert]>,
+    pub links: Adverts,
 }
 
 /// A group-membership advertisement flooded by every node about its own
@@ -568,7 +569,7 @@ mod tests {
         let lsa = Control::Lsa(Lsa {
             origin: NodeId(0),
             seq: 1,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(0),
                 up: true,
                 latency_ms: 10.0,

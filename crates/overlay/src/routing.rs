@@ -377,7 +377,7 @@ impl son_obs::MemFootprint for Forwarding {
         use son_obs::footprint::{hashmap_bytes, shared_part, vec_bytes};
         // The installed view is the `Arc` the connectivity monitor caches:
         // each of its holders charges an equal part (DESIGN.md §7).
-        shared_part(&self.snap, self.snap.approx_bytes())
+        shared_part(Arc::strong_count(&self.snap), self.snap.approx_bytes())
             + self.next_hop.get().map_or(0, |t| size_of_val(&**t))
             + hashmap_bytes(&self.spt)
             + self

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use son_netsim::time::{SimDuration, SimTime};
 use son_topo::{EdgeId, Graph, NodeId, TopoSnapshot};
 
-use crate::packet::{Control, LinkAdvert, Lsa};
+use crate::packet::{Adverts, Control, LinkAdvert, Lsa};
 
 /// Configuration of the connectivity monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,19 +146,73 @@ struct LinkMonitor {
     nominal_latency_ms: f64,
 }
 
-/// One remote origin's entry in the link-state table: the newest sequence
-/// number accepted from it and the adverts that LSA carried — the flooded
-/// allocation itself, shared with every co-located daemon that accepted the
-/// same LSA. `links: None` means nothing is stored for the origin.
-#[derive(Debug, Clone, Default)]
-struct Slot {
-    seq: u64,
-    links: Option<Arc<[LinkAdvert]>>,
+/// The link-state table: per remote origin, the adverts of the newest LSA
+/// accepted from it — the flooded allocation itself, shared with every
+/// co-located daemon that accepted the same LSA — and that LSA's sequence
+/// number. Empty until the first remote LSA is accepted, then one entry per
+/// node of the configured topology (our own stays vacant).
+///
+/// The table is N entries in each of N daemons, so an entry is the per-node
+/// cost of one more overlay member: an 8-byte handle and a 32-bit seq, in
+/// two columns. A correct origin refreshes every 5 s, so its seq stays far
+/// below `u32::MAX`; a larger one (a forged LSA's, say) is kept whole in
+/// `spilled`, and every comparison is on the full `u64`.
+#[derive(Debug, Default)]
+struct Lsdb {
+    /// The stored adverts per origin; `None` means nothing is stored.
+    adverts: Vec<Option<Adverts>>,
+    /// The stored seq per origin, or [`SEQ_SPILLED`]. Meaningless where
+    /// nothing is stored.
+    seqs: Vec<u32>,
+    /// The seqs that do not fit in `seqs`, by origin.
+    spilled: HashMap<NodeId, u64>,
 }
 
-// The table is N slots in each of N daemons: a slot is the per-node cost of
-// one more overlay member.
-const _: () = assert!(size_of::<Slot>() <= 24);
+/// The `Lsdb::seqs` value that says the seq is in `Lsdb::spilled`.
+const SEQ_SPILLED: u32 = u32::MAX;
+
+const _: () = assert!(size_of::<Option<Adverts>>() + size_of::<u32>() <= 12);
+
+impl Lsdb {
+    /// The seq and adverts stored for `origin`, if any.
+    fn get(&self, origin: NodeId) -> Option<(u64, &Adverts)> {
+        let adverts = self.adverts.get(origin.0)?.as_ref()?;
+        let seq = match self.seqs[origin.0] {
+            SEQ_SPILLED => self.spilled[&origin],
+            seq => u64::from(seq),
+        };
+        Some((seq, adverts))
+    }
+
+    /// Stores `seq` for `origin`, and `adverts` unless they are `None`
+    /// (the stored ones did not change). The table must be sized.
+    fn store(&mut self, origin: NodeId, seq: u64, adverts: Option<Adverts>) {
+        let column = &mut self.seqs[origin.0];
+        if *column == SEQ_SPILLED {
+            self.spilled.remove(&origin);
+        }
+        *column = match u32::try_from(seq) {
+            Ok(seq) if seq != SEQ_SPILLED => seq,
+            _ => {
+                self.spilled.insert(origin, seq);
+                SEQ_SPILLED
+            }
+        };
+        if adverts.is_some() {
+            self.adverts[origin.0] = adverts;
+        }
+    }
+
+    /// Removes what is stored for `origin`, returning its seq.
+    fn evict(&mut self, origin: NodeId) -> Option<u64> {
+        let (seq, _) = self.get(origin)?;
+        self.adverts[origin.0] = None;
+        if self.seqs[origin.0] == SEQ_SPILLED {
+            self.spilled.remove(&origin);
+        }
+        Some(seq)
+    }
+}
 
 /// The per-node connectivity monitor and link-state database.
 #[derive(Debug)]
@@ -167,11 +221,9 @@ pub struct ConnectivityMonitor {
     config: ConnectivityConfig,
     links: Vec<LinkMonitor>,
     /// Our own latest advertisement.
-    own: Arc<[LinkAdvert]>,
-    /// Latest LSA accepted per remote origin, indexed by origin: empty
-    /// until the first one is accepted, then one slot per node of the
-    /// configured topology (our own stays vacant).
-    lsdb: Vec<Slot>,
+    own: Adverts,
+    /// Latest LSA accepted per remote origin.
+    lsdb: Lsdb,
     /// Sequence number of `own`: 1 for what `new` builds, one more for
     /// every origination.
     own_seq: u64,
@@ -253,7 +305,7 @@ impl ConnectivityMonitor {
             config,
             own: own_adverts(&links, false),
             links,
-            lsdb: Vec::new(),
+            lsdb: Lsdb::default(),
             own_seq: 1,
             last_refresh: SimTime::ZERO,
             version: 1,
@@ -271,9 +323,8 @@ impl ConnectivityMonitor {
     }
 
     /// Every stored advertisement list: our own, then each remote origin's.
-    fn adverts(&self) -> impl Iterator<Item = &Arc<[LinkAdvert]>> {
-        let remote = self.lsdb.iter().filter_map(|slot| slot.links.as_ref());
-        std::iter::once(&self.own).chain(remote)
+    fn adverts(&self) -> impl Iterator<Item = &Adverts> {
+        std::iter::once(&self.own).chain(self.lsdb.adverts.iter().flatten())
     }
 
     /// The shared-view version; consumers recompute caches when it changes.
@@ -389,11 +440,11 @@ impl ConnectivityMonitor {
     /// The adverts stored for `origin` (our own included), if any: the
     /// shared allocation itself, so a harness can tell a copy from a share.
     #[must_use]
-    pub fn adverts_of(&self, origin: NodeId) -> Option<&Arc<[LinkAdvert]>> {
+    pub fn adverts_of(&self, origin: NodeId) -> Option<&Adverts> {
         if origin == self.me {
             return Some(&self.own);
         }
-        self.lsdb.get(origin.0)?.links.as_ref()
+        Some(self.lsdb.get(origin)?.1)
     }
 
     /// Sets graceful-shutdown withdrawal: while set, the own LSA advertises
@@ -416,11 +467,8 @@ impl ConnectivityMonitor {
         if origin == self.me {
             return;
         }
-        let Some(slot) = self.lsdb.get_mut(origin.0) else {
-            return;
-        };
-        if slot.links.take().is_some() {
-            self.tombstones.insert(origin, (slot.seq, now));
+        if let Some(seq) = self.lsdb.evict(origin) {
+            self.tombstones.insert(origin, (seq, now));
             self.flap.remove(&origin);
             self.bump_version(out);
         }
@@ -603,22 +651,20 @@ impl ConnectivityMonitor {
             }
             self.tombstones.remove(&origin);
         }
-        if self.lsdb.is_empty() {
+        if self.lsdb.adverts.is_empty() {
             // Sized by the first LSA heard, not at construction: a fleet
-            // builder does not pay for N tables of N slots up front.
-            self.lsdb
-                .resize(self.topology.node_count(), Slot::default());
+            // builder does not pay for N tables of N entries up front.
+            let n = self.topology.node_count();
+            self.lsdb.adverts.resize(n, None);
+            self.lsdb.seqs.resize(n, 0);
         }
-        let slot = &mut self.lsdb[origin.0];
-        let changed = match &slot.links {
-            Some(_) if lsa.seq <= slot.seq => return, // not newer
-            Some(prev) => !Arc::ptr_eq(prev, &lsa.links) && **prev != *lsa.links,
+        let changed = match self.lsdb.get(origin) {
+            Some((seq, _)) if lsa.seq <= seq => return, // not newer
+            Some((_, prev)) => !Adverts::ptr_eq(prev, &lsa.links) && *prev != lsa.links,
             None => true,
         };
-        slot.seq = lsa.seq;
-        if changed {
-            slot.links = Some(Arc::clone(&lsa.links));
-        }
+        self.lsdb
+            .store(origin, lsa.seq, changed.then(|| lsa.links.clone()));
         // Flood onward regardless (peers may have missed it).
         out.push(ConnAction::Flood {
             except: arrived_on,
@@ -686,7 +732,7 @@ impl ConnectivityMonitor {
             msg: Control::Lsa(Lsa {
                 origin: self.me,
                 seq: self.own_seq,
-                links: Arc::clone(&self.own),
+                links: self.own.clone(),
             }),
         });
         if changed {
@@ -744,7 +790,7 @@ fn ewma(prev: f64, sample: f64) -> f64 {
 }
 
 /// What a node with these link monitors advertises about its links.
-fn own_adverts(links: &[LinkMonitor], withdrawn: bool) -> Arc<[LinkAdvert]> {
+fn own_adverts(links: &[LinkMonitor], withdrawn: bool) -> Adverts {
     let advert = |l: &LinkMonitor| {
         let latency = if l.latency_ms > 0.0 {
             l.latency_ms
@@ -770,14 +816,12 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
         // Shared allocations are charged by share: the cached snapshot is
         // the same `Arc` routing holds, so each charges its part of it, the
         // configured topology charges its part of the fleet-wide shape (see
-        // `Graph::approx_bytes`), and every advert list — strong and weak
-        // count, then the adverts — is split among the daemons (and frames
+        // `Graph::approx_bytes`), and every advert list — holder count and
+        // length, then the adverts — is split among the daemons (and frames
         // in flight) that hold it.
-        const ARC_HEADER_BYTES: usize = 2 * size_of::<usize>();
-        let snapshot = self
-            .snapshot
-            .as_ref()
-            .map_or(0, |(_, snap)| shared_part(snap, snap.approx_bytes()));
+        let snapshot = self.snapshot.as_ref().map_or(0, |(_, snap)| {
+            shared_part(Arc::strong_count(snap), snap.approx_bytes())
+        });
         snapshot
             + vec_bytes(&self.links)
             + self
@@ -785,10 +829,17 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
                 .iter()
                 .map(|l| hashmap_bytes(&l.outstanding))
                 .sum::<usize>()
-            + vec_bytes(&self.lsdb)
+            + vec_bytes(&self.lsdb.adverts)
+            + vec_bytes(&self.lsdb.seqs)
+            + hashmap_bytes(&self.lsdb.spilled)
             + self
                 .adverts()
-                .map(|links| shared_part(links, ARC_HEADER_BYTES + size_of_val(&**links)))
+                .map(|links| {
+                    shared_part(
+                        links.holders(),
+                        Adverts::HEADER_BYTES + size_of_val(&**links),
+                    )
+                })
                 .sum::<usize>()
             + self.topology.approx_bytes()
             + hashmap_bytes(&self.tombstones)
@@ -965,7 +1016,7 @@ mod tests {
         let lsa1 = Lsa {
             origin: NodeId(1),
             seq: 1,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms: 10.0,
@@ -989,7 +1040,7 @@ mod tests {
         let lsa2 = Lsa {
             origin: NodeId(1),
             seq: 2,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms: 10.0,
@@ -1098,7 +1149,7 @@ mod tests {
         Lsa {
             origin: NodeId(origin),
             seq,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms,
@@ -1249,7 +1300,7 @@ mod tests {
             Lsa {
                 origin: NodeId(1),
                 seq: 1,
-                links: Arc::new([
+                links: Adverts::from([
                     LinkAdvert {
                         edge: EdgeId(0),
                         up: false,
@@ -1283,7 +1334,7 @@ mod tests {
             Lsa {
                 origin: NodeId(1),
                 seq: 1,
-                links: Arc::new([LinkAdvert {
+                links: Adverts::from([LinkAdvert {
                     edge: EdgeId(1),
                     up: true,
                     latency_ms: 10.0,
@@ -1384,7 +1435,7 @@ mod tests {
         let own = Lsa {
             origin: NodeId(0),
             seq: 99,
-            links: Arc::new([]),
+            links: Adverts::from([]),
         };
         let mut out = Vec::new();
         mon.on_lsa(SimTime::ZERO, own, Some(0), &mut out);
@@ -1437,7 +1488,7 @@ mod tests {
         Lsa {
             origin: NodeId(1),
             seq,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(1),
                 up,
                 latency_ms: 10.0,
@@ -1560,6 +1611,8 @@ mod tests {
         topology: Graph,
         /// The weights as of the last rebuild: what a snapshot shows.
         view: Vec<u64>,
+        /// One more than the rebuilds so far.
+        version: u64,
     }
 
     impl Model {
@@ -1574,6 +1627,7 @@ mod tests {
         fn rebuild(&mut self, want: &mut Vec<ConnAction>) {
             self.pending = None;
             self.view = self.weight_bits();
+            self.version += 1;
             want.push(ConnAction::TopologyChanged);
         }
 
@@ -1694,17 +1748,18 @@ mod tests {
 
     proptest! {
         /// Any interleaving of remote LSAs (fresh, stale, repeated, forged
-        /// in origin or in value), own originations, evictions and ticks
-        /// (hello timeouts take our links down; tombstones expire) leaves
-        /// the dense table holding what the map model holds, having asked
-        /// for the same floods and rebuilds in the same order, with a
-        /// reference graph that is bit for bit the model's weights and a
-        /// snapshot that is bit for bit the model's at its last rebuild.
-        /// (`proptest!` supplies the `#[test]`.)
+        /// in origin or in value, with seqs small, around `u32::MAX` and up
+        /// to `u64::MAX`), own originations, evictions and ticks (hello
+        /// timeouts take our links down; tombstones expire) leaves the
+        /// dense table holding what the map model holds, having asked for
+        /// the same floods and rebuilds in the same order, at the same
+        /// version, with a reference graph that is bit for bit the model's
+        /// weights and a snapshot that is bit for bit the model's at its
+        /// last rebuild. (`proptest!` supplies the `#[test]`.)
         fn dense_lsdb_equals_the_map_model(
             held in any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..10, 0usize..6, 1u64..6, 0u64..4000, (0u8..5, 0u8..3, 0u8..4)),
+                (0u8..10, 0usize..6, (1u64..6, 0u8..4), 0u64..4000, (0u8..5, 0u8..3, 0u8..4)),
                 1..60,
             ),
         ) {
@@ -1720,14 +1775,22 @@ mod tests {
                 pending: None,
                 topology: topo.clone(),
                 view: Vec::new(),
+                version: mon.version(),
             };
             // A snapshot is built when first asked for: ask now, as a daemon
             // does when it installs its first routes.
             model.view = model.weight_bits();
             drop(mon.snapshot());
             let mut now = SimTime::ZERO;
-            for (kind, origin, seq, advance_ms, (latency, loss, shape)) in ops {
+            for (kind, origin, (seq, high), advance_ms, (latency, loss, shape)) in ops {
                 now += SimDuration::from_millis(advance_ms);
+                // Seqs the table keeps in its 32-bit column, and seqs on
+                // either side of where it stops fitting and of the top.
+                let seq = match high {
+                    0 => u64::from(u32::MAX) - 3 + seq,
+                    1 => u64::MAX - 5 + seq,
+                    _ => seq,
+                };
                 let (mut out, mut want) = (Vec::new(), Vec::new());
                 match kind {
                     0..=5 => {
@@ -1772,6 +1835,7 @@ mod tests {
                 }
                 prop_assert_eq!(&out, &want, "kind {} at {:?}", kind, now);
                 prop_assert_eq!(mon.lsdb_len(), model.lsdb.len());
+                prop_assert_eq!(mon.version(), model.version);
                 let (snap, reference) = (mon.snapshot(), mon.current_graph());
                 let bits = |weight: &dyn Fn(EdgeId) -> f64| -> Vec<u64> {
                     topo.edges().map(|e| weight(e).to_bits()).collect()

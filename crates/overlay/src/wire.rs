@@ -36,7 +36,6 @@
 //! an overlay link, and the codec rejects them.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use son_netsim::time::{SimDuration, SimTime};
@@ -45,7 +44,8 @@ use son_topo::{EdgeId, EdgeMask, NodeId};
 
 use crate::addr::{DestKey, FlowKey, GroupId, OverlayAddr, VirtualPort};
 use crate::packet::{
-    Control, DataPacket, GroupUpdate, LinkAdvert, LinkCtl, Lsa, MemberInfo, MemberStatus, Wire,
+    Adverts, Control, DataPacket, GroupUpdate, LinkAdvert, LinkCtl, Lsa, MemberInfo, MemberStatus,
+    Wire,
 };
 use crate::service::{
     FecParams, FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute,
@@ -259,7 +259,7 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
 ///
 /// See [`decode`].
 #[inline]
-pub fn decode_reusing(frame: &[u8], sender: Option<&Arc<[LinkAdvert]>>) -> Result<Wire, WireError> {
+pub fn decode_reusing(frame: &[u8], sender: Option<&Adverts>) -> Result<Wire, WireError> {
     let mut r = FrameReader::new(frame);
     let magic = r.u8()?;
     if magic != FRAME_MAGIC {
@@ -899,10 +899,7 @@ fn get_advert(bytes: &[u8]) -> Result<LinkAdvert, WireError> {
 /// anything is allocated; then the result is `sender`'s allocation if the
 /// adverts are bit for bit what it holds, and one exact-size allocation
 /// otherwise.
-fn get_adverts(
-    r: &mut FrameReader<'_>,
-    sender: Option<&Arc<[LinkAdvert]>>,
-) -> Result<Arc<[LinkAdvert]>, WireError> {
+fn get_adverts(r: &mut FrameReader<'_>, sender: Option<&Adverts>) -> Result<Adverts, WireError> {
     fn same_bits(a: &LinkAdvert, b: &LinkAdvert) -> bool {
         a.edge == b.edge
             && a.up == b.up
@@ -920,7 +917,7 @@ fn get_adverts(
         }
     }
     Ok(match same {
-        Some(s) => Arc::clone(s),
+        Some(s) => s.clone(),
         // An exact-size iterator: the slice is allocated once, in place.
         None => adverts()
             .map(|advert| advert.expect("checked above"))
@@ -931,7 +928,7 @@ fn get_adverts(
 fn get_control(
     r: &mut FrameReader<'_>,
     sub: u8,
-    sender: Option<&Arc<[LinkAdvert]>>,
+    sender: Option<&Adverts>,
 ) -> Result<Control, WireError> {
     Ok(match sub {
         CONTROL_HELLO => Control::Hello {
@@ -1060,7 +1057,7 @@ mod tests {
         encode(&Wire::Control(Control::Lsa(Lsa {
             origin: NodeId(3),
             seq: 7,
-            links: Arc::new([LinkAdvert {
+            links: Adverts::from([LinkAdvert {
                 edge: EdgeId(1),
                 up: true,
                 latency_ms,

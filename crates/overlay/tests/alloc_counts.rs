@@ -6,13 +6,11 @@
 //! loss-free send/ack cycle. (Its own test binary: the counting allocator
 //! is process-wide, the count is per thread.)
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::alloc::{thread_allocations, CountingAlloc};
 use son_overlay::linkproto::{ItReliableLink, LinkAction, LinkProto, ReliableLink};
-use son_overlay::packet::{Control, DataPacket, LinkAdvert, Lsa, Wire};
+use son_overlay::packet::{Adverts, Control, DataPacket, LinkAdvert, Lsa, Wire};
 use son_overlay::wire::{decode, encode, recode};
 use son_overlay::{Destination, FlowKey, FlowSpec, OverlayAddr};
 use son_topo::{EdgeId, NodeId};
@@ -52,9 +50,30 @@ fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
     assert_eq!(per_hop, 0);
     match (&hopped, &lsa) {
         (Wire::Control(Control::Lsa(got)), Wire::Control(Control::Lsa(sent))) => {
-            assert!(Arc::ptr_eq(&got.links, &sent.links));
+            assert!(Adverts::ptr_eq(&got.links, &sent.links));
         }
         _ => unreachable!("an LSA recodes to an LSA"),
+    }
+}
+
+/// An advert list is one allocation however it is built, empty or not,
+/// and a clone of it is none.
+#[test]
+fn an_advert_list_is_one_allocation() {
+    let advert = |e| LinkAdvert {
+        edge: EdgeId(e),
+        up: true,
+        latency_ms: 5.0,
+        loss: 0.0,
+    };
+    for len in [0, 1, 7] {
+        let (built, list) = allocations_in(|| (0..len).map(advert).collect::<Adverts>());
+        assert_eq!((built, list.len()), (1, len), "collected");
+        let (copied, copy) = allocations_in(|| Adverts::from(&list[..]));
+        assert_eq!((copied, copy), (1, list.clone()), "copied");
+        let (cloned, clone) = allocations_in(|| list.clone());
+        assert_eq!(cloned, 0);
+        assert!(Adverts::ptr_eq(&clone, &list));
     }
 }
 

@@ -250,7 +250,7 @@ mod routing_props {
 
     use proptest::prelude::*;
     use son_netsim::time::SimTime;
-    use son_overlay::packet::{LinkAdvert, Lsa};
+    use son_overlay::packet::{Adverts, LinkAdvert, Lsa};
     use son_overlay::routing::Forwarding;
     use son_overlay::state::connectivity::{ConnAction, ConnectivityConfig, ConnectivityMonitor};
     use son_topo::{EdgeId, Graph, NodeId, SptScratch, TopoSnapshot};
@@ -281,7 +281,7 @@ mod routing_props {
         Lsa {
             origin: NodeId(2),
             seq,
-            links: Arc::new([
+            links: Adverts::from([
                 LinkAdvert {
                     edge: EdgeId(1),
                     up: true,

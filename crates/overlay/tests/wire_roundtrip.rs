@@ -4,8 +4,6 @@
 //! a concrete figure (24-byte hello/receipt frames, 10-byte trace context,
 //! 32-byte source-route mask, the FEC repair formula).
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -14,8 +12,8 @@ use son_netsim::time::{SimDuration, SimTime};
 use son_obs::trace::{TraceContext, TRACE_CONTEXT_BYTES};
 use son_overlay::addr::{DestKey, FlowKey, GroupId, OverlayAddr};
 use son_overlay::packet::{
-    Control, DataPacket, GroupUpdate, LinkAdvert, LinkCtl, Lsa, MemberInfo, MemberStatus, Wire,
-    DATA_HEADER_BYTES, MASK_BYTES,
+    Adverts, Control, DataPacket, GroupUpdate, LinkAdvert, LinkCtl, Lsa, MemberInfo, MemberStatus,
+    Wire, DATA_HEADER_BYTES, MASK_BYTES,
 };
 use son_overlay::service::{
     FecParams, FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute,
@@ -235,7 +233,7 @@ fn gen_control(rng: &mut TestRng) -> Control {
 /// What the sender of an LSA might hold when the frame is decoded: the
 /// adverts themselves, or something that differs in length, in one field of
 /// one advert, or in everything.
-fn gen_sender(rng: &mut TestRng, sent: &[LinkAdvert]) -> Arc<[LinkAdvert]> {
+fn gen_sender(rng: &mut TestRng, sent: &[LinkAdvert]) -> Adverts {
     let mut held = sent.to_vec();
     match rng.gen_range(0u8..6) {
         0 | 1 => {}
@@ -266,7 +264,7 @@ fn advert_bits(links: &[LinkAdvert]) -> Vec<(usize, bool, u64, u64)> {
         .collect()
 }
 
-fn lsa_links(w: &Wire) -> &Arc<[LinkAdvert]> {
+fn lsa_links(w: &Wire) -> &Adverts {
     match w {
         Wire::Control(Control::Lsa(lsa)) => &lsa.links,
         other => panic!("not an LSA: {other:?}"),
@@ -328,7 +326,7 @@ proptest! {
         prop_assert_eq!(&reused, &plain);
         prop_assert_eq!(advert_bits(lsa_links(&reused)), advert_bits(&sent));
         prop_assert_eq!(
-            Arc::ptr_eq(lsa_links(&reused), &sender),
+            Adverts::ptr_eq(lsa_links(&reused), &sender),
             advert_bits(&sender) == advert_bits(&sent)
         );
 
@@ -425,18 +423,18 @@ fn reuse_compares_bits_not_values() {
         Wire::Control(Control::Lsa(Lsa {
             origin: NodeId(1),
             seq: 1,
-            links: Arc::new([advert(latency_ms)]),
+            links: Adverts::from([advert(latency_ms)]),
         }))
     };
-    let sender: Arc<[LinkAdvert]> = Arc::new([advert(-0.0)]);
+    let sender: Adverts = Adverts::from([advert(-0.0)]);
     let decoded = decode_reusing(&encode(&lsa(0.0)).unwrap(), Some(&sender)).unwrap();
-    assert!(!Arc::ptr_eq(lsa_links(&decoded), &sender));
+    assert!(!Adverts::ptr_eq(lsa_links(&decoded), &sender));
     assert_eq!(
         lsa_links(&decoded)[0].latency_ms.to_bits(),
         0.0f64.to_bits()
     );
     let decoded = decode_reusing(&encode(&lsa(-0.0)).unwrap(), Some(&sender)).unwrap();
-    assert!(Arc::ptr_eq(lsa_links(&decoded), &sender));
+    assert!(Adverts::ptr_eq(lsa_links(&decoded), &sender));
 }
 
 fn base_packet() -> DataPacket {

@@ -44,6 +44,9 @@ mem=bytes_per_node_total
 son_exp gate BENCH_scale.json $sc,n=1024 "$mem<=8.03*$mem" BENCH_scale.json $sc,n=64
 # The fresh sweep's N=256 stays within 10% of the committed N=256 row.
 son_exp gate "$SCALE" $sc,n=256 "$mem<=1.10*$mem" BENCH_scale.json $sc,n=256
+# The per-node budget at the largest committed N (ROADMAP item 7): 136 KB
+# with 24-byte link-state entries, ≈ 87 KB with 12-byte ones.
+son_exp gate BENCH_scale.json $sc,n=4096 "$mem<=100000"
 # Rebuild storm: the LSA hold-down keeps cold-start route recomputation near
 # O(N) — committed N=1024 at most 10,487 reroutes (100x below the
 # pre-hold-down 1,048,727), fresh N=256 within 10 per node.
