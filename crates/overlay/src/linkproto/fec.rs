@@ -13,7 +13,7 @@
 //! bounded by the block duration — but bursts longer than `r` packets within
 //! a block defeat it, and the overhead is paid even on clean links.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use son_netsim::time::SimTime;
 use son_obs::DropClass;
@@ -26,22 +26,48 @@ use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 /// Receiver-side memory horizon, in blocks.
 const BLOCK_MEMORY: u64 = 64;
 
-#[derive(Debug, Default)]
+/// One block as the receiver knows it: of the repairs, only the first one's
+/// headers, and only while a seq they list is missing, since recovery reads
+/// no other repair and a list whose seqs are all held yields nothing.
+#[derive(Debug)]
 struct BlockState {
-    /// Data sequence numbers received (or recovered) in this block: each
-    /// was delivered upward once.
-    have: BTreeSet<u64>,
-    /// Repair packets received, with the covered headers.
-    repairs: Vec<Vec<DataPacket>>,
+    /// Offsets from the block start (below `k <= 255`) of the data
+    /// received or recovered, each delivered upward once.
+    have: [u64; 4],
+    /// Repairs accepted for this block.
+    repairs: u8,
+    /// The first accepted repair's covered headers.
+    covered: Vec<DataPacket>,
     /// When the first transmission of this block arrived, bounding the
     /// observed recovery latency by the block duration.
-    first_seen: Option<SimTime>,
+    first_seen: SimTime,
 }
 
 impl BlockState {
-    fn note_seen(&mut self, now: SimTime) {
-        if self.first_seen.is_none() {
-            self.first_seen = Some(now);
+    fn new(first_seen: SimTime) -> Self {
+        BlockState {
+            have: [0; 4],
+            repairs: 0,
+            covered: Vec::new(),
+            first_seen,
+        }
+    }
+
+    fn holds(&self, offset: u64) -> bool {
+        self.have[(offset / 64) as usize] & (1 << (offset % 64)) != 0
+    }
+
+    /// Marks `offset` held; false if it already was.
+    fn insert(&mut self, offset: u64) -> bool {
+        let fresh = !self.holds(offset);
+        self.have[(offset / 64) as usize] |= 1 << (offset % 64);
+        fresh
+    }
+
+    /// Drops the stored headers once every seq they list is held.
+    fn settle(&mut self, start: u64) {
+        if self.covered.iter().all(|p| self.holds(p.link_seq - start)) {
+            self.covered = Vec::new();
         }
     }
 }
@@ -121,7 +147,7 @@ impl FecLink {
             && self
                 .blocks
                 .get(&block_start)
-                .map_or(0, |b| b.repairs.len() as u64)
+                .map_or(0, |b| u64::from(b.repairs))
                 < k
     }
 
@@ -138,18 +164,16 @@ impl FecLink {
         let Some(state) = self.blocks.get_mut(&start) else {
             return;
         };
-        let have = state.have.len() as u64;
-        let repairs = state.repairs.len() as u64;
-        if have >= k || have + repairs < k || state.repairs.is_empty() {
+        let have: u64 = state.have.iter().map(|w| u64::from(w.count_ones())).sum();
+        if have >= k || have + u64::from(state.repairs) < k {
             return;
         }
         // Reconstruct all missing data packets of the block. Recovery
         // latency is measured from the block's first arrival — FEC has no
         // per-packet gap detection, so the block span is the honest bound.
-        let since_first = now.saturating_since(state.first_seen.unwrap_or(now));
-        let covered = state.repairs[0].clone();
-        for pkt in covered {
-            if state.have.insert(pkt.link_seq) {
+        let since_first = now.saturating_since(state.first_seen);
+        for pkt in std::mem::take(&mut state.covered) {
+            if state.insert(pkt.link_seq - start) {
                 self.recovered += 1;
                 self.stats.received += 1;
                 out.push(LinkAction::Observe(LinkEvent::Recovered {
@@ -199,13 +223,19 @@ impl LinkProto for FecLink {
                 // as overhead so the (k+r)/k cost shows up in the ratio.
                 self.stats.retransmitted += 1;
                 out.push(LinkAction::Observe(LinkEvent::Retransmit));
+                // The last repair takes the block itself.
+                let covered = if index + 1 < self.params.r {
+                    self.block.clone()
+                } else {
+                    let k = usize::from(self.params.k);
+                    std::mem::replace(&mut self.block, Vec::with_capacity(k))
+                };
                 out.push(LinkAction::TransmitCtl(LinkCtl::FecRepair {
                     block_start,
                     index,
-                    covered: self.block.clone(),
+                    covered,
                 }));
             }
-            self.block.clear();
         }
     }
 
@@ -217,12 +247,15 @@ impl LinkProto for FecLink {
         }
         self.newest = self.newest.max(pkt.link_seq);
         let start = self.block_start(pkt.link_seq);
-        let state = self.blocks.entry(start).or_default();
-        state.note_seen(now);
-        if !state.have.insert(pkt.link_seq) {
+        let state = self
+            .blocks
+            .entry(start)
+            .or_insert_with(|| BlockState::new(now));
+        if !state.insert(pkt.link_seq - start) {
             self.stats.dup_received += 1;
             return;
         }
+        state.settle(start);
         self.stats.received += 1;
         emit(out, LinkAction::Deliver(pkt));
         self.try_recover(now, start, out);
@@ -242,9 +275,15 @@ impl LinkProto for FecLink {
             self.refuse(out);
             return;
         }
-        let state = self.blocks.entry(block_start).or_default();
-        state.note_seen(now);
-        state.repairs.push(covered);
+        let state = self
+            .blocks
+            .entry(block_start)
+            .or_insert_with(|| BlockState::new(now));
+        state.repairs += 1;
+        if state.repairs == 1 {
+            state.covered = covered;
+            state.settle(block_start);
+        }
         self.try_recover(now, block_start, out);
         self.prune();
     }
@@ -256,18 +295,14 @@ impl LinkProto for FecLink {
     }
 
     fn queue_bytes(&self) -> usize {
-        use son_obs::footprint::{btreemap_bytes, btreeset_bytes, vec_bytes};
+        use son_obs::footprint::{btreemap_bytes, vec_bytes};
         vec_bytes(&self.block)
             + self.block.iter().map(|p| p.payload.len()).sum::<usize>()
             + btreemap_bytes(&self.blocks)
             + self
                 .blocks
                 .values()
-                .map(|b| {
-                    btreeset_bytes(&b.have)
-                        + vec_bytes(&b.repairs)
-                        + b.repairs.iter().map(vec_bytes).sum::<usize>()
-                })
+                .map(|b| vec_bytes(&b.covered))
                 .sum::<usize>()
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Worst-case overhead is `1 + M·p` transmissions per original packet.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::DropClass;
@@ -23,6 +23,8 @@ use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// How long the sender retains history for retransmission, in budgets.
 const HISTORY_BUDGETS: u64 = 2;
+/// The sender purges its history every this many sends.
+const PURGE_EVERY: u64 = 64;
 /// Receiver-side dedup memory, in sequence numbers up to the high mark.
 const DELIVERED_MEMORY: u64 = 8192;
 
@@ -42,7 +44,9 @@ pub struct RealtimeLink {
     params: RealtimeParams,
     // --- sender state ---
     next_seq: u64,
-    history: HashMap<u64, (DataPacket, SimTime)>,
+    /// Each packet sent within the history horizon with its send time, in
+    /// seq order up to `next_seq`.
+    history: VecDeque<(DataPacket, SimTime)>,
     requested: BTreeSet<u64>,
     // --- receiver state ---
     high: u64,
@@ -75,7 +79,7 @@ impl RealtimeLink {
         RealtimeLink {
             params,
             next_seq: 0,
-            history: HashMap::new(),
+            history: VecDeque::new(),
             requested: BTreeSet::new(),
             high: 0,
             missing: HashMap::new(),
@@ -107,12 +111,26 @@ impl RealtimeLink {
         out.push(LinkAction::Timer { delay, token });
     }
 
+    /// Drops the history past the horizon. Send times rise with seq, so
+    /// the expired packets are the oldest ones.
     fn purge_history(&mut self, now: SimTime) {
         let horizon = self.params.budget.saturating_mul(HISTORY_BUDGETS);
+        let expired = self
+            .history
+            .partition_point(|(_, sent)| now.saturating_since(*sent) > horizon);
+        self.history.drain(..expired);
+        // Room for the sends up to the next purge, and no more.
         self.history
-            .retain(|_, (_, sent)| now.saturating_since(*sent) <= horizon);
+            .shrink_to(self.history.len() + PURGE_EVERY as usize);
         let keep_from = self.next_seq.saturating_sub(4 * DELIVERED_MEMORY);
         self.requested = self.requested.split_off(&keep_from);
+    }
+
+    /// A copy of the packet sent as `seq`, if the history still holds it.
+    fn sent_copy(&self, seq: u64) -> Option<DataPacket> {
+        let front = self.next_seq + 1 - self.history.len() as u64;
+        let index = usize::try_from(seq.checked_sub(front)?).ok()?;
+        self.history.get(index).map(|(pkt, _)| pkt.clone())
     }
 
     fn note_delivered(&mut self, seq: u64) {
@@ -141,10 +159,10 @@ impl LinkProto for RealtimeLink {
         }
         self.next_seq += 1;
         pkt.link_seq = self.next_seq;
-        self.history.insert(self.next_seq, (pkt.clone(), now));
+        self.history.push_back((pkt.clone(), now));
         self.stats.sent += 1;
         emit(out, LinkAction::Transmit(pkt));
-        if self.next_seq.is_multiple_of(64) {
+        if self.next_seq.is_multiple_of(PURGE_EVERY) {
             self.purge_history(now);
         }
     }
@@ -205,15 +223,16 @@ impl LinkProto for RealtimeLink {
         for seq in seqs {
             // Only the FIRST request for a packet schedules the M
             // retransmissions; later strikes for the same packet are covered.
-            if !self.requested.insert(seq) {
+            // An unsent seq is no request: noting it would swallow the real one.
+            if seq > self.next_seq || !self.requested.insert(seq) {
                 continue;
             }
-            let Some((pkt, _)) = self.history.get(&seq) else {
+            let Some(pkt) = self.sent_copy(seq) else {
                 continue;
             };
             self.stats.retransmitted += 1;
             out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            emit(out, LinkAction::Transmit(pkt.clone()));
+            emit(out, LinkAction::Transmit(pkt));
             for copy in 1..self.params.m_retransmissions {
                 self.arm(
                     spacing.saturating_mul(u64::from(copy)),
@@ -245,10 +264,10 @@ impl LinkProto for RealtimeLink {
                 }
             }
             Purpose::Retransmit { seq } => {
-                if let Some((pkt, _)) = self.history.get(&seq) {
+                if let Some(pkt) = self.sent_copy(seq) {
                     self.stats.retransmitted += 1;
                     out.push(LinkAction::Observe(LinkEvent::Retransmit));
-                    emit(out, LinkAction::Transmit(pkt.clone()));
+                    emit(out, LinkAction::Transmit(pkt));
                 }
             }
         }
@@ -259,11 +278,11 @@ impl LinkProto for RealtimeLink {
     }
 
     fn queue_bytes(&self) -> usize {
-        use son_obs::footprint::{btreeset_bytes, hashmap_bytes};
-        hashmap_bytes(&self.history)
+        use son_obs::footprint::{btreeset_bytes, hashmap_bytes, vecdeque_bytes};
+        vecdeque_bytes(&self.history)
             + self
                 .history
-                .values()
+                .iter()
                 .map(|(p, _)| p.payload.len())
                 .sum::<usize>()
             + btreeset_bytes(&self.requested)

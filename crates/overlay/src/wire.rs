@@ -385,11 +385,7 @@ fn put_flow_key(buf: &mut Vec<u8>, flow: &FlowKey) -> Result<(), WireError> {
 }
 
 fn put_mask(buf: &mut Vec<u8>, mask: &EdgeMask) {
-    let mut words = [0u64; MASK_WORDS];
-    for edge in mask.iter() {
-        words[edge.0 / 64] |= 1 << (edge.0 % 64);
-    }
-    for w in words {
+    for w in mask.words() {
         put_u64(buf, w);
     }
 }
@@ -697,16 +693,11 @@ fn get_flow_key(r: &mut FrameReader<'_>) -> Result<FlowKey, WireError> {
 }
 
 fn get_mask(r: &mut FrameReader<'_>) -> Result<EdgeMask, WireError> {
-    let mut mask = EdgeMask::EMPTY;
-    for wi in 0..MASK_WORDS {
-        let mut word = r.u64()?;
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            mask.insert(EdgeId(wi * 64 + bit));
-            word &= word - 1;
-        }
+    let mut words = [0u64; MASK_WORDS];
+    for w in &mut words {
+        *w = r.u64()?;
     }
-    Ok(mask)
+    Ok(EdgeMask::from_words(words))
 }
 
 fn get_spec(r: &mut FrameReader<'_>) -> Result<FlowSpec, WireError> {

@@ -714,3 +714,47 @@ fn a_forged_realtime_seq_costs_a_bounded_gap() {
     assert_eq!(delivered(&out), 0, "a duplicate of the high mark");
     assert!(link.queue_bytes() < 64 << 10, "{} B", link.queue_bytes());
 }
+
+fn rt_request(seqs: impl IntoIterator<Item = u64>) -> LinkCtl {
+    LinkCtl::RtRequest {
+        seqs: seqs.into_iter().collect(),
+        strike: 0,
+    }
+}
+
+/// A request for seqs the NM-Strikes sender has not sent yet is no
+/// request: once they are sent, the genuine request for one of them is
+/// still answered.
+#[test]
+fn a_realtime_request_for_unsent_seqs_swallows_no_later_request() {
+    let mut link = RealtimeLink::new(RealtimeParams::live_tv());
+    let mut out = Vec::new();
+    link.on_send(ms(0), pkt(0, 1), &mut out);
+    link.on_ctl(ms(0), rt_request(2..=5), &mut out);
+    assert_eq!(sent_seqs(&out), [1], "nothing to resend yet");
+    for flow_seq in 2..=5 {
+        link.on_send(ms(1), pkt(0, flow_seq), &mut out);
+    }
+    out.clear();
+    link.on_ctl(ms(2), rt_request([3]), &mut out);
+    assert_eq!(sent_seqs(&out), [3], "the genuine request is answered");
+}
+
+/// A million forged future seqs in one request leave the NM-Strikes sender
+/// holding exactly what an unforged twin holds after the same sends.
+#[test]
+fn forged_future_realtime_requests_grow_no_sender_state() {
+    let params = RealtimeParams::live_tv();
+    let (mut forged, mut honest) = (RealtimeLink::new(params), RealtimeLink::new(params));
+    let mut out = Vec::new();
+    for link in [&mut forged, &mut honest] {
+        link.on_send(ms(0), pkt(0, 1), &mut out);
+    }
+    forged.on_ctl(ms(0), rt_request(2..2 + 1_000_000), &mut out);
+    for flow_seq in 2..=195 {
+        for link in [&mut forged, &mut honest] {
+            link.on_send(ms(flow_seq), pkt(0, flow_seq), &mut out);
+        }
+    }
+    assert_eq!(forged.queue_bytes(), honest.queue_bytes());
+}

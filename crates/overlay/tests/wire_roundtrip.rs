@@ -580,6 +580,25 @@ fn mask_segment_costs_exactly_its_charged_bytes() {
     assert_eq!(MASK_BYTES, 32);
 }
 
+/// A mask crosses the wire a word at a time, in the packet's mask and in
+/// a static source route alike: the bits at both ends of a word survive.
+#[test]
+fn mask_words_round_trip_at_the_word_edges() {
+    let edges = [0, 63, 64, 255].map(EdgeId);
+    let mask = EdgeMask::from_edges(edges);
+    let mut masked = base_packet();
+    masked.mask = Some(mask);
+    masked.spec.routing = RoutingService::SourceBased(SourceRoute::Static(mask));
+    let w = Wire::Data(masked);
+    assert!(round_trips(&w));
+    let Ok(Wire::Data(back)) = decode(&encode(&w).unwrap()) else {
+        panic!("a data frame must decode as one");
+    };
+    assert_eq!(back.mask.unwrap().iter().collect::<Vec<_>>(), edges);
+    assert_eq!(mask.words(), [1 | 1 << 63, 1, 0, 1 << 63]);
+    assert_eq!(EdgeMask::from_words(mask.words()), mask);
+}
+
 /// The FEC repair cost model: 16 bytes of repair header, one max-size
 /// covered packet (the repair symbol), plus one data header per covered
 /// packet — and the encoded frame round-trips.

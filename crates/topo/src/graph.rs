@@ -64,6 +64,18 @@ impl EdgeMask {
         mask
     }
 
+    /// The mask from its words: edge `i` is bit `i % 64` of word `i / 64`.
+    #[must_use]
+    pub const fn from_words(words: [u64; WORDS]) -> Self {
+        EdgeMask { words }
+    }
+
+    /// The mask's words, laid out as [`EdgeMask::from_words`] takes them.
+    #[must_use]
+    pub const fn words(&self) -> [u64; WORDS] {
+        self.words
+    }
+
     /// Adds an edge to the mask.
     ///
     /// # Panics
