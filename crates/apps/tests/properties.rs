@@ -9,7 +9,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// SCADA agreement messages round-trip through their wire encoding.
-    #[test]
     fn scada_msg_roundtrip(kind in 0u8..4, a in any::<u64>(), b in any::<u64>(), r in any::<u16>()) {
         let msg = match kind {
             0 => Msg::Event(a, b),
@@ -22,13 +21,11 @@ proptest! {
 
     /// Corrupt/truncated payloads never decode to a panic — just `None` or
     /// some well-formed message.
-    #[test]
     fn scada_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = Msg::decode(&bytes);
     }
 
     /// GOP schedules conserve bytes, stay in order, and fit the window.
-    #[test]
     fn gop_schedule_invariants(
         fps in 10u32..60,
         gop_len in 2u32..30,
@@ -63,7 +60,6 @@ proptest! {
     }
 
     /// CBR profiles: packets_in x interval never exceeds the duration.
-    #[test]
     fn cbr_profile_fits_duration(bitrate_mbps in 1u64..50, secs in 1u64..30) {
         let p = VideoProfile { bitrate_bps: bitrate_mbps * 1_000_000, packet_size: 1316 };
         let n = p.packets_in(SimDuration::from_secs(secs));

@@ -65,7 +65,6 @@ fn lossy_run(loss_millis: u64, seed: u64, hops: usize, ttl: u8) -> UnicastRun {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
     fn data_packets_are_conserved_under_loss(
         loss_millis in 0u64..300,
         seed in 0u64..1_000_000,
@@ -174,7 +173,6 @@ fn multi_flow_registry(seed: u64, ttl: u8, dsts: &[usize]) -> Registry {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
     fn conservation_holds_per_flow_key(
         seed in 0u64..1_000_000,
         ttl in 2u8..6,

@@ -170,7 +170,6 @@ proptest! {
     /// contiguous, time-ordered hop range, and terminates in exactly one
     /// of delivered / classified drop (`Timeline::check`), and recovery
     /// never appears at hop 0 (nothing precedes the ingress link).
-    #[test]
     fn sampled_timelines_are_causally_ordered(
         loss_millis in 0u64..80,
         seed in 0u64..1_000_000,

@@ -26,9 +26,9 @@ use crate::underlay::{Attachment, UEdgeId};
 /// process id explicitly; `Ctx` curries it.
 ///
 /// Implementations decide what the operations *mean*: the simulator models
-/// loss and latency and schedules deliveries on its virtual-time queue,
-/// while a wall-clock driver encodes frames onto a real transport and keeps
-/// a timer heap against the system clock.
+/// loss and latency and queues a surviving frame's encoded bytes on its
+/// virtual-time queue, while a wall-clock driver encodes frames onto a real
+/// transport and keeps a timer heap against the system clock.
 pub trait Driver<M: SimMessage> {
     /// The current time on this driver's clock (virtual or epoch-anchored
     /// wall clock).
@@ -39,6 +39,13 @@ pub trait Driver<M: SimMessage> {
 
     /// Sends `msg` from `pid` over `pipe`.
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: M);
+
+    /// Sends a borrowed `msg` from `pid` over `pipe`. The default clones it
+    /// into [`send`](Self::send); a driver that puts bytes on the pipe
+    /// overrides it and encodes straight from the borrow.
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
+        self.send(pid, pipe, msg.clone());
+    }
 
     /// Sends `msg` from `pid` directly to `to` after `delay`, bypassing any
     /// pipe (local IPC between colocated processes).
@@ -129,11 +136,15 @@ impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {
     }
 
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: M) {
+        self.send_on_pipe(pid, pipe, &msg);
+    }
+
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
         self.send_on_pipe(pid, pipe, msg);
     }
 
     fn send_direct(&mut self, pid: ProcessId, to: ProcessId, delay: SimDuration, msg: M) {
-        self.schedule_deliver(pid, to, None, self.now + delay, msg);
+        self.schedule_direct(pid, to, self.now + delay, msg);
     }
 
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId {

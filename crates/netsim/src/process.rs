@@ -60,7 +60,18 @@ pub enum MessageKind {
 /// report a wire size so pipes can model bandwidth and overhead accounting.
 /// They must also be `Send`: the sharded simulation core moves in-flight
 /// messages between worker threads at window barriers.
+///
+/// A message that crosses a pipe travels as bytes: the simulator encodes
+/// it with [`encode_frame`](Self::encode_frame) once the pipe has let it
+/// through, queues the bytes, and the receiver decodes them
+/// ([`Process::on_frame`]). Messages handed over without a pipe
+/// (`send_direct`, `post`) travel by value and are never encoded.
 pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
+    /// What the decoding of a frame may borrow from the message it was
+    /// encoded from (an immutable shared allocation the decoder can point
+    /// at instead of copying). It travels with the frame's bytes.
+    type Hint: Default + Send + 'static;
+
     /// The number of bytes this message occupies on the wire.
     fn wire_size(&self) -> usize;
 
@@ -70,23 +81,66 @@ pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
     fn kind(&self) -> MessageKind {
         MessageKind::Control
     }
+
+    /// Appends the bytes this message crosses a pipe as to `buf`.
+    fn encode_frame(&self, buf: &mut Vec<u8>);
+
+    /// The hint [`decode_frame`](Self::decode_frame) receives with this
+    /// message's bytes. Defaults to none.
+    fn frame_hint(&self) -> Self::Hint {
+        Self::Hint::default()
+    }
+
+    /// Decodes the bytes [`encode_frame`](Self::encode_frame) wrote. The hint
+    /// may change where the result's parts live, never what it is.
+    fn decode_frame(frame: &[u8], hint: &Self::Hint) -> Self;
 }
 
 impl SimMessage for Vec<u8> {
+    type Hint = ();
+
     fn wire_size(&self) -> usize {
         self.len()
+    }
+
+    fn encode_frame(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self);
+    }
+
+    fn decode_frame(frame: &[u8], (): &()) -> Self {
+        frame.to_vec()
     }
 }
 
 impl SimMessage for String {
+    type Hint = ();
+
     fn wire_size(&self) -> usize {
         self.len()
+    }
+
+    fn encode_frame(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode_frame(frame: &[u8], (): &()) -> Self {
+        String::from_utf8(frame.to_vec()).expect("a String frame is the string's bytes")
     }
 }
 
 impl SimMessage for bytes::Bytes {
+    type Hint = ();
+
     fn wire_size(&self) -> usize {
         self.len()
+    }
+
+    fn encode_frame(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self);
+    }
+
+    fn decode_frame(frame: &[u8], (): &()) -> Self {
+        bytes::Bytes::copy_from_slice(frame)
     }
 }
 
@@ -114,6 +168,22 @@ pub trait Process<M: SimMessage>: Any + Send {
     /// Called when a message arrives. `pipe` identifies the incoming pipe, or
     /// `None` for direct (local IPC) sends.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ProcessId, pipe: Option<PipeId>, msg: M);
+
+    /// Called when a frame arrives over `pipe`: the bytes the sender's
+    /// message encoded to, and the hint that came with them. The default
+    /// decodes the message and hands it to
+    /// [`on_message`](Self::on_message); a process that handles some frames
+    /// without building the whole message overrides it.
+    fn on_frame(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        from: ProcessId,
+        pipe: PipeId,
+        frame: &[u8],
+        hint: &M::Hint,
+    ) {
+        self.on_message(ctx, from, Some(pipe), M::decode_frame(frame, hint));
+    }
 
     /// Called when a timer set via [`Ctx::set_timer`] fires. `token` is the
     /// caller-chosen discriminator.

@@ -169,17 +169,19 @@ impl ShardStats {
 
 /// A message crossing a shard boundary, carrying the tie-break key minted
 /// at the sender so the receiver's queue merges it deterministically.
-pub(crate) struct CrossMsg<M> {
+pub(crate) struct CrossMsg<M: SimMessage> {
     pub(crate) at: SimTime,
     pub(crate) key: TieKey,
     pub(crate) to_shard: usize,
     pub(crate) event: Event<M>,
+    /// A direct event's message, parked by the receiving core on arrival.
+    pub(crate) msg: Option<M>,
 }
 
 /// The shard-mode extension of a `SimCore`: routing table, current window
 /// horizon, the dispatching event's lineage, and the outbox of cross-shard
 /// sends.
-pub(crate) struct ShardCtx<M> {
+pub(crate) struct ShardCtx<M: SimMessage> {
     pub(crate) my_shard: usize,
     pub(crate) owner: std::sync::Arc<Vec<usize>>,
     /// End of the current window; cross-shard sends must arrive at or after
@@ -200,9 +202,9 @@ pub(crate) struct ShardCtx<M> {
 /// dependent, which is fine: every message carries a globally unique
 /// `(at, key)`, so the receiving queue's order is deterministic regardless
 /// of insertion order.
-pub(crate) struct Mailboxes<M>(Vec<Mutex<Vec<CrossMsg<M>>>>);
+pub(crate) struct Mailboxes<M: SimMessage>(Vec<Mutex<Vec<CrossMsg<M>>>>);
 
-impl<M> Mailboxes<M> {
+impl<M: SimMessage> Mailboxes<M> {
     pub(crate) fn new(shards: usize) -> Self {
         Mailboxes((0..shards).map(|_| Mutex::new(Vec::new())).collect())
     }
@@ -282,7 +284,9 @@ impl<M: SimMessage> ShardWorker<M> {
             // harmless: they arrive at or after ITS window end, so they sit
             // in the queue until their time comes.
             for m in mailboxes.drain_for(self.idx) {
-                self.core.queue.schedule_keyed(m.at, m.key, m.event);
+                let mut event = m.event;
+                self.core.repark(&mut event, m.msg);
+                self.core.queue.schedule_keyed(m.at, m.key, event);
             }
             self.core
                 .shard

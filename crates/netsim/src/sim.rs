@@ -76,18 +76,97 @@ const PIPE_DELIVERED: usize = 0;
 const PIPE_BYTES: usize = 1;
 const DATA_PIPE_DELIVERED: usize = 2;
 
-pub(crate) enum Event<M> {
-    Deliver {
+/// Capacity of a frame buffer the pool did not have: most link frames fit.
+const FRESH_FRAME_BYTES: usize = 128;
+
+/// The largest buffer the pool keeps. A buffer grown for a rare big frame
+/// (an FEC repair, a membership list) is freed after delivery: pooled, it
+/// would carry small frames at its large size for the rest of the run.
+const POOLED_FRAME_BYTES: usize = 4 * FRESH_FRAME_BYTES;
+
+pub(crate) enum Event<M: SimMessage> {
+    /// A frame crossing a pipe: the bytes its message encoded to, in a
+    /// buffer from the core's pool, and the hint its decoding may use.
+    Frame {
         to: ProcessId,
         from: ProcessId,
-        pipe: Option<PipeId>,
-        msg: M,
+        pipe: PipeId,
+        frame: Vec<u8>,
+        hint: M::Hint,
+    },
+    /// A message handed over without a pipe (`send_direct`, `post`). It
+    /// waits by value in the core's side slab at `slot`, so a queued event
+    /// stays the size of a frame's, not of the largest message.
+    Direct {
+        to: ProcessId,
+        from: ProcessId,
+        slot: u32,
     },
     Timer {
         proc: ProcessId,
         token: u64,
     },
     Scenario(ScenarioEvent),
+}
+
+impl<M: SimMessage> Event<M> {
+    /// The process the event is for; `None` for a world change, which
+    /// every shard applies.
+    fn owner(&self) -> Option<ProcessId> {
+        match self {
+            Event::Frame { to, .. } | Event::Direct { to, .. } => Some(*to),
+            Event::Timer { proc, .. } => Some(*proc),
+            Event::Scenario(_) => None,
+        }
+    }
+}
+
+/// Bytes one queued event takes in the event slab for messages of type
+/// `M`: what every frame in flight costs besides its bytes.
+#[must_use]
+pub const fn queued_event_bytes<M: SimMessage>() -> usize {
+    std::mem::size_of::<Option<Event<M>>>()
+}
+
+/// The messages of queued [`Event::Direct`] events, by slot.
+pub(crate) struct SideSlab<M> {
+    cells: Vec<Option<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> Default for SideSlab<M> {
+    fn default() -> Self {
+        SideSlab {
+            cells: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<M> SideSlab<M> {
+    /// An empty cell and its slot. The caller fills the cell as its next
+    /// step, so the message is written where it will wait, once.
+    #[inline(always)]
+    fn vacant(&mut self) -> (u32, &mut Option<M>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.cells.push(None);
+            u32::try_from(self.cells.len() - 1).expect("over 2^32 parked messages")
+        });
+        (slot, &mut self.cells[slot as usize])
+    }
+
+    fn park(&mut self, msg: M) -> u32 {
+        let (slot, cell) = self.vacant();
+        *cell = Some(msg);
+        slot
+    }
+
+    fn take(&mut self, slot: u32) -> M {
+        self.free.push(slot);
+        self.cells[slot as usize]
+            .take()
+            .expect("a queued direct event's message is parked")
+    }
 }
 
 /// Everything in the simulation except the process objects themselves;
@@ -100,6 +179,10 @@ pub(crate) enum Event<M> {
 pub struct SimCore<M: SimMessage> {
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<Event<M>>,
+    /// Emptied frame buffers, reused by the next sends.
+    pub(crate) frames: Vec<Vec<u8>>,
+    /// Messages of queued [`Event::Direct`] events.
+    pub(crate) parked: SideSlab<M>,
     pub(crate) pipes: Vec<Option<Pipe>>,
     pub(crate) underlay: Option<Underlay>,
     pub(crate) rng_root: SimRng,
@@ -183,6 +266,8 @@ impl<M: SimMessage> Simulation<M> {
             core: SimCore {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
+                frames: Vec::new(),
+                parked: SideSlab::default(),
                 pipes: Vec::new(),
                 underlay: None,
                 rng_root: SimRng::seed(seed),
@@ -324,15 +409,10 @@ impl<M: SimMessage> Simulation<M> {
     /// Injects a message into `to` at time `at` (from a virtual "outside"
     /// process id equal to `to`; `pipe` is `None`).
     pub fn post(&mut self, at: SimTime, to: ProcessId, msg: M) {
-        self.core.queue.schedule(
-            at,
-            Event::Deliver {
-                to,
-                from: to,
-                pipe: None,
-                msg,
-            },
-        );
+        let slot = self.core.parked.park(msg);
+        self.core
+            .queue
+            .schedule(at, Event::Direct { to, from: to, slot });
     }
 
     /// Schedules a scripted world change.
@@ -562,6 +642,8 @@ impl<M: SimMessage> Simulation<M> {
                     core: SimCore {
                         now: t0,
                         queue,
+                        frames: Vec::new(),
+                        parked: SideSlab::default(),
                         pipes: (0..self.core.pipes.len()).map(|_| None).collect(),
                         underlay: self.core.underlay.clone(),
                         rng_root: self.core.rng_root.clone(),
@@ -589,23 +671,23 @@ impl<M: SimMessage> Simulation<M> {
                 }
             })
             .collect();
-        for (pos, (at, _zero, id, event)) in self.core.queue.drain_ordered().into_iter().enumerate()
+        for (pos, (at, _zero, id, mut event)) in
+            self.core.queue.drain_ordered().into_iter().enumerate()
         {
             let key = TieKey::root(t0, pos as u64);
-            match &event {
-                Event::Deliver { to, .. } => {
-                    workers[owner[to.0]].core.queue.restore(at, key, id, event);
+            match event.owner() {
+                Some(pid) => {
+                    let msg = self.core.unpark(&event);
+                    let core = &mut workers[owner[pid.0]].core;
+                    core.repark(&mut event, msg);
+                    core.queue.restore(at, key, id, event);
                 }
-                Event::Timer { proc, .. } => {
-                    workers[owner[proc.0]]
-                        .core
-                        .queue
-                        .restore(at, key, id, event);
-                }
-                Event::Scenario(ev) => {
+                None => {
                     // Broadcast: every shard applies world changes to its
                     // own underlay clone so they stay in lock-step.
-                    let ev = ev.clone();
+                    let Event::Scenario(ev) = event else {
+                        unreachable!("only world changes have no owner")
+                    };
                     for w in &mut workers {
                         w.core
                             .queue
@@ -677,14 +759,19 @@ impl<M: SimMessage> Simulation<M> {
                 // of edge state and time, not of cache contents).
                 self.core.underlay = core.underlay.take();
             }
-            for (at, key, id, event) in core.queue.drain_ordered() {
+            // A direct event's message moves to this core's side slab
+            // with it.
+            for (at, key, id, mut event) in core.queue.drain_ordered() {
                 if worker.idx > 0 && matches!(event, Event::Scenario(_)) {
                     continue; // broadcast copy; shard 0 restores the original
                 }
+                let msg = core.unpark(&event);
+                self.core.repark(&mut event, msg);
                 leftovers.push((at, key, Some(id), event));
             }
             let shard = core.shard.take().expect("worker core is sharded");
-            for m in shard.outbox {
+            for mut m in shard.outbox {
+                self.core.repark(&mut m.event, m.msg);
                 leftovers.push((m.at, m.key, None, m.event));
             }
             if let (Some(main), Some(theirs)) = (&mut self.perf, worker.perf.take()) {
@@ -712,8 +799,9 @@ impl<M: SimMessage> Simulation<M> {
 }
 
 /// Dispatches one event against the world: the common core shared by the
-/// sequential engine and every shard worker. A delivered message moves
-/// from the event straight into the handler.
+/// sequential engine and every shard worker. A frame's bytes are lent to
+/// the handler and their buffer goes back to the pool; a direct message
+/// moves from the side slab straight into the handler.
 #[inline]
 pub(crate) fn dispatch_event<M: SimMessage>(
     core: &mut SimCore<M>,
@@ -723,24 +811,36 @@ pub(crate) fn dispatch_event<M: SimMessage>(
 ) {
     let token = match perf {
         Some(p) => p.enter(match &event {
-            Event::Deliver { .. } => "sim.deliver",
+            Event::Frame { .. } | Event::Direct { .. } => "sim.deliver",
             Event::Timer { .. } => "sim.timer",
             Event::Scenario(_) => "sim.scenario",
         }),
         None => son_obs::PerfToken::skip(),
     };
     match event {
-        Event::Deliver {
+        Event::Frame {
             to,
             from,
             pipe,
-            msg,
+            frame,
+            hint,
         } => {
             if !core.proc_up[to.0] {
                 core.counters.incr("drop.process_down");
             } else if let Some(mut p) = procs[to.0].take() {
                 let mut ctx = Ctx::from_driver(core, to);
-                p.on_message(&mut ctx, from, pipe, msg);
+                p.on_frame(&mut ctx, from, pipe, &frame, &hint);
+                procs[to.0] = Some(p);
+            }
+            core.recycle(frame);
+        }
+        Event::Direct { to, from, slot } => {
+            let msg = core.parked.take(slot);
+            if !core.proc_up[to.0] {
+                core.counters.incr("drop.process_down");
+            } else if let Some(mut p) = procs[to.0].take() {
+                let mut ctx = Ctx::from_driver(core, to);
+                p.on_message(&mut ctx, from, None, msg);
                 procs[to.0] = Some(p);
             }
         }
@@ -860,67 +960,105 @@ impl<M: SimMessage> SimCore<M> {
         key
     }
 
-    /// Schedules the delivery of `msg` to `to`. Sequentially the message is
-    /// wrapped into its event where the queue parks it — one move from the
-    /// sender's hands into the slab; sharded, it is keyed and routed (local
-    /// queue or cross-shard outbox) out of line.
+    /// Queues a frame's bytes for delivery to `to`; sharded, the event is
+    /// keyed and routed (local queue or cross-shard outbox) out of line.
     #[inline(always)]
-    pub(crate) fn schedule_deliver(
+    fn schedule_frame(
         &mut self,
         from: ProcessId,
         to: ProcessId,
-        pipe: Option<PipeId>,
+        pipe: PipeId,
         at: SimTime,
-        msg: M,
+        frame: Vec<u8>,
+        hint: M::Hint,
     ) {
-        if self.shard.is_some() {
-            return self.schedule_deliver_keyed(from, to, pipe, at, msg);
-        }
-        // The cell first, as its own statement: an assignment evaluates its
-        // right-hand side before its place.
-        let cell = self.queue.schedule_cell(at);
-        *cell = Some(Event::Deliver {
+        let event = Event::Frame {
             to,
             from,
             pipe,
-            msg,
-        });
+            frame,
+            hint,
+        };
+        if self.shard.is_some() {
+            return self.schedule_keyed_event(from, to, at, event, None);
+        }
+        *self.queue.schedule_cell(at) = Some(event);
     }
 
-    fn schedule_deliver_keyed(
+    /// Queues `msg` for delivery to `to` without a pipe: the message waits
+    /// in the side slab, its event in the queue.
+    pub(crate) fn schedule_direct(&mut self, from: ProcessId, to: ProcessId, at: SimTime, msg: M) {
+        if self.shard.is_some() {
+            // The slot is set where the message is parked: on this shard
+            // or on the one the event is for.
+            let event = Event::Direct { to, from, slot: 0 };
+            return self.schedule_keyed_event(from, to, at, event, Some(msg));
+        }
+        // The message is written into its cell once, and the event after.
+        let (slot, parked) = self.parked.vacant();
+        *parked = Some(msg);
+        let cell = self.queue.schedule_cell(at);
+        *cell = Some(Event::Direct { to, from, slot });
+    }
+
+    /// The sharded form of a delivery: `msg` is a direct event's message,
+    /// parked here if the event stays on this shard and carried along with
+    /// it if it leaves.
+    fn schedule_keyed_event(
         &mut self,
         from: ProcessId,
         to: ProcessId,
-        pipe: Option<PipeId>,
         at: SimTime,
-        msg: M,
+        mut event: Event<M>,
+        msg: Option<M>,
     ) {
-        let event = Event::Deliver {
-            to,
-            from,
-            pipe,
-            msg,
-        };
         let key = self.next_key();
-        let shard = self.shard.as_mut().expect("keyed scheduling is sharded");
-        let dest = shard.owner[to.0];
+        let shard = self.shard.as_ref().expect("keyed scheduling is sharded");
+        let (dest, horizon) = (shard.owner[to.0], shard.horizon);
         if dest == shard.my_shard {
+            self.repark(&mut event, msg);
             self.queue.schedule_keyed(at, key, event);
         } else {
             assert!(
-                at >= shard.horizon,
+                at >= horizon,
                 "cross-shard message from {from} to {to} arrives at {at:?}, \
-                 inside the current window (horizon {:?}): the shard plan \
-                 splits colocated processes",
-                shard.horizon,
+                 inside the current window (horizon {horizon:?}): the shard \
+                 plan splits colocated processes",
             );
+            let shard = self.shard.as_mut().expect("keyed scheduling is sharded");
             shard.outbox.push(CrossMsg {
                 at,
                 key,
                 to_shard: dest,
                 event,
+                msg,
             });
             shard.sent_cross += 1;
+        }
+    }
+
+    /// Takes a direct event's message out of the side slab: the event is
+    /// leaving this core. `None` for any other event.
+    pub(crate) fn unpark(&mut self, event: &Event<M>) -> Option<M> {
+        match event {
+            Event::Direct { slot, .. } => Some(self.parked.take(*slot)),
+            _ => None,
+        }
+    }
+
+    /// Parks the message that came with a direct event from another core
+    /// (see [`SimCore::unpark`]) and points the event at it.
+    pub(crate) fn repark(&mut self, event: &mut Event<M>, msg: Option<M>) {
+        if let (Event::Direct { slot, .. }, Some(msg)) = (event, msg) {
+            *slot = self.parked.park(msg);
+        }
+    }
+
+    /// Returns a delivered frame's buffer to the pool, unless it is large.
+    fn recycle(&mut self, mut frame: Vec<u8>) {
+        if frame.capacity() <= POOLED_FRAME_BYTES {
+            frame.clear();
+            self.frames.push(frame);
         }
     }
 
@@ -936,14 +1074,15 @@ impl<M: SimMessage> SimCore<M> {
     }
 
     /// Sends `msg` from `pid` over `pipe` — the sim-driver send path: loss,
-    /// queueing, and blackholes are modelled by the pipe; drops are tallied
-    /// in the global counters.
+    /// queueing, and blackholes are modelled by the pipe on the message's
+    /// charged size, and drops are tallied in the global counters. Only a
+    /// frame the pipe lets through is encoded, into a pooled buffer.
     ///
     /// # Panics
     ///
     /// Panics if `pipe` does not originate at `pid`.
     #[inline]
-    pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: M) {
+    pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
         let size = msg.wire_size();
         let now = self.now;
         let p = self.pipes[pipe.0]
@@ -971,7 +1110,12 @@ impl<M: SimMessage> SimCore<M> {
         if is_data {
             self.counters.bump(DATA_PIPE_DELIVERED, 1);
         }
-        self.schedule_deliver(pid, dst, Some(pipe), at, msg);
+        let mut frame = self
+            .frames
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(FRESH_FRAME_BYTES));
+        msg.encode_frame(&mut frame);
+        self.schedule_frame(pid, dst, pipe, at, frame, msg.frame_hint());
     }
 }
 
@@ -1009,6 +1153,17 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
     /// Panics if `pipe` does not originate at this process.
     pub fn send(&mut self, pipe: PipeId, msg: M) {
         self.driver.send(self.pid, pipe, msg);
+    }
+
+    /// [`Ctx::send`] of a borrowed message: the simulator and a real
+    /// transport encode it where it lies; a driver that keeps values
+    /// clones it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pipe` does not originate at this process.
+    pub fn send_ref(&mut self, pipe: PipeId, msg: &M) {
+        self.driver.send_ref(self.pid, pipe, msg);
     }
 
     /// Sends `msg` directly to another process with a fixed `delay`,
@@ -1121,15 +1276,94 @@ mod tests {
         (sim, tx, rx)
     }
 
-    /// A queued delivery is its message plus the addressing: the slab cell
-    /// an event waits in is written and read once per hop, so what `Event`
-    /// adds around a message stays a fixed four words.
+    /// A message of the size of an overlay `Wire`, whose frames carry a
+    /// pointer-sized hint as an LSA's do.
+    #[derive(Clone, Debug)]
+    struct Big([u64; 35]);
+
+    impl SimMessage for Big {
+        type Hint = Option<std::sync::Arc<u64>>;
+        fn wire_size(&self) -> usize {
+            280
+        }
+        fn encode_frame(&self, buf: &mut Vec<u8>) {
+            buf.extend(self.0.iter().flat_map(|w| w.to_le_bytes()));
+        }
+        fn decode_frame(frame: &[u8], _: &Self::Hint) -> Self {
+            let mut words = [0; 35];
+            for (w, b) in words.iter_mut().zip(frame.chunks_exact(8)) {
+                *w = u64::from_le_bytes(b.try_into().unwrap());
+            }
+            Big(words)
+        }
+    }
+
+    /// A queued event is written once and read once per hop, from a cell
+    /// written long before in simulated time: it carries a frame's buffer
+    /// and hint, or a slot in the side slab, never the message itself, so
+    /// its size does not follow the message's.
     #[test]
-    fn an_event_adds_four_words_to_its_message() {
-        use std::mem::size_of;
-        type Frame = [u64; 35]; // the size of an overlay `Wire`
-        assert!(size_of::<Event<Frame>>() <= size_of::<Frame>() + 32);
-        assert!(size_of::<Option<Event<Frame>>>() <= size_of::<Frame>() + 32);
+    fn a_queued_event_fits_a_cache_line_whatever_its_message() {
+        assert!(
+            queued_event_bytes::<Big>() <= 64,
+            "{}",
+            queued_event_bytes::<Big>()
+        );
+        assert!(queued_event_bytes::<Msg>() <= 64);
+    }
+
+    /// Frames cross pipes as bytes and arrive as the message they encode;
+    /// direct messages arrive as themselves.
+    #[test]
+    fn frames_and_direct_messages_arrive_intact() {
+        struct Keep(Vec<(Option<PipeId>, Big)>);
+        impl Process<Big> for Keep {
+            fn on_message(
+                &mut self,
+                _: &mut Ctx<'_, Big>,
+                _: ProcessId,
+                pipe: Option<PipeId>,
+                m: Big,
+            ) {
+                self.0.push((pipe, m));
+            }
+        }
+        struct Send1(PipeId, ProcessId);
+        impl Process<Big> for Send1 {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Big>) {
+                let msg = Big(std::array::from_fn(|i| i as u64 * 0x0101_0101));
+                ctx.send_ref(self.0, &msg);
+                ctx.send_direct(self.1, SimDuration::from_millis(2), msg);
+            }
+            fn on_message(
+                &mut self,
+                _: &mut Ctx<'_, Big>,
+                _: ProcessId,
+                _: Option<PipeId>,
+                _: Big,
+            ) {
+            }
+        }
+        let mut sim: Simulation<Big> = Simulation::new(5);
+        let rx = sim.add_process(Keep(Vec::new()));
+        let pipe = PipeId(0);
+        let tx = sim.add_process(Send1(pipe, rx));
+        assert_eq!(
+            sim.pipe(
+                tx,
+                rx,
+                PipeConfig::with_latency(SimDuration::from_millis(1))
+            ),
+            pipe
+        );
+        sim.run_until_idle();
+        let got = &sim.proc_ref::<Keep>(rx).unwrap().0;
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, Some(pipe));
+        assert_eq!(got[1].0, None);
+        for (_, m) in got {
+            assert_eq!(m.0[34], 34 * 0x0101_0101);
+        }
     }
 
     #[test]
@@ -1481,8 +1715,10 @@ mod shard_parity_tests {
     /// A ring node: forwards every arrival to its successor, seeds traffic
     /// from a periodic timer, and keeps a far-future timer it cancels late
     /// (exercising timer-handle survival across partition/dissolve cycles).
+    /// Some arrivals also send the successor a direct message.
     struct RingNode {
         next: Option<PipeId>,
+        peer: Option<ProcessId>,
         arrivals: Vec<SimTime>,
         doomed: Option<TimerId>,
         sent: u32,
@@ -1492,6 +1728,7 @@ mod shard_parity_tests {
         fn new() -> Self {
             RingNode {
                 next: None,
+                peer: None,
                 arrivals: Vec::new(),
                 doomed: None,
                 sent: 0,
@@ -1515,6 +1752,11 @@ mod shard_parity_tests {
             if m.len() > 1 && p.is_some() {
                 if let Some(next) = self.next {
                     ctx.send(next, m[1..].to_vec());
+                }
+                // Now and then tell the next process directly, past the
+                // lookahead, so direct messages cross shards too.
+                if let (0, Some(peer)) = (m.len() % 16, self.peer) {
+                    ctx.send_direct(peer, SimDuration::from_millis(6), vec![7; 3]);
                 }
             }
         }
@@ -1550,8 +1792,12 @@ mod shard_parity_tests {
                 PipeConfig::with_latency(SimDuration::from_millis(5))
                     .loss(LossConfig::Bernoulli { p: 0.05 }),
             );
-            sim.proc_mut::<RingNode>(pids[i]).unwrap().next = Some(fwd);
+            let node = sim.proc_mut::<RingNode>(pids[i]).unwrap();
+            node.next = Some(fwd);
+            node.peer = Some(pids[(i + 1) % n]);
         }
+        // Waits in the side slab when the first partition runs.
+        sim.post(SimTime::from_millis(150), pids[1], vec![9; 2]);
         sim.schedule(
             SimTime::from_millis(300),
             ScenarioEvent::CrashProcess(pids[n / 2]),

@@ -14,7 +14,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The event queue pops in nondecreasing time order, FIFO within ties.
-    #[test]
     fn event_queue_is_a_stable_priority_queue(
         times in proptest::collection::vec(0u64..50, 1..200),
     ) {
@@ -36,7 +35,6 @@ proptest! {
     }
 
     /// Cancelling a random subset removes exactly those events.
-    #[test]
     fn event_queue_cancellation_is_exact(
         cancel_mask in proptest::collection::vec(any::<bool>(), 50),
     ) {
@@ -60,7 +58,6 @@ proptest! {
 
     /// A lossless, jitterless pipe delivers in FIFO order with nondecreasing
     /// arrival times, even with finite bandwidth.
-    #[test]
     fn pipe_preserves_fifo_order(
         sizes in proptest::collection::vec(1usize..3000, 1..100),
         gaps_us in proptest::collection::vec(0u64..2000, 1..100),
@@ -91,7 +88,6 @@ proptest! {
     }
 
     /// The Gilbert–Elliott process's long-run loss tracks its steady state.
-    #[test]
     fn gilbert_elliott_long_run_rate(
         good_ms in 50u64..500,
         bad_ms in 5u64..50,
@@ -119,7 +115,6 @@ proptest! {
     }
 
     /// Percentile queries are bounded by min/max and monotone in q.
-    #[test]
     fn percentiles_are_monotone(samples in proptest::collection::vec(-1e6f64..1e6, 1..300)) {
         let mut p: Percentiles = samples.iter().copied().collect();
         let min = p.quantile(0.0).unwrap();
@@ -134,7 +129,6 @@ proptest! {
     }
 
     /// Underlay resolution is symmetric and additive over its edges.
-    #[test]
     fn underlay_paths_symmetric_and_additive(
         latencies in proptest::collection::vec(1u64..50, 4),
     ) {
@@ -159,7 +153,6 @@ proptest! {
 
     /// Fork labels partition the RNG space: distinct labels give streams
     /// that differ, identical labels agree, independent of draw order.
-    #[test]
     fn rng_forks_are_stable(seed in any::<u64>(), label in "[a-z]{1,12}") {
         use rand::RngCore;
         let root = SimRng::seed(seed);

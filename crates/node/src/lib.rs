@@ -91,7 +91,8 @@ enum Due {
     Timer { pid: ProcessId, token: u64 },
     /// Hand `msg` to process `to`: a local IPC message (`pipe` is `None`)
     /// or a frame off the wire that has served its link latency (`pipe` is
-    /// the in-pipe it arrived on) — the simulator's `Event::Deliver`.
+    /// the in-pipe it arrived on) — the simulator's `Event::Direct` and
+    /// `Event::Frame`.
     /// Boxed: a [`Wire`] is ten times the size of a timer.
     Deliver {
         from: ProcessId,
@@ -236,6 +237,12 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
     }
 
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: Wire) {
+        self.send_ref(pid, pipe, &msg);
+    }
+
+    /// Encodes the borrowed frame once, straight into the outgoing
+    /// datagram.
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &Wire) {
         debug_assert_eq!(pid, self.daemon, "only the daemon owns link pipes");
         debug_assert_eq!(pipe.0 % 2, 0, "process {pid} sent on an inbound pipe");
         let end = &mut self.links[pipe.0 / 2];
@@ -256,7 +263,7 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         self.frame.clear();
         self.frame.push(provider);
         self.frame.extend_from_slice(&now.as_nanos().to_le_bytes());
-        son_overlay::wire::encode_into(&msg, &mut self.frame)
+        son_overlay::wire::encode_into(msg, &mut self.frame)
             .expect("link frames round-trip the wire codec losslessly");
         self.counters.incr("pipe.sent");
         self.counters.add("pipe.bytes", msg.wire_size() as u64);

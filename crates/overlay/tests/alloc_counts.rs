@@ -3,14 +3,19 @@
 //! can reuse the sender's slice allocates nothing; a data packet whose
 //! payload is virtual (the simulator's clients send sizes, not bytes)
 //! crosses a hop without allocating, and so does a warm reliable link's
-//! loss-free send/ack cycle. (Its own test binary: the counting allocator
-//! is process-wide, the count is per thread.)
+//! loss-free send/ack cycle. A hop across a warm simulated pipe — encode
+//! into a pooled buffer, queue, decode at the receiver — allocates nothing
+//! for either. (Its own test binary: the counting allocator is
+//! process-wide, the count is per thread.)
 
 use bytes::Bytes;
+use son_netsim::link::{PipeConfig, PipeId};
+use son_netsim::process::{Process, ProcessId};
+use son_netsim::sim::{Ctx, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::alloc::{thread_allocations, CountingAlloc};
 use son_overlay::linkproto::{ItReliableLink, LinkAction, LinkProto, ReliableLink};
-use son_overlay::packet::{Adverts, Control, DataPacket, LinkAdvert, Lsa, Wire};
+use son_overlay::packet::{Adverts, ClientOp, Control, DataPacket, LinkAdvert, Lsa, Wire};
 use son_overlay::wire::{decode, encode, recode};
 use son_overlay::{Destination, FlowKey, FlowSpec, OverlayAddr};
 use son_topo::{EdgeId, NodeId};
@@ -24,9 +29,8 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (thread_allocations() - before, out)
 }
 
-#[test]
-fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
-    let lsa = Wire::Control(Control::Lsa(Lsa {
+fn lsa() -> Wire {
+    Wire::Control(Control::Lsa(Lsa {
         origin: NodeId(3),
         seq: 9,
         links: (0..5)
@@ -37,7 +41,12 @@ fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
                 loss: 0.02,
             })
             .collect(),
-    }));
+    }))
+}
+
+#[test]
+fn an_lsa_is_allocated_once_per_decode_and_never_per_hop() {
+    let lsa = lsa();
     let frame = encode(&lsa).unwrap();
     let (fresh, decoded) = allocations_in(|| decode(&frame).unwrap());
     assert_eq!(decoded, lsa);
@@ -149,4 +158,78 @@ fn a_warm_reliable_link_cycle_allocates_nothing() {
         assert_eq!(allocations, 0, "{name}");
         assert_eq!(tx.queue_depth(), 0, "{name}: everything acked");
     }
+}
+
+/// One end of a simulated hop: poked (a message from no pipe), it puts its
+/// frame on `out`; a frame arriving over a pipe becomes its frame.
+struct HopEnd {
+    frame: Wire,
+    out: Option<PipeId>,
+}
+
+impl Process<Wire> for HopEnd {
+    fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        _: ProcessId,
+        pipe: Option<PipeId>,
+        msg: Wire,
+    ) {
+        match (pipe, self.out) {
+            (None, Some(out)) => ctx.send_ref(out, &self.frame),
+            _ => self.frame = msg,
+        }
+    }
+}
+
+/// Sends `frame` across a simulated pipe three times and counts the
+/// allocations of the third hop, the engine's buffers warm by then; returns
+/// the count with what the sender and the receiver hold afterwards.
+fn warm_sim_hop(frame: Wire) -> (u64, Wire, Wire) {
+    let mut sim: Simulation<Wire> = Simulation::new(3);
+    let poke = || Wire::FromClient(ClientOp::Disconnect);
+    let tx = sim.add_process(HopEnd { frame, out: None });
+    let rx = sim.add_process(HopEnd {
+        frame: poke(),
+        out: None,
+    });
+    let pipe = sim.pipe(
+        tx,
+        rx,
+        PipeConfig::with_latency(SimDuration::from_millis(2)),
+    );
+    sim.proc_mut::<HopEnd>(tx).unwrap().out = Some(pipe);
+    let mut allocations = 0;
+    for hop in 1..=3 {
+        let at = SimTime::from_millis(10 * hop);
+        sim.post(at, tx, poke());
+        (allocations, _) = allocations_in(|| sim.run_until(at + SimDuration::from_millis(5)));
+    }
+    let end = |id| sim.proc_ref::<HopEnd>(id).unwrap().frame.clone();
+    (allocations, end(tx), end(rx))
+}
+
+/// Once warm, an LSA crosses a simulated pipe without allocating, and the
+/// receiver holds the sender's advert list, not a copy of it.
+#[test]
+fn a_warm_sim_hop_of_an_lsa_allocates_nothing_and_shares_the_list() {
+    let (allocations, sent, got) = warm_sim_hop(lsa());
+    assert_eq!(got, sent);
+    assert_eq!(allocations, 0);
+    match (&got, &sent) {
+        (Wire::Control(Control::Lsa(got)), Wire::Control(Control::Lsa(sent))) => {
+            assert!(Adverts::ptr_eq(&got.links, &sent.links));
+        }
+        _ => unreachable!("an LSA arrives as an LSA"),
+    }
+}
+
+/// Once warm, a data frame with a virtual payload crosses a simulated pipe
+/// without allocating.
+#[test]
+fn a_warm_sim_hop_of_a_virtual_payload_allocates_nothing() {
+    let (allocations, sent, got) =
+        warm_sim_hop(Wire::Data(data_packet(FlowSpec::best_effort(), 4)));
+    assert_eq!(got, sent);
+    assert_eq!(allocations, 0);
 }

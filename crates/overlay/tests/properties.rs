@@ -50,7 +50,6 @@ fn pkt(src_node: usize, flow_seq: u64) -> DataPacket {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
     fn fec_recovers_any_r_losses_per_block(
         // One loss position per 5-packet block, or none.
         loss_pos in proptest::collection::vec(proptest::option::of(0usize..5), 6),
@@ -92,7 +91,6 @@ proptest! {
         prop_assert_eq!(delivered, (1..=total).collect::<Vec<_>>());
     }
 
-    #[test]
     fn session_ordered_delivery_is_in_order_and_complete(
         perm in Just(()).prop_perturb(|(), mut rng| {
             use proptest::prelude::RngCore;
@@ -133,7 +131,6 @@ proptest! {
             "arrival order {:?}", perm);
     }
 
-    #[test]
     fn it_priority_never_starves_active_sources(
         arrivals in proptest::collection::vec(0usize..4, 40..120),
     ) {
@@ -173,7 +170,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn dedup_accepts_each_seq_exactly_once(
         copies in proptest::collection::vec((1u64..50, 1usize..4), 10..80),
     ) {
@@ -192,7 +188,6 @@ proptest! {
         prop_assert_eq!(accepted, expected);
     }
 
-    #[test]
     fn reliable_link_seqs_are_strictly_increasing(
         sizes in proptest::collection::vec(1usize..2000, 1..50),
     ) {
@@ -214,7 +209,6 @@ proptest! {
         prop_assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
     }
 
-    #[test]
     fn reliable_acks_shrink_unacked_monotonically(
         ack_cums in proptest::collection::vec(0u64..30, 1..20),
     ) {
@@ -338,7 +332,6 @@ mod routing_props {
         /// A newer LSA with byte-identical link state is a no-op end to
         /// end: no version bump, no topology-view rebuild (same `Arc`), no
         /// forwarding invalidation, no SPT recomputation.
-        #[test]
         fn noop_lsa_invalidates_nothing(
             lat in 1.0f64..50.0,
             loss in 0.0f64..0.5,
@@ -381,7 +374,6 @@ mod routing_props {
 
         /// Re-originating our own LSA without any link change (the periodic
         /// refresh) floods but does not bump the version.
-        #[test]
         fn noop_refresh_originate_keeps_version(reps in 1usize..5) {
             let mut mon = monitor0();
             let mut out = Vec::new();
@@ -404,7 +396,6 @@ mod routing_props {
         /// An update to an unrelated edge (the pendant e4) leaves every
         /// answer for untouched destinations byte-identical, across the
         /// full invalidate-and-rebuild path.
-        #[test]
         fn unrelated_edge_update_preserves_untouched_answers(
             lat in 1.0f64..50.0,
             pendant_before in 1.0f64..50.0,
@@ -447,7 +438,6 @@ mod routing_props {
 
         /// Anycast resolves to a member at the least path cost from the
         /// ingress node, whatever the weights, members and ingress.
-        #[test]
         fn anycast_target_is_a_nearest_member(
             weights in proptest::collection::vec(1u32..50, 12),
             member_seed in proptest::collection::vec(any::<bool>(), 8),
@@ -469,7 +459,6 @@ mod routing_props {
         /// every root, with every edge up and with a third of them down, the
         /// next hop is the full tree's, and anycast and multicast from the
         /// root itself, which read the tree cache, match the tree too.
-        #[test]
         fn next_hop_row_answers_what_a_full_tree_does(
             weights in proptest::collection::vec(1u32..50, 12),
             down_keys in proptest::collection::vec(any::<u32>(), 12),
@@ -533,7 +522,6 @@ mod routing_props {
         /// are bit-identical to the reference graph's, the trees over them
         /// are the same from every root, every snapshot shares the configured
         /// shape, and building the next one leaves the last one alone.
-        #[test]
         fn snapshot_equals_the_reference_view(
             ops in proptest::collection::vec(
                 (

@@ -48,7 +48,6 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    #[test]
     fn spt_path_to_matches_dist_and_parents(g in arb_connected_graph()) {
         // The same graph plus one isolated node, so "unreachable" occurs.
         let island = NodeId(g.node_count());
@@ -81,7 +80,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn dijkstra_respects_triangle_inequality(g in arb_connected_graph()) {
         let sp = dijkstra(&g, NodeId(0));
         for e in g.edges() {
@@ -93,7 +91,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn disjoint_paths_are_disjoint_and_valid(g in arb_connected_graph(), k in 1usize..4) {
         let n = g.node_count();
         let (src, dst) = (NodeId(0), NodeId(n - 1));
@@ -113,7 +110,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn first_disjoint_path_is_shortest(g in arb_connected_graph()) {
         let n = g.node_count();
         let (src, dst) = (NodeId(0), NodeId(n - 1));
@@ -123,7 +119,6 @@ proptest! {
             "min-cost single flow = shortest path");
     }
 
-    #[test]
     fn k_disjoint_survive_k_minus_1_interior_failures(g in arb_connected_graph()) {
         let n = g.node_count();
         let (src, dst) = (NodeId(0), NodeId(n - 1));
@@ -147,7 +142,6 @@ proptest! {
         }
     }
 
-    #[test]
     fn multicast_tree_reaches_members_cheaper_than_mesh(
         g in arb_connected_graph(),
         member_seed in proptest::collection::vec(any::<bool>(), 12),
@@ -167,7 +161,6 @@ proptest! {
         prop_assert!(tree_cost <= mesh_cost + 1e-9);
     }
 
-    #[test]
     fn dissemination_graph_sandwiched_between_paths_and_flood(g in arb_connected_graph()) {
         let n = g.node_count();
         let (src, dst) = (NodeId(0), NodeId(n - 1));
@@ -179,7 +172,6 @@ proptest! {
         prop_assert!(connects(&g, &robust, src, dst, &[]));
     }
 
-    #[test]
     fn edge_mask_roundtrip(indices in proptest::collection::btree_set(0usize..256, 0..40)) {
         use son_topo::graph::{EdgeId, EdgeMask};
         let mask: EdgeMask = indices.iter().map(|&i| EdgeId(i)).collect();
@@ -189,7 +181,6 @@ proptest! {
         prop_assert_eq!(back, expect);
     }
 
-    #[test]
     fn mutating_a_clone_never_changes_its_source(
         g in arb_connected_graph(),
         picks in proptest::collection::vec((0usize..usize::MAX, 1u32..50), 1..6),

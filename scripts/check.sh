@@ -28,6 +28,21 @@ stage_lint() {
     cargo fmt --check
     echo "==> cargo doc --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+    # A `#[test]` written inside `proptest!` is doubled by the macro's own,
+    # and the property then runs twice under one name.
+    echo "==> no test binary lists a test name twice"
+    cargo test --workspace -- --list 2>/dev/null | awk '
+        /^[0-9]+ tests?, [0-9]+ benchmarks?$/ { delete seen; next }
+        /: test$/ && seen[$0]++ == 1 { print "listed twice: " $0; dup = 1 }
+        END { exit dup }'
+    # The daemon hands its driver borrowed frames; encoding and decoding
+    # are the drivers' (DESIGN.md §7). `recode` is kept for tests and the
+    # codec micro-benchmark.
+    echo "==> no daemon code runs the codec round trip (wire::recode)"
+    if grep -rnwE 'recode' crates/overlay/src/node crates/node/src; then
+        echo "ERROR: daemon code calls wire::recode" >&2
+        exit 1
+    fi
 }
 
 stage_bench() {
