@@ -91,9 +91,10 @@ pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
         Self::Hint::default()
     }
 
-    /// Decodes the bytes [`encode_frame`](Self::encode_frame) wrote. The hint
-    /// may change where the result's parts live, never what it is.
-    fn decode_frame(frame: &[u8], hint: &Self::Hint) -> Self;
+    /// Decodes the bytes [`encode_frame`](Self::encode_frame) wrote, or
+    /// `None` if they are not such bytes. The hint may change where the
+    /// result's parts live, never what it is.
+    fn decode_frame(frame: &[u8], hint: &Self::Hint) -> Option<Self>;
 }
 
 impl SimMessage for Vec<u8> {
@@ -107,8 +108,8 @@ impl SimMessage for Vec<u8> {
         buf.extend_from_slice(self);
     }
 
-    fn decode_frame(frame: &[u8], (): &()) -> Self {
-        frame.to_vec()
+    fn decode_frame(frame: &[u8], (): &()) -> Option<Self> {
+        Some(frame.to_vec())
     }
 }
 
@@ -123,8 +124,8 @@ impl SimMessage for String {
         buf.extend_from_slice(self.as_bytes());
     }
 
-    fn decode_frame(frame: &[u8], (): &()) -> Self {
-        String::from_utf8(frame.to_vec()).expect("a String frame is the string's bytes")
+    fn decode_frame(frame: &[u8], (): &()) -> Option<Self> {
+        String::from_utf8(frame.to_vec()).ok()
     }
 }
 
@@ -139,8 +140,8 @@ impl SimMessage for bytes::Bytes {
         buf.extend_from_slice(self);
     }
 
-    fn decode_frame(frame: &[u8], (): &()) -> Self {
-        bytes::Bytes::copy_from_slice(frame)
+    fn decode_frame(frame: &[u8], (): &()) -> Option<Self> {
+        Some(bytes::Bytes::copy_from_slice(frame))
     }
 }
 
@@ -170,8 +171,11 @@ pub trait Process<M: SimMessage>: Any + Send {
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ProcessId, pipe: Option<PipeId>, msg: M);
 
     /// Called when a frame arrives over `pipe`: the bytes the sender's
-    /// message encoded to, and the hint that came with them. The default
-    /// decodes the message and hands it to
+    /// message encoded to, and the hint that came with them. Returns
+    /// `false`, having done nothing, if the bytes do not decode; what a
+    /// refusal costs is the caller's policy (the simulator, which encoded
+    /// the bytes itself, panics; a daemon reading a socket counts it). The
+    /// default decodes the message and hands it to
     /// [`on_message`](Self::on_message); a process that handles some frames
     /// without building the whole message overrides it.
     fn on_frame(
@@ -181,8 +185,12 @@ pub trait Process<M: SimMessage>: Any + Send {
         pipe: PipeId,
         frame: &[u8],
         hint: &M::Hint,
-    ) {
-        self.on_message(ctx, from, Some(pipe), M::decode_frame(frame, hint));
+    ) -> bool {
+        let Some(msg) = M::decode_frame(frame, hint) else {
+            return false;
+        };
+        self.on_message(ctx, from, Some(pipe), msg);
+        true
     }
 
     /// Called when a timer set via [`Ctx::set_timer`] fires. `token` is the

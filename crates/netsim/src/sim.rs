@@ -829,7 +829,8 @@ pub(crate) fn dispatch_event<M: SimMessage>(
                 core.counters.incr("drop.process_down");
             } else if let Some(mut p) = procs[to.0].take() {
                 let mut ctx = Ctx::from_driver(core, to);
-                p.on_frame(&mut ctx, from, pipe, &frame, &hint);
+                let decoded = p.on_frame(&mut ctx, from, pipe, &frame, &hint);
+                assert!(decoded, "a frame the simulator encoded does not decode");
                 procs[to.0] = Some(p);
             }
             core.recycle(frame);
@@ -1289,12 +1290,12 @@ mod tests {
         fn encode_frame(&self, buf: &mut Vec<u8>) {
             buf.extend(self.0.iter().flat_map(|w| w.to_le_bytes()));
         }
-        fn decode_frame(frame: &[u8], _: &Self::Hint) -> Self {
+        fn decode_frame(frame: &[u8], _: &Self::Hint) -> Option<Self> {
             let mut words = [0; 35];
             for (w, b) in words.iter_mut().zip(frame.chunks_exact(8)) {
                 *w = u64::from_le_bytes(b.try_into().unwrap());
             }
-            Big(words)
+            Some(Big(words))
         }
     }
 

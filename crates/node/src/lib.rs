@@ -48,6 +48,7 @@ use son_obs::snapshot::{SnapshotProducer, EPOCH_NS};
 use son_obs::{DropClass, Json};
 use son_overlay::client::ClientProcess;
 use son_overlay::fleet::flow_clients;
+use son_overlay::wire::{self, FrameKind};
 use son_overlay::{OverlayNode, Wire};
 use son_topo::NodeId;
 
@@ -89,17 +90,17 @@ const FRAMING_BYTES: usize = 9;
 enum Due {
     /// Fire `pid`'s timer. The entry's [`EventId`] is the timer's id.
     Timer { pid: ProcessId, token: u64 },
-    /// Hand `msg` to process `to`: a local IPC message (`pipe` is `None`)
-    /// or a frame off the wire that has served its link latency (`pipe` is
-    /// the in-pipe it arrived on) — the simulator's `Event::Direct` and
-    /// `Event::Frame`.
-    /// Boxed: a [`Wire`] is ten times the size of a timer.
+    /// Hand local IPC `msg` to process `to` — the simulator's
+    /// `Event::Direct`. Boxed: a [`Wire`] is ten times the size of a timer.
     Deliver {
         from: ProcessId,
         to: ProcessId,
-        pipe: Option<PipeId>,
         msg: Box<Wire>,
     },
+    /// Hand the daemon a datagram that has served its link latency: the
+    /// buffer the transport returned, framing and all, and the in-pipe it
+    /// arrived on — the simulator's `Event::Frame`.
+    Frame { pipe: PipeId, dgram: Vec<u8> },
 }
 
 /// One emulated overlay link: link `k`'s pipe ends are `PipeId(2k)`, the
@@ -122,7 +123,7 @@ struct LinkEnd {
 
 /// The wall-clock [`Driver`]: epoch-anchored monotonic time, the
 /// simulator's [`EventQueue`] read against that clock for timers, local IPC
-/// and arrived frames serving their link latency, and sends that apply
+/// and arrived datagrams serving their link latency, and sends that apply
 /// sender-side loss and outages, then encode through the wire codec
 /// straight onto the transport.
 ///
@@ -266,7 +267,8 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         son_overlay::wire::encode_into(msg, &mut self.frame)
             .expect("link frames round-trip the wire codec losslessly");
         self.counters.incr("pipe.sent");
-        self.counters.add("pipe.bytes", msg.wire_size() as u64);
+        let frame_bytes = self.frame.len() - FRAMING_BYTES;
+        self.counters.add("pipe.bytes", frame_bytes as u64);
         if is_data {
             self.counters.incr("data.pipe.sent");
         }
@@ -282,7 +284,6 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         let due = Due::Deliver {
             from: pid,
             to,
-            pipe: None,
             msg: Box::new(msg),
         };
         self.schedule(delay, due);
@@ -340,7 +341,8 @@ pub struct NodeRuntime<T: Transport> {
     me: NodeId,
     scenario: Scenario,
     telemetry: Option<TelemetryEmitter>,
-    /// Datagrams that failed to decode (noise, truncation, version skew).
+    /// Datagrams refused for their bytes: too short for the framing, or a
+    /// frame the daemon could not decode (noise, truncation, version skew).
     pub decode_errors: u64,
     /// Well-formed frames from a `(peer, provider)` with no registered
     /// in-pipe.
@@ -468,68 +470,67 @@ impl<T: Transport> NodeRuntime<T> {
         self.telemetry = Some(tel);
     }
 
-    fn dispatch_start(&mut self, pid: ProcessId) {
-        let mut p = self.procs[pid.0].take().expect("process checked in");
-        let mut ctx = Ctx::from_driver(&mut self.driver, pid);
-        p.on_start(&mut ctx);
-        self.procs[pid.0] = Some(p);
-    }
-
-    fn dispatch_timer(&mut self, pid: ProcessId, token: u64) {
-        let mut p = self.procs[pid.0].take().expect("process checked in");
-        let mut ctx = Ctx::from_driver(&mut self.driver, pid);
-        p.on_timer(&mut ctx, token);
-        self.procs[pid.0] = Some(p);
-    }
-
-    fn dispatch_message(
+    /// Runs `handle` on process `pid` with a context over the driver, and
+    /// returns what it returned (`None`: no process `pid` is checked in).
+    fn dispatch<R>(
         &mut self,
-        to: ProcessId,
-        from: ProcessId,
-        pipe: Option<PipeId>,
-        msg: Wire,
-    ) {
-        let Some(slot) = self.procs.get_mut(to.0) else {
-            return;
-        };
-        let Some(mut p) = slot.take() else { return };
-        let mut ctx = Ctx::from_driver(&mut self.driver, to);
-        p.on_message(&mut ctx, from, pipe, msg);
-        self.procs[to.0] = Some(p);
+        pid: ProcessId,
+        handle: impl FnOnce(&mut dyn Process<Wire>, &mut Ctx<'_, Wire>) -> R,
+    ) -> Option<R> {
+        let mut p = self.procs.get_mut(pid.0)?.take()?;
+        let r = handle(p.as_mut(), &mut Ctx::from_driver(&mut self.driver, pid));
+        self.procs[pid.0] = Some(p);
+        Some(r)
     }
 
-    /// Handles one datagram from `peer`: checks its framing, its frame and
-    /// its in-pipe, then holds the frame until the sender's stamp plus the
-    /// link's latency. The stamp is clamped to the clock now, so a
-    /// forged or skewed future stamp is held one latency and no longer.
-    fn deliver_datagram(&mut self, peer: usize, dgram: &[u8]) {
-        let Some(([provider, stamp @ ..], frame)) = dgram.split_first_chunk::<FRAMING_BYTES>()
-        else {
+    /// Takes one datagram from `peer`: checks its framing and its in-pipe,
+    /// then holds the buffer as it is until the sender's stamp plus the
+    /// link's latency. The stamp is clamped to the clock now, so a forged
+    /// or skewed future stamp is held one latency and no longer. The frame
+    /// itself is the daemon's to decode, at dispatch.
+    fn deliver_datagram(&mut self, peer: usize, dgram: Vec<u8>) {
+        let Some(&[provider, ref stamp @ ..]) = dgram.first_chunk::<FRAMING_BYTES>() else {
             self.decode_errors += 1;
             return;
         };
-        let wire = match son_overlay::wire::decode(frame) {
-            Ok(w) => w,
-            Err(_) => {
-                self.decode_errors += 1;
-                self.driver.counters.incr("wire.decode_error");
-                return;
-            }
-        };
         let peer32 = u32::try_from(peer).unwrap_or(u32::MAX);
-        let Some(&pipe) = self.in_pipes.get(&(peer32, *provider)) else {
+        let Some(&pipe) = self.in_pipes.get(&(peer32, provider)) else {
             self.unknown_pipe += 1;
             return;
         };
         let sent_ns = u64::from_le_bytes(*stamp).min(self.driver.wall_ns());
         let due = SimTime::from_nanos(sent_ns) + self.driver.links[pipe.0 / 2].latency;
-        let deliver = Due::Deliver {
-            from: REMOTE_SENDER,
-            to: self.driver.daemon,
-            pipe: Some(pipe),
-            msg: Box::new(wire),
-        };
-        self.driver.due.schedule(due, deliver);
+        self.driver.due.schedule(due, Due::Frame { pipe, dgram });
+    }
+
+    /// Dispatches one due queue entry. A datagram's frame goes to the
+    /// daemon's [`Process::on_frame`], as a simulated frame does, and is
+    /// counted once: in `pipe.delivered` if the daemon decoded it, in
+    /// `decode_errors` if not.
+    fn run_due(&mut self, due: Due) {
+        match due {
+            Due::Timer { pid, token } => {
+                self.dispatch(pid, |p, ctx| p.on_timer(ctx, token));
+            }
+            Due::Deliver { from, to, msg } => {
+                self.dispatch(to, |p, ctx| p.on_message(ctx, from, None, *msg));
+            }
+            Due::Frame { pipe, dgram } => {
+                let frame = &dgram[FRAMING_BYTES..];
+                let daemon = self.driver.daemon;
+                let decoded = self.dispatch(daemon, |p, ctx| {
+                    p.on_frame(ctx, REMOTE_SENDER, pipe, frame, &None)
+                });
+                if decoded == Some(true) {
+                    self.driver.counters.incr("pipe.delivered");
+                    if wire::frame_kind(frame) == Some(FrameKind::Data) {
+                        self.driver.counters.incr("data.pipe.delivered");
+                    }
+                } else {
+                    self.decode_errors += 1;
+                }
+            }
+        }
     }
 
     /// One pass of work at the frozen `now_ns`: take up to 64 datagrams off
@@ -540,7 +541,7 @@ impl<T: Transport> NodeRuntime<T> {
         let mut emptied = false;
         for _ in 0..64 {
             match self.driver.transport.recv_from()? {
-                Some((peer, dgram)) => self.deliver_datagram(peer, &dgram),
+                Some((peer, dgram)) => self.deliver_datagram(peer, dgram),
                 None => {
                     emptied = !self.driver.transport.backlogged();
                     break;
@@ -548,23 +549,7 @@ impl<T: Transport> NodeRuntime<T> {
             }
         }
         while let Some(due) = self.driver.pop_due(now_ns) {
-            match due {
-                Due::Timer { pid, token } => self.dispatch_timer(pid, token),
-                Due::Deliver {
-                    from,
-                    to,
-                    pipe,
-                    msg,
-                } => {
-                    if pipe.is_some() {
-                        self.driver.counters.incr("pipe.delivered");
-                        if matches!(msg.kind(), MessageKind::Data { .. }) {
-                            self.driver.counters.incr("data.pipe.delivered");
-                        }
-                    }
-                    self.dispatch_message(to, from, pipe, *msg);
-                }
-            }
+            self.run_due(due);
         }
         Ok(emptied)
     }
@@ -607,7 +592,7 @@ impl<T: Transport> NodeRuntime<T> {
         }
         self.driver.refresh_now();
         for pid in 0..self.procs.len() {
-            self.dispatch_start(ProcessId(pid));
+            self.dispatch(ProcessId(pid), |p, ctx| p.on_start(ctx));
         }
         let horizon_ns = self.scenario.run_for_ms * 1_000_000;
         loop {
@@ -807,11 +792,14 @@ mod loop_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use son_netsim::link::PipeConfig;
+    use son_netsim::sim::Simulation;
     use son_obs::trace::TraceEvent;
     use son_overlay::addr::{DestKey, FlowKey, GroupId};
     use son_overlay::builder::HOP_PROCESSING;
     use son_overlay::fleet::{RX_PORT, TX_PORT};
-    use son_overlay::packet::{Control, DataPacket, GroupUpdate};
+    use son_overlay::linkproto::LinkProtoStats;
+    use son_overlay::packet::{Adverts, Control, DataPacket, GroupUpdate};
     use son_overlay::OverlayAddr;
 
     pub(crate) fn loopback_scenario() -> Scenario {
@@ -1156,7 +1144,8 @@ mod tests {
 
     /// One datagram claiming an infinite link latency used to be accepted,
     /// stored, and to panic this daemon — and every daemon it was flooded
-    /// to — at the next route rebuild. It now dies in the decoder, counted.
+    /// to — at the next route rebuild. It now dies in the decoder, counted
+    /// once.
     #[test]
     fn forged_lsa_datagram_is_counted_and_dropped() {
         use son_overlay::packet::{Control, LinkAdvert, Lsa};
@@ -1177,20 +1166,25 @@ mod tests {
         let mut rt = middle_node();
 
         let stored = rt.node().connectivity().lsdb_len();
-        rt.deliver_datagram(0, &lsa_dgram(1, 2.0));
+        rt.deliver_datagram(0, lsa_dgram(1, 2.0));
         dispatch_held(&mut rt);
         let stored = stored + 1;
         assert_eq!(rt.node().connectivity().lsdb_len(), stored, "path is live");
         let version = rt.node().connectivity().version();
 
-        rt.deliver_datagram(0, &lsa_dgram(2, f64::INFINITY));
+        rt.deliver_datagram(0, lsa_dgram(2, f64::INFINITY));
+        dispatch_held(&mut rt);
         assert_eq!(rt.decode_errors, 1);
-        assert_eq!(rt.counters().get("wire.decode_error"), 1);
+        assert_eq!(
+            rt.counters().get("pipe.delivered"),
+            1,
+            "the refusal is not a delivery"
+        );
         assert_eq!(rt.node().connectivity().lsdb_len(), stored);
         assert_eq!(rt.node().connectivity().version(), version);
 
         // A later honest change rebuilds routes over a clean LSDB.
-        rt.deliver_datagram(0, &lsa_dgram(3, 7.5));
+        rt.deliver_datagram(0, lsa_dgram(3, 7.5));
         dispatch_held(&mut rt);
         assert!(rt.node().connectivity().version() > version);
         assert!(rt.node().reaches(NodeId(0)));
@@ -1268,56 +1262,56 @@ mod tests {
     enum Landed {
         DecodeError,
         UnknownPipe,
-        Held,
+        Handled,
     }
 
     /// Hands `dgram` from `peer` to an idle node 1 and says where it went:
-    /// counted as undecodable, counted as from an unknown pipe, or held for
-    /// dispatch no later than one link latency from now — exactly one. A
-    /// held frame is then dispatched to the daemon, and whatever that
-    /// schedules is dropped.
+    /// refused for its framing or, at dispatch, for its frame
+    /// (`decode_errors`), counted as from an unknown pipe, or handled by
+    /// the daemon (`pipe.delivered`) — exactly one. A datagram is held at
+    /// most one link latency from now, as the one queue entry, and that
+    /// entry is a frame; whatever handling it schedules is dropped.
     fn land(rt: &mut NodeRuntime<VnetTransport>, peer: usize, dgram: &[u8]) -> Landed {
-        let before = (rt.decode_errors, rt.unknown_pipe);
-        rt.deliver_datagram(peer, dgram);
-        let latest_ns = rt.driver.wall_ns() + rt.min_hold.as_nanos();
-        let held = rt.driver.due.pop();
-        let landed = [
-            (rt.decode_errors > before.0, Landed::DecodeError),
-            (rt.unknown_pipe > before.1, Landed::UnknownPipe),
-            (held.is_some(), Landed::Held),
-        ];
-        let mut places = landed.iter().filter(|(hit, _)| *hit);
-        let (Some(&(_, place)), None) = (places.next(), places.next()) else {
-            panic!("{dgram:?} from {peer} landed in {landed:?}");
+        let counts = |rt: &NodeRuntime<VnetTransport>| {
+            let delivered = rt.counters().get("pipe.delivered");
+            (rt.decode_errors, rt.unknown_pipe, delivered)
         };
-        if let Some((due, entry)) = held {
+        let before = counts(rt);
+        rt.deliver_datagram(peer, dgram.to_vec());
+        let latest_ns = rt.driver.wall_ns() + rt.min_hold.as_nanos();
+        if let Some((due, entry)) = rt.driver.due.pop() {
             assert!(due.as_nanos() <= latest_ns, "{dgram:?} held past a latency");
             assert!(rt.driver.due.pop().is_none(), "one datagram, one entry");
-            let Due::Deliver {
-                from,
-                to,
-                pipe: Some(pipe),
-                msg,
-            } = entry
-            else {
-                panic!("{entry:?} is not a frame off the wire");
-            };
-            rt.dispatch_message(to, from, Some(pipe), *msg);
+            assert!(
+                matches!(entry, Due::Frame { .. }),
+                "{entry:?} is not a frame"
+            );
+            rt.run_due(entry);
             while rt.driver.due.pop().is_some() {}
         }
+        let after = counts(rt);
+        let landed = [
+            (after.0 - before.0, Landed::DecodeError),
+            (after.1 - before.1, Landed::UnknownPipe),
+            (after.2 - before.2, Landed::Handled),
+        ];
+        let mut places = landed.iter().filter(|(n, _)| *n > 0);
+        let (Some(&(1, place)), None) = (places.next(), places.next()) else {
+            panic!("{dgram:?} from {peer} landed in {landed:?}");
+        };
         place
     }
 
     /// Every truncation of a valid datagram is refused by the framing or
-    /// the decoder, and every single-byte change of one lands in exactly one
-    /// place — and each place is reached. Nothing on the receive path
-    /// panics.
+    /// the daemon's decoder, and every single-byte change of one lands in
+    /// exactly one place — and each place is reached. Nothing on the
+    /// receive path panics.
     #[test]
     fn truncated_and_mutated_datagrams_land_in_exactly_one_place() {
         let mut rt = middle_node();
         let mut seen = Vec::new();
         for dgram in valid_dgrams() {
-            assert_eq!(land(&mut rt, 0, &dgram), Landed::Held);
+            assert_eq!(land(&mut rt, 0, &dgram), Landed::Handled);
             for len in 0..dgram.len() {
                 assert_eq!(land(&mut rt, 0, &dgram[..len]), Landed::DecodeError);
             }
@@ -1329,7 +1323,7 @@ mod tests {
                 }
             }
         }
-        for place in [Landed::DecodeError, Landed::UnknownPipe, Landed::Held] {
+        for place in [Landed::DecodeError, Landed::UnknownPipe, Landed::Handled] {
             assert!(seen.contains(&place), "no mutation landed in {place:?}");
         }
     }
@@ -1377,11 +1371,14 @@ mod tests {
             data(DestKey::Anycast(GroupId(1)), 0, Some(9)),
             data(DestKey::Multicast(GroupId(1)), 5, None),
         ] {
-            assert_eq!(land(&mut rt, 0, &forged), Landed::Held);
+            assert_eq!(land(&mut rt, 0, &forged), Landed::Handled);
         }
         assert_eq!(unroutable(&rt), Some(3));
         assert_eq!(rt.node().metrics().forwarded, 0);
-        assert_eq!(land(&mut rt, 0, &data(unicast(2), 0, None)), Landed::Held);
+        assert_eq!(
+            land(&mut rt, 0, &data(unicast(2), 0, None)),
+            Landed::Handled
+        );
         assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
         assert_eq!(unroutable(&rt), Some(3));
     }
@@ -1409,14 +1406,14 @@ mod tests {
             registry.counter_named("forged_origin", &[("node", "1")])
         };
 
-        assert_eq!(land(&mut rt, 0, &update(9)), Landed::Held);
-        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Held);
+        assert_eq!(land(&mut rt, 0, &update(9)), Landed::Handled);
+        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Handled);
         assert_eq!(forged(&rt), Some(1));
         assert!(rt.node().groups().members_of(GroupId(1)).is_empty());
         assert_eq!(rt.node().metrics().forwarded, 0);
 
-        assert_eq!(land(&mut rt, 0, &update(2)), Landed::Held);
-        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Held);
+        assert_eq!(land(&mut rt, 0, &update(2)), Landed::Handled);
+        assert_eq!(land(&mut rt, 0, &multicast()), Landed::Handled);
         assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
         assert_eq!(forged(&rt), Some(1));
     }
@@ -1451,6 +1448,132 @@ mod tests {
                 }
                 land(&mut rt, peer, &edited);
             }
+        }
+    }
+
+    /// Records where the frames it is handed live.
+    #[derive(Debug, Default)]
+    struct FrameProbe {
+        at: Vec<usize>,
+    }
+
+    impl Process<Wire> for FrameProbe {
+        fn on_message(&mut self, _: &mut Ctx<'_, Wire>, _: ProcessId, _: Option<PipeId>, _: Wire) {}
+
+        fn on_frame(
+            &mut self,
+            _: &mut Ctx<'_, Wire>,
+            _: ProcessId,
+            _: PipeId,
+            frame: &[u8],
+            _: &Option<Adverts>,
+        ) -> bool {
+            self.at.push(frame.as_ptr().addr());
+            true
+        }
+    }
+
+    /// A held datagram is the buffer the transport returned and its
+    /// in-pipe, a 32-byte queue entry (a frame is neither decoded nor boxed
+    /// on arrival), and the daemon's `on_frame` reads the bytes behind the
+    /// framing in that same buffer.
+    #[test]
+    fn the_daemon_reads_the_buffer_the_transport_returned() {
+        assert_eq!(std::mem::size_of::<Due>(), 32);
+        let mut rt = middle_node();
+        rt.procs[0] = Some(Box::new(FrameProbe::default()));
+        let dgram = valid_dgrams().swap_remove(0);
+        let frame_at = dgram.as_ptr().addr() + FRAMING_BYTES;
+        rt.deliver_datagram(0, dgram);
+        dispatch_held(&mut rt);
+        let probe = rt.procs[0].as_deref().expect("checked in") as &dyn Any;
+        let probe = probe.downcast_ref::<FrameProbe>().expect("the probe");
+        assert_eq!(probe.at, [frame_at]);
+        assert_eq!(rt.counters().get("pipe.delivered"), 1);
+    }
+
+    /// A neighbour of the daemon under test in the simulator: sends one
+    /// frame on its pipe when it starts and ignores what it is sent.
+    #[derive(Debug)]
+    struct Feeder {
+        pipe: PipeId,
+        frame: Option<Wire>,
+    }
+
+    impl Process<Wire> for Feeder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
+            if let Some(frame) = self.frame.take() {
+                ctx.send(self.pipe, frame);
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<'_, Wire>, _: ProcessId, _: Option<PipeId>, _: Wire) {}
+    }
+
+    /// What a link frame can change in a daemon: its LSDB's length, its
+    /// connectivity version and every link protocol's counters.
+    fn frame_effects(node: &OverlayNode) -> (usize, u64, Vec<LinkProtoStats>) {
+        use son_overlay::service::{FecParams, LinkService, RealtimeParams};
+        let services = [
+            LinkService::BestEffort,
+            LinkService::Reliable,
+            LinkService::Realtime(RealtimeParams::live_tv()),
+            LinkService::ItPriority,
+            LinkService::ItReliable,
+            LinkService::Fifo,
+            LinkService::Fec(FecParams::light()),
+        ];
+        let stats = (0..2)
+            .flat_map(|link| services.map(|s| node.link_stats(link, s)))
+            .collect();
+        let conn = node.connectivity();
+        (conn.lsdb_len(), conn.version(), stats)
+    }
+
+    /// Both legs take a link frame through the one ingress: each valid
+    /// datagram, handed to a started son-node middle node, leaves it as the
+    /// same frame sent over a pipe by node 0 leaves the simulator's node 1
+    /// of the same scenario.
+    #[test]
+    fn a_frame_has_the_same_effects_on_both_legs() {
+        for dgram in valid_dgrams() {
+            let frame = son_overlay::wire::decode(&dgram[FRAMING_BYTES..]).expect("valid");
+
+            let mut rt = middle_node();
+            rt.dispatch(ProcessId(0), |p, ctx| p.on_start(ctx));
+            rt.deliver_datagram(0, dgram);
+            while rt.counters().get("pipe.delivered") + rt.decode_errors == 0 {
+                dispatch_held(&mut rt);
+            }
+
+            let overlay = rt.scenario.overlay();
+            let mut sim: Simulation<Wire> = Simulation::new(rt.scenario.seed);
+            let daemon = sim.add_process(overlay.daemon(NodeId(1), overlay.keys()));
+            let latency = SimDuration::from_millis(1);
+            let mut pipes = Vec::new();
+            for frame in [Some(frame.clone()), None] {
+                let feeder = sim.add_process(Feeder {
+                    pipe: PipeId(usize::MAX),
+                    frame,
+                });
+                let (inward, outward) =
+                    sim.connect(feeder, daemon, PipeConfig::with_latency(latency));
+                sim.proc_mut::<Feeder>(feeder).expect("feeder").pipe = inward;
+                pipes.push((outward, inward));
+            }
+            let node = sim.proc_mut::<OverlayNode>(daemon).expect("daemon");
+            node.wire_topology(|_, neighbor| {
+                let from = if neighbor == NodeId(0) { 0 } else { 1 };
+                vec![pipes[from]]
+            });
+            sim.run_until(SimTime::ZERO + latency);
+
+            let sim_node = sim.proc_ref::<OverlayNode>(daemon).expect("daemon");
+            assert_eq!(
+                frame_effects(rt.node()),
+                frame_effects(sim_node),
+                "{frame:?}"
+            );
         }
     }
 
@@ -1594,7 +1717,7 @@ mod tests {
         let fired = rt.driver.set_timer(ProcessId(0), delay, 7);
         rt.driver
             .send_direct(ProcessId(0), ProcessId(0), delay, hello());
-        rt.deliver_datagram(0, &dgram_at(&hello(), sent_ns));
+        rt.deliver_datagram(0, dgram_at(&hello(), sent_ns));
 
         let d = &mut rt.driver;
         let due_ns = sent_ns + delay.as_nanos();
@@ -1604,18 +1727,8 @@ mod tests {
             d.pop_due(due_ns),
             Some(Due::Timer { token: 7, .. })
         ));
-        assert!(matches!(
-            d.pop_due(due_ns),
-            Some(Due::Deliver { pipe: None, .. })
-        ));
-        assert!(matches!(
-            d.pop_due(due_ns),
-            Some(Due::Deliver {
-                from: REMOTE_SENDER,
-                pipe: Some(_),
-                ..
-            })
-        ));
+        assert!(matches!(d.pop_due(due_ns), Some(Due::Deliver { .. })));
+        assert!(matches!(d.pop_due(due_ns), Some(Due::Frame { .. })));
         assert!(d.pop_due(due_ns).is_none());
 
         // Three later timers take the three freed slots.

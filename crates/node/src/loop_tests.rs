@@ -19,6 +19,8 @@ struct Tap {
     fail_every: u64,
     sends: u64,
     failed_data: u64,
+    /// The bytes of every datagram sent, less its framing.
+    frame_bytes: u64,
 }
 
 impl Tap {
@@ -30,6 +32,7 @@ impl Tap {
                 fail_every,
                 sends: 0,
                 failed_data: 0,
+                frame_bytes: 0,
             })
             .collect()
     }
@@ -46,6 +49,7 @@ impl Transport for Tap {
             self.failed_data += u64::from(matches!(decode_dgram(frame), Wire::Data(_)));
             return Err(io::Error::other("message too long"));
         }
+        self.frame_bytes += (frame.len() - FRAMING_BYTES) as u64;
         self.inner.send_to(peer, frame)
     }
 
@@ -184,6 +188,22 @@ fn failed_sends_are_counted_loss_not_a_dead_daemon() {
         assert_eq!(c.get(DropClass::NoRoute.data_label()), tap.failed_data);
     }
     assert!(runtimes[0].driver.transport.failed_data > 0);
+}
+
+/// `pipe.bytes` is what the daemon put on its links: the datagrams it
+/// sent, less their framing — hellos, LSAs and data frames, each at its
+/// encoded length rather than the simulator's charge for it.
+#[test]
+fn pipe_bytes_are_the_frames_the_daemon_sent() {
+    let mut scenario = loopback_scenario();
+    scenario.run_for_ms = scenario.start_ms + 100;
+    let runtimes = run_cluster(&scenario, Tap::chain(scenario.nodes, 0), |_| {});
+    for rt in &runtimes {
+        let bytes = rt.counters().get("pipe.bytes");
+        assert_eq!(bytes, rt.driver.transport.frame_bytes, "node {}", rt.me);
+    }
+    assert!(runtimes[0].counters().get("data.pipe.sent") > 0);
+    assert!(runtimes[1].counters().get("data.pipe.sent") > 0);
 }
 
 /// A datagram that arrives while the loop is blocked toward a far deadline

@@ -32,7 +32,7 @@ use crate::state::connectivity::ConnAction;
 use crate::state::groups::GroupAction;
 use crate::state::membership::{self, MemberAction, JOIN_RETRY};
 use crate::watch;
-use crate::wire::{self, FrameKind, WireError};
+use crate::wire::{self, FrameKind};
 
 use son_topo::NodeId;
 
@@ -227,9 +227,16 @@ impl OverlayNode {
     ) {
         let saved_recover = self.pending_recover.take();
         let saved_retransmit = std::mem::replace(&mut self.pending_retransmit, false);
-        for action in la.drain(..) {
+        // Each action is taken out of its slot, leaving an inert one, rather
+        // than drained: a `Drain` keeps its position in memory for its
+        // out-of-line `drop`, and whether LLVM can then still read a payload
+        // in place or copies the action's 264 bytes first depends on what
+        // else shares this codegen unit (DESIGN.md §7, the copy census).
+        for entry in la.iter_mut() {
+            let action = std::mem::replace(entry, LinkAction::Observe(LinkEvent::Retransmit));
             self.apply_link(ctx, link, slot, action);
         }
+        la.clear();
         self.pending_recover = saved_recover;
         self.pending_retransmit = saved_retransmit;
         self.bufs.link.push(la);
@@ -337,12 +344,6 @@ impl OverlayNode {
     }
 }
 
-/// A frame the simulator carried failed to decode: only a codec fault
-/// does that, so it is not a condition to run on with.
-fn undecodable(e: WireError) -> ! {
-    panic!("link frames round-trip the wire codec losslessly: {e}")
-}
-
 impl Process<Wire> for OverlayNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire>) {
         let restarted = std::mem::replace(&mut self.started, true);
@@ -401,7 +402,9 @@ impl Process<Wire> for OverlayNode {
     /// Decodes a frame by its kind straight into what handles it — a data
     /// frame into the packet its link protocol takes — and does what the
     /// [`Process::on_message`] arm for that kind does, without ever
-    /// building the 280-byte `Wire`.
+    /// building the 280-byte `Wire`. Both drivers deliver link frames here;
+    /// a frame on a pipe that is not one of this node's in-pipes is
+    /// ignored unread.
     fn on_frame(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
@@ -409,30 +412,28 @@ impl Process<Wire> for OverlayNode {
         pipe: PipeId,
         frame: &[u8],
         hint: &Option<Adverts>,
-    ) {
+    ) -> bool {
         let token = self.obs.perf().enter("node.on_message");
-        if let Some(&(link, provider)) = self.in_pipe_index.get(&pipe) {
-            match wire::frame_kind(frame) {
-                Some(FrameKind::Data) => {
-                    let pkt = match wire::decode_data(frame) {
-                        Ok(pkt) => pkt,
-                        Err(e) => undecodable(e),
-                    };
-                    let slot = pkt.spec.link.slot();
-                    self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
-                }
-                Some(FrameKind::Ctl) => match wire::decode_ctl(frame) {
-                    Ok((slot, ctl)) => self.on_link_ctl(ctx, link, slot, ctl),
-                    Err(e) => undecodable(e),
-                },
-                Some(FrameKind::Control) => match wire::decode_control(frame, hint.as_ref()) {
-                    Ok(control) => self.on_control(ctx, link, provider, control),
-                    Err(e) => undecodable(e),
-                },
-                None => undecodable(wire::decode(frame).expect_err("no kind, no frame")),
-            }
-        }
+        let decoded = match self.in_pipe_index.get(&pipe) {
+            None => true,
+            Some(&(link, provider)) => match wire::frame_kind(frame) {
+                Some(FrameKind::Data) => wire::decode_data(frame)
+                    .map(|pkt| {
+                        let slot = pkt.spec.link.slot();
+                        self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
+                    })
+                    .is_ok(),
+                Some(FrameKind::Ctl) => wire::decode_ctl(frame)
+                    .map(|(slot, ctl)| self.on_link_ctl(ctx, link, slot, ctl))
+                    .is_ok(),
+                Some(FrameKind::Control) => wire::decode_control(frame, hint.as_ref())
+                    .map(|control| self.on_control(ctx, link, provider, control))
+                    .is_ok(),
+                None => false,
+            },
+        };
         self.obs.perf().exit(token);
+        decoded
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, token: u64) {

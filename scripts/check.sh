@@ -43,6 +43,16 @@ stage_lint() {
         echo "ERROR: daemon code calls wire::recode" >&2
         exit 1
     fi
+    # A datagram reaches son-node's daemon as bytes, through
+    # `Process::on_frame`, as a simulated frame does: son-node itself
+    # decodes no link frame (its tests may, to read what a daemon sent).
+    echo "==> son-node decodes no link frame outside its tests"
+    if find crates/node/src -name '*.rs' ! -name loop_tests.rs -print0 |
+        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' |
+        grep -E '\b(wire::decode|decode_reusing|recode)\b'; then
+        echo "ERROR: son-node decodes a link frame outside Process::on_frame" >&2
+        exit 1
+    fi
 }
 
 stage_bench() {
@@ -50,6 +60,21 @@ stage_bench() {
     scripts/bench_smoke.sh
     echo "==> benchmark crate (outside the workspace: tests + three quick workloads)"
     scripts/benchmark_smoke.sh
+    # Copies > 128 B per delivered packet on the churning data plane move
+    # with LLVM's inlining far from any edited line (DESIGN.md §7): 42.9
+    # since frames cross a hop as bytes, 48.5 and 51.2 in two drifts that
+    # added a copy of every drained link action. The ceiling sits between.
+    echo "==> copy census (sim_fwd_churn: at most 47 copies > 128 B per delivered packet)"
+    census=$(scripts/copy_census.sh sim_fwd_churn)
+    echo "$census"
+    echo "$census" | awk -v max=47 '
+        NR == 1 && NF > 3 { per = $(NF - 3) }
+        END {
+            if (per == "" || per + 0 > max) {
+                print "ERROR: " per " copies > 128 B per delivered packet, above " max > "/dev/stderr"
+                exit 1
+            }
+        }'
     # benchmark/ and BENCHMARK.json change only in a [benchmark] PR of their
     # own. (Cargo.lock is left out: cargo rewrites it when a workspace
     # crate's dependencies change.)
