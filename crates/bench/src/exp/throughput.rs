@@ -284,14 +284,16 @@ mod tests {
     #[test]
     fn fleet_built_smoke_run_matches_the_parent_commit() {
         // Recorded at f6b3f84, before `Fleet` built this run (the same
-        // counts as the committed smoke row of `BENCH_forwarding.json`).
+        // counts as the committed smoke row of `BENCH_forwarding.json`);
+        // the fingerprints were re-recorded when pipes began counting encoded
+        // frame bytes (`pipe.bytes`).
         // The profiler and the shard count must not move them; tracing
         // changes what the daemons put on the wire.
         for (trace_sample, perf, shards, telemetry, fingerprint) in [
-            (0, false, 1, false, 0x2a1d_58a1_d85b_4ed2),
-            (0, true, 1, false, 0x2a1d_58a1_d85b_4ed2),
-            (0, false, 4, false, 0x2a1d_58a1_d85b_4ed2),
-            (64, false, 1, true, 0x736d_0e9d_7774_1fc5_u64),
+            (0, false, 1, false, 0x7a27_405a_6f4f_a179),
+            (0, true, 1, false, 0x7a27_405a_6f4f_a179),
+            (0, false, 4, false, 0x7a27_405a_6f4f_a179),
+            (64, false, 1, true, 0x19c3_b704_c65d_b9c9_u64),
         ] {
             let (r, _) = throughput_under_churn(true, trace_sample, perf, shards, telemetry);
             assert_eq!(r.fingerprint, fingerprint);

@@ -242,10 +242,11 @@ mod tests {
         assert!(out.wire.retransmitted > 0);
         assert!(out.wire.overhead_ratio() > 1.0);
         // Re-recorded when the ARQ core replaced one RTO timer per packet
-        // with one per link: fewer timer events, the same deliveries.
+        // with one per link (fewer timer events, the same deliveries), and
+        // when pipes began counting encoded frame bytes (`pipe.bytes`).
         assert_eq!(
             (out.fingerprint, out.forwarded, out.recv.received),
-            (0x7baf_b267_7854_c886, 400, 200)
+            (0x9c95_3aa6_0e82_a543, 400, 200)
         );
         assert_eq!(out.registry.counter_total("reroutes"), 49);
     }

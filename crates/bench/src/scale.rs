@@ -307,9 +307,11 @@ mod tests {
     #[test]
     fn fleet_built_scale_point_matches_the_parent_commit() {
         // Recorded at f6b3f84, before `Fleet` built this run (the same
-        // counts as the committed n=64 row of `BENCH_scale.json`).
+        // counts as the committed n=64 row of `BENCH_scale.json`). The
+        // fingerprint was re-recorded when pipes began counting encoded
+        // frame bytes (`pipe.bytes`); the counts did not move.
         let r = run_scale(64, 3);
-        assert_eq!(r.fingerprint, 0x2d5e_8219_8801_e592);
+        assert_eq!(r.fingerprint, 0x8f29_db3c_3c9a_022c);
         assert_eq!((r.forwarded, r.delivered, r.reroutes), (88_848, 9_366, 132));
     }
 

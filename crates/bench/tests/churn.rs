@@ -215,7 +215,7 @@ fn churn_runs_are_a_pure_function_of_the_seed() {
     let b = build().run();
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same simulation");
     assert_eq!(
-        a.fingerprint, 0xe294_968a_b71a_758d,
+        a.fingerprint, 0x8935_a455_d1dd_2e98,
         "the seed's sustained graceful churn campaign moved"
     );
     assert_eq!(a.received, b.received);

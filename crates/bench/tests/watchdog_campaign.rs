@@ -137,7 +137,7 @@ fn same_seed_replays_the_identical_campaign() {
     let b = scaled("replay", blackhole_campaign).with_watch().run();
     assert_eq!(a.fingerprint, b.fingerprint, "simulation state diverged");
     assert_eq!(
-        a.fingerprint, 0x92e1_38fb_e81d_cf18,
+        a.fingerprint, 0xa291_3672_1564_a9d1,
         "the seed's watchdog-on blackhole campaign moved"
     );
     assert_eq!(a.watch_events, b.watch_events, "watch history diverged");

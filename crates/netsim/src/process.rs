@@ -56,24 +56,22 @@ pub enum MessageKind {
 
 /// The type carried by simulation messages.
 ///
-/// Messages must be cloneable (redundant dissemination duplicates them) and
-/// report a wire size so pipes can model bandwidth and overhead accounting.
+/// Messages must be cloneable (redundant dissemination duplicates them).
 /// They must also be `Send`: the sharded simulation core moves in-flight
 /// messages between worker threads at window barriers.
 ///
 /// A message that crosses a pipe travels as bytes: the simulator encodes
-/// it with [`encode_frame`](Self::encode_frame) once the pipe has let it
-/// through, queues the bytes, and the receiver decodes them
-/// ([`Process::on_frame`]). Messages handed over without a pipe
-/// (`send_direct`, `post`) travel by value and are never encoded.
+/// it with [`encode_frame`](Self::encode_frame), offers the pipe that many
+/// bytes (its bandwidth and its `pipe.bytes` counter see the frame's
+/// length), queues the bytes if the pipe lets them through, and the
+/// receiver decodes them ([`Process::on_frame`]). Messages handed over
+/// without a pipe (`send_direct`, `post`) travel by value and are never
+/// encoded.
 pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
     /// What the decoding of a frame may borrow from the message it was
     /// encoded from (an immutable shared allocation the decoder can point
     /// at instead of copying). It travels with the frame's bytes.
     type Hint: Default + Send + 'static;
-
-    /// The number of bytes this message occupies on the wire.
-    fn wire_size(&self) -> usize;
 
     /// Classification for drop attribution. Defaults to
     /// [`MessageKind::Control`]; message types carrying application payload
@@ -100,10 +98,6 @@ pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
 impl SimMessage for Vec<u8> {
     type Hint = ();
 
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-
     fn encode_frame(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self);
     }
@@ -116,10 +110,6 @@ impl SimMessage for Vec<u8> {
 impl SimMessage for String {
     type Hint = ();
 
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-
     fn encode_frame(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self.as_bytes());
     }
@@ -131,10 +121,6 @@ impl SimMessage for String {
 
 impl SimMessage for bytes::Bytes {
     type Hint = ();
-
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
 
     fn encode_frame(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self);

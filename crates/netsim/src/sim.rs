@@ -1074,24 +1074,29 @@ impl<M: SimMessage> SimCore<M> {
         self.queue.schedule_keyed(at, key, event)
     }
 
-    /// Sends `msg` from `pid` over `pipe` — the sim-driver send path: loss,
-    /// queueing, and blackholes are modelled by the pipe on the message's
-    /// charged size, and drops are tallied in the global counters. Only a
-    /// frame the pipe lets through is encoded, into a pooled buffer.
+    /// Sends `msg` from `pid` over `pipe` — the sim-driver send path. The
+    /// message is encoded into a pooled buffer first; loss, queueing and
+    /// blackholes are modelled by the pipe on the frame's length, which is
+    /// also what `pipe.bytes` counts, and drops are tallied in the global
+    /// counters. A dropped frame's buffer goes back to the pool.
     ///
     /// # Panics
     ///
     /// Panics if `pipe` does not originate at `pid`.
     #[inline]
     pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
-        let size = msg.wire_size();
         let now = self.now;
         let p = self.pipes[pipe.0]
             .as_mut()
             .expect("pipe checked out to another shard");
         assert_eq!(p.src(), pid, "process {pid} does not own pipe {pipe:?}");
         let dst = p.dst();
-        let outcome = p.transmit(now, size, &mut self.underlay);
+        let mut frame = self
+            .frames
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(FRESH_FRAME_BYTES));
+        msg.encode_frame(&mut frame);
+        let outcome = p.transmit(now, frame.len(), &mut self.underlay);
         let is_data = matches!(msg.kind(), MessageKind::Data { .. });
         let at = match outcome {
             Transmit::Arrives(at) => at,
@@ -1103,19 +1108,15 @@ impl<M: SimMessage> SimCore<M> {
                     // without control traffic muddying the ledger.
                     self.counters.incr(reason.class().data_label());
                 }
+                self.recycle(frame);
                 return;
             }
         };
         self.counters.bump(PIPE_DELIVERED, 1);
-        self.counters.bump(PIPE_BYTES, size as u64);
+        self.counters.bump(PIPE_BYTES, frame.len() as u64);
         if is_data {
             self.counters.bump(DATA_PIPE_DELIVERED, 1);
         }
-        let mut frame = self
-            .frames
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(FRESH_FRAME_BYTES));
-        msg.encode_frame(&mut frame);
         self.schedule_frame(pid, dst, pipe, at, frame, msg.frame_hint());
     }
 }
@@ -1284,9 +1285,6 @@ mod tests {
 
     impl SimMessage for Big {
         type Hint = Option<std::sync::Arc<u64>>;
-        fn wire_size(&self) -> usize {
-            280
-        }
         fn encode_frame(&self, buf: &mut Vec<u8>) {
             buf.extend(self.0.iter().flat_map(|w| w.to_le_bytes()));
         }

@@ -1577,6 +1577,57 @@ mod tests {
         }
     }
 
+    /// A frame costs the same bytes on both legs: son-node's `send_ref` and
+    /// one simulated hop each add its encoded length to `pipe.bytes`.
+    #[test]
+    fn a_frame_costs_its_encoded_bytes_on_both_legs() {
+        let mut rt = middle_node();
+        for dgram in valid_dgrams() {
+            let frame = son_overlay::wire::decode(&dgram[FRAMING_BYTES..]).expect("valid");
+            let encoded = son_overlay::wire::encode(&frame)
+                .expect("a link frame")
+                .len() as u64;
+
+            let before = rt.counters().get("pipe.bytes");
+            rt.driver.send_ref(ProcessId(0), PipeId(0), &frame);
+            let socket = rt.counters().get("pipe.bytes") - before;
+
+            let mut sim: Simulation<Wire> = Simulation::new(1);
+            let sink = sim.add_process(FrameProbe::default());
+            let feeder = sim.add_process(Feeder {
+                pipe: PipeId(0),
+                frame: Some(frame.clone()),
+            });
+            let latency = PipeConfig::with_latency(SimDuration::from_millis(1));
+            assert_eq!(sim.pipe(feeder, sink, latency), PipeId(0));
+            sim.run_until_idle();
+            let simulated = sim.counters().get("pipe.bytes");
+
+            assert_eq!((socket, simulated), (encoded, encoded), "{frame:?}");
+        }
+    }
+
+    /// A link-control frame naming a service slot past the last used to be
+    /// handled as the last slot's, building and driving that link's FEC
+    /// machine. The codec now refuses it, and son-node counts the refusal;
+    /// the same repair for the FEC slot is still handled.
+    #[test]
+    fn a_ctl_frame_for_no_service_slot_is_refused() {
+        let mut rt = middle_node();
+        let repair = valid_dgrams().swap_remove(4);
+        assert_eq!(repair[FRAMING_BYTES + 3], 6, "the FEC slot");
+        let footprint = rt.node().footprint().total();
+        for slot in [7, 8, 0x80, u8::MAX] {
+            let mut forged = repair.clone();
+            forged[FRAMING_BYTES + 3] = slot;
+            assert_eq!(land(&mut rt, 0, &forged), Landed::DecodeError);
+        }
+        assert_eq!(rt.decode_errors, 4);
+        assert_eq!(rt.node().footprint().total(), footprint, "no FEC machine");
+        assert_eq!(land(&mut rt, 0, &repair), Landed::Handled);
+        assert!(rt.node().footprint().total() > footprint);
+    }
+
     /// The receiver trusts a sender's stamp only as far as its own clock: a
     /// stamp 10 s in the future is held one link latency from now, and a
     /// stamp of 0 — a frame sent long ago — is due at once and dispatched by

@@ -472,67 +472,3 @@ mod tests {
         }
     }
 }
-
-/// Multiple parallel overlay instances over the same topology (§II-D).
-///
-/// "Depending on the traffic load, a single computer may not be able to
-/// provide the necessary processing at line speed... additional processing
-/// resources can be deployed as clusters of computers... Each computer in a
-/// cluster can act as a node in one or several overlays, serving a subset
-/// of the total traffic." A [`ShardedOverlay`] is that cluster: `n`
-/// independent overlays, each with its own daemons and pipes, with traffic
-/// partitioned across them by a stable hash of the flow's source.
-#[derive(Debug)]
-pub struct ShardedOverlay {
-    /// The parallel overlay instances.
-    pub shards: Vec<OverlayHandle>,
-}
-
-impl ShardedOverlay {
-    /// Builds `n` parallel instances of `topology` into `sim`. Each shard
-    /// gets an independent key domain and its own pipes (in a deployment:
-    /// its own processes in each data center).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn build(
-        topology: &Graph,
-        n: usize,
-        config: &NodeConfig,
-        sim: &mut Simulation<Wire>,
-    ) -> Self {
-        assert!(n > 0, "a cluster needs at least one shard");
-        let shards = (0..n)
-            .map(|i| {
-                OverlayBuilder::new(topology.clone())
-                    .node_config(config.clone())
-                    .master_secret(MASTER_SECRET ^ (i as u64) << 32)
-                    .build(sim)
-            })
-            .collect();
-        ShardedOverlay { shards }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// `true` if there are no shards (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The shard serving a given client, by stable hash of its attachment
-    /// `(node, port)`. All of one client's flows ride one shard, so flow
-    /// state never straddles computers.
-    #[must_use]
-    pub fn shard_for(&self, node: NodeId, port: u16) -> &OverlayHandle {
-        let h = son_netsim::rng::splitmix((node.0 as u64) << 16 | u64::from(port));
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-}

@@ -321,6 +321,7 @@ mod tests {
         for i in 0..n {
             let mut p = pkt(i + 1, 100);
             p.spec.link = LinkService::Fec(params());
+            p.payload = vec![7; 100].into();
             link.on_send(SimTime::ZERO, p, &mut out);
         }
         out
@@ -350,14 +351,9 @@ mod tests {
         assert_eq!(reps[0].0, 1);
         assert_eq!(reps[1].0, 5);
         assert_eq!(reps[0].1.len(), 4);
-        // Repair wire size is one max-size packet plus the k covered
-        // headers (payloads are stripped; only their descriptions ride).
-        let ctl = LinkCtl::FecRepair {
-            block_start: 1,
-            index: 0,
-            covered: reps[0].1.clone(),
-        };
-        assert_eq!(ctl.wire_size(), 16 + (48 + 100) + 48 * 4);
+        // A repair carries the covered packets' headers, never their
+        // payloads (the repair symbol encodes them; it does not carry them).
+        assert!(transmitted(&out).iter().all(|p| p.payload.len() == 100));
         assert!(reps[0].1.iter().all(|p| p.payload.is_empty()));
     }
 

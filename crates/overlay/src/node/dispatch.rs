@@ -482,10 +482,10 @@ impl OverlayNode {
         }
     }
 
-    /// A link-protocol control frame that arrived on `link` for `slot`.
+    /// A link-protocol control frame that arrived on `link` for `slot`, one
+    /// of the service slots (the codec refuses any other).
     fn on_link_ctl(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, slot: u8, ctl: LinkCtl) {
-        let slot = (slot as usize).min(SERVICE_SLOTS - 1);
-        self.run_link_proto(ctx, link, slot, ctl, <dyn LinkProto>::on_ctl);
+        self.run_link_proto(ctx, link, usize::from(slot), ctl, <dyn LinkProto>::on_ctl);
     }
 
     /// A control frame that arrived on `link` over `provider`'s path.

@@ -2,8 +2,8 @@
 //! control plane, and the client/daemon session protocol.
 //!
 //! Everything that crosses a simulated pipe or the client/daemon boundary is
-//! a [`Wire`] value. Sizes reported to the simulator approximate a compact
-//! binary encoding so bandwidth and overhead accounting are meaningful.
+//! a [`Wire`] value. A link frame crosses a pipe as its [`crate::wire`]
+//! bytes, and those bytes are what the pipe counts.
 
 use bytes::Bytes;
 use son_netsim::process::{MessageKind, SimMessage};
@@ -17,9 +17,10 @@ use crate::service::FlowSpec;
 mod adverts;
 pub use adverts::Adverts;
 
-/// Approximate size of the fixed data-packet header on the wire.
+/// The fixed data-packet header in the fair schedulers' pacing charge
+/// ([`DataPacket::wire_size`]).
 pub const DATA_HEADER_BYTES: usize = 48;
-/// Approximate wire size of a source-route bitmask stamp.
+/// The wire size of a source-route bitmask stamp.
 pub const MASK_BYTES: usize = 32;
 
 /// An overlay data packet.
@@ -63,7 +64,11 @@ pub struct DataPacket {
 }
 
 impl DataPacket {
-    /// The wire size of this packet.
+    /// The bytes the fair schedulers (IT-Priority, IT-Reliable) pace this
+    /// packet at: a fixed header, the mask and trace segments, and the
+    /// payload size. Pipes count the encoded frame instead
+    /// ([`crate::wire::encode`]); this charge is kept apart so the
+    /// schedulers' pacing does not follow the codec's layout.
     #[must_use]
     pub fn wire_size(&self) -> usize {
         DATA_HEADER_BYTES
@@ -112,10 +117,9 @@ pub enum LinkCtl {
     },
     /// A FEC repair packet covering one block of data packets. Carries the
     /// headers of the covered packets (what a Reed–Solomon decode would
-    /// reconstruct); its wire size is charged as one full-size packet plus
-    /// the covered headers. Covered packets must have their payloads
-    /// stripped at construction (the repair symbol encodes them, it does
-    /// not carry them).
+    /// reconstruct) and crosses a link as their encoded bytes. The sender
+    /// strips the covered packets' payloads where it builds the repair
+    /// (the repair symbol encodes them, it does not carry them).
     FecRepair {
         /// First link sequence number of the covered block.
         block_start: u64,
@@ -124,30 +128,6 @@ pub enum LinkCtl {
         /// Headers of the covered data packets, payloads stripped.
         covered: Vec<DataPacket>,
     },
-}
-
-impl LinkCtl {
-    /// Approximate wire size.
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        match self {
-            LinkCtl::ReliableAck { selective, .. } => 24 + 8 * selective.len(),
-            LinkCtl::ReliableNack { missing } => 16 + 8 * missing.len(),
-            LinkCtl::RtRequest { seqs, .. } => 17 + 8 * seqs.len(),
-            LinkCtl::Credit { .. } => 36,
-            // A repair symbol is as large as the largest covered packet,
-            // plus one header per covered packet so the decoder knows what
-            // it is reconstructing.
-            LinkCtl::FecRepair { covered, .. } => {
-                debug_assert!(
-                    covered.iter().all(|p| p.payload.is_empty()),
-                    "FecRepair covered packets must be payload-stripped"
-                );
-                16 + covered.iter().map(DataPacket::wire_size).max().unwrap_or(0)
-                    + DATA_HEADER_BYTES * covered.len()
-            }
-        }
-    }
 }
 
 /// One overlay node's advertised view of an incident overlay link.
@@ -304,24 +284,6 @@ pub enum Control {
     },
 }
 
-impl Control {
-    /// Approximate wire size.
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Control::Hello { .. } | Control::HelloAck { .. } | Control::WatchReceipt { .. } => 24,
-            Control::Lsa(lsa) => 16 + 13 * lsa.links.len(),
-            Control::GroupUpdate(gu) => 16 + 4 * gu.groups.len(),
-            // The membership frames charge their exact encoded size (frame
-            // header + body); `wire_roundtrip` pins this with byte-for-byte
-            // assertions.
-            Control::Join { .. } | Control::Leave { .. } => 20,
-            Control::JoinAck { members } => 10 + 13 * members.len(),
-            Control::MembershipUpdate { members, .. } => 22 + 13 * members.len(),
-        }
-    }
-}
-
 /// Client-to-daemon session operations (the session interface, §II-B).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientOp {
@@ -437,22 +399,6 @@ impl SimMessage for Wire {
     type Hint = Option<Adverts>;
 
     #[inline]
-    fn wire_size(&self) -> usize {
-        match self {
-            Wire::Data(d) => d.wire_size(),
-            Wire::Ctl { ctl, .. } => 1 + ctl.wire_size(),
-            Wire::Control(c) => c.wire_size(),
-            // Session traffic is local IPC; size only matters if a client is
-            // attached over a remote pipe.
-            Wire::FromClient(ClientOp::Send { size, .. }) => 16 + size,
-            Wire::FromClient(_) => 16,
-            Wire::ToClient(SessionEvent::Deliver { size, .. }) => 32 + size,
-            Wire::ToClient(_) => 16,
-            Wire::Raw { size, .. } => 8 + size,
-        }
-    }
-
-    #[inline]
     fn kind(&self) -> MessageKind {
         match self {
             // Only overlay data packets are data-plane traffic; everything
@@ -491,7 +437,6 @@ impl SimMessage for Wire {
 mod tests {
     use super::*;
     use crate::addr::DestKey;
-    use son_netsim::time::SimDuration;
 
     /// Every hand-off of a frame — into the event slab, out to a handler,
     /// in and out of a link protocol's batch — moves one of these by value,
@@ -560,104 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn ctl_sizes_scale_with_content() {
-        let small = LinkCtl::ReliableAck {
-            cum: 5,
-            selective: vec![],
-        };
-        let big = LinkCtl::ReliableAck {
-            cum: 5,
-            selective: vec![7, 9, 11],
-        };
-        assert!(big.wire_size() > small.wire_size());
-        assert_eq!(
-            LinkCtl::Credit {
-                flow: packet(None, 0).flow,
-                granted_upto: 4
-            }
-            .wire_size(),
-            36
-        );
-        assert_eq!(
-            LinkCtl::RtRequest {
-                seqs: vec![1, 2],
-                strike: 0
-            }
-            .wire_size(),
-            17 + 16
-        );
-        assert_eq!(LinkCtl::ReliableNack { missing: vec![3] }.wire_size(), 24);
-    }
-
-    #[test]
-    fn control_sizes_scale_with_content() {
-        let hello = Control::Hello {
-            seq: 1,
-            sent_at: SimTime::ZERO,
-        };
-        assert_eq!(hello.wire_size(), 24);
-        let lsa = Control::Lsa(Lsa {
-            origin: NodeId(0),
-            seq: 1,
-            links: Adverts::from([LinkAdvert {
-                edge: EdgeId(0),
-                up: true,
-                latency_ms: 10.0,
-                loss: 0.0,
-            }]),
-        });
-        assert_eq!(lsa.wire_size(), 29);
-        let gu = Control::GroupUpdate(GroupUpdate {
-            origin: NodeId(0),
-            seq: 1,
-            groups: vec![GroupId(1), GroupId(2)],
-        });
-        assert_eq!(gu.wire_size(), 24);
-    }
-
-    #[test]
-    fn membership_sizes_scale_with_content() {
-        let member = MemberInfo {
-            node: NodeId(3),
-            incarnation: 2,
-            status: MemberStatus::Up,
-        };
-        assert_eq!(
-            Control::Join {
-                node: NodeId(1),
-                incarnation: 0
-            }
-            .wire_size(),
-            20
-        );
-        assert_eq!(
-            Control::Leave {
-                node: NodeId(1),
-                incarnation: 4
-            }
-            .wire_size(),
-            20
-        );
-        assert_eq!(Control::JoinAck { members: vec![] }.wire_size(), 10);
-        assert_eq!(
-            Control::JoinAck {
-                members: vec![member; 3]
-            }
-            .wire_size(),
-            10 + 39
-        );
-        assert_eq!(
-            Control::MembershipUpdate {
-                origin: NodeId(0),
-                seq: 1,
-                members: vec![member]
-            }
-            .wire_size(),
-            35
-        );
-    }
-
-    #[test]
     fn only_data_wires_are_data_kind() {
         let p = packet(None, 100);
         let expected = MessageKind::Data {
@@ -681,20 +528,5 @@ mod tests {
             .kind(),
             MessageKind::Control
         );
-    }
-
-    #[test]
-    fn wire_dispatches_sizes() {
-        let w = Wire::Data(packet(None, 100));
-        assert_eq!(w.wire_size(), DATA_HEADER_BYTES + 100);
-        let c = Wire::FromClient(ClientOp::Send {
-            local_flow: 0,
-            size: 500,
-            payload: Bytes::new(),
-        });
-        assert_eq!(c.wire_size(), 516);
-        let e = Wire::ToClient(SessionEvent::FlowPaused { local_flow: 0 });
-        assert_eq!(e.wire_size(), 16);
-        let _ = SimDuration::ZERO;
     }
 }

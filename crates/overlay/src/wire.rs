@@ -11,9 +11,10 @@
 //! itself: it hands its driver a borrowed frame to encode, and a simulated
 //! frame decodes by its kind ([`frame_kind`]) straight into what the daemon
 //! hands on — a data frame into the packet its link protocol takes
-//! ([`decode_data`]) — never into a 280-byte `Wire`. Pipes still model
-//! bandwidth and loss on a frame's *charged*
-//! [`wire_size`](son_netsim::process::SimMessage::wire_size).
+//! ([`decode_data`]) — never into a 280-byte `Wire`. A frame costs the
+//! same on both legs: the length of these bytes is what a simulated pipe
+//! models bandwidth on and counts in `pipe.bytes`, and what son-node
+//! counts for the datagram it sends.
 //!
 //! ## Frame layout
 //!
@@ -31,11 +32,12 @@
 //! times are nanoseconds in `u64`. A data packet's three optional segments
 //! signal presence through flag bits (the frame flags byte at top level; a
 //! 1-byte flags prefix when nested inside a FEC repair), so an absent
-//! segment costs nothing and a present one costs exactly what the
-//! accounting model charges: a `Hello`/`HelloAck`/`WatchReceipt` frame is
-//! 24 bytes total, a present `TraceContext` segment is 10 bytes (the
-//! flagged id + hop, hop widened to `u16` on the wire), and a present
-//! source-route mask segment is its 32 charged bytes.
+//! segment costs nothing: a present `TraceContext` segment is 10 bytes
+//! (the flagged id + hop, hop widened to `u16` on the wire) and a present
+//! source-route mask segment is 32 bytes. A `Hello`/`HelloAck`/
+//! `WatchReceipt` frame is 24 bytes total. A link-control frame's flags
+//! byte is the service slot it addresses; a slot no service has is a
+//! [`WireError::BadTag`].
 //!
 //! Session traffic (`FromClient`/`ToClient`) and intercepted `Raw`
 //! datagrams are local IPC between colocated processes — they never cross
@@ -55,6 +57,7 @@ use crate::packet::{
 };
 use crate::service::{
     FecParams, FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute,
+    SERVICE_SLOTS,
 };
 
 /// Size of the fixed frame header: magic, version, kind, flags, body length.
@@ -269,7 +272,10 @@ pub fn decode_reusing(frame: &[u8], sender: Option<&Adverts>) -> Result<Wire, Wi
     let (mut r, kind, flags) = open_frame(frame)?;
     let wire = match kind {
         KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
-        KIND_CTL => get_ctl(&mut r).map(|ctl| Wire::Ctl { slot: flags, ctl }),
+        KIND_CTL => ctl_slot(flags).and_then(|slot| {
+            let ctl = get_ctl(&mut r)?;
+            Ok(Wire::Ctl { slot, ctl })
+        }),
         KIND_CONTROL => get_control(&mut r, flags, sender).map(Wire::Control),
         tag => Err(WireError::BadTag { what: "kind", tag }),
     };
@@ -337,7 +343,23 @@ pub fn decode_data(frame: &[u8]) -> Result<DataPacket, WireError> {
 /// See [`decode`].
 #[inline]
 pub fn decode_ctl(frame: &[u8]) -> Result<(u8, LinkCtl), WireError> {
-    decode_kind(frame, KIND_CTL, |r, slot| Ok((slot, get_ctl(r)?)))
+    decode_kind(frame, KIND_CTL, |r, flags| {
+        Ok((ctl_slot(flags)?, get_ctl(r)?))
+    })
+}
+
+/// A link-control frame's service slot, its header's flags byte: one of
+/// the [`SERVICE_SLOTS`] a link multiplexes, or a [`WireError::BadTag`].
+#[inline]
+fn ctl_slot(flags: u8) -> Result<u8, WireError> {
+    if usize::from(flags) < SERVICE_SLOTS {
+        Ok(flags)
+    } else {
+        Err(WireError::BadTag {
+            what: "ctl slot",
+            tag: flags,
+        })
+    }
 }
 
 /// [`decode_data`] for a control frame, with [`decode_reusing`]'s hint.
@@ -1192,45 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_frames_round_trip_at_charged_size() {
-        use son_netsim::process::SimMessage as _;
-        let members = vec![
-            MemberInfo {
-                node: NodeId(4),
-                incarnation: 2,
-                status: MemberStatus::Up,
-            },
-            MemberInfo {
-                node: NodeId(9),
-                incarnation: 0,
-                status: MemberStatus::Left,
-            },
-        ];
-        for w in [
-            Wire::Control(Control::Join {
-                node: NodeId(7),
-                incarnation: 3,
-            }),
-            Wire::Control(Control::Leave {
-                node: NodeId(7),
-                incarnation: 3,
-            }),
-            Wire::Control(Control::JoinAck {
-                members: members.clone(),
-            }),
-            Wire::Control(Control::MembershipUpdate {
-                origin: NodeId(1),
-                seq: 11,
-                members,
-            }),
-        ] {
-            let bytes = encode(&w).unwrap();
-            assert_eq!(bytes.len(), w.wire_size(), "charged size for {w:?}");
-            assert_eq!(decode(&bytes).unwrap(), w);
-        }
-    }
-
-    #[test]
     fn rejects_unknown_member_status() {
         let w = Wire::Control(Control::JoinAck {
             members: vec![MemberInfo {
@@ -1248,6 +1231,31 @@ mod tests {
                 tag: 9
             })
         );
+    }
+
+    /// A link-control frame names one of the seven service slots; any
+    /// other slot byte is refused by both decoders, before the body.
+    #[test]
+    fn rejects_a_ctl_slot_no_service_has() {
+        let ctl = LinkCtl::ReliableNack { missing: vec![3] };
+        for slot in 0..=u8::MAX {
+            let bytes = encode(&Wire::Ctl {
+                slot,
+                ctl: ctl.clone(),
+            })
+            .unwrap();
+            if usize::from(slot) < SERVICE_SLOTS {
+                assert_eq!(decode_ctl(&bytes), Ok((slot, ctl.clone())));
+                assert!(decode(&bytes).is_ok());
+            } else {
+                let refused = WireError::BadTag {
+                    what: "ctl slot",
+                    tag: slot,
+                };
+                assert_eq!(decode_ctl(&bytes), Err(refused.clone()));
+                assert_eq!(decode(&bytes), Err(refused));
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Wire-codec round-trip properties: `decode(encode(w)) == w` for every
 //! link-protocol frame and control packet the overlay can put on a link,
-//! plus byte-exact size assertions where the charged cost model documents
-//! a concrete figure (24-byte hello/receipt frames, 10-byte trace context,
-//! 32-byte source-route mask, the FEC repair formula).
+//! plus byte-exact sizes for every frame kind (24-byte hello/receipt
+//! frames, 10-byte trace context, 32-byte source-route mask, a formula per
+//! kind) and the check that a simulated pipe counts exactly those bytes.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -16,7 +16,7 @@ use son_obs::trace::{TraceContext, TRACE_CONTEXT_BYTES};
 use son_overlay::addr::{DestKey, FlowKey, GroupId, OverlayAddr};
 use son_overlay::packet::{
     Adverts, Control, DataPacket, GroupUpdate, LinkAdvert, LinkCtl, Lsa, MemberInfo, MemberStatus,
-    Wire, DATA_HEADER_BYTES, MASK_BYTES,
+    Wire, MASK_BYTES,
 };
 use son_overlay::service::{
     FecParams, FlowSpec, LinkService, Priority, RealtimeParams, RoutingService, SourceRoute,
@@ -476,11 +476,10 @@ fn base_packet() -> DataPacket {
     }
 }
 
-/// Hello, HelloAck, and WatchReceipt frames are exactly the 24 bytes the
-/// cost model charges for them: 8-byte header + two `u64` fields.
+/// Hello, HelloAck, and WatchReceipt frames are exactly 24 bytes: the
+/// 8-byte header + two `u64` fields.
 #[test]
-fn fixed_control_frames_match_charged_size() {
-    use son_netsim::process::SimMessage;
+fn fixed_control_frames_are_24_bytes() {
     for c in [
         Control::Hello {
             seq: 1,
@@ -498,18 +497,16 @@ fn fixed_control_frames_match_charged_size() {
         let w = Wire::Control(c);
         let bytes = encode(&w).unwrap();
         assert_eq!(bytes.len(), 24, "{w:?}");
-        assert_eq!(bytes.len(), w.wire_size(), "{w:?}");
         assert_eq!(bytes.len(), FRAME_HEADER_BYTES + 16);
     }
 }
 
-/// Membership frames encode to exactly the bytes the cost model charges
+/// Membership frames encode to a fixed size plus 13 bytes per member
 /// (frame header included, matching the Hello convention): Join/Leave are
 /// 20 bytes (8-byte header + node + incarnation), JoinAck and
 /// MembershipUpdate scale linearly at 13 bytes per member entry.
 #[test]
-fn membership_frames_match_charged_size_exactly() {
-    use son_netsim::process::SimMessage;
+fn membership_frames_are_13_bytes_per_member() {
     let members = |n: usize| -> Vec<MemberInfo> {
         (0..n)
             .map(|i| MemberInfo {
@@ -567,7 +564,6 @@ fn membership_frames_match_charged_size_exactly() {
         let w = Wire::Control(c);
         let bytes = encode(&w).unwrap();
         assert_eq!(bytes.len(), total, "{w:?}");
-        assert_eq!(bytes.len(), w.wire_size(), "{w:?}");
         assert!(bytes.len() > FRAME_HEADER_BYTES);
         assert!(round_trips(&w));
     }
@@ -604,63 +600,68 @@ fn spec_bytes(spec: &FlowSpec) -> usize {
     routing + link + 1 + if spec.deadline.is_some() { 9 } else { 1 } + 1
 }
 
-/// The bytes `encode` writes for each kind of link frame, against what the
-/// pipes charge for it (`SimMessage::wire_size`). Hello, HelloAck,
-/// WatchReceipt and the membership frames charge exactly their bytes. The
-/// other kinds are charged the cost model's figure, which leaves out or
-/// rounds parts of the frame; the difference is pinned here kind by kind,
-/// so a layout change shows up, and so does a change of a charge (which
-/// would move `pipe.bytes`, link timing and every fingerprint).
+/// What one simulated hop of `frame` adds to the simulator's `pipe.bytes`.
+fn pipe_bytes_of_one_hop(frame: &Wire) -> u64 {
+    let mut sim: Simulation<Wire> = Simulation::new(1);
+    let rx = sim.add_process(Receiver { got: Vec::new() });
+    let frames = vec![frame.clone()];
+    let tx = sim.add_process(Sender {
+        out: PipeId(0),
+        frames,
+    });
+    sim.pipe(
+        tx,
+        rx,
+        PipeConfig::with_latency(SimDuration::from_millis(1)),
+    );
+    sim.run_until_idle();
+    assert_eq!(sim.proc_ref::<Receiver>(rx).unwrap().got.len(), 1);
+    sim.counters().get("pipe.bytes")
+}
+
+/// The bytes `encode` writes for each kind of link frame, pinned kind by
+/// kind so a layout change shows up, and what a simulated pipe counts for
+/// it: one hop of any frame adds exactly its encoded length to
+/// `pipe.bytes`, as son-node counts the frame it sends.
 #[test]
-fn every_link_frame_kind_pins_its_bytes_against_its_charge() {
-    use son_netsim::process::SimMessage;
-    let mut rng = TestRng::for_case("every_link_frame_kind_pins_its_bytes", 0);
+fn one_sim_hop_of_each_frame_kind_counts_its_encoded_bytes() {
+    let mut rng = TestRng::for_case("one_sim_hop_of_each_frame_kind", 0);
+    let members = |m: &[MemberInfo]| 13 * m.len();
     for _ in 0..64 {
+        let mut frames = Vec::new();
         for kind in 0..CONTROL_KINDS {
-            let w = Wire::Control(gen_control_of(&mut rng, kind));
-            let (bytes, charged) = (encode(&w).unwrap().len(), w.wire_size());
-            let Wire::Control(c) = &w else { unreachable!() };
-            let (want_bytes, want_charged) = match c {
-                Control::Lsa(lsa) => (22 + 21 * lsa.links.len(), 16 + 13 * lsa.links.len()),
-                Control::GroupUpdate(gu) => (22 + 4 * gu.groups.len(), 16 + 4 * gu.groups.len()),
-                _ => (charged, charged),
+            let c = gen_control_of(&mut rng, kind);
+            let want = match &c {
+                Control::Hello { .. } | Control::HelloAck { .. } | Control::WatchReceipt { .. } => {
+                    24
+                }
+                Control::Lsa(lsa) => 22 + 21 * lsa.links.len(),
+                Control::GroupUpdate(gu) => 22 + 4 * gu.groups.len(),
+                Control::Join { .. } | Control::Leave { .. } => 20,
+                Control::JoinAck { members: m } => 10 + members(m),
+                Control::MembershipUpdate { members: m, .. } => 22 + members(m),
             };
-            assert_eq!((bytes, charged), (want_bytes, want_charged), "{w:?}");
+            frames.push((Wire::Control(c), want));
         }
         for kind in 0..CTL_KINDS {
-            let w = Wire::Ctl {
-                slot: 1,
-                ctl: gen_ctl_of(&mut rng, kind),
-            };
-            let (bytes, charged) = (encode(&w).unwrap().len(), w.wire_size());
-            let Wire::Ctl { ctl, .. } = &w else {
-                unreachable!()
-            };
-            // Frame header and the ctl tag byte come first, as the charge's
-            // leading 1 + 8 would have them, but the charges' fixed parts
-            // are rounded up.
-            let (want_bytes, want_charged) = match ctl {
-                LinkCtl::ReliableAck { selective, .. } => {
-                    (21 + 8 * selective.len(), 25 + 8 * selective.len())
-                }
-                LinkCtl::ReliableNack { missing } => {
-                    (13 + 8 * missing.len(), 17 + 8 * missing.len())
-                }
-                LinkCtl::RtRequest { seqs, .. } => (14 + 8 * seqs.len(), 18 + 8 * seqs.len()),
-                LinkCtl::Credit { flow, .. } => (17 + flow_key_bytes(flow), 37),
-                LinkCtl::FecRepair { covered, .. } => (
+            let ctl = gen_ctl_of(&mut rng, kind);
+            // Frame header, then the ctl tag byte.
+            let want = match &ctl {
+                LinkCtl::ReliableAck { selective, .. } => 21 + 8 * selective.len(),
+                LinkCtl::ReliableNack { missing } => 13 + 8 * missing.len(),
+                LinkCtl::RtRequest { seqs, .. } => 14 + 8 * seqs.len(),
+                LinkCtl::Credit { flow, .. } => 17 + flow_key_bytes(flow),
+                LinkCtl::FecRepair { covered, .. } => {
                     20 + covered
                         .iter()
                         .map(|p| {
                             1 + encode(&Wire::Data(p.clone())).unwrap().len() - FRAME_HEADER_BYTES
                         })
-                        .sum::<usize>(),
-                    1 + 16
-                        + covered.iter().map(DataPacket::wire_size).max().unwrap_or(0)
-                        + DATA_HEADER_BYTES * covered.len(),
-                ),
+                        .sum::<usize>()
+                }
             };
-            assert_eq!((bytes, charged), (want_bytes, want_charged), "{w:?}");
+            let slot = rng.gen_range(0u8..7);
+            frames.push((Wire::Ctl { slot, ctl }, want));
         }
         for bits in 0u8..16 {
             let segments = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
@@ -669,23 +670,15 @@ fn every_link_frame_kind_pins_its_bytes_against_its_charge() {
                 // A real payload: the packet's size is its bytes.
                 p.size = p.payload.len();
             }
-            let w = Wire::Data(p);
-            let (bytes, charged) = (encode(&w).unwrap().len(), w.wire_size());
-            let Wire::Data(p) = &w else { unreachable!() };
-            let (mask, resolved, trace) = (
-                p.mask.is_some(),
-                p.resolved_dst.is_some(),
-                p.trace.is_some(),
-            );
             // Header, flow key, flow seq, origin, spec, segments, link seq,
             // created-at, size, payload length, payload, ttl, auth tag.
-            let want_bytes = FRAME_HEADER_BYTES
+            let want = FRAME_HEADER_BYTES
                 + flow_key_bytes(&p.flow)
                 + 8
                 + 4
                 + spec_bytes(&p.spec)
-                + usize::from(mask) * MASK_BYTES
-                + usize::from(resolved) * 4
+                + usize::from(p.mask.is_some()) * MASK_BYTES
+                + usize::from(p.resolved_dst.is_some()) * 4
                 + 8
                 + 8
                 + 4
@@ -693,19 +686,20 @@ fn every_link_frame_kind_pins_its_bytes_against_its_charge() {
                 + p.payload.len()
                 + 1
                 + 8
-                + usize::from(trace) * TRACE_CONTEXT_BYTES;
-            let want_charged = DATA_HEADER_BYTES
-                + usize::from(mask) * MASK_BYTES
-                + usize::from(trace) * TRACE_CONTEXT_BYTES
-                + p.size;
-            assert_eq!((bytes, charged), (want_bytes, want_charged), "{w:?}");
+                + usize::from(p.trace.is_some()) * TRACE_CONTEXT_BYTES;
+            frames.push((Wire::Data(p), want));
+        }
+        for (w, want) in frames {
+            let bytes = encode(&w).unwrap().len();
+            assert_eq!(bytes, want, "{w:?}");
+            assert_eq!(pipe_bytes_of_one_hop(&w), bytes as u64, "{w:?}");
         }
     }
 }
 
 /// A present trace context costs exactly `TRACE_CONTEXT_BYTES` (10) on the
 /// wire — the flag-bit-signalled id + widened hop — and an absent one
-/// costs nothing, matching what the accounting model charges.
+/// costs nothing.
 #[test]
 fn trace_segment_costs_exactly_its_documented_bytes() {
     let without = encode(&Wire::Data(base_packet())).unwrap();
@@ -716,10 +710,10 @@ fn trace_segment_costs_exactly_its_documented_bytes() {
     assert_eq!(TRACE_CONTEXT_BYTES, 10);
 }
 
-/// A present source-route mask costs exactly its 32 charged bytes (4 LE
-/// words for 256 edge bits); absence costs nothing.
+/// A present source-route mask costs exactly 32 bytes (4 LE words for 256
+/// edge bits); absence costs nothing.
 #[test]
-fn mask_segment_costs_exactly_its_charged_bytes() {
+fn mask_segment_costs_exactly_32_bytes() {
     let without = encode(&Wire::Data(base_packet())).unwrap();
     let mut masked = base_packet();
     masked.mask = Some(EdgeMask::from_edges([EdgeId(0), EdgeId(63), EdgeId(255)]));
@@ -745,33 +739,6 @@ fn mask_words_round_trip_at_the_word_edges() {
     assert_eq!(back.mask.unwrap().iter().collect::<Vec<_>>(), edges);
     assert_eq!(mask.words(), [1 | 1 << 63, 1, 0, 1 << 63]);
     assert_eq!(EdgeMask::from_words(mask.words()), mask);
-}
-
-/// The FEC repair cost model: 16 bytes of repair header, one max-size
-/// covered packet (the repair symbol), plus one data header per covered
-/// packet — and the encoded frame round-trips.
-#[test]
-fn fec_repair_matches_documented_formula_and_round_trips() {
-    let covered: Vec<DataPacket> = (0..3)
-        .map(|i| {
-            let mut p = base_packet();
-            p.link_seq = i;
-            p.size = 100 + 50 * i as usize;
-            p
-        })
-        .collect();
-    let max = covered.iter().map(DataPacket::wire_size).max().unwrap();
-    let repair = LinkCtl::FecRepair {
-        block_start: 0,
-        index: 0,
-        covered,
-    };
-    assert_eq!(repair.wire_size(), 16 + max + DATA_HEADER_BYTES * 3);
-    let w = Wire::Ctl {
-        slot: 6,
-        ctl: repair,
-    };
-    assert!(round_trips(&w));
 }
 
 /// Payload bytes survive the codec verbatim.

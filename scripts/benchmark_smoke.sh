@@ -18,9 +18,9 @@ cd "$(dirname "$0")/.."
 # commit of its own that says so. udp_chain3 has none: its daemons run
 # against the wall clock.
 declare -A fingerprint=(
-    [sim_fwd_churn]=0xb0474f369e0e8593
-    [sim_recovery_mix]=0xf3b66784daf56c03
-    [sim_scale_512]=0xc210f500b5102dc1
+    [sim_fwd_churn]=0xe45bd9ee91e4460f
+    [sim_recovery_mix]=0x36b9e1837e0945f8
+    [sim_scale_512]=0xa6df514dce10517c
 )
 
 # Peak resident MB of a quick run. The 512-node cold start: a daemon shares
@@ -44,14 +44,18 @@ declare -A rss_ceiling_mb=(
 
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# The last line is the driver's JSON object; everything is echoed to stderr.
+# The last line is the driver's JSON object; everything is echoed to stderr
+# through the descriptor this script has (`tee /dev/stderr` would reopen a
+# redirected log and truncate it at every workload).
 for workload in sim_fwd_churn sim_recovery_mix sim_scale_512 udp_chain3; do
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seconds 2 --quick \
-        | tee /dev/stderr | tail -n 1 | grep -q '"failed":0[,}]' || {
+    status=0
+    out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --quick) || status=$?
+    printf '%s\n' "$out" >&2
+    if [ "$status" -ne 0 ] || ! tail -n 1 <<<"$out" | grep -q '"failed":0[,}]'; then
         echo "ERROR: benchmark $workload --quick failed a check or an operation" >&2
         exit 1
-    }
+    fi
     [ -n "${fingerprint[$workload]:-}" ] || continue
     # The run just appended its record to benchmark/out/runs.jsonl.
     got=$(tail -n 1 benchmark/out/runs.jsonl | python3 -c \

@@ -196,21 +196,28 @@ fn full_deployment_is_deterministic() {
 }
 
 /// §II-D: a cluster of parallel overlays splits the client population; both
-/// shards carry their assigned flows independently.
+/// instances carry their assigned flows independently. Each instance is its
+/// own deployment of the topology in one simulation, with its own daemons,
+/// pipes and key domain.
 #[test]
 fn parallel_overlays_share_the_load() {
-    use son_overlay::builder::{chain_topology, ShardedOverlay};
+    use son_overlay::builder::{chain_topology, MASTER_SECRET};
     use son_overlay::client::Workload;
 
     let topo = chain_topology(3, 10.0);
     let mut sim: Simulation<Wire> = Simulation::new(74);
-    let cluster = ShardedOverlay::build(&topo, 2, &son_overlay::NodeConfig::default(), &mut sim);
-    assert_eq!(cluster.len(), 2);
+    let cluster: Vec<_> = (0..2u64)
+        .map(|i| {
+            OverlayBuilder::new(topo.clone())
+                .master_secret(MASTER_SECRET ^ (i << 32))
+                .build(&mut sim)
+        })
+        .collect();
 
-    // Eight senders, each assigned to a shard by stable hash.
+    // Eight senders, split across the instances by port.
     let mut rxs = Vec::new();
     for port in 0..8u16 {
-        let shard = cluster.shard_for(NodeId(0), 50 + port);
+        let shard = &cluster[usize::from(port % 2)];
         let rx = sim.add_process(ClientProcess::new(ClientConfig {
             daemon: shard.daemon(NodeId(2)),
             port: 70 + port,
@@ -248,7 +255,6 @@ fn parallel_overlays_share_the_load() {
     }
     // Both shards actually carried traffic (the hash split the population).
     let carried: Vec<u64> = cluster
-        .shards
         .iter()
         .map(|s| {
             s.daemons
