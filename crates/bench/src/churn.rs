@@ -115,9 +115,6 @@ pub struct ChurnRun {
     /// Chord spacing of the ring topology (smaller = denser; the heavy
     /// permanent-leave tests use 1 so the survivor graph stays connected).
     pub chord_every: usize,
-    /// Event-engine shards (1 = sequential; >1 runs the conservative
-    /// parallel core, bit-identical to sequential).
-    pub shards: usize,
 }
 
 /// The experiment's campaign matrix: named patterns over churnable
@@ -183,7 +180,6 @@ impl ChurnRun {
             interval: SimDuration::from_millis(10),
             flows: 4,
             chord_every: 4,
-            shards: 1,
         }
     }
 
@@ -191,13 +187,6 @@ impl ChurnRun {
     #[must_use]
     pub fn without_membership(mut self) -> Self {
         self.membership = false;
-        self
-    }
-
-    /// Runs the campaign on the sharded event engine.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -322,7 +311,6 @@ impl ChurnRun {
                 },
             );
         }
-        fleet.shards(self.shards);
 
         let probe = NodeId(self.protected()[0]);
         let mut expected_up = vec![true; n];

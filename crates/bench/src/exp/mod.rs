@@ -31,8 +31,6 @@ pub struct Opts {
     pub smoke: bool,
     /// `--full`: the extended sweep (`scale` adds N = 4096).
     pub full: bool,
-    /// `--shards K`: event-engine shards.
-    pub shards: Option<usize>,
     /// `--out PATH`: where the `BENCH_*.json` rows go instead of the
     /// committed file.
     pub out: Option<String>,
@@ -135,7 +133,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "throughput",
         title: "E14 (data-plane fast path)",
-        claim: "forwarding stays hot under churn; tracing, profiling and sharding are priced on the same workload",
+        claim: "forwarding stays hot under churn; tracing and profiling are priced on the same workload",
         run: throughput::run,
     },
     Experiment {
@@ -169,7 +167,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
 ];
 
 const USAGE: &str = "usage: son-exp --list
-       son-exp [--smoke] [--full] [--shards K] [--out PATH] <name>... | all";
+       son-exp [--smoke] [--full] [--out PATH] <name>... | all";
 
 /// The `son-exp` command line (`args` without the program name).
 ///
@@ -193,10 +191,6 @@ pub fn main(args: &[String]) -> Result<(), String> {
             }
             "--smoke" => opts.smoke = true,
             "--full" => opts.full = true,
-            "--shards" => {
-                let k = args.next().and_then(|k| k.parse().ok());
-                opts.shards = Some(k.ok_or("--shards needs a shard count")?);
-            }
             "--out" => opts.out = Some(args.next().ok_or("--out needs a path")?.clone()),
             "all" => names.extend(EXPERIMENTS.iter().map(|e| e.name)),
             name if EXPERIMENTS.iter().any(|e| e.name == name) => names.push(name),
@@ -235,8 +229,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("no EXPERIMENTS.md heading names {named}"));
             sections.push(heading.split(' ').nth(1).unwrap());
         }
-        // E17 (`--shards K`) and E19 (`son-top`) are a flag and a tool: every
-        // other section of E1..=E20 is an experiment of the index.
+        // E17 is retired with the sharded engine it measured, and E19
+        // (`son-top`) is a tool: every other section of E1..=E20 is an
+        // experiment of the index.
         for n in (1..=20).filter(|n| ![17, 19].contains(n)) {
             assert!(sections.contains(&format!("E{n}").as_str()), "E{n}");
         }

@@ -21,7 +21,7 @@
 use son_obs::{perf_rows, Json};
 
 use super::Opts;
-use crate::scale::{run_scale_sharded, ScaleResult, SCALE_FLOWS, SCALE_SEED};
+use crate::scale::{run_scale, ScaleResult, SCALE_FLOWS, SCALE_SEED};
 use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
 
 /// Virtual-time horizon per run: long enough for convergence, the mid-run
@@ -49,11 +49,8 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         .map(|(label, b)| (label.to_owned(), Json::F64(b)))
         .collect();
     let (reroute_p50_ns, reroute_p99_ns) = reroute_ns(r);
-    let loads = &r.shard_stats.loads;
-    let per_shard = |count: fn(&son_netsim::shard::ShardLoad) -> u64| {
-        Json::Arr(loads.iter().map(|l| Json::U64(count(l))).collect())
-    };
-    let mut fields = vec![
+    let allocs = r.allocs as f64 / r.delivered.max(1) as f64;
+    Json::obj(vec![
         ("bench", Json::str("exp_scale")),
         ("mode", Json::str(mode)),
         ("n", Json::U64(r.n as u64)),
@@ -78,34 +75,18 @@ fn bench_row(r: &ScaleResult, mode: &str) -> Json {
         ("bytes_per_node_state", Json::F64(r.bytes_per_node_state())),
         ("reroute_p50_ns", Json::F64(reroute_p50_ns)),
         ("reroute_p99_ns", Json::F64(reroute_p99_ns)),
-        ("shards", Json::U64(r.shards as u64)),
-        ("shard_events", per_shard(|l| l.events)),
-        ("shard_cross_sends", per_shard(|l| l.sent_cross)),
-        (
-            "merge_stall_ms",
-            Json::F64(loads.iter().map(|l| l.stall_ns as f64).sum::<f64>() / 1e6),
-        ),
         ("queue_live", Json::U64(r.queue_stats.live as u64)),
         (
             "queue_tombstones_peak",
             Json::U64(r.queue_stats.tombstones_peak as u64),
         ),
         ("queue_compactions", Json::U64(r.queue_stats.compactions)),
-    ];
-    // Shard workers allocate on threads of their own, uncounted.
-    if r.shards == 1 {
-        let allocs = r.allocs as f64 / r.delivered.max(1) as f64;
-        fields.push(("allocs_per_delivered_pkt", Json::F64(allocs)));
-    }
-    Json::obj(fields)
+        ("allocs_per_delivered_pkt", Json::F64(allocs)),
+    ])
 }
 
 pub fn run(opts: &Opts) {
     let (smoke, full) = (opts.smoke, opts.full);
-    let shards = opts.shards.unwrap_or(1);
-    if shards > 1 {
-        println!("event engine: {shards} shards (bit-identical to sequential)");
-    }
 
     let sizes: &[usize] = if smoke {
         &[64, 256]
@@ -136,7 +117,7 @@ pub fn run(opts: &Opts) {
     ]);
     let mut results: Vec<ScaleResult> = Vec::new();
     for &n in sizes {
-        let r = run_scale_sharded(n, SIM_SECONDS, shards);
+        let r = run_scale(n, SIM_SECONDS);
         let (reroute_p50_ns, reroute_p99_ns) = reroute_ns(&r);
         // The frame mix, in percent of everything handed to a link.
         let share = |frames: u64| f(100.0 * frames as f64 / r.pipe_sent.max(1) as f64, 1);

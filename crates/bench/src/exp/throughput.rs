@@ -5,8 +5,7 @@
 //! **Forwarding throughput under churn** — multi-flow CBR over the 12-city
 //! continental overlay while links flap every couple of seconds, reported
 //! as simulated packets forwarded per wall-clock second, then re-run with
-//! tracing + telemetry, with the profiler, and on the sharded engine. The
-//! rows go to `BENCH_forwarding.json` (`--out` overrides the path) so the
+//! tracing + telemetry and with the profiler. The rows go to `BENCH_forwarding.json` (`--out` overrides the path) so the
 //! perf trajectory is tracked in-repo.
 //!
 //! `--smoke` shrinks the run to a few seconds for CI.
@@ -30,6 +29,8 @@ struct ThroughputResult {
     forwarded: u64,
     delivered: u64,
     reroutes: u64,
+    /// What the tests pin the run to.
+    #[cfg(test)]
     fingerprint: u64,
     /// Heap allocations on this thread during the run.
     allocs: u64,
@@ -60,7 +61,6 @@ fn throughput_under_churn(
     smoke: bool,
     trace_sample: u32,
     perf: bool,
-    shards: usize,
     telemetry: bool,
 ) -> (ThroughputResult, son_obs::Registry) {
     let sc = continental_us(DEFAULT_CONVERGENCE);
@@ -100,7 +100,6 @@ fn throughput_under_churn(
             },
         );
     }
-    fleet.shards(shards);
     // Churn: flap one overlay link per two-second window (down one second,
     // back up the next), cycling over the topology's edges.
     let edges: Vec<EdgeId> = topo.edges().collect();
@@ -141,6 +140,7 @@ fn throughput_under_churn(
         forwarded: fleet.forwarded(),
         delivered: fleet.delivered(),
         reroutes: fleet.reroutes(),
+        #[cfg(test)]
         fingerprint: fleet.sim.fingerprint(),
         allocs,
     };
@@ -149,27 +149,25 @@ fn throughput_under_churn(
 
 pub fn run(opts: &Opts) {
     let smoke = opts.smoke;
-    let shards = opts.shards.unwrap_or(4);
 
     // The workload, then the same workload with 1-in-64 trace sampling,
     // the watchdog AND per-epoch telemetry emission on (so the ≤5% gate
-    // prices the whole observability stack), with the profiler on, and on
-    // the sharded engine. Each mode reports its best run: the sim is
+    // prices the whole observability stack), and with the profiler on.
+    // Each mode reports its best run: the sim is
     // deterministic (the counters are identical every time), so wall-clock
     // spread is scheduler noise and the minimum is the honest cost figure.
     // Iterations are interleaved (untraced, traced, untraced, ...) so a
     // load spike on the host degrades every mode instead of biasing one.
     println!("forwarding under churn (12-city overlay, CBR flows, links flapping):");
     let modes = [
-        (if smoke { "smoke" } else { "full" }, 0, false, 1, false),
-        ("traced", 64, false, 1, true),
-        ("perf", 0, true, 1, false),
-        ("sharded", 0, false, shards, false),
+        (if smoke { "smoke" } else { "full" }, 0, false, false),
+        ("traced", 64, false, true),
+        ("perf", 0, true, false),
     ];
-    let mut best: [Option<(ThroughputResult, son_obs::Registry)>; 4] = [None, None, None, None];
+    let mut best: [Option<(ThroughputResult, son_obs::Registry)>; 3] = [None, None, None];
     for _ in 0..if smoke { 16 } else { 3 } {
-        for (best, (_, trace_sample, perf, shards, telemetry)) in best.iter_mut().zip(modes) {
-            let run = throughput_under_churn(smoke, trace_sample, perf, shards, telemetry);
+        for (best, (_, trace_sample, perf, telemetry)) in best.iter_mut().zip(modes) {
+            let run = throughput_under_churn(smoke, trace_sample, perf, telemetry);
             if best
                 .as_ref()
                 .is_none_or(|b| run.0.wall_seconds < b.0.wall_seconds)
@@ -178,21 +176,8 @@ pub fn run(opts: &Opts) {
             }
         }
     }
-    let [(t, registry), (traced, _), (profiled, _), (sharded, _)] =
+    let [(t, registry), (traced, _), (profiled, _)] =
         best.map(|run| run.expect("at least one iteration"));
-    // The sharded engine must replay the sequential run bit for bit: same
-    // fingerprint, packets forwarded, delivered, and reroutes — only wall
-    // time may move.
-    assert_eq!(
-        (
-            sharded.fingerprint,
-            sharded.forwarded,
-            sharded.delivered,
-            sharded.reroutes
-        ),
-        (t.fingerprint, t.forwarded, t.delivered, t.reroutes),
-        "sharded run diverged from sequential"
-    );
     table_header(&[
         ("mode", 8),
         ("sim s", 8),
@@ -204,8 +189,8 @@ pub fn run(opts: &Opts) {
     ]);
     let host_par = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut bench = Vec::new();
-    let results = [&t, &traced, &profiled, &sharded];
-    for ((mode, trace_sample, _, shards, telemetry), r) in modes.into_iter().zip(results) {
+    let results = [&t, &traced, &profiled];
+    for ((mode, trace_sample, _, telemetry), r) in modes.into_iter().zip(results) {
         row(&[
             (mode.to_string(), 8),
             (f(r.sim_seconds, 1), 8),
@@ -215,12 +200,11 @@ pub fn run(opts: &Opts) {
             (r.reroutes.to_string(), 10),
             (f(r.pkts_per_wall_s(), 0), 16),
         ]);
-        let mut fields = vec![
+        bench.push(Json::obj(vec![
             ("bench", Json::str("exp_throughput")),
             ("mode", Json::str(mode)),
             ("trace_sample", Json::U64(u64::from(trace_sample))),
             ("telemetry", Json::Bool(telemetry)),
-            ("shards", Json::U64(shards as u64)),
             ("host_parallelism", Json::U64(host_par as u64)),
             ("sim_seconds", Json::F64(r.sim_seconds)),
             ("wall_seconds", Json::F64(r.wall_seconds)),
@@ -232,23 +216,11 @@ pub fn run(opts: &Opts) {
                 "speedup_vs_seq",
                 Json::F64(r.pkts_per_wall_s() / t.pkts_per_wall_s().max(1e-9)),
             ),
-        ];
-        // Shard workers allocate on threads of their own, uncounted.
-        if shards == 1 {
-            let allocs = Json::F64(r.allocs_per_delivered_pkt());
-            fields.push(("allocs_per_delivered_pkt", allocs));
-        }
-        if mode == "sharded" {
-            // The 1.8x-at-4-shards speedup gate is only meaningful on
-            // hosts that can actually run 4 shards in parallel; record
-            // the decision so the committed baseline says explicitly
-            // whether its sharded figure was gated or not.
-            fields.push((
-                "gate",
-                Json::str(if host_par >= 4 { "enforced" } else { "skipped" }),
-            ));
-        }
-        bench.push(Json::obj(fields));
+            (
+                "allocs_per_delivered_pkt",
+                Json::F64(r.allocs_per_delivered_pkt()),
+            ),
+        ]));
     }
     println!(
         "\ntracing overhead: {:.1}% (traced vs untraced pkts/wall s; budget: <= 5%)",
@@ -257,12 +229,6 @@ pub fn run(opts: &Opts) {
     println!(
         "profiler overhead: {:.1}% (perf vs untraced pkts/wall s; budget: <= 5%)",
         (1.0 - profiled.pkts_per_wall_s() / t.pkts_per_wall_s()) * 100.0
-    );
-    let cores = host_par;
-    println!(
-        "sharded ({shards} shards, {cores} cores): {:.2}x vs sequential, bit-identical replay \
-         (gate >= 1.8x at 4 shards applies only when the host has >= 4 cores)",
-        sharded.pkts_per_wall_s() / t.pkts_per_wall_s().max(1e-9)
     );
     write_bench(
         opts.out.as_deref().unwrap_or("BENCH_forwarding.json"),
@@ -287,15 +253,14 @@ mod tests {
         // counts as the committed smoke row of `BENCH_forwarding.json`);
         // the fingerprints were re-recorded when pipes began counting encoded
         // frame bytes (`pipe.bytes`).
-        // The profiler and the shard count must not move them; tracing
-        // changes what the daemons put on the wire.
-        for (trace_sample, perf, shards, telemetry, fingerprint) in [
-            (0, false, 1, false, 0x7a27_405a_6f4f_a179),
-            (0, true, 1, false, 0x7a27_405a_6f4f_a179),
-            (0, false, 4, false, 0x7a27_405a_6f4f_a179),
-            (64, false, 1, true, 0x19c3_b704_c65d_b9c9_u64),
+        // The profiler must not move them; tracing changes what the
+        // daemons put on the wire.
+        for (trace_sample, perf, telemetry, fingerprint) in [
+            (0, false, false, 0x7a27_405a_6f4f_a179),
+            (0, true, false, 0x7a27_405a_6f4f_a179),
+            (64, false, true, 0x19c3_b704_c65d_b9c9_u64),
         ] {
-            let (r, _) = throughput_under_churn(true, trace_sample, perf, shards, telemetry);
+            let (r, _) = throughput_under_churn(true, trace_sample, perf, telemetry);
             assert_eq!(r.fingerprint, fingerprint);
             assert_eq!((r.forwarded, r.delivered, r.reroutes), (8_729, 3_719, 180));
         }
@@ -306,7 +271,7 @@ mod tests {
         // The full run's eight flows are the shape of the benchmark's
         // `sim_fwd_churn`. It read 0.33 before receivers kept their seqs in
         // bitmaps and drained event-queue buckets lent their buffers on.
-        let (r, _) = throughput_under_churn(false, 0, false, 1, false);
+        let (r, _) = throughput_under_churn(false, 0, false, false);
         let per_pkt = r.allocs_per_delivered_pkt();
         assert!(
             per_pkt <= 0.5,

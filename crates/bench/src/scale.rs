@@ -23,7 +23,6 @@
 use std::time::Instant;
 
 use son_netsim::event::QueueStats;
-use son_netsim::shard::ShardStats;
 use son_netsim::time::{SimDuration, SimTime};
 use son_obs::{FootprintReport, PerfRegistry, PerfStageStats};
 use son_overlay::builder::OverlayBuilder;
@@ -66,11 +65,6 @@ pub fn scale_topology(n: usize, hop_ms: f64) -> Graph {
 pub struct ScaleResult {
     /// Overlay size.
     pub n: usize,
-    /// Event-engine shards the run used (1 = sequential).
-    pub shards: usize,
-    /// Per-shard load and merge-stall figures (zeros when sequential),
-    /// from the perf-off pass.
-    pub shard_stats: ShardStats,
     /// Event-queue occupancy and compaction counters (perf-off pass).
     pub queue_stats: QueueStats,
     /// Virtual-time horizon of the run.
@@ -102,8 +96,7 @@ pub struct ScaleResult {
     /// Every daemon's profiler plus the event loop's, absorbed into one
     /// fleet-wide view (from the perf-on pass).
     pub perf: PerfRegistry,
-    /// The simulator fingerprint (identical for both passes and for every
-    /// shard count).
+    /// The simulator fingerprint (identical for both passes).
     pub fingerprint: u64,
     /// Heap allocations on this thread during the perf-off run.
     pub allocs: u64,
@@ -158,11 +151,9 @@ impl ScaleResult {
 
 /// One deterministic run at size `n`: CBR flows crossing the overlay, one
 /// ring link cut at 1.5s and restored at 2.2s (forcing a fleet-wide
-/// reroute wave), horizon `sim_seconds`. With `shards > 1` the event
-/// engine runs the conservative parallel core — bit-identical to
-/// sequential, so every figure except wall time matches `shards = 1`. A
-/// single pass reports its own wall time in both wall-clock fields.
-fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResult {
+/// reroute wave), horizon `sim_seconds`. A single pass reports its own
+/// wall time in both wall-clock fields.
+fn run_pass(n: usize, sim_seconds: u64, perf: bool) -> ScaleResult {
     let connectivity = ConnectivityConfig {
         rebuild_hold_down: SCALE_HOLD_DOWN,
         ..ConnectivityConfig::default()
@@ -197,7 +188,6 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
             },
         );
     }
-    fleet.shards(shards);
 
     // Cut one ring link mid-run and bring it back: every daemon sees the
     // failure LSA, rebuilds, then rebuilds again on recovery.
@@ -225,8 +215,6 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
     }
     ScaleResult {
         n,
-        shards: shards.max(1),
-        shard_stats: fleet.sim.shard_stats().clone(),
         queue_stats: fleet.sim.queue_stats(),
         sim_seconds: sim_seconds as f64,
         wall_seconds,
@@ -250,15 +238,8 @@ fn run_pass(n: usize, sim_seconds: u64, perf: bool, shards: usize) -> ScaleResul
 /// seed and event sequence.
 #[must_use]
 pub fn run_scale(n: usize, sim_seconds: u64) -> ScaleResult {
-    run_scale_sharded(n, sim_seconds, 1)
-}
-
-/// [`run_scale`] on the sharded engine. The event sequence — and thus
-/// every figure but wall time — is bit-identical to `shards = 1`.
-#[must_use]
-pub fn run_scale_sharded(n: usize, sim_seconds: u64, shards: usize) -> ScaleResult {
-    let base = run_pass(n, sim_seconds, false, shards);
-    let profiled = run_pass(n, sim_seconds, true, shards);
+    let base = run_pass(n, sim_seconds, false);
+    let profiled = run_pass(n, sim_seconds, true);
     debug_assert_eq!(
         base.fingerprint, profiled.fingerprint,
         "profiler must not perturb the simulation"
@@ -301,7 +282,7 @@ mod tests {
         assert!(stage.count > 0);
         assert!(stage.total_p50_ns > 0.0);
         // The profiled pass must replay the identical event sequence.
-        assert_eq!(r.forwarded, run_pass(16, 3, true, 1).forwarded);
+        assert_eq!(r.forwarded, run_pass(16, 3, true).forwarded);
     }
 
     #[test]
@@ -313,22 +294,6 @@ mod tests {
         let r = run_scale(64, 3);
         assert_eq!(r.fingerprint, 0x8f29_db3c_3c9a_022c);
         assert_eq!((r.forwarded, r.delivered, r.reroutes), (88_848, 9_366, 132));
-    }
-
-    #[test]
-    fn sharded_scale_run_matches_sequential() {
-        let seq = run_scale(16, 3);
-        let par = run_scale_sharded(16, 3, 4);
-        assert_eq!(par.shards, 4);
-        assert_eq!(seq.forwarded, par.forwarded);
-        assert_eq!(seq.delivered, par.delivered);
-        assert_eq!(seq.reroutes, par.reroutes);
-        assert_eq!(par.shard_stats.loads.len(), 4);
-        assert!(par.shard_stats.windows > 0);
-        assert!(
-            par.shard_stats.loads.iter().map(|l| l.events).sum::<u64>() > 0,
-            "per-shard event counts recorded"
-        );
     }
 
     #[test]
@@ -346,30 +311,27 @@ mod tests {
 
     /// A flood leaves one copy of each LSA in the process: after cold-start
     /// convergence every daemon's entry for an origin is the origin's own
-    /// allocation, on one event-engine thread or several.
+    /// allocation.
     #[test]
     fn fleet_shares_one_allocation_per_lsa() {
         const N: usize = 64;
-        for shards in [1, 2] {
-            let mut fleet = Fleet::new(
-                SCALE_SEED,
-                None,
-                OverlayBuilder::new(scale_topology(N, 10.0)),
-            );
-            fleet.shards(shards);
-            fleet.run(SimTime::from_secs(2));
-            for origin in (0..N).map(NodeId) {
-                let own = fleet.node(origin).connectivity().adverts_of(origin);
-                let own = own.expect("a daemon always holds its own adverts");
-                for node in fleet.nodes() {
-                    let held = node.connectivity().adverts_of(origin);
-                    assert!(
-                        held.is_some_and(|held| Adverts::ptr_eq(held, own)),
-                        "a daemon holds its own copy of {origin}'s LSA ({shards} shards)"
-                    );
-                }
-                assert_eq!(own.holders(), N, "and nobody else does");
+        let mut fleet = Fleet::new(
+            SCALE_SEED,
+            None,
+            OverlayBuilder::new(scale_topology(N, 10.0)),
+        );
+        fleet.run(SimTime::from_secs(2));
+        for origin in (0..N).map(NodeId) {
+            let own = fleet.node(origin).connectivity().adverts_of(origin);
+            let own = own.expect("a daemon always holds its own adverts");
+            for node in fleet.nodes() {
+                let held = node.connectivity().adverts_of(origin);
+                assert!(
+                    held.is_some_and(|held| Adverts::ptr_eq(held, own)),
+                    "a daemon holds its own copy of {origin}'s LSA"
+                );
             }
+            assert_eq!(own.holders(), N, "and nobody else does");
         }
     }
 }

@@ -60,9 +60,6 @@ pub struct WatchdogRun {
     pub count: u64,
     /// CBR packet interval.
     pub interval: SimDuration,
-    /// Event-engine shards (1 = sequential; >1 runs the conservative
-    /// parallel core, bit-identical to sequential).
-    pub shards: usize,
 }
 
 impl WatchdogRun {
@@ -78,7 +75,6 @@ impl WatchdogRun {
             deadline: SimDuration::from_millis(250),
             count: 2500,
             interval: SimDuration::from_millis(10),
-            shards: 1,
         }
     }
 
@@ -86,13 +82,6 @@ impl WatchdogRun {
     #[must_use]
     pub fn with_watch(mut self) -> Self {
         self.watch = true;
-        self
-    }
-
-    /// Runs the campaign on the sharded event engine.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -138,7 +127,6 @@ impl WatchdogRun {
                 start: SimTime::from_millis(500),
             },
         );
-        fleet.shards(self.shards);
 
         // Apply the campaign's compromise windows on a fine cadence: the
         // simulator has no notion of overlay adversaries, so the harness

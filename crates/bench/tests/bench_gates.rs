@@ -66,7 +66,7 @@ fn healthy(test: &str) -> PathBuf {
         std::fs::write(dir.join(fresh), &text).unwrap();
     }
     let pps = number(&dir, "fwd.json", &[TP, ("mode", "smoke")], PPS);
-    for mode in ["traced", "perf", "sharded"] {
+    for mode in ["traced", "perf"] {
         doctor(
             &dir,
             "fwd.json",
@@ -122,30 +122,20 @@ fn assert_sole_failure(dir: &Path, names: &[&str]) {
 #[test]
 fn every_gate_of_the_script_holds_on_the_committed_files() {
     let results = run_script_gates(&healthy("holds"));
-    assert_eq!(results.len(), 10, "one gate line per check");
+    assert_eq!(results.len(), 8, "one gate line per check");
     for r in &results {
         assert!(r.is_ok(), "{r:?}");
     }
-    // The committed sharded rows were written on a 2-core host.
-    let skipped = results.iter().flatten().filter(|l| l.starts_with("SKIP"));
-    assert_eq!(skipped.count(), 1);
 }
 
 #[test]
 fn each_gate_fails_by_name_just_past_its_bound() {
-    let (smoke, sharded) = (("mode", "smoke"), ("mode", "sharded"));
+    let smoke = ("mode", "smoke");
     let (n256, n1024) = (("n", "256"), ("n", "1024"));
     let dir = healthy("fails");
     let pps = number(&dir, "fwd.json", &[TP, smoke], PPS);
     let mem256 = number(&dir, "scale.json", &[SC, n256], MEM);
     let mem64 = number(&dir, "scale.json", &[SC, ("n", "64")], MEM);
-    let drop_gate = |fields: &mut Fields| fields.retain(|(k, _)| k != "gate");
-    let enforced = |speedup: f64| {
-        move |fields: &mut Fields| {
-            set("gate", Json::str("enforced"))(fields);
-            set("speedup_vs_seq", Json::F64(speedup))(fields);
-        }
-    };
     // Doctors one row of one file of a healthy set; exactly one gate must
     // then fail, naming `names`.
     let fails = |file: &str, row: (&str, &str), edit: &dyn Fn(&mut Fields), names: &[&str]| {
@@ -167,11 +157,6 @@ fn each_gate_fails_by_name_just_past_its_bound() {
     // Tracing, then profiling, 6% under the in-run plain figure.
     fails(fwd, ("mode", "traced"), &pace(0.94), &["mode=traced"]);
     fails(fwd, ("mode", "perf"), &pace(0.94), &["mode=perf"]);
-    // A sharded row without its "gate" decision, fresh or committed; an
-    // enforced one under 1.8x.
-    fails(fwd, sharded, &drop_gate, &["mode=sharded", "\"gate\""]);
-    fails(base_fwd, sharded, &drop_gate, &[base_fwd, "\"gate\""]);
-    fails(fwd, sharded, &enforced(1.79), &["speedup_vs_seq = 1.79"]);
     // Fresh n=256 memory 11% over the committed row, and reroutes one past
     // 10 per node; the committed n=1024 past 8.03x the n=64 row, and past
     // the rebuild-storm cap; the committed n=4096 one byte over budget.
@@ -197,11 +182,6 @@ fn each_gate_fails_by_name_just_past_its_bound() {
     let kept: String = kept.map(|l| format!("{l}\n")).collect();
     std::fs::write(dir.join("BENCH_forwarding.json"), kept).unwrap();
     assert_sole_failure(&dir, &["BENCH_forwarding.json", "no row", "mode=smoke"]);
-
-    // At the bar an enforced row passes.
-    let dir = healthy("fails");
-    doctor(&dir, "fwd.json", &[TP, ("mode", "sharded")], enforced(1.8));
-    assert!(run_script_gates(&dir).iter().all(Result::is_ok));
 }
 
 /// A UDP smoke row as `son-exp udp_parity --smoke` wrote it in PR 25.

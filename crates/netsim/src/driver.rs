@@ -161,26 +161,16 @@ impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {
     }
 
     fn pipe_dst(&self, pipe: PipeId) -> ProcessId {
-        self.pipes[pipe.0]
-            .as_ref()
-            .expect("pipe checked out to another shard")
-            .dst()
+        self.pipes[pipe.0].dst()
     }
 
     fn rebind_pipe(&mut self, pipe: PipeId, attachment: Attachment) {
-        self.pipes[pipe.0]
-            .as_mut()
-            .expect("pipe checked out to another shard")
-            .rebind(attachment);
+        self.pipes[pipe.0].rebind(attachment);
     }
 
     fn pipe_route(&mut self, pipe: PipeId) -> Option<Vec<UEdgeId>> {
         let now = self.now;
-        let (pipes, underlay) = (&self.pipes, &mut self.underlay);
-        pipes[pipe.0]
-            .as_ref()
-            .expect("pipe checked out to another shard")
-            .current_route(now, underlay)
+        self.pipes[pipe.0].current_route(now, &mut self.underlay)
     }
 
     fn count(&mut self, name: &str) {

@@ -8,30 +8,6 @@
 //! far it lies from the earliest time queued and re-filed a few times on its
 //! way to the front, never sifted.
 //!
-//! # Sharded operation
-//!
-//! The sharded simulation core (see [`crate::shard`]) splits one global
-//! queue into per-shard queues and later merges the leftovers back. Two
-//! extensions support this without perturbing the sequential semantics:
-//!
-//! * **Tie keys.** Every entry carries a [`TieKey`]; ordering is
-//!   `(at, key, seq)`. Sequentially scheduled entries all use
-//!   [`TieKey::ZERO`], so ordering degrades to the classic `(at, seq)`
-//!   FIFO and sequential runs are byte-identical to the pre-shard queue.
-//!   Sharded schedulers key every entry with its *lineage* — when it was
-//!   scheduled, by which handler invocation, and at which position within
-//!   that handler — which makes `(at, key)` globally unique across shards
-//!   *and* makes key order equal the sequential insertion order, so the
-//!   merged order is the sequential order no matter which shard's queue
-//!   an entry sat in.
-//! * **Identity / order split.** The cancellation handle ([`EventId`]) is
-//!   an identity drawn from a generation-tagged space, distinct from the
-//!   ordering `seq`. Partitioning moves entries between queues while
-//!   *preserving* their ids (timer handles held inside process state stay
-//!   valid across a partition/dissolve cycle) and reassigning seqs.
-//!   [`EventQueue::set_id_generation`] gives each shard a disjoint id
-//!   range so ids never collide when queues merge.
-//!
 //! # Tombstone compaction
 //!
 //! [`EventQueue::cancel`] drops the payload and leaves a key-sized
@@ -45,10 +21,12 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use crate::hash::MintedMap;
 use crate::time::SimTime;
+
+#[doc(hidden)]
+pub use crate::frozen::TieKey;
 
 /// An opaque handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,154 +48,6 @@ impl EventId {
     }
 }
 
-/// Number of low bits of an [`EventId`] that hold the per-generation
-/// counter; the id generation occupies the bits above.
-const ID_GENERATION_SHIFT: u32 = 40;
-
-/// Deterministic tie-break key for cross-shard merging: an event's
-/// *scheduling lineage*.
-///
-/// Ordering of scheduled events is `(at, key, seq)`. Sequential scheduling
-/// uses [`TieKey::ZERO`] everywhere, reducing the order to `(at, seq)` —
-/// insertion-order FIFO. The sharded core keys every entry with a lineage
-/// node `(sched, parent, oseq)`: the virtual time of the schedule call, the
-/// key of the event whose handler made it, and the call's position within
-/// that handler. Comparing keys compares `sched` first, then the parents
-/// recursively, then `oseq` — which reproduces the sequential insertion
-/// order exactly (see `DESIGN.md` §12 for the proof sketch).
-///
-/// A flat `(sched, origin-pid, oseq)` key would *not*: two handlers firing
-/// at the same instant run in insertion order of their own events, not in
-/// process-id order, and whatever they schedule inherits that order. The
-/// parent link is what carries it across.
-///
-/// Nodes are `Arc`-shared, so a key is one allocation and siblings share
-/// their parent chain; chains stay alive only while descendants are live.
-#[derive(Debug, Clone)]
-pub struct TieKey(Option<Arc<KeyNode>>);
-
-#[derive(Debug)]
-struct KeyNode {
-    /// Virtual time at which the event was scheduled. Sequential insertion
-    /// order is non-decreasing in schedule time, so this is the major key.
-    sched: SimTime,
-    /// Key of the event whose handler made the schedule call ([`TieKey::ZERO`]
-    /// for partition-snapshot roots). When two schedule calls share `sched`,
-    /// sequential insertion order is their handlers' execution order — the
-    /// parents' key order, recursively.
-    parent: TieKey,
-    /// Position of the schedule call within its handler invocation (for
-    /// roots: position of the entry in the pre-partition snapshot).
-    oseq: u64,
-}
-
-impl TieKey {
-    /// The empty key used by sequential scheduling. Sorts before every
-    /// non-empty key, so a re-keyed snapshot still sorts after nothing.
-    pub const ZERO: TieKey = TieKey(None);
-
-    /// A lineage root: a pre-partition snapshot entry re-keyed with its
-    /// position `oseq` in the drained queue, stamped at partition time
-    /// `sched`. Roots sort among themselves by position and ahead of every
-    /// key minted at or after `sched` — exactly where the sequential queue
-    /// would have them.
-    #[must_use]
-    pub fn root(sched: SimTime, oseq: u64) -> TieKey {
-        TieKey::ZERO.child(sched, oseq)
-    }
-
-    /// The key for the `oseq`-th schedule call made at time `sched` by the
-    /// handler of the event keyed `self`.
-    #[must_use]
-    pub fn child(&self, sched: SimTime, oseq: u64) -> TieKey {
-        TieKey(Some(Arc::new(KeyNode {
-            sched,
-            parent: self.clone(),
-            oseq,
-        })))
-    }
-}
-
-impl Drop for KeyNode {
-    fn drop(&mut self) {
-        // Unlink the parent chain iteratively: dropping the last holder of
-        // a deep lineage (a long-lived self-rescheduling timer) must not
-        // recurse one stack frame per ancestor.
-        let mut parent = std::mem::replace(&mut self.parent, TieKey::ZERO);
-        while let Some(arc) = parent.0.take() {
-            match Arc::try_unwrap(arc) {
-                Ok(mut node) => {
-                    parent = std::mem::replace(&mut node.parent, TieKey::ZERO);
-                }
-                Err(_) => break, // still shared; its holder unlinks later
-            }
-        }
-    }
-}
-
-impl PartialEq for TieKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for TieKey {}
-impl PartialOrd for TieKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TieKey {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (&self.0, &other.0) {
-            // Sequential runs key everything ZERO: settle key ties inline.
-            (None, None) => Ordering::Equal,
-            _ => self.cmp_lineage(other),
-        }
-    }
-}
-
-impl TieKey {
-    fn cmp_lineage(&self, other: &Self) -> Ordering {
-        // Lexicographic (sched, parent, oseq), unrolled iteratively so
-        // phase-locked lineages (identical sched at every level) cannot
-        // overflow the stack. Walk up while scheds tie, then resolve from
-        // the root side down: the first level whose parents differ — or,
-        // failing that, whose oseqs differ — decides.
-        let (mut a, mut b) = (&self.0, &other.0);
-        let mut oseqs: Vec<(u64, u64)> = Vec::new();
-        let base = loop {
-            match (a, b) {
-                (None, None) => break Ordering::Equal,
-                (None, Some(_)) => break Ordering::Less,
-                (Some(_), None) => break Ordering::Greater,
-                (Some(x), Some(y)) => {
-                    if Arc::ptr_eq(x, y) {
-                        break Ordering::Equal;
-                    }
-                    match x.sched.cmp(&y.sched) {
-                        Ordering::Equal => {
-                            oseqs.push((x.oseq, y.oseq));
-                            a = &x.parent.0;
-                            b = &y.parent.0;
-                        }
-                        unequal => break unequal,
-                    }
-                }
-            }
-        };
-        if base != Ordering::Equal {
-            return base;
-        }
-        for &(x, y) in oseqs.iter().rev() {
-            if x != y {
-                return x.cmp(&y);
-            }
-        }
-        Ordering::Equal
-    }
-}
-
 /// Queue occupancy and maintenance counters, for the scale observatory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -231,21 +61,11 @@ pub struct QueueStats {
     pub compactions: u64,
 }
 
-impl QueueStats {
-    /// Folds another queue's counters into this one (peaks max, counters
-    /// sum) — used when per-shard queues dissolve back into the global one.
-    pub fn absorb(&mut self, other: &QueueStats) {
-        self.tombstones_peak = self.tombstones_peak.max(other.tombstones_peak);
-        self.compactions += other.compactions;
-    }
-}
-
-/// What the queue orders: the ordering key `(at, key, seq)` and the slab
-/// slot holding the payload. 32 bytes whatever `E` is, so moving a key
-/// between buckets copies one key, never a packet.
+/// What the queue orders: the ordering key `(at, seq)` and the slab slot
+/// holding the payload. 24 bytes whatever `E` is, so moving a key between
+/// buckets copies one key, never a packet.
 struct HeapKey {
     at: SimTime,
-    key: TieKey,
     seq: u64,
     slot: u32,
 }
@@ -263,13 +83,11 @@ impl PartialOrd for HeapKey {
     }
 }
 impl Ord for HeapKey {
-    /// Firing order: the earliest `(time, key, seq)` is the least.
+    /// Firing order: the earliest `(time, seq)` is the least. `seq` is
+    /// unique, so the slot never decides.
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.at
-            .cmp(&other.at)
-            .then_with(|| self.key.cmp(&other.key))
-            .then_with(|| self.seq.cmp(&other.seq))
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -295,19 +113,18 @@ fn bucket_of(at: u64, last: u64) -> usize {
 /// occupied bucket: its earliest time becomes `last`, and its keys move to
 /// `now` or to strictly lower buckets, so a key is moved a few times on its
 /// way to the front instead of sifted through `log n` heap levels on every
-/// pop. Keys enter a bucket in `seq` order and keep it, so `now` needs a
-/// sort only when it holds lineage-keyed (sharded) entries.
+/// pop. Keys enter a bucket in `seq` order and keep it, so `now` is in
+/// firing order without a sort.
 ///
 /// A look at the front that does not pop (`peek_time`, a refused
 /// `pop_key_if`) settles `last` ahead of the caller's clock. A key scheduled
 /// before `last` after that (a wall-clock driver's timer armed after its
-/// peek, an entry `restore`d on shard dissolve) cannot join the radix
-/// order; it waits in `behind`, a binary heap compared with `now` at the
-/// front.
+/// peek) cannot join the radix order; it waits in `behind`, a binary heap
+/// compared with `now` at the front.
 struct RadixKeys {
     /// The settled minimum, in nanoseconds.
     last: u64,
-    /// Keys at exactly `last`, in `(key, seq)` order.
+    /// Keys at exactly `last`, in `seq` order.
     now: VecDeque<HeapKey>,
     /// `bits[b]`: keys after `last` whose highest bit differing from it is `b`.
     bits: [Vec<HeapKey>; 64],
@@ -344,7 +161,8 @@ impl RadixKeys {
         if at > self.last {
             self.file(bucket_of(at, self.last), key);
         } else if at == self.last {
-            self.push_now(key);
+            // The newest key has the highest `seq`: it goes last.
+            self.now.push_back(key);
         } else {
             self.behind.push(Reverse(key));
         }
@@ -373,15 +191,6 @@ impl RadixKeys {
         }
     }
 
-    fn push_now(&mut self, key: HeapKey) {
-        if self.now.back().is_none_or(|back| *back < key) {
-            self.now.push_back(key);
-        } else {
-            let at = self.now.partition_point(|k| *k < key);
-            self.now.insert(at, key);
-        }
-    }
-
     /// Refills an empty `now` from the lowest occupied bucket.
     #[inline]
     fn settle(&mut self) {
@@ -400,20 +209,15 @@ impl RadixKeys {
         if self.now.capacity() > KEEP_KEYS.max(self.len) {
             self.now = VecDeque::new();
         }
-        let mut keyed = false;
         for key in drained.drain(..) {
             let at = key.at.as_nanos();
             if at == last {
-                keyed |= key.key.0.is_some();
                 self.now.push_back(key);
             } else {
                 self.file(bucket_of(at, last), key);
             }
         }
         self.idle(drained);
-        if keyed {
-            self.now.make_contiguous().sort_unstable();
-        }
     }
 
     /// Whether the least key waits in `behind` rather than at the front of
@@ -489,7 +293,7 @@ struct Slot<E> {
 
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
 ///
-/// A radix heap orders 32-byte keys; payloads sit in a slab and move twice
+/// A radix heap orders 24-byte keys; payloads sit in a slab and move twice
 /// (in at `schedule`, out at `pop`). Cancellation drops the payload at once
 /// and leaves a key-sized tombstone that is skipped when it surfaces; when
 /// tombstones outnumber live entries the keys are compacted in place.
@@ -565,7 +369,7 @@ impl<E> EventQueue<E> {
     /// grow a vector has then already happened, so the payload is built
     /// where it will lie instead of being staged across those calls.
     #[inline(always)]
-    fn vacant(&mut self, at: SimTime, key: TieKey, id: u64, indexed: bool) -> &mut Option<E> {
+    fn vacant(&mut self, at: SimTime, id: u64, indexed: bool) -> &mut Option<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
@@ -576,7 +380,7 @@ impl<E> EventQueue<E> {
             });
             u32::try_from(self.slab.len() - 1).expect("over 2^32 queued events")
         });
-        self.keys.push(HeapKey { at, key, seq, slot });
+        self.keys.push(HeapKey { at, seq, slot });
         if indexed {
             let previous = self.index.insert(id, slot);
             debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
@@ -590,11 +394,11 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::schedule`] for a payload the caller builds in place:
     /// `let cell = queue.schedule_cell(at); *cell = Some(payload);`. No
     /// handle is returned, so the entry skips the cancellation index; its
-    /// id is still minted and kept, for `pop_full` and `restore`.
+    /// id is still minted, so ids count every entry scheduled.
     #[inline(always)]
     pub(crate) fn schedule_cell(&mut self, at: SimTime) -> &mut Option<E> {
         let id = self.fresh_id();
-        self.vacant(at, TieKey::ZERO, id, false)
+        self.vacant(at, id, false)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -605,54 +409,10 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` to fire at `at` and returns a cancellation handle.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        self.schedule_keyed(at, TieKey::ZERO, payload)
-    }
-
-    /// Schedules `payload` with an explicit tie-break key (sharded mode).
-    pub fn schedule_keyed(&mut self, at: SimTime, key: TieKey, payload: E) -> EventId {
         let id = self.fresh_id();
-        let cell = self.vacant(at, key, id, true);
+        let cell = self.vacant(at, id, true);
         *cell = Some(payload);
         EventId(id)
-    }
-
-    /// Re-inserts an entry that previously lived in another queue, keeping
-    /// its identity (so outstanding cancellation handles stay valid) and
-    /// its key. The caller must guarantee `id` cannot collide with ids this
-    /// queue will mint — see [`EventQueue::set_id_generation`].
-    pub fn restore(&mut self, at: SimTime, key: TieKey, id: EventId, payload: E) {
-        let cell = self.vacant(at, key, id.0, true);
-        *cell = Some(payload);
-    }
-
-    /// Moves the id counter to the start of generation `generation`:
-    /// subsequently minted ids are `generation << 40 | n`. Each shard queue
-    /// of one partition gets a distinct generation, so ids stay unique when
-    /// shard queues merge back — and outstanding timer handles from any
-    /// earlier generation can never be re-minted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the generation would move the counter backwards (id
-    /// uniqueness would break) or overflows the id space.
-    pub fn set_id_generation(&mut self, generation: u64) {
-        assert!(
-            generation < 1 << (64 - ID_GENERATION_SHIFT),
-            "id generation overflow"
-        );
-        let base = generation << ID_GENERATION_SHIFT;
-        assert!(
-            base >= self.next_id,
-            "id generation must move forward (base {base} < next id {})",
-            self.next_id
-        );
-        self.next_id = base;
-    }
-
-    /// The id generation after all ids this queue has minted so far.
-    #[must_use]
-    pub fn next_id_generation(&self) -> u64 {
-        (self.next_id >> ID_GENERATION_SHIFT) + u64::from(self.next_id != 0)
     }
 
     /// Cancels a previously scheduled event, dropping its payload now.
@@ -700,25 +460,25 @@ impl<E> EventQueue<E> {
     }
 
     /// Unqueues the earliest non-cancelled event if `due` accepts its time
-    /// (leaves it queued otherwise) and returns its time, key, identity and
-    /// slab slot. The run loops' single step — one key pop, and an id
+    /// (leaves it queued otherwise) and returns its time, identity and slab
+    /// slot. The run loops' single step — one key pop, and an id
     /// removal for an indexed event — which [`EventQueue::take_payload`]
     /// completes.
     #[inline]
     pub(crate) fn pop_key_if(
         &mut self,
         due: impl FnOnce(SimTime) -> bool,
-    ) -> Option<(SimTime, TieKey, EventId, u32)> {
+    ) -> Option<(SimTime, EventId, u32)> {
         if !due(self.surface_live()?) {
             return None;
         }
-        let HeapKey { at, key, slot, .. } = self.keys.pop().expect("surfaced key exists");
+        let HeapKey { at, slot, .. } = self.keys.pop().expect("surfaced key exists");
         let Slot { id, indexed, .. } = self.slab[slot as usize];
         if indexed {
             self.index.remove(&id);
         }
         self.live -= 1;
-        Some((at, key, EventId(id), slot))
+        Some((at, EventId(id), slot))
     }
 
     /// Releases the slot [`EventQueue::pop_key_if`] returned and hands out
@@ -736,23 +496,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_full().map(|(at, _, _, payload)| (at, payload))
-    }
-
-    /// Removes and returns the earliest non-cancelled event along with its
-    /// key and identity — the partition/dissolve form of [`EventQueue::pop`].
-    pub fn pop_full(&mut self) -> Option<(SimTime, TieKey, EventId, E)> {
-        let (at, key, id, slot) = self.pop_key_if(|_| true)?;
-        Some((at, key, id, self.take_payload(slot)))
-    }
-
-    /// Drains the queue in firing order, preserving identities and keys.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, TieKey, EventId, E)> {
-        let mut out = Vec::with_capacity(self.live);
-        while let Some(item) = self.pop_full() {
-            out.push(item);
-        }
-        out
+        let (at, _, slot) = self.pop_key_if(|_| true)?;
+        Some((at, self.take_payload(slot)))
     }
 
     /// The time of the earliest pending event, without removing it.
@@ -787,13 +532,6 @@ impl<E> EventQueue<E> {
             tombstones_peak: self.tombstones_peak,
             compactions: self.compactions,
         }
-    }
-
-    /// Folds another queue's maintenance counters into this one (shard
-    /// queues dissolving back into the global queue).
-    pub fn absorb_stats(&mut self, other: &QueueStats) {
-        self.tombstones_peak = self.tombstones_peak.max(other.tombstones_peak);
-        self.compactions += other.compactions;
     }
 }
 
@@ -877,134 +615,11 @@ mod tests {
         );
     }
 
+    /// A key is what every settle moves, a few times per event: the
+    /// time, the FIFO sequence number and the slab slot, nothing else.
     #[test]
-    fn keyed_entries_order_by_key_before_seq() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(1);
-        let key = |sched_us: u64, oseq: u64| TieKey::root(SimTime::from_micros(sched_us), oseq);
-        // Insert out of key order; pops must come back in key order.
-        q.schedule_keyed(t, key(5, 0), "late-sched");
-        q.schedule_keyed(t, key(1, 2), "early-sched-third");
-        q.schedule_keyed(t, key(1, 1), "early-sched-second");
-        q.schedule_keyed(t, key(1, 0), "early-sched-first");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            vec![
-                "early-sched-first",
-                "early-sched-second",
-                "early-sched-third",
-                "late-sched",
-            ]
-        );
-    }
-
-    #[test]
-    fn lineage_keys_order_by_parent_before_code_position() {
-        // Two handlers fire at the same instant `s`; the one keyed earlier
-        // ran first sequentially, so everything it scheduled must sort
-        // ahead of the later handler's output — regardless of oseq.
-        let s = SimTime::from_millis(1);
-        let t = SimTime::from_millis(2);
-        let first = TieKey::root(SimTime::ZERO, 0);
-        let second = TieKey::root(SimTime::ZERO, 1);
-        let mut q = EventQueue::new();
-        q.schedule_keyed(t, second.child(s, 0), "second-handler");
-        q.schedule_keyed(t, first.child(s, 7), "first-handler-late-call");
-        q.schedule_keyed(t, first.child(s, 2), "first-handler-early-call");
-        // A root re-keyed at `s` predates anything scheduled at `s`.
-        q.schedule_keyed(t, TieKey::root(s, 9), "snapshot-root");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            vec![
-                "snapshot-root",
-                "first-handler-early-call",
-                "first-handler-late-call",
-                "second-handler",
-            ]
-        );
-    }
-
-    #[test]
-    fn deep_phase_locked_lineages_compare_without_overflow() {
-        // Self-rescheduling timers build chains one node per tick; two
-        // phase-locked chains tie on `sched` at every level and resolve
-        // only at their roots. The comparison must be iterative.
-        let mut a = TieKey::root(SimTime::ZERO, 0);
-        let mut b = TieKey::root(SimTime::ZERO, 1);
-        for tick in 1..200_000u64 {
-            let now = SimTime::from_micros(tick);
-            a = a.child(now, 0);
-            b = b.child(now, 0);
-        }
-        assert!(a < b, "root order decides phase-locked ties");
-        assert!(a == a.clone());
-    }
-
-    #[test]
-    fn zero_keys_reduce_to_fifo() {
-        // schedule() and schedule_keyed(ZERO) interleave as pure FIFO.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(1);
-        q.schedule(t, 0);
-        q.schedule_keyed(t, TieKey::ZERO, 1);
-        q.schedule(t, 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn restore_preserves_cancellation_identity() {
-        let mut donor = EventQueue::new();
-        let keep = donor.schedule(SimTime::from_millis(10), "keep");
-        let cancel = donor.schedule(SimTime::from_millis(20), "cancel");
-        let drained = donor.drain_ordered();
-        assert_eq!(drained.len(), 2);
-
-        let mut target = EventQueue::new();
-        target.set_id_generation(7);
-        for (at, key, id, payload) in drained {
-            target.restore(at, key, id, payload);
-        }
-        // The handle issued by the donor still cancels in the target.
-        assert!(target.cancel(cancel));
-        assert!(!target.cancel(cancel));
-        let order: Vec<&str> = std::iter::from_fn(|| target.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["keep"]);
-        let _ = keep;
-    }
-
-    #[test]
-    fn generations_keep_ids_disjoint() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        a.set_id_generation(1);
-        b.set_id_generation(2);
-        let ia = a.schedule(SimTime::from_millis(1), "a");
-        let ib = b.schedule(SimTime::from_millis(1), "b");
-        assert_ne!(ia, ib);
-
-        // Merge both into one queue; both handles remain distinct and valid.
-        let mut merged = EventQueue::new();
-        merged.set_id_generation(3);
-        for (at, key, id, p) in a.drain_ordered().into_iter().chain(b.drain_ordered()) {
-            merged.restore(at, key, id, p);
-        }
-        assert!(merged.cancel(ia));
-        assert_eq!(merged.pop().unwrap().1, "b");
-        assert!(!merged.cancel(ib), "already fired");
-    }
-
-    #[test]
-    fn next_id_generation_reports_past_minted_ids() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.next_id_generation(), 0);
-        q.schedule(SimTime::ZERO, ());
-        assert_eq!(q.next_id_generation(), 1);
-        q.set_id_generation(5);
-        q.schedule(SimTime::ZERO, ());
-        assert_eq!(q.next_id_generation(), 6);
+    fn a_key_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<HeapKey>(), 24);
     }
 
     #[test]
@@ -1031,25 +646,6 @@ mod tests {
         // Everything live still pops in order.
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stats_absorb_folds_peaks_and_sums() {
-        let a = QueueStats {
-            live: 1,
-            tombstones: 2,
-            tombstones_peak: 10,
-            compactions: 3,
-        };
-        let mut b = QueueStats {
-            live: 5,
-            tombstones: 0,
-            tombstones_peak: 4,
-            compactions: 2,
-        };
-        b.absorb(&a);
-        assert_eq!(b.tombstones_peak, 10);
-        assert_eq!(b.compactions, 5);
     }
 
     /// Every slot is free or referenced by exactly one queued key, and an
@@ -1091,7 +687,6 @@ mod tests {
 
     struct ModelEntry {
         at: SimTime,
-        key: TieKey,
         seq: u64,
         id: EventId,
         payload: u32,
@@ -1101,20 +696,18 @@ mod tests {
     }
 
     impl Model {
-        fn insert(&mut self, at: SimTime, key: TieKey, id: EventId, payload: u32, indexed: bool) {
+        fn insert(&mut self, at: SimTime, id: EventId, payload: u32, indexed: bool) {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.entries.push(ModelEntry {
                 at,
-                key,
                 seq,
                 id,
                 payload,
                 live: true,
                 indexed,
             });
-            self.entries
-                .sort_by(|a, b| (a.at, &a.key, a.seq).cmp(&(b.at, &b.key, b.seq)));
+            self.entries.sort_by_key(|e| (e.at, e.seq));
         }
 
         fn live(&self) -> usize {
@@ -1175,9 +768,6 @@ mod tests {
             ),
         ) {
             let mut q: EventQueue<u32> = EventQueue::new();
-            // `restore` needs ids from a foreign generation.
-            let mut donor: EventQueue<u32> = EventQueue::new();
-            donor.set_id_generation(9);
             let mut model = Model::default();
             let mut handles: Vec<EventId> = Vec::new();
             let mut payload = 0u32;
@@ -1190,41 +780,15 @@ mod tests {
                 let span = if bits == 0 { 0 } else { draw >> (64 - bits) };
                 let grid = if pick % 3 == 0 { 1u64 << bits.saturating_sub(3) } else { 1 };
                 let ahead = SimTime::from_nanos((clock + span).div_ceil(grid) * grid);
-                // Behind the clock: a wall-clock driver's late timer, or an
-                // entry restored from a shard.
+                // Behind the clock: a wall-clock driver's timer armed after
+                // its peek settled the front.
                 let behind = SimTime::from_nanos(clock.saturating_sub(span.max(1)));
                 let at = if matches!(op, 19..=21 | 24) { behind } else { ahead };
-                let tie = (pick / 4) as u64 % 8;
-                let key = match pick % 4 {
-                    0 => TieKey::ZERO,
-                    1 => TieKey::root(SimTime::ZERO, tie),
-                    2 => TieKey::root(at, tie % 3),
-                    _ => TieKey::root(SimTime::ZERO, 1).child(at, tie),
-                };
                 payload += 1;
                 let popped = match op {
-                    0..=4 | 19 => {
+                    0..=7 | 19..=21 => {
                         let id = q.schedule(at, payload);
-                        model.insert(at, TieKey::ZERO, id, payload, true);
-                        handles.push(id);
-                        None
-                    }
-                    5..=6 | 20 => {
-                        let id = q.schedule_keyed(at, key.clone(), payload);
-                        model.insert(at, key, id, payload, true);
-                        handles.push(id);
-                        None
-                    }
-                    7 | 21 => {
-                        // A donor's delivery cell comes home indexed.
-                        if pick % 5 == 0 {
-                            *donor.schedule_cell(at) = Some(payload);
-                        } else {
-                            donor.schedule_keyed(at, key, payload);
-                        }
-                        let (at, key, id, payload) = donor.pop_full().expect("just scheduled");
-                        q.restore(at, key.clone(), id, payload);
-                        model.insert(at, key, id, payload, true);
+                        model.insert(at, id, payload, true);
                         handles.push(id);
                         None
                     }
@@ -1234,23 +798,17 @@ mod tests {
                         prop_assert_eq!(q.cancel(id), model.cancel(id));
                         None
                     }
-                    14 => {
+                    14..=15 => {
                         let want = model.pop_if(|_| true).map(|e| (e.at, e.payload));
                         prop_assert_eq!(q.pop(), want);
                         want.map(|(at, _)| at)
                     }
-                    15 => {
-                        let want = model.pop_if(|_| true).map(|e| (e.at, e.key, e.id, e.payload));
-                        let at = want.as_ref().map(|w| w.0);
-                        prop_assert_eq!(q.pop_full(), want);
-                        at
-                    }
                     16 => {
                         // A bound short of the front settles it unpopped.
-                        let want = model.pop_if(|t| t <= at).map(|e| (e.at, e.key, e.id, e.payload));
+                        let want = model.pop_if(|t| t <= at).map(|e| (e.at, e.id, e.payload));
                         let got = q
                             .pop_key_if(|t| t <= at)
-                            .map(|(at, key, id, slot)| (at, key, id, q.take_payload(slot)));
+                            .map(|(at, id, slot)| (at, id, q.take_payload(slot)));
                         let at = want.as_ref().map(|w| w.0);
                         prop_assert_eq!(got, want);
                         at
@@ -1264,7 +822,7 @@ mod tests {
                     22..=24 => {
                         let id = EventId(q.next_id);
                         *q.schedule_cell(at) = Some(payload);
-                        model.insert(at, TieKey::ZERO, id, payload, false);
+                        model.insert(at, id, payload, false);
                         handles.push(id);
                         None
                     }
@@ -1285,9 +843,9 @@ mod tests {
                 assert_slab_consistent(&q);
             }
             let rest: Vec<_> = std::iter::from_fn(|| model.pop_if(|_| true))
-                .map(|e| (e.at, e.key, e.id, e.payload))
+                .map(|e| (e.at, e.payload))
                 .collect();
-            prop_assert_eq!(q.drain_ordered(), rest);
+            prop_assert_eq!(std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(), rest);
             prop_assert_eq!(q.free.len(), q.slab.len());
         }
     }
@@ -1347,12 +905,6 @@ mod tests {
                 watch(&q);
                 burst.into_iter().for_each(|id| assert!(q.cancel(id)));
                 assert!(q.stats().compactions > before);
-            }
-            if cycle % 30_000 == 0 {
-                // A partition/dissolve round trip.
-                for (at, key, id, payload) in q.drain_ordered() {
-                    q.restore(at, key, id, payload);
-                }
             }
             watch(&q);
         }
@@ -1416,29 +968,5 @@ mod tests {
             "room for {} keys kept, queue peaked at {peak} entries",
             key_capacity(&q)
         );
-    }
-
-    #[test]
-    fn ids_from_before_a_generation_move_cancel_after_restore() {
-        let mut donor = EventQueue::new();
-        let early = donor.schedule(SimTime::from_millis(10), "early");
-        donor.set_id_generation(3);
-        let late = donor.schedule(SimTime::from_millis(20), "late");
-        let kept = donor.schedule(SimTime::from_millis(30), "kept");
-
-        let mut target = EventQueue::new();
-        target.set_id_generation(4);
-        let own = target.schedule(SimTime::from_millis(5), "own");
-        for (at, key, id, payload) in donor.drain_ordered() {
-            target.restore(at, key, id, payload);
-        }
-        assert_slab_consistent(&donor);
-        assert!(target.cancel(early), "generation-0 handle");
-        assert!(target.cancel(late), "generation-3 handle");
-        assert!(!target.cancel(early));
-        assert_slab_consistent(&target);
-        let order: Vec<&str> = std::iter::from_fn(|| target.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["own", "kept"]);
-        assert!(!target.cancel(own) && !target.cancel(kept), "both fired");
     }
 }

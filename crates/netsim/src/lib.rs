@@ -39,13 +39,14 @@
 
 pub mod driver;
 pub mod event;
+#[doc(hidden)]
+pub mod frozen;
 pub mod hash;
 pub mod link;
 pub mod loss;
 pub mod process;
 pub mod rng;
 pub mod scenario;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;

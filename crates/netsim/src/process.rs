@@ -57,8 +57,9 @@ pub enum MessageKind {
 /// The type carried by simulation messages.
 ///
 /// Messages must be cloneable (redundant dissemination duplicates them).
-/// They must also be `Send`: the sharded simulation core moves in-flight
-/// messages between worker threads at window barriers.
+/// They must also be `Send`: a real daemon's runtime (son-node's
+/// `NodeRuntime`), with the messages its processes hold, is built on one
+/// thread and may be run or handed back on another.
 ///
 /// A message that crosses a pipe travels as bytes: the simulator encodes
 /// it with [`encode_frame`](Self::encode_frame), offers the pipe that many
@@ -142,10 +143,11 @@ impl SimMessage for bytes::Bytes {
 /// concrete type after a run to harvest metrics
 /// (see [`Simulation::proc_ref`](crate::sim::Simulation::proc_ref)).
 ///
-/// The `Send` supertrait lets the sharded simulation core move process
-/// state machines onto worker threads; a process therefore cannot hold
-/// `Rc`/thread-bound interior mutability (plain owned state and `Arc`s of
-/// `Send + Sync` data are fine).
+/// The `Send` supertrait lets a real daemon's runtime (son-node's
+/// `NodeRuntime`), which owns its processes, move between threads: a
+/// cluster spawns one thread per daemon and joins the runtimes back. A
+/// process therefore cannot hold `Rc`/thread-bound interior mutability
+/// (plain owned state and `Arc`s of `Send + Sync` data are fine).
 pub trait Process<M: SimMessage>: Any + Send {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {

@@ -36,12 +36,11 @@
 
 use std::any::Any;
 
-use crate::event::{EventId, EventQueue, QueueStats, TieKey};
+use crate::event::{EventId, EventQueue, QueueStats};
 use crate::link::{Pipe, PipeConfig, PipeId, Transmit};
 use crate::loss::LossConfig;
 use crate::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
 use crate::rng::SimRng;
-use crate::shard::{CrossMsg, Mailboxes, ShardCtx, ShardPlan, ShardStats, ShardWorker};
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
 use crate::underlay::{UEdgeId, Underlay};
@@ -109,18 +108,6 @@ pub(crate) enum Event<M: SimMessage> {
     Scenario(ScenarioEvent),
 }
 
-impl<M: SimMessage> Event<M> {
-    /// The process the event is for; `None` for a world change, which
-    /// every shard applies.
-    fn owner(&self) -> Option<ProcessId> {
-        match self {
-            Event::Frame { to, .. } | Event::Direct { to, .. } => Some(*to),
-            Event::Timer { proc, .. } => Some(*proc),
-            Event::Scenario(_) => None,
-        }
-    }
-}
-
 /// Bytes one queued event takes in the event slab for messages of type
 /// `M`: what every frame in flight costs besides its bytes.
 #[must_use]
@@ -172,10 +159,6 @@ impl<M> SideSlab<M> {
 /// Everything in the simulation except the process objects themselves;
 /// split out so a process handler can borrow the world while the engine
 /// holds the process (`&mut self`) separately.
-///
-/// Pipes live in `Option` slots: in sharded runs each pipe migrates to the
-/// shard owning its source process and its slot here goes empty until the
-/// shards dissolve back.
 pub struct SimCore<M: SimMessage> {
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<Event<M>>,
@@ -183,7 +166,7 @@ pub struct SimCore<M: SimMessage> {
     pub(crate) frames: Vec<Vec<u8>>,
     /// Messages of queued [`Event::Direct`] events.
     pub(crate) parked: SideSlab<M>,
-    pub(crate) pipes: Vec<Option<Pipe>>,
+    pub(crate) pipes: Vec<Pipe>,
     pub(crate) underlay: Option<Underlay>,
     pub(crate) rng_root: SimRng,
     pub(crate) proc_rngs: Vec<SimRng>,
@@ -192,8 +175,6 @@ pub struct SimCore<M: SimMessage> {
     /// Index of reverse pipes: pipes\[i\] paired with pipes\[rev\[i\]\] if any.
     pub(crate) reverse: Vec<Option<PipeId>>,
     pub(crate) events_processed: u64,
-    /// `Some` while this core runs as one shard of a parallel run.
-    pub(crate) shard: Option<ShardCtx<M>>,
 }
 
 /// The simulation: a deterministic function of its configuration and seed.
@@ -207,14 +188,6 @@ pub struct Simulation<M: SimMessage> {
     started: bool,
     wall_epoch: std::time::Instant,
     perf: Option<son_obs::PerfRegistry>,
-    /// `Some` with more than one shard switches `run_until` to the
-    /// conservative parallel engine (see [`crate::shard`]).
-    shard_plan: Option<ShardPlan>,
-    /// Accumulated load/stall figures from sharded runs.
-    shard_stats: ShardStats,
-    /// Next unused event-id generation; each partition hands every shard a
-    /// disjoint id range so timer handles stay unique across merges.
-    shard_generation: u64,
 }
 
 /// The handler-side view of the world, passed to every [`Process`] hook.
@@ -276,46 +249,12 @@ impl<M: SimMessage> Simulation<M> {
                 counters: Counters::with_fixed(SEND_COUNTERS),
                 reverse: Vec::new(),
                 events_processed: 0,
-                shard: None,
             },
             procs: Vec::new(),
             started: false,
             wall_epoch: std::time::Instant::now(),
             perf: None,
-            shard_plan: None,
-            shard_stats: ShardStats::default(),
-            shard_generation: 1,
         }
-    }
-
-    /// Switches `run_until` to the conservative parallel engine with a
-    /// contiguous block partition over the current processes, or back to
-    /// sequential with `shards <= 1`. Call after all processes are added;
-    /// use [`Simulation::set_shard_plan`] for a custom partition.
-    pub fn set_shards(&mut self, shards: usize) {
-        if shards <= 1 {
-            self.shard_plan = None;
-        } else {
-            self.shard_plan = Some(ShardPlan::contiguous(shards, self.procs.len()));
-        }
-    }
-
-    /// Installs (or clears) an explicit shard plan.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) {
-        self.shard_plan = plan.filter(|p| p.shards() > 1);
-    }
-
-    /// The number of shards `run_until` will use (1 = sequential).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shard_plan.as_ref().map_or(1, ShardPlan::shards)
-    }
-
-    /// Accumulated per-shard load and merge-stall figures (all zeros if the
-    /// simulation never ran sharded).
-    #[must_use]
-    pub fn shard_stats(&self) -> &ShardStats {
-        &self.shard_stats
     }
 
     /// Event-queue occupancy and compaction counters — queue-bloat
@@ -360,7 +299,7 @@ impl<M: SimMessage> Simulation<M> {
         self.core.underlay.as_ref()
     }
 
-    /// The number of processes added so far (shard plans must cover all).
+    /// The number of processes added so far.
     #[must_use]
     pub fn process_count(&self) -> usize {
         self.procs.len()
@@ -380,7 +319,7 @@ impl<M: SimMessage> Simulation<M> {
     pub fn pipe(&mut self, src: ProcessId, dst: ProcessId, config: PipeConfig) -> PipeId {
         let id = PipeId(self.core.pipes.len());
         let rng = self.core.rng_root.fork_idx("pipe", id.0 as u64);
-        self.core.pipes.push(Some(Pipe::new(src, dst, config, rng)));
+        self.core.pipes.push(Pipe::new(src, dst, config, rng));
         self.core.reverse.push(None);
         id
     }
@@ -448,7 +387,6 @@ impl<M: SimMessage> Simulation<M> {
         let mut mix = |v: u64| h = crate::rng::splitmix(h ^ v);
         mix(self.core.events_processed);
         for pipe in &self.core.pipes {
-            let pipe = pipe.as_ref().expect("pipe checked out to a shard");
             let (offered, delivered, dropped) = pipe.stats();
             mix(offered);
             mix(delivered);
@@ -487,22 +425,11 @@ impl<M: SimMessage> Simulation<M> {
 
     /// Runs until the event queue drains or virtual time passes `until`.
     ///
-    /// With a shard plan installed (see [`Simulation::set_shards`]) the run
-    /// executes on the conservative parallel engine; fingerprints and all
-    /// observable state are bit-identical to the sequential run.
-    ///
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
-        match &self.shard_plan {
-            Some(plan) if plan.shards() > 1 => self.run_until_sharded(until),
-            _ => self.run_until_seq(until),
-        }
-    }
-
-    fn run_until_seq(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut n = 0;
-        while let Some((at, _zero, _id, slot)) = self.core.queue.pop_key_if(|at| at <= until) {
+        while let Some((at, _id, slot)) = self.core.queue.pop_key_if(|at| at <= until) {
             debug_assert!(at >= self.core.now, "time went backwards");
             self.core.now = at;
             self.core.events_processed += 1;
@@ -552,258 +479,13 @@ impl<M: SimMessage> Simulation<M> {
             }
         }
     }
-
-    /// Derives the conservative lookahead for `plan`: the minimum
-    /// propagation latency over every pipe whose endpoints live on
-    /// different shards. Unbound pipes contribute their configured latency;
-    /// bound pipes resolve through the underlay, whose per-path latency is
-    /// bounded below by its cheapest fiber edge (failures change
-    /// availability, never latency, so the bound is static).
-    fn sharding_lookahead(&self, plan: &ShardPlan, span: SimDuration) -> SimDuration {
-        let mut min: Option<SimDuration> = None;
-        for pipe in self.core.pipes.iter().flatten() {
-            let (ss, ds) = (plan.owner_of(pipe.src()), plan.owner_of(pipe.dst()));
-            if ss == ds {
-                continue;
-            }
-            let latency = match &pipe.config().binding {
-                None => pipe.config().latency,
-                Some(binding) => {
-                    assert!(
-                        binding.from != binding.to,
-                        "shard plan splits colocated processes {} and {} \
-                         (same-city pipes have zero propagation latency and \
-                         admit no conservative lookahead)",
-                        pipe.src(),
-                        pipe.dst(),
-                    );
-                    self.core
-                        .underlay
-                        .as_ref()
-                        .expect("bound pipe requires an underlay")
-                        .min_link_latency()
-                        .expect("underlay with bound pipes has no fiber edges")
-                }
-            };
-            min = Some(min.map_or(latency, |m| m.min(latency)));
-        }
-        let lookahead = min.unwrap_or(span).min(span);
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "cross-shard lookahead is zero; the shard plan splits processes \
-             connected by a zero-latency pipe"
-        );
-        lookahead
-    }
-
-    /// The conservative parallel run: partition → window loop → dissolve.
-    /// See [`crate::shard`] for the algorithm and DESIGN.md §12 for why the
-    /// result is bit-identical to [`Simulation::run_until_seq`].
-    fn run_until_sharded(&mut self, until: SimTime) -> u64 {
-        self.ensure_started();
-        if until <= self.core.now {
-            // Nothing but the `now` boundary remains; sequential semantics
-            // at a single instant need no parallelism.
-            return self.run_until_seq(until);
-        }
-        assert!(
-            until < SimTime::MAX,
-            "run_until_idle is unsupported with shards; use a finite horizon"
-        );
-        let plan = self.shard_plan.clone().expect("sharded run has a plan");
-        assert_eq!(
-            plan.len(),
-            self.procs.len(),
-            "shard plan covers {} processes but the simulation has {}; \
-             call set_shards after adding all processes",
-            plan.len(),
-            self.procs.len(),
-        );
-        let shards = plan.shards();
-        let t0 = self.core.now;
-        let lookahead = self.sharding_lookahead(&plan, until - t0);
-        let ends = crate::shard::window_ends(t0, until, lookahead);
-        let owner = std::sync::Arc::new(plan.owners().to_vec());
-        let nprocs = self.procs.len();
-
-        // --- Partition ------------------------------------------------
-        // Drain the global queue in firing order and re-key every entry
-        // with its position: (sched = t0, origin = 0, oseq = position)
-        // sorts the snapshot ahead of anything scheduled from now on and
-        // preserves its internal order on every shard.
-        let id_base = self.shard_generation;
-        self.shard_generation += shards as u64;
-        let mut workers: Vec<ShardWorker<M>> = (0..shards)
-            .map(|idx| {
-                let mut queue = EventQueue::new();
-                queue.set_id_generation(id_base + idx as u64);
-                ShardWorker {
-                    idx,
-                    core: SimCore {
-                        now: t0,
-                        queue,
-                        frames: Vec::new(),
-                        parked: SideSlab::default(),
-                        pipes: (0..self.core.pipes.len()).map(|_| None).collect(),
-                        underlay: self.core.underlay.clone(),
-                        rng_root: self.core.rng_root.clone(),
-                        proc_rngs: self.core.proc_rngs.clone(),
-                        proc_up: self.core.proc_up.clone(),
-                        counters: Counters::with_fixed(SEND_COUNTERS),
-                        reverse: self.core.reverse.clone(),
-                        events_processed: 0,
-                        shard: Some(ShardCtx {
-                            my_shard: idx,
-                            owner: owner.clone(),
-                            horizon: t0,
-                            cur_parent: TieKey::ZERO,
-                            cur_oseq: 0,
-                            outbox: Vec::new(),
-                            sent_cross: 0,
-                        }),
-                    },
-                    procs: (0..nprocs).map(|_| None).collect(),
-                    perf: self.perf.as_ref().map(|_| {
-                        let reg = son_obs::PerfRegistry::new(true);
-                        reg.set_sample_every(son_obs::PERF_SAMPLE_EVERY);
-                        reg
-                    }),
-                }
-            })
-            .collect();
-        for (pos, (at, _zero, id, mut event)) in
-            self.core.queue.drain_ordered().into_iter().enumerate()
-        {
-            let key = TieKey::root(t0, pos as u64);
-            match event.owner() {
-                Some(pid) => {
-                    let msg = self.core.unpark(&event);
-                    let core = &mut workers[owner[pid.0]].core;
-                    core.repark(&mut event, msg);
-                    core.queue.restore(at, key, id, event);
-                }
-                None => {
-                    // Broadcast: every shard applies world changes to its
-                    // own underlay clone so they stay in lock-step.
-                    let Event::Scenario(ev) = event else {
-                        unreachable!("only world changes have no owner")
-                    };
-                    for w in &mut workers {
-                        w.core
-                            .queue
-                            .restore(at, key.clone(), id, Event::Scenario(ev.clone()));
-                    }
-                }
-            }
-        }
-        for (i, slot) in self.core.pipes.iter_mut().enumerate() {
-            let pipe = slot.take().expect("pipe checked out to a shard");
-            let dest = owner[pipe.src().0];
-            workers[dest].core.pipes[i] = Some(pipe);
-        }
-        for pid in 0..nprocs {
-            workers[owner[pid]].procs[pid] = self.procs[pid].take();
-        }
-
-        // --- Window loop ----------------------------------------------
-        let mailboxes: Mailboxes<M> = Mailboxes::new(shards);
-        let barrier = std::sync::Barrier::new(shards);
-        let loads: Vec<crate::shard::ShardLoad> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .map(|worker| {
-                    let (ends, mailboxes, barrier) = (&ends, &mailboxes, &barrier);
-                    scope.spawn(move || worker.run_windows(ends, until, mailboxes, barrier))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(load) => load,
-                    // Re-raise with the worker's own message (assertion
-                    // failures inside handlers must surface verbatim).
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-
-        // --- Dissolve -------------------------------------------------
-        // Future ids minted by the global queue must clear every shard
-        // generation before leftovers (which keep their ids) come home —
-        // and the global queue claims a generation of its own, so the next
-        // partition's shards can never re-mint an id it hands out now.
-        self.core.queue.set_id_generation(self.shard_generation);
-        self.shard_generation += 1;
-        let mut events_this_run = 0;
-        let mut leftovers: Vec<(SimTime, TieKey, Option<EventId>, Event<M>)> = Vec::new();
-        for worker in &mut workers {
-            let core = &mut worker.core;
-            events_this_run += core.events_processed;
-            self.core.counters.merge(&core.counters);
-            self.core.queue.absorb_stats(&core.queue.stats());
-            for pid in 0..nprocs {
-                if owner[pid] == worker.idx {
-                    self.procs[pid] = worker.procs[pid].take();
-                    self.core.proc_rngs[pid] = core.proc_rngs[pid].clone();
-                    self.core.proc_up[pid] = core.proc_up[pid];
-                }
-            }
-            for (i, slot) in core.pipes.iter_mut().enumerate() {
-                if let Some(pipe) = slot.take() {
-                    self.core.pipes[i] = Some(pipe);
-                }
-            }
-            if worker.idx == 0 {
-                // All underlay clones saw the same scenario events; shard
-                // 0's is as good as any (resolve results are pure functions
-                // of edge state and time, not of cache contents).
-                self.core.underlay = core.underlay.take();
-            }
-            // A direct event's message moves to this core's side slab
-            // with it.
-            for (at, key, id, mut event) in core.queue.drain_ordered() {
-                if worker.idx > 0 && matches!(event, Event::Scenario(_)) {
-                    continue; // broadcast copy; shard 0 restores the original
-                }
-                let msg = core.unpark(&event);
-                self.core.repark(&mut event, msg);
-                leftovers.push((at, key, Some(id), event));
-            }
-            let shard = core.shard.take().expect("worker core is sharded");
-            for mut m in shard.outbox {
-                self.core.repark(&mut m.event, m.msg);
-                leftovers.push((m.at, m.key, None, m.event));
-            }
-            if let (Some(main), Some(theirs)) = (&mut self.perf, worker.perf.take()) {
-                main.absorb(&theirs);
-            }
-        }
-        // Merge leftovers in (time, key) order — the deterministic global
-        // order — and hand them back to the sequential queue with fresh
-        // zero keys, preserving ids so outstanding timer handles survive.
-        leftovers.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for (at, _key, id, event) in leftovers {
-            match id {
-                Some(id) => self.core.queue.restore(at, TieKey::ZERO, id, event),
-                None => {
-                    self.core.queue.schedule(at, event);
-                }
-            }
-        }
-        self.shard_stats
-            .accumulate((ends.len() as u64).saturating_sub(1), lookahead, &loads);
-        self.core.now = until;
-        self.core.events_processed += events_this_run;
-        events_this_run
-    }
 }
 
-/// Dispatches one event against the world: the common core shared by the
-/// sequential engine and every shard worker. A frame's bytes are lent to
-/// the handler and their buffer goes back to the pool; a direct message
-/// moves from the side slab straight into the handler.
+/// Dispatches one event against the world. A frame's bytes are lent to the
+/// handler and their buffer goes back to the pool; a direct message moves
+/// from the side slab straight into the handler.
 #[inline]
-pub(crate) fn dispatch_event<M: SimMessage>(
+fn dispatch_event<M: SimMessage>(
     core: &mut SimCore<M>,
     procs: &mut [Option<Box<dyn Process<M>>>],
     perf: Option<&son_obs::PerfRegistry>,
@@ -861,7 +543,7 @@ pub(crate) fn dispatch_event<M: SimMessage>(
     }
 }
 
-pub(crate) fn dispatch_start_on<M: SimMessage>(
+fn dispatch_start_on<M: SimMessage>(
     core: &mut SimCore<M>,
     procs: &mut [Option<Box<dyn Process<M>>>],
     pid: ProcessId,
@@ -891,43 +573,24 @@ fn apply_scenario_on<M: SimMessage>(
             }
         }
         ScenarioEvent::CrashProcess(pid) => {
-            // Every shard flips the liveness bit (clones stay consistent);
-            // only the owner touches the process itself.
             core.proc_up[pid.0] = false;
-            if core.owns(pid) {
-                if let Some(p) = procs[pid.0].as_mut() {
-                    p.on_crash(now);
-                }
+            if let Some(p) = procs[pid.0].as_mut() {
+                p.on_crash(now);
             }
         }
         ScenarioEvent::RestartProcess(pid) => {
             if !core.proc_up[pid.0] {
                 core.proc_up[pid.0] = true;
-                if core.owns(pid) {
-                    dispatch_start_on(core, procs, pid);
-                }
+                dispatch_start_on(core, procs, pid);
             }
         }
-        ScenarioEvent::SetPipeLoss(pipe, loss) => {
-            // In sharded mode only the owner shard holds the pipe.
-            if let Some(p) = core.pipes[pipe.0].as_mut() {
-                p.set_loss(loss);
-            }
-        }
-        ScenarioEvent::DisablePipe(pipe) => {
-            if let Some(p) = core.pipes[pipe.0].as_mut() {
-                p.set_enabled(false);
-            }
-        }
-        ScenarioEvent::EnablePipe(pipe) => {
-            if let Some(p) = core.pipes[pipe.0].as_mut() {
-                p.set_enabled(true);
-            }
-        }
+        ScenarioEvent::SetPipeLoss(pipe, loss) => core.pipes[pipe.0].set_loss(loss),
+        ScenarioEvent::DisablePipe(pipe) => core.pipes[pipe.0].set_enabled(false),
+        ScenarioEvent::EnablePipe(pipe) => core.pipes[pipe.0].set_enabled(true),
         ScenarioEvent::PokeProcess(pid, token) => {
-            // Same discipline as a real timer: only the owner shard holds
-            // the state machine, and a crashed process hears nothing.
-            if core.proc_up[pid.0] && core.owns(pid) {
+            // Same discipline as a real timer: a crashed process hears
+            // nothing.
+            if core.proc_up[pid.0] {
                 if let Some(mut p) = procs[pid.0].take() {
                     let mut ctx = Ctx::from_driver(core, pid);
                     p.on_timer(&mut ctx, token);
@@ -939,30 +602,7 @@ fn apply_scenario_on<M: SimMessage>(
 }
 
 impl<M: SimMessage> SimCore<M> {
-    /// `true` when this core (sequential, or one shard of a parallel run)
-    /// owns the process — i.e. holds its state machine.
-    pub(crate) fn owns(&self, pid: ProcessId) -> bool {
-        match &self.shard {
-            None => true,
-            Some(s) => s.owner[pid.0] == s.my_shard,
-        }
-    }
-
-    /// Mints the deterministic tie-break key for the next schedule call of
-    /// the currently dispatching handler (sharded mode only): a child of
-    /// the triggering event's own key. Two handlers at one instant pass
-    /// their execution order down to everything they schedule, which is
-    /// exactly the sequential insertion order.
-    fn next_key(&mut self) -> TieKey {
-        let now = self.now;
-        let shard = self.shard.as_mut().expect("keyed scheduling is sharded");
-        let key = shard.cur_parent.child(now, shard.cur_oseq);
-        shard.cur_oseq += 1;
-        key
-    }
-
-    /// Queues a frame's bytes for delivery to `to`; sharded, the event is
-    /// keyed and routed (local queue or cross-shard outbox) out of line.
+    /// Queues a frame's bytes for delivery to `to`.
     #[inline(always)]
     fn schedule_frame(
         &mut self,
@@ -973,86 +613,23 @@ impl<M: SimMessage> SimCore<M> {
         frame: Vec<u8>,
         hint: M::Hint,
     ) {
-        let event = Event::Frame {
+        *self.queue.schedule_cell(at) = Some(Event::Frame {
             to,
             from,
             pipe,
             frame,
             hint,
-        };
-        if self.shard.is_some() {
-            return self.schedule_keyed_event(from, to, at, event, None);
-        }
-        *self.queue.schedule_cell(at) = Some(event);
+        });
     }
 
     /// Queues `msg` for delivery to `to` without a pipe: the message waits
     /// in the side slab, its event in the queue.
     pub(crate) fn schedule_direct(&mut self, from: ProcessId, to: ProcessId, at: SimTime, msg: M) {
-        if self.shard.is_some() {
-            // The slot is set where the message is parked: on this shard
-            // or on the one the event is for.
-            let event = Event::Direct { to, from, slot: 0 };
-            return self.schedule_keyed_event(from, to, at, event, Some(msg));
-        }
         // The message is written into its cell once, and the event after.
         let (slot, parked) = self.parked.vacant();
         *parked = Some(msg);
         let cell = self.queue.schedule_cell(at);
         *cell = Some(Event::Direct { to, from, slot });
-    }
-
-    /// The sharded form of a delivery: `msg` is a direct event's message,
-    /// parked here if the event stays on this shard and carried along with
-    /// it if it leaves.
-    fn schedule_keyed_event(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        at: SimTime,
-        mut event: Event<M>,
-        msg: Option<M>,
-    ) {
-        let key = self.next_key();
-        let shard = self.shard.as_ref().expect("keyed scheduling is sharded");
-        let (dest, horizon) = (shard.owner[to.0], shard.horizon);
-        if dest == shard.my_shard {
-            self.repark(&mut event, msg);
-            self.queue.schedule_keyed(at, key, event);
-        } else {
-            assert!(
-                at >= horizon,
-                "cross-shard message from {from} to {to} arrives at {at:?}, \
-                 inside the current window (horizon {horizon:?}): the shard \
-                 plan splits colocated processes",
-            );
-            let shard = self.shard.as_mut().expect("keyed scheduling is sharded");
-            shard.outbox.push(CrossMsg {
-                at,
-                key,
-                to_shard: dest,
-                event,
-                msg,
-            });
-            shard.sent_cross += 1;
-        }
-    }
-
-    /// Takes a direct event's message out of the side slab: the event is
-    /// leaving this core. `None` for any other event.
-    pub(crate) fn unpark(&mut self, event: &Event<M>) -> Option<M> {
-        match event {
-            Event::Direct { slot, .. } => Some(self.parked.take(*slot)),
-            _ => None,
-        }
-    }
-
-    /// Parks the message that came with a direct event from another core
-    /// (see [`SimCore::unpark`]) and points the event at it.
-    pub(crate) fn repark(&mut self, event: &mut Event<M>, msg: Option<M>) {
-        if let (Event::Direct { slot, .. }, Some(msg)) = (event, msg) {
-            *slot = self.parked.park(msg);
-        }
     }
 
     /// Returns a delivered frame's buffer to the pool, unless it is large.
@@ -1063,15 +640,9 @@ impl<M: SimMessage> SimCore<M> {
         }
     }
 
-    /// Schedules a timer for `pid`. Timers are always local: a process and
-    /// its timers live on the same shard, so the handle stays cancellable.
+    /// Schedules a timer for `pid`; the handle cancels it.
     pub(crate) fn schedule_timer(&mut self, pid: ProcessId, at: SimTime, token: u64) -> EventId {
-        let event = Event::Timer { proc: pid, token };
-        if self.shard.is_none() {
-            return self.queue.schedule(at, event);
-        }
-        let key = self.next_key();
-        self.queue.schedule_keyed(at, key, event)
+        self.queue.schedule(at, Event::Timer { proc: pid, token })
     }
 
     /// Sends `msg` from `pid` over `pipe` — the sim-driver send path. The
@@ -1086,9 +657,7 @@ impl<M: SimMessage> SimCore<M> {
     #[inline]
     pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
         let now = self.now;
-        let p = self.pipes[pipe.0]
-            .as_mut()
-            .expect("pipe checked out to another shard");
+        let p = &mut self.pipes[pipe.0];
         assert_eq!(p.src(), pid, "process {pid} does not own pipe {pipe:?}");
         let dst = p.dst();
         let mut frame = self
@@ -1705,34 +1274,21 @@ mod fingerprint_tests {
 }
 
 #[cfg(test)]
-mod shard_parity_tests {
+mod ring_tests {
     use super::*;
-    use crate::shard::ShardPlan;
+    use crate::loss::LossConfig;
 
     type Msg = Vec<u8>;
 
     /// A ring node: forwards every arrival to its successor, seeds traffic
-    /// from a periodic timer, and keeps a far-future timer it cancels late
-    /// (exercising timer-handle survival across partition/dissolve cycles).
-    /// Some arrivals also send the successor a direct message.
+    /// from a periodic timer, keeps a far-future timer it cancels late, and
+    /// now and then sends its successor a direct message.
     struct RingNode {
         next: Option<PipeId>,
         peer: Option<ProcessId>,
         arrivals: Vec<SimTime>,
         doomed: Option<TimerId>,
         sent: u32,
-    }
-
-    impl RingNode {
-        fn new() -> Self {
-            RingNode {
-                next: None,
-                peer: None,
-                arrivals: Vec::new(),
-                doomed: None,
-                sent: 0,
-            }
-        }
     }
 
     const SEND: u64 = 1;
@@ -1752,8 +1308,6 @@ mod shard_parity_tests {
                 if let Some(next) = self.next {
                     ctx.send(next, m[1..].to_vec());
                 }
-                // Now and then tell the next process directly, past the
-                // lookahead, so direct messages cross shards too.
                 if let (0, Some(peer)) = (m.len() % 16, self.peer) {
                     ctx.send_direct(peer, SimDuration::from_millis(6), vec![7; 3]);
                 }
@@ -1781,9 +1335,21 @@ mod shard_parity_tests {
         }
     }
 
-    fn ring_sim(n: usize, seed: u64, shards: usize) -> Simulation<Msg> {
+    /// `n` ring nodes over lossy 5 ms pipes, with a message posted into
+    /// the side slab and a crash and a pipe outage scripted mid-run.
+    fn ring_sim(n: usize, seed: u64) -> Simulation<Msg> {
         let mut sim = Simulation::new(seed);
-        let pids: Vec<ProcessId> = (0..n).map(|_| sim.add_process(RingNode::new())).collect();
+        let pids: Vec<ProcessId> = (0..n)
+            .map(|_| {
+                sim.add_process(RingNode {
+                    next: None,
+                    peer: None,
+                    arrivals: Vec::new(),
+                    doomed: None,
+                    sent: 0,
+                })
+            })
+            .collect();
         for i in 0..n {
             let (fwd, _) = sim.connect(
                 pids[i],
@@ -1795,25 +1361,12 @@ mod shard_parity_tests {
             node.next = Some(fwd);
             node.peer = Some(pids[(i + 1) % n]);
         }
-        // Waits in the side slab when the first partition runs.
         sim.post(SimTime::from_millis(150), pids[1], vec![9; 2]);
-        sim.schedule(
-            SimTime::from_millis(300),
-            ScenarioEvent::CrashProcess(pids[n / 2]),
-        );
-        sim.schedule(
-            SimTime::from_millis(700),
-            ScenarioEvent::RestartProcess(pids[n / 2]),
-        );
-        sim.schedule(
-            SimTime::from_millis(400),
-            ScenarioEvent::DisablePipe(PipeId(2)),
-        );
-        sim.schedule(
-            SimTime::from_millis(600),
-            ScenarioEvent::EnablePipe(PipeId(2)),
-        );
-        sim.set_shards(shards);
+        let (down, up) = (SimTime::from_millis(300), SimTime::from_millis(700));
+        sim.schedule(down, ScenarioEvent::CrashProcess(pids[n / 2]));
+        sim.schedule(up, ScenarioEvent::RestartProcess(pids[n / 2]));
+        sim.schedule(down, ScenarioEvent::DisablePipe(PipeId(2)));
+        sim.schedule(up, ScenarioEvent::EnablePipe(PipeId(2)));
         sim
     }
 
@@ -1829,119 +1382,34 @@ mod shard_parity_tests {
         (sim.fingerprint(), sim.events_processed(), arrivals)
     }
 
-    #[test]
-    fn sharded_run_matches_sequential_bit_for_bit() {
-        let n = 12;
-        let horizon = SimTime::from_secs(2);
-        let mut seq = ring_sim(n, 42, 1);
-        seq.run_until(horizon);
-        let baseline = observe(&seq, n);
-        for shards in [2, 3, 4, 8] {
-            let mut sharded = ring_sim(n, 42, shards);
-            sharded.run_until(horizon);
-            assert_eq!(
-                observe(&sharded, n),
-                baseline,
-                "shards={shards} diverged from sequential"
-            );
-            assert_eq!(sharded.now(), seq.now());
-        }
+    fn one_shot(n: usize, seed: u64, horizon: SimTime) -> (u64, u64, Vec<Vec<SimTime>>) {
+        let mut sim = ring_sim(n, seed);
+        sim.run_until(horizon);
+        observe(&sim, n)
     }
 
     #[test]
-    fn sharded_cadence_run_matches_one_shot_sequential() {
-        // Cadence pauses force a partition/dissolve cycle every 100 ms;
-        // leftovers (in-flight messages, pending timers, the far-future
-        // doomed timer) must survive every cycle unchanged.
-        let n = 8;
+    fn cadence_run_matches_one_shot_run() {
         let horizon = SimTime::from_secs(2);
-        let mut seq = ring_sim(n, 7, 1);
-        seq.run_until(horizon);
-        let baseline = observe(&seq, n);
-        let mut sharded = ring_sim(n, 7, 4);
+        let mut sim = ring_sim(8, 7);
         let mut ticks = 0;
-        sharded.run_with_cadence(horizon, SimDuration::from_millis(100), |_, _, _| ticks += 1);
+        sim.run_with_cadence(horizon, SimDuration::from_millis(100), |_, _, _| ticks += 1);
         assert_eq!(ticks, 20);
-        assert_eq!(observe(&sharded, n), baseline);
+        assert_eq!(sim.now(), horizon);
+        assert_eq!(observe(&sim, 8), one_shot(8, 7, horizon));
     }
 
     #[test]
-    fn sharded_run_is_reproducible_across_repeats() {
-        let run = || {
-            let mut sim = ring_sim(10, 99, 4);
-            sim.run_until(SimTime::from_secs(1));
-            observe(&sim, 10)
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn shard_stats_report_load_and_windows() {
-        let mut sim = ring_sim(8, 1, 4);
-        sim.run_until(SimTime::from_secs(1));
-        let stats = sim.shard_stats();
-        assert_eq!(stats.loads.len(), 4);
-        assert_eq!(stats.lookahead, SimDuration::from_millis(5));
-        // 1 s of virtual time in 5 ms windows (the flush pass isn't counted).
-        assert_eq!(stats.windows, 200);
-        let total: u64 = stats.loads.iter().map(|l| l.events).sum();
-        assert!(total > 0);
-        assert!(
-            stats.loads.iter().any(|l| l.sent_cross > 0),
-            "a ring split across shards must send cross-shard traffic"
-        );
-    }
-
-    #[test]
-    fn sequential_leftovers_fire_after_a_sharded_prefix() {
-        // Run sharded for a prefix, then continue sequentially: pending
-        // timers and in-flight messages restored at dissolve must fire.
-        let n = 8;
-        let mut seq = ring_sim(n, 5, 1);
-        seq.run_until(SimTime::from_secs(2));
-        let baseline = observe(&seq, n);
-        let mut mixed = ring_sim(n, 5, 4);
-        mixed.run_until(SimTime::from_millis(333));
-        mixed.set_shards(1);
-        mixed.run_until(SimTime::from_secs(2));
-        assert_eq!(observe(&mixed, n), baseline);
-    }
-
-    #[test]
-    #[should_panic(expected = "splits colocated processes")]
-    fn splitting_zero_latency_neighbors_panics() {
-        struct Chatty {
-            peer: ProcessId,
+    fn a_run_split_at_any_horizon_equals_one_run() {
+        let horizon = SimTime::from_secs(2);
+        let whole = one_shot(8, 5, horizon);
+        // Before the first event, on the crash, on the late cancel, and
+        // between events.
+        for split_ms in [0, 300, 333, 897, 1_500] {
+            let mut sim = ring_sim(8, 5);
+            sim.run_until(SimTime::from_millis(split_ms));
+            sim.run_until(horizon);
+            assert_eq!(observe(&sim, 8), whole, "split at {split_ms} ms");
         }
-        impl Process<Msg> for Chatty {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                // The violation must happen mid-run: on_start executes
-                // sequentially before the first partition and would be
-                // carried over as a legitimate snapshot event.
-                ctx.set_timer(SimDuration::from_millis(1), 0);
-            }
-            fn on_message(
-                &mut self,
-                _: &mut Ctx<'_, Msg>,
-                _: ProcessId,
-                _: Option<PipeId>,
-                _: Msg,
-            ) {
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _: u64) {
-                ctx.send_direct(self.peer, SimDuration::from_micros(50), vec![1]);
-            }
-        }
-        let mut sim = Simulation::new(1);
-        let a = sim.add_process(Chatty { peer: ProcessId(1) });
-        let b = sim.add_process(Chatty { peer: ProcessId(0) });
-        // A pipe with real latency makes the plan look safe; the direct
-        // IPC send below the lookahead must still be caught at runtime.
-        sim.connect(a, b, PipeConfig::with_latency(SimDuration::from_millis(10)));
-        let mut plan = ShardPlan::contiguous(2, 2);
-        plan.assign(a, 0);
-        plan.assign(b, 1);
-        sim.set_shard_plan(Some(plan));
-        sim.run_until(SimTime::from_secs(1));
     }
 }

@@ -338,16 +338,6 @@ impl Underlay {
         }
     }
 
-    /// The minimum propagation latency over all fiber edges, up or down
-    /// (failures change availability, never latency). This is the sharded
-    /// simulator's conservative lookahead bound: every resolved path
-    /// crosses at least one fiber edge, so no bound pipe between distinct
-    /// cities can deliver faster than this.
-    #[must_use]
-    pub fn min_link_latency(&self) -> Option<SimDuration> {
-        self.edges.iter().map(|e| e.latency).min()
-    }
-
     /// The fiber edges (across all ISPs) with at least one endpoint within
     /// `radius_km` of `center` — the blast set of a geographically
     /// correlated failure (cable cut, regional power loss; cf. \[13\] in

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use son_netsim::link::{PipeBinding, PipeConfig, PipeId};
 use son_netsim::loss::LossConfig;
 use son_netsim::process::ProcessId;
-use son_netsim::shard::ShardPlan;
 use son_netsim::sim::Simulation;
 use son_netsim::time::SimDuration;
 use son_netsim::underlay::{Attachment, CityId};
@@ -72,36 +71,6 @@ impl OverlayHandle {
     #[must_use]
     pub fn daemon(&self, node: NodeId) -> ProcessId {
         self.daemons[node.0]
-    }
-
-    /// A conservative-PDES partition of the deployment for
-    /// [`Simulation::set_shard_plan`]: the daemons split into `shards`
-    /// contiguous blocks of overlay nodes, every other process defaulting
-    /// to shard 0. `nprocs` is the simulation's total process count
-    /// ([`Simulation::process_count`]); processes that talk to a daemon
-    /// over zero-latency IPC (clients) must be colocated with it via
-    /// [`OverlayHandle::colocate`] — the engine rejects plans that split
-    /// colocated processes at run time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nprocs` doesn't cover every daemon.
-    #[must_use]
-    pub fn shard_plan(&self, shards: usize, nprocs: usize) -> ShardPlan {
-        let nd = self.daemons.len();
-        let mut plan = ShardPlan::pinned(shards, nprocs);
-        for (i, &d) in self.daemons.iter().enumerate() {
-            assert!(d.0 < nprocs, "plan must cover daemon {d:?}");
-            plan.assign(d, i * shards / nd);
-        }
-        plan
-    }
-
-    /// Pins `client` to the shard of `node`'s daemon in `plan` (clients
-    /// exchange zero-latency IPC with their daemon, so they must share its
-    /// shard).
-    pub fn colocate(&self, plan: &mut ShardPlan, client: ProcessId, node: NodeId) {
-        plan.assign(client, plan.owner_of(self.daemon(node)));
     }
 }
 
@@ -401,35 +370,6 @@ mod tests {
         assert_eq!(handle.edge_pipes.len(), 2);
         // One provider pair per edge in abstract mode.
         assert_eq!(handle.edge_pipes[&EdgeId(0)].len(), 1);
-    }
-
-    #[test]
-    fn shard_plan_blocks_daemons_and_colocates_clients() {
-        let mut sim = Simulation::new(1);
-        let handle = OverlayBuilder::new(chain_topology(8, 10.0)).build(&mut sim);
-        // Two "clients" added after the daemons.
-        struct Idle;
-        impl son_netsim::process::Process<Wire> for Idle {
-            fn on_message(
-                &mut self,
-                _ctx: &mut son_netsim::sim::Ctx<'_, Wire>,
-                _from: ProcessId,
-                _pipe: Option<PipeId>,
-                _msg: Wire,
-            ) {
-            }
-        }
-        let c0 = sim.add_process(Idle);
-        let c7 = sim.add_process(Idle);
-        let mut plan = handle.shard_plan(4, sim.process_count());
-        assert_eq!(plan.shards(), 4);
-        assert_eq!(plan.owner_of(handle.daemon(NodeId(0))), 0);
-        assert_eq!(plan.owner_of(handle.daemon(NodeId(7))), 3);
-        // Clients default to shard 0 until colocated.
-        handle.colocate(&mut plan, c0, NodeId(0));
-        handle.colocate(&mut plan, c7, NodeId(7));
-        assert_eq!(plan.owner_of(c0), 0);
-        assert_eq!(plan.owner_of(c7), 3);
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub struct Fleet {
     pub sim: Simulation<Wire>,
     /// Handles to the daemons and pipes.
     pub overlay: OverlayHandle,
-    /// Every client added through [`Fleet::client`], with its daemon's node.
-    clients: Vec<(ProcessId, NodeId)>,
     /// `(sender, receiver)` of every [`Fleet::flow`], in call order.
     flows: Vec<(ProcessId, ProcessId)>,
     /// What [`Fleet::recv`] hands out for a flow that delivered nothing.
@@ -110,7 +108,6 @@ impl Fleet {
         Fleet {
             sim,
             overlay,
-            clients: Vec::new(),
             flows: Vec::new(),
             no_recv: FlowRecv::default(),
         }
@@ -125,21 +122,12 @@ impl Fleet {
         flows: Vec<ClientFlow>,
     ) -> ProcessId {
         let daemon = self.overlay.daemon(node);
-        self.add_client(
-            node,
-            ClientConfig {
-                daemon,
-                port,
-                joins,
-                flows,
-            },
-        )
-    }
-
-    fn add_client(&mut self, node: NodeId, config: ClientConfig) -> ProcessId {
-        let client = self.sim.add_process(ClientProcess::new(config));
-        self.clients.push((client, node));
-        client
+        self.sim.add_process(ClientProcess::new(ClientConfig {
+            daemon,
+            port,
+            joins,
+            flows,
+        }))
     }
 
     /// Adds flow `k` (its return value, counting from 0): its
@@ -148,7 +136,7 @@ impl Fleet {
         let k = self.flows.len();
         let overlay = &self.overlay;
         let [rx, tx] = flow_clients(k, (from, to), spec, workload, |n| overlay.daemon(n));
-        let [rx, tx] = [rx, tx].map(|(node, config)| self.add_client(node, config));
+        let [rx, tx] = [rx, tx].map(|(_, config)| self.sim.add_process(ClientProcess::new(config)));
         self.flows.push((tx, rx));
         k
     }
@@ -169,20 +157,6 @@ impl Fleet {
     /// [`Fleet::pipe_outage`] on every provider of one overlay link.
     pub fn edge_outage(&mut self, edge: EdgeId, at: SimTime, outage: SimDuration) {
         self.pipe_outage(&edge_pipes(&self.overlay, edge), at, outage);
-    }
-
-    /// Runs on `shards` event-engine shards (bit-identical to sequential):
-    /// daemons in contiguous blocks, every client added so far on its
-    /// daemon's shard, because client IPC has zero latency and must not
-    /// cross a shard boundary. Call after the last client is added.
-    pub fn shards(&mut self, shards: usize) {
-        if shards > 1 {
-            let mut plan = self.overlay.shard_plan(shards, self.sim.process_count());
-            for &(client, node) in &self.clients {
-                self.overlay.colocate(&mut plan, client, node);
-            }
-            self.sim.set_shard_plan(Some(plan));
-        }
     }
 
     /// Runs to `until`.

@@ -44,6 +44,8 @@ pub mod client;
 pub mod dedup;
 pub mod fleet;
 pub mod flow;
+#[doc(hidden)]
+mod frozen;
 pub mod intercept;
 pub mod linkproto;
 pub mod metrics;

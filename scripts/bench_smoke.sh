@@ -24,13 +24,6 @@ son_exp gate "$FWD" $tp,mode=smoke "$pps>=0.70*$pps" BENCH_forwarding.json $tp,m
 # against the in-run plain figure (same machine, same moment).
 son_exp gate "$FWD" $tp,mode=traced "$pps>=0.95*$pps" "$FWD" $tp,mode=smoke
 son_exp gate "$FWD" $tp,mode=perf "$pps>=0.95*$pps" "$FWD" $tp,mode=smoke
-# Sharded scaling: the row carries its own "gate" decision — "enforced" on
-# hosts with >= 4 cores, "skipped" where 4 shards time-slice fewer — and the
-# 1.8x bar applies only to an enforced row. A sharded row without the field,
-# fresh or committed, is a failure. (Bit-identity of the sharded replay is
-# asserted inside the experiment and by the shard_parity suite.)
-son_exp gate "$FWD" $tp,mode=sharded,gate 'speedup_vs_seq>=1.8'
-son_exp gate BENCH_forwarding.json $tp,mode=sharded,gate ''
 
 echo "==> son-exp scale --smoke"
 SCALE=target/obs/BENCH_scale.smoke.json

@@ -17,7 +17,7 @@ stage_build() {
 stage_test() {
     echo "==> cargo test -q (tier 1)"
     cargo test -q
-    echo "==> cargo test --workspace -q (incl. the shard_parity determinism suite)"
+    echo "==> cargo test --workspace -q (incl. the fingerprint and bench locks)"
     cargo test --workspace -q
 }
 
@@ -35,6 +35,17 @@ stage_lint() {
         /^[0-9]+ tests?, [0-9]+ benchmarks?$/ { delete seen; next }
         /: test$/ && seen[$0]++ == 1 { print "listed twice: " $0; dup = 1 }
         END { exit dup }'
+    # The simulator has one sequential engine. The names of the retired
+    # sharded one live on, inert, in each crate's `frozen` module for the
+    # benchmark harness alone: no workspace code may use them.
+    echo "==> no workspace code names the benchmark's frozen shims"
+    if grep -rnwE --include='*.rs' \
+        'set_shard_plan|shard_plan|colocate|shard_stats|schedule_keyed|pop_full|TieKey' \
+        crates src tests examples |
+        grep -vE '^crates/[a-z]+/src/frozen\.rs:|pub use crate::frozen::'; then
+        echo "ERROR: workspace code names a frozen benchmark shim" >&2
+        exit 1
+    fi
     # The daemon hands its driver borrowed frames; encoding and decoding
     # are the drivers' (DESIGN.md §7). `recode` is kept for tests and the
     # codec micro-benchmark.
