@@ -77,14 +77,14 @@ fn healthy(test: &str) -> PathBuf {
     dir
 }
 
-/// Runs every `son_exp gate …` line of the script against the files in
+/// Runs every `gate …` line of the script against the files in
 /// `dir`, expanding the script's own `name=value` variables.
 fn run_script_gates(dir: &Path) -> Vec<Result<String, String>> {
     let at = |file: &str| dir.join(file).to_str().unwrap().to_owned();
     let mut vars: Vec<(String, String)> = Vec::new();
     let mut results = Vec::new();
     for line in read(format!("{ROOT}/scripts/bench_smoke.sh")).lines() {
-        if let Some(args) = line.strip_prefix("son_exp gate ") {
+        if let Some(args) = line.strip_prefix("gate ") {
             let expand = |word: &str| {
                 let mut word = word.trim_matches(['"', '\'']).to_owned();
                 for (name, value) in vars.iter().rev() {

@@ -36,7 +36,7 @@ fn ledger(reg: &Registry) -> (u64, u64, u64) {
     for (desc, v) in reg.counters() {
         if desc.name.starts_with("data.drop.") {
             pipe_drops += v;
-        } else if desc.name.starts_with("drop.") && desc.labels.iter().any(|(k, _)| k == "node") {
+        } else if desc.name.starts_with("drop.") && desc.labels().any(|(k, _)| k == "node") {
             node_drops += v;
         }
     }
@@ -129,11 +129,11 @@ const PER_FLOW_COUNT: u64 = 60;
 fn flow_ledger(reg: &Registry) -> HashMap<String, (u64, u64, u64)> {
     let mut per_flow: HashMap<String, (u64, u64, u64)> = HashMap::new();
     for (desc, v) in reg.counters() {
-        let Some((_, label)) = desc.labels.iter().find(|(k, _)| k == "flow") else {
+        let Some((_, label)) = desc.labels().find(|(k, _)| *k == "flow") else {
             continue;
         };
-        let e = per_flow.entry(label.clone()).or_default();
-        match desc.name.as_str() {
+        let e = per_flow.entry(label.to_owned()).or_default();
+        match desc.name {
             "flow.sent" => e.0 += v,
             "flow.delivered" => e.1 += v,
             "flow.dropped" => e.2 += v,

@@ -84,11 +84,9 @@ fn incarnation_registry(cumulative: &Registry, base: &HashMap<String, u64>) -> R
     let mut fresh = Registry::new();
     for (desc, total) in cumulative.counters() {
         let key = desc.key();
-        let id = fresh.counter(&key, &[]);
-        fresh.add(
-            id,
-            total.saturating_sub(base.get(&key).copied().unwrap_or(0)),
-        );
+        let since_boot = total.saturating_sub(base.get(&key).copied().unwrap_or(0));
+        let id = fresh.counter(key, &[]);
+        fresh.add(id, since_boot);
     }
     fresh
 }

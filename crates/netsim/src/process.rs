@@ -81,6 +81,13 @@ pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
         MessageKind::Control
     }
 
+    /// `true` iff [`kind`](Self::kind) is [`MessageKind::Data`]: what the
+    /// pipe send path asks of every frame. Override it when `kind` computes
+    /// more than the answer needs.
+    fn is_data(&self) -> bool {
+        matches!(self.kind(), MessageKind::Data { .. })
+    }
+
     /// Appends the bytes this message crosses a pipe as to `buf`.
     fn encode_frame(&self, buf: &mut Vec<u8>);
 

@@ -39,7 +39,7 @@ use std::any::Any;
 use crate::event::{EventId, EventQueue, QueueStats};
 use crate::link::{Pipe, PipeConfig, PipeId, Transmit};
 use crate::loss::LossConfig;
-use crate::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
+use crate::process::{Process, ProcessId, SimMessage, TimerId};
 use crate::rng::SimRng;
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
@@ -666,7 +666,7 @@ impl<M: SimMessage> SimCore<M> {
             .unwrap_or_else(|| Vec::with_capacity(FRESH_FRAME_BYTES));
         msg.encode_frame(&mut frame);
         let outcome = p.transmit(now, frame.len(), &mut self.underlay);
-        let is_data = matches!(msg.kind(), MessageKind::Data { .. });
+        let is_data = msg.is_data();
         let at = match outcome {
             Transmit::Arrives(at) => at,
             Transmit::Dropped(reason) => {

@@ -38,7 +38,7 @@ use son_netsim::driver::{Driver, Transport};
 use son_netsim::event::{EventId, EventQueue};
 use son_netsim::link::PipeId;
 use son_netsim::loss::LossProcess;
-use son_netsim::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
+use son_netsim::process::{Process, ProcessId, SimMessage, TimerId};
 use son_netsim::rng::SimRng;
 use son_netsim::sim::Ctx;
 use son_netsim::stats::Counters;
@@ -247,7 +247,7 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         debug_assert_eq!(pid, self.daemon, "only the daemon owns link pipes");
         debug_assert_eq!(pipe.0 % 2, 0, "process {pid} sent on an inbound pipe");
         let end = &mut self.links[pipe.0 / 2];
-        let is_data = matches!(msg.kind(), MessageKind::Data { .. });
+        let is_data = msg.is_data();
         let now = self.now;
         let dropped = if end.outage.is_some_and(|(from, to)| now >= from && now < to) {
             Some(DropClass::Down)

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use crate::hist::LatencyHistogram;
 use crate::json::Json;
-use crate::registry::Registry;
+use crate::registry::{InstrumentDesc, Registry};
 
 /// Environment variable overriding the export directory.
 pub const OBS_DIR_ENV: &str = "SON_OBS_DIR";
@@ -114,37 +114,27 @@ impl JsonlSink {
 ///   (milliseconds, since instruments record nanoseconds)
 #[must_use]
 pub fn registry_rows(reg: &Registry) -> Vec<Json> {
-    let labels_obj = |labels: &[(String, String)]| {
-        Json::Obj(
-            labels
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                .collect(),
-        )
+    let head = |kind: &str, desc: &InstrumentDesc| {
+        let labels = desc.labels().map(|(k, v)| (k.to_owned(), Json::str(v)));
+        vec![
+            ("kind", Json::str(kind)),
+            ("name", Json::str(desc.name)),
+            ("labels", Json::Obj(labels.collect())),
+        ]
     };
     let mut rows = Vec::new();
     for (desc, v) in reg.counters() {
-        rows.push(Json::obj(vec![
-            ("kind", Json::str("counter")),
-            ("name", Json::Str(desc.name.clone())),
-            ("labels", labels_obj(&desc.labels)),
-            ("value", Json::U64(v)),
-        ]));
+        let mut row = head("counter", &desc);
+        row.push(("value", Json::U64(v)));
+        rows.push(Json::obj(row));
     }
     for (desc, v) in reg.gauges() {
-        rows.push(Json::obj(vec![
-            ("kind", Json::str("gauge")),
-            ("name", Json::Str(desc.name.clone())),
-            ("labels", labels_obj(&desc.labels)),
-            ("value", Json::F64(v)),
-        ]));
+        let mut row = head("gauge", &desc);
+        row.push(("value", Json::F64(v)));
+        rows.push(Json::obj(row));
     }
     for (desc, h) in reg.histograms() {
-        let mut row = vec![
-            ("kind", Json::str("hist")),
-            ("name", Json::Str(desc.name.clone())),
-            ("labels", labels_obj(&desc.labels)),
-        ];
+        let mut row = head("hist", &desc);
         row.extend(hist_fields(h));
         rows.push(Json::obj(row));
     }

@@ -76,15 +76,6 @@ pub fn shared_part(holders: usize, bytes: usize) -> usize {
     bytes / holders
 }
 
-/// Heap bytes retained by a `String`'s buffer.
-#[must_use]
-pub fn string_bytes(s: &str) -> usize {
-    // `&str` has no capacity; for owned strings capacity ≈ len after
-    // typical construction, and the label strings this is used on are
-    // built once via `to_owned`.
-    s.len()
-}
-
 /// A named subsystem's contribution to a node's footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FootprintPart {

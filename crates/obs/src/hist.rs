@@ -2,8 +2,10 @@
 //!
 //! [`LatencyHistogram`] records durations in nanoseconds into power-of-two
 //! buckets: bucket *i* (for *i* ≥ 1) covers `(2^(i-1), 2^i]` ns, bucket 0
-//! covers `[0, 1]`. Recording is O(1) with no allocation after
-//! construction, quantiles are read out with linear interpolation inside the
+//! covers `[0, 1]`. The bucket array is allocated on the first record (or
+//! the first non-empty merge), so a histogram that never records — most
+//! daemons' delivery latency — costs no heap; after that, recording is O(1)
+//! with no allocation. Quantiles are read out with linear interpolation inside the
 //! resolved bucket (≤ 2× relative error by construction, far better in
 //! practice for smooth distributions), and two histograms merge exactly —
 //! unlike sample-keeping percentile estimators, which either grow without
@@ -12,15 +14,30 @@
 /// Number of buckets: zero bucket + one per possible leading-bit position.
 const BUCKETS: usize = 65;
 
+/// The bucket counts of a histogram that has not allocated its own.
+static NO_COUNTS: [u64; BUCKETS] = [0; BUCKETS];
+
 /// A fixed-size log₂-bucketed histogram of durations in nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (Equality compares what the accessors read: an empty histogram equals
+/// another empty one whether or not either allocated its buckets.)
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    counts: Box<[u64; BUCKETS]>,
+    /// `None` until the first record or non-empty merge.
+    counts: Option<Box<[u64; BUCKETS]>>,
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
 }
+
+impl PartialEq for LatencyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        (self.count, self.sum, self.min, self.max) == (other.count, other.sum, other.min, other.max)
+            && self.buckets() == other.buckets()
+    }
+}
+
+impl Eq for LatencyHistogram {}
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
@@ -64,7 +81,7 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: Box::new([0; BUCKETS]),
+            counts: None,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -107,7 +124,7 @@ impl LatencyHistogram {
             total = total
                 .checked_add(c)
                 .ok_or("bucket counts overflow the count")?;
-            h.counts[i] = c;
+            h.counts_mut()[i] = c;
             next = i + 1;
         }
         if total != count {
@@ -122,9 +139,17 @@ impl LatencyHistogram {
         Ok(h)
     }
 
+    fn buckets(&self) -> &[u64; BUCKETS] {
+        self.counts.as_deref().unwrap_or(&NO_COUNTS)
+    }
+
+    fn counts_mut(&mut self) -> &mut [u64; BUCKETS] {
+        self.counts.get_or_insert_with(|| Box::new([0; BUCKETS]))
+    }
+
     /// Records one duration in nanoseconds.
     pub fn record(&mut self, nanos: u64) {
-        self.counts[bucket_of(nanos)] += 1;
+        self.counts_mut()[bucket_of(nanos)] += 1;
         self.count += 1;
         self.sum += u128::from(nanos);
         self.min = self.min.min(nanos);
@@ -190,7 +215,7 @@ impl LatencyHistogram {
         // Rank of the target sample, 1-based: ceil(q * count), at least 1.
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.buckets().iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -230,8 +255,10 @@ impl LatencyHistogram {
     /// (Counts saturate instead of wrapping: a collector merges histograms
     /// whose counts remote senders chose.)
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
+        if let Some(theirs) = &other.counts {
+            for (a, b) in self.counts_mut().iter_mut().zip(theirs.iter()) {
+                *a = a.saturating_add(*b);
+            }
         }
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
@@ -250,7 +277,7 @@ impl LatencyHistogram {
     /// sparse form a [`TelemetrySnapshot`](crate::TelemetrySnapshot)
     /// serializes and [`from_sparse`](Self::from_sparse) reads back.
     pub fn bucket_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
+        self.buckets()
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -260,7 +287,9 @@ impl LatencyHistogram {
 
 impl crate::footprint::MemFootprint for LatencyHistogram {
     fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<[u64; BUCKETS]>()
+        self.counts
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<[u64; BUCKETS]>())
     }
 }
 
@@ -341,6 +370,23 @@ mod tests {
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile(q), combined.quantile(q), "q={q}");
         }
+    }
+
+    #[test]
+    fn buckets_are_allocated_on_the_first_record_or_non_empty_merge() {
+        use crate::footprint::MemFootprint;
+        let bytes = std::mem::size_of::<[u64; BUCKETS]>();
+        let mut h = LatencyHistogram::new();
+        h.merge(&LatencyHistogram::new());
+        assert_eq!(h.footprint_bytes(), 0);
+        assert_eq!(h, LatencyHistogram::from_sparse(0, 0, 0, 0, []).unwrap());
+        let mut one = LatencyHistogram::new();
+        one.record(40);
+        assert_eq!(one.footprint_bytes(), bytes);
+        h.merge(&one);
+        assert_eq!((h.footprint_bytes(), h.count()), (bytes, 1));
+        assert_eq!(h, one);
+        assert_ne!(one, LatencyHistogram::new());
     }
 
     /// (`snapshot`'s decoder tests break each rule once more, through a

@@ -7,8 +7,16 @@
 //! (registration, lookup by name, export) carries the metadata. Registering
 //! the same `(name, labels)` twice returns the same handle, so components
 //! can re-register idempotently instead of threading handles around.
+//!
+//! A registry costs what it records. Labels every instrument shares (a
+//! daemon's `node=<id>`) are stored once per registry
+//! ([`Registry::with_labels`]); an instrument keeps its name — borrowed when
+//! the code wrote it as a literal — and only its own labels. There is no
+//! rendered-key index: registration and the `*_named` lookups compare name
+//! and labels in place, a linear scan over a registry's few dozen
+//! instruments on paths that run once per instrument, not per packet.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use crate::hist::LatencyHistogram;
 
@@ -24,44 +32,99 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistId(usize);
 
-/// Name and labels of one registered instrument.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstrumentDesc {
-    /// Dotted metric name, e.g. `node.forwarded`.
-    pub name: String,
-    /// Label pairs, e.g. `[("node", "3"), ("proto", "reliable")]`.
-    pub labels: Vec<(String, String)>,
+/// One stored label pair: keys are always literals, values are copied.
+type Label = (&'static str, Box<str>);
+
+fn copy_labels(labels: &[(&'static str, &str)]) -> Box<[Label]> {
+    labels.iter().map(|&(k, v)| (k, Box::from(v))).collect()
 }
 
-impl InstrumentDesc {
-    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        InstrumentDesc {
-            name: name.to_owned(),
-            labels: labels
+fn labels_bytes(labels: &[Label]) -> usize {
+    std::mem::size_of_val(labels) + labels.iter().map(|(_, v)| v.len()).sum::<usize>()
+}
+
+/// What a registry stores per instrument.
+#[derive(Debug)]
+struct Meta {
+    name: Cow<'static, str>,
+    /// The instrument's own labels; the registry's common ones precede them.
+    labels: Box<[Label]>,
+}
+
+impl Meta {
+    fn is(&self, name: &str, labels: &[(&'static str, &str)]) -> bool {
+        self.name == name
+            && self.labels.len() == labels.len()
+            && self
+                .labels
                 .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
+                .zip(labels)
+                .all(|((k, v), (k2, v2))| k == k2 && **v == **v2)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let name = match &self.name {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(s) => s.capacity(),
+        };
+        name + labels_bytes(&self.labels)
+    }
+}
+
+/// Index of the instrument `name{labels}` (own labels) in `metas`, and
+/// whether this call registered it.
+fn register(
+    metas: &mut Vec<Meta>,
+    name: Cow<'static, str>,
+    labels: &[(&'static str, &str)],
+) -> (usize, bool) {
+    if let Some(i) = metas.iter().position(|m| m.is(&name, labels)) {
+        return (i, false);
+    }
+    let labels = copy_labels(labels);
+    metas.push(Meta { name, labels });
+    (metas.len() - 1, true)
+}
+
+/// Name and labels of one registered instrument, as a reader sees them:
+/// the registry's common labels first, then the instrument's own.
+#[derive(Debug, Clone, Copy)]
+pub struct InstrumentDesc<'a> {
+    /// Dotted metric name, e.g. `node.forwarded`.
+    pub name: &'a str,
+    common: &'a [Label],
+    own: &'a [Label],
+}
+
+impl<'a> InstrumentDesc<'a> {
+    fn new(common: &'a [Label], meta: &'a Meta) -> Self {
+        InstrumentDesc {
+            name: &meta.name,
+            common,
+            own: &meta.labels,
         }
     }
 
-    /// Canonical `name{k=v,...}` rendering (also the registry lookup key).
+    /// Label pairs, e.g. `("node", "3"), ("proto", "reliable")`.
+    pub fn labels(&self) -> impl Iterator<Item = (&'static str, &'a str)> + 'a {
+        let (common, own) = (self.common, self.own);
+        common.iter().chain(own).map(|(k, v)| (*k, &**v))
+    }
+
+    /// Canonical `name{k=v,...}` rendering (the telemetry key).
     #[must_use]
     pub fn key(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
         let mut out = String::with_capacity(self.name.len() + 16);
-        out.push_str(&self.name);
-        out.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        out.push_str(self.name);
+        for (i, (k, v)) in self.labels().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
             out.push_str(k);
             out.push('=');
             out.push_str(v);
         }
-        out.push('}');
+        if self.labelled() {
+            out.push('}');
+        }
         out
     }
 
@@ -71,69 +134,51 @@ impl InstrumentDesc {
     /// every epoch, so the steady-state snapshot path never re-renders.
     #[must_use]
     pub fn key_matches(&self, rendered: &str) -> bool {
-        let Some(mut rest) = rendered.strip_prefix(self.name.as_str()) else {
+        let Some(mut rest) = rendered.strip_prefix(self.name) else {
             return false;
         };
-        if self.labels.is_empty() {
-            return rest.is_empty();
-        }
-        let Some(r) = rest.strip_prefix('{') else {
-            return false;
-        };
-        rest = r;
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                let Some(r) = rest.strip_prefix(',') else {
-                    return false;
-                };
-                rest = r;
-            }
-            let Some(r) = rest.strip_prefix(k.as_str()) else {
+        for (i, (k, v)) in self.labels().enumerate() {
+            let Some(r) = rest.strip_prefix(if i == 0 { '{' } else { ',' }) else {
+                return false;
+            };
+            let Some(r) = r.strip_prefix(k) else {
                 return false;
             };
             let Some(r) = r.strip_prefix('=') else {
                 return false;
             };
-            let Some(r) = r.strip_prefix(v.as_str()) else {
+            let Some(r) = r.strip_prefix(v) else {
                 return false;
             };
             rest = r;
         }
-        rest == "}"
+        rest == if self.labelled() { "}" } else { "" }
     }
-}
 
-fn lookup_key(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_owned();
+    fn labelled(&self) -> bool {
+        !self.common.is_empty() || !self.own.is_empty()
     }
-    let mut out = String::with_capacity(name.len() + 16);
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
+
+    /// `true` iff this is the instrument `name{labels}` (every label, the
+    /// common ones included).
+    fn is(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        self.name == name
+            && self.common.len() + self.own.len() == labels.len()
+            && self.labels().zip(labels).all(|(a, b)| a == *b)
     }
-    out.push('}');
-    out
 }
 
 /// A registry of labelled instruments.
 #[derive(Debug, Default)]
 pub struct Registry {
+    /// Labels every instrument carries, ahead of its own.
+    common: Box<[Label]>,
     counters: Vec<u64>,
-    counter_meta: Vec<InstrumentDesc>,
-    counter_index: BTreeMap<String, CounterId>,
+    counter_meta: Vec<Meta>,
     gauges: Vec<f64>,
-    gauge_meta: Vec<InstrumentDesc>,
-    gauge_index: BTreeMap<String, GaugeId>,
+    gauge_meta: Vec<Meta>,
     hists: Vec<LatencyHistogram>,
-    hist_meta: Vec<InstrumentDesc>,
-    hist_index: BTreeMap<String, HistId>,
+    hist_meta: Vec<Meta>,
 }
 
 impl Registry {
@@ -143,43 +188,57 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers (or finds) the counter `name{labels}`.
-    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
-        let key = lookup_key(name, labels);
-        if let Some(&id) = self.counter_index.get(&key) {
-            return id;
+    /// An empty registry whose every instrument carries `common` ahead of
+    /// its own labels, stored once here (a daemon's `node=<id>`).
+    #[must_use]
+    pub fn with_labels(common: &[(&'static str, &str)]) -> Self {
+        Registry {
+            common: copy_labels(common),
+            ..Registry::default()
         }
-        let id = CounterId(self.counters.len());
-        self.counters.push(0);
-        self.counter_meta.push(InstrumentDesc::new(name, labels));
-        self.counter_index.insert(key, id);
-        id
     }
 
-    /// Registers (or finds) the gauge `name{labels}`.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeId {
-        let key = lookup_key(name, labels);
-        if let Some(&id) = self.gauge_index.get(&key) {
-            return id;
+    /// Registers (or finds) the counter `name{labels}`; `labels` are the
+    /// instrument's own, after the registry's common ones.
+    pub fn counter(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        labels: &[(&'static str, &str)],
+    ) -> CounterId {
+        let (i, new) = register(&mut self.counter_meta, name.into(), labels);
+        if new {
+            self.counters.push(0);
         }
-        let id = GaugeId(self.gauges.len());
-        self.gauges.push(0.0);
-        self.gauge_meta.push(InstrumentDesc::new(name, labels));
-        self.gauge_index.insert(key, id);
-        id
+        CounterId(i)
     }
 
-    /// Registers (or finds) the histogram `name{labels}`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> HistId {
-        let key = lookup_key(name, labels);
-        if let Some(&id) = self.hist_index.get(&key) {
-            return id;
+    /// Registers (or finds) the gauge `name{labels}` (own labels, as for
+    /// [`Registry::counter`]).
+    pub fn gauge(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        labels: &[(&'static str, &str)],
+    ) -> GaugeId {
+        let (i, new) = register(&mut self.gauge_meta, name.into(), labels);
+        if new {
+            self.gauges.push(0.0);
         }
-        let id = HistId(self.hists.len());
-        self.hists.push(LatencyHistogram::new());
-        self.hist_meta.push(InstrumentDesc::new(name, labels));
-        self.hist_index.insert(key, id);
-        id
+        GaugeId(i)
+    }
+
+    /// Registers (or finds) the histogram `name{labels}` (own labels, as
+    /// for [`Registry::counter`]). Its buckets are allocated on its first
+    /// record.
+    pub fn histogram(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        labels: &[(&'static str, &str)],
+    ) -> HistId {
+        let (i, new) = register(&mut self.hist_meta, name.into(), labels);
+        if new {
+            self.hists.push(LatencyHistogram::new());
+        }
+        HistId(i)
     }
 
     /// Increments a counter by 1.
@@ -218,20 +277,21 @@ impl Registry {
         &self.hists[id.0]
     }
 
-    /// Looks up a counter's value by name and labels without registering it.
+    /// Looks up a counter's value by name and every label (the common ones
+    /// included) without registering it.
     #[must_use]
     pub fn counter_named(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.counter_index
-            .get(&lookup_key(name, labels))
-            .map(|&id| self.counters[id.0])
+        self.counters()
+            .find(|(desc, _)| desc.is(name, labels))
+            .map(|(_, v)| v)
     }
 
-    /// Looks up a histogram by name and labels without registering it.
+    /// Looks up a histogram by name and every label without registering it.
     #[must_use]
     pub fn hist_named(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LatencyHistogram> {
-        self.hist_index
-            .get(&lookup_key(name, labels))
-            .map(|&id| &self.hists[id.0])
+        self.histograms()
+            .find(|(desc, _)| desc.is(name, labels))
+            .map(|(_, h)| h)
     }
 
     /// Sum of all counters sharing `name`, across label sets.
@@ -257,50 +317,59 @@ impl Registry {
         out
     }
 
+    fn descs<'a>(&'a self, metas: &'a [Meta]) -> impl Iterator<Item = InstrumentDesc<'a>> {
+        metas.iter().map(|m| InstrumentDesc::new(&self.common, m))
+    }
+
     /// All counters as `(descriptor, value)`, in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&InstrumentDesc, u64)> {
-        self.counter_meta.iter().zip(self.counters.iter().copied())
+    pub fn counters(&self) -> impl Iterator<Item = (InstrumentDesc<'_>, u64)> {
+        let values = self.counters.iter().copied();
+        self.descs(&self.counter_meta).zip(values)
     }
 
     /// All gauges as `(descriptor, value)`, in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&InstrumentDesc, f64)> {
-        self.gauge_meta.iter().zip(self.gauges.iter().copied())
+    pub fn gauges(&self) -> impl Iterator<Item = (InstrumentDesc<'_>, f64)> {
+        self.descs(&self.gauge_meta)
+            .zip(self.gauges.iter().copied())
     }
 
     /// All histograms as `(descriptor, histogram)`, in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&InstrumentDesc, &LatencyHistogram)> {
-        self.hist_meta.iter().zip(self.hists.iter())
+    pub fn histograms(&self) -> impl Iterator<Item = (InstrumentDesc<'_>, &LatencyHistogram)> {
+        self.descs(&self.hist_meta).zip(self.hists.iter())
+    }
+
+    /// `other`'s labels for `meta` (its common ones, then the instrument's)
+    /// as own labels of this registry: past this registry's common ones,
+    /// which must lead them.
+    fn rebased<'a>(&self, other: &'a Registry, meta: &'a Meta) -> Vec<(&'static str, &'a str)> {
+        let mut labels: Vec<(&'static str, &str)> =
+            InstrumentDesc::new(&other.common, meta).labels().collect();
+        let common = self.common.iter().map(|(k, v)| (*k, &**v));
+        assert!(
+            labels.len() >= self.common.len()
+                && common.eq(labels[..self.common.len()].iter().copied()),
+            "absorbed instrument {} lacks this registry's common labels",
+            meta.name
+        );
+        labels.drain(..self.common.len());
+        labels
     }
 
     /// Folds every instrument of `other` into this registry, matching by
     /// `(name, labels)` and registering anything not yet present. Used to
-    /// aggregate per-node registries into an experiment-wide view.
+    /// aggregate per-node registries into an experiment-wide view (one
+    /// whose common labels, if any, lead every absorbed instrument's).
     pub fn absorb(&mut self, other: &Registry) {
-        for (desc, v) in other.counters() {
-            let labels: Vec<(&str, &str)> = desc
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            let id = self.counter(&desc.name, &labels);
+        for (meta, &v) in other.counter_meta.iter().zip(&other.counters) {
+            let id = self.counter(meta.name.clone(), &self.rebased(other, meta));
             self.counters[id.0] += v;
         }
-        for (desc, v) in other.gauges() {
-            let labels: Vec<(&str, &str)> = desc
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            let id = self.gauge(&desc.name, &labels);
+        for (meta, &v) in other.gauge_meta.iter().zip(&other.gauges) {
+            let id = self.gauge(meta.name.clone(), &self.rebased(other, meta));
             self.gauges[id.0] = v;
         }
-        for (desc, h) in other.histograms() {
-            let labels: Vec<(&str, &str)> = desc
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            let id = self.histogram(&desc.name, &labels);
+        for (meta, h) in other.hist_meta.iter().zip(&other.hists) {
+            let id = self.histogram(meta.name.clone(), &self.rebased(other, meta));
             self.hists[id.0].merge(h);
         }
     }
@@ -308,28 +377,16 @@ impl Registry {
 
 impl crate::footprint::MemFootprint for Registry {
     fn footprint_bytes(&self) -> usize {
-        use crate::footprint::{btreemap_bytes, vec_bytes, MemFootprint};
+        use crate::footprint::{vec_bytes, MemFootprint};
         let meta: usize = self
             .counter_meta
             .iter()
             .chain(&self.gauge_meta)
             .chain(&self.hist_meta)
-            .map(|d| {
-                d.name.len()
-                    + d.labels
-                        .iter()
-                        .map(|(k, v)| k.len() + v.len() + std::mem::size_of::<(String, String)>())
-                        .sum::<usize>()
-            })
+            .map(Meta::heap_bytes)
             .sum();
-        let keys: usize = self
-            .counter_index
-            .keys()
-            .chain(self.gauge_index.keys())
-            .chain(self.hist_index.keys())
-            .map(String::len)
-            .sum();
-        vec_bytes(&self.counters)
+        labels_bytes(&self.common)
+            + vec_bytes(&self.counters)
             + vec_bytes(&self.counter_meta)
             + vec_bytes(&self.gauges)
             + vec_bytes(&self.gauge_meta)
@@ -340,11 +397,7 @@ impl crate::footprint::MemFootprint for Registry {
                 .iter()
                 .map(MemFootprint::footprint_bytes)
                 .sum::<usize>()
-            + btreemap_bytes(&self.counter_index)
-            + btreemap_bytes(&self.gauge_index)
-            + btreemap_bytes(&self.hist_index)
             + meta
-            + keys
     }
 }
 
@@ -419,8 +472,102 @@ mod tests {
 
     #[test]
     fn descriptor_keys_render() {
-        let d = InstrumentDesc::new("a.b", &[("k", "v"), ("x", "1")]);
-        assert_eq!(d.key(), "a.b{k=v,x=1}");
-        assert_eq!(InstrumentDesc::new("plain", &[]).key(), "plain");
+        let mut r = Registry::new();
+        r.counter("a.b", &[("k", "v"), ("x", "1")]);
+        r.counter("plain", &[]);
+        let keys: Vec<String> = r.counters().map(|(d, _)| d.key()).collect();
+        assert_eq!(keys, ["a.b{k=v,x=1}", "plain"]);
+        for (d, _) in r.counters() {
+            assert!(d.key_matches(&d.key()));
+            assert!(!d.key_matches(&(d.key() + "}")));
+        }
+    }
+
+    /// Common labels are stored once and read as every instrument's first
+    /// labels: by the key, the `*_named` lookups, and an absorbing registry.
+    #[test]
+    fn common_labels_lead_every_instrument() {
+        let mut r = Registry::with_labels(&[("node", "7")]);
+        let plain = r.counter("node.forwarded", &[]);
+        let proto = r.counter("link.retransmit", &[("proto", "reliable")]);
+        assert_eq!(r.counter("node.forwarded", &[]), plain);
+        assert_ne!(r.counter("link.retransmit", &[("proto", "fec")]), proto);
+        r.add(proto, 4);
+        let h = r.histogram("link.recovery_ns", &[("proto", "reliable")]);
+        r.observe(h, 5);
+
+        let descs: Vec<(String, Vec<(&str, &str)>)> = r
+            .counters()
+            .map(|(d, _)| (d.key(), d.labels().collect()))
+            .collect();
+        assert_eq!(
+            descs[0],
+            ("node.forwarded{node=7}".into(), vec![("node", "7")])
+        );
+        let both = vec![("node", "7"), ("proto", "reliable")];
+        assert_eq!(
+            descs[1],
+            ("link.retransmit{node=7,proto=reliable}".into(), both)
+        );
+        assert_eq!(
+            r.counter_named("link.retransmit", &[("node", "7"), ("proto", "reliable")]),
+            Some(4)
+        );
+        assert_eq!(
+            r.counter_named("link.retransmit", &[("proto", "reliable")]),
+            None
+        );
+        assert_eq!(r.counter_named("node.forwarded", &[("node", "7")]), Some(0));
+        let full = [("node", "7"), ("proto", "reliable")];
+        assert_eq!(
+            r.hist_named("link.recovery_ns", &full)
+                .map(LatencyHistogram::count),
+            Some(1)
+        );
+
+        let mut all = Registry::new();
+        all.absorb(&r);
+        all.absorb(&r);
+        assert_eq!(all.counter_named("link.retransmit", &full), Some(8));
+        assert_eq!(
+            all.hist_named("link.recovery_ns", &full)
+                .map(LatencyHistogram::count),
+            Some(2)
+        );
+        let mut same = Registry::with_labels(&[("node", "7")]);
+        same.absorb(&r);
+        assert_eq!(same.counter_named("link.retransmit", &full), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "lacks this registry's common labels")]
+    fn absorbing_an_instrument_without_the_common_labels_panics() {
+        let mut other = Registry::new();
+        other.counter("x", &[("node", "1")]);
+        Registry::with_labels(&[("node", "2")]).absorb(&other);
+    }
+
+    /// A name written as a literal is borrowed, and an instrument without
+    /// labels of its own costs its slots only; a computed name and a label
+    /// value are copied once.
+    #[test]
+    fn instruments_cost_their_slots_and_what_they_copy() {
+        use crate::footprint::MemFootprint;
+        let mut r = Registry::with_labels(&[("node", "12")]);
+        let common = std::mem::size_of::<Label>() + 2;
+        assert_eq!(r.footprint_bytes(), common);
+        r.counter("node.forwarded", &[]);
+        r.histogram("node.delivery_latency_ns", &[]);
+        let slots = r.counters.capacity() * std::mem::size_of::<u64>()
+            + r.counter_meta.capacity() * std::mem::size_of::<Meta>()
+            + r.hists.capacity() * std::mem::size_of::<LatencyHistogram>()
+            + r.hist_meta.capacity() * std::mem::size_of::<Meta>();
+        assert_eq!(r.footprint_bytes(), common + slots);
+        r.counter(String::from("computed"), &[("proto", "fec")]);
+        let meta = r.counter_meta.last().unwrap();
+        assert_eq!(
+            meta.heap_bytes(),
+            "computed".len() + std::mem::size_of::<Label>() + 3
+        );
     }
 }

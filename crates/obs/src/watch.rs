@@ -104,6 +104,25 @@ impl WatchKind {
         }
     }
 
+    /// The per-kind counter a daemon bumps: `watch.<label>`.
+    #[must_use]
+    pub const fn counter_name(self) -> &'static str {
+        match self {
+            WatchKind::RecoveryBudgetExceeded { .. } => "watch.recovery_budget_exceeded",
+            WatchKind::RetransmitStorm { .. } => "watch.retransmit_storm",
+            WatchKind::RerouteFlap { .. } => "watch.reroute_flap",
+            WatchKind::SilentBlackhole { .. } => "watch.silent_blackhole",
+            WatchKind::QueueGrowth { .. } => "watch.queue_growth",
+            WatchKind::LinkSuspended { .. } => "watch.link_suspended",
+            WatchKind::LinkProbed { .. } => "watch.link_probed",
+            WatchKind::LinkReadmitted => "watch.link_readmitted",
+            WatchKind::FlapDamped { .. } => "watch.flap_damped",
+            WatchKind::FlapReleased { .. } => "watch.flap_released",
+            WatchKind::ShedEngaged { .. } => "watch.shed_engaged",
+            WatchKind::ShedReleased => "watch.shed_released",
+        }
+    }
+
     /// `true` for remediations (actions taken), `false` for detections
     /// (evidence observed). The audit invariant is that every remediation
     /// follows some detection on the same node.
@@ -289,6 +308,9 @@ mod tests {
         let kinds = all_kinds();
         let labels: std::collections::BTreeSet<&str> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
+        for k in &kinds {
+            assert_eq!(k.counter_name(), format!("watch.{}", k.label()));
+        }
         let detections = kinds.iter().filter(|k| !k.is_remediation()).count();
         assert_eq!(detections, 5, "five detection kinds");
     }

@@ -41,7 +41,7 @@ pub fn gather_registry(sim: &Simulation<Wire>, overlay: &OverlayHandle) -> Regis
         reg.absorb(node.obs().registry());
     }
     for (name, value) in sim.counters().iter() {
-        let id = reg.counter(name, &[("layer", "pipe")]);
+        let id = reg.counter(name.to_owned(), &[("layer", "pipe")]);
         reg.add(id, value);
     }
     reg

@@ -11,7 +11,8 @@
 //!
 //! Every instrument carries a `node=<id>` label so per-node registries can
 //! be [`Registry::absorb`]ed into one experiment-wide registry without
-//! collisions.
+//! collisions. The registry stores that label once ([`Registry::with_labels`]);
+//! an instrument keeps only its own `proto` or `flow` label.
 
 use son_netsim::stats::Counters;
 use son_netsim::time::SimTime;
@@ -38,8 +39,8 @@ const WATCH_CAPACITY: usize = 4096;
 /// and then incremented handle-only on the hot path.
 ///
 /// The instruments are named `flow.*` (not `drop.*`) so per-flow accounting
-/// never double-counts against the node-level drop ledger; each carries
-/// `node=<id>` and `flow=<stable_id hex>` labels, so absorbed experiment
+/// never double-counts against the node-level drop ledger; each carries a
+/// `flow=<stable_id hex>` label after the node's, so absorbed experiment
 /// registries can be sliced per flow.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowObs {
@@ -62,7 +63,6 @@ pub struct NodeObs {
     watch: WatchRing,
     perf: PerfRegistry,
     node_id: u32,
-    node_label: String,
     trace_overflow: CounterId,
     forwarded: CounterId,
     delivered_local: CounterId,
@@ -77,7 +77,8 @@ pub struct NodeObs {
     /// use: an event is a handle lookup, not a formatted key.
     link_counters: Vec<(&'static str, &'static str, CounterId)>,
     link_recovery: Vec<(&'static str, HistId)>,
-    /// Node-labelled counters by name, registered on first use.
+    /// Counters without labels of their own by name, registered on first
+    /// use.
     named: Vec<(&'static str, CounterId)>,
 }
 
@@ -85,26 +86,23 @@ impl NodeObs {
     /// Observability state for node `me`.
     #[must_use]
     pub fn new(me: NodeId) -> Self {
-        let node_label = me.0.to_string();
-        let mut registry = Registry::new();
-        let labels: &[(&str, &str)] = &[("node", &node_label)];
-        let trace_overflow = registry.counter("obs.trace_overflow", labels);
-        let forwarded = registry.counter("node.forwarded", labels);
-        let delivered_local = registry.counter("node.delivered_local", labels);
-        let adversary_injected = registry.counter("node.adversary_injected", labels);
-        let drop_ttl = registry.counter(DropClass::Ttl.label(), labels);
-        let drop_auth = registry.counter(DropClass::Auth.label(), labels);
-        let drop_dedup = registry.counter(DropClass::DedupDuplicate.label(), labels);
-        let drop_unroutable = registry.counter(DropClass::Unroutable.label(), labels);
-        let drop_adversary = registry.counter(DropClass::Adversary.label(), labels);
-        let delivery_latency = registry.histogram("node.delivery_latency_ns", labels);
+        let mut registry = Registry::with_labels(&[("node", &me.0.to_string())]);
+        let trace_overflow = registry.counter("obs.trace_overflow", &[]);
+        let forwarded = registry.counter("node.forwarded", &[]);
+        let delivered_local = registry.counter("node.delivered_local", &[]);
+        let adversary_injected = registry.counter("node.adversary_injected", &[]);
+        let drop_ttl = registry.counter(DropClass::Ttl.label(), &[]);
+        let drop_auth = registry.counter(DropClass::Auth.label(), &[]);
+        let drop_dedup = registry.counter(DropClass::DedupDuplicate.label(), &[]);
+        let drop_unroutable = registry.counter(DropClass::Unroutable.label(), &[]);
+        let drop_adversary = registry.counter(DropClass::Adversary.label(), &[]);
+        let delivery_latency = registry.histogram("node.delivery_latency_ns", &[]);
         NodeObs {
             registry,
             traces: TraceRing::new(TRACE_CAPACITY),
             watch: WatchRing::new(WATCH_CAPACITY),
             perf: PerfRegistry::new(false),
             node_id: me.0 as u32,
-            node_label,
             trace_overflow,
             forwarded,
             delivered_local,
@@ -184,7 +182,7 @@ impl NodeObs {
         if let Some(&(_, id)) = self.named.iter().find(|(n, _)| *n == name) {
             return id;
         }
-        let id = self.registry.counter(name, &[("node", &self.node_label)]);
+        let id = self.registry.counter(name, &[]);
         self.named.push((name, id));
         id
     }
@@ -194,9 +192,8 @@ impl NodeObs {
     /// subsequent per-packet accounting a plain `Vec` index.
     #[must_use]
     pub fn flow_counters(&mut self, flow: &crate::addr::FlowKey) -> FlowObs {
-        let node = self.node_label.clone();
         let fid = format!("{:016x}", flow.stable_id());
-        let labels: &[(&str, &str)] = &[("node", &node), ("flow", &fid)];
+        let labels = &[("flow", fid.as_str())];
         FlowObs {
             sent: self.registry.counter("flow.sent", labels),
             delivered: self.registry.counter("flow.delivered", labels),
@@ -215,7 +212,7 @@ impl NodeObs {
     /// protocol drops become counters, recoveries feed the per-proto
     /// `link.recovery_ns` histogram.
     pub fn link_event(&mut self, proto: &'static str, event: LinkEvent) {
-        let labels: &[(&str, &str)] = &[("node", &self.node_label), ("proto", proto)];
+        let labels = &[("proto", proto)];
         let name = match event {
             LinkEvent::Retransmit => "link.retransmit",
             LinkEvent::LossDetected => "link.loss_detected",
@@ -296,9 +293,7 @@ impl NodeObs {
     /// Records one watchdog detection or remediation in the audit ring and
     /// bumps its per-kind counter (`watch.<label>`, summable per node).
     pub fn watch_event(&mut self, now: SimTime, kind: WatchKind, link: Option<usize>) {
-        let label = self.node_label.clone();
-        let name = format!("watch.{}", kind.label());
-        let id = self.registry.counter(&name, &[("node", &label)]);
+        let id = self.named_id(kind.counter_name());
         self.registry.inc(id);
         self.watch.record(WatchEvent {
             at_ns: now.as_nanos(),
@@ -341,7 +336,7 @@ impl NodeObs {
         let mut counters = Counters::default();
         for (desc, v) in self.registry.counters() {
             if !desc.name.contains('.') && v > 0 {
-                counters.add(&desc.name, v);
+                counters.add(desc.name, v);
             }
         }
         NodeMetrics {
@@ -364,7 +359,6 @@ impl MemFootprint for NodeObs {
             + self.traces.footprint_bytes()
             + self.watch.footprint_bytes()
             + self.perf.footprint_bytes()
-            + son_obs::footprint::string_bytes(&self.node_label)
             + son_obs::footprint::vec_bytes(&self.link_counters)
             + son_obs::footprint::vec_bytes(&self.link_recovery)
             + son_obs::footprint::vec_bytes(&self.named)
@@ -395,6 +389,24 @@ mod tests {
         assert_eq!(m.counters.get("provider_switches"), 1);
         // Dotted names stay out of the ad-hoc view.
         assert_eq!(m.counters.get("node.forwarded"), 0);
+    }
+
+    /// A daemon that has recorded nothing holds no histogram buckets.
+    #[test]
+    fn an_idle_daemon_allocates_no_histogram_buckets() {
+        let mut obs = NodeObs::new(NodeId(4));
+        let hists = |obs: &NodeObs| {
+            let r = obs.registry();
+            r.histograms()
+                .map(|(_, h)| h.footprint_bytes())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(hists(&obs), [0]);
+        obs.forwarded();
+        obs.link_event("reliable", LinkEvent::Retransmit);
+        assert_eq!(hists(&obs), [0]);
+        obs.delivered_local(1_000);
+        assert!(hists(&obs)[0] > 0);
     }
 
     #[test]

@@ -412,6 +412,11 @@ impl SimMessage for Wire {
         }
     }
 
+    /// What [`kind`](Self::kind) answers, without hashing the flow key.
+    fn is_data(&self) -> bool {
+        matches!(self, Wire::Data(_))
+    }
+
     #[inline]
     fn encode_frame(&self, buf: &mut Vec<u8>) {
         if let Err(e) = crate::wire::encode_into(self, buf) {
@@ -511,22 +516,20 @@ mod tests {
             flow: p.flow.stable_id(),
             seq: p.flow_seq,
         };
-        assert_eq!(Wire::Data(p).kind(), expected);
-        assert_eq!(
-            Wire::Control(Control::Hello {
-                seq: 1,
-                sent_at: SimTime::ZERO
-            })
-            .kind(),
-            MessageKind::Control
-        );
-        assert_eq!(
-            Wire::Ctl {
-                slot: 1,
-                ctl: LinkCtl::ReliableNack { missing: vec![2] }
-            }
-            .kind(),
-            MessageKind::Control
-        );
+        let data = Wire::Data(p);
+        assert_eq!(data.kind(), expected);
+        let hello = Wire::Control(Control::Hello {
+            seq: 1,
+            sent_at: SimTime::ZERO,
+        });
+        assert_eq!(hello.kind(), MessageKind::Control);
+        let nack = Wire::Ctl {
+            slot: 1,
+            ctl: LinkCtl::ReliableNack { missing: vec![2] },
+        };
+        assert_eq!(nack.kind(), MessageKind::Control);
+        // `is_data` answers what `kind` does, without the flow hash.
+        assert!(data.is_data());
+        assert!(!hello.is_data() && !nack.is_data());
     }
 }

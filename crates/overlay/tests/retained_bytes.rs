@@ -68,8 +68,11 @@ fn ring_with_chords(n: usize) -> Graph {
     g
 }
 
+/// 5,624 B per daemon when the bound was set, 8,126 B while every metrics
+/// instrument copied its name, its `node=<id>` label and a rendered key,
+/// and every histogram allocated its buckets up front.
 #[test]
-fn a_512_node_fleet_retains_at_most_16_kib_per_daemon() {
+fn a_512_node_fleet_retains_at_most_5_5_kib_per_daemon() {
     const N: usize = 512;
     let topology = ring_with_chords(N);
     let mut sim: Simulation<Wire> = Simulation::new(1);
@@ -77,7 +80,7 @@ fn a_512_node_fleet_retains_at_most_16_kib_per_daemon() {
     assert_eq!(overlay.daemons.len(), N);
     let per_daemon = retained / N as isize;
     assert!(
-        per_daemon <= 16 * 1024,
+        per_daemon <= 5_632,
         "building the fleet retained {retained} B, {per_daemon} B per daemon"
     );
 }

@@ -209,11 +209,11 @@ fn shedding_preserves_per_flow_conservation() {
             if desc.name == "drop.shed" {
                 shed_total += v;
             }
-            let Some((_, label)) = desc.labels.iter().find(|(k, _)| k == "flow") else {
+            let Some((_, label)) = desc.labels().find(|(k, _)| *k == "flow") else {
                 continue;
             };
-            let e = per_flow.entry(label.clone()).or_default();
-            match desc.name.as_str() {
+            let e = per_flow.entry(label.to_owned()).or_default();
+            match desc.name {
                 "flow.sent" => e.0 += v,
                 "flow.delivered" => e.1 += v,
                 "flow.dropped" => e.2 += v,

@@ -26,10 +26,12 @@ declare -A fingerprint=(
 # Peak resident MB of a quick run. The 512-node cold start: a daemon shares
 # the configured topology and the key table with its deployment, builds
 # its 4-byte-per-destination next-hop table and each link's protocol
-# machines only when it first uses them, and keeps 12 bytes per origin in
-# its link-state table, so it reads ~17.1 MB, where 24-byte entries read
-# 20.2 MB, eager tables and machines 22.9 MB and a private copy of the
-# topology and keys 35 MB. The churning data plane: a receiver keeps its seqs in
+# machines only when it first uses them, keeps 12 bytes per origin in its
+# link-state table, and its metrics registry holds its node label once and
+# no histogram buckets it has not used, so it reads ~14.3 MB, where
+# per-instrument label, name and key copies read 16.4-16.5 MB, 24-byte
+# entries 20.2 MB, eager tables and machines 22.9 MB and a private copy of
+# the topology and keys 35 MB. The churning data plane: a receiver keeps its seqs in
 # a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB. The
 # lossy data plane, where the dedup, FEC, NM-Strikes and ARQ windows live:
 # an FEC receiver keeps one repair's headers per unfinished block and an
@@ -37,7 +39,7 @@ declare -A fingerprint=(
 # ~7.1-7.3 MB, where every repair's headers and a hash-map history read
 # 8.3-8.6 MB.
 declare -A rss_ceiling_mb=(
-    [sim_scale_512]=19
+    [sim_scale_512]=15.5
     [sim_fwd_churn]=10
     [sim_recovery_mix]=8
 )
