@@ -76,13 +76,13 @@ pub fn run(_: &Opts) {
     );
     fleet.run(SimTime::from_secs(10));
     let recv = fleet.recv(0);
-    let kills = fleet.node(NodeId(2)).metrics().dedup_suppressed;
+    let kills = fleet.node(NodeId(2)).obs().counter("drop.dedup_duplicate");
     row(&[
         ("3x amplifier".to_string(), 16),
         (format!("{}/{count}", recv.received), 9),
         (recv.app_duplicates.to_string(), 8),
         ("-".to_string(), 11),
-        (f(kills as f64 / count as f64, 2), 15),
+        (f(kills.unwrap_or(0) as f64 / count as f64, 2), 15),
     ]);
 
     println!();

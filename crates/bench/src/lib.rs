@@ -134,7 +134,7 @@ impl UnicastRun {
             sent: fleet.sent(0),
             recv: fleet.recv(0).clone(),
             wire: fleet.wire_stats(self.spec.link),
-            dedup_suppressed: fleet.nodes().map(|n| n.metrics().dedup_suppressed).sum(),
+            dedup_suppressed: fleet.counter("drop.dedup_duplicate"),
             forwarded: fleet.forwarded(),
             registry: fleet.registry(),
             traces: fleet.traces(),

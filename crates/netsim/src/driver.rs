@@ -18,6 +18,7 @@
 use crate::link::PipeId;
 use crate::process::{ProcessId, SimMessage, TimerId};
 use crate::rng::SimRng;
+use crate::sim::Event;
 use crate::time::{SimDuration, SimTime};
 use crate::underlay::{Attachment, UEdgeId};
 
@@ -54,8 +55,9 @@ pub trait Driver<M: SimMessage> {
     /// Sets a timer for `pid` firing after `delay` with `token`.
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId;
 
-    /// Cancels a pending timer of `pid`; returns `false` if it already
-    /// fired.
+    /// Cancels a pending timer of `pid`; `false` if it already fired or if
+    /// `timer` names anything else (another process's timer, a frame). A
+    /// handle kept across 2^32 reuses of its queue slot may name a later one.
     fn cancel_timer(&mut self, pid: ProcessId, timer: TimerId) -> bool;
 
     /// The reverse direction of a pipe pair, if registered.
@@ -148,12 +150,13 @@ impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {
     }
 
     fn set_timer(&mut self, pid: ProcessId, delay: SimDuration, token: u64) -> TimerId {
-        let at = self.now + delay;
-        TimerId(self.schedule_timer(pid, at, token))
+        let timer = Event::Timer { proc: pid, token };
+        TimerId(self.queue.schedule(self.now + delay, timer))
     }
 
-    fn cancel_timer(&mut self, _pid: ProcessId, timer: TimerId) -> bool {
-        self.queue.cancel(timer.0)
+    fn cancel_timer(&mut self, pid: ProcessId, timer: TimerId) -> bool {
+        let mine = |e: &Event<M>| matches!(e, Event::Timer { proc, .. } if *proc == pid);
+        self.queue.cancel_if(timer.0, mine)
     }
 
     fn reverse_pipe(&self, pipe: PipeId) -> Option<PipeId> {

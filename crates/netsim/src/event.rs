@@ -10,7 +10,7 @@
 //!
 //! # Tombstone compaction
 //!
-//! [`EventQueue::cancel`] drops the payload and leaves a key-sized
+//! [`EventQueue::cancel_if`] drops the payload and leaves a key-sized
 //! tombstone in the queue; it is normally reclaimed when it surfaces at the
 //! front. Workloads that cancel many far-future timers (retransmission timers
 //! that almost always get acked) can accumulate tombstones faster than they
@@ -22,20 +22,25 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::hash::MintedMap;
 use crate::time::SimTime;
 
 #[doc(hidden)]
 pub use crate::frozen::TieKey;
 
-/// An opaque handle to a scheduled event, usable for cancellation.
+/// A handle to a scheduled event, usable for cancellation: its slab slot
+/// in the low 32 bits and the slot's generation in the high 32.
+///
+/// A slot moves to its next generation each time it is taken, so a handle
+/// to an event that fired or was cancelled names nothing once its slot is
+/// reused. Generations wrap at 2^32: a handle kept across 2^32 reuses of
+/// its slot would name the slot's current event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u64);
 
 impl EventId {
     /// Reconstructs an id from its raw bits. An id is only meaningful to
-    /// the queue (or driver) that minted it; drivers outside the simulator
-    /// mint their own id space with this.
+    /// the queue that minted it; any other bits name at most an event of
+    /// that queue, or nothing.
     #[must_use]
     pub fn from_raw(raw: u64) -> EventId {
         EventId(raw)
@@ -278,14 +283,13 @@ impl RadixKeys {
     }
 }
 
-/// One slab cell: a live event's identity and payload, parked here while
-/// its key sits in the queue. The payload is its own field so that filling
-/// and emptying a cell moves exactly the payload, once.
+/// One slab cell: a live event's payload, parked here while its key sits
+/// in the queue. The payload is its own field so that filling and emptying
+/// a cell moves exactly the payload, once.
 struct Slot<E> {
-    id: u64,
-    /// Whether `id` is in the cancellation index: not for a delivery
-    /// [`EventQueue::schedule_cell`] queued, whose handle never escapes.
-    indexed: bool,
+    /// Bumped each time the slot is taken: the high half of the
+    /// [`EventId`] of the event it holds.
+    generation: u32,
     /// `Some` while the event is live; `None` once cancelled (its key is
     /// then a tombstone) or free.
     payload: Option<E>,
@@ -294,9 +298,11 @@ struct Slot<E> {
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
 ///
 /// A radix heap orders 24-byte keys; payloads sit in a slab and move twice
-/// (in at `schedule`, out at `pop`). Cancellation drops the payload at once
-/// and leaves a key-sized tombstone that is skipped when it surfaces; when
-/// tombstones outnumber live entries the keys are compacted in place.
+/// (in at `schedule`, out at `pop`). A handle is the event's slot and the
+/// slot's generation, so cancelling is a slab read and a compare: it drops
+/// the payload at once and leaves a key-sized tombstone that is skipped
+/// when it surfaces; when tombstones outnumber live entries the keys are
+/// compacted in place.
 ///
 /// # Examples
 ///
@@ -317,12 +323,9 @@ pub struct EventQueue<E> {
     /// another event's slot.
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Live event id -> slab slot, for the entries a handle can cancel.
-    index: MintedMap<u64, u32>,
     /// Events scheduled and neither fired nor cancelled.
     live: usize,
     next_seq: u64,
-    next_id: u64,
     tombstones_peak: usize,
     compactions: u64,
 }
@@ -343,6 +346,12 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
+/// The handle of the event in `slot` at `generation`.
+#[inline(always)]
+fn event_id(slot: u32, generation: u32) -> EventId {
+    EventId(u64::from(slot) | u64::from(generation) << 32)
+}
+
 /// Tombstones must exceed both the live count and this floor before a
 /// compaction triggers; tiny queues are not worth rebuilding.
 const COMPACT_FLOOR: usize = 64;
@@ -355,64 +364,44 @@ impl<E> EventQueue<E> {
             keys: RadixKeys::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            index: MintedMap::default(),
             live: 0,
             next_seq: 0,
-            next_id: 0,
             tombstones_peak: 0,
             compactions: 0,
         }
     }
 
-    /// Queues the key of a new entry and returns its empty payload cell.
-    /// The caller fills the cell as its next step: everything here that can
-    /// grow a vector has then already happened, so the payload is built
-    /// where it will lie instead of being staged across those calls.
+    /// Queues the key of a new entry and returns its handle and its empty
+    /// payload cell: `let (id, cell) = queue.schedule_cell(at); *cell =
+    /// Some(payload);`. The caller fills the cell as its next step:
+    /// everything here that can grow a vector has then already happened, so
+    /// the payload is built where it will lie instead of being staged
+    /// across those calls.
     #[inline(always)]
-    fn vacant(&mut self, at: SimTime, id: u64, indexed: bool) -> &mut Option<E> {
+    pub(crate) fn schedule_cell(&mut self, at: SimTime) -> (EventId, &mut Option<E>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(Slot {
-                id,
-                indexed,
+                generation: u32::MAX,
                 payload: None,
             });
             u32::try_from(self.slab.len() - 1).expect("over 2^32 queued events")
         });
         self.keys.push(HeapKey { at, seq, slot });
-        if indexed {
-            let previous = self.index.insert(id, slot);
-            debug_assert!(previous.is_none(), "duplicate live event id {id:#x}");
-        }
         self.live += 1;
         let cell = &mut self.slab[slot as usize];
-        (cell.id, cell.indexed) = (id, indexed);
-        &mut cell.payload
-    }
-
-    /// [`EventQueue::schedule`] for a payload the caller builds in place:
-    /// `let cell = queue.schedule_cell(at); *cell = Some(payload);`. No
-    /// handle is returned, so the entry skips the cancellation index; its
-    /// id is still minted, so ids count every entry scheduled.
-    #[inline(always)]
-    pub(crate) fn schedule_cell(&mut self, at: SimTime) -> &mut Option<E> {
-        let id = self.fresh_id();
-        self.vacant(at, id, false)
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+        // Handles to the events the slot held before now name nothing; a
+        // new slot starts at generation 0.
+        cell.generation = cell.generation.wrapping_add(1);
+        (event_id(slot, cell.generation), &mut cell.payload)
     }
 
     /// Schedules `payload` to fire at `at` and returns a cancellation handle.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let id = self.fresh_id();
-        let cell = self.vacant(at, id, true);
+        let (id, cell) = self.schedule_cell(at);
         *cell = Some(payload);
-        EventId(id)
+        id
     }
 
     /// Cancels a previously scheduled event, dropping its payload now.
@@ -420,10 +409,21 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event had not yet fired or been cancelled.
     /// Cancelling an already-fired event is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.index.remove(&id.0) else {
+        self.cancel_if(id, |_| true)
+    }
+
+    /// [`EventQueue::cancel`] for an event that `accept` accepts: `false`,
+    /// and the event stays queued, if it does not. A driver that hands out
+    /// some handles and not others cancels only the kind it hands out.
+    pub fn cancel_if(&mut self, id: EventId, accept: impl FnOnce(&E) -> bool) -> bool {
+        let (slot, generation) = (id.0 as u32, (id.0 >> 32) as u32);
+        let Some(cell) = self.slab.get_mut(slot as usize) else {
             return false;
         };
-        self.slab[slot as usize].payload = None;
+        if cell.generation != generation || !cell.payload.as_ref().is_some_and(accept) {
+            return false;
+        }
+        cell.payload = None;
         self.live -= 1;
         let tombstones = self.tombstones();
         self.tombstones_peak = self.tombstones_peak.max(tombstones);
@@ -461,9 +461,8 @@ impl<E> EventQueue<E> {
 
     /// Unqueues the earliest non-cancelled event if `due` accepts its time
     /// (leaves it queued otherwise) and returns its time, identity and slab
-    /// slot. The run loops' single step — one key pop, and an id
-    /// removal for an indexed event — which [`EventQueue::take_payload`]
-    /// completes.
+    /// slot. The run loops' single step — one key pop — which
+    /// [`EventQueue::take_payload`] completes.
     #[inline]
     pub(crate) fn pop_key_if(
         &mut self,
@@ -473,12 +472,9 @@ impl<E> EventQueue<E> {
             return None;
         }
         let HeapKey { at, slot, .. } = self.keys.pop().expect("surfaced key exists");
-        let Slot { id, indexed, .. } = self.slab[slot as usize];
-        if indexed {
-            self.index.remove(&id);
-        }
         self.live -= 1;
-        Some((at, EventId(id), slot))
+        let id = event_id(slot, self.slab[slot as usize].generation);
+        Some((at, id, slot))
     }
 
     /// Releases the slot [`EventQueue::pop_key_if`] returned and hands out
@@ -573,14 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
     fn peek_skips_cancelled() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_millis(1), "a");
@@ -613,6 +601,18 @@ mod tests {
             !q.cancel(EventId(99)),
             "cancelling a never-issued id is a no-op"
         );
+    }
+
+    #[test]
+    fn a_stale_handle_cancels_nothing_once_its_slot_is_reused() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule(SimTime::from_millis(1), "fired");
+        assert_eq!(q.pop().unwrap().1, "fired");
+        assert!(!q.cancel(fired), "cancelling a fired event is a no-op");
+        let next = q.schedule(SimTime::from_millis(2), "next");
+        assert_eq!(fired.as_raw() as u32, next.as_raw() as u32, "one slot");
+        assert!(!q.cancel(fired));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "next")));
     }
 
     /// A key is what every settle moves, a few times per event: the
@@ -648,8 +648,7 @@ mod tests {
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
-    /// Every slot is free or referenced by exactly one queued key, and an
-    /// indexed live id maps to the slot holding it.
+    /// Every slot is free or referenced by exactly one queued key.
     fn assert_slab_consistent<E>(q: &EventQueue<E>) {
         let k = &q.keys;
         let filed: usize = k.bits.iter().map(Vec::len).sum();
@@ -665,14 +664,6 @@ mod tests {
         assert_eq!(q.free.len() + k.len(), q.slab.len());
         let filled = q.slab.iter().filter(|s| s.payload.is_some()).count();
         assert_eq!(filled, q.live);
-        let indexed = q.slab.iter().filter(|s| s.payload.is_some() && s.indexed);
-        assert_eq!(indexed.count(), q.index.len());
-        for (id, &slot) in &q.index {
-            let held = &q.slab[slot as usize];
-            assert!(held.payload.is_some(), "live id has a payload");
-            assert!(held.indexed);
-            assert_eq!(held.id, *id);
-        }
     }
 
     /// The reference: every entry still queued (live or tombstone) in
@@ -691,12 +682,10 @@ mod tests {
         id: EventId,
         payload: u32,
         live: bool,
-        /// A handle cancels it (everything but a `schedule_cell` entry).
-        indexed: bool,
     }
 
     impl Model {
-        fn insert(&mut self, at: SimTime, id: EventId, payload: u32, indexed: bool) {
+        fn insert(&mut self, at: SimTime, id: EventId, payload: u32) {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.entries.push(ModelEntry {
@@ -705,7 +694,6 @@ mod tests {
                 id,
                 payload,
                 live: true,
-                indexed,
             });
             self.entries.sort_by_key(|e| (e.at, e.seq));
         }
@@ -724,10 +712,7 @@ mod tests {
         }
 
         fn cancel(&mut self, id: EventId) -> bool {
-            let found = self
-                .entries
-                .iter_mut()
-                .find(|e| e.live && e.indexed && e.id == id);
+            let found = self.entries.iter_mut().find(|e| e.live && e.id == id);
             let Some(entry) = found else {
                 return false;
             };
@@ -788,7 +773,7 @@ mod tests {
                 let popped = match op {
                     0..=7 | 19..=21 => {
                         let id = q.schedule(at, payload);
-                        model.insert(at, id, payload, true);
+                        model.insert(at, id, payload);
                         handles.push(id);
                         None
                     }
@@ -817,12 +802,11 @@ mod tests {
                         prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.at));
                         None
                     }
-                    // A delivery: no handle escapes, so cancelling its id
-                    // (pushed as a handle) must fail.
+                    // A delivery, built in its cell.
                     22..=24 => {
-                        let id = EventId(q.next_id);
-                        *q.schedule_cell(at) = Some(payload);
-                        model.insert(at, id, payload, false);
+                        let (id, cell) = q.schedule_cell(at);
+                        *cell = Some(payload);
+                        model.insert(at, id, payload);
                         handles.push(id);
                         None
                     }

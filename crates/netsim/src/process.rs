@@ -16,7 +16,9 @@ impl std::fmt::Display for ProcessId {
     }
 }
 
-/// A handle to a pending timer, usable for cancellation.
+/// A handle to a pending timer, which only the process that set it can
+/// cancel: the timer's [`EventId`](crate::event::EventId), its queue slot
+/// and a `u32` generation that wraps after 2^32 reuses of the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(pub(crate) crate::event::EventId);
 

@@ -36,7 +36,7 @@
 
 use std::any::Any;
 
-use crate::event::{EventId, EventQueue, QueueStats};
+use crate::event::{EventQueue, QueueStats};
 use crate::link::{Pipe, PipeConfig, PipeId, Transmit};
 use crate::loss::LossConfig;
 use crate::process::{Process, ProcessId, SimMessage, TimerId};
@@ -613,7 +613,7 @@ impl<M: SimMessage> SimCore<M> {
         frame: Vec<u8>,
         hint: M::Hint,
     ) {
-        *self.queue.schedule_cell(at) = Some(Event::Frame {
+        *self.queue.schedule_cell(at).1 = Some(Event::Frame {
             to,
             from,
             pipe,
@@ -628,7 +628,7 @@ impl<M: SimMessage> SimCore<M> {
         // The message is written into its cell once, and the event after.
         let (slot, parked) = self.parked.vacant();
         *parked = Some(msg);
-        let cell = self.queue.schedule_cell(at);
+        let (_, cell) = self.queue.schedule_cell(at);
         *cell = Some(Event::Direct { to, from, slot });
     }
 
@@ -638,11 +638,6 @@ impl<M: SimMessage> SimCore<M> {
             frame.clear();
             self.frames.push(frame);
         }
-    }
-
-    /// Schedules a timer for `pid`; the handle cancels it.
-    pub(crate) fn schedule_timer(&mut self, pid: ProcessId, at: SimTime, token: u64) -> EventId {
-        self.queue.schedule(at, Event::Timer { proc: pid, token })
     }
 
     /// Sends `msg` from `pid` over `pipe` — the sim-driver send path. The
@@ -825,6 +820,19 @@ mod tests {
     impl Process<Msg> for Receiver {
         fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _: ProcessId, _: Option<PipeId>, _: Msg) {
             self.arrivals.push(ctx.now());
+        }
+    }
+
+    /// Records the token of each timer it hears, and 100 per message.
+    #[derive(Default)]
+    struct Log(Vec<u64>);
+
+    impl Process<Msg> for Log {
+        fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: ProcessId, _: Option<PipeId>, _: Msg) {
+            self.0.push(100);
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, Msg>, token: u64) {
+            self.0.push(token);
         }
     }
 
@@ -1200,6 +1208,29 @@ mod tests {
         let p = sim.add_process(TimerProc { fired: Vec::new() });
         sim.run_until_idle();
         assert_eq!(sim.proc_ref::<TimerProc>(p).unwrap().fired, vec![1, 3]);
+    }
+
+    /// A timer handle cancels only a pending timer of the process that set
+    /// it: handed to another process, or forged to name a scenario event or
+    /// a posted message, it cancels nothing, and everything still fires.
+    #[test]
+    fn a_process_cannot_cancel_what_is_not_its_own_timer() {
+        use crate::driver::Driver;
+        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let owner = sim.add_process(Log::default());
+        let thief = sim.add_process(Log::default());
+        let at = SimTime::from_millis(5);
+        sim.schedule(at, ScenarioEvent::PokeProcess(thief, 9));
+        sim.post(at, thief, vec![1]);
+        let timer = sim.core.set_timer(owner, SimDuration::from_millis(10), 1);
+        assert!(!sim.core.cancel_timer(thief, timer), "another's timer");
+        // Every queued entry: the scenario event, the message, the timer.
+        for raw in 0..8 {
+            assert!(!sim.core.cancel_timer(thief, TimerId::from_raw(raw)));
+        }
+        sim.run_until_idle();
+        assert_eq!(sim.proc_ref::<Log>(owner).unwrap().0, [1]);
+        assert_eq!(sim.proc_ref::<Log>(thief).unwrap().0, [9, 100]);
     }
 }
 

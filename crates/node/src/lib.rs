@@ -294,9 +294,10 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         TimerId::from_raw(id.as_raw())
     }
 
-    fn cancel_timer(&mut self, _pid: ProcessId, timer: TimerId) -> bool {
-        // Handles come only from `set_timer` above, so an id names a timer.
-        self.due.cancel(EventId::from_raw(timer.as_raw()))
+    fn cancel_timer(&mut self, pid: ProcessId, timer: TimerId) -> bool {
+        // Only `pid`'s own timer goes, whatever entry the raw bits name.
+        let mine = |due: &Due| matches!(due, Due::Timer { pid: owner, .. } if *owner == pid);
+        self.due.cancel_if(EventId::from_raw(timer.as_raw()), mine)
     }
 
     fn reverse_pipe(&self, pipe: PipeId) -> Option<PipeId> {
@@ -1374,12 +1375,16 @@ mod tests {
             assert_eq!(land(&mut rt, 0, &forged), Landed::Handled);
         }
         assert_eq!(unroutable(&rt), Some(3));
-        assert_eq!(rt.node().metrics().forwarded, 0);
+        assert_eq!(rt.node().obs().counter("node.forwarded"), Some(0));
         assert_eq!(
             land(&mut rt, 0, &data(unicast(2), 0, None)),
             Landed::Handled
         );
-        assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
+        assert_eq!(
+            rt.node().obs().counter("node.forwarded"),
+            Some(1),
+            "valid traffic flows"
+        );
         assert_eq!(unroutable(&rt), Some(3));
     }
 
@@ -1410,11 +1415,15 @@ mod tests {
         assert_eq!(land(&mut rt, 0, &multicast()), Landed::Handled);
         assert_eq!(forged(&rt), Some(1));
         assert!(rt.node().groups().members_of(GroupId(1)).is_empty());
-        assert_eq!(rt.node().metrics().forwarded, 0);
+        assert_eq!(rt.node().obs().counter("node.forwarded"), Some(0));
 
         assert_eq!(land(&mut rt, 0, &update(2)), Landed::Handled);
         assert_eq!(land(&mut rt, 0, &multicast()), Landed::Handled);
-        assert_eq!(rt.node().metrics().forwarded, 1, "valid traffic flows");
+        assert_eq!(
+            rt.node().obs().counter("node.forwarded"),
+            Some(1),
+            "valid traffic flows"
+        );
         assert_eq!(forged(&rt), Some(1));
     }
 
@@ -1747,6 +1756,23 @@ mod tests {
         assert!(!d.cancel_timer(ProcessId(0), keep), "it already fired");
         let stats = d.due.stats();
         assert_eq!((stats.live, stats.tombstones), (0, 0));
+    }
+
+    /// A handle cancels only the caller's own timer: raw bits naming a
+    /// queued frame, or another process's timer, cancel nothing, and both
+    /// entries are still dispatched.
+    #[test]
+    fn cancel_timer_reaches_only_the_callers_timers() {
+        let mut d = lone_driver();
+        d.refresh_now();
+        let (pipe, dgram) = (PipeId(1), vec![0; FRAMING_BYTES]);
+        let frame = d.schedule(SimDuration::ZERO, Due::Frame { pipe, dgram });
+        let theirs = d.set_timer(ProcessId(1), SimDuration::ZERO, 5);
+        assert!(!d.cancel_timer(ProcessId(0), TimerId::from_raw(frame.as_raw())));
+        assert!(!d.cancel_timer(ProcessId(0), theirs));
+        let now = d.now.as_nanos() + 1;
+        assert!(matches!(d.pop_due(now), Some(Due::Frame { .. })));
+        assert!(matches!(d.pop_due(now), Some(Due::Timer { token: 5, .. })));
     }
 
     /// A timer, a local message and a frame off the wire due at the same

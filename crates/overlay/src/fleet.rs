@@ -232,14 +232,15 @@ impl Fleet {
     /// Data packets forwarded onto links, summed over daemons.
     #[must_use]
     pub fn forwarded(&self) -> u64 {
-        self.nodes().map(|n| n.metrics().forwarded).sum()
+        self.counter("node.forwarded")
     }
 
-    /// One named daemon counter (`reroutes`, `provider_switches`), summed
-    /// over daemons.
+    /// One daemon counter ([`NodeObs::counter`](crate::NodeObs::counter):
+    /// `reroutes`, `provider_switches`), summed over the daemons that
+    /// registered it.
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.nodes().map(|n| n.metrics().counters.get(name)).sum()
+        self.nodes().filter_map(|n| n.obs().counter(name)).sum()
     }
 
     /// Topology versions installed, summed over daemons.

@@ -48,7 +48,6 @@ pub mod flow;
 mod frozen;
 pub mod intercept;
 pub mod linkproto;
-pub mod metrics;
 pub mod node;
 pub mod obs;
 pub mod packet;

@@ -48,7 +48,6 @@ use crate::linkproto::{
     BestEffortLink, FecLink, FifoLink, ItPriorityLink, ItReliableLink, LinkProto, RealtimeLink,
     ReliableLink,
 };
-use crate::metrics::NodeMetrics;
 use crate::obs::NodeObs;
 use crate::packet::DataPacket;
 use crate::routing::Forwarding;
@@ -392,12 +391,6 @@ impl OverlayNode {
         self.me
     }
 
-    /// The legacy metrics view, snapshotted from the node's registry.
-    #[must_use]
-    pub fn metrics(&self) -> NodeMetrics {
-        self.obs.snapshot()
-    }
-
     /// The node's observability state: metrics registry and event rings.
     #[must_use]
     pub fn obs(&self) -> &NodeObs {
@@ -636,11 +629,15 @@ impl OverlayNode {
             "  clients: {:?}",
             ports.iter().map(|p| p.0).collect::<Vec<_>>()
         );
-        let m = self.obs.snapshot();
+        let count = |name| self.obs.counter(name).unwrap_or(0);
         let _ = writeln!(
             out,
             "  forwarded {} | delivered {} | dedup {} | unroutable {} | auth_fail {}",
-            m.forwarded, m.delivered_local, m.dedup_suppressed, m.unroutable, m.auth_failures,
+            count("node.forwarded"),
+            count("node.delivered_local"),
+            count("drop.dedup_duplicate"),
+            count("drop.unroutable"),
+            count("drop.auth"),
         );
         out
     }

@@ -4,7 +4,7 @@
 //! [`Ring`](son_obs::Ring)s and its profiler behind the recording API the
 //! daemon actually uses. Counters (one `Vec` index + add, pre-registered
 //! handles) and the rare-event recovery/delivery histograms are always on:
-//! they back [`NodeMetrics`] snapshots and the experiment exporters.
+//! they back [`NodeObs::counter`] and the experiment exporters.
 //! Per-packet lifecycle events are recorded for the packets the ingress
 //! sampled (`NodeConfig::trace_sample`; 1 records every packet), and the
 //! rings grow with what they record, so an unsampled node retains nothing.
@@ -14,7 +14,6 @@
 //! collisions. The registry stores that label once ([`Registry::with_labels`]);
 //! an instrument keeps only its own `proto` or `flow` label.
 
-use son_netsim::stats::Counters;
 use son_netsim::time::SimTime;
 use son_obs::trace::{TraceContext, TraceEvent, TraceRing, TraceStage};
 use son_obs::watch::{WatchEvent, WatchKind, WatchRing};
@@ -22,7 +21,6 @@ use son_obs::{CounterId, DropClass, HistId, MemFootprint, PacketKey, PerfRegistr
 use son_topo::NodeId;
 
 use crate::linkproto::LinkEvent;
-use crate::metrics::NodeMetrics;
 use crate::packet::DataPacket;
 
 /// Retained distributed-trace events per node. Traces are sampled (1/64-ish
@@ -171,8 +169,8 @@ impl NodeObs {
         self.registry.inc(id);
     }
 
-    /// Bumps the ad-hoc counter `name` (kept dot-free so snapshots can route
-    /// it into [`NodeMetrics::counters`] under its historical name).
+    /// Bumps the ad-hoc counter `name` (`reroutes`, `provider_switches`),
+    /// registered on its first bump.
     pub fn named(&mut self, name: &'static str) {
         let id = self.named_id(name);
         self.registry.inc(id);
@@ -328,28 +326,14 @@ impl NodeObs {
         &self.traces
     }
 
-    /// The legacy [`NodeMetrics`] view of the registry: typed fields from
-    /// the pre-registered counters, dot-free ad-hoc counters under their
-    /// historical names in [`NodeMetrics::counters`].
+    /// The node's own counter `name`, without a `proto` or `flow` label:
+    /// `node.forwarded`, a node-layer `drop.<reason>`, an ad-hoc counter
+    /// such as `reroutes`. `None` if this daemon never registered it (an
+    /// ad-hoc counter is registered on its first bump).
     #[must_use]
-    pub fn snapshot(&self) -> NodeMetrics {
-        let mut counters = Counters::default();
-        for (desc, v) in self.registry.counters() {
-            if !desc.name.contains('.') && v > 0 {
-                counters.add(desc.name, v);
-            }
-        }
-        NodeMetrics {
-            forwarded: self.registry.counter_value(self.forwarded),
-            delivered_local: self.registry.counter_value(self.delivered_local),
-            dropped_ttl: self.registry.counter_value(self.drop_ttl),
-            auth_failures: self.registry.counter_value(self.drop_auth),
-            dedup_suppressed: self.registry.counter_value(self.drop_dedup),
-            adversary_dropped: self.registry.counter_value(self.drop_adversary),
-            adversary_injected: self.registry.counter_value(self.adversary_injected),
-            unroutable: self.registry.counter_value(self.drop_unroutable),
-            counters,
-        }
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        let node = self.node_id.to_string();
+        self.registry.counter_named(name, &[("node", &node)])
     }
 }
 
@@ -370,26 +354,6 @@ mod tests {
     use son_netsim::time::SimDuration;
 
     use super::*;
-
-    #[test]
-    fn snapshot_mirrors_registry() {
-        let mut obs = NodeObs::new(NodeId(3));
-        obs.forwarded();
-        obs.forwarded();
-        obs.delivered_local(1_000);
-        obs.drop(DropClass::Ttl);
-        obs.drop(DropClass::Auth);
-        obs.named("provider_switches");
-        let m = obs.snapshot();
-        assert_eq!(m.forwarded, 2);
-        assert_eq!(m.delivered_local, 1);
-        assert_eq!(m.dropped_ttl, 1);
-        assert_eq!(m.auth_failures, 1);
-        assert_eq!(m.dedup_suppressed, 0);
-        assert_eq!(m.counters.get("provider_switches"), 1);
-        // Dotted names stay out of the ad-hoc view.
-        assert_eq!(m.counters.get("node.forwarded"), 0);
-    }
 
     /// A daemon that has recorded nothing holds no histogram buckets.
     #[test]
@@ -437,6 +401,10 @@ mod tests {
         // Per-proto drops aggregate with node drops under the same name.
         obs.drop(DropClass::Expired);
         assert_eq!(obs.registry().counter_total("drop.expired"), 2);
+        // The node's own counter alone, and one never registered is no 0.
+        assert_eq!(obs.counter("drop.expired"), Some(1));
+        assert_eq!(obs.counter("node.forwarded"), Some(0));
+        assert_eq!(obs.counter("link.retransmit"), None);
     }
 
     #[test]

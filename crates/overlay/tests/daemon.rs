@@ -32,8 +32,8 @@ fn auth_enabled_traffic_flows_and_tags_verify() {
     assert_eq!(fleet.recv(0).received, sent);
     for node in fleet.nodes() {
         assert_eq!(
-            node.metrics().auth_failures,
-            0,
+            node.obs().counter("drop.auth"),
+            Some(0),
             "correct traffic must verify"
         );
     }
@@ -60,7 +60,7 @@ fn flood_attacker_junk_verifies_as_its_own_but_cannot_forge() {
     let junk: u64 = client.recv.values().map(|r| r.received).sum();
     assert!(junk > 1000, "authenticated junk is delivered: {junk}");
     for node in fleet.nodes() {
-        assert_eq!(node.metrics().auth_failures, 0);
+        assert_eq!(node.obs().counter("drop.auth"), Some(0));
     }
 }
 
@@ -114,8 +114,7 @@ fn ttl_guard_kills_looping_static_masks() {
     // 4 hops needed but TTL=2: nothing arrives, drops counted.
     let client = fleet.client_ref(rx);
     assert!(client.recv.is_empty(), "TTL must stop the packets short");
-    let ttl_drops: u64 = fleet.nodes().map(|n| n.metrics().dropped_ttl).sum();
-    assert_eq!(ttl_drops, 50);
+    assert_eq!(fleet.counter("drop.ttl"), 50);
 }
 
 #[test]
@@ -292,7 +291,7 @@ fn unroutable_source_based_flow_is_counted_not_wedged() {
     );
     fleet.run(SimTime::from_secs(3));
     let ingress = fleet.node(NodeId(0));
-    assert_eq!(ingress.metrics().unroutable, 20);
+    assert_eq!(ingress.obs().counter("drop.unroutable"), Some(20));
 }
 
 #[test]
@@ -408,8 +407,8 @@ fn misrouting_node_with_no_spare_link_degenerates_to_blackhole() {
     fleet.run(SimTime::from_secs(5));
     let got: u64 = fleet.client_ref(r1).recv.values().map(|r| r.received).sum();
     assert_eq!(got, 0);
-    let dropped = fleet.node(NodeId(1)).metrics().adversary_dropped;
-    assert_eq!(dropped, 50);
+    let dropped = fleet.node(NodeId(1)).obs().counter("drop.adversary");
+    assert_eq!(dropped, Some(50));
 }
 
 #[test]

@@ -40,9 +40,9 @@ fn multicast_member_that_is_also_transit_still_forwards() {
         assert_eq!(r.received, 100, "{who} missed traffic");
         assert_eq!(r.app_duplicates, 0);
     }
-    let relay = fleet.node(NodeId(1));
-    assert_eq!(relay.metrics().forwarded, 100);
-    assert_eq!(relay.metrics().delivered_local, 100);
+    let relay = fleet.node(NodeId(1)).obs();
+    assert_eq!(relay.counter("node.forwarded"), Some(100));
+    assert_eq!(relay.counter("node.delivered_local"), Some(100));
 }
 
 /// A client that joins a group some time after it connects, and counts the

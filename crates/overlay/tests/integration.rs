@@ -122,14 +122,15 @@ fn multicast_reaches_all_members_efficiently() {
     // Node 4's daemon forwarded each packet ONCE (into the tree), and the
     // center fanned out to exactly 3 members: 4 transmissions per packet,
     // not 3 unicast paths x 2 hops = 6.
-    let center_fwd = fleet.node(NodeId(0)).metrics().forwarded;
+    let center_fwd = fleet.node(NodeId(0)).obs().counter("node.forwarded");
     assert_eq!(
-        center_fwd, 300,
-        "center fans out once per member: {center_fwd}"
+        center_fwd,
+        Some(300),
+        "center fans out once per member: {center_fwd:?}"
     );
     assert_eq!(
-        fleet.node(NodeId(4)).metrics().forwarded,
-        100,
+        fleet.node(NodeId(4)).obs().counter("node.forwarded"),
+        Some(100),
         "ingress sends one copy into the tree"
     );
 }
@@ -224,7 +225,7 @@ fn disjoint_paths_survive_one_blackhole_node() {
     );
     let bad = fleet.node(NodeId(1));
     assert!(
-        bad.metrics().adversary_dropped > 0,
+        bad.obs().counter("drop.adversary") > Some(0),
         "the attacker really dropped"
     );
 }
@@ -510,7 +511,7 @@ fn dedup_suppresses_wire_duplicates_from_duplicating_node() {
     assert_eq!(r.received, 100);
     assert_eq!(r.app_duplicates, 0, "client never sees duplicates");
     assert!(
-        fleet.node(NodeId(2)).metrics().dedup_suppressed >= 100,
+        fleet.node(NodeId(2)).obs().counter("drop.dedup_duplicate") >= Some(100),
         "the extra copies died at the edge"
     );
 }

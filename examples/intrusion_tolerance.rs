@@ -117,11 +117,12 @@ fn main() {
         "control  (IT-Reliable)            : {}/{} delivered in order ({} ooo)",
         commands.received, commands_sent, commands.out_of_order,
     );
-    let adversary_dropped: u64 = fleet.nodes().map(|n| n.metrics().adversary_dropped).sum();
+    let adversary_dropped = fleet.counter("drop.adversary");
     println!("\npackets eaten by the blackholes   : {adversary_dropped}");
+    let flooder = fleet.node(NodeId(FLOODER)).obs();
     println!(
         "flooder junk injected             : {}",
-        fleet.node(NodeId(FLOODER)).metrics().adversary_injected
+        flooder.counter("node.adversary_injected").unwrap_or(0)
     );
     println!("\nDespite compromised overlay nodes with valid credentials, every");
     println!("telemetry reading and every control command made it through.");

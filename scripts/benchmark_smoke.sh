@@ -8,22 +8,26 @@
 # son-topo and connectivity types the benchmark crate compiles against, and
 # the three UDP daemons built by `son_node::NodeRuntime::new`. Each
 # simulated workload must also reproduce its seed-1 fingerprint and peak
-# below a resident-memory ceiling.
+# below a resident-memory ceiling, and then run again at seed 7 and
+# reproduce that seed's fingerprint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The default seed's fingerprints, which a --quick run prints as a full run
-# does. A change that is not meant to alter what the simulated protocols do
-# must leave them alone; a deliberate protocol change updates them, in a
-# commit of its own that says so. udp_chain3 has none: its daemons run
-# against the wall clock.
+# The fingerprints of the default seed and of seed 7, by workload/seed,
+# which a --quick run prints as a full run does. A change that is not meant
+# to alter what the simulated protocols do must leave them alone; a
+# deliberate protocol change updates them, in a commit of its own that says
+# so. udp_chain3 has none: its daemons run against the wall clock.
 declare -A fingerprint=(
-    [sim_fwd_churn]=0xe45bd9ee91e4460f
-    [sim_recovery_mix]=0x36b9e1837e0945f8
-    [sim_scale_512]=0xa6df514dce10517c
+    [sim_fwd_churn/1]=0xe45bd9ee91e4460f
+    [sim_recovery_mix/1]=0x36b9e1837e0945f8
+    [sim_scale_512/1]=0xa6df514dce10517c
+    [sim_fwd_churn/7]=0xb61ffcc45d9fa518
+    [sim_recovery_mix/7]=0xd449711fe20bc1ae
+    [sim_scale_512/7]=0xf1efabbb29f8dd5e
 )
 
-# Peak resident MB of a quick run. The 512-node cold start: a daemon shares
+# Peak resident MB of a quick run at the default seed. The 512-node cold start: a daemon shares
 # the configured topology and the key table with its deployment, builds
 # its 4-byte-per-destination next-hop table and each link's protocol
 # machines only when it first uses them, keeps 12 bytes per origin in its
@@ -49,25 +53,27 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # The last line is the driver's JSON object; everything is echoed to stderr
 # through the descriptor this script has (`tee /dev/stderr` would reopen a
 # redirected log and truncate it at every workload).
-for workload in sim_fwd_churn sim_recovery_mix sim_scale_512 udp_chain3; do
+for run in sim_fwd_churn/1 sim_recovery_mix/1 sim_scale_512/1 udp_chain3/1 \
+    sim_fwd_churn/7 sim_recovery_mix/7 sim_scale_512/7; do
+    workload=${run%/*} seed=${run#*/}
     status=0
     out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seconds 2 --quick) || status=$?
+        --workload "$workload" --seed "$seed" --seconds 2 --quick) || status=$?
     printf '%s\n' "$out" >&2
     if [ "$status" -ne 0 ] || ! tail -n 1 <<<"$out" | grep -q '"failed":0[,}]'; then
-        echo "ERROR: benchmark $workload --quick failed a check or an operation" >&2
+        echo "ERROR: benchmark $workload --seed $seed --quick failed a check or an operation" >&2
         exit 1
     fi
-    [ -n "${fingerprint[$workload]:-}" ] || continue
+    [ -n "${fingerprint[$run]:-}" ] || continue
     # The run just appended its record to benchmark/out/runs.jsonl.
     got=$(tail -n 1 benchmark/out/runs.jsonl | python3 -c \
-        'import json, sys; r = json.load(sys.stdin); print(r["workload"], r.get("fingerprint"))')
-    want="$workload ${fingerprint[$workload]}"
+        'import json, sys; r = json.load(sys.stdin); print(r["workload"] + "/" + str(r["seed"]), r.get("fingerprint"))')
+    want="$run ${fingerprint[$run]}"
     if [ "$got" != "$want" ]; then
         echo "ERROR: benchmark fingerprint is '$got', expected '$want'" >&2
         exit 1
     fi
-    if [ -n "${rss_ceiling_mb[$workload]:-}" ]; then
+    if [ "$seed" = 1 ] && [ -n "${rss_ceiling_mb[$workload]:-}" ]; then
         tail -n 1 benchmark/out/runs.jsonl | python3 -c '
 import json, sys
 workload, ceiling = sys.argv[1], float(sys.argv[2])

@@ -259,7 +259,10 @@ fn parallel_overlays_share_the_load() {
         .map(|s| {
             s.daemons
                 .iter()
-                .map(|&d| sim.proc_ref::<OverlayNode>(d).unwrap().metrics().forwarded)
+                .filter_map(|&d| {
+                    let node = sim.proc_ref::<OverlayNode>(d).unwrap();
+                    node.obs().counter("node.forwarded")
+                })
                 .sum()
         })
         .collect();
