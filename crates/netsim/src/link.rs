@@ -11,11 +11,11 @@
 
 use son_obs::DropClass;
 
-use crate::loss::{LossConfig, LossProcess};
+use crate::loss::{LossConfig, LossState};
 use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::underlay::{Attachment, CityId, ResolveError, UEdgeId, Underlay};
+use crate::underlay::{Attachment, CityId, LatencyMemo, ResolveError, UEdgeId, Underlay};
 
 /// Identifies a pipe within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,12 +155,16 @@ pub struct Pipe {
     src: ProcessId,
     dst: ProcessId,
     config: PipeConfig,
-    loss: LossProcess,
+    /// The loss process on `config.loss`.
+    loss: LossState,
     rng: SimRng,
     /// When the serializer frees up (bandwidth modelling).
     next_free: SimTime,
     /// Administrative state (scenario scripts can disable a pipe outright).
     enabled: bool,
+    /// The underlay's last answer for the binding (see
+    /// [`Underlay::latency_memo`]); cleared when the binding changes.
+    latency_memo: LatencyMemo,
     /// Packets and bytes offered/delivered/dropped, for diagnostics.
     pub(crate) offered: u64,
     pub(crate) delivered: u64,
@@ -175,7 +179,7 @@ impl Pipe {
     /// Panics if the loss model in `config` is invalid.
     #[must_use]
     pub fn new(src: ProcessId, dst: ProcessId, config: PipeConfig, rng: SimRng) -> Self {
-        let loss = LossProcess::new(config.loss.clone());
+        let loss = LossState::new(&config.loss);
         Pipe {
             src,
             dst,
@@ -184,6 +188,7 @@ impl Pipe {
             rng,
             next_free: SimTime::ZERO,
             enabled: true,
+            latency_memo: None,
             offered: 0,
             delivered: 0,
             dropped: 0,
@@ -219,8 +224,8 @@ impl Pipe {
     ///
     /// Panics if the new loss model is invalid.
     pub fn set_loss(&mut self, loss: LossConfig) {
-        self.config.loss = loss.clone();
-        self.loss = LossProcess::new(loss);
+        self.loss = LossState::new(&loss);
+        self.config.loss = loss;
     }
 
     /// Re-binds the pipe to a different underlay attachment (the overlay's
@@ -228,6 +233,7 @@ impl Pipe {
     pub fn rebind(&mut self, attachment: Attachment) {
         if let Some(binding) = &mut self.config.binding {
             binding.attachment = attachment;
+            self.latency_memo = None;
         }
     }
 
@@ -277,7 +283,8 @@ impl Pipe {
             let Some(ul) = underlay.as_mut() else {
                 return Transmit::Dropped(DropReason::NoRoute);
             };
-            match ul.latency(now, binding.attachment, binding.from, binding.to) {
+            let memo = &mut self.latency_memo;
+            match ul.latency_memo(now, binding.attachment, binding.from, binding.to, memo) {
                 Ok(latency) => latency,
                 Err(ResolveError::Blackholed) => return Transmit::Dropped(DropReason::Blackholed),
                 Err(ResolveError::NoRoute) => return Transmit::Dropped(DropReason::NoRoute),
@@ -300,7 +307,7 @@ impl Pipe {
             now
         };
         // Stochastic loss (sampled at send time).
-        if self.loss.drops(now, &mut self.rng) {
+        if self.loss.drops(&self.config.loss, now, &mut self.rng) {
             return Transmit::Dropped(DropReason::Loss);
         }
         let jitter = if self.config.jitter.is_zero() {
