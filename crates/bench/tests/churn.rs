@@ -214,8 +214,10 @@ fn churn_runs_are_a_pure_function_of_the_seed() {
     let a = build().run();
     let b = build().run();
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same simulation");
+    // Re-recorded (0x8935_a455_d1dd_2e98 before) when a cold start
+    // stopped flooding LSAs that say what the configuration does.
     assert_eq!(
-        a.fingerprint, 0x8935_a455_d1dd_2e98,
+        a.fingerprint, 0x541c_7c3a_e634_e420,
         "the seed's sustained graceful churn campaign moved"
     );
     assert_eq!(a.received, b.received);

@@ -1166,11 +1166,17 @@ mod tests {
         };
         let mut rt = middle_node();
 
-        let stored = rt.node().connectivity().lsdb_len();
+        let stored = |rt: &NodeRuntime<VnetTransport>| {
+            let conn = rt.node().connectivity();
+            (
+                conn.lsdb_len(),
+                conn.adverts_of(NodeId(0)).map(|a| a.to_vec()),
+            )
+        };
         rt.deliver_datagram(0, lsa_dgram(1, 2.0));
         dispatch_held(&mut rt);
-        let stored = stored + 1;
-        assert_eq!(rt.node().connectivity().lsdb_len(), stored, "path is live");
+        let honest = stored(&rt);
+        assert!(honest.1.is_some(), "path is live");
         let version = rt.node().connectivity().version();
 
         rt.deliver_datagram(0, lsa_dgram(2, f64::INFINITY));
@@ -1181,7 +1187,7 @@ mod tests {
             1,
             "the refusal is not a delivery"
         );
-        assert_eq!(rt.node().connectivity().lsdb_len(), stored);
+        assert_eq!(stored(&rt), honest);
         assert_eq!(rt.node().connectivity().version(), version);
 
         // A later honest change rebuilds routes over a clean LSDB.

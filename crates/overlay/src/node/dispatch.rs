@@ -360,8 +360,14 @@ impl Process<Wire> for OverlayNode {
             self.apply_member_actions(ctx, vec![rejoin]);
         }
         if self.joined {
+            // A first start floods no LSA that says what the configuration
+            // does: every peer already reads us as that default.
             let mut ca = self.bufs.take_conn();
-            self.conn.originate(None, &mut ca);
+            if restarted {
+                self.conn.originate(None, &mut ca);
+            } else {
+                self.conn.originate_first(&mut ca);
+            }
             self.dispatch_conn(ctx, ca, None);
             let mut ga = self.bufs.take_group();
             self.groups.announce(&mut ga);

@@ -150,7 +150,9 @@ struct LinkMonitor {
 /// accepted from it — the flooded allocation itself, shared with every
 /// co-located daemon that accepted the same LSA — and that LSA's sequence
 /// number. Empty until the first remote LSA is accepted, then one entry per
-/// node of the configured topology (our own stays vacant).
+/// node of the configured topology (our own stays vacant). An origin with
+/// nothing stored reads as its configured default unless it was evicted
+/// (see [`ConnectivityMonitor`]'s `for_each_believed`).
 ///
 /// The table is N entries in each of N daemons, so an entry is the per-node
 /// cost of one more overlay member: an 8-byte handle and a 32-bit seq, in
@@ -174,9 +176,14 @@ const SEQ_SPILLED: u32 = u32::MAX;
 const _: () = assert!(size_of::<Option<Adverts>>() + size_of::<u32>() <= 12);
 
 impl Lsdb {
+    /// The adverts stored for `origin`, if any.
+    fn adverts(&self, origin: NodeId) -> Option<&Adverts> {
+        self.adverts.get(origin.0)?.as_ref()
+    }
+
     /// The seq and adverts stored for `origin`, if any.
     fn get(&self, origin: NodeId) -> Option<(u64, &Adverts)> {
-        let adverts = self.adverts.get(origin.0)?.as_ref()?;
+        let adverts = self.adverts(origin)?;
         let seq = match self.seqs[origin.0] {
             SEQ_SPILLED => self.spilled[&origin],
             seq => u64::from(seq),
@@ -248,11 +255,14 @@ pub struct ConnectivityMonitor {
     first_pending: SimTime,
     /// When the newest deferred change arrived (quiesce measures from here).
     last_pending: SimTime,
-    /// Evicted-origin tombstones: `origin -> (last evicted seq, when)`.
+    /// Evicted-origin tombstones: `origin -> (last evicted seq, when)`,
+    /// the seq 0 for an origin evicted before anything was heard from it.
     /// Copies of an evicted origin's LSA keep circulating for a while
     /// (every node refloods on first sight); the tombstone rejects those
     /// stale floods so eviction sticks, while a genuinely newer seq (the
-    /// origin restarted) clears it.
+    /// origin restarted) clears it. It also keeps an evicted origin from
+    /// reading as its configured default, past its TTL too: only an LSA
+    /// removes it.
     tombstones: HashMap<NodeId, (u64, SimTime)>,
     /// Graceful-shutdown withdrawal: when set, the own LSA advertises every
     /// incident link down, steering the fleet's routes away before the
@@ -323,8 +333,55 @@ impl ConnectivityMonitor {
     }
 
     /// Every stored advertisement list: our own, then each remote origin's.
-    fn adverts(&self) -> impl Iterator<Item = &Adverts> {
+    fn stored_adverts(&self) -> impl Iterator<Item = &Adverts> {
         std::iter::once(&self.own).chain(self.lsdb.adverts.iter().flatten())
+    }
+
+    /// The configured default advert of `origin`: what its first LSA says
+    /// when its links start as configured — every incident edge, in
+    /// topology order, up at its configured latency (quantized as
+    /// [`own_adverts`] does) and without loss. Built from the shared
+    /// topology on the fly, never stored.
+    fn default_adverts(&self, origin: NodeId) -> impl Iterator<Item = LinkAdvert> + '_ {
+        self.topology.neighbors(origin).map(|(_, edge)| LinkAdvert {
+            edge,
+            up: true,
+            latency_ms: quantize_latency(self.topology.weight(edge)),
+            loss: 0.0,
+        })
+    }
+
+    /// Whether `origin` reads as its configured default: a remote origin
+    /// of the topology with nothing stored and no tombstone.
+    fn reads_as_default(&self, origin: NodeId) -> bool {
+        origin != self.me
+            && origin.0 < self.topology.node_count()
+            && self.lsdb.adverts(origin).is_none()
+            && !self.tombstones.contains_key(&origin)
+    }
+
+    /// Visits every advert this daemon believes, in the order the weight
+    /// rule adds them: our own, then each remote origin's by origin — what
+    /// is stored, or the configured default of an origin never heard from
+    /// and never evicted. A cold start floods nothing its configuration
+    /// already says, so the unheard default is most of the view. (A visitor
+    /// rather than an iterator: a rebuild visits every origin, and the
+    /// chained per-origin iterators cost several times the loop.)
+    fn for_each_believed(&self, mut visit: impl FnMut(LinkAdvert)) {
+        self.own.iter().copied().for_each(&mut visit);
+        for origin in (0..self.topology.node_count()).map(NodeId) {
+            if origin == self.me {
+                continue;
+            }
+            match self.lsdb.adverts(origin) {
+                Some(links) => links.iter().copied().for_each(&mut visit),
+                // (An empty map answers without hashing the key.)
+                None if !self.tombstones.contains_key(&origin) => {
+                    self.default_adverts(origin).for_each(&mut visit);
+                }
+                None => {}
+            }
+        }
     }
 
     /// The shared-view version; consumers recompute caches when it changes.
@@ -369,17 +426,14 @@ impl ConnectivityMonitor {
             adverts: u32,
         }
         let mut votes = vec![Votes::default(); self.topology.edge_count()];
-        for links in self.adverts() {
-            for ad in links.iter() {
-                let Some(v) = votes.get_mut(ad.edge.0) else {
-                    continue;
-                };
+        self.for_each_believed(|ad| {
+            if let Some(v) = votes.get_mut(ad.edge.0) {
                 v.any_down |= !ad.up;
                 v.latency_sum += ad.latency_ms;
                 v.loss_sum += ad.loss;
                 v.adverts += 1;
             }
-        }
+        });
         votes
             .iter()
             .enumerate()
@@ -431,20 +485,41 @@ impl ConnectivityMonitor {
         self.links[link].suspended
     }
 
-    /// Number of origins currently in the LSDB (including our own entry).
+    /// Number of origins whose advert this daemon knows, our own
+    /// included: stored, or never heard from and never evicted (read as
+    /// the configured default). Every origin of the topology but the
+    /// evicted ones.
     #[must_use]
     pub fn lsdb_len(&self) -> usize {
-        self.adverts().count()
+        // A tombstone names a remote origin of the topology with nothing
+        // stored: eviction makes one, and only an accepted LSA removes it.
+        self.topology.node_count() - self.tombstones.len()
     }
 
     /// The adverts stored for `origin` (our own included), if any: the
     /// shared allocation itself, so a harness can tell a copy from a share.
+    /// `None` for an origin never heard from (it reads as its configured
+    /// default) or evicted.
     #[must_use]
     pub fn adverts_of(&self, origin: NodeId) -> Option<&Adverts> {
         if origin == self.me {
             return Some(&self.own);
         }
-        Some(self.lsdb.get(origin)?.1)
+        self.lsdb.adverts(origin)
+    }
+
+    /// Whether this daemon believes `origin` advertises exactly `adverts`:
+    /// what it stores, or the configured default of an origin never heard
+    /// from. Never true of an evicted origin.
+    #[must_use]
+    pub fn believes(&self, origin: NodeId, adverts: &[LinkAdvert]) -> bool {
+        match self.adverts_of(origin) {
+            Some(held) => **held == *adverts,
+            None => {
+                self.reads_as_default(origin)
+                    && self.default_adverts(origin).eq(adverts.iter().copied())
+            }
+        }
     }
 
     /// Sets graceful-shutdown withdrawal: while set, the own LSA advertises
@@ -458,20 +533,22 @@ impl ConnectivityMonitor {
         }
     }
 
-    /// Evicts a departed origin's LSA from the LSDB (membership-layer
-    /// maintenance: the origin left or stayed down past the hold-down). A
-    /// tombstone rejects stale re-floods of the evicted advertisement for
-    /// `TOMBSTONE_TTL` (10 s); a genuinely newer LSA from the origin (it
-    /// came back) clears the tombstone and is accepted normally.
+    /// Evicts a departed origin from the LSDB (membership-layer
+    /// maintenance: the origin left or stayed down past the hold-down):
+    /// its stored LSA, or the configured default it read as if nothing was
+    /// heard from it. A tombstone rejects stale re-floods of the evicted
+    /// advertisement for `TOMBSTONE_TTL` (10 s); a genuinely newer LSA from
+    /// the origin (it came back) clears the tombstone and is accepted
+    /// normally.
     pub fn evict_origin(&mut self, origin: NodeId, now: SimTime, out: &mut Vec<ConnAction>) {
-        if origin == self.me {
-            return;
-        }
-        if let Some(seq) = self.lsdb.evict(origin) {
-            self.tombstones.insert(origin, (seq, now));
-            self.flap.remove(&origin);
-            self.bump_version(out);
-        }
+        let seq = match self.lsdb.evict(origin) {
+            Some(seq) => seq,
+            None if self.reads_as_default(origin) => 0,
+            None => return,
+        };
+        self.tombstones.insert(origin, (seq, now));
+        self.flap.remove(&origin);
+        self.bump_version(out);
     }
 
     /// Moves the shared view forward now. Any debounced remote changes are
@@ -645,12 +722,15 @@ impl ConnectivityMonitor {
             return; // forged or corrupt: never stored, never flooded on
         }
         // (An empty map answers without hashing the key.)
-        if let Some(&(seq, at)) = self.tombstones.get(&origin) {
+        let evicted = if let Some(&(seq, at)) = self.tombstones.get(&origin) {
             if lsa.seq <= seq && now.saturating_since(at) < TOMBSTONE_TTL {
                 return; // stale flood of an evicted origin
             }
             self.tombstones.remove(&origin);
-        }
+            true
+        } else {
+            false
+        };
         if self.lsdb.adverts.is_empty() {
             // Sized by the first LSA heard, not at construction: a fleet
             // builder does not pay for N tables of N entries up front.
@@ -658,13 +738,28 @@ impl ConnectivityMonitor {
             self.lsdb.adverts.resize(n, None);
             self.lsdb.seqs.resize(n, 0);
         }
-        let changed = match self.lsdb.get(origin) {
+        // Compared with what is believed: the stored adverts, nothing for
+        // an evicted origin, and the configured default (which any seq is
+        // newer than) for one never heard from.
+        let (stored, changed) = match self.lsdb.get(origin) {
             Some((seq, _)) if lsa.seq <= seq => return, // not newer
-            Some((_, prev)) => !Adverts::ptr_eq(prev, &lsa.links) && *prev != lsa.links,
-            None => true,
+            Some((_, prev)) => (
+                true,
+                !Adverts::ptr_eq(prev, &lsa.links) && *prev != lsa.links,
+            ),
+            None if evicted => (false, true),
+            None => (
+                false,
+                !self.default_adverts(origin).eq(lsa.links.iter().copied()),
+            ),
         };
-        self.lsdb
-            .store(origin, lsa.seq, changed.then(|| lsa.links.clone()));
+        // An LSA equal to the default is stored too: left unstored, every
+        // duplicate copy of it would read as newer and flood on again.
+        self.lsdb.store(
+            origin,
+            lsa.seq,
+            (changed || !stored).then(|| lsa.links.clone()),
+        );
         // Flood onward regardless (peers may have missed it).
         out.push(ConnAction::Flood {
             except: arrived_on,
@@ -714,6 +809,19 @@ impl ConnectivityMonitor {
         }
     }
 
+    /// The origination of a daemon's first start: as
+    /// [`ConnectivityMonitor::originate`], but nothing is flooded (and the
+    /// seq does not move) when our adverts equal our configured default.
+    /// Every peer reads an origin it never heard from as exactly that, so
+    /// the flood would only tell the fleet what its configuration says. A
+    /// restart, a join, a refresh and every link change flood as usual.
+    pub fn originate_first(&mut self, out: &mut Vec<ConnAction>) {
+        let links = own_adverts(&self.links, self.withdrawn);
+        if *self.own != *links || !self.default_adverts(self.me).eq(links.iter().copied()) {
+            self.originate(None, out);
+        }
+    }
+
     /// Originates a fresh own LSA (used at startup, on link flaps, and on
     /// the periodic refresh). The LSA is always flooded (peers may have
     /// missed the last one), but the shared-view version only moves when
@@ -753,17 +861,16 @@ impl ConnectivityMonitor {
     #[must_use]
     pub fn current_graph(&self) -> Graph {
         let mut g = self.topology.clone();
-        // Collect advertisements per edge.
+        // Collect advertisements per edge (an unheard origin's default
+        // counts as if its LSA had arrived).
         let mut up_votes: HashMap<EdgeId, (bool, f64, f64, u32)> = HashMap::new();
-        for links in self.adverts() {
-            for ad in links.iter() {
-                let entry = up_votes.entry(ad.edge).or_insert((true, 0.0, 0.0, 0));
-                entry.0 &= ad.up;
-                entry.1 += ad.latency_ms;
-                entry.2 += ad.loss;
-                entry.3 += 1;
-            }
-        }
+        self.for_each_believed(|ad| {
+            let entry = up_votes.entry(ad.edge).or_insert((true, 0.0, 0.0, 0));
+            entry.0 &= ad.up;
+            entry.1 += ad.latency_ms;
+            entry.2 += ad.loss;
+            entry.3 += 1;
+        });
         for e in self.topology.edges() {
             match up_votes.get(&e) {
                 Some(&(up, lat_sum, loss_sum, n)) if n > 0 => {
@@ -789,6 +896,13 @@ fn ewma(prev: f64, sample: f64) -> f64 {
     prev * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
 }
 
+/// An advertised latency: quantized so measurement noise does not make
+/// every periodic refresh look like a topology change (and trigger
+/// fleet-wide recomputation).
+fn quantize_latency(latency_ms: f64) -> f64 {
+    (latency_ms * 4.0).round() / 4.0
+}
+
 /// What a node with these link monitors advertises about its links.
 fn own_adverts(links: &[LinkMonitor], withdrawn: bool) -> Adverts {
     let advert = |l: &LinkMonitor| {
@@ -800,10 +914,7 @@ fn own_adverts(links: &[LinkMonitor], withdrawn: bool) -> Adverts {
         LinkAdvert {
             edge: l.edge,
             up: l.up && !l.suspended && !withdrawn,
-            // Quantize so measurement noise does not make every periodic
-            // refresh look like a topology change (and trigger fleet-wide
-            // recomputation).
-            latency_ms: (latency * 4.0).round() / 4.0,
+            latency_ms: quantize_latency(latency),
             loss: (l.loss * 50.0).round() / 50.0,
         }
     };
@@ -833,7 +944,7 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
             + vec_bytes(&self.lsdb.seqs)
             + hashmap_bytes(&self.lsdb.spilled)
             + self
-                .adverts()
+                .stored_adverts()
                 .map(|links| {
                     shared_part(
                         links.holders(),
@@ -1061,12 +1172,12 @@ mod tests {
         let lsa = changed_lsa(1, 5, 10.0);
         let mut out = Vec::new();
         mon.on_lsa(SimTime::ZERO, lsa.clone(), Some(0), &mut out);
-        assert_eq!(mon.lsdb_len(), 2);
+        assert_eq!(mon.lsdb_len(), 3);
 
         let v0 = mon.version();
         let mut out = Vec::new();
         mon.evict_origin(NodeId(1), SimTime::from_secs(1), &mut out);
-        assert_eq!(mon.lsdb_len(), 1);
+        assert_eq!(mon.lsdb_len(), 2);
         assert!(mon.version() > v0);
         assert!(out.iter().any(|a| matches!(a, ConnAction::TopologyChanged)));
 
@@ -1079,7 +1190,7 @@ mod tests {
         let mut out = Vec::new();
         mon.on_lsa(SimTime::from_secs(2), lsa, Some(1), &mut out);
         assert!(out.is_empty(), "stale flood resurrected an evicted origin");
-        assert_eq!(mon.lsdb_len(), 1);
+        assert_eq!(mon.lsdb_len(), 2);
 
         // A newer seq (the origin came back) clears the tombstone.
         let mut out = Vec::new();
@@ -1089,7 +1200,7 @@ mod tests {
             Some(0),
             &mut out,
         );
-        assert_eq!(mon.lsdb_len(), 2);
+        assert_eq!(mon.lsdb_len(), 3);
         assert!(out.iter().any(|a| matches!(a, ConnAction::Flood { .. })));
     }
 
@@ -1104,7 +1215,8 @@ mod tests {
         // (daemons without retained state restart their seq counter).
         let mut out = Vec::new();
         mon.on_lsa(SimTime::from_secs(20), lsa, Some(0), &mut out);
-        assert_eq!(mon.lsdb_len(), 2);
+        assert_eq!(mon.lsdb_len(), 3);
+        assert!(mon.adverts_of(NodeId(1)).is_some());
     }
 
     #[test]
@@ -1345,7 +1457,11 @@ mod tests {
             &mut out,
         );
         let g = mon.current_graph();
-        assert!((g.weight(EdgeId(1)) - 20.0).abs() < 1e-6, "10ms / (1-0.5)");
+        // Node 2, never heard from, advertises the other end lossless.
+        assert!(
+            (g.weight(EdgeId(1)) - 10.0 / (1.0 - 0.25)).abs() < 1e-6,
+            "10ms / (1 - mean(0.5, 0))"
+        );
     }
 
     #[test]
@@ -1407,7 +1523,7 @@ mod tests {
         for learned in [false, true] {
             if learned {
                 mon.on_lsa(SimTime::ZERO, changed_lsa(1, 1, 12.0), Some(0), &mut out);
-                assert_eq!(mon.lsdb_len(), 2);
+                assert!(mon.adverts_of(NodeId(1)).is_some());
             }
             let (stored, version) = (mon.lsdb_len(), mon.version());
             for origin in forged {
@@ -1426,6 +1542,7 @@ mod tests {
         // The highest configured origin is inside the bound.
         out.clear();
         mon.on_lsa(SimTime::ZERO, changed_lsa(2, 1, 12.0), Some(0), &mut out);
+        assert!(mon.adverts_of(NodeId(2)).is_some());
         assert_eq!(mon.lsdb_len(), 3);
     }
 
@@ -1578,6 +1695,194 @@ mod tests {
         assert_eq!(reroutes, 6);
     }
 
+    fn lsa_floods(out: &[ConnAction]) -> usize {
+        out.iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    ConnAction::Flood {
+                        msg: Control::Lsa(_),
+                        ..
+                    }
+                )
+            })
+            .count()
+    }
+
+    /// Node 0 of `topo3` with its links configured as the topology says,
+    /// but for a nominal latency of its own on the first.
+    fn monitor_with_nominal(first_ms: f64) -> ConnectivityMonitor {
+        ConnectivityMonitor::new(
+            NodeId(0),
+            topo3(),
+            vec![(EdgeId(0), 1, first_ms), (EdgeId(2), 1, 10.0)],
+            ConnectivityConfig::default(),
+        )
+    }
+
+    #[test]
+    fn a_first_origination_floods_only_what_differs_from_the_default() {
+        // Configured as the topology says: nothing to tell anyone.
+        let mut mon = monitor_with_nominal(10.0);
+        let v0 = mon.version();
+        let mut out = Vec::new();
+        mon.originate_first(&mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(mon.version(), v0);
+        // A nominal latency the topology does not have is news.
+        let mut mon = monitor_with_nominal(12.0);
+        let mut out = Vec::new();
+        mon.originate_first(&mut out);
+        assert_eq!(lsa_floods(&out), 1);
+        // So is a daemon withdrawn before it starts: the withdrawal floods,
+        // and so does the start.
+        let mut mon = monitor_with_nominal(10.0);
+        let mut out = Vec::new();
+        mon.set_withdrawn(true, &mut out);
+        assert_eq!(lsa_floods(&out), 1);
+        let mut out = Vec::new();
+        mon.originate_first(&mut out);
+        assert_eq!(lsa_floods(&out), 1);
+        let Some(ConnAction::Flood {
+            msg: Control::Lsa(lsa),
+            ..
+        }) = out.first()
+        else {
+            panic!("{out:?}");
+        };
+        assert!(lsa.links.iter().all(|ad| !ad.up));
+        // Every later origination floods, default-equal or not.
+        let mut mon = monitor_with_nominal(10.0);
+        let mut out = Vec::new();
+        mon.originate_first(&mut out);
+        mon.originate(None, &mut out);
+        assert_eq!(lsa_floods(&out), 1);
+    }
+
+    /// The configured default of node `origin` of `topo3`, as an LSA.
+    fn default_lsa(origin: usize, seq: u64) -> Lsa {
+        let topo = topo3();
+        Lsa {
+            origin: NodeId(origin),
+            seq,
+            links: topo
+                .neighbors(NodeId(origin))
+                .map(|(_, edge)| LinkAdvert {
+                    edge,
+                    up: true,
+                    latency_ms: 10.0,
+                    loss: 0.0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn an_evicted_origin_never_reads_as_its_default() {
+        let mut mon = monitor();
+        let default = default_lsa(1, 1);
+        assert!(
+            mon.believes(NodeId(1), &default.links),
+            "unheard reads as default"
+        );
+        assert_eq!(mon.lsdb_len(), 3);
+        let v0 = mon.version();
+        // Evicting an origin never heard from removes its default.
+        let mut out = Vec::new();
+        mon.evict_origin(NodeId(1), SimTime::from_secs(1), &mut out);
+        assert_eq!(out, vec![ConnAction::TopologyChanged]);
+        assert!(mon.version() > v0);
+        for secs in [2, 11, 60] {
+            mon.on_tick(SimTime::from_secs(secs), &mut Vec::new());
+            assert!(!mon.believes(NodeId(1), &default.links), "at {secs}s");
+            assert_eq!(mon.lsdb_len(), 2, "at {secs}s");
+        }
+        // Past the TTL, the default-equal LSA of the returning origin is
+        // news: it restores what eviction removed.
+        let v1 = mon.version();
+        let mut out = Vec::new();
+        mon.on_lsa(SimTime::from_secs(60), default, Some(0), &mut out);
+        assert!(out.iter().any(|a| matches!(a, ConnAction::TopologyChanged)));
+        assert!(mon.version() > v1);
+        assert_eq!(mon.lsdb_len(), 3);
+        // The same after an LSA was stored: evicted, never default again.
+        let mut mon = monitor();
+        let mut out = Vec::new();
+        mon.on_lsa(SimTime::ZERO, changed_lsa(2, 3, 12.0), None, &mut out);
+        mon.evict_origin(NodeId(2), SimTime::from_secs(1), &mut out);
+        for secs in [2, 11, 60] {
+            mon.on_tick(SimTime::from_secs(secs), &mut Vec::new());
+            assert!(
+                !mon.believes(NodeId(2), &default_lsa(2, 1).links),
+                "at {secs}s"
+            );
+        }
+    }
+
+    proptest! {
+        /// A daemon that never heard from an origin and one that accepted
+        /// the origin's default LSA see the same topology: bit for bit the
+        /// same snapshot weights, at the same version, whatever newer LSAs,
+        /// evictions and ticks follow.
+        fn an_unheard_origin_is_its_default_lsa(
+            heard in proptest::collection::vec(any::<bool>(), 3),
+            ops in proptest::collection::vec(
+                (0u8..8, 1usize..3, 0u64..3000, (0u8..3, 0u8..3, 0u8..3)),
+                0..40,
+            ),
+        ) {
+            let (mut unheard, mut informed) = (held_monitor(0), held_monitor(0));
+            for (origin, &heard) in heard.iter().enumerate().skip(1) {
+                if heard {
+                    let mut out = Vec::new();
+                    informed.on_lsa(SimTime::ZERO, default_lsa(origin, 1), None, &mut out);
+                    prop_assert!(!out.iter().any(|a| matches!(a, ConnAction::TopologyChanged)));
+                }
+            }
+            let mut now = SimTime::ZERO;
+            for (step, (kind, origin, advance_ms, (latency, loss, shape))) in ops.into_iter().enumerate() {
+                now += SimDuration::from_millis(advance_ms);
+                let seq = 2 + step as u64;
+                for mon in [&mut unheard, &mut informed] {
+                    let mut out = Vec::new();
+                    match kind {
+                        0..=4 => {
+                            let mut lsa = default_lsa(origin, seq);
+                            if shape > 0 {
+                                lsa.links = lsa
+                                    .links
+                                    .iter()
+                                    .take(shape as usize)
+                                    .map(|&ad| LinkAdvert {
+                                        up: kind != 4,
+                                        latency_ms: [10.0, 7.25, 12.0][latency as usize],
+                                        loss: [0.0, 0.02, 0.5][loss as usize],
+                                        ..ad
+                                    })
+                                    .collect();
+                            }
+                            mon.on_lsa(now, lsa, None, &mut out);
+                        }
+                        5 => mon.evict_origin(NodeId(origin), now, &mut out),
+                        _ => mon.on_tick(now, &mut out),
+                    }
+                }
+                prop_assert_eq!(unheard.version(), informed.version(), "step {}", step);
+                let (a, b) = (unheard.snapshot(), informed.snapshot());
+                let bits = |snap: &TopoSnapshot| -> Vec<u64> {
+                    topo3().edges().map(|e| snap.weight(e).to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&a), bits(&b), "step {}", step);
+                prop_assert_eq!(
+                    bits(&TopoSnapshot::new(unheard.current_graph())),
+                    bits(&a),
+                    "step {}",
+                    step
+                );
+            }
+        }
+    }
+
     #[test]
     fn periodic_refresh_refloods_own_lsa() {
         let mut mon = monitor();
@@ -1644,6 +1949,7 @@ mod tests {
             {
                 return;
             }
+            let evicted = self.tombstones.contains_key(&lsa.origin);
             if let Some(&(seq, at)) = self.tombstones.get(&lsa.origin) {
                 if lsa.seq <= seq && now.saturating_since(at) < TOMBSTONE_TTL {
                     return;
@@ -1654,7 +1960,11 @@ mod tests {
             if prev.is_some_and(|&(seq, _)| lsa.seq <= seq) {
                 return;
             }
-            let changed = prev.is_none_or(|(_, links)| links[..] != lsa.links[..]);
+            let changed = match prev {
+                Some((_, links)) => links[..] != lsa.links[..],
+                None if evicted => true,
+                None => self.default_of(lsa.origin) != lsa.links[..],
+            };
             self.lsdb.insert(lsa.origin, (lsa.seq, lsa.links.to_vec()));
             want.push(ConnAction::Flood {
                 except,
@@ -1665,14 +1975,44 @@ mod tests {
             }
         }
 
+        /// Evicting an origin never heard from removes its default.
         fn evict(&mut self, origin: NodeId, now: SimTime, want: &mut Vec<ConnAction>) {
-            if origin == self.me {
+            if origin == self.me || origin.0 >= self.nodes || self.tombstones.contains_key(&origin)
+            {
                 return;
             }
-            if let Some((seq, _)) = self.lsdb.remove(&origin) {
-                self.tombstones.insert(origin, (seq, now));
-                self.rebuild(want);
-            }
+            let seq = self.lsdb.remove(&origin).map_or(0, |(seq, _)| seq);
+            self.tombstones.insert(origin, (seq, now));
+            self.rebuild(want);
+        }
+
+        /// What an origin never heard from is read as: every incident edge
+        /// up at its configured weight in quarter milliseconds, lossless.
+        fn default_of(&self, origin: NodeId) -> Vec<LinkAdvert> {
+            self.topology
+                .neighbors(origin)
+                .map(|(_, edge)| LinkAdvert {
+                    edge,
+                    up: true,
+                    latency_ms: (self.topology.weight(edge) * 4.0).round() / 4.0,
+                    loss: 0.0,
+                })
+                .collect()
+        }
+
+        /// Every origin's believed adverts, ours first, then by origin;
+        /// evicted origins have none.
+        fn believed(&self) -> Vec<(NodeId, Vec<LinkAdvert>)> {
+            let mut origins: Vec<NodeId> = (0..self.nodes).map(NodeId).collect();
+            origins.sort_by_key(|&origin| (origin != self.me, origin));
+            origins
+                .into_iter()
+                .filter_map(|origin| match self.lsdb.get(&origin) {
+                    Some((_, links)) => Some((origin, links.clone())),
+                    None if self.tombstones.contains_key(&origin) => None,
+                    None => Some((origin, self.default_of(origin))),
+                })
+                .collect()
         }
 
         /// Our own LSA is an input here (the link monitors that produce it
@@ -1707,14 +2047,13 @@ mod tests {
             // Three or more adverts for one edge (only forgers manage that)
             // sum to the last bit in the order they are added: ours, then
             // by origin.
-            let mut origins: Vec<&NodeId> = self.lsdb.keys().collect();
-            origins.sort_by_key(|&&origin| (origin != self.me, origin));
+            let believed = self.believed();
             topology
                 .edges()
                 .map(|e| {
-                    let ads: Vec<&LinkAdvert> = origins
+                    let ads: Vec<&LinkAdvert> = believed
                         .iter()
-                        .flat_map(|origin| &self.lsdb[origin].1)
+                        .flat_map(|(_, links)| links)
                         .filter(|ad| ad.edge == e)
                         .collect();
                     let n = ads.len() as f64;
@@ -1747,8 +2086,8 @@ mod tests {
     }
 
     proptest! {
-        /// Any interleaving of remote LSAs (fresh, stale, repeated, forged
-        /// in origin or in value, with seqs small, around `u32::MAX` and up
+        /// Any interleaving of remote LSAs (fresh, stale, repeated, equal to
+        /// the origin's configured default, forged in origin or in value, with seqs small, around `u32::MAX` and up
         /// to `u64::MAX`), own originations, evictions and ticks (hello
         /// timeouts take our links down; tombstones expire) leaves the
         /// dense table holding what the map model holds, having asked for
@@ -1759,7 +2098,7 @@ mod tests {
         fn dense_lsdb_equals_the_map_model(
             held in any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..10, 0usize..6, (1u64..6, 0u8..4), 0u64..4000, (0u8..5, 0u8..3, 0u8..4)),
+                (0u8..10, 0usize..6, (1u64..6, 0u8..4), 0u64..4000, (0u8..5, 0u8..3, 0u8..5)),
                 1..60,
             ),
         ) {
@@ -1801,11 +2140,13 @@ mod tests {
                             latency_ms: [5.0, 7.25, 12.0, 30.0, f64::INFINITY][latency as usize],
                             loss: [0.0, 0.02, 0.5][loss as usize],
                         };
-                        let lsa = Lsa {
-                            origin: NodeId(origin),
-                            seq,
-                            links: (0..shape as usize % 3).map(|k| advert(origin + k)).collect(),
+                        // Shape 4 is the origin's configured default.
+                        let links = if shape == 4 && origin < model.nodes {
+                            model.default_of(NodeId(origin)).into()
+                        } else {
+                            (0..shape as usize % 3).map(|k| advert(origin + k)).collect()
                         };
+                        let lsa = Lsa { origin: NodeId(origin), seq, links };
                         let except = Some(origin % 2);
                         model.on_lsa(now, &lsa, except, &mut want);
                         mon.on_lsa(now, lsa, except, &mut out);
@@ -1834,7 +2175,10 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&out, &want, "kind {} at {:?}", kind, now);
-                prop_assert_eq!(mon.lsdb_len(), model.lsdb.len());
+                prop_assert_eq!(mon.lsdb_len(), model.believed().len());
+                for (origin, links) in model.believed() {
+                    prop_assert!(mon.believes(origin, &links), "{}", origin);
+                }
                 prop_assert_eq!(mon.version(), model.version);
                 let (snap, reference) = (mon.snapshot(), mon.current_graph());
                 let bits = |weight: &dyn Fn(EdgeId) -> f64| -> Vec<u64> {

@@ -11,8 +11,11 @@
 //! link service and every routing service under loss is the golden record.
 //!
 //! The constants were recorded on the commit before the per-type dispatch
-//! loops replaced the unified action enum; a refactor of the dispatch path
-//! must leave them untouched. A deliberate protocol change re-records them
+//! loops replaced the unified action enum, and re-recorded when a cold
+//! start stopped flooding default-equal LSAs (no cold-start `reroute`
+//! events, and the lossy pipes' loss draws fall on other frames); a
+//! refactor of the dispatch path must leave them untouched. A deliberate
+//! protocol change re-records them
 //! (`cargo test -p son-overlay --test dispatch_order -- --nocapture` prints
 //! the observed values on failure).
 
@@ -174,19 +177,19 @@ fn per_packet_stage_sequence_matches_the_recorded_golden() {
     );
 }
 
-const GOLDEN_DIGEST: u64 = 0x7ed9_83e2_ef6a_77c6;
+const GOLDEN_DIGEST: u64 = 0x9d0d_fe90_b028_eb82;
 const GOLDEN_STAGES: &[(&str, u64)] = &[
-    ("deliver", 2707),
-    ("drop", 2437),
-    ("enqueue", 9332),
-    ("ingress", 2739),
-    ("loss_detected", 37),
-    ("recovered", 44),
-    ("reroute", 20),
-    ("retransmit", 75),
-    ("transmit", 9280),
+    ("deliver", 2675),
+    ("drop", 2391),
+    ("enqueue", 9146),
+    ("ingress", 2698),
+    ("loss_detected", 33),
+    ("recovered", 43),
+    ("retransmit", 65),
+    ("transmit", 9130),
 ];
-/// The two IT-Reliable flows (4 and 7) deliver everything they send: as
-/// many as a loss-free run of this mix sends (247 and 91), short of 300
-/// only because backpressure pauses their clients.
-const GOLDEN_RECEIVED: &[u64] = &[289, 300, 300, 295, 248, 288, 296, 91, 300, 300];
+/// The two IT-Reliable flows (4 and 7) deliver everything they send: 243
+/// and 55, short of 300 because backpressure pauses their clients (a
+/// loss-free run of this mix sends 247 and 91; across seeds 1–12 the lossy
+/// mix sends 238–245 and 63–147 of them).
+const GOLDEN_RECEIVED: &[u64] = &[295, 300, 300, 292, 243, 294, 297, 55, 299, 300];

@@ -93,7 +93,12 @@ fn fleet_without_members_floods_no_group_announcement() {
         );
         assert!(fleet.node(NodeId(node)).groups().members_of(G).is_empty());
         // The control plane itself converged: only the group flood is gone.
-        assert_eq!(fleet.node(NodeId(node)).connectivity().lsdb_len(), 16);
+        for origin in (0..16).map(NodeId) {
+            let own = fleet.node(origin).connectivity().adverts_of(origin);
+            let own = own.expect("a daemon holds its own adverts");
+            let conn = fleet.node(NodeId(node)).connectivity();
+            assert!(conn.believes(origin, own), "node {node} on {origin}");
+        }
     }
 }
 

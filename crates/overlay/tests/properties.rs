@@ -517,15 +517,17 @@ mod routing_props {
         }
 
         /// Whatever the LSDB holds — links up and down, loss, adverts from
-        /// one side only, withdrawn and evicted origins, a suspended local
-        /// link, adverts for edges that do not exist — the snapshot's weights
+        /// one side only, withdrawn and evicted origins, origins never heard
+        /// from (read as their configured default) and origins that sent
+        /// exactly that default, a suspended local link, adverts for edges
+        /// that do not exist — the snapshot's weights
         /// are bit-identical to the reference graph's, the trees over them
         /// are the same from every root, every snapshot shares the configured
         /// shape, and building the next one leaves the last one alone.
         fn snapshot_equals_the_reference_view(
             ops in proptest::collection::vec(
                 (
-                    0u8..8,
+                    0u8..9,
                     1usize..8,
                     proptest::collection::vec((0u8..4, 0u8..4, 0.5f64..40.0, 0.0f64..0.6), 3),
                 ),
@@ -577,7 +579,26 @@ mod routing_props {
                     }
                     5 => mon.evict_origin(NodeId(origin), now, &mut out),
                     6 => mon.suspend_link(origin % incident.len(), &mut out),
-                    _ => mon.release_link(origin % incident.len(), &mut out),
+                    7 => mon.release_link(origin % incident.len(), &mut out),
+                    // The origin re-advertises its configured default, what
+                    // the monitor reads it as until it hears otherwise.
+                    _ => {
+                        let links: Vec<LinkAdvert> = topo
+                            .neighbors(NodeId(origin))
+                            .map(|(_, edge)| LinkAdvert {
+                                edge,
+                                up: true,
+                                latency_ms: topo.weight(edge),
+                                loss: 0.0,
+                            })
+                            .collect();
+                        let lsa = Lsa {
+                            origin: NodeId(origin),
+                            seq: 1 + step as u64,
+                            links: links.into(),
+                        };
+                        mon.on_lsa(now, lsa, None, &mut out);
+                    }
                 }
 
                 let last_bits = weight_bits(&last);

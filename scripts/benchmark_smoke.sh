@@ -19,23 +19,24 @@ cd "$(dirname "$0")/.."
 # deliberate protocol change updates them, in a commit of its own that says
 # so. udp_chain3 has none: its daemons run against the wall clock.
 declare -A fingerprint=(
-    [sim_fwd_churn/1]=0xe45bd9ee91e4460f
-    [sim_recovery_mix/1]=0x36b9e1837e0945f8
-    [sim_scale_512/1]=0xa6df514dce10517c
-    [sim_fwd_churn/7]=0xb61ffcc45d9fa518
-    [sim_recovery_mix/7]=0xd449711fe20bc1ae
-    [sim_scale_512/7]=0xf1efabbb29f8dd5e
+    [sim_fwd_churn/1]=0x45a16fc97e8b3ac9
+    [sim_recovery_mix/1]=0xda397b7232afc359
+    [sim_scale_512/1]=0xcd324248990b4c2d
+    [sim_fwd_churn/7]=0xff625665284bfaee
+    [sim_recovery_mix/7]=0x032722f70fd1a168
+    [sim_scale_512/7]=0xd23b4d62733a8263
 )
 
 # Peak resident MB of a quick run at the default seed. The 512-node cold start: a daemon shares
 # the configured topology and the key table with its deployment, builds
 # its 4-byte-per-destination next-hop table and each link's protocol
 # machines only when it first uses them, keeps 12 bytes per origin in its
-# link-state table, and its metrics registry holds its node label once and
-# no histogram buckets it has not used, so it reads ~14.3 MB, where
-# per-instrument label, name and key copies read 16.4-16.5 MB, 24-byte
-# entries 20.2 MB, eager tables and machines 22.9 MB and a private copy of
-# the topology and keys 35 MB. The churning data plane: a receiver keeps its seqs in
+# link-state table, its metrics registry holds its node label once and
+# no histogram buckets it has not used, and a cold start floods no LSA
+# that says what the configuration does, so it reads ~11.4-11.7 MB, where
+# flooding every first LSA read ~14.3 MB, per-instrument label, name and
+# key copies 16.4-16.5 MB, 24-byte entries 20.2 MB, eager tables and
+# machines 22.9 MB and a private copy of the topology and keys 35 MB. The churning data plane: a receiver keeps its seqs in
 # a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB. The
 # lossy data plane, where the dedup, FEC, NM-Strikes and ARQ windows live:
 # an FEC receiver keeps one repair's headers per unfinished block and an
@@ -43,7 +44,7 @@ declare -A fingerprint=(
 # ~7.1-7.3 MB, where every repair's headers and a hash-map history read
 # 8.3-8.6 MB.
 declare -A rss_ceiling_mb=(
-    [sim_scale_512]=15.5
+    [sim_scale_512]=12.7
     [sim_fwd_churn]=10
     [sim_recovery_mix]=8
 )
