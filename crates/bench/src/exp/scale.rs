@@ -22,7 +22,10 @@ use son_obs::{perf_rows, Json};
 
 use super::Opts;
 use crate::scale::{run_scale, ScaleResult, SCALE_FLOWS, SCALE_SEED};
-use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
+use crate::{
+    export_rows, f, finish_export, obs_sink, replace_bench_rows, row, say, table_header,
+    write_bench,
+};
 
 /// Virtual-time horizon per run: long enough for convergence, the mid-run
 /// link cut at 1.5s, recovery at 2.2s, and steady state after — and short
@@ -96,6 +99,7 @@ pub fn run(opts: &Opts) {
         &[64, 256, 1024]
     };
     let mode = if smoke { "smoke" } else { "full" };
+    let out = opts.out.as_deref().unwrap_or("BENCH_scale.json");
 
     let mut bench = Vec::new();
     let mut obs = obs_sink("scale");
@@ -118,6 +122,17 @@ pub fn run(opts: &Opts) {
     let mut results: Vec<ScaleResult> = Vec::new();
     for &n in sizes {
         let r = run_scale(n, SIM_SECONDS);
+        // Each row is written as soon as it is measured, before anything
+        // is printed: a sweep cut short (or a closed stdout) keeps the
+        // sizes it finished. (A failed write is reported by the last one.)
+        let measured = bench_row(&r, mode);
+        if let Some(sink) = &mut obs {
+            let run = format!("n{n}");
+            let _ = export_rows(sink, &run, std::iter::once(measured.clone()));
+            let _ = export_rows(sink, &run, perf_rows(&r.perf));
+        }
+        bench.push(measured);
+        let _ = replace_bench_rows(out, &bench);
         let (reroute_p50_ns, reroute_p99_ns) = reroute_ns(&r);
         // The frame mix, in percent of everything handed to a link.
         let share = |frames: u64| f(100.0 * frames as f64 / r.pipe_sent.max(1) as f64, 1);
@@ -136,27 +151,20 @@ pub fn run(opts: &Opts) {
             (format!("{:.0}us", reroute_p50_ns / 1e3), 12),
             (format!("{:.0}us", reroute_p99_ns / 1e3), 12),
         ]);
-        let row = bench_row(&r, mode);
-        if let Some(sink) = &mut obs {
-            let run = format!("n{n}");
-            let _ = export_rows(sink, &run, std::iter::once(row.clone()));
-            let _ = export_rows(sink, &run, perf_rows(&r.perf));
-        }
-        bench.push(row);
         results.push(r);
     }
 
     // Subsystem breakdown at the largest N: where the bytes actually live.
     let last = results.last().expect("at least one size");
-    println!("\nbytes/node by subsystem at n={}:", last.n);
+    say!("\nbytes/node by subsystem at n={}:", last.n);
     let mut parts = last.bytes_per_node();
     parts.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (label, b) in parts {
-        println!("  {label:>10}  {:>10.1} KiB", b / 1024.0);
+        say!("  {label:>10}  {:>10.1} KiB", b / 1024.0);
     }
 
     // Top profiler stages at the largest N: where the wall-clock goes.
-    println!("\ntop profiler stages at n={} (by self time):", last.n);
+    say!("\ntop profiler stages at n={} (by self time):", last.n);
     table_header(&[
         ("stage", 16),
         ("count", 12),
@@ -180,7 +188,7 @@ pub fn run(opts: &Opts) {
     let top = results.last().expect("at least one size");
     let ratio = top.bytes_per_node_total() / base.bytes_per_node_total().max(1.0);
     let linear = top.n as f64 / base.n as f64;
-    println!(
+    say!(
         "\ntotal bytes/node growth n={}→{}: {ratio:.1}x (linear would be {linear:.0}x; budget {:.1}x)",
         base.n,
         top.n,
@@ -191,7 +199,7 @@ pub fn run(opts: &Opts) {
         "total bytes/node left the committed curve: {ratio:.1}x over a {linear:.0}x size increase"
     );
 
-    write_bench(opts.out.as_deref().unwrap_or("BENCH_scale.json"), &bench);
+    write_bench(out, &bench);
     if let Some(sink) = obs {
         finish_export(sink);
     }

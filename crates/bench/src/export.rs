@@ -42,6 +42,19 @@ pub fn export_rows(
 /// sharing a file (and the history rows nobody regenerates) survive each
 /// other's runs. Prints the standard banner.
 pub fn write_bench(path: &str, rows: &[Json]) {
+    match replace_bench_rows(path, rows) {
+        Ok(()) => crate::say!("\nbench: wrote {} rows to {path}", rows.len()),
+        Err(e) => eprintln!("bench: cannot write {path} ({e}); results print only"),
+    }
+}
+
+/// [`write_bench`] without the banner, for a sweep that writes each row as
+/// soon as it is measured.
+///
+/// # Errors
+///
+/// Propagates the I/O error if the file cannot be written.
+pub fn replace_bench_rows(path: &str, rows: &[Json]) -> std::io::Result<()> {
     let key = |row: &Json| {
         let field = |name| row.get(name).map(Json::to_json);
         (field("bench"), field("mode"), field("n"))
@@ -59,10 +72,7 @@ pub fn write_bench(path: &str, rows: &[Json]) {
         row.render(&mut text);
         text.push('\n');
     }
-    match std::fs::write(path, text) {
-        Ok(()) => println!("\nbench: wrote {} rows to {path}", rows.len()),
-        Err(e) => eprintln!("bench: cannot write {path} ({e}); results print only"),
-    }
+    std::fs::write(path, text)
 }
 
 /// Creates the JSONL sink for `experiment` under the obs dir, or explains
@@ -83,7 +93,7 @@ pub fn obs_sink(experiment: &str) -> Option<JsonlSink> {
 pub fn finish_export(sink: JsonlSink) {
     let rows = sink.rows();
     match sink.finish() {
-        Ok(path) => println!("obs: wrote {rows} rows to {}", path.display()),
+        Ok(path) => crate::say!("obs: wrote {rows} rows to {}", path.display()),
         Err(e) => eprintln!("obs: export failed ({e})"),
     }
 }

@@ -16,7 +16,7 @@ pub mod scale;
 pub mod telemetry;
 pub mod watchdog;
 
-pub use export::{export_rows, finish_export, obs_sink, tag_run, write_bench};
+pub use export::{export_rows, finish_export, obs_sink, replace_bench_rows, tag_run, write_bench};
 pub use gate::Gate;
 pub use telemetry::{ClusterState, Collector, NodeState};
 
@@ -165,9 +165,19 @@ pub fn ring_with_chords(n: usize, hop_ms: f64, chord_every: usize) -> Graph {
 
 /// Prints an experiment header.
 pub fn banner(id: &str, claim: &str) {
-    println!("\n=== {id} ===");
-    println!("    {claim}");
-    println!();
+    say!("\n=== {id} ===");
+    say!("    {claim}");
+    say!();
+}
+
+/// `println!` that drops the line when stdout is closed (`son-exp … | head`)
+/// instead of panicking, so the run goes on to write its results.
+#[macro_export]
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout().lock(), $($arg)*);
+    }};
 }
 
 /// Prints a table header row and a separator.
@@ -176,8 +186,8 @@ pub fn table_header(cols: &[(&str, usize)]) {
     for (name, width) in cols {
         line.push_str(&format!("{name:>width$}  ", width = width));
     }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len().min(120)));
+    say!("{line}");
+    say!("{}", "-".repeat(line.len().min(120)));
 }
 
 /// Formats a cell-aligned row.
@@ -186,7 +196,7 @@ pub fn row(cells: &[(String, usize)]) {
     for (value, width) in cells {
         line.push_str(&format!("{value:>width$}  ", width = width));
     }
-    println!("{line}");
+    say!("{line}");
 }
 
 /// Shorthand for fixed-precision cells.

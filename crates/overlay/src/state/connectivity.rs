@@ -133,8 +133,10 @@ struct LinkMonitor {
     providers: usize,
     active_provider: usize,
     next_seq: u64,
-    /// Hello seqs sent but not yet acked.
-    outstanding: HashMap<u64, SimTime>,
+    /// Hello seqs sent but not yet acked, with when they were sent: in
+    /// increasing seq order, since this process mints them in that order,
+    /// so an ack finds its probe by binary search.
+    outstanding: VecDeque<(u64, SimTime)>,
     misses_on_provider: u32,
     total_misses: u32,
     up: bool,
@@ -149,56 +151,91 @@ struct LinkMonitor {
 /// The link-state table: per remote origin, the adverts of the newest LSA
 /// accepted from it — the flooded allocation itself, shared with every
 /// co-located daemon that accepted the same LSA — and that LSA's sequence
-/// number. Empty until the first remote LSA is accepted, then one entry per
-/// node of the configured topology (our own stays vacant). An origin with
-/// nothing stored reads as its configured default unless it was evicted
-/// (see [`ConnectivityMonitor`]'s `for_each_believed`).
+/// number. An origin with nothing stored reads as its configured default
+/// unless it was evicted (see [`ConnectivityMonitor`]'s
+/// `for_each_believed`).
 ///
-/// The table is N entries in each of N daemons, so an entry is the per-node
-/// cost of one more overlay member: an 8-byte handle and a 32-bit seq, in
-/// two columns. A correct origin refreshes every 5 s, so its seq stays far
-/// below `u32::MAX`; a larger one (a forged LSA's, say) is kept whole in
-/// `spilled`, and every comparison is on the full `u64`.
+/// A daemon stores only the origins whose LSAs reached it, and a cold start
+/// floods none, so the table is paged: origins come in pages of [`PAGE`],
+/// and a page is allocated when the first of its origins is stored. Empty
+/// until the first remote LSA is accepted, then one page slot per `PAGE`
+/// nodes of the configured topology. A daemon that heard k origins holds
+/// the slots and at most k pages; a full table costs an 8-byte handle and a
+/// 32-bit seq per origin plus one slot per page. A correct origin refreshes
+/// every 5 s, so its seq stays far below `u32::MAX`; a larger one (a forged
+/// LSA's, say) is kept whole in `spilled`, and every comparison is on the
+/// full `u64`.
 #[derive(Debug, Default)]
 struct Lsdb {
-    /// The stored adverts per origin; `None` means nothing is stored.
-    adverts: Vec<Option<Adverts>>,
-    /// The stored seq per origin, or [`SEQ_SPILLED`]. Meaningless where
-    /// nothing is stored.
-    seqs: Vec<u32>,
-    /// The seqs that do not fit in `seqs`, by origin.
+    /// One slot per `PAGE` origins; `None` means nothing in it is stored.
+    pages: Vec<Option<Box<Page>>>,
+    /// The seqs that do not fit in `Page::seqs`, by origin.
     spilled: HashMap<NodeId, u64>,
 }
 
-/// The `Lsdb::seqs` value that says the seq is in `Lsdb::spilled`.
+/// Origins per [`Lsdb`] page.
+const PAGE: usize = 32;
+
+/// The entries of `PAGE` consecutive origins, the first a multiple of `PAGE`.
+#[derive(Debug, Default)]
+struct Page {
+    /// The stored adverts per origin; `None` means nothing is stored.
+    adverts: [Option<Adverts>; PAGE],
+    /// The stored seq per origin, or [`SEQ_SPILLED`]. Meaningless where
+    /// nothing is stored.
+    seqs: [u32; PAGE],
+}
+
+/// The `Page::seqs` value that says the seq is in `Lsdb::spilled`.
 const SEQ_SPILLED: u32 = u32::MAX;
 
-const _: () = assert!(size_of::<Option<Adverts>>() + size_of::<u32>() <= 12);
+const _: () = assert!(size_of::<Page>() <= 12 * PAGE);
 
 impl Lsdb {
+    /// Sizes the page slots for `nodes` origins, none of them stored.
+    fn size(&mut self, nodes: usize) {
+        self.pages.resize_with(nodes.div_ceil(PAGE), || None);
+    }
+
+    /// The page of origins `index * PAGE ..`, if any of them is stored.
+    fn page(&self, index: usize) -> Option<&Page> {
+        self.pages.get(index)?.as_deref()
+    }
+
     /// The adverts stored for `origin`, if any.
     fn adverts(&self, origin: NodeId) -> Option<&Adverts> {
-        self.adverts.get(origin.0)?.as_ref()
+        self.page(origin.0 / PAGE)?.adverts[origin.0 % PAGE].as_ref()
     }
 
     /// The seq and adverts stored for `origin`, if any.
     fn get(&self, origin: NodeId) -> Option<(u64, &Adverts)> {
-        let adverts = self.adverts(origin)?;
-        let seq = match self.seqs[origin.0] {
+        let page = self.page(origin.0 / PAGE)?;
+        let adverts = page.adverts[origin.0 % PAGE].as_ref()?;
+        let seq = match page.seqs[origin.0 % PAGE] {
             SEQ_SPILLED => self.spilled[&origin],
             seq => u64::from(seq),
         };
         Some((seq, adverts))
     }
 
+    /// Every stored advert list, by origin.
+    fn stored(&self) -> impl Iterator<Item = &Adverts> {
+        self.pages
+            .iter()
+            .flatten()
+            .flat_map(|page| page.adverts.iter().flatten())
+    }
+
     /// Stores `seq` for `origin`, and `adverts` unless they are `None`
-    /// (the stored ones did not change). The table must be sized.
+    /// (the stored ones did not change), allocating the origin's page on
+    /// its first store. The slots must be sized.
     fn store(&mut self, origin: NodeId, seq: u64, adverts: Option<Adverts>) {
-        let column = &mut self.seqs[origin.0];
-        if *column == SEQ_SPILLED {
+        let page = self.pages[origin.0 / PAGE].get_or_insert_with(Box::default);
+        let slot = origin.0 % PAGE;
+        if page.seqs[slot] == SEQ_SPILLED {
             self.spilled.remove(&origin);
         }
-        *column = match u32::try_from(seq) {
+        page.seqs[slot] = match u32::try_from(seq) {
             Ok(seq) if seq != SEQ_SPILLED => seq,
             _ => {
                 self.spilled.insert(origin, seq);
@@ -206,18 +243,27 @@ impl Lsdb {
             }
         };
         if adverts.is_some() {
-            self.adverts[origin.0] = adverts;
+            page.adverts[slot] = adverts;
         }
     }
 
-    /// Removes what is stored for `origin`, returning its seq.
+    /// Removes what is stored for `origin`, returning its seq. (Its page
+    /// stays: the origin is likely to be heard from again.)
     fn evict(&mut self, origin: NodeId) -> Option<u64> {
         let (seq, _) = self.get(origin)?;
-        self.adverts[origin.0] = None;
-        if self.seqs[origin.0] == SEQ_SPILLED {
+        let page = self.pages[origin.0 / PAGE].as_mut()?;
+        let slot = origin.0 % PAGE;
+        page.adverts[slot] = None;
+        if page.seqs[slot] == SEQ_SPILLED {
             self.spilled.remove(&origin);
         }
         Some(seq)
+    }
+
+    /// Heap bytes of the slots and the allocated pages.
+    fn table_bytes(&self) -> usize {
+        son_obs::footprint::vec_bytes(&self.pages)
+            + self.pages.iter().flatten().count() * size_of::<Page>()
     }
 }
 
@@ -300,7 +346,7 @@ impl ConnectivityMonitor {
                 providers: providers.max(1),
                 active_provider: 0,
                 next_seq: 0,
-                outstanding: HashMap::new(),
+                outstanding: VecDeque::new(),
                 misses_on_provider: 0,
                 total_misses: 0,
                 up: true,
@@ -334,7 +380,7 @@ impl ConnectivityMonitor {
 
     /// Every stored advertisement list: our own, then each remote origin's.
     fn stored_adverts(&self) -> impl Iterator<Item = &Adverts> {
-        std::iter::once(&self.own).chain(self.lsdb.adverts.iter().flatten())
+        std::iter::once(&self.own).chain(self.lsdb.stored())
     }
 
     /// The configured default advert of `origin`: what its first LSA says
@@ -364,22 +410,27 @@ impl ConnectivityMonitor {
     /// rule adds them: our own, then each remote origin's by origin — what
     /// is stored, or the configured default of an origin never heard from
     /// and never evicted. A cold start floods nothing its configuration
-    /// already says, so the unheard default is most of the view. (A visitor
-    /// rather than an iterator: a rebuild visits every origin, and the
-    /// chained per-origin iterators cost several times the loop.)
+    /// already says, so the unheard default is most of the view, and the
+    /// walk goes page by page: an absent page stores none of its origins.
+    /// (A visitor rather than an iterator: a rebuild visits every origin,
+    /// and the chained per-origin iterators cost several times the loop.)
     fn for_each_believed(&self, mut visit: impl FnMut(LinkAdvert)) {
         self.own.iter().copied().for_each(&mut visit);
-        for origin in (0..self.topology.node_count()).map(NodeId) {
-            if origin == self.me {
-                continue;
-            }
-            match self.lsdb.adverts(origin) {
-                Some(links) => links.iter().copied().for_each(&mut visit),
-                // (An empty map answers without hashing the key.)
-                None if !self.tombstones.contains_key(&origin) => {
-                    self.default_adverts(origin).for_each(&mut visit);
+        let nodes = self.topology.node_count();
+        for first in (0..nodes).step_by(PAGE) {
+            let page = self.lsdb.page(first / PAGE);
+            for origin in (first..nodes.min(first + PAGE)).map(NodeId) {
+                if origin == self.me {
+                    continue;
                 }
-                None => {}
+                match page.and_then(|page| page.adverts[origin.0 % PAGE].as_ref()) {
+                    Some(links) => links.iter().copied().for_each(&mut visit),
+                    // (An empty map answers without hashing the key.)
+                    None if !self.tombstones.contains_key(&origin) => {
+                        self.default_adverts(origin).for_each(&mut visit);
+                    }
+                    None => {}
+                }
             }
         }
     }
@@ -593,7 +644,7 @@ impl ConnectivityMonitor {
                 .max(SimDuration::from_millis_f64(link.nominal_latency_ms * 3.0));
             let horizon = now - ack_timeout;
             let outstanding = link.outstanding.len();
-            link.outstanding.retain(|_, &mut sent| sent > horizon);
+            link.outstanding.retain(|&(_, sent)| sent > horizon);
             if link.outstanding.len() < outstanding {
                 link.loss = ewma(link.loss, 1.0);
                 link.misses_on_provider += 1;
@@ -613,7 +664,7 @@ impl ConnectivityMonitor {
             // Send this round's hello.
             link.next_seq += 1;
             let seq = link.next_seq;
-            link.outstanding.insert(seq, now);
+            link.outstanding.push_back((seq, now));
             out.push(ConnAction::Send {
                 link: i,
                 msg: Control::Hello { seq, sent_at: now },
@@ -680,9 +731,10 @@ impl ConnectivityMonitor {
         out: &mut Vec<ConnAction>,
     ) {
         let l = &mut self.links[link];
-        if l.outstanding.remove(&seq).is_none() {
-            return; // stale or duplicate ack
-        }
+        let Ok(probe) = l.outstanding.binary_search_by_key(&seq, |&(seq, _)| seq) else {
+            return; // stale, duplicate or forged ack
+        };
+        l.outstanding.remove(probe);
         let rtt_ms = now.saturating_since(echo_sent_at).as_millis_f64();
         l.latency_ms = ewma(l.latency_ms, (rtt_ms / 2.0).max(0.01));
         l.loss = ewma(l.loss, 0.0);
@@ -731,12 +783,10 @@ impl ConnectivityMonitor {
         } else {
             false
         };
-        if self.lsdb.adverts.is_empty() {
-            // Sized by the first LSA heard, not at construction: a fleet
-            // builder does not pay for N tables of N entries up front.
-            let n = self.topology.node_count();
-            self.lsdb.adverts.resize(n, None);
-            self.lsdb.seqs.resize(n, 0);
+        if self.lsdb.pages.is_empty() {
+            // Sized by the first LSA heard, not at construction: a daemon
+            // that never hears one holds no slots.
+            self.lsdb.size(self.topology.node_count());
         }
         // Compared with what is believed: the stored adverts, nothing for
         // an evicted origin, and the configured default (which any seq is
@@ -938,10 +988,9 @@ impl son_obs::MemFootprint for ConnectivityMonitor {
             + self
                 .links
                 .iter()
-                .map(|l| hashmap_bytes(&l.outstanding))
+                .map(|l| vecdeque_bytes(&l.outstanding))
                 .sum::<usize>()
-            + vec_bytes(&self.lsdb.adverts)
-            + vec_bytes(&self.lsdb.seqs)
+            + self.lsdb.table_bytes()
             + hashmap_bytes(&self.lsdb.spilled)
             + self
                 .stored_adverts()
@@ -968,13 +1017,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn topo3() -> Graph {
-        // Triangle 0-1-2 with 10ms links.
-        let mut g = Graph::new(3);
-        g.add_edge(NodeId(0), NodeId(1), 10.0);
-        g.add_edge(NodeId(1), NodeId(2), 10.0);
-        g.add_edge(NodeId(2), NodeId(0), 10.0);
+    /// The ring 0-1-…-(n-1)-0 with 10ms links, edge `i` from `i` to `i + 1`.
+    fn ring(n: usize) -> Graph {
+        let mut g = Graph::new(n);
+        for i in 0..n {
+            g.add_edge(NodeId(i), NodeId((i + 1) % n), 10.0);
+        }
         g
+    }
+
+    /// The triangle 0-1-2: node 0 has links e0 (to 1) and e2 (to 2).
+    fn topo3() -> Graph {
+        ring(3)
     }
 
     fn monitor() -> ConnectivityMonitor {
@@ -1118,6 +1172,131 @@ mod tests {
         );
         assert!(mon.link_up(0));
         assert!(out.iter().any(|a| matches!(a, ConnAction::TopologyChanged)));
+    }
+
+    /// One link's hello bookkeeping with its probes in a `HashMap`, the
+    /// rules written out longhand: what the ordered ring is checked against.
+    struct HelloModel {
+        outstanding: HashMap<u64, SimTime>,
+        next_seq: u64,
+        providers: usize,
+        active_provider: usize,
+        misses_on_provider: u32,
+        total_misses: u32,
+        up: bool,
+        latency_ms: f64,
+        loss: f64,
+        nominal_latency_ms: f64,
+    }
+
+    impl HelloModel {
+        fn tick(&mut self, now: SimTime, config: &ConnectivityConfig) {
+            let ack_timeout = config
+                .hello_interval
+                .max(SimDuration::from_millis_f64(self.nominal_latency_ms * 3.0));
+            let horizon = now - ack_timeout;
+            let before = self.outstanding.len();
+            self.outstanding.retain(|_, &mut sent| sent > horizon);
+            if self.outstanding.len() < before {
+                self.loss = ewma(self.loss, 1.0);
+                self.misses_on_provider += 1;
+                self.total_misses += 1;
+                if self.up && self.total_misses >= config.down_misses {
+                    self.up = false;
+                } else if self.providers > 1 && self.misses_on_provider >= ISP_SWITCH_MISSES {
+                    self.active_provider = (self.active_provider + 1) % self.providers;
+                    self.misses_on_provider = 0;
+                }
+            }
+            self.next_seq += 1;
+            self.outstanding.insert(self.next_seq, now);
+        }
+
+        fn ack(&mut self, now: SimTime, seq: u64, echo_sent_at: SimTime) {
+            if self.outstanding.remove(&seq).is_none() {
+                return;
+            }
+            let rtt_ms = now.saturating_since(echo_sent_at).as_millis_f64();
+            self.latency_ms = ewma(self.latency_ms, (rtt_ms / 2.0).max(0.01));
+            self.loss = ewma(self.loss, 0.0);
+            self.misses_on_provider = 0;
+            self.total_misses = 0;
+            self.up = true;
+        }
+    }
+
+    proptest! {
+        /// Hello acks in any order — out of order, duplicate, stale (their
+        /// probe timed out) and forged up to `u64::MAX` — between ticks of
+        /// any spacing leave the ordered probe ring with the probes, misses,
+        /// provider, loss, latency and liveness of the map model.
+        /// (`proptest!` supplies the `#[test]`.)
+        fn hello_ring_equals_the_map_model(
+            slow in any::<bool>(),
+            multihomed in any::<bool>(),
+            ops in proptest::collection::vec((0u8..4, 0u64..64, 0usize..4, 0u64..400), 1..80),
+        ) {
+            let mut topology = Graph::new(2);
+            topology.add_edge(NodeId(0), NodeId(1), 10.0);
+            let nominal = if slow { 150.0 } else { 10.0 };
+            let providers = if multihomed { 2 } else { 1 };
+            let config = ConnectivityConfig::default();
+            let mut mon = ConnectivityMonitor::new(
+                NodeId(0),
+                topology,
+                vec![(EdgeId(0), providers, nominal)],
+                config,
+            );
+            let mut model = HelloModel {
+                outstanding: HashMap::new(),
+                next_seq: 0,
+                providers,
+                active_provider: 0,
+                misses_on_provider: 0,
+                total_misses: 0,
+                up: true,
+                latency_ms: nominal,
+                loss: 0.0,
+                nominal_latency_ms: nominal,
+            };
+            let mut now_ms = 0;
+            for (kind, pick, spacing, rtt_ms) in ops {
+                let now = SimTime::from_millis(now_ms);
+                if kind == 0 {
+                    now_ms += [20, 100, 100, 250][spacing];
+                    let now = SimTime::from_millis(now_ms);
+                    mon.on_tick(now, &mut Vec::new());
+                    model.tick(now, &config);
+                } else {
+                    let mut probes: Vec<u64> = model.outstanding.keys().copied().collect();
+                    probes.sort_unstable();
+                    let seq = match kind {
+                        // Any probe still out, not only the oldest.
+                        1 if !probes.is_empty() => probes[pick as usize % probes.len()],
+                        // Any seq minted so far: acked, timed out or out.
+                        1 | 2 => 1 + pick % model.next_seq.max(1),
+                        // Seqs this process never minted.
+                        _ => [0, model.next_seq + 1 + pick, u64::MAX - pick, u64::MAX][spacing],
+                    };
+                    let echo = SimTime::from_millis(now_ms.saturating_sub(rtt_ms));
+                    mon.on_hello_ack(now, 0, seq, echo, &mut Vec::new());
+                    model.ack(now, seq, echo);
+                }
+                let link = &mon.links[0];
+                let ring: Vec<(u64, SimTime)> = link.outstanding.iter().copied().collect();
+                let mut want: Vec<(u64, SimTime)> =
+                    model.outstanding.iter().map(|(&seq, &at)| (seq, at)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(ring, want);
+                prop_assert_eq!(
+                    (link.total_misses, link.misses_on_provider, link.active_provider, link.up),
+                    (model.total_misses, model.misses_on_provider, model.active_provider, model.up)
+                );
+                prop_assert_eq!(link.loss.to_bits(), model.loss.to_bits());
+                prop_assert_eq!(link.latency_ms.to_bits(), model.latency_ms.to_bits());
+                prop_assert_eq!(mon.link_up(0), model.up);
+            }
+        }
     }
 
     #[test]
@@ -1303,14 +1482,19 @@ mod tests {
     }
 
     fn held_monitor(hold_ms: u64) -> ConnectivityMonitor {
+        ring_monitor(3, hold_ms)
+    }
+
+    /// Node 0 of `ring(nodes)`, with two providers on each of its links.
+    fn ring_monitor(nodes: usize, hold_ms: u64) -> ConnectivityMonitor {
         let config = ConnectivityConfig {
             rebuild_hold_down: SimDuration::from_millis(hold_ms),
             ..ConnectivityConfig::default()
         };
         ConnectivityMonitor::new(
             NodeId(0),
-            topo3(),
-            vec![(EdgeId(0), 2, 10.0), (EdgeId(2), 2, 10.0)],
+            ring(nodes),
+            vec![(EdgeId(0), 2, 10.0), (EdgeId(nodes - 1), 2, 10.0)],
             config,
         )
     }
@@ -2087,105 +2271,114 @@ mod tests {
 
     proptest! {
         /// Any interleaving of remote LSAs (fresh, stale, repeated, equal to
-        /// the origin's configured default, forged in origin or in value, with seqs small, around `u32::MAX` and up
-        /// to `u64::MAX`), own originations, evictions and ticks (hello
-        /// timeouts take our links down; tombstones expire) leaves the
-        /// dense table holding what the map model holds, having asked for
-        /// the same floods and rebuilds in the same order, at the same
-        /// version, with a reference graph that is bit for bit the model's
-        /// weights and a snapshot that is bit for bit the model's at its
-        /// last rebuild. (`proptest!` supplies the `#[test]`.)
-        fn dense_lsdb_equals_the_map_model(
+        /// the origin's configured default, forged in origin or in value,
+        /// with seqs small, around `u32::MAX` and up to `u64::MAX`), own
+        /// originations, evictions and ticks (hello timeouts take our links
+        /// down; tombstones expire) leaves the paged table holding what the
+        /// map model holds, having asked for the same floods and rebuilds in
+        /// the same order, at the same version, with a reference graph that
+        /// is bit for bit the model's weights and a snapshot that is bit for
+        /// bit the model's at its last rebuild. The same operations run on
+        /// rings of 3, 31, 32, 33 and 65 nodes — less than a page, a page
+        /// short of one origin, one page, one origin past it, two pages and
+        /// one origin — from origins on both sides of every page edge, the
+        /// last node, and origins past it. (`proptest!` supplies the
+        /// `#[test]`.)
+        fn paged_lsdb_equals_the_map_model(
             held in any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..10, 0usize..6, (1u64..6, 0u8..4), 0u64..4000, (0u8..5, 0u8..3, 0u8..5)),
+                (0u8..10, 0usize..14, (1u64..6, 0u8..4), 0u64..4000, (0u8..5, 0u8..3, 0u8..5)),
                 1..60,
             ),
         ) {
-            let topo = topo3();
-            let hold_ms = if held { 250 } else { 0 };
-            let mut mon = held_monitor(hold_ms);
-            let mut model = Model {
-                me: NodeId(0),
-                nodes: topo.node_count(),
-                hold: SimDuration::from_millis(hold_ms),
-                lsdb: HashMap::from([(NodeId(0), (mon.own_seq, mon.own.to_vec()))]),
-                tombstones: HashMap::new(),
-                pending: None,
-                topology: topo.clone(),
-                view: Vec::new(),
-                version: mon.version(),
-            };
-            // A snapshot is built when first asked for: ask now, as a daemon
-            // does when it installs its first routes.
-            model.view = model.weight_bits();
-            drop(mon.snapshot());
-            let mut now = SimTime::ZERO;
-            for (kind, origin, (seq, high), advance_ms, (latency, loss, shape)) in ops {
-                now += SimDuration::from_millis(advance_ms);
-                // Seqs the table keeps in its 32-bit column, and seqs on
-                // either side of where it stops fitting and of the top.
-                let seq = match high {
-                    0 => u64::from(u32::MAX) - 3 + seq,
-                    1 => u64::MAX - 5 + seq,
-                    _ => seq,
+            for nodes in [3, 31, 32, 33, 65] {
+                let origins = [0, 1, 2, 5, 30, 31, 32, 33, 63, 64, 65, nodes - 1, nodes, nodes + 1];
+                let topo = ring(nodes);
+                let hold_ms = if held { 250 } else { 0 };
+                let mut mon = ring_monitor(nodes, hold_ms);
+                let mut model = Model {
+                    me: NodeId(0),
+                    nodes,
+                    hold: SimDuration::from_millis(hold_ms),
+                    lsdb: HashMap::from([(NodeId(0), (mon.own_seq, mon.own.to_vec()))]),
+                    tombstones: HashMap::new(),
+                    pending: None,
+                    topology: topo.clone(),
+                    view: Vec::new(),
+                    version: mon.version(),
                 };
-                let (mut out, mut want) = (Vec::new(), Vec::new());
-                match kind {
-                    0..=5 => {
-                        let advert = |edge| LinkAdvert {
-                            edge: EdgeId(edge),
-                            up: shape != 3,
-                            // One value in five is one no correct node sends.
-                            latency_ms: [5.0, 7.25, 12.0, 30.0, f64::INFINITY][latency as usize],
-                            loss: [0.0, 0.02, 0.5][loss as usize],
-                        };
-                        // Shape 4 is the origin's configured default.
-                        let links = if shape == 4 && origin < model.nodes {
-                            model.default_of(NodeId(origin)).into()
-                        } else {
-                            (0..shape as usize % 3).map(|k| advert(origin + k)).collect()
-                        };
-                        let lsa = Lsa { origin: NodeId(origin), seq, links };
-                        let except = Some(origin % 2);
-                        model.on_lsa(now, &lsa, except, &mut want);
-                        mon.on_lsa(now, lsa, except, &mut out);
-                    }
-                    6 => {
-                        model.evict(NodeId(origin), now, &mut want);
-                        mon.evict_origin(NodeId(origin), now, &mut out);
-                    }
-                    7 => {
-                        mon.originate(None, &mut out);
-                        out = lsdb_actions(out);
-                        let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
-                        else {
-                            panic!("originate floods first: {out:?}");
-                        };
-                        model.own_flood(own, &mut want);
-                    }
-                    _ => {
-                        mon.on_tick(now, &mut out);
-                        out = lsdb_actions(out);
-                        if let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
-                        {
+                // A snapshot is built when first asked for: ask now, as a
+                // daemon does when it installs its first routes.
+                model.view = model.weight_bits();
+                drop(mon.snapshot());
+                let mut now = SimTime::ZERO;
+                for &(kind, pick, (seq, high), advance_ms, (latency, loss, shape)) in &ops {
+                    let origin = origins[pick];
+                    now += SimDuration::from_millis(advance_ms);
+                    // Seqs the table keeps in its 32-bit column, and seqs on
+                    // either side of where it stops fitting and of the top.
+                    let seq = match high {
+                        0 => u64::from(u32::MAX) - 3 + seq,
+                        1 => u64::MAX - 5 + seq,
+                        _ => seq,
+                    };
+                    let (mut out, mut want) = (Vec::new(), Vec::new());
+                    match kind {
+                        0..=5 => {
+                            let advert = |edge| LinkAdvert {
+                                edge: EdgeId(edge),
+                                up: shape != 3,
+                                // One value in five is one no correct node sends.
+                                latency_ms: [5.0, 7.25, 12.0, 30.0, f64::INFINITY][latency as usize],
+                                loss: [0.0, 0.02, 0.5][loss as usize],
+                            };
+                            // Shape 4 is the origin's configured default.
+                            let links = if shape == 4 && origin < nodes {
+                                model.default_of(NodeId(origin)).into()
+                            } else {
+                                (0..shape as usize % 3).map(|k| advert(origin + k)).collect()
+                            };
+                            let lsa = Lsa { origin: NodeId(origin), seq, links };
+                            let except = Some(origin % 2);
+                            model.on_lsa(now, &lsa, except, &mut want);
+                            mon.on_lsa(now, lsa, except, &mut out);
+                        }
+                        6 => {
+                            model.evict(NodeId(origin), now, &mut want);
+                            mon.evict_origin(NodeId(origin), now, &mut out);
+                        }
+                        7 => {
+                            mon.originate(None, &mut out);
+                            out = lsdb_actions(out);
+                            let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
+                            else {
+                                panic!("originate floods first: {out:?}");
+                            };
                             model.own_flood(own, &mut want);
                         }
-                        model.tick_flush(now, &mut want);
+                        _ => {
+                            mon.on_tick(now, &mut out);
+                            out = lsdb_actions(out);
+                            if let Some(ConnAction::Flood { msg: Control::Lsa(own), .. }) = out.first()
+                            {
+                                model.own_flood(own, &mut want);
+                            }
+                            model.tick_flush(now, &mut want);
+                        }
                     }
+                    prop_assert_eq!(&out, &want, "n={} kind {} at {:?}", nodes, kind, now);
+                    prop_assert_eq!(mon.lsdb_len(), model.believed().len(), "n={}", nodes);
+                    for (origin, links) in model.believed() {
+                        prop_assert!(mon.believes(origin, &links), "n={} {}", nodes, origin);
+                    }
+                    prop_assert_eq!(mon.version(), model.version, "n={}", nodes);
+                    let (snap, reference) = (mon.snapshot(), mon.current_graph());
+                    let bits = |weight: &dyn Fn(EdgeId) -> f64| -> Vec<u64> {
+                        topo.edges().map(|e| weight(e).to_bits()).collect()
+                    };
+                    prop_assert_eq!(bits(&|e| reference.weight(e)), model.weight_bits(), "live n={}", nodes);
+                    prop_assert_eq!(bits(&|e| snap.weight(e)), model.view.clone(), "snapshot n={}", nodes);
                 }
-                prop_assert_eq!(&out, &want, "kind {} at {:?}", kind, now);
-                prop_assert_eq!(mon.lsdb_len(), model.believed().len());
-                for (origin, links) in model.believed() {
-                    prop_assert!(mon.believes(origin, &links), "{}", origin);
-                }
-                prop_assert_eq!(mon.version(), model.version);
-                let (snap, reference) = (mon.snapshot(), mon.current_graph());
-                let bits = |weight: &dyn Fn(EdgeId) -> f64| -> Vec<u64> {
-                    topo.edges().map(|e| weight(e).to_bits()).collect()
-                };
-                prop_assert_eq!(bits(&|e| reference.weight(e)), model.weight_bits(), "live");
-                prop_assert_eq!(bits(&|e| snap.weight(e)), model.view.clone(), "snapshot");
             }
         }
     }

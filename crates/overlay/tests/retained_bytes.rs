@@ -9,9 +9,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use son_netsim::sim::Simulation;
+use son_netsim::time::SimTime;
+use son_obs::MemFootprint;
 use son_overlay::auth::KeyRegistry;
 use son_overlay::builder::OverlayBuilder;
-use son_overlay::packet::Wire;
+use son_overlay::packet::{Adverts, LinkAdvert, Lsa, Wire};
+use son_overlay::state::connectivity::{ConnectivityConfig, ConnectivityMonitor};
 use son_topo::{EdgeId, Graph, NodeId};
 
 struct Counting;
@@ -103,4 +106,78 @@ fn clones_of_the_topology_and_the_key_table_allocate_nothing() {
     assert_eq!(copy.weight(EdgeId(3)), 42.0);
     assert_eq!(topology.weights(), before.as_slice());
     assert!(copy.shares_shape_with(&topology));
+}
+
+/// Node 0's connectivity monitor in `topology`, its links as configured.
+fn monitor_of_node_0(topology: Graph) -> ConnectivityMonitor {
+    let links = topology
+        .neighbors(NodeId(0))
+        .map(|(_, edge)| (edge, 1, topology.weight(edge)))
+        .collect();
+    ConnectivityMonitor::new(NodeId(0), topology, links, ConnectivityConfig::default())
+}
+
+/// Bytes `mon` retains for accepting one LSA from each of `origins`, and
+/// what its `MemFootprint` estimate grows by beyond the LSAs' adverts.
+/// Each LSA advertises one link down, so none equals the origin's default;
+/// they are built beforehand, so their adverts (the flood's allocation,
+/// shared with every daemon that stores it) are not the table's bytes.
+fn table_growth(mon: &mut ConnectivityMonitor, origins: &[usize]) -> (isize, isize) {
+    let mut lsas: Vec<Lsa> = origins
+        .iter()
+        .map(|&origin| Lsa {
+            origin: NodeId(origin),
+            seq: 1,
+            links: Adverts::from([LinkAdvert {
+                edge: EdgeId(origin),
+                up: false,
+                latency_ms: 5.0,
+                loss: 0.0,
+            }]),
+        })
+        .collect();
+    let adverts = origins.len() * (Adverts::HEADER_BYTES + size_of::<LinkAdvert>());
+    let estimated = mon.footprint_bytes();
+    let (_, retained, ()) = bytes_in(|| {
+        for lsa in lsas.drain(..) {
+            mon.on_lsa(SimTime::ZERO, lsa, None, &mut Vec::new());
+        }
+    });
+    let estimated = mon.footprint_bytes() as isize - estimated as isize - adverts as isize;
+    (retained, estimated)
+}
+
+/// A link-state page: 32 origins, each an 8-byte advert handle and a
+/// 32-bit seq.
+const PAGE_BYTES: isize = 32 * 12;
+
+#[test]
+fn a_daemon_holds_the_link_state_pages_of_the_origins_it_heard() {
+    const N: usize = 512;
+    let mut mon = monitor_of_node_0(ring_with_chords(N));
+    // Origins on both sides of two page edges and the last: pages 0, 1, 2
+    // and 15 of 16.
+    let (retained, estimated) = table_growth(&mut mon, &[1, 31, 32, 33, 95, 511]);
+    let slots = (N / 32 * size_of::<usize>()) as isize;
+    assert!(
+        retained <= slots + 4 * PAGE_BYTES,
+        "hearing 6 origins in 4 pages retained {retained} B"
+    );
+    assert_eq!(estimated, retained, "the footprint estimate is the table");
+    // A page already there costs nothing more.
+    let (retained, _) = table_growth(&mut mon, &[2, 30, 34, 510]);
+    assert_eq!(retained, 0);
+}
+
+#[test]
+fn a_full_link_state_table_costs_at_most_5_percent_over_12_bytes_an_origin() {
+    const N: usize = 4096;
+    let mut mon = monitor_of_node_0(ring_with_chords(N));
+    let origins: Vec<usize> = (1..N).collect();
+    let (retained, estimated) = table_growth(&mut mon, &origins);
+    assert!(
+        retained as f64 <= 1.05 * 12.0 * N as f64,
+        "a full table of {N} origins retained {retained} B"
+    );
+    assert_eq!(estimated, retained, "the footprint estimate is the table");
 }

@@ -44,8 +44,10 @@ mem=bytes_per_node_total
 # The committed curve stays sublinear: total bytes/node at N=1024 was 7.30x
 # the N=64 row when the cap was set (linear would be 16x); the cap is that
 # ratio + 10%. It read 3.28x once daemons shared the configured topology,
-# and reads 4.81x since a daemon's metrics registry stores its node label
-# once: a smaller per-node constant raises the ratio.
+# and read 4.81x since a daemon's metrics registry stores its node label
+# once: a smaller per-node constant raises the ratio. It reads 0.91x since
+# a cold start floods nothing and a daemon holds link-state pages only for
+# the origins it heard.
 gate BENCH_scale.json $sc,n=1024 "$mem<=8.03*$mem" BENCH_scale.json $sc,n=64
 # The fresh sweep's N=256 stays within 10% of the committed N=256 row.
 gate "$SCALE" $sc,n=256 "$mem<=1.10*$mem" BENCH_scale.json $sc,n=256

@@ -31,10 +31,12 @@ declare -A fingerprint=(
 # the configured topology and the key table with its deployment, builds
 # its 4-byte-per-destination next-hop table and each link's protocol
 # machines only when it first uses them, keeps 12 bytes per origin in its
-# link-state table, its metrics registry holds its node label once and
+# link-state table and allocates the table a page of 32 origins at a time
+# as it hears them, its metrics registry holds its node label once and
 # no histogram buckets it has not used, and a cold start floods no LSA
-# that says what the configuration does, so it reads ~11.4-11.7 MB, where
-# flooding every first LSA read ~14.3 MB, per-instrument label, name and
+# that says what the configuration does, so it reads ~9.1 MB, where a
+# table of all N origins on the first LSA heard read ~11.4-11.7 MB,
+# flooding every first LSA ~14.3 MB, per-instrument label, name and
 # key copies 16.4-16.5 MB, 24-byte entries 20.2 MB, eager tables and
 # machines 22.9 MB and a private copy of the topology and keys 35 MB. The churning data plane: a receiver keeps its seqs in
 # a bitmap, so it reads ~9.0 MB, where a hash set of them read 10.7 MB. The
@@ -44,7 +46,7 @@ declare -A fingerprint=(
 # ~7.1-7.3 MB, where every repair's headers and a hash-map history read
 # 8.3-8.6 MB.
 declare -A rss_ceiling_mb=(
-    [sim_scale_512]=12.7
+    [sim_scale_512]=10.2
     [sim_fwd_churn]=10
     [sim_recovery_mix]=8
 )
