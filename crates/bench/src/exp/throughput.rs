@@ -21,7 +21,7 @@ use son_overlay::{Fleet, FlowSpec};
 use son_topo::{EdgeId, NodeId};
 
 use super::Opts;
-use crate::{export_rows, f, finish_export, obs_sink, row, table_header, write_bench};
+use crate::{export_rows, f, finish_export, obs_sink, row, say, table_header, write_bench};
 
 struct ThroughputResult {
     sim_seconds: f64,
@@ -158,7 +158,7 @@ pub fn run(opts: &Opts) {
     // spread is scheduler noise and the minimum is the honest cost figure.
     // Iterations are interleaved (untraced, traced, untraced, ...) so a
     // load spike on the host degrades every mode instead of biasing one.
-    println!("forwarding under churn (12-city overlay, CBR flows, links flapping):");
+    say!("forwarding under churn (12-city overlay, CBR flows, links flapping):");
     let modes = [
         (if smoke { "smoke" } else { "full" }, 0, false, false),
         ("traced", 64, false, true),
@@ -178,6 +178,41 @@ pub fn run(opts: &Opts) {
     }
     let [(t, registry), (traced, _), (profiled, _)] =
         best.map(|run| run.expect("at least one iteration"));
+    let host_par = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let results = [&t, &traced, &profiled];
+    let bench: Vec<Json> = modes
+        .into_iter()
+        .zip(results)
+        .map(|((mode, trace_sample, _, telemetry), r)| {
+            Json::obj(vec![
+                ("bench", Json::str("exp_throughput")),
+                ("mode", Json::str(mode)),
+                ("trace_sample", Json::U64(u64::from(trace_sample))),
+                ("telemetry", Json::Bool(telemetry)),
+                ("host_parallelism", Json::U64(host_par as u64)),
+                ("sim_seconds", Json::F64(r.sim_seconds)),
+                ("wall_seconds", Json::F64(r.wall_seconds)),
+                ("forwarded", Json::U64(r.forwarded)),
+                ("delivered", Json::U64(r.delivered)),
+                ("reroutes", Json::U64(r.reroutes)),
+                ("sim_pkts_per_wall_s", Json::F64(r.pkts_per_wall_s())),
+                (
+                    "speedup_vs_seq",
+                    Json::F64(r.pkts_per_wall_s() / t.pkts_per_wall_s().max(1e-9)),
+                ),
+                (
+                    "allocs_per_delivered_pkt",
+                    Json::F64(r.allocs_per_delivered_pkt()),
+                ),
+            ])
+        })
+        .collect();
+    // Written before anything is printed, so a reader that stops reading
+    // (`| head`) still gets the rows.
+    write_bench(
+        opts.out.as_deref().unwrap_or("BENCH_forwarding.json"),
+        &bench,
+    );
     table_header(&[
         ("mode", 8),
         ("sim s", 8),
@@ -187,10 +222,7 @@ pub fn run(opts: &Opts) {
         ("reroutes", 10),
         ("sim pkts/wall s", 16),
     ]);
-    let host_par = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut bench = Vec::new();
-    let results = [&t, &traced, &profiled];
-    for ((mode, trace_sample, _, telemetry), r) in modes.into_iter().zip(results) {
+    for ((mode, ..), r) in modes.into_iter().zip(results) {
         row(&[
             (mode.to_string(), 8),
             (f(r.sim_seconds, 1), 8),
@@ -200,39 +232,14 @@ pub fn run(opts: &Opts) {
             (r.reroutes.to_string(), 10),
             (f(r.pkts_per_wall_s(), 0), 16),
         ]);
-        bench.push(Json::obj(vec![
-            ("bench", Json::str("exp_throughput")),
-            ("mode", Json::str(mode)),
-            ("trace_sample", Json::U64(u64::from(trace_sample))),
-            ("telemetry", Json::Bool(telemetry)),
-            ("host_parallelism", Json::U64(host_par as u64)),
-            ("sim_seconds", Json::F64(r.sim_seconds)),
-            ("wall_seconds", Json::F64(r.wall_seconds)),
-            ("forwarded", Json::U64(r.forwarded)),
-            ("delivered", Json::U64(r.delivered)),
-            ("reroutes", Json::U64(r.reroutes)),
-            ("sim_pkts_per_wall_s", Json::F64(r.pkts_per_wall_s())),
-            (
-                "speedup_vs_seq",
-                Json::F64(r.pkts_per_wall_s() / t.pkts_per_wall_s().max(1e-9)),
-            ),
-            (
-                "allocs_per_delivered_pkt",
-                Json::F64(r.allocs_per_delivered_pkt()),
-            ),
-        ]));
     }
-    println!(
+    say!(
         "\ntracing overhead: {:.1}% (traced vs untraced pkts/wall s; budget: <= 5%)",
         (1.0 - traced.pkts_per_wall_s() / t.pkts_per_wall_s()) * 100.0
     );
-    println!(
+    say!(
         "profiler overhead: {:.1}% (perf vs untraced pkts/wall s; budget: <= 5%)",
         (1.0 - profiled.pkts_per_wall_s() / t.pkts_per_wall_s()) * 100.0
-    );
-    write_bench(
-        opts.out.as_deref().unwrap_or("BENCH_forwarding.json"),
-        &bench,
     );
 
     // Registry rows (per-node counters, pipe stats) go to the obs dir like

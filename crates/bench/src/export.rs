@@ -55,9 +55,13 @@ pub fn write_bench(path: &str, rows: &[Json]) {
 ///
 /// Propagates the I/O error if the file cannot be written.
 pub fn replace_bench_rows(path: &str, rows: &[Json]) -> std::io::Result<()> {
+    // A row tagged as a before/after record (`tag`, or the older `rev`) is
+    // replaced only by a row with the same tags, so a plain run keeps the
+    // tagged history.
     let key = |row: &Json| {
         let field = |name| row.get(name).map(Json::to_json);
-        (field("bench"), field("mode"), field("n"))
+        let tags = (field("tag"), field("rev"));
+        (field("bench"), field("mode"), field("n"), tags)
     };
     let superseded: Vec<_> = rows.iter().map(key).collect();
     let mut text = String::new();
@@ -132,6 +136,26 @@ mod tests {
         let after = std::fs::read_to_string(path).unwrap();
         std::fs::remove_file(path).unwrap();
         assert_eq!(after, format!("{others}{smoke}{}\n", fresh.to_json()));
+    }
+
+    #[test]
+    fn an_untagged_write_keeps_tagged_rows_and_replaces_its_own() {
+        let path = std::env::temp_dir().join(format!("son_bench_tag_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let tagged = "{\"bench\":\"exp_scale\",\"mode\":\"full\",\"n\":64,\"tag\":\"pr51-before\",\"kib\":4.7}\n\
+                      {\"bench\":\"exp_scale\",\"mode\":\"full\",\"n\":64,\"tag\":\"pr51-after\",\"kib\":4.3}\n";
+        let plain = "{\"bench\":\"exp_scale\",\"mode\":\"full\",\"n\":64,\"kib\":9.9}\n";
+        std::fs::write(path, format!("{tagged}{plain}")).unwrap();
+        let fresh = Json::obj(vec![
+            ("bench", Json::str("exp_scale")),
+            ("mode", Json::str("full")),
+            ("n", Json::U64(64)),
+            ("kib", Json::U64(4)),
+        ]);
+        replace_bench_rows(path, std::slice::from_ref(&fresh)).unwrap();
+        let after = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(after, format!("{tagged}{}\n", fresh.to_json()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! transport implement one shared contract.
 
 use crate::link::PipeId;
-use crate::process::{ProcessId, SimMessage, TimerId};
+use crate::process::{Outgoing, ProcessId, SimMessage, TimerId};
 use crate::rng::SimRng;
 use crate::sim::Event;
 use crate::time::{SimDuration, SimTime};
@@ -41,11 +41,12 @@ pub trait Driver<M: SimMessage> {
     /// Sends `msg` from `pid` over `pipe`.
     fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: M);
 
-    /// Sends a borrowed `msg` from `pid` over `pipe`. The default clones it
-    /// into [`send`](Self::send); a driver that puts bytes on the pipe
-    /// overrides it and encodes straight from the borrow.
-    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
-        self.send(pid, pipe, msg.clone());
+    /// Sends a borrowed `msg` — an `M` or a part of one that encodes as
+    /// the whole ([`Outgoing`]) — from `pid` over `pipe`. The default
+    /// builds the message into [`send`](Self::send); a driver that puts
+    /// bytes on the pipe overrides it and encodes straight from the borrow.
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &dyn Outgoing<M>) {
+        self.send(pid, pipe, msg.to_message());
     }
 
     /// Sends `msg` from `pid` directly to `to` after `delay`, bypassing any
@@ -141,7 +142,7 @@ impl<M: SimMessage> Driver<M> for crate::sim::SimCore<M> {
         self.send_on_pipe(pid, pipe, &msg);
     }
 
-    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &dyn Outgoing<M>) {
         self.send_on_pipe(pid, pipe, msg);
     }
 

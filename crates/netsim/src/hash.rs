@@ -32,6 +32,17 @@ impl Hasher for MintedHasher {
         self.0 = self.0.wrapping_add(n).wrapping_mul(K);
     }
 
+    // The narrow widths take one word, as the byte loop above does with
+    // their little-endian bytes (the standard default), without the loop:
+    // the same hash on a little-endian host, so maps keep their order.
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
     }
@@ -63,6 +74,25 @@ mod tests {
         let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
         assert_eq!(buckets.len(), 4096);
         assert_eq!(tags.len(), 128);
+    }
+
+    #[test]
+    fn narrow_widths_hash_as_their_little_endian_bytes() {
+        let via_bytes = |bytes: &[u8]| {
+            let mut h = MintedHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        for n in 0..=u16::MAX {
+            let mut h = MintedHasher::default();
+            h.write_u16(n);
+            assert_eq!(h.finish(), via_bytes(&n.to_le_bytes()), "{n}");
+        }
+        for n in 0..=u8::MAX {
+            let mut h = MintedHasher::default();
+            h.write_u8(n);
+            assert_eq!(h.finish(), via_bytes(&n.to_le_bytes()), "{n}");
+        }
     }
 
     #[test]

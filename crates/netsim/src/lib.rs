@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::driver::{Driver, Transport};
     pub use crate::link::{DropReason, PipeBinding, PipeConfig, PipeId};
     pub use crate::loss::LossConfig;
-    pub use crate::process::{MessageKind, Process, ProcessId, SimMessage, TimerId};
+    pub use crate::process::{MessageKind, Outgoing, Process, ProcessId, SimMessage, TimerId};
     pub use crate::rng::SimRng;
     pub use crate::sim::{Ctx, ScenarioEvent, Simulation};
     pub use crate::stats::{Counters, Percentiles};

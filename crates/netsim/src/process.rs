@@ -105,6 +105,46 @@ pub trait SimMessage: Clone + std::fmt::Debug + Send + 'static {
     fn decode_frame(frame: &[u8], hint: &Self::Hint) -> Option<Self>;
 }
 
+/// What a process can put on a pipe: a message of type `M`, or a borrowed
+/// part of one that encodes as the whole message would (an overlay data
+/// packet still lying in its link protocol's batch, say), so the sender
+/// need not build the message to send it. Every `M` is one of itself.
+pub trait Outgoing<M: SimMessage> {
+    /// Appends the bytes the message crosses a pipe as to `buf`:
+    /// [`SimMessage::encode_frame`] of the message.
+    fn encode(&self, buf: &mut Vec<u8>);
+
+    /// [`SimMessage::is_data`] of the message.
+    fn carries_data(&self) -> bool;
+
+    /// [`SimMessage::frame_hint`] of the message.
+    fn hint(&self) -> M::Hint;
+
+    /// The message itself, for a driver that keeps values, not bytes.
+    fn to_message(&self) -> M;
+}
+
+impl<M: SimMessage> Outgoing<M> for M {
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_frame(buf);
+    }
+
+    #[inline]
+    fn carries_data(&self) -> bool {
+        self.is_data()
+    }
+
+    #[inline]
+    fn hint(&self) -> M::Hint {
+        self.frame_hint()
+    }
+
+    fn to_message(&self) -> M {
+        self.clone()
+    }
+}
+
 impl SimMessage for Vec<u8> {
     type Hint = ();
 

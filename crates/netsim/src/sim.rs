@@ -39,7 +39,7 @@ use std::any::Any;
 use crate::event::{EventQueue, QueueStats};
 use crate::link::{Pipe, PipeConfig, PipeId, Transmit};
 use crate::loss::LossConfig;
-use crate::process::{Process, ProcessId, SimMessage, TimerId};
+use crate::process::{Outgoing, Process, ProcessId, SimMessage, TimerId};
 use crate::rng::SimRng;
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
@@ -650,7 +650,12 @@ impl<M: SimMessage> SimCore<M> {
     ///
     /// Panics if `pipe` does not originate at `pid`.
     #[inline]
-    pub(crate) fn send_on_pipe(&mut self, pid: ProcessId, pipe: PipeId, msg: &M) {
+    pub(crate) fn send_on_pipe<O: Outgoing<M> + ?Sized>(
+        &mut self,
+        pid: ProcessId,
+        pipe: PipeId,
+        msg: &O,
+    ) {
         let now = self.now;
         let p = &mut self.pipes[pipe.0];
         assert_eq!(p.src(), pid, "process {pid} does not own pipe {pipe:?}");
@@ -659,9 +664,9 @@ impl<M: SimMessage> SimCore<M> {
             .frames
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(FRESH_FRAME_BYTES));
-        msg.encode_frame(&mut frame);
+        msg.encode(&mut frame);
         let outcome = p.transmit(now, frame.len(), &mut self.underlay);
-        let is_data = msg.is_data();
+        let is_data = msg.carries_data();
         let at = match outcome {
             Transmit::Arrives(at) => at,
             Transmit::Dropped(reason) => {
@@ -681,7 +686,7 @@ impl<M: SimMessage> SimCore<M> {
         if is_data {
             self.counters.bump(DATA_PIPE_DELIVERED, 1);
         }
-        self.schedule_frame(pid, dst, pipe, at, frame, msg.frame_hint());
+        self.schedule_frame(pid, dst, pipe, at, frame, msg.hint());
     }
 }
 
@@ -721,14 +726,15 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
         self.driver.send(self.pid, pipe, msg);
     }
 
-    /// [`Ctx::send`] of a borrowed message: the simulator and a real
-    /// transport encode it where it lies; a driver that keeps values
-    /// clones it.
+    /// [`Ctx::send`] of a borrowed message, or of a borrowed part of one
+    /// that encodes as the whole ([`Outgoing`]): the simulator and a real
+    /// transport encode it where it lies; a driver that keeps values builds
+    /// the message.
     ///
     /// # Panics
     ///
     /// Panics if `pipe` does not originate at this process.
-    pub fn send_ref(&mut self, pipe: PipeId, msg: &M) {
+    pub fn send_ref(&mut self, pipe: PipeId, msg: &dyn Outgoing<M>) {
         self.driver.send_ref(self.pid, pipe, msg);
     }
 

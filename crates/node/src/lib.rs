@@ -38,7 +38,7 @@ use son_netsim::driver::{Driver, Transport};
 use son_netsim::event::{EventId, EventQueue};
 use son_netsim::link::PipeId;
 use son_netsim::loss::LossProcess;
-use son_netsim::process::{Process, ProcessId, SimMessage, TimerId};
+use son_netsim::process::{Outgoing, Process, ProcessId, TimerId};
 use son_netsim::rng::SimRng;
 use son_netsim::sim::Ctx;
 use son_netsim::stats::Counters;
@@ -243,11 +243,11 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
 
     /// Encodes the borrowed frame once, straight into the outgoing
     /// datagram.
-    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &Wire) {
+    fn send_ref(&mut self, pid: ProcessId, pipe: PipeId, msg: &dyn Outgoing<Wire>) {
         debug_assert_eq!(pid, self.daemon, "only the daemon owns link pipes");
         debug_assert_eq!(pipe.0 % 2, 0, "process {pid} sent on an inbound pipe");
         let end = &mut self.links[pipe.0 / 2];
-        let is_data = msg.is_data();
+        let is_data = msg.carries_data();
         let now = self.now;
         let dropped = if end.outage.is_some_and(|(from, to)| now >= from && now < to) {
             Some(DropClass::Down)
@@ -264,8 +264,7 @@ impl<T: Transport> Driver<Wire> for RealDriver<T> {
         self.frame.clear();
         self.frame.push(provider);
         self.frame.extend_from_slice(&now.as_nanos().to_le_bytes());
-        son_overlay::wire::encode_into(msg, &mut self.frame)
-            .expect("link frames round-trip the wire codec losslessly");
+        msg.encode(&mut self.frame);
         self.counters.incr("pipe.sent");
         let frame_bytes = self.frame.len() - FRAMING_BYTES;
         self.counters.add("pipe.bytes", frame_bytes as u64);

@@ -281,9 +281,11 @@ impl PerfRegistry {
     }
 
     /// Opens a span for `label` and returns the token that closes it.
-    /// On a disabled registry this is one `Cell` load and returns a skip
-    /// token.
-    #[inline]
+    /// Inlined into the caller up to the sampling decision: a disabled
+    /// registry costs one `Cell` load and returns a skip token, an
+    /// unsampled tree a few more. Only a sampled span calls out, to
+    /// `open_frame`.
+    #[inline(always)]
     pub fn enter(&self, label: &'static str) -> PerfToken {
         if !self.enabled.get() {
             return PerfToken::skip();
@@ -303,6 +305,12 @@ impl PerfRegistry {
         } else if !self.sampling.get() {
             return PerfToken::unsampled();
         }
+        self.open_frame(label)
+    }
+
+    /// Pushes the frame of a sampled span.
+    #[inline]
+    fn open_frame(&self, label: &'static str) -> PerfToken {
         let mut inner = self.inner.borrow_mut();
         let stage = inner.stage_id(label);
         let depth = u32::try_from(inner.stack.len()).expect("perf stack too deep");
@@ -316,8 +324,10 @@ impl PerfRegistry {
 
     /// Closes the span opened by `token`, attributing its total ticks to the
     /// parent frame's child time. Exits must be LIFO (guaranteed by the RAII
-    /// guard; enforced by debug assertion for manual tokens).
-    #[inline]
+    /// guard; enforced by debug assertion for manual tokens). Inlined as
+    /// [`PerfRegistry::enter`] is: only a sampled span calls out, to
+    /// `close_frame`.
+    #[inline(always)]
     pub fn exit(&self, token: PerfToken) {
         if token.depth == SKIP {
             return;
@@ -326,6 +336,12 @@ impl PerfRegistry {
         if token.depth == UNSAMPLED {
             return;
         }
+        self.close_frame(token);
+    }
+
+    /// Pops the frame of a sampled span and books its ticks.
+    #[inline]
+    fn close_frame(&self, token: PerfToken) {
         let now = raw_ticks();
         let mut inner = self.inner.borrow_mut();
         let Some(frame) = inner.stack.pop() else {

@@ -15,7 +15,7 @@ use son_obs::footprint::{vec_bytes, vecdeque_bytes};
 
 use crate::packet::{DataPacket, LinkCtl};
 
-use super::{emit, LinkAction, LinkEvent, LinkProtoStats};
+use super::{LinkAction, LinkEvent, LinkProtoStats};
 
 /// The token of a link's one ARQ timer.
 pub(crate) const ARQ_TOKEN: u32 = 1;
@@ -120,7 +120,7 @@ impl ArqSender {
         self.unacked.push_back(Some((pkt.clone(), now + self.rto)));
         self.held += 1;
         self.stats.sent += 1;
-        emit(out, LinkAction::Transmit(pkt));
+        emit!(out, LinkAction::Transmit(pkt));
         seq
     }
 
@@ -205,7 +205,7 @@ impl ArqSender {
     fn retransmit(&mut self, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.retransmitted += 1;
         out.push(LinkAction::Observe(LinkEvent::Retransmit));
-        emit(out, LinkAction::Transmit(pkt));
+        emit!(out, LinkAction::Transmit(pkt));
     }
 
     pub(crate) fn bytes(&self) -> usize {
@@ -270,7 +270,7 @@ impl ArqReceiver {
             self.gaps.pop_front();
         }
         debug_assert!(self.high - self.cum < RX_WINDOW, "state beyond the window");
-        emit(out, LinkAction::Deliver(pkt));
+        emit!(out, LinkAction::Deliver(pkt));
         self.ack(out);
     }
 

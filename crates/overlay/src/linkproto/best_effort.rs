@@ -7,7 +7,7 @@ use son_netsim::time::SimTime;
 
 use crate::packet::{DataPacket, LinkCtl};
 
-use super::{emit, LinkAction, LinkProto, LinkProtoStats};
+use super::{LinkAction, LinkProto, LinkProtoStats};
 
 /// Stateless best-effort link protocol.
 #[derive(Debug, Default)]
@@ -27,12 +27,12 @@ impl LinkProto for BestEffortLink {
     fn on_send(&mut self, _now: SimTime, mut pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.sent += 1;
         pkt.link_seq = self.stats.sent;
-        emit(out, LinkAction::Transmit(pkt));
+        emit!(out, LinkAction::Transmit(pkt));
     }
 
     fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.received += 1;
-        emit(out, LinkAction::Deliver(pkt));
+        emit!(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, _now: SimTime, _ctl: LinkCtl, _out: &mut Vec<LinkAction>) {

@@ -29,7 +29,7 @@ use crate::addr::{FlowKey, OverlayAddr};
 use crate::packet::{DataPacket, LinkCtl};
 
 use super::arq::{ArqReceiver, ArqSender};
-use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats, Pacer};
+use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats, Pacer};
 
 use super::TOKEN_TX_DONE;
 
@@ -109,7 +109,7 @@ impl ItPriorityLink {
         self.next_link_seq += 1;
         pkt.link_seq = self.next_link_seq;
         let bytes = pkt.wire_size();
-        emit(out, LinkAction::Transmit(pkt));
+        emit!(out, LinkAction::Transmit(pkt));
         self.pacer.start(now, bytes, out);
     }
 }
@@ -137,7 +137,7 @@ impl LinkProto for ItPriorityLink {
 
     fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.received += 1;
-        emit(out, LinkAction::Deliver(pkt));
+        emit!(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, _now: SimTime, _ctl: LinkCtl, _out: &mut Vec<LinkAction>) {}
@@ -467,7 +467,7 @@ impl FifoLink {
             self.next_link_seq += 1;
             pkt.link_seq = self.next_link_seq;
             let bytes = pkt.wire_size();
-            emit(out, LinkAction::Transmit(pkt));
+            emit!(out, LinkAction::Transmit(pkt));
             self.pacer.start(now, bytes, out);
         }
     }
@@ -487,7 +487,7 @@ impl LinkProto for FifoLink {
 
     fn on_data(&mut self, _now: SimTime, pkt: DataPacket, out: &mut Vec<LinkAction>) {
         self.stats.received += 1;
-        emit(out, LinkAction::Deliver(pkt));
+        emit!(out, LinkAction::Deliver(pkt));
     }
 
     fn on_ctl(&mut self, _now: SimTime, _ctl: LinkCtl, _out: &mut Vec<LinkAction>) {}

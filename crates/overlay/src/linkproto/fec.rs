@@ -21,7 +21,7 @@ use son_obs::DropClass;
 use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{FecParams, LinkService};
 
-use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
+use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// Receiver-side memory horizon, in blocks.
 const BLOCK_MEMORY: u64 = 64;
@@ -179,7 +179,7 @@ impl FecLink {
                 out.push(LinkAction::Observe(LinkEvent::Recovered {
                     after: since_first,
                 }));
-                emit(out, LinkAction::Deliver(pkt));
+                emit!(out, LinkAction::Deliver(pkt));
             }
         }
     }
@@ -212,7 +212,7 @@ impl LinkProto for FecLink {
         self.next_seq += 1;
         pkt.link_seq = self.next_seq;
         self.stats.sent += 1;
-        emit(out, LinkAction::Transmit(pkt.clone()));
+        emit!(out, LinkAction::Transmit(pkt.clone()));
         // Strip the payload bytes for the repair header copy.
         pkt.payload = bytes::Bytes::new();
         self.block.push(pkt);
@@ -257,7 +257,7 @@ impl LinkProto for FecLink {
         }
         state.settle(start);
         self.stats.received += 1;
-        emit(out, LinkAction::Deliver(pkt));
+        emit!(out, LinkAction::Deliver(pkt));
         self.try_recover(now, start, out);
         self.prune();
     }

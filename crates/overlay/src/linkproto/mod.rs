@@ -20,6 +20,22 @@
 //! link's next event. NM-Strikes arms a timer per strike instead; one that
 //! fires stale re-checks protocol state and is a no-op.
 
+/// Appends a packet-carrying action to a batch, built in its slot: the
+/// packet is copied once, from where the protocol holds it. `push` alone
+/// builds the action on the stack ahead of its capacity check (whose grow
+/// path may unwind) and copies it again; with room known, nothing stands
+/// between the two and they merge. A full batch takes the cold path.
+macro_rules! emit {
+    ($out:expr, $action:expr) => {{
+        let out: &mut Vec<LinkAction> = $out;
+        if out.len() < out.capacity() {
+            out.push($action);
+        } else {
+            super::push_growing(out, $action);
+        }
+    }};
+}
+
 pub(crate) mod arq;
 pub mod best_effort;
 pub mod fair;
@@ -40,7 +56,13 @@ pub use realtime::RealtimeLink;
 pub use reliable::ReliableLink;
 
 /// What a protocol instance wants the daemon to do.
+///
+/// The tag is a full word so that no padding sits between it and a
+/// packet: a protocol then builds a packet-carrying action in its batch
+/// slot with one copy of the packet (with padding between, the padded body
+/// is staged on the stack and copied twice).
 #[derive(Debug)]
+#[repr(u64)]
 pub enum LinkAction {
     /// Put a data packet on this link's wire.
     Transmit(DataPacket),
@@ -70,13 +92,10 @@ pub enum LinkAction {
     Observe(LinkEvent),
 }
 
-/// Appends a packet-carrying action to a batch. Out of line on purpose:
-/// the action arrives built, behind a pointer, and `push` copies it into
-/// the buffer once. Inlined, the action is staged ahead of the capacity
-/// check (whose grow path may unwind) and copied again, on every pass
-/// through every protocol.
+/// Out-of-line half of [`emit!`]: a push that may grow the batch.
+#[cold]
 #[inline(never)]
-fn emit(out: &mut Vec<LinkAction>, action: LinkAction) {
+fn push_growing(out: &mut Vec<LinkAction>, action: LinkAction) {
     out.push(action);
 }
 

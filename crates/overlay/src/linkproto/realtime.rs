@@ -19,7 +19,7 @@ use crate::packet::{DataPacket, LinkCtl};
 use crate::service::{LinkService, RealtimeParams};
 
 use super::arq::{SeqWindow, MAX_NACK};
-use super::{emit, LinkAction, LinkEvent, LinkProto, LinkProtoStats};
+use super::{LinkAction, LinkEvent, LinkProto, LinkProtoStats};
 
 /// How long the sender retains history for retransmission, in budgets.
 const HISTORY_BUDGETS: u64 = 2;
@@ -161,7 +161,7 @@ impl LinkProto for RealtimeLink {
         pkt.link_seq = self.next_seq;
         self.history.push_back((pkt.clone(), now));
         self.stats.sent += 1;
-        emit(out, LinkAction::Transmit(pkt));
+        emit!(out, LinkAction::Transmit(pkt));
         if self.next_seq.is_multiple_of(PURGE_EVERY) {
             self.purge_history(now);
         }
@@ -193,7 +193,7 @@ impl LinkProto for RealtimeLink {
             self.high = seq;
             self.stats.received += 1;
             self.note_delivered(seq);
-            emit(out, LinkAction::Deliver(pkt));
+            emit!(out, LinkAction::Deliver(pkt));
         } else if let Some((_, noticed)) = self.missing.remove(&seq) {
             // A requested packet came back in time: deliver and implicitly
             // cancel remaining strikes (their timers become no-ops).
@@ -203,7 +203,7 @@ impl LinkProto for RealtimeLink {
             out.push(LinkAction::Observe(LinkEvent::Recovered {
                 after: now.saturating_since(noticed),
             }));
-            emit(out, LinkAction::Deliver(pkt));
+            emit!(out, LinkAction::Deliver(pkt));
         } else if self.delivered.contains(seq) {
             self.stats.dup_received += 1;
         } else {
@@ -211,7 +211,7 @@ impl LinkProto for RealtimeLink {
             // deadline buffer decides whether it is still useful.
             self.stats.received += 1;
             self.note_delivered(seq);
-            emit(out, LinkAction::Deliver(pkt));
+            emit!(out, LinkAction::Deliver(pkt));
         }
     }
 
@@ -232,7 +232,7 @@ impl LinkProto for RealtimeLink {
             };
             self.stats.retransmitted += 1;
             out.push(LinkAction::Observe(LinkEvent::Retransmit));
-            emit(out, LinkAction::Transmit(pkt));
+            emit!(out, LinkAction::Transmit(pkt));
             for copy in 1..self.params.m_retransmissions {
                 self.arm(
                     spacing.saturating_mul(u64::from(copy)),
@@ -267,7 +267,7 @@ impl LinkProto for RealtimeLink {
                 if let Some(pkt) = self.sent_copy(seq) {
                     self.stats.retransmitted += 1;
                     out.push(LinkAction::Observe(LinkEvent::Retransmit));
-                    emit(out, LinkAction::Transmit(pkt));
+                    emit!(out, LinkAction::Transmit(pkt));
                 }
             }
         }

@@ -8,8 +8,10 @@
 //! the session events behind a delivery — completes before the next action
 //! of the same batch runs. What is constant for a batch (the emitting
 //! `(link, slot)`, the provider a hello reply is pinned to) is an argument
-//! of the loop, not a field of every action, so a packet is moved out of
-//! its batch exactly once.
+//! of the loop, not a field of every action. A link batch is applied where
+//! it lies: a `Transmit` is encoded from its slot and a `Deliver` is routed
+//! there, and a packet leaves its slot only for the next link protocol that
+//! takes it onward.
 //!
 //! Buffers are pooled in [`ActionBufs`] so steady-state dispatch allocates
 //! nothing, and every daemon timer token is the bit-packed encoding of a
@@ -25,7 +27,7 @@ use son_obs::watch::WatchKind;
 use crate::addr::Destination;
 use crate::adversary::Behavior;
 use crate::linkproto::{LinkAction, LinkEvent, LinkProto};
-use crate::packet::{Adverts, Control, LinkCtl, SessionEvent, Wire};
+use crate::packet::{Adverts, Control, DataPacket, LinkCtl, SessionEvent, Wire};
 use crate::service::{slot_label, SERVICE_SLOTS};
 use crate::session::SessionAction;
 use crate::state::connectivity::ConnAction;
@@ -65,25 +67,79 @@ impl ActionBufs {
 }
 
 impl OverlayNode {
-    /// Feeds `input` to one link-protocol instance through `feed` (one of
-    /// the [`LinkProto`] entry points), building the instance on its slot's
-    /// first use, and applies what it emitted.
-    pub(super) fn run_link_proto<T>(
+    /// Feeds one link-protocol instance through `feed`, which calls one of
+    /// the [`LinkProto`] entry points that take no packet with the clock and
+    /// a pooled batch, building the instance on its slot's first use, and
+    /// applies what it emitted. Packets take [`OverlayNode::link_send`] and
+    /// [`OverlayNode::link_receive`].
+    pub(super) fn run_link_proto(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         link: usize,
         slot: usize,
-        input: T,
-        feed: impl FnOnce(&mut dyn LinkProto, SimTime, T, &mut Vec<LinkAction>),
+        feed: impl FnOnce(&mut dyn LinkProto, SimTime, &mut Vec<LinkAction>),
     ) {
         let token = self.obs.perf().enter("link.proto");
         let mut la = self.bufs.take_link();
-        let port = &mut self.links[link];
-        let rto = port.rto;
-        let proto = port.protos[slot].get_or_insert_with(|| make_proto(slot, rto, &self.config));
-        feed(proto.as_mut(), ctx.now(), input, &mut la);
+        let now = ctx.now();
+        feed(self.link_proto(link, slot), now, &mut la);
         self.dispatch_link(ctx, link, slot, la);
         self.obs.perf().exit(token);
+    }
+
+    /// Hands the packet `held` holds to the `(link, slot)` protocol to send,
+    /// and applies what it emitted. A packet the routing level holds lies in
+    /// a [`LinkAction::Deliver`] — in the batch its link protocol delivered
+    /// it in, or where the ingress built it — and is taken out of it only
+    /// here, once all else the call needs is at hand: a packet passed down
+    /// by value, past the calls that come first here, would be copied again
+    /// on its way in. Anything but a `Deliver` is left where it is.
+    pub(super) fn link_send(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        link: usize,
+        slot: usize,
+        held: &mut LinkAction,
+    ) {
+        let token = self.obs.perf().enter("link.proto");
+        let mut la = self.bufs.take_link();
+        let now = ctx.now();
+        let proto = self.link_proto(link, slot);
+        if matches!(held, LinkAction::Deliver(_)) {
+            // The inert action left in the slot is cleared with its batch.
+            match std::mem::replace(held, LinkAction::Observe(LinkEvent::Retransmit)) {
+                LinkAction::Deliver(pkt) => proto.on_send(now, pkt, &mut la),
+                // Unreachable (checked above). Forgotten, not dropped: a drop
+                // would take the action's address, and the packet would then
+                // be copied out of it once more on its way into the call.
+                other => std::mem::forget(other),
+            }
+        }
+        self.dispatch_link(ctx, link, slot, la);
+        self.obs.perf().exit(token);
+    }
+
+    /// Hands `pkt`, arrived on `link`, to its `slot`'s protocol, and applies
+    /// what it emitted. Inlined into the frame decoder, so the packet is not
+    /// passed down by value (see [`OverlayNode::link_send`]).
+    #[inline(always)]
+    fn link_receive(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, pkt: DataPacket) {
+        let slot = pkt.spec.link.slot();
+        let token = self.obs.perf().enter("link.proto");
+        let mut la = self.bufs.take_link();
+        let now = ctx.now();
+        self.link_proto(link, slot).on_data(now, pkt, &mut la);
+        self.dispatch_link(ctx, link, slot, la);
+        self.obs.perf().exit(token);
+    }
+
+    /// The `(link, slot)` protocol instance, built on the slot's first use.
+    fn link_proto(&mut self, link: usize, slot: usize) -> &mut dyn LinkProto {
+        let port = &mut self.links[link];
+        let rto = port.rto;
+        port.protos[slot]
+            .get_or_insert_with(|| make_proto(slot, rto, &self.config))
+            .as_mut()
     }
 
     /// Applies a batch of session actions.
@@ -227,13 +283,7 @@ impl OverlayNode {
     ) {
         let saved_recover = self.pending_recover.take();
         let saved_retransmit = std::mem::replace(&mut self.pending_retransmit, false);
-        // Each action is taken out of its slot, leaving an inert one, rather
-        // than drained: a `Drain` keeps its position in memory for its
-        // out-of-line `drop`, and whether LLVM can then still read a payload
-        // in place or copies the action's 264 bytes first depends on what
-        // else shares this codegen unit (DESIGN.md §7, the copy census).
-        for entry in la.iter_mut() {
-            let action = std::mem::replace(entry, LinkAction::Observe(LinkEvent::Retransmit));
+        for action in &mut la {
             self.apply_link(ctx, link, slot, action);
         }
         la.clear();
@@ -242,14 +292,15 @@ impl OverlayNode {
         self.bufs.link.push(la);
     }
 
-    /// Applies one action of a [`OverlayNode::dispatch_link`] batch.
+    /// Applies one action of a [`OverlayNode::dispatch_link`] batch where it
+    /// lies in the batch.
     #[inline(always)]
     fn apply_link(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         link: usize,
         slot: usize,
-        action: LinkAction,
+        action: &mut LinkAction,
     ) {
         match action {
             LinkAction::Transmit(pkt) => {
@@ -259,15 +310,23 @@ impl OverlayNode {
                     } else {
                         TraceStage::Transmit
                     };
-                    self.obs.trace(ctx.now(), tctx, &pkt, stage, Some(link));
+                    self.obs.trace(ctx.now(), tctx, pkt, stage, Some(link));
                 }
-                self.send_on_link(ctx, link, None, &Wire::Data(pkt));
+                self.send_on_link(ctx, link, None, pkt);
             }
             LinkAction::TransmitCtl(ctl) => {
                 // FEC reports repair transmissions as retransmits but ships
                 // them as control; do not let the flag leak onto a later
                 // unrelated data transmit.
                 self.pending_retransmit = false;
+                // The control leaves its slot for the `Wire` it is sent as;
+                // the empty NACK left behind is cleared with the batch.
+                let ctl = std::mem::replace(
+                    ctl,
+                    LinkCtl::ReliableNack {
+                        missing: Vec::new(),
+                    },
+                );
                 let wire = Wire::Ctl {
                     slot: slot as u8,
                     ctl,
@@ -276,9 +335,12 @@ impl OverlayNode {
             }
             LinkAction::Deliver(pkt) => {
                 let recovered_after = self.pending_recover.take();
-                self.handle_upward(ctx, pkt, Some(link), recovered_after);
+                if let Some(fo) = self.handle_upward(ctx, pkt, Some(link), recovered_after) {
+                    self.forward(ctx, action, fo);
+                }
             }
             LinkAction::Observe(event) => {
+                let event = *event;
                 match event {
                     LinkEvent::Recovered { after } => self.pending_recover = Some(after),
                     LinkEvent::Retransmit => self.pending_retransmit = true,
@@ -294,7 +356,7 @@ impl OverlayNode {
                 }
                 self.obs.link_event(slot_label(slot), event);
             }
-            LinkAction::Timer { delay, token } => {
+            &mut LinkAction::Timer { delay, token } => {
                 let key = TimerKey::Link {
                     link: link as u16,
                     slot: slot as u8,
@@ -302,7 +364,7 @@ impl OverlayNode {
                 };
                 ctx.set_timer(delay, key.encode());
             }
-            LinkAction::PauseFlow(flow) => {
+            &mut LinkAction::PauseFlow(flow) => {
                 // The pause bit lives in the shared FlowTable; the owning
                 // client (present only at the ingress) is told exactly once
                 // per pause edge.
@@ -318,7 +380,7 @@ impl OverlayNode {
                     }
                 }
             }
-            LinkAction::ResumeFlow(flow) => {
+            &mut LinkAction::ResumeFlow(flow) => {
                 if self.flows.resume(&flow) {
                     if let Some((port, local_flow)) = self.sessions.local_binding(&flow) {
                         if let Some(proc) = self.sessions.client_proc(port) {
@@ -331,12 +393,14 @@ impl OverlayNode {
                     }
                 }
             }
-            LinkAction::Consumed(flow) => {
+            &mut LinkAction::Consumed(flow) => {
                 // Grant a credit on the flow's upstream link, if any
                 // (none at the ingress node).
                 if let Some(up) = self.flows.upstream(&flow) {
                     if up != link {
-                        self.run_link_proto(ctx, up, slot, flow, <dyn LinkProto>::on_consumed);
+                        self.run_link_proto(ctx, up, slot, |p, now, la| {
+                            p.on_consumed(now, flow, la)
+                        });
                     }
                 }
             }
@@ -423,12 +487,13 @@ impl Process<Wire> for OverlayNode {
         let decoded = match self.in_pipe_index.get(&pipe) {
             None => true,
             Some(&(link, provider)) => match wire::frame_kind(frame) {
-                Some(FrameKind::Data) => wire::decode_data(frame)
-                    .map(|pkt| {
-                        let slot = pkt.spec.link.slot();
-                        self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
-                    })
-                    .is_ok(),
+                Some(FrameKind::Data) => match wire::decode_data(frame) {
+                    Ok(pkt) => {
+                        self.link_receive(ctx, link, pkt);
+                        true
+                    }
+                    Err(_) => false,
+                },
                 Some(FrameKind::Ctl) => wire::decode_ctl(frame)
                     .map(|(slot, ctl)| self.on_link_ctl(ctx, link, slot, ctl))
                     .is_ok(),
@@ -464,8 +529,7 @@ impl OverlayNode {
                 let Some(&(link, _)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p)) else {
                     return;
                 };
-                let slot = pkt.spec.link.slot();
-                self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_data);
+                self.link_receive(ctx, link, pkt);
             }
             Wire::Ctl { slot, ctl } => {
                 let Some(&(link, _)) = pipe.as_ref().and_then(|p| self.in_pipe_index.get(p)) else {
@@ -491,7 +555,9 @@ impl OverlayNode {
     /// A link-protocol control frame that arrived on `link` for `slot`, one
     /// of the service slots (the codec refuses any other).
     fn on_link_ctl(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, slot: u8, ctl: LinkCtl) {
-        self.run_link_proto(ctx, link, usize::from(slot), ctl, <dyn LinkProto>::on_ctl);
+        self.run_link_proto(ctx, link, usize::from(slot), |p, now, la| {
+            p.on_ctl(now, ctl, la)
+        });
     }
 
     /// A control frame that arrived on `link` over `provider`'s path.
@@ -588,7 +654,7 @@ impl OverlayNode {
             Some(TimerKey::Link { link, slot, token }) => {
                 let (link, slot) = (link as usize, slot as usize);
                 if link < self.links.len() && slot < SERVICE_SLOTS {
-                    self.run_link_proto(ctx, link, slot, token, <dyn LinkProto>::on_timer);
+                    self.run_link_proto(ctx, link, slot, |p, now, la| p.on_timer(now, token, la));
                 }
             }
             Some(TimerKey::Session { token }) => {
@@ -619,7 +685,7 @@ impl OverlayNode {
                     let mut outs = std::mem::take(&mut self.out_buf);
                     self.out_edges_into(&pkt, in_edge, &mut outs);
                     let fo = self.flows.ensure(pkt.flow, pkt.spec, &mut self.obs).obs();
-                    self.transmit_out(ctx, pkt, &outs, fo);
+                    self.transmit_out(ctx, &mut LinkAction::Deliver(pkt), &outs, fo);
                     self.out_buf = outs;
                 }
             }

@@ -5,27 +5,29 @@
 //! daemon side — picking the provider pipe a wire goes out on, granting
 //! IT-Reliable consumption credits, and exposing per-protocol statistics.
 
+use son_netsim::process::Outgoing;
 use son_netsim::sim::Ctx;
 use son_obs::DropClass;
 
 use crate::addr::FlowKey;
-use crate::linkproto::{LinkProto, LinkProtoStats};
+use crate::linkproto::LinkProtoStats;
 use crate::packet::Wire;
 use crate::service::LinkService;
 
 use super::OverlayNode;
 
 impl OverlayNode {
-    /// Sends a wire on `link`, on `provider` if given, else the active
+    /// Sends a frame on `link` — a `Wire`, or a data packet as the
+    /// `Wire::Data` it encodes as — on `provider` if given, else the active
     /// provider. A link wired with no provider pipes at all cannot carry
-    /// anything; the wire is counted as a [`DropClass::NoProvider`] drop
+    /// anything; the frame is counted as a [`DropClass::NoProvider`] drop
     /// instead of panicking on the empty pipe list.
     pub(super) fn send_on_link(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         link: usize,
         provider: Option<usize>,
-        wire: &Wire,
+        frame: &dyn Outgoing<Wire>,
     ) {
         let port = &self.links[link];
         if port.out_pipes.is_empty() {
@@ -38,13 +40,13 @@ impl OverlayNode {
         let pipe = port.out_pipes[idx];
         // The driver encodes the frame where it lies: the simulator and a
         // real transport alike put its wire-codec bytes on the link.
-        ctx.send_ref(pipe, wire);
+        ctx.send_ref(pipe, frame);
     }
 
     /// Grants an IT-Reliable consumption credit to the neighbor on `link`.
     pub(super) fn grant_consumed(&mut self, ctx: &mut Ctx<'_, Wire>, link: usize, flow: FlowKey) {
         let slot = LinkService::ItReliable.slot();
-        self.run_link_proto(ctx, link, slot, flow, <dyn LinkProto>::on_consumed);
+        self.run_link_proto(ctx, link, slot, |p, now, la| p.on_consumed(now, flow, la));
     }
 
     /// Link protocol statistics for `(local link index, service)`; zeros

@@ -17,7 +17,7 @@ use son_topo::EdgeId;
 
 use crate::addr::{Destination, FlowKey, VirtualPort};
 use crate::adversary::{Behavior, Verdict};
-use crate::linkproto::LinkProto;
+use crate::linkproto::LinkAction;
 use crate::obs::FlowObs;
 use crate::packet::{DataPacket, Wire};
 use crate::service::{FlowSpec, LinkService, RoutingService};
@@ -103,32 +103,44 @@ impl OverlayNode {
     /// Core data-plane handling for a packet that surfaced at this node:
     /// from the link protocol on `in_link` (`recovered_after` being the
     /// recovery latency that protocol reported just before, if any), or
-    /// freshly built at the ingress (`None`). The packet passes through
-    /// here unread — moved, not copied; the node-owned buffers its routing
-    /// decision goes into are what this wrapper is for.
+    /// freshly built at the ingress (`None`). The packet is read where it
+    /// lies — in its link batch, or the ingress's local — and stamped in
+    /// place. Returns the flow's counter handles when it goes on: its
+    /// out-edges are left in `out_buf`, and whoever owns the packet hands
+    /// it to [`OverlayNode::forward`].
     pub(super) fn handle_upward(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
-        pkt: DataPacket,
+        pkt: &mut DataPacket,
         in_link: Option<usize>,
         recovered_after: Option<SimDuration>,
-    ) {
+    ) -> Option<FlowObs> {
         let mut targets = std::mem::take(&mut self.target_buf);
         let mut outs = std::mem::take(&mut self.out_buf);
-        self.route_upward(ctx, pkt, in_link, recovered_after, &mut targets, &mut outs);
+        let onward = self.route_upward(ctx, pkt, in_link, recovered_after, &mut targets, &mut outs);
         self.target_buf = targets;
+        self.out_buf = outs;
+        onward
+    }
+
+    /// Hands the packet `held` holds, which [`OverlayNode::handle_upward`]
+    /// routed onward, to the link protocols of the out-edges it left in
+    /// `out_buf`.
+    pub(super) fn forward(&mut self, ctx: &mut Ctx<'_, Wire>, held: &mut LinkAction, fo: FlowObs) {
+        let outs = std::mem::take(&mut self.out_buf);
+        self.transmit_out(ctx, held, &outs, fo);
         self.out_buf = outs;
     }
 
     fn route_upward(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
-        mut pkt: DataPacket,
+        pkt: &mut DataPacket,
         in_link: Option<usize>,
         recovered_after: Option<SimDuration>,
         targets: &mut Vec<VirtualPort>,
         outs: &mut Vec<EdgeId>,
-    ) {
+    ) -> Option<FlowObs> {
         let is_it_reliable = matches!(pkt.spec.link, LinkService::ItReliable);
         let in_edge = in_link.map(|link| self.links[link].edge);
         if let Some(link) = in_link {
@@ -142,7 +154,7 @@ impl OverlayNode {
                     let stage = TraceStage::Recovered {
                         after_ns: after.as_nanos(),
                     };
-                    self.obs.trace(ctx.now(), tctx, &pkt, stage, in_link);
+                    self.obs.trace(ctx.now(), tctx, pkt, stage, in_link);
                 }
             }
             // Honest receipt accounting for the watchdog: the packet
@@ -163,9 +175,9 @@ impl OverlayNode {
                 .verify(pkt.origin, pkt.flow, pkt.flow_seq, pkt.size, pkt.auth_tag)
         {
             self.obs.drop(DropClass::Auth);
-            self.trace_pkt(ctx.now(), &pkt, TraceStage::Drop(DropClass::Auth), in_link);
-            self.flow_dropped(&pkt);
-            return;
+            self.trace_pkt(ctx.now(), pkt, TraceStage::Drop(DropClass::Auth), in_link);
+            self.flow_dropped(pkt);
+            return None;
         }
         // A node id is any u32 on the wire. One outside the topology where
         // forwarding would look it up — the unicast destination, the
@@ -179,9 +191,9 @@ impl OverlayNode {
         if named.is_some_and(|n| n.0 >= self.topology.node_count()) {
             self.obs.drop(DropClass::Unroutable);
             let stage = TraceStage::Drop(DropClass::Unroutable);
-            self.trace_pkt(ctx.now(), &pkt, stage, in_link);
-            self.flow_dropped(&pkt);
-            return;
+            self.trace_pkt(ctx.now(), pkt, stage, in_link);
+            self.flow_dropped(pkt);
+            return None;
         }
         // De-duplication for redundant dissemination: only the first copy is
         // processed; the rest stop here (§II-B). A suppressed IT-Reliable
@@ -191,23 +203,23 @@ impl OverlayNode {
             self.obs.drop(DropClass::DedupDuplicate);
             self.trace_pkt(
                 ctx.now(),
-                &pkt,
+                pkt,
                 TraceStage::Drop(DropClass::DedupDuplicate),
                 in_link,
             );
-            self.flow_dropped(&pkt);
+            self.flow_dropped(pkt);
             if is_it_reliable {
                 if let Some(link) = in_link {
                     self.grant_consumed(ctx, link, pkt.flow);
                 }
             }
-            return;
+            return None;
         }
         // Where the packet goes from here, decided once: the local clients
         // it is for, and the onward links (also what the IT-Reliable credit
         // check needs).
-        self.local_targets_into(&pkt, targets);
-        self.out_edges_into(&pkt, in_edge, outs);
+        self.local_targets_into(pkt, targets);
+        self.out_edges_into(pkt, in_edge, outs);
         // The one flow-table lookup of the packet's visit. A packet that
         // dead-ends here (a mask leaf, a group with nobody downstream)
         // leaves no flow context behind.
@@ -233,36 +245,23 @@ impl OverlayNode {
             let now = ctx.now();
             self.obs
                 .delivered_local(now.saturating_since(pkt.created_at).as_nanos());
-            self.trace_pkt(now, &pkt, TraceStage::Deliver, in_link);
+            self.trace_pkt(now, pkt, TraceStage::Deliver, in_link);
             self.obs.inc(fo.delivered);
             let mut sa = self.bufs.take_session();
-            if outs.is_empty() {
-                // Nothing goes onward: the session table gets the packet
-                // itself, not a copy.
-                self.sessions.deliver(now, pkt, targets, &mut sa);
-                self.dispatch_session(ctx, sa);
-                if let Some((link, flow)) = credit {
-                    self.grant_consumed(ctx, link, flow);
-                }
-                return;
-            }
-            self.sessions.deliver(now, pkt.clone(), targets, &mut sa);
+            self.sessions.deliver(now, pkt, targets, &mut sa);
             self.dispatch_session(ctx, sa);
         }
         if let Some((link, flow)) = credit {
             self.grant_consumed(ctx, link, flow);
         }
-        if let Some(fo) = self.onward_checks(ctx, &mut pkt, in_edge, outs, fo) {
-            self.transmit_out(ctx, pkt, outs, fo);
-        }
+        self.onward_checks(ctx, pkt, in_edge, outs, fo)
     }
 
     /// What stands between a forwarding decision and the wire: the
     /// stranded-packet and TTL checks and, for transit packets, this node's
     /// (possibly compromised) behaviour. Returns the flow's counter handles
     /// when `pkt` should now go out on `outs`, `None` when it ended here.
-    /// Works on the caller's packet in place, so the one who owns it hands
-    /// it to [`OverlayNode::transmit_out`] without a stop in between.
+    /// Works on the caller's packet in place, where it lies.
     pub(super) fn onward_checks(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
@@ -332,7 +331,8 @@ impl OverlayNode {
                 }
                 Verdict::Duplicate(copies) => {
                     for _ in 1..copies {
-                        self.transmit_out(ctx, pkt.clone(), outs, fo);
+                        let mut copy = LinkAction::Deliver(pkt.clone());
+                        self.transmit_out(ctx, &mut copy, outs, fo);
                     }
                 }
                 Verdict::Misroute => {
@@ -346,7 +346,8 @@ impl OverlayNode {
                     match wrong {
                         Some(e) => {
                             self.obs.named("adversary_misrouted");
-                            self.transmit_out(ctx, pkt.clone(), &[e], fo);
+                            let mut copy = LinkAction::Deliver(pkt.clone());
+                            self.transmit_out(ctx, &mut copy, &[e], fo);
                         }
                         None => {
                             self.obs.drop(DropClass::Adversary);
@@ -360,16 +361,22 @@ impl OverlayNode {
         Some(fo)
     }
 
+    /// Hands the packet `held` holds (a [`LinkAction::Deliver`], see
+    /// [`OverlayNode::link_send`]) to the link protocol of each of `outs`
+    /// that is one of this node's links: every edge but the last of `outs`
+    /// takes a copy, the last the packet itself.
     pub(super) fn transmit_out(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
-        pkt: DataPacket,
+        held: &mut LinkAction,
         outs: &[EdgeId],
         fo: FlowObs,
     ) {
-        let slot = pkt.spec.link.slot();
+        let LinkAction::Deliver(pkt) = held else {
+            return;
+        };
         let now = ctx.now();
-        // The last out-edge takes the packet itself; only a fan-out copies.
+        let slot = pkt.spec.link.slot();
         let mut edges = outs.iter().peekable();
         while let Some(edge) = edges.next() {
             let Some(&link) = self.edge_index.get(edge) else {
@@ -377,13 +384,12 @@ impl OverlayNode {
             };
             self.obs.forwarded();
             self.obs.inc(fo.forwarded);
-            self.trace_pkt(now, &pkt, TraceStage::Enqueue, Some(link));
-            if edges.peek().is_some() {
-                self.run_link_proto(ctx, link, slot, pkt.clone(), <dyn LinkProto>::on_send);
-            } else {
-                self.run_link_proto(ctx, link, slot, pkt, <dyn LinkProto>::on_send);
-                break;
+            self.trace_pkt(now, pkt, TraceStage::Enqueue, Some(link));
+            if edges.peek().is_none() {
+                self.link_send(ctx, link, slot, held);
+                return;
             }
+            self.link_send(ctx, link, slot, &mut LinkAction::Deliver(pkt.clone()));
         }
     }
 
@@ -482,7 +488,8 @@ impl OverlayNode {
             None => self.config.trace_sample,
         };
         let trace = TraceContext::sample(flow_sid, seq, sample_rate);
-        let pkt = DataPacket {
+        // Built where the routing level holds a packet (see `link_send`).
+        let mut held = LinkAction::Deliver(DataPacket {
             flow,
             flow_seq: seq,
             origin: self.me,
@@ -496,18 +503,19 @@ impl OverlayNode {
             ttl: self.config.ttl,
             auth_tag,
             trace,
+        });
+        let LinkAction::Deliver(pkt) = &mut held else {
+            unreachable!("built as a Deliver");
         };
-        self.trace_pkt(
-            ctx.now(),
-            &pkt,
-            TraceStage::Ingress {
-                masked: pkt.mask.is_some(),
-            },
-            None,
-        );
+        let stage = TraceStage::Ingress {
+            masked: pkt.mask.is_some(),
+        };
+        self.trace_pkt(ctx.now(), pkt, stage, None);
         // handle_upward's dedup check records the first sighting at the
         // ingress, so copies looping back to the source are suppressed.
-        self.handle_upward(ctx, pkt, None, None);
+        if let Some(fo) = self.handle_upward(ctx, pkt, None, None) {
+            self.forward(ctx, &mut held, fo);
+        }
     }
 
     pub(super) fn flood_tick(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -552,7 +560,7 @@ impl OverlayNode {
         let mut outs = std::mem::take(&mut self.out_buf);
         self.out_edges_into(&pkt, None, &mut outs);
         if let Some(fo) = self.onward_checks(ctx, &mut pkt, None, &outs, None) {
-            self.transmit_out(ctx, pkt, &outs, fo);
+            self.transmit_out(ctx, &mut LinkAction::Deliver(pkt), &outs, fo);
         }
         self.out_buf = outs;
         let delay = SimDuration::from_secs_f64(1.0 / rate_pps.max(1) as f64);

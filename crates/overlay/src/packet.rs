@@ -6,7 +6,7 @@
 //! bytes, and those bytes are what the pipe counts.
 
 use bytes::Bytes;
-use son_netsim::process::{MessageKind, SimMessage};
+use son_netsim::process::{MessageKind, Outgoing, SimMessage};
 use son_netsim::time::SimTime;
 use son_obs::trace::{TraceContext, TRACE_CONTEXT_BYTES};
 use son_topo::{EdgeId, EdgeMask, NodeId};
@@ -435,6 +435,32 @@ impl SimMessage for Wire {
     #[inline]
     fn decode_frame(frame: &[u8], hint: &Option<Adverts>) -> Option<Wire> {
         crate::wire::decode_reusing(frame, hint.as_ref()).ok()
+    }
+}
+
+/// A data packet crosses a pipe as `Wire::Data` of itself would: the node
+/// sends a `Transmit` straight from its link batch, and only a driver that
+/// keeps values (not bytes) builds the `Wire`.
+impl Outgoing<Wire> for DataPacket {
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        if let Err(e) = crate::wire::encode_data_into(self, buf) {
+            panic!("link frames round-trip the wire codec losslessly: {e}");
+        }
+    }
+
+    #[inline]
+    fn carries_data(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn hint(&self) -> Option<Adverts> {
+        None
+    }
+
+    fn to_message(&self) -> Wire {
+        Wire::Data(self.clone())
     }
 }
 

@@ -282,7 +282,7 @@ impl SessionTable {
     pub fn deliver(
         &mut self,
         now: SimTime,
-        pkt: DataPacket,
+        pkt: &DataPacket,
         targets: &[VirtualPort],
         out: &mut Vec<SessionAction>,
     ) {
@@ -302,7 +302,7 @@ impl SessionTable {
         if !spec.ordered {
             state.next_expected = state.next_expected.max(pkt.flow_seq);
             state.stats.delivered += 1;
-            push_deliver(&pkt, targets, out);
+            push_deliver(pkt, targets, out);
             return;
         }
 
@@ -318,7 +318,7 @@ impl SessionTable {
         if pkt.flow_seq == state.next_expected {
             state.stats.delivered += 1;
             state.next_expected += 1;
-            push_deliver(&pkt, targets, out);
+            push_deliver(pkt, targets, out);
             // Flush the contiguous run in the buffer.
             while let Some(next) = state.buffer.remove(&state.next_expected) {
                 state.stats.delivered += 1;
@@ -333,9 +333,10 @@ impl SessionTable {
         // any hop-by-hop recovery but bounds head-of-line blocking when the
         // missing packets will never come (e.g. a destination that started
         // receiving mid-stream after an anycast failover or late join).
+        // The buffer keeps its own copy; the caller's packet may go on.
         let seq = pkt.flow_seq;
         let created = pkt.created_at;
-        state.buffer.insert(seq, pkt);
+        state.buffer.insert(seq, pkt.clone());
         let delay = match spec.deadline {
             Some(deadline) => (created + deadline).saturating_since(now),
             None => DEFAULT_ORDERED_HOLD,
@@ -533,13 +534,13 @@ mod tests {
         let mut out = Vec::new();
         t.deliver(
             SimTime::from_millis(10),
-            pkt(5, FlowSpec::best_effort(), 0),
+            &pkt(5, FlowSpec::best_effort(), 0),
             &[P],
             &mut out,
         );
         t.deliver(
             SimTime::from_millis(11),
-            pkt(2, FlowSpec::best_effort(), 0),
+            &pkt(2, FlowSpec::best_effort(), 0),
             &[P],
             &mut out,
         );
@@ -551,13 +552,13 @@ mod tests {
         let mut t = table();
         let mut out = Vec::new();
         let spec = FlowSpec::reliable();
-        t.deliver(SimTime::from_millis(1), pkt(2, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(1), &pkt(2, spec, 0), &[P], &mut out);
         assert!(
             delivered_seqs(&out).is_empty(),
             "2 buffered until 1 arrives"
         );
-        t.deliver(SimTime::from_millis(2), pkt(3, spec, 0), &[P], &mut out);
-        t.deliver(SimTime::from_millis(3), pkt(1, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(2), &pkt(3, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(3), &pkt(1, spec, 0), &[P], &mut out);
         assert_eq!(delivered_seqs(&out), vec![1, 2, 3]);
         let flow = pkt(1, spec, 0).flow;
         assert_eq!(t.delivery_stats(flow).delivered, 3);
@@ -568,10 +569,10 @@ mod tests {
         let mut t = table();
         let spec = FlowSpec::reliable();
         let mut out = Vec::new();
-        t.deliver(SimTime::from_millis(1), pkt(1, spec, 0), &[P], &mut out);
-        t.deliver(SimTime::from_millis(2), pkt(2, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(1), &pkt(1, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(2), &pkt(2, spec, 0), &[P], &mut out);
         out.clear();
-        t.deliver(SimTime::from_millis(9), pkt(1, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(9), &pkt(1, spec, 0), &[P], &mut out);
         assert!(delivered_seqs(&out).is_empty());
         assert_eq!(t.delivery_stats(pkt(1, spec, 0).flow).discarded_late, 1);
     }
@@ -582,7 +583,7 @@ mod tests {
         let spec = FlowSpec::reliable().with_deadline(SimDuration::from_millis(50));
         let mut out = Vec::new();
         // Created at 0, arrives at 60ms: past the 50ms deadline.
-        t.deliver(SimTime::from_millis(60), pkt(1, spec, 0), &[P], &mut out);
+        t.deliver(SimTime::from_millis(60), &pkt(1, spec, 0), &[P], &mut out);
         assert!(delivered_seqs(&out).is_empty());
         assert_eq!(t.delivery_stats(pkt(1, spec, 0).flow).discarded_late, 1);
     }
@@ -593,8 +594,8 @@ mod tests {
         let spec = FlowSpec::reliable().with_deadline(SimDuration::from_millis(50));
         let mut out = Vec::new();
         // seq 1 delivered; 2 lost; 3 buffered with a release timer.
-        t.deliver(SimTime::from_millis(10), pkt(1, spec, 5), &[P], &mut out);
-        t.deliver(SimTime::from_millis(20), pkt(3, spec, 15), &[P], &mut out);
+        t.deliver(SimTime::from_millis(10), &pkt(1, spec, 5), &[P], &mut out);
+        t.deliver(SimTime::from_millis(20), &pkt(3, spec, 15), &[P], &mut out);
         assert_eq!(delivered_seqs(&out), vec![1]);
         let (delay, token) = out
             .iter()
@@ -612,7 +613,7 @@ mod tests {
         assert_eq!(stats.skipped, 1, "seq 2 given up");
         // If 2 shows up now, it is discarded.
         out.clear();
-        t.deliver(SimTime::from_millis(66), pkt(2, spec, 16), &[P], &mut out);
+        t.deliver(SimTime::from_millis(66), &pkt(2, spec, 16), &[P], &mut out);
         assert!(delivered_seqs(&out).is_empty());
     }
 
@@ -621,8 +622,8 @@ mod tests {
         let mut t = table();
         let spec = FlowSpec::reliable().with_deadline(SimDuration::from_millis(50));
         let mut out = Vec::new();
-        t.deliver(SimTime::from_millis(10), pkt(1, spec, 5), &[P], &mut out);
-        t.deliver(SimTime::from_millis(20), pkt(3, spec, 15), &[P], &mut out);
+        t.deliver(SimTime::from_millis(10), &pkt(1, spec, 5), &[P], &mut out);
+        t.deliver(SimTime::from_millis(20), &pkt(3, spec, 15), &[P], &mut out);
         let token = out
             .iter()
             .find_map(|a| match a {
@@ -632,7 +633,7 @@ mod tests {
             .unwrap();
         // 2 recovered in time: 2 and 3 flush.
         out.clear();
-        t.deliver(SimTime::from_millis(30), pkt(2, spec, 10), &[P], &mut out);
+        t.deliver(SimTime::from_millis(30), &pkt(2, spec, 10), &[P], &mut out);
         assert_eq!(delivered_seqs(&out), vec![2, 3]);
         out.clear();
         t.on_timer(SimTime::from_millis(65), token, &[P], &mut out);
@@ -647,7 +648,7 @@ mod tests {
         out.clear();
         t.deliver(
             SimTime::from_millis(1),
-            pkt(1, FlowSpec::best_effort(), 0),
+            &pkt(1, FlowSpec::best_effort(), 0),
             &[P, VirtualPort(5)],
             &mut out,
         );

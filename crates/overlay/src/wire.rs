@@ -195,12 +195,11 @@ impl std::error::Error for WireError {}
 /// Returns [`WireError::LocalOnly`] for session/`Raw` traffic and
 /// [`WireError::TooLarge`] when a field exceeds its wire range.
 pub fn encode_into(wire: &Wire, buf: &mut Vec<u8>) -> Result<(), WireError> {
-    let (kind, flags) = match wire {
-        Wire::Data(d) => (KIND_DATA, data_flags(d)),
-        Wire::Ctl { slot, .. } => (KIND_CTL, *slot),
-        Wire::Control(c) => (
-            KIND_CONTROL,
-            match c {
+    match wire {
+        Wire::Data(d) => encode_data_into(d, buf),
+        Wire::Ctl { slot, ctl } => put_frame(buf, KIND_CTL, *slot, |buf| put_ctl(buf, ctl)),
+        Wire::Control(c) => {
+            let sub = match c {
                 Control::Hello { .. } => CONTROL_HELLO,
                 Control::HelloAck { .. } => CONTROL_HELLO_ACK,
                 Control::Lsa(_) => CONTROL_LSA,
@@ -210,12 +209,35 @@ pub fn encode_into(wire: &Wire, buf: &mut Vec<u8>) -> Result<(), WireError> {
                 Control::JoinAck { .. } => CONTROL_JOIN_ACK,
                 Control::Leave { .. } => CONTROL_LEAVE,
                 Control::MembershipUpdate { .. } => CONTROL_MEMBERSHIP_UPDATE,
-            },
-        ),
-        Wire::FromClient(_) => return Err(WireError::LocalOnly("FromClient")),
-        Wire::ToClient(_) => return Err(WireError::LocalOnly("ToClient")),
-        Wire::Raw { .. } => return Err(WireError::LocalOnly("Raw")),
-    };
+            };
+            put_frame(buf, KIND_CONTROL, sub, |buf| put_control(buf, c))
+        }
+        Wire::FromClient(_) => Err(WireError::LocalOnly("FromClient")),
+        Wire::ToClient(_) => Err(WireError::LocalOnly("ToClient")),
+        Wire::Raw { .. } => Err(WireError::LocalOnly("Raw")),
+    }
+}
+
+/// [`encode_into`] of `Wire::Data(d)`, from the packet alone: a sender
+/// encodes a packet where it lies, without a `Wire` around it.
+///
+/// # Errors
+///
+/// See [`encode_into`].
+#[inline]
+pub fn encode_data_into(d: &DataPacket, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    put_frame(buf, KIND_DATA, data_flags(d), |buf| put_data(buf, d))
+}
+
+/// Appends one frame: the header with `kind` and `flags`, then the body
+/// `body` writes, then its length into the header.
+#[inline(always)]
+fn put_frame(
+    buf: &mut Vec<u8>,
+    kind: u8,
+    flags: u8,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
     buf.push(FRAME_MAGIC);
     buf.push(FRAME_VERSION);
     buf.push(kind);
@@ -223,12 +245,7 @@ pub fn encode_into(wire: &Wire, buf: &mut Vec<u8>) -> Result<(), WireError> {
     let len_at = buf.len();
     buf.extend_from_slice(&[0u8; 4]);
     let body_start = buf.len();
-    match wire {
-        Wire::Data(d) => put_data(buf, d)?,
-        Wire::Ctl { ctl, .. } => put_ctl(buf, ctl)?,
-        Wire::Control(c) => put_control(buf, c)?,
-        _ => unreachable!("local-only wires rejected above"),
-    }
+    body(buf)?;
     let body_len =
         u32::try_from(buf.len() - body_start).map_err(|_| WireError::TooLarge("frame body"))?;
     buf[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
@@ -271,7 +288,7 @@ pub fn decode(frame: &[u8]) -> Result<Wire, WireError> {
 pub fn decode_reusing(frame: &[u8], sender: Option<&Adverts>) -> Result<Wire, WireError> {
     let (mut r, kind, flags) = open_frame(frame)?;
     let wire = match kind {
-        KIND_DATA => get_data(&mut r, flags).map(Wire::Data),
+        KIND_DATA => get_data(&mut r, flags, false).map(Wire::Data),
         KIND_CTL => ctl_slot(flags).and_then(|slot| {
             let ctl = get_ctl(&mut r)?;
             Ok(Wire::Ctl { slot, ctl })
@@ -329,11 +346,7 @@ pub fn decode_data(frame: &[u8]) -> Result<DataPacket, WireError> {
             tag: kind,
         });
     }
-    let data = get_data(&mut r, flags)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Trailing);
-    }
-    Ok(data)
+    get_data(&mut r, flags, true)
 }
 
 /// [`decode_data`] for a link-control frame: its service slot and control.
@@ -896,7 +909,14 @@ fn get_spec(r: &mut FrameReader<'_>) -> Result<FlowSpec, WireError> {
 }
 
 #[inline(always)]
-fn get_data(r: &mut FrameReader<'_>, flags: u8) -> Result<DataPacket, WireError> {
+/// A data packet's fields. With `whole_frame`, the packet must end the
+/// frame ([`WireError::Trailing`] otherwise), checked before the packet is
+/// built: the caller gets it where this function builds it.
+fn get_data(
+    r: &mut FrameReader<'_>,
+    flags: u8,
+    whole_frame: bool,
+) -> Result<DataPacket, WireError> {
     let flow = get_flow_key(r)?;
     let flow_seq = r.u64()?;
     let origin = get_node(r)?;
@@ -925,6 +945,9 @@ fn get_data(r: &mut FrameReader<'_>, flags: u8) -> Result<DataPacket, WireError>
     } else {
         None
     };
+    if whole_frame && r.remaining() != 0 {
+        return Err(WireError::Trailing);
+    }
     Ok(DataPacket {
         flow,
         flow_seq,
@@ -982,7 +1005,7 @@ fn get_ctl(r: &mut FrameReader<'_>) -> Result<LinkCtl, WireError> {
             let mut covered = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 let flags = r.u8()?;
-                covered.push(get_data(r, flags)?);
+                covered.push(get_data(r, flags, false)?);
             }
             LinkCtl::FecRepair {
                 block_start,

@@ -5,20 +5,25 @@
 //! crosses a hop without allocating, and so does a warm reliable link's
 //! loss-free send/ack cycle. A hop across a warm simulated pipe — encode
 //! into a pooled buffer, queue, decode at the receiver — allocates nothing
-//! for either. (Its own test binary: the counting allocator is
-//! process-wide, the count is per thread.)
+//! for either, and neither does a best-effort packet crossing a warm
+//! daemon: frame in, link protocol, route, frame out. (Its own test binary:
+//! the counting allocator is process-wide, the count is per thread.)
 
 use bytes::Bytes;
+use son_netsim::driver::Driver;
 use son_netsim::link::{PipeConfig, PipeId};
-use son_netsim::process::{Process, ProcessId};
+use son_netsim::process::{Outgoing, Process, ProcessId, TimerId};
+use son_netsim::rng::SimRng;
 use son_netsim::sim::{Ctx, Simulation};
 use son_netsim::time::{SimDuration, SimTime};
+use son_netsim::underlay::{Attachment, UEdgeId};
 use son_obs::alloc::{thread_allocations, CountingAlloc};
+use son_overlay::auth::KeyRegistry;
 use son_overlay::linkproto::{ItReliableLink, LinkAction, LinkProto, ReliableLink};
 use son_overlay::packet::{Adverts, ClientOp, Control, DataPacket, LinkAdvert, Lsa, Wire};
 use son_overlay::wire::{decode, encode, recode};
-use son_overlay::{Destination, FlowKey, FlowSpec, OverlayAddr};
-use son_topo::{EdgeId, NodeId};
+use son_overlay::{Destination, FlowKey, FlowSpec, NodeConfig, OverlayAddr, OverlayNode};
+use son_topo::{EdgeId, Graph, NodeId};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -231,5 +236,130 @@ fn a_warm_sim_hop_of_a_virtual_payload_allocates_nothing() {
     let (allocations, sent, got) =
         warm_sim_hop(Wire::Data(data_packet(FlowSpec::best_effort(), 4)));
     assert_eq!(got, sent);
+    assert_eq!(allocations, 0);
+}
+
+/// A driver that keeps what a daemon puts on its pipes as the bytes a
+/// pipe would carry, in buffers it hands back for reuse: frames sent, in
+/// order, with their pipes. Timers are accepted and never fire.
+struct FrameTap {
+    now: SimTime,
+    rng: SimRng,
+    sent: Vec<(PipeId, Vec<u8>)>,
+    spare: Vec<Vec<u8>>,
+}
+
+impl FrameTap {
+    /// Hands every kept frame's buffer back for reuse.
+    fn recycle(&mut self) {
+        self.spare.extend(self.sent.drain(..).map(|(_, mut frame)| {
+            frame.clear();
+            frame
+        }));
+    }
+}
+
+impl Driver<Wire> for FrameTap {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn rng(&mut self, _: ProcessId) -> &mut SimRng {
+        &mut self.rng
+    }
+    fn send(&mut self, pid: ProcessId, pipe: PipeId, msg: Wire) {
+        self.send_ref(pid, pipe, &msg);
+    }
+    fn send_ref(&mut self, _: ProcessId, pipe: PipeId, msg: &dyn Outgoing<Wire>) {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        msg.encode(&mut frame);
+        self.sent.push((pipe, frame));
+    }
+    fn send_direct(&mut self, _: ProcessId, _: ProcessId, _: SimDuration, _: Wire) {}
+    fn set_timer(&mut self, _: ProcessId, _: SimDuration, _: u64) -> TimerId {
+        TimerId::from_raw(0)
+    }
+    fn cancel_timer(&mut self, _: ProcessId, _: TimerId) -> bool {
+        false
+    }
+    fn reverse_pipe(&self, pipe: PipeId) -> Option<PipeId> {
+        Some(PipeId(pipe.0 ^ 1))
+    }
+    fn pipe_dst(&self, _: PipeId) -> ProcessId {
+        ProcessId(usize::MAX)
+    }
+    fn rebind_pipe(&mut self, _: PipeId, _: Attachment) {}
+    fn pipe_route(&mut self, _: PipeId) -> Option<Vec<UEdgeId>> {
+        None
+    }
+    fn count(&mut self, _: &str) {}
+    fn count_add(&mut self, _: &str, _: u64) {}
+}
+
+/// Once warm, a best-effort packet crosses the middle daemon of a chain
+/// 0 - 1 - 2 — its frame decoded, handed to the link protocol, routed and
+/// handed to the next link protocol, whose frame goes out — without
+/// allocating, and the frame that leaves is the codec's encoding of the
+/// packet one hop on: one TTL less, the out-link's sequence number.
+#[test]
+fn a_warm_best_effort_transit_hop_allocates_nothing_and_sends_the_codec_bytes() {
+    let mut chain = Graph::new(3);
+    let to_0 = chain.add_edge(NodeId(0), NodeId(1), 10.0);
+    let to_2 = chain.add_edge(NodeId(1), NodeId(2), 10.0);
+    // Pipe 2e runs up the chain over edge e, pipe 2e + 1 back down.
+    let (from_0, out_to_0, out_to_2) = (PipeId(0), PipeId(1), PipeId(2));
+    let mut node = OverlayNode::new(
+        NodeId(1),
+        chain,
+        KeyRegistry::new(3, 0x5eed),
+        NodeConfig::default(),
+    );
+    node.wire_links(vec![
+        (to_0, NodeId(0), vec![out_to_0], 10.0),
+        (to_2, NodeId(2), vec![out_to_2], 10.0),
+    ]);
+    node.register_in_pipe(from_0, 0, 0);
+    node.register_in_pipe(PipeId(3), 1, 0);
+    let mut tap = FrameTap {
+        now: SimTime::from_millis(1),
+        rng: SimRng::seed(7),
+        sent: Vec::new(),
+        spare: Vec::new(),
+    };
+    node.on_start(&mut Ctx::from_driver(&mut tap, ProcessId(1)));
+    tap.recycle();
+
+    let packet = |seq: u64| DataPacket {
+        link_seq: seq,
+        ..data_packet(FlowSpec::best_effort(), seq)
+    };
+    let (warm, measured) = (64, 1000);
+    let frames: Vec<Vec<u8>> = (1..=(warm + measured) as u64)
+        .map(|seq| encode(&Wire::Data(packet(seq))).unwrap())
+        .collect();
+    let expected: Vec<Vec<u8>> = (1..=(warm + measured) as u64)
+        .map(|seq| {
+            let onward = DataPacket {
+                ttl: 31,
+                ..packet(seq)
+            };
+            encode(&Wire::Data(onward)).unwrap()
+        })
+        .collect();
+    let mut hop = |tap: &mut FrameTap, i: usize| {
+        tap.now = SimTime::from_millis(2 + i as u64);
+        let mut ctx = Ctx::from_driver(tap, ProcessId(1));
+        assert!(node.on_frame(&mut ctx, ProcessId(0), from_0, &frames[i], &None));
+        assert_eq!(tap.sent.len(), 1, "packet {i} goes out once");
+        let (pipe, frame) = &tap.sent[0];
+        assert_eq!(*pipe, out_to_2, "packet {i} goes on towards node 2");
+        assert!(
+            *frame == expected[i],
+            "packet {i} leaves as the codec encodes it"
+        );
+        tap.recycle();
+    };
+    (0..warm).for_each(|i| hop(&mut tap, i));
+    let (allocations, ()) =
+        allocations_in(|| (warm..warm + measured).for_each(|i| hop(&mut tap, i)));
     assert_eq!(allocations, 0);
 }

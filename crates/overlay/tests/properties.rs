@@ -113,7 +113,7 @@ proptest! {
             let mut out = Vec::new();
             table.deliver(
                 SimTime::from_millis(i as u64),
-                p,
+                &p,
                 &[VirtualPort(2)],
                 &mut out,
             );
